@@ -305,6 +305,99 @@ fn bench_issue_path(r: &mut Runner) {
     }
 }
 
+/// Row-at-a-time functional execution (DESIGN.md §16) against the per-lane
+/// interpretation it replaced: the same operands through the scalar
+/// `eval_*` with the opcode matched in every lane, and through the row
+/// evaluator that matches it once per warp. The divergent rows use a
+/// half-empty mask, where the row form still evaluates all 32 lanes and
+/// blends. `order/` times LRR's order (the cursor moves before every call,
+/// as when a unit issues every cycle) next to the sort it used to be.
+fn bench_exec_rows(r: &mut Runner) {
+    use pro_isa::exec::{alu_row, cmp_row, eval_alu, eval_cmp, Row};
+    use pro_isa::{AluOp, CmpOp, Ty, FULL_MASK, WARP_SIZE};
+
+    // Operands that are ordinary f32 values as well as integers: random
+    // bits would make `FMul` produce denormals, whose microcode assist
+    // (hundreds of cycles) would swamp both sides of the comparison.
+    let a: Row = std::array::from_fn(|l| (1.0 + l as f32).to_bits());
+    let b: Row = std::array::from_fn(|l| (0.5 + 0.25 * l as f32).to_bits());
+    let c: Row = [3; WARP_SIZE];
+    // A compute kernel's mix: address arithmetic, multiply-add, float.
+    const OPS: [AluOp; 4] = [AluOp::IAdd, AluOp::IMad, AluOp::Shl, AluOp::FMul];
+    for (tag, mask) in [("", FULL_MASK), ("_divergent", 0x0F0F_3301)] {
+        let mut dst: Row = [0; WARP_SIZE];
+        r.bench(&format!("exec/alu_scalar{tag}_x10k"), || {
+            for i in 0..BATCH as usize {
+                let op = black_box(OPS[i % OPS.len()]);
+                for l in 0..WARP_SIZE {
+                    if mask & (1 << l) != 0 {
+                        dst[l] = eval_alu(op, a[l], b[l], c[l]);
+                    }
+                }
+                black_box(&mut dst);
+            }
+        });
+        r.bench(&format!("exec/alu_row{tag}_x10k"), || {
+            for i in 0..BATCH as usize {
+                alu_row(black_box(OPS[i % OPS.len()]), &mut dst, &a, &b, &c, mask);
+                black_box(&mut dst);
+            }
+        });
+    }
+    r.bench("exec/setp_scalar_x10k", || {
+        let mut acc = 0u32;
+        for _ in 0..BATCH {
+            let (cmp, ty) = black_box((CmpOp::Lt, Ty::S32));
+            let mut bits = 0u32;
+            for l in 0..WARP_SIZE {
+                bits |= (eval_cmp(cmp, ty, a[l], b[l]) as u32) << l;
+            }
+            acc ^= bits;
+        }
+        acc
+    });
+    r.bench("exec/setp_row_x10k", || {
+        let mut acc = 0u32;
+        for _ in 0..BATCH {
+            let (cmp, ty) = black_box((CmpOp::Lt, Ty::S32));
+            acc ^= cmp_row(cmp, ty, black_box(&a), &b);
+        }
+        acc
+    });
+
+    let warps = vec![WarpState::default(); 48];
+    let tbs = vec![TbState::default(); 8];
+    let view = SchedView {
+        cycle: 0,
+        warps: &warps,
+        tbs: &tbs,
+        tbs_waiting_in_tb_scheduler: true,
+    };
+    let info = pro_core::IssueInfo {
+        active_threads: 32,
+        is_global_load: false,
+    };
+    let candidates: Vec<usize> = (0..48).step_by(2).collect();
+    let mut out = Vec::with_capacity(48);
+    let mut lrr = SchedulerKind::Lrr.build(48, 8, 2);
+    r.bench("order/lrr_rotate_x10k", || {
+        for i in 0..BATCH as usize {
+            lrr.on_issue(0, candidates[i % candidates.len()], info, &view);
+            lrr.order(0, &view, &candidates, &mut out);
+            black_box(out.len());
+        }
+    });
+    r.bench("order/lrr_sort_x10k", || {
+        for i in 0..BATCH as usize {
+            let start = (candidates[i % candidates.len()] + 1) % 48;
+            out.clear();
+            out.extend_from_slice(black_box(&candidates));
+            out.sort_by_key(|&w| (w + 48 - start) % 48);
+            black_box(out.len());
+        }
+    });
+}
+
 /// The event-queue hot path at the recorded depth profile: an identical
 /// replayed push/pop trace driven into the structure the simulator used
 /// to carry (a `BinaryHeap` of `(time, seq, idx)` keys over an
@@ -616,6 +709,7 @@ fn main() {
     bench_event_queue(&mut r);
     bench_policy_order(&mut r);
     bench_issue_path(&mut r);
+    bench_exec_rows(&mut r);
     bench_trace_overhead(&mut r);
     bench_parallel_speedup(&mut r);
     bench_checkpoint(&mut r);

@@ -46,13 +46,9 @@ impl WarpScheduler for Lrr {
         out: &mut Vec<WarpSlot>,
     ) {
         self.dirty.clear(unit);
-        out.clear();
-        out.extend_from_slice(candidates);
         let m = self.max_warps.max(1);
         let start = (self.last_issued[unit as usize] + 1) % m;
-        // Rotate so the first candidate ≥ start comes first (round robin
-        // over the fixed slot numbering, skipping empty slots).
-        out.sort_by_key(|&w| (w + m - start) % m);
+        rotate_from(candidates, start, m, out);
     }
 
     fn order_dirty(&mut self, unit: u32) -> bool {
@@ -76,6 +72,27 @@ impl WarpScheduler for Lrr {
         self.last_issued = Snapshot::load(r)?;
         self.dirty = Snapshot::load(r)?;
         Ok(())
+    }
+}
+
+/// Fill `out` with `candidates` in round-robin order over the slot
+/// numbering `0..m`, starting at slot `start`: the first candidate ≥ `start`
+/// comes first, wrapping around, empty slots skipped.
+///
+/// The engine hands candidates over in ascending slot order, for which this
+/// is a rotation at the first slot ≥ `start`. Any other input (unsorted,
+/// duplicated, or a slot outside `0..m`) takes the general definition, a
+/// stable sort by distance from `start`.
+fn rotate_from(candidates: &[WarpSlot], start: usize, m: usize, out: &mut Vec<WarpSlot>) {
+    out.clear();
+    let ascending = candidates.windows(2).all(|p| p[0] < p[1]);
+    if ascending && candidates.last().is_none_or(|&w| w < m) {
+        let split = candidates.partition_point(|&w| w < start);
+        out.extend_from_slice(&candidates[split..]);
+        out.extend_from_slice(&candidates[..split]);
+    } else {
+        out.extend_from_slice(candidates);
+        out.sort_by_key(|&w| (w + m - start) % m);
     }
 }
 

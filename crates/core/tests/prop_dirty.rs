@@ -396,3 +396,48 @@ fn pro_stays_dirty_while_a_rank_rebuild_is_queued() {
     pro.order(1, &f.view(), &cands1, &mut out);
     assert!(!pro.order_dirty(1), "clean after the rebuilt-table recompute");
 }
+
+/// LRR's order is defined as "sort the candidates by distance from the
+/// slot after the last issued one". The implementation rotates instead
+/// when the candidates arrive ascending (as the engine hands them over) and
+/// falls back to the sort otherwise; both must equal the definition for
+/// any candidate set and any cursor.
+#[test]
+fn lrr_rotation_equals_the_sort_it_replaced() {
+    use pro_core::Lrr;
+    const MAX_WARPS: usize = 48;
+    let info = IssueInfo {
+        active_threads: 32,
+        is_global_load: false,
+    };
+    check(
+        Config::default(),
+        (
+            arb_fixture(),
+            any::<u64>(),            // candidate set, one bit per slot
+            vec_of(0usize..80, 0..12), // or an arbitrary list, maybe unsorted/out of range
+            any::<bool>(),
+            0usize..MAX_WARPS,
+            any::<bool>(),
+        ),
+        |(f, bits, list, use_list, cursor, moved)| {
+            let cands: Vec<WarpSlot> = if *use_list {
+                list.clone()
+            } else {
+                (0..MAX_WARPS).filter(|w| bits >> w & 1 != 0).collect()
+            };
+            let mut lrr = Lrr::new(MAX_WARPS, UNITS);
+            if *moved {
+                lrr.on_issue(1, *cursor, info, &f.view());
+            }
+            let last = if *moved { *cursor } else { MAX_WARPS - 1 };
+            let start = (last + 1) % MAX_WARPS;
+            let mut want = cands.clone();
+            want.sort_by_key(|&w| (w + MAX_WARPS - start) % MAX_WARPS);
+            let mut got = vec![99; 3]; // stale contents must be replaced
+            lrr.order(1, &f.view(), &cands, &mut got);
+            prop_assert_eq!(got, want);
+            Ok(())
+        },
+    );
+}

@@ -1,12 +1,31 @@
 //! Pure functional semantics for VPTX operations.
 //!
-//! These are lane-level scalar functions with no microarchitectural state;
-//! the SM model calls them per active lane. Keeping them here (a) lets the
-//! workloads be tested functionally without a simulator and (b) guarantees
-//! that every scheduler executes *identical* arithmetic, so end-to-end
-//! memory-content checks can assert scheduler independence.
+//! The scalar `eval_*` functions are lane-level, carry no
+//! microarchitectural state and are the single definition of what each
+//! operation computes; the scalar oracle ([`crate::interp`]) calls them per
+//! thread. Keeping them here (a) lets the workloads be tested functionally
+//! without a simulator and (b) guarantees that every scheduler executes
+//! *identical* arithmetic, so end-to-end memory-content checks can assert
+//! scheduler independence.
+//!
+//! The `*_row` functions are what the SM model calls: one call evaluates a
+//! whole warp ([`Row`] = one 32-bit value per lane). Each is the scalar
+//! function applied lane by lane with the opcode `match` hoisted out of the
+//! lane loop, so the loop body is a constant operation the compiler can
+//! vectorise. Operations that compile to plain instructions are evaluated
+//! on all 32 lanes and blended into the destination under the active mask:
+//! no VPTX operation traps (there is no division, shift counts are masked,
+//! `F2I` saturates), so the value computed for an inactive lane is simply
+//! discarded. Operations that compile to a libm call (`FFma` without
+//! hardware FMA, every SFU op) are evaluated on active lanes only — a call
+//! cannot be vectorised, and a divergent warp should not pay for 32 of them.
 
 use crate::inst::{AluOp, AtomOp, CmpOp, SfuOp, Ty};
+use crate::{FULL_MASK, WARP_SIZE};
+
+/// One 32-bit value per lane of a warp: a register, an operand or an
+/// address, as the row evaluators see it.
+pub type Row = [u32; WARP_SIZE];
 
 #[inline]
 fn f(a: u32) -> f32 {
@@ -111,6 +130,107 @@ pub fn eval_atom(op: AtomOp, old: u32, src: u32) -> (u32, u32) {
         AtomOp::Exch => src,
     };
     (new, old)
+}
+
+/// `match $op` with one arm per listed variant; each arm evaluates `$body`
+/// with `$k` bound to that variant as a constant, so a scalar `eval_*` call
+/// on `$k` inside a lane loop folds to the one operation. Listing the
+/// variants keeps the match exhaustive: a new opcode fails to compile here.
+macro_rules! per_variant {
+    ($op:expr, $ty:ident::{$($v:ident),*}, |$k:ident| $body:expr) => {
+        match $op {
+            $($ty::$v => {
+                const $k: $ty = $ty::$v;
+                $body
+            })*
+        }
+    };
+}
+
+/// `dst[l] = src[l]` for every lane `l` set in `mask`; other lanes keep
+/// their value.
+#[inline]
+pub fn blend_row(dst: &mut Row, src: &Row, mask: u32) {
+    for l in 0..WARP_SIZE {
+        let take = ((mask >> l) & 1).wrapping_neg();
+        dst[l] = (src[l] & take) | (dst[l] & !take);
+    }
+}
+
+/// `dst[l] = f(l)` on the lanes of `mask`, evaluating `f` on all 32 lanes.
+#[inline(always)]
+fn map_all(dst: &mut Row, mask: u32, f: impl Fn(usize) -> u32) {
+    if mask == FULL_MASK {
+        for (l, d) in dst.iter_mut().enumerate() {
+            *d = f(l);
+        }
+    } else {
+        let out: Row = std::array::from_fn(f);
+        blend_row(dst, &out, mask);
+    }
+}
+
+/// Calls `f(l)` for every lane `l` set in `mask`, in ascending order.
+#[inline(always)]
+pub fn for_lanes(mask: u32, mut f: impl FnMut(usize)) {
+    let mut m = mask;
+    while m != 0 {
+        f(m.trailing_zeros() as usize);
+        m &= m - 1;
+    }
+}
+
+/// `dst[l] = f(l)` on the lanes of `mask`, evaluating `f` on those only.
+#[inline(always)]
+fn map_active(dst: &mut Row, mask: u32, f: impl Fn(usize) -> u32) {
+    for_lanes(mask, |l| dst[l] = f(l));
+}
+
+/// [`eval_alu`] over a warp: `dst[l] = eval_alu(op, a[l], b[l], c[l])` for
+/// every lane `l` set in `mask`; other lanes of `dst` are untouched.
+pub fn alu_row(op: AluOp, dst: &mut Row, a: &Row, b: &Row, c: &Row, mask: u32) {
+    per_variant!(
+        op,
+        AluOp::{
+            IAdd, ISub, IMul, IMulHi, IMad, IMin, IMax, And, Or, Xor, Shl, Shr, Sra, Mov, FAdd,
+            FSub, FMul, FFma, FMin, FMax, I2F, F2I
+        },
+        |K| if matches!(K, AluOp::FFma) {
+            map_active(dst, mask, |l| eval_alu(K, a[l], b[l], c[l])) // a libm call
+        } else {
+            map_all(dst, mask, |l| eval_alu(K, a[l], b[l], c[l]))
+        }
+    )
+}
+
+/// [`eval_cmp`] over a warp: bit `l` of the result is
+/// `eval_cmp(cmp, ty, a[l], b[l])`, for all 32 lanes (the caller keeps the
+/// bits of its active lanes).
+pub fn cmp_row(cmp: CmpOp, ty: Ty, a: &Row, b: &Row) -> u32 {
+    per_variant!(ty, Ty::{S32, U32, F32}, |T| per_variant!(
+        cmp,
+        CmpOp::{Eq, Ne, Lt, Le, Gt, Ge},
+        |C| (0..WARP_SIZE).fold(0, |bits, l| bits | (eval_cmp(C, T, a[l], b[l]) as u32) << l)
+    ))
+}
+
+/// [`eval_sfu`] over a warp: `dst[l] = eval_sfu(op, a[l])` for every lane
+/// `l` set in `mask`; other lanes of `dst` are untouched.
+pub fn sfu_row(op: SfuOp, dst: &mut Row, a: &Row, mask: u32) {
+    per_variant!(
+        op,
+        SfuOp::{Rcp, Rsqrt, Sqrt, Sin, Cos, Exp2, Log2},
+        |K| map_active(dst, mask, |l| eval_sfu(K, a[l]))
+    )
+}
+
+/// Per-lane select (`selp`): `dst[l] = if bit l of pred { a[l] } else
+/// { b[l] }` for every lane `l` set in `mask`; other lanes of `dst` are
+/// untouched.
+pub fn select_row(dst: &mut Row, pred: u32, a: &Row, b: &Row, mask: u32) {
+    let mut out = *b;
+    blend_row(&mut out, a, pred);
+    blend_row(dst, &out, mask);
 }
 
 #[cfg(test)]

@@ -1,10 +1,17 @@
 //! Property-based tests for VPTX functional semantics and the
 //! assembler/disassembler pair, on the in-repo `pro_core::prop` harness.
 
-use pro_core::prop::{any, check, one_of, vec_of, Config, Just, Strategy, StrategyExt};
+use pro_core::prop::{
+    any, check, from_fn, one_of, select, vec_of, Config, Just, Strategy, StrategyExt,
+};
 use pro_core::{prop_assert, prop_assert_eq, prop_assume};
-use pro_isa::exec::{eval_alu, eval_atom, eval_cmp};
-use pro_isa::{asm, AluOp, AtomOp, CmpOp, Instr, MemSpace, Pred, Program, Reg, Src, Ty};
+use pro_isa::exec::{
+    alu_row, blend_row, cmp_row, eval_alu, eval_atom, eval_cmp, eval_sfu, select_row, sfu_row, Row,
+};
+use pro_isa::{
+    asm, AluOp, AtomOp, CmpOp, Instr, MemSpace, Pred, Program, Reg, SfuOp, Src, Ty, FULL_MASK,
+    WARP_SIZE,
+};
 
 #[test]
 fn iadd_commutes() {
@@ -127,6 +134,202 @@ fn atom_exch_returns_previous() {
             Ok(())
         },
     );
+}
+
+/// Strategy: one lane value — random bits, or one of the values where the
+/// operations have edges: ±0, ±inf, quiet and signalling NaNs with
+/// payloads, denormals, the `F2I` saturation points, `i32::MIN`/`MAX`, and
+/// shift counts on both sides of 32.
+fn arb_lane() -> impl Strategy<Value = u32> {
+    one_of(vec![
+        any::<u32>().boxed(),
+        select(vec![
+            0,
+            1,
+            31,
+            32,
+            33,
+            63,
+            u32::MAX,
+            i32::MIN as u32,
+            i32::MAX as u32,
+            0x8000_0000,            // -0.0
+            0x7F80_0000,            // +inf
+            0xFF80_0000,            // -inf
+            0x7FC0_0000,            // quiet NaN
+            0x7FC1_2345,            // quiet NaN with a payload
+            0xFFA0_0001,            // negative signalling NaN
+            0x0000_0001,            // smallest denormal
+            2147483648.0f32.to_bits(),  // first f32 past i32::MAX
+            (-2147483904.0f32).to_bits(), // first f32 below i32::MIN
+            1.5f32.to_bits(),
+        ])
+        .boxed(),
+    ])
+}
+
+/// Strategy: 32 independent lane values.
+fn arb_row() -> impl Strategy<Value = Row> {
+    from_fn(|g| {
+        let lane = arb_lane();
+        std::array::from_fn(|_| lane.generate(g))
+    })
+}
+
+/// Strategy: an active mask — full, empty, or random (divergent).
+fn arb_mask() -> impl Strategy<Value = u32> {
+    one_of(vec![
+        Just(FULL_MASK).boxed(),
+        Just(0).boxed(),
+        any::<u32>().boxed(),
+    ])
+}
+
+const ALL_ALU: [AluOp; 22] = [
+    AluOp::IAdd,
+    AluOp::ISub,
+    AluOp::IMul,
+    AluOp::IMulHi,
+    AluOp::IMad,
+    AluOp::IMin,
+    AluOp::IMax,
+    AluOp::And,
+    AluOp::Or,
+    AluOp::Xor,
+    AluOp::Shl,
+    AluOp::Shr,
+    AluOp::Sra,
+    AluOp::Mov,
+    AluOp::FAdd,
+    AluOp::FSub,
+    AluOp::FMul,
+    AluOp::FFma,
+    AluOp::FMin,
+    AluOp::FMax,
+    AluOp::I2F,
+    AluOp::F2I,
+];
+const ALL_CMP: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+const ALL_TY: [Ty; 3] = [Ty::S32, Ty::U32, Ty::F32];
+const ALL_SFU: [SfuOp; 7] = [
+    SfuOp::Rcp,
+    SfuOp::Rsqrt,
+    SfuOp::Sqrt,
+    SfuOp::Sin,
+    SfuOp::Cos,
+    SfuOp::Exp2,
+    SfuOp::Log2,
+];
+
+/// `want(l)` on the lanes of `mask`, the old destination elsewhere.
+fn expect_row(old: &Row, mask: u32, want: impl Fn(usize) -> u32) -> Row {
+    std::array::from_fn(|l| if mask >> l & 1 != 0 { want(l) } else { old[l] })
+}
+
+/// Replace every NaN in an active lane by the canonical quiet NaN. When two NaN operands with
+/// different payloads meet in an f32 operation, which payload the result
+/// carries is the one thing Rust leaves unspecified: the compiler may
+/// commute the operands differently in two compilations of the same
+/// expression (x86 keeps the first operand's), so the row evaluator and a
+/// scalar call can legitimately differ there — and only there.
+fn canonical_nans(row: Row, mask: u32) -> Row {
+    std::array::from_fn(|l| {
+        let nan = mask >> l & 1 != 0 && f32::from_bits(row[l]).is_nan();
+        if nan { 0x7FC0_0000 } else { row[l] }
+    })
+}
+
+#[test]
+fn alu_rows_equal_the_scalar_semantics_lane_for_lane() {
+    check(
+        Config::default(),
+        (arb_row(), arb_row(), arb_row(), arb_row(), arb_mask()),
+        |(a, b, c, old, mask)| {
+            for op in ALL_ALU {
+                let mut dst = *old;
+                alu_row(op, &mut dst, a, b, c, *mask);
+                let mut want = expect_row(old, *mask, |l| eval_alu(op, a[l], b[l], c[l]));
+                let f32_result = matches!(
+                    op,
+                    AluOp::FAdd | AluOp::FSub | AluOp::FMul | AluOp::FFma | AluOp::FMin | AluOp::FMax
+                );
+                if f32_result {
+                    (dst, want) = (canonical_nans(dst, *mask), canonical_nans(want, *mask));
+                }
+                prop_assert_eq!(dst, want, "{:?} under mask {:#010x}", op, mask);
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn cmp_rows_equal_the_scalar_semantics_for_every_op_and_type() {
+    check(Config::default(), (arb_row(), arb_row()), |(a, b)| {
+        for ty in ALL_TY {
+            for cmp in ALL_CMP {
+                let want = (0..WARP_SIZE)
+                    .fold(0u32, |bits, l| bits | (eval_cmp(cmp, ty, a[l], b[l]) as u32) << l);
+                prop_assert_eq!(cmp_row(cmp, ty, a, b), want, "{:?}.{:?}", cmp, ty);
+            }
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn sfu_rows_equal_the_scalar_semantics_lane_for_lane() {
+    check(
+        Config::with_cases(64),
+        (arb_row(), arb_row(), arb_mask()),
+        |(a, old, mask)| {
+            for op in ALL_SFU {
+                let mut dst = *old;
+                sfu_row(op, &mut dst, a, *mask);
+                let want = expect_row(old, *mask, |l| eval_sfu(op, a[l]));
+                prop_assert_eq!(dst, want, "{:?} under mask {:#010x}", op, mask);
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn select_and_blend_rows_touch_only_active_lanes() {
+    check(
+        Config::default(),
+        (arb_row(), arb_row(), arb_row(), any::<u32>(), arb_mask()),
+        |(a, b, old, pred, mask)| {
+            let mut dst = *old;
+            select_row(&mut dst, *pred, a, b, *mask);
+            let want = expect_row(old, *mask, |l| if pred >> l & 1 != 0 { a[l] } else { b[l] });
+            prop_assert_eq!(dst, want);
+            let mut dst = *old;
+            blend_row(&mut dst, a, *mask);
+            prop_assert_eq!(dst, expect_row(old, *mask, |l| a[l]));
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn an_empty_mask_leaves_the_destination_alone() {
+    check(Config::with_cases(16), (arb_row(), arb_row()), |(a, old)| {
+        for op in ALL_ALU {
+            let mut dst = *old;
+            alu_row(op, &mut dst, a, a, a, 0);
+            prop_assert_eq!(&dst, old, "{:?}", op);
+        }
+        for op in ALL_SFU {
+            let mut dst = *old;
+            sfu_row(op, &mut dst, a, 0);
+            prop_assert_eq!(&dst, old, "{:?}", op);
+        }
+        let mut dst = *old;
+        select_row(&mut dst, u32::MAX, a, a, 0);
+        prop_assert_eq!(&dst, old);
+        Ok(())
+    });
 }
 
 /// Strategy: a random source operand within 8 GPRs / 4 params.

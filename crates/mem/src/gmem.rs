@@ -215,6 +215,36 @@ pub trait GmemPort {
     fn read(&self, addr: u64) -> u32;
     /// Write the 32-bit word at byte address `addr`.
     fn write(&mut self, addr: u64, value: u32);
+
+    /// Warp-wide gather: `dst[l] = read(addrs[l])` for every lane `l` set
+    /// in `mask`. Lanes outside `mask` are neither read nor written (their
+    /// addresses may be garbage).
+    #[inline]
+    fn read_row(&self, addrs: &[u32; 32], mask: u32, dst: &mut [u32; 32]) {
+        gather(self, addrs, mask, dst);
+    }
+
+    /// Warp-wide scatter: `write(addrs[l], values[l])` for every lane `l`
+    /// set in `mask`, in ascending lane order (the last lane to store to an
+    /// address wins).
+    #[inline]
+    fn write_row(&mut self, addrs: &[u32; 32], values: &[u32; 32], mask: u32) {
+        for lane in 0..32 {
+            if mask & (1 << lane) != 0 {
+                self.write(addrs[lane] as u64, values[lane]);
+            }
+        }
+    }
+}
+
+/// `dst[l] = port.read(addrs[l])` for every lane `l` set in `mask`.
+#[inline]
+fn gather<G: GmemPort + ?Sized>(port: &G, addrs: &[u32; 32], mask: u32, dst: &mut [u32; 32]) {
+    for lane in 0..32 {
+        if mask & (1 << lane) != 0 {
+            dst[lane] = port.read(addrs[lane] as u64);
+        }
+    }
 }
 
 impl GmemPort for GlobalMem {
@@ -310,6 +340,18 @@ impl GmemPort for GmemStage<'_> {
     fn write(&mut self, addr: u64, value: u32) {
         self.log.push(addr, value);
     }
+
+    /// One emptiness check per warp instruction: with nothing staged this
+    /// cycle (the common case) every lane reads the base directly instead
+    /// of each lane scanning the log.
+    #[inline]
+    fn read_row(&self, addrs: &[u32; 32], mask: u32, dst: &mut [u32; 32]) {
+        if self.log.is_empty() {
+            self.base.read_row(addrs, mask, dst);
+        } else {
+            gather(self, addrs, mask, dst);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -403,6 +445,48 @@ mod tests {
         }
         log.apply_to(&mut staged);
         assert_eq!(direct.read_slice(0, 8), staged.read_slice(0, 8));
+    }
+
+    #[test]
+    fn row_access_equals_lane_by_lane_access_on_both_ports() {
+        // Lanes 0, 1, 5 and 31 active; every other lane's address is far
+        // out of bounds and must be neither read nor written.
+        let mask = 0x8000_0023u32;
+        let mut addrs = [u32::MAX - 3; 32];
+        (addrs[0], addrs[1], addrs[5], addrs[31]) = (0, 4, 4, 64);
+        let values: [u32; 32] = std::array::from_fn(|l| 100 + l as u32);
+
+        // Direct port: lane 5 stores after lane 1 to the same word and wins.
+        let mut m = GlobalMem::new(4096);
+        m.write_row(&addrs, &values, mask);
+        assert_eq!((m.read(0), m.read(4), m.read(64)), (100, 105, 131));
+        let mut got = [7u32; 32];
+        m.read_row(&addrs, mask, &mut got);
+        let want: [u32; 32] = std::array::from_fn(|l| match l {
+            0 => 100,
+            1 | 5 => 105,
+            31 => 131,
+            _ => 7, // inactive lanes keep their value
+        });
+        assert_eq!(got, want);
+
+        // Staged port, empty log: reads fall straight through to the base.
+        let mut log = StoreLog::default();
+        let mut stage = GmemStage::new(&m, &mut log);
+        let mut got = [7u32; 32];
+        stage.read_row(&addrs, mask, &mut got);
+        assert_eq!(got, want);
+        // Non-empty log: a row read sees this cycle's own stores, newest
+        // first, exactly as the per-word read does.
+        stage.write(64, 9);
+        stage.write_row(&addrs, &values.map(|v| v + 1000), 0b10_0010);
+        let mut got = [7u32; 32];
+        stage.read_row(&addrs, mask, &mut got);
+        for lane in [0usize, 1, 5, 31] {
+            assert_eq!(got[lane], GmemPort::read(&stage, addrs[lane] as u64), "lane {lane}");
+        }
+        assert_eq!((got[0], got[1], got[31]), (100, 1105, 9));
+        assert_eq!(log.len(), 3);
     }
 
     #[test]

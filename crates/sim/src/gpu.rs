@@ -26,14 +26,14 @@ use pro_core::codec::{
 use pro_core::{SchedulerKind, WarpScheduler};
 use pro_isa::Kernel;
 use pro_mem::{GlobalMem, MemConfig, MemSubsystem};
-use pro_sm::{Sm, SmConfig, SmStats, TickReport};
+use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport};
 use pro_trace::{
     mask_of, BufferTracer, Event as TraceEvent, EventClass, Hist16, HostPhase, HostProf,
     IssueProf, NoopTracer, Tracer, WorkerProf,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, RwLock};
+use std::sync::{mpsc, Arc, RwLock};
 use std::time::Instant;
 
 /// Snapshot container section ids (see `DESIGN.md` §12).
@@ -560,8 +560,10 @@ impl Gpu {
             _ => None,
         };
 
+        // Decode the program once; every SM tests the same per-PC table.
+        let table = Arc::new(IssueTable::build(&kernel.program));
         for sm in &mut self.sms {
-            sm.begin_kernel(kernel);
+            sm.begin_kernel_decoded(kernel, Arc::clone(&table));
             sm.stats = SmStats::default();
         }
         // Fresh memory-system counters per launch: rebuild the subsystem

@@ -11,14 +11,16 @@
 //! The whole-GPU composition (thread block scheduler, SM array, shared
 //! memory system) lives in `pro-sim`.
 
+pub mod decode;
 pub mod scoreboard;
 pub mod shared;
 pub mod simt;
 pub mod sm;
 pub mod warp;
 
+pub use decode::{IssueMeta, IssueTable, LatClass};
 pub use scoreboard::{Scoreboard, WriteSet};
 pub use shared::SharedMem;
 pub use simt::SimtStack;
 pub use sm::{Sm, SmConfig, SmStats, TickReport};
-pub use warp::{ExecEffect, LatClass, LaunchCtx, Warp};
+pub use warp::{ExecEffect, LaunchCtx, Warp};

@@ -86,8 +86,15 @@ impl Scoreboard {
     /// Can `instr` issue (no pending conflict)?
     #[inline]
     pub fn ready(&self, instr: &Instr) -> bool {
-        let h = Self::hazard_set(instr);
-        (h.regs & self.pending_regs) == 0 && (h.preds & self.pending_preds) == 0
+        self.clear_of(Self::hazard_set(instr))
+    }
+
+    /// True if no register in `set` has a write in flight. The issue stage
+    /// calls this with the pre-decoded hazard set of the warp's next
+    /// instruction (`IssueTable`, DESIGN.md §16).
+    #[inline]
+    pub fn clear_of(&self, set: WriteSet) -> bool {
+        (set.regs & self.pending_regs) == 0 && (set.preds & self.pending_preds) == 0
     }
 
     /// Reserve destinations at issue. `longlat` marks global-load dests.

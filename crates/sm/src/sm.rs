@@ -22,13 +22,14 @@
 //! 5. Barrier releases and TB completions fire the policy hooks
 //!    (`insertBarrierWarp` / `insertFinishWarp` equivalents).
 
-use crate::warp::{ExecEffect, LatClass, LaunchCtx, Warp};
-use crate::scoreboard::{Scoreboard, WriteSet};
+use crate::decode::{IssueTable, LatClass};
+use crate::scoreboard::WriteSet;
 use crate::shared::SharedMem;
+use crate::warp::{ExecEffect, LaunchCtx, Warp};
 use pro_core::calq::CalQueue;
 use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
 use pro_core::{FxHashMap, IssueInfo, SchedView, TbState, WarpScheduler, WarpState};
-use pro_isa::{Instr, Kernel, PipeClass, Program, WARP_SIZE};
+use pro_isa::{Kernel, PipeClass, WARP_SIZE};
 use pro_mem::{
     AccessId, AccessOutcome, GlobalMem, GmemPort, GmemStage, MemSubsystem, StoreLog,
     QUEUE_SAMPLE_PERIOD,
@@ -199,10 +200,16 @@ pub struct TickReport {
 }
 
 #[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)] // boxing the lines is the allocation this avoids
 enum LsuEntry {
     Global {
         access: AccessId,
-        lines: Vec<u64>,
+        /// The instruction's line transactions, `lines[..len]` in LSU
+        /// order; a warp touches at most one line per lane, so they are
+        /// stored inline and queueing a memory instruction allocates
+        /// nothing.
+        lines: [u64; WARP_SIZE],
+        len: usize,
         next: usize,
         is_write: bool,
     },
@@ -228,8 +235,9 @@ pub struct Sm {
     shared: Vec<SharedMem>,
     sched_warps: Vec<WarpState>,
     sched_tbs: Vec<TbState>,
-    // Kernel context.
-    program: Option<Arc<Program>>,
+    // Kernel context: the bound program with its per-PC issue metadata
+    // (derived, shared by every SM running the kernel; DESIGN.md §16).
+    table: Option<Arc<IssueTable>>,
     params: Vec<u32>,
     ntid: u32,
     nctaid: u32,
@@ -333,7 +341,7 @@ impl Sm {
             shared: (0..cfg.max_tbs).map(|_| SharedMem::new(0)).collect(),
             sched_warps: vec![WarpState::default(); cfg.max_warps],
             sched_tbs: vec![TbState::default(); cfg.max_tbs],
-            program: None,
+            table: None,
             params: Vec::new(),
             ntid: 0,
             nctaid: 0,
@@ -383,12 +391,22 @@ impl Sm {
 
     /// Bind a kernel for subsequent TB launches. Must be quiescent.
     pub fn begin_kernel(&mut self, kernel: &Kernel) {
+        self.begin_kernel_decoded(kernel, Arc::new(IssueTable::build(&kernel.program)));
+    }
+
+    /// [`Sm::begin_kernel`] with the kernel's program already decoded, so
+    /// the SMs of a GPU share one table.
+    pub fn begin_kernel_decoded(&mut self, kernel: &Kernel, table: Arc<IssueTable>) {
         assert_eq!(self.live_tbs, 0, "begin_kernel on a busy SM");
         assert!(
             kernel.program.regs as usize <= 128,
             "VPTX programs are limited to 128 registers in the SM model"
         );
-        self.program = Some(Arc::clone(&kernel.program));
+        assert!(
+            std::ptr::eq(table.program(), &*kernel.program),
+            "issue table decoded from a different program"
+        );
+        self.table = Some(table);
         self.params = kernel.params.clone();
         self.ntid = kernel.launch.threads_per_block();
         self.nctaid = kernel.launch.num_blocks();
@@ -454,7 +472,9 @@ impl Sm {
 
     /// Can another TB of the bound kernel be launched right now?
     pub fn can_accept_tb(&self) -> bool {
-        let Some(p) = &self.program else { return false };
+        let Some(p) = self.table.as_deref().map(IssueTable::program) else {
+            return false;
+        };
         let free_slot = (0..self.usable_tb_slots()).any(|t| !self.sched_tbs[t].occupied);
         free_slot
             && self.used_threads + self.threads_per_tb <= self.cfg.max_threads
@@ -475,7 +495,9 @@ impl Sm {
     /// Maximum TBs of the bound kernel that can ever be resident at once
     /// (the GPU uses this for phase bookkeeping and reports).
     pub fn max_resident_tbs(&self) -> u32 {
-        let Some(p) = &self.program else { return 0 };
+        let Some(p) = self.table.as_deref().map(IssueTable::program) else {
+            return 0;
+        };
         let by_threads = self
             .cfg
             .max_threads
@@ -520,7 +542,8 @@ impl Sm {
         fast_phase: bool,
         tracer: &mut dyn Tracer,
     ) -> usize {
-        let program = Arc::clone(self.program.as_ref().expect("kernel bound"));
+        let table = Arc::clone(self.table.as_ref().expect("kernel bound"));
+        let program = table.program();
         let slot = (0..self.usable_tb_slots())
             .find(|&t| !self.sched_tbs[t].occupied)
             .expect("caller checked can_accept_tb");
@@ -532,7 +555,7 @@ impl Sm {
             let mask = if live == 32 { u32::MAX } else { (1u32 << live) - 1 };
             let w = base + i;
             self.warps[w].launch(
-                &program,
+                program,
                 slot,
                 i as u32,
                 global_index,
@@ -700,7 +723,7 @@ impl Sm {
         fast: bool,
         tracer: &mut dyn Tracer,
     ) {
-        let program = self.program.as_ref().expect("kernel bound");
+        let program = self.table.as_ref().expect("kernel bound").program();
         let base = tb * self.warps_per_tb;
         // Warp-progress disparity within the retiring TB (§III.E): the gap
         // between its most and least advanced warps, in thread-instructions.
@@ -836,6 +859,7 @@ impl Sm {
                 LsuEntry::Global {
                     access,
                     lines,
+                    len,
                     next,
                     is_write,
                 } => {
@@ -844,7 +868,7 @@ impl Sm {
                         mem.access_line_traced(now, self.id, *access, line, *is_write, tracer);
                     if outcome == AccessOutcome::Accepted {
                         *next += 1;
-                        if *next == lines.len() {
+                        if *next == *len {
                             self.lsu.pop_front();
                         }
                     }
@@ -890,12 +914,12 @@ impl Sm {
         }
         // One refcount bump per phase, not per unit: every unit issues from
         // the same bound program.
-        let program = Arc::clone(self.program.as_ref().expect("kernel bound"));
+        let table = Arc::clone(self.table.as_ref().expect("kernel bound"));
         let mut log = std::mem::take(&mut self.store_log);
         for unit in 0..self.cfg.units {
             let mut stage = GmemStage::new(gmem_base, &mut log);
             self.issue_unit(
-                unit, now, &program, &mut stage, policy, fast_phase, report, tracer,
+                unit, now, &table, &mut stage, policy, fast_phase, report, tracer,
             );
             self.stats.unit_cycles += 1;
         }
@@ -919,7 +943,7 @@ impl Sm {
         &mut self,
         unit: u32,
         now: u64,
-        program: &Program,
+        table: &IssueTable,
         gmem: &mut G,
         policy: &mut dyn WarpScheduler,
         fast_phase: bool,
@@ -944,8 +968,10 @@ impl Sm {
             && self.cached_cands[u] == unit_cands
             && (!policy.order_reads_longlat() || self.cached_blocked[u] == unit_blocked)
             && !policy.order_dirty(unit);
-        let sampling = now & 63 == 0;
-        if !reuse || sampling {
+        if reuse {
+            self.issue_orders_reused += 1;
+        } else {
+            self.issue_orders_recomputed += 1;
             // Candidates: live, unfinished warps of this unit, ascending —
             // trailing_zeros iteration reproduces the old slot-order scan.
             self.cand_buf.clear();
@@ -954,11 +980,6 @@ impl Sm {
                 self.cand_buf.push(m.trailing_zeros() as usize);
                 m &= m - 1;
             }
-        }
-        if reuse {
-            self.issue_orders_reused += 1;
-        } else {
-            self.issue_orders_recomputed += 1;
             let view = SchedView {
                 cycle: now,
                 warps: &self.sched_warps,
@@ -974,17 +995,24 @@ impl Sm {
             self.cached_valid[u] = true;
         }
 
+        // Warps the walk would not silently skip: not at a barrier, not
+        // finished, slot occupied.
+        let live = unit_cands & self.eligible_mask;
+
         // Ready-warp occupancy sampling (paper §III: the size of the ready
         // pool is what lets a scheduler hide latency).
-        if sampling {
+        if now & 63 == 0 {
             let mut ready = 0u64;
-            for &w in &self.cand_buf {
-                let warp = &mut self.warps[w];
-                if warp.at_barrier || warp.finished || now < warp.ibuf_ready_at {
+            let mut m = live;
+            while m != 0 {
+                let w = m.trailing_zeros() as usize;
+                m &= m - 1;
+                if now < self.ibuf_at[w] {
                     continue;
                 }
+                let warp = &mut self.warps[w];
                 warp.simt.reconverge();
-                if warp.scoreboard.ready(program.fetch(warp.pc())) {
+                if warp.scoreboard.clear_of(table.at(warp.pc()).hazard) {
                     ready += 1;
                 }
             }
@@ -993,26 +1021,39 @@ impl Sm {
             self.stats.ready_hist.observe(ready);
         }
 
-        let mut saw_valid = false;
+        // Mask-first probe set. `stalled` are the memoized scoreboard
+        // refusals: each already fetched its instruction (a memo bit is
+        // only set after a fetch and cleared at `release_write`, so
+        // `sb_wait ⊆ fetched`) and nothing released since, so a re-check
+        // would reach the same verdict. `probe` are the warps whose next
+        // instruction is fetched and still has to be tested.
+        let stalled = live & self.sb_wait_mask;
+        self.issue_mask_skips += stalled.count_ones() as u64;
+        let mut probe = 0u64;
+        let mut m = live & !self.sb_wait_mask;
+        while m != 0 {
+            let w = m.trailing_zeros() as usize;
+            if now >= self.ibuf_at[w] {
+                probe |= 1u64 << w;
+            }
+            m &= m - 1;
+        }
+
+        // Valid instruction(s) exist iff some warp is fetched; with nothing
+        // to probe the order is not walked at all.
+        let saw_valid = (stalled | probe) != 0;
         let mut saw_ready = false;
-        let mut chosen: Option<(usize, Instr)> = None;
+        let mut chosen: Option<usize> = None;
         for i in 0..self.order_bufs[u].len() {
+            if probe == 0 {
+                break; // every fetched warp has been tested
+            }
             let w = self.order_bufs[u][i];
             let bit = 1u64 << w;
-            if self.eligible_mask & bit == 0 {
-                continue; // at barrier / finished / empty slot
-            }
-            if now < self.ibuf_at[w] {
-                continue; // instruction not yet fetched — contributes to Idle
-            }
-            if self.sb_wait_mask & bit != 0 {
-                // Memoized scoreboard refusal: the warp already fetched
-                // (hence `saw_valid`) and nothing released since, so the
-                // full re-check below would reach the same verdict.
-                saw_valid = true;
-                self.issue_mask_skips += 1;
+            if probe & bit == 0 {
                 continue;
             }
+            probe &= !bit;
             let warp = &mut self.warps[w];
             if trace_simt {
                 let depth_before = warp.simt.depth();
@@ -1024,42 +1065,27 @@ impl Sm {
             } else {
                 warp.simt.reconverge();
             }
-            let instr = *program.fetch(warp.pc());
-            saw_valid = true;
-            if !warp.scoreboard.ready(&instr) {
+            let meta = table.at(warp.pc());
+            // Operand hazards; Exit and barriers also drain the warp's
+            // pipeline first (in-order completion).
+            if !meta.ready(&warp.scoreboard) {
                 self.sb_wait_mask |= bit;
                 continue;
-            }
-            // Exit and barriers drain the warp's pipeline first (in-order
-            // completion); pending writes hold them back.
-            if matches!(instr, Instr::Exit | Instr::Bar { .. })
-                && warp.scoreboard.any_pending()
-            {
-                self.sb_wait_mask |= bit;
-                continue;
-            }
-            // Structural hazards.
-            match instr.pipe_class() {
-                PipeClass::Alu | PipeClass::Ctrl => {}
-                PipeClass::Sfu => {
-                    if now < self.sfu_free_at {
-                        saw_ready = true;
-                        continue;
-                    }
-                }
-                PipeClass::Mem => {
-                    if self.lsu.len() >= self.cfg.lsu_queue {
-                        saw_ready = true;
-                        continue;
-                    }
-                }
             }
             saw_ready = true;
-            chosen = Some((w, instr));
-            break;
+            // Structural hazards.
+            let pipe_full = match meta.pipe {
+                PipeClass::Alu | PipeClass::Ctrl => false,
+                PipeClass::Sfu => now < self.sfu_free_at,
+                PipeClass::Mem => self.lsu.len() >= self.cfg.lsu_queue,
+            };
+            if !pipe_full {
+                chosen = Some(w);
+                break;
+            }
         }
 
-        let Some((w, instr)) = chosen else {
+        let Some(w) = chosen else {
             let reason = if !saw_valid {
                 self.stats.idle += 1;
                 StallReason::Idle
@@ -1083,16 +1109,10 @@ impl Sm {
                         || now < warp.ibuf_ready_at
                     {
                         StallReason::Idle
+                    } else if !table.at(warp.pc()).ready(&warp.scoreboard) {
+                        StallReason::Scoreboard
                     } else {
-                        let instr = program.fetch(warp.pc());
-                        if !warp.scoreboard.ready(instr)
-                            || (matches!(instr, Instr::Exit | Instr::Bar { .. })
-                                && warp.scoreboard.any_pending())
-                        {
-                            StallReason::Scoreboard
-                        } else {
-                            StallReason::Pipeline
-                        }
+                        StallReason::Pipeline
                     };
                     tracer.emit(
                         now,
@@ -1120,7 +1140,7 @@ impl Sm {
                 let shared = &mut self.shared[tb];
                 (warp, shared)
             };
-            warp.execute(program, &ctx, gmem, shared, &mut lines)
+            warp.execute(table.program(), &ctx, gmem, shared, &mut lines)
         };
         if trace_issue {
             tracer.emit(
@@ -1150,15 +1170,16 @@ impl Sm {
         self.warps[w].ibuf_ready_at = now + self.cfg.fetch_lat;
         self.ibuf_at[w] = now + self.cfg.fetch_lat;
 
-        let ws = Scoreboard::write_set(&instr);
+        let meta = table.at(issue_pc);
+        let ws = meta.write;
         let mut sb_set = false; // emits one ScoreboardSet below when true
         let mut sb_longlat = false;
         match effect {
-            ExecEffect::Alu(class) => {
+            ExecEffect::Alu => {
                 if !ws.is_empty() {
                     self.warps[w].scoreboard.reserve(ws, false);
                     sb_set = true;
-                    self.schedule_wb(now + self.cfg.alu_lat(class), WbRec { warp: w, ws });
+                    self.schedule_wb(now + self.cfg.alu_lat(meta.lat), WbRec { warp: w, ws });
                 }
             }
             ExecEffect::Sfu => {
@@ -1192,12 +1213,7 @@ impl Sm {
                     );
                 }
                 self.access_map.insert(access, (w, ws));
-                self.lsu.push_back(LsuEntry::Global {
-                    access,
-                    lines: lines.clone(),
-                    next: 0,
-                    is_write: false,
-                });
+                self.lsu.push_back(LsuEntry::global(access, &lines, false));
             }
             ExecEffect::GlobalStore => {
                 if tracer.wants(EventClass::Mem) {
@@ -1212,12 +1228,7 @@ impl Sm {
                         },
                     );
                 }
-                self.lsu.push_back(LsuEntry::Global {
-                    access: u64::MAX,
-                    lines: lines.clone(),
-                    next: 0,
-                    is_write: true,
-                });
+                self.lsu.push_back(LsuEntry::global(u64::MAX, &lines, true));
             }
             ExecEffect::SharedLoad { occupancy } | ExecEffect::SharedAtomic { occupancy } => {
                 self.warps[w].scoreboard.reserve(ws, false);
@@ -1470,13 +1481,32 @@ impl Snapshot for WbRec {
     }
 }
 
+impl LsuEntry {
+    /// A global-memory instruction with all of its `lines` still to send.
+    fn global(access: AccessId, lines: &[u64], is_write: bool) -> LsuEntry {
+        let mut inline = [0; WARP_SIZE];
+        inline[..lines.len()].copy_from_slice(lines);
+        LsuEntry::Global {
+            access,
+            lines: inline,
+            len: lines.len(),
+            next: 0,
+            is_write,
+        }
+    }
+}
+
 impl Snapshot for LsuEntry {
     fn save(&self, w: &mut Writer) {
         match self {
-            LsuEntry::Global { access, lines, next, is_write } => {
+            LsuEntry::Global { access, lines, len, next, is_write } => {
                 w.put_u8(0);
                 w.put_u64(*access);
-                lines.save(w);
+                // Same bytes as the `Vec<u64>` this field used to be.
+                w.put_u64(*len as u64);
+                for line in &lines[..*len] {
+                    w.put_u64(*line);
+                }
                 w.put_usize(*next);
                 w.put_bool(*is_write);
             }
@@ -1490,12 +1520,28 @@ impl Snapshot for LsuEntry {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.get_u8()? {
-            0 => Ok(LsuEntry::Global {
-                access: r.get_u64()?,
-                lines: Snapshot::load(r)?,
-                next: r.get_usize()?,
-                is_write: r.get_bool()?,
-            }),
+            0 => {
+                let access = r.get_u64()?;
+                let len = r.get_usize()?;
+                if len > WARP_SIZE {
+                    return Err(CodecError::BadValue("LSU entry line count"));
+                }
+                let mut lines = [0; WARP_SIZE];
+                for line in &mut lines[..len] {
+                    *line = r.get_u64()?;
+                }
+                let next = r.get_usize()?;
+                if next >= len {
+                    return Err(CodecError::BadValue("LSU entry progress"));
+                }
+                Ok(LsuEntry::Global {
+                    access,
+                    lines,
+                    len,
+                    next,
+                    is_write: r.get_bool()?,
+                })
+            }
             1 => Ok(LsuEntry::Shared {
                 warp: r.get_usize()?,
                 remaining: r.get_u32()?,
@@ -1982,6 +2028,39 @@ mod tests {
         rig2.launch(0);
         rig2.run(100_000);
         assert_eq!(traced_stats, rig2.sm.stats, "tracing must not perturb timing");
+    }
+
+    #[test]
+    fn lsu_entry_keeps_the_vec_byte_layout_and_bounds_its_length() {
+        let lines = [0x1000u64, 0x80, 0x2000];
+        let mut w = Writer::new();
+        LsuEntry::global(7, &lines, false).save(&mut w);
+        let bytes = w.into_bytes();
+        // Tag, access id, then exactly what `Vec<u64>::save` writes.
+        let mut want = Writer::new();
+        want.put_u8(0);
+        want.put_u64(7);
+        lines.to_vec().save(&mut want);
+        want.put_usize(0);
+        want.put_bool(false);
+        assert_eq!(bytes, want.into_bytes());
+        let LsuEntry::Global { lines: back, len, .. } =
+            LsuEntry::load(&mut Reader::new(&bytes)).unwrap()
+        else {
+            panic!("global entry expected");
+        };
+        assert_eq!(&back[..len], &lines);
+
+        // A length no warp can produce is refused before anything is read
+        // into the fixed-size line array.
+        let mut bad = Writer::new();
+        bad.put_u8(0);
+        bad.put_u64(7);
+        bad.put_u64(WARP_SIZE as u64 + 1);
+        assert!(matches!(
+            LsuEntry::load(&mut Reader::new(&bad.into_bytes())),
+            Err(CodecError::BadValue(_))
+        ));
     }
 
     #[test]

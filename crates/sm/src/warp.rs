@@ -13,30 +13,19 @@ use crate::scoreboard::Scoreboard;
 use crate::shared::{atomic_cycles, conflict_cycles, SharedMem};
 use crate::simt::SimtStack;
 use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
-use pro_isa::exec::{eval_alu, eval_atom, eval_cmp, eval_sfu};
-use pro_isa::{AluOp, Instr, MemSpace, Pc, Program, Special, Src, WARP_SIZE};
+use pro_isa::exec::{
+    alu_row, cmp_row, eval_alu, eval_atom, for_lanes, select_row, sfu_row, Row,
+};
+use pro_isa::{AluOp, Instr, MemSpace, Pc, Program, Reg, Special, Src, WARP_SIZE};
 use pro_mem::{line_of, GmemPort};
-
-/// Latency classes for writeback scheduling; the SM maps these to cycle
-/// counts from its config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatClass {
-    /// Simple integer / logic / move / compare / select.
-    IntSimple,
-    /// Integer multiply / multiply-add.
-    IntMul,
-    /// f32 arithmetic.
-    Float,
-    /// Type conversions.
-    Convert,
-}
 
 /// The architectural side-effects of one issued warp instruction, as seen
 /// by the timing model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEffect {
-    /// ALU-class op; destination(s) ready after the class latency.
-    Alu(LatClass),
+    /// ALU-class op; destination(s) ready after the latency of the
+    /// instruction's [`crate::LatClass`].
+    Alu,
     /// SFU op; occupies the SFU for its initiation interval.
     Sfu,
     /// Global load: coalesced line addresses were pushed to the caller's
@@ -108,7 +97,8 @@ pub struct Warp {
     pub ibuf_ready_at: u64,
     /// Lanes that exist (threads_per_block may not fill the last warp).
     pub live_mask: u32,
-    regs: Vec<u32>,
+    /// Register file, one 32-lane row per GPR (DESIGN.md §16).
+    regs: Vec<Row>,
     preds: Vec<u32>, // bitmask per predicate register
 }
 
@@ -154,7 +144,7 @@ impl Warp {
         self.ibuf_ready_at = now + fetch_lat;
         self.live_mask = live_mask;
         self.regs.clear();
-        self.regs.resize(program.regs as usize * WARP_SIZE, 0);
+        self.regs.resize(program.regs as usize, [0; WARP_SIZE]);
         self.preds.clear();
         self.preds.resize(program.preds as usize, 0);
     }
@@ -178,29 +168,49 @@ impl Warp {
 
     /// Read a register lane (tests/debug).
     pub fn reg(&self, r: u8, lane: usize) -> u32 {
-        self.regs[r as usize * WARP_SIZE + lane]
+        self.regs[r as usize][lane]
     }
 
     /// Write a register lane (tests).
     pub fn set_reg(&mut self, r: u8, lane: usize, v: u32) {
-        self.regs[r as usize * WARP_SIZE + lane] = v;
+        self.regs[r as usize][lane] = v;
     }
 
+    /// The 32 lane values of a source operand: the register's own row, or
+    /// `tmp` filled with the immediate / parameter / special value.
     #[inline]
-    fn read_src(&self, src: Src, lane: usize, ctx: &LaunchCtx) -> u32 {
-        match src {
-            Src::Reg(r) => self.regs[r.0 as usize * WARP_SIZE + lane],
+    fn src_row<'a>(&'a self, src: Src, ctx: &LaunchCtx, tmp: &'a mut Row) -> &'a Row {
+        let uniform = match src {
+            Src::Reg(r) => return &self.regs[r.0 as usize],
             Src::Imm(v) => v,
             Src::Param(i) => ctx.params[i as usize],
-            Src::Special(s) => match s {
-                Special::Tid => self.index_in_tb * WARP_SIZE as u32 + lane as u32,
-                Special::Ctaid => self.ctaid,
-                Special::NTid => ctx.ntid,
-                Special::NCtaid => ctx.nctaid,
-                Special::LaneId => lane as u32,
-                Special::WarpId => self.index_in_tb,
-            },
+            Src::Special(Special::Tid) => {
+                let base = self.index_in_tb * WARP_SIZE as u32;
+                *tmp = std::array::from_fn(|lane| base + lane as u32);
+                return tmp;
+            }
+            Src::Special(Special::LaneId) => {
+                *tmp = std::array::from_fn(|lane| lane as u32);
+                return tmp;
+            }
+            Src::Special(Special::Ctaid) => self.ctaid,
+            Src::Special(Special::NTid) => ctx.ntid,
+            Src::Special(Special::NCtaid) => ctx.nctaid,
+            Src::Special(Special::WarpId) => self.index_in_tb,
+        };
+        *tmp = [uniform; WARP_SIZE];
+        tmp
+    }
+
+    /// Per-lane byte addresses `regs[addr] + offset` (the ISA's wrapping
+    /// `IAdd`), for all 32 lanes; only active lanes' are meaningful.
+    #[inline]
+    fn addr_row(&self, addr: Reg, offset: i32) -> Row {
+        let mut addrs = self.regs[addr.0 as usize];
+        for a in &mut addrs {
+            *a = eval_alu(AluOp::IAdd, *a, offset as u32, 0);
         }
+        addrs
     }
 
     /// Execute the instruction at the current PC for all active lanes.
@@ -212,6 +222,12 @@ impl Warp {
     /// Returns the effect plus the active-lane count (the paper's progress
     /// increment). Must not be called on a finished warp or one parked at a
     /// barrier.
+    ///
+    /// Register-writing instructions work a row at a time (DESIGN.md §16):
+    /// the destination row is copied out, the `pro_isa::exec` row evaluator
+    /// updates its active lanes from the source rows, and it is stored
+    /// back — so a destination that is also a source reads its old value,
+    /// as the per-lane semantics require.
     ///
     /// Generic over [`GmemPort`] so the same execution path runs against
     /// the real [`pro_mem::GlobalMem`] (serial engine) or a staged view
@@ -231,158 +247,104 @@ impl Warp {
         let instr = *program.fetch(pc);
         let mask = self.simt.mask();
         let active = mask.count_ones();
+        let (mut ta, mut tb, mut tc) = ([0; WARP_SIZE], [0; WARP_SIZE], [0; WARP_SIZE]);
 
         let effect = match instr {
             Instr::Alu { op, dst, a, b, c } => {
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let av = self.read_src(a, lane, ctx);
-                    let bv = self.read_src(b, lane, ctx);
-                    let cv = self.read_src(c, lane, ctx);
-                    self.regs[dst.0 as usize * WARP_SIZE + lane] = eval_alu(op, av, bv, cv);
-                }
+                let mut d = self.regs[dst.0 as usize];
+                alu_row(
+                    op,
+                    &mut d,
+                    self.src_row(a, ctx, &mut ta),
+                    self.src_row(b, ctx, &mut tb),
+                    self.src_row(c, ctx, &mut tc),
+                    mask,
+                );
+                self.regs[dst.0 as usize] = d;
                 self.simt.advance();
-                ExecEffect::Alu(match op {
-                    AluOp::IMul | AluOp::IMulHi | AluOp::IMad => LatClass::IntMul,
-                    AluOp::FAdd
-                    | AluOp::FSub
-                    | AluOp::FMul
-                    | AluOp::FFma
-                    | AluOp::FMin
-                    | AluOp::FMax => LatClass::Float,
-                    AluOp::I2F | AluOp::F2I => LatClass::Convert,
-                    _ => LatClass::IntSimple,
-                })
+                ExecEffect::Alu
             }
             Instr::SetP { cmp, ty, dst, a, b } => {
-                let mut bits = self.preds[dst.0 as usize];
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let av = self.read_src(a, lane, ctx);
-                    let bv = self.read_src(b, lane, ctx);
-                    if eval_cmp(cmp, ty, av, bv) {
-                        bits |= 1 << lane;
-                    } else {
-                        bits &= !(1 << lane);
-                    }
-                }
-                self.preds[dst.0 as usize] = bits;
+                let bits = cmp_row(
+                    cmp,
+                    ty,
+                    self.src_row(a, ctx, &mut ta),
+                    self.src_row(b, ctx, &mut tb),
+                );
+                let p = &mut self.preds[dst.0 as usize];
+                *p = (*p & !mask) | (bits & mask);
                 self.simt.advance();
-                ExecEffect::Alu(LatClass::IntSimple)
+                ExecEffect::Alu
             }
             Instr::SelP { dst, a, b, pred } => {
-                let pbits = self.preds[pred.0 as usize];
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let v = if pbits & (1 << lane) != 0 {
-                        self.read_src(a, lane, ctx)
-                    } else {
-                        self.read_src(b, lane, ctx)
-                    };
-                    self.regs[dst.0 as usize * WARP_SIZE + lane] = v;
-                }
+                let mut d = self.regs[dst.0 as usize];
+                select_row(
+                    &mut d,
+                    self.preds[pred.0 as usize],
+                    self.src_row(a, ctx, &mut ta),
+                    self.src_row(b, ctx, &mut tb),
+                    mask,
+                );
+                self.regs[dst.0 as usize] = d;
                 self.simt.advance();
-                ExecEffect::Alu(LatClass::IntSimple)
+                ExecEffect::Alu
             }
             Instr::Sfu { op, dst, a } => {
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let av = self.read_src(a, lane, ctx);
-                    self.regs[dst.0 as usize * WARP_SIZE + lane] = eval_sfu(op, av);
-                }
+                let mut d = self.regs[dst.0 as usize];
+                sfu_row(op, &mut d, self.src_row(a, ctx, &mut ta), mask);
+                self.regs[dst.0 as usize] = d;
                 self.simt.advance();
                 ExecEffect::Sfu
             }
             Instr::Ld { space, dst, addr, offset } => {
-                let mut addrs = [0u64; WARP_SIZE];
-                let mut saddrs = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let base = self.regs[addr.0 as usize * WARP_SIZE + lane];
-                    let a = base.wrapping_add(offset as u32);
-                    match space {
-                        MemSpace::Global => {
-                            addrs[lane] = a as u64;
-                            self.regs[dst.0 as usize * WARP_SIZE + lane] = gmem.read(a as u64);
-                        }
-                        MemSpace::Shared => {
-                            saddrs[lane] = a;
-                            self.regs[dst.0 as usize * WARP_SIZE + lane] = shared.read(a);
-                        }
-                    }
-                }
+                let addrs = self.addr_row(addr, offset);
+                let d = &mut self.regs[dst.0 as usize];
                 self.simt.advance();
                 match space {
                     MemSpace::Global => {
+                        gmem.read_row(&addrs, mask, d);
                         coalesce_into(&addrs, mask, lines_out);
                         ExecEffect::GlobalLoad
                     }
-                    MemSpace::Shared => ExecEffect::SharedLoad {
-                        occupancy: conflict_cycles(&saddrs, mask),
-                    },
+                    MemSpace::Shared => {
+                        for_lanes(mask, |lane| d[lane] = shared.read(addrs[lane]));
+                        ExecEffect::SharedLoad {
+                            occupancy: conflict_cycles(&addrs, mask),
+                        }
+                    }
                 }
             }
             Instr::St { space, src, addr, offset } => {
-                let mut addrs = [0u64; WARP_SIZE];
-                let mut saddrs = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let base = self.regs[addr.0 as usize * WARP_SIZE + lane];
-                    let a = base.wrapping_add(offset as u32);
-                    let v = self.regs[src.0 as usize * WARP_SIZE + lane];
-                    match space {
-                        MemSpace::Global => {
-                            addrs[lane] = a as u64;
-                            gmem.write(a as u64, v);
-                        }
-                        MemSpace::Shared => {
-                            saddrs[lane] = a;
-                            shared.write(a, v);
-                        }
-                    }
-                }
+                let addrs = self.addr_row(addr, offset);
+                let values = &self.regs[src.0 as usize];
                 self.simt.advance();
                 match space {
                     MemSpace::Global => {
+                        gmem.write_row(&addrs, values, mask);
                         coalesce_into(&addrs, mask, lines_out);
                         ExecEffect::GlobalStore
                     }
-                    MemSpace::Shared => ExecEffect::SharedStore {
-                        occupancy: conflict_cycles(&saddrs, mask),
-                    },
+                    MemSpace::Shared => {
+                        for_lanes(mask, |lane| shared.write(addrs[lane], values[lane]));
+                        ExecEffect::SharedStore {
+                            occupancy: conflict_cycles(&addrs, mask),
+                        }
+                    }
                 }
             }
-            #[allow(clippy::needless_range_loop)]
             Instr::Atom { op, dst, addr, src } => {
                 // Lanes apply in lane order — deterministic RMW semantics.
-                let mut saddrs = [0u32; WARP_SIZE];
-                for lane in 0..WARP_SIZE {
-                    if mask & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let a = self.regs[addr.0 as usize * WARP_SIZE + lane];
-                    saddrs[lane] = a;
-                    let sv = self.regs[src.0 as usize * WARP_SIZE + lane];
-                    let old = shared.read(a);
-                    let (new, ret) = eval_atom(op, old, sv);
-                    shared.write(a, new);
-                    self.regs[dst.0 as usize * WARP_SIZE + lane] = ret;
-                }
+                let addrs = self.regs[addr.0 as usize];
+                let values = self.regs[src.0 as usize];
+                let d = &mut self.regs[dst.0 as usize];
+                for_lanes(mask, |lane| {
+                    let (new, old) = eval_atom(op, shared.read(addrs[lane]), values[lane]);
+                    shared.write(addrs[lane], new);
+                    d[lane] = old;
+                });
                 self.simt.advance();
                 ExecEffect::SharedAtomic {
-                    occupancy: atomic_cycles(&saddrs, mask),
+                    occupancy: atomic_cycles(&addrs, mask),
                 }
             }
             Instr::Bar { .. } => {
@@ -437,7 +399,12 @@ impl Snapshot for Warp {
         w.put_bool(self.finished);
         w.put_u64(self.ibuf_ready_at);
         w.put_u32(self.live_mask);
-        self.regs.save(w);
+        // Same bytes as the flat `Vec<u32>` the container format was
+        // defined with: word count, then the words register-major.
+        w.put_u64((self.regs.len() * WARP_SIZE) as u64);
+        for word in self.regs.iter().flatten() {
+            w.put_u32(*word);
+        }
         self.preds.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -452,24 +419,34 @@ impl Snapshot for Warp {
             finished: r.get_bool()?,
             ibuf_ready_at: r.get_u64()?,
             live_mask: r.get_u32()?,
-            regs: Snapshot::load(r)?,
+            regs: {
+                let words = r.get_usize()?;
+                if words % WARP_SIZE != 0 || words > 256 * WARP_SIZE {
+                    return Err(CodecError::BadValue("warp register file size"));
+                }
+                let mut regs = vec![[0; WARP_SIZE]; words / WARP_SIZE];
+                for word in regs.iter_mut().flatten() {
+                    *word = r.get_u32()?;
+                }
+                regs
+            },
             preds: Snapshot::load(r)?,
         })
     }
 }
 
+/// Append to `out` the distinct 128-byte lines the active lanes touch, in
+/// order of first appearance (the LSU's transaction order).
 #[inline]
-#[allow(clippy::needless_range_loop)] // lane indexes the mask AND the array
-fn coalesce_into(addrs: &[u64; WARP_SIZE], mask: u32, out: &mut Vec<u64>) {
-    for lane in 0..WARP_SIZE {
-        if mask & (1 << lane) == 0 {
-            continue;
-        }
-        let line = line_of(addrs[lane]);
-        if !out.contains(&line) {
+fn coalesce_into(addrs: &Row, mask: u32, out: &mut Vec<u64>) {
+    for_lanes(mask, |lane| {
+        let line = line_of(addrs[lane] as u64);
+        // Neighbouring lanes usually share a line: test the last one pushed
+        // before scanning.
+        if out.last() != Some(&line) && !out.contains(&line) {
             out.push(line);
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -695,6 +672,57 @@ mod tests {
         let mut s = SharedMem::new(0);
         let w = run(&prog, &[], &mut g, &mut s, 0, 0);
         assert_eq!(f32::from_bits(w.reg(0, 0)), 2.0);
+    }
+
+    #[test]
+    fn snapshot_keeps_the_flat_register_byte_layout() {
+        // The container format was defined with the register file as one
+        // flat `Vec<u32>`, register-major; the 32-word rows must encode to
+        // the same bytes so old and new snapshots stay interchangeable.
+        let mut b = ProgramBuilder::new("t");
+        let regs = [b.reg(), b.reg(), b.reg()];
+        b.mov(regs[2], Src::Imm(0));
+        b.exit();
+        let prog = b.build().unwrap();
+        let mut w = Warp::empty();
+        w.launch(&prog, 1, 2, 3, 0xFFFF, 10, 2);
+        let flat: Vec<u32> = (0..3 * WARP_SIZE as u32).map(|i| i * 7 + 1).collect();
+        for (i, &v) in flat.iter().enumerate() {
+            w.set_reg((i / WARP_SIZE) as u8, i % WARP_SIZE, v);
+        }
+        let mut out = Writer::new();
+        w.save(&mut out);
+        let bytes = out.into_bytes();
+
+        let mut want = Writer::new();
+        flat.save(&mut want);
+        w.preds.save(&mut want);
+        let tail = want.into_bytes();
+        assert_eq!(&bytes[bytes.len() - tail.len()..], &tail[..]);
+
+        let mut r = Reader::new(&bytes);
+        let back = Warp::load(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.regs, w.regs);
+        let mut again = Writer::new();
+        back.save(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn snapshot_rejects_a_ragged_register_file() {
+        let mut w = Warp::empty();
+        w.regs = vec![[0; WARP_SIZE]];
+        let mut out = Writer::new();
+        w.save(&mut out);
+        let mut bytes = out.into_bytes();
+        // Shrink the declared word count by one: no longer whole rows.
+        let len_at = bytes.len() - (WARP_SIZE * 4 + 8) - 8;
+        bytes[len_at..len_at + 8].copy_from_slice(&(WARP_SIZE as u64 - 1).to_le_bytes());
+        assert!(matches!(
+            Warp::load(&mut Reader::new(&bytes)),
+            Err(CodecError::BadValue(_))
+        ));
     }
 
     #[test]

@@ -106,6 +106,24 @@ cmp "$tracedir/json_serial.txt" scripts/golden/repro_quick.json || {
 }
 echo "ok: calendar-queue build reproduces the heap build's bytes exactly"
 
+echo "== repository benchmark: own tests + smoke run =="
+# benchmark/ is a workspace of its own (BENCHMARK.json is its contract), so
+# the tier-1 `cargo test` above never sees it. Its tests pin the metric and
+# workload names against BENCHMARK.json; the smoke run drives every workload
+# once on small kernels and checks outputs and result digests.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --smoke > "$tracedir/bench_smoke.txt"
+# One JSON result line per workload and pass; every one must say
+# "correct":true,"failed":0 (keys are printed in alphabetical order).
+results=$(grep -c '^{' "$tracedir/bench_smoke.txt" || true)
+passing=$(grep -c '^{.*"correct":true,"failed":0,' "$tracedir/bench_smoke.txt" || true)
+if [ "$results" -eq 0 ] || [ "$results" -ne "$passing" ]; then
+    echo "ERROR: benchmark --smoke: $passing of $results result lines are correct with 0 failed" >&2
+    exit 1
+fi
+echo "ok: benchmark tests pass; all $results smoke results correct with 0 failed checks"
+
 echo "== checkpoint/resume: recovered sweep is byte-identical =="
 # The snapshot round-trip contract (DESIGN.md §12): a sweep that
 # checkpoints every cell, and a --resume pass that recovers a "crashed"
@@ -257,5 +275,18 @@ grep -q "order_dirty" DESIGN.md || {
     exit 1
 }
 echo "ok: the incremental issue path is documented in README, DESIGN, EXPERIMENTS"
+
+echo "== docs: decode-once issue metadata and row execution are documented =="
+grep -q '^## 16\. Decode-once issue metadata and row execution' DESIGN.md || {
+    echo "ERROR: DESIGN.md lost §16 (decode-once issue metadata and row execution)" >&2
+    exit 1
+}
+for doc in README.md DESIGN.md EXPERIMENTS.md; do
+    grep -q "IssueTable" "$doc" || {
+        echo "ERROR: the per-PC IssueTable is not documented in $doc" >&2
+        exit 1
+    }
+done
+echo "ok: DESIGN.md §16 present; IssueTable documented in README, DESIGN, EXPERIMENTS"
 
 echo "== verify: all green =="

@@ -221,6 +221,67 @@ fn issue_phase_steady_state_allocates_nothing_per_cycle() {
     }
 }
 
+/// `reps` global load → add → global store rounds over one resident-warp
+/// shape: only the number of memory warp-instructions grows with `reps`.
+/// Every round loads the same line (an L1 hit after the first) and stores
+/// to another buffer, so the number of cache misses — each of which
+/// allocates an MSHR waiter list in `pro-mem` — does not grow with it.
+fn kernel_mem_reps(gpu: &mut Gpu, tbs: u32, reps: usize) -> Kernel {
+    let bytes = u64::from(tbs) * 64 * 4;
+    let src = gpu.gmem.alloc(bytes);
+    let dst = gpu.gmem.alloc(bytes);
+    let mut b = ProgramBuilder::new("mem_overhead");
+    let (g, a, o, v) = (b.reg(), b.reg(), b.reg(), b.reg());
+    b.global_tid(g);
+    b.buf_addr(a, 0, g, 0);
+    b.buf_addr(o, 1, g, 0);
+    for _ in 0..reps {
+        b.ld_global(v, a, 0);
+        b.iadd(v, v, Src::Imm(1));
+        b.st_global(v, o, 0);
+    }
+    b.exit();
+    Kernel::new(
+        b.build().expect("valid kernel"),
+        LaunchConfig::linear(tbs, 64),
+        vec![src as u32, dst as u32],
+    )
+}
+
+#[test]
+fn memory_instruction_issue_allocates_nothing_per_instruction() {
+    // The twin of the test above, which holds memory traffic constant and
+    // so cannot see a per-memory-instruction allocation: here the number
+    // of global loads and stores grows 16x over the same resident-warp
+    // shape. An LSU entry carries its line addresses inline, so queueing
+    // one must not touch the heap. (Two TBs only: with more warps the
+    // store backlog in `pro-mem`'s per-launch queues peaks higher in the
+    // long kernel, and their capacity doubling would show as a handful of
+    // allocations that have nothing to do with the issue path.)
+    let mut gpu = Gpu::new(GpuConfig::small(2), 1 << 20);
+    let few = kernel_mem_reps(&mut gpu, 2, 4);
+    let many = kernel_mem_reps(&mut gpu, 2, 64);
+    for sched in [SchedulerKind::Lrr, SchedulerKind::Gto, SchedulerKind::Pro] {
+        let _ = gpu.launch(&few, sched, TraceOptions::default()).unwrap();
+        let _ = gpu.launch(&many, sched, TraceOptions::default()).unwrap();
+        let (a_few, r_few) =
+            allocs_during(|| gpu.launch(&few, sched, TraceOptions::default()).unwrap());
+        let (a_many, r_many) =
+            allocs_during(|| gpu.launch(&many, sched, TraceOptions::default()).unwrap());
+        assert!(
+            r_many.mem.loads >= 16 * r_few.mem.loads && r_few.mem.loads > 0,
+            "{sched}: the long kernel must issue 16x the loads ({} vs {})",
+            r_many.mem.loads,
+            r_few.mem.loads
+        );
+        assert_eq!(
+            a_few, a_many,
+            "{sched}: allocations grew with the number of global loads/stores — \
+             issuing a memory instruction touches the heap"
+        );
+    }
+}
+
 /// One full launch with the host profiler toggled.
 fn run_prof(tbs: u32, host_prof: bool) -> RunResult {
     let mut gpu = Gpu::new(GpuConfig::small(2), 1 << 20);
