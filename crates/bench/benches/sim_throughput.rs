@@ -554,14 +554,10 @@ fn bench_trace_overhead(r: &mut Runner) {
     });
 }
 
-/// Wall-clock speedup of the two parallel layers: the inter-run experiment
+/// Wall-clock speedup of the one parallel layer: the inter-run experiment
 /// pool (`--jobs`, a grid of independent simulations fanned out on
-/// [`pro_core::pool`]) and the intra-run phase-split SM array
-/// (`sm_workers`). Each layer is timed at 1 worker and at 4 and a
-/// `SPEEDUP` line reports the ratio of medians. Bit-identical results at
-/// every worker count are asserted by the tier-1 test
-/// `parallel_engine_is_bit_identical_to_serial`; these rows only measure
-/// the time.
+/// [`pro_core::pool`]), timed at 1 thread and at 4 with a `SPEEDUP` line
+/// reporting the ratio of medians.
 fn bench_parallel_speedup(r: &mut Runner) {
     use pro_sim::isa::{Kernel, LaunchConfig, ProgramBuilder};
     use pro_sim::{Gpu, GpuConfig, TraceOptions};
@@ -583,45 +579,31 @@ fn bench_parallel_speedup(r: &mut Runner) {
         )
     }
 
-    let run_one = |sm_workers: usize| -> u64 {
-        let cfg = GpuConfig {
-            sm_workers,
-            ..GpuConfig::small(4)
-        };
-        let mut gpu = Gpu::new(cfg, 4 << 20);
+    let run_one = || -> u64 {
+        let mut gpu = Gpu::new(GpuConfig::small(4), 4 << 20);
         let base = gpu.gmem.alloc(16 * 128 * 4);
         gpu.launch(&kernel(base), SchedulerKind::Pro, TraceOptions::default())
             .expect("launch completes")
             .cycles
     };
 
-    let speedup_line = |label: &str, one: Option<pro_bench::runner::Summary>, four: Option<pro_bench::runner::Summary>| {
-        if let (Some(a), Some(b)) = (one, four) {
-            println!(
-                "SPEEDUP {label} {:.2}x (median {} -> {})",
-                a.median_ns as f64 / b.median_ns.max(1) as f64,
-                pro_bench::runner::human_ns(a.median_ns),
-                pro_bench::runner::human_ns(b.median_ns),
-            );
-        }
-    };
-
-    // Level 2: a multi-kernel grid of 8 independent simulations on the
-    // experiment pool — the layer behind `repro --jobs N`.
+    // A multi-kernel grid of 8 independent simulations on the experiment
+    // pool — the layer behind `repro --jobs N`.
     let grid: Vec<u32> = (0..8).collect();
     let g1 = r.bench("grid8/jobs_1", || {
-        black_box(pro_core::pool::run(1, &grid, |_| run_one(1)))
+        black_box(pro_core::pool::run(1, &grid, |_| run_one()))
     });
     let g4 = r.bench("grid8/jobs_4", || {
-        black_box(pro_core::pool::run(4, &grid, |_| run_one(1)))
+        black_box(pro_core::pool::run(4, &grid, |_| run_one()))
     });
-    speedup_line("grid8_jobs_4_over_1", g1, g4);
-
-    // Level 1: one launch with the SM issue phase split across workers.
-    // Reported separately — per-cycle barriers bound this layer's gain.
-    let s1 = r.bench("launch/sm_workers_1", || black_box(run_one(1)));
-    let s4 = r.bench("launch/sm_workers_4", || black_box(run_one(4)));
-    speedup_line("launch_sm_workers_4_over_1", s1, s4);
+    if let (Some(a), Some(b)) = (g1, g4) {
+        println!(
+            "SPEEDUP grid8_jobs_4_over_1 {:.2}x (median {} -> {})",
+            a.median_ns as f64 / b.median_ns.max(1) as f64,
+            pro_bench::runner::human_ns(a.median_ns),
+            pro_bench::runner::human_ns(b.median_ns),
+        );
+    }
 }
 
 /// Checkpointing cost: the same launch writing full snapshots every

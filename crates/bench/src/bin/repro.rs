@@ -1,21 +1,17 @@
 //! `repro` — regenerate every table and figure of the PRO paper.
 //!
 //! ```text
-//! repro <command> [--full-scale] [--quick] [--jobs N] [--sm-workers N]
+//! repro <command> [--full-scale] [--quick] [--jobs N]
 //! commands: config workloads fig1 fig2 fig4 fig5 table3 table4 ablation all
 //! ```
 //!
 //! `--full-scale` runs the exact Table II grid sizes (slow);
 //! `--quick` restricts kernel sweeps to one kernel per application.
 //!
-//! Parallelism knobs — both are host-side only and never change results:
-//!
-//! * `--jobs N` runs independent (kernel × scheduler) simulations on `N`
-//!   pool threads (0 or unset = all cores). Output is byte-identical at
-//!   any `N` because results are collected in submission order.
-//! * `--sm-workers N` parallelizes the SM array *inside* each simulation
-//!   (the phase-split engine); counters and traces are bit-identical to
-//!   the serial engine.
+//! Parallelism — host-side only, never changes results: `--jobs N` runs
+//! independent (kernel × scheduler) simulations on `N` pool threads (0 or
+//! unset = all cores). Output is byte-identical at any `N` because results
+//! are collected in submission order.
 //!
 //! Long runs — checkpoint & resume (the `json` sweep):
 //!
@@ -44,8 +40,39 @@ use pro_core::SchedulerKind;
 use pro_sim::{GpuConfig, TraceOptions};
 use pro_workloads::{apps, registry, Scale, Workload};
 
+/// Every `--option` the CLI understands; anything else is refused so a
+/// typo (or a removed flag) cannot silently run with defaults.
+const OPTIONS: &[&str] = &[
+    "--full-scale",
+    "--quick",
+    "--config",
+    "--jobs",
+    "--checkpoint-path",
+    "--checkpoint-every",
+    "--checkpoint-delta",
+    "--checkpoint-keep",
+    "--resume",
+    "--heartbeat",
+];
+
+fn usage() -> ! {
+    eprintln!(
+        "usage: repro <config|workloads|fig1|fig2|fig4|fig5|table3|table4|ablation|sweep|wld|cache|ready|occupancy|synthsweep|svg|json|shootout|dram|all> \
+         | disasm <kernel> | trace [kernel] [tl|lrr|gto|pro] | trace-report <file.jsonl> \
+         [--full-scale] [--quick] [--config FILE] [--jobs N] \
+         [--checkpoint-path DIR] [--checkpoint-every N] [--checkpoint-delta] \
+         [--checkpoint-keep N] [--resume DIR] [--heartbeat SECS]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let unknown = |a: &&String| a.starts_with("--") && !OPTIONS.contains(&a.as_str());
+    if let Some(bad) = args.iter().find(unknown) {
+        eprintln!("unknown option {bad}");
+        usage();
+    }
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let scale = if args.iter().any(|a| a == "--full-scale") {
         Scale::Full
@@ -71,12 +98,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-    // Optional --sm-workers <N>: intra-run parallel engine width.
-    if let Some(n) = flag_value(&args, "--sm-workers") {
-        let mut cfg = machine_override.unwrap_or_else(GpuConfig::gtx480);
-        cfg.sm_workers = n;
-        machine_override = Some(cfg);
     }
     if let Some(cfg) = machine_override {
         set_machine(cfg);
@@ -143,16 +164,7 @@ fn main() {
             synthsweep();
             dram_ablation(scale);
         }
-        _ => {
-            eprintln!(
-                "usage: repro <config|workloads|fig1|fig2|fig4|fig5|table3|table4|ablation|sweep|wld|cache|ready|occupancy|synthsweep|svg|json|shootout|dram|all> \
-                 | disasm <kernel> | trace [kernel] [tl|lrr|gto|pro] | trace-report <file.jsonl> \
-                 [--full-scale] [--quick] [--jobs N] [--sm-workers N] \
-                 [--checkpoint-path DIR] [--checkpoint-every N] [--checkpoint-delta] \
-                 [--checkpoint-keep N] [--resume DIR] [--heartbeat SECS]"
-            );
-            std::process::exit(2);
-        }
+        _ => usage(),
     }
 }
 

@@ -26,6 +26,7 @@ use pro_sim::{
     snapshot_matches, CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, ProgressFn,
     RunResult, SnapshotChain, TraceOptions,
 };
+use pro_trace::NoopTracer;
 use pro_workloads::{Scale, Workload};
 
 use crate::Cell;
@@ -184,7 +185,7 @@ pub fn run_cell_recoverable(
             if let Err(e) = snapshot_matches(chain.newest(), &cfg, &built.kernel, sched.name()) {
                 identity_gate(&chain_d, &e);
             }
-            match gpu.resume_chain(&chain, &built.kernel, sched, trace, &opts) {
+            match gpu.resume_chain(&chain, &built.kernel, sched, trace, &opts, &mut NoopTracer) {
                 Ok(s) => status = Some(s),
                 Err(e) => {
                     if let pro_sim::SimError::Snapshot(ce) = &e {
@@ -302,10 +303,7 @@ mod tests {
     use pro_workloads::registry;
 
     fn small_cfg() -> GpuConfig {
-        GpuConfig {
-            sm_workers: 1,
-            ..GpuConfig::small(4)
-        }
+        GpuConfig::small(4)
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {

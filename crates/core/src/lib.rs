@@ -139,11 +139,7 @@ pub struct IssueInfo {
 /// A warp scheduling policy for one SM (shared by that SM's scheduler
 /// units, which is what lets PRO coordinate TB-level priorities across
 /// units).
-///
-/// `Send` is required so a boxed policy can migrate with its SM onto a
-/// worker thread when the simulator runs the SM array in parallel; every
-/// policy is plain owned data, so this costs implementations nothing.
-pub trait WarpScheduler: Send {
+pub trait WarpScheduler {
     /// Human-readable policy name (used in reports).
     fn name(&self) -> &'static str;
 

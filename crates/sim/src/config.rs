@@ -63,9 +63,6 @@ pub fn parse_config(text: &str, base: GpuConfig) -> Result<GpuConfig, ConfigErro
         match key {
             "num_sms" => cfg.num_sms = as_u64()? as u32,
             "max_cycles" => cfg.max_cycles = as_u64()?,
-            // Host-side simulation knob (not a modelled parameter): results
-            // are bit-identical at any worker count.
-            "sm_workers" => cfg.sm_workers = as_u64()? as usize,
             // SM
             "max_warps_per_sm" => cfg.sm.max_warps = as_u64()? as usize,
             "max_tbs_per_sm" => cfg.sm.max_tbs = as_u64()? as usize,
@@ -168,10 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn sm_workers_is_a_host_knob() {
-        let cfg = parse_config("sm_workers = 4", GpuConfig::gtx480()).unwrap();
-        assert_eq!(cfg.sm_workers, 4);
-        assert_eq!(GpuConfig::gtx480().sm_workers, 1);
+    fn removed_worker_key_is_rejected_as_unknown() {
+        let e = parse_config("num_sms = 14\nsm_workers = 4", GpuConfig::gtx480()).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("unknown key `sm_workers`"), "{e}");
     }
 
     #[test]

@@ -2,18 +2,18 @@
 //! distribution engine" of §I), shared memory hierarchy, and the run loop
 //! that executes a kernel grid to completion.
 //!
-//! # Phase-split cycle and the parallel engine
+//! # Phase-split cycle
 //!
 //! Each simulated cycle runs in three phases (see `Sm::tick_traced`):
-//! a serial *memory phase* per SM in SM-index order (all interaction with
-//! the shared [`MemSubsystem`]), an SM-local *issue phase* (scheduling and
+//! a *memory phase* per SM in SM-index order (all interaction with the
+//! shared [`MemSubsystem`]), an SM-local *issue phase* (scheduling and
 //! execution against a read-only global-memory base, with stores and load
-//! registrations deferred into per-SM buffers), and a serial *merge phase*
-//! per SM in SM-index order (publishing the deferred effects). Because
-//! every cross-SM interaction happens in the serial phases in a fixed
-//! order, the issue phase can be fanned out across worker threads
-//! ([`GpuConfig::sm_workers`]) with **bit-identical** results — counters,
-//! stall attribution, and trace streams all match the serial engine.
+//! registrations deferred into per-SM buffers), and a *merge phase* per SM
+//! in SM-index order (publishing the deferred effects). Every cross-SM
+//! interaction happens in the memory and merge phases in a fixed order, so
+//! what an SM observes in a cycle — same-cycle stores by other SMs, the
+//! order load registrations reach the memory system — does not depend on
+//! the order the issue phase walks the SM array.
 
 use crate::checkpoint::{
     ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, ProgressEvent, SnapshotChain,
@@ -29,11 +29,10 @@ use pro_mem::{GlobalMem, MemConfig, MemSubsystem};
 use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport};
 use pro_trace::{
     mask_of, BufferTracer, Event as TraceEvent, EventClass, Hist16, HostPhase, HostProf,
-    IssueProf, NoopTracer, Tracer, WorkerProf,
+    IssueProf, NoopTracer, Tracer,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Snapshot container section ids (see `DESIGN.md` §12).
@@ -58,10 +57,10 @@ pub struct GpuConfig {
     pub mem: MemConfig,
     /// Abort threshold for the run loop (simulator-bug guard).
     pub max_cycles: u64,
-    /// Worker threads for the per-cycle SM issue phase (1 = serial engine).
-    /// Any value produces bit-identical results; values above `num_sms` are
-    /// clamped. This is a host-side simulation knob, not a modelled
-    /// parameter, so it never affects simulated timing.
+    /// Inert: the worker-thread engine this once sized is gone and nothing
+    /// reads the value. The field stays so existing struct literals keep
+    /// compiling and the `Debug`-derived snapshot identity string (see
+    /// `config_identity`, which zeroes it) keeps its bytes.
     pub sm_workers: usize,
 }
 
@@ -107,11 +106,11 @@ pub struct TraceOptions {
     /// cycles (0 = off) — drives the occupancy heatmap.
     pub utilization_period: u64,
     /// Enable the host-side phase profiler (`pro_trace::prof`): wall-clock
-    /// per run-loop phase, worker busy/idle under `--sm-workers`, and the
-    /// memory-subsystem queue gauges, all published into the result's
-    /// metrics registry under `host/*`. Host numbers vary run to run by
-    /// nature, so the `host/` namespace is excluded from `RunResult`'s
-    /// `Snapshot` encoding and from every byte-compare determinism gate.
+    /// per run-loop phase and the memory-subsystem queue gauges, all
+    /// published into the result's metrics registry under `host/*`. Host
+    /// numbers vary run to run by nature, so the `host/` namespace is
+    /// excluded from `RunResult`'s `Snapshot` encoding and from every
+    /// byte-compare determinism gate.
     pub host_prof: bool,
 }
 
@@ -293,6 +292,12 @@ impl std::fmt::Debug for Gpu {
     }
 }
 
+/// Per-SM policy factory for a built-in [`SchedulerKind`] on a machine with
+/// SM configuration `sm`.
+fn kind_factory(sm: SmConfig, scheduler: SchedulerKind) -> impl FnMut() -> Box<dyn WarpScheduler> {
+    move || scheduler.build(sm.max_warps, sm.max_tbs, sm.units)
+}
+
 impl Gpu {
     /// Build a GPU with `gmem_bytes` of device memory.
     pub fn new(cfg: GpuConfig, gmem_bytes: u64) -> Self {
@@ -341,12 +346,9 @@ impl Gpu {
         trace: TraceOptions,
         tracer: &mut dyn Tracer,
     ) -> Result<RunResult, SimError> {
-        let (w, t, u) = (
-            self.cfg.sm.max_warps,
-            self.cfg.sm.max_tbs,
-            self.cfg.sm.units,
-        );
-        self.launch_custom_traced(kernel, &mut || scheduler.build(w, t, u), trace, tracer)
+        let ckpt = CheckpointOptions::default();
+        self.launch_checkpointed_traced(kernel, scheduler, trace, &ckpt, tracer)
+            .map(LaunchStatus::expect_completed)
     }
 
     /// Like [`Gpu::launch`] but with an arbitrary policy factory — used for
@@ -358,23 +360,7 @@ impl Gpu {
         factory: &mut dyn FnMut() -> Box<dyn pro_core::WarpScheduler>,
         trace: TraceOptions,
     ) -> Result<RunResult, SimError> {
-        self.launch_custom_traced(kernel, factory, trace, &mut NoopTracer)
-    }
-
-    /// The full-generality launch: custom policy factory plus an external
-    /// tracer on the event bus. All other launch methods delegate here.
-    ///
-    /// Runs the phase-split engine described in the module docs; with
-    /// `cfg.sm_workers > 1` the per-cycle SM issue phase is distributed over
-    /// persistent worker threads with bit-identical results.
-    pub fn launch_custom_traced(
-        &mut self,
-        kernel: &Kernel,
-        factory: &mut dyn FnMut() -> Box<dyn WarpScheduler>,
-        trace: TraceOptions,
-        tracer: &mut dyn Tracer,
-    ) -> Result<RunResult, SimError> {
-        self.launch_inner(kernel, factory, trace, tracer, &CheckpointOptions::default(), None)
+        self.run(kernel, factory, trace, &mut NoopTracer, &CheckpointOptions::default(), None)
             .map(LaunchStatus::expect_completed)
     }
 
@@ -400,12 +386,8 @@ impl Gpu {
         ckpt: &CheckpointOptions,
         tracer: &mut dyn Tracer,
     ) -> Result<LaunchStatus, SimError> {
-        let (w, t, u) = (
-            self.cfg.sm.max_warps,
-            self.cfg.sm.max_tbs,
-            self.cfg.sm.units,
-        );
-        self.launch_inner(kernel, &mut || scheduler.build(w, t, u), trace, tracer, ckpt, None)
+        let mut factory = kind_factory(self.cfg.sm, scheduler);
+        self.run(kernel, &mut factory, trace, tracer, ckpt, None)
     }
 
     /// Continue a paused or checkpointed launch from `snapshot`.
@@ -414,9 +396,7 @@ impl Gpu {
     /// launch (the snapshot carries their identities and refuses a
     /// mismatch); `ckpt` may differ — e.g. resume with a new pause point.
     /// The continuation is bit-identical to the uninterrupted run: same
-    /// counters, same stall attribution, same trace bytes. `sm_workers`
-    /// is explicitly *not* part of the identity — a snapshot taken on the
-    /// serial engine resumes on the parallel engine and vice versa.
+    /// counters, same stall attribution, same trace bytes.
     pub fn resume(
         &mut self,
         snapshot: &GpuSnapshot,
@@ -441,25 +421,16 @@ impl Gpu {
         ckpt: &CheckpointOptions,
         tracer: &mut dyn Tracer,
     ) -> Result<LaunchStatus, SimError> {
-        let (w, t, u) = (
-            self.cfg.sm.max_warps,
-            self.cfg.sm.max_tbs,
-            self.cfg.sm.units,
-        );
-        self.launch_inner(
-            kernel,
-            &mut || scheduler.build(w, t, u),
-            trace,
-            tracer,
-            ckpt,
-            Some(ResumeSource::Full(snapshot)),
-        )
+        let mut factory = kind_factory(self.cfg.sm, scheduler);
+        let from = Some(ResumeSource::Full(snapshot));
+        self.run(kernel, &mut factory, trace, tracer, ckpt, from)
     }
 
     /// Continue a launch from a delta-checkpoint chain: the base snapshot's
     /// global memory with every delta's dirty pages folded in, and all
-    /// other state from the newest container. Identity checks and the
-    /// bit-identical guarantee are the same as [`Gpu::resume`]. When
+    /// other state from the newest container. Identity checks, the
+    /// bit-identical guarantee and the `tracer` contract are the same as
+    /// [`Gpu::resume_traced`] (pass `&mut NoopTracer` for none). When
     /// `ckpt` points delta checkpointing at the chain's own directory, the
     /// resumed run *continues* the chain (appending deltas after the ones
     /// it restored) instead of starting a new one.
@@ -470,36 +441,17 @@ impl Gpu {
         scheduler: SchedulerKind,
         trace: TraceOptions,
         ckpt: &CheckpointOptions,
-    ) -> Result<LaunchStatus, SimError> {
-        self.resume_chain_traced(chain, kernel, scheduler, trace, ckpt, &mut NoopTracer)
-    }
-
-    /// [`Gpu::resume_chain`] with an external [`Tracer`] on the bus.
-    pub fn resume_chain_traced(
-        &mut self,
-        chain: &SnapshotChain,
-        kernel: &Kernel,
-        scheduler: SchedulerKind,
-        trace: TraceOptions,
-        ckpt: &CheckpointOptions,
         tracer: &mut dyn Tracer,
     ) -> Result<LaunchStatus, SimError> {
-        let (w, t, u) = (
-            self.cfg.sm.max_warps,
-            self.cfg.sm.max_tbs,
-            self.cfg.sm.units,
-        );
-        self.launch_inner(
-            kernel,
-            &mut || scheduler.build(w, t, u),
-            trace,
-            tracer,
-            ckpt,
-            Some(ResumeSource::Chain(chain)),
-        )
+        let mut factory = kind_factory(self.cfg.sm, scheduler);
+        let from = Some(ResumeSource::Chain(chain));
+        self.run(kernel, &mut factory, trace, tracer, ckpt, from)
     }
 
-    fn launch_inner(
+    /// Every launch and resume method lands here: set the [`Engine`] up
+    /// (restoring `resume` if given), step it one cycle at a time, stop at
+    /// checkpoint boundaries, and tear it down into a [`RunResult`].
+    fn run(
         &mut self,
         kernel: &Kernel,
         factory: &mut dyn FnMut() -> Box<dyn WarpScheduler>,
@@ -508,6 +460,146 @@ impl Gpu {
         ckpt: &CheckpointOptions,
         resume: Option<ResumeSource<'_>>,
     ) -> Result<LaunchStatus, SimError> {
+        let mut eng = Engine::setup(self, kernel, factory, trace, tracer, ckpt, resume)?;
+        // Initial fill happens inside the loop (1 TB per SM per cycle),
+        // mirroring the hardware work distributor.
+        while !eng.cycle()? {
+            // Checkpoint boundary: end of cycle, all deferred effects
+            // merged — the one point where the simulator's state is closed
+            // under snapshot.
+            let rel_after = eng.gpu.cycle - eng.start_cycle;
+            let pause = ckpt.pause_at > 0 && rel_after >= ckpt.pause_at;
+            let periodic = ckpt.every > 0 && rel_after.is_multiple_of(ckpt.every);
+            if pause || periodic {
+                let mut st = eng.prof.start();
+                let paused = eng.checkpoint(periodic, pause)?;
+                eng.prof.lap(HostPhase::SnapshotWrite, &mut st);
+                if let Some(snap) = paused {
+                    // Paused mid-grid: no kernel-end event (the resumed run
+                    // emits it), no result — the snapshot is the
+                    // deliverable. The GPU itself also holds the paused
+                    // state and could continue.
+                    return Ok(LaunchStatus::Paused(snap));
+                }
+            }
+            // Heartbeat boundary: purely observational, decoupled from
+            // checkpointing so a sweep is watchable without snapshots.
+            if ckpt.progress_every > 0 && rel_after.is_multiple_of(ckpt.progress_every) {
+                if let Some(cb) = &ckpt.progress {
+                    cb(ProgressEvent {
+                        cycles: rel_after,
+                        checkpointed: (pause || periodic) && ckpt.path.is_some(),
+                    });
+                }
+            }
+        }
+        Ok(LaunchStatus::Completed(eng.teardown()))
+    }
+}
+
+/// Prior state handed to [`Gpu::run`]: one full snapshot, or a validated
+/// base+deltas chain whose gmem gets folded base-then-deltas.
+enum ResumeSource<'a> {
+    Full(&'a GpuSnapshot),
+    Chain(&'a SnapshotChain),
+}
+
+/// The per-launch state of one SM that lives outside the [`Sm`] itself.
+struct Lane {
+    policy: Box<dyn WarpScheduler>,
+    report: TickReport,
+    /// This cycle's memory- and issue-phase events, replayed into the real
+    /// tracer at merge so each SM's events stay contiguous and in SM-index
+    /// order on the bus.
+    buf: BufferTracer,
+}
+
+/// Run-loop bookkeeping: the thread block scheduler's queue and cursor,
+/// and the Table IV sample accumulator. Its encoding, followed by the
+/// [`Recorder`]'s data, is snapshot section [`SEC_LOOP`].
+struct LoopState {
+    /// TBs not yet handed to an SM, in launch order.
+    pending: VecDeque<u32>,
+    /// TBs launched but unfinished.
+    outstanding: u32,
+    /// Where the TB scheduler's round-robin over SMs starts this cycle.
+    rr_next_sm: usize,
+    tb_order: Vec<TbOrderSnapshot>,
+    last_order_sample: u64,
+}
+
+impl LoopState {
+    fn fresh(total_tbs: u32, start_cycle: u64) -> Self {
+        LoopState {
+            pending: (0..total_tbs).collect(),
+            outstanding: 0,
+            rr_next_sm: 0,
+            tb_order: Vec::new(),
+            last_order_sample: start_cycle,
+        }
+    }
+
+    fn save(&self, w: &mut Writer) {
+        self.pending.save(w);
+        w.put_u32(self.outstanding);
+        w.put_usize(self.rr_next_sm);
+        self.tb_order.save(w);
+        w.put_u64(self.last_order_sample);
+    }
+
+    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(LoopState {
+            pending: Snapshot::load(r)?,
+            outstanding: r.get_u32()?,
+            rr_next_sm: r.get_usize()?,
+            tb_order: Snapshot::load(r)?,
+            last_order_sample: r.get_u64()?,
+        })
+    }
+}
+
+/// One launch in flight: [`Engine::setup`] (fresh or restored),
+/// [`Engine::cycle`] until the grid drains, [`Engine::capture`] at
+/// checkpoint boundaries, [`Engine::teardown`] into the result.
+struct Engine<'a> {
+    gpu: &'a mut Gpu,
+    kernel: &'a Kernel,
+    trace: TraceOptions,
+    ckpt: &'a CheckpointOptions,
+    start_cycle: u64,
+    lp: LoopState,
+    /// The bus: classic timeline/utilization traces are rebuilt from TB
+    /// and issue events; the user tracer sees everything it asked for.
+    recorder: Recorder<'a>,
+    /// `recorder.enabled()`, hoisted: one check per launch, not per cycle.
+    bus_on: bool,
+    /// One per SM, index-aligned with `gpu.sms`.
+    lanes: Vec<Lane>,
+    /// Delta-chain writer and the section image its next delta diffs
+    /// against; both `None` until the first periodic boundary of a
+    /// delta-checkpointed run (or seeded by a chain restore).
+    chain_writer: Option<ChainWriter>,
+    chain_caps: Option<ChainImage>,
+    /// Host profiler: when `trace.host_prof` is off this costs one branch
+    /// per phase boundary; its output never reaches simulated state, so it
+    /// is invisible to the determinism gates either way.
+    prof: HostProf,
+    wall_start: Instant,
+}
+
+impl<'a> Engine<'a> {
+    /// Bind `kernel` to the SM array and build the per-launch state; with
+    /// `resume`, restore all of it from the snapshot or chain instead of
+    /// starting at cycle 0 of the grid.
+    fn setup(
+        gpu: &'a mut Gpu,
+        kernel: &'a Kernel,
+        factory: &mut dyn FnMut() -> Box<dyn WarpScheduler>,
+        trace: TraceOptions,
+        tracer: &'a mut dyn Tracer,
+        ckpt: &'a CheckpointOptions,
+        resume: Option<ResumeSource<'_>>,
+    ) -> Result<Self, SimError> {
         if ckpt.every > 0 && ckpt.path.is_none() {
             return Err(SimError::CheckpointIo(
                 "a checkpoint interval was set without a checkpoint path".into(),
@@ -518,11 +610,8 @@ impl Gpu {
                 "delta checkpointing was requested without a chain directory".into(),
             ));
         }
-        let num_sms = self.cfg.num_sms as usize;
-        // Host profiler: when `trace.host_prof` is off this costs one
-        // branch per phase boundary; its output never reaches simulated
-        // state, so it is invisible to the determinism gates either way.
-        let mut prof = HostProf::new(trace.host_prof);
+        let num_sms = gpu.cfg.num_sms as usize;
+        let prof = HostProf::new(trace.host_prof);
         let wall_start = Instant::now();
         // Parse, CRC-check and identity-check the resume container before
         // touching any simulator state, so a bad snapshot leaves the GPU
@@ -542,14 +631,16 @@ impl Gpu {
             Some(ResumeSource::Chain(c)) => Some(FileReader::parse(c.newest().as_bytes())?),
             None => None,
         };
-        let mut meta_loaded: Option<Meta> = None;
-        if let Some(fr) = &resume_fr {
-            let mut r = fr.section(SEC_META)?;
-            let meta = Meta::load(&mut r)?;
-            r.finish()?;
-            meta.check_matches(&Meta::of(&self.cfg, kernel, "", 0, 0))?;
-            meta_loaded = Some(meta);
-        }
+        let restored: Option<(FileReader, Meta)> = match resume_fr {
+            Some(fr) => {
+                let mut r = fr.section(SEC_META)?;
+                let meta = Meta::load(&mut r)?;
+                r.finish()?;
+                meta.check_matches(&Meta::of(&gpu.cfg, kernel, "", 0, 0))?;
+                Some((fr, meta))
+            }
+            None => None,
+        };
         // A chain restore reconstructs the tip's memory-hierarchy and
         // per-SM payloads by folding every delta's bdelta stream onto the
         // base — before any simulator state is touched, so a chain that is
@@ -562,37 +653,25 @@ impl Gpu {
 
         // Decode the program once; every SM tests the same per-PC table.
         let table = Arc::new(IssueTable::build(&kernel.program));
-        for sm in &mut self.sms {
+        for sm in &mut gpu.sms {
             sm.begin_kernel_decoded(kernel, Arc::clone(&table));
             sm.stats = SmStats::default();
         }
         // Fresh memory-system counters per launch: rebuild the subsystem
         // (caches start cold, as for each GPGPU-Sim kernel run).
-        self.mem = MemSubsystem::new(self.cfg.mem, num_sms);
+        gpu.mem = MemSubsystem::new(gpu.cfg.mem, num_sms);
 
-        let total_tbs = kernel.launch.num_blocks();
-        let mut pending: VecDeque<u32> = (0..total_tbs).collect();
-        let mut outstanding = 0u32; // launched but unfinished
-        let mut start_cycle = self.cycle;
-        let mut rr_next_sm = 0usize;
-        let mut tb_order: Vec<TbOrderSnapshot> = Vec::new();
-        if let Some(meta) = &meta_loaded {
-            self.cycle = meta.cycle;
+        let mut start_cycle = gpu.cycle;
+        if let Some((_, meta)) = &restored {
+            gpu.cycle = meta.cycle;
             start_cycle = meta.start_cycle;
         }
-        let mut last_order_sample = start_cycle;
-        // The bus: classic timeline/utilization traces are rebuilt from TB
-        // and issue events; the user tracer sees everything it asked for.
         let mut recorder = Recorder::new(tracer, &trace, start_cycle, num_sms);
-        if let Some(fr) = &resume_fr {
+        let lp = if let Some((fr, _)) = &restored {
             // Run-loop bookkeeping, trace accumulators, device memory and
             // the memory hierarchy, in container order.
             let mut r = fr.section(SEC_LOOP)?;
-            pending = Snapshot::load(&mut r)?;
-            outstanding = r.get_u32()?;
-            rr_next_sm = r.get_usize()?;
-            tb_order = Snapshot::load(&mut r)?;
-            last_order_sample = r.get_u64()?;
+            let lp = LoopState::load(&mut r)?;
             recorder.load_state(&mut r)?;
             r.finish()?;
             match &resume {
@@ -605,19 +684,19 @@ impl Gpu {
                     // run's.
                     let base_fr = FileReader::parse(chain.containers[0].as_bytes())?;
                     let mut r = base_fr.section(SEC_GMEM)?;
-                    self.gmem = Snapshot::load(&mut r)?;
+                    gpu.gmem = Snapshot::load(&mut r)?;
                     r.finish()?;
                     for delta in &chain.containers[1..] {
                         let dfr = FileReader::parse(delta.as_bytes())?;
                         let mut r = dfr.section(SEC_GMEM_DELTA)?;
-                        self.gmem.apply_delta(&mut r)?;
+                        gpu.gmem.apply_delta(&mut r)?;
                         r.finish()?;
                     }
-                    self.gmem.mark_clean();
+                    gpu.gmem.mark_clean();
                 }
                 _ => {
                     let mut r = fr.section(SEC_GMEM)?;
-                    self.gmem = Snapshot::load(&mut r)?;
+                    gpu.gmem = Snapshot::load(&mut r)?;
                     r.finish()?;
                 }
             }
@@ -625,18 +704,19 @@ impl Gpu {
                 Some(img) => Reader::new(&img.mem),
                 None => fr.section(SEC_MEM)?,
             };
-            self.mem.restore_snapshot(&mut r)?;
+            gpu.mem.restore_snapshot(&mut r)?;
             r.finish()?;
+            lp
         } else {
             recorder.on_kernel_begin(&kernel.program.name, start_cycle);
-        }
+            LoopState::fresh(kernel.launch.num_blocks(), start_cycle)
+        };
         // Delta-chain writer. Seeded from the restored chain when the run
         // continues checkpointing into the same directory it resumed from
         // (linkage carries on after the restored deltas, and the folded tip
         // image becomes the diff base for the next capture); otherwise the
         // first boundary starts a fresh chain with a full base.
         let mut chain_writer: Option<ChainWriter> = None;
-        let mut chain_caps: Option<ChainImage> = None;
         if ckpt.delta {
             if let Some(ResumeSource::Chain(chain)) = &resume {
                 if ckpt.path.as_deref() == Some(chain.dir.as_path()) {
@@ -644,492 +724,320 @@ impl Gpu {
                 }
             }
         }
-        // Hoisted: one enabled() check per launch, not per cycle.
         let bus_on = recorder.enabled();
         // Per-SM cycle buffers answer `wants` from this snapshot of the
-        // recorder's subscriptions; replaying them contiguously per SM in
-        // index order reproduces the serial engine's event stream exactly.
+        // recorder's subscriptions. They exist on untraced runs too, so
+        // traced and untraced launches share one allocator profile and one
+        // code path.
         let buf_mask = mask_of(&recorder);
-
-        // Dismantle the SM array into per-worker lanes: contiguous chunks
-        // keep the SM-index iteration order identical at any worker count.
-        // Lanes exist even at sm_workers == 1 so traced/untraced and
-        // serial/parallel runs share one allocator profile and one code
-        // path for the serial phases.
-        let workers = self.cfg.sm_workers.max(1).min(num_sms.max(1));
-        let mut lane_vec: Vec<Lane> = self
-            .sms
-            .drain(..)
-            .map(|sm| Lane {
-                sm,
+        let mut lanes: Vec<Lane> = (0..num_sms)
+            .map(|_| Lane {
                 policy: factory(),
                 report: TickReport::default(),
                 buf: BufferTracer::new(buf_mask),
             })
             .collect();
-        if let Some(fr) = &resume_fr {
-            let meta = meta_loaded.as_ref().expect("META parsed with container");
-            // Restore each SM and its policy; on failure reassemble the SM
-            // array so the GPU survives a rejected resume.
-            if let Err(e) = restore_lanes(fr, meta, &mut lane_vec, chain_image.as_ref()) {
-                self.sms = lane_vec.into_iter().map(|l| l.sm).collect();
-                return Err(e);
-            }
+        if let Some((fr, meta)) = &restored {
+            restore_sms(fr, meta, &mut gpu.sms, &mut lanes, chain_image.as_ref())?;
         }
-        if chain_writer.is_some() {
-            // Continuing the chain: the tip image the restore just applied
-            // is exactly what the interrupted writer would have diffed the
-            // next delta against.
-            chain_caps = chain_image;
-        }
-        let mut chunks: Vec<Vec<Lane>> = Vec::with_capacity(workers);
-        {
-            let mut lanes: VecDeque<Lane> = lane_vec.into();
-            let per = num_sms.div_ceil(workers).max(1);
-            while !lanes.is_empty() {
-                let take = per.min(lanes.len());
-                chunks.push(lanes.drain(..take).collect());
-            }
-        }
+        // Continuing the chain: the tip image the restore just applied is
+        // exactly what the interrupted writer would have diffed the next
+        // delta against.
+        let chain_caps = if chain_writer.is_some() { chain_image } else { None };
+        Ok(Engine {
+            gpu,
+            kernel,
+            trace,
+            ckpt,
+            start_cycle,
+            lp,
+            recorder,
+            bus_on,
+            lanes,
+            chain_writer,
+            chain_caps,
+            prof,
+            wall_start,
+        })
+    }
 
-        // Global memory moves behind an RwLock for the launch: workers read
-        // it during the issue phase, the main thread writes it in the merge
-        // phase. `GlobalMem::new(0)` allocates nothing.
-        let gmem_lock = RwLock::new(std::mem::replace(&mut self.gmem, GlobalMem::new(0)));
+    /// Simulate one cycle — memory, issue and merge phases, then the
+    /// thread block scheduler and Table IV sampling. `Ok(true)` once the
+    /// grid has drained.
+    fn cycle(&mut self) -> Result<bool, SimError> {
+        let Gpu { cfg, sms, mem, gmem, cycle } = &mut *self.gpu;
+        let (lp, lanes, recorder) = (&mut self.lp, &mut self.lanes, &mut self.recorder);
+        let num_sms = sms.len();
+        let now = *cycle;
+        let rel = now - self.start_cycle;
+        if rel > cfg.max_cycles {
+            return Err(SimError::Timeout {
+                at_cycle: rel,
+                pending_tbs: lp.pending.len() as u32 + lp.outstanding,
+            });
+        }
+        let fast_phase = !lp.pending.is_empty();
+        let mut pt = self.prof.start();
 
-        // Per-worker (busy_ns, idle_ns) drop boxes, filled once per worker
-        // at hang-up; empty on the serial engine so nothing is published.
-        let worker_prof_ns: Vec<(AtomicU64, AtomicU64)> = if chunks.len() > 1 {
-            (0..chunks.len()).map(|_| (AtomicU64::new(0), AtomicU64::new(0))).collect()
+        // Memory phase: the shared subsystem ticks, then each SM interacts
+        // with it in SM-index order. Events land in the per-SM buffer so
+        // the issue phase appends to the same stream.
+        if self.bus_on {
+            mem.tick_traced(now, recorder);
         } else {
-            Vec::new()
+            mem.tick(now);
+        }
+        for (sm, lane) in sms.iter_mut().zip(lanes.iter_mut()) {
+            sm.mem_phase_traced(now, mem, &mut lane.buf);
+        }
+        self.prof.lap(HostPhase::Mem, &mut pt);
+
+        // Issue phase: SM-local, against global memory as it stood at the
+        // end of the previous cycle.
+        for (sm, lane) in sms.iter_mut().zip(lanes.iter_mut()) {
+            sm.issue_phase_traced(
+                now,
+                gmem,
+                lane.policy.as_mut(),
+                fast_phase,
+                &mut lane.report,
+                &mut lane.buf,
+            );
+        }
+        self.prof.lap(HostPhase::Issue, &mut pt);
+
+        // Merge phase: in SM-index order — replay the cycle's buffered
+        // events, publish deferred loads and stores.
+        for (sm, lane) in sms.iter_mut().zip(lanes.iter_mut()) {
+            if self.bus_on {
+                lane.buf.replay_into(recorder);
+            }
+            sm.merge_phase(now, gmem, mem);
+            lp.outstanding -= lane.report.finished_tbs.len() as u32;
+            lane.report.finished_tbs.clear();
+        }
+
+        // Thread block scheduler: at most one TB per SM per cycle,
+        // round-robin over SMs.
+        if !lp.pending.is_empty() {
+            for k in 0..num_sms {
+                if lp.pending.is_empty() {
+                    break;
+                }
+                let i = (lp.rr_next_sm + k) % num_sms;
+                if sms[i].can_accept_tb() {
+                    let g = lp.pending.pop_front().expect("non-empty");
+                    let fast_after = !lp.pending.is_empty();
+                    sms[i].launch_tb_traced(g, now, lanes[i].policy.as_mut(), fast_after, recorder);
+                    lp.outstanding += 1;
+                }
+            }
+            lp.rr_next_sm = (lp.rr_next_sm + 1) % num_sms;
+        }
+
+        // Table IV sampling. This stays a direct policy poll (not a bus
+        // subscription): it reads the scheduler's internal priority state,
+        // which no event carries.
+        let period = self.trace.tb_order_period;
+        if period > 0 && now - lp.last_order_sample >= period {
+            lp.last_order_sample = now;
+            let i = self.trace.tb_order_sm as usize;
+            let view = sms[i].sched_view(now, fast_phase);
+            if let Some(order) = lanes[i].policy.tb_priority_trace(&view) {
+                if !order.is_empty() {
+                    lp.tb_order.push(TbOrderSnapshot {
+                        cycle: now - self.start_cycle,
+                        order,
+                    });
+                }
+            }
+        }
+
+        *cycle += 1;
+        self.prof.lap(HostPhase::Merge, &mut pt);
+        Ok(lp.pending.is_empty() && lp.outstanding == 0)
+    }
+
+    /// Handle a checkpoint boundary; `Ok(Some(_))` is the pause snapshot.
+    fn checkpoint(&mut self, periodic: bool, pause: bool) -> Result<Option<GpuSnapshot>, SimError> {
+        let ckpt = self.ckpt;
+        if !ckpt.delta {
+            let snap = self.capture(CaptureMode::Full).0;
+            if let Some(path) = &ckpt.path {
+                snap.write_to(path)
+                    .map_err(|e| SimError::CheckpointIo(format!("{}: {e}", path.display())))?;
+            }
+            return Ok(pause.then_some(snap));
+        }
+        // Delta chain, driven purely by the periodic interval: a full base
+        // anchors the chain (first boundary, or keep-cap rollover); every
+        // other boundary appends only the dirty gmem pages. The capture
+        // ends with mark_clean so the next delta starts from this
+        // boundary. A pause returns a standalone full snapshot and leaves
+        // the chain exactly as the periodic schedule built it — when the
+        // pause lands on a periodic boundary, chain tip and pause snapshot
+        // describe the same cycle.
+        if periodic {
+            let dir = ckpt.path.as_ref().expect("validated in setup");
+            let io = |e: std::io::Error| SimError::CheckpointIo(format!("{}: {e}", dir.display()));
+            let mode = match (&self.chain_writer, &self.chain_caps) {
+                (Some(w), Some(prev)) if !w.due_rollover() => CaptureMode::ChainDelta {
+                    sequence: w.next_seq(),
+                    parent_crc: w.last_crc(),
+                    prev,
+                },
+                _ => CaptureMode::ChainBase,
+            };
+            let full_due = matches!(mode, CaptureMode::ChainBase);
+            let (snap, caps) = self.capture(mode);
+            match &mut self.chain_writer {
+                None => {
+                    self.chain_writer = Some(ChainWriter::start(dir, &snap, ckpt.keep).map_err(io)?)
+                }
+                Some(w) if full_due => w.rollover(&snap).map_err(io)?,
+                Some(w) => w.append(&snap).map_err(io)?,
+            }
+            self.chain_caps = caps;
+            self.gpu.gmem.mark_clean();
+        }
+        Ok(pause.then(|| self.capture(CaptureMode::Full).0))
+    }
+
+    /// Serialize the complete in-flight launch into a snapshot container.
+    /// Called at the end-of-cycle checkpoint boundary, when all deferred
+    /// effects are merged.
+    ///
+    /// In [`CaptureMode::ChainDelta`] the container is a chain link: global
+    /// memory is encoded as only the pages dirtied since the previous
+    /// capture ([`SEC_GMEM_DELTA`]), and the memory hierarchy plus every
+    /// SM — whose serialized bytes are mostly unchanged between captures
+    /// but shift with variable-length fields — as [`bdelta`] streams
+    /// against the previous capture's payloads. META and LOOP are small
+    /// and stay full copies in every container, so identity checks never
+    /// need reconstruction.
+    ///
+    /// Chain modes also return the capture's full section image, which the
+    /// engine keeps as the diff base for the next boundary.
+    fn capture(&self, mode: CaptureMode<'_>) -> (GpuSnapshot, Option<ChainImage>) {
+        let gpu = &*self.gpu;
+        let scheduler = self.lanes[0].policy.name();
+        let mut f = match mode {
+            CaptureMode::Full | CaptureMode::ChainBase => FileWriter::new(),
+            CaptureMode::ChainDelta {
+                sequence,
+                parent_crc,
+                ..
+            } => FileWriter::new_delta(sequence, parent_crc),
         };
 
-        let loop_result: Result<Option<GpuSnapshot>, SimError> = std::thread::scope(|scope| {
-            // Persistent issue-phase workers (parallel engine only). Each
-            // owns a job/result channel pair; lanes round-trip through the
-            // channels every cycle, and results are collected in worker
-            // order so lane order never depends on thread timing.
-            type Job = (u64, bool, Vec<Lane>);
-            struct WorkerLink {
-                job: mpsc::Sender<Job>,
-                res: mpsc::Receiver<Vec<Lane>>,
-            }
-            let mut links: Vec<WorkerLink> = Vec::new();
-            if chunks.len() > 1 {
-                let prof_on = trace.host_prof;
-                for wi in 0..chunks.len() {
-                    let (job_tx, job_rx) = mpsc::channel::<Job>();
-                    let (res_tx, res_rx) = mpsc::channel::<Vec<Lane>>();
-                    let gmem_lock = &gmem_lock;
-                    let accum = &worker_prof_ns[wi];
-                    scope.spawn(move || {
-                        // Blocking recv: std's mpsc spins briefly before
-                        // parking, so the per-cycle round-trip stays cheap
-                        // when cores are free, and an oversubscribed host
-                        // (workers > cores) degrades gracefully instead of
-                        // burning the cores the main thread needs.
-                        //
-                        // Busy/idle accounting stays in thread-local u64s
-                        // (two clock reads per cycle when profiled, zero
-                        // otherwise) and lands in the shared atomics once,
-                        // at hang-up.
-                        let mut busy_ns = 0u64;
-                        let mut idle_ns = 0u64;
-                        let mut wait_from = if prof_on { Some(Instant::now()) } else { None };
-                        while let Ok((now, fast_phase, mut lanes)) = job_rx.recv() {
-                            let run_from = wait_from.map(|w| {
-                                let t = Instant::now();
-                                idle_ns += t.duration_since(w).as_nanos() as u64;
-                                t
-                            });
-                            {
-                                let g = gmem_lock.read().expect("gmem lock");
-                                for lane in &mut lanes {
-                                    lane.sm.issue_phase_traced(
-                                        now,
-                                        &g,
-                                        lane.policy.as_mut(),
-                                        fast_phase,
-                                        &mut lane.report,
-                                        &mut lane.buf,
-                                    );
-                                }
-                            }
-                            if res_tx.send(lanes).is_err() {
-                                break;
-                            }
-                            wait_from = run_from.map(|r| {
-                                let t = Instant::now();
-                                busy_ns += t.duration_since(r).as_nanos() as u64;
-                                t
-                            });
-                        }
-                        if prof_on {
-                            accum.0.fetch_add(busy_ns, Ordering::Relaxed);
-                            accum.1.fetch_add(idle_ns, Ordering::Relaxed);
-                        }
-                    });
-                    links.push(WorkerLink { job: job_tx, res: res_rx });
-                }
-            }
+        let mut w = Writer::new();
+        Meta::of(&gpu.cfg, self.kernel, scheduler, gpu.cycle, self.start_cycle).save(&mut w);
+        f.add_section(SEC_META, w);
 
-            // Initial fill happens inside the loop (1 TB per SM per cycle),
-            // mirroring the hardware work distributor.
-            loop {
-                let now = self.cycle;
-                let rel = now - start_cycle;
-                if rel > self.cfg.max_cycles {
-                    return Err(SimError::Timeout {
-                        at_cycle: rel,
-                        pending_tbs: pending.len() as u32 + outstanding,
-                    });
-                }
-                let fast_phase = !pending.is_empty();
-                let mut pt = prof.start();
+        let mut w = Writer::new();
+        self.lp.save(&mut w);
+        self.recorder.save_state(&mut w);
+        f.add_section(SEC_LOOP, w);
 
-                // Memory phase: the shared subsystem ticks, then each SM
-                // interacts with it serially in SM-index order. Events land
-                // in the per-SM buffer so the issue phase can append to the
-                // same stream off-thread.
-                if bus_on {
-                    self.mem.tick_traced(now, &mut recorder);
-                } else {
-                    self.mem.tick(now);
-                }
-                for lanes in chunks.iter_mut() {
-                    for lane in lanes.iter_mut() {
-                        lane.sm.mem_phase_traced(now, &mut self.mem, &mut lane.buf);
-                    }
-                }
-                prof.lap(HostPhase::Mem, &mut pt);
-
-                // Issue phase: SM-local, fanned out across workers.
-                if links.is_empty() {
-                    let g = gmem_lock.read().expect("gmem lock");
-                    for lanes in chunks.iter_mut() {
-                        for lane in lanes.iter_mut() {
-                            lane.sm.issue_phase_traced(
-                                now,
-                                &g,
-                                lane.policy.as_mut(),
-                                fast_phase,
-                                &mut lane.report,
-                                &mut lane.buf,
-                            );
-                        }
-                    }
-                } else {
-                    for (link, lanes) in links.iter().zip(chunks.iter_mut()) {
-                        let job = (now, fast_phase, std::mem::take(lanes));
-                        link.job.send(job).expect("issue worker alive");
-                    }
-                    for (link, lanes) in links.iter().zip(chunks.iter_mut()) {
-                        *lanes = link.res.recv().expect("issue worker alive");
-                    }
-                }
-                prof.lap(HostPhase::Issue, &mut pt);
-
-                // Merge phase: serial in SM-index order — replay the cycle's
-                // buffered events, publish deferred loads and stores.
-                {
-                    let mut g = gmem_lock.write().expect("gmem lock");
-                    for lanes in chunks.iter_mut() {
-                        for lane in lanes.iter_mut() {
-                            if bus_on {
-                                lane.buf.replay_into(&mut recorder);
-                            }
-                            lane.sm.merge_phase(now, &mut g, &mut self.mem);
-                            outstanding -= lane.report.finished_tbs.len() as u32;
-                            lane.report.finished_tbs.clear();
-                        }
-                    }
-                }
-
-                // Thread block scheduler: at most one TB per SM per cycle,
-                // round-robin over SMs.
-                if !pending.is_empty() {
-                    for k in 0..num_sms {
-                        if pending.is_empty() {
-                            break;
-                        }
-                        let i = (rr_next_sm + k) % num_sms;
-                        let lane = lane_mut(&mut chunks, i);
-                        if lane.sm.can_accept_tb() {
-                            let g = pending.pop_front().expect("non-empty");
-                            let fast_after = !pending.is_empty();
-                            lane.sm.launch_tb_traced(
-                                g,
-                                now,
-                                lane.policy.as_mut(),
-                                fast_after,
-                                &mut recorder,
-                            );
-                            outstanding += 1;
-                        }
-                    }
-                    rr_next_sm = (rr_next_sm + 1) % num_sms;
-                }
-
-                // Table IV sampling. This stays a direct policy poll (not a
-                // bus subscription): it reads the scheduler's internal
-                // priority state, which no event carries.
-                if trace.tb_order_period > 0 && now - last_order_sample >= trace.tb_order_period {
-                    last_order_sample = now;
-                    let lane = lane_mut(&mut chunks, trace.tb_order_sm as usize);
-                    let view = lane.sm.sched_view(now, fast_phase);
-                    if let Some(order) = lane.policy.tb_priority_trace(&view) {
-                        if !order.is_empty() {
-                            tb_order.push(TbOrderSnapshot {
-                                cycle: now - start_cycle,
-                                order,
-                            });
-                        }
-                    }
-                }
-
-                self.cycle += 1;
-                prof.lap(HostPhase::Merge, &mut pt);
-                if pending.is_empty() && outstanding == 0 {
-                    // Dropping `links` hangs up the job channels; workers
-                    // observe the disconnect and exit before the scope
-                    // joins them.
-                    return Ok(None);
-                }
-
-                // Checkpoint boundary: end of cycle, every lane back on the
-                // main thread, all deferred effects merged — the one point
-                // where the simulator's state is closed under snapshot.
-                let rel_after = self.cycle - start_cycle;
-                let pause = ckpt.pause_at > 0 && rel_after >= ckpt.pause_at;
-                let boundary = pause || (ckpt.every > 0 && rel_after.is_multiple_of(ckpt.every));
-                if boundary {
-                    let mut st = prof.start();
-                    if ckpt.delta {
-                        let periodic =
-                            ckpt.every > 0 && rel_after.is_multiple_of(ckpt.every);
-                        // Delta chain, driven purely by the periodic
-                        // interval: a full base anchors the chain (first
-                        // boundary, or keep-cap rollover); every other
-                        // boundary appends only the dirty gmem pages. The
-                        // capture ends with mark_clean under the write
-                        // lock (workers are parked between cycles) so the
-                        // next delta starts from this boundary. A pause
-                        // returns a standalone full snapshot and leaves
-                        // the chain exactly as the periodic schedule built
-                        // it — when the pause lands on a periodic
-                        // boundary, chain tip and pause snapshot describe
-                        // the same cycle.
-                        if periodic {
-                            let dir = ckpt.path.as_ref().expect("validated above");
-                            let io = |e: std::io::Error| {
-                                SimError::CheckpointIo(format!("{}: {e}", dir.display()))
-                            };
-                            let mut g = gmem_lock.write().expect("gmem lock");
-                            let full_due = match &chain_writer {
-                                None => true,
-                                Some(w) => w.due_rollover(),
-                            };
-                            let mode = if full_due {
-                                CaptureMode::ChainBase
-                            } else {
-                                let w = chain_writer.as_ref().expect("chain started");
-                                CaptureMode::ChainDelta {
-                                    sequence: w.next_seq(),
-                                    parent_crc: w.last_crc(),
-                                    prev: chain_caps
-                                        .as_ref()
-                                        .expect("chain started with an image"),
-                                }
-                            };
-                            let (bytes, caps) = build_snapshot(
-                                &self.cfg,
-                                kernel,
-                                self.cycle,
-                                start_cycle,
-                                &pending,
-                                outstanding,
-                                rr_next_sm,
-                                &tb_order,
-                                last_order_sample,
-                                &recorder,
-                                &g,
-                                &self.mem,
-                                &chunks,
-                                mode,
-                            );
-                            let snap = GpuSnapshot::from_bytes(bytes);
-                            if full_due {
-                                match &mut chain_writer {
-                                    None => {
-                                        chain_writer = Some(
-                                            ChainWriter::start(dir, &snap, ckpt.keep)
-                                                .map_err(io)?,
-                                        )
-                                    }
-                                    Some(w) => w.rollover(&snap).map_err(io)?,
-                                }
-                            } else {
-                                chain_writer
-                                    .as_mut()
-                                    .expect("chain started")
-                                    .append(&snap)
-                                    .map_err(io)?;
-                            }
-                            chain_caps = caps;
-                            g.mark_clean();
-                        }
-                        if pause {
-                            let g = gmem_lock.read().expect("gmem lock");
-                            let snap = GpuSnapshot::from_bytes(
-                                build_snapshot(
-                                    &self.cfg,
-                                    kernel,
-                                    self.cycle,
-                                    start_cycle,
-                                    &pending,
-                                    outstanding,
-                                    rr_next_sm,
-                                    &tb_order,
-                                    last_order_sample,
-                                    &recorder,
-                                    &g,
-                                    &self.mem,
-                                    &chunks,
-                                    CaptureMode::Full,
-                                )
-                                .0,
-                            );
-                            drop(g);
-                            prof.lap(HostPhase::SnapshotWrite, &mut st);
-                            return Ok(Some(snap));
-                        }
-                        prof.lap(HostPhase::SnapshotWrite, &mut st);
-                    } else {
-                        let snap = {
-                            let g = gmem_lock.read().expect("gmem lock");
-                            GpuSnapshot::from_bytes(
-                                build_snapshot(
-                                    &self.cfg,
-                                    kernel,
-                                    self.cycle,
-                                    start_cycle,
-                                    &pending,
-                                    outstanding,
-                                    rr_next_sm,
-                                    &tb_order,
-                                    last_order_sample,
-                                    &recorder,
-                                    &g,
-                                    &self.mem,
-                                    &chunks,
-                                    CaptureMode::Full,
-                                )
-                                .0,
-                            )
-                        };
-                        if let Some(path) = &ckpt.path {
-                            snap.write_to(path).map_err(|e| {
-                                SimError::CheckpointIo(format!("{}: {e}", path.display()))
-                            })?;
-                        }
-                        prof.lap(HostPhase::SnapshotWrite, &mut st);
-                        if pause {
-                            return Ok(Some(snap));
-                        }
-                    }
-                }
-
-                // Heartbeat boundary: purely observational, decoupled from
-                // checkpointing so a sweep is watchable without snapshots.
-                if ckpt.progress_every > 0 && rel_after.is_multiple_of(ckpt.progress_every) {
-                    if let Some(cb) = &ckpt.progress {
-                        cb(ProgressEvent {
-                            cycles: rel_after,
-                            checkpointed: boundary && ckpt.path.is_some(),
-                        });
-                    }
-                }
-            }
-        });
-
-        // Reassemble the GPU before reporting anything (including errors),
-        // restoring SM-index order from the contiguous chunks.
-        self.gmem = gmem_lock.into_inner().expect("gmem lock");
-        let mut scheduler_name = "";
-        let mut per_sm: Vec<SmStats> = Vec::with_capacity(num_sms);
-        for lanes in chunks {
-            for lane in lanes {
-                if self.sms.is_empty() {
-                    scheduler_name = lane.policy.name();
-                }
-                per_sm.push(lane.sm.stats);
-                self.sms.push(lane.sm);
-            }
-        }
-        if let Some(snap) = loop_result? {
-            // Paused mid-grid: no kernel-end event (the resumed run emits
-            // it), no result — the snapshot is the deliverable. The GPU
-            // itself also holds the paused state and could continue.
-            return Ok(LaunchStatus::Paused(snap));
+        let mut w = Writer::new();
+        if matches!(mode, CaptureMode::ChainDelta { .. }) {
+            gpu.gmem.save_delta(&mut w);
+            f.add_section(SEC_GMEM_DELTA, w);
+        } else {
+            gpu.gmem.save(&mut w);
+            f.add_section(SEC_GMEM, w);
         }
 
-        let cycles = self.cycle - start_cycle;
-        recorder.on_kernel_end(&kernel.program.name, self.cycle, cycles);
-        let (timeline, utilization) = recorder.finish_util();
+        let mut w = Writer::new();
+        gpu.mem.save_snapshot(&mut w);
+        let mem_image = w.into_bytes();
+
+        let sm_images: Vec<Vec<u8>> = gpu
+            .sms
+            .iter()
+            .zip(&self.lanes)
+            .map(|(sm, lane)| {
+                let mut w = Writer::new();
+                sm.save_snapshot(&mut w);
+                lane.policy.save_state(&mut w);
+                w.into_bytes()
+            })
+            .collect();
+
+        let sm_section = |i: usize| SEC_SM_BASE + i as u32;
+        let image = match mode {
+            CaptureMode::ChainDelta { prev, .. } => {
+                f.add_section_bytes(SEC_MEM, bdelta::encode(&prev.mem, &mem_image));
+                for (i, img) in sm_images.iter().enumerate() {
+                    f.add_section_bytes(sm_section(i), bdelta::encode(&prev.sms[i], img));
+                }
+                Some(ChainImage { mem: mem_image, sms: sm_images })
+            }
+            CaptureMode::ChainBase => {
+                f.add_section_bytes(SEC_MEM, mem_image.clone());
+                for (i, img) in sm_images.iter().enumerate() {
+                    f.add_section_bytes(sm_section(i), img.clone());
+                }
+                Some(ChainImage { mem: mem_image, sms: sm_images })
+            }
+            CaptureMode::Full => {
+                f.add_section_bytes(SEC_MEM, mem_image);
+                for (i, img) in sm_images.into_iter().enumerate() {
+                    f.add_section_bytes(sm_section(i), img);
+                }
+                None
+            }
+        };
+        (GpuSnapshot::from_bytes(f.finish()), image)
+    }
+
+    /// The grid has drained: emit kernel-end and fold the per-SM counters,
+    /// traces and (when profiled) `host/*` gauges into the result.
+    fn teardown(mut self) -> RunResult {
+        let gpu = &*self.gpu;
+        let cycles = gpu.cycle - self.start_cycle;
+        self.recorder.on_kernel_end(&self.kernel.program.name, gpu.cycle, cycles);
+        let (timeline, utilization) = self.recorder.finish_util();
+        let per_sm: Vec<SmStats> = gpu.sms.iter().map(|sm| sm.stats).collect();
         let mut agg = SmStats::default();
         for s in &per_sm {
             agg.merge(s);
         }
         let mut result = RunResult {
-            kernel: kernel.program.name.clone(),
-            scheduler: scheduler_name,
+            kernel: self.kernel.program.name.clone(),
+            scheduler: self.lanes.first().map_or("", |l| l.policy.name()),
             cycles,
             sm: agg,
             per_sm,
-            mem: self.mem.stats(),
+            mem: gpu.mem.stats(),
             timeline,
-            tb_order,
+            tb_order: self.lp.tb_order,
             utilization,
             metrics: Default::default(),
         };
         result.snapshot_metrics();
-        if trace.host_prof {
-            prof.publish(&mut result.metrics);
-            let mut wp = WorkerProf::default();
-            for (busy, idle) in &worker_prof_ns {
-                wp.add(busy.load(Ordering::Relaxed), idle.load(Ordering::Relaxed));
-            }
-            wp.publish(&mut result.metrics);
-            self.mem.queue_prof().publish(&mut result.metrics);
+        if self.trace.host_prof {
+            self.prof.publish(&mut result.metrics);
+            gpu.mem.queue_prof().publish(&mut result.metrics);
             let mut lsu_hwm = 0u64;
             let mut lsu_depth = Hist16::new();
-            for sm in &self.sms {
+            let mut issue = IssueProf::default();
+            for sm in &gpu.sms {
                 let (hwm, depth) = sm.lsu_prof();
                 lsu_hwm = lsu_hwm.max(hwm);
                 lsu_depth.merge(depth);
-            }
-            result.metrics.set_counter("host/sm.lsuq.hwm", lsu_hwm);
-            result.metrics.set_hist("host/sm.lsuq.depth", lsu_depth);
-            let mut issue = IssueProf::default();
-            for sm in &self.sms {
                 let (reused, recomputed, skips) = sm.issue_prof();
                 issue.add(reused, recomputed, skips);
             }
+            result.metrics.set_counter("host/sm.lsuq.hwm", lsu_hwm);
+            result.metrics.set_hist("host/sm.lsuq.depth", lsu_depth);
             issue.publish(&mut result.metrics);
             result
                 .metrics
-                .set_counter("host/wall.ns", wall_start.elapsed().as_nanos() as u64);
+                .set_counter("host/wall.ns", self.wall_start.elapsed().as_nanos() as u64);
         }
-        Ok(LaunchStatus::Completed(result))
+        result
     }
-}
-
-/// Prior state handed to `launch_inner`: one full snapshot, or a validated
-/// base+deltas chain whose gmem gets folded base-then-deltas.
-enum ResumeSource<'a> {
-    Full(&'a GpuSnapshot),
-    Chain(&'a SnapshotChain),
 }
 
 /// Full payload images of the [`bdelta`]-encoded sections (memory
@@ -1161,7 +1069,7 @@ fn fold_chain_image(chain: &SnapshotChain, num_sms: usize) -> Result<ChainImage,
     Ok(ChainImage { mem, sms })
 }
 
-/// How `build_snapshot` encodes the capture.
+/// How [`Engine::capture`] encodes the capture.
 enum CaptureMode<'a> {
     /// A standalone full container (pause snapshots, non-delta periodic
     /// checkpoints).
@@ -1226,9 +1134,8 @@ struct Meta {
 }
 
 /// Canonical machine-identity string: the config's `Debug` rendering with
-/// `sm_workers` zeroed out, because worker count is a host-side knob that
-/// never affects simulated state — snapshots migrate freely between the
-/// serial and parallel engines.
+/// the inert `sm_workers` zeroed out, so a snapshot resumes whatever value
+/// its writer (an older build, a caller still setting the field) carried.
 fn config_identity(cfg: &GpuConfig) -> String {
     let mut c = *cfg;
     c.sm_workers = 0;
@@ -1320,131 +1227,15 @@ impl Meta {
     }
 }
 
-/// Serialize the complete in-flight launch into a snapshot container.
-/// Called at the end-of-cycle checkpoint boundary, when every lane is on
-/// the main thread and all deferred effects are merged.
-///
-/// In [`CaptureMode::ChainDelta`] the container is a chain link: global
-/// memory is encoded as only the pages dirtied since the previous capture
-/// ([`SEC_GMEM_DELTA`]), and the memory hierarchy plus every SM — whose
-/// serialized bytes are mostly unchanged between captures but shift with
-/// variable-length fields — as [`bdelta`] streams against the previous
-/// capture's payloads. META and LOOP are small and stay full copies in
-/// every container, so identity checks never need reconstruction.
-///
-/// Chain modes also return the capture's full section image, which the run
-/// loop keeps as the diff base for the next boundary.
-#[allow(clippy::too_many_arguments)]
-fn build_snapshot(
-    cfg: &GpuConfig,
-    kernel: &Kernel,
-    cycle: u64,
-    start_cycle: u64,
-    pending: &VecDeque<u32>,
-    outstanding: u32,
-    rr_next_sm: usize,
-    tb_order: &[TbOrderSnapshot],
-    last_order_sample: u64,
-    recorder: &Recorder<'_>,
-    gmem: &GlobalMem,
-    mem: &MemSubsystem,
-    chunks: &[Vec<Lane>],
-    mode: CaptureMode<'_>,
-) -> (Vec<u8>, Option<ChainImage>) {
-    let scheduler = chunks[0][0].policy.name();
-    let mut f = match mode {
-        CaptureMode::Full | CaptureMode::ChainBase => FileWriter::new(),
-        CaptureMode::ChainDelta {
-            sequence,
-            parent_crc,
-            ..
-        } => FileWriter::new_delta(sequence, parent_crc),
-    };
-
-    let mut w = Writer::new();
-    Meta::of(cfg, kernel, scheduler, cycle, start_cycle).save(&mut w);
-    f.add_section(SEC_META, w);
-
-    let mut w = Writer::new();
-    pending.save(&mut w);
-    w.put_u32(outstanding);
-    w.put_usize(rr_next_sm);
-    w.put_u64(tb_order.len() as u64);
-    for s in tb_order {
-        s.save(&mut w);
-    }
-    w.put_u64(last_order_sample);
-    recorder.save_state(&mut w);
-    f.add_section(SEC_LOOP, w);
-
-    let mut w = Writer::new();
-    if matches!(mode, CaptureMode::ChainDelta { .. }) {
-        gmem.save_delta(&mut w);
-        f.add_section(SEC_GMEM_DELTA, w);
-    } else {
-        gmem.save(&mut w);
-        f.add_section(SEC_GMEM, w);
-    }
-
-    let mut w = Writer::new();
-    mem.save_snapshot(&mut w);
-    let mem_image = w.into_bytes();
-
-    let mut sm_images: Vec<Vec<u8>> = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-    for lanes in chunks {
-        for lane in lanes {
-            let mut w = Writer::new();
-            lane.sm.save_snapshot(&mut w);
-            lane.policy.save_state(&mut w);
-            sm_images.push(w.into_bytes());
-        }
-    }
-
-    match mode {
-        CaptureMode::ChainDelta { prev, .. } => {
-            f.add_section_bytes(SEC_MEM, bdelta::encode(&prev.mem, &mem_image));
-            for (i, img) in sm_images.iter().enumerate() {
-                f.add_section_bytes(SEC_SM_BASE + i as u32, bdelta::encode(&prev.sms[i], img));
-            }
-            (
-                f.finish(),
-                Some(ChainImage {
-                    mem: mem_image,
-                    sms: sm_images,
-                }),
-            )
-        }
-        CaptureMode::ChainBase => {
-            f.add_section_bytes(SEC_MEM, mem_image.clone());
-            for (i, img) in sm_images.iter().enumerate() {
-                f.add_section_bytes(SEC_SM_BASE + i as u32, img.clone());
-            }
-            (
-                f.finish(),
-                Some(ChainImage {
-                    mem: mem_image,
-                    sms: sm_images,
-                }),
-            )
-        }
-        CaptureMode::Full => {
-            f.add_section_bytes(SEC_MEM, mem_image);
-            for (i, img) in sm_images.into_iter().enumerate() {
-                f.add_section_bytes(SEC_SM_BASE + i as u32, img);
-            }
-            (f.finish(), None)
-        }
-    }
-}
-
 /// Restore every SM and its freshly built policy from the container's
 /// per-SM sections, after checking the snapshot's scheduler identity.
 /// With `image` set (a chain restore), the payloads come from the folded
 /// chain-tip image instead of the container — the newest delta only holds
 /// bdelta streams.
-fn restore_lanes(
+fn restore_sms(
     fr: &FileReader,
     meta: &Meta,
+    sms: &mut [Sm],
     lanes: &mut [Lane],
     image: Option<&ChainImage>,
 ) -> Result<(), SimError> {
@@ -1455,38 +1246,16 @@ fn restore_lanes(
             meta.scheduler
         ))));
     }
-    for (i, lane) in lanes.iter_mut().enumerate() {
+    for (i, (sm, lane)) in sms.iter_mut().zip(lanes).enumerate() {
         let mut r = match image {
             Some(img) => Reader::new(&img.sms[i]),
             None => fr.section(SEC_SM_BASE + i as u32)?,
         };
-        lane.sm.restore_snapshot(&mut r)?;
+        sm.restore_snapshot(&mut r)?;
         lane.policy.load_state(&mut r)?;
         r.finish()?;
     }
     Ok(())
-}
-
-/// One SM's worth of per-launch state, bundled so it can migrate to an
-/// issue-phase worker thread and back as a unit.
-struct Lane {
-    sm: Sm,
-    policy: Box<dyn WarpScheduler>,
-    report: TickReport,
-    /// This cycle's event buffer, replayed into the real tracer at merge.
-    buf: BufferTracer,
-}
-
-/// The lane holding SM `idx` (chunks partition the SM array contiguously).
-fn lane_mut(chunks: &mut [Vec<Lane>], idx: usize) -> &mut Lane {
-    let mut i = idx;
-    for c in chunks.iter_mut() {
-        if i < c.len() {
-            return &mut c[i];
-        }
-        i -= c.len();
-    }
-    unreachable!("SM index {idx} out of range")
 }
 
 #[cfg(test)]
@@ -1507,6 +1276,13 @@ mod tests {
             LaunchConfig::linear(blocks, threads),
             vec![out_base as u32],
         )
+    }
+
+    #[test]
+    fn config_identity_ignores_sm_workers() {
+        let with = |sm_workers| GpuConfig { sm_workers, ..GpuConfig::small(4) };
+        assert_eq!(config_identity(&with(1)), config_identity(&with(4)));
+        assert_ne!(config_identity(&with(1)), config_identity(&GpuConfig::small(2)));
     }
 
     #[test]

@@ -256,8 +256,9 @@ pub struct Sm {
     access_map: FxHashMap<AccessId, (usize, WriteSet)>,
     next_access: AccessId,
     // Deferred cross-SM effects of the issue phase, published by
-    // [`Sm::merge_phase`] in SM-index order so the issue phase can run on a
-    // worker thread without touching shared state.
+    // [`Sm::merge_phase`] in SM-index order: same-cycle stores by other SMs
+    // and the order load registrations reach the memory system then do not
+    // depend on the order the issue phase walks the SM array.
     load_intents: Vec<(AccessId, u32)>,
     store_log: StoreLog,
     /// Cycle each TB slot's first warp finished (WLD tracking).
@@ -790,17 +791,18 @@ impl Sm {
     /// [`Sm::tick`] publishing issue/stall, scoreboard, barrier, SIMT, TB
     /// and memory-lifecycle events to `tracer`.
     ///
-    /// Composition of the three cycle phases; the parallel engine calls them
-    /// individually so the issue phase can run on a worker thread:
+    /// Composition of the three cycle phases. The GPU run loop calls them
+    /// individually, each for every SM before the next, so all cross-SM
+    /// effects of a cycle are ordered by SM index alone:
     ///
-    /// 1. [`Sm::mem_phase_traced`] — serial, in SM-index order: drains
+    /// 1. [`Sm::mem_phase_traced`] — in SM-index order: drains
     ///    completions from and pushes line accesses into the shared
     ///    [`MemSubsystem`].
     /// 2. [`Sm::issue_phase_traced`] — SM-local: scheduler ordering and
     ///    instruction issue against a read-only global-memory base; stores
     ///    and load registrations are deferred into per-SM buffers.
-    /// 3. [`Sm::merge_phase`] — serial, in SM-index order: publishes the
-    ///    deferred stores and load registrations.
+    /// 3. [`Sm::merge_phase`] — in SM-index order: publishes the deferred
+    ///    stores and load registrations.
     #[allow(clippy::too_many_arguments)]
     pub fn tick_traced(
         &mut self,
@@ -820,9 +822,9 @@ impl Sm {
     /// Phase 1 of a cycle: interact with the shared memory subsystem.
     ///
     /// Drains this SM's completed accesses, retires due writebacks, and lets
-    /// the LSU head push one line into the subsystem. Must run serially in
-    /// SM-index order — `MemSubsystem` assigns its deterministic event
-    /// sequence numbers here.
+    /// the LSU head push one line into the subsystem. Must run in SM-index
+    /// order — `MemSubsystem` assigns its deterministic event sequence
+    /// numbers here.
     pub fn mem_phase_traced(
         &mut self,
         now: u64,
@@ -892,8 +894,9 @@ impl Sm {
     ///
     /// Touches only this SM's state plus a *read-only* view of global memory:
     /// stores are staged in the SM's [`StoreLog`] and new load registrations
-    /// in its intent buffer, both published later by [`Sm::merge_phase`].
-    /// Safe to run concurrently across SMs.
+    /// in its intent buffer, both published later by [`Sm::merge_phase`] —
+    /// so no SM sees another SM's stores of the same cycle, whichever is
+    /// walked first.
     pub fn issue_phase_traced(
         &mut self,
         now: u64,
@@ -929,8 +932,9 @@ impl Sm {
     /// Phase 3 of a cycle: publish this SM's deferred cross-SM effects.
     ///
     /// Registers new loads with the memory subsystem and applies staged
-    /// global-memory stores. Must run serially in SM-index order so the
-    /// merged state is independent of how phase 2 was scheduled.
+    /// global-memory stores. Must run in SM-index order: that order alone
+    /// decides which of two same-cycle stores to one word lands last and
+    /// the sequence numbers the memory system gives the new loads.
     pub fn merge_phase(&mut self, now: u64, gmem: &mut GlobalMem, mem: &mut MemSubsystem) {
         for (access, n_lines) in self.load_intents.drain(..) {
             mem.begin_load(now, self.id, access, n_lines);
@@ -1426,8 +1430,7 @@ impl Sm {
         // the masks from the restored warps and drop the order caches (the
         // scheduler policies invalidate or restore their dirty bits
         // symmetrically, so the first post-restore cycle recomputes the
-        // same orders the donor engine held — including across
-        // `--sm-workers` migration).
+        // same orders the donor run held).
         self.rebuild_issue_masks();
         Ok(())
     }

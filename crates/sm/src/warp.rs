@@ -230,8 +230,8 @@ impl Warp {
     /// as the per-lane semantics require.
     ///
     /// Generic over [`GmemPort`] so the same execution path runs against
-    /// the real [`pro_mem::GlobalMem`] (serial engine) or a staged view
-    /// ([`pro_mem::GmemStage`], parallel SM phase).
+    /// the real [`pro_mem::GlobalMem`] (unit tests) or a staged view
+    /// ([`pro_mem::GmemStage`], the SM issue phase).
     pub fn execute<G: GmemPort>(
         &mut self,
         program: &Program,

@@ -154,7 +154,7 @@ impl Tracer for RingTracer {
 
 /// Snapshot which classes `t` currently wants, as a [`ClassSet`].
 ///
-/// Lets an intermediary (like the parallel engine's per-SM buffers) answer
+/// Lets an intermediary (like the run loop's per-SM buffers) answer
 /// `wants` without a per-event virtual call into the downstream tracer.
 pub fn mask_of(t: &dyn Tracer) -> ClassSet {
     const ALL: [EventClass; 7] = [
@@ -179,9 +179,9 @@ pub fn mask_of(t: &dyn Tracer) -> ClassSet {
 
 /// An ordered, unbounded-capacity event buffer for deferred replay.
 ///
-/// The parallel engine gives each SM one of these for the concurrent issue
-/// phase; afterwards the buffers are replayed into the real tracer in
-/// SM-index order, reproducing the exact event stream of the serial engine.
+/// The run loop gives each SM one of these for the memory and issue
+/// phases; at merge the buffers are replayed into the real tracer in
+/// SM-index order, so each SM's events of a cycle reach the bus contiguous.
 ///
 /// The buffer is preallocated at construction with the same capacity whether
 /// or not any class is subscribed, and one cycle's events per SM fit well
