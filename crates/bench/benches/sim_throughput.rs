@@ -8,7 +8,10 @@
 //! `BATCH` operations and the reported time is per batch.
 
 use pro_bench::runner::Runner;
-use pro_core::{SchedulerKind, SchedView, TbState, WarpState};
+use pro_core::{SchedView, SchedulerKind, TbState, WarpScheduler, WarpState};
+
+#[path = "../../core/tests/oracle/mod.rs"]
+mod oracle;
 use pro_mem::{Cache, CacheConfig, DramChannel, DramConfig};
 use std::hint::black_box;
 
@@ -103,174 +106,197 @@ fn bench_policy_order(r: &mut Runner) {
     }
 }
 
-/// The incremental issue path (DESIGN.md §15) against the eager one, per
-/// policy: an identical recorded warp-state trace — sparse issue events,
-/// long-latency block/unblock flips, progress drift at stall-heavy rates —
-/// replayed through `order()` two ways. The *scratch* flavor reorders
-/// every unit-cycle, which is what the engine did before the
-/// `order_dirty` contract; the *incremental* flavor mirrors the engine's
-/// reuse condition (policy clean + candidate set unchanged + blocked set
-/// unchanged when `order_reads_longlat`) and skips the call when it
-/// holds. Both replay the same precomputed schedule from the same seed,
-/// so the rows differ only in ordering cost.
-fn bench_issue_path(r: &mut Runner) {
-    use pro_core::rng::SplitMix64;
+/// One cycle of the recorded warp-state trace.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// Quiet cycle: the common stall-heavy case.
+    None,
+    /// A unit issued: cursor/greedy movement plus progress.
+    Issue { unit: u32, slot: usize },
+    /// A long-latency block or release (no policy hook — the engine
+    /// fingerprints these for `order_reads_longlat` policies).
+    Flip { slot: usize },
+}
 
+/// The recorded warp-state trace behind the `issue/` and `order/` rows —
+/// sparse issue events, long-latency block/unblock flips, progress drift at
+/// stall-heavy rates — over a full SM (8 TBs x 6 warps, two units). Every
+/// row replays the same precomputed schedule from the same seed, so rows
+/// differ only in ordering cost.
+struct IssueTrace {
+    schedule: Vec<Ev>,
+    base_warps: Vec<WarpState>,
+    tbs: Vec<TbState>,
+    /// Per-unit candidates; static across the trace (no launch/finish
+    /// events), so the engine's candidate-set check is vacuous and elided.
+    cands: Vec<Vec<usize>>,
+}
+
+impl IssueTrace {
     const UNITS: u32 = 2;
     const WARPS: usize = 48;
-    #[derive(Clone, Copy)]
-    enum Ev {
-        /// Quiet cycle: the common stall-heavy case.
-        None,
-        /// A unit issued: cursor/greedy movement plus progress.
-        Issue { unit: u32, slot: usize },
-        /// A long-latency block or release (no policy hook — the engine
-        /// fingerprints these for `order_reads_longlat` policies).
-        Flip { slot: usize },
-    }
-    // ~1/16 of cycles issue, ~1/32 flip a blocked bit: the density the
-    // shootout's memory-bound kernels sustain in steady state.
-    let mut rng = SplitMix64::new(0x15c0_de01);
-    let schedule: Vec<Ev> = (0..BATCH)
-        .map(|_| match rng.gen_range(0u32..64) {
-            0..=3 => {
-                let unit = rng.gen_range(0u32..UNITS);
-                let slot = rng.gen_range(0usize..WARPS / 2) * 2 + unit as usize;
-                Ev::Issue { unit, slot }
-            }
-            4..=5 => Ev::Flip {
-                slot: rng.gen_range(0usize..WARPS),
-            },
-            _ => Ev::None,
-        })
-        .collect();
 
-    let base_warps: Vec<WarpState> = (0..WARPS)
-        .map(|w| WarpState {
-            active: true,
-            tb_slot: w / 6,
-            index_in_tb: (w % 6) as u32,
-            progress: (w as u64 * 37) % 911,
-            at_barrier: false,
-            finished: false,
-            blocked_on_longlat: w % 5 == 0,
+    fn record() -> Self {
+        // ~1/16 of cycles issue, ~1/32 flip a blocked bit: the density the
+        // shootout's memory-bound kernels sustain in steady state.
+        let mut rng = pro_core::rng::SplitMix64::new(0x15c0_de01);
+        let schedule = (0..BATCH)
+            .map(|_| match rng.gen_range(0u32..64) {
+                0..=3 => {
+                    let unit = rng.gen_range(0u32..Self::UNITS);
+                    let slot = rng.gen_range(0usize..Self::WARPS / 2) * 2 + unit as usize;
+                    Ev::Issue { unit, slot }
+                }
+                4..=5 => Ev::Flip {
+                    slot: rng.gen_range(0usize..Self::WARPS),
+                },
+                _ => Ev::None,
+            })
+            .collect();
+        let base_warps = (0..Self::WARPS)
+            .map(|w| WarpState {
+                active: true,
+                tb_slot: w / 6,
+                index_in_tb: (w % 6) as u32,
+                progress: (w as u64 * 37) % 911,
+                at_barrier: false,
+                finished: false,
+                blocked_on_longlat: w % 5 == 0,
+            })
+            .collect();
+        let tbs = (0..8)
+            .map(|t| TbState {
+                occupied: true,
+                global_index: t as u32,
+                progress: (t as u64 * 131) % 1777,
+                num_warps: 6,
+                warps_at_barrier: 0,
+                warps_finished: 0,
+                launched_at: t as u64,
+            })
+            .collect();
+        let cands = (0..Self::UNITS as usize)
+            .map(|u| (u..Self::WARPS).step_by(Self::UNITS as usize).collect())
+            .collect();
+        IssueTrace {
+            schedule,
+            base_warps,
+            tbs,
+            cands,
+        }
+    }
+
+    fn view<'a>(&'a self, cycle: u64, warps: &'a [WarpState]) -> SchedView<'a> {
+        SchedView {
+            cycle,
+            warps,
+            tbs: &self.tbs,
+            tbs_waiting_in_tb_scheduler: true,
+        }
+    }
+
+    fn launch(&self, policy: &mut dyn WarpScheduler) {
+        for t in 0..self.tbs.len() {
+            policy.on_tb_launch(t, &self.view(0, &self.base_warps));
+        }
+    }
+
+    /// Apply one recorded event to the warp state and the policy.
+    fn apply(&self, ev: Ev, cycle: u64, warps: &mut [WarpState], policy: &mut dyn WarpScheduler) {
+        match ev {
+            Ev::None => {}
+            Ev::Issue { unit, slot } => {
+                warps[slot].progress += 32;
+                let info = pro_core::IssueInfo {
+                    active_threads: 32,
+                    is_global_load: false,
+                };
+                policy.on_issue(unit, slot, info, &self.view(cycle, warps));
+            }
+            Ev::Flip { slot } => {
+                warps[slot].blocked_on_longlat = !warps[slot].blocked_on_longlat;
+            }
+        }
+    }
+
+    /// One pass over the trace calling `order()` for every unit-cycle.
+    fn replay_every_cycle(
+        &self,
+        policy: &mut dyn WarpScheduler,
+        warps: &mut [WarpState],
+        cycle: &mut u64,
+        out: &mut Vec<usize>,
+    ) {
+        for &ev in &self.schedule {
+            *cycle += 1;
+            self.apply(ev, *cycle, warps, policy);
+            let view = self.view(*cycle, warps);
+            policy.begin_cycle(&view);
+            for unit in 0..Self::UNITS {
+                policy.order(unit, &view, &self.cands[unit as usize], out);
+                black_box(out.len());
+            }
+        }
+    }
+
+    /// Time [`IssueTrace::replay_every_cycle`] on a freshly launched policy.
+    fn bench_every_cycle(
+        &self,
+        r: &mut Runner,
+        name: &str,
+        mut policy: Box<dyn WarpScheduler>,
+    ) -> Option<pro_bench::runner::Summary> {
+        let mut warps = self.base_warps.clone();
+        self.launch(policy.as_mut());
+        let mut out = Vec::with_capacity(Self::WARPS);
+        let mut cycle = 0u64;
+        r.bench(name, || {
+            self.replay_every_cycle(policy.as_mut(), &mut warps, &mut cycle, &mut out)
         })
-        .collect();
-    let tbs: Vec<TbState> = (0..8)
-        .map(|t| TbState {
-            occupied: true,
-            global_index: t as u32,
-            progress: (t as u64 * 131) % 1777,
-            num_warps: 6,
-            warps_at_barrier: 0,
-            warps_finished: 0,
-            launched_at: t as u64,
-        })
-        .collect();
-    // Candidates are static across the trace (no launch/finish events), so
-    // the engine's candidate-set check is vacuous here and elided.
-    let cands: Vec<Vec<usize>> = (0..UNITS as usize)
-        .map(|u| (u..WARPS).step_by(UNITS as usize).collect())
-        .collect();
-    let unit_mask = |u: usize| -> u64 {
-        cands[u].iter().fold(0u64, |m, &w| m | 1u64 << w)
-    };
-    let issue_info = pro_core::IssueInfo {
-        active_threads: 32,
-        is_global_load: false,
-    };
+    }
+}
+
+/// The incremental issue path (DESIGN.md §15) against the eager one, per
+/// policy: the recorded trace replayed through `order()` two ways. The
+/// *scratch* flavor reorders every unit-cycle, which is what the engine did
+/// before the `order_dirty` contract; the *incremental* flavor mirrors the
+/// engine's reuse condition (policy clean + candidate set unchanged +
+/// blocked set unchanged when `order_reads_longlat`) and skips the call
+/// when it holds.
+fn bench_issue_path(r: &mut Runner, trace: &IssueTrace) {
+    const UNITS: u32 = IssueTrace::UNITS;
+    let unit_mask =
+        |u: usize| -> u64 { trace.cands[u].iter().fold(0u64, |m, &w| m | 1u64 << w) };
 
     for kind in SchedulerKind::ALL {
-        let launch = |policy: &mut dyn pro_core::WarpScheduler, warps: &[WarpState]| {
-            let view = SchedView {
-                cycle: 0,
-                warps,
-                tbs: &tbs,
-                tbs_waiting_in_tb_scheduler: true,
-            };
-            for t in 0..8 {
-                policy.on_tb_launch(t, &view);
-            }
-        };
-
-        // Scratch flavor: order() every unit-cycle.
-        let mut warps = base_warps.clone();
-        let mut policy = kind.build(WARPS, 8, UNITS);
-        launch(policy.as_mut(), &warps);
-        let mut out = Vec::with_capacity(WARPS);
-        let mut cycle = 0u64;
-        let scratch = r.bench(&format!("issue/scratch_{}_x10k", kind.name()), || {
-            for ev in &schedule {
-                cycle += 1;
-                match *ev {
-                    Ev::None => {}
-                    Ev::Issue { unit, slot } => {
-                        warps[slot].progress += 32;
-                        let view = SchedView {
-                            cycle,
-                            warps: &warps,
-                            tbs: &tbs,
-                            tbs_waiting_in_tb_scheduler: true,
-                        };
-                        policy.on_issue(unit, slot, issue_info, &view);
-                    }
-                    Ev::Flip { slot } => {
-                        warps[slot].blocked_on_longlat = !warps[slot].blocked_on_longlat;
-                    }
-                }
-                let view = SchedView {
-                    cycle,
-                    warps: &warps,
-                    tbs: &tbs,
-                    tbs_waiting_in_tb_scheduler: true,
-                };
-                policy.begin_cycle(&view);
-                for unit in 0..UNITS {
-                    policy.order(unit, &view, &cands[unit as usize], &mut out);
-                    black_box(out.len());
-                }
-            }
-        });
+        let scratch = trace.bench_every_cycle(
+            r,
+            &format!("issue/scratch_{}_x10k", kind.name()),
+            kind.build(IssueTrace::WARPS, 8, UNITS),
+        );
 
         // Incremental flavor: the engine's reuse condition, same trace.
-        let mut warps = base_warps.clone();
-        let mut policy = kind.build(WARPS, 8, UNITS);
-        launch(policy.as_mut(), &warps);
-        let mut longlat_mask = base_warps
+        let mut warps = trace.base_warps.clone();
+        let mut policy = kind.build(IssueTrace::WARPS, 8, UNITS);
+        trace.launch(policy.as_mut());
+        let mut longlat_mask = trace
+            .base_warps
             .iter()
             .enumerate()
             .fold(0u64, |m, (w, ws)| m | (ws.blocked_on_longlat as u64) << w);
         let mut cached_blocked = [0u64; UNITS as usize];
         let mut cached_valid = [false; UNITS as usize];
-        let mut out = Vec::with_capacity(WARPS);
+        let mut out = Vec::with_capacity(IssueTrace::WARPS);
         let mut cycle = 0u64;
         let (mut reused, mut total) = (0u64, 0u64);
         let incr = r.bench(&format!("issue/incremental_{}_x10k", kind.name()), || {
-            for ev in &schedule {
+            for &ev in &trace.schedule {
                 cycle += 1;
-                match *ev {
-                    Ev::None => {}
-                    Ev::Issue { unit, slot } => {
-                        warps[slot].progress += 32;
-                        let view = SchedView {
-                            cycle,
-                            warps: &warps,
-                            tbs: &tbs,
-                            tbs_waiting_in_tb_scheduler: true,
-                        };
-                        policy.on_issue(unit, slot, issue_info, &view);
-                    }
-                    Ev::Flip { slot } => {
-                        warps[slot].blocked_on_longlat = !warps[slot].blocked_on_longlat;
-                        longlat_mask ^= 1u64 << slot;
-                    }
+                trace.apply(ev, cycle, &mut warps, policy.as_mut());
+                if let Ev::Flip { slot } = ev {
+                    longlat_mask ^= 1u64 << slot;
                 }
-                let view = SchedView {
-                    cycle,
-                    warps: &warps,
-                    tbs: &tbs,
-                    tbs_waiting_in_tb_scheduler: true,
-                };
+                let view = trace.view(cycle, &warps);
                 policy.begin_cycle(&view);
                 for unit in 0..UNITS {
                     let u = unit as usize;
@@ -284,7 +310,7 @@ fn bench_issue_path(r: &mut Runner) {
                         black_box(out.len());
                         continue;
                     }
-                    policy.order(unit, &view, &cands[u], &mut out);
+                    policy.order(unit, &view, &trace.cands[u], &mut out);
                     cached_blocked[u] = blocked;
                     cached_valid[u] = true;
                     black_box(out.len());
@@ -300,6 +326,39 @@ fn bench_issue_path(r: &mut Runner) {
                 s.median_ns as f64 / i.median_ns.max(1) as f64,
                 pro_bench::runner::human_ns(s.median_ns),
                 pro_bench::runner::human_ns(i.median_ns),
+            );
+        }
+    }
+}
+
+/// What one `order()` call costs now against the from-scratch body it
+/// replaced (`crates/core/tests/oracle`, the reference the lockstep storms
+/// in `prop_dirty.rs` use): TL's membership masks against its linear-search
+/// rebalance, GTO's cached age order against the sort, PRO's inverse rank
+/// table against the sort by rank. Same recorded trace as `issue/`, an
+/// `order()` every unit-cycle, so these rows are the micro-layer twin of the
+/// end-to-end `paper_matrix` number.
+fn bench_order_bodies(r: &mut Runner, trace: &IssueTrace) {
+    for (kind, tag, new, old) in [
+        (SchedulerKind::Tl, "tl", "incremental", "scratch"),
+        (SchedulerKind::Gto, "gto", "cached", "sort"),
+        (SchedulerKind::Pro, "pro", "inverse", "sort"),
+    ] {
+        let reference = oracle::scratch(kind, IssueTrace::WARPS, 8, IssueTrace::UNITS)
+            .expect("rewritten policies have a reference");
+        let now = trace.bench_every_cycle(
+            r,
+            &format!("order/{tag}_{new}_x10k"),
+            kind.build(IssueTrace::WARPS, 8, IssueTrace::UNITS),
+        );
+        let was = trace.bench_every_cycle(r, &format!("order/{tag}_{old}_x10k"), reference);
+        if let (Some(n), Some(w)) = (now, was) {
+            println!(
+                "ORDER replay {}: {old} {} -> {new} {} ({:.2}x)",
+                kind.name(),
+                pro_bench::runner::human_ns(w.median_ns),
+                pro_bench::runner::human_ns(n.median_ns),
+                w.median_ns as f64 / n.median_ns.max(1) as f64,
             );
         }
     }
@@ -690,7 +749,9 @@ fn main() {
     bench_cache(&mut r);
     bench_event_queue(&mut r);
     bench_policy_order(&mut r);
-    bench_issue_path(&mut r);
+    let trace = IssueTrace::record();
+    bench_issue_path(&mut r, &trace);
+    bench_order_bodies(&mut r, &trace);
     bench_exec_rows(&mut r);
     bench_trace_overhead(&mut r);
     bench_parallel_speedup(&mut r);

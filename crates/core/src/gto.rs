@@ -13,6 +13,18 @@ use crate::codec::{self, Snapshot};
 use crate::dirty::DirtyMask;
 use crate::{IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
 
+/// A unit's candidates sorted oldest first, and the candidate slice that
+/// sort was computed from (both empty when nothing is cached: the sorted
+/// empty slice is the empty slice). The sort key `(TB launch cycle, slot)`
+/// only moves at a TB launch, so between launches the oldest-first base of
+/// an unchanged candidate slice is a copy. Derived state: never
+/// serialized, dropped by `load_state`.
+#[derive(Debug)]
+struct AgeCache {
+    input: Vec<WarpSlot>,
+    sorted: Vec<WarpSlot>,
+}
+
 /// Greedy-then-oldest policy.
 #[derive(Debug)]
 pub struct Gto {
@@ -21,6 +33,7 @@ pub struct Gto {
     /// Order inputs: the greedy head (per unit) and TB launch cycles
     /// (all units, via `on_tb_launch`).
     dirty: DirtyMask,
+    ages: Vec<AgeCache>,
 }
 
 impl Gto {
@@ -29,6 +42,19 @@ impl Gto {
         Gto {
             greedy: vec![None; units as usize],
             dirty: DirtyMask::all(),
+            ages: (0..units)
+                .map(|_| AgeCache {
+                    input: Vec::with_capacity(64),
+                    sorted: Vec::with_capacity(64),
+                })
+                .collect(),
+        }
+    }
+
+    fn drop_age_caches(&mut self) {
+        for a in &mut self.ages {
+            a.input.clear();
+            a.sorted.clear();
         }
     }
 }
@@ -46,13 +72,20 @@ impl WarpScheduler for Gto {
         out: &mut Vec<WarpSlot>,
     ) {
         self.dirty.clear(unit);
+        let age = &mut self.ages[unit as usize];
+        if age.input != candidates {
+            age.input.clear();
+            age.input.extend_from_slice(candidates);
+            age.sorted.clear();
+            age.sorted.extend_from_slice(candidates);
+            // Oldest first: (TB launch cycle, slot index).
+            age.sorted.sort_by_key(|&w| {
+                let tb = view.warps[w].tb_slot;
+                (view.tbs[tb].launched_at, w)
+            });
+        }
         out.clear();
-        out.extend_from_slice(candidates);
-        // Oldest first: (TB launch cycle, slot index).
-        out.sort_by_key(|&w| {
-            let tb = view.warps[w].tb_slot;
-            (view.tbs[tb].launched_at, w)
-        });
+        out.extend_from_slice(&age.sorted);
         // The greedy warp, if still a candidate, jumps to the front.
         if let Some(g) = self.greedy[unit as usize] {
             if let Some(pos) = out.iter().position(|&w| w == g) {
@@ -86,6 +119,7 @@ impl WarpScheduler for Gto {
         // A launch writes a fresh `launched_at` into a TB slot, which is
         // every unit's primary sort key.
         self.dirty.mark_all();
+        self.drop_age_caches();
     }
 
     fn save_state(&self, w: &mut codec::Writer) {
@@ -96,6 +130,7 @@ impl WarpScheduler for Gto {
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
         self.greedy = Snapshot::load(r)?;
         self.dirty = Snapshot::load(r)?;
+        self.drop_age_caches();
         Ok(())
     }
 }
@@ -177,6 +212,35 @@ mod tests {
         assert_eq!(out, vec![2, 0]);
         s.order(1, &f.view(), &[1, 3], &mut out);
         assert_eq!(out, vec![1, 3]);
+    }
+
+    #[test]
+    fn age_order_is_cached_until_a_launch_or_a_restore() {
+        let mut f = ViewFixture::grid(2, 2);
+        f.tbs[0].launched_at = 100;
+        f.tbs[1].launched_at = 50;
+        let mut s = Gto::new(1);
+        let mut out = Vec::new();
+        s.order(0, &f.view(), &f.all_slots(), &mut out);
+        assert_eq!(out, vec![2, 3, 0, 1]);
+        // A different candidate slice is sorted afresh.
+        s.order(0, &f.view(), &[0, 3], &mut out);
+        assert_eq!(out, vec![3, 0]);
+        // TB 1's slot is relaunched later than TB 0: the hook drops the
+        // cached ages even though the candidates are the same.
+        f.tbs[1].launched_at = 200;
+        s.on_tb_launch(1, &f.view());
+        s.order(0, &f.view(), &[0, 3], &mut out);
+        assert_eq!(out, vec![0, 3]);
+        // Restoring state into a policy that has ordered before drops them
+        // too: the restored run's launch cycles are not the ones cached.
+        let mut w = codec::Writer::new();
+        s.save_state(&mut w);
+        let bytes = w.into_bytes();
+        f.tbs[1].launched_at = 10;
+        s.load_state(&mut codec::Reader::new(&bytes)).unwrap();
+        s.order(0, &f.view(), &[0, 3], &mut out);
+        assert_eq!(out, vec![3, 0]);
     }
 
     #[test]

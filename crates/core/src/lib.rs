@@ -69,6 +69,21 @@ pub type WarpSlot = usize;
 /// Index of a thread block's hardware slot within an SM (0..max_tbs).
 pub type TbSlot = usize;
 
+/// Bit of warp slot `w` in the `u64` membership sets the policies keep
+/// beside their queues (the engine packs warp slots the same way, which
+/// bounds an SM at 64 of them).
+#[inline]
+pub(crate) fn slot_bit(w: WarpSlot) -> u64 {
+    assert!(w < 64, "warp slot {w} does not fit a u64 membership set");
+    1u64 << w
+}
+
+/// Membership set of a sequence of warp slots.
+#[inline]
+pub(crate) fn slot_mask<'a>(slots: impl IntoIterator<Item = &'a WarpSlot>) -> u64 {
+    slots.into_iter().fold(0, |m, &w| m | slot_bit(w))
+}
+
 /// Dynamic, scheduler-visible state of one warp slot. Maintained by the SM;
 /// read-only for policies.
 #[derive(Debug, Clone, Copy, Default)]
@@ -151,8 +166,9 @@ pub trait WarpScheduler {
     /// Fill `out` with `candidates` reordered best-first for scheduler unit
     /// `unit`. `candidates` are the live warp slots assigned to the unit
     /// (the SM partitions warps across units; filtering for issuability
-    /// happens afterwards in the issue logic). Implementations must output
-    /// a permutation of `candidates`.
+    /// happens afterwards in the issue logic): distinct slots below 64, the
+    /// bound the policies' `u64` membership sets share with the engine's.
+    /// Implementations must output a permutation of `candidates`.
     fn order(
         &mut self,
         unit: u32,

@@ -42,7 +42,7 @@
 
 use crate::codec::{self, CodecError, Snapshot};
 use crate::dirty::DirtyMask;
-use crate::{IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
+use crate::{slot_bit, slot_mask, IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
 
 /// Tunables and ablation switches for [`Pro`].
 #[derive(Debug, Clone, Copy)]
@@ -104,8 +104,10 @@ pub struct Pro {
     rem_order: Vec<TbSlot>,
     /// Cached warp priority order per TB slot.
     warp_order: Vec<Vec<WarpSlot>>,
-    /// Issue-priority rank per warp slot, rebuilt when dirty.
-    rank: Vec<u32>,
+    /// Every ranked (live, unfinished) warp of the SM, best first — the
+    /// inverse of a per-slot rank table, rebuilt when dirty. A unit's order
+    /// is this list filtered to its candidates.
+    by_rank: Vec<WarpSlot>,
     last_sort_cycle: u64,
     in_slow_phase: bool,
     scratch: Vec<WarpSlot>,
@@ -177,7 +179,7 @@ impl Pro {
             bar_order: Vec::with_capacity(max_tbs),
             rem_order: Vec::with_capacity(max_tbs),
             warp_order: vec![Vec::new(); max_tbs],
-            rank: vec![u32::MAX; max_warps],
+            by_rank: Vec::with_capacity(max_warps),
             last_sort_cycle: 0,
             in_slow_phase: false,
             scratch: Vec::with_capacity(max_warps),
@@ -318,17 +320,19 @@ impl Pro {
         self.last_sort_cycle = view.cycle;
     }
 
+    /// The ranked warps, best first (test observability: the oracle order
+    /// is the candidates sorted by position in this list, unranked last).
+    pub fn rank_order(&self) -> &[WarpSlot] {
+        &self.by_rank
+    }
+
     fn rebuild_ranks(&mut self, view: &SchedView) {
-        for r in &mut self.rank {
-            *r = u32::MAX;
-        }
-        let mut next = 0u32;
+        self.by_rank.clear();
         for list in [&self.fin_order, &self.bar_order, &self.rem_order] {
             for &t in list.iter() {
                 for &w in &self.warp_order[t] {
                     if !view.warps[w].finished {
-                        self.rank[w] = next;
-                        next += 1;
+                        self.by_rank.push(w);
                     }
                 }
             }
@@ -388,9 +392,19 @@ impl WarpScheduler for Pro {
             self.dirty.clear(unit);
         }
         out.clear();
-        out.extend_from_slice(candidates);
-        let rank = &self.rank;
-        out.sort_by_key(|&w| (rank[w], w));
+        // Ranked candidates in rank order, then the unranked ones (a warp
+        // launched or relaunched since the last rebuild) by ascending slot.
+        let mut left = slot_mask(candidates);
+        for &w in &self.by_rank {
+            if left & slot_bit(w) != 0 {
+                left &= !slot_bit(w);
+                out.push(w);
+            }
+        }
+        while left != 0 {
+            out.push(left.trailing_zeros() as WarpSlot);
+            left &= left - 1;
+        }
     }
 
     fn order_dirty(&mut self, unit: u32) -> bool {
@@ -522,7 +536,7 @@ impl WarpScheduler for Pro {
         Some(out)
     }
 
-    // `rank` and `scratch` are cycle-scoped scratch (rebuilt by the next
+    // `by_rank` and `scratch` are cycle-scoped scratch (rebuilt by the next
     // `begin_cycle`), so the snapshot carries only the durable state: the
     // classification, the three priority lists, the cached warp orders and
     // the phase/sort clocks.
@@ -556,7 +570,7 @@ impl WarpScheduler for Pro {
         }
         self.last_sort_cycle = r.get_u64()?;
         self.in_slow_phase = r.get_bool()?;
-        // `rank` was not serialized (it is derived state), so a restored
+        // `by_rank` was not serialized (it is derived state), so a restored
         // policy must start fully dirty: the first `begin_cycle` rebuilds
         // the table from the restored lists, and the engine — whose order
         // cache was dropped by the same restore — recomputes each unit's

@@ -12,14 +12,37 @@
 
 use crate::codec::{self, Snapshot};
 use crate::dirty::DirtyMask;
-use crate::{IssueInfo, SchedView, WarpScheduler, WarpSlot};
+use crate::{slot_bit, slot_mask, IssueInfo, SchedView, WarpScheduler, WarpSlot};
 use std::collections::VecDeque;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct UnitState {
-    active: VecDeque<WarpSlot>,
+    active: Vec<WarpSlot>,
     pending: VecDeque<WarpSlot>,
     last_issued: Option<WarpSlot>,
+    /// Membership bitsets of `active` and `pending`: derived, so a
+    /// rebalance tests membership in O(1) and skips the passes that have
+    /// nothing to do. Never serialized; `load_state` rebuilds them.
+    active_mask: u64,
+    pending_mask: u64,
+}
+
+impl UnitState {
+    /// Append `w` to the active set (the caller took it off the pending
+    /// queue).
+    fn push_active(&mut self, w: WarpSlot) {
+        self.active.push(w);
+        self.pending_mask &= !slot_bit(w);
+        self.active_mask |= slot_bit(w);
+    }
+
+    /// Append `w` to the pending queue (the caller took it off the active
+    /// set, or it is new).
+    fn push_pending(&mut self, w: WarpSlot) {
+        self.pending.push_back(w);
+        self.active_mask &= !slot_bit(w);
+        self.pending_mask |= slot_bit(w);
+    }
 }
 
 /// Two-level active/pending policy.
@@ -42,9 +65,9 @@ impl TwoLevel {
         TwoLevel {
             units: (0..units)
                 .map(|_| UnitState {
-                    active: VecDeque::new(),
-                    pending: VecDeque::new(),
-                    last_issued: None,
+                    active: Vec::with_capacity(active_size),
+                    pending: VecDeque::with_capacity(64),
+                    ..UnitState::default()
                 })
                 .collect(),
             active_size,
@@ -54,20 +77,29 @@ impl TwoLevel {
 
     /// Active set of a unit (test observability).
     pub fn active_set(&self, unit: u32) -> Vec<WarpSlot> {
-        self.units[unit as usize].active.iter().copied().collect()
+        self.units[unit as usize].active.clone()
     }
 
     /// Reconcile bookkeeping with the candidate set: drop vanished warps,
     /// adopt new ones into pending, demote blocked active warps, promote
-    /// ready pending warps.
+    /// ready pending warps. Every pass is skipped when its membership mask
+    /// says there is nothing to do, so a call at (or one issue away from) a
+    /// fixpoint costs one pass over the candidates and one over the active
+    /// set.
     fn rebalance(&mut self, unit: u32, view: &SchedView, candidates: &[WarpSlot]) {
         let u = &mut self.units[unit as usize];
-        let is_candidate = |w: WarpSlot| candidates.contains(&w);
-        u.active.retain(|&w| is_candidate(w));
-        u.pending.retain(|&w| is_candidate(w));
-        for &w in candidates {
-            if !u.active.contains(&w) && !u.pending.contains(&w) {
-                u.pending.push_back(w);
+        let cands = slot_mask(candidates);
+        if (u.active_mask | u.pending_mask) & !cands != 0 {
+            u.active.retain(|&w| cands & slot_bit(w) != 0);
+            u.pending.retain(|&w| cands & slot_bit(w) != 0);
+            u.active_mask &= cands;
+            u.pending_mask &= cands;
+        }
+        if cands & !(u.active_mask | u.pending_mask) != 0 {
+            for &w in candidates {
+                if (u.active_mask | u.pending_mask) & slot_bit(w) == 0 {
+                    u.push_pending(w);
+                }
             }
         }
         // Demote active warps blocked on long-latency loads.
@@ -76,7 +108,7 @@ impl TwoLevel {
             let w = u.active[i];
             if view.warps[w].blocked_on_longlat {
                 u.active.remove(i);
-                u.pending.push_back(w);
+                u.push_pending(w);
             } else {
                 i += 1;
             }
@@ -90,14 +122,14 @@ impl TwoLevel {
             if view.warps[w].blocked_on_longlat {
                 u.pending.push_back(w);
             } else {
-                u.active.push_back(w);
+                u.push_active(w);
             }
         }
         // If everything is blocked, fill with blocked warps anyway so the
         // unit still reports a valid (if unissuable) order.
         while u.active.len() < self.active_size {
             match u.pending.pop_front() {
-                Some(w) => u.active.push_back(w),
+                Some(w) => u.push_active(w),
                 None => break,
             }
         }
@@ -133,19 +165,12 @@ impl WarpScheduler for TwoLevel {
         }
         out.clear();
         // Round robin within the active set, starting after last issued.
-        let n = u.active.len();
-        let start = match u.last_issued {
-            Some(last) => u
-                .active
-                .iter()
-                .position(|&w| w == last)
-                .map(|p| (p + 1) % n.max(1))
-                .unwrap_or(0),
-            None => 0,
-        };
-        for i in 0..n {
-            out.push(u.active[(start + i) % n]);
-        }
+        let start = u
+            .last_issued
+            .and_then(|last| u.active.iter().position(|&w| w == last))
+            .map_or(0, |p| (p + 1) % u.active.len());
+        out.extend_from_slice(&u.active[start..]);
+        out.extend_from_slice(&u.active[..start]);
         // Pending warps trail, FIFO (they can still issue if all actives
         // cannot — "loose" fallback, matching GPGPU-Sim behaviour where the
         // unit would otherwise idle).
@@ -164,21 +189,26 @@ impl WarpScheduler for TwoLevel {
         let u = &mut self.units[unit as usize];
         self.dirty.mark(unit);
         u.last_issued = Some(slot);
-        if info.is_global_load {
-            // The warp will block shortly; demote it eagerly so the unit
-            // rotates to another group member next cycle.
-            if let Some(pos) = u.active.iter().position(|&w| w == slot) {
-                u.active.remove(pos);
-                u.pending.push_back(slot);
-            }
+        // The warp will block shortly; demote it eagerly so the unit
+        // rotates to another group member next cycle.
+        if info.is_global_load && u.active_mask & slot_bit(slot) != 0 {
+            u.active.retain(|&w| w != slot);
+            u.push_pending(slot);
         }
     }
 
     fn on_warp_finish(&mut self, slot: WarpSlot, _tb: usize, _view: &SchedView) {
         self.dirty.mark_all();
+        let bit = slot_bit(slot);
         for u in &mut self.units {
-            u.active.retain(|&w| w != slot);
-            u.pending.retain(|&w| w != slot);
+            if u.active_mask & bit != 0 {
+                u.active.retain(|&w| w != slot);
+                u.active_mask &= !bit;
+            }
+            if u.pending_mask & bit != 0 {
+                u.pending.retain(|&w| w != slot);
+                u.pending_mask &= !bit;
+            }
             if u.last_issued == Some(slot) {
                 u.last_issued = None;
             }
@@ -204,6 +234,15 @@ impl WarpScheduler for TwoLevel {
             u.active = Snapshot::load(r)?;
             u.pending = Snapshot::load(r)?;
             u.last_issued = Snapshot::load(r)?;
+            if u.active.iter().chain(&u.pending).any(|&w| w >= 64) {
+                return Err(codec::CodecError::BadValue("TL warp slot"));
+            }
+            u.active_mask = slot_mask(&u.active);
+            u.pending_mask = slot_mask(&u.pending);
+            let members = (u.active_mask | u.pending_mask).count_ones() as usize;
+            if members != u.active.len() + u.pending.len() {
+                return Err(codec::CodecError::BadValue("TL duplicate warp slot"));
+            }
         }
         self.dirty = Snapshot::load(r)?;
         Ok(())

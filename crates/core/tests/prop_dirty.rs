@@ -4,6 +4,13 @@
 //! and blocked fingerprints are unchanged) must produce exactly the
 //! orderings of an engine that recomputes from scratch every cycle. Runs
 //! on the in-repo `pro_core::prop` harness, lockstep like `prop_calq.rs`.
+//!
+//! TL, GTO and PRO produce their orders incrementally (membership masks, a
+//! cached age order, an inverse rank table); `oracle/` keeps the
+//! from-scratch bodies they replaced, and a second storm holds each policy
+//! to its oracle step by step.
+
+mod oracle;
 
 use pro_core::prop::{any, check, vec_of, Config, Strategy, StrategyExt};
 use pro_core::{
@@ -208,6 +215,42 @@ fn apply_event(
         4 => {
             f.cycle += 500;
         }
+        6 => {
+            // A TB finishes and a fresh one takes its slot before the next
+            // order: the same warp slots come back under a new launch cycle
+            // and global index. (An empty slot is simply filled.)
+            let tb = x % f.tbs.len();
+            if f.tbs[tb].occupied {
+                apply_event(f, pols, 9, x, extra);
+            }
+            if !f.tbs[tb].occupied {
+                f.tbs[tb] = TbState {
+                    occupied: true,
+                    global_index: 100 + extra as u32,
+                    num_warps: WARPS_PER_TB as u32,
+                    launched_at: f.cycle,
+                    ..TbState::default()
+                };
+                for i in 0..WARPS_PER_TB {
+                    f.warps[tb * WARPS_PER_TB + i] = WarpState {
+                        active: true,
+                        tb_slot: tb,
+                        index_in_tb: i as u32,
+                        ..WarpState::default()
+                    };
+                }
+                for p in pols.iter_mut() {
+                    p.on_tb_launch(tb, &f.view());
+                }
+            }
+        }
+        9 => {
+            // Run a whole TB to completion (warps parked at a barrier stay).
+            let tb = x % f.tbs.len();
+            for i in 0..WARPS_PER_TB {
+                apply_event(f, pols, 2, tb * WARPS_PER_TB + i, extra);
+            }
+        }
         _ => {
             // Out-of-band issue (no fresh order this cycle).
             if f.warps[slot].active && !f.warps[slot].finished && !f.warps[slot].at_barrier {
@@ -327,6 +370,115 @@ fn reused_orders_match_scratch_recomputes_for_every_policy() {
                             }
                         }
                     }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+fn state_bytes(p: &dyn WarpScheduler) -> Vec<u8> {
+    let mut w = pro_core::Writer::new();
+    p.save_state(&mut w);
+    w.into_bytes()
+}
+
+/// TL, GTO and PRO against the from-scratch `order()` bodies they replaced
+/// (`oracle/`): the same storm into both, every emitted permutation equal
+/// and — since TL's `order()` moves its queues — the serialized state equal
+/// after every step. On top of the events above the storm retires TBs and
+/// relaunches into their slots (6, 9), hides warps from the candidate slice and
+/// brings them back (7), hands the candidates over reversed or rotated, and
+/// sends the incremental policy through `save_state` → fresh policy →
+/// `load_state` (8) while the oracle carries on, so whatever the policy
+/// derives after a restore must reproduce what it held before.
+#[test]
+fn incremental_orders_equal_their_from_scratch_oracles() {
+    check(
+        Config::default(),
+        (arb_fixture(), vec_of((0u8..10, 0usize..48, any::<u8>()), 0..64)),
+        |(f0, events): &(Fixture, Vec<(u8, usize, u8)>)| {
+            let (nw, nt) = (f0.warps.len(), f0.tbs.len());
+            for kind in [SchedulerKind::Tl, SchedulerKind::Gto, SchedulerKind::Pro] {
+                let mut f = f0.clone();
+                let mut want = oracle::scratch(kind, nw, nt, UNITS).expect("has an oracle");
+                let mut got = kind.build(nw, nt, UNITS);
+                for t in 0..nt {
+                    want.on_tb_launch(t, &f.view());
+                    got.on_tb_launch(t, &f.view());
+                }
+                let mut hidden = 0u64;
+                let (mut want_out, mut got_out) = (Vec::new(), vec![99; 3]);
+                for (step, &(ev, x, extra)) in events.iter().enumerate() {
+                    match ev {
+                        0 => {
+                            f.cycle += 1;
+                            if extra & 0x80 != 0 {
+                                f.fast = false;
+                            }
+                            want.begin_cycle(&f.view());
+                            got.begin_cycle(&f.view());
+                            for unit in 0..UNITS {
+                                let (mut cands, _, _) = unit_inputs(&f, unit);
+                                cands.retain(|&w| hidden >> w & 1 == 0);
+                                if extra & 8 != 0 {
+                                    cands.reverse();
+                                }
+                                if extra & 16 != 0 && !cands.is_empty() {
+                                    let by = x % cands.len();
+                                    cands.rotate_left(by);
+                                }
+                                want.order(unit, &f.view(), &cands, &mut want_out);
+                                got.order(unit, &f.view(), &cands, &mut got_out);
+                                prop_assert_eq!(
+                                    &got_out,
+                                    &want_out,
+                                    "{} unit {} step {} candidates {:?}",
+                                    kind.name(),
+                                    unit,
+                                    step,
+                                    cands
+                                );
+                                if extra & 32 != 0 {
+                                    // A launch lands between sibling units:
+                                    // PRO orders warps it has not ranked yet.
+                                    let mut pols: [&mut dyn WarpScheduler; 2] =
+                                        [want.as_mut(), got.as_mut()];
+                                    apply_event(&mut f, &mut pols, 6, x, extra);
+                                }
+                                if extra & (1 << unit) != 0 {
+                                    let front = got_out.iter().copied().find(|&w| {
+                                        !f.warps[w].at_barrier && !f.warps[w].blocked_on_longlat
+                                    });
+                                    if let Some(w) = front {
+                                        let mut pols: [&mut dyn WarpScheduler; 2] =
+                                            [want.as_mut(), got.as_mut()];
+                                        issue(&mut f, &mut pols, unit, w, extra & 4 != 0);
+                                    }
+                                }
+                            }
+                        }
+                        7 => hidden ^= 1 << (x % nw),
+                        8 => {
+                            let bytes = state_bytes(got.as_ref());
+                            got = kind.build(nw, nt, UNITS);
+                            got.load_state(&mut pro_core::Reader::new(&bytes))
+                                .expect("own state loads");
+                        }
+                        _ => {
+                            let mut pols: [&mut dyn WarpScheduler; 2] =
+                                [want.as_mut(), got.as_mut()];
+                            apply_event(&mut f, &mut pols, ev, x, extra);
+                        }
+                    }
+                    prop_assert_eq!(
+                        state_bytes(got.as_ref()),
+                        state_bytes(want.as_ref()),
+                        "{} state after step {} (event {})",
+                        kind.name(),
+                        step,
+                        ev
+                    );
                 }
             }
             Ok(())

@@ -220,6 +220,16 @@ enum LsuEntry {
     },
 }
 
+/// Which per-unit-cycle event classes the tracer subscribed to, asked once
+/// per issue phase.
+#[derive(Debug, Clone, Copy)]
+struct TraceGates {
+    stall: bool,
+    issue: bool,
+    simt: bool,
+    sb: bool,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct WbRec {
     warp: usize,
@@ -266,7 +276,6 @@ pub struct Sm {
     /// Cumulative statistics (reset by the GPU at kernel boundaries).
     pub stats: SmStats,
     // Scratch.
-    cand_buf: Vec<usize>,
     lines_buf: Vec<u64>,
     completion_buf: Vec<AccessId>,
     // --- Incremental issue path (DESIGN.md §15). All of this is *derived*
@@ -301,6 +310,11 @@ pub struct Sm {
     /// under; reused verbatim while the policy reports clean and the
     /// inputs are unchanged.
     order_bufs: Vec<Vec<usize>>,
+    /// Per-unit candidate slice handed to `order()` (ascending slots) and
+    /// the candidate bitset it was expanded from; refilled only when the
+    /// unit's candidate set differs from that bitset.
+    cand_bufs: Vec<Vec<usize>>,
+    cand_built: Vec<u64>,
     cached_cands: Vec<u64>,
     cached_blocked: Vec<u64>,
     cached_valid: Vec<bool>,
@@ -361,7 +375,6 @@ impl Sm {
             store_log: StoreLog::default(),
             first_warp_finish: vec![None; cfg.max_tbs],
             stats: SmStats::default(),
-            cand_buf: Vec::with_capacity(cfg.max_warps),
             lines_buf: Vec::with_capacity(32),
             completion_buf: Vec::with_capacity(32),
             cands_mask: 0,
@@ -373,6 +386,10 @@ impl Sm {
             order_bufs: (0..cfg.units)
                 .map(|_| Vec::with_capacity(cfg.max_warps))
                 .collect(),
+            cand_bufs: (0..cfg.units)
+                .map(|_| Vec::with_capacity(cfg.max_warps))
+                .collect(),
+            cand_built: vec![0; cfg.units as usize],
             cached_cands: vec![0; cfg.units as usize],
             cached_blocked: vec![0; cfg.units as usize],
             cached_valid: vec![false; cfg.units as usize],
@@ -476,8 +493,9 @@ impl Sm {
         let Some(p) = self.table.as_deref().map(IssueTable::program) else {
             return false;
         };
-        let free_slot = (0..self.usable_tb_slots()).any(|t| !self.sched_tbs[t].occupied);
-        free_slot
+        // TBs only ever occupy slots below `usable_tb_slots()`, so a free one
+        // exists exactly when fewer than that many are resident.
+        (self.live_tbs as usize) < self.usable_tb_slots()
             && self.used_threads + self.threads_per_tb <= self.cfg.max_threads
             && self.used_shared + p.shared_bytes <= self.cfg.shared_capacity
             && self.used_regs + p.regs as u32 * self.threads_per_tb <= self.cfg.regs_per_sm
@@ -720,11 +738,12 @@ impl Sm {
         &mut self,
         tb: usize,
         now: u64,
+        table: &IssueTable,
         policy: &mut dyn WarpScheduler,
         fast: bool,
         tracer: &mut dyn Tracer,
     ) {
-        let program = self.table.as_ref().expect("kernel bound").program();
+        let program = table.program();
         let base = tb * self.warps_per_tb;
         // Warp-progress disparity within the retiring TB (§III.E): the gap
         // between its most and least advanced warps, in thread-instructions.
@@ -915,18 +934,25 @@ impl Sm {
             };
             policy.begin_cycle(&view);
         }
-        // One refcount bump per phase, not per unit: every unit issues from
-        // the same bound program.
-        let table = Arc::clone(self.table.as_ref().expect("kernel bound"));
+        // The table moves out for the phase and back, so the units borrow it
+        // beside `&mut self` without touching the shared refcount.
+        let table = self.table.take().expect("kernel bound");
+        let gates = TraceGates {
+            stall: tracer.wants(EventClass::Stall),
+            issue: tracer.wants(EventClass::Issue),
+            simt: tracer.wants(EventClass::Simt),
+            sb: tracer.wants(EventClass::Scoreboard),
+        };
         let mut log = std::mem::take(&mut self.store_log);
         for unit in 0..self.cfg.units {
             let mut stage = GmemStage::new(gmem_base, &mut log);
             self.issue_unit(
-                unit, now, &table, &mut stage, policy, fast_phase, report, tracer,
+                unit, now, &table, &mut stage, policy, fast_phase, report, gates, tracer,
             );
             self.stats.unit_cycles += 1;
         }
         self.store_log = log;
+        self.table = Some(table);
     }
 
     /// Phase 3 of a cycle: publish this SM's deferred cross-SM effects.
@@ -942,6 +968,24 @@ impl Sm {
         self.store_log.apply_to(gmem);
     }
 
+    /// Pop warp `w`'s SIMT entries whose reconvergence point its pc has
+    /// reached — the one place the issue phase does so, so a pop is
+    /// published as `SimtReconverge` whichever of its walks performs it.
+    #[inline]
+    fn reconverge(&mut self, w: usize, now: u64, trace_simt: bool, tracer: &mut dyn Tracer) {
+        let warp = &mut self.warps[w];
+        if !trace_simt {
+            warp.simt.reconverge();
+            return;
+        }
+        let depth_before = warp.simt.depth();
+        warp.simt.reconverge();
+        if warp.simt.depth() < depth_before {
+            let (sm, pc) = (self.id, warp.pc());
+            tracer.emit(now, &TraceEvent::SimtReconverge { sm, warp: w as u32, pc });
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn issue_unit<G: GmemPort>(
         &mut self,
@@ -952,14 +996,9 @@ impl Sm {
         policy: &mut dyn WarpScheduler,
         fast_phase: bool,
         report: &mut TickReport,
+        gates: TraceGates,
         tracer: &mut dyn Tracer,
     ) {
-        // Hoisted trace gates: one virtual call each, once per unit-cycle.
-        let trace_stall = tracer.wants(EventClass::Stall);
-        let trace_issue = tracer.wants(EventClass::Issue);
-        let trace_simt = tracer.wants(EventClass::Simt);
-        let trace_sb = tracer.wants(EventClass::Scoreboard);
-
         let u = unit as usize;
         let unit_cands = self.cands_mask & self.unit_masks[u];
         let unit_blocked = self.longlat_mask & self.unit_masks[u];
@@ -976,13 +1015,15 @@ impl Sm {
             self.issue_orders_reused += 1;
         } else {
             self.issue_orders_recomputed += 1;
-            // Candidates: live, unfinished warps of this unit, ascending —
-            // trailing_zeros iteration reproduces the old slot-order scan.
-            self.cand_buf.clear();
-            let mut m = unit_cands;
-            while m != 0 {
-                self.cand_buf.push(m.trailing_zeros() as usize);
-                m &= m - 1;
+            // Candidates: live, unfinished warps of this unit, ascending.
+            if self.cand_built[u] != unit_cands {
+                self.cand_bufs[u].clear();
+                let mut m = unit_cands;
+                while m != 0 {
+                    self.cand_bufs[u].push(m.trailing_zeros() as usize);
+                    m &= m - 1;
+                }
+                self.cand_built[u] = unit_cands;
             }
             let view = SchedView {
                 cycle: now,
@@ -992,7 +1033,7 @@ impl Sm {
             };
             // Split borrows: the order cache is disjoint from the view.
             let mut order = std::mem::take(&mut self.order_bufs[u]);
-            policy.order(unit, &view, &self.cand_buf, &mut order);
+            policy.order(unit, &view, &self.cand_bufs[u], &mut order);
             self.order_bufs[u] = order;
             self.cached_cands[u] = unit_cands;
             self.cached_blocked[u] = unit_blocked;
@@ -1014,8 +1055,8 @@ impl Sm {
                 if now < self.ibuf_at[w] {
                     continue;
                 }
-                let warp = &mut self.warps[w];
-                warp.simt.reconverge();
+                self.reconverge(w, now, gates.simt, tracer);
+                let warp = &self.warps[w];
                 if warp.scoreboard.clear_of(table.at(warp.pc()).hazard) {
                     ready += 1;
                 }
@@ -1058,17 +1099,8 @@ impl Sm {
                 continue;
             }
             probe &= !bit;
-            let warp = &mut self.warps[w];
-            if trace_simt {
-                let depth_before = warp.simt.depth();
-                warp.simt.reconverge();
-                if warp.simt.depth() < depth_before {
-                    let (sm, pc) = (self.id, warp.pc());
-                    tracer.emit(now, &TraceEvent::SimtReconverge { sm, warp: w as u32, pc });
-                }
-            } else {
-                warp.simt.reconverge();
-            }
+            self.reconverge(w, now, gates.simt, tracer);
+            let warp = &self.warps[w];
             let meta = table.at(warp.pc());
             // Operand hazards; Exit and barriers also drain the warp's
             // pipeline first (in-order completion).
@@ -1100,7 +1132,7 @@ impl Sm {
                 self.stats.pipeline += 1;
                 StallReason::Pipeline
             };
-            if trace_stall {
+            if gates.stall {
                 tracer.emit(now, &TraceEvent::UnitStall { sm: self.id, unit, reason });
                 // Per-warp attribution: re-classify each candidate on this
                 // stalled cycle (second pass only when a tracer asked).
@@ -1146,7 +1178,7 @@ impl Sm {
             };
             warp.execute(table.program(), &ctx, gmem, shared, &mut lines)
         };
-        if trace_issue {
+        if gates.issue {
             tracer.emit(
                 now,
                 &TraceEvent::WarpIssue {
@@ -1159,7 +1191,7 @@ impl Sm {
                 },
             );
         }
-        if trace_simt && self.warps[w].simt.depth() > depth_before {
+        if gates.simt && self.warps[w].simt.depth() > depth_before {
             tracer.emit(
                 now,
                 &TraceEvent::SimtDiverge { sm: self.id, warp: w as u32, pc: issue_pc },
@@ -1293,7 +1325,7 @@ impl Sm {
                     let first = self.first_warp_finish[tb].expect("set at first exit");
                     self.stats.wld_cycles += now - first;
                     self.stats.tbs_completed += 1;
-                    self.retire_tb(tb, now, policy, fast_phase, tracer);
+                    self.retire_tb(tb, now, table, policy, fast_phase, tracer);
                 } else {
                     // A finishing warp can be the last arrival a barrier was
                     // waiting on.
@@ -1302,7 +1334,7 @@ impl Sm {
             }
             ExecEffect::Branch | ExecEffect::Nop => {}
         }
-        if sb_set && trace_sb {
+        if sb_set && gates.sb {
             tracer.emit(
                 now,
                 &TraceEvent::ScoreboardSet {
@@ -1407,6 +1439,13 @@ impl Sm {
         self.used_shared = r.get_u32()?;
         self.used_regs = r.get_u32()?;
         self.live_tbs = r.get_u32()?;
+        // `can_accept_tb` answers from this count; hold it to the slots.
+        let (usable, beyond) = self.sched_tbs.split_at(self.usable_tb_slots());
+        if usable.iter().filter(|t| t.occupied).count() != self.live_tbs as usize
+            || beyond.iter().any(|t| t.occupied)
+        {
+            return Err(CodecError::BadValue("snapshot resident TB count"));
+        }
         self.wb_events.restore_snapshot(r)?;
         self.lsu = Snapshot::load(r)?;
         self.sfu_free_at = r.get_u64()?;
@@ -2064,6 +2103,99 @@ mod tests {
             LsuEntry::load(&mut Reader::new(&bad.into_bytes())),
             Err(CodecError::BadValue(_))
         ));
+    }
+
+    #[test]
+    fn can_accept_tb_agrees_with_a_scan_of_the_tb_slots() {
+        // The free-slot half of `can_accept_tb` is answered from `live_tbs`;
+        // hold it to the slot scan it replaced while TBs launch, retire and
+        // relaunch into the freed slots. 64 threads/TB leaves the 8 TB slots
+        // as the only binding limit.
+        let k = simple_kernel(64, 64);
+        let mut rig = Rig::new(&k, SchedulerKind::Gto);
+        let scan = |sm: &Sm| (0..sm.usable_tb_slots()).any(|t| !sm.sched_tbs[t].occupied);
+        let (mut next, mut done) = (0u32, 0usize);
+        let mut saw_full = false;
+        while done < 64 {
+            // Every third cycle holds launches back so slots sit free too.
+            while next < 64 && !rig.now.is_multiple_of(3) && rig.sm.can_accept_tb() {
+                rig.launch(next);
+                next += 1;
+                assert_eq!(rig.sm.can_accept_tb(), scan(&rig.sm), "after a launch");
+            }
+            saw_full |= !rig.sm.can_accept_tb();
+            let mut rep = TickReport::default();
+            rig.mem.tick(rig.now);
+            rig.sm.tick(
+                rig.now,
+                &mut rig.gmem,
+                &mut rig.mem,
+                rig.policy.as_mut(),
+                next < 64,
+                &mut rep,
+            );
+            done += rep.finished_tbs.len();
+            rig.now += 1;
+            assert_eq!(rig.sm.can_accept_tb(), scan(&rig.sm), "cycle {}", rig.now);
+            assert!(rig.now < 100_000);
+        }
+        assert!(saw_full, "the sequence must reach a full SM");
+        assert_eq!(rig.sm.live_tbs(), 0);
+    }
+
+    #[test]
+    fn reconvergence_events_do_not_depend_on_the_start_cycle() {
+        // Every 64th cycle the ready-warp sampler reconverges warps before
+        // the issue walk does. A pop performed there used to go unpublished,
+        // so which `SimtReconverge` events a trace held depended on how the
+        // run lined up with the sampling period. One warp, 24 divergent
+        // if/else blocks, each popping twice; every start offset within a
+        // period must publish all 48.
+        use pro_trace::{Event as Ev, RingTracer};
+        let mut b = ProgramBuilder::new("diverge24");
+        let (g, v) = (b.reg(), b.reg());
+        let p0 = b.pred();
+        b.global_tid(g);
+        b.and(v, g, Src::Imm(1));
+        b.setp(CmpOp::Eq, Ty::S32, p0, v, Src::Imm(0));
+        for _ in 0..24 {
+            b.if_else(
+                p0,
+                |b| {
+                    b.iadd(v, v, Src::Imm(3));
+                },
+                |b| {
+                    b.iadd(v, v, Src::Imm(5));
+                },
+            );
+        }
+        b.exit();
+        let k = Kernel::new(b.build().unwrap(), LaunchConfig::linear(1, 32), vec![]);
+        for start in 0..64 {
+            let mut rig = Rig::new(&k, SchedulerKind::Lrr);
+            rig.now = start;
+            let mut tracer = RingTracer::new(1 << 16);
+            rig.sm
+                .launch_tb_traced(0, rig.now, rig.policy.as_mut(), true, &mut tracer);
+            while rig.sm.busy() {
+                let mut rep = TickReport::default();
+                rig.mem.tick(rig.now);
+                rig.sm.tick_traced(
+                    rig.now,
+                    &mut rig.gmem,
+                    &mut rig.mem,
+                    rig.policy.as_mut(),
+                    true,
+                    &mut rep,
+                    &mut tracer,
+                );
+                rig.now += 1;
+                assert!(rig.now < 100_000);
+            }
+            let count = |pick: fn(&Ev) -> bool| tracer.records().filter(|r| pick(&r.event)).count();
+            assert_eq!(count(|e| matches!(e, Ev::SimtDiverge { .. })), 24, "start {start}");
+            assert_eq!(count(|e| matches!(e, Ev::SimtReconverge { .. })), 48, "start {start}");
+        }
     }
 
     #[test]

@@ -199,7 +199,7 @@ fn issue_phase_steady_state_allocates_nothing_per_cycle() {
     let mut gpu = Gpu::new(GpuConfig::small(2), 1 << 20);
     let short = kernel_reps(&mut gpu, 8, 8);
     let long = kernel_reps(&mut gpu, 8, 512);
-    for sched in [SchedulerKind::Lrr, SchedulerKind::Gto, SchedulerKind::Pro] {
+    for sched in SchedulerKind::PAPER {
         // Warm-up: allocator pools, lazy statics, metric-name interning.
         let _ = gpu.launch(&short, sched, TraceOptions::default()).unwrap();
         let _ = gpu.launch(&long, sched, TraceOptions::default()).unwrap();
