@@ -12,6 +12,8 @@ use pro_core::{SchedView, SchedulerKind, TbState, WarpScheduler, WarpState};
 
 #[path = "../../core/tests/oracle/mod.rs"]
 mod oracle;
+#[path = "../../sm/tests/oracle/mod.rs"]
+mod pick_oracle;
 use pro_mem::{Cache, CacheConfig, DramChannel, DramConfig};
 use std::hint::black_box;
 
@@ -298,12 +300,13 @@ fn bench_issue_path(r: &mut Runner, trace: &IssueTrace) {
                 }
                 let view = trace.view(cycle, &warps);
                 policy.begin_cycle(&view);
+                let reads_longlat = policy.order_reads_longlat();
                 for unit in 0..UNITS {
                     let u = unit as usize;
                     total += 1;
                     let blocked = longlat_mask & unit_mask(u);
                     if cached_valid[u]
-                        && (!policy.order_reads_longlat() || cached_blocked[u] == blocked)
+                        && (!reads_longlat || cached_blocked[u] == blocked)
                         && !policy.order_dirty(unit)
                     {
                         reused += 1;
@@ -328,6 +331,38 @@ fn bench_issue_path(r: &mut Runner, trace: &IssueTrace) {
                 pro_bench::runner::human_ns(i.median_ns),
             );
         }
+    }
+}
+
+/// The ready memo (DESIGN.md §15) against the walk it replaced, on the
+/// recorded LSU-saturated trace of `crates/sm/tests/oracle`: ready warps
+/// wait behind a queue that opens one cycle in six, so the re-probing walk
+/// tests each of them every cycle and the memo walk tests a warp once per
+/// instruction. `pick_oracle.rs` holds the two to identical picks.
+fn bench_pipe_full(r: &mut Runner) {
+    use pick_oracle::{pick_memo, pick_reprobe, PipeFullModel};
+    let base = PipeFullModel::record(BATCH as usize);
+    let mut run = |name: &str, pick: fn(&mut PipeFullModel, u64, [bool; 3]) -> Option<usize>| {
+        let mut probes = 0;
+        let summary = r.bench(&format!("issue/pipe_full_{name}_x10k"), || {
+            let mut m = base.clone();
+            for now in 0..m.cycles() {
+                black_box(m.step(now, pick));
+            }
+            probes = m.probes;
+        });
+        summary.map(|s| (s.median_ns, probes))
+    };
+    if let (Some((memo_ns, memo_probes)), Some((reprobe_ns, reprobe_probes))) =
+        (run("memo", pick_memo), run("reprobe", pick_reprobe))
+    {
+        println!(
+            "PIPE-FULL replay: probes {reprobe_probes} -> {memo_probes}, speedup {:.2}x \
+             (median {} -> {})",
+            reprobe_ns as f64 / memo_ns.max(1) as f64,
+            pro_bench::runner::human_ns(reprobe_ns),
+            pro_bench::runner::human_ns(memo_ns),
+        );
     }
 }
 
@@ -751,6 +786,7 @@ fn main() {
     bench_policy_order(&mut r);
     let trace = IssueTrace::record();
     bench_issue_path(&mut r, &trace);
+    bench_pipe_full(&mut r);
     bench_order_bodies(&mut r, &trace);
     bench_exec_rows(&mut r);
     bench_trace_overhead(&mut r);

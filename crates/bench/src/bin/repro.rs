@@ -983,9 +983,9 @@ fn shootout(scale: Scale, quick: bool) {
     }
 
     println!(
-        "{:<8} {:>7} {:>6} | {:>6} {:>6} {:>6} | {:>9} {:>6} {:>6} {:>6} {:>6} | {:>7} {:>7} {:>7}",
+        "{:<8} {:>7} {:>6} | {:>6} {:>6} {:>6} | {:>9} {:>6} {:>6} {:>6} {:>12} {:>6} | {:>7} {:>7} {:>7}",
         "Policy", "vsLRR", "IPC", "idle%", "sb%", "pipe%", "wall ms", "mem%", "issue%", "reuse%",
-        "merge%", "evq p50", "evq p99", "evq hwm"
+        "probes/issue", "merge%", "evq p50", "evq p99", "evq hwm"
     );
     let mut json_rows = Vec::new();
     for row in &rows {
@@ -1008,8 +1008,12 @@ fn shootout(scale: Scale, quick: bool) {
         let recomputed = row.host.counter("host/issue/orders_recomputed").unwrap_or(0);
         let mask_skips = row.host.counter("host/issue/mask_skips").unwrap_or(0);
         let reuse_pct = 100.0 * reused as f64 / (reused + recomputed).max(1) as f64;
+        // Warps the walk tested per issued instruction: 1 would be one
+        // probe per instruction, the excess is scoreboard refusals.
+        let probes = row.host.counter("host/issue/probes").unwrap_or(0);
+        let ready_hits = row.host.counter("host/issue/ready_hits").unwrap_or(0);
         println!(
-            "{:<8} {:>6.3}x {:>6.2} | {:>5.1}% {:>5.1}% {:>5.1}% | {:>9.1} {:>5.1}% {:>5.1}% {:>5.1}% {:>5.1}% | {:>7} {:>7} {:>7}",
+            "{:<8} {:>6.3}x {:>6.2} | {:>5.1}% {:>5.1}% {:>5.1}% | {:>9.1} {:>5.1}% {:>5.1}% {:>5.1}% {:>12.2} {:>5.1}% | {:>7} {:>7} {:>7}",
             row.sched.name(),
             vs_lrr,
             row.instructions as f64 / row.cycles.max(1) as f64,
@@ -1020,6 +1024,7 @@ fn shootout(scale: Scale, quick: bool) {
             share(phase("mem")),
             share(phase("issue")),
             reuse_pct,
+            probes as f64 / row.instructions.max(1) as f64,
             share(phase("merge")),
             evq_p50,
             evq_p99,
@@ -1040,6 +1045,8 @@ fn shootout(scale: Scale, quick: bool) {
             ("issue_orders_reused", unum(reused)),
             ("issue_orders_recomputed", unum(recomputed)),
             ("issue_mask_skips", unum(mask_skips)),
+            ("issue_probes", unum(probes)),
+            ("issue_ready_hits", unum(ready_hits)),
             ("evq_depth_p50", unum(evq_p50)),
             ("evq_depth_p99", unum(evq_p99)),
             ("evq_depth_hwm", unum(row.evq_hwm)),

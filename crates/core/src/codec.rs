@@ -110,8 +110,11 @@ impl std::error::Error for CodecError {}
 // CRC-32 (IEEE 802.3, reflected, as used by zlib/PNG) — table-driven.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing tables: `CRC_TABLES[k][b]` advances the CRC register over byte
+/// `b` followed by `k` zero bytes, so eight input bytes fold in with eight
+/// independent lookups. `CRC_TABLES[0]` is the byte-at-a-time table.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -120,20 +123,50 @@ const CRC_TABLE: [u32; 256] = {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `data`. Golden-pinned in tests against the standard
-/// check value `crc32(b"123456789") == 0xCBF4_3926`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+/// Advance the (pre-inverted) CRC register `c` over `data` a byte at a time.
+fn crc32_bytes(mut c: u32, data: &[u8]) -> u32 {
     for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC-32 (IEEE) of `data`, eight bytes per step with the byte loop for the
+/// tail. Golden-pinned in tests against the standard check value
+/// `crc32(b"123456789") == 0xCBF4_3926`.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut chunks = data.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    crc32_bytes(c, chunks.remainder()) ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -175,6 +208,16 @@ impl Writer {
     /// Write a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Write `v` as consecutive little-endian `u32`s, no length prefix: the
+    /// bytes of one [`Writer::put_u32`] per element, in one bulk copy.
+    pub fn put_u32_slice(&mut self, v: &[u32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + v.len() * 4, 0);
+        for (dst, word) in self.buf[start..].chunks_exact_mut(4).zip(v) {
+            dst.copy_from_slice(&word.to_le_bytes());
+        }
     }
 
     /// Write a `u64`, little-endian.
@@ -664,12 +707,33 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_the_byte_loop_at_every_length_and_alignment() {
+        use crate::prop::{check, from_fn, Config};
+        use crate::prop_assert_eq;
+        // (bytes, start offset): lengths 0..=4 KiB cover no, one and many
+        // 8-byte steps with every tail length; the offset moves the slice
+        // across all eight alignments of the backing buffer.
+        let input = from_fn(|g| {
+            let len = g.gen_range(0usize..4097);
+            let offset = g.gen_range(0usize..8);
+            let buf: Vec<u8> = (0..offset + len).map(|_| g.next_u32() as u8).collect();
+            (buf, offset)
+        });
+        check(Config::with_cases(512), input, |(buf, offset)| {
+            let data = &buf[*offset..];
+            prop_assert_eq!(crc32(data), crc32_bytes(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF);
+            Ok(())
+        });
+    }
+
+    #[test]
     fn primitive_roundtrip() {
         let mut w = Writer::new();
         w.put_u8(0xAB);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_u128(0x0123_4567_89AB_CDEF_0123_4567_89AB_CDEF);
+        w.put_u32_slice(&[1, 0xDEAD_BEEF]);
         w.put_bool(true);
         w.put_usize(42);
         w.put_str("héllo");
@@ -679,6 +743,7 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_u128().unwrap(), 0x0123_4567_89AB_CDEF_0123_4567_89AB_CDEF);
+        assert_eq!((r.get_u32().unwrap(), r.get_u32().unwrap()), (1, 0xDEAD_BEEF));
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_usize().unwrap(), 42);
         assert_eq!(r.get_string().unwrap(), "héllo");

@@ -34,6 +34,12 @@ pub struct GlobalMem {
     /// last [`DeltaSnapshot::mark_clean`]. Never serialized: a restore is
     /// itself a capture boundary, so it always starts clean.
     dirty: Vec<u64>,
+    /// One past the highest page any write had reached by the last
+    /// [`DeltaSnapshot::mark_clean`] (or restore): a nonzero word lies below
+    /// it or in a page dirtied since, so [`Snapshot::save`] starts its
+    /// trailing-zero scan there instead of at the end of the store. Sticky
+    /// (never lowered) and derived: seeded from `used` on load.
+    touched_pages: usize,
 }
 
 /// Bitmap words needed for `words` data words.
@@ -49,6 +55,7 @@ impl GlobalMem {
             words: vec![0; words],
             next_alloc: 0,
             dirty: vec![0; dirty_len(words)],
+            touched_pages: 0,
         }
     }
 
@@ -109,6 +116,15 @@ impl GlobalMem {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// One past the highest page written since the last
+    /// [`DeltaSnapshot::mark_clean`] (0 when none was).
+    fn dirty_page_bound(&self) -> usize {
+        self.dirty
+            .iter()
+            .rposition(|&bits| bits != 0)
+            .map_or(0, |i| i * 64 + 64 - self.dirty[i].leading_zeros() as usize)
+    }
+
     /// Read an `f32` stored at `addr`.
     pub fn read_f32(&self, addr: u64) -> f32 {
         f32::from_bits(self.read(addr))
@@ -126,15 +142,13 @@ impl Snapshot for GlobalMem {
     // the last nonzero word.
     fn save(&self, w: &mut Writer) {
         w.put_u64(self.words.len() as u64);
-        let used = self
-            .words
+        let bound = self.touched_pages.max(self.dirty_page_bound()) * PAGE_WORDS;
+        let used = self.words[..bound.min(self.words.len())]
             .iter()
             .rposition(|&x| x != 0)
             .map_or(0, |i| i + 1);
         w.put_u64(used as u64);
-        for &word in &self.words[..used] {
-            w.put_u32(word);
-        }
+        w.put_u32_slice(&self.words[..used]);
         w.put_u64(self.next_alloc);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -150,6 +164,7 @@ impl Snapshot for GlobalMem {
         Ok(GlobalMem {
             next_alloc: r.get_u64()?,
             dirty: vec![0; dirty_len(total)],
+            touched_pages: used.div_ceil(PAGE_WORDS),
             words,
         })
     }
@@ -172,14 +187,13 @@ impl DeltaSnapshot for GlobalMem {
                 w.put_u64(page as u64);
                 let lo = page * PAGE_WORDS;
                 let hi = (lo + PAGE_WORDS).min(self.words.len());
-                for &word in &self.words[lo..hi] {
-                    w.put_u32(word);
-                }
+                w.put_u32_slice(&self.words[lo..hi]);
             }
         }
     }
 
     fn mark_clean(&mut self) {
+        self.touched_pages = self.touched_pages.max(self.dirty_page_bound());
         self.dirty.fill(0);
     }
 
@@ -201,6 +215,8 @@ impl DeltaSnapshot for GlobalMem {
             for word in &mut self.words[lo..hi] {
                 *word = r.get_u32()?;
             }
+            // Applied pages are not marked dirty; keep them under the bound.
+            self.touched_pages = self.touched_pages.max(page + 1);
         }
         Ok(())
     }
@@ -590,6 +606,71 @@ mod tests {
             m.apply_delta(&mut Reader::new(&bytes)),
             Err(CodecError::BadValue(_))
         ));
+    }
+
+    /// `Snapshot::save` as it was before the scan was bounded: look for the
+    /// last nonzero word from the very end of the store.
+    fn save_by_full_scan(m: &GlobalMem) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u64(m.words.len() as u64);
+        let used = m.words.iter().rposition(|&x| x != 0).map_or(0, |i| i + 1);
+        w.put_u64(used as u64);
+        for &word in &m.words[..used] {
+            w.put_u32(word);
+        }
+        w.put_u64(m.next_alloc);
+        w.into_bytes()
+    }
+
+    fn save_bytes(m: &GlobalMem) -> Vec<u8> {
+        let mut w = Writer::new();
+        m.save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn bounded_scan_saves_the_bytes_of_a_full_scan() {
+        let mut m = GlobalMem::new(64 * PAGE_BYTES + 12); // short last page
+        let used_of = |m: &GlobalMem| {
+            let bytes = save_bytes(m);
+            assert_eq!(bytes, save_by_full_scan(m));
+            u64::from_le_bytes(bytes[8..16].try_into().unwrap())
+        };
+        assert_eq!(used_of(&m), 0, "untouched store");
+        // Zero words stored past the last nonzero one do not count.
+        m.write(40, 7);
+        m.write(9 * PAGE_BYTES, 0);
+        assert_eq!(used_of(&m), 11);
+        // The mark survives `mark_clean`; a nonzero word stored and zeroed
+        // again above it moves `used` up and back.
+        m.write(5 * PAGE_BYTES + 4, 3);
+        m.mark_clean();
+        assert_eq!(used_of(&m), 5 * PAGE_WORDS as u64 + 2);
+        m.write(20 * PAGE_BYTES, 9);
+        assert_eq!(used_of(&m), 20 * PAGE_WORDS as u64 + 1);
+        m.write(20 * PAGE_BYTES, 0);
+        m.write(0, 0); // a low dirty page must not pull the bound down
+        assert_eq!(used_of(&m), 5 * PAGE_WORDS as u64 + 2);
+        m.mark_clean();
+        m.write(5 * PAGE_BYTES + 4, 0);
+        assert_eq!(used_of(&m), 11);
+        // The very last (short) page.
+        m.write(64 * PAGE_BYTES + 8, 1);
+        assert_eq!(used_of(&m), 64 * PAGE_WORDS as u64 + 3);
+
+        // A restored copy seeds the mark from `used`, and pages a delta
+        // brings in (never marked dirty) stay under it.
+        let base = save_bytes(&m);
+        m.mark_clean();
+        let mut copy = GlobalMem::load(&mut Reader::new(&base)).unwrap();
+        assert_eq!(save_bytes(&copy), base);
+        m.write(64 * PAGE_BYTES + 8, 0);
+        m.write(30 * PAGE_BYTES, 5);
+        let mut d = Writer::new();
+        m.save_delta(&mut d);
+        copy.apply_delta(&mut Reader::new(&d.into_bytes())).unwrap();
+        assert_eq!(used_of(&copy), 30 * PAGE_WORDS as u64 + 1);
+        assert_eq!(save_bytes(&copy), save_bytes(&m));
     }
 
     #[test]

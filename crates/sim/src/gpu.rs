@@ -1026,8 +1026,7 @@ impl<'a> Engine<'a> {
                 let (hwm, depth) = sm.lsu_prof();
                 lsu_hwm = lsu_hwm.max(hwm);
                 lsu_depth.merge(depth);
-                let (reused, recomputed, skips) = sm.issue_prof();
-                issue.add(reused, recomputed, skips);
+                issue.add(&sm.issue_prof());
             }
             result.metrics.set_counter("host/sm.lsuq.hwm", lsu_hwm);
             result.metrics.set_hist("host/sm.lsuq.depth", lsu_depth);

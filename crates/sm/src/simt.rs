@@ -72,14 +72,15 @@ impl SimtStack {
     /// Pop any entries whose PC has reached their reconvergence point.
     /// Call before fetching each instruction.
     pub fn reconverge(&mut self) {
-        while self.entries.len() > 1 {
-            let t = *self.top();
-            if t.pc == t.reconv {
-                self.entries.pop();
-            } else {
-                break;
-            }
+        while self.at_reconvergence() {
+            self.entries.pop();
         }
+    }
+
+    /// Would [`SimtStack::reconverge`] pop an entry?
+    pub fn at_reconvergence(&self) -> bool {
+        let t = self.top();
+        self.entries.len() > 1 && t.pc == t.reconv
     }
 
     /// Sequential advance past a non-branch instruction.

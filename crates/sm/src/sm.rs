@@ -34,7 +34,9 @@ use pro_mem::{
     AccessId, AccessOutcome, GlobalMem, GmemPort, GmemStage, MemSubsystem, StoreLog,
     QUEUE_SAMPLE_PERIOD,
 };
-use pro_trace::{req_id, Event as TraceEvent, EventClass, Hist16, NoopTracer, StallReason, Tracer};
+use pro_trace::{
+    req_id, Event as TraceEvent, EventClass, Hist16, IssueProf, NoopTracer, StallReason, Tracer,
+};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -230,6 +232,16 @@ struct TraceGates {
     sb: bool,
 }
 
+/// Index into [`Sm::ready`] of the pipeline serving `pipe`: Alu and Ctrl
+/// instructions never meet a structural hazard and share class 0.
+const fn ready_class(pipe: PipeClass) -> usize {
+    match pipe {
+        PipeClass::Alu | PipeClass::Ctrl => 0,
+        PipeClass::Sfu => 1,
+        PipeClass::Mem => 2,
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct WbRec {
     warp: usize,
@@ -302,6 +314,22 @@ pub struct Sm {
     /// bit — so skipping the warp (while still counting it as `saw_valid`)
     /// is bit-identical to re-evaluating it.
     sb_wait_mask: u64,
+    /// Memoized "scoreboard said yes" outcomes, one mask per pipeline the
+    /// warp's next instruction needs (`ready[ready_class(pipe)]`), set by
+    /// the probe that found the warp ready and cleared only when that warp
+    /// issues or its slot is launched, retired or reset. Invariant: bit
+    /// `w` of `ready[c]` ⇒ warp `w` is live (candidate and eligible),
+    /// fetched (`now >= ibuf_at[w]`), not in `sb_wait_mask`, reconverged,
+    /// and `table.at(pc)` is `ready` against its scoreboard with
+    /// `ready_class(pipe) == c`. It stays true until the warp's own issue
+    /// because pc, SIMT stack, `ibuf_at` and scoreboard reservations change
+    /// only there (a barrier release re-fetches parked warps, which issued
+    /// their `Bar` and so hold no bit), and [`Sm::release_write`] only
+    /// clears scoreboard bits, which cannot un-ready an instruction. So
+    /// while the pipeline refuses a ready warp, re-probing it would find
+    /// the same answer; [`Sm::ready_memo_holds`] re-derives it in debug
+    /// builds.
+    ready: [u64; 3],
     /// Bit `w` set iff `sched_warps[w].blocked_on_longlat` — the
     /// fingerprint consulted when a policy's `order()` reads blocked flags
     /// (`order_reads_longlat`, e.g. TL).
@@ -320,9 +348,7 @@ pub struct Sm {
     cached_valid: Vec<bool>,
     // Host-only issue-path counters (outside the determinism/checkpoint
     // boundary, published as `host/issue/*`).
-    issue_orders_reused: u64,
-    issue_orders_recomputed: u64,
-    issue_mask_skips: u64,
+    issue_prof: IssueProf,
     // Host-observability LSU queue gauge, sampled every
     // `QUEUE_SAMPLE_PERIOD` cycles; never serialized (outside the
     // determinism/checkpoint boundary, published as `host/sm.lsuq.*`).
@@ -382,6 +408,7 @@ impl Sm {
             eligible_mask: 0,
             ibuf_at: vec![0; cfg.max_warps],
             sb_wait_mask: 0,
+            ready: [0; 3],
             longlat_mask: 0,
             order_bufs: (0..cfg.units)
                 .map(|_| Vec::with_capacity(cfg.max_warps))
@@ -393,9 +420,7 @@ impl Sm {
             cached_cands: vec![0; cfg.units as usize],
             cached_blocked: vec![0; cfg.units as usize],
             cached_valid: vec![false; cfg.units as usize],
-            issue_orders_reused: 0,
-            issue_orders_recomputed: 0,
-            issue_mask_skips: 0,
+            issue_prof: IssueProf::default(),
             lsu_hwm: 0,
             lsu_depth: Hist16::new(),
             cfg,
@@ -440,9 +465,7 @@ impl Sm {
         self.reset_issue_path();
         self.lsu_hwm = 0;
         self.lsu_depth = Hist16::new();
-        self.issue_orders_reused = 0;
-        self.issue_orders_recomputed = 0;
-        self.issue_mask_skips = 0;
+        self.issue_prof = IssueProf::default();
     }
 
     /// Drop all incremental issue-path state: empty masks (the SM is
@@ -451,6 +474,7 @@ impl Sm {
         self.cands_mask = 0;
         self.eligible_mask = 0;
         self.sb_wait_mask = 0;
+        self.ready = [0; 3];
         self.longlat_mask = 0;
         self.ibuf_at.fill(0);
         self.cached_valid.fill(false);
@@ -458,9 +482,9 @@ impl Sm {
 
     /// Recompute the candidate/eligible/blocked masks and the ibuf mirror
     /// from the architectural warp state (after a snapshot restore). The
-    /// scoreboard-wait memo restarts empty and the order caches invalid —
-    /// both are one-sided, so the first post-restore cycle recomputes
-    /// exactly what the pre-snapshot engine would have.
+    /// scoreboard-wait and ready memos restart empty and the order caches
+    /// invalid — all are one-sided, so the first post-restore cycle
+    /// recomputes exactly what the pre-snapshot engine would have.
     fn rebuild_issue_masks(&mut self) {
         self.reset_issue_path();
         for w in 0..self.cfg.max_warps {
@@ -595,6 +619,7 @@ impl Sm {
             self.cands_mask |= bit;
             self.eligible_mask |= bit;
             self.sb_wait_mask &= !bit;
+            self.clear_ready(bit);
             self.longlat_mask &= !bit;
             self.ibuf_at[w] = self.warps[w].ibuf_ready_at;
         }
@@ -651,16 +676,20 @@ impl Sm {
         (self.lsu_hwm, &self.lsu_depth)
     }
 
-    /// Host-side issue-path counters: `(orders reused, orders recomputed,
-    /// ready-mask skips)`. Like [`Sm::lsu_prof`], host observability only —
-    /// never serialized, excluded from determinism comparisons (published
-    /// as `host/issue/*`).
-    pub fn issue_prof(&self) -> (u64, u64, u64) {
-        (
-            self.issue_orders_reused,
-            self.issue_orders_recomputed,
-            self.issue_mask_skips,
-        )
+    /// Host-side issue-path counters. Like [`Sm::lsu_prof`], host
+    /// observability only — never serialized, excluded from determinism
+    /// comparisons (published as `host/issue/*`).
+    pub fn issue_prof(&self) -> IssueProf {
+        self.issue_prof
+    }
+
+    /// Forget the ready memo of the warps in `bits`: the one that just
+    /// issued, or slots being launched into or retired.
+    #[inline]
+    fn clear_ready(&mut self, bits: u64) {
+        for m in &mut self.ready {
+            *m &= !bits;
+        }
     }
 
     fn schedule_wb(&mut self, t: u64, rec: WbRec) {
@@ -775,6 +804,7 @@ impl Sm {
             self.cands_mask &= !bit;
             self.eligible_mask &= !bit;
             self.sb_wait_mask &= !bit;
+            self.clear_ready(bit);
             self.longlat_mask &= !bit;
         }
         self.used_threads -= self.threads_per_tb;
@@ -943,12 +973,15 @@ impl Sm {
             simt: tracer.wants(EventClass::Simt),
             sb: tracer.wants(EventClass::Scoreboard),
         };
+        let reads_longlat = policy.order_reads_longlat();
         let mut log = std::mem::take(&mut self.store_log);
         for unit in 0..self.cfg.units {
             let mut stage = GmemStage::new(gmem_base, &mut log);
             self.issue_unit(
-                unit, now, &table, &mut stage, policy, fast_phase, report, gates, tracer,
+                unit, now, &table, &mut stage, policy, fast_phase, reads_longlat, report, gates,
+                tracer,
             );
+            debug_assert!(self.ready_memo_holds(now, &table));
             self.stats.unit_cycles += 1;
         }
         self.store_log = log;
@@ -986,6 +1019,25 @@ impl Sm {
         }
     }
 
+    /// The invariant on [`Sm::ready`], re-derived from the architectural
+    /// state; the debug-build check behind each [`Sm::issue_unit`].
+    fn ready_memo_holds(&self, now: u64, table: &IssueTable) -> bool {
+        let [alu, sfu, mem] = self.ready;
+        let any = alu | sfu | mem;
+        let live = self.cands_mask & self.eligible_mask;
+        let disjoint = alu & sfu == 0 && (alu | sfu) & mem == 0;
+        disjoint
+            && any & (self.sb_wait_mask | !live) == 0
+            && (0..self.cfg.max_warps).filter(|w| any >> w & 1 != 0).all(|w| {
+                let warp = &self.warps[w];
+                let meta = table.at(warp.pc());
+                now >= self.ibuf_at[w]
+                    && !warp.simt.at_reconvergence()
+                    && meta.ready(&warp.scoreboard)
+                    && self.ready[ready_class(meta.pipe)] >> w & 1 != 0
+            })
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn issue_unit<G: GmemPort>(
         &mut self,
@@ -995,6 +1047,7 @@ impl Sm {
         gmem: &mut G,
         policy: &mut dyn WarpScheduler,
         fast_phase: bool,
+        reads_longlat: bool,
         report: &mut TickReport,
         gates: TraceGates,
         tracer: &mut dyn Tracer,
@@ -1005,16 +1058,16 @@ impl Sm {
         // Reuse last cycle's order verbatim when the policy reports clean
         // and every input `order()` may read is unchanged: the candidate
         // set always, the blocked set only for policies that declare they
-        // read it (`order_reads_longlat`). Under those conditions the
+        // read it (`reads_longlat`). Under those conditions the
         // `order_dirty` contract guarantees a recompute would be a no-op.
         let reuse = self.cached_valid[u]
             && self.cached_cands[u] == unit_cands
-            && (!policy.order_reads_longlat() || self.cached_blocked[u] == unit_blocked)
+            && (!reads_longlat || self.cached_blocked[u] == unit_blocked)
             && !policy.order_dirty(unit);
         if reuse {
-            self.issue_orders_reused += 1;
+            self.issue_prof.orders_reused += 1;
         } else {
-            self.issue_orders_recomputed += 1;
+            self.issue_prof.orders_recomputed += 1;
             // Candidates: live, unfinished warps of this unit, ascending.
             if self.cand_built[u] != unit_cands {
                 self.cand_bufs[u].clear();
@@ -1066,39 +1119,54 @@ impl Sm {
             self.stats.ready_hist.observe(ready);
         }
 
-        // Mask-first probe set. `stalled` are the memoized scoreboard
-        // refusals: each already fetched its instruction (a memo bit is
-        // only set after a fetch and cleared at `release_write`, so
-        // `sb_wait ⊆ fetched`) and nothing released since, so a re-check
-        // would reach the same verdict. `probe` are the warps whose next
-        // instruction is fetched and still has to be tested.
+        // Mask-first probe set. Every live warp is still fetching, untested,
+        // in `sb_wait_mask` or in one `ready` mask; the last two hold
+        // verdicts nothing has changed since (see the field docs), so only
+        // `untested` warps are probed, lazily and in priority order, and the
+        // first `issuable` one — ready, its pipeline `open` this unit-cycle
+        // — issues without its `Warp` being looked at.
+        let unit_mask = self.unit_masks[u];
         let stalled = live & self.sb_wait_mask;
-        self.issue_mask_skips += stalled.count_ones() as u64;
-        let mut probe = 0u64;
-        let mut m = live & !self.sb_wait_mask;
+        self.issue_prof.mask_skips += stalled.count_ones() as u64;
+        let open = [true, now >= self.sfu_free_at, self.lsu.len() < self.cfg.lsu_queue];
+        let (mut ready_any, mut issuable) = (0u64, 0u64);
+        for (r, open) in self.ready.iter().zip(open) {
+            ready_any |= r & unit_mask;
+            if open {
+                issuable |= r & unit_mask;
+            }
+        }
+        let mut untested = 0u64;
+        let mut m = live & !self.sb_wait_mask & !ready_any;
         while m != 0 {
             let w = m.trailing_zeros() as usize;
             if now >= self.ibuf_at[w] {
-                probe |= 1u64 << w;
+                untested |= 1u64 << w;
             }
             m &= m - 1;
         }
 
         // Valid instruction(s) exist iff some warp is fetched; with nothing
-        // to probe the order is not walked at all.
-        let saw_valid = (stalled | probe) != 0;
-        let mut saw_ready = false;
+        // to probe or pick the order is not walked at all.
+        let saw_valid = (stalled | ready_any | untested) != 0;
+        let mut visit = untested | issuable;
         let mut chosen: Option<usize> = None;
         for i in 0..self.order_bufs[u].len() {
-            if probe == 0 {
-                break; // every fetched warp has been tested
+            if visit == 0 {
+                break; // every fetched warp has a verdict, none can issue
             }
             let w = self.order_bufs[u][i];
             let bit = 1u64 << w;
-            if probe & bit == 0 {
+            if visit & bit == 0 {
                 continue;
             }
-            probe &= !bit;
+            visit &= !bit;
+            if issuable & bit != 0 {
+                self.issue_prof.ready_hits += 1;
+                chosen = Some(w);
+                break;
+            }
+            self.issue_prof.probes += 1;
             self.reconverge(w, now, gates.simt, tracer);
             let warp = &self.warps[w];
             let meta = table.at(warp.pc());
@@ -1108,14 +1176,10 @@ impl Sm {
                 self.sb_wait_mask |= bit;
                 continue;
             }
-            saw_ready = true;
             // Structural hazards.
-            let pipe_full = match meta.pipe {
-                PipeClass::Alu | PipeClass::Ctrl => false,
-                PipeClass::Sfu => now < self.sfu_free_at,
-                PipeClass::Mem => self.lsu.len() >= self.cfg.lsu_queue,
-            };
-            if !pipe_full {
+            let c = ready_class(meta.pipe);
+            self.ready[c] |= bit;
+            if open[c] {
                 chosen = Some(w);
                 break;
             }
@@ -1125,7 +1189,7 @@ impl Sm {
             let reason = if !saw_valid {
                 self.stats.idle += 1;
                 StallReason::Idle
-            } else if !saw_ready {
+            } else if self.ready.iter().all(|r| r & unit_mask == 0) {
                 self.stats.scoreboard += 1;
                 StallReason::Scoreboard
             } else {
@@ -1205,6 +1269,7 @@ impl Sm {
         self.sched_tbs[tb].progress += active as u64;
         self.warps[w].ibuf_ready_at = now + self.cfg.fetch_lat;
         self.ibuf_at[w] = now + self.cfg.fetch_lat;
+        self.clear_ready(1u64 << w); // back to fetching: the verdict was for `issue_pc`
 
         let meta = table.at(issue_pc);
         let ws = meta.write;
@@ -2195,6 +2260,191 @@ mod tests {
             let count = |pick: fn(&Ev) -> bool| tracer.records().filter(|r| pick(&r.event)).count();
             assert_eq!(count(|e| matches!(e, Ev::SimtDiverge { .. })), 24, "start {start}");
             assert_eq!(count(|e| matches!(e, Ev::SimtReconverge { .. })), 48, "start {start}");
+        }
+    }
+
+    /// 16 warps, each issuing 12 independent global loads back to back:
+    /// the 8-entry LSU queue stays full while the warps stay ready.
+    fn lsu_saturating_kernel() -> Kernel {
+        let mut b = ProgramBuilder::new("lsu_sat");
+        let (g, a, acc) = (b.reg(), b.reg(), b.reg());
+        let vs: Vec<_> = (0..12).map(|_| b.reg()).collect();
+        b.global_tid(g);
+        b.buf_addr(a, 0, g, 0);
+        for (i, &v) in vs.iter().enumerate() {
+            b.ld_global(v, a, i as i32 * 4096);
+        }
+        b.mov(acc, Src::Imm(0));
+        for &v in &vs {
+            b.iadd(acc, acc, v);
+        }
+        b.st_global(acc, a, 0);
+        b.exit();
+        Kernel::new(b.build().unwrap(), LaunchConfig::linear(2, 512), vec![0])
+    }
+
+    /// Independent SFU ops: every warp is ready while the unit's
+    /// initiation interval refuses it.
+    fn sfu_saturating_kernel() -> Kernel {
+        let mut b = ProgramBuilder::new("sfu_sat");
+        let r = b.reg();
+        let ds: Vec<_> = (0..8).map(|_| b.reg()).collect();
+        b.mov(r, Src::imm_f32(0.5));
+        for &d in &ds {
+            b.sfu(pro_isa::SfuOp::Sin, d, r);
+        }
+        b.exit();
+        Kernel::new(b.build().unwrap(), LaunchConfig::linear(2, 256), vec![])
+    }
+
+    /// Divergent if/else blocks on both sides of a barrier, with a load
+    /// and a shared-memory round trip.
+    fn barrier_divergent_kernel() -> Kernel {
+        let mut b = ProgramBuilder::new("bar_div");
+        let sh = b.shared_alloc(1024);
+        let (g, a, v, t, s) = (b.reg(), b.reg(), b.reg(), b.reg(), b.reg());
+        let p0 = b.pred();
+        b.global_tid(g);
+        b.buf_addr(a, 0, g, 0);
+        b.ld_global(v, a, 0);
+        b.and(t, g, Src::Imm(1));
+        b.setp(CmpOp::Eq, Ty::S32, p0, t, Src::Imm(0));
+        for _ in 0..3 {
+            b.if_else(
+                p0,
+                |b| {
+                    b.iadd(v, v, Src::Imm(3));
+                },
+                |b| {
+                    b.imad(v, v, Src::Imm(5), Src::Imm(1));
+                },
+            );
+        }
+        b.mov(t, Src::Special(Special::Tid));
+        b.imad(s, t, Src::Imm(4), Src::Imm(sh));
+        b.st_shared(v, s, 0);
+        b.bar();
+        b.ld_shared(t, s, 0);
+        b.if_else(
+            p0,
+            |b| {
+                b.iadd(v, v, t);
+            },
+            |b| {
+                b.sfu(pro_isa::SfuOp::Sin, v, t);
+            },
+        );
+        b.st_global(v, a, 0);
+        b.exit();
+        Kernel::new(b.build().unwrap(), LaunchConfig::linear(4, 256), vec![0])
+    }
+
+    /// What the issue walk would find for warp slot `w` at the end of
+    /// cycle `now`, from the architectural state alone: `None` if it would
+    /// not look (not live, or still fetching), else whether the scoreboard
+    /// lets the next instruction go and which ready class serves it.
+    fn probe_from_scratch(sm: &Sm, w: usize, now: u64) -> Option<(bool, usize)> {
+        let (warp, sw) = (&sm.warps[w], &sm.sched_warps[w]);
+        let live = sw.active && !sw.finished && warp.valid && !warp.at_barrier && !warp.finished;
+        if !live || now < warp.ibuf_ready_at {
+            return None;
+        }
+        let mut simt = warp.simt.clone();
+        simt.reconverge();
+        let meta = sm.table.as_ref().unwrap().at(simt.pc());
+        Some((meta.ready(&warp.scoreboard), ready_class(meta.pipe)))
+    }
+
+    /// Run `kernel` under `kind`, launching TBs as slots free up. With
+    /// `forget` the ready memo is emptied before every cycle, so each ready
+    /// warp is probed again as it was before the memo existed; without, the
+    /// memo masks are held to [`probe_from_scratch`] after every cycle.
+    fn run_memo_rig(kernel: &Kernel, kind: SchedulerKind, forget: bool) -> Rig {
+        let check = !forget;
+        let blocks = kernel.launch.num_blocks();
+        let mut rig = Rig::new(kernel, kind);
+        let (mut next, mut done) = (0u32, 0u32);
+        let (mut held, mut pipe_full_held) = (0u64, 0u64);
+        while done < blocks {
+            while next < blocks && rig.sm.can_accept_tb() {
+                rig.launch(next);
+                next += 1;
+            }
+            if forget {
+                rig.sm.ready = [0; 3];
+            }
+            let issued_before = rig.sm.stats.issued;
+            let mut rep = TickReport::default();
+            rig.mem.tick(rig.now);
+            rig.sm.tick(
+                rig.now,
+                &mut rig.gmem,
+                &mut rig.mem,
+                rig.policy.as_mut(),
+                next < blocks,
+                &mut rep,
+            );
+            done += rep.finished_tbs.len() as u32;
+            if check {
+                let sm = &rig.sm;
+                // A cycle in which nothing issued walked every fetched warp,
+                // so each of them must hold a verdict; otherwise the lazy
+                // walk may have left some untested.
+                let complete = sm.stats.issued == issued_before;
+                for w in 0..sm.cfg.max_warps {
+                    let bit = 1u64 << w;
+                    let memo: Vec<usize> = (0..3).filter(|&c| sm.ready[c] & bit != 0).collect();
+                    let waiting = sm.sb_wait_mask & bit != 0;
+                    let ctx = format!("{kind:?} cycle {} warp {w}", rig.now);
+                    match probe_from_scratch(sm, w, rig.now) {
+                        None => {
+                            assert!(memo.is_empty() && !waiting, "{ctx}: memo on a skipped warp")
+                        }
+                        Some((true, c)) => {
+                            assert!(!waiting, "{ctx}: ready warp in sb_wait");
+                            assert!(
+                                memo.is_empty() && !complete || memo == [c],
+                                "{ctx}: in {memo:?}, class {c}"
+                            );
+                        }
+                        Some((false, _)) => {
+                            assert!(memo.is_empty(), "{ctx}: unready warp in {memo:?}");
+                            assert!(waiting || !complete, "{ctx}: unready warp without a verdict");
+                        }
+                    }
+                    held += memo.len() as u64;
+                }
+                pipe_full_held += (sm.ready[1] | sm.ready[2]).count_ones() as u64;
+            }
+            rig.now += 1;
+            assert!(rig.now < 400_000, "{kind:?} did not finish");
+        }
+        if check {
+            assert!(held > 0 && pipe_full_held > 0, "{kind:?}: the memo was never exercised");
+        }
+        rig
+    }
+
+    #[test]
+    fn ready_memo_agrees_with_a_from_scratch_probe_and_changes_no_stat() {
+        use SchedulerKind::{Gto, Lrr, Pro, Tl};
+        for kernel in [lsu_saturating_kernel(), sfu_saturating_kernel(), barrier_divergent_kernel()] {
+            for kind in [Lrr, Gto, Pro, Tl] {
+                let memo = run_memo_rig(&kernel, kind, false);
+                let reprobe = run_memo_rig(&kernel, kind, true);
+                let name = &kernel.program.name;
+                assert_eq!(memo.now, reprobe.now, "{name} {kind:?}: finish cycle");
+                assert_eq!(memo.sm.stats, reprobe.sm.stats, "{name} {kind:?}");
+                assert!(memo.sm.stats.pipeline > 0, "{name} {kind:?}: no pipeline stall");
+                let (m, r) = (memo.sm.issue_prof(), reprobe.sm.issue_prof());
+                assert_eq!(
+                    (m.orders_reused, m.orders_recomputed, m.mask_skips),
+                    (r.orders_reused, r.orders_recomputed, r.mask_skips),
+                    "{name} {kind:?}: the memo moved a counter it does not own"
+                );
+                assert!(m.probes < r.probes, "{name} {kind:?}: {} !< {}", m.probes, r.probes);
+                assert_eq!(r.ready_hits, 0, "an emptied memo serves nothing");
+            }
         }
     }
 

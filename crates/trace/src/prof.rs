@@ -137,8 +137,9 @@ impl HostProf {
 
 /// Aggregated incremental-issue-path counters across SMs (DESIGN.md §15):
 /// how often a unit-cycle reused the previous cycle's scheduler order
-/// verbatim vs. recomputing it, and how many order-walk probes the warp
-/// ready-mask short-circuited.
+/// verbatim vs. recomputing it, how many order-walk probes the
+/// scoreboard-wait memo short-circuited, how many warps the walk did test,
+/// and how many issues the ready memo served without a test.
 ///
 /// Like every `host/*` metric this observes the *simulator*, not the
 /// simulated GPU: the counts are deterministic for a fixed run but sit
@@ -151,14 +152,21 @@ pub struct IssueProf {
     pub orders_recomputed: u64,
     /// Warp probes skipped by the scoreboard-wait memo.
     pub mask_skips: u64,
+    /// Walk entries that tested a warp (reconverge, decode lookup,
+    /// scoreboard check).
+    pub probes: u64,
+    /// Issues picked from the ready memo without a probe.
+    pub ready_hits: u64,
 }
 
 impl IssueProf {
-    /// Fold one SM's `(reused, recomputed, skips)` triple in.
-    pub fn add(&mut self, reused: u64, recomputed: u64, skips: u64) {
-        self.orders_reused += reused;
-        self.orders_recomputed += recomputed;
-        self.mask_skips += skips;
+    /// Fold one SM's counters in.
+    pub fn add(&mut self, o: &IssueProf) {
+        self.orders_reused += o.orders_reused;
+        self.orders_recomputed += o.orders_recomputed;
+        self.mask_skips += o.mask_skips;
+        self.probes += o.probes;
+        self.ready_hits += o.ready_hits;
     }
 
     /// Publish the summed counters under `host/issue/*`. No-op when no
@@ -170,6 +178,8 @@ impl IssueProf {
         m.set_counter("host/issue/orders_reused", self.orders_reused);
         m.set_counter("host/issue/orders_recomputed", self.orders_recomputed);
         m.set_counter("host/issue/mask_skips", self.mask_skips);
+        m.set_counter("host/issue/probes", self.probes);
+        m.set_counter("host/issue/ready_hits", self.ready_hits);
     }
 }
 
@@ -212,11 +222,20 @@ mod tests {
         let mut m = Metrics::new();
         p.publish(&mut m);
         assert!(m.is_empty(), "no unit-cycles, no host/issue/* namespace");
-        p.add(10, 2, 7);
-        p.add(5, 1, 3);
+        let one = |orders_reused, orders_recomputed, mask_skips, probes, ready_hits| IssueProf {
+            orders_reused,
+            orders_recomputed,
+            mask_skips,
+            probes,
+            ready_hits,
+        };
+        p.add(&one(10, 2, 7, 20, 4));
+        p.add(&one(5, 1, 3, 8, 2));
         p.publish(&mut m);
         assert_eq!(m.counter("host/issue/orders_reused"), Some(15));
         assert_eq!(m.counter("host/issue/orders_recomputed"), Some(3));
         assert_eq!(m.counter("host/issue/mask_skips"), Some(10));
+        assert_eq!(m.counter("host/issue/probes"), Some(28));
+        assert_eq!(m.counter("host/issue/ready_hits"), Some(6));
     }
 }

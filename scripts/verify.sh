@@ -207,10 +207,12 @@ echo "== incremental issue path: reuse counters + bench smoke =="
 # host/issue/* counters, surfaced as the shootout's reuse% column and
 # JSON fields. If the reused count ever collapses to zero the incremental
 # path has silently degraded to scratch recomputes.
-grep -q '"issue_orders_reused"' "$tracedir/shootout.json" || {
-    echo "ERROR: shootout.json missing the issue_orders_reused counter" >&2
-    exit 1
-}
+for counter in issue_orders_reused issue_probes; do
+    grep -q "\"$counter\"" "$tracedir/shootout.json" || {
+        echo "ERROR: shootout.json missing the $counter counter" >&2
+        exit 1
+    }
+done
 grep -q 'reuse%' "$tracedir/shootout.txt" || {
     echo "ERROR: shootout table lost the reuse% column" >&2
     exit 1
