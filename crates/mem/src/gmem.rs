@@ -19,13 +19,16 @@ pub const PAGE_BYTES: u64 = PAGE_WORDS as u64 * 4;
 /// their buffers explicitly, so an OOB access is a kernel bug we want to
 /// catch, not mask.
 ///
-/// Every store path funnels through [`GlobalMem::write`] — direct
-/// [`GmemPort`] stores, the simulator's stores when the merge phase
-/// applies each SM's [`StoreLog`], and host-side buffer
-/// initialization — so the page-granular dirty bitmap maintained there is a
-/// complete record of what changed since the last [`DeltaSnapshot`]
-/// capture. The timing path (coalescer, L2 writebacks, DRAM fills) moves
-/// no functional data and therefore needs no hooks of its own.
+/// The simulator reads and writes it directly at issue: a store is visible
+/// to every later access of the same cycle (the SM's other scheduler unit,
+/// then higher-indexed SMs — DESIGN.md §11), and to everything afterwards.
+///
+/// Every store path funnels through [`GlobalMem::write`] — a warp's
+/// [`GlobalMem::write_row`] scatter and host-side buffer initialization —
+/// so the page-granular dirty bitmap maintained there is a complete record
+/// of what changed since the last [`DeltaSnapshot`] capture. The timing
+/// path (coalescer, L2 writebacks, DRAM fills) moves no functional data and
+/// therefore needs no hooks of its own.
 #[derive(Debug, Clone)]
 pub struct GlobalMem {
     words: Vec<u32>,
@@ -134,6 +137,30 @@ impl GlobalMem {
     pub fn read_slice(&self, addr: u64, len: usize) -> Vec<u32> {
         (0..len).map(|i| self.read(addr + i as u64 * 4)).collect()
     }
+
+    /// Warp-wide gather: `dst[l] = read(addrs[l])` for every lane `l` set
+    /// in `mask`. Lanes outside `mask` are neither read nor written (their
+    /// addresses may be garbage).
+    #[inline]
+    pub fn read_row(&self, addrs: &[u32; 32], mask: u32, dst: &mut [u32; 32]) {
+        for lane in 0..32 {
+            if mask & (1 << lane) != 0 {
+                dst[lane] = self.read(addrs[lane] as u64);
+            }
+        }
+    }
+
+    /// Warp-wide scatter: `write(addrs[l], values[l])` for every lane `l`
+    /// set in `mask`, in ascending lane order (the last lane to store to an
+    /// address wins).
+    #[inline]
+    pub fn write_row(&mut self, addrs: &[u32; 32], values: &[u32; 32], mask: u32) {
+        for lane in 0..32 {
+            if mask & (1 << lane) != 0 {
+                self.write(addrs[lane] as u64, values[lane]);
+            }
+        }
+    }
 }
 
 impl Snapshot for GlobalMem {
@@ -222,153 +249,6 @@ impl DeltaSnapshot for GlobalMem {
     }
 }
 
-/// Word-granular global-memory access, abstracted so the execution engine
-/// can run either directly against [`GlobalMem`] or against a read-shared
-/// base plus a private store log ([`GmemStage`], the SM issue phase).
-pub trait GmemPort {
-    /// Read the 32-bit word at byte address `addr`.
-    fn read(&self, addr: u64) -> u32;
-    /// Write the 32-bit word at byte address `addr`.
-    fn write(&mut self, addr: u64, value: u32);
-
-    /// Warp-wide gather: `dst[l] = read(addrs[l])` for every lane `l` set
-    /// in `mask`. Lanes outside `mask` are neither read nor written (their
-    /// addresses may be garbage).
-    #[inline]
-    fn read_row(&self, addrs: &[u32; 32], mask: u32, dst: &mut [u32; 32]) {
-        gather(self, addrs, mask, dst);
-    }
-
-    /// Warp-wide scatter: `write(addrs[l], values[l])` for every lane `l`
-    /// set in `mask`, in ascending lane order (the last lane to store to an
-    /// address wins).
-    #[inline]
-    fn write_row(&mut self, addrs: &[u32; 32], values: &[u32; 32], mask: u32) {
-        for lane in 0..32 {
-            if mask & (1 << lane) != 0 {
-                self.write(addrs[lane] as u64, values[lane]);
-            }
-        }
-    }
-}
-
-/// `dst[l] = port.read(addrs[l])` for every lane `l` set in `mask`.
-#[inline]
-fn gather<G: GmemPort + ?Sized>(port: &G, addrs: &[u32; 32], mask: u32, dst: &mut [u32; 32]) {
-    for lane in 0..32 {
-        if mask & (1 << lane) != 0 {
-            dst[lane] = port.read(addrs[lane] as u64);
-        }
-    }
-}
-
-impl GmemPort for GlobalMem {
-    #[inline]
-    fn read(&self, addr: u64) -> u32 {
-        GlobalMem::read(self, addr)
-    }
-
-    #[inline]
-    fn write(&mut self, addr: u64, value: u32) {
-        GlobalMem::write(self, addr, value)
-    }
-}
-
-/// An ordered log of global-memory stores produced by one SM during the
-/// parallel phase of a cycle, applied to the real [`GlobalMem`] serially in
-/// SM-index order afterwards.
-#[derive(Debug, Default)]
-pub struct StoreLog {
-    entries: Vec<(u64, u32)>,
-}
-
-impl StoreLog {
-    /// Append a store.
-    #[inline]
-    pub fn push(&mut self, addr: u64, value: u32) {
-        self.entries.push((addr, value));
-    }
-
-    /// Number of logged stores.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no stores were logged.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Discard all logged stores (kernel-boundary reset), keeping capacity.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Apply all logged stores to `gmem` in program order and clear the log.
-    /// The buffer's capacity is retained so steady-state cycles allocate
-    /// nothing.
-    pub fn apply_to(&mut self, gmem: &mut GlobalMem) {
-        for &(addr, value) in &self.entries {
-            gmem.write(addr, value);
-        }
-        self.entries.clear();
-    }
-}
-
-/// A [`GmemPort`] over a shared read-only [`GlobalMem`] base and a private
-/// [`StoreLog`]: writes are deferred into the log, reads see the SM's own
-/// writes from this cycle (newest first) layered over the base.
-///
-/// This gives each SM exactly the memory semantics of a direct port for
-/// its *own* accesses; the only divergence is that another SM's same-cycle
-/// stores become visible at the end of the cycle instead of mid-cycle.
-/// Race-free kernels (every CUDA kernel we model) cannot observe the
-/// difference, and the functional-equivalence tests in `pro-sim` check all
-/// schedulers still produce identical memory images.
-#[derive(Debug)]
-pub struct GmemStage<'a> {
-    base: &'a GlobalMem,
-    log: &'a mut StoreLog,
-}
-
-impl<'a> GmemStage<'a> {
-    /// Stage writes from `log` over `base`.
-    pub fn new(base: &'a GlobalMem, log: &'a mut StoreLog) -> Self {
-        GmemStage { base, log }
-    }
-}
-
-impl GmemPort for GmemStage<'_> {
-    #[inline]
-    fn read(&self, addr: u64) -> u32 {
-        // Newest-first scan preserves lane-order overwrite semantics: the
-        // last store to an address within the cycle wins.
-        for &(a, v) in self.log.entries.iter().rev() {
-            if a == addr {
-                return v;
-            }
-        }
-        self.base.read(addr)
-    }
-
-    #[inline]
-    fn write(&mut self, addr: u64, value: u32) {
-        self.log.push(addr, value);
-    }
-
-    /// One emptiness check per warp instruction: with nothing staged this
-    /// cycle (the common case) every lane reads the base directly instead
-    /// of each lane scanning the log.
-    #[inline]
-    fn read_row(&self, addrs: &[u32; 32], mask: u32, dst: &mut [u32; 32]) {
-        if self.log.is_empty() {
-            self.base.read_row(addrs, mask, dst);
-        } else {
-            gather(self, addrs, mask, dst);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,59 +302,25 @@ mod tests {
     }
 
     #[test]
-    fn stage_defers_writes_and_reads_them_back() {
-        let mut m = GlobalMem::new(4096);
-        m.write(0, 11);
-        let mut log = StoreLog::default();
-        let mut stage = GmemStage::new(&m, &mut log);
-        assert_eq!(GmemPort::read(&stage, 0), 11); // falls through to base
-        stage.write(0, 22);
-        stage.write(4, 33);
-        stage.write(0, 44); // newest write wins
-        assert_eq!(GmemPort::read(&stage, 0), 44);
-        assert_eq!(GmemPort::read(&stage, 4), 33);
-        // Base is untouched until the log is applied.
-        assert_eq!(m.read(0), 11);
-        assert_eq!(log.len(), 3);
-        log.apply_to(&mut m);
-        assert_eq!(m.read(0), 44);
-        assert_eq!(m.read(4), 33);
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn staged_run_matches_direct_run() {
-        // The same store/load sequence through GlobalMem directly and
-        // through a stage+apply must land on identical memory.
-        let ops: [(u64, u32); 5] = [(8, 1), (16, 2), (8, 3), (24, 4), (16, 5)];
-        let mut direct = GlobalMem::new(4096);
-        for &(a, v) in &ops {
-            direct.write(a, v);
-        }
-        let mut staged = GlobalMem::new(4096);
-        let mut log = StoreLog::default();
-        let mut stage = GmemStage::new(&staged, &mut log);
-        for &(a, v) in &ops {
-            stage.write(a, v);
-            assert_eq!(GmemPort::read(&stage, a), v);
-        }
-        log.apply_to(&mut staged);
-        assert_eq!(direct.read_slice(0, 8), staged.read_slice(0, 8));
-    }
-
-    #[test]
     fn row_access_equals_lane_by_lane_access_on_both_ports() {
-        // Lanes 0, 1, 5 and 31 active; every other lane's address is far
-        // out of bounds and must be neither read nor written.
+        // Both directions, scatter and gather. Lanes 0, 1, 5 and 31 active;
+        // every other lane's address is far out of bounds and must be
+        // neither read nor written.
         let mask = 0x8000_0023u32;
         let mut addrs = [u32::MAX - 3; 32];
         (addrs[0], addrs[1], addrs[5], addrs[31]) = (0, 4, 4, 64);
         let values: [u32; 32] = std::array::from_fn(|l| 100 + l as u32);
 
-        // Direct port: lane 5 stores after lane 1 to the same word and wins.
+        // Lane 5 stores after lane 1 to the same word and wins.
         let mut m = GlobalMem::new(4096);
         m.write_row(&addrs, &values, mask);
+        let mut by_lane = GlobalMem::new(4096);
+        for lane in [0usize, 1, 5, 31] {
+            by_lane.write(addrs[lane] as u64, values[lane]);
+        }
+        assert_eq!(m.read_slice(0, 1024), by_lane.read_slice(0, 1024));
         assert_eq!((m.read(0), m.read(4), m.read(64)), (100, 105, 131));
+
         let mut got = [7u32; 32];
         m.read_row(&addrs, mask, &mut got);
         let want: [u32; 32] = std::array::from_fn(|l| match l {
@@ -484,41 +330,21 @@ mod tests {
             _ => 7, // inactive lanes keep their value
         });
         assert_eq!(got, want);
-
-        // Staged port, empty log: reads fall straight through to the base.
-        let mut log = StoreLog::default();
-        let mut stage = GmemStage::new(&m, &mut log);
-        let mut got = [7u32; 32];
-        stage.read_row(&addrs, mask, &mut got);
-        assert_eq!(got, want);
-        // Non-empty log: a row read sees this cycle's own stores, newest
-        // first, exactly as the per-word read does.
-        stage.write(64, 9);
-        stage.write_row(&addrs, &values.map(|v| v + 1000), 0b10_0010);
-        let mut got = [7u32; 32];
-        stage.read_row(&addrs, mask, &mut got);
-        for lane in [0usize, 1, 5, 31] {
-            assert_eq!(got[lane], GmemPort::read(&stage, addrs[lane] as u64), "lane {lane}");
-        }
-        assert_eq!((got[0], got[1], got[31]), (100, 1105, 9));
-        assert_eq!(log.len(), 3);
     }
 
     #[test]
     fn stores_mark_pages_dirty_on_every_path() {
-        // Direct writes, staged writes applied at merge, and host-side
-        // alloc_init all funnel through write() and must set dirty bits.
+        // Word writes, row scatters and host-side alloc_init all funnel
+        // through write() and must set dirty bits.
         let mut m = GlobalMem::new(8 * PAGE_BYTES);
         assert_eq!(m.dirty_pages(), 0);
         m.write(0, 1); // page 0
         m.write(3 * PAGE_BYTES, 2); // page 3
         assert_eq!(m.dirty_pages(), 2);
 
-        let mut log = StoreLog::default();
-        let mut stage = GmemStage::new(&m, &mut log);
-        stage.write(5 * PAGE_BYTES, 3); // page 5, deferred
-        assert_eq!(m.dirty_pages(), 2);
-        log.apply_to(&mut m);
+        let mut addrs = [0u32; 32];
+        (addrs[3], addrs[4]) = (5 * PAGE_BYTES as u32, 5 * PAGE_BYTES as u32 + 4);
+        m.write_row(&addrs, &[3; 32], 0b1_1000); // lanes 3 and 4: page 5
         assert_eq!(m.dirty_pages(), 3);
 
         let _ = m.alloc(2 * PAGE_BYTES); // advance past the pages dirtied above

@@ -37,7 +37,7 @@ pub mod subsystem;
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coalesce::coalesce_lines;
 pub use dram::{DramChannel, DramConfig, DramPolicy, DramStats};
-pub use gmem::{GlobalMem, GmemPort, GmemStage, StoreLog, PAGE_BYTES, PAGE_WORDS};
+pub use gmem::{GlobalMem, PAGE_BYTES, PAGE_WORDS};
 pub use subsystem::{
     load_hist, save_hist, AccessId, AccessOutcome, MemConfig, MemStats, MemSubsystem, QueueProf,
     QUEUE_SAMPLE_PERIOD,

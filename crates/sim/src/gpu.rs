@@ -2,18 +2,16 @@
 //! distribution engine" of §I), shared memory hierarchy, and the run loop
 //! that executes a kernel grid to completion.
 //!
-//! # Phase-split cycle
+//! # In-order cycle
 //!
-//! Each simulated cycle runs in three phases (see `Sm::tick_traced`):
-//! a *memory phase* per SM in SM-index order (all interaction with the
-//! shared [`MemSubsystem`]), an SM-local *issue phase* (scheduling and
-//! execution against a read-only global-memory base, with stores and load
-//! registrations deferred into per-SM buffers), and a *merge phase* per SM
-//! in SM-index order (publishing the deferred effects). Every cross-SM
-//! interaction happens in the memory and merge phases in a fixed order, so
-//! what an SM observes in a cycle — same-cycle stores by other SMs, the
-//! order load registrations reach the memory system — does not depend on
-//! the order the issue phase walks the SM array.
+//! Each simulated cycle ticks the shared [`MemSubsystem`], then every SM
+//! in SM-index order (`Sm::tick_traced`: its memory half, then its issue
+//! half), then the thread block scheduler. SMs meet only in the memory
+//! system and in global memory, and both are touched in that one order:
+//! the memory system's sequence counter advances SM by SM, and a global
+//! store is visible to every access issued after it — the SM's other
+//! scheduler unit and the higher-indexed SMs in the same cycle, everyone
+//! from the next cycle on (DESIGN.md §11).
 
 use crate::checkpoint::{
     ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, ProgressEvent, SnapshotChain,
@@ -28,8 +26,7 @@ use pro_isa::Kernel;
 use pro_mem::{GlobalMem, MemConfig, MemSubsystem};
 use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport};
 use pro_trace::{
-    mask_of, BufferTracer, Event as TraceEvent, EventClass, Hist16, HostPhase, HostProf,
-    IssueProf, NoopTracer, Tracer,
+    Event as TraceEvent, EventClass, Hist16, HostPhase, HostProf, IssueProf, NoopTracer, Tracer,
 };
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -464,9 +461,8 @@ impl Gpu {
         // Initial fill happens inside the loop (1 TB per SM per cycle),
         // mirroring the hardware work distributor.
         while !eng.cycle()? {
-            // Checkpoint boundary: end of cycle, all deferred effects
-            // merged — the one point where the simulator's state is closed
-            // under snapshot.
+            // Checkpoint boundary: between two cycles, the one point where
+            // the simulator's state is closed under snapshot.
             let rel_after = eng.gpu.cycle - eng.start_cycle;
             let pause = ckpt.pause_at > 0 && rel_after >= ckpt.pause_at;
             let periodic = ckpt.every > 0 && rel_after.is_multiple_of(ckpt.every);
@@ -508,10 +504,6 @@ enum ResumeSource<'a> {
 struct Lane {
     policy: Box<dyn WarpScheduler>,
     report: TickReport,
-    /// This cycle's memory- and issue-phase events, replayed into the real
-    /// tracer at merge so each SM's events stay contiguous and in SM-index
-    /// order on the bus.
-    buf: BufferTracer,
 }
 
 /// Run-loop bookkeeping: the thread block scheduler's queue and cursor,
@@ -725,16 +717,10 @@ impl<'a> Engine<'a> {
             }
         }
         let bus_on = recorder.enabled();
-        // Per-SM cycle buffers answer `wants` from this snapshot of the
-        // recorder's subscriptions. They exist on untraced runs too, so
-        // traced and untraced launches share one allocator profile and one
-        // code path.
-        let buf_mask = mask_of(&recorder);
         let mut lanes: Vec<Lane> = (0..num_sms)
             .map(|_| Lane {
                 policy: factory(),
                 report: TickReport::default(),
-                buf: BufferTracer::new(buf_mask),
             })
             .collect();
         if let Some((fr, meta)) = &restored {
@@ -761,12 +747,16 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Simulate one cycle — memory, issue and merge phases, then the
-    /// thread block scheduler and Table IV sampling. `Ok(true)` once the
-    /// grid has drained.
+    /// Simulate one cycle — the memory system, every SM in index order,
+    /// then the thread block scheduler and Table IV sampling. `Ok(true)`
+    /// once the grid has drained.
     fn cycle(&mut self) -> Result<bool, SimError> {
         let Gpu { cfg, sms, mem, gmem, cycle } = &mut *self.gpu;
-        let (lp, lanes, recorder) = (&mut self.lp, &mut self.lanes, &mut self.recorder);
+        let (lp, lanes) = (&mut self.lp, &mut self.lanes);
+        // The bus, or nothing: with no subscriber every emission site sees
+        // the no-op tracer's constant `false`.
+        let tracer: &mut dyn Tracer =
+            if self.bus_on { &mut self.recorder } else { &mut NoopTracer };
         let num_sms = sms.len();
         let now = *cycle;
         let rel = now - self.start_cycle;
@@ -779,42 +769,27 @@ impl<'a> Engine<'a> {
         let fast_phase = !lp.pending.is_empty();
         let mut pt = self.prof.start();
 
-        // Memory phase: the shared subsystem ticks, then each SM interacts
-        // with it in SM-index order. Events land in the per-SM buffer so
-        // the issue phase appends to the same stream.
-        if self.bus_on {
-            mem.tick_traced(now, recorder);
-        } else {
-            mem.tick(now);
-        }
+        // The shared memory system ticks, then each SM in index order:
+        // its memory half, then its issue half (`Sm::tick_traced`, opened
+        // up so the profiler can tell the halves apart). SM by SM, not
+        // half by half, keeps each SM's events of a cycle contiguous on
+        // the bus. The halves' host time is summed over the SMs and
+        // recorded once per cycle.
+        mem.tick_traced(now, tracer);
+        let mut mem_ns = pt.split().unwrap_or(0);
+        let mut issue_ns = 0;
         for (sm, lane) in sms.iter_mut().zip(lanes.iter_mut()) {
-            sm.mem_phase_traced(now, mem, &mut lane.buf);
-        }
-        self.prof.lap(HostPhase::Mem, &mut pt);
-
-        // Issue phase: SM-local, against global memory as it stood at the
-        // end of the previous cycle.
-        for (sm, lane) in sms.iter_mut().zip(lanes.iter_mut()) {
-            sm.issue_phase_traced(
-                now,
-                gmem,
-                lane.policy.as_mut(),
-                fast_phase,
-                &mut lane.report,
-                &mut lane.buf,
-            );
-        }
-        self.prof.lap(HostPhase::Issue, &mut pt);
-
-        // Merge phase: in SM-index order — replay the cycle's buffered
-        // events, publish deferred loads and stores.
-        for (sm, lane) in sms.iter_mut().zip(lanes.iter_mut()) {
-            if self.bus_on {
-                lane.buf.replay_into(recorder);
-            }
-            sm.merge_phase(now, gmem, mem);
+            sm.mem_phase(now, mem, tracer);
+            mem_ns += pt.split().unwrap_or(0);
+            let policy = lane.policy.as_mut();
+            sm.issue_phase(now, gmem, mem, policy, fast_phase, &mut lane.report, tracer);
+            issue_ns += pt.split().unwrap_or(0);
             lp.outstanding -= lane.report.finished_tbs.len() as u32;
             lane.report.finished_tbs.clear();
+        }
+        if self.prof.enabled() {
+            self.prof.record(HostPhase::Mem, mem_ns);
+            self.prof.record(HostPhase::Issue, issue_ns);
         }
 
         // Thread block scheduler: at most one TB per SM per cycle,
@@ -828,7 +803,7 @@ impl<'a> Engine<'a> {
                 if sms[i].can_accept_tb() {
                     let g = lp.pending.pop_front().expect("non-empty");
                     let fast_after = !lp.pending.is_empty();
-                    sms[i].launch_tb_traced(g, now, lanes[i].policy.as_mut(), fast_after, recorder);
+                    sms[i].launch_tb_traced(g, now, lanes[i].policy.as_mut(), fast_after, tracer);
                     lp.outstanding += 1;
                 }
             }
@@ -904,8 +879,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Serialize the complete in-flight launch into a snapshot container.
-    /// Called at the end-of-cycle checkpoint boundary, when all deferred
-    /// effects are merged.
+    /// Called at the checkpoint boundary between two cycles.
     ///
     /// In [`CaptureMode::ChainDelta`] the container is a chain link: global
     /// memory is encoded as only the pages dirtied since the previous

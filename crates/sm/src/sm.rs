@@ -30,10 +30,7 @@ use pro_core::calq::CalQueue;
 use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
 use pro_core::{FxHashMap, IssueInfo, SchedView, TbState, WarpScheduler, WarpState};
 use pro_isa::{Kernel, PipeClass, WARP_SIZE};
-use pro_mem::{
-    AccessId, AccessOutcome, GlobalMem, GmemPort, GmemStage, MemSubsystem, StoreLog,
-    QUEUE_SAMPLE_PERIOD,
-};
+use pro_mem::{AccessId, AccessOutcome, GlobalMem, MemSubsystem, QUEUE_SAMPLE_PERIOD};
 use pro_trace::{
     req_id, Event as TraceEvent, EventClass, Hist16, IssueProf, NoopTracer, StallReason, Tracer,
 };
@@ -277,12 +274,6 @@ pub struct Sm {
     sfu_free_at: u64,
     access_map: FxHashMap<AccessId, (usize, WriteSet)>,
     next_access: AccessId,
-    // Deferred cross-SM effects of the issue phase, published by
-    // [`Sm::merge_phase`] in SM-index order: same-cycle stores by other SMs
-    // and the order load registrations reach the memory system then do not
-    // depend on the order the issue phase walks the SM array.
-    load_intents: Vec<(AccessId, u32)>,
-    store_log: StoreLog,
     /// Cycle each TB slot's first warp finished (WLD tracking).
     first_warp_finish: Vec<Option<u64>>,
     /// Cumulative statistics (reset by the GPU at kernel boundaries).
@@ -397,8 +388,6 @@ impl Sm {
             sfu_free_at: 0,
             access_map: FxHashMap::default(),
             next_access: 0,
-            load_intents: Vec::with_capacity(8),
-            store_log: StoreLog::default(),
             first_warp_finish: vec![None; cfg.max_tbs],
             stats: SmStats::default(),
             lines_buf: Vec::with_capacity(32),
@@ -459,8 +448,6 @@ impl Sm {
         self.lsu.clear();
         self.sfu_free_at = 0;
         self.access_map.clear();
-        self.load_intents.clear();
-        self.store_log.clear();
         self.completion_buf.clear();
         self.reset_issue_path();
         self.lsu_hwm = 0;
@@ -838,20 +825,11 @@ impl Sm {
     }
 
     /// [`Sm::tick`] publishing issue/stall, scoreboard, barrier, SIMT, TB
-    /// and memory-lifecycle events to `tracer`.
-    ///
-    /// Composition of the three cycle phases. The GPU run loop calls them
-    /// individually, each for every SM before the next, so all cross-SM
-    /// effects of a cycle are ordered by SM index alone:
-    ///
-    /// 1. [`Sm::mem_phase_traced`] — in SM-index order: drains
-    ///    completions from and pushes line accesses into the shared
-    ///    [`MemSubsystem`].
-    /// 2. [`Sm::issue_phase_traced`] — SM-local: scheduler ordering and
-    ///    instruction issue against a read-only global-memory base; stores
-    ///    and load registrations are deferred into per-SM buffers.
-    /// 3. [`Sm::merge_phase`] — in SM-index order: publishes the deferred
-    ///    stores and load registrations.
+    /// and memory-lifecycle events to `tracer`: [`Sm::mem_phase`] then
+    /// [`Sm::issue_phase`]. A GPU ticks its SMs in index order, which alone
+    /// orders every cross-SM effect of a cycle: the sequence numbers the
+    /// [`MemSubsystem`] hands out, and which same-cycle accesses see a
+    /// global store (those of higher-indexed SMs).
     #[allow(clippy::too_many_arguments)]
     pub fn tick_traced(
         &mut self,
@@ -863,23 +841,17 @@ impl Sm {
         report: &mut TickReport,
         tracer: &mut dyn Tracer,
     ) {
-        self.mem_phase_traced(now, mem, tracer);
-        self.issue_phase_traced(now, gmem, policy, fast_phase, report, tracer);
-        self.merge_phase(now, gmem, mem);
+        self.mem_phase(now, mem, tracer);
+        self.issue_phase(now, gmem, mem, policy, fast_phase, report, tracer);
     }
 
-    /// Phase 1 of a cycle: interact with the shared memory subsystem.
+    /// First half of a cycle: interact with the shared memory subsystem.
     ///
     /// Drains this SM's completed accesses, retires due writebacks, and lets
     /// the LSU head push one line into the subsystem. Must run in SM-index
     /// order — `MemSubsystem` assigns its deterministic event sequence
     /// numbers here.
-    pub fn mem_phase_traced(
-        &mut self,
-        now: u64,
-        mem: &mut MemSubsystem,
-        tracer: &mut dyn Tracer,
-    ) {
+    pub fn mem_phase(&mut self, now: u64, mem: &mut MemSubsystem, tracer: &mut dyn Tracer) {
         if now % QUEUE_SAMPLE_PERIOD == 0 {
             let d = self.lsu.len() as u64;
             self.lsu_hwm = self.lsu_hwm.max(d);
@@ -939,17 +911,20 @@ impl Sm {
         }
     }
 
-    /// Phase 2 of a cycle: scheduler ordering and instruction issue.
+    /// Second half of a cycle: scheduler ordering and instruction issue,
+    /// one scheduler unit after the other.
     ///
-    /// Touches only this SM's state plus a *read-only* view of global memory:
-    /// stores are staged in the SM's [`StoreLog`] and new load registrations
-    /// in its intent buffer, both published later by [`Sm::merge_phase`] —
-    /// so no SM sees another SM's stores of the same cycle, whichever is
-    /// walked first.
-    pub fn issue_phase_traced(
+    /// Global loads and stores act on `gmem` as they issue and a load
+    /// registers with `mem` at once, so whatever issues next — this SM's
+    /// next unit, then the SMs the GPU ticks after this one — sees them.
+    /// Registration schedules no memory event and draws no sequence number,
+    /// so the next SM's [`Sm::mem_phase`] does not depend on it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn issue_phase(
         &mut self,
         now: u64,
-        gmem_base: &GlobalMem,
+        gmem: &mut GlobalMem,
+        mem: &mut MemSubsystem,
         policy: &mut dyn WarpScheduler,
         fast_phase: bool,
         report: &mut TickReport,
@@ -974,31 +949,15 @@ impl Sm {
             sb: tracer.wants(EventClass::Scoreboard),
         };
         let reads_longlat = policy.order_reads_longlat();
-        let mut log = std::mem::take(&mut self.store_log);
         for unit in 0..self.cfg.units {
-            let mut stage = GmemStage::new(gmem_base, &mut log);
             self.issue_unit(
-                unit, now, &table, &mut stage, policy, fast_phase, reads_longlat, report, gates,
+                unit, now, &table, gmem, mem, policy, fast_phase, reads_longlat, report, gates,
                 tracer,
             );
             debug_assert!(self.ready_memo_holds(now, &table));
             self.stats.unit_cycles += 1;
         }
-        self.store_log = log;
         self.table = Some(table);
-    }
-
-    /// Phase 3 of a cycle: publish this SM's deferred cross-SM effects.
-    ///
-    /// Registers new loads with the memory subsystem and applies staged
-    /// global-memory stores. Must run in SM-index order: that order alone
-    /// decides which of two same-cycle stores to one word lands last and
-    /// the sequence numbers the memory system gives the new loads.
-    pub fn merge_phase(&mut self, now: u64, gmem: &mut GlobalMem, mem: &mut MemSubsystem) {
-        for (access, n_lines) in self.load_intents.drain(..) {
-            mem.begin_load(now, self.id, access, n_lines);
-        }
-        self.store_log.apply_to(gmem);
     }
 
     /// Pop warp `w`'s SIMT entries whose reconvergence point its pc has
@@ -1039,12 +998,13 @@ impl Sm {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn issue_unit<G: GmemPort>(
+    fn issue_unit(
         &mut self,
         unit: u32,
         now: u64,
         table: &IssueTable,
-        gmem: &mut G,
+        gmem: &mut GlobalMem,
+        mem: &mut MemSubsystem,
         policy: &mut dyn WarpScheduler,
         fast_phase: bool,
         reads_longlat: bool,
@@ -1297,10 +1257,7 @@ impl Sm {
                 sb_longlat = true;
                 self.sched_warps[w].blocked_on_longlat = true;
                 self.longlat_mask |= 1u64 << w;
-                // Registration with the memory subsystem is deferred to the
-                // merge phase; `begin_load` emits no timed events, so this is
-                // timing-neutral.
-                self.load_intents.push((access, lines.len() as u32));
+                mem.begin_load(now, self.id, access, lines.len() as u32);
                 if tracer.wants(EventClass::Mem) {
                     tracer.emit(
                         now,
@@ -1428,16 +1385,11 @@ impl Sm {
 
     /// Serialize all live microarchitectural state into `w`.
     ///
-    /// Must be called at a cycle boundary (after [`Sm::merge_phase`]), where
-    /// the deferred store log and load-intent buffer are empty; the kernel
+    /// Must be called at a cycle boundary (between ticks); the kernel
     /// binding itself (program, params, launch geometry) is *not* encoded —
     /// [`Sm::restore_snapshot`] expects [`Sm::begin_kernel`] to have rebound
     /// the same kernel first, and cross-checks the geometry.
     pub fn save_snapshot(&self, w: &mut Writer) {
-        debug_assert!(
-            self.load_intents.is_empty() && self.store_log.is_empty(),
-            "snapshot mid-cycle: deferred effects not yet merged"
-        );
         w.put_u64(self.warps_per_tb as u64);
         w.put_u32(self.threads_per_tb);
         self.warps.save(w);
@@ -1528,8 +1480,6 @@ impl Sm {
             return Err(CodecError::BadValue("snapshot WLD tracker size"));
         }
         self.stats = SmStats::load(r)?;
-        self.load_intents.clear();
-        self.store_log.clear();
         // Incremental issue-path state is derived, not serialized: rebuild
         // the masks from the restored warps and drop the order caches (the
         // scheduler policies invalidate or restore their dirty bits
@@ -1971,6 +1921,86 @@ mod tests {
             &mut rep,
         );
         assert_eq!(rig.sm.stats.issued, 2, "both units issue in one cycle");
+    }
+
+    #[test]
+    fn units_of_one_sm_see_each_others_same_cycle_global_stores() {
+        // One TB of two warps in lockstep, warp 0 on unit 0 and warp 1 on
+        // unit 1, branching uniformly on the warp id into a store to `flag`
+        // or a load of it, both issued in one cycle. Units issue in index
+        // order against one memory: unit 1's load sees unit 0's store, and
+        // unit 0's load does not see unit 1's.
+        use pro_trace::{Event as Ev, RingTracer};
+        for (storer, want) in [(0u32, 100u32), (1, 7)] {
+            let mut b = ProgramBuilder::new("unit_race");
+            let (fa, oa, val, seen) = (b.reg(), b.reg(), b.reg(), b.reg());
+            let stores = b.pred();
+            b.mov(fa, Src::Param(0));
+            b.mov(oa, Src::Param(1));
+            b.mov(val, Src::Imm(100));
+            b.setp(CmpOp::Eq, Ty::S32, stores, Src::Special(Special::WarpId), Src::Imm(storer));
+            b.if_else(
+                stores,
+                |b| {
+                    b.st_global(val, fa, 0);
+                },
+                |b| {
+                    b.ld_global(seen, fa, 0);
+                    b.st_global(seen, oa, 0);
+                },
+            );
+            b.exit();
+            let mut gmem = GlobalMem::new(1 << 20);
+            let flag = gmem.alloc_init(&[7]);
+            let out = gmem.alloc_init(&[0]);
+            let k = Kernel::new(
+                b.build().unwrap(),
+                LaunchConfig::linear(1, 64),
+                vec![flag as u32, out as u32],
+            );
+            let mut rig = Rig::new(&k, SchedulerKind::Lrr);
+            rig.gmem = gmem;
+            rig.launch(0);
+            let mut tracer = RingTracer::new(4096);
+            while rig.sm.busy() {
+                let mut rep = TickReport::default();
+                rig.mem.tick(rig.now);
+                rig.sm.tick_traced(
+                    rig.now,
+                    &mut rig.gmem,
+                    &mut rig.mem,
+                    rig.policy.as_mut(),
+                    true,
+                    &mut rep,
+                    &mut tracer,
+                );
+                rig.now += 1;
+                assert!(rig.now < 100_000);
+            }
+            // Each warp's first global access, by unit: issued in one cycle.
+            let race: Vec<(u32, u64)> = [0u32, 1]
+                .iter()
+                .map(|&want_warp| {
+                    tracer
+                        .records()
+                        .find_map(|r| match r.event {
+                            Ev::WarpIssue { unit, warp, pc, .. } if warp == want_warp => {
+                                let global = matches!(
+                                    k.program.fetch(pc),
+                                    pro_isa::Instr::Ld { .. } | pro_isa::Instr::St { .. }
+                                );
+                                global.then_some((unit, r.cycle))
+                            }
+                            _ => None,
+                        })
+                        .expect("both warps access global memory")
+                })
+                .collect();
+            assert_eq!((race[0].0, race[1].0), (0, 1), "warp w issues on unit w");
+            assert_eq!(race[0].1, race[1].1, "the race is within one cycle");
+            assert_eq!(rig.gmem.read(out), want, "warp {storer} stores");
+            assert_eq!(rig.gmem.read(flag), 100);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use pro_isa::exec::{
     alu_row, cmp_row, eval_alu, eval_atom, for_lanes, select_row, sfu_row, Row,
 };
 use pro_isa::{AluOp, Instr, MemSpace, Pc, Program, Reg, Special, Src, WARP_SIZE};
-use pro_mem::{line_of, GmemPort};
+use pro_mem::{line_of, GlobalMem};
 
 /// The architectural side-effects of one issued warp instruction, as seen
 /// by the timing model.
@@ -229,14 +229,13 @@ impl Warp {
     /// back — so a destination that is also a source reads its old value,
     /// as the per-lane semantics require.
     ///
-    /// Generic over [`GmemPort`] so the same execution path runs against
-    /// the real [`pro_mem::GlobalMem`] (unit tests) or a staged view
-    /// ([`pro_mem::GmemStage`], the SM issue phase).
-    pub fn execute<G: GmemPort>(
+    /// Global loads and stores act on `gmem` here, at issue: a store is
+    /// visible to whatever executes next, in this cycle or a later one.
+    pub fn execute(
         &mut self,
         program: &Program,
         ctx: &LaunchCtx,
-        gmem: &mut G,
+        gmem: &mut GlobalMem,
         shared: &mut SharedMem,
         lines_out: &mut Vec<u64>,
     ) -> (ExecEffect, u32) {
@@ -453,7 +452,6 @@ fn coalesce_into(addrs: &Row, mask: u32, out: &mut Vec<u64>) {
 mod tests {
     use super::*;
     use pro_isa::{CmpOp, ProgramBuilder, SfuOp, Ty};
-    use pro_mem::GlobalMem;
 
     fn ctx<'a>(params: &'a [u32]) -> LaunchCtx<'a> {
         LaunchCtx {

@@ -55,6 +55,6 @@ pub use metrics::{Hist16, Metrics};
 pub use prof::{HostPhase, HostProf, IssueProf, PhaseTimer};
 pub use report::{aggregate, KernelReport};
 pub use tracer::{
-    count_unit_stalls, mask_of, write_event_jsonl, BufferTracer, JsonlTracer, NoopTracer,
-    PanicTracer, RingTracer, Tee, Tracer,
+    count_unit_stalls, write_event_jsonl, JsonlTracer, NoopTracer, PanicTracer, RingTracer, Tee,
+    Tracer,
 };

@@ -2,8 +2,8 @@
 //!
 //! The event bus and metrics registry observe the *simulated* GPU; this
 //! module points the same discipline inward at the *simulator*: where does
-//! host time go each cycle (mem phase vs issue phase vs merge vs snapshot
-//! writes)?
+//! host time go each cycle (the SMs' memory halves vs their issue halves vs
+//! the thread block scheduler vs snapshot writes)?
 //!
 //! Design constraints, mirroring the tracer bus:
 //!
@@ -28,13 +28,20 @@ use std::time::Instant;
 use crate::metrics::{Hist16, Metrics};
 
 /// The host-side phases of one simulated cycle (plus checkpoint I/O).
+///
+/// The run loop ticks SM after SM, each one's memory half then its issue
+/// half, so `Mem` and `Issue` are each the sum of one cycle's per-SM
+/// shares ([`PhaseTimer::split`]), recorded as one sample per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HostPhase {
-    /// Serial memory phase: `MemSubsystem::tick` plus per-SM `mem_phase`.
+    /// `MemSubsystem::tick` plus every SM's `mem_phase`.
     Mem = 0,
-    /// Issue phase: every SM's scheduling and execution, in SM-index order.
+    /// Every SM's `issue_phase`: scheduling, execution, global loads and
+    /// stores.
     Issue = 1,
-    /// Serial merge phase: store-log replay, TB scheduler, sampling.
+    /// The thread block scheduler and Table IV sampling. The name is
+    /// published (`host/phase.merge.*`) and dates from the cycle's former
+    /// merge phase, which this part of the cycle closed.
     Merge = 2,
     /// Building and atomically writing a periodic checkpoint file.
     SnapshotWrite = 3,
@@ -56,6 +63,17 @@ impl PhaseTimer {
     /// A timer that records nothing (the disabled-profiler arm).
     pub const fn disarmed() -> Self {
         PhaseTimer(None)
+    }
+
+    /// Nanoseconds since the timer was (re)armed, re-arming it; `None` —
+    /// one branch, no clock read — when disarmed. For a phase that runs in
+    /// several pieces per cycle: sum the splits, [`HostProf::record`] once.
+    #[inline]
+    pub fn split(&mut self) -> Option<u64> {
+        let prev = self.0?;
+        let now = Instant::now();
+        self.0 = Some(now);
+        Some(now.duration_since(prev).as_nanos() as u64)
     }
 }
 
@@ -96,10 +114,8 @@ impl HostProf {
     /// re-arm the timer so consecutive phases share one clock read.
     #[inline]
     pub fn lap(&mut self, phase: HostPhase, t: &mut PhaseTimer) {
-        if let Some(prev) = t.0 {
-            let now = Instant::now();
-            self.record(phase, now.duration_since(prev).as_nanos() as u64);
-            t.0 = Some(now);
+        if let Some(ns) = t.split() {
+            self.record(phase, ns);
         }
     }
 
@@ -199,6 +215,17 @@ mod tests {
         let mut m = Metrics::new();
         p.publish(&mut m);
         assert!(m.is_empty(), "disabled profiler must not publish host/* entries");
+    }
+
+    #[test]
+    fn split_rearms_and_a_disarmed_timer_yields_nothing() {
+        assert_eq!(PhaseTimer::disarmed().split(), None);
+        assert_eq!(HostProf::new(false).start().split(), None);
+        let mut t = HostProf::new(true).start();
+        let armed_at = t.0.expect("enabled profiler arms the timer");
+        assert!(t.split().is_some());
+        assert!(t.0.expect("still armed") >= armed_at);
+        assert!(t.split().is_some());
     }
 
     #[test]

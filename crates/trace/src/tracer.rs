@@ -152,105 +152,6 @@ impl Tracer for RingTracer {
     }
 }
 
-/// Snapshot which classes `t` currently wants, as a [`ClassSet`].
-///
-/// Lets an intermediary (like the run loop's per-SM buffers) answer
-/// `wants` without a per-event virtual call into the downstream tracer.
-pub fn mask_of(t: &dyn Tracer) -> ClassSet {
-    const ALL: [EventClass; 7] = [
-        EventClass::Tb,
-        EventClass::Issue,
-        EventClass::Stall,
-        EventClass::Barrier,
-        EventClass::Scoreboard,
-        EventClass::Simt,
-        EventClass::Mem,
-    ];
-    let mut wanted = [EventClass::Tb; 7];
-    let mut n = 0;
-    for c in ALL {
-        if t.wants(c) {
-            wanted[n] = c;
-            n += 1;
-        }
-    }
-    ClassSet::of(&wanted[..n])
-}
-
-/// An ordered, unbounded-capacity event buffer for deferred replay.
-///
-/// The run loop gives each SM one of these for the memory and issue
-/// phases; at merge the buffers are replayed into the real tracer in
-/// SM-index order, so each SM's events of a cycle reach the bus contiguous.
-///
-/// The buffer is preallocated at construction with the same capacity whether
-/// or not any class is subscribed, and one cycle's events per SM fit well
-/// within [`BufferTracer::DEFAULT_CAPACITY`], so in steady state emission
-/// never allocates — traced and untraced runs have identical allocator
-/// behaviour (pinned by the `trace_overhead` tier-1 test).
-#[derive(Debug)]
-pub struct BufferTracer {
-    buf: Vec<Record>,
-    mask: ClassSet,
-}
-
-impl BufferTracer {
-    /// Preallocation size: comfortably above the per-SM events-per-cycle
-    /// bound (≤ 2 units × (max_warps stall attributions + issue + memory
-    /// lifecycle) ≈ 300 on the GTX 480 model).
-    pub const DEFAULT_CAPACITY: usize = 4096;
-
-    /// Buffer subscribed to `mask`, preallocated to
-    /// [`BufferTracer::DEFAULT_CAPACITY`] records.
-    pub fn new(mask: ClassSet) -> Self {
-        BufferTracer {
-            buf: Vec::with_capacity(Self::DEFAULT_CAPACITY),
-            mask,
-        }
-    }
-
-    /// Replace the subscription mask (e.g. between kernels when the
-    /// downstream tracer changed).
-    pub fn set_mask(&mut self, mask: ClassSet) {
-        self.mask = mask;
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Emit every buffered record into `t` in emission order, then clear
-    /// the buffer (capacity is kept).
-    pub fn replay_into(&mut self, t: &mut dyn Tracer) {
-        for r in &self.buf {
-            t.emit(r.cycle, &r.event);
-        }
-        self.buf.clear();
-    }
-}
-
-impl Tracer for BufferTracer {
-    fn enabled(&self) -> bool {
-        self.mask != ClassSet::NONE
-    }
-
-    fn wants(&self, class: EventClass) -> bool {
-        self.mask.contains(class)
-    }
-
-    fn emit(&mut self, cycle: u64, ev: &Event) {
-        if self.mask.contains(ev.class()) {
-            self.buf.push(Record { cycle, event: *ev });
-        }
-    }
-}
-
 /// Append one event as a JSONL line (no trailing newline) onto `out`.
 ///
 /// The format is flat and self-describing:
@@ -598,41 +499,5 @@ mod tests {
             assert_eq!(v.get("ev").and_then(|v| v.as_str()), Some(ev.kind()));
             assert_eq!(v.get("c").and_then(|v| v.as_u64()), Some(42));
         }
-    }
-
-    #[test]
-    fn mask_of_mirrors_wants() {
-        let ring = RingTracer::with_classes(8, ClassSet::of(&[EventClass::Tb, EventClass::Mem]));
-        assert_eq!(mask_of(&ring), ClassSet::of(&[EventClass::Tb, EventClass::Mem]));
-        assert_eq!(mask_of(&NoopTracer), ClassSet::NONE);
-        assert_eq!(mask_of(&RingTracer::new(8)), ClassSet::ALL);
-    }
-
-    #[test]
-    fn buffer_tracer_replays_in_order_and_filters() {
-        let mut buf = BufferTracer::new(ClassSet::of(&[EventClass::Stall]));
-        assert!(buf.enabled());
-        assert!(buf.wants(EventClass::Stall));
-        assert!(!buf.wants(EventClass::Mem));
-        buf.emit(1, &Event::UnitStall { sm: 0, unit: 0, reason: StallReason::Idle });
-        // Unsubscribed class is dropped even if emitted directly.
-        buf.emit(2, &Event::LineFill { sm: 0, line: 7 });
-        buf.emit(3, &Event::UnitStall { sm: 0, unit: 1, reason: StallReason::Pipeline });
-        assert_eq!(buf.len(), 2);
-        let mut sink = RingTracer::new(8);
-        buf.replay_into(&mut sink);
-        assert!(buf.is_empty());
-        let cycles: Vec<u64> = sink.records().map(|r| r.cycle).collect();
-        assert_eq!(cycles, vec![1, 3]);
-    }
-
-    #[test]
-    fn buffer_tracer_with_empty_mask_is_disabled_but_preallocated() {
-        let buf = BufferTracer::new(ClassSet::NONE);
-        assert!(!buf.enabled());
-        assert!(!buf.wants(EventClass::Issue));
-        // Same preallocation in both modes keeps allocator behaviour of
-        // traced and untraced engine runs identical.
-        assert!(buf.buf.capacity() >= BufferTracer::DEFAULT_CAPACITY);
     }
 }

@@ -97,7 +97,7 @@ echo "ok: --jobs 1 and --jobs 4 both reproduce the golden byte-for-byte"
 target/release/repro json --quick --sm-workers 4 >/dev/null 2>&1 && rc=0 || rc=$?
 [ "$rc" -eq 2 ] || { echo "ERROR: repro accepted an unknown option (exit $rc, want 2)" >&2; exit 1; }
 
-echo "== repository benchmark: own tests + smoke run =="
+echo "== repository benchmark: own tests + smoke run + full matrix =="
 # benchmark/ is a workspace of its own (BENCHMARK.json is its contract), so
 # the tier-1 `cargo test` above never sees it. Its tests pin the metric and
 # workload names against BENCHMARK.json; the smoke run drives every workload
@@ -114,6 +114,17 @@ if [ "$results" -eq 0 ] || [ "$results" -ne "$passing" ]; then
     exit 1
 fi
 echo "ok: benchmark tests pass; all $results smoke results correct with 0 failed checks"
+# The whole Table II matrix (25 kernels x TL/LRR/GTO/PRO, under a minute) against
+# benchmark/golden/digests.json: every cell's result digest and cycle count.
+# The smoke run covers small kernels only; this is the identity gate for a
+# change to the run loop's ordering (DESIGN.md §11).
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --full-matrix | tee "$tracedir/bench_matrix.txt"
+grep -q '^full_matrix    checks: [1-9][0-9]* attempted, 0 failed' "$tracedir/bench_matrix.txt" || {
+    echo "ERROR: benchmark --full-matrix did not report 0 failed checks" >&2
+    exit 1
+}
+echo "ok: benchmark --full-matrix matches the golden digests"
 
 echo "== checkpoint/resume: recovered sweep is byte-identical =="
 # The snapshot round-trip contract (DESIGN.md §12): a sweep that

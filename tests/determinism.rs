@@ -3,7 +3,9 @@
 //! cycle and counter for counter — the property that makes the paper's
 //! comparisons meaningful and the experiments reproducible.
 
-use pro_sim::{Gpu, GpuConfig, SchedulerKind, TraceOptions};
+use pro_sim::isa::{CmpOp, Instr, Kernel, LaunchConfig, MemSpace, ProgramBuilder, Special, Src, Ty};
+use pro_sim::trace::{ClassSet, Event, EventClass, RingTracer};
+use pro_sim::{CheckpointOptions, Gpu, GpuConfig, LaunchStatus, SchedulerKind, TraceOptions};
 use pro_workloads::registry;
 use pro_workloads::synth::{generate, SynthParams};
 
@@ -125,4 +127,118 @@ fn workload_inputs_are_reproducible() {
     let _ = (w.build)(&mut g1, 4);
     let _ = (w.build)(&mut g2, 4);
     assert_eq!(g1.read_slice(0, 2048), g2.read_slice(0, 2048));
+}
+
+/// What one of the two racing thread blocks does to the shared flag word.
+#[derive(Clone, Copy, PartialEq)]
+enum Racer {
+    /// `flag = 100 + ctaid`.
+    Stores,
+    /// `out = flag`.
+    Loads,
+}
+
+const FLAG_OLD: u32 = 7;
+
+/// Two one-warp TBs branching uniformly on `ctaid`: TB 0 plays `roles[0]`,
+/// TB 1 plays `roles[1]`, against one flag word. Both arms start with
+/// their racing global access, so the two warps — launched in cycle 0 on
+/// SM 0 and SM 1, in lockstep up to the branch — issue them in the same
+/// cycle. Returns the kernel and the flag and output addresses.
+fn racy_kernel(gpu: &mut Gpu, roles: [Racer; 2]) -> (Kernel, u64, u64) {
+    let flag = gpu.gmem.alloc_init(&[FLAG_OLD]);
+    let out = gpu.gmem.alloc_init(&[0]);
+    let mut b = ProgramBuilder::new("racy_litmus");
+    let (fa, oa, val, seen) = (b.reg(), b.reg(), b.reg(), b.reg());
+    let first = b.pred();
+    b.mov(fa, Src::Param(0));
+    b.mov(oa, Src::Param(1));
+    b.iadd(val, Src::Special(Special::Ctaid), Src::Imm(100));
+    b.setp(CmpOp::Eq, Ty::S32, first, Src::Special(Special::Ctaid), Src::Imm(0));
+    let arm = |b: &mut ProgramBuilder, role: Racer| match role {
+        Racer::Stores => {
+            b.st_global(val, fa, 0);
+        }
+        Racer::Loads => {
+            b.ld_global(seen, fa, 0);
+            b.st_global(seen, oa, 0);
+        }
+    };
+    b.if_else(first, |b| arm(b, roles[0]), |b| arm(b, roles[1]));
+    b.exit();
+    let kernel = Kernel::new(
+        b.build().expect("valid kernel"),
+        LaunchConfig::linear(2, 32),
+        vec![flag as u32, out as u32],
+    );
+    (kernel, flag, out)
+}
+
+/// One litmus run, paused after `pause_at` cycles and resumed in a fresh
+/// GPU when that is nonzero: the final `(flag, out)` words, the cycle both
+/// SMs issued their first global access in, and the run's cycle count.
+fn run_litmus(roles: [Racer; 2], pause_at: u64) -> ((u32, u32), u64, u64) {
+    let fresh = || {
+        let mut gpu = Gpu::new(GpuConfig::small(2), 1 << 20);
+        let (kernel, flag, out) = racy_kernel(&mut gpu, roles);
+        (gpu, kernel, flag, out)
+    };
+    let (mut gpu, kernel, flag, out) = fresh();
+    let mut ring = RingTracer::with_classes(4096, ClassSet::of(&[EventClass::Issue]));
+    let ckpt = CheckpointOptions { pause_at, ..Default::default() };
+    let trace = TraceOptions::default();
+    let status = gpu
+        .launch_checkpointed_traced(&kernel, SchedulerKind::Lrr, trace, &ckpt, &mut ring)
+        .unwrap();
+    let result = match status {
+        LaunchStatus::Completed(r) => r,
+        LaunchStatus::Paused(snap) => {
+            (gpu, ..) = fresh();
+            let ckpt = CheckpointOptions::default();
+            gpu.resume_traced(&snap, &kernel, SchedulerKind::Lrr, trace, &ckpt, &mut ring)
+                .unwrap()
+                .expect_completed()
+        }
+    };
+    // The precondition the verdicts rest on: SM 0 and SM 1 issued their
+    // racing accesses in one and the same cycle.
+    let first_global = |want_sm: u32| {
+        ring.records()
+            .find_map(|r| match r.event {
+                Event::WarpIssue { sm, pc, .. } if sm == want_sm => matches!(
+                    kernel.program.fetch(pc),
+                    Instr::Ld { space: MemSpace::Global, .. }
+                        | Instr::St { space: MemSpace::Global, .. }
+                )
+                .then_some(r.cycle),
+                _ => None,
+            })
+            .expect("each SM issues a global access")
+    };
+    let race_cycle = first_global(0);
+    assert_eq!(race_cycle, first_global(1), "the two TBs left lockstep before the race");
+    ((gpu.gmem.read(flag), gpu.gmem.read(out)), race_cycle, result.cycles)
+}
+
+#[test]
+fn same_cycle_global_races_resolve_in_sm_index_order() {
+    // DESIGN.md §11: within a cycle the SMs issue in index order against
+    // one global memory, so a store is visible to the same-cycle accesses
+    // of higher-indexed SMs and to nobody below.
+    use Racer::{Loads, Stores};
+    for (roles, want_flag, want_out, what) in [
+        ([Stores, Loads], 100, 100, "SM 0 stores, SM 1 loads: the load sees the new value"),
+        ([Loads, Stores], 101, FLAG_OLD, "SM 1 stores, SM 0 loads: the load sees the old value"),
+        ([Stores, Stores], 101, 0, "both store: the higher SM index lands last"),
+    ] {
+        let straight = run_litmus(roles, 0);
+        let (words, race, cycles) = straight;
+        assert_eq!(words, (want_flag, want_out), "{what}");
+        assert_eq!(run_litmus(roles, 0), straight, "{what}: second run differs");
+        // Paused with the race cycle still to run, just run, and mid-run.
+        for pause_at in [race, race + 1, cycles / 2] {
+            let resumed = run_litmus(roles, pause_at);
+            assert_eq!(resumed, straight, "{what}: pause at {pause_at} + resume differs");
+        }
+    }
 }
