@@ -340,21 +340,21 @@ fn bench_issue_path(r: &mut Runner, trace: &IssueTrace) {
 /// tests each of them every cycle and the memo walk tests a warp once per
 /// instruction. `pick_oracle.rs` holds the two to identical picks.
 fn bench_pipe_full(r: &mut Runner) {
-    use pick_oracle::{pick_memo, pick_reprobe, PipeFullModel};
+    use pick_oracle::{pick_production, pick_reprobe, PipeFullModel};
     let base = PipeFullModel::record(BATCH as usize);
-    let mut run = |name: &str, pick: fn(&mut PipeFullModel, u64, [bool; 3]) -> Option<usize>| {
+    let mut run = |name: &str, pick: pick_oracle::Pick| {
         let mut probes = 0;
         let summary = r.bench(&format!("issue/pipe_full_{name}_x10k"), || {
             let mut m = base.clone();
             for now in 0..m.cycles() {
-                black_box(m.step(now, pick));
+                black_box(m.step(now, pick).ok());
             }
             probes = m.probes;
         });
         summary.map(|s| (s.median_ns, probes))
     };
     if let (Some((memo_ns, memo_probes)), Some((reprobe_ns, reprobe_probes))) =
-        (run("memo", pick_memo), run("reprobe", pick_reprobe))
+        (run("memo", pick_production), run("reprobe", pick_reprobe))
     {
         println!(
             "PIPE-FULL replay: probes {reprobe_probes} -> {memo_probes}, speedup {:.2}x \

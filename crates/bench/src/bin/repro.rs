@@ -197,8 +197,8 @@ fn run_cell(w: &Workload, sched: SchedulerKind, scale: Scale) -> Cell {
     run_cell_with(w, sched, scale, machine(), TraceOptions::default())
 }
 
-fn run_apps(sched: SchedulerKind, scale: Scale) -> Vec<(&'static str, AppTotals)> {
-    let kernels = registry();
+fn run_apps(sched: SchedulerKind, scale: Scale, quick: bool) -> Vec<(&'static str, AppTotals)> {
+    let kernels = kernels(quick);
     let cells = parallel_map(&kernels, |w| run_cell(w, sched, scale));
     let mut out: Vec<(&'static str, AppTotals)> = Vec::new();
     for c in &cells {
@@ -226,8 +226,9 @@ fn machine() -> GpuConfig {
     *MACHINE.get_or_init(GpuConfig::gtx480)
 }
 
-fn kernels(scale: Scale, quick: bool) -> Vec<Workload> {
-    let _ = scale;
+/// The kernels a sweep runs: all of Table II, or with `--quick` the first
+/// of each application.
+fn kernels(quick: bool) -> Vec<Workload> {
     if quick {
         apps().into_iter().map(|(_, ks)| ks[0]).collect()
     } else {
@@ -282,10 +283,9 @@ fn workloads(scale: Scale) {
 /// Fig. 1: stall breakdown per app for TL, LRR, GTO.
 fn fig1(scale: Scale, quick: bool) {
     header("Fig. 1: stall type breakdown (% of stall cycles) for TL / LRR / GTO");
-    let _ = quick;
     let mut per_sched: Vec<(SchedulerKind, Vec<(&'static str, AppTotals)>)> = Vec::new();
     for s in [SchedulerKind::Tl, SchedulerKind::Lrr, SchedulerKind::Gto] {
-        per_sched.push((s, run_apps(s, scale)));
+        per_sched.push((s, run_apps(s, scale, quick)));
     }
     println!(
         "{:<14} {:>23} {:>23} {:>23}",
@@ -403,7 +403,7 @@ fn fig4(scale: Scale, quick: bool) {
     let mut vs_tl = Vec::new();
     let mut vs_lrr = Vec::new();
     let mut vs_gto = Vec::new();
-    let ws = kernels(scale, quick);
+    let ws = kernels(quick);
     let jobs: Vec<(pro_workloads::Workload, SchedulerKind)> = ws
         .iter()
         .flat_map(|w| SchedulerKind::PAPER.into_iter().map(move |s| (*w, s)))
@@ -439,11 +439,10 @@ fn fig4(scale: Scale, quick: bool) {
 /// Fig. 5: total stall ratios baseline/PRO per application.
 fn fig5(scale: Scale, quick: bool) {
     header("Fig. 5: stall-cycle improvement (baseline stalls / PRO stalls)");
-    let _ = quick;
-    let pro = run_apps(SchedulerKind::Pro, scale);
-    let tl = run_apps(SchedulerKind::Tl, scale);
-    let lrr = run_apps(SchedulerKind::Lrr, scale);
-    let gto = run_apps(SchedulerKind::Gto, scale);
+    let pro = run_apps(SchedulerKind::Pro, scale, quick);
+    let tl = run_apps(SchedulerKind::Tl, scale, quick);
+    let lrr = run_apps(SchedulerKind::Lrr, scale, quick);
+    let gto = run_apps(SchedulerKind::Gto, scale, quick);
     println!(
         "{:<14} {:>8} {:>8} {:>8}",
         "Application", "TL/PRO", "LRR/PRO", "GTO/PRO"
@@ -474,11 +473,10 @@ fn fig5(scale: Scale, quick: bool) {
 /// Table III: stall cycles of PRO per type + per-type ratios vs baselines.
 fn table3(scale: Scale, quick: bool) {
     header("Table III: stall-cycle detail (PRO absolute; ratios baseline/PRO)");
-    let _ = quick;
-    let pro = run_apps(SchedulerKind::Pro, scale);
-    let tl = run_apps(SchedulerKind::Tl, scale);
-    let lrr = run_apps(SchedulerKind::Lrr, scale);
-    let gto = run_apps(SchedulerKind::Gto, scale);
+    let pro = run_apps(SchedulerKind::Pro, scale, quick);
+    let tl = run_apps(SchedulerKind::Tl, scale, quick);
+    let lrr = run_apps(SchedulerKind::Lrr, scale, quick);
+    let gto = run_apps(SchedulerKind::Gto, scale, quick);
     println!(
         "{:<14} | {:>10} {:>10} {:>10} | {:>21} | {:>21} | {:>21}",
         "", "PRO Pipe", "PRO Idle", "PRO SB", "TL p/i/s/total", "LRR p/i/s/total", "GTO p/i/s/total"
@@ -781,7 +779,7 @@ fn svg_figs(scale: Scale, quick: bool) {
         println!("wrote {path}");
     }
     // Fig. 4 bar chart.
-    let ws = kernels(scale, quick);
+    let ws = kernels(quick);
     let jobs: Vec<(pro_workloads::Workload, SchedulerKind)> = ws
         .iter()
         .flat_map(|w| SchedulerKind::PAPER.into_iter().map(move |s| (*w, s)))
@@ -811,7 +809,7 @@ fn svg_figs(scale: Scale, quick: bool) {
     println!("wrote fig4.svg");
     // Fig. 1 stacked stall shares per app under LRR.
     use pro_bench::svg::{stacked_bars, StackedBar};
-    let rows = run_apps(SchedulerKind::Lrr, scale);
+    let rows = run_apps(SchedulerKind::Lrr, scale, quick);
     let bars: Vec<StackedBar> = rows
         .iter()
         .map(|(app, t)| StackedBar {
@@ -847,7 +845,7 @@ fn json_export(
 ) {
     use pro_bench::heartbeat::Heartbeat;
     use pro_bench::sweep::cell_stem;
-    let ws = kernels(scale, quick);
+    let ws = kernels(quick);
     let jobs: Vec<(pro_workloads::Workload, SchedulerKind)> = ws
         .iter()
         .flat_map(|w| SchedulerKind::PAPER.into_iter().map(move |s| (*w, s)))
@@ -910,7 +908,7 @@ fn json_export(
     if let Some(hb) = &hb {
         hb.finish();
     }
-    println!("{}", pro_bench::json::export_cells(&cells).to_string());
+    println!("{}", pro_bench::json::export_cells(&cells));
 }
 
 /// 9-policy shootout: every scheduler in [`SchedulerKind::ALL`] across the
@@ -923,7 +921,7 @@ fn shootout(scale: Scale, quick: bool) {
     use pro_bench::json::{num, obj, s, unum, Json};
     use pro_trace::Metrics;
     header("Shootout: 9 warp-scheduling policies — stalls vs host cost");
-    let ws = kernels(scale, quick);
+    let ws = kernels(quick);
     let trace = TraceOptions {
         host_prof: true,
         ..Default::default()
@@ -1307,6 +1305,3 @@ fn trace_report(args: &[String]) {
         println!("[{bad} unparseable lines]");
     }
 }
-
-#[allow(dead_code)]
-fn unused(_: &Cell) {}

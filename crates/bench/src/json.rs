@@ -4,7 +4,6 @@
 //! notebooks, CI regression checks) can consume the reproduction.
 
 use crate::Cell;
-use std::fmt::Write as _;
 
 /// A JSON value assembled by the writer.
 #[derive(Debug, Clone)]
@@ -36,32 +35,11 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    if n.fract() == 0.0 && n.abs() < 9e15 {
-                        let _ = write!(out, "{}", *n as i64);
-                    } else {
-                        let _ = write!(out, "{n}");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
+            // Numbers and string escapes as `pro_trace::json` writes them.
+            Json::Num(n) => pro_trace::json::write_num(out, *n),
             Json::Str(s) => {
                 out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
+                out.push_str(&pro_trace::json::escape(s));
                 out.push('"');
             }
             Json::Arr(items) => {

@@ -359,7 +359,6 @@ impl SchedulerKind {
     /// Instantiate the policy for an SM with `max_warps` warp slots,
     /// `max_tbs` TB slots and `units` scheduler units.
     pub fn build(&self, max_warps: usize, max_tbs: usize, units: u32) -> Box<dyn WarpScheduler> {
-        let _ = max_tbs;
         match self {
             SchedulerKind::Lrr => Box::new(Lrr::new(max_warps, units)),
             SchedulerKind::Gto => Box::new(Gto::new(units)),

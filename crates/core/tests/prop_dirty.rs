@@ -85,7 +85,7 @@ fn arb_fixture() -> impl Strategy<Value = Fixture> {
 }
 
 /// The engine's per-unit issue-order cache, mirrored exactly: last order,
-/// candidate bitset, blocked bitset, and a validity flag (`Sm::issue_unit`
+/// candidate bitset, blocked bitset, and a validity flag (`IssueState::order`
 /// keeps the same four alongside each scheduler unit).
 struct OrderCache {
     bufs: [Vec<WarpSlot>; 2],
@@ -329,7 +329,7 @@ fn reused_orders_match_scratch_recomputes_for_every_policy() {
                         let u = unit as usize;
                         let (cands, cbits, bbits) = unit_inputs(&f, unit);
                         scratch.order(unit, &f.view(), &cands, &mut scratch_out);
-                        // The engine's exact reuse condition (Sm::issue_unit).
+                        // The engine's exact reuse condition (`IssueState::order`).
                         let reuse = cache.valid[u]
                             && cache.cands[u] == cbits
                             && (!inc.order_reads_longlat() || cache.blocked[u] == bbits)

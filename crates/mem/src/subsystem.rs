@@ -498,7 +498,7 @@ impl MemSubsystem {
     /// `tracer`.
     pub fn tick_traced(&mut self, now: u64, tracer: &mut dyn Tracer) {
         let trace_mem = tracer.wants(EventClass::Mem);
-        if now % QUEUE_SAMPLE_PERIOD == 0 {
+        if now.is_multiple_of(QUEUE_SAMPLE_PERIOD) {
             self.sample_queues();
         }
         // 1. Deliver due events (the calendar queue yields them in exact

@@ -93,6 +93,7 @@ impl std::fmt::Debug for CheckpointOptions {
 /// or it was paused at [`CheckpointOptions::pause_at`] and can be resumed
 /// later (in this process or another) via [`crate::Gpu::resume`].
 #[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per launch, moved once; a `Box` would change every caller's match
 pub enum LaunchStatus {
     /// The grid finished; the usual launch result.
     Completed(RunResult),

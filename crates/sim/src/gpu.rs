@@ -162,11 +162,23 @@ impl<'a> Recorder<'a> {
     }
 
     /// Restore data written by [`Recorder::save_state`] into a freshly
-    /// constructed recorder of the same geometry.
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+    /// constructed recorder of the same geometry. The container records no
+    /// trace options, so a `timeline` option that differs from the paused
+    /// launch's is recognised by the data: with it on there is a start for
+    /// each of the `outstanding` TBs, with it off there is no span at all.
+    fn load_state(&mut self, r: &mut Reader<'_>, outstanding: u32) -> Result<(), CodecError> {
         let starts: Vec<(u32, u32, u64)> = Snapshot::load(r)?;
         self.starts = starts.into_iter().map(|(sm, tb, c)| ((sm, tb), c)).collect();
         self.timeline = Snapshot::load(r)?;
+        let fits = if self.timeline_on {
+            self.starts.len() == outstanding as usize
+        } else {
+            self.starts.is_empty() && self.timeline.is_empty()
+        };
+        if !fits {
+            let on = self.timeline_on;
+            return Err(CodecError::Mismatch(format!("snapshot was not taken with `timeline: {on}`")));
+        }
         let util: Vec<Vec<u64>> = Snapshot::load(r)?;
         if util.len() != self.util.len() {
             return Err(CodecError::BadValue("utilization row count"));
@@ -390,8 +402,10 @@ impl Gpu {
     /// Continue a paused or checkpointed launch from `snapshot`.
     ///
     /// The GPU, `kernel`, `scheduler` and `trace` must match the original
-    /// launch (the snapshot carries their identities and refuses a
-    /// mismatch); `ckpt` may differ — e.g. resume with a new pause point.
+    /// launch. The snapshot carries the identities of the first three and
+    /// refuses a mismatch; of `trace` it records nothing, and refuses a
+    /// `timeline` setting its TB spans contradict. `ckpt` may differ — e.g.
+    /// resume with a new pause point.
     /// The continuation is bit-identical to the uninterrupted run: same
     /// counters, same stall attribution, same trace bytes.
     pub fn resume(
@@ -664,7 +678,7 @@ impl<'a> Engine<'a> {
             // the memory hierarchy, in container order.
             let mut r = fr.section(SEC_LOOP)?;
             let lp = LoopState::load(&mut r)?;
-            recorder.load_state(&mut r)?;
+            recorder.load_state(&mut r, lp.outstanding)?;
             r.finish()?;
             match &resume {
                 Some(ResumeSource::Chain(chain)) if chain.deltas() > 0 => {
@@ -829,7 +843,7 @@ impl<'a> Engine<'a> {
         }
 
         *cycle += 1;
-        self.prof.lap(HostPhase::Merge, &mut pt);
+        self.prof.lap(HostPhase::TbSched, &mut pt);
         Ok(lp.pending.is_empty() && lp.outstanding == 0)
     }
 

@@ -12,6 +12,7 @@
 //! memory system) lives in `pro-sim`.
 
 pub mod decode;
+pub mod issue;
 pub mod scoreboard;
 pub mod shared;
 pub mod simt;
@@ -19,6 +20,7 @@ pub mod sm;
 pub mod warp;
 
 pub use decode::{IssueMeta, IssueTable, LatClass};
+pub use issue::IssueState;
 pub use scoreboard::{Scoreboard, WriteSet};
 pub use shared::SharedMem;
 pub use simt::SimtStack;

@@ -115,7 +115,7 @@ impl Scoreboard {
     /// Release destinations at writeback.
     ///
     /// The *only* operation that clears pending bits — which is what makes
-    /// the SM's scoreboard-wait memo (`Sm::sb_wait_mask`, DESIGN.md §15)
+    /// the scoreboard-wait memo of [`crate::issue::IssueState`] (DESIGN.md §15)
     /// sound: a warp refused by [`Scoreboard::ready`] stays refused until
     /// the SM's `release_write` path reaches this call, and that single
     /// choke point also clears the warp's memo bit.

@@ -21,19 +21,27 @@
 //!    This is GPGPU-Sim's classification as defined in §II.B of the paper.
 //! 5. Barrier releases and TB completions fire the policy hooks
 //!    (`insertBarrierWarp` / `insertFinishWarp` equivalents).
+//!
+//! Steps 1–3 are [`Sm::mem_phase`] (`sm/lsu.rs`), 4–5 [`Sm::issue_phase`]
+//! (`sm/issue_phase.rs`) over the per-warp state machine of
+//! [`crate::issue`]; the checkpoint encoding is `sm/snapshot.rs`. This file
+//! keeps the configuration, the counters, and TB launch and retirement.
+
+mod issue_phase;
+mod lsu;
+mod snapshot;
 
 use crate::decode::{IssueTable, LatClass};
-use crate::scoreboard::WriteSet;
+use crate::issue::IssueState;
 use crate::shared::SharedMem;
-use crate::warp::{ExecEffect, LaunchCtx, Warp};
+use crate::warp::Warp;
+use issue_phase::IssueCx;
+use lsu::{LsuEntry, Release};
 use pro_core::calq::CalQueue;
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
-use pro_core::{FxHashMap, IssueInfo, SchedView, TbState, WarpScheduler, WarpState};
-use pro_isa::{Kernel, PipeClass, WARP_SIZE};
-use pro_mem::{AccessId, AccessOutcome, GlobalMem, MemSubsystem, QUEUE_SAMPLE_PERIOD};
-use pro_trace::{
-    req_id, Event as TraceEvent, EventClass, Hist16, IssueProf, NoopTracer, StallReason, Tracer,
-};
+use pro_core::{FxHashMap, SchedView, TbState, WarpScheduler, WarpState};
+use pro_isa::{Kernel, WARP_SIZE};
+use pro_mem::{AccessId, GlobalMem, MemSubsystem};
+use pro_trace::{Event as TraceEvent, EventClass, Hist16, IssueProf, NoopTracer, Tracer};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -70,12 +78,6 @@ pub struct SmConfig {
     pub shared_lat: u64,
     /// LSU queue depth (pending memory instructions per SM).
     pub lsu_queue: usize,
-}
-
-impl Default for SmConfig {
-    fn default() -> Self {
-        Self::gtx480()
-    }
 }
 
 impl SmConfig {
@@ -198,51 +200,15 @@ pub struct TickReport {
     pub finished_tbs: Vec<u32>,
 }
 
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // boxing the lines is the allocation this avoids
-enum LsuEntry {
-    Global {
-        access: AccessId,
-        /// The instruction's line transactions, `lines[..len]` in LSU
-        /// order; a warp touches at most one line per lane, so they are
-        /// stored inline and queueing a memory instruction allocates
-        /// nothing.
-        lines: [u64; WARP_SIZE],
-        len: usize,
-        next: usize,
-        is_write: bool,
-    },
-    Shared {
-        warp: usize,
-        remaining: u32,
-        wb: WriteSet,
-    },
-}
-
-/// Which per-unit-cycle event classes the tracer subscribed to, asked once
-/// per issue phase.
-#[derive(Debug, Clone, Copy)]
-struct TraceGates {
-    stall: bool,
-    issue: bool,
-    simt: bool,
-    sb: bool,
-}
-
-/// Index into [`Sm::ready`] of the pipeline serving `pipe`: Alu and Ctrl
-/// instructions never meet a structural hazard and share class 0.
-const fn ready_class(pipe: PipeClass) -> usize {
-    match pipe {
-        PipeClass::Alu | PipeClass::Ctrl => 0,
-        PipeClass::Sfu => 1,
-        PipeClass::Mem => 2,
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct WbRec {
-    warp: usize,
-    ws: WriteSet,
+/// [`Sm::sched_view`] over the two fields it reads, for where the SM's
+/// other fields are mutably borrowed.
+fn sched_view<'a>(
+    warps: &'a [WarpState],
+    tbs: &'a [TbState],
+    cycle: u64,
+    fast_phase: bool,
+) -> SchedView<'a> {
+    SchedView { cycle, warps, tbs, tbs_waiting_in_tb_scheduler: fast_phase }
 }
 
 /// One streaming multiprocessor.
@@ -258,7 +224,6 @@ pub struct Sm {
     // (derived, shared by every SM running the kernel; DESIGN.md §16).
     table: Option<Arc<IssueTable>>,
     params: Vec<u32>,
-    ntid: u32,
     nctaid: u32,
     warps_per_tb: usize,
     threads_per_tb: u32,
@@ -269,77 +234,20 @@ pub struct Sm {
     live_tbs: u32,
     // Pipelines. Writeback events ride the same slab-recycled calendar
     // queue as the memory subsystem's timing events.
-    wb_events: CalQueue<WbRec>,
+    wb_events: CalQueue<Release>,
     lsu: VecDeque<LsuEntry>,
     sfu_free_at: u64,
-    access_map: FxHashMap<AccessId, (usize, WriteSet)>,
+    access_map: FxHashMap<AccessId, Release>,
     next_access: AccessId,
     /// Cycle each TB slot's first warp finished (WLD tracking).
     first_warp_finish: Vec<Option<u64>>,
     /// Cumulative statistics (reset by the GPU at kernel boundaries).
     pub stats: SmStats,
-    // Scratch.
+    /// Scratch: the line addresses of the instruction being issued.
     lines_buf: Vec<u64>,
-    completion_buf: Vec<AccessId>,
-    // --- Incremental issue path (DESIGN.md §15). All of this is *derived*
-    // state: maintained at the few events that can change it, rebuilt from
-    // the architectural state on restore, and never serialized. ---
-    /// Bit `w` set iff warp slot `w` is an issue candidate (launched and
-    /// not finished). Per-unit candidate sets are `cands_mask &
-    /// unit_masks[u]`.
-    cands_mask: u64,
-    /// Static slot→unit membership: bit `w` of `unit_masks[u]` set iff
-    /// `w % units == u`. Computed once at construction.
-    unit_masks: Vec<u64>,
-    /// Bit `w` set iff warp `w` is valid, not parked at a barrier, and not
-    /// finished — exactly the warps the issue walk would not silently skip.
-    eligible_mask: u64,
-    /// Per-slot mirror of [`Warp::ibuf_ready_at`] so the walk can skip
-    /// still-fetching warps without loading the `Warp`.
-    ibuf_at: Vec<u64>,
-    /// Memoized "scoreboard said no" outcomes: bit `w` set when the walk
-    /// reached warp `w`, fetched its instruction, and the scoreboard (or
-    /// the Exit/Bar drain rule) refused it. The warp's pc, SIMT stack and
-    /// scoreboard are frozen until a writeback releases registers —
-    /// [`Sm::release_write`] is the single unblock point and clears the
-    /// bit — so skipping the warp (while still counting it as `saw_valid`)
-    /// is bit-identical to re-evaluating it.
-    sb_wait_mask: u64,
-    /// Memoized "scoreboard said yes" outcomes, one mask per pipeline the
-    /// warp's next instruction needs (`ready[ready_class(pipe)]`), set by
-    /// the probe that found the warp ready and cleared only when that warp
-    /// issues or its slot is launched, retired or reset. Invariant: bit
-    /// `w` of `ready[c]` ⇒ warp `w` is live (candidate and eligible),
-    /// fetched (`now >= ibuf_at[w]`), not in `sb_wait_mask`, reconverged,
-    /// and `table.at(pc)` is `ready` against its scoreboard with
-    /// `ready_class(pipe) == c`. It stays true until the warp's own issue
-    /// because pc, SIMT stack, `ibuf_at` and scoreboard reservations change
-    /// only there (a barrier release re-fetches parked warps, which issued
-    /// their `Bar` and so hold no bit), and [`Sm::release_write`] only
-    /// clears scoreboard bits, which cannot un-ready an instruction. So
-    /// while the pipeline refuses a ready warp, re-probing it would find
-    /// the same answer; [`Sm::ready_memo_holds`] re-derives it in debug
-    /// builds.
-    ready: [u64; 3],
-    /// Bit `w` set iff `sched_warps[w].blocked_on_longlat` — the
-    /// fingerprint consulted when a policy's `order()` reads blocked flags
-    /// (`order_reads_longlat`, e.g. TL).
-    longlat_mask: u64,
-    /// Per-unit cached `order()` output plus the inputs it was computed
-    /// under; reused verbatim while the policy reports clean and the
-    /// inputs are unchanged.
-    order_bufs: Vec<Vec<usize>>,
-    /// Per-unit candidate slice handed to `order()` (ascending slots) and
-    /// the candidate bitset it was expanded from; refilled only when the
-    /// unit's candidate set differs from that bitset.
-    cand_bufs: Vec<Vec<usize>>,
-    cand_built: Vec<u64>,
-    cached_cands: Vec<u64>,
-    cached_blocked: Vec<u64>,
-    cached_valid: Vec<bool>,
-    // Host-only issue-path counters (outside the determinism/checkpoint
-    // boundary, published as `host/issue/*`).
-    issue_prof: IssueProf,
+    /// Derived per-warp issue state (DESIGN.md §15): an event that moves a
+    /// warp updates `warps`, `sched_warps` and this in one method.
+    issue: IssueState,
     // Host-observability LSU queue gauge, sampled every
     // `QUEUE_SAMPLE_PERIOD` cycles; never serialized (outside the
     // determinism/checkpoint boundary, published as `host/sm.lsuq.*`).
@@ -359,14 +267,6 @@ impl std::fmt::Debug for Sm {
 impl Sm {
     /// Create an idle SM.
     pub fn new(id: u32, cfg: SmConfig) -> Self {
-        assert!(
-            cfg.max_warps <= 64,
-            "the incremental issue path packs warp slots into u64 bitsets"
-        );
-        let mut unit_masks = vec![0u64; cfg.units.max(1) as usize];
-        for w in 0..cfg.max_warps {
-            unit_masks[w % cfg.units.max(1) as usize] |= 1u64 << w;
-        }
         Sm {
             id,
             warps: (0..cfg.max_warps).map(|_| Warp::empty()).collect(),
@@ -375,7 +275,6 @@ impl Sm {
             sched_tbs: vec![TbState::default(); cfg.max_tbs],
             table: None,
             params: Vec::new(),
-            ntid: 0,
             nctaid: 0,
             warps_per_tb: 0,
             threads_per_tb: 0,
@@ -391,34 +290,11 @@ impl Sm {
             first_warp_finish: vec![None; cfg.max_tbs],
             stats: SmStats::default(),
             lines_buf: Vec::with_capacity(32),
-            completion_buf: Vec::with_capacity(32),
-            cands_mask: 0,
-            unit_masks,
-            eligible_mask: 0,
-            ibuf_at: vec![0; cfg.max_warps],
-            sb_wait_mask: 0,
-            ready: [0; 3],
-            longlat_mask: 0,
-            order_bufs: (0..cfg.units)
-                .map(|_| Vec::with_capacity(cfg.max_warps))
-                .collect(),
-            cand_bufs: (0..cfg.units)
-                .map(|_| Vec::with_capacity(cfg.max_warps))
-                .collect(),
-            cand_built: vec![0; cfg.units as usize],
-            cached_cands: vec![0; cfg.units as usize],
-            cached_blocked: vec![0; cfg.units as usize],
-            cached_valid: vec![false; cfg.units as usize],
-            issue_prof: IssueProf::default(),
+            issue: IssueState::new(cfg.max_warps, cfg.units),
             lsu_hwm: 0,
             lsu_depth: Hist16::new(),
             cfg,
         }
-    }
-
-    /// The SM's configuration.
-    pub fn config(&self) -> &SmConfig {
-        &self.cfg
     }
 
     /// Bind a kernel for subsequent TB launches. Must be quiescent.
@@ -440,7 +316,6 @@ impl Sm {
         );
         self.table = Some(table);
         self.params = kernel.params.clone();
-        self.ntid = kernel.launch.threads_per_block();
         self.nctaid = kernel.launch.num_blocks();
         self.warps_per_tb = kernel.launch.warps_per_block() as usize;
         self.threads_per_tb = kernel.launch.threads_per_block();
@@ -448,46 +323,9 @@ impl Sm {
         self.lsu.clear();
         self.sfu_free_at = 0;
         self.access_map.clear();
-        self.completion_buf.clear();
-        self.reset_issue_path();
+        self.issue.reset();
         self.lsu_hwm = 0;
         self.lsu_depth = Hist16::new();
-        self.issue_prof = IssueProf::default();
-    }
-
-    /// Drop all incremental issue-path state: empty masks (the SM is
-    /// quiescent or about to be rebuilt) and invalidated order caches.
-    fn reset_issue_path(&mut self) {
-        self.cands_mask = 0;
-        self.eligible_mask = 0;
-        self.sb_wait_mask = 0;
-        self.ready = [0; 3];
-        self.longlat_mask = 0;
-        self.ibuf_at.fill(0);
-        self.cached_valid.fill(false);
-    }
-
-    /// Recompute the candidate/eligible/blocked masks and the ibuf mirror
-    /// from the architectural warp state (after a snapshot restore). The
-    /// scoreboard-wait and ready memos restart empty and the order caches
-    /// invalid — all are one-sided, so the first post-restore cycle
-    /// recomputes exactly what the pre-snapshot engine would have.
-    fn rebuild_issue_masks(&mut self) {
-        self.reset_issue_path();
-        for w in 0..self.cfg.max_warps {
-            let bit = 1u64 << w;
-            if self.sched_warps[w].active && !self.sched_warps[w].finished {
-                self.cands_mask |= bit;
-            }
-            if self.sched_warps[w].blocked_on_longlat {
-                self.longlat_mask |= bit;
-            }
-            let warp = &self.warps[w];
-            if warp.valid && !warp.at_barrier && !warp.finished {
-                self.eligible_mask |= bit;
-            }
-            self.ibuf_at[w] = warp.ibuf_ready_at;
-        }
     }
 
     /// Number of TB slots usable for the bound kernel (bounded by warp
@@ -512,41 +350,9 @@ impl Sm {
             && self.used_regs + p.regs as u32 * self.threads_per_tb <= self.cfg.regs_per_sm
     }
 
-    /// Number of TBs currently resident.
-    pub fn live_tbs(&self) -> u32 {
-        self.live_tbs
-    }
-
     /// True while any TB is resident or any timing event is outstanding.
     pub fn busy(&self) -> bool {
         self.live_tbs > 0 || !self.lsu.is_empty() || !self.wb_events.is_empty()
-    }
-
-    /// Maximum TBs of the bound kernel that can ever be resident at once
-    /// (the GPU uses this for phase bookkeeping and reports).
-    pub fn max_resident_tbs(&self) -> u32 {
-        let Some(p) = self.table.as_deref().map(IssueTable::program) else {
-            return 0;
-        };
-        let by_threads = self
-            .cfg
-            .max_threads
-            .checked_div(self.threads_per_tb)
-            .unwrap_or(0);
-        let by_shared = self
-            .cfg
-            .shared_capacity
-            .checked_div(p.shared_bytes)
-            .unwrap_or(u32::MAX);
-        let by_regs = if p.regs == 0 {
-            u32::MAX
-        } else {
-            self.cfg.regs_per_sm / (p.regs as u32 * self.threads_per_tb)
-        };
-        (self.usable_tb_slots() as u32)
-            .min(by_threads)
-            .min(by_shared)
-            .min(by_regs)
     }
 
     /// Launch TB `global_index` of the bound kernel. Returns the TB slot.
@@ -597,28 +403,17 @@ impl Sm {
                 active: true,
                 tb_slot: slot,
                 index_in_tb: i as u32,
-                progress: 0,
-                at_barrier: false,
-                finished: false,
-                blocked_on_longlat: false,
+                ..WarpState::default()
             };
-            let bit = 1u64 << w;
-            self.cands_mask |= bit;
-            self.eligible_mask |= bit;
-            self.sb_wait_mask &= !bit;
-            self.clear_ready(bit);
-            self.longlat_mask &= !bit;
-            self.ibuf_at[w] = self.warps[w].ibuf_ready_at;
+            self.issue.launch(w, self.warps[w].ibuf_ready_at);
         }
         self.shared[slot] = SharedMem::new(program.shared_bytes);
         self.sched_tbs[slot] = TbState {
             occupied: true,
             global_index,
-            progress: 0,
             num_warps: self.warps_per_tb as u32,
-            warps_at_barrier: 0,
-            warps_finished: 0,
             launched_at: now,
+            ..TbState::default()
         };
         self.used_threads += self.threads_per_tb;
         self.used_shared += program.shared_bytes;
@@ -635,29 +430,18 @@ impl Sm {
                 },
             );
         }
-        let view = SchedView {
-            cycle: now,
-            warps: &self.sched_warps,
-            tbs: &self.sched_tbs,
-            tbs_waiting_in_tb_scheduler: fast_phase,
-        };
-        policy.on_tb_launch(slot, &view);
+        policy.on_tb_launch(slot, &self.sched_view(now, fast_phase));
         slot
     }
 
     /// Scheduler-visible view (also used by the GPU layer for Table IV
     /// traces).
     pub fn sched_view(&self, now: u64, fast_phase: bool) -> SchedView<'_> {
-        SchedView {
-            cycle: now,
-            warps: &self.sched_warps,
-            tbs: &self.sched_tbs,
-            tbs_waiting_in_tb_scheduler: fast_phase,
-        }
+        sched_view(&self.sched_warps, &self.sched_tbs, now, fast_phase)
     }
 
     /// Host-side LSU queue gauge: `(high-water mark, depth histogram)`,
-    /// sampled every [`QUEUE_SAMPLE_PERIOD`] cycles (see `pro_mem`'s
+    /// sampled every [`pro_mem::QUEUE_SAMPLE_PERIOD`] cycles (see `pro_mem`'s
     /// `QueueProf` for the boundary rules).
     pub fn lsu_prof(&self) -> (u64, &Hist16) {
         (self.lsu_hwm, &self.lsu_depth)
@@ -667,99 +451,14 @@ impl Sm {
     /// observability only — never serialized, excluded from determinism
     /// comparisons (published as `host/issue/*`).
     pub fn issue_prof(&self) -> IssueProf {
-        self.issue_prof
+        self.issue.prof()
     }
 
-    /// Forget the ready memo of the warps in `bits`: the one that just
-    /// issued, or slots being launched into or retired.
-    #[inline]
-    fn clear_ready(&mut self, bits: u64) {
-        for m in &mut self.ready {
-            *m &= !bits;
-        }
-    }
-
-    fn schedule_wb(&mut self, t: u64, rec: WbRec) {
-        self.wb_events.push(t, rec);
-    }
-
-    fn release_write(&mut self, warp: usize, ws: WriteSet, now: u64, tracer: &mut dyn Tracer) {
-        self.warps[warp].scoreboard.release(ws);
-        let longlat = self.warps[warp].scoreboard.longlat_pending();
-        self.sched_warps[warp].blocked_on_longlat = longlat;
-        // The single point where a stalled warp can become issuable again:
-        // drop its scoreboard-wait memo and refresh the blocked fingerprint.
-        let bit = 1u64 << warp;
-        self.sb_wait_mask &= !bit;
-        if longlat {
-            self.longlat_mask |= bit;
-        } else {
-            self.longlat_mask &= !bit;
-        }
-        if tracer.wants(EventClass::Scoreboard) {
-            tracer.emit(
-                now,
-                &TraceEvent::ScoreboardClear {
-                    sm: self.id,
-                    warp: warp as u32,
-                },
-            );
-        }
-    }
-
-    fn maybe_release_barrier(
-        &mut self,
-        tb: usize,
-        now: u64,
-        policy: &mut dyn WarpScheduler,
-        fast_phase: bool,
-        tracer: &mut dyn Tracer,
-    ) {
-        let t = &self.sched_tbs[tb];
-        if t.warps_at_barrier == 0 || t.warps_at_barrier + t.warps_finished < t.num_warps {
-            return;
-        }
-        if tracer.wants(EventClass::Barrier) {
-            tracer.emit(
-                now,
-                &TraceEvent::BarrierRelease {
-                    sm: self.id,
-                    tb_slot: tb as u32,
-                },
-            );
-        }
-        // Release.
-        let base = tb * self.warps_per_tb;
-        for i in 0..self.warps_per_tb {
-            let w = base + i;
-            if self.warps[w].valid && self.warps[w].at_barrier {
-                self.warps[w].at_barrier = false;
-                self.warps[w].ibuf_ready_at = now + self.cfg.fetch_lat;
-                self.sched_warps[w].at_barrier = false;
-                self.eligible_mask |= 1u64 << w;
-                self.ibuf_at[w] = now + self.cfg.fetch_lat;
-            }
-        }
-        self.sched_tbs[tb].warps_at_barrier = 0;
-        let view = SchedView {
-            cycle: now,
-            warps: &self.sched_warps,
-            tbs: &self.sched_tbs,
-            tbs_waiting_in_tb_scheduler: fast_phase,
-        };
-        policy.on_barrier_release(tb, &view);
-    }
-
-    fn retire_tb(
-        &mut self,
-        tb: usize,
-        now: u64,
-        table: &IssueTable,
-        policy: &mut dyn WarpScheduler,
-        fast: bool,
-        tracer: &mut dyn Tracer,
-    ) {
-        let program = table.program();
+    /// Every warp of TB slot `tb` has exited: free the slot and its
+    /// resources (`cx` carries the bound program: `self.table` is lent out).
+    fn retire_tb(&mut self, tb: usize, cx: &mut IssueCx) {
+        let now = cx.now;
+        let program = cx.table.program();
         let base = tb * self.warps_per_tb;
         // Warp-progress disparity within the retiring TB (§III.E): the gap
         // between its most and least advanced warps, in thread-instructions.
@@ -773,8 +472,8 @@ impl Sm {
         self.stats
             .disparity_hist
             .observe(max_p.saturating_sub(min_p));
-        if tracer.wants(EventClass::Tb) {
-            tracer.emit(
+        if cx.tracer.wants(EventClass::Tb) {
+            cx.tracer.emit(
                 now,
                 &TraceEvent::TbComplete {
                     sm: self.id,
@@ -787,24 +486,13 @@ impl Sm {
             let w = base + i;
             self.warps[w].retire();
             self.sched_warps[w] = WarpState::default();
-            let bit = 1u64 << w;
-            self.cands_mask &= !bit;
-            self.eligible_mask &= !bit;
-            self.sb_wait_mask &= !bit;
-            self.clear_ready(bit);
-            self.longlat_mask &= !bit;
+            self.issue.retire(w);
         }
         self.used_threads -= self.threads_per_tb;
         self.used_shared -= program.shared_bytes;
         self.used_regs -= program.regs as u32 * self.threads_per_tb;
         self.live_tbs -= 1;
-        let view = SchedView {
-            cycle: now,
-            warps: &self.sched_warps,
-            tbs: &self.sched_tbs,
-            tbs_waiting_in_tb_scheduler: fast,
-        };
-        policy.on_tb_finish(tb, &view);
+        cx.policy.on_tb_finish(tb, &self.sched_view(now, cx.fast_phase));
         self.sched_tbs[tb] = TbState::default();
     }
 
@@ -845,768 +533,6 @@ impl Sm {
         self.issue_phase(now, gmem, mem, policy, fast_phase, report, tracer);
     }
 
-    /// First half of a cycle: interact with the shared memory subsystem.
-    ///
-    /// Drains this SM's completed accesses, retires due writebacks, and lets
-    /// the LSU head push one line into the subsystem. Must run in SM-index
-    /// order — `MemSubsystem` assigns its deterministic event sequence
-    /// numbers here.
-    pub fn mem_phase(&mut self, now: u64, mem: &mut MemSubsystem, tracer: &mut dyn Tracer) {
-        if now % QUEUE_SAMPLE_PERIOD == 0 {
-            let d = self.lsu.len() as u64;
-            self.lsu_hwm = self.lsu_hwm.max(d);
-            self.lsu_depth.observe(d);
-        }
-        // 1. Memory completions.
-        //    (buffer first: drain borrows mem mutably)
-        self.completion_buf.clear();
-        self.completion_buf.extend(mem.drain_completions(self.id));
-        for k in 0..self.completion_buf.len() {
-            let a = self.completion_buf[k];
-            let (warp, ws) = self
-                .access_map
-                .remove(&a)
-                .expect("completion for unknown access");
-            self.release_write(warp, ws, now, tracer);
-        }
-
-        // 2. Due writebacks (popped in exact (time, seq) order; the slab
-        //    slot is recycled immediately).
-        while let Some((_, _, rec)) = self.wb_events.pop_due(now) {
-            self.release_write(rec.warp, rec.ws, now, tracer);
-        }
-
-        // 3. LSU head progress.
-        if let Some(head) = self.lsu.front_mut() {
-            match head {
-                LsuEntry::Global {
-                    access,
-                    lines,
-                    len,
-                    next,
-                    is_write,
-                } => {
-                    let line = lines[*next];
-                    let outcome =
-                        mem.access_line_traced(now, self.id, *access, line, *is_write, tracer);
-                    if outcome == AccessOutcome::Accepted {
-                        *next += 1;
-                        if *next == *len {
-                            self.lsu.pop_front();
-                        }
-                    }
-                }
-                LsuEntry::Shared { warp, remaining, wb } => {
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        let (warp, wb) = (*warp, *wb);
-                        self.lsu.pop_front();
-                        if !wb.is_empty() {
-                            let t = now + self.cfg.shared_lat;
-                            self.schedule_wb(t, WbRec { warp, ws: wb });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Second half of a cycle: scheduler ordering and instruction issue,
-    /// one scheduler unit after the other.
-    ///
-    /// Global loads and stores act on `gmem` as they issue and a load
-    /// registers with `mem` at once, so whatever issues next — this SM's
-    /// next unit, then the SMs the GPU ticks after this one — sees them.
-    /// Registration schedules no memory event and draws no sequence number,
-    /// so the next SM's [`Sm::mem_phase`] does not depend on it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn issue_phase(
-        &mut self,
-        now: u64,
-        gmem: &mut GlobalMem,
-        mem: &mut MemSubsystem,
-        policy: &mut dyn WarpScheduler,
-        fast_phase: bool,
-        report: &mut TickReport,
-        tracer: &mut dyn Tracer,
-    ) {
-        {
-            let view = SchedView {
-                cycle: now,
-                warps: &self.sched_warps,
-                tbs: &self.sched_tbs,
-                tbs_waiting_in_tb_scheduler: fast_phase,
-            };
-            policy.begin_cycle(&view);
-        }
-        // The table moves out for the phase and back, so the units borrow it
-        // beside `&mut self` without touching the shared refcount.
-        let table = self.table.take().expect("kernel bound");
-        let gates = TraceGates {
-            stall: tracer.wants(EventClass::Stall),
-            issue: tracer.wants(EventClass::Issue),
-            simt: tracer.wants(EventClass::Simt),
-            sb: tracer.wants(EventClass::Scoreboard),
-        };
-        let reads_longlat = policy.order_reads_longlat();
-        for unit in 0..self.cfg.units {
-            self.issue_unit(
-                unit, now, &table, gmem, mem, policy, fast_phase, reads_longlat, report, gates,
-                tracer,
-            );
-            debug_assert!(self.ready_memo_holds(now, &table));
-            self.stats.unit_cycles += 1;
-        }
-        self.table = Some(table);
-    }
-
-    /// Pop warp `w`'s SIMT entries whose reconvergence point its pc has
-    /// reached — the one place the issue phase does so, so a pop is
-    /// published as `SimtReconverge` whichever of its walks performs it.
-    #[inline]
-    fn reconverge(&mut self, w: usize, now: u64, trace_simt: bool, tracer: &mut dyn Tracer) {
-        let warp = &mut self.warps[w];
-        if !trace_simt {
-            warp.simt.reconverge();
-            return;
-        }
-        let depth_before = warp.simt.depth();
-        warp.simt.reconverge();
-        if warp.simt.depth() < depth_before {
-            let (sm, pc) = (self.id, warp.pc());
-            tracer.emit(now, &TraceEvent::SimtReconverge { sm, warp: w as u32, pc });
-        }
-    }
-
-    /// The invariant on [`Sm::ready`], re-derived from the architectural
-    /// state; the debug-build check behind each [`Sm::issue_unit`].
-    fn ready_memo_holds(&self, now: u64, table: &IssueTable) -> bool {
-        let [alu, sfu, mem] = self.ready;
-        let any = alu | sfu | mem;
-        let live = self.cands_mask & self.eligible_mask;
-        let disjoint = alu & sfu == 0 && (alu | sfu) & mem == 0;
-        disjoint
-            && any & (self.sb_wait_mask | !live) == 0
-            && (0..self.cfg.max_warps).filter(|w| any >> w & 1 != 0).all(|w| {
-                let warp = &self.warps[w];
-                let meta = table.at(warp.pc());
-                now >= self.ibuf_at[w]
-                    && !warp.simt.at_reconvergence()
-                    && meta.ready(&warp.scoreboard)
-                    && self.ready[ready_class(meta.pipe)] >> w & 1 != 0
-            })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn issue_unit(
-        &mut self,
-        unit: u32,
-        now: u64,
-        table: &IssueTable,
-        gmem: &mut GlobalMem,
-        mem: &mut MemSubsystem,
-        policy: &mut dyn WarpScheduler,
-        fast_phase: bool,
-        reads_longlat: bool,
-        report: &mut TickReport,
-        gates: TraceGates,
-        tracer: &mut dyn Tracer,
-    ) {
-        let u = unit as usize;
-        let unit_cands = self.cands_mask & self.unit_masks[u];
-        let unit_blocked = self.longlat_mask & self.unit_masks[u];
-        // Reuse last cycle's order verbatim when the policy reports clean
-        // and every input `order()` may read is unchanged: the candidate
-        // set always, the blocked set only for policies that declare they
-        // read it (`reads_longlat`). Under those conditions the
-        // `order_dirty` contract guarantees a recompute would be a no-op.
-        let reuse = self.cached_valid[u]
-            && self.cached_cands[u] == unit_cands
-            && (!reads_longlat || self.cached_blocked[u] == unit_blocked)
-            && !policy.order_dirty(unit);
-        if reuse {
-            self.issue_prof.orders_reused += 1;
-        } else {
-            self.issue_prof.orders_recomputed += 1;
-            // Candidates: live, unfinished warps of this unit, ascending.
-            if self.cand_built[u] != unit_cands {
-                self.cand_bufs[u].clear();
-                let mut m = unit_cands;
-                while m != 0 {
-                    self.cand_bufs[u].push(m.trailing_zeros() as usize);
-                    m &= m - 1;
-                }
-                self.cand_built[u] = unit_cands;
-            }
-            let view = SchedView {
-                cycle: now,
-                warps: &self.sched_warps,
-                tbs: &self.sched_tbs,
-                tbs_waiting_in_tb_scheduler: fast_phase,
-            };
-            // Split borrows: the order cache is disjoint from the view.
-            let mut order = std::mem::take(&mut self.order_bufs[u]);
-            policy.order(unit, &view, &self.cand_bufs[u], &mut order);
-            self.order_bufs[u] = order;
-            self.cached_cands[u] = unit_cands;
-            self.cached_blocked[u] = unit_blocked;
-            self.cached_valid[u] = true;
-        }
-
-        // Warps the walk would not silently skip: not at a barrier, not
-        // finished, slot occupied.
-        let live = unit_cands & self.eligible_mask;
-
-        // Ready-warp occupancy sampling (paper §III: the size of the ready
-        // pool is what lets a scheduler hide latency).
-        if now & 63 == 0 {
-            let mut ready = 0u64;
-            let mut m = live;
-            while m != 0 {
-                let w = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if now < self.ibuf_at[w] {
-                    continue;
-                }
-                self.reconverge(w, now, gates.simt, tracer);
-                let warp = &self.warps[w];
-                if warp.scoreboard.clear_of(table.at(warp.pc()).hazard) {
-                    ready += 1;
-                }
-            }
-            self.stats.ready_warp_sum += ready;
-            self.stats.ready_samples += 1;
-            self.stats.ready_hist.observe(ready);
-        }
-
-        // Mask-first probe set. Every live warp is still fetching, untested,
-        // in `sb_wait_mask` or in one `ready` mask; the last two hold
-        // verdicts nothing has changed since (see the field docs), so only
-        // `untested` warps are probed, lazily and in priority order, and the
-        // first `issuable` one — ready, its pipeline `open` this unit-cycle
-        // — issues without its `Warp` being looked at.
-        let unit_mask = self.unit_masks[u];
-        let stalled = live & self.sb_wait_mask;
-        self.issue_prof.mask_skips += stalled.count_ones() as u64;
-        let open = [true, now >= self.sfu_free_at, self.lsu.len() < self.cfg.lsu_queue];
-        let (mut ready_any, mut issuable) = (0u64, 0u64);
-        for (r, open) in self.ready.iter().zip(open) {
-            ready_any |= r & unit_mask;
-            if open {
-                issuable |= r & unit_mask;
-            }
-        }
-        let mut untested = 0u64;
-        let mut m = live & !self.sb_wait_mask & !ready_any;
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if now >= self.ibuf_at[w] {
-                untested |= 1u64 << w;
-            }
-            m &= m - 1;
-        }
-
-        // Valid instruction(s) exist iff some warp is fetched; with nothing
-        // to probe or pick the order is not walked at all.
-        let saw_valid = (stalled | ready_any | untested) != 0;
-        let mut visit = untested | issuable;
-        let mut chosen: Option<usize> = None;
-        for i in 0..self.order_bufs[u].len() {
-            if visit == 0 {
-                break; // every fetched warp has a verdict, none can issue
-            }
-            let w = self.order_bufs[u][i];
-            let bit = 1u64 << w;
-            if visit & bit == 0 {
-                continue;
-            }
-            visit &= !bit;
-            if issuable & bit != 0 {
-                self.issue_prof.ready_hits += 1;
-                chosen = Some(w);
-                break;
-            }
-            self.issue_prof.probes += 1;
-            self.reconverge(w, now, gates.simt, tracer);
-            let warp = &self.warps[w];
-            let meta = table.at(warp.pc());
-            // Operand hazards; Exit and barriers also drain the warp's
-            // pipeline first (in-order completion).
-            if !meta.ready(&warp.scoreboard) {
-                self.sb_wait_mask |= bit;
-                continue;
-            }
-            // Structural hazards.
-            let c = ready_class(meta.pipe);
-            self.ready[c] |= bit;
-            if open[c] {
-                chosen = Some(w);
-                break;
-            }
-        }
-
-        let Some(w) = chosen else {
-            let reason = if !saw_valid {
-                self.stats.idle += 1;
-                StallReason::Idle
-            } else if self.ready.iter().all(|r| r & unit_mask == 0) {
-                self.stats.scoreboard += 1;
-                StallReason::Scoreboard
-            } else {
-                self.stats.pipeline += 1;
-                StallReason::Pipeline
-            };
-            if gates.stall {
-                tracer.emit(now, &TraceEvent::UnitStall { sm: self.id, unit, reason });
-                // Per-warp attribution: re-classify each candidate on this
-                // stalled cycle (second pass only when a tracer asked).
-                for i in 0..self.order_bufs[u].len() {
-                    let w = self.order_bufs[u][i];
-                    let warp = &self.warps[w];
-                    let reason = if warp.at_barrier
-                        || warp.finished
-                        || !warp.valid
-                        || now < warp.ibuf_ready_at
-                    {
-                        StallReason::Idle
-                    } else if !table.at(warp.pc()).ready(&warp.scoreboard) {
-                        StallReason::Scoreboard
-                    } else {
-                        StallReason::Pipeline
-                    };
-                    tracer.emit(
-                        now,
-                        &TraceEvent::WarpStall { sm: self.id, warp: w as u32, reason },
-                    );
-                }
-            }
-            return;
-        };
-
-        // ---- Issue. ----
-        let tb = self.warps[w].tb_slot;
-        let ctx = LaunchCtx {
-            params: &self.params,
-            ntid: self.ntid,
-            nctaid: self.nctaid,
-        };
-        let mut lines = std::mem::take(&mut self.lines_buf);
-        let issue_pc = self.warps[w].pc();
-        let depth_before = self.warps[w].simt.depth();
-        let (effect, active) = {
-            let (warp, shared) = {
-                // Split borrow: warp slot and its TB's shared memory.
-                let warp = &mut self.warps[w];
-                let shared = &mut self.shared[tb];
-                (warp, shared)
-            };
-            warp.execute(table.program(), &ctx, gmem, shared, &mut lines)
-        };
-        if gates.issue {
-            tracer.emit(
-                now,
-                &TraceEvent::WarpIssue {
-                    sm: self.id,
-                    unit,
-                    warp: w as u32,
-                    tb_slot: tb as u32,
-                    pc: issue_pc,
-                    active,
-                },
-            );
-        }
-        if gates.simt && self.warps[w].simt.depth() > depth_before {
-            tracer.emit(
-                now,
-                &TraceEvent::SimtDiverge { sm: self.id, warp: w as u32, pc: issue_pc },
-            );
-        }
-        self.stats.issued += 1;
-        self.stats.instructions += 1;
-        self.stats.thread_instructions += active as u64;
-        // Progress accounting (paper §III.E: += active threads).
-        self.sched_warps[w].progress += active as u64;
-        self.sched_tbs[tb].progress += active as u64;
-        self.warps[w].ibuf_ready_at = now + self.cfg.fetch_lat;
-        self.ibuf_at[w] = now + self.cfg.fetch_lat;
-        self.clear_ready(1u64 << w); // back to fetching: the verdict was for `issue_pc`
-
-        let meta = table.at(issue_pc);
-        let ws = meta.write;
-        let mut sb_set = false; // emits one ScoreboardSet below when true
-        let mut sb_longlat = false;
-        match effect {
-            ExecEffect::Alu => {
-                if !ws.is_empty() {
-                    self.warps[w].scoreboard.reserve(ws, false);
-                    sb_set = true;
-                    self.schedule_wb(now + self.cfg.alu_lat(meta.lat), WbRec { warp: w, ws });
-                }
-            }
-            ExecEffect::Sfu => {
-                self.sfu_free_at = now + self.cfg.sfu_ii;
-                self.warps[w].scoreboard.reserve(ws, false);
-                sb_set = true;
-                self.schedule_wb(now + self.cfg.sfu_lat, WbRec { warp: w, ws });
-            }
-            ExecEffect::GlobalLoad => {
-                let access = self.next_access;
-                self.next_access += 1;
-                self.warps[w].scoreboard.reserve(ws, true);
-                sb_set = true;
-                sb_longlat = true;
-                self.sched_warps[w].blocked_on_longlat = true;
-                self.longlat_mask |= 1u64 << w;
-                mem.begin_load(now, self.id, access, lines.len() as u32);
-                if tracer.wants(EventClass::Mem) {
-                    tracer.emit(
-                        now,
-                        &TraceEvent::Coalesce {
-                            sm: self.id,
-                            warp: w as u32,
-                            req: req_id(self.id, access),
-                            lines: lines.len() as u32,
-                            store: false,
-                        },
-                    );
-                }
-                self.access_map.insert(access, (w, ws));
-                self.lsu.push_back(LsuEntry::global(access, &lines, false));
-            }
-            ExecEffect::GlobalStore => {
-                if tracer.wants(EventClass::Mem) {
-                    tracer.emit(
-                        now,
-                        &TraceEvent::Coalesce {
-                            sm: self.id,
-                            warp: w as u32,
-                            req: u64::MAX, // stores are fire-and-forget: no id
-                            lines: lines.len() as u32,
-                            store: true,
-                        },
-                    );
-                }
-                self.lsu.push_back(LsuEntry::global(u64::MAX, &lines, true));
-            }
-            ExecEffect::SharedLoad { occupancy } | ExecEffect::SharedAtomic { occupancy } => {
-                self.warps[w].scoreboard.reserve(ws, false);
-                sb_set = true;
-                self.lsu.push_back(LsuEntry::Shared {
-                    warp: w,
-                    remaining: occupancy,
-                    wb: ws,
-                });
-            }
-            ExecEffect::SharedStore { occupancy } => {
-                self.lsu.push_back(LsuEntry::Shared {
-                    warp: w,
-                    remaining: occupancy,
-                    wb: WriteSet::EMPTY,
-                });
-            }
-            ExecEffect::Barrier => {
-                self.sched_warps[w].at_barrier = true;
-                self.eligible_mask &= !(1u64 << w); // execute() parked it
-                self.sched_tbs[tb].warps_at_barrier += 1;
-                if tracer.wants(EventClass::Barrier) {
-                    tracer.emit(
-                        now,
-                        &TraceEvent::BarrierArrive {
-                            sm: self.id,
-                            tb_slot: tb as u32,
-                            warp: w as u32,
-                        },
-                    );
-                }
-                let view = SchedView {
-                    cycle: now,
-                    warps: &self.sched_warps,
-                    tbs: &self.sched_tbs,
-                    tbs_waiting_in_tb_scheduler: fast_phase,
-                };
-                policy.on_barrier_arrive(w, tb, &view);
-                self.maybe_release_barrier(tb, now, policy, fast_phase, tracer);
-            }
-            ExecEffect::Exit => {
-                self.sched_warps[w].finished = true;
-                self.cands_mask &= !(1u64 << w);
-                self.eligible_mask &= !(1u64 << w);
-                self.sched_tbs[tb].warps_finished += 1;
-                if self.first_warp_finish[tb].is_none() {
-                    self.first_warp_finish[tb] = Some(now);
-                }
-                let view = SchedView {
-                    cycle: now,
-                    warps: &self.sched_warps,
-                    tbs: &self.sched_tbs,
-                    tbs_waiting_in_tb_scheduler: fast_phase,
-                };
-                policy.on_warp_finish(w, tb, &view);
-                if self.sched_tbs[tb].warps_finished == self.sched_tbs[tb].num_warps {
-                    report.finished_tbs.push(self.sched_tbs[tb].global_index);
-                    let first = self.first_warp_finish[tb].expect("set at first exit");
-                    self.stats.wld_cycles += now - first;
-                    self.stats.tbs_completed += 1;
-                    self.retire_tb(tb, now, table, policy, fast_phase, tracer);
-                } else {
-                    // A finishing warp can be the last arrival a barrier was
-                    // waiting on.
-                    self.maybe_release_barrier(tb, now, policy, fast_phase, tracer);
-                }
-            }
-            ExecEffect::Branch | ExecEffect::Nop => {}
-        }
-        if sb_set && gates.sb {
-            tracer.emit(
-                now,
-                &TraceEvent::ScoreboardSet {
-                    sm: self.id,
-                    warp: w as u32,
-                    longlat: sb_longlat,
-                },
-            );
-        }
-        self.lines_buf = lines;
-        policy.on_issue(
-            unit,
-            w,
-            IssueInfo {
-                active_threads: active,
-                is_global_load: matches!(effect, ExecEffect::GlobalLoad),
-            },
-            &SchedView {
-                cycle: now,
-                warps: &self.sched_warps,
-                tbs: &self.sched_tbs,
-                tbs_waiting_in_tb_scheduler: fast_phase,
-            },
-        );
-    }
-
-    /// Serialize all live microarchitectural state into `w`.
-    ///
-    /// Must be called at a cycle boundary (between ticks); the kernel
-    /// binding itself (program, params, launch geometry) is *not* encoded —
-    /// [`Sm::restore_snapshot`] expects [`Sm::begin_kernel`] to have rebound
-    /// the same kernel first, and cross-checks the geometry.
-    pub fn save_snapshot(&self, w: &mut Writer) {
-        w.put_u64(self.warps_per_tb as u64);
-        w.put_u32(self.threads_per_tb);
-        self.warps.save(w);
-        self.shared.save(w);
-        self.sched_warps.save(w);
-        self.sched_tbs.save(w);
-        w.put_u32(self.used_threads);
-        w.put_u32(self.used_shared);
-        w.put_u32(self.used_regs);
-        w.put_u32(self.live_tbs);
-        // Writeback events, canonically ordered by (time, seq): slab slots
-        // are an allocation artifact, so they are re-packed on restore
-        // while the (time, seq) keys — which fully determine pop order —
-        // round-trip exactly. Same byte layout as the pre-calendar heap.
-        self.wb_events.save_snapshot(w);
-        self.lsu.save(w);
-        w.put_u64(self.sfu_free_at);
-        let mut accesses: Vec<(u64, (usize, WriteSet))> = self
-            .access_map
-            .iter()
-            .map(|(&a, &(warp, ws))| (a, (warp, ws)))
-            .collect();
-        accesses.sort_unstable_by_key(|&(a, _)| a);
-        w.put_u64(accesses.len() as u64);
-        for (a, (warp, ws)) in accesses {
-            w.put_u64(a);
-            w.put_usize(warp);
-            ws.save(w);
-        }
-        w.put_u64(self.next_access);
-        self.first_warp_finish.save(w);
-        self.stats.save(w);
-    }
-
-    /// Restore state written by [`Sm::save_snapshot`].
-    ///
-    /// The SM must already have the same kernel bound via
-    /// [`Sm::begin_kernel`]; geometry mismatches (different kernel or SM
-    /// configuration) are rejected as [`CodecError::BadValue`].
-    pub fn restore_snapshot(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        let warps_per_tb = r.get_usize()?;
-        let threads_per_tb = r.get_u32()?;
-        if warps_per_tb != self.warps_per_tb || threads_per_tb != self.threads_per_tb {
-            return Err(CodecError::BadValue("snapshot kernel geometry mismatch"));
-        }
-        let warps: Vec<Warp> = Snapshot::load(r)?;
-        if warps.len() != self.cfg.max_warps {
-            return Err(CodecError::BadValue("snapshot warp slot count"));
-        }
-        let shared: Vec<SharedMem> = Snapshot::load(r)?;
-        if shared.len() != self.cfg.max_tbs {
-            return Err(CodecError::BadValue("snapshot TB slot count"));
-        }
-        self.warps = warps;
-        self.shared = shared;
-        self.sched_warps = Snapshot::load(r)?;
-        self.sched_tbs = Snapshot::load(r)?;
-        if self.sched_warps.len() != self.cfg.max_warps
-            || self.sched_tbs.len() != self.cfg.max_tbs
-        {
-            return Err(CodecError::BadValue("snapshot scheduler view size"));
-        }
-        self.used_threads = r.get_u32()?;
-        self.used_shared = r.get_u32()?;
-        self.used_regs = r.get_u32()?;
-        self.live_tbs = r.get_u32()?;
-        // `can_accept_tb` answers from this count; hold it to the slots.
-        let (usable, beyond) = self.sched_tbs.split_at(self.usable_tb_slots());
-        if usable.iter().filter(|t| t.occupied).count() != self.live_tbs as usize
-            || beyond.iter().any(|t| t.occupied)
-        {
-            return Err(CodecError::BadValue("snapshot resident TB count"));
-        }
-        self.wb_events.restore_snapshot(r)?;
-        self.lsu = Snapshot::load(r)?;
-        self.sfu_free_at = r.get_u64()?;
-        self.access_map.clear();
-        let n_acc = r.get_usize()?;
-        for _ in 0..n_acc {
-            let a = r.get_u64()?;
-            let warp = r.get_usize()?;
-            let ws = WriteSet::load(r)?;
-            self.access_map.insert(a, (warp, ws));
-        }
-        self.next_access = r.get_u64()?;
-        self.first_warp_finish = Snapshot::load(r)?;
-        if self.first_warp_finish.len() != self.cfg.max_tbs {
-            return Err(CodecError::BadValue("snapshot WLD tracker size"));
-        }
-        self.stats = SmStats::load(r)?;
-        // Incremental issue-path state is derived, not serialized: rebuild
-        // the masks from the restored warps and drop the order caches (the
-        // scheduler policies invalidate or restore their dirty bits
-        // symmetrically, so the first post-restore cycle recomputes the
-        // same orders the donor run held).
-        self.rebuild_issue_masks();
-        Ok(())
-    }
-}
-
-impl Snapshot for SmStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.issued);
-        w.put_u64(self.idle);
-        w.put_u64(self.scoreboard);
-        w.put_u64(self.pipeline);
-        w.put_u64(self.unit_cycles);
-        w.put_u64(self.instructions);
-        w.put_u64(self.thread_instructions);
-        w.put_u64(self.wld_cycles);
-        w.put_u64(self.tbs_completed);
-        w.put_u64(self.ready_warp_sum);
-        w.put_u64(self.ready_samples);
-        pro_mem::save_hist(&self.ready_hist, w);
-        pro_mem::save_hist(&self.disparity_hist, w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SmStats {
-            issued: r.get_u64()?,
-            idle: r.get_u64()?,
-            scoreboard: r.get_u64()?,
-            pipeline: r.get_u64()?,
-            unit_cycles: r.get_u64()?,
-            instructions: r.get_u64()?,
-            thread_instructions: r.get_u64()?,
-            wld_cycles: r.get_u64()?,
-            tbs_completed: r.get_u64()?,
-            ready_warp_sum: r.get_u64()?,
-            ready_samples: r.get_u64()?,
-            ready_hist: pro_mem::load_hist(r)?,
-            disparity_hist: pro_mem::load_hist(r)?,
-        })
-    }
-}
-
-impl Snapshot for WbRec {
-    fn save(&self, w: &mut Writer) {
-        w.put_usize(self.warp);
-        self.ws.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WbRec {
-            warp: r.get_usize()?,
-            ws: WriteSet::load(r)?,
-        })
-    }
-}
-
-impl LsuEntry {
-    /// A global-memory instruction with all of its `lines` still to send.
-    fn global(access: AccessId, lines: &[u64], is_write: bool) -> LsuEntry {
-        let mut inline = [0; WARP_SIZE];
-        inline[..lines.len()].copy_from_slice(lines);
-        LsuEntry::Global {
-            access,
-            lines: inline,
-            len: lines.len(),
-            next: 0,
-            is_write,
-        }
-    }
-}
-
-impl Snapshot for LsuEntry {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            LsuEntry::Global { access, lines, len, next, is_write } => {
-                w.put_u8(0);
-                w.put_u64(*access);
-                // Same bytes as the `Vec<u64>` this field used to be.
-                w.put_u64(*len as u64);
-                for line in &lines[..*len] {
-                    w.put_u64(*line);
-                }
-                w.put_usize(*next);
-                w.put_bool(*is_write);
-            }
-            LsuEntry::Shared { warp, remaining, wb } => {
-                w.put_u8(1);
-                w.put_usize(*warp);
-                w.put_u32(*remaining);
-                wb.save(w);
-            }
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.get_u8()? {
-            0 => {
-                let access = r.get_u64()?;
-                let len = r.get_usize()?;
-                if len > WARP_SIZE {
-                    return Err(CodecError::BadValue("LSU entry line count"));
-                }
-                let mut lines = [0; WARP_SIZE];
-                for line in &mut lines[..len] {
-                    *line = r.get_u64()?;
-                }
-                let next = r.get_usize()?;
-                if next >= len {
-                    return Err(CodecError::BadValue("LSU entry progress"));
-                }
-                Ok(LsuEntry::Global {
-                    access,
-                    lines,
-                    len,
-                    next,
-                    is_write: r.get_bool()?,
-                })
-            }
-            1 => Ok(LsuEntry::Shared {
-                warp: r.get_usize()?,
-                remaining: r.get_u32()?,
-                wb: WriteSet::load(r)?,
-            }),
-            _ => Err(CodecError::BadValue("LSU entry tag")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1616,16 +542,18 @@ mod tests {
     use pro_isa::{CmpOp, LaunchConfig, ProgramBuilder, Special, Src, Ty};
     use pro_mem::MemConfig;
 
-    struct Rig {
-        sm: Sm,
-        gmem: GlobalMem,
-        mem: MemSubsystem,
-        policy: Box<dyn WarpScheduler>,
-        now: u64,
+    /// One SM with its memory system and policy, driven cycle by cycle
+    /// (shared with the issue-phase rigs of `sm/issue_phase.rs`).
+    pub(super) struct Rig {
+        pub(super) sm: Sm,
+        pub(super) gmem: GlobalMem,
+        pub(super) mem: MemSubsystem,
+        pub(super) policy: Box<dyn WarpScheduler>,
+        pub(super) now: u64,
     }
 
     impl Rig {
-        fn new(kernel: &Kernel, kind: SchedulerKind) -> Rig {
+        pub(super) fn new(kernel: &Kernel, kind: SchedulerKind) -> Rig {
             let cfg = SmConfig::gtx480();
             let mut sm = Sm::new(0, cfg);
             sm.begin_kernel(kernel);
@@ -1638,7 +566,7 @@ mod tests {
             }
         }
 
-        fn launch(&mut self, global_index: u32) -> usize {
+        pub(super) fn launch(&mut self, global_index: u32) -> usize {
             self.sm
                 .launch_tb(global_index, self.now, self.policy.as_mut(), true)
         }
@@ -1683,10 +611,10 @@ mod tests {
         let k = simple_kernel(1, 64);
         let mut rig = Rig::new(&k, SchedulerKind::Lrr);
         rig.launch(0);
-        assert_eq!(rig.sm.live_tbs(), 1);
+        assert_eq!(rig.sm.live_tbs, 1);
         let (_cycles, finished) = rig.run(100_000);
         assert_eq!(finished, vec![0]);
-        assert_eq!(rig.sm.live_tbs(), 0);
+        assert_eq!(rig.sm.live_tbs, 0);
         // Functional result: gtid written at words 0..64.
         for i in 0..64u64 {
             assert_eq!(rig.gmem.read(i * 4), i as u32);
@@ -1704,7 +632,6 @@ mod tests {
             launched += 1;
         }
         assert_eq!(launched, 6);
-        assert_eq!(rig.sm.max_resident_tbs(), 6);
     }
 
     #[test]
@@ -2168,39 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn lsu_entry_keeps_the_vec_byte_layout_and_bounds_its_length() {
-        let lines = [0x1000u64, 0x80, 0x2000];
-        let mut w = Writer::new();
-        LsuEntry::global(7, &lines, false).save(&mut w);
-        let bytes = w.into_bytes();
-        // Tag, access id, then exactly what `Vec<u64>::save` writes.
-        let mut want = Writer::new();
-        want.put_u8(0);
-        want.put_u64(7);
-        lines.to_vec().save(&mut want);
-        want.put_usize(0);
-        want.put_bool(false);
-        assert_eq!(bytes, want.into_bytes());
-        let LsuEntry::Global { lines: back, len, .. } =
-            LsuEntry::load(&mut Reader::new(&bytes)).unwrap()
-        else {
-            panic!("global entry expected");
-        };
-        assert_eq!(&back[..len], &lines);
-
-        // A length no warp can produce is refused before anything is read
-        // into the fixed-size line array.
-        let mut bad = Writer::new();
-        bad.put_u8(0);
-        bad.put_u64(7);
-        bad.put_u64(WARP_SIZE as u64 + 1);
-        assert!(matches!(
-            LsuEntry::load(&mut Reader::new(&bad.into_bytes())),
-            Err(CodecError::BadValue(_))
-        ));
-    }
-
-    #[test]
     fn can_accept_tb_agrees_with_a_scan_of_the_tb_slots() {
         // The free-slot half of `can_accept_tb` is answered from `live_tbs`;
         // hold it to the slot scan it replaced while TBs launch, retire and
@@ -2235,7 +1129,7 @@ mod tests {
             assert!(rig.now < 100_000);
         }
         assert!(saw_full, "the sequence must reach a full SM");
-        assert_eq!(rig.sm.live_tbs(), 0);
+        assert_eq!(rig.sm.live_tbs, 0);
     }
 
     #[test]
@@ -2290,191 +1184,6 @@ mod tests {
             let count = |pick: fn(&Ev) -> bool| tracer.records().filter(|r| pick(&r.event)).count();
             assert_eq!(count(|e| matches!(e, Ev::SimtDiverge { .. })), 24, "start {start}");
             assert_eq!(count(|e| matches!(e, Ev::SimtReconverge { .. })), 48, "start {start}");
-        }
-    }
-
-    /// 16 warps, each issuing 12 independent global loads back to back:
-    /// the 8-entry LSU queue stays full while the warps stay ready.
-    fn lsu_saturating_kernel() -> Kernel {
-        let mut b = ProgramBuilder::new("lsu_sat");
-        let (g, a, acc) = (b.reg(), b.reg(), b.reg());
-        let vs: Vec<_> = (0..12).map(|_| b.reg()).collect();
-        b.global_tid(g);
-        b.buf_addr(a, 0, g, 0);
-        for (i, &v) in vs.iter().enumerate() {
-            b.ld_global(v, a, i as i32 * 4096);
-        }
-        b.mov(acc, Src::Imm(0));
-        for &v in &vs {
-            b.iadd(acc, acc, v);
-        }
-        b.st_global(acc, a, 0);
-        b.exit();
-        Kernel::new(b.build().unwrap(), LaunchConfig::linear(2, 512), vec![0])
-    }
-
-    /// Independent SFU ops: every warp is ready while the unit's
-    /// initiation interval refuses it.
-    fn sfu_saturating_kernel() -> Kernel {
-        let mut b = ProgramBuilder::new("sfu_sat");
-        let r = b.reg();
-        let ds: Vec<_> = (0..8).map(|_| b.reg()).collect();
-        b.mov(r, Src::imm_f32(0.5));
-        for &d in &ds {
-            b.sfu(pro_isa::SfuOp::Sin, d, r);
-        }
-        b.exit();
-        Kernel::new(b.build().unwrap(), LaunchConfig::linear(2, 256), vec![])
-    }
-
-    /// Divergent if/else blocks on both sides of a barrier, with a load
-    /// and a shared-memory round trip.
-    fn barrier_divergent_kernel() -> Kernel {
-        let mut b = ProgramBuilder::new("bar_div");
-        let sh = b.shared_alloc(1024);
-        let (g, a, v, t, s) = (b.reg(), b.reg(), b.reg(), b.reg(), b.reg());
-        let p0 = b.pred();
-        b.global_tid(g);
-        b.buf_addr(a, 0, g, 0);
-        b.ld_global(v, a, 0);
-        b.and(t, g, Src::Imm(1));
-        b.setp(CmpOp::Eq, Ty::S32, p0, t, Src::Imm(0));
-        for _ in 0..3 {
-            b.if_else(
-                p0,
-                |b| {
-                    b.iadd(v, v, Src::Imm(3));
-                },
-                |b| {
-                    b.imad(v, v, Src::Imm(5), Src::Imm(1));
-                },
-            );
-        }
-        b.mov(t, Src::Special(Special::Tid));
-        b.imad(s, t, Src::Imm(4), Src::Imm(sh));
-        b.st_shared(v, s, 0);
-        b.bar();
-        b.ld_shared(t, s, 0);
-        b.if_else(
-            p0,
-            |b| {
-                b.iadd(v, v, t);
-            },
-            |b| {
-                b.sfu(pro_isa::SfuOp::Sin, v, t);
-            },
-        );
-        b.st_global(v, a, 0);
-        b.exit();
-        Kernel::new(b.build().unwrap(), LaunchConfig::linear(4, 256), vec![0])
-    }
-
-    /// What the issue walk would find for warp slot `w` at the end of
-    /// cycle `now`, from the architectural state alone: `None` if it would
-    /// not look (not live, or still fetching), else whether the scoreboard
-    /// lets the next instruction go and which ready class serves it.
-    fn probe_from_scratch(sm: &Sm, w: usize, now: u64) -> Option<(bool, usize)> {
-        let (warp, sw) = (&sm.warps[w], &sm.sched_warps[w]);
-        let live = sw.active && !sw.finished && warp.valid && !warp.at_barrier && !warp.finished;
-        if !live || now < warp.ibuf_ready_at {
-            return None;
-        }
-        let mut simt = warp.simt.clone();
-        simt.reconverge();
-        let meta = sm.table.as_ref().unwrap().at(simt.pc());
-        Some((meta.ready(&warp.scoreboard), ready_class(meta.pipe)))
-    }
-
-    /// Run `kernel` under `kind`, launching TBs as slots free up. With
-    /// `forget` the ready memo is emptied before every cycle, so each ready
-    /// warp is probed again as it was before the memo existed; without, the
-    /// memo masks are held to [`probe_from_scratch`] after every cycle.
-    fn run_memo_rig(kernel: &Kernel, kind: SchedulerKind, forget: bool) -> Rig {
-        let check = !forget;
-        let blocks = kernel.launch.num_blocks();
-        let mut rig = Rig::new(kernel, kind);
-        let (mut next, mut done) = (0u32, 0u32);
-        let (mut held, mut pipe_full_held) = (0u64, 0u64);
-        while done < blocks {
-            while next < blocks && rig.sm.can_accept_tb() {
-                rig.launch(next);
-                next += 1;
-            }
-            if forget {
-                rig.sm.ready = [0; 3];
-            }
-            let issued_before = rig.sm.stats.issued;
-            let mut rep = TickReport::default();
-            rig.mem.tick(rig.now);
-            rig.sm.tick(
-                rig.now,
-                &mut rig.gmem,
-                &mut rig.mem,
-                rig.policy.as_mut(),
-                next < blocks,
-                &mut rep,
-            );
-            done += rep.finished_tbs.len() as u32;
-            if check {
-                let sm = &rig.sm;
-                // A cycle in which nothing issued walked every fetched warp,
-                // so each of them must hold a verdict; otherwise the lazy
-                // walk may have left some untested.
-                let complete = sm.stats.issued == issued_before;
-                for w in 0..sm.cfg.max_warps {
-                    let bit = 1u64 << w;
-                    let memo: Vec<usize> = (0..3).filter(|&c| sm.ready[c] & bit != 0).collect();
-                    let waiting = sm.sb_wait_mask & bit != 0;
-                    let ctx = format!("{kind:?} cycle {} warp {w}", rig.now);
-                    match probe_from_scratch(sm, w, rig.now) {
-                        None => {
-                            assert!(memo.is_empty() && !waiting, "{ctx}: memo on a skipped warp")
-                        }
-                        Some((true, c)) => {
-                            assert!(!waiting, "{ctx}: ready warp in sb_wait");
-                            assert!(
-                                memo.is_empty() && !complete || memo == [c],
-                                "{ctx}: in {memo:?}, class {c}"
-                            );
-                        }
-                        Some((false, _)) => {
-                            assert!(memo.is_empty(), "{ctx}: unready warp in {memo:?}");
-                            assert!(waiting || !complete, "{ctx}: unready warp without a verdict");
-                        }
-                    }
-                    held += memo.len() as u64;
-                }
-                pipe_full_held += (sm.ready[1] | sm.ready[2]).count_ones() as u64;
-            }
-            rig.now += 1;
-            assert!(rig.now < 400_000, "{kind:?} did not finish");
-        }
-        if check {
-            assert!(held > 0 && pipe_full_held > 0, "{kind:?}: the memo was never exercised");
-        }
-        rig
-    }
-
-    #[test]
-    fn ready_memo_agrees_with_a_from_scratch_probe_and_changes_no_stat() {
-        use SchedulerKind::{Gto, Lrr, Pro, Tl};
-        for kernel in [lsu_saturating_kernel(), sfu_saturating_kernel(), barrier_divergent_kernel()] {
-            for kind in [Lrr, Gto, Pro, Tl] {
-                let memo = run_memo_rig(&kernel, kind, false);
-                let reprobe = run_memo_rig(&kernel, kind, true);
-                let name = &kernel.program.name;
-                assert_eq!(memo.now, reprobe.now, "{name} {kind:?}: finish cycle");
-                assert_eq!(memo.sm.stats, reprobe.sm.stats, "{name} {kind:?}");
-                assert!(memo.sm.stats.pipeline > 0, "{name} {kind:?}: no pipeline stall");
-                let (m, r) = (memo.sm.issue_prof(), reprobe.sm.issue_prof());
-                assert_eq!(
-                    (m.orders_reused, m.orders_recomputed, m.mask_skips),
-                    (r.orders_reused, r.orders_recomputed, r.mask_skips),
-                    "{name} {kind:?}: the memo moved a counter it does not own"
-                );
-                assert!(m.probes < r.probes, "{name} {kind:?}: {} !< {}", m.probes, r.probes);
-                assert_eq!(r.ready_hits, 0, "an emptied memo serves nothing");
-            }
         }
     }
 
@@ -2642,7 +1351,6 @@ mod edge_tests {
             n += 1;
         }
         assert_eq!(n, 2, "32768 regs / (64 regs x 256 threads) = 2");
-        assert_eq!(rig.sm.max_resident_tbs(), 2);
     }
 
     /// Warp-level divergence statistic: a kernel with warp-skewed work

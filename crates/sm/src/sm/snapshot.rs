@@ -1,0 +1,233 @@
+//! Checkpoint encoding of an SM's live microarchitectural state. The issue
+//! path's [`crate::issue::IssueState`] is derived and not part of it:
+//! a restore rebuilds it from the warps it has just loaded.
+
+use super::lsu::{LsuEntry, Release};
+use super::{Sm, SmStats};
+use crate::scoreboard::WriteSet;
+use crate::shared::SharedMem;
+use crate::warp::Warp;
+use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
+use pro_isa::WARP_SIZE;
+use pro_mem::AccessId;
+
+impl Sm {
+    /// Serialize all live microarchitectural state into `w`.
+    ///
+    /// Must be called at a cycle boundary (between ticks); the kernel
+    /// binding itself (program, params, launch geometry) is *not* encoded —
+    /// [`Sm::restore_snapshot`] expects [`Sm::begin_kernel`] to have rebound
+    /// the same kernel first, and cross-checks the geometry.
+    pub fn save_snapshot(&self, w: &mut Writer) {
+        w.put_u64(self.warps_per_tb as u64);
+        w.put_u32(self.threads_per_tb);
+        self.warps.save(w);
+        self.shared.save(w);
+        self.sched_warps.save(w);
+        self.sched_tbs.save(w);
+        w.put_u32(self.used_threads);
+        w.put_u32(self.used_shared);
+        w.put_u32(self.used_regs);
+        w.put_u32(self.live_tbs);
+        // Writeback events, canonically ordered by (time, seq): slab slots
+        // are an allocation artifact, so they are re-packed on restore
+        // while the (time, seq) keys — which fully determine pop order —
+        // round-trip exactly. Same byte layout as the pre-calendar heap.
+        self.wb_events.save_snapshot(w);
+        self.lsu.save(w);
+        w.put_u64(self.sfu_free_at);
+        // In access-id order: the map's own order is not canonical.
+        let mut accesses: Vec<(AccessId, Release)> =
+            self.access_map.iter().map(|(&a, &to)| (a, to)).collect();
+        accesses.sort_unstable_by_key(|&(a, _)| a);
+        accesses.save(w);
+        w.put_u64(self.next_access);
+        self.first_warp_finish.save(w);
+        self.stats.save(w);
+    }
+
+    /// Restore state written by [`Sm::save_snapshot`].
+    ///
+    /// The SM must already have the same kernel bound via
+    /// [`Sm::begin_kernel`]; geometry mismatches (different kernel or SM
+    /// configuration) are rejected as [`CodecError::BadValue`].
+    pub fn restore_snapshot(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        let warps_per_tb = r.get_usize()?;
+        let threads_per_tb = r.get_u32()?;
+        if warps_per_tb != self.warps_per_tb || threads_per_tb != self.threads_per_tb {
+            return Err(CodecError::BadValue("snapshot kernel geometry mismatch"));
+        }
+        let warps: Vec<Warp> = Snapshot::load(r)?;
+        if warps.len() != self.cfg.max_warps {
+            return Err(CodecError::BadValue("snapshot warp slot count"));
+        }
+        let shared: Vec<SharedMem> = Snapshot::load(r)?;
+        if shared.len() != self.cfg.max_tbs {
+            return Err(CodecError::BadValue("snapshot TB slot count"));
+        }
+        self.warps = warps;
+        self.shared = shared;
+        self.sched_warps = Snapshot::load(r)?;
+        self.sched_tbs = Snapshot::load(r)?;
+        if self.sched_warps.len() != self.cfg.max_warps
+            || self.sched_tbs.len() != self.cfg.max_tbs
+        {
+            return Err(CodecError::BadValue("snapshot scheduler view size"));
+        }
+        self.used_threads = r.get_u32()?;
+        self.used_shared = r.get_u32()?;
+        self.used_regs = r.get_u32()?;
+        self.live_tbs = r.get_u32()?;
+        // `can_accept_tb` answers from this count; hold it to the slots.
+        let (usable, beyond) = self.sched_tbs.split_at(self.usable_tb_slots());
+        if usable.iter().filter(|t| t.occupied).count() != self.live_tbs as usize
+            || beyond.iter().any(|t| t.occupied)
+        {
+            return Err(CodecError::BadValue("snapshot resident TB count"));
+        }
+        self.wb_events.restore_snapshot(r)?;
+        self.lsu = Snapshot::load(r)?;
+        self.sfu_free_at = r.get_u64()?;
+        let accesses: Vec<(AccessId, Release)> = Snapshot::load(r)?;
+        self.access_map = accesses.into_iter().collect();
+        self.next_access = r.get_u64()?;
+        self.first_warp_finish = Snapshot::load(r)?;
+        if self.first_warp_finish.len() != self.cfg.max_tbs {
+            return Err(CodecError::BadValue("snapshot WLD tracker size"));
+        }
+        self.stats = SmStats::load(r)?;
+        // Derived, not serialized (the policies invalidate or restore their
+        // dirty bits symmetrically, so the orders come back the same).
+        self.issue.rebuild(&self.warps, &self.sched_warps);
+        Ok(())
+    }
+}
+
+impl Snapshot for SmStats {
+    fn save(&self, w: &mut Writer) {
+        w.put_u64(self.issued);
+        w.put_u64(self.idle);
+        w.put_u64(self.scoreboard);
+        w.put_u64(self.pipeline);
+        w.put_u64(self.unit_cycles);
+        w.put_u64(self.instructions);
+        w.put_u64(self.thread_instructions);
+        w.put_u64(self.wld_cycles);
+        w.put_u64(self.tbs_completed);
+        w.put_u64(self.ready_warp_sum);
+        w.put_u64(self.ready_samples);
+        pro_mem::save_hist(&self.ready_hist, w);
+        pro_mem::save_hist(&self.disparity_hist, w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(SmStats {
+            issued: r.get_u64()?,
+            idle: r.get_u64()?,
+            scoreboard: r.get_u64()?,
+            pipeline: r.get_u64()?,
+            unit_cycles: r.get_u64()?,
+            instructions: r.get_u64()?,
+            thread_instructions: r.get_u64()?,
+            wld_cycles: r.get_u64()?,
+            tbs_completed: r.get_u64()?,
+            ready_warp_sum: r.get_u64()?,
+            ready_samples: r.get_u64()?,
+            ready_hist: pro_mem::load_hist(r)?,
+            disparity_hist: pro_mem::load_hist(r)?,
+        })
+    }
+}
+
+impl Snapshot for LsuEntry {
+    fn save(&self, w: &mut Writer) {
+        match self {
+            LsuEntry::Global { access, lines, len, next, is_write } => {
+                w.put_u8(0);
+                w.put_u64(*access);
+                // Same bytes as the `Vec<u64>` this field used to be.
+                w.put_u64(*len as u64);
+                for line in &lines[..*len] {
+                    w.put_u64(*line);
+                }
+                w.put_usize(*next);
+                w.put_bool(*is_write);
+            }
+            LsuEntry::Shared { warp, remaining, wb } => {
+                w.put_u8(1);
+                w.put_usize(*warp);
+                w.put_u32(*remaining);
+                wb.save(w);
+            }
+        }
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            0 => {
+                let access = r.get_u64()?;
+                let len = r.get_usize()?;
+                if len > WARP_SIZE {
+                    return Err(CodecError::BadValue("LSU entry line count"));
+                }
+                let mut lines = [0; WARP_SIZE];
+                for line in &mut lines[..len] {
+                    *line = r.get_u64()?;
+                }
+                let next = r.get_usize()?;
+                if next >= len {
+                    return Err(CodecError::BadValue("LSU entry progress"));
+                }
+                Ok(LsuEntry::Global {
+                    access,
+                    lines,
+                    len,
+                    next,
+                    is_write: r.get_bool()?,
+                })
+            }
+            1 => Ok(LsuEntry::Shared {
+                warp: r.get_usize()?,
+                remaining: r.get_u32()?,
+                wb: WriteSet::load(r)?,
+            }),
+            _ => Err(CodecError::BadValue("LSU entry tag")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lsu_entry_keeps_the_vec_byte_layout_and_bounds_its_length() {
+        let lines = [0x1000u64, 0x80, 0x2000];
+        let mut w = Writer::new();
+        LsuEntry::global(7, &lines, false).save(&mut w);
+        let bytes = w.into_bytes();
+        // Tag, access id, then exactly what `Vec<u64>::save` writes.
+        let mut want = Writer::new();
+        want.put_u8(0);
+        want.put_u64(7);
+        lines.to_vec().save(&mut want);
+        want.put_usize(0);
+        want.put_bool(false);
+        assert_eq!(bytes, want.into_bytes());
+        let LsuEntry::Global { lines: back, len, .. } =
+            LsuEntry::load(&mut Reader::new(&bytes)).unwrap()
+        else {
+            panic!("global entry expected");
+        };
+        assert_eq!(&back[..len], &lines);
+
+        // A length no warp can produce is refused before anything is read
+        // into the fixed-size line array.
+        let mut bad = Writer::new();
+        bad.put_u8(0);
+        bad.put_u64(7);
+        bad.put_u64(WARP_SIZE as u64 + 1);
+        assert!(matches!(
+            LsuEntry::load(&mut Reader::new(&bad.into_bytes())),
+            Err(CodecError::BadValue(_))
+        ));
+    }
+}

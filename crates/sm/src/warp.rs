@@ -90,10 +90,10 @@ pub struct Warp {
     pub finished: bool,
     /// Cycle at which the next instruction is fetched/decoded.
     ///
-    /// The SM keeps a mirror of this field (`Sm::ibuf_at`, DESIGN.md §15)
-    /// so the issue walk can test fetch readiness without touching the
-    /// warp; every path that writes it (launch, issue, barrier release)
-    /// must update the mirror in the same place.
+    /// [`crate::issue::IssueState`] mirrors this field (DESIGN.md §15) so
+    /// the issue walk can test fetch readiness without touching the warp;
+    /// every path that writes it (launch, issue, barrier release) tells it
+    /// in the same place.
     pub ibuf_ready_at: u64,
     /// Lanes that exist (threads_per_block may not fill the last warp).
     pub live_mask: u32,

@@ -1,10 +1,11 @@
 //! One scheduler unit's pick over a recorded LSU-saturated trace, two ways:
-//! the walk `Sm::issue_unit` runs (a ready memo beside the scoreboard-wait
-//! memo, DESIGN.md §15) and the walk it replaced, which tested every
-//! fetched warp again each cycle — kept here as the reference.
-//! `pick_oracle.rs` holds the two to the same picks, and `pro-bench`'s
-//! `issue/pipe_full_*` rows time them side by side (it includes this file
-//! by path). Nothing here is compiled into the library.
+//! the walk the simulator runs — [`IssueState::pick`] on a real
+//! [`IssueState`] (a ready memo beside the scoreboard-wait memo, DESIGN.md
+//! §15), told of each event as `Sm` tells its own — and the walk it
+//! replaced, which tested every fetched warp again each cycle — kept here
+//! as the reference. `pick_oracle.rs` holds the two to the same picks, and
+//! `pro-bench`'s `issue/pipe_full_*` rows time them side by side (it
+//! includes this file by path). Nothing here is compiled into the library.
 //!
 //! The model is the slice of an SM the pick depends on: per-warp SIMT
 //! stack, scoreboard and fetch time from the library's own types, the
@@ -13,8 +14,11 @@
 //! room.
 
 use pro_core::rng::SplitMix64;
+use pro_core::{SchedView, WarpScheduler};
 use pro_isa::{PipeClass, ProgramBuilder, SfuOp, Src};
+use pro_sm::issue::{class_of, IssueState};
 use pro_sm::{IssueTable, Scoreboard, SimtStack, WriteSet};
+use pro_trace::StallReason;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -25,14 +29,22 @@ const SFU_II: u64 = 8;
 const ALU_LAT: u64 = 8;
 const MEM_LAT: u64 = 160;
 
-/// Ready class of a pipeline, as in `sm.rs`.
-const fn ready_class(pipe: PipeClass) -> usize {
-    match pipe {
-        PipeClass::Alu | PipeClass::Ctrl => 0,
-        PipeClass::Sfu => 1,
-        PipeClass::Mem => 2,
+/// Oldest slot first: the order the reference walks.
+struct OldestFirst;
+
+impl WarpScheduler for OldestFirst {
+    fn name(&self) -> &'static str {
+        "oldest-first"
+    }
+    fn order(&mut self, _unit: u32, _view: &SchedView, candidates: &[usize], out: &mut Vec<usize>) {
+        out.clear();
+        out.extend_from_slice(candidates);
     }
 }
+
+/// A walk: the warp to issue at `now` given which ready classes are open,
+/// or the stall class of the unit-cycle.
+pub type Pick = fn(&mut PipeFullModel, u64, [bool; 3]) -> Result<usize, StallReason>;
 
 /// The unit, its warps, and the recorded LSU availability.
 #[derive(Clone)]
@@ -48,9 +60,12 @@ pub struct PipeFullModel {
     /// Pending writebacks per latency class, each in due order.
     wb: [VecDeque<(u64, usize, WriteSet)>; 2],
     sfu_free_at: u64,
+    /// The reference walk's state: unfinished warps and its
+    /// scoreboard-wait memo.
     live: u64,
     sb_wait: u64,
-    ready: [u64; 3],
+    /// The production walk's state.
+    issue: IssueState,
     /// Warps tested (reconverge + decode lookup + scoreboard check).
     pub probes: u64,
 }
@@ -76,6 +91,12 @@ impl PipeFullModel {
         b.exit();
         let program = Arc::new(b.build().expect("valid program"));
         let mut rng = SplitMix64::new(0x15c0_de02);
+        // Every warp launched at cycle 0 and ordered once: a warp that
+        // exits stays in the order and is skipped by the masks.
+        let mut issue = IssueState::new(WARPS, 1);
+        (0..WARPS).for_each(|w| issue.launch(w, 0));
+        let view = SchedView { cycle: 0, warps: &[], tbs: &[], tbs_waiting_in_tb_scheduler: false };
+        issue.order(0, &mut OldestFirst, &view, false);
         PipeFullModel {
             lsu_open: (0..cycles).map(|_| rng.gen_range(0u32..6) == 0).collect(),
             simt: vec![SimtStack::new(u32::MAX, program.len() as u32); WARPS],
@@ -85,7 +106,7 @@ impl PipeFullModel {
             sfu_free_at: 0,
             live: (1u64 << WARPS) - 1,
             sb_wait: 0,
-            ready: [0; 3],
+            issue,
             probes: 0,
             table: Arc::new(IssueTable::build(&program)),
         }
@@ -96,29 +117,34 @@ impl PipeFullModel {
         self.lsu_open.len() as u64
     }
 
-    /// One cycle: retire due writebacks, pick with `pick`, issue the pick.
-    pub fn step(
-        &mut self,
-        now: u64,
-        pick: fn(&mut PipeFullModel, u64, [bool; 3]) -> Option<usize>,
-    ) -> Option<usize> {
+    /// One cycle: retire due writebacks, pick with `pick`, issue the pick
+    /// (or report why nothing issued).
+    pub fn step(&mut self, now: u64, pick: Pick) -> Result<usize, StallReason> {
         for q in 0..self.wb.len() {
             while self.wb[q].front().is_some_and(|&(t, ..)| t <= now) {
                 let (_, w, ws) = self.wb[q].pop_front().expect("checked");
                 self.scoreboard[w].release(ws);
                 self.sb_wait &= !(1u64 << w);
+                self.issue.release_write(w, self.scoreboard[w].longlat_pending());
             }
         }
         let open = [true, now >= self.sfu_free_at, self.lsu_open[now as usize]];
-        let w = pick(self, now, open)?;
+        let picked = pick(self, now, open);
+        // The production state against the model's warps, as `Sm` checks
+        // its own after every unit-cycle of a debug build.
+        debug_assert!(self.issue.ready_memo_holds(now, |w| {
+            let meta = self.table.at(self.simt[w].pc());
+            (!self.simt[w].at_reconvergence() && meta.ready(&self.scoreboard[w]))
+                .then_some(class_of(meta.pipe))
+        }));
+        let w = picked?;
         let meta = *self.table.at(self.simt[w].pc());
         self.simt[w].advance();
         self.ibuf_at[w] = now + FETCH_LAT;
-        for r in &mut self.ready {
-            *r &= !(1u64 << w);
-        }
+        self.issue.issued(w, now + FETCH_LAT);
         if meta.drains {
             self.live &= !(1u64 << w); // `exit`: the stream is over
+            self.issue.exit(w);
         }
         let is_mem = meta.pipe == PipeClass::Mem;
         if meta.pipe == PipeClass::Sfu {
@@ -129,17 +155,7 @@ impl PipeFullModel {
             let lat = if is_mem { MEM_LAT } else { ALU_LAT };
             self.wb[is_mem as usize].push_back((now + lat, w, meta.write));
         }
-        Some(w)
-    }
-
-    /// Test warp `w` (fetched, no verdict): `None` if the scoreboard
-    /// refuses it, else the ready class of its instruction.
-    fn probe(&mut self, w: usize) -> Option<usize> {
-        self.probes += 1;
-        self.simt[w].reconverge();
-        let meta = self.table.at(self.simt[w].pc());
-        meta.ready(&self.scoreboard[w])
-            .then_some(ready_class(meta.pipe))
+        Ok(w)
     }
 
     /// Fetched warps among `m`.
@@ -156,47 +172,44 @@ impl PipeFullModel {
     }
 }
 
-/// The walk as `Sm::issue_unit` runs it: warps hold their verdict, ready
-/// ones issue from the masks, only untested ones are probed. Oldest first.
-pub fn pick_memo(m: &mut PipeFullModel, now: u64, open: [bool; 3]) -> Option<usize> {
-    let (mut ready_any, mut issuable) = (0u64, 0u64);
-    for (r, open) in m.ready.iter().zip(open) {
-        ready_any |= r;
-        if open {
-            issuable |= r;
-        }
-    }
-    let untested = m.fetched(m.live & !m.sb_wait & !ready_any, now);
-    let mut visit = untested | issuable;
-    for w in 0..WARPS {
-        if visit == 0 {
-            break;
-        }
-        let bit = 1u64 << w;
-        if visit & bit == 0 {
-            continue;
-        }
-        visit &= !bit;
-        if issuable & bit != 0 {
-            return Some(w);
-        }
-        match m.probe(w) {
-            None => m.sb_wait |= bit,
-            Some(c) => {
-                m.ready[c] |= bit;
-                if open[c] {
-                    return Some(w);
-                }
-            }
-        }
-    }
-    None
+/// Test a fetched warp that holds no verdict: `None` if the scoreboard
+/// refuses it, else the ready class of its instruction.
+fn probe_warp(
+    table: &IssueTable,
+    simt: &mut SimtStack,
+    scoreboard: &Scoreboard,
+    probes: &mut u64,
+) -> Option<usize> {
+    *probes += 1;
+    simt.reconverge();
+    let meta = table.at(simt.pc());
+    meta.ready(scoreboard).then_some(class_of(meta.pipe))
+}
+
+/// The walk as `Sm::issue_unit` runs it: [`IssueState::pick`] with the
+/// model's probe. Warps hold their verdict, ready ones issue from the
+/// masks, only untested ones are probed.
+pub fn pick_production(
+    m: &mut PipeFullModel,
+    now: u64,
+    open: [bool; 3],
+) -> Result<usize, StallReason> {
+    let PipeFullModel { issue, table, simt, scoreboard, probes, .. } = m;
+    issue.pick(0, now, open, |w| probe_warp(table, &mut simt[w], &scoreboard[w], probes))
 }
 
 /// The walk before the ready memo: every fetched warp outside the
-/// scoreboard-wait memo is tested again, each cycle, until it issues.
-pub fn pick_reprobe(m: &mut PipeFullModel, now: u64, open: [bool; 3]) -> Option<usize> {
+/// scoreboard-wait memo is tested again, each cycle, until it issues. A
+/// cycle that issues nothing is Idle if no warp was fetched, Pipeline if
+/// one was ready, Scoreboard otherwise (paper §II.B).
+pub fn pick_reprobe(
+    m: &mut PipeFullModel,
+    now: u64,
+    open: [bool; 3],
+) -> Result<usize, StallReason> {
     let mut probe = m.fetched(m.live & !m.sb_wait, now);
+    let fetched = probe | m.live & m.sb_wait;
+    let mut stall = if fetched == 0 { StallReason::Idle } else { StallReason::Scoreboard };
     for w in 0..WARPS {
         if probe == 0 {
             break;
@@ -206,11 +219,11 @@ pub fn pick_reprobe(m: &mut PipeFullModel, now: u64, open: [bool; 3]) -> Option<
             continue;
         }
         probe &= !bit;
-        match m.probe(w) {
+        match probe_warp(&m.table, &mut m.simt[w], &m.scoreboard[w], &mut m.probes) {
             None => m.sb_wait |= bit,
-            Some(c) if open[c] => return Some(w),
-            Some(_) => {}
+            Some(c) if open[c] => return Ok(w),
+            Some(_) => stall = StallReason::Pipeline,
         }
     }
-    None
+    Err(stall)
 }

@@ -1,10 +1,10 @@
-//! The ready-memo walk and the re-probing walk it replaced must pick the
-//! same warp every cycle of the LSU-saturated trace `pro-bench` times them
+//! The ready-memo walk (the production `IssueState::pick`) and the
+//! re-probing walk it replaced must pick the same warp every cycle of the LSU-saturated trace `pro-bench` times them
 //! on (`issue/pipe_full_{memo,reprobe}_x10k`) — otherwise the two rows
 //! would not be timing the same work.
 
 mod oracle;
-use oracle::{pick_memo, pick_reprobe, PipeFullModel};
+use oracle::{pick_production, pick_reprobe, PipeFullModel};
 
 #[test]
 fn memo_and_reprobe_walks_pick_the_same_warps() {
@@ -13,11 +13,11 @@ fn memo_and_reprobe_walks_pick_the_same_warps() {
     let (mut issues, mut pipe_full) = (0u64, 0u64);
     for now in 0..memo.cycles() {
         let probes_before = reprobe.probes;
-        let picked = memo.step(now, pick_memo);
+        let picked = memo.step(now, pick_production);
         assert_eq!(picked, reprobe.step(now, pick_reprobe), "cycle {now}");
-        issues += picked.is_some() as u64;
+        issues += picked.is_ok() as u64;
         // A cycle the old walk tested warps in and still issued nothing.
-        pipe_full += (picked.is_none() && reprobe.probes > probes_before) as u64;
+        pipe_full += (picked.is_err() && reprobe.probes > probes_before) as u64;
     }
     assert!(issues > 1_000, "the trace must keep issuing: {issues}");
     assert!(pipe_full > 5_000, "the trace must be pipeline-bound: {pipe_full}");

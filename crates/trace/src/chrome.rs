@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn export_is_valid_json_with_expected_slices() {
-        let records = vec![
+        let records = [
             rec(10, Event::TbLaunch { sm: 0, tb_slot: 0, global_index: 7 }),
             rec(15, Event::BarrierRelease { sm: 0, tb_slot: 0 }),
             rec(40, Event::LoadComplete { sm: 0, req: 3, latency: 25 }),

@@ -298,17 +298,24 @@ pub fn to_string(v: &Json) -> String {
     s
 }
 
+/// Append `n` as JSON: integers below 9e15 without a fraction, and `null`
+/// for NaN and the infinities, which JSON cannot spell ([`parse`] reads
+/// the `null` back).
+pub fn write_num(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
 fn write_value(out: &mut String, v: &Json) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                let _ = write!(out, "{}", *n as i64);
-            } else {
-                let _ = write!(out, "{n}");
-            }
-        }
+        Json::Num(n) => write_num(out, *n),
         Json::Str(s) => {
             out.push('"');
             out.push_str(&escape(s));
@@ -367,6 +374,32 @@ mod tests {
         let src = Json::Str("line1\nline\"2\"\\t".to_string());
         let txt = to_string(&src);
         assert_eq!(parse(&txt).unwrap(), src);
+    }
+
+    #[test]
+    fn whatever_to_string_writes_parse_reads_back() {
+        // Non-finite numbers have no JSON spelling and come back as null.
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let txt = to_string(&Json::Arr(vec![Json::Num(n), Json::Num(1.0)]));
+            assert_eq!(txt, "[null,1]");
+            assert_eq!(parse(&txt).unwrap(), Json::Arr(vec![Json::Null, Json::Num(1.0)]));
+        }
+        // Everything else round-trips exactly: integers on both sides of
+        // the 9e15 switch from integer to float formatting, fractions,
+        // large and tiny magnitudes, and strings that need every escape.
+        let nums = [
+            0.0, -1.0, 8_999_999_999_999_999.0, -8_999_999_999_999_999.0, 9e15, -9e15,
+            9_000_000_000_000_002.0, u64::MAX as f64, 0.1, -2.5e-7, 1e300, f64::MIN_POSITIVE,
+        ];
+        let strs = ["", "plain", "q\"uote\\back/slash", "\n\r\t\u{8}\u{c}\u{1}\u{1f}", "café λ \u{1F600}"];
+        let mut obj = BTreeMap::new();
+        for (i, s) in strs.iter().enumerate() {
+            obj.insert(format!("{s}{i}"), Json::Str(s.to_string()));
+        }
+        obj.insert("nums".into(), Json::Arr(nums.iter().map(|&n| Json::Num(n)).collect()));
+        obj.insert("misc".into(), Json::Arr(vec![Json::Null, Json::Bool(true), Json::Bool(false)]));
+        let doc = Json::Obj(obj);
+        assert_eq!(parse(&to_string(&doc)).unwrap(), doc);
     }
 
     #[test]

@@ -39,10 +39,11 @@ pub enum HostPhase {
     /// Every SM's `issue_phase`: scheduling, execution, global loads and
     /// stores.
     Issue = 1,
-    /// The thread block scheduler and Table IV sampling. The name is
-    /// published (`host/phase.merge.*`) and dates from the cycle's former
-    /// merge phase, which this part of the cycle closed.
-    Merge = 2,
+    /// The thread block scheduler and Table IV sampling. Published as
+    /// `host/phase.merge.*`, the name of the cycle's former merge phase,
+    /// which this part of the cycle used to close: reports and the
+    /// repository benchmark read it.
+    TbSched = 2,
     /// Building and atomically writing a periodic checkpoint file.
     SnapshotWrite = 3,
 }
@@ -140,13 +141,13 @@ impl HostProf {
         if !self.enabled {
             return;
         }
-        for p in 0..NUM_PHASES {
+        for (p, name) in PHASE_NAMES.iter().enumerate() {
             if self.calls[p] == 0 {
                 continue;
             }
-            m.set_counter(&format!("host/phase.{}.ns", PHASE_NAMES[p]), self.total_ns[p]);
-            m.set_counter(&format!("host/phase.{}.calls", PHASE_NAMES[p]), self.calls[p]);
-            m.set_hist(&format!("host/phase.{}", PHASE_NAMES[p]), self.hists[p]);
+            m.set_counter(&format!("host/phase.{name}.ns"), self.total_ns[p]);
+            m.set_counter(&format!("host/phase.{name}.calls"), self.calls[p]);
+            m.set_hist(&format!("host/phase.{name}"), self.hists[p]);
         }
     }
 }

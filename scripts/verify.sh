@@ -43,6 +43,12 @@ cargo test -q
 echo "== rustdoc: must be warning-free =="
 RUSTDOCFLAGS="--deny warnings" cargo doc --no-deps
 
+echo "== clippy: warning-free, and no function past clippy.toml's line cap =="
+# `too_many_lines` is off by default; with it on, clippy.toml's
+# `too-many-lines-threshold` is the enforced ceiling for every function in
+# the workspace, tests and benches included.
+cargo clippy --release --all-targets --offline -- -D warnings -W clippy::too_many_lines
+
 echo "== trace: golden lifecycle + zero-overhead proofs =="
 # Belt-and-braces: these are part of `cargo test` above, but run them by
 # name so a filtered or partial test invocation can't silently skip the

@@ -311,6 +311,54 @@ fn mismatched_resume_is_rejected() {
         matches!(err, SimError::Snapshot(CodecError::Mismatch(_))),
         "wrong kernel must be refused, got {err:?}"
     );
+    // Wrong trace options: the snapshot (taken with the timeline off) holds
+    // no start cycle for the TBs in flight, which the timeline needs when
+    // they complete. The refused GPU still resumes with the right options.
+    let timeline = TraceOptions { timeline: true, ..Default::default() };
+    let (mut gpu4, kernel4) = fresh_gpu();
+    let err = gpu4
+        .resume(&snap, &kernel4, SchedulerKind::Pro, timeline, &CheckpointOptions::default())
+        .unwrap_err();
+    assert!(
+        matches!(err, SimError::Snapshot(CodecError::Mismatch(_))),
+        "timeline switched on at resume must be refused, got {err:?}"
+    );
+    let resumed = gpu4
+        .resume(
+            &snap,
+            &kernel4,
+            SchedulerKind::Pro,
+            TraceOptions::default(),
+            &CheckpointOptions::default(),
+        )
+        .unwrap();
+    match resumed {
+        LaunchStatus::Completed(r) => assert_eq!(r.cycles, base.cycles),
+        LaunchStatus::Paused(_) => panic!("resume paused without a pause_at"),
+    }
+    // And the mirror: paused with the timeline on, resumed with it off.
+    let (mut gpu5, kernel5) = fresh_gpu();
+    let pause = CheckpointOptions { pause_at: base.cycles / 2, ..Default::default() };
+    let LaunchStatus::Paused(with_timeline) = gpu5
+        .launch_checkpointed(&kernel5, SchedulerKind::Pro, timeline, &pause)
+        .unwrap()
+    else {
+        panic!("expected pause");
+    };
+    let (mut gpu6, kernel6) = fresh_gpu();
+    let err = gpu6
+        .resume(
+            &with_timeline,
+            &kernel6,
+            SchedulerKind::Pro,
+            TraceOptions::default(),
+            &CheckpointOptions::default(),
+        )
+        .unwrap_err();
+    assert!(
+        matches!(err, SimError::Snapshot(CodecError::Mismatch(_))),
+        "timeline switched off at resume must be refused, got {err:?}"
+    );
 }
 
 #[test]

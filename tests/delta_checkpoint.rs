@@ -13,7 +13,7 @@ use pro_sim::{
 use pro_trace::{ClassSet, JsonlTracer};
 use pro_workloads::{registry, Scale};
 use pro_core::codec::CodecError;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const KERNEL: &str = "laplace3d";
 const SCALE: u32 = 16;
@@ -86,7 +86,7 @@ fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
 /// Returns (chain dir, pre-pause trace bytes, pause snapshot).
 fn chained_prefix(
     sched: SchedulerKind,
-    dir: &PathBuf,
+    dir: &Path,
     every: u64,
     boundaries: u64,
     keep: usize,
@@ -100,7 +100,7 @@ fn chained_prefix(
             trace_opts(),
             &CheckpointOptions {
                 every,
-                path: Some(dir.clone()),
+                path: Some(dir.to_path_buf()),
                 delta: true,
                 keep,
                 pause_at: every * boundaries,

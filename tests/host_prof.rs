@@ -61,8 +61,11 @@ fn pause(host_prof: bool, pause_at: u64) -> GpuSnapshot {
     }
 }
 
+/// Named counters and named histograms.
+type MetricRows = (Vec<(String, u64)>, Vec<(String, Hist16)>);
+
 /// The simulated (non-`host/`) slice of a metrics registry.
-fn sim_metrics(m: &Metrics) -> (Vec<(String, u64)>, Vec<(String, Hist16)>) {
+fn sim_metrics(m: &Metrics) -> MetricRows {
     (
         m.counters()
             .iter()
