@@ -13,7 +13,8 @@
 //! unset = all cores). Output is byte-identical at any `N` because results
 //! are collected in submission order.
 //!
-//! Long runs — checkpoint & resume (the `json` sweep):
+//! Long runs — checkpoint & resume (the `json` sweep only; on any other
+//! command these options, like `--heartbeat`, are a usage error):
 //!
 //! * `--checkpoint-path DIR` writes per-cell state into `DIR`: a `.ckpt`
 //!   snapshot refreshed mid-run and a `.done` result once the cell
@@ -35,18 +36,31 @@
 //!   different kernel/config/scheduler aborts with a clear error rather
 //!   than being silently discarded.
 
-use pro_bench::{geomean_finite, parallel_map, ratio, run_cell_with, speedup, AppTotals, Cell};
+use pro_bench::sweep::Checkpointing;
+use pro_bench::{geomean_finite, pairs, parallel_map, ratio, run_cell, speedup, AppTotals, Experiment, Grid};
 use pro_core::SchedulerKind;
 use pro_sim::{GpuConfig, TraceOptions};
-use pro_workloads::{apps, registry, Scale, Workload};
+use pro_workloads::{find, registry, Scale, Workload};
 
-/// Every `--option` the CLI understands; anything else is refused so a
-/// typo (or a removed flag) cannot silently run with defaults.
-const OPTIONS: &[&str] = &[
-    "--full-scale",
-    "--quick",
-    "--config",
-    "--jobs",
+/// Every `--option` the CLI understands, with what its value is for the
+/// ones that take one; anything else is refused so a typo (or a removed
+/// flag) cannot silently run with defaults.
+const OPTIONS: &[(&str, Option<&str>)] = &[
+    ("--full-scale", None),
+    ("--quick", None),
+    ("--config", Some("a path")),
+    ("--jobs", Some("a non-negative integer")),
+    ("--checkpoint-path", Some("a value")),
+    ("--checkpoint-every", Some("a non-negative integer")),
+    ("--checkpoint-delta", None),
+    ("--checkpoint-keep", Some("a non-negative integer")),
+    ("--resume", Some("a value")),
+    ("--heartbeat", Some("a non-negative integer")),
+];
+
+/// Options that configure the `json` sweep's recovery ladder and telemetry
+/// and mean nothing to any other command.
+const JSON_ONLY: &[&str] = &[
     "--checkpoint-path",
     "--checkpoint-every",
     "--checkpoint-delta",
@@ -66,174 +80,167 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let unknown = |a: &&String| a.starts_with("--") && !OPTIONS.contains(&a.as_str());
-    if let Some(bad) = args.iter().find(unknown) {
-        eprintln!("unknown option {bad}");
-        usage();
+/// The command line, parsed once: a value-taking option consumes its
+/// value, so what is left over really is the command and its operands.
+struct Cli {
+    /// The command, then its operands.
+    positionals: Vec<String>,
+    /// The options given, each with its value if it takes one.
+    options: Vec<(&'static str, Option<String>)>,
+}
+
+impl Cli {
+    fn parse(args: impl Iterator<Item = String>) -> Cli {
+        let mut cli = Cli {
+            positionals: Vec::new(),
+            options: Vec::new(),
+        };
+        let mut args = args.peekable();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                cli.positionals.push(arg);
+                continue;
+            }
+            let Some(&(name, takes)) = OPTIONS.iter().find(|(name, _)| *name == arg) else {
+                eprintln!("unknown option {arg}");
+                usage();
+            };
+            let value = takes.map(|what| {
+                args.next_if(|v| !v.starts_with("--")).unwrap_or_else(|| {
+                    eprintln!("{name} requires {what}");
+                    std::process::exit(2);
+                })
+            });
+            cli.options.push((name, value));
+        }
+        cli
     }
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let scale = if args.iter().any(|a| a == "--full-scale") {
+
+    fn has(&self, name: &str) -> bool {
+        self.options.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value given to `name`, if the option is present.
+    fn value(&self, name: &str) -> Option<&str> {
+        let (_, value) = self.options.iter().find(|(n, _)| *n == name)?;
+        value.as_deref()
+    }
+
+    /// [`Cli::value`] as a count.
+    fn count(&self, name: &str) -> Option<usize> {
+        self.value(name).map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                eprintln!("{name} requires a non-negative integer");
+                std::process::exit(2);
+            })
+        })
+    }
+}
+
+fn main() {
+    let cli = Cli::parse(std::env::args().skip(1));
+    let (cmd, operands) = match cli.positionals.split_first() {
+        Some((cmd, operands)) => (cmd.as_str(), operands),
+        None => ("help", &[][..]),
+    };
+    // An option that would be ignored is refused like an unknown one.
+    if cmd != "json" {
+        if let Some(name) = JSON_ONLY.iter().find(|name| cli.has(name)) {
+            eprintln!("{name} applies to `repro json` only");
+            usage();
+        }
+    }
+    // Checkpoint/resume knobs for the `json` sweep. `--resume DIR` implies
+    // checkpointing into the same directory.
+    let ckpt = cli
+        .value("--checkpoint-path")
+        .or_else(|| cli.value("--resume"))
+        .map(|dir| Checkpointing {
+            dir: dir.into(),
+            every: cli.count("--checkpoint-every").unwrap_or(0) as u64,
+            delta: cli.has("--checkpoint-delta"),
+            keep: cli.count("--checkpoint-keep").unwrap_or(0),
+        });
+    if ckpt.is_none() {
+        let tuning = ["--checkpoint-every", "--checkpoint-delta", "--checkpoint-keep"];
+        if let Some(name) = tuning.iter().find(|name| cli.has(name)) {
+            eprintln!("{name} needs --checkpoint-path or --resume");
+            usage();
+        }
+    }
+    // Live telemetry: `--heartbeat N` rewrites status.json at most every N
+    // seconds while the `json` sweep runs (DESIGN.md §13).
+    let heartbeat = cli.count("--heartbeat").map(|n| n as u64);
+    // Optional --config <path>: override the simulated machine for every
+    // experiment run in this invocation.
+    let machine = match cli.value("--config") {
+        None => GpuConfig::gtx480(),
+        Some(path) => pro_sim::load_config(std::path::Path::new(path)).unwrap_or_else(|e| {
+            eprintln!("{path}: {e}");
+            std::process::exit(2);
+        }),
+    };
+    // Optional --jobs <N>: experiment-pool width (independent simulations).
+    if let Some(n) = cli.count("--jobs") {
+        pro_core::pool::set_default_jobs(n);
+    }
+    let scale = if cli.has("--full-scale") {
         Scale::Full
     } else {
         Scale::default()
     };
-    let quick = args.iter().any(|a| a == "--quick");
-    // Optional --config <path>: override the simulated machine for every
-    // experiment run in this invocation.
-    let mut machine_override: Option<GpuConfig> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--config") {
-        let path = args
-            .get(pos + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--config requires a path");
-                std::process::exit(2);
-            })
-            .clone();
-        match pro_sim::load_config(std::path::Path::new(&path)) {
-            Ok(cfg) => machine_override = Some(cfg),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(cfg) = machine_override {
-        set_machine(cfg);
-    }
-    // Optional --jobs <N>: experiment-pool width (independent simulations).
-    if let Some(n) = flag_value(&args, "--jobs") {
-        pro_core::pool::set_default_jobs(n);
-    }
-    // Checkpoint/resume knobs for the `json` sweep. `--resume DIR` implies
-    // checkpointing into the same directory.
-    let ckpt_dir = flag_str(&args, "--checkpoint-path").or_else(|| flag_str(&args, "--resume"));
-    let ckpt_every = flag_value(&args, "--checkpoint-every").unwrap_or(0) as u64;
-    let ckpt_delta = args.iter().any(|a| a == "--checkpoint-delta");
-    let ckpt_keep = flag_value(&args, "--checkpoint-keep").unwrap_or(0);
-    // Live telemetry: `--heartbeat N` rewrites status.json at most every N
-    // seconds while the `json` sweep runs (DESIGN.md §13).
-    let heartbeat = flag_value(&args, "--heartbeat").map(|n| n as u64);
+    let exp = &mut Experiment::new(scale, cli.has("--quick"), machine);
     match cmd {
-        "config" => config(),
-        "workloads" => workloads(scale),
-        "fig1" => fig1(scale, quick),
-        "fig2" => fig2(scale),
-        "fig4" => fig4(scale, quick),
-        "fig5" => fig5(scale, quick),
-        "table3" => table3(scale, quick),
-        "table4" => table4(scale),
-        "ablation" => ablation(scale),
-        "sweep" => sweep(scale),
-        "wld" => wld(scale),
-        "cache" => cache(scale),
-        "synthsweep" => synthsweep(),
-        "svg" => svg_figs(scale, quick),
-        "json" => json_export(
-            scale,
-            quick,
-            ckpt_dir.as_deref(),
-            ckpt_every,
-            ckpt_delta,
-            ckpt_keep,
-            heartbeat,
-        ),
-        "shootout" => shootout(scale, quick),
-        "dram" => dram_ablation(scale),
-        "disasm" => disasm(args.get(1).map(String::as_str).unwrap_or("")),
-        "ready" => ready(scale),
-        "occupancy" => occupancy(scale),
-        "trace" => trace_cmd(scale, &args),
-        "trace-report" => trace_report(&args),
+        "config" => config(exp),
+        "workloads" => workloads(exp),
+        "fig1" => fig1(exp),
+        "fig2" => fig2(exp),
+        "fig4" => fig4(exp),
+        "fig5" => fig5(exp),
+        "table3" => table3(exp),
+        "table4" => table4(exp),
+        "ablation" => ablation(exp),
+        "sweep" => sweep(exp),
+        "wld" => wld(exp),
+        "cache" => cache(exp),
+        "synthsweep" => synthsweep(exp),
+        "svg" => svg_figs(exp),
+        "json" => json_export(exp, ckpt.as_ref(), heartbeat),
+        "shootout" => shootout(exp),
+        "dram" => dram_ablation(exp),
+        "disasm" => disasm(operands.first().map_or("", String::as_str)),
+        "ready" => ready(exp),
+        "occupancy" => occupancy(exp),
+        "trace" => trace_cmd(exp, operands),
+        "trace-report" => trace_report(operands),
         "all" => {
-            config();
-            workloads(scale);
-            fig1(scale, quick);
-            fig2(scale);
-            fig4(scale, quick);
-            fig5(scale, quick);
-            table3(scale, quick);
-            table4(scale);
-            ablation(scale);
-            sweep(scale);
-            wld(scale);
-            cache(scale);
-            ready(scale);
-            occupancy(scale);
-            synthsweep();
-            dram_ablation(scale);
+            config(exp);
+            workloads(exp);
+            fig1(exp);
+            fig2(exp);
+            fig4(exp);
+            fig5(exp);
+            table3(exp);
+            table4(exp);
+            ablation(exp);
+            sweep(exp);
+            wld(exp);
+            cache(exp);
+            ready(exp);
+            occupancy(exp);
+            synthsweep(exp);
+            dram_ablation(exp);
         }
         _ => usage(),
     }
 }
 
-/// Parse `--name N` from the argument list (None if absent or malformed).
-fn flag_value(args: &[String], name: &str) -> Option<usize> {
-    let pos = args.iter().position(|a| a == name)?;
-    match args.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) => Some(n),
-        None => {
-            eprintln!("{name} requires a non-negative integer");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse `--name VALUE` (a string argument) from the argument list.
-fn flag_str(args: &[String], name: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == name)?;
-    match args.get(pos + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => {
-            eprintln!("{name} requires a value");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Machine-aware wrappers around the pro-bench runners.
-fn run_cell(w: &Workload, sched: SchedulerKind, scale: Scale) -> Cell {
-    run_cell_with(w, sched, scale, machine(), TraceOptions::default())
-}
-
-fn run_apps(sched: SchedulerKind, scale: Scale, quick: bool) -> Vec<(&'static str, AppTotals)> {
-    let kernels = kernels(quick);
-    let cells = parallel_map(&kernels, |w| run_cell(w, sched, scale));
-    let mut out: Vec<(&'static str, AppTotals)> = Vec::new();
-    for c in &cells {
-        let slot = match out.iter_mut().find(|(a, _)| *a == c.app) {
-            Some((_, t)) => t,
-            None => {
-                out.push((c.app, AppTotals::default()));
-                &mut out.last_mut().expect("just pushed").1
-            }
-        };
-        slot.add(&c.result);
-    }
-    out
-}
-
-/// The machine model all experiments in this process run on (default:
-/// the paper's GTX480; overridden by `--config`).
-static MACHINE: std::sync::OnceLock<GpuConfig> = std::sync::OnceLock::new();
-
-fn set_machine(cfg: GpuConfig) {
-    let _ = MACHINE.set(cfg);
-}
-
-fn machine() -> GpuConfig {
-    *MACHINE.get_or_init(GpuConfig::gtx480)
-}
-
-/// The kernels a sweep runs: all of Table II, or with `--quick` the first
-/// of each application.
-fn kernels(quick: bool) -> Vec<Workload> {
-    if quick {
-        apps().into_iter().map(|(_, ks)| ks[0]).collect()
-    } else {
-        registry()
-    }
+/// The Table II kernels called `names`, in that order.
+fn named(names: &[&str]) -> Vec<Workload> {
+    names
+        .iter()
+        .map(|name| find(name).expect("kernel present"))
+        .collect()
 }
 
 fn header(title: &str) {
@@ -243,9 +250,9 @@ fn header(title: &str) {
 }
 
 /// Table I.
-fn config() {
+fn config(exp: &Experiment) {
     header("Table I: GPGPU-Sim-equivalent configuration (Rust simulator)");
-    let c = machine();
+    let c = exp.machine;
     println!("Architecture                      NVIDIA Fermi GTX480 (modelled)");
     println!("Number of SMs                     {}", c.num_sms);
     println!("Max Thread Blocks per SM          {}", c.sm.max_tbs);
@@ -263,7 +270,7 @@ fn config() {
 }
 
 /// Table II.
-fn workloads(scale: Scale) {
+fn workloads(exp: &Experiment) {
     header("Table II: Benchmark applications");
     println!(
         "{:<22} {:<32} {:>8} {:>9}",
@@ -275,27 +282,26 @@ fn workloads(scale: Scale) {
             w.app,
             w.kernel,
             w.table2_tbs,
-            w.effective_tbs(scale)
+            w.effective_tbs(exp.scale)
         );
     }
 }
 
 /// Fig. 1: stall breakdown per app for TL, LRR, GTO.
-fn fig1(scale: Scale, quick: bool) {
+fn fig1(exp: &mut Experiment) {
     header("Fig. 1: stall type breakdown (% of stall cycles) for TL / LRR / GTO");
-    let mut per_sched: Vec<(SchedulerKind, Vec<(&'static str, AppTotals)>)> = Vec::new();
-    for s in [SchedulerKind::Tl, SchedulerKind::Lrr, SchedulerKind::Gto] {
-        per_sched.push((s, run_apps(s, scale, quick)));
-    }
+    let grid = exp.cells(
+        &exp.kernels(),
+        &[SchedulerKind::Tl, SchedulerKind::Lrr, SchedulerKind::Gto],
+    );
+    let per_sched = [0, 1, 2].map(|s| grid.app_totals(s));
     println!(
         "{:<14} {:>23} {:>23} {:>23}",
         "", "TL (pipe/idle/sb)", "LRR (pipe/idle/sb)", "GTO (pipe/idle/sb)"
     );
-    let napps = per_sched[0].1.len();
-    for i in 0..napps {
-        let app = per_sched[0].1[i].0;
+    for (i, (app, _)) in per_sched[0].iter().enumerate() {
         print!("{app:<14}");
-        for (_, rows) in &per_sched {
+        for rows in &per_sched {
             let t = rows[i].1;
             let tot = t.total().max(1) as f64;
             print!(
@@ -318,9 +324,9 @@ fn fig1(scale: Scale, quick: bool) {
     };
     println!(
         "\n[aggregate idle share] TL {:.1}%  LRR {:.1}%  GTO {:.1}%",
-        100.0 * idle_share(&per_sched[0].1),
-        100.0 * idle_share(&per_sched[1].1),
-        100.0 * idle_share(&per_sched[2].1)
+        100.0 * idle_share(&per_sched[0]),
+        100.0 * idle_share(&per_sched[1]),
+        100.0 * idle_share(&per_sched[2])
     );
 }
 
@@ -329,23 +335,17 @@ fn fig1(scale: Scale, quick: bool) {
 /// The paper's figure shows ~18 TBs on one SM (≈3 residency batches). LPS
 /// has 100 TBs; running it on a 4-SM slice of the GPU gives SM 0 a
 /// comparable ~25-TB share without changing per-SM behaviour.
-fn fig2(scale: Scale) {
+fn fig2(exp: &Experiment) {
     header("Fig. 2: thread block execution on one SM — LRR vs PRO (4-SM slice)");
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "laplace3d")
-        .expect("LPS present");
+    let w = find("laplace3d").expect("LPS present");
+    let trace = TraceOptions {
+        timeline: true,
+        ..Default::default()
+    };
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        let cell = run_cell_with(
-            &w,
-            sched,
-            scale,
-            GpuConfig::small(4),
-            TraceOptions {
-                timeline: true,
-                ..Default::default()
-            },
-        );
+        let cell = run_cell(&w, sched, exp.scale, GpuConfig::small(4), |gpu, k| {
+            gpu.launch(k, sched, trace)
+        });
         let mut spans: Vec<_> = cell
             .result
             .timeline
@@ -394,7 +394,7 @@ fn fig2(scale: Scale) {
 }
 
 /// Fig. 4: speedups of PRO over TL, LRR, GTO per kernel.
-fn fig4(scale: Scale, quick: bool) {
+fn fig4(exp: &mut Experiment) {
     header("Fig. 4: PRO speedup over TL / LRR / GTO (cycles ratio, >1 = PRO faster)");
     println!(
         "{:<32} {:>9} {:>9} {:>9} {:>12}",
@@ -403,28 +403,16 @@ fn fig4(scale: Scale, quick: bool) {
     let mut vs_tl = Vec::new();
     let mut vs_lrr = Vec::new();
     let mut vs_gto = Vec::new();
-    let ws = kernels(quick);
-    let jobs: Vec<(pro_workloads::Workload, SchedulerKind)> = ws
-        .iter()
-        .flat_map(|w| SchedulerKind::PAPER.into_iter().map(move |s| (*w, s)))
-        .collect();
-    let cells = pro_bench::parallel_map(&jobs, |(w, s)| run_cell(w, *s, scale));
-    for (i, w) in ws.iter().enumerate() {
-        let tl = &cells[i * 4];
-        let lrr = &cells[i * 4 + 1];
-        let gto = &cells[i * 4 + 2];
-        let pro = &cells[i * 4 + 3];
-        let (a, b, c) = (
-            speedup(&tl.result, &pro.result),
-            speedup(&lrr.result, &pro.result),
-            speedup(&gto.result, &pro.result),
-        );
+    let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
+    for row in grid.rows() {
+        let pro = row[3];
+        let [a, b, c] = [0, 1, 2].map(|base| speedup(&row[base].result, &pro.result));
         vs_tl.push(a);
         vs_lrr.push(b);
         vs_gto.push(c);
         println!(
             "{:<32} {:>9.3} {:>9.3} {:>9.3} {:>12}",
-            w.kernel, a, b, c, pro.result.cycles
+            pro.kernel, a, b, c, pro.result.cycles
         );
     }
     println!(
@@ -437,12 +425,10 @@ fn fig4(scale: Scale, quick: bool) {
 }
 
 /// Fig. 5: total stall ratios baseline/PRO per application.
-fn fig5(scale: Scale, quick: bool) {
+fn fig5(exp: &mut Experiment) {
     header("Fig. 5: stall-cycle improvement (baseline stalls / PRO stalls)");
-    let pro = run_apps(SchedulerKind::Pro, scale, quick);
-    let tl = run_apps(SchedulerKind::Tl, scale, quick);
-    let lrr = run_apps(SchedulerKind::Lrr, scale, quick);
-    let gto = run_apps(SchedulerKind::Gto, scale, quick);
+    let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
+    let [tl, lrr, gto, pro] = [0, 1, 2, 3].map(|s| grid.app_totals(s));
     println!(
         "{:<14} {:>8} {:>8} {:>8}",
         "Application", "TL/PRO", "LRR/PRO", "GTO/PRO"
@@ -471,12 +457,10 @@ fn fig5(scale: Scale, quick: bool) {
 }
 
 /// Table III: stall cycles of PRO per type + per-type ratios vs baselines.
-fn table3(scale: Scale, quick: bool) {
+fn table3(exp: &mut Experiment) {
     header("Table III: stall-cycle detail (PRO absolute; ratios baseline/PRO)");
-    let pro = run_apps(SchedulerKind::Pro, scale, quick);
-    let tl = run_apps(SchedulerKind::Tl, scale, quick);
-    let lrr = run_apps(SchedulerKind::Lrr, scale, quick);
-    let gto = run_apps(SchedulerKind::Gto, scale, quick);
+    let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
+    let [tl, lrr, gto, pro] = [0, 1, 2, 3].map(|s| grid.app_totals(s));
     println!(
         "{:<14} | {:>10} {:>10} {:>10} | {:>21} | {:>21} | {:>21}",
         "", "PRO Pipe", "PRO Idle", "PRO SB", "TL p/i/s/total", "LRR p/i/s/total", "GTO p/i/s/total"
@@ -521,22 +505,16 @@ fn table3(scale: Scale, quick: bool) {
 }
 
 /// Table IV: PRO's sorted TB order on SM 0 over time, for AES.
-fn table4(scale: Scale) {
+fn table4(exp: &Experiment) {
     header("Table IV: PRO sorted TB order (AES, SM 0, sampled every 1000 cycles)");
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "aesEncrypt128")
-        .expect("AES present");
-    let cell = run_cell_with(
-        &w,
-        SchedulerKind::Pro,
-        scale,
-        GpuConfig::gtx480(),
-        TraceOptions {
-            tb_order_period: 1000,
-            ..Default::default()
-        },
-    );
+    let w = find("aesEncrypt128").expect("AES present");
+    let trace = TraceOptions {
+        tb_order_period: 1000,
+        ..Default::default()
+    };
+    let cell = run_cell(&w, SchedulerKind::Pro, exp.scale, GpuConfig::gtx480(), |gpu, k| {
+        gpu.launch(k, SchedulerKind::Pro, trace)
+    });
     println!("{:<8}  TB global indices (highest priority first)", "Cycle");
     let mut changes = 0;
     let mut prev: Option<Vec<u32>> = None;
@@ -555,32 +533,33 @@ fn table4(scale: Scale) {
 
 /// §IV diagnostic: barrier-handling ablation on barrier-heavy kernels,
 /// including the PRO-AD adaptive variant (the paper's future work).
-fn ablation(scale: Scale) {
+fn ablation(exp: &mut Experiment) {
     header("Ablation: PRO variants on barrier-heavy kernels (ratio vs PRO, >1 = variant faster)");
-    let names = [
+    let kernels = named(&[
         "scalarProdGPU",
         "MonteCarloOneBlockPerOption",
         "dynproc_kernel",
         "bpnn_layerforward",
-    ];
+    ]);
     println!(
         "{:<32} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "Kernel", "PRO", "PRO-NB", "PRO-NF", "PRO-NS", "PRO-AD"
     );
-    for name in names {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == name)
-            .expect("kernel present");
-        let base = run_cell(&w, SchedulerKind::Pro, scale).result.cycles;
-        let mut row = format!("{name:<32} {base:>10}");
-        for s in [
+    let grid = exp.cells(
+        &kernels,
+        &[
+            SchedulerKind::Pro,
             SchedulerKind::ProNoBarrier,
             SchedulerKind::ProNoFinish,
             SchedulerKind::ProNoSlowPhase,
             SchedulerKind::ProAdaptive,
-        ] {
-            let c = run_cell(&w, s, scale).result.cycles;
+        ],
+    );
+    for cells in grid.rows() {
+        let base = cells[0].result.cycles;
+        let mut row = format!("{:<32} {base:>10}", cells[0].kernel);
+        for variant in &cells[1..] {
+            let c = variant.result.cycles;
             row.push_str(&format!(" {:>9.3}x", base as f64 / c as f64));
         }
         println!("{row}");
@@ -589,7 +568,7 @@ fn ablation(scale: Scale) {
 }
 
 /// Design-choice sweep: PRO's THRESHOLD re-sort period (paper uses 1000).
-fn sweep(scale: Scale) {
+fn sweep(exp: &Experiment) {
     use pro_core::{Pro, ProConfig};
     use pro_sim::Gpu;
     header("Sweep: PRO THRESHOLD (re-sort period) sensitivity, cycles per kernel");
@@ -599,14 +578,10 @@ fn sweep(scale: Scale) {
         print!(" {t:>9}");
     }
     println!();
-    for name in ["aesEncrypt128", "laplace3d", "render", "scalarProdGPU"] {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == name)
-            .expect("kernel present");
-        print!("{name:<32}");
+    let (cfg, scale) = (exp.machine, exp.scale);
+    for w in named(&["aesEncrypt128", "laplace3d", "render", "scalarProdGPU"]) {
+        print!("{:<32}", w.kernel);
         for t in thresholds {
-            let cfg = machine();
             let mut gpu = Gpu::new(cfg, w.recommended_gmem(scale));
             let built = w.build_scaled(&mut gpu.gmem, scale);
             let r = gpu
@@ -638,21 +613,16 @@ fn sweep(scale: Scale) {
 /// long-latency arrival), then shrinks the TB's tail via finishWait
 /// prioritization — so its first-to-last gap can exceed LRR's even while
 /// the TB as a whole completes sooner (compare with `repro fig4`).
-fn wld(scale: Scale) {
+fn wld(exp: &mut Experiment) {
     header("Warp-level divergence: mean (last−first) warp-finish gap per TB, cycles");
-    let kernels = ["render", "kernel", "findRageK", "bpnn_layerforward", "scalarProdGPU"];
+    let kernels = named(&["render", "kernel", "findRageK", "bpnn_layerforward", "scalarProdGPU"]);
     println!(
         "{:<32} {:>9} {:>9} {:>9} {:>9}",
         "Kernel", "TL", "LRR", "GTO", "PRO"
     );
-    for name in kernels {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == name)
-            .expect("kernel present");
-        print!("{name:<32}");
-        for s in SchedulerKind::PAPER {
-            let cell = run_cell(&w, s, scale);
+    for row in exp.cells(&kernels, &SchedulerKind::PAPER).rows() {
+        print!("{:<32}", row[0].kernel);
+        for cell in row {
             print!(" {:>9.0}", cell.result.sm.avg_wld());
         }
         println!();
@@ -663,26 +633,22 @@ fn wld(scale: Scale) {
 /// Cache behaviour per scheduler — the paper attributes PRO's few
 /// slowdowns to "the increase in L1 and L2 cache miss rates" (§IV). This
 /// report shows the L1/L2 miss rates each scheduler induces.
-fn cache(scale: Scale) {
+fn cache(exp: &mut Experiment) {
     header("Cache miss rates by scheduler (L1% / L2%)");
-    let kernels = [
+    let kernels = named(&[
         "histogram256Kernel", // a PRO slowdown in our Fig. 4
         "inverseCNDKernel",   // another
         "aesEncrypt128",      // a PRO win
         "findK",              // latency-bound pointer chase
-    ];
+    ]);
     println!(
         "{:<28} {:>13} {:>13} {:>13} {:>13}",
         "Kernel", "TL", "LRR", "GTO", "PRO"
     );
-    for name in kernels {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == name)
-            .expect("kernel present");
-        print!("{name:<28}");
-        for s in SchedulerKind::PAPER {
-            let m = run_cell(&w, s, scale).result.mem;
+    for row in exp.cells(&kernels, &SchedulerKind::PAPER).rows() {
+        print!("{:<28}", row[0].kernel);
+        for cell in row {
+            let m = &cell.result.mem;
             print!(
                 "   {:>4.1}% {:>4.1}%",
                 100.0 * m.l1.miss_rate(),
@@ -697,12 +663,12 @@ fn cache(scale: Scale) {
 /// Beyond the paper: sweep the synthetic-kernel generator's barrier-density
 /// and memory-intensity knobs and watch where PRO's advantage over LRR
 /// peaks. Each cell averages 3 random kernels per knob setting.
-fn synthsweep() {
+fn synthsweep(exp: &Experiment) {
     use pro_sim::Gpu;
     use pro_workloads::synth::{generate, SynthParams};
     header("Synthetic workload-space sweep: PRO speedup over LRR by knob");
     let run = |p: SynthParams, s: SchedulerKind| -> u64 {
-        let mut gpu = Gpu::new(machine(), 32 << 20);
+        let mut gpu = Gpu::new(exp.machine, 32 << 20);
         let k = generate(&mut gpu.gmem, p);
         gpu.launch(&k.kernel, s, TraceOptions::default())
             .expect("synth runs")
@@ -743,25 +709,19 @@ fn synthsweep() {
 
 /// Write SVG renderings of Fig. 2 (Gantt) and Fig. 4 (bars) to the
 /// current directory.
-fn svg_figs(scale: Scale, quick: bool) {
+fn svg_figs(exp: &mut Experiment) {
     use pro_bench::svg::{barchart, gantt, BarGroup};
     header("SVG figures: fig2_lrr.svg, fig2_pro.svg, fig4.svg");
     // Fig. 2 Gantt per scheduler.
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "laplace3d")
-        .expect("LPS present");
+    let w = find("laplace3d").expect("LPS present");
+    let trace = TraceOptions {
+        timeline: true,
+        ..Default::default()
+    };
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        let cell = run_cell_with(
-            &w,
-            sched,
-            scale,
-            GpuConfig::small(4),
-            TraceOptions {
-                timeline: true,
-                ..Default::default()
-            },
-        );
+        let cell = run_cell(&w, sched, exp.scale, GpuConfig::small(4), |gpu, k| {
+            gpu.launch(k, sched, trace)
+        });
         let spans: Vec<_> = cell
             .result
             .timeline
@@ -779,25 +739,15 @@ fn svg_figs(scale: Scale, quick: bool) {
         println!("wrote {path}");
     }
     // Fig. 4 bar chart.
-    let ws = kernels(quick);
-    let jobs: Vec<(pro_workloads::Workload, SchedulerKind)> = ws
-        .iter()
-        .flat_map(|w| SchedulerKind::PAPER.into_iter().map(move |s| (*w, s)))
-        .collect();
-    let cells = pro_bench::parallel_map(&jobs, |(w, s)| run_cell(w, *s, scale));
-    let groups: Vec<BarGroup> = ws
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let pro = cells[i * 4 + 3].result.cycles as f64;
-            BarGroup {
-                label: w.kernel.to_string(),
-                values: vec![
-                    cells[i * 4].result.cycles as f64 / pro,
-                    cells[i * 4 + 1].result.cycles as f64 / pro,
-                    cells[i * 4 + 2].result.cycles as f64 / pro,
-                ],
-            }
+    let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
+    let groups: Vec<BarGroup> = grid
+        .rows()
+        .map(|row| BarGroup {
+            label: row[3].kernel.to_string(),
+            values: row[..3]
+                .iter()
+                .map(|base| speedup(&base.result, &row[3].result))
+                .collect(),
         })
         .collect();
     let svg = barchart(
@@ -809,8 +759,8 @@ fn svg_figs(scale: Scale, quick: bool) {
     println!("wrote fig4.svg");
     // Fig. 1 stacked stall shares per app under LRR.
     use pro_bench::svg::{stacked_bars, StackedBar};
-    let rows = run_apps(SchedulerKind::Lrr, scale, quick);
-    let bars: Vec<StackedBar> = rows
+    let bars: Vec<StackedBar> = grid
+        .app_totals(1)
         .iter()
         .map(|(app, t)| StackedBar {
             label: app.to_string(),
@@ -833,82 +783,56 @@ fn svg_figs(scale: Scale, quick: bool) {
 /// `status.json` (in the checkpoint directory if given, else the cwd) at
 /// most every `N` seconds — the JSON on stdout is unaffected, and the
 /// heartbeat lines go to stderr.
-#[allow(clippy::too_many_arguments)]
-fn json_export(
-    scale: Scale,
-    quick: bool,
-    ckpt_dir: Option<&str>,
-    every: u64,
-    delta: bool,
-    keep: usize,
-    heartbeat: Option<u64>,
-) {
+fn json_export(exp: &mut Experiment, ckpt: Option<&Checkpointing>, heartbeat: Option<u64>) {
     use pro_bench::heartbeat::Heartbeat;
-    use pro_bench::sweep::cell_stem;
-    let ws = kernels(quick);
-    let jobs: Vec<(pro_workloads::Workload, SchedulerKind)> = ws
-        .iter()
-        .flat_map(|w| SchedulerKind::PAPER.into_iter().map(move |s| (*w, s)))
-        .collect();
+    use pro_bench::json::export_cells;
+    use pro_bench::sweep::{cell_stem, progress_options, run_cell_recoverable};
+    let ws = exp.kernels();
     // The checkpoint directory must exist before the heartbeat's initial
     // status write lands in it.
-    let dir = ckpt_dir.map(|d| {
-        let dir = std::path::PathBuf::from(d);
-        std::fs::create_dir_all(&dir).unwrap_or_else(|e| {
-            eprintln!("{}: {e}", dir.display());
+    if let Some(ckpt) = ckpt {
+        std::fs::create_dir_all(&ckpt.dir).unwrap_or_else(|e| {
+            eprintln!("{}: {e}", ckpt.dir.display());
             std::process::exit(2);
         });
-        dir
-    });
+    }
     let hb: Option<std::sync::Arc<Heartbeat>> = heartbeat.map(|secs| {
-        let status = dir
-            .as_deref()
-            .unwrap_or_else(|| std::path::Path::new("."))
+        let status = ckpt
+            .map_or(std::path::Path::new("."), |c| &c.dir)
             .join("status.json");
-        std::sync::Arc::new(Heartbeat::new(status, secs, jobs.len() as u64))
+        let cells = ws.len() * SchedulerKind::PAPER.len();
+        std::sync::Arc::new(Heartbeat::new(status, secs, cells as u64))
     });
-    let cells = match &dir {
-        None => pro_bench::parallel_map(&jobs, |(w, s)| {
-            let cell = match &hb {
-                Some(hb) => pro_bench::sweep::run_cell_monitored(
-                    w,
-                    *s,
-                    scale,
-                    machine(),
-                    TraceOptions::default(),
-                    Some(hb.progress_fn(cell_stem(w, *s))),
-                ),
-                None => run_cell(w, *s, scale),
-            };
-            if let Some(hb) = &hb {
-                hb.cell_finished();
-            }
-            cell
-        }),
-        Some(dir) => pro_bench::parallel_map_recover(&jobs, |(w, s)| {
-            let progress = hb.as_ref().map(|hb| hb.progress_fn(cell_stem(w, *s)));
-            let cell = pro_bench::sweep::run_cell_recoverable(
-                w,
-                *s,
-                scale,
-                machine(),
-                TraceOptions::default(),
-                dir,
-                every,
-                delta,
-                keep,
-                progress,
-            );
-            if let Some(hb) = &hb {
-                hb.cell_finished();
-            }
-            cell
-        }),
+    let progress = |w: &Workload, s| hb.as_ref().map(|hb| hb.progress_fn(cell_stem(w, s)));
+    let finished = |cell| {
+        if let Some(hb) = &hb {
+            hb.cell_finished();
+        }
+        cell
+    };
+    let (scale, machine, trace) = (exp.scale, exp.machine, TraceOptions::default());
+    let doc = match ckpt {
+        None => {
+            let grid = exp.cells_with(&ws, &SchedulerKind::PAPER, |w, s| {
+                let opts = progress_options(progress(w, s));
+                finished(run_cell(w, s, scale, machine, |gpu, k| {
+                    let status = gpu.launch_checkpointed(k, s, trace, &opts)?;
+                    Ok(status.expect_completed())
+                }))
+            });
+            export_cells(grid.cells().iter().copied())
+        }
+        Some(ckpt) => {
+            let cells = pro_bench::parallel_map_recover(&pairs(&ws, &SchedulerKind::PAPER), |(w, s)| {
+                finished(run_cell_recoverable(w, *s, scale, machine, trace, ckpt, progress(w, *s)))
+            });
+            export_cells(&cells)
+        }
     };
     if let Some(hb) = &hb {
         hb.finish();
     }
-    println!("{}", pro_bench::json::export_cells(&cells));
+    println!("{doc}");
 }
 
 /// 9-policy shootout: every scheduler in [`SchedulerKind::ALL`] across the
@@ -917,20 +841,21 @@ fn json_export(
 /// simulated-side stall attribution next to host-side cost (wall clock,
 /// run-loop phase shares, event-queue depth) — and writes the same numbers
 /// to `shootout.json` for tooling.
-fn shootout(scale: Scale, quick: bool) {
+fn shootout(exp: &Experiment) {
     use pro_bench::json::{num, obj, s, unum, Json};
     use pro_trace::Metrics;
     header("Shootout: 9 warp-scheduling policies — stalls vs host cost");
-    let ws = kernels(quick);
+    let ws = exp.kernels();
     let trace = TraceOptions {
         host_prof: true,
         ..Default::default()
     };
-    let jobs: Vec<(pro_workloads::Workload, SchedulerKind)> = ws
-        .iter()
-        .flat_map(|w| SchedulerKind::ALL.into_iter().map(move |s| (*w, s)))
-        .collect();
-    let cells = parallel_map(&jobs, |(w, s)| run_cell_with(w, *s, scale, machine(), trace));
+    // Profiled cells carry `host/*` metrics, so the store does not keep
+    // them; the grid is built and read the same way.
+    let cells = parallel_map(&pairs(&ws, &SchedulerKind::ALL), |(w, s)| {
+        run_cell(w, *s, exp.scale, exp.machine, |gpu, k| gpu.launch(k, *s, trace))
+    });
+    let grid = Grid::new(cells.iter().collect(), SchedulerKind::ALL.len());
 
     // Per-policy aggregate: simulated counters sum plainly; the host-side
     // registries fold through `Metrics::merge` (counters add — correct for
@@ -961,11 +886,9 @@ fn shootout(scale: Scale, quick: bool) {
             vs_lrr: Vec::new(),
         })
         .collect();
-    let nsched = SchedulerKind::ALL.len();
-    for (wi, _) in ws.iter().enumerate() {
-        let lrr_cycles = cells[wi * nsched].result.cycles;
-        for (si, row) in rows.iter_mut().enumerate() {
-            let c = &cells[wi * nsched + si];
+    for kernel in grid.rows() {
+        let lrr_cycles = kernel[0].result.cycles;
+        for (row, c) in rows.iter_mut().zip(kernel) {
             debug_assert_eq!(c.sched, row.sched);
             row.cycles += c.result.cycles;
             row.instructions += c.result.sm.instructions;
@@ -1062,22 +985,19 @@ fn shootout(scale: Scale, quick: bool) {
 /// Substrate ablation: Table I names FR-FCFS as the DRAM scheduler. Show
 /// what it buys — row-hit rate and kernel runtime — against plain FCFS on
 /// memory-bound kernels.
-fn dram_ablation(scale: Scale) {
+fn dram_ablation(exp: &Experiment) {
     use pro_sim::Gpu;
     header("DRAM scheduler ablation: FR-FCFS (Table I) vs plain FCFS, PRO runs");
     println!(
         "{:<32} {:>12} {:>12} {:>9} {:>9}",
         "Kernel", "FR-FCFS cyc", "FCFS cyc", "FR rowhit", "FC rowhit"
     );
-    for name in ["convolutionRowsKernel", "bpnn_adjust_weights_cuda", "kernel", "findK"] {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == name)
-            .expect("kernel present");
-        let mut row = format!("{name:<32}");
+    let scale = exp.scale;
+    for w in named(&["convolutionRowsKernel", "bpnn_adjust_weights_cuda", "kernel", "findK"]) {
+        let mut row = format!("{:<32}", w.kernel);
         let mut rates = Vec::new();
         for policy in [pro_sim::mem::DramPolicy::FrFcfs, pro_sim::mem::DramPolicy::Fcfs] {
-            let mut cfg = machine();
+            let mut cfg = exp.machine;
             cfg.mem.dram.policy = policy;
             let mut gpu = Gpu::new(cfg, w.recommended_gmem(scale));
             let built = w.build_scaled(&mut gpu.gmem, scale);
@@ -1097,7 +1017,7 @@ fn dram_ablation(scale: Scale) {
 
 /// Print a workload's VPTX disassembly and static instruction mix.
 fn disasm(name: &str) {
-    let Some(w) = registry().into_iter().find(|w| w.kernel == name) else {
+    let Some(w) = find(name) else {
         eprintln!("unknown kernel `{name}`; pick one of:");
         for w in registry() {
             eprintln!("  {}", w.kernel);
@@ -1123,21 +1043,16 @@ fn disasm(name: &str) {
 /// to issue (fetched + hazard-free). §III's causal mechanism: PRO's
 /// prioritization should keep this pool larger than LRR's around
 /// long-latency phases.
-fn ready(scale: Scale) {
+fn ready(exp: &mut Experiment) {
     header("Ready-warp occupancy: mean issuable warps per scheduler unit");
-    let kernels = ["aesEncrypt128", "sha1_overlap", "findK", "scalarProdGPU", "render"];
+    let kernels = named(&["aesEncrypt128", "sha1_overlap", "findK", "scalarProdGPU", "render"]);
     println!(
         "{:<32} {:>8} {:>8} {:>8} {:>8}",
         "Kernel", "TL", "LRR", "GTO", "PRO"
     );
-    for name in kernels {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == name)
-            .expect("kernel present");
-        print!("{name:<32}");
-        for s in SchedulerKind::PAPER {
-            let cell = run_cell(&w, s, scale);
+    for row in exp.cells(&kernels, &SchedulerKind::PAPER).rows() {
+        print!("{:<32}", row[0].kernel);
+        for cell in row {
             print!(" {:>8.2}", cell.result.sm.avg_ready_warps());
         }
         println!();
@@ -1149,29 +1064,20 @@ fn ready(scale: Scale) {
 /// SM, each column ~2% of the runtime, brightness = issue rate. The LRR
 /// tail (dark right edge on every SM at batch boundaries) vs PRO's
 /// smoother fade-out is the §II.C residency effect at a glance.
-fn occupancy(scale: Scale) {
+fn occupancy(exp: &Experiment) {
     header("Per-SM utilization heatmap (issue rate over time): LRR vs PRO");
     const GLYPHS: [char; 9] = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "laplace3d")
-        .expect("LPS present");
+    let w = find("laplace3d").expect("LPS present");
+    let mut cfg = exp.machine;
+    cfg.num_sms = cfg.num_sms.min(8); // keep the chart readable
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        let mut cfg = machine();
-        cfg.num_sms = cfg.num_sms.min(8); // keep the chart readable
+        let run = |trace| run_cell(&w, sched, exp.scale, cfg, |gpu, k| gpu.launch(k, sched, trace));
         // Pick a period ≈ runtime/50.
-        let probe = run_cell_with(&w, sched, scale, cfg, TraceOptions::default());
-        let period = (probe.result.cycles / 50).max(1);
-        let cell = run_cell_with(
-            &w,
-            sched,
-            scale,
-            cfg,
-            TraceOptions {
-                utilization_period: period,
-                ..Default::default()
-            },
-        );
+        let period = (run(TraceOptions::default()).result.cycles / 50).max(1);
+        let cell = run(TraceOptions {
+            utilization_period: period,
+            ..Default::default()
+        });
         println!(
             "
 --- {} ({} cycles, {} cycles/column) ---",
@@ -1198,14 +1104,13 @@ fn occupancy(scale: Scale) {
 /// Structured tracing: run one kernel with the event bus wide open and
 /// export the stream twice — JSONL for `trace-report`, Chrome trace_event
 /// JSON for ui.perfetto.dev / chrome://tracing.
-fn trace_cmd(scale: Scale, args: &[String]) {
+fn trace_cmd(exp: &Experiment, operands: &[String]) {
     use pro_trace::{
         aggregate, chrome_trace, ClassSet, EventClass, JsonlTracer, RingTracer, Tee,
     };
     use pro_sim::Gpu;
-    let mut rest = args.iter().skip(1).filter(|a| !a.starts_with("--"));
-    let name = rest.next().map(String::as_str).unwrap_or("laplace3d");
-    let sched_name = rest.next().map(String::as_str).unwrap_or("pro");
+    let name = operands.first().map_or("laplace3d", String::as_str);
+    let sched_name = operands.get(1).map_or("pro", String::as_str);
     let Some(sched) = SchedulerKind::PAPER
         .into_iter()
         .find(|s| s.name().eq_ignore_ascii_case(sched_name))
@@ -1213,7 +1118,7 @@ fn trace_cmd(scale: Scale, args: &[String]) {
         eprintln!("unknown scheduler `{sched_name}` (pick tl, lrr, gto or pro)");
         std::process::exit(2);
     };
-    let Some(w) = registry().into_iter().find(|w| w.kernel == name) else {
+    let Some(w) = find(name) else {
         eprintln!("unknown kernel `{name}`; see `repro workloads`");
         std::process::exit(2);
     };
@@ -1221,8 +1126,8 @@ fn trace_cmd(scale: Scale, args: &[String]) {
     // The 4-SM slice keeps the full-fidelity stream at demo size (a few
     // MB); the event schema is identical at any machine size.
     let cfg = GpuConfig::small(4);
-    let mut gpu = Gpu::new(cfg, w.recommended_gmem(scale));
-    let built = w.build_scaled(&mut gpu.gmem, scale);
+    let mut gpu = Gpu::new(cfg, w.recommended_gmem(exp.scale));
+    let built = w.build_scaled(&mut gpu.gmem, exp.scale);
     let mut jsonl = JsonlTracer::new(Vec::<u8>::new());
     // The Chrome export only needs TB spans, memory lifecycle and barrier
     // instants; a class-filtered ring keeps it allocation-free mid-run.
@@ -1281,8 +1186,8 @@ fn trace_cmd(scale: Scale, args: &[String]) {
 
 /// Reduce a JSONL trace (written by `repro trace` or any [`pro_trace::JsonlTracer`])
 /// back to per-kernel stall/memory reports.
-fn trace_report(args: &[String]) {
-    let Some(path) = args.iter().skip(1).find(|a| !a.starts_with("--")) else {
+fn trace_report(operands: &[String]) {
+    let Some(path) = operands.first() else {
         eprintln!("usage: repro trace-report <file.jsonl>");
         std::process::exit(2);
     };

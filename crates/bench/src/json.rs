@@ -89,10 +89,10 @@ pub fn s(v: impl Into<String>) -> Json {
 }
 
 /// Export a set of experiment cells as one JSON document.
-pub fn export_cells(cells: &[Cell]) -> Json {
+pub fn export_cells<'a>(cells: impl IntoIterator<Item = &'a Cell>) -> Json {
     Json::Arr(
         cells
-            .iter()
+            .into_iter()
             .map(|c| {
                 let r = &c.result;
                 obj(vec![
@@ -152,19 +152,13 @@ mod tests {
     #[test]
     fn export_shape() {
         // Construct a minimal cell via a tiny real run.
+        use pro_core::SchedulerKind::Lrr;
         use pro_sim::{GpuConfig, TraceOptions};
-        use pro_workloads::{registry, Scale};
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == "cenergy")
-            .unwrap();
-        let cell = crate::run_cell_with(
-            &w,
-            pro_core::SchedulerKind::Lrr,
-            Scale::Capped(4),
-            GpuConfig::small(1),
-            TraceOptions::default(),
-        );
+        use pro_workloads::{find, Scale};
+        let w = find("cenergy").unwrap();
+        let cell = crate::run_cell(&w, Lrr, Scale::Capped(4), GpuConfig::small(1), |gpu, k| {
+            gpu.launch(k, Lrr, TraceOptions::default())
+        });
         let doc = export_cells(&[cell]).to_string();
         assert!(doc.starts_with('['));
         assert!(doc.contains(r#""kernel":"cenergy""#));

@@ -30,9 +30,18 @@
 //! | `repro trace-report` | reduce a JSONL trace back to per-kernel reports |
 //! | `repro shootout`   | 9-policy matrix with stall attribution + host cost |
 //!
-//! The bench targets (`cargo bench`) wrap the same runners on the in-repo
-//! fixed-iteration [`runner`] for wall-clock timing of the simulator
-//! itself — no external benchmarking framework is involved.
+//! `repro` builds one [`Experiment`] per process and every command borrows
+//! it: the commands that read the paper's (kernel × policy) matrix — `fig1`,
+//! `fig4`, `fig5`, `table3`, `wld`, `cache`, `ready`, `ablation`, half of
+//! `svg`, un-checkpointed `json` — are formatting over
+//! [`Experiment::cells`], which simulates a cell the first time any of them
+//! asks for it; the rest, whose machine or traces differ, call [`run_cell`]
+//! themselves.
+//!
+//! The `sim_throughput` bench target (`cargo bench`) times the simulator's
+//! layers on the in-repo fixed-iteration [`runner`] — no external
+//! benchmarking framework is involved; whole-launch host time is the
+//! repository benchmark's job (`benchmark/`).
 
 pub mod heartbeat;
 pub mod json;
@@ -40,9 +49,12 @@ pub mod runner;
 pub mod svg;
 pub mod sweep;
 
+use std::collections::{HashMap, HashSet};
+
 use pro_core::SchedulerKind;
-use pro_sim::{geomean, GpuConfig, RunResult, TraceOptions};
-use pro_workloads::{registry, run_workload, Scale, Workload};
+use pro_isa::Kernel;
+use pro_sim::{geomean, Gpu, GpuConfig, RunResult, SimError, TraceOptions};
+use pro_workloads::{apps, registry, Scale, Workload};
 
 /// Results of one (workload, scheduler) cell.
 #[derive(Debug, Clone)]
@@ -57,44 +69,175 @@ pub struct Cell {
     pub result: RunResult,
 }
 
-/// Run one workload under one scheduler on the paper's GTX480 config.
-pub fn run_cell(w: &Workload, sched: SchedulerKind, scale: Scale) -> Cell {
-    run_cell_with(w, sched, scale, GpuConfig::gtx480(), TraceOptions::default())
+impl Cell {
+    /// The cell of `w` under `sched` with outcome `result`.
+    pub fn new(w: &Workload, sched: SchedulerKind, result: RunResult) -> Self {
+        Cell {
+            kernel: w.kernel,
+            app: w.app,
+            sched,
+            result,
+        }
+    }
 }
 
-/// Run with explicit GPU config and traces.
-pub fn run_cell_with(
+/// The one cell runner: build `w` at `scale` in the memory of a fresh
+/// `cfg` GPU, let `launch` run the kernel on it (a plain
+/// [`Gpu::launch`] with whatever traces the caller wants, or
+/// [`sweep::run_cell_recoverable`]'s resume ladder), then check device
+/// memory against the workload's host reference. A simulation error or a
+/// wrong result panics: no experiment may report numbers from it.
+pub fn run_cell(
     w: &Workload,
     sched: SchedulerKind,
     scale: Scale,
     cfg: GpuConfig,
-    trace: TraceOptions,
+    launch: impl FnOnce(&mut Gpu, &Kernel) -> Result<RunResult, SimError>,
 ) -> Cell {
-    let (result, verdict) =
-        run_workload(cfg, w, sched, scale, trace).unwrap_or_else(|e| panic!("{}: {e}", w.kernel));
-    if let Err(e) = verdict {
+    let mut gpu = Gpu::new(cfg, w.recommended_gmem(scale));
+    let built = w.build_scaled(&mut gpu.gmem, scale);
+    let result = launch(&mut gpu, &built.kernel).unwrap_or_else(|e| panic!("{}: {e}", w.kernel));
+    if let Err(e) = (built.verify)(&gpu.gmem) {
         panic!(
             "{} under {sched}: functional verification failed: {e}",
             w.kernel
         );
     }
-    Cell {
-        kernel: w.kernel,
-        app: w.app,
-        sched,
-        result,
+    Cell::new(w, sched, result)
+}
+
+/// The job list of a `kernels` × `policies` request: kernel-major,
+/// policy-minor — the order [`Grid`] reads cells back in.
+pub fn pairs(kernels: &[Workload], policies: &[SchedulerKind]) -> Vec<(Workload, SchedulerKind)> {
+    kernels
+        .iter()
+        .flat_map(|w| policies.iter().map(move |&s| (*w, s)))
+        .collect()
+}
+
+/// The experiment context `repro` builds once per process and lends to
+/// every subcommand: the grid scale, `--quick`, the simulated machine, and
+/// a store of the cells finished so far. The paper's evaluation is one
+/// (kernel × policy) matrix read four ways; [`Experiment::cells`] is the one
+/// read, so a process simulates each cell at most once however many
+/// figures it prints.
+pub struct Experiment {
+    /// Grid-size scaling (`--full-scale` or the default cap).
+    pub scale: Scale,
+    /// `--quick`: sweeps take the first kernel of each application.
+    pub quick: bool,
+    /// The machine every experiment runs on (the paper's GTX480, or the
+    /// `--config` file).
+    pub machine: GpuConfig,
+    /// Finished cells by (kernel, policy) — only those simulated on
+    /// `machine` at `scale` with default [`TraceOptions`], so the key
+    /// needs nothing else. Never iterated: output order comes from the
+    /// request, not from the order the store filled in.
+    done: HashMap<(&'static str, SchedulerKind), Cell>,
+}
+
+impl Experiment {
+    /// A context with an empty store.
+    pub fn new(scale: Scale, quick: bool, machine: GpuConfig) -> Self {
+        Experiment {
+            scale,
+            quick,
+            machine,
+            done: HashMap::new(),
+        }
+    }
+
+    /// The kernels a sweep runs: all of Table II, or with `--quick` the
+    /// first of each application.
+    pub fn kernels(&self) -> Vec<Workload> {
+        if self.quick {
+            apps().into_iter().map(|(_, ks)| ks[0]).collect()
+        } else {
+            registry()
+        }
+    }
+
+    /// The cells of `kernels` × `policies`, simulating on the experiment
+    /// pool ([`parallel_map`]) whichever of them no earlier request did.
+    pub fn cells(&mut self, kernels: &[Workload], policies: &[SchedulerKind]) -> Grid<'_> {
+        let (scale, machine) = (self.scale, self.machine);
+        self.cells_with(kernels, policies, |w, s| {
+            run_cell(w, s, scale, machine, |gpu, k| {
+                gpu.launch(k, s, TraceOptions::default())
+            })
+        })
+    }
+
+    /// [`Experiment::cells`] with the missing cells simulated by `runner`,
+    /// which must produce what the default runner would — this machine and
+    /// scale, default [`TraceOptions`] — and may observe on the way (the
+    /// `--heartbeat` hook, a test's call counter).
+    pub fn cells_with(
+        &mut self,
+        kernels: &[Workload],
+        policies: &[SchedulerKind],
+        runner: impl Fn(&Workload, SchedulerKind) -> Cell + Sync,
+    ) -> Grid<'_> {
+        let wanted = pairs(kernels, policies);
+        let mut queued = HashSet::new();
+        let missing: Vec<(Workload, SchedulerKind)> = wanted
+            .iter()
+            .filter(|(w, s)| !self.done.contains_key(&(w.kernel, *s)) && queued.insert((w.kernel, *s)))
+            .copied()
+            .collect();
+        let fresh = parallel_map(&missing, |(w, s)| runner(w, *s));
+        for ((w, s), cell) in missing.iter().zip(fresh) {
+            self.done.insert((w.kernel, *s), cell);
+        }
+        let cells = wanted.iter().map(|(w, s)| &self.done[&(w.kernel, *s)]);
+        Grid::new(cells.collect(), policies.len())
     }
 }
 
-/// Run every Table II kernel under `scheds`, returning cells in
-/// (kernel-major, scheduler-minor) order. Cells are independent
-/// simulations, so they run on a small thread pool.
-pub fn run_matrix(scheds: &[SchedulerKind], scale: Scale) -> Vec<Cell> {
-    let jobs: Vec<(Workload, SchedulerKind)> = registry()
-        .into_iter()
-        .flat_map(|w| scheds.iter().map(move |&s| (w, s)))
-        .collect();
-    parallel_map(&jobs, |(w, s)| run_cell(w, *s, scale))
+/// The cells of one kernels × policies request, borrowed from wherever
+/// they are kept, in [`pairs`] order.
+pub struct Grid<'a> {
+    cells: Vec<&'a Cell>,
+    policies: usize,
+}
+
+impl<'a> Grid<'a> {
+    /// A grid over `cells` laid out as [`pairs`] orders them, `policies`
+    /// to a kernel.
+    pub fn new(cells: Vec<&'a Cell>, policies: usize) -> Self {
+        assert!(policies > 0 && cells.len().is_multiple_of(policies), "ragged grid");
+        Grid { cells, policies }
+    }
+
+    /// Every cell, kernel-major and policy-minor.
+    pub fn cells(&self) -> &[&'a Cell] {
+        &self.cells
+    }
+
+    /// One slice per kernel, in request order: that kernel's cells in the
+    /// order the policies were asked for.
+    pub fn rows(&self) -> impl Iterator<Item = &[&'a Cell]> {
+        self.cells.chunks(self.policies)
+    }
+
+    /// Column `policy` summed per application, applications in the order
+    /// their first kernel appears (paper: "numbers reported are per
+    /// application, not per kernel").
+    pub fn app_totals(&self, policy: usize) -> Vec<(&'static str, AppTotals)> {
+        let mut out: Vec<(&'static str, AppTotals)> = Vec::new();
+        for row in self.rows() {
+            let c = row[policy];
+            let slot = match out.iter_mut().find(|(a, _)| *a == c.app) {
+                Some((_, t)) => t,
+                None => {
+                    out.push((c.app, AppTotals::default()));
+                    &mut out.last_mut().expect("just pushed").1
+                }
+            };
+            slot.add(&c.result);
+        }
+        out
+    }
 }
 
 /// Map `f` over `items` on the experiment thread pool
@@ -116,7 +259,7 @@ pub fn parallel_map_recover<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R +
 
 /// Per-application cycle and stall totals (kernels of an app summed), as
 /// the paper reports for Figs. 1/5 and Table III.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppTotals {
     /// Sum of kernel cycle counts.
     pub cycles: u64,
@@ -141,26 +284,6 @@ impl AppTotals {
         self.scoreboard += r.sm.scoreboard;
         self.pipeline += r.sm.pipeline;
     }
-}
-
-/// Run all kernels of each application under `sched`, summing stalls per
-/// app (paper: "numbers reported are per application, not per kernel").
-/// Kernels run in parallel; aggregation order is deterministic.
-pub fn run_apps(sched: SchedulerKind, scale: Scale) -> Vec<(&'static str, AppTotals)> {
-    let kernels = registry();
-    let cells = parallel_map(&kernels, |w| run_cell(w, sched, scale));
-    let mut out: Vec<(&'static str, AppTotals)> = Vec::new();
-    for c in &cells {
-        let slot = match out.iter_mut().find(|(a, _)| *a == c.app) {
-            Some((_, t)) => t,
-            None => {
-                out.push((c.app, AppTotals::default()));
-                &mut out.last_mut().expect("just pushed").1
-            }
-        };
-        slot.add(&c.result);
-    }
-    out
 }
 
 /// Speedup of `b` over `a` interpreted as cycles: `a.cycles / b.cycles`
@@ -202,6 +325,101 @@ mod tests {
     fn geomean_finite_skips_infinities() {
         let g = geomean_finite([2.0, f64::INFINITY, 2.0]);
         assert!((g - 2.0).abs() < 1e-12);
+    }
+
+    fn named(kernels: &[&str]) -> Vec<Workload> {
+        kernels.iter().map(|k| pro_workloads::find(k).unwrap()).collect()
+    }
+
+    /// A store on a 2-SM machine at 8 TBs per kernel, and a runner for it
+    /// that logs every (kernel, policy) it is asked to simulate.
+    struct Counted {
+        exp: Experiment,
+        log: std::sync::Mutex<Vec<(&'static str, SchedulerKind)>>,
+    }
+
+    impl Counted {
+        fn new() -> Self {
+            Counted {
+                exp: Experiment::new(Scale::Capped(8), false, GpuConfig::small(2)),
+                log: std::sync::Mutex::default(),
+            }
+        }
+
+        /// `kernels` × `policies` through the store, as (kernel, policy,
+        /// cycles) in the order the grid hands them back.
+        fn read(
+            &mut self,
+            kernels: &[&str],
+            policies: &[SchedulerKind],
+        ) -> Vec<(&'static str, SchedulerKind, u64)> {
+            let kernels = named(kernels);
+            let (scale, machine, log) = (self.exp.scale, self.exp.machine, &self.log);
+            let grid = self.exp.cells_with(&kernels, policies, |w, s| {
+                log.lock().unwrap().push((w.kernel, s));
+                run_cell(w, s, scale, machine, |gpu, k| gpu.launch(k, s, TraceOptions::default()))
+            });
+            grid.cells().iter().map(|c| (c.kernel, c.sched, c.result.cycles)).collect()
+        }
+
+        fn simulated(&self) -> Vec<(&'static str, SchedulerKind)> {
+            self.log.lock().unwrap().clone()
+        }
+    }
+
+    use SchedulerKind::{Gto, Lrr, Pro};
+
+    #[test]
+    fn overlapping_requests_simulate_each_cell_once() {
+        let mut store = Counted::new();
+        store.read(&["cenergy", "laplace3d"], &[Lrr, Pro]);
+        assert_eq!(store.simulated().len(), 4);
+        // Two of these four were just run, and one kernel is asked for twice.
+        store.read(&["laplace3d", "laplace3d", "scalarProdGPU"], &[Pro, Gto]);
+        assert_eq!(store.simulated().len(), 7);
+        store.read(&["cenergy", "laplace3d", "scalarProdGPU"], &[Lrr, Gto, Pro]);
+        let ran = store.simulated();
+        assert_eq!(ran.len(), 9, "3 kernels x 3 policies: {ran:?}");
+        let distinct: HashSet<_> = ran.iter().collect();
+        assert_eq!(distinct.len(), 9, "a cell was simulated twice: {ran:?}");
+        store.read(&["scalarProdGPU", "cenergy"], &[Gto, Lrr]);
+        assert_eq!(store.simulated().len(), 9, "everything asked for was in the store");
+    }
+
+    #[test]
+    fn cells_come_back_in_request_order_whatever_was_cached() {
+        let mut warm = Counted::new();
+        warm.read(&["laplace3d"], &[Pro]);
+        warm.read(&["scalarProdGPU", "cenergy"], &[Lrr]);
+        let kernels = ["scalarProdGPU", "laplace3d", "cenergy"];
+        let got = warm.read(&kernels, &[Pro, Lrr]);
+        let order: Vec<_> = got.iter().map(|&(k, s, _)| (k, s)).collect();
+        let want: Vec<_> = kernels.iter().flat_map(|&k| [(k, Pro), (k, Lrr)]).collect();
+        assert_eq!(order, want);
+        // The same request against an empty store: same cells, same numbers.
+        assert_eq!(got, Counted::new().read(&kernels, &[Pro, Lrr]));
+    }
+
+    #[test]
+    fn app_totals_are_the_sum_over_each_apps_kernels() {
+        // Two backprop kernels around one LPS kernel: an application's
+        // kernels need not be adjacent in a request.
+        let kernels = named(&["bpnn_layerforward", "laplace3d", "bpnn_adjust_weights_cuda"]);
+        let mut exp = Experiment::new(Scale::Capped(8), false, GpuConfig::small(2));
+        let grid = exp.cells(&kernels, &[Lrr, Pro]);
+        for (col, sched) in [Lrr, Pro].into_iter().enumerate() {
+            let totals = grid.app_totals(col);
+            let apps: Vec<_> = totals.iter().map(|(app, _)| *app).collect();
+            assert_eq!(apps, ["backprop", "LPS"]);
+            for (app, total) in totals {
+                let mut sum = AppTotals::default();
+                for c in grid.cells().iter().filter(|c| c.app == app && c.sched == sched) {
+                    sum.add(&c.result);
+                }
+                assert_eq!(total, sum, "{app} under {sched}");
+                assert!(total.cycles > 0);
+            }
+        }
     }
 
     #[test]

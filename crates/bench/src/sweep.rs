@@ -23,8 +23,8 @@ use std::path::{Path, PathBuf};
 use pro_core::codec::{CodecError, FileReader, FileWriter, Snapshot, Writer};
 use pro_core::SchedulerKind;
 use pro_sim::{
-    snapshot_matches, CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, ProgressFn,
-    RunResult, SnapshotChain, TraceOptions,
+    snapshot_matches, CheckpointOptions, GpuConfig, GpuSnapshot, ProgressFn, RunResult, SimError,
+    SnapshotChain, TraceOptions,
 };
 use pro_trace::NoopTracer;
 use pro_workloads::{Scale, Workload};
@@ -110,6 +110,35 @@ fn identity_gate(what: &Path, err: &CodecError) {
     }
 }
 
+/// Where and how a sweep checkpoints its cells: the `--checkpoint-*` /
+/// `--resume` options.
+#[derive(Debug, Clone)]
+pub struct Checkpointing {
+    /// Directory holding every cell's `.done` / `.ckpt` / `.chain` state.
+    pub dir: PathBuf,
+    /// Snapshot interval in cycles (0 selects [`DEFAULT_CHECKPOINT_EVERY`]).
+    pub every: u64,
+    /// Write delta chains instead of rewriting one full snapshot.
+    pub delta: bool,
+    /// Cap on a chain's files before it rolls over (0 = unbounded).
+    pub keep: usize,
+}
+
+/// Launch options that only report to `progress` (the `--heartbeat` hook),
+/// every [`HEARTBEAT_PROGRESS_EVERY`] cycles; with `None` they are the
+/// defaults, under which `launch_checkpointed` is a plain launch.
+pub fn progress_options(progress: Option<ProgressFn>) -> CheckpointOptions {
+    CheckpointOptions {
+        progress_every: if progress.is_some() {
+            HEARTBEAT_PROGRESS_EVERY
+        } else {
+            0
+        },
+        progress,
+        ..Default::default()
+    }
+}
+
 /// Run one (workload, scheduler) cell with crash recovery.
 ///
 /// Recovery ladder, cheapest first:
@@ -120,7 +149,7 @@ fn identity_gate(what: &Path, err: &CodecError) {
 ///    `.chain/` directory (truncated or corrupt tail deltas are discarded,
 ///    not fatal);
 /// 3. otherwise the cell runs from cycle 0, checkpointing every `every`
-///    cycles (0 selects [`DEFAULT_CHECKPOINT_EVERY`]).
+///    cycles.
 ///
 /// A snapshot whose recorded identity (kernel, machine config, scheduler)
 /// contradicts this cell is *not* silently discarded: that is foreign
@@ -129,260 +158,155 @@ fn identity_gate(what: &Path, err: &CodecError) {
 /// Because snapshots are deterministic and bit-exact, a recovered cell's
 /// [`RunResult`] is identical to an uninterrupted run's, so the sweep's
 /// aggregate output does not depend on whether a crash happened.
-#[allow(clippy::too_many_arguments)]
 pub fn run_cell_recoverable(
     w: &Workload,
     sched: SchedulerKind,
     scale: Scale,
     cfg: GpuConfig,
     trace: TraceOptions,
-    dir: &Path,
-    every: u64,
-    delta: bool,
-    keep: usize,
+    ckpt: &Checkpointing,
     progress: Option<ProgressFn>,
 ) -> Cell {
-    let done = done_path(dir, w, sched);
+    let done = done_path(&ckpt.dir, w, sched);
     if let Some(result) = read_done(&done) {
-        return Cell {
-            kernel: w.kernel,
-            app: w.app,
-            sched,
-            result,
-        };
+        return Cell::new(w, sched, result);
     }
 
-    let ckpt = ckpt_path(dir, w, sched);
-    let chain_d = chain_dir(dir, w, sched);
+    let ckpt_file = ckpt_path(&ckpt.dir, w, sched);
+    let chain_d = chain_dir(&ckpt.dir, w, sched);
     let opts = CheckpointOptions {
-        every: if every == 0 {
+        every: if ckpt.every == 0 {
             DEFAULT_CHECKPOINT_EVERY
         } else {
-            every
+            ckpt.every
         },
-        path: Some(if delta { chain_d.clone() } else { ckpt.clone() }),
-        delta,
-        keep,
-        pause_at: 0,
-        progress_every: if progress.is_some() {
-            HEARTBEAT_PROGRESS_EVERY
-        } else {
-            0
-        },
-        progress,
+        path: Some(if ckpt.delta { chain_d.clone() } else { ckpt_file.clone() }),
+        delta: ckpt.delta,
+        keep: ckpt.keep,
+        ..progress_options(progress)
     };
 
-    let mut gpu = Gpu::new(cfg, w.recommended_gmem(scale));
-    let built = w.build_scaled(&mut gpu.gmem, scale);
-
-    // Try to resume from a mid-run snapshot; on corruption (torn file,
-    // broken chain) fall back to a fresh run — correctness never depends
-    // on the checkpoint being usable. Identity mismatches abort instead
-    // (see `identity_gate`).
-    let mut status = None;
-    if delta {
-        if let Some(chain) = SnapshotChain::load_dir(&chain_d) {
-            if let Err(e) = snapshot_matches(chain.newest(), &cfg, &built.kernel, sched.name()) {
-                identity_gate(&chain_d, &e);
-            }
-            match gpu.resume_chain(&chain, &built.kernel, sched, trace, &opts, &mut NoopTracer) {
-                Ok(s) => status = Some(s),
-                Err(e) => {
-                    if let pro_sim::SimError::Snapshot(ce) = &e {
-                        identity_gate(&chain_d, ce);
-                    }
-                    eprintln!(
-                        "warning: {}: stale checkpoint chain ({e}); restarting cell",
-                        chain_d.display()
-                    );
-                    let _ = fs::remove_dir_all(&chain_d);
+    let cell = crate::run_cell(w, sched, scale, cfg, |gpu, kernel| {
+        // Try to resume from a mid-run snapshot; on corruption (torn file,
+        // broken chain) fall back to a fresh run — correctness never depends
+        // on the checkpoint being usable. Identity mismatches abort instead
+        // (see `identity_gate`).
+        let mut status = None;
+        if ckpt.delta {
+            if let Some(chain) = SnapshotChain::load_dir(&chain_d) {
+                if let Err(e) = snapshot_matches(chain.newest(), &cfg, kernel, sched.name()) {
+                    identity_gate(&chain_d, &e);
                 }
-            }
-        }
-    } else if ckpt.exists() {
-        match GpuSnapshot::read_from(&ckpt) {
-            Ok(snap) => {
-                if let Err(e) = snapshot_matches(&snap, &cfg, &built.kernel, sched.name()) {
-                    identity_gate(&ckpt, &e);
-                }
-                match gpu.resume(&snap, &built.kernel, sched, trace, &opts) {
+                match gpu.resume_chain(&chain, kernel, sched, trace, &opts, &mut NoopTracer) {
                     Ok(s) => status = Some(s),
                     Err(e) => {
-                        if let pro_sim::SimError::Snapshot(ce) = &e {
-                            identity_gate(&ckpt, ce);
+                        if let SimError::Snapshot(ce) = &e {
+                            identity_gate(&chain_d, ce);
                         }
                         eprintln!(
-                            "warning: {}: stale checkpoint ({e}); restarting cell",
-                            ckpt.display()
+                            "warning: {}: stale checkpoint chain ({e}); restarting cell",
+                            chain_d.display()
                         );
-                        let _ = fs::remove_file(&ckpt);
+                        let _ = fs::remove_dir_all(&chain_d);
                     }
                 }
             }
-            Err(e) => {
-                eprintln!(
-                    "warning: {}: unreadable checkpoint ({e}); restarting cell",
-                    ckpt.display()
-                );
-                let _ = fs::remove_file(&ckpt);
+        } else if ckpt_file.exists() {
+            match GpuSnapshot::read_from(&ckpt_file) {
+                Ok(snap) => {
+                    if let Err(e) = snapshot_matches(&snap, &cfg, kernel, sched.name()) {
+                        identity_gate(&ckpt_file, &e);
+                    }
+                    match gpu.resume(&snap, kernel, sched, trace, &opts) {
+                        Ok(s) => status = Some(s),
+                        Err(e) => {
+                            if let SimError::Snapshot(ce) = &e {
+                                identity_gate(&ckpt_file, ce);
+                            }
+                            eprintln!(
+                                "warning: {}: stale checkpoint ({e}); restarting cell",
+                                ckpt_file.display()
+                            );
+                            let _ = fs::remove_file(&ckpt_file);
+                        }
+                    }
+                }
+                Err(e) => {
+                    eprintln!(
+                        "warning: {}: unreadable checkpoint ({e}); restarting cell",
+                        ckpt_file.display()
+                    );
+                    let _ = fs::remove_file(&ckpt_file);
+                }
             }
         }
-    }
-    let status = match status {
-        Some(s) => s,
-        None => gpu
-            .launch_checkpointed(&built.kernel, sched, trace, &opts)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.kernel)),
-    };
-
-    let result = match status {
-        LaunchStatus::Completed(result) => result,
-        LaunchStatus::Paused(_) => unreachable!("sweep cells run with pause_at = 0"),
-    };
-    if let Err(e) = (built.verify)(&gpu.gmem) {
-        panic!(
-            "{} under {sched}: functional verification failed: {e}",
-            w.kernel
-        );
-    }
-    write_done(&done, &result)
+        let status = match status {
+            Some(s) => s,
+            None => gpu.launch_checkpointed(kernel, sched, trace, &opts)?,
+        };
+        // Sweep cells run with `pause_at = 0`.
+        Ok(status.expect_completed())
+    });
+    write_done(&done, &cell.result)
         .unwrap_or_else(|e| panic!("writing {}: {e}", done.display()));
-    let _ = fs::remove_file(&ckpt);
+    let _ = fs::remove_file(&ckpt_file);
     let _ = fs::remove_dir_all(&chain_d);
-    Cell {
-        kernel: w.kernel,
-        app: w.app,
-        sched,
-        result,
-    }
-}
-
-/// Run one cell with a live progress hook but no checkpoint files: the
-/// `--heartbeat`-without-`--checkpoint-path` path. Results are identical
-/// to [`crate::run_cell_with`] — the hook observes, it never steers.
-pub fn run_cell_monitored(
-    w: &Workload,
-    sched: SchedulerKind,
-    scale: Scale,
-    cfg: GpuConfig,
-    trace: TraceOptions,
-    progress: Option<ProgressFn>,
-) -> Cell {
-    let opts = CheckpointOptions {
-        progress_every: if progress.is_some() {
-            HEARTBEAT_PROGRESS_EVERY
-        } else {
-            0
-        },
-        progress,
-        ..Default::default()
-    };
-    let mut gpu = Gpu::new(cfg, w.recommended_gmem(scale));
-    let built = w.build_scaled(&mut gpu.gmem, scale);
-    let result = gpu
-        .launch_checkpointed(&built.kernel, sched, trace, &opts)
-        .unwrap_or_else(|e| panic!("{}: {e}", w.kernel))
-        .expect_completed();
-    if let Err(e) = (built.verify)(&gpu.gmem) {
-        panic!(
-            "{} under {sched}: functional verification failed: {e}",
-            w.kernel
-        );
-    }
-    Cell {
-        kernel: w.kernel,
-        app: w.app,
-        sched,
-        result,
-    }
+    cell
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pro_workloads::registry;
+    use pro_workloads::find;
 
     fn small_cfg() -> GpuConfig {
         GpuConfig::small(4)
     }
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("pro-sweep-{tag}-{}", std::process::id()));
-        fs::create_dir_all(&d).expect("create temp dir");
-        d
+    /// Checkpointing every 1000 cycles into a fresh temp directory.
+    fn tmp_ckpt(tag: &str) -> Checkpointing {
+        let dir = std::env::temp_dir().join(format!("pro-sweep-{tag}-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("create temp dir");
+        Checkpointing {
+            dir,
+            every: 1_000,
+            delta: false,
+            keep: 0,
+        }
     }
 
     #[test]
     fn done_file_short_circuits_second_run() {
-        let dir = tmp_dir("done");
-        let reg = registry();
-        let w = reg
-            .iter()
-            .find(|w| w.kernel == "laplace3d")
-            .expect("laplace3d in registry");
+        let ckpt = tmp_ckpt("done");
+        let dir = &ckpt.dir;
+        let w = &find("laplace3d").expect("laplace3d in registry");
         let scale = Scale::Capped(16);
         let trace = TraceOptions::default();
 
-        let first = run_cell_recoverable(
-            w,
-            SchedulerKind::Lrr,
-            scale,
-            small_cfg(),
-            trace,
-            &dir,
-            1_000,
-            false,
-            0,
-            None,
-        );
-        assert!(done_path(&dir, w, SchedulerKind::Lrr).exists());
-        assert!(!ckpt_path(&dir, w, SchedulerKind::Lrr).exists());
+        let first = run_cell_recoverable(w, SchedulerKind::Lrr, scale, small_cfg(), trace, &ckpt, None);
+        assert!(done_path(dir, w, SchedulerKind::Lrr).exists());
+        assert!(!ckpt_path(dir, w, SchedulerKind::Lrr).exists());
 
         // Second call must load the .done rather than re-simulate; the
         // results agree field-for-field either way.
-        let second = run_cell_recoverable(
-            w,
-            SchedulerKind::Lrr,
-            scale,
-            small_cfg(),
-            trace,
-            &dir,
-            1_000,
-            false,
-            0,
-            None,
-        );
+        let second = run_cell_recoverable(w, SchedulerKind::Lrr, scale, small_cfg(), trace, &ckpt, None);
         assert_eq!(first.result, second.result);
-        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]
     fn garbage_checkpoint_falls_back_to_fresh_run() {
-        let dir = tmp_dir("garbage");
-        let reg = registry();
-        let w = reg
-            .iter()
-            .find(|w| w.kernel == "laplace3d")
-            .expect("laplace3d in registry");
+        let ckpt = tmp_ckpt("garbage");
+        let dir = &ckpt.dir;
+        let w = &find("laplace3d").expect("laplace3d in registry");
         let scale = Scale::Capped(16);
         let trace = TraceOptions::default();
 
-        fs::write(ckpt_path(&dir, w, SchedulerKind::Pro), b"not a snapshot")
+        fs::write(ckpt_path(dir, w, SchedulerKind::Pro), b"not a snapshot")
             .expect("plant garbage ckpt");
-        let cell = run_cell_recoverable(
-            w,
-            SchedulerKind::Pro,
-            scale,
-            small_cfg(),
-            trace,
-            &dir,
-            1_000,
-            false,
-            0,
-            None,
-        );
+        let cell = run_cell_recoverable(w, SchedulerKind::Pro, scale, small_cfg(), trace, &ckpt, None);
         assert!(cell.result.cycles > 0);
-        assert!(done_path(&dir, w, SchedulerKind::Pro).exists());
-        let _ = fs::remove_dir_all(&dir);
+        assert!(done_path(dir, w, SchedulerKind::Pro).exists());
+        let _ = fs::remove_dir_all(dir);
     }
 }

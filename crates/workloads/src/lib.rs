@@ -117,6 +117,12 @@ pub fn registry() -> Vec<Workload> {
     apps::all()
 }
 
+/// The Table II row whose kernel is named `kernel`, if there is one
+/// (kernel names are unique across the table).
+pub fn find(kernel: &str) -> Option<Workload> {
+    registry().into_iter().find(|w| w.kernel == kernel)
+}
+
 /// The 15 applications (Fig. 1/5, Table III rows), each with its kernels.
 pub fn apps() -> Vec<(&'static str, Vec<Workload>)> {
     let mut out: Vec<(&'static str, Vec<Workload>)> = Vec::new();
@@ -177,18 +183,13 @@ mod tests {
 
     #[test]
     fn scaling_caps_by_halving() {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == "convolutionRowsKernel")
-            .unwrap();
+        let w = find("convolutionRowsKernel").unwrap();
         assert_eq!(w.effective_tbs(Scale::Full), 18432);
         let t = w.effective_tbs(Scale::Capped(300));
         assert!(t <= 300 && t > 150, "halving lands in (cap/2, cap]: {t}");
         // Small grids are untouched.
-        let s = registry()
-            .into_iter()
-            .find(|w| w.kernel == "scalarProdGPU")
-            .unwrap();
+        let s = find("scalarProdGPU").unwrap();
+        assert!(find("no such kernel").is_none());
         assert_eq!(s.effective_tbs(Scale::default()), 128);
     }
 }

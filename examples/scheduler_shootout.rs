@@ -10,13 +10,13 @@
 
 use pro_sim::core::SchedulerKind;
 use pro_sim::{Gpu, GpuConfig, TraceOptions};
-use pro_workloads::{registry, Scale};
+use pro_workloads::{find, registry, Scale};
 
 fn main() {
     let want = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "scalarProdGPU".to_string());
-    let Some(w) = registry().into_iter().find(|w| w.kernel == want) else {
+    let Some(w) = find(&want) else {
         eprintln!("unknown kernel `{want}`; available:");
         for w in registry() {
             eprintln!("  {}", w.kernel);

@@ -8,13 +8,10 @@
 //! Columns: scheduler, sm, tb_global_index, start_cycle, end_cycle.
 
 use pro_sim::{GpuConfig, SchedulerKind, TraceOptions};
-use pro_workloads::{registry, run_workload, Scale};
+use pro_workloads::{find, run_workload, Scale};
 
 fn main() {
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "laplace3d")
-        .expect("LPS in registry");
+    let w = find("laplace3d").expect("LPS in registry");
     println!("scheduler,sm,tb,start,end");
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
         // A 4-SM slice gives SM 0 roughly the ~20 TBs the paper plots.

@@ -98,6 +98,22 @@ cmp "$tracedir/json_serial.txt" scripts/golden/repro_quick.json || {
     exit 1
 }
 echo "ok: --jobs 1 and --jobs 4 both reproduce the golden byte-for-byte"
+# The checked-in artifacts are goldens too: `repro all` is every view over
+# the experiment store in one process (each cell simulated once, DESIGN.md
+# §5), so this also proves a view prints the same bytes from a warm store
+# as from a cold one.
+target/release/repro all | cmp - repro_output.txt || {
+    echo "ERROR: repro all diverged from repro_output.txt" >&2
+    exit 1
+}
+(cd "$tracedir" && "$OLDPWD/target/release/repro" svg >/dev/null)
+for svg in fig1_lrr.svg fig2_lrr.svg fig2_pro.svg fig4.svg; do
+    cmp "$tracedir/$svg" "$svg" || {
+        echo "ERROR: repro svg diverged from the checked-in $svg" >&2
+        exit 1
+    }
+done
+echo "ok: repro all and repro svg reproduce the checked-in artifacts"
 # Unknown options are refused (exit 2), not ignored — including the removed
 # worker-thread flag, which would otherwise silently run the only engine.
 target/release/repro json --quick --sm-workers 4 >/dev/null 2>&1 && rc=0 || rc=$?

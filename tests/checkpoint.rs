@@ -9,7 +9,7 @@ use pro_sim::{
     SimError, TraceOptions,
 };
 use pro_trace::{ClassSet, JsonlTracer};
-use pro_workloads::registry;
+use pro_workloads::find;
 use pro_core::codec::{CodecError, Snapshot};
 
 const KERNEL: &str = "laplace3d";
@@ -30,7 +30,7 @@ fn trace_opts() -> TraceOptions {
 
 /// Build the test workload into a fresh GPU, returning (gpu, kernel).
 fn fresh_gpu() -> (Gpu, pro_sim::isa::Kernel) {
-    let w = registry().into_iter().find(|w| w.kernel == KERNEL).unwrap();
+    let w = find(KERNEL).unwrap();
     let mut gpu = Gpu::new(cfg(), 64 << 20);
     let built = (w.build)(&mut gpu.gmem, SCALE);
     (gpu, built.kernel)
@@ -292,10 +292,7 @@ fn mismatched_resume_is_rejected() {
         "wrong scheduler must be refused, got {err:?}"
     );
     // Wrong kernel.
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "scalarProdGPU")
-        .unwrap();
+    let w = find("scalarProdGPU").unwrap();
     let mut gpu3 = Gpu::new(cfg(), 64 << 20);
     let other = (w.build)(&mut gpu3.gmem, SCALE);
     let err = gpu3

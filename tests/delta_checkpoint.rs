@@ -11,7 +11,7 @@ use pro_sim::{
     SchedulerKind, SnapshotChain, TraceOptions,
 };
 use pro_trace::{ClassSet, JsonlTracer};
-use pro_workloads::{registry, Scale};
+use pro_workloads::{find, Scale};
 use pro_core::codec::CodecError;
 use std::path::{Path, PathBuf};
 
@@ -32,7 +32,7 @@ fn trace_opts() -> TraceOptions {
 }
 
 fn fresh_gpu() -> (Gpu, pro_sim::isa::Kernel) {
-    let w = registry().into_iter().find(|w| w.kernel == KERNEL).unwrap();
+    let w = find(KERNEL).unwrap();
     let mut gpu = Gpu::new(cfg(), 64 << 20);
     let built = (w.build)(&mut gpu.gmem, SCALE);
     (gpu, built.kernel)
@@ -274,7 +274,7 @@ fn delta_is_at_least_5x_smaller_than_full() {
     // interval, a delta checkpoint is ≥5× smaller than the full snapshot
     // of the same run. Sizes and write times land in EXPERIMENTS.md; run
     // with --nocapture to reproduce the numbers.
-    let w = registry().into_iter().find(|w| w.kernel == KERNEL).unwrap();
+    let w = find(KERNEL).unwrap();
     let mut gpu = Gpu::new(cfg(), w.recommended_gmem(Scale::default()));
     let built = w.build_scaled(&mut gpu.gmem, Scale::default());
     let dir = temp_dir("sizes");
@@ -371,10 +371,7 @@ fn snapshot_identity_api_accepts_own_and_refuses_foreign() {
         snapshot_matches(&snap, &other_cfg, &kernel, "pro"),
         Err(CodecError::Mismatch(_))
     ));
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "scalarProdGPU")
-        .unwrap();
+    let w = find("scalarProdGPU").unwrap();
     let mut gpu2 = Gpu::new(cfg(), 64 << 20);
     let other = (w.build)(&mut gpu2.gmem, SCALE);
     assert!(matches!(

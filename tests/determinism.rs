@@ -6,14 +6,11 @@
 use pro_sim::isa::{CmpOp, Instr, Kernel, LaunchConfig, MemSpace, ProgramBuilder, Special, Src, Ty};
 use pro_sim::trace::{ClassSet, Event, EventClass, RingTracer};
 use pro_sim::{CheckpointOptions, Gpu, GpuConfig, LaunchStatus, SchedulerKind, TraceOptions};
-use pro_workloads::registry;
+use pro_workloads::find;
 use pro_workloads::synth::{generate, SynthParams};
 
 fn run_twice(kernel_name: &str, sched: SchedulerKind) -> (pro_sim::RunResult, pro_sim::RunResult) {
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == kernel_name)
-        .unwrap();
+    let w = find(kernel_name).unwrap();
     let mut out = Vec::new();
     for _ in 0..2 {
         let mut gpu = Gpu::new(GpuConfig::small(2), 64 << 20);
@@ -118,10 +115,7 @@ fn synth_kernels_are_cross_run_deterministic() {
 #[test]
 fn workload_inputs_are_reproducible() {
     // Two independent builds of the same workload allocate identical data.
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "cenergy")
-        .unwrap();
+    let w = find("cenergy").unwrap();
     let mut g1 = pro_sim::mem::GlobalMem::new(1 << 22);
     let mut g2 = pro_sim::mem::GlobalMem::new(1 << 22);
     let _ = (w.build)(&mut g1, 4);

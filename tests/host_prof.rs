@@ -16,7 +16,7 @@ use pro_sim::{
     TraceOptions,
 };
 use pro_trace::{Hist16, Metrics};
-use pro_workloads::registry;
+use pro_workloads::find;
 
 const KERNEL: &str = "laplace3d";
 const SCALE: u32 = 16;
@@ -29,7 +29,7 @@ fn prof_opts(host_prof: bool) -> TraceOptions {
 }
 
 fn fresh_gpu() -> (Gpu, pro_sim::isa::Kernel) {
-    let w = registry().into_iter().find(|w| w.kernel == KERNEL).unwrap();
+    let w = find(KERNEL).unwrap();
     let mut gpu = Gpu::new(GpuConfig::small(4), 64 << 20);
     let built = (w.build)(&mut gpu.gmem, SCALE);
     (gpu, built.kernel)

@@ -10,7 +10,7 @@ use pro_sim::trace::{ClassSet, JsonlTracer, NoopTracer, Tracer};
 use pro_sim::{
     CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, SchedulerKind, TraceOptions,
 };
-use pro_workloads::registry;
+use pro_workloads::{find, registry};
 use pro_workloads::synth::{generate, SynthParams};
 use std::sync::Arc;
 
@@ -90,10 +90,7 @@ fn pause(
 #[test]
 fn restored_run_rebuilds_the_table_and_recaptures_identical_bytes() {
     let build = || {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == "laplace3d")
-            .unwrap();
+        let w = find("laplace3d").unwrap();
         let mut gpu = Gpu::new(GpuConfig::small(4), 64 << 20);
         let built = (w.build)(&mut gpu.gmem, 16);
         (gpu, built.kernel)

@@ -4,7 +4,7 @@
 
 use pro_sim::isa::{Kernel, LaunchConfig, ProgramBuilder, Special, Src};
 use pro_sim::{Gpu, GpuConfig, SchedulerKind, TraceOptions};
-use pro_workloads::{registry, Scale};
+use pro_workloads::{find, Scale};
 
 /// A kernel whose warps do skewed amounts of *memory-bound* work then hit
 /// one barrier: low-index warps finish their loop quickly and park at the
@@ -75,10 +75,7 @@ fn pro_beats_lrr_on_memory_bound_barrier_skew() {
 
 #[test]
 fn tb_order_trace_contains_each_live_tb_once() {
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "aesEncrypt128")
-        .unwrap();
+    let w = find("aesEncrypt128").unwrap();
     let mut gpu = Gpu::new(GpuConfig::small(1), 64 << 20);
     let built = w.build_scaled(&mut gpu.gmem, Scale::Capped(40));
     let r = gpu
@@ -106,10 +103,7 @@ fn tb_order_trace_contains_each_live_tb_once() {
 fn slow_phase_reverses_priorities_at_the_tail() {
     // With a grid exactly at residency, PRO is in the slow phase from the
     // start: the highest-priority TB must be the one with least progress.
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "sha1_overlap")
-        .unwrap();
+    let w = find("sha1_overlap").unwrap();
     let mut gpu = Gpu::new(GpuConfig::small(1), 64 << 20);
     // 8 TBs of 128 threads on one SM: all resident immediately.
     let built = (w.build)(&mut gpu.gmem, 8);
@@ -141,10 +135,7 @@ fn slow_phase_reverses_priorities_at_the_tail() {
 #[test]
 fn pro_nb_differs_from_pro_only_on_barrier_kernels() {
     // On a barrier-free kernel the NB ablation is identical to PRO.
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "sha1_overlap")
-        .unwrap();
+    let w = find("sha1_overlap").unwrap();
     let mut cycles = Vec::new();
     for s in [SchedulerKind::Pro, SchedulerKind::ProNoBarrier] {
         let mut gpu = Gpu::new(GpuConfig::small(2), 64 << 20);
@@ -195,10 +186,7 @@ fn finish_wait_prioritization_speeds_up_straggler_tbs() {
 #[test]
 fn launch_custom_accepts_arbitrary_policies() {
     use pro_sim::core::{Pro, ProConfig};
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "cenergy")
-        .unwrap();
+    let w = find("cenergy").unwrap();
     let mut gpu = Gpu::new(GpuConfig::small(2), 64 << 20);
     let built = (w.build)(&mut gpu.gmem, 6);
     let cfg = *gpu.config();
@@ -225,10 +213,7 @@ fn launch_custom_accepts_arbitrary_policies() {
 
 #[test]
 fn barrier_heavy_kernel_runs_under_all_pro_variants() {
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == "scalarProdGPU")
-        .unwrap();
+    let w = find("scalarProdGPU").unwrap();
     for s in [
         SchedulerKind::Pro,
         SchedulerKind::ProNoBarrier,

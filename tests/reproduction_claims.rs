@@ -7,7 +7,7 @@
 //! to allow benign timing shifts while still catching sign flips.
 
 use pro_sim::{geomean, GpuConfig, SchedulerKind, TraceOptions};
-use pro_workloads::{registry, run_workload, Scale};
+use pro_workloads::{find, run_workload, Scale};
 
 /// A subset of kernels covering the paper's effect categories, at small
 /// scale on a 4-SM GPU (keeps the whole file under ~30 s in CI).
@@ -20,10 +20,7 @@ const SUBSET: &[&str] = &[
 ];
 
 fn cycles(kernel: &str, sched: SchedulerKind) -> u64 {
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == kernel)
-        .unwrap_or_else(|| panic!("unknown kernel {kernel}"));
+    let w = find(kernel).unwrap_or_else(|| panic!("unknown kernel {kernel}"));
     let (r, verdict) = run_workload(
         GpuConfig::small(4),
         &w,
@@ -80,10 +77,7 @@ fn lrr_has_highest_idle_share() {
     // Fig. 1's qualitative claim, on the kernel with the starkest idle
     // contrast (STO: long uniform compute ending in a completion batch).
     let idle_share = |sched: SchedulerKind| -> f64 {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == "sha1_overlap")
-            .unwrap();
+        let w = find("sha1_overlap").unwrap();
         let (r, _) = run_workload(
             GpuConfig::small(4),
             &w,
@@ -105,10 +99,7 @@ fn lrr_has_highest_idle_share() {
 #[test]
 fn pro_reduces_total_stalls_vs_lrr_on_sto() {
     let stalls = |sched: SchedulerKind| -> u64 {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == "sha1_overlap")
-            .unwrap();
+        let w = find("sha1_overlap").unwrap();
         let (r, _) = run_workload(
             GpuConfig::small(4),
             &w,
@@ -131,10 +122,7 @@ fn pro_reduces_total_stalls_vs_lrr_on_sto() {
 fn fr_fcfs_beats_fcfs_on_streaming_writes() {
     // Table I substrate claim: the FR-FCFS DRAM scheduler earns its place.
     let run = |policy: pro_sim::mem::DramPolicy| -> (u64, f64) {
-        let w = registry()
-            .into_iter()
-            .find(|w| w.kernel == "bpnn_adjust_weights_cuda")
-            .unwrap();
+        let w = find("bpnn_adjust_weights_cuda").unwrap();
         let mut cfg = GpuConfig::small(4);
         cfg.mem.dram.policy = policy;
         let (r, _) = run_workload(cfg, &w, SchedulerKind::Pro, Scale::Capped(64), TraceOptions::default())

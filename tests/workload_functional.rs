@@ -3,13 +3,10 @@
 //! small grid sizes on a 2-SM GPU so the whole table stays fast in CI.
 
 use pro_sim::{Gpu, GpuConfig, SchedulerKind, TraceOptions};
-use pro_workloads::registry;
+use pro_workloads::find;
 
 fn verify(kernel_name: &str, tbs: u32, sched: SchedulerKind) {
-    let w = registry()
-        .into_iter()
-        .find(|w| w.kernel == kernel_name)
-        .unwrap_or_else(|| panic!("unknown kernel {kernel_name}"));
+    let w = find(kernel_name).unwrap_or_else(|| panic!("unknown kernel {kernel_name}"));
     let mut gpu = Gpu::new(GpuConfig::small(2), 64 << 20);
     let built = (w.build)(&mut gpu.gmem, tbs);
     gpu.launch(&built.kernel, sched, TraceOptions::default())
