@@ -16,28 +16,24 @@
 //! Long runs — checkpoint & resume (the `json` sweep only; on any other
 //! command these options, like `--heartbeat`, are a usage error):
 //!
-//! * `--checkpoint-path DIR` writes per-cell state into `DIR`: a `.ckpt`
-//!   snapshot refreshed mid-run and a `.done` result once the cell
+//! * `--checkpoint-path DIR` writes per-cell state into `DIR`: mid-run a
+//!   `.chain/` directory — one full `base.ckpt` plus numbered deltas that
+//!   carry only what changed since the previous capture, rolled over into
+//!   a fresh base every eight files — and a `.done` result once the cell
 //!   finishes (format: DESIGN.md §12).
-//! * `--checkpoint-every N` sets the snapshot interval in cycles
+//! * `--checkpoint-every N` sets the checkpoint interval in cycles
 //!   (default 50000).
-//! * `--checkpoint-delta` switches each cell to a delta chain — a
-//!   `.chain/` directory holding one full `base.ckpt` plus numbered
-//!   deltas that carry only the gmem pages written since the previous
-//!   capture. Far cheaper per interval; restore replays base-then-deltas
-//!   and is still bit-identical.
-//! * `--checkpoint-keep N` caps a chain at `N` files: when the cap is
-//!   reached the next capture rewrites a fresh full base and prunes the
-//!   old deltas (only after the new base is fsynced and renamed).
 //! * `--resume DIR` re-runs the sweep against an existing `DIR`: finished
-//!   cells load their `.done`, interrupted cells resume from `.ckpt` or
-//!   the longest valid prefix of their chain, and the aggregate JSON is
-//!   byte-identical to an uninterrupted run. State recorded for a
-//!   different kernel/config/scheduler aborts with a clear error rather
-//!   than being silently discarded.
+//!   cells load their `.done`, interrupted cells resume from the longest
+//!   valid prefix of their chain, and the aggregate JSON is byte-identical
+//!   to an uninterrupted run. State recorded for a different
+//!   kernel/config/scheduler aborts with a clear error rather than being
+//!   silently discarded.
 
 use pro_bench::sweep::Checkpointing;
-use pro_bench::{geomean_finite, pairs, parallel_map, ratio, run_cell, speedup, AppTotals, Experiment, Grid};
+use pro_bench::{
+    geomean_finite, pairs, parallel_map, ratio, run_cell, speedup, AppTotals, Cell, Experiment, Grid,
+};
 use pro_core::SchedulerKind;
 use pro_sim::{GpuConfig, TraceOptions};
 use pro_workloads::{find, registry, Scale, Workload};
@@ -52,8 +48,6 @@ const OPTIONS: &[(&str, Option<&str>)] = &[
     ("--jobs", Some("a non-negative integer")),
     ("--checkpoint-path", Some("a value")),
     ("--checkpoint-every", Some("a non-negative integer")),
-    ("--checkpoint-delta", None),
-    ("--checkpoint-keep", Some("a non-negative integer")),
     ("--resume", Some("a value")),
     ("--heartbeat", Some("a non-negative integer")),
 ];
@@ -63,8 +57,6 @@ const OPTIONS: &[(&str, Option<&str>)] = &[
 const JSON_ONLY: &[&str] = &[
     "--checkpoint-path",
     "--checkpoint-every",
-    "--checkpoint-delta",
-    "--checkpoint-keep",
     "--resume",
     "--heartbeat",
 ];
@@ -74,8 +66,7 @@ fn usage() -> ! {
         "usage: repro <config|workloads|fig1|fig2|fig4|fig5|table3|table4|ablation|sweep|wld|cache|ready|occupancy|synthsweep|svg|json|shootout|dram|all> \
          | disasm <kernel> | trace [kernel] [tl|lrr|gto|pro] | trace-report <file.jsonl> \
          [--full-scale] [--quick] [--config FILE] [--jobs N] \
-         [--checkpoint-path DIR] [--checkpoint-every N] [--checkpoint-delta] \
-         [--checkpoint-keep N] [--resume DIR] [--heartbeat SECS]"
+         [--checkpoint-path DIR] [--checkpoint-every N] [--resume DIR] [--heartbeat SECS]"
     );
     std::process::exit(2);
 }
@@ -158,15 +149,10 @@ fn main() {
         .map(|dir| Checkpointing {
             dir: dir.into(),
             every: cli.count("--checkpoint-every").unwrap_or(0) as u64,
-            delta: cli.has("--checkpoint-delta"),
-            keep: cli.count("--checkpoint-keep").unwrap_or(0),
         });
-    if ckpt.is_none() {
-        let tuning = ["--checkpoint-every", "--checkpoint-delta", "--checkpoint-keep"];
-        if let Some(name) = tuning.iter().find(|name| cli.has(name)) {
-            eprintln!("{name} needs --checkpoint-path or --resume");
-            usage();
-        }
+    if ckpt.is_none() && cli.has("--checkpoint-every") {
+        eprintln!("--checkpoint-every needs --checkpoint-path or --resume");
+        usage();
     }
     // Live telemetry: `--heartbeat N` rewrites status.json at most every N
     // seconds while the `json` sweep runs (DESIGN.md §13).
@@ -567,10 +553,30 @@ fn ablation(exp: &mut Experiment) {
     println!("(paper: disabling barrier handling sped scalarProd up by ~11%)");
 }
 
+/// The PRO cells of `kernels` × `variants` (kernel-major) for an ablation
+/// whose variant `stock` is what the experiment's own machine does: that
+/// column is the store's PRO cell, every other variant runs on the pool
+/// through `run`.
+fn with_stock_column<V: Copy + PartialEq + Sync>(
+    exp: &mut Experiment,
+    kernels: &[Workload],
+    variants: &[V],
+    stock: V,
+    run: impl Fn(&Workload, V) -> Cell + Sync,
+) -> Vec<Cell> {
+    let jobs: Vec<(usize, V)> = (0..kernels.len())
+        .flat_map(|k| variants.iter().map(move |&v| (k, v)))
+        .collect();
+    let ran = parallel_map(&jobs, |&(k, v)| (v != stock).then(|| run(&kernels[k], v)));
+    let stored = exp.cells(kernels, &[SchedulerKind::Pro]);
+    let cells = jobs.iter().zip(ran);
+    cells.map(|(&(k, _), ran)| ran.unwrap_or_else(|| stored.cells()[k].clone())).collect()
+}
+
 /// Design-choice sweep: PRO's THRESHOLD re-sort period (paper uses 1000).
-fn sweep(exp: &Experiment) {
-    use pro_core::{Pro, ProConfig};
-    use pro_sim::Gpu;
+fn sweep(exp: &mut Experiment) {
+    use pro_core::{Pro, ProConfig, WarpScheduler};
+    use pro_sim::{Policy, Run};
     header("Sweep: PRO THRESHOLD (re-sort period) sensitivity, cycles per kernel");
     let thresholds = [100u64, 500, 1000, 2000, 5000, 20000];
     print!("{:<32}", "Kernel");
@@ -578,29 +584,25 @@ fn sweep(exp: &Experiment) {
         print!(" {t:>9}");
     }
     println!();
+    let kernels = named(&["aesEncrypt128", "laplace3d", "render", "scalarProdGPU"]);
     let (cfg, scale) = (exp.machine, exp.scale);
-    for w in named(&["aesEncrypt128", "laplace3d", "render", "scalarProdGPU"]) {
-        print!("{:<32}", w.kernel);
-        for t in thresholds {
-            let mut gpu = Gpu::new(cfg, w.recommended_gmem(scale));
-            let built = w.build_scaled(&mut gpu.gmem, scale);
-            let r = gpu
-                .launch_custom(
-                    &built.kernel,
-                    &mut || {
-                        Box::new(Pro::new(
-                            cfg.sm.max_warps,
-                            cfg.sm.max_tbs,
-                            ProConfig {
-                                threshold: t,
-                                ..ProConfig::default()
-                            },
-                        ))
-                    },
-                    TraceOptions::default(),
-                )
-                .expect("run completes");
-            print!(" {:>9}", r.cycles);
+    let stock = ProConfig::default().threshold;
+    let cells = with_stock_column(exp, &kernels, &thresholds, stock, |w, threshold| {
+        run_cell(w, SchedulerKind::Pro, scale, cfg, |gpu, k| {
+            let mut factory = || -> Box<dyn WarpScheduler> {
+                let pro = ProConfig {
+                    threshold,
+                    ..ProConfig::default()
+                };
+                Box::new(Pro::new(cfg.sm.max_warps, cfg.sm.max_tbs, pro))
+            };
+            Ok(gpu.run(k, Run::new(Policy::Factory(&mut factory)))?.expect_completed())
+        })
+    });
+    for row in cells.chunks(thresholds.len()) {
+        print!("{:<32}", row[0].kernel);
+        for cell in row {
+            print!(" {:>9}", cell.result.cycles);
         }
         println!();
     }
@@ -667,24 +669,27 @@ fn synthsweep(exp: &Experiment) {
     use pro_sim::Gpu;
     use pro_workloads::synth::{generate, SynthParams};
     header("Synthetic workload-space sweep: PRO speedup over LRR by knob");
+    let machine = exp.machine;
     let run = |p: SynthParams, s: SchedulerKind| -> u64 {
-        let mut gpu = Gpu::new(exp.machine, 32 << 20);
+        let mut gpu = Gpu::new(machine, 32 << 20);
         let k = generate(&mut gpu.gmem, p);
         gpu.launch(&k.kernel, s, TraceOptions::default())
             .expect("synth runs")
             .cycles
     };
-    println!("{:<26} {:>10}", "knob", "PRO/LRR");
-    for (label, mem, barrier) in [
+    let knobs = [
         ("compute only", 0.05, 0.0),
         ("mem 0.3", 0.3, 0.0),
         ("mem 0.6", 0.6, 0.0),
         ("mem 0.3 + barrier 0.2", 0.3, 0.2),
         ("mem 0.3 + barrier 0.4", 0.3, 0.4),
         ("barrier 0.5 only", 0.05, 0.5),
-    ] {
-        let mut speedups = Vec::new();
-        for seed in 0..3u64 {
+    ];
+    // Per knob: each seed under LRR then PRO.
+    const SEEDS: u64 = 3;
+    let mut jobs = Vec::new();
+    for (_, mem, barrier) in knobs {
+        for seed in 0..SEEDS {
             let p = SynthParams {
                 seed: seed * 1000 + 17,
                 blocks: 224,
@@ -698,10 +703,13 @@ fn synthsweep(exp: &Experiment) {
                 loop_prob: 0.1,
                 max_trip: 8,
             };
-            let lrr = run(p, SchedulerKind::Lrr);
-            let pro = run(p, SchedulerKind::Pro);
-            speedups.push(lrr as f64 / pro as f64);
+            jobs.extend([(p, SchedulerKind::Lrr), (p, SchedulerKind::Pro)]);
         }
+    }
+    let cycles = parallel_map(&jobs, |&(p, s)| run(p, s));
+    println!("{:<26} {:>10}", "knob", "PRO/LRR");
+    for ((label, ..), runs) in knobs.iter().zip(cycles.chunks(2 * SEEDS as usize)) {
+        let speedups = runs.chunks(2).map(|pair| pair[0] as f64 / pair[1] as f64);
         println!("{:<26} {:>9.3}x", label, geomean_finite(speedups));
     }
     println!("(each row: geomean over 3 random kernels at 224 TBs x 192 threads)");
@@ -777,8 +785,8 @@ fn svg_figs(exp: &mut Experiment) {
 }
 
 /// Dump every (kernel × scheduler) result as JSON on stdout. With a
-/// checkpoint directory, cells persist `.done`/`.ckpt` state there and a
-/// crashed worker is retried from its last snapshot; the aggregate output
+/// checkpoint directory, cells persist `.done`/`.chain` state there and a
+/// crashed worker is retried from its last checkpoint; the aggregate output
 /// is byte-identical either way. `--heartbeat N` additionally rewrites a
 /// `status.json` (in the checkpoint directory if given, else the cwd) at
 /// most every `N` seconds — the JSON on stdout is unaffected, and the
@@ -811,24 +819,16 @@ fn json_export(exp: &mut Experiment, ckpt: Option<&Checkpointing>, heartbeat: Op
         cell
     };
     let (scale, machine, trace) = (exp.scale, exp.machine, TraceOptions::default());
-    let doc = match ckpt {
-        None => {
-            let grid = exp.cells_with(&ws, &SchedulerKind::PAPER, |w, s| {
+    let grid = exp.cells_with(&ws, &SchedulerKind::PAPER, |w, s| {
+        finished(match ckpt {
+            None => run_cell(w, s, scale, machine, |gpu, k| {
                 let opts = progress_options(progress(w, s));
-                finished(run_cell(w, s, scale, machine, |gpu, k| {
-                    let status = gpu.launch_checkpointed(k, s, trace, &opts)?;
-                    Ok(status.expect_completed())
-                }))
-            });
-            export_cells(grid.cells().iter().copied())
-        }
-        Some(ckpt) => {
-            let cells = pro_bench::parallel_map_recover(&pairs(&ws, &SchedulerKind::PAPER), |(w, s)| {
-                finished(run_cell_recoverable(w, *s, scale, machine, trace, ckpt, progress(w, *s)))
-            });
-            export_cells(&cells)
-        }
-    };
+                Ok(gpu.launch_checkpointed(k, s, trace, &opts)?.expect_completed())
+            }),
+            Some(ckpt) => run_cell_recoverable(w, s, scale, machine, trace, ckpt, progress(w, s)),
+        })
+    });
+    let doc = export_cells(grid.cells().iter().copied());
     if let Some(hb) = &hb {
         hb.finish();
     }
@@ -985,32 +985,32 @@ fn shootout(exp: &Experiment) {
 /// Substrate ablation: Table I names FR-FCFS as the DRAM scheduler. Show
 /// what it buys — row-hit rate and kernel runtime — against plain FCFS on
 /// memory-bound kernels.
-fn dram_ablation(exp: &Experiment) {
-    use pro_sim::Gpu;
+fn dram_ablation(exp: &mut Experiment) {
+    use pro_sim::mem::DramPolicy;
     header("DRAM scheduler ablation: FR-FCFS (Table I) vs plain FCFS, PRO runs");
     println!(
         "{:<32} {:>12} {:>12} {:>9} {:>9}",
         "Kernel", "FR-FCFS cyc", "FCFS cyc", "FR rowhit", "FC rowhit"
     );
-    let scale = exp.scale;
-    for w in named(&["convolutionRowsKernel", "bpnn_adjust_weights_cuda", "kernel", "findK"]) {
-        let mut row = format!("{:<32}", w.kernel);
-        let mut rates = Vec::new();
-        for policy in [pro_sim::mem::DramPolicy::FrFcfs, pro_sim::mem::DramPolicy::Fcfs] {
-            let mut cfg = exp.machine;
-            cfg.mem.dram.policy = policy;
-            let mut gpu = Gpu::new(cfg, w.recommended_gmem(scale));
-            let built = w.build_scaled(&mut gpu.gmem, scale);
-            let r = gpu
-                .launch(&built.kernel, SchedulerKind::Pro, TraceOptions::default())
-                .expect("runs");
-            row.push_str(&format!(" {:>12}", r.cycles));
-            rates.push(r.mem.dram.row_hit_rate());
+    let kernels = named(&["convolutionRowsKernel", "bpnn_adjust_weights_cuda", "kernel", "findK"]);
+    let (scale, machine) = (exp.scale, exp.machine);
+    let policies = [DramPolicy::FrFcfs, DramPolicy::Fcfs];
+    let stock = machine.mem.dram.policy;
+    let cells = with_stock_column(exp, &kernels, &policies, stock, |w, policy| {
+        let mut cfg = machine;
+        cfg.mem.dram.policy = policy;
+        let pro = SchedulerKind::Pro;
+        run_cell(w, pro, scale, cfg, |gpu, k| gpu.launch(k, pro, TraceOptions::default()))
+    });
+    for row in cells.chunks(policies.len()) {
+        let mut line = format!("{:<32}", row[0].kernel);
+        for cell in row {
+            line.push_str(&format!(" {:>12}", cell.result.cycles));
         }
-        for rate in rates {
-            row.push_str(&format!(" {:>8.1}%", 100.0 * rate));
+        for cell in row {
+            line.push_str(&format!(" {:>8.1}%", 100.0 * cell.result.mem.dram.row_hit_rate()));
         }
-        println!("{row}");
+        println!("{line}");
     }
     println!("(FR-FCFS should match or beat FCFS via row-buffer locality)");
 }

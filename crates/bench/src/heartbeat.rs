@@ -19,7 +19,7 @@
 //!   "cycles": 123456,          // simulated cycles observed so far
 //!   "cycles_per_sec": 2.1e6,   // cycles / wall-clock elapsed
 //!   "elapsed_sec": 12.5,       // wall-clock since sweep start
-//!   "checkpoint_age_sec": 3.0, // since the last .ckpt write (null: none)
+//!   "checkpoint_age_sec": 3.0, // since the last checkpoint write (null: none)
 //!   "eta_sec": 240.0,          // cell-rate estimate (null until 1 done)
 //!   "done": false              // true in the final write
 //! }

@@ -33,10 +33,10 @@
 //! `repro` builds one [`Experiment`] per process and every command borrows
 //! it: the commands that read the paper's (kernel × policy) matrix — `fig1`,
 //! `fig4`, `fig5`, `table3`, `wld`, `cache`, `ready`, `ablation`, half of
-//! `svg`, un-checkpointed `json` — are formatting over
-//! [`Experiment::cells`], which simulates a cell the first time any of them
-//! asks for it; the rest, whose machine or traces differ, call [`run_cell`]
-//! themselves.
+//! `svg`, `json` (checkpointed or not), one column each of `sweep` and
+//! `dram` — are formatting over [`Experiment::cells`], which simulates a
+//! cell the first time any of them asks for it; the rest, whose machine,
+//! policy parameters or traces differ, call [`run_cell`] themselves.
 //!
 //! The `sim_throughput` bench target (`cargo bench`) times the simulator's
 //! layers on the in-repo fixed-iteration [`runner`] — no external
@@ -170,8 +170,9 @@ impl Experiment {
 
     /// [`Experiment::cells`] with the missing cells simulated by `runner`,
     /// which must produce what the default runner would — this machine and
-    /// scale, default [`TraceOptions`] — and may observe on the way (the
-    /// `--heartbeat` hook, a test's call counter).
+    /// scale, default [`TraceOptions`] — and may observe or persist on the
+    /// way (the `--heartbeat` hook, [`sweep::run_cell_recoverable`]'s
+    /// checkpoints, a test's call counter).
     pub fn cells_with(
         &mut self,
         kernels: &[Workload],
@@ -247,14 +248,6 @@ impl<'a> Grid<'a> {
 /// simulation, so results are deterministic regardless of thread count.
 pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     pro_core::pool::run(0, items, f)
-}
-
-/// [`parallel_map`] with crash recovery: a cell whose worker panics is
-/// retried once ([`pro_core::pool::run_recover`]). Checkpointed sweeps
-/// ([`sweep::run_cell_recoverable`]) resume the retried cell from its
-/// last on-disk snapshot instead of restarting it from cycle 0.
-pub fn parallel_map_recover<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    pro_core::pool::run_recover(0, items, f)
 }
 
 /// Per-application cycle and stall totals (kernels of an app summed), as

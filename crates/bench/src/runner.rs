@@ -149,13 +149,6 @@ impl Runner {
         }
     }
 
-    /// Record a benchmark the caller skipped after its own `selected`
-    /// check (e.g. to avoid expensive setup), so the closing tally stays
-    /// accurate.
-    pub fn note_skip(&mut self) {
-        self.skipped += 1;
-    }
-
     /// Run one benchmark: warmup, then timed iterations, then report.
     ///
     /// The closure's return value is passed through [`std::hint::black_box`]

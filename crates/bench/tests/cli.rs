@@ -24,6 +24,14 @@ fn unknown_option_is_a_usage_error() {
     assert_eq!(code, Some(2));
     assert!(err.contains("unknown option --sm-workers"), "{err}");
     assert!(err.contains("usage: repro"), "{err}");
+    // Sweeps checkpoint one way; the flags that used to pick the format
+    // and tune it are gone, not ignored.
+    for removed in ["delta", "keep"] {
+        let flag = format!("--checkpoint-{removed}");
+        let (code, err) = refused(&["json", "--quick", "--checkpoint-path", "unused", &flag]);
+        assert_eq!(code, Some(2), "{flag}");
+        assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+    }
 }
 
 #[test]

@@ -204,11 +204,6 @@ impl<T> CalQueue<T> {
         self.buckets.len()
     }
 
-    /// Events currently waiting in the far-future overflow tier.
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
-    }
-
     /// Drop all pending events and rewind the delivery front to 0. Slab
     /// capacity, wheel size and the `seq` counter are kept — clearing is
     /// how the SM reuses its queue across kernel launches, and `seq`

@@ -75,31 +75,6 @@ where
         .collect()
 }
 
-/// Like [`run`], but a job that panics is retried once before the panic is
-/// allowed to take down the sweep.
-///
-/// This is the crash-recovery hook for long checkpointed sweeps: when a
-/// worker dies mid-cell, the retry re-enters `f`, which (if the caller
-/// wired up checkpointing) resumes from the cell's last on-disk snapshot
-/// instead of losing the whole run. A job that panics twice is genuinely
-/// broken, and the second panic propagates.
-pub fn run_recover<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run(jobs, items, |item| {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))) {
-            Ok(r) => r,
-            Err(_) => {
-                eprintln!("pool: job panicked; retrying once (resume from checkpoint if enabled)");
-                f(item)
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,21 +116,6 @@ mod tests {
     fn single_item_runs_inline() {
         let out = run(8, &[41u32], |&x| x + 1);
         assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn run_recover_retries_a_panicking_job_once() {
-        use std::sync::atomic::AtomicU32;
-        let attempts = AtomicU32::new(0);
-        let items = [1u32, 2, 3];
-        let out = run_recover(1, &items, |&x| {
-            if x == 2 && attempts.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("simulated worker crash");
-            }
-            x * 10
-        });
-        assert_eq!(out, vec![10, 20, 30]);
-        assert_eq!(attempts.load(Ordering::Relaxed), 2, "item 2 ran twice");
     }
 
     #[test]

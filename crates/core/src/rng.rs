@@ -60,12 +60,6 @@ impl SplitMix64 {
         (self.next_u64() >> 32) as u32
     }
 
-    /// Uniform value in `[0, 1)` with 24 bits of precision.
-    #[inline]
-    pub fn gen_f32(&mut self) -> f32 {
-        f32_from_bits(self.next_u64())
-    }
-
     /// Uniform value in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn gen_f64(&mut self) -> f64 {

@@ -235,12 +235,10 @@ struct Slice {
 /// always-on cost at a compare-and-branch per cycle.
 pub const QUEUE_SAMPLE_PERIOD: u64 = 64;
 
-/// Host-side gauges over the subsystem's internal queues.
-///
-/// This was the baseline data for the ROADMAP's calendar-queue experiment
-/// (how deep does the event queue actually get, and where does
-/// back-pressure pool — L2 input queues, DRAM channel queues, L1 MSHRs?);
-/// the depth distribution now also pins the calendar queue's slab bound.
+/// Host-side gauges over the subsystem's internal queues: how deep the
+/// event queue gets, and where back-pressure pools — L2 input queues, DRAM
+/// channel queues, L1 MSHRs. The depth distribution also pins the calendar
+/// queue's slab bound.
 ///
 /// Everything here is *derived* observability state: deterministic given
 /// the run, but deliberately excluded from [`MemSubsystem::save_snapshot`]
@@ -697,11 +695,6 @@ impl MemSubsystem {
             s.dram.total_latency += d.stats.total_latency;
         }
         s
-    }
-
-    /// Per-SM L1 statistics (for per-kernel cache miss-rate reporting).
-    pub fn l1_stats(&self, sm: u32) -> CacheStats {
-        self.l1s[sm as usize].stats
     }
 
     /// Serialize the subsystem's complete dynamic state.

@@ -31,8 +31,7 @@ pub struct ProgressEvent {
     pub checkpointed: bool,
 }
 
-/// Knobs controlling mid-launch checkpointing, passed to
-/// [`crate::Gpu::launch_checkpointed`] and [`crate::Gpu::resume`].
+/// Knobs controlling mid-launch checkpointing ([`crate::Run::ckpt`]).
 ///
 /// The default (`every = 0`, `pause_at = 0`) disables both mechanisms, which
 /// makes the checkpointed entry points behave exactly like [`crate::Gpu::launch`].
@@ -56,14 +55,13 @@ pub struct CheckpointOptions {
     /// the first periodic capture writes a full `base.ckpt`, every later
     /// one appends a `delta-NNNNNN.ckpt` holding only the state that
     /// changed (dirty gmem pages plus the small always-rewritten
-    /// sections). The `--checkpoint-delta` knob.
+    /// sections). What a `repro json --checkpoint-path` sweep writes.
     pub delta: bool,
     /// Cap on chain files (base + deltas) before the chain rolls over
     /// into a fresh full `base.ckpt` (0 = unbounded). Old deltas are
     /// pruned only after the new base is fsynced and renamed, so a crash
-    /// at any instant leaves a restorable chain on disk. The
-    /// `--checkpoint-keep` knob; only meaningful with
-    /// [`CheckpointOptions::delta`].
+    /// at any instant leaves a restorable chain on disk. Only meaningful
+    /// with [`CheckpointOptions::delta`].
     pub keep: usize,
     /// Invoke [`CheckpointOptions::progress`] every `progress_every`
     /// kernel-relative cycles (0 = never). Independent of `every`: a
@@ -243,6 +241,29 @@ impl SnapshotChain {
     }
 }
 
+/// Prior state for [`crate::Gpu::run`] to continue from
+/// ([`crate::Run::resume`]): a chain's containers, full base first, and the
+/// directory they were loaded from, if any. A lone full snapshot is the
+/// chain with no deltas, so `(&snapshot).into()` and `(&chain).into()` both
+/// make one, neither copying a byte.
+#[derive(Debug, Clone, Copy)]
+pub struct Prior<'a> {
+    pub(crate) containers: &'a [GpuSnapshot],
+    pub(crate) dir: Option<&'a Path>,
+}
+
+impl<'a> From<&'a GpuSnapshot> for Prior<'a> {
+    fn from(snapshot: &'a GpuSnapshot) -> Self {
+        Prior { containers: std::slice::from_ref(snapshot), dir: None }
+    }
+}
+
+impl<'a> From<&'a SnapshotChain> for Prior<'a> {
+    fn from(chain: &'a SnapshotChain) -> Self {
+        Prior { containers: &chain.containers, dir: Some(&chain.dir) }
+    }
+}
+
 /// Writes a delta chain to a directory: one full `base.ckpt`, then
 /// numbered deltas, rolling over into a fresh base when the file count
 /// reaches `keep`.
@@ -277,16 +298,16 @@ impl ChainWriter {
         })
     }
 
-    /// Continue appending to a chain previously loaded by
-    /// [`SnapshotChain::load_dir`]. Stale files beyond the valid prefix
-    /// are removed first so the directory and the in-memory chain agree.
-    pub fn resume(chain: &SnapshotChain, keep: usize) -> ChainWriter {
-        let next_seq = chain.containers.len() as u64;
-        Self::prune_deltas_from(&chain.dir, next_seq);
+    /// Continue appending after `containers`, the valid prefix
+    /// [`SnapshotChain::load_dir`] found in `dir`. Stale files beyond it are
+    /// removed first so the directory and the in-memory chain agree.
+    pub fn resume(dir: &Path, containers: &[GpuSnapshot], keep: usize) -> ChainWriter {
+        let next_seq = containers.len() as u64;
+        Self::prune_deltas_from(dir, next_seq);
         ChainWriter {
-            dir: chain.dir.clone(),
+            dir: dir.to_path_buf(),
             next_seq,
-            last_crc: chain.newest().crc(),
+            last_crc: containers.last().expect("chain is never empty").crc(),
             keep,
         }
     }
@@ -480,7 +501,7 @@ mod tests {
         *bytes.last_mut().unwrap() ^= 0xff;
         std::fs::write(&p, &bytes).unwrap();
         let chain = SnapshotChain::load_dir(&dir).unwrap();
-        let mut w = ChainWriter::resume(&chain, 0);
+        let mut w = ChainWriter::resume(&chain.dir, &chain.containers, 0);
         assert_eq!(w.next_seq(), 2);
         assert!(!dir.join(chain_delta_file(2)).exists());
         assert!(!dir.join(chain_delta_file(3)).exists());

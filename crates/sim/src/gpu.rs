@@ -13,14 +13,13 @@
 //! scheduler unit and the higher-indexed SMs in the same cycle, everyone
 //! from the next cycle on (DESIGN.md §11).
 
+mod snapshot;
+
 use crate::checkpoint::{
-    ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, ProgressEvent, SnapshotChain,
+    ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, Prior, ProgressEvent,
 };
 use crate::result::{RunResult, TbOrderSnapshot, TbSpan};
-use pro_core::bdelta;
-use pro_core::codec::{
-    CodecError, ContainerKind, DeltaSnapshot, FileReader, FileWriter, Reader, Snapshot, Writer,
-};
+use pro_core::codec::{CodecError, DeltaSnapshot, Reader, Snapshot, Writer};
 use pro_core::{SchedulerKind, WarpScheduler};
 use pro_isa::Kernel;
 use pro_mem::{GlobalMem, MemConfig, MemSubsystem};
@@ -28,20 +27,11 @@ use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport};
 use pro_trace::{
     Event as TraceEvent, EventClass, Hist16, HostPhase, HostProf, IssueProf, NoopTracer, Tracer,
 };
+pub use snapshot::snapshot_matches;
+use snapshot::{ChainImage, ChainLink, Restored};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Snapshot container section ids (see `DESIGN.md` §12).
-const SEC_META: u32 = 1;
-const SEC_LOOP: u32 = 2;
-const SEC_GMEM: u32 = 3;
-const SEC_MEM: u32 = 4;
-/// Delta containers carry this instead of [`SEC_GMEM`]: only the pages
-/// written since the previous capture in the chain.
-const SEC_GMEM_DELTA: u32 = 5;
-/// Per-SM sections live at `SEC_SM_BASE + sm_index`.
-const SEC_SM_BASE: u32 = 10;
 
 /// Whole-GPU configuration (defaults = the paper's Table I).
 #[derive(Debug, Clone, Copy)]
@@ -301,10 +291,78 @@ impl std::fmt::Debug for Gpu {
     }
 }
 
-/// Per-SM policy factory for a built-in [`SchedulerKind`] on a machine with
-/// SM configuration `sm`.
-fn kind_factory(sm: SmConfig, scheduler: SchedulerKind) -> impl FnMut() -> Box<dyn WarpScheduler> {
-    move || scheduler.build(sm.max_warps, sm.max_tbs, sm.units)
+/// Where a launch's per-SM scheduling policies come from.
+pub enum Policy<'a> {
+    /// A built-in policy, sized to the machine.
+    Kind(SchedulerKind),
+    /// An arbitrary factory, called once per SM — parameter sweeps (e.g.
+    /// PRO's THRESHOLD) and custom schedulers that have no
+    /// [`SchedulerKind`].
+    Factory(&'a mut dyn FnMut() -> Box<dyn WarpScheduler>),
+}
+
+impl From<SchedulerKind> for Policy<'_> {
+    fn from(kind: SchedulerKind) -> Self {
+        Policy::Kind(kind)
+    }
+}
+
+impl Policy<'_> {
+    /// One SM's policy instance on a machine with SM configuration `sm`.
+    fn build(&mut self, sm: &SmConfig) -> Box<dyn WarpScheduler> {
+        match self {
+            Policy::Kind(kind) => kind.build(sm.max_warps, sm.max_tbs, sm.units),
+            Policy::Factory(factory) => factory(),
+        }
+    }
+}
+
+/// Everything [`Gpu::run`] can be told about a launch besides its kernel.
+/// [`Run::new`] is a plain launch; set the other fields with struct-update
+/// syntax (`Run { tracer: Some(&mut t), ..Run::new(kind) }`).
+pub struct Run<'a> {
+    /// The warp-scheduling policy. A fresh instance is built per SM and
+    /// per launch: hardware scheduler state drains with the grid anyway,
+    /// and PRO's fast/slow phase latch is per-kernel by definition (§III).
+    pub policy: Policy<'a>,
+    /// Measurement hooks folded into the [`RunResult`].
+    pub trace: TraceOptions,
+    /// An external subscriber on the event bus for the whole run
+    /// (issue/stall, scoreboard, barrier, SIMT, TB and memory-lifecycle
+    /// events; kernel boundaries arrive via `Tracer::on_kernel_begin` /
+    /// `on_kernel_end`). A resumed run emits from the resume point on and
+    /// does *not* repeat `on_kernel_begin`, so the pre-pause and
+    /// post-resume streams concatenate to the uninterrupted stream byte
+    /// for byte.
+    pub tracer: Option<&'a mut dyn Tracer>,
+    /// Periodic checkpoints, a pause point, a progress observer.
+    pub ckpt: Option<&'a CheckpointOptions>,
+    /// Continue this prior state — `(&snapshot).into()` or
+    /// `(&chain).into()` — instead of starting the grid at cycle 0. The
+    /// GPU, kernel, policy and `trace` must match the original launch: the
+    /// containers carry the identities of the first three and a mismatch
+    /// is refused; of `trace` they record nothing, and a `timeline`
+    /// setting their TB spans contradict is refused. `ckpt` may differ
+    /// (e.g. a new pause point); when it points delta checkpointing at the
+    /// directory a chain was loaded from, the run *continues* that chain,
+    /// appending deltas after the ones it restored. The continuation is
+    /// bit-identical to the uninterrupted run: same counters, same stall
+    /// attribution, same trace bytes.
+    pub resume: Option<Prior<'a>>,
+}
+
+impl<'a> Run<'a> {
+    /// A plain launch under `policy`: default traces, nobody on the bus, no
+    /// checkpointing, from cycle 0.
+    pub fn new(policy: impl Into<Policy<'a>>) -> Self {
+        Run {
+            policy: policy.into(),
+            trace: TraceOptions::default(),
+            tracer: None,
+            ckpt: None,
+            resume: None,
+        }
+    }
 }
 
 impl Gpu {
@@ -330,24 +388,19 @@ impl Gpu {
     }
 
     /// Run `kernel` to completion under `scheduler`, collecting statistics
-    /// and optional traces.
-    ///
-    /// A fresh policy instance is built per launch: hardware scheduler
-    /// state drains with the grid anyway, and PRO's fast/slow phase latch
-    /// is per-kernel by definition (§III).
+    /// and optional traces. This and the three entry points below are
+    /// shorthands for [`Gpu::run`].
     pub fn launch(
         &mut self,
         kernel: &Kernel,
         scheduler: SchedulerKind,
         trace: TraceOptions,
     ) -> Result<RunResult, SimError> {
-        self.launch_traced(kernel, scheduler, trace, &mut NoopTracer)
+        self.run(kernel, Run { trace, ..Run::new(scheduler) }).map(LaunchStatus::expect_completed)
     }
 
     /// [`Gpu::launch`] with an external [`Tracer`] subscribed to the event
-    /// bus for the whole run (issue/stall, scoreboard, barrier, SIMT, TB
-    /// and memory-lifecycle events). Kernel boundaries arrive via
-    /// `Tracer::on_kernel_begin` / `on_kernel_end`.
+    /// bus for the whole run ([`Run::tracer`]).
     pub fn launch_traced(
         &mut self,
         kernel: &Kernel,
@@ -355,22 +408,8 @@ impl Gpu {
         trace: TraceOptions,
         tracer: &mut dyn Tracer,
     ) -> Result<RunResult, SimError> {
-        let ckpt = CheckpointOptions::default();
-        self.launch_checkpointed_traced(kernel, scheduler, trace, &ckpt, tracer)
-            .map(LaunchStatus::expect_completed)
-    }
-
-    /// Like [`Gpu::launch`] but with an arbitrary policy factory — used for
-    /// parameter sweeps (e.g. PRO's THRESHOLD) and custom schedulers that
-    /// have no [`SchedulerKind`]. The factory is called once per SM.
-    pub fn launch_custom(
-        &mut self,
-        kernel: &Kernel,
-        factory: &mut dyn FnMut() -> Box<dyn pro_core::WarpScheduler>,
-        trace: TraceOptions,
-    ) -> Result<RunResult, SimError> {
-        self.run(kernel, factory, trace, &mut NoopTracer, &CheckpointOptions::default(), None)
-            .map(LaunchStatus::expect_completed)
+        let run = Run { trace, tracer: Some(tracer), ..Run::new(scheduler) };
+        self.run(kernel, run).map(LaunchStatus::expect_completed)
     }
 
     /// [`Gpu::launch`] with checkpointing: periodically persist the run to
@@ -383,31 +422,11 @@ impl Gpu {
         trace: TraceOptions,
         ckpt: &CheckpointOptions,
     ) -> Result<LaunchStatus, SimError> {
-        self.launch_checkpointed_traced(kernel, scheduler, trace, ckpt, &mut NoopTracer)
+        self.run(kernel, Run { trace, ckpt: Some(ckpt), ..Run::new(scheduler) })
     }
 
-    /// [`Gpu::launch_checkpointed`] with an external [`Tracer`] on the bus.
-    pub fn launch_checkpointed_traced(
-        &mut self,
-        kernel: &Kernel,
-        scheduler: SchedulerKind,
-        trace: TraceOptions,
-        ckpt: &CheckpointOptions,
-        tracer: &mut dyn Tracer,
-    ) -> Result<LaunchStatus, SimError> {
-        let mut factory = kind_factory(self.cfg.sm, scheduler);
-        self.run(kernel, &mut factory, trace, tracer, ckpt, None)
-    }
-
-    /// Continue a paused or checkpointed launch from `snapshot`.
-    ///
-    /// The GPU, `kernel`, `scheduler` and `trace` must match the original
-    /// launch. The snapshot carries the identities of the first three and
-    /// refuses a mismatch; of `trace` it records nothing, and refuses a
-    /// `timeline` setting its TB spans contradict. `ckpt` may differ — e.g.
-    /// resume with a new pause point.
-    /// The continuation is bit-identical to the uninterrupted run: same
-    /// counters, same stall attribution, same trace bytes.
+    /// Continue a paused or checkpointed launch from `snapshot`
+    /// ([`Run::resume`] has the contract).
     pub fn resume(
         &mut self,
         snapshot: &GpuSnapshot,
@@ -416,62 +435,21 @@ impl Gpu {
         trace: TraceOptions,
         ckpt: &CheckpointOptions,
     ) -> Result<LaunchStatus, SimError> {
-        self.resume_traced(snapshot, kernel, scheduler, trace, ckpt, &mut NoopTracer)
+        let run = Run { trace, ckpt: Some(ckpt), resume: Some(snapshot.into()), ..Run::new(scheduler) };
+        self.run(kernel, run)
     }
 
-    /// [`Gpu::resume`] with an external [`Tracer`] on the bus. The tracer
-    /// sees events from the resume point on; `on_kernel_begin` is *not*
-    /// re-emitted, so concatenating the pre-pause and post-resume streams
-    /// reproduces the uninterrupted stream byte for byte.
-    pub fn resume_traced(
-        &mut self,
-        snapshot: &GpuSnapshot,
-        kernel: &Kernel,
-        scheduler: SchedulerKind,
-        trace: TraceOptions,
-        ckpt: &CheckpointOptions,
-        tracer: &mut dyn Tracer,
-    ) -> Result<LaunchStatus, SimError> {
-        let mut factory = kind_factory(self.cfg.sm, scheduler);
-        let from = Some(ResumeSource::Full(snapshot));
-        self.run(kernel, &mut factory, trace, tracer, ckpt, from)
-    }
-
-    /// Continue a launch from a delta-checkpoint chain: the base snapshot's
-    /// global memory with every delta's dirty pages folded in, and all
-    /// other state from the newest container. Identity checks, the
-    /// bit-identical guarantee and the `tracer` contract are the same as
-    /// [`Gpu::resume_traced`] (pass `&mut NoopTracer` for none). When
-    /// `ckpt` points delta checkpointing at the chain's own directory, the
-    /// resumed run *continues* the chain (appending deltas after the ones
-    /// it restored) instead of starting a new one.
-    pub fn resume_chain(
-        &mut self,
-        chain: &SnapshotChain,
-        kernel: &Kernel,
-        scheduler: SchedulerKind,
-        trace: TraceOptions,
-        ckpt: &CheckpointOptions,
-        tracer: &mut dyn Tracer,
-    ) -> Result<LaunchStatus, SimError> {
-        let mut factory = kind_factory(self.cfg.sm, scheduler);
-        let from = Some(ResumeSource::Chain(chain));
-        self.run(kernel, &mut factory, trace, tracer, ckpt, from)
-    }
-
-    /// Every launch and resume method lands here: set the [`Engine`] up
-    /// (restoring `resume` if given), step it one cycle at a time, stop at
-    /// checkpoint boundaries, and tear it down into a [`RunResult`].
-    fn run(
-        &mut self,
-        kernel: &Kernel,
-        factory: &mut dyn FnMut() -> Box<dyn WarpScheduler>,
-        trace: TraceOptions,
-        tracer: &mut dyn Tracer,
-        ckpt: &CheckpointOptions,
-        resume: Option<ResumeSource<'_>>,
-    ) -> Result<LaunchStatus, SimError> {
-        let mut eng = Engine::setup(self, kernel, factory, trace, tracer, ckpt, resume)?;
+    /// The one way to run a kernel, which every entry point above lands
+    /// on: set the engine up (restoring [`Run::resume`] if given), step it
+    /// one cycle at a time, stop at checkpoint boundaries, and tear it down
+    /// into a [`RunResult`].
+    pub fn run(&mut self, kernel: &Kernel, run: Run<'_>) -> Result<LaunchStatus, SimError> {
+        let Run { policy, trace, tracer, ckpt, resume } = run;
+        let no_ckpt = CheckpointOptions::default();
+        let ckpt = ckpt.unwrap_or(&no_ckpt);
+        let mut no_tracer = NoopTracer;
+        let tracer = tracer.unwrap_or(&mut no_tracer);
+        let mut eng = Engine::setup(self, kernel, policy, trace, tracer, ckpt, resume)?;
         // Initial fill happens inside the loop (1 TB per SM per cycle),
         // mirroring the hardware work distributor.
         while !eng.cycle()? {
@@ -505,13 +483,6 @@ impl Gpu {
         }
         Ok(LaunchStatus::Completed(eng.teardown()))
     }
-}
-
-/// Prior state handed to [`Gpu::run`]: one full snapshot, or a validated
-/// base+deltas chain whose gmem gets folded base-then-deltas.
-enum ResumeSource<'a> {
-    Full(&'a GpuSnapshot),
-    Chain(&'a SnapshotChain),
 }
 
 /// The per-launch state of one SM that lives outside the [`Sm`] itself.
@@ -582,10 +553,9 @@ struct Engine<'a> {
     /// One per SM, index-aligned with `gpu.sms`.
     lanes: Vec<Lane>,
     /// Delta-chain writer and the section image its next delta diffs
-    /// against; both `None` until the first periodic boundary of a
-    /// delta-checkpointed run (or seeded by a chain restore).
-    chain_writer: Option<ChainWriter>,
-    chain_caps: Option<ChainImage>,
+    /// against: `None` until the first periodic boundary of a
+    /// delta-checkpointed run, unless a restore continues its chain.
+    chain: Option<(ChainWriter, ChainImage)>,
     /// Host profiler: when `trace.host_prof` is off this costs one branch
     /// per phase boundary; its output never reaches simulated state, so it
     /// is invisible to the determinism gates either way.
@@ -595,16 +565,16 @@ struct Engine<'a> {
 
 impl<'a> Engine<'a> {
     /// Bind `kernel` to the SM array and build the per-launch state; with
-    /// `resume`, restore all of it from the snapshot or chain instead of
-    /// starting at cycle 0 of the grid.
+    /// `resume`, restore all of it from the prior state instead of starting
+    /// at cycle 0 of the grid.
     fn setup(
         gpu: &'a mut Gpu,
         kernel: &'a Kernel,
-        factory: &mut dyn FnMut() -> Box<dyn WarpScheduler>,
+        mut policy: Policy<'_>,
         trace: TraceOptions,
         tracer: &'a mut dyn Tracer,
         ckpt: &'a CheckpointOptions,
-        resume: Option<ResumeSource<'_>>,
+        resume: Option<Prior<'_>>,
     ) -> Result<Self, SimError> {
         if ckpt.every > 0 && ckpt.path.is_none() {
             return Err(SimError::CheckpointIo(
@@ -619,42 +589,12 @@ impl<'a> Engine<'a> {
         let num_sms = gpu.cfg.num_sms as usize;
         let prof = HostProf::new(trace.host_prof);
         let wall_start = Instant::now();
-        // Parse, CRC-check and identity-check the resume container before
-        // touching any simulator state, so a bad snapshot leaves the GPU
-        // untouched and reusable. For a chain, the *newest* container
-        // carries every section except full gmem, which is folded
-        // base-then-deltas below.
-        let resume_fr = match &resume {
-            Some(ResumeSource::Full(s)) => {
-                let fr = FileReader::parse(s.as_bytes())?;
-                if fr.kind() != ContainerKind::Full {
-                    return Err(SimError::Snapshot(CodecError::Mismatch(
-                        "cannot resume from a bare delta container; load the whole chain".into(),
-                    )));
-                }
-                Some(fr)
-            }
-            Some(ResumeSource::Chain(c)) => Some(FileReader::parse(c.newest().as_bytes())?),
+        // Parse, CRC-check, identity-check and fold the prior state before
+        // touching any simulator state, so a bad snapshot or a malformed
+        // chain leaves the GPU untouched and reusable.
+        let restored = match &resume {
+            Some(prior) => Some(Restored::parse(prior.containers, &gpu.cfg, kernel)?),
             None => None,
-        };
-        let restored: Option<(FileReader, Meta)> = match resume_fr {
-            Some(fr) => {
-                let mut r = fr.section(SEC_META)?;
-                let meta = Meta::load(&mut r)?;
-                r.finish()?;
-                meta.check_matches(&Meta::of(&gpu.cfg, kernel, "", 0, 0))?;
-                Some((fr, meta))
-            }
-            None => None,
-        };
-        // A chain restore reconstructs the tip's memory-hierarchy and
-        // per-SM payloads by folding every delta's bdelta stream onto the
-        // base — before any simulator state is touched, so a chain that is
-        // malformed beyond what `SnapshotChain::load_dir` can see leaves
-        // the GPU reusable.
-        let chain_image: Option<ChainImage> = match &resume {
-            Some(ResumeSource::Chain(c)) => Some(fold_chain_image(c, num_sms)?),
-            _ => None,
         };
 
         // Decode the program once; every SM tests the same per-PC table.
@@ -668,82 +608,38 @@ impl<'a> Engine<'a> {
         gpu.mem = MemSubsystem::new(gpu.cfg.mem, num_sms);
 
         let mut start_cycle = gpu.cycle;
-        if let Some((_, meta)) = &restored {
-            gpu.cycle = meta.cycle;
-            start_cycle = meta.start_cycle;
+        if let Some(restored) = &restored {
+            gpu.cycle = restored.meta.cycle;
+            start_cycle = restored.meta.start_cycle;
         }
         let mut recorder = Recorder::new(tracer, &trace, start_cycle, num_sms);
-        let lp = if let Some((fr, _)) = &restored {
-            // Run-loop bookkeeping, trace accumulators, device memory and
-            // the memory hierarchy, in container order.
-            let mut r = fr.section(SEC_LOOP)?;
-            let lp = LoopState::load(&mut r)?;
-            recorder.load_state(&mut r, lp.outstanding)?;
-            r.finish()?;
-            match &resume {
-                Some(ResumeSource::Chain(chain)) if chain.deltas() > 0 => {
-                    // Replay the chain: the base's full image, then each
-                    // delta's dirty pages in sequence order. The restored
-                    // memory starts with a clean dirty map — a restore is
-                    // itself a capture boundary — so a continued chain's
-                    // next delta is bit-identical to the uninterrupted
-                    // run's.
-                    let base_fr = FileReader::parse(chain.containers[0].as_bytes())?;
-                    let mut r = base_fr.section(SEC_GMEM)?;
-                    gpu.gmem = Snapshot::load(&mut r)?;
-                    r.finish()?;
-                    for delta in &chain.containers[1..] {
-                        let dfr = FileReader::parse(delta.as_bytes())?;
-                        let mut r = dfr.section(SEC_GMEM_DELTA)?;
-                        gpu.gmem.apply_delta(&mut r)?;
-                        r.finish()?;
-                    }
-                    gpu.gmem.mark_clean();
-                }
-                _ => {
-                    let mut r = fr.section(SEC_GMEM)?;
-                    gpu.gmem = Snapshot::load(&mut r)?;
-                    r.finish()?;
-                }
-            }
-            let mut r = match &chain_image {
-                Some(img) => Reader::new(&img.mem),
-                None => fr.section(SEC_MEM)?,
-            };
-            gpu.mem.restore_snapshot(&mut r)?;
-            r.finish()?;
-            lp
-        } else {
-            recorder.on_kernel_begin(&kernel.program.name, start_cycle);
-            LoopState::fresh(kernel.launch.num_blocks(), start_cycle)
-        };
-        // Delta-chain writer. Seeded from the restored chain when the run
-        // continues checkpointing into the same directory it resumed from
-        // (linkage carries on after the restored deltas, and the folded tip
-        // image becomes the diff base for the next capture); otherwise the
-        // first boundary starts a fresh chain with a full base.
-        let mut chain_writer: Option<ChainWriter> = None;
-        if ckpt.delta {
-            if let Some(ResumeSource::Chain(chain)) = &resume {
-                if ckpt.path.as_deref() == Some(chain.dir.as_path()) {
-                    chain_writer = Some(ChainWriter::resume(chain, ckpt.keep));
-                }
-            }
-        }
-        let bus_on = recorder.enabled();
         let mut lanes: Vec<Lane> = (0..num_sms)
             .map(|_| Lane {
-                policy: factory(),
+                policy: policy.build(&gpu.cfg.sm),
                 report: TickReport::default(),
             })
             .collect();
-        if let Some((fr, meta)) = &restored {
-            restore_sms(fr, meta, &mut gpu.sms, &mut lanes, chain_image.as_ref())?;
-        }
-        // Continuing the chain: the tip image the restore just applied is
-        // exactly what the interrupted writer would have diffed the next
-        // delta against.
-        let chain_caps = if chain_writer.is_some() { chain_image } else { None };
+        let lp = match &restored {
+            Some(restored) => restored.apply(gpu, &mut recorder, &mut lanes)?,
+            None => {
+                recorder.on_kernel_begin(&kernel.program.name, start_cycle);
+                LoopState::fresh(kernel.launch.num_blocks(), start_cycle)
+            }
+        };
+        // A run that delta-checkpoints into the directory its prior state
+        // was loaded from continues that chain: linkage carries on after
+        // the restored containers, and the tip image the restore just
+        // applied is exactly what the interrupted writer would have diffed
+        // the next delta against. Any other run starts a fresh chain, with
+        // a full base, at its first boundary.
+        let chain = match (resume, restored) {
+            (Some(Prior { containers, dir: Some(dir) }), Some(restored))
+                if ckpt.delta && ckpt.path.as_deref() == Some(dir) =>
+            {
+                Some((ChainWriter::resume(dir, containers, ckpt.keep), restored.image))
+            }
+            _ => None,
+        };
         Ok(Engine {
             gpu,
             kernel,
@@ -751,11 +647,10 @@ impl<'a> Engine<'a> {
             ckpt,
             start_cycle,
             lp,
+            bus_on: recorder.enabled(),
             recorder,
-            bus_on,
             lanes,
-            chain_writer,
-            chain_caps,
+            chain,
             prof,
             wall_start,
         })
@@ -851,7 +746,7 @@ impl<'a> Engine<'a> {
     fn checkpoint(&mut self, periodic: bool, pause: bool) -> Result<Option<GpuSnapshot>, SimError> {
         let ckpt = self.ckpt;
         if !ckpt.delta {
-            let snap = self.capture(CaptureMode::Full).0;
+            let snap = self.capture(None).0;
             if let Some(path) = &ckpt.path {
                 snap.write_to(path)
                     .map_err(|e| SimError::CheckpointIo(format!("{}: {e}", path.display())))?;
@@ -869,114 +764,27 @@ impl<'a> Engine<'a> {
         if periodic {
             let dir = ckpt.path.as_ref().expect("validated in setup");
             let io = |e: std::io::Error| SimError::CheckpointIo(format!("{}: {e}", dir.display()));
-            let mode = match (&self.chain_writer, &self.chain_caps) {
-                (Some(w), Some(prev)) if !w.due_rollover() => CaptureMode::ChainDelta {
+            let link = match &self.chain {
+                Some((w, prev)) if !w.due_rollover() => Some(ChainLink {
                     sequence: w.next_seq(),
                     parent_crc: w.last_crc(),
                     prev,
-                },
-                _ => CaptureMode::ChainBase,
+                }),
+                _ => None,
             };
-            let full_due = matches!(mode, CaptureMode::ChainBase);
-            let (snap, caps) = self.capture(mode);
-            match &mut self.chain_writer {
-                None => {
-                    self.chain_writer = Some(ChainWriter::start(dir, &snap, ckpt.keep).map_err(io)?)
+            let is_delta = link.is_some();
+            let (snap, image) = self.capture(link);
+            let writer = match self.chain.take() {
+                None => ChainWriter::start(dir, &snap, ckpt.keep).map_err(io)?,
+                Some((mut w, _)) => {
+                    if is_delta { w.append(&snap) } else { w.rollover(&snap) }.map_err(io)?;
+                    w
                 }
-                Some(w) if full_due => w.rollover(&snap).map_err(io)?,
-                Some(w) => w.append(&snap).map_err(io)?,
-            }
-            self.chain_caps = caps;
+            };
+            self.chain = Some((writer, image));
             self.gpu.gmem.mark_clean();
         }
-        Ok(pause.then(|| self.capture(CaptureMode::Full).0))
-    }
-
-    /// Serialize the complete in-flight launch into a snapshot container.
-    /// Called at the checkpoint boundary between two cycles.
-    ///
-    /// In [`CaptureMode::ChainDelta`] the container is a chain link: global
-    /// memory is encoded as only the pages dirtied since the previous
-    /// capture ([`SEC_GMEM_DELTA`]), and the memory hierarchy plus every
-    /// SM — whose serialized bytes are mostly unchanged between captures
-    /// but shift with variable-length fields — as [`bdelta`] streams
-    /// against the previous capture's payloads. META and LOOP are small
-    /// and stay full copies in every container, so identity checks never
-    /// need reconstruction.
-    ///
-    /// Chain modes also return the capture's full section image, which the
-    /// engine keeps as the diff base for the next boundary.
-    fn capture(&self, mode: CaptureMode<'_>) -> (GpuSnapshot, Option<ChainImage>) {
-        let gpu = &*self.gpu;
-        let scheduler = self.lanes[0].policy.name();
-        let mut f = match mode {
-            CaptureMode::Full | CaptureMode::ChainBase => FileWriter::new(),
-            CaptureMode::ChainDelta {
-                sequence,
-                parent_crc,
-                ..
-            } => FileWriter::new_delta(sequence, parent_crc),
-        };
-
-        let mut w = Writer::new();
-        Meta::of(&gpu.cfg, self.kernel, scheduler, gpu.cycle, self.start_cycle).save(&mut w);
-        f.add_section(SEC_META, w);
-
-        let mut w = Writer::new();
-        self.lp.save(&mut w);
-        self.recorder.save_state(&mut w);
-        f.add_section(SEC_LOOP, w);
-
-        let mut w = Writer::new();
-        if matches!(mode, CaptureMode::ChainDelta { .. }) {
-            gpu.gmem.save_delta(&mut w);
-            f.add_section(SEC_GMEM_DELTA, w);
-        } else {
-            gpu.gmem.save(&mut w);
-            f.add_section(SEC_GMEM, w);
-        }
-
-        let mut w = Writer::new();
-        gpu.mem.save_snapshot(&mut w);
-        let mem_image = w.into_bytes();
-
-        let sm_images: Vec<Vec<u8>> = gpu
-            .sms
-            .iter()
-            .zip(&self.lanes)
-            .map(|(sm, lane)| {
-                let mut w = Writer::new();
-                sm.save_snapshot(&mut w);
-                lane.policy.save_state(&mut w);
-                w.into_bytes()
-            })
-            .collect();
-
-        let sm_section = |i: usize| SEC_SM_BASE + i as u32;
-        let image = match mode {
-            CaptureMode::ChainDelta { prev, .. } => {
-                f.add_section_bytes(SEC_MEM, bdelta::encode(&prev.mem, &mem_image));
-                for (i, img) in sm_images.iter().enumerate() {
-                    f.add_section_bytes(sm_section(i), bdelta::encode(&prev.sms[i], img));
-                }
-                Some(ChainImage { mem: mem_image, sms: sm_images })
-            }
-            CaptureMode::ChainBase => {
-                f.add_section_bytes(SEC_MEM, mem_image.clone());
-                for (i, img) in sm_images.iter().enumerate() {
-                    f.add_section_bytes(sm_section(i), img.clone());
-                }
-                Some(ChainImage { mem: mem_image, sms: sm_images })
-            }
-            CaptureMode::Full => {
-                f.add_section_bytes(SEC_MEM, mem_image);
-                for (i, img) in sm_images.into_iter().enumerate() {
-                    f.add_section_bytes(sm_section(i), img);
-                }
-                None
-            }
-        };
-        (GpuSnapshot::from_bytes(f.finish()), image)
+        Ok(pause.then(|| self.capture(None).0))
     }
 
     /// The grid has drained: emit kernel-end and fold the per-SM counters,
@@ -1027,226 +835,9 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Full payload images of the [`bdelta`]-encoded sections (memory
-/// hierarchy, one per SM) at one capture boundary. The writer diffs the
-/// next capture against this; a chain restore rebuilds it by folding each
-/// delta's bdelta stream onto the base's payloads.
-struct ChainImage {
-    mem: Vec<u8>,
-    sms: Vec<Vec<u8>>,
-}
-
-/// Reconstruct the chain tip's full [`SEC_MEM`] and per-SM payloads:
-/// the base's sections, with every delta's bdelta stream applied in
-/// sequence order. (Gmem is folded separately — its deltas are semantic
-/// dirty pages, not byte diffs.)
-fn fold_chain_image(chain: &SnapshotChain, num_sms: usize) -> Result<ChainImage, CodecError> {
-    let base = FileReader::parse(chain.containers[0].as_bytes())?;
-    let mut mem = base.section_bytes(SEC_MEM)?.to_vec();
-    let mut sms: Vec<Vec<u8>> = (0..num_sms)
-        .map(|i| base.section_bytes(SEC_SM_BASE + i as u32).map(<[u8]>::to_vec))
-        .collect::<Result<_, _>>()?;
-    for delta in &chain.containers[1..] {
-        let dfr = FileReader::parse(delta.as_bytes())?;
-        mem = bdelta::apply(&mem, dfr.section_bytes(SEC_MEM)?)?;
-        for (i, sm) in sms.iter_mut().enumerate() {
-            *sm = bdelta::apply(sm, dfr.section_bytes(SEC_SM_BASE + i as u32)?)?;
-        }
-    }
-    Ok(ChainImage { mem, sms })
-}
-
-/// How [`Engine::capture`] encodes the capture.
-enum CaptureMode<'a> {
-    /// A standalone full container (pause snapshots, non-delta periodic
-    /// checkpoints).
-    Full,
-    /// The full container anchoring a chain (first boundary or keep-cap
-    /// rollover); the caller gets the section image back to diff the next
-    /// capture against.
-    ChainBase,
-    /// A chain link: gmem as dirty pages, memory hierarchy and SMs as
-    /// bdelta streams against `prev` (the previous capture's image).
-    ChainDelta {
-        sequence: u64,
-        parent_crc: u32,
-        prev: &'a ChainImage,
-    },
-}
-
-/// Check a snapshot's recorded identity against a prospective launch
-/// without restoring anything: kernel (name, code shape, grid, params),
-/// machine configuration, and — when `scheduler` is non-empty — the
-/// scheduling policy. Returns [`CodecError::Mismatch`] with a
-/// human-readable explanation on any disagreement, so hosts can refuse
-/// foreign state loudly instead of silently discarding or, worse,
-/// restoring it.
-pub fn snapshot_matches(
-    snap: &GpuSnapshot,
-    cfg: &GpuConfig,
-    kernel: &Kernel,
-    scheduler: &str,
-) -> Result<(), CodecError> {
-    let fr = FileReader::parse(snap.as_bytes())?;
-    let mut r = fr.section(SEC_META)?;
-    let meta = Meta::load(&mut r)?;
-    r.finish()?;
-    meta.check_matches(&Meta::of(cfg, kernel, "", 0, 0))?;
-    if !scheduler.is_empty() && !meta.scheduler.eq_ignore_ascii_case(scheduler) {
-        return Err(CodecError::Mismatch(format!(
-            "snapshot was taken under scheduler {:?}, this run requests {scheduler:?}",
-            meta.scheduler
-        )));
-    }
-    Ok(())
-}
-
-/// The launch identity recorded in snapshot section `SEC_META`: enough to
-/// refuse resuming into the wrong kernel, machine configuration, SM count
-/// or scheduler, plus the cycle coordinates of the checkpoint itself.
-struct Meta {
-    kernel_name: String,
-    instr_count: usize,
-    regs: u8,
-    preds: u8,
-    shared_bytes: u32,
-    grid: (u32, u32, u32),
-    block: (u32, u32, u32),
-    params: Vec<u32>,
-    config: String,
-    num_sms: u32,
-    scheduler: String,
-    cycle: u64,
-    start_cycle: u64,
-}
-
-/// Canonical machine-identity string: the config's `Debug` rendering with
-/// the inert `sm_workers` zeroed out, so a snapshot resumes whatever value
-/// its writer (an older build, a caller still setting the field) carried.
-fn config_identity(cfg: &GpuConfig) -> String {
-    let mut c = *cfg;
-    c.sm_workers = 0;
-    format!("{c:?}")
-}
-
-impl Meta {
-    fn of(cfg: &GpuConfig, kernel: &Kernel, scheduler: &str, cycle: u64, start_cycle: u64) -> Meta {
-        Meta {
-            kernel_name: kernel.program.name.clone(),
-            instr_count: kernel.program.instrs.len(),
-            regs: kernel.program.regs,
-            preds: kernel.program.preds,
-            shared_bytes: kernel.program.shared_bytes,
-            grid: (kernel.launch.grid.x, kernel.launch.grid.y, kernel.launch.grid.z),
-            block: (
-                kernel.launch.block.x,
-                kernel.launch.block.y,
-                kernel.launch.block.z,
-            ),
-            params: kernel.params.clone(),
-            config: config_identity(cfg),
-            num_sms: cfg.num_sms,
-            scheduler: scheduler.to_string(),
-            cycle,
-            start_cycle,
-        }
-    }
-
-    fn save(&self, w: &mut Writer) {
-        w.put_str(&self.kernel_name);
-        w.put_usize(self.instr_count);
-        w.put_u8(self.regs);
-        w.put_u8(self.preds);
-        w.put_u32(self.shared_bytes);
-        self.grid.save(w);
-        self.block.save(w);
-        self.params.save(w);
-        w.put_str(&self.config);
-        w.put_u32(self.num_sms);
-        w.put_str(&self.scheduler);
-        w.put_u64(self.cycle);
-        w.put_u64(self.start_cycle);
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Meta, CodecError> {
-        Ok(Meta {
-            kernel_name: r.get_string()?,
-            instr_count: r.get_usize()?,
-            regs: r.get_u8()?,
-            preds: r.get_u8()?,
-            shared_bytes: r.get_u32()?,
-            grid: Snapshot::load(r)?,
-            block: Snapshot::load(r)?,
-            params: Snapshot::load(r)?,
-            config: r.get_string()?,
-            num_sms: r.get_u32()?,
-            scheduler: r.get_string()?,
-            cycle: r.get_u64()?,
-            start_cycle: r.get_u64()?,
-        })
-    }
-
-    /// Refuse a resume whose kernel or machine differs from the snapshot's.
-    /// (`scheduler` is checked separately, once a policy instance exists to
-    /// name; `cycle`/`start_cycle` are coordinates, not identity.)
-    fn check_matches(&self, current: &Meta) -> Result<(), CodecError> {
-        if self.kernel_name != current.kernel_name
-            || self.instr_count != current.instr_count
-            || self.regs != current.regs
-            || self.preds != current.preds
-            || self.shared_bytes != current.shared_bytes
-            || self.grid != current.grid
-            || self.block != current.block
-            || self.params != current.params
-        {
-            return Err(CodecError::Mismatch(format!(
-                "snapshot is of kernel {:?}, launch is {:?}",
-                self.kernel_name, current.kernel_name
-            )));
-        }
-        if self.config != current.config || self.num_sms != current.num_sms {
-            return Err(CodecError::Mismatch(format!(
-                "snapshot machine config {:?} != launch config {:?}",
-                self.config, current.config
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Restore every SM and its freshly built policy from the container's
-/// per-SM sections, after checking the snapshot's scheduler identity.
-/// With `image` set (a chain restore), the payloads come from the folded
-/// chain-tip image instead of the container — the newest delta only holds
-/// bdelta streams.
-fn restore_sms(
-    fr: &FileReader,
-    meta: &Meta,
-    sms: &mut [Sm],
-    lanes: &mut [Lane],
-    image: Option<&ChainImage>,
-) -> Result<(), SimError> {
-    let name = lanes[0].policy.name();
-    if meta.scheduler != name {
-        return Err(SimError::Snapshot(CodecError::Mismatch(format!(
-            "snapshot was taken under scheduler {:?}, this launch uses {name:?}",
-            meta.scheduler
-        ))));
-    }
-    for (i, (sm, lane)) in sms.iter_mut().zip(lanes).enumerate() {
-        let mut r = match image {
-            Some(img) => Reader::new(&img.sms[i]),
-            None => fr.section(SEC_SM_BASE + i as u32)?,
-        };
-        sm.restore_snapshot(&mut r)?;
-        lane.policy.load_state(&mut r)?;
-        r.finish()?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
+    use super::snapshot::config_identity;
     use super::*;
     use pro_isa::{LaunchConfig, ProgramBuilder, Src};
 

@@ -1,0 +1,371 @@
+//! The snapshot half of a launch: [`Engine::capture`] encodes the in-flight
+//! state as a container, [`Restored`] decodes a chain of them back.
+//!
+//! One concept carries both directions: prior state is a *chain* — a full
+//! base container followed by zero or more deltas — and a lone full
+//! snapshot is the chain with no deltas. There is one restore path, and it
+//! never asks where its containers came from (`DESIGN.md` §12).
+
+use super::{Engine, Gpu, GpuConfig, Lane, LoopState, Recorder, SimError};
+use crate::checkpoint::GpuSnapshot;
+use pro_core::bdelta;
+use pro_core::codec::{
+    CodecError, ContainerKind, DeltaSnapshot, FileReader, FileWriter, Reader, Snapshot, Writer,
+};
+use pro_isa::Kernel;
+
+/// Snapshot container section ids (see `DESIGN.md` §12).
+const SEC_META: u32 = 1;
+const SEC_LOOP: u32 = 2;
+const SEC_GMEM: u32 = 3;
+const SEC_MEM: u32 = 4;
+/// Delta containers carry this instead of [`SEC_GMEM`]: only the pages
+/// written since the previous capture in the chain.
+const SEC_GMEM_DELTA: u32 = 5;
+/// Per-SM sections live at `SEC_SM_BASE + sm_index`.
+const SEC_SM_BASE: u32 = 10;
+
+/// Full payload images of the [`bdelta`]-encoded sections (memory
+/// hierarchy, one per SM) at one capture boundary. The writer diffs the
+/// next capture against this; a restore rebuilds it by folding each
+/// delta's bdelta stream onto the base's payloads.
+pub(super) struct ChainImage {
+    mem: Vec<u8>,
+    sms: Vec<Vec<u8>>,
+}
+
+/// What makes a capture a chain link instead of a full container: its
+/// position, its predecessor's CRC, and the previous capture's image to
+/// diff against.
+pub(super) struct ChainLink<'a> {
+    pub(super) sequence: u64,
+    pub(super) parent_crc: u32,
+    pub(super) prev: &'a ChainImage,
+}
+
+impl Engine<'_> {
+    /// Serialize the complete in-flight launch into a snapshot container.
+    /// Called at the checkpoint boundary between two cycles.
+    ///
+    /// Without a `link` the container is full (a pause snapshot, a periodic
+    /// full file, the base of a chain). With one it is a chain link: global
+    /// memory is encoded as only the pages dirtied since the previous
+    /// capture ([`SEC_GMEM_DELTA`]), and the memory hierarchy plus every
+    /// SM — whose serialized bytes are mostly unchanged between captures
+    /// but shift with variable-length fields — as [`bdelta`] streams
+    /// against the previous capture's payloads. META and LOOP are small
+    /// and stay full copies in every container, so identity checks never
+    /// need reconstruction.
+    ///
+    /// Also returns the capture's full section image, which a chain writer
+    /// keeps as the diff base for the next boundary.
+    pub(super) fn capture(&self, link: Option<ChainLink<'_>>) -> (GpuSnapshot, ChainImage) {
+        let gpu = &*self.gpu;
+        let scheduler = self.lanes[0].policy.name();
+        let mut f = match &link {
+            None => FileWriter::new(),
+            Some(l) => FileWriter::new_delta(l.sequence, l.parent_crc),
+        };
+
+        let mut w = Writer::new();
+        Meta::of(&gpu.cfg, self.kernel, scheduler, gpu.cycle, self.start_cycle).save(&mut w);
+        f.add_section(SEC_META, w);
+
+        let mut w = Writer::new();
+        self.lp.save(&mut w);
+        self.recorder.save_state(&mut w);
+        f.add_section(SEC_LOOP, w);
+
+        let mut w = Writer::new();
+        if link.is_some() {
+            gpu.gmem.save_delta(&mut w);
+            f.add_section(SEC_GMEM_DELTA, w);
+        } else {
+            gpu.gmem.save(&mut w);
+            f.add_section(SEC_GMEM, w);
+        }
+
+        let mut w = Writer::new();
+        gpu.mem.save_snapshot(&mut w);
+        let mem = w.into_bytes();
+        let sms: Vec<Vec<u8>> = gpu
+            .sms
+            .iter()
+            .zip(&self.lanes)
+            .map(|(sm, lane)| {
+                let mut w = Writer::new();
+                sm.save_snapshot(&mut w);
+                lane.policy.save_state(&mut w);
+                w.into_bytes()
+            })
+            .collect();
+
+        // The mirror of `Restored::parse`'s fold: a link stores each payload
+        // as a diff against its predecessor, a full container a plain copy.
+        let payload = |new: &[u8], prev: Option<&[u8]>| match prev {
+            Some(prev) => bdelta::encode(prev, new),
+            None => new.to_vec(),
+        };
+        let prev = link.map(|l| l.prev);
+        f.add_section_bytes(SEC_MEM, payload(&mem, prev.map(|p| &p.mem[..])));
+        for (i, sm) in sms.iter().enumerate() {
+            f.add_section_bytes(SEC_SM_BASE + i as u32, payload(sm, prev.map(|p| &p.sms[i][..])));
+        }
+        (GpuSnapshot::from_bytes(f.finish()), ChainImage { mem, sms })
+    }
+}
+
+/// Prior state parsed, CRC-checked, identity-checked and folded. A corrupt
+/// container, a bare delta, another kernel's or machine's state are all
+/// refused in [`Restored::parse`], before [`Restored::apply`] touches the
+/// simulator; only the checks that need the launch's own policy and trace
+/// options (scheduler name, `timeline`) wait for `apply`.
+pub(super) struct Restored {
+    /// The newest container's identity and cycle coordinates.
+    pub(super) meta: Meta,
+    /// One per container, base first.
+    readers: Vec<FileReader>,
+    /// The tip's memory-hierarchy and per-SM payloads.
+    pub(super) image: ChainImage,
+}
+
+impl Restored {
+    /// Decode `containers` (a full base, then its deltas in sequence order)
+    /// for a launch of `kernel` on `cfg`. Identity and every section but
+    /// global memory come from the newest container; the tip's
+    /// memory-hierarchy and per-SM payloads are the base's with every
+    /// delta's [`bdelta`] stream applied in order — a plain copy when there
+    /// are no deltas.
+    pub(super) fn parse(
+        containers: &[GpuSnapshot],
+        cfg: &GpuConfig,
+        kernel: &Kernel,
+    ) -> Result<Restored, CodecError> {
+        let readers: Vec<FileReader> = containers
+            .iter()
+            .map(|c| FileReader::parse(c.as_bytes()))
+            .collect::<Result<_, _>>()?;
+        let (Some(base), Some(tip)) = (readers.first(), readers.last()) else {
+            return Err(CodecError::BadValue("empty snapshot chain"));
+        };
+        if base.kind() != ContainerKind::Full {
+            return Err(CodecError::Mismatch(
+                "cannot resume from a bare delta container; load the whole chain".into(),
+            ));
+        }
+        let meta = Meta::read(tip)?;
+        meta.check_matches(&Meta::of(cfg, kernel, "", 0, 0))?;
+
+        let mut image = ChainImage {
+            mem: base.section_bytes(SEC_MEM)?.to_vec(),
+            sms: (0..cfg.num_sms)
+                .map(|i| base.section_bytes(SEC_SM_BASE + i).map(<[u8]>::to_vec))
+                .collect::<Result<_, _>>()?,
+        };
+        for delta in &readers[1..] {
+            image.mem = bdelta::apply(&image.mem, delta.section_bytes(SEC_MEM)?)?;
+            for (i, sm) in image.sms.iter_mut().enumerate() {
+                *sm = bdelta::apply(sm, delta.section_bytes(SEC_SM_BASE + i as u32)?)?;
+            }
+        }
+        Ok(Restored { meta, readers, image })
+    }
+
+    /// Overwrite a GPU that has just bound the kernel with the restored
+    /// state, in container order: run-loop bookkeeping and trace
+    /// accumulators, device memory, the memory hierarchy, then every SM
+    /// with its freshly built policy.
+    pub(super) fn apply(
+        &self,
+        gpu: &mut Gpu,
+        recorder: &mut Recorder<'_>,
+        lanes: &mut [Lane],
+    ) -> Result<LoopState, SimError> {
+        let tip = self.readers.last().expect("parse refused an empty chain");
+        let mut r = tip.section(SEC_LOOP)?;
+        let lp = LoopState::load(&mut r)?;
+        recorder.load_state(&mut r, lp.outstanding)?;
+        r.finish()?;
+
+        // Global memory: the base's full image, then each delta's dirty
+        // pages in sequence order. The restored memory starts with a clean
+        // dirty map — a restore is itself a capture boundary — so a
+        // continued chain's next delta is bit-identical to the
+        // uninterrupted run's.
+        let mut r = self.readers[0].section(SEC_GMEM)?;
+        gpu.gmem = Snapshot::load(&mut r)?;
+        r.finish()?;
+        for delta in &self.readers[1..] {
+            let mut r = delta.section(SEC_GMEM_DELTA)?;
+            gpu.gmem.apply_delta(&mut r)?;
+            r.finish()?;
+        }
+        gpu.gmem.mark_clean();
+
+        let mut r = Reader::new(&self.image.mem);
+        gpu.mem.restore_snapshot(&mut r)?;
+        r.finish()?;
+
+        // The scheduler's identity waits until here: only now is there a
+        // policy instance to name.
+        let name = lanes[0].policy.name();
+        if self.meta.scheduler != name {
+            return Err(SimError::Snapshot(CodecError::Mismatch(format!(
+                "snapshot was taken under scheduler {:?}, this launch uses {name:?}",
+                self.meta.scheduler
+            ))));
+        }
+        for ((sm, lane), image) in gpu.sms.iter_mut().zip(lanes).zip(&self.image.sms) {
+            let mut r = Reader::new(image);
+            sm.restore_snapshot(&mut r)?;
+            lane.policy.load_state(&mut r)?;
+            r.finish()?;
+        }
+        Ok(lp)
+    }
+}
+
+/// Check a snapshot's recorded identity against a prospective launch
+/// without restoring anything: kernel (name, code shape, grid, params),
+/// machine configuration, and — when `scheduler` is non-empty — the
+/// scheduling policy. Returns [`CodecError::Mismatch`] with a
+/// human-readable explanation on any disagreement, so hosts can refuse
+/// foreign state loudly instead of silently discarding or, worse,
+/// restoring it.
+pub fn snapshot_matches(
+    snap: &GpuSnapshot,
+    cfg: &GpuConfig,
+    kernel: &Kernel,
+    scheduler: &str,
+) -> Result<(), CodecError> {
+    let meta = Meta::read(&FileReader::parse(snap.as_bytes())?)?;
+    meta.check_matches(&Meta::of(cfg, kernel, "", 0, 0))?;
+    if !scheduler.is_empty() && !meta.scheduler.eq_ignore_ascii_case(scheduler) {
+        return Err(CodecError::Mismatch(format!(
+            "snapshot was taken under scheduler {:?}, this run requests {scheduler:?}",
+            meta.scheduler
+        )));
+    }
+    Ok(())
+}
+
+/// The launch identity recorded in snapshot section `SEC_META`: enough to
+/// refuse resuming into the wrong kernel, machine configuration, SM count
+/// or scheduler, plus the cycle coordinates of the checkpoint itself.
+pub(super) struct Meta {
+    kernel_name: String,
+    instr_count: usize,
+    regs: u8,
+    preds: u8,
+    shared_bytes: u32,
+    grid: (u32, u32, u32),
+    block: (u32, u32, u32),
+    params: Vec<u32>,
+    config: String,
+    num_sms: u32,
+    scheduler: String,
+    pub(super) cycle: u64,
+    pub(super) start_cycle: u64,
+}
+
+/// Canonical machine-identity string: the config's `Debug` rendering with
+/// the inert `sm_workers` zeroed out, so a snapshot resumes whatever value
+/// its writer (an older build, a caller still setting the field) carried.
+pub(super) fn config_identity(cfg: &GpuConfig) -> String {
+    let mut c = *cfg;
+    c.sm_workers = 0;
+    format!("{c:?}")
+}
+
+impl Meta {
+    fn of(cfg: &GpuConfig, kernel: &Kernel, scheduler: &str, cycle: u64, start_cycle: u64) -> Meta {
+        Meta {
+            kernel_name: kernel.program.name.clone(),
+            instr_count: kernel.program.instrs.len(),
+            regs: kernel.program.regs,
+            preds: kernel.program.preds,
+            shared_bytes: kernel.program.shared_bytes,
+            grid: (kernel.launch.grid.x, kernel.launch.grid.y, kernel.launch.grid.z),
+            block: (
+                kernel.launch.block.x,
+                kernel.launch.block.y,
+                kernel.launch.block.z,
+            ),
+            params: kernel.params.clone(),
+            config: config_identity(cfg),
+            num_sms: cfg.num_sms,
+            scheduler: scheduler.to_string(),
+            cycle,
+            start_cycle,
+        }
+    }
+
+    /// The identity a container recorded.
+    fn read(fr: &FileReader) -> Result<Meta, CodecError> {
+        let mut r = fr.section(SEC_META)?;
+        let meta = Meta::load(&mut r)?;
+        r.finish()?;
+        Ok(meta)
+    }
+
+    fn save(&self, w: &mut Writer) {
+        w.put_str(&self.kernel_name);
+        w.put_usize(self.instr_count);
+        w.put_u8(self.regs);
+        w.put_u8(self.preds);
+        w.put_u32(self.shared_bytes);
+        self.grid.save(w);
+        self.block.save(w);
+        self.params.save(w);
+        w.put_str(&self.config);
+        w.put_u32(self.num_sms);
+        w.put_str(&self.scheduler);
+        w.put_u64(self.cycle);
+        w.put_u64(self.start_cycle);
+    }
+
+    fn load(r: &mut Reader<'_>) -> Result<Meta, CodecError> {
+        Ok(Meta {
+            kernel_name: r.get_string()?,
+            instr_count: r.get_usize()?,
+            regs: r.get_u8()?,
+            preds: r.get_u8()?,
+            shared_bytes: r.get_u32()?,
+            grid: Snapshot::load(r)?,
+            block: Snapshot::load(r)?,
+            params: Snapshot::load(r)?,
+            config: r.get_string()?,
+            num_sms: r.get_u32()?,
+            scheduler: r.get_string()?,
+            cycle: r.get_u64()?,
+            start_cycle: r.get_u64()?,
+        })
+    }
+
+    /// Refuse a resume whose kernel or machine differs from the snapshot's.
+    /// (`scheduler` is checked separately, once a policy instance exists to
+    /// name; `cycle`/`start_cycle` are coordinates, not identity.)
+    fn check_matches(&self, current: &Meta) -> Result<(), CodecError> {
+        if self.kernel_name != current.kernel_name
+            || self.instr_count != current.instr_count
+            || self.regs != current.regs
+            || self.preds != current.preds
+            || self.shared_bytes != current.shared_bytes
+            || self.grid != current.grid
+            || self.block != current.block
+            || self.params != current.params
+        {
+            return Err(CodecError::Mismatch(format!(
+                "snapshot is of kernel {:?}, launch is {:?}",
+                self.kernel_name, current.kernel_name
+            )));
+        }
+        if self.config != current.config || self.num_sms != current.num_sms {
+            return Err(CodecError::Mismatch(format!(
+                "snapshot machine config {:?} != launch config {:?}",
+                self.config, current.config
+            )));
+        }
+        Ok(())
+    }
+}

@@ -2,7 +2,7 @@
 //! by the Table II workload modules.
 
 use pro_core::rng::SplitMix64;
-use pro_isa::{CmpOp, Pred, ProgramBuilder, Reg, Special, Src, Ty};
+use pro_isa::{CmpOp, Pred, ProgramBuilder, Reg, Src, Ty};
 use pro_mem::GlobalMem;
 
 /// Deterministic RNG for workload input data (fixed seed per kernel so host
@@ -88,16 +88,6 @@ pub fn host_reduce_f32(values: &[f32]) -> f32 {
         stride /= 2;
     }
     v[0]
-}
-
-/// Emit the standard prologue: `gtid = ctaid * ntid + tid` and
-/// `tid = %tid`, returning `(gtid, tid)` registers.
-pub fn emit_ids(b: &mut ProgramBuilder) -> (Reg, Reg) {
-    let gtid = b.reg();
-    let tid = b.reg();
-    b.global_tid(gtid);
-    b.mov(tid, Src::Special(Special::Tid));
-    (gtid, tid)
 }
 
 /// Compare two f32 buffers with a relative tolerance, reporting the first

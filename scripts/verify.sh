@@ -49,16 +49,6 @@ echo "== clippy: warning-free, and no function past clippy.toml's line cap =="
 # the workspace, tests and benches included.
 cargo clippy --release --all-targets --offline -- -D warnings -W clippy::too_many_lines
 
-echo "== trace: golden lifecycle + zero-overhead proofs =="
-# Belt-and-braces: these are part of `cargo test` above, but run them by
-# name so a filtered or partial test invocation can't silently skip the
-# observability gates (event order, cycle deltas, allocation parity).
-cargo test -q -p pro-sim --test trace_golden --test trace_overhead --test host_prof
-# The profiler-specific allocation gate by name: per-cycle profiling work
-# (phase timers, queue sampling) must never touch the heap.
-cargo test -q -p pro-sim --test trace_overhead \
-    host_profiler_hot_path_allocates_nothing_per_cycle
-
 echo "== trace: Chrome export parses and report cross-checks =="
 # `repro trace` writes a JSONL stream + Chrome trace_event JSON into the
 # working directory, re-reduces the stream, and prints the max deviation
@@ -148,24 +138,39 @@ grep -q '^full_matrix    checks: [1-9][0-9]* attempted, 0 failed' "$tracedir/ben
 }
 echo "ok: benchmark --full-matrix matches the golden digests"
 
-echo "== checkpoint/resume: recovered sweep is byte-identical =="
-# The snapshot round-trip contract (DESIGN.md §12): a sweep that
-# checkpoints every cell, and a --resume pass that recovers a "crashed"
-# cell (its .done deleted, forcing a re-run through the recovery ladder),
-# must both emit byte-for-byte the straight run's aggregate JSON.
-ckptdir="$tracedir/ckpts"
+echo "== checkpoint/resume: killed mid-sweep, resumed, byte-identical =="
+# The recovery contract (DESIGN.md §12), end to end: a checkpointing sweep
+# SIGKILLed mid-cell (no destructors, no flushing — exactly the crash the
+# chain format must survive) and then resumed — finished cells reload
+# their .done files, interrupted ones pick up from their chains, the rest
+# run checkpointed from cycle 0 — emits byte-for-byte the straight run's
+# aggregate JSON. The wait loop holds the kill until at least one delta
+# landed on disk; if the quick sweep outruns it and finishes first, the
+# resume merely re-reads finished cells, which must still byte-match.
 # --heartbeat rides along: it reports on stderr + status.json only, so the
-# stdout byte-compare below also proves telemetry never touches results.
+# stdout byte-compare also proves telemetry never touches results.
+ckptdir="$tracedir/ckpts"
 target/release/repro json --quick --checkpoint-path "$ckptdir" \
-    --checkpoint-every 2000 --heartbeat 1 > "$tracedir/json_ckpt.txt"
-cmp "$tracedir/json_serial.txt" "$tracedir/json_ckpt.txt" || {
-    echo "ERROR: checkpointed repro json differs from the straight run" >&2
+    --checkpoint-every 1000 --heartbeat 1 > "$tracedir/json_killed.txt" &
+sweep_pid=$!
+for _ in $(seq 1 200); do
+    if ls "$ckptdir"/*.chain/delta-*.ckpt >/dev/null 2>&1; then break; fi
+    kill -0 "$sweep_pid" 2>/dev/null || break
+    sleep 0.05
+done
+kill -9 "$sweep_pid" 2>/dev/null || true
+wait "$sweep_pid" 2>/dev/null || true
+target/release/repro json --quick --resume "$ckptdir" \
+    --checkpoint-every 1000 --heartbeat 1 > "$tracedir/json_resume.txt"
+cmp "$tracedir/json_serial.txt" "$tracedir/json_resume.txt" || {
+    echo "ERROR: killed-and-resumed repro json differs from the straight run" >&2
     exit 1
 }
+echo "ok: a checkpointed sweep survives SIGKILL and resumes byte-for-byte"
 
 echo "== heartbeat: status.json schema =="
-# The --heartbeat run above must have left a final status file in the
-# checkpoint directory with every schema key present and done:true
+# The resumed --heartbeat run above must have left a final status file in
+# the checkpoint directory with every schema key present and done:true
 # (DESIGN.md §13).
 for key in cells_done cells_total current cycles cycles_per_sec \
     elapsed_sec checkpoint_age_sec eta_sec done; do
@@ -179,44 +184,6 @@ grep -q '"done":true' "$ckptdir/status.json" || {
     exit 1
 }
 echo "ok: status.json carries the full schema and is finalized"
-done_one=$(ls "$ckptdir"/*.done | head -1)
-rm "$done_one"
-target/release/repro json --quick --resume "$ckptdir" \
-    > "$tracedir/json_resume.txt"
-cmp "$tracedir/json_serial.txt" "$tracedir/json_resume.txt" || {
-    echo "ERROR: resumed repro json differs from the straight run" >&2
-    exit 1
-}
-echo "ok: checkpointed and resumed sweeps match the straight run byte-for-byte"
-
-echo "== delta chain: killed mid-sweep, resumed, byte-identical =="
-# The delta-chain crash contract (DESIGN.md §12): a sweep writing
-# base+delta chains, SIGKILLed mid-cell (no destructors, no flushing —
-# exactly the crash the chain format must survive), then resumed, emits
-# byte-for-byte the straight run's aggregate JSON. The wait loop holds the
-# kill until at least one delta landed on disk; if the quick sweep outruns
-# it and finishes first, the resume merely re-reads finished cells, which
-# must still byte-match.
-chaindir="$tracedir/chains"
-target/release/repro json --quick --checkpoint-path "$chaindir" \
-    --checkpoint-every 1000 --checkpoint-delta --checkpoint-keep 8 \
-    > "$tracedir/json_chain_killed.txt" &
-sweep_pid=$!
-for _ in $(seq 1 200); do
-    if ls "$chaindir"/*.chain/delta-*.ckpt >/dev/null 2>&1; then break; fi
-    kill -0 "$sweep_pid" 2>/dev/null || break
-    sleep 0.05
-done
-kill -9 "$sweep_pid" 2>/dev/null || true
-wait "$sweep_pid" 2>/dev/null || true
-target/release/repro json --quick --resume "$chaindir" \
-    --checkpoint-every 1000 --checkpoint-delta --checkpoint-keep 8 \
-    > "$tracedir/json_chain_resume.txt"
-cmp "$tracedir/json_serial.txt" "$tracedir/json_chain_resume.txt" || {
-    echo "ERROR: delta-chain resumed sweep differs from the straight run" >&2
-    exit 1
-}
-echo "ok: delta-chain sweep survives SIGKILL and resumes byte-for-byte"
 
 echo "== shootout: 9-policy report with host-cost columns =="
 # The profiled policy matrix: one row per scheduler in SchedulerKind::ALL,

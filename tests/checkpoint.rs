@@ -5,7 +5,7 @@
 //! output memory.
 
 use pro_sim::{
-    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, RunResult, SchedulerKind,
+    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Run, RunResult, SchedulerKind,
     SimError, TraceOptions,
 };
 use pro_trace::{ClassSet, JsonlTracer};
@@ -54,15 +54,17 @@ fn split_run(sched: SchedulerKind, pause_at: u64) -> (RunResult, Vec<u8>, Vec<u3
     let (mut gpu, kernel) = fresh_gpu();
     let mut jsonl1 = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
     let status = gpu
-        .launch_checkpointed_traced(
+        .run(
             &kernel,
-            sched,
-            trace_opts(),
-            &CheckpointOptions {
-                pause_at,
-                ..Default::default()
+            Run {
+                trace: trace_opts(),
+                ckpt: Some(&CheckpointOptions {
+                    pause_at,
+                    ..Default::default()
+                }),
+                tracer: Some(&mut jsonl1),
+                ..Run::new(sched)
             },
-            &mut jsonl1,
         )
         .unwrap();
     let snap = match status {
@@ -74,13 +76,14 @@ fn split_run(sched: SchedulerKind, pause_at: u64) -> (RunResult, Vec<u8>, Vec<u3
     let (mut gpu2, kernel2) = fresh_gpu();
     let mut jsonl2 = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
     let status = gpu2
-        .resume_traced(
-            &snap,
+        .run(
             &kernel2,
-            sched,
-            trace_opts(),
-            &CheckpointOptions::default(),
-            &mut jsonl2,
+            Run {
+                trace: trace_opts(),
+                tracer: Some(&mut jsonl2),
+                resume: Some((&snap).into()),
+                ..Run::new(sched)
+            },
         )
         .unwrap();
     let r = match status {

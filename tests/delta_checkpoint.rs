@@ -7,8 +7,8 @@
 //! shorten the chain instead of killing the restore.
 
 use pro_sim::{
-    snapshot_matches, CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, RunResult,
-    SchedulerKind, SnapshotChain, TraceOptions,
+    snapshot_matches, CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Prior, Run,
+    RunResult, SchedulerKind, SimError, SnapshotChain, TraceOptions,
 };
 use pro_trace::{ClassSet, JsonlTracer};
 use pro_workloads::{find, Scale};
@@ -94,19 +94,21 @@ fn chained_prefix(
     let (mut gpu, kernel) = fresh_gpu();
     let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
     let status = gpu
-        .launch_checkpointed_traced(
+        .run(
             &kernel,
-            sched,
-            trace_opts(),
-            &CheckpointOptions {
-                every,
-                path: Some(dir.to_path_buf()),
-                delta: true,
-                keep,
-                pause_at: every * boundaries,
-                ..Default::default()
+            Run {
+                trace: trace_opts(),
+                ckpt: Some(&CheckpointOptions {
+                    every,
+                    path: Some(dir.to_path_buf()),
+                    delta: true,
+                    keep,
+                    pause_at: every * boundaries,
+                    ..Default::default()
+                }),
+                tracer: Some(&mut jsonl),
+                ..Run::new(sched)
             },
-            &mut jsonl,
         )
         .unwrap();
     let snap = match status {
@@ -116,26 +118,27 @@ fn chained_prefix(
     (jsonl.into_inner(), snap)
 }
 
-/// Resume a chain in a fresh GPU, returning result, trace bytes, memory.
-fn resume_chain_run(chain: &SnapshotChain, sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
+/// Resume prior state (a chain, or a lone snapshot) in a fresh GPU,
+/// returning result, trace bytes, memory.
+fn resume_run(prior: Prior<'_>, sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
     let (mut gpu, kernel) = fresh_gpu();
     let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-    let status = gpu
-        .resume_chain(
-            chain,
-            &kernel,
-            sched,
-            trace_opts(),
-            &CheckpointOptions::default(),
-            &mut jsonl,
-        )
-        .unwrap();
-    let r = match status {
+    let run = Run {
+        trace: trace_opts(),
+        tracer: Some(&mut jsonl),
+        resume: Some(prior),
+        ..Run::new(sched)
+    };
+    let r = match gpu.run(&kernel, run).unwrap() {
         LaunchStatus::Completed(r) => r,
-        LaunchStatus::Paused(_) => panic!("chain resume paused without a pause_at"),
+        LaunchStatus::Paused(_) => panic!("resume paused without a pause_at"),
     };
     let out = gpu.gmem.read_slice(0, 4096);
     (r, jsonl.into_inner(), out)
+}
+
+fn resume_chain_run(chain: &SnapshotChain, sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
+    resume_run(chain.into(), sched)
 }
 
 #[test]
@@ -166,30 +169,59 @@ fn chain_restore_is_bit_identical_to_straight_and_full_restore() {
 
         // Full-snapshot restore of the same cycle must agree with the
         // chain restore on everything, including trace bytes.
-        let (mut gpu, kernel) = fresh_gpu();
-        let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-        let status = gpu
-            .resume_traced(
-                &pause_snap,
-                &kernel,
-                sched,
-                trace_opts(),
-                &CheckpointOptions::default(),
-                &mut jsonl,
-            )
-            .unwrap();
-        let rf = match status {
-            LaunchStatus::Completed(r) => r,
-            LaunchStatus::Paused(_) => panic!("full restore paused unexpectedly"),
-        };
+        let (rf, full_trace, _) = resume_run((&pause_snap).into(), sched);
         assert_same(&r, &rf, &format!("{what}: chain vs full restore"));
         assert_eq!(
-            post_trace,
-            jsonl.into_inner(),
+            post_trace, full_trace,
             "{what}: chain and full restores emitted different trace bytes"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+#[test]
+fn a_lone_snapshot_and_a_chain_of_one_restore_identically() {
+    // One restore path: the base container handed over as a lone snapshot
+    // and as a chain that happens to have no deltas yet is the same prior
+    // state, and both continue into the uninterrupted run.
+    let sched = SchedulerKind::Pro;
+    let (base, base_trace, base_mem) = straight_run(sched);
+    let dir = temp_dir("chain_of_one");
+    let (pre_trace, _) = chained_prefix(sched, &dir, (base.cycles / 4).max(1), 1, 0);
+    let chain = SnapshotChain::load_dir(&dir).expect("chain on disk");
+    assert_eq!(chain.deltas(), 0, "one boundary: a base and nothing else");
+
+    let (as_chain, chain_trace, chain_mem) = resume_run((&chain).into(), sched);
+    let (as_lone, lone_trace, lone_mem) = resume_run((&chain.containers[0]).into(), sched);
+    assert_same(&as_chain, &as_lone, "chain of one vs lone snapshot");
+    assert_eq!(chain_mem, lone_mem, "output memory");
+    assert_eq!(chain_trace, lone_trace, "JSONL suffix");
+    assert_same(&base, &as_lone, "lone snapshot vs straight run");
+    assert_eq!(base_mem, lone_mem, "straight run's output memory");
+    assert_eq!(base_trace, [pre_trace, lone_trace].concat(), "straight run's trace bytes");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_bare_delta_is_refused_and_leaves_the_gpu_reusable() {
+    let sched = SchedulerKind::Lrr;
+    let (base, _, _) = straight_run(sched);
+    let dir = temp_dir("bare_delta");
+    chained_prefix(sched, &dir, (base.cycles / 8).max(1), 2, 0);
+    let chain = SnapshotChain::load_dir(&dir).expect("chain on disk");
+    assert_eq!(chain.deltas(), 1);
+
+    let (mut gpu, kernel) = fresh_gpu();
+    let run = Run { resume: Some((&chain.containers[1]).into()), ..Run::new(sched) };
+    match gpu.run(&kernel, run) {
+        Err(SimError::Snapshot(CodecError::Mismatch(why))) => {
+            assert!(why.contains("bare delta container"), "{why}")
+        }
+        other => panic!("a delta without its base must be refused, got {other:?}"),
+    }
+    let r = gpu.launch(&kernel, sched, TraceOptions::default()).unwrap();
+    assert_eq!(r.cycles, base.cycles, "GPU survived the refused resume");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use pro_sim::isa::{CmpOp, Instr, Kernel, LaunchConfig, MemSpace, ProgramBuilder, Special, Src, Ty};
 use pro_sim::trace::{ClassSet, Event, EventClass, RingTracer};
-use pro_sim::{CheckpointOptions, Gpu, GpuConfig, LaunchStatus, SchedulerKind, TraceOptions};
+use pro_sim::{CheckpointOptions, Gpu, GpuConfig, LaunchStatus, Run, SchedulerKind, TraceOptions};
 use pro_workloads::find;
 use pro_workloads::synth::{generate, SynthParams};
 
@@ -180,18 +180,18 @@ fn run_litmus(roles: [Racer; 2], pause_at: u64) -> ((u32, u32), u64, u64) {
     let (mut gpu, kernel, flag, out) = fresh();
     let mut ring = RingTracer::with_classes(4096, ClassSet::of(&[EventClass::Issue]));
     let ckpt = CheckpointOptions { pause_at, ..Default::default() };
-    let trace = TraceOptions::default();
-    let status = gpu
-        .launch_checkpointed_traced(&kernel, SchedulerKind::Lrr, trace, &ckpt, &mut ring)
-        .unwrap();
+    let run = Run { tracer: Some(&mut ring), ckpt: Some(&ckpt), ..Run::new(SchedulerKind::Lrr) };
+    let status = gpu.run(&kernel, run).unwrap();
     let result = match status {
         LaunchStatus::Completed(r) => r,
         LaunchStatus::Paused(snap) => {
             (gpu, ..) = fresh();
-            let ckpt = CheckpointOptions::default();
-            gpu.resume_traced(&snap, &kernel, SchedulerKind::Lrr, trace, &ckpt, &mut ring)
-                .unwrap()
-                .expect_completed()
+            let run = Run {
+                tracer: Some(&mut ring),
+                resume: Some((&snap).into()),
+                ..Run::new(SchedulerKind::Lrr)
+            };
+            gpu.run(&kernel, run).unwrap().expect_completed()
         }
     };
     // The precondition the verdicts rest on: SM 0 and SM 1 issued their

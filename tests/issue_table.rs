@@ -8,7 +8,7 @@ use pro_sim::mem::GlobalMem;
 use pro_sim::smx::{IssueTable, Scoreboard};
 use pro_sim::trace::{ClassSet, JsonlTracer, NoopTracer, Tracer};
 use pro_sim::{
-    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, SchedulerKind, TraceOptions,
+    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Run, SchedulerKind, TraceOptions,
 };
 use pro_workloads::{find, registry};
 use pro_workloads::synth::{generate, SynthParams};
@@ -72,12 +72,13 @@ fn pause(
         pause_at: at,
         ..Default::default()
     };
-    let trace = TraceOptions::default();
-    let status = match from {
-        None => gpu.launch_checkpointed_traced(k, sched, trace, &opts, tracer),
-        Some(s) => gpu.resume_traced(s, k, sched, trace, &opts, tracer),
+    let run = Run {
+        tracer: Some(tracer),
+        ckpt: Some(&opts),
+        resume: from.map(Into::into),
+        ..Run::new(sched)
     };
-    match status.expect("runs") {
+    match gpu.run(k, run).expect("runs") {
         LaunchStatus::Paused(s) => s,
         LaunchStatus::Completed(_) => panic!("expected a pause at cycle {at}"),
     }

@@ -3,7 +3,7 @@
 //! schedules, and the Table IV trace contract.
 
 use pro_sim::isa::{Kernel, LaunchConfig, ProgramBuilder, Special, Src};
-use pro_sim::{Gpu, GpuConfig, SchedulerKind, TraceOptions};
+use pro_sim::{Gpu, GpuConfig, Policy, Run, SchedulerKind, TraceOptions};
 use pro_workloads::{find, Scale};
 
 /// A kernel whose warps do skewed amounts of *memory-bound* work then hit
@@ -190,22 +190,20 @@ fn launch_custom_accepts_arbitrary_policies() {
     let mut gpu = Gpu::new(GpuConfig::small(2), 64 << 20);
     let built = (w.build)(&mut gpu.gmem, 6);
     let cfg = *gpu.config();
-    let r = gpu
-        .launch_custom(
-            &built.kernel,
-            &mut || {
-                Box::new(Pro::new(
-                    cfg.sm.max_warps,
-                    cfg.sm.max_tbs,
-                    ProConfig {
-                        threshold: 250,
-                        ..ProConfig::default()
-                    },
-                ))
+    let mut factory = || -> Box<dyn pro_sim::core::WarpScheduler> {
+        Box::new(Pro::new(
+            cfg.sm.max_warps,
+            cfg.sm.max_tbs,
+            ProConfig {
+                threshold: 250,
+                ..ProConfig::default()
             },
-            TraceOptions::default(),
-        )
-        .unwrap();
+        ))
+    };
+    let r = gpu
+        .run(&built.kernel, Run::new(Policy::Factory(&mut factory)))
+        .unwrap()
+        .expect_completed();
     (built.verify)(&gpu.gmem).unwrap();
     assert_eq!(r.scheduler, "PRO");
     assert!(r.cycles > 0);
