@@ -376,3 +376,46 @@ fn run_result_snapshot_roundtrip() {
     // The re-interned scheduler name is the canonical &'static str.
     assert_eq!(back.scheduler, SchedulerKind::Pro.name());
 }
+
+/// Pause `sched` on the test workload after `pause_at` cycles.
+fn paused(sched: SchedulerKind, trace: TraceOptions, pause_at: u64) -> GpuSnapshot {
+    let (mut gpu, kernel) = fresh_gpu();
+    let ckpt = CheckpointOptions { pause_at, ..Default::default() };
+    match gpu.launch_checkpointed(&kernel, sched, trace, &ckpt).unwrap() {
+        LaunchStatus::Paused(s) => s,
+        LaunchStatus::Completed(_) => panic!("expected a pause at cycle {pause_at}"),
+    }
+}
+
+#[test]
+fn container_bytes_are_pinned_for_every_policy() {
+    // The wire format as constants: the CRC-32 of a mid-grid pause container
+    // (every section populated — in-flight TB starts, MSHRs, outstanding
+    // loads, LSU entries, scheduler state) under each of the nine policies,
+    // and of one finished `RunResult`'s encoding. Recorded before the
+    // serializers were rewritten as declarations; a change here is a format
+    // change and needs a `FORMAT_VERSION` bump, not a new constant.
+    // In `SchedulerKind::ALL` order.
+    const CONTAINER_CRC: [u32; 9] = [
+        0x41E0_B9CD, // LRR
+        0x45DC_C62E, // GTO
+        0xC0EE_322D, // TL
+        0x80A0_C114, // OWL
+        0xAFEC_B41B, // PRO
+        0x007F_6BA9, // PRO-NB
+        0xB344_BED5, // PRO-NF
+        0x02E1_C6B7, // PRO-NS
+        0xE0C8_979B, // PRO-AD
+    ];
+    const RUN_RESULT_CRC: u32 = 0x6F5A_BC94;
+    assert_eq!(pro_core::codec::FORMAT_VERSION, 2);
+    for (sched, want) in SchedulerKind::ALL.into_iter().zip(CONTAINER_CRC) {
+        let got = pro_core::codec::crc32(paused(sched, trace_opts(), 1500).as_bytes());
+        assert_eq!(got, want, "{sched}: pause container bytes moved (got {got:#010X})");
+    }
+    let (base, _, _) = straight_run(SchedulerKind::Pro);
+    let mut w = pro_core::codec::Writer::new();
+    base.save(&mut w);
+    let got = pro_core::codec::crc32(&w.into_bytes());
+    assert_eq!(got, RUN_RESULT_CRC, "RunResult encoding moved (got {got:#010X})");
+}
