@@ -13,7 +13,7 @@
 //! identical, so the probe is harmless; on barrier-pathological kernels
 //! (the paper's scalarProd case) it recovers the PRO-NB win automatically.
 
-use crate::codec::{self, CodecError};
+use crate::codec::{self, CodecError, Snapshot};
 use crate::pro::{Pro, ProConfig};
 use crate::{IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
 
@@ -46,6 +46,14 @@ enum Mode {
     LockedOn,
     /// Locked off.
     LockedOff,
+}
+
+crate::snapshot_enum! {
+    Mode, "PRO-AD mode tag" {
+        0 => Probe,
+        1 => LockedOn,
+        2 => LockedOff,
+    }
 }
 
 /// The adaptive policy.
@@ -248,37 +256,26 @@ impl WarpScheduler for ProAdaptive {
     fn save_state(&self, w: &mut codec::Writer) {
         self.with_barriers.save_state(w);
         self.without_barriers.save_state(w);
-        w.put_u8(match self.mode {
-            Mode::Probe => 0,
-            Mode::LockedOn => 1,
-            Mode::LockedOff => 2,
-        });
+        self.mode.save(w);
         w.put_u64(self.epoch_start);
         w.put_u32(self.epoch_index);
         w.put_u64(self.issued_this_epoch);
         w.put_u64(self.cycles_this_epoch);
-        w.put_u64(self.on_score.0);
-        w.put_u64(self.on_score.1);
-        w.put_u64(self.off_score.0);
-        w.put_u64(self.off_score.1);
+        self.on_score.save(w);
+        self.off_score.save(w);
         w.put_bool(self.started);
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), CodecError> {
         self.with_barriers.load_state(r)?;
         self.without_barriers.load_state(r)?;
-        self.mode = match r.get_u8()? {
-            0 => Mode::Probe,
-            1 => Mode::LockedOn,
-            2 => Mode::LockedOff,
-            _ => return Err(CodecError::BadValue("PRO-AD mode tag")),
-        };
+        self.mode = Snapshot::load(r)?;
         self.epoch_start = r.get_u64()?;
         self.epoch_index = r.get_u32()?;
         self.issued_this_epoch = r.get_u64()?;
         self.cycles_this_epoch = r.get_u64()?;
-        self.on_score = (r.get_u64()?, r.get_u64()?);
-        self.off_score = (r.get_u64()?, r.get_u64()?);
+        self.on_score = Snapshot::load(r)?;
+        self.off_score = Snapshot::load(r)?;
         self.started = r.get_bool()?;
         // The engine's order cache did not survive the snapshot, so the
         // driver record is meaningless after a restore; dropping it forces

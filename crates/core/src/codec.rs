@@ -19,8 +19,10 @@
 //! * [`Writer`] / [`Reader`] — primitive little-endian encode/decode over a
 //!   byte buffer.
 //! * [`Snapshot`] — the trait simulator components implement; blanket
-//!   implementations cover primitives, tuples, `Vec`, `VecDeque`, `Option`
-//!   and fixed-size arrays, so most impls are field-by-field one-liners.
+//!   implementations cover primitives, tuples, `Vec`, `VecDeque`, `Option`,
+//!   hash maps and fixed-size arrays, and a struct or tagged enum declares
+//!   its encoding once with [`snapshot_struct!`](crate::snapshot_struct) /
+//!   [`snapshot_enum!`](crate::snapshot_enum).
 //!   Components that can additionally encode *only what changed since the
 //!   last capture* implement [`DeltaSnapshot`] on top.
 //! * [`FileWriter`] / [`FileReader`] — the on-disk container: magic +
@@ -28,8 +30,9 @@
 //!   parent-file CRC) + a table of `(id, length, crc32, payload)` sections.
 //!   See `DESIGN.md` §12 for the byte-level specification.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// File magic: identifies a PRO snapshot container.
 pub const MAGIC: [u8; 8] = *b"PROSNAP\0";
@@ -105,6 +108,16 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// `Ok` when `holds`, otherwise [`CodecError::BadValue`] naming `what`: one
+/// line of a `validate` clause.
+pub fn ensure(holds: bool, what: &'static str) -> Result<(), CodecError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(CodecError::BadValue(what))
+    }
+}
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected, as used by zlib/PNG) — table-driven.
@@ -326,8 +339,7 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes).map_err(|_| CodecError::BadValue("utf-8 string"))
     }
 
-    /// Assert the reader consumed its input exactly — catches impls whose
-    /// save/load field lists drifted apart.
+    /// Assert the reader consumed its input exactly.
     pub fn finish(&self) -> Result<(), CodecError> {
         if self.remaining() == 0 {
             Ok(())
@@ -350,6 +362,12 @@ impl<'a> Reader<'a> {
 /// bytes. Encoders must be canonical (hash maps serialized in sorted key
 /// order, heaps in sorted element order) so identical states produce
 /// identical bytes.
+///
+/// Do not write the two methods by hand for a struct or a tagged enum:
+/// declare the field list once with
+/// [`snapshot_struct!`](crate::snapshot_struct) or
+/// [`snapshot_enum!`](crate::snapshot_enum), which generate both
+/// directions from it (`DESIGN.md` §12, "Adding a serialized field").
 pub trait Snapshot: Sized {
     /// Append this value's encoding to `w`.
     fn save(&self, w: &mut Writer);
@@ -494,6 +512,208 @@ macro_rules! snapshot_tuple {
 snapshot_tuple!(A: 0, B: 1);
 snapshot_tuple!(A: 0, B: 1, C: 2);
 snapshot_tuple!(A: 0, B: 1, C: 2, D: 3);
+
+/// The canonical map encoding, and the only place keys are sorted for the
+/// wire: a `u64` count, then `key, value` pairs in ascending key order, so
+/// equal maps produce equal bytes whatever their insertion history.
+impl<K, V, S> Snapshot for HashMap<K, V, S>
+where
+    K: Snapshot + Ord + Hash,
+    V: Snapshot,
+    S: BuildHasher + Default,
+{
+    fn save(&self, w: &mut Writer) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        w.put_u64(entries.len() as u64);
+        for (k, v) in entries {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut map = HashMap::default();
+        for _ in 0..r.get_usize()? {
+            let key = K::load(r)?;
+            ensure(map.insert(key, V::load(r)?).is_none(), "duplicate map key")?;
+        }
+        Ok(map)
+    }
+}
+
+/// [`Snapshot::load`] for the field a projection names. The projection is
+/// never called: it tells the compiler the field's type, so a `validate`
+/// clause can call methods on a field the declaration gave no type for.
+#[doc(hidden)]
+pub fn load_field<S, T: Snapshot>(
+    r: &mut Reader<'_>,
+    _field: fn(&S) -> &T,
+) -> Result<T, CodecError> {
+    T::load(r)
+}
+
+/// Implement [`Snapshot`] for a struct from **one** list of its fields:
+/// the order they are written here is the order they are on the wire, in
+/// both directions.
+///
+/// ```
+/// use pro_core::codec::{ensure, Snapshot};
+/// use pro_core::snapshot_struct;
+///
+/// struct Queue<T> {
+///     cap: u32,
+///     items: Vec<T>,
+///     /// Not on the wire: rebuilt from `items`.
+///     len_hint: usize,
+/// }
+/// snapshot_struct! {
+///     [T: Snapshot] Queue<T> {
+///         cap,
+///         items,
+///     }
+///     derived {
+///         len_hint = items.len(),
+///     }
+///     validate {
+///         ensure(items.len() <= cap as usize, "queue over capacity")
+///     }
+/// }
+/// ```
+///
+/// * Generic parameters, with their bounds, go in `[...]` before the type.
+/// * Each listed field is encoded by its own type's [`Snapshot`] impl. A
+///   field whose bytes are something else (a foreign type, a layout kept
+///   from an older representation) names its function pair instead:
+///   `field via (save_fn, load_fn)`, with `save_fn(&Field, &mut Writer)`
+///   and `load_fn(&mut Reader) -> Result<Field, CodecError>`.
+/// * `derived` fields are not encoded; `load` rebuilds each from its
+///   expression, which may use the fields already read (by name).
+/// * `validate` is a block of type `Result<(), CodecError>`, run after the
+///   listed fields are read and before anything is derived or built, with
+///   the fields in scope by name. Cross-field checks on bytes that came
+///   from a file go here, so a hostile container is a typed error.
+///
+/// The generated `save` opens with an exhaustive `let Self { .. } = self`
+/// naming every listed and derived field, so a struct that gains a field
+/// its declaration lacks stops compiling rather than silently dropping the
+/// field from checkpoints:
+///
+/// ```compile_fail
+/// use pro_core::snapshot_struct;
+///
+/// struct Pair {
+///     a: u32,
+///     b: u32,
+/// }
+/// snapshot_struct! {
+///     Pair {
+///         a,
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! snapshot_struct {
+    (@save $field:ident, $w:ident) => {
+        $crate::codec::Snapshot::save($field, $w)
+    };
+    (@save $field:ident, $w:ident, $save:path) => {
+        $save($field, $w)
+    };
+    (@load $field:ident, $r:ident) => {
+        $crate::codec::load_field($r, |this: &Self| &this.$field)?
+    };
+    (@load $field:ident, $r:ident, $load:path) => {
+        $load($r)?
+    };
+    (
+        [$($generics:tt)*] $ty:ty {
+            $($field:ident $(via ($save:path, $load:path))?),+ $(,)?
+        }
+        $(derived { $($dfield:ident = $dexpr:expr),+ $(,)? })?
+        $(validate $check:block)?
+    ) => {
+        impl<$($generics)*> $crate::codec::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::codec::Writer) {
+                let Self { $($field,)+ $($($dfield: _,)+)? } = self;
+                $($crate::snapshot_struct!(@save $field, w $(, $save)?);)+
+            }
+            fn load(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                $(let $field = $crate::snapshot_struct!(@load $field, r $(, $load)?);)+
+                $(
+                    let checked: Result<(), $crate::codec::CodecError> = $check;
+                    checked?;
+                )?
+                $($(let $dfield = $dexpr;)+)?
+                Ok(Self { $($field,)+ $($($dfield,)+)? })
+            }
+        }
+    };
+    ($ty:ty { $($fields:tt)* } $($clauses:tt)*) => {
+        $crate::snapshot_struct!([] $ty { $($fields)* } $($clauses)*);
+    };
+}
+
+/// Implement [`Snapshot`] for an enum encoded as a `u8` tag followed by the
+/// variant's fields, listing each variant — tag, name, fields — once. An
+/// unknown tag decodes to [`CodecError::BadValue`] naming `$what`; a
+/// variant missing from the list is a compile error (the generated `save`
+/// is an exhaustive `match`).
+///
+/// ```
+/// use pro_core::snapshot_enum;
+///
+/// enum Shape {
+///     Empty,
+///     Circle(u32),
+///     Rect { w: u32, h: u32 },
+/// }
+/// snapshot_enum! {
+///     Shape, "Shape tag" {
+///         0 => Empty,
+///         1 => Circle(radius),
+///         2 => Rect { w, h },
+///     }
+/// }
+/// ```
+#[macro_export]
+macro_rules! snapshot_enum {
+    (
+        $ty:ty, $what:literal {
+            $($tag:literal => $variant:ident
+                $(($($tfield:ident),+))?
+                $({ $($sfield:ident),+ })?
+            ),+ $(,)?
+        }
+    ) => {
+        impl $crate::codec::Snapshot for $ty {
+            fn save(&self, w: &mut $crate::codec::Writer) {
+                match self {
+                    $(Self::$variant $(($($tfield),+))? $({ $($sfield),+ })? => {
+                        w.put_u8($tag);
+                        $($($crate::codec::Snapshot::save($tfield, w);)+)?
+                        $($($crate::codec::Snapshot::save($sfield, w);)+)?
+                    })+
+                }
+            }
+            fn load(
+                r: &mut $crate::codec::Reader<'_>,
+            ) -> Result<Self, $crate::codec::CodecError> {
+                Ok(match r.get_u8()? {
+                    $($tag => Self::$variant
+                        $(($({
+                            let $tfield = $crate::codec::Snapshot::load(r)?;
+                            $tfield
+                        }),+))?
+                        $({ $($sfield: $crate::codec::Snapshot::load(r)?),+ })?,
+                    )+
+                    _ => return Err($crate::codec::CodecError::BadValue($what)),
+                })
+            }
+        }
+    };
+}
 
 // ---------------------------------------------------------------------------
 // File container
@@ -912,6 +1132,122 @@ mod tests {
         assert_eq!(<[u64; 2]>::load(&mut r).unwrap(), [9, 8]);
         assert_eq!(String::load(&mut r).unwrap(), "abc");
         r.finish().unwrap();
+    }
+
+    /// A little of everything `snapshot_struct!` accepts.
+    #[derive(Debug, PartialEq)]
+    struct Mixed<T> {
+        id: u32,
+        items: Vec<T>,
+        kind: Kind,
+        flat: [u8; 2],
+        by_line: HashMap<u64, bool>,
+        total: usize,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Kind {
+        Idle,
+        Busy(u64),
+        Moved { from: u32, to: u32 },
+    }
+
+    snapshot_enum! {
+        Kind, "Kind tag" {
+            0 => Idle,
+            1 => Busy(until),
+            2 => Moved { from, to },
+        }
+    }
+
+    fn save_flat(v: &[u8; 2], w: &mut Writer) {
+        w.put_u32(u32::from(v[0]) << 8 | u32::from(v[1]));
+    }
+
+    fn load_flat(r: &mut Reader<'_>) -> Result<[u8; 2], CodecError> {
+        let v = r.get_u32()?;
+        Ok([(v >> 8) as u8, v as u8])
+    }
+
+    snapshot_struct! {
+        [T: Snapshot] Mixed<T> {
+            id,
+            items,
+            kind,
+            flat via (save_flat, load_flat),
+            by_line,
+        }
+        derived {
+            total = items.len() + by_line.len(),
+        }
+        validate {
+            ensure(id != 0, "Mixed id")
+        }
+    }
+
+    #[test]
+    fn declared_encodings_equal_the_hand_written_byte_sequence() {
+        let value = Mixed {
+            id: 7,
+            items: vec![3u64, 4],
+            kind: Kind::Moved { from: 1, to: 2 },
+            flat: [0xAB, 0xCD],
+            by_line: [(9, true), (2, false), (5, true)].into_iter().collect(),
+            total: 5,
+        };
+        let mut w = Writer::new();
+        value.save(&mut w);
+        let bytes = w.into_bytes();
+
+        let mut want = Writer::new();
+        want.put_u32(7);
+        want.put_u64(2); // items: count, then elements
+        want.put_u64(3);
+        want.put_u64(4);
+        want.put_u8(2); // kind: tag, then the variant's fields in order
+        want.put_u32(1);
+        want.put_u32(2);
+        want.put_u32(0xABCD); // flat: its function pair's bytes
+        want.put_u64(3); // by_line: count, then pairs by ascending key
+        for (k, v) in [(2, false), (5, true), (9, true)] {
+            want.put_u64(k);
+            want.put_bool(v);
+        }
+        // `total` is derived: not on the wire.
+        assert_eq!(bytes, want.into_bytes());
+
+        let mut r = Reader::new(&bytes);
+        assert_eq!(Mixed::<u64>::load(&mut r).unwrap(), value);
+        r.finish().unwrap();
+
+        // The other variants, an unknown tag, and the validate clause.
+        for (kind, tail) in [(Kind::Idle, vec![0u8]), (Kind::Busy(1), vec![1, 1, 0, 0, 0, 0, 0, 0, 0])] {
+            let mut w = Writer::new();
+            kind.save(&mut w);
+            assert_eq!(w.into_bytes(), tail);
+            assert_eq!(Kind::load(&mut Reader::new(&tail)).unwrap(), kind);
+        }
+        assert_eq!(Kind::load(&mut Reader::new(&[3])), Err(CodecError::BadValue("Kind tag")));
+        let mut zero_id = bytes.clone();
+        zero_id[0] = 0;
+        assert_eq!(
+            Mixed::<u64>::load(&mut Reader::new(&zero_id)),
+            Err(CodecError::BadValue("Mixed id"))
+        );
+    }
+
+    #[test]
+    fn a_map_listing_a_key_twice_is_refused() {
+        let mut w = Writer::new();
+        w.put_u64(2);
+        for _ in 0..2 {
+            w.put_u64(4);
+            w.put_bool(true);
+        }
+        assert_eq!(
+            HashMap::<u64, bool>::load(&mut Reader::new(&w.into_bytes())),
+            Err(CodecError::BadValue("duplicate map key"))
+        );
     }
 
     #[test]

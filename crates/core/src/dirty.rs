@@ -9,42 +9,43 @@
 //!
 //! [`WarpScheduler::order_dirty`]: crate::WarpScheduler::order_dirty
 
-use crate::codec::{self, Snapshot};
 
 /// Bitmask of scheduler units whose cached order may be stale. Supports up
 /// to 64 units — far above any SM configuration in the workspace (2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DirtyMask(u64);
+pub struct DirtyMask {
+    bits: u64,
+}
 
 impl DirtyMask {
     /// All units dirty — the only safe initial state.
     pub fn all() -> Self {
-        DirtyMask(!0)
+        DirtyMask { bits: !0 }
     }
 
     /// Mark one unit's order as possibly changed.
     #[inline]
     pub fn mark(&mut self, unit: u32) {
-        self.0 |= 1u64 << (unit as u64 & 63);
+        self.bits |= 1u64 << (unit as u64 & 63);
     }
 
     /// Mark every unit (unit-agnostic events: TB launch, barrier, finish).
     #[inline]
     pub fn mark_all(&mut self) {
-        self.0 = !0;
+        self.bits = !0;
     }
 
     /// Clear one unit's bit — called from inside `order()` after the
     /// permutation for that unit has been recomputed.
     #[inline]
     pub fn clear(&mut self, unit: u32) {
-        self.0 &= !(1u64 << (unit as u64 & 63));
+        self.bits &= !(1u64 << (unit as u64 & 63));
     }
 
     /// Is this unit's cached order possibly stale?
     #[inline]
     pub fn is_dirty(&self, unit: u32) -> bool {
-        self.0 & (1u64 << (unit as u64 & 63)) != 0
+        self.bits & (1u64 << (unit as u64 & 63)) != 0
     }
 
     /// Is any unit dirty? Note `mark_all` sets bits for units that may
@@ -53,23 +54,20 @@ impl DirtyMask {
     /// changed" signal keep a separate flag (see `Pro`).
     #[inline]
     pub fn any(&self) -> bool {
-        self.0 != 0
+        self.bits != 0
     }
 }
 
-impl Snapshot for DirtyMask {
-    fn save(&self, w: &mut codec::Writer) {
-        w.put_u64(self.0);
-    }
-
-    fn load(r: &mut codec::Reader<'_>) -> Result<Self, codec::CodecError> {
-        Ok(DirtyMask(r.get_u64()?))
+crate::snapshot_struct! {
+    DirtyMask {
+        bits,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{self, Snapshot};
 
     #[test]
     fn starts_all_dirty_and_clears_per_unit() {

@@ -9,7 +9,7 @@
 //! latencies — but, as §IV notes, GTO has no notion of barriers or of TB
 //! residency, which is where PRO wins.
 
-use crate::codec::{self, Snapshot};
+use crate::codec::{self, ensure, Snapshot};
 use crate::dirty::DirtyMask;
 use crate::{IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
 
@@ -128,7 +128,9 @@ impl WarpScheduler for Gto {
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
-        self.greedy = Snapshot::load(r)?;
+        let greedy: Vec<Option<WarpSlot>> = Snapshot::load(r)?;
+        ensure(greedy.len() == self.greedy.len(), "GTO unit count")?;
+        self.greedy = greedy;
         self.dirty = Snapshot::load(r)?;
         self.drop_age_caches();
         Ok(())

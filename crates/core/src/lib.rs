@@ -246,49 +246,27 @@ pub trait WarpScheduler {
     }
 }
 
-impl Snapshot for WarpState {
-    fn save(&self, w: &mut Writer) {
-        w.put_bool(self.active);
-        w.put_usize(self.tb_slot);
-        w.put_u32(self.index_in_tb);
-        w.put_u64(self.progress);
-        w.put_bool(self.at_barrier);
-        w.put_bool(self.finished);
-        w.put_bool(self.blocked_on_longlat);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WarpState {
-            active: r.get_bool()?,
-            tb_slot: r.get_usize()?,
-            index_in_tb: r.get_u32()?,
-            progress: r.get_u64()?,
-            at_barrier: r.get_bool()?,
-            finished: r.get_bool()?,
-            blocked_on_longlat: r.get_bool()?,
-        })
+snapshot_struct! {
+    WarpState {
+        active,
+        tb_slot,
+        index_in_tb,
+        progress,
+        at_barrier,
+        finished,
+        blocked_on_longlat,
     }
 }
 
-impl Snapshot for TbState {
-    fn save(&self, w: &mut Writer) {
-        w.put_bool(self.occupied);
-        w.put_u32(self.global_index);
-        w.put_u64(self.progress);
-        w.put_u32(self.num_warps);
-        w.put_u32(self.warps_at_barrier);
-        w.put_u32(self.warps_finished);
-        w.put_u64(self.launched_at);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(TbState {
-            occupied: r.get_bool()?,
-            global_index: r.get_u32()?,
-            progress: r.get_u64()?,
-            num_warps: r.get_u32()?,
-            warps_at_barrier: r.get_u32()?,
-            warps_finished: r.get_u32()?,
-            launched_at: r.get_u64()?,
-        })
+snapshot_struct! {
+    TbState {
+        occupied,
+        global_index,
+        progress,
+        num_warps,
+        warps_at_barrier,
+        warps_finished,
+        launched_at,
     }
 }
 

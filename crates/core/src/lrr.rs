@@ -8,7 +8,7 @@
 //! all warps make near-equal progress and hit long-latency instructions
 //! together — is a direct consequence of this rotation.
 
-use crate::codec::{self, Snapshot};
+use crate::codec::{self, ensure, Snapshot};
 use crate::dirty::DirtyMask;
 use crate::{IssueInfo, SchedView, WarpScheduler, WarpSlot};
 
@@ -69,7 +69,11 @@ impl WarpScheduler for Lrr {
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
-        self.last_issued = Snapshot::load(r)?;
+        let last_issued: Vec<usize> = Snapshot::load(r)?;
+        // One rotation cursor per unit, each a warp slot.
+        ensure(last_issued.len() == self.last_issued.len(), "LRR unit count")?;
+        ensure(last_issued.iter().all(|&w| w < self.max_warps.max(1)), "LRR warp slot")?;
+        self.last_issued = last_issued;
         self.dirty = Snapshot::load(r)?;
         Ok(())
     }

@@ -12,7 +12,7 @@
 //! the shootout a CTA-granular baseline between LRR (no structure) and
 //! PRO (dynamic progress-based structure).
 
-use crate::codec::{self, Snapshot};
+use crate::codec::{self, ensure, Snapshot};
 use crate::dirty::DirtyMask;
 use crate::{IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
 
@@ -128,7 +128,9 @@ impl WarpScheduler for OwlLite {
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
-        self.last_issued = Snapshot::load(r)?;
+        let last_issued: Vec<Option<WarpSlot>> = Snapshot::load(r)?;
+        ensure(last_issued.len() == self.last_issued.len(), "OWL unit count")?;
+        self.last_issued = last_issued;
         self.dirty = Snapshot::load(r)?;
         Ok(())
     }

@@ -40,7 +40,7 @@
 //! fastTBPhase `noWait` TBs are prioritized in *decreasing* order of
 //! progress. We follow the prose; see DESIGN.md §4.
 
-use crate::codec::{self, CodecError, Snapshot};
+use crate::codec::{self, ensure, CodecError, Snapshot};
 use crate::dirty::DirtyMask;
 use crate::{slot_bit, slot_mask, IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
 
@@ -95,6 +95,8 @@ pub enum TbClass {
 pub struct Pro {
     cfg: ProConfig,
     name: &'static str,
+    /// Warp slots on the SM: what a restored warp order may name.
+    max_warps: usize,
     class: Vec<TbClass>,
     /// `finishWait` TBs, best first.
     fin_order: Vec<TbSlot>,
@@ -125,30 +127,15 @@ pub struct Pro {
     needs_rank_rebuild: bool,
 }
 
-impl TbClass {
-    fn to_u8(self) -> u8 {
-        match self {
-            TbClass::Empty => 0,
-            TbClass::NoWait => 1,
-            TbClass::BarrierWait => 2,
-            TbClass::FinishWait => 3,
-            TbClass::BarrierWait1 => 4,
-            TbClass::FinishNoWait => 5,
-            TbClass::Finished => 6,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self, CodecError> {
-        Ok(match v {
-            0 => TbClass::Empty,
-            1 => TbClass::NoWait,
-            2 => TbClass::BarrierWait,
-            3 => TbClass::FinishWait,
-            4 => TbClass::BarrierWait1,
-            5 => TbClass::FinishNoWait,
-            6 => TbClass::Finished,
-            _ => return Err(CodecError::BadValue("TbClass tag")),
-        })
+crate::snapshot_enum! {
+    TbClass, "TbClass tag" {
+        0 => Empty,
+        1 => NoWait,
+        2 => BarrierWait,
+        3 => FinishWait,
+        4 => BarrierWait1,
+        5 => FinishNoWait,
+        6 => Finished,
     }
 }
 
@@ -174,6 +161,7 @@ impl Pro {
         Pro {
             cfg,
             name,
+            max_warps,
             class: vec![TbClass::Empty; max_tbs],
             fin_order: Vec::with_capacity(max_tbs),
             bar_order: Vec::with_capacity(max_tbs),
@@ -541,10 +529,7 @@ impl WarpScheduler for Pro {
     // classification, the three priority lists, the cached warp orders and
     // the phase/sort clocks.
     fn save_state(&self, w: &mut codec::Writer) {
-        w.put_u64(self.class.len() as u64);
-        for c in &self.class {
-            w.put_u8(c.to_u8());
-        }
+        self.class.save(w);
         self.fin_order.save(w);
         self.bar_order.save(w);
         self.rem_order.save(w);
@@ -554,20 +539,22 @@ impl WarpScheduler for Pro {
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), CodecError> {
-        let n = r.get_usize()?;
-        if n != self.class.len() {
-            return Err(CodecError::BadValue("PRO TB slot count"));
-        }
-        for c in &mut self.class {
-            *c = TbClass::from_u8(r.get_u8()?)?;
-        }
+        let max_tbs = self.class.len();
+        self.class = Snapshot::load(r)?;
+        ensure(self.class.len() == max_tbs, "PRO TB slot count")?;
         self.fin_order = Snapshot::load(r)?;
         self.bar_order = Snapshot::load(r)?;
         self.rem_order = Snapshot::load(r)?;
-        self.warp_order = Snapshot::load(r)?;
-        if self.warp_order.len() != n {
-            return Err(CodecError::BadValue("PRO warp_order length"));
+        // The lists index `class`, `warp_order` and the view's TB table, and
+        // the hooks keep a TB on at most one of them.
+        let mut listed = vec![false; max_tbs];
+        for &t in self.fin_order.iter().chain(&self.bar_order).chain(&self.rem_order) {
+            ensure(t < max_tbs && !std::mem::replace(&mut listed[t], true), "PRO TB slot")?;
         }
+        self.warp_order = Snapshot::load(r)?;
+        ensure(self.warp_order.len() == max_tbs, "PRO warp_order length")?;
+        let max_warps = self.max_warps;
+        ensure(self.warp_order.iter().flatten().all(|&w| w < max_warps), "PRO warp slot")?;
         self.last_sort_cycle = r.get_u64()?;
         self.in_slow_phase = r.get_bool()?;
         // `by_rank` was not serialized (it is derived state), so a restored

@@ -10,7 +10,7 @@
 //! groups reach long-latency instructions at different times — the effect
 //! PRO generalizes with per-TB/per-warp progress priorities.
 
-use crate::codec::{self, Snapshot};
+use crate::codec::{self, ensure, Snapshot};
 use crate::dirty::DirtyMask;
 use crate::{slot_bit, slot_mask, IssueInfo, SchedView, WarpScheduler, WarpSlot};
 use std::collections::VecDeque;
@@ -22,7 +22,7 @@ struct UnitState {
     last_issued: Option<WarpSlot>,
     /// Membership bitsets of `active` and `pending`: derived, so a
     /// rebalance tests membership in O(1) and skips the passes that have
-    /// nothing to do. Never serialized; `load_state` rebuilds them.
+    /// nothing to do. Never serialized; a restore rebuilds them.
     active_mask: u64,
     pending_mask: u64,
 }
@@ -42,6 +42,23 @@ impl UnitState {
         self.pending.push_back(w);
         self.active_mask &= !slot_bit(w);
         self.pending_mask |= slot_bit(w);
+    }
+}
+
+crate::snapshot_struct! {
+    UnitState {
+        active,
+        pending,
+        last_issued,
+    }
+    derived {
+        active_mask = slot_mask(&active),
+        pending_mask = slot_mask(&pending),
+    }
+    validate {
+        ensure(active.iter().chain(&pending).all(|&w| w < 64), "TL warp slot")?;
+        let members = slot_mask(active.iter().chain(&pending)).count_ones() as usize;
+        ensure(members == active.len() + pending.len(), "TL duplicate warp slot")
     }
 }
 
@@ -216,34 +233,14 @@ impl WarpScheduler for TwoLevel {
     }
 
     fn save_state(&self, w: &mut codec::Writer) {
-        w.put_u64(self.units.len() as u64);
-        for u in &self.units {
-            u.active.save(w);
-            u.pending.save(w);
-            u.last_issued.save(w);
-        }
+        self.units.save(w);
         self.dirty.save(w);
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
-        let n = r.get_usize()?;
-        if n != self.units.len() {
-            return Err(codec::CodecError::BadValue("TL unit count"));
-        }
-        for u in &mut self.units {
-            u.active = Snapshot::load(r)?;
-            u.pending = Snapshot::load(r)?;
-            u.last_issued = Snapshot::load(r)?;
-            if u.active.iter().chain(&u.pending).any(|&w| w >= 64) {
-                return Err(codec::CodecError::BadValue("TL warp slot"));
-            }
-            u.active_mask = slot_mask(&u.active);
-            u.pending_mask = slot_mask(&u.pending);
-            let members = (u.active_mask | u.pending_mask).count_ones() as usize;
-            if members != u.active.len() + u.pending.len() {
-                return Err(codec::CodecError::BadValue("TL duplicate warp slot"));
-            }
-        }
+        let units: Vec<UnitState> = Snapshot::load(r)?;
+        ensure(units.len() == self.units.len(), "TL unit count")?;
+        self.units = units;
         self.dirty = Snapshot::load(r)?;
         Ok(())
     }

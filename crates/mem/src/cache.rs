@@ -8,8 +8,8 @@
 
 // The MSHR table is probed on every lookup and is never iterated, so the
 // fast deterministic Fx hasher is a pure win over SipHash here.
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
-use pro_core::FxHashMap;
+use pro_core::codec::{ensure, Snapshot};
+use pro_core::{snapshot_struct, FxHashMap};
 
 /// Geometry and MSHR capacity for one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,93 +267,51 @@ impl<T> Cache<T> {
     }
 }
 
-impl Snapshot for CacheConfig {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.bytes);
-        w.put_u64(self.line_bytes);
-        w.put_u32(self.ways);
-        w.put_u32(self.mshr_entries);
-        w.put_u32(self.mshr_merge);
+snapshot_struct! {
+    CacheConfig {
+        bytes,
+        line_bytes,
+        ways,
+        mshr_entries,
+        mshr_merge,
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CacheConfig {
-            bytes: r.get_u64()?,
-            line_bytes: r.get_u64()?,
-            ways: r.get_u32()?,
-            mshr_entries: r.get_u32()?,
-            mshr_merge: r.get_u32()?,
-        })
+    validate {
+        // `sets()` divides by this product.
+        let set_bytes = line_bytes.checked_mul(u64::from(ways));
+        ensure(set_bytes.is_some_and(|b| b != 0), "cache geometry")
     }
 }
 
-impl Snapshot for CacheStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-        w.put_u64(self.mshr_merges);
-        w.put_u64(self.mshr_rejections);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CacheStats {
-            hits: r.get_u64()?,
-            misses: r.get_u64()?,
-            mshr_merges: r.get_u64()?,
-            mshr_rejections: r.get_u64()?,
-        })
+snapshot_struct! {
+    CacheStats {
+        hits,
+        misses,
+        mshr_merges,
+        mshr_rejections,
     }
 }
 
-impl Snapshot for Way {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.line);
-        w.put_bool(self.valid);
-        w.put_u64(self.last_use);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Way {
-            line: r.get_u64()?,
-            valid: r.get_bool()?,
-            last_use: r.get_u64()?,
-        })
+snapshot_struct! {
+    Way {
+        line,
+        valid,
+        last_use,
     }
 }
 
-impl<T: Snapshot> Snapshot for Cache<T> {
-    // The MSHR map is serialized in sorted key order so identical cache
-    // states always produce identical snapshot bytes, regardless of hash
-    // insertion history.
-    fn save(&self, w: &mut Writer) {
-        self.cfg.save(w);
-        self.sets.save(w);
-        let mut keys: Vec<u64> = self.mshr.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_u64(keys.len() as u64);
-        for k in keys {
-            w.put_u64(k);
-            self.mshr[&k].save(w);
-        }
-        w.put_u64(self.use_clock);
-        self.stats.save(w);
+snapshot_struct! {
+    [T: Snapshot] Cache<T> {
+        cfg,
+        sets,
+        mshr,
+        use_clock,
+        stats,
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let cfg = CacheConfig::load(r)?;
-        let sets: Vec<Vec<Way>> = Snapshot::load(r)?;
-        if sets.len() as u64 != cfg.sets() {
-            return Err(CodecError::BadValue("cache set count"));
-        }
-        let n = r.get_usize()?;
-        let mut mshr = FxHashMap::default();
-        for _ in 0..n {
-            let k = r.get_u64()?;
-            mshr.insert(k, Vec::<T>::load(r)?);
-        }
-        Ok(Cache {
-            cfg,
-            sets,
-            mshr,
-            use_clock: r.get_u64()?,
-            stats: CacheStats::load(r)?,
-        })
+    validate {
+        // A lookup indexes `sets` modulo its length and a fill picks a
+        // victim among a set's ways.
+        ensure(!sets.is_empty() && sets.len() as u64 == cfg.sets(), "cache set count")?;
+        ensure(sets.iter().all(|set| set.len() == cfg.ways as usize), "cache ways per set")
     }
 }
 

@@ -7,7 +7,8 @@
 //! *variance* — burst row-hit streaks vs. expensive row switches — that
 //! differentiates warp schedulers.
 
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
+use pro_core::codec::{ensure, Snapshot};
+use pro_core::{snapshot_enum, snapshot_struct};
 use std::collections::VecDeque;
 
 /// Arbitration policy for a DRAM channel.
@@ -120,6 +121,11 @@ impl<T: Copy> DramChannel<T> {
         }
     }
 
+    /// The channel's configuration.
+    pub(crate) fn config(&self) -> &DramConfig {
+        &self.cfg
+    }
+
     /// Bank and row for a line address. Consecutive lines interleave across
     /// banks so streaming accesses use all banks.
     fn map(&self, line: u64) -> (usize, u64) {
@@ -207,102 +213,64 @@ impl<T: Copy> DramChannel<T> {
     }
 }
 
-impl Snapshot for DramConfig {
-    fn save(&self, w: &mut Writer) {
-        w.put_u8(match self.policy {
-            DramPolicy::FrFcfs => 0,
-            DramPolicy::Fcfs => 1,
-        });
-        w.put_u32(self.banks);
-        w.put_u64(self.row_bytes);
-        w.put_u64(self.t_cas);
-        w.put_u64(self.t_rp_rcd);
-        w.put_u64(self.t_burst);
-        w.put_usize(self.queue_depth);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(DramConfig {
-            policy: match r.get_u8()? {
-                0 => DramPolicy::FrFcfs,
-                1 => DramPolicy::Fcfs,
-                _ => return Err(CodecError::BadValue("DramPolicy tag")),
-            },
-            banks: r.get_u32()?,
-            row_bytes: r.get_u64()?,
-            t_cas: r.get_u64()?,
-            t_rp_rcd: r.get_u64()?,
-            t_burst: r.get_u64()?,
-            queue_depth: r.get_usize()?,
-        })
+snapshot_enum! {
+    DramPolicy, "DramPolicy tag" {
+        0 => FrFcfs,
+        1 => Fcfs,
     }
 }
 
-impl Snapshot for DramStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.row_hits);
-        w.put_u64(self.row_misses);
-        w.put_u64(self.accepted);
-        w.put_u64(self.total_latency);
+snapshot_struct! {
+    DramConfig {
+        policy,
+        banks,
+        row_bytes,
+        t_cas,
+        t_rp_rcd,
+        t_burst,
+        queue_depth,
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(DramStats {
-            row_hits: r.get_u64()?,
-            row_misses: r.get_u64()?,
-            accepted: r.get_u64()?,
-            total_latency: r.get_u64()?,
-        })
-    }
-}
-
-impl Snapshot for Bank {
-    fn save(&self, w: &mut Writer) {
-        self.open_row.save(w);
-        w.put_u64(self.busy_until);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Bank {
-            open_row: Snapshot::load(r)?,
-            busy_until: r.get_u64()?,
-        })
+    validate {
+        // `DramChannel::map` divides by lines per row and by this product.
+        let lines_per_stripe = (row_bytes / crate::LINE_BYTES).checked_mul(u64::from(banks));
+        ensure(lines_per_stripe.is_some_and(|n| n != 0), "DRAM geometry")
     }
 }
 
-impl<T: Copy + Snapshot> Snapshot for Req<T> {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.line);
-        w.put_u64(self.arrival);
-        self.tag.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Req {
-            line: r.get_u64()?,
-            arrival: r.get_u64()?,
-            tag: T::load(r)?,
-        })
+snapshot_struct! {
+    DramStats {
+        row_hits,
+        row_misses,
+        accepted,
+        total_latency,
     }
 }
 
-impl<T: Copy + Snapshot> Snapshot for DramChannel<T> {
-    fn save(&self, w: &mut Writer) {
-        self.cfg.save(w);
-        self.banks.save(w);
-        self.queue.save(w);
-        w.put_u64(self.bus_free_at);
-        self.stats.save(w);
+snapshot_struct! {
+    Bank {
+        open_row,
+        busy_until,
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let cfg = DramConfig::load(r)?;
-        let banks: Vec<Bank> = Snapshot::load(r)?;
-        if banks.len() != cfg.banks as usize {
-            return Err(CodecError::BadValue("DRAM bank count"));
-        }
-        Ok(DramChannel {
-            cfg,
-            banks,
-            queue: Snapshot::load(r)?,
-            bus_free_at: r.get_u64()?,
-            stats: DramStats::load(r)?,
-        })
+}
+
+snapshot_struct! {
+    [T: Copy + Snapshot] Req<T> {
+        line,
+        arrival,
+        tag,
+    }
+}
+
+snapshot_struct! {
+    [T: Copy + Snapshot] DramChannel<T> {
+        cfg,
+        banks,
+        queue,
+        bus_free_at,
+        stats,
+    }
+    validate {
+        ensure(banks.len() == cfg.banks as usize, "DRAM bank count")
     }
 }
 

@@ -164,9 +164,9 @@ impl GlobalMem {
 }
 
 impl Snapshot for GlobalMem {
-    // Device memory is mostly zeros (64 MB store, a few MB touched), so the
-    // encoding keeps the total word count but stores only the prefix up to
-    // the last nonzero word.
+    // By hand, not a field list: device memory is mostly zeros (64 MB store,
+    // a few MB touched), so the encoding keeps the total word count but
+    // stores only the prefix up to the last nonzero word.
     fn save(&self, w: &mut Writer) {
         w.put_u64(self.words.len() as u64);
         let bound = self.touched_pages.max(self.dirty_page_bound()) * PAGE_WORDS;

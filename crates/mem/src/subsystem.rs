@@ -17,8 +17,8 @@
 use crate::cache::{Cache, CacheConfig, CacheStats, Lookup};
 use crate::dram::{DramChannel, DramConfig, DramStats};
 use pro_core::calq::CalQueue;
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
-use pro_core::FxHashMap;
+use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
+use pro_core::{snapshot_enum, snapshot_struct, FxHashMap};
 use pro_trace::{Event as TraceEvent, EventClass, Hist16, Metrics, NoopTracer, Tracer};
 use std::collections::VecDeque;
 
@@ -128,18 +128,11 @@ struct Txn {
     is_write: bool,
 }
 
-impl Snapshot for Txn {
-    fn save(&self, w: &mut Writer) {
-        w.put_u32(self.sm);
-        w.put_u64(self.line);
-        w.put_bool(self.is_write);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Txn {
-            sm: r.get_u32()?,
-            line: r.get_u64()?,
-            is_write: r.get_bool()?,
-        })
+snapshot_struct! {
+    Txn {
+        sm,
+        line,
+        is_write,
     }
 }
 
@@ -155,78 +148,38 @@ enum Event {
     L1Done { sm: u32, access: AccessId },
 }
 
-impl Snapshot for Event {
-    fn save(&self, w: &mut Writer) {
-        match *self {
-            Event::ArriveL2(txn) => {
-                w.put_u8(0);
-                txn.save(w);
-            }
-            Event::DramDone { part, line } => {
-                w.put_u8(1);
-                w.put_u32(part);
-                w.put_u64(line);
-            }
-            Event::ReturnToSm { sm, line } => {
-                w.put_u8(2);
-                w.put_u32(sm);
-                w.put_u64(line);
-            }
-            Event::L1Done { sm, access } => {
-                w.put_u8(3);
-                w.put_u32(sm);
-                w.put_u64(access);
-            }
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.get_u8()? {
-            0 => Event::ArriveL2(Txn::load(r)?),
-            1 => Event::DramDone {
-                part: r.get_u32()?,
-                line: r.get_u64()?,
-            },
-            2 => Event::ReturnToSm {
-                sm: r.get_u32()?,
-                line: r.get_u64()?,
-            },
-            3 => Event::L1Done {
-                sm: r.get_u32()?,
-                access: r.get_u64()?,
-            },
-            _ => return Err(CodecError::BadValue("mem Event tag")),
-        })
+snapshot_enum! {
+    Event, "mem Event tag" {
+        0 => ArriveL2(txn),
+        1 => DramDone { part, line },
+        2 => ReturnToSm { sm, line },
+        3 => L1Done { sm, access },
     }
 }
 
-impl Snapshot for MemStats {
-    fn save(&self, w: &mut Writer) {
-        self.l1.save(w);
-        self.l2.save(w);
-        self.dram.save(w);
-        w.put_u64(self.loads);
-        w.put_u64(self.store_lines);
-        w.put_u64(self.load_latency_sum);
-        w.put_u64(self.loads_completed);
-        save_hist(&self.load_lat_hist, w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(MemStats {
-            l1: Snapshot::load(r)?,
-            l2: Snapshot::load(r)?,
-            dram: Snapshot::load(r)?,
-            loads: r.get_u64()?,
-            store_lines: r.get_u64()?,
-            load_latency_sum: r.get_u64()?,
-            loads_completed: r.get_u64()?,
-            load_lat_hist: load_hist(r)?,
-        })
+snapshot_struct! {
+    MemStats {
+        l1,
+        l2,
+        dram,
+        loads,
+        store_lines,
+        load_latency_sum,
+        loads_completed,
+        load_lat_hist via (save_hist, load_hist),
     }
 }
 
 struct Slice {
     cache: Cache<Txn>,
     in_q: VecDeque<Txn>,
+}
+
+snapshot_struct! {
+    Slice {
+        cache,
+        in_q,
+    }
 }
 
 /// How often (in cycles) the host-observability gauges sample queue
@@ -702,28 +655,14 @@ impl MemSubsystem {
     /// The event queue is written as `(time, seq)`-sorted triples so
     /// identical states always yield identical bytes (the same layout the
     /// pre-calendar heap code wrote — snapshot files are unaffected by the
-    /// queue swap), and the `outstanding` map is written in sorted key
-    /// order for the same reason. `seq` is preserved exactly — event
-    /// tie-breaking after a restore must match the uninterrupted run bit
-    /// for bit.
+    /// queue swap). `seq` is preserved exactly — event tie-breaking after a
+    /// restore must match the uninterrupted run bit for bit.
     pub fn save_snapshot(&self, w: &mut Writer) {
         self.l1s.save(w);
-        w.put_u64(self.slices.len() as u64);
-        for s in &self.slices {
-            s.cache.save(w);
-            s.in_q.save(w);
-        }
+        self.slices.save(w);
         self.drams.save(w);
         self.events.save_snapshot(w);
-        let mut keys: Vec<u64> = self.outstanding.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_u64(keys.len() as u64);
-        for k in keys {
-            let (rem, begun) = self.outstanding[&k];
-            w.put_u64(k);
-            w.put_u32(rem);
-            w.put_u64(begun);
-        }
+        self.outstanding.save(w);
         self.completions.save(w);
         self.stats_extra.save(w);
     }
@@ -732,38 +671,30 @@ impl MemSubsystem {
     /// built with the same configuration and SM count.
     pub fn restore_snapshot(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
         let l1s: Vec<Cache<AccessId>> = Snapshot::load(r)?;
-        if l1s.len() != self.l1s.len() {
-            return Err(CodecError::BadValue("mem subsystem SM count"));
+        ensure(l1s.len() == self.l1s.len(), "mem subsystem SM count")?;
+        let slices: Vec<Slice> = Snapshot::load(r)?;
+        ensure(slices.len() == self.slices.len(), "mem subsystem partition count")?;
+        let drams: Vec<DramChannel<u32>> = Snapshot::load(r)?;
+        ensure(drams.len() == slices.len(), "mem subsystem DRAM channel count")?;
+        // The container's identity section vouches for the machine; the
+        // geometry embedded here must not be able to disagree with it.
+        let cfg = &self.cfg;
+        if l1s.iter().any(|c| *c.config() != cfg.l1)
+            || slices.iter().any(|s| *s.cache.config() != cfg.l2)
+            || drams.iter().any(|d| *d.config() != cfg.dram)
+        {
+            return Err(CodecError::Mismatch(
+                "memory-hierarchy geometry in the snapshot differs from the machine's".into(),
+            ));
         }
-        self.l1s = l1s;
-        let n_slices = r.get_usize()?;
-        if n_slices != self.slices.len() {
-            return Err(CodecError::BadValue("mem subsystem partition count"));
-        }
-        for s in &mut self.slices {
-            s.cache = Snapshot::load(r)?;
-            s.in_q = Snapshot::load(r)?;
-        }
-        self.drams = Snapshot::load(r)?;
-        if self.drams.len() != n_slices {
-            return Err(CodecError::BadValue("mem subsystem DRAM channel count"));
-        }
+        (self.l1s, self.slices, self.drams) = (l1s, slices, drams);
         // Entries in the file are (time, seq)-sorted; the calendar queue
         // re-packs them into fresh slab slots, dropping any allocation
         // history from before the checkpoint.
         self.events.restore_snapshot(r)?;
-        self.outstanding.clear();
-        let n_out = r.get_usize()?;
-        for _ in 0..n_out {
-            let k = r.get_u64()?;
-            let rem = r.get_u32()?;
-            let begun = r.get_u64()?;
-            self.outstanding.insert(k, (rem, begun));
-        }
+        self.outstanding = Snapshot::load(r)?;
         let completions: Vec<VecDeque<AccessId>> = Snapshot::load(r)?;
-        if completions.len() != self.completions.len() {
-            return Err(CodecError::BadValue("mem subsystem completions length"));
-        }
+        ensure(completions.len() == self.completions.len(), "mem subsystem completions length")?;
         self.completions = completions;
         self.stats_extra = Snapshot::load(r)?;
         Ok(())

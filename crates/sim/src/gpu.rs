@@ -19,8 +19,8 @@ use crate::checkpoint::{
     ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, Prior, ProgressEvent,
 };
 use crate::result::{RunResult, TbOrderSnapshot, TbSpan};
-use pro_core::codec::{CodecError, DeltaSnapshot, Reader, Snapshot, Writer};
-use pro_core::{SchedulerKind, WarpScheduler};
+use pro_core::codec::{ensure, CodecError, DeltaSnapshot, Reader, Snapshot, Writer};
+use pro_core::{snapshot_struct, SchedulerKind, WarpScheduler};
 use pro_isa::Kernel;
 use pro_mem::{GlobalMem, MemConfig, MemSubsystem};
 use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport};
@@ -137,16 +137,9 @@ impl<'a> Recorder<'a> {
     }
 
     /// Serialize the recorder's accumulated *data* (not its subscriptions,
-    /// which are rebuilt from `TraceOptions` on resume). The in-flight TB
-    /// starts map is written in sorted key order for canonical bytes.
+    /// which are rebuilt from `TraceOptions` on resume).
     fn save_state(&self, w: &mut Writer) {
-        let mut starts: Vec<(u32, u32, u64)> = self
-            .starts
-            .iter()
-            .map(|(&(sm, tb), &c)| (sm, tb, c))
-            .collect();
-        starts.sort_unstable();
-        starts.save(w);
+        self.starts.save(w);
         self.timeline.save(w);
         self.util.save(w);
     }
@@ -157,8 +150,7 @@ impl<'a> Recorder<'a> {
     /// launch's is recognised by the data: with it on there is a start for
     /// each of the `outstanding` TBs, with it off there is no span at all.
     fn load_state(&mut self, r: &mut Reader<'_>, outstanding: u32) -> Result<(), CodecError> {
-        let starts: Vec<(u32, u32, u64)> = Snapshot::load(r)?;
-        self.starts = starts.into_iter().map(|(sm, tb, c)| ((sm, tb), c)).collect();
+        self.starts = Snapshot::load(r)?;
         self.timeline = Snapshot::load(r)?;
         let fits = if self.timeline_on {
             self.starts.len() == outstanding as usize
@@ -170,9 +162,7 @@ impl<'a> Recorder<'a> {
             return Err(CodecError::Mismatch(format!("snapshot was not taken with `timeline: {on}`")));
         }
         let util: Vec<Vec<u64>> = Snapshot::load(r)?;
-        if util.len() != self.util.len() {
-            return Err(CodecError::BadValue("utilization row count"));
-        }
+        ensure(util.len() == self.util.len(), "utilization row count")?;
         self.util = util;
         Ok(())
     }
@@ -365,11 +355,16 @@ impl<'a> Run<'a> {
     }
 }
 
+/// The machine's SM array with nothing resident.
+fn idle_sms(cfg: &GpuConfig) -> Vec<Sm> {
+    (0..cfg.num_sms).map(|i| Sm::new(i, cfg.sm)).collect()
+}
+
 impl Gpu {
     /// Build a GPU with `gmem_bytes` of device memory.
     pub fn new(cfg: GpuConfig, gmem_bytes: u64) -> Self {
         Gpu {
-            sms: (0..cfg.num_sms).map(|i| Sm::new(i, cfg.sm)).collect(),
+            sms: idle_sms(&cfg),
             mem: MemSubsystem::new(cfg.mem, cfg.num_sms as usize),
             gmem: GlobalMem::new(gmem_bytes),
             cycle: 0,
@@ -515,23 +510,15 @@ impl LoopState {
             last_order_sample: start_cycle,
         }
     }
+}
 
-    fn save(&self, w: &mut Writer) {
-        self.pending.save(w);
-        w.put_u32(self.outstanding);
-        w.put_usize(self.rr_next_sm);
-        self.tb_order.save(w);
-        w.put_u64(self.last_order_sample);
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(LoopState {
-            pending: Snapshot::load(r)?,
-            outstanding: r.get_u32()?,
-            rr_next_sm: r.get_usize()?,
-            tb_order: Snapshot::load(r)?,
-            last_order_sample: r.get_u64()?,
-        })
+snapshot_struct! {
+    LoopState {
+        pending,
+        outstanding,
+        rr_next_sm,
+        tb_order,
+        last_order_sample,
     }
 }
 
@@ -607,11 +594,7 @@ impl<'a> Engine<'a> {
         // (caches start cold, as for each GPGPU-Sim kernel run).
         gpu.mem = MemSubsystem::new(gpu.cfg.mem, num_sms);
 
-        let mut start_cycle = gpu.cycle;
-        if let Some(restored) = &restored {
-            gpu.cycle = restored.meta.cycle;
-            start_cycle = restored.meta.start_cycle;
-        }
+        let start_cycle = restored.as_ref().map_or(gpu.cycle, |r| r.meta.start_cycle);
         let mut recorder = Recorder::new(tracer, &trace, start_cycle, num_sms);
         let mut lanes: Vec<Lane> = (0..num_sms)
             .map(|_| Lane {
@@ -620,7 +603,14 @@ impl<'a> Engine<'a> {
             })
             .collect();
         let lp = match &restored {
-            Some(restored) => restored.apply(gpu, &mut recorder, &mut lanes)?,
+            // A section can pass its CRC and still decode badly, which the
+            // in-place restores find only part-way through: the half-restored
+            // SMs are replaced so the GPU stays launchable (global memory
+            // and the clock move only on success, and every setup rebuilds
+            // the memory hierarchy).
+            Some(restored) => restored
+                .apply(gpu, &mut recorder, &mut lanes)
+                .inspect_err(|_| gpu.sms = idle_sms(&gpu.cfg))?,
             None => {
                 recorder.on_kernel_begin(&kernel.program.name, start_cycle);
                 LoopState::fresh(kernel.launch.num_blocks(), start_cycle)

@@ -8,11 +8,12 @@
 
 use super::{Engine, Gpu, GpuConfig, Lane, LoopState, Recorder, SimError};
 use crate::checkpoint::GpuSnapshot;
-use pro_core::bdelta;
+use pro_core::{bdelta, snapshot_struct};
 use pro_core::codec::{
     CodecError, ContainerKind, DeltaSnapshot, FileReader, FileWriter, Reader, Snapshot, Writer,
 };
 use pro_isa::Kernel;
+use pro_mem::GlobalMem;
 
 /// Snapshot container section ids (see `DESIGN.md` §12).
 const SEC_META: u32 = 1;
@@ -191,16 +192,17 @@ impl Restored {
         // pages in sequence order. The restored memory starts with a clean
         // dirty map — a restore is itself a capture boundary — so a
         // continued chain's next delta is bit-identical to the
-        // uninterrupted run's.
+        // uninterrupted run's. It replaces the GPU's only once every other
+        // section has decoded.
         let mut r = self.readers[0].section(SEC_GMEM)?;
-        gpu.gmem = Snapshot::load(&mut r)?;
+        let mut gmem: GlobalMem = Snapshot::load(&mut r)?;
         r.finish()?;
         for delta in &self.readers[1..] {
             let mut r = delta.section(SEC_GMEM_DELTA)?;
-            gpu.gmem.apply_delta(&mut r)?;
+            gmem.apply_delta(&mut r)?;
             r.finish()?;
         }
-        gpu.gmem.mark_clean();
+        gmem.mark_clean();
 
         let mut r = Reader::new(&self.image.mem);
         gpu.mem.restore_snapshot(&mut r)?;
@@ -221,6 +223,8 @@ impl Restored {
             lane.policy.load_state(&mut r)?;
             r.finish()?;
         }
+        gpu.gmem = gmem;
+        gpu.cycle = self.meta.cycle;
         Ok(lp)
     }
 }
@@ -268,6 +272,24 @@ pub(super) struct Meta {
     pub(super) start_cycle: u64,
 }
 
+snapshot_struct! {
+    Meta {
+        kernel_name,
+        instr_count,
+        regs,
+        preds,
+        shared_bytes,
+        grid,
+        block,
+        params,
+        config,
+        num_sms,
+        scheduler,
+        cycle,
+        start_cycle,
+    }
+}
+
 /// Canonical machine-identity string: the config's `Debug` rendering with
 /// the inert `sm_workers` zeroed out, so a snapshot resumes whatever value
 /// its writer (an older build, a caller still setting the field) carried.
@@ -306,40 +328,6 @@ impl Meta {
         let meta = Meta::load(&mut r)?;
         r.finish()?;
         Ok(meta)
-    }
-
-    fn save(&self, w: &mut Writer) {
-        w.put_str(&self.kernel_name);
-        w.put_usize(self.instr_count);
-        w.put_u8(self.regs);
-        w.put_u8(self.preds);
-        w.put_u32(self.shared_bytes);
-        self.grid.save(w);
-        self.block.save(w);
-        self.params.save(w);
-        w.put_str(&self.config);
-        w.put_u32(self.num_sms);
-        w.put_str(&self.scheduler);
-        w.put_u64(self.cycle);
-        w.put_u64(self.start_cycle);
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Meta, CodecError> {
-        Ok(Meta {
-            kernel_name: r.get_string()?,
-            instr_count: r.get_usize()?,
-            regs: r.get_u8()?,
-            preds: r.get_u8()?,
-            shared_bytes: r.get_u32()?,
-            grid: Snapshot::load(r)?,
-            block: Snapshot::load(r)?,
-            params: Snapshot::load(r)?,
-            config: r.get_string()?,
-            num_sms: r.get_u32()?,
-            scheduler: r.get_string()?,
-            cycle: r.get_u64()?,
-            start_cycle: r.get_u64()?,
-        })
     }
 
     /// Refuse a resume whose kernel or machine differs from the snapshot's.

@@ -2,8 +2,8 @@
 //! taxonomy, memory statistics, and the traces behind Fig. 2 (TB execution
 //! timeline) and Table IV (PRO's sorted TB order).
 
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
-use pro_core::SchedulerKind;
+use pro_core::codec::{CodecError, Reader, Writer};
+use pro_core::{snapshot_struct, SchedulerKind};
 use pro_mem::{load_hist, save_hist, MemStats};
 use pro_sm::SmStats;
 use pro_trace::Metrics;
@@ -158,117 +158,85 @@ impl RunResult {
     }
 }
 
-impl Snapshot for TbSpan {
-    fn save(&self, w: &mut Writer) {
-        w.put_u32(self.sm);
-        w.put_u32(self.global_index);
-        w.put_u64(self.start);
-        w.put_u64(self.end);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(TbSpan {
-            sm: r.get_u32()?,
-            global_index: r.get_u32()?,
-            start: r.get_u64()?,
-            end: r.get_u64()?,
-        })
+snapshot_struct! {
+    TbSpan {
+        sm,
+        global_index,
+        start,
+        end,
     }
 }
 
-impl Snapshot for TbOrderSnapshot {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.cycle);
-        self.order.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(TbOrderSnapshot {
-            cycle: r.get_u64()?,
-            order: Snapshot::load(r)?,
-        })
+snapshot_struct! {
+    TbOrderSnapshot {
+        cycle,
+        order,
     }
 }
 
-impl Snapshot for RunResult {
-    // Results are serialized by sweep drivers so a crashed sweep can skip
-    // already-finished cells on resume. The scheduler name is stored as a
-    // string and re-interned on load: names of known [`SchedulerKind`]s map
-    // back to their `'static` form; unknown (custom-policy) names are
-    // leaked, which is bounded by the number of distinct custom schedulers
-    // a process ever loads.
-    // The `host/` metrics namespace (wall-clock phase timers, queue
-    // gauges) is skipped entirely: host numbers differ run to run, and a
-    // profiled run must serialize to the same bytes as an unprofiled one
-    // so the sweep byte-compare gates stay meaningful with `--host-prof`.
-    fn save(&self, w: &mut Writer) {
-        self.kernel.save(w);
-        w.put_str(self.scheduler);
-        w.put_u64(self.cycles);
-        self.sm.save(w);
-        self.per_sm.save(w);
-        self.mem.save(w);
-        self.timeline.save(w);
-        self.tb_order.save(w);
-        self.utilization.save(w);
-        let counters: Vec<_> = self
-            .metrics
-            .counters()
-            .iter()
-            .filter(|(name, _)| !name.starts_with("host/"))
-            .collect();
-        w.put_u64(counters.len() as u64);
-        for (name, v) in counters {
-            w.put_str(name);
-            w.put_u64(*v);
-        }
-        let hists: Vec<_> = self
-            .metrics
-            .hists()
-            .iter()
-            .filter(|(name, _)| !name.starts_with("host/"))
-            .collect();
-        w.put_u64(hists.len() as u64);
-        for (name, h) in hists {
-            w.put_str(name);
-            save_hist(h, w);
-        }
+// Results are serialized by sweep drivers so a crashed sweep can skip
+// already-finished cells on resume.
+snapshot_struct! {
+    RunResult {
+        kernel,
+        scheduler via (save_scheduler, load_scheduler),
+        cycles,
+        sm,
+        per_sm,
+        mem,
+        timeline,
+        tb_order,
+        utilization,
+        metrics via (save_sim_metrics, load_metrics),
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let kernel = String::load(r)?;
-        let scheduler_owned = r.get_string()?;
-        let scheduler = SchedulerKind::ALL
-            .iter()
-            .map(|k| k.name())
-            .find(|n| *n == scheduler_owned)
-            .unwrap_or_else(|| Box::leak(scheduler_owned.into_boxed_str()));
-        let cycles = r.get_u64()?;
-        let sm = SmStats::load(r)?;
-        let per_sm = Snapshot::load(r)?;
-        let mem = MemStats::load(r)?;
-        let timeline = Snapshot::load(r)?;
-        let tb_order = Snapshot::load(r)?;
-        let utilization = Snapshot::load(r)?;
-        let mut metrics = Metrics::default();
-        for _ in 0..r.get_usize()? {
-            let name = r.get_string()?;
-            metrics.set_counter(&name, r.get_u64()?);
-        }
-        for _ in 0..r.get_usize()? {
-            let name = r.get_string()?;
-            metrics.set_hist(&name, load_hist(r)?);
-        }
-        Ok(RunResult {
-            kernel,
-            scheduler,
-            cycles,
-            sm,
-            per_sm,
-            mem,
-            timeline,
-            tb_order,
-            utilization,
-            metrics,
-        })
+}
+
+fn save_scheduler(name: &&'static str, w: &mut Writer) {
+    w.put_str(name);
+}
+
+/// The scheduler name is stored as a string and re-interned: names of known
+/// [`SchedulerKind`]s map back to their `'static` form; unknown
+/// (custom-policy) names are leaked, which is bounded by the number of
+/// distinct custom schedulers a process ever loads.
+fn load_scheduler(r: &mut Reader<'_>) -> Result<&'static str, CodecError> {
+    let name = r.get_string()?;
+    let known = SchedulerKind::ALL.iter().map(|k| k.name()).find(|n| *n == name);
+    Ok(known.unwrap_or_else(|| Box::leak(name.into_boxed_str())))
+}
+
+/// The `host/` metrics namespace (wall-clock phase timers, queue gauges) is
+/// skipped entirely: host numbers differ run to run, and a profiled run
+/// must serialize to the same bytes as an unprofiled one so the sweep
+/// byte-compare gates stay meaningful with `--host-prof`.
+fn save_sim_metrics(metrics: &Metrics, w: &mut Writer) {
+    let counters: Vec<_> =
+        metrics.counters().iter().filter(|(name, _)| !name.starts_with("host/")).collect();
+    w.put_u64(counters.len() as u64);
+    for (name, v) in counters {
+        w.put_str(name);
+        w.put_u64(*v);
     }
+    let hists: Vec<_> =
+        metrics.hists().iter().filter(|(name, _)| !name.starts_with("host/")).collect();
+    w.put_u64(hists.len() as u64);
+    for (name, h) in hists {
+        w.put_str(name);
+        save_hist(h, w);
+    }
+}
+
+fn load_metrics(r: &mut Reader<'_>) -> Result<Metrics, CodecError> {
+    let mut metrics = Metrics::default();
+    for _ in 0..r.get_usize()? {
+        let name = r.get_string()?;
+        metrics.set_counter(&name, r.get_u64()?);
+    }
+    for _ in 0..r.get_usize()? {
+        let name = r.get_string()?;
+        metrics.set_hist(&name, load_hist(r)?);
+    }
+    Ok(metrics)
 }
 
 fn frac(n: u64, d: u64) -> f64 {

@@ -3,7 +3,7 @@
 //! pending register cannot issue — the cycle is counted as a *Scoreboard
 //! stall* if no other warp can issue either (paper §II.B).
 
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
+use pro_core::snapshot_struct;
 use pro_isa::{Instr, Pred, Reg};
 
 /// Pending-write state for one warp. Registers are tracked in a 128-bit
@@ -140,31 +140,18 @@ impl Scoreboard {
     }
 }
 
-impl Snapshot for WriteSet {
-    fn save(&self, w: &mut Writer) {
-        w.put_u128(self.regs);
-        w.put_u32(self.preds);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WriteSet {
-            regs: r.get_u128()?,
-            preds: r.get_u32()?,
-        })
+snapshot_struct! {
+    WriteSet {
+        regs,
+        preds,
     }
 }
 
-impl Snapshot for Scoreboard {
-    fn save(&self, w: &mut Writer) {
-        w.put_u128(self.pending_regs);
-        w.put_u32(self.pending_preds);
-        w.put_u128(self.longlat_regs);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Scoreboard {
-            pending_regs: r.get_u128()?,
-            pending_preds: r.get_u32()?,
-            longlat_regs: r.get_u128()?,
-        })
+snapshot_struct! {
+    Scoreboard {
+        pending_regs,
+        pending_preds,
+        longlat_regs,
     }
 }
 

@@ -2,7 +2,7 @@
 //! 32-bank conflict model that determines how many cycles a shared-memory
 //! access occupies the load/store unit.
 
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
+use pro_core::snapshot_struct;
 use pro_isa::WARP_SIZE;
 
 /// Number of shared-memory banks (Fermi: 32, 4-byte wide).
@@ -42,14 +42,9 @@ impl SharedMem {
     }
 }
 
-impl Snapshot for SharedMem {
-    fn save(&self, w: &mut Writer) {
-        self.words.save(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SharedMem {
-            words: Snapshot::load(r)?,
-        })
+snapshot_struct! {
+    SharedMem {
+        words,
     }
 }
 

@@ -9,7 +9,8 @@
 //! PCs come from the ISA (`Instr::Bra::reconv`), computed by the program
 //! builder for structured control flow.
 
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
+use pro_core::codec::ensure;
+use pro_core::snapshot_struct;
 use pro_isa::Pc;
 
 /// One stack entry: an execution path.
@@ -123,31 +124,20 @@ impl SimtStack {
     }
 }
 
-impl Snapshot for SimtEntry {
-    fn save(&self, w: &mut Writer) {
-        w.put_u32(self.pc);
-        w.put_u32(self.mask);
-        w.put_u32(self.reconv);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SimtEntry {
-            pc: r.get_u32()?,
-            mask: r.get_u32()?,
-            reconv: r.get_u32()?,
-        })
+snapshot_struct! {
+    SimtEntry {
+        pc,
+        mask,
+        reconv,
     }
 }
 
-impl Snapshot for SimtStack {
-    fn save(&self, w: &mut Writer) {
-        self.entries.save(w);
+snapshot_struct! {
+    SimtStack {
+        entries,
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let entries: Vec<SimtEntry> = Snapshot::load(r)?;
-        if entries.is_empty() {
-            return Err(CodecError::BadValue("empty SIMT stack"));
-        }
-        Ok(SimtStack { entries })
+    validate {
+        ensure(!entries.is_empty(), "empty SIMT stack")
     }
 }
 

@@ -2,14 +2,15 @@
 //! path's [`crate::issue::IssueState`] is derived and not part of it:
 //! a restore rebuilds it from the warps it has just loaded.
 
-use super::lsu::{LsuEntry, Release};
+use super::lsu::LsuEntry;
 use super::{Sm, SmStats};
 use crate::scoreboard::WriteSet;
 use crate::shared::SharedMem;
 use crate::warp::Warp;
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
+use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
+use pro_core::snapshot_struct;
 use pro_isa::WARP_SIZE;
-use pro_mem::AccessId;
+use pro_mem::{load_hist, save_hist};
 
 impl Sm {
     /// Serialize all live microarchitectural state into `w`.
@@ -36,11 +37,7 @@ impl Sm {
         self.wb_events.save_snapshot(w);
         self.lsu.save(w);
         w.put_u64(self.sfu_free_at);
-        // In access-id order: the map's own order is not canonical.
-        let mut accesses: Vec<(AccessId, Release)> =
-            self.access_map.iter().map(|(&a, &to)| (a, to)).collect();
-        accesses.sort_unstable_by_key(|&(a, _)| a);
-        accesses.save(w);
+        self.access_map.save(w);
         w.put_u64(self.next_access);
         self.first_warp_finish.save(w);
         self.stats.save(w);
@@ -58,13 +55,9 @@ impl Sm {
             return Err(CodecError::BadValue("snapshot kernel geometry mismatch"));
         }
         let warps: Vec<Warp> = Snapshot::load(r)?;
-        if warps.len() != self.cfg.max_warps {
-            return Err(CodecError::BadValue("snapshot warp slot count"));
-        }
+        ensure(warps.len() == self.cfg.max_warps, "snapshot warp slot count")?;
         let shared: Vec<SharedMem> = Snapshot::load(r)?;
-        if shared.len() != self.cfg.max_tbs {
-            return Err(CodecError::BadValue("snapshot TB slot count"));
-        }
+        ensure(shared.len() == self.cfg.max_tbs, "snapshot TB slot count")?;
         self.warps = warps;
         self.shared = shared;
         self.sched_warps = Snapshot::load(r)?;
@@ -88,13 +81,10 @@ impl Sm {
         self.wb_events.restore_snapshot(r)?;
         self.lsu = Snapshot::load(r)?;
         self.sfu_free_at = r.get_u64()?;
-        let accesses: Vec<(AccessId, Release)> = Snapshot::load(r)?;
-        self.access_map = accesses.into_iter().collect();
+        self.access_map = Snapshot::load(r)?;
         self.next_access = r.get_u64()?;
         self.first_warp_finish = Snapshot::load(r)?;
-        if self.first_warp_finish.len() != self.cfg.max_tbs {
-            return Err(CodecError::BadValue("snapshot WLD tracker size"));
-        }
+        ensure(self.first_warp_finish.len() == self.cfg.max_tbs, "snapshot WLD tracker size")?;
         self.stats = SmStats::load(r)?;
         // Derived, not serialized (the policies invalidate or restore their
         // dirty bits symmetrically, so the orders come back the same).
@@ -103,41 +93,26 @@ impl Sm {
     }
 }
 
-impl Snapshot for SmStats {
-    fn save(&self, w: &mut Writer) {
-        w.put_u64(self.issued);
-        w.put_u64(self.idle);
-        w.put_u64(self.scoreboard);
-        w.put_u64(self.pipeline);
-        w.put_u64(self.unit_cycles);
-        w.put_u64(self.instructions);
-        w.put_u64(self.thread_instructions);
-        w.put_u64(self.wld_cycles);
-        w.put_u64(self.tbs_completed);
-        w.put_u64(self.ready_warp_sum);
-        w.put_u64(self.ready_samples);
-        pro_mem::save_hist(&self.ready_hist, w);
-        pro_mem::save_hist(&self.disparity_hist, w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SmStats {
-            issued: r.get_u64()?,
-            idle: r.get_u64()?,
-            scoreboard: r.get_u64()?,
-            pipeline: r.get_u64()?,
-            unit_cycles: r.get_u64()?,
-            instructions: r.get_u64()?,
-            thread_instructions: r.get_u64()?,
-            wld_cycles: r.get_u64()?,
-            tbs_completed: r.get_u64()?,
-            ready_warp_sum: r.get_u64()?,
-            ready_samples: r.get_u64()?,
-            ready_hist: pro_mem::load_hist(r)?,
-            disparity_hist: pro_mem::load_hist(r)?,
-        })
+snapshot_struct! {
+    SmStats {
+        issued,
+        idle,
+        scoreboard,
+        pipeline,
+        unit_cycles,
+        instructions,
+        thread_instructions,
+        wld_cycles,
+        tbs_completed,
+        ready_warp_sum,
+        ready_samples,
+        ready_hist via (save_hist, load_hist),
+        disparity_hist via (save_hist, load_hist),
     }
 }
 
+// By hand: the line array is fixed-size in memory and length-prefixed on the
+// wire, and both of its bounds are checked before anything is read into it.
 impl Snapshot for LsuEntry {
     fn save(&self, w: &mut Writer) {
         match self {
@@ -165,17 +140,13 @@ impl Snapshot for LsuEntry {
             0 => {
                 let access = r.get_u64()?;
                 let len = r.get_usize()?;
-                if len > WARP_SIZE {
-                    return Err(CodecError::BadValue("LSU entry line count"));
-                }
+                ensure(len <= WARP_SIZE, "LSU entry line count")?;
                 let mut lines = [0; WARP_SIZE];
                 for line in &mut lines[..len] {
                     *line = r.get_u64()?;
                 }
                 let next = r.get_usize()?;
-                if next >= len {
-                    return Err(CodecError::BadValue("LSU entry progress"));
-                }
+                ensure(next < len, "LSU entry progress")?;
                 Ok(LsuEntry::Global {
                     access,
                     lines,

@@ -12,7 +12,8 @@
 use crate::scoreboard::Scoreboard;
 use crate::shared::{atomic_cycles, conflict_cycles, SharedMem};
 use crate::simt::SimtStack;
-use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
+use pro_core::codec::{ensure, CodecError, Reader, Writer};
+use pro_core::snapshot_struct;
 use pro_isa::exec::{
     alu_row, cmp_row, eval_alu, eval_atom, for_lanes, select_row, sfu_row, Row,
 };
@@ -386,52 +387,38 @@ impl Warp {
     }
 }
 
-impl Snapshot for Warp {
-    fn save(&self, w: &mut Writer) {
-        w.put_bool(self.valid);
-        w.put_usize(self.tb_slot);
-        w.put_u32(self.index_in_tb);
-        w.put_u32(self.ctaid);
-        self.simt.save(w);
-        self.scoreboard.save(w);
-        w.put_bool(self.at_barrier);
-        w.put_bool(self.finished);
-        w.put_u64(self.ibuf_ready_at);
-        w.put_u32(self.live_mask);
-        // Same bytes as the flat `Vec<u32>` the container format was
-        // defined with: word count, then the words register-major.
-        w.put_u64((self.regs.len() * WARP_SIZE) as u64);
-        for word in self.regs.iter().flatten() {
-            w.put_u32(*word);
-        }
-        self.preds.save(w);
+snapshot_struct! {
+    Warp {
+        valid,
+        tb_slot,
+        index_in_tb,
+        ctaid,
+        simt,
+        scoreboard,
+        at_barrier,
+        finished,
+        ibuf_ready_at,
+        live_mask,
+        regs via (save_regs, load_regs),
+        preds,
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Warp {
-            valid: r.get_bool()?,
-            tb_slot: r.get_usize()?,
-            index_in_tb: r.get_u32()?,
-            ctaid: r.get_u32()?,
-            simt: Snapshot::load(r)?,
-            scoreboard: Snapshot::load(r)?,
-            at_barrier: r.get_bool()?,
-            finished: r.get_bool()?,
-            ibuf_ready_at: r.get_u64()?,
-            live_mask: r.get_u32()?,
-            regs: {
-                let words = r.get_usize()?;
-                if words % WARP_SIZE != 0 || words > 256 * WARP_SIZE {
-                    return Err(CodecError::BadValue("warp register file size"));
-                }
-                let mut regs = vec![[0; WARP_SIZE]; words / WARP_SIZE];
-                for word in regs.iter_mut().flatten() {
-                    *word = r.get_u32()?;
-                }
-                regs
-            },
-            preds: Snapshot::load(r)?,
-        })
+}
+
+/// The register file's bytes are those of the flat `Vec<u32>` the container
+/// format was defined with: word count, then the words register-major.
+fn save_regs(regs: &[Row], w: &mut Writer) {
+    w.put_u64((regs.len() * WARP_SIZE) as u64);
+    w.put_u32_slice(regs.as_flattened());
+}
+
+fn load_regs(r: &mut Reader<'_>) -> Result<Vec<Row>, CodecError> {
+    let words = r.get_usize()?;
+    ensure(words % WARP_SIZE == 0 && words <= 256 * WARP_SIZE, "warp register file size")?;
+    let mut regs = vec![[0; WARP_SIZE]; words / WARP_SIZE];
+    for word in regs.as_flattened_mut() {
+        *word = r.get_u32()?;
     }
+    Ok(regs)
 }
 
 /// Append to `out` the distinct 128-byte lines the active lanes touch, in
@@ -451,6 +438,7 @@ fn coalesce_into(addrs: &Row, mask: u32, out: &mut Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pro_core::codec::Snapshot;
     use pro_isa::{CmpOp, ProgramBuilder, SfuOp, Ty};
 
     fn ctx<'a>(params: &'a [u32]) -> LaunchCtx<'a> {

@@ -10,7 +10,8 @@ use pro_sim::{
 };
 use pro_trace::{ClassSet, JsonlTracer};
 use pro_workloads::find;
-use pro_core::codec::{CodecError, Snapshot};
+use pro_core::codec::{CodecError, FileReader, FileWriter, Reader, Snapshot, Writer};
+use pro_sim::mem::MemConfig;
 
 const KERNEL: &str = "laplace3d";
 const SCALE: u32 = 16;
@@ -418,4 +419,169 @@ fn container_bytes_are_pinned_for_every_policy() {
     base.save(&mut w);
     let got = pro_core::codec::crc32(&w.into_bytes());
     assert_eq!(got, RUN_RESULT_CRC, "RunResult encoding moved (got {got:#010X})");
+}
+
+/// Container section ids (DESIGN.md §12).
+const SEC_LOOP: u32 = 2;
+const SEC_MEM: u32 = 4;
+const SEC_SM0: u32 = 10;
+
+/// The parsed container with section `id`'s payload replaced, rebuilt
+/// through `FileWriter` so every CRC in the result is valid.
+fn with_section(parsed: &FileReader, id: u32, payload: &[u8]) -> GpuSnapshot {
+    let mut out = FileWriter::new();
+    for sec in parsed.section_ids() {
+        let bytes = if sec == id { payload } else { parsed.section_bytes(sec).unwrap() };
+        out.add_section_bytes(sec, bytes.to_vec());
+    }
+    GpuSnapshot::from_bytes(out.finish())
+}
+
+fn encode(value: &impl Snapshot) -> Vec<u8> {
+    let mut w = Writer::new();
+    value.save(&mut w);
+    w.into_bytes()
+}
+
+/// Offset of the first occurrence of `needle`.
+fn find_bytes(haystack: &[u8], needle: &[u8]) -> usize {
+    haystack.windows(needle.len()).position(|w| w == needle).expect("pattern not in section")
+}
+
+/// A GPU that must refuse hostile prior state with a typed error and stay
+/// launchable afterwards.
+struct Victim {
+    gpu: Gpu,
+    kernel: pro_sim::isa::Kernel,
+    base_cycles: u64,
+}
+
+impl Victim {
+    fn refuses(&mut self, bad: &GpuSnapshot, what: &str) -> CodecError {
+        let no_ckpt = CheckpointOptions::default();
+        match self.gpu.resume(bad, &self.kernel, SchedulerKind::Pro, trace_opts(), &no_ckpt) {
+            Err(SimError::Snapshot(e)) => e,
+            other => panic!("{what}: wanted a snapshot error, got {other:?}"),
+        }
+    }
+
+    fn still_launches(&mut self, what: &str) {
+        let r = self.gpu.launch(&self.kernel, SchedulerKind::Pro, TraceOptions::default()).unwrap();
+        assert_eq!(r.cycles, self.base_cycles, "{what}: GPU did not survive the rejected resume");
+    }
+}
+
+/// The victim, and a mid-grid PRO pause container (parsed) to corrupt.
+fn victim_and_pause() -> (Victim, FileReader) {
+    let (mut gpu, kernel) = fresh_gpu();
+    let base_cycles = gpu.launch(&kernel, SchedulerKind::Pro, TraceOptions::default()).unwrap().cycles;
+    let snap = paused(SchedulerKind::Pro, trace_opts(), base_cycles / 2);
+    (Victim { gpu, kernel, base_cycles }, FileReader::parse(snap.as_bytes()).unwrap())
+}
+
+#[test]
+fn truncated_sections_with_valid_crcs_are_refused() {
+    // `corrupted_snapshot_is_rejected_cleanly` flips a byte and so only ever
+    // meets the CRC check. Here every CRC is right and a section simply
+    // stops early, at 64 evenly spaced lengths: the decoders run out of
+    // bytes part-way through restoring in place, which must be a typed
+    // error that leaves the same GPU able to run the kernel.
+    let (mut victim, snap) = victim_and_pause();
+    for id in [SEC_LOOP, SEC_MEM, SEC_SM0 + 1] {
+        let full = snap.section_bytes(id).unwrap();
+        assert!(full.len() >= 64, "section {id} too short to sample");
+        for i in 0..64 {
+            let cut = full.len() * i / 64;
+            let what = format!("section {id} cut to {cut} of {} bytes", full.len());
+            victim.refuses(&with_section(&snap, id, &full[..cut]), &what);
+            if i % 16 == 0 {
+                victim.still_launches(&what);
+            }
+        }
+        victim.still_launches(&format!("after every cut of section {id}"));
+    }
+}
+
+#[test]
+fn hostile_memory_geometry_is_refused() {
+    // The MEM section embeds each cache's and DRAM channel's geometry, and
+    // the model divides by it: a container whose checksums are right but
+    // whose geometry is not must be an error, not a division by zero or an
+    // empty set met by a fill thousands of cycles into the resumed run.
+    let (mut victim, snap) = victim_and_pause();
+    let mem = snap.section_bytes(SEC_MEM).unwrap().to_vec();
+    let MemConfig { l1, dram, .. } = cfg().mem;
+    let l1_at = find_bytes(&mem, &encode(&l1));
+    let dram_at = find_bytes(&mem, &encode(&dram));
+    // Field offsets inside the two encodings.
+    let (ways_at, mshr_entries_at, sets_at) = (l1_at + 16, l1_at + 20, l1_at + 28);
+    let row_bytes_at = dram_at + 5;
+
+    let mut check = |what: &str, bad: Vec<u8>, want: fn(&CodecError) -> bool| {
+        let err = victim.refuses(&with_section(&snap, SEC_MEM, &bad), what);
+        assert!(want(&err), "{what}: refused, but with {err:?}");
+        victim.still_launches(what);
+    };
+    let bad_value = |e: &CodecError| matches!(e, CodecError::BadValue(_));
+
+    let mut zero_ways = mem.clone();
+    zero_ways[ways_at..ways_at + 4].fill(0);
+    check("an L1 with zero ways", zero_ways, bad_value);
+
+    // Set 0 of the first L1 loses its ways: its count becomes zero and the
+    // `ways` × (line u64, valid bool, last_use u64) after it are cut out.
+    let mut empty_set = mem.clone();
+    let set0_at = sets_at + 8;
+    empty_set[set0_at..set0_at + 8].fill(0);
+    empty_set.drain(set0_at + 8..set0_at + 8 + l1.ways as usize * 17);
+    check("an L1 set with no ways", empty_set, bad_value);
+
+    let mut zero_row = mem.clone();
+    zero_row[row_bytes_at..row_bytes_at + 8].fill(0);
+    check("a DRAM channel with zero-byte rows", zero_row, bad_value);
+
+    // Well-formed, but not this machine's: META vouches for the machine and
+    // the MEM section may not disagree with it.
+    let mut other_l1 = mem.clone();
+    other_l1[mshr_entries_at] ^= 0x40;
+    check("an L1 with another MSHR count", other_l1, |e| matches!(e, CodecError::Mismatch(_)));
+}
+
+#[test]
+fn out_of_range_pro_slots_are_refused() {
+    // PRO's state closes each SM section: the TB classes, the three
+    // priority lists, each TB's warp order, then the sort clock and the
+    // phase latch. The lists index the class table and the warp orders
+    // index the SM's warp slots on the first cycle after a restore.
+    type ProState = (Vec<u8>, [Vec<u64>; 3], Vec<Vec<u64>>, (u64, bool));
+    let (mut victim, snap) = victim_and_pause();
+    let sm = cfg().sm;
+    let sec = snap.section_bytes(SEC_SM0).unwrap();
+    // The state starts at the last offset from which its layout parses to
+    // exactly the end of the section with a class and a warp order per TB
+    // slot.
+    let parse = |at: usize| -> Result<ProState, CodecError> {
+        let mut r = Reader::new(&sec[at..]);
+        let state: ProState = Snapshot::load(&mut r)?;
+        r.finish()?;
+        Ok(state)
+    };
+    let (at, state) = (0..sec.len())
+        .rev()
+        .filter_map(|at| Some((at, parse(at).ok()?)))
+        .find(|(_, s)| s.0.len() == sm.max_tbs && s.2.len() == sm.max_tbs)
+        .expect("no PRO state at the end of the SM section");
+    let resident = *state.1.iter().flatten().next().expect("no TB on any priority list");
+
+    let mut hostile = |what: &str, edit: fn(&mut ProState, u64, u64)| {
+        let mut state = state.clone();
+        edit(&mut state, resident, sm.max_warps as u64);
+        let bad = [&sec[..at], &encode(&state)[..]].concat();
+        let err = victim.refuses(&with_section(&snap, SEC_SM0, &bad), what);
+        assert!(matches!(err, CodecError::BadValue(_)), "{what}: refused, but with {err:?}");
+        victim.still_launches(what);
+    };
+    hostile("a TB slot past the class table", |s, _, _| s.1[2].push(s.0.len() as u64));
+    hostile("a TB on two priority lists", |s, resident, _| s.1[0].push(resident));
+    hostile("a warp slot past the SM's", |s, _, max_warps| s.2[0].push(max_warps));
 }
