@@ -12,25 +12,7 @@
 //! independent (kernel × scheduler) simulations on `N` pool threads (0 or
 //! unset = all cores). Output is byte-identical at any `N` because results
 //! are collected in submission order.
-//!
-//! Long runs — checkpoint & resume (the `json` sweep only; on any other
-//! command these options, like `--heartbeat`, are a usage error):
-//!
-//! * `--checkpoint-path DIR` writes per-cell state into `DIR`: mid-run a
-//!   `.chain/` directory — one full `base.ckpt` plus numbered deltas that
-//!   carry only what changed since the previous capture, rolled over into
-//!   a fresh base every eight files — and a `.done` result once the cell
-//!   finishes (format: DESIGN.md §12).
-//! * `--checkpoint-every N` sets the checkpoint interval in cycles
-//!   (default 50000).
-//! * `--resume DIR` re-runs the sweep against an existing `DIR`: finished
-//!   cells load their `.done`, interrupted cells resume from the longest
-//!   valid prefix of their chain, and the aggregate JSON is byte-identical
-//!   to an uninterrupted run. State recorded for a different
-//!   kernel/config/scheduler aborts with a clear error rather than being
-//!   silently discarded.
 
-use pro_bench::sweep::Checkpointing;
 use pro_bench::{
     geomean_finite, pairs, parallel_map, ratio, run_cell, speedup, AppTotals, Cell, Experiment, Grid,
 };
@@ -46,27 +28,13 @@ const OPTIONS: &[(&str, Option<&str>)] = &[
     ("--quick", None),
     ("--config", Some("a path")),
     ("--jobs", Some("a non-negative integer")),
-    ("--checkpoint-path", Some("a value")),
-    ("--checkpoint-every", Some("a non-negative integer")),
-    ("--resume", Some("a value")),
-    ("--heartbeat", Some("a non-negative integer")),
-];
-
-/// Options that configure the `json` sweep's recovery ladder and telemetry
-/// and mean nothing to any other command.
-const JSON_ONLY: &[&str] = &[
-    "--checkpoint-path",
-    "--checkpoint-every",
-    "--resume",
-    "--heartbeat",
 ];
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro <config|workloads|fig1|fig2|fig4|fig5|table3|table4|ablation|sweep|wld|cache|ready|occupancy|synthsweep|svg|json|shootout|dram|all> \
          | disasm <kernel> | trace [kernel] [tl|lrr|gto|pro] | trace-report <file.jsonl> \
-         [--full-scale] [--quick] [--config FILE] [--jobs N] \
-         [--checkpoint-path DIR] [--checkpoint-every N] [--resume DIR] [--heartbeat SECS]"
+         [--full-scale] [--quick] [--config FILE] [--jobs N]"
     );
     std::process::exit(2);
 }
@@ -134,29 +102,6 @@ fn main() {
         Some((cmd, operands)) => (cmd.as_str(), operands),
         None => ("help", &[][..]),
     };
-    // An option that would be ignored is refused like an unknown one.
-    if cmd != "json" {
-        if let Some(name) = JSON_ONLY.iter().find(|name| cli.has(name)) {
-            eprintln!("{name} applies to `repro json` only");
-            usage();
-        }
-    }
-    // Checkpoint/resume knobs for the `json` sweep. `--resume DIR` implies
-    // checkpointing into the same directory.
-    let ckpt = cli
-        .value("--checkpoint-path")
-        .or_else(|| cli.value("--resume"))
-        .map(|dir| Checkpointing {
-            dir: dir.into(),
-            every: cli.count("--checkpoint-every").unwrap_or(0) as u64,
-        });
-    if ckpt.is_none() && cli.has("--checkpoint-every") {
-        eprintln!("--checkpoint-every needs --checkpoint-path or --resume");
-        usage();
-    }
-    // Live telemetry: `--heartbeat N` rewrites status.json at most every N
-    // seconds while the `json` sweep runs (DESIGN.md §13).
-    let heartbeat = cli.count("--heartbeat").map(|n| n as u64);
     // Optional --config <path>: override the simulated machine for every
     // experiment run in this invocation.
     let machine = match cli.value("--config") {
@@ -191,7 +136,7 @@ fn main() {
         "cache" => cache(exp),
         "synthsweep" => synthsweep(exp),
         "svg" => svg_figs(exp),
-        "json" => json_export(exp, ckpt.as_ref(), heartbeat),
+        "json" => json_export(exp),
         "shootout" => shootout(exp),
         "dram" => dram_ablation(exp),
         "disasm" => disasm(operands.first().map_or("", String::as_str)),
@@ -784,55 +729,10 @@ fn svg_figs(exp: &mut Experiment) {
     println!("wrote fig1_lrr.svg");
 }
 
-/// Dump every (kernel × scheduler) result as JSON on stdout. With a
-/// checkpoint directory, cells persist `.done`/`.chain` state there and a
-/// crashed worker is retried from its last checkpoint; the aggregate output
-/// is byte-identical either way. `--heartbeat N` additionally rewrites a
-/// `status.json` (in the checkpoint directory if given, else the cwd) at
-/// most every `N` seconds — the JSON on stdout is unaffected, and the
-/// heartbeat lines go to stderr.
-fn json_export(exp: &mut Experiment, ckpt: Option<&Checkpointing>, heartbeat: Option<u64>) {
-    use pro_bench::heartbeat::Heartbeat;
-    use pro_bench::json::export_cells;
-    use pro_bench::sweep::{cell_stem, progress_options, run_cell_recoverable};
-    let ws = exp.kernels();
-    // The checkpoint directory must exist before the heartbeat's initial
-    // status write lands in it.
-    if let Some(ckpt) = ckpt {
-        std::fs::create_dir_all(&ckpt.dir).unwrap_or_else(|e| {
-            eprintln!("{}: {e}", ckpt.dir.display());
-            std::process::exit(2);
-        });
-    }
-    let hb: Option<std::sync::Arc<Heartbeat>> = heartbeat.map(|secs| {
-        let status = ckpt
-            .map_or(std::path::Path::new("."), |c| &c.dir)
-            .join("status.json");
-        let cells = ws.len() * SchedulerKind::PAPER.len();
-        std::sync::Arc::new(Heartbeat::new(status, secs, cells as u64))
-    });
-    let progress = |w: &Workload, s| hb.as_ref().map(|hb| hb.progress_fn(cell_stem(w, s)));
-    let finished = |cell| {
-        if let Some(hb) = &hb {
-            hb.cell_finished();
-        }
-        cell
-    };
-    let (scale, machine, trace) = (exp.scale, exp.machine, TraceOptions::default());
-    let grid = exp.cells_with(&ws, &SchedulerKind::PAPER, |w, s| {
-        finished(match ckpt {
-            None => run_cell(w, s, scale, machine, |gpu, k| {
-                let opts = progress_options(progress(w, s));
-                Ok(gpu.launch_checkpointed(k, s, trace, &opts)?.expect_completed())
-            }),
-            Some(ckpt) => run_cell_recoverable(w, s, scale, machine, trace, ckpt, progress(w, s)),
-        })
-    });
-    let doc = export_cells(grid.cells().iter().copied());
-    if let Some(hb) = &hb {
-        hb.finish();
-    }
-    println!("{doc}");
+/// Dump every (kernel × scheduler) result as JSON on stdout.
+fn json_export(exp: &mut Experiment) {
+    let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
+    println!("{}", pro_bench::json::export_cells(grid.cells().iter().copied()));
 }
 
 /// 9-policy shootout: every scheduler in [`SchedulerKind::ALL`] across the

@@ -33,21 +33,19 @@
 //! `repro` builds one [`Experiment`] per process and every command borrows
 //! it: the commands that read the paper's (kernel × policy) matrix — `fig1`,
 //! `fig4`, `fig5`, `table3`, `wld`, `cache`, `ready`, `ablation`, half of
-//! `svg`, `json` (checkpointed or not), one column each of `sweep` and
-//! `dram` — are formatting over [`Experiment::cells`], which simulates a
-//! cell the first time any of them asks for it; the rest, whose machine,
-//! policy parameters or traces differ, call [`run_cell`] themselves.
+//! `svg`, `json`, one column each of `sweep` and `dram` — are formatting
+//! over [`Experiment::cells`], which simulates a cell the first time any of
+//! them asks for it; the rest, whose machine, policy parameters or traces
+//! differ, call [`run_cell`] themselves.
 //!
 //! The `sim_throughput` bench target (`cargo bench`) times the simulator's
 //! layers on the in-repo fixed-iteration [`runner`] — no external
 //! benchmarking framework is involved; whole-launch host time is the
 //! repository benchmark's job (`benchmark/`).
 
-pub mod heartbeat;
 pub mod json;
 pub mod runner;
 pub mod svg;
-pub mod sweep;
 
 use std::collections::{HashMap, HashSet};
 
@@ -83,10 +81,9 @@ impl Cell {
 
 /// The one cell runner: build `w` at `scale` in the memory of a fresh
 /// `cfg` GPU, let `launch` run the kernel on it (a plain
-/// [`Gpu::launch`] with whatever traces the caller wants, or
-/// [`sweep::run_cell_recoverable`]'s resume ladder), then check device
-/// memory against the workload's host reference. A simulation error or a
-/// wrong result panics: no experiment may report numbers from it.
+/// [`Gpu::launch`] with whatever traces the caller wants), then check
+/// device memory against the workload's host reference. A simulation error
+/// or a wrong result panics: no experiment may report numbers from it.
 pub fn run_cell(
     w: &Workload,
     sched: SchedulerKind,
@@ -170,10 +167,9 @@ impl Experiment {
 
     /// [`Experiment::cells`] with the missing cells simulated by `runner`,
     /// which must produce what the default runner would — this machine and
-    /// scale, default [`TraceOptions`] — and may observe or persist on the
-    /// way (the `--heartbeat` hook, [`sweep::run_cell_recoverable`]'s
-    /// checkpoints, a test's call counter).
-    pub fn cells_with(
+    /// scale, default [`TraceOptions`] — and may observe on the way (the
+    /// tests' call counter).
+    fn cells_with(
         &mut self,
         kernels: &[Workload],
         policies: &[SchedulerKind],

@@ -20,17 +20,21 @@ fn refused(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn unknown_option_is_a_usage_error() {
-    let (code, err) = refused(&["config", "--sm-workers", "4"]);
-    assert_eq!(code, Some(2));
-    assert!(err.contains("unknown option --sm-workers"), "{err}");
-    assert!(err.contains("usage: repro"), "{err}");
-    // Sweeps checkpoint one way; the flags that used to pick the format
-    // and tune it are gone, not ignored.
-    for removed in ["delta", "keep"] {
-        let flag = format!("--checkpoint-{removed}");
-        let (code, err) = refused(&["json", "--quick", "--checkpoint-path", "unused", &flag]);
-        assert_eq!(code, Some(2), "{flag}");
-        assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+    // Every flag here existed once: the worker-thread SM array, the sweep's
+    // recovery ladder and its telemetry are removed, not ignored.
+    for removed in [
+        "--sm-workers",
+        "--checkpoint-delta",
+        "--checkpoint-keep",
+        "--checkpoint-path",
+        "--checkpoint-every",
+        "--resume",
+        "--heartbeat",
+    ] {
+        let (code, err) = refused(&["json", "--quick", removed, "1"]);
+        assert_eq!(code, Some(2), "{removed}");
+        assert!(err.contains(&format!("unknown option {removed}")), "{err}");
+        assert!(err.contains("usage: repro"), "{err}");
     }
 }
 
@@ -53,23 +57,6 @@ fn an_option_before_the_operand_does_not_displace_it() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains(".kernel laplace3d"), "{text}");
     assert!(text.contains("# static mix:"), "{text}");
-}
-
-#[test]
-fn checkpoint_tuning_without_a_directory_is_refused() {
-    let (code, err) = refused(&["json", "--quick", "--checkpoint-every", "100"]);
-    assert_eq!(code, Some(2));
-    assert!(err.contains("--checkpoint-every needs --checkpoint-path or --resume"), "{err}");
-}
-
-#[test]
-fn sweep_options_on_another_command_are_refused() {
-    let (code, err) = refused(&["fig2", "--checkpoint-every", "5"]);
-    assert_eq!(code, Some(2));
-    assert!(err.contains("--checkpoint-every applies to `repro json` only"), "{err}");
-    let (code, err) = refused(&["fig4", "--heartbeat", "1"]);
-    assert_eq!(code, Some(2));
-    assert!(err.contains("--heartbeat applies to `repro json` only"), "{err}");
 }
 
 #[test]

@@ -265,6 +265,11 @@ impl<T> Cache<T> {
     pub fn has_pending(&self, line: u64) -> bool {
         self.mshr.contains_key(&line)
     }
+
+    /// The tag of every miss waiting on an MSHR entry.
+    pub(crate) fn waiters(&self) -> impl Iterator<Item = &T> {
+        self.mshr.values().flatten()
+    }
 }
 
 snapshot_struct! {

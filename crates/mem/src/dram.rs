@@ -156,6 +156,11 @@ impl<T: Copy> DramChannel<T> {
         self.queue.len()
     }
 
+    /// The tag of every queued request.
+    pub(crate) fn tags(&self) -> impl Iterator<Item = &T> {
+        self.queue.iter().map(|req| &req.tag)
+    }
+
     /// Advance one cycle: possibly start servicing one request. Returns
     /// `Some((completion_time, line, tag))` for the request that was
     /// scheduled this cycle, if any.

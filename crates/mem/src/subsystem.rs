@@ -687,11 +687,25 @@ impl MemSubsystem {
                 "memory-hierarchy geometry in the snapshot differs from the machine's".into(),
             ));
         }
+        // Every SM and partition index in flight indexes `l1s`, `slices` or
+        // `completions` when its turn comes: hold them to the machine now.
+        let (num_sms, partitions) = (l1s.len() as u32, slices.len() as u32);
+        let txns_ok = |s: &Slice| s.in_q.iter().chain(s.cache.waiters()).all(|t| t.sm < num_sms);
+        ensure(slices.iter().all(txns_ok), "mem transaction SM index")?;
+        let tags_ok = |d: &DramChannel<u32>| d.tags().all(|&part| part < partitions);
+        ensure(drams.iter().all(tags_ok), "DRAM request partition index")?;
         (self.l1s, self.slices, self.drams) = (l1s, slices, drams);
         // Entries in the file are (time, seq)-sorted; the calendar queue
         // re-packs them into fresh slab slots, dropping any allocation
         // history from before the checkpoint.
         self.events.restore_snapshot(r)?;
+        let in_range = |ev: &Event| match *ev {
+            Event::ArriveL2(Txn { sm, .. })
+            | Event::ReturnToSm { sm, .. }
+            | Event::L1Done { sm, .. } => sm < num_sms,
+            Event::DramDone { part, .. } => part < partitions,
+        };
+        ensure(self.events.iter().all(|(_, _, ev)| in_range(ev)), "mem event SM or partition index")?;
         self.outstanding = Snapshot::load(r)?;
         let completions: Vec<VecDeque<AccessId>> = Snapshot::load(r)?;
         ensure(completions.len() == self.completions.len(), "mem subsystem completions length")?;

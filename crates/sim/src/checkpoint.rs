@@ -17,25 +17,11 @@ use std::path::{Path, PathBuf};
 
 use crate::result::RunResult;
 
-/// A host-side observer invoked from inside the run loop; the sweep
-/// heartbeat hangs off this. `Arc`'d so [`CheckpointOptions`] stays
-/// cloneable across the experiment pool's workers.
-pub type ProgressFn = std::sync::Arc<dyn Fn(ProgressEvent) + Send + Sync>;
-
-/// What a [`ProgressFn`] observer learns at each reporting boundary.
-#[derive(Debug, Clone, Copy)]
-pub struct ProgressEvent {
-    /// Kernel-relative cycles simulated so far in this launch.
-    pub cycles: u64,
-    /// True when this boundary also wrote a periodic checkpoint file.
-    pub checkpointed: bool,
-}
-
 /// Knobs controlling mid-launch checkpointing ([`crate::Run::ckpt`]).
 ///
 /// The default (`every = 0`, `pause_at = 0`) disables both mechanisms, which
 /// makes the checkpointed entry points behave exactly like [`crate::Gpu::launch`].
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CheckpointOptions {
     /// Write a checkpoint to [`CheckpointOptions::path`] every `every`
     /// kernel-relative cycles (0 = never). Each write atomically replaces
@@ -55,36 +41,8 @@ pub struct CheckpointOptions {
     /// the first periodic capture writes a full `base.ckpt`, every later
     /// one appends a `delta-NNNNNN.ckpt` holding only the state that
     /// changed (dirty gmem pages plus the small always-rewritten
-    /// sections). What a `repro json --checkpoint-path` sweep writes.
+    /// sections).
     pub delta: bool,
-    /// Cap on chain files (base + deltas) before the chain rolls over
-    /// into a fresh full `base.ckpt` (0 = unbounded). Old deltas are
-    /// pruned only after the new base is fsynced and renamed, so a crash
-    /// at any instant leaves a restorable chain on disk. Only meaningful
-    /// with [`CheckpointOptions::delta`].
-    pub keep: usize,
-    /// Invoke [`CheckpointOptions::progress`] every `progress_every`
-    /// kernel-relative cycles (0 = never). Independent of `every`: a
-    /// heartbeat works without checkpoint files and vice versa.
-    pub progress_every: u64,
-    /// Host-side progress observer (the `--heartbeat` plumbing). Purely
-    /// observational: called between cycles on the main thread, it can see
-    /// only the [`ProgressEvent`], never simulator state.
-    pub progress: Option<ProgressFn>,
-}
-
-impl std::fmt::Debug for CheckpointOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointOptions")
-            .field("every", &self.every)
-            .field("path", &self.path)
-            .field("delta", &self.delta)
-            .field("keep", &self.keep)
-            .field("pause_at", &self.pause_at)
-            .field("progress_every", &self.progress_every)
-            .field("progress", &self.progress.as_ref().map(|_| "<fn>"))
-            .finish()
-    }
 }
 
 /// Outcome of a checkpointed launch: either the kernel ran to completion,
@@ -193,8 +151,6 @@ pub struct SnapshotChain {
     /// `containers[0]` is the full base; the rest are deltas in sequence
     /// order. Every element has already passed header + CRC validation.
     pub containers: Vec<GpuSnapshot>,
-    /// Directory the chain was loaded from.
-    pub dir: PathBuf,
 }
 
 impl SnapshotChain {
@@ -226,13 +182,7 @@ impl SnapshotChain {
             link_crc = delta.crc();
             containers.push(delta);
         }
-        Some(SnapshotChain { containers, dir: dir.to_path_buf() })
-    }
-
-    /// The newest container in the chain — the one whose non-gmem
-    /// sections describe the state a restore lands on.
-    pub fn newest(&self) -> &GpuSnapshot {
-        self.containers.last().expect("chain is never empty")
+        Some(SnapshotChain { containers })
     }
 
     /// Number of deltas after the base.
@@ -242,43 +192,38 @@ impl SnapshotChain {
 }
 
 /// Prior state for [`crate::Gpu::run`] to continue from
-/// ([`crate::Run::resume`]): a chain's containers, full base first, and the
-/// directory they were loaded from, if any. A lone full snapshot is the
-/// chain with no deltas, so `(&snapshot).into()` and `(&chain).into()` both
-/// make one, neither copying a byte.
+/// ([`crate::Run::resume`]): a chain's containers, full base first. A lone
+/// full snapshot is the chain with no deltas, so `(&snapshot).into()` and
+/// `(&chain).into()` both make one, neither copying a byte.
 #[derive(Debug, Clone, Copy)]
 pub struct Prior<'a> {
     pub(crate) containers: &'a [GpuSnapshot],
-    pub(crate) dir: Option<&'a Path>,
 }
 
 impl<'a> From<&'a GpuSnapshot> for Prior<'a> {
     fn from(snapshot: &'a GpuSnapshot) -> Self {
-        Prior { containers: std::slice::from_ref(snapshot), dir: None }
+        Prior { containers: std::slice::from_ref(snapshot) }
     }
 }
 
 impl<'a> From<&'a SnapshotChain> for Prior<'a> {
     fn from(chain: &'a SnapshotChain) -> Self {
-        Prior { containers: &chain.containers, dir: Some(&chain.dir) }
+        Prior { containers: &chain.containers }
     }
 }
 
 /// Writes a delta chain to a directory: one full `base.ckpt`, then
-/// numbered deltas, rolling over into a fresh base when the file count
-/// reaches `keep`.
+/// numbered deltas.
 ///
-/// Crash safety invariant: every write is atomic (tmp + fsync + rename)
-/// and pruning happens only *after* the replacement base has been
-/// renamed into place — at which point the stale deltas already fail
-/// `parent_crc` validation against the new base, so even a crash between
-/// the rename and the pruning leaves a directory that restores correctly.
+/// Crash safety invariant: every write is atomic (tmp + fsync + rename),
+/// and a new base invalidates whatever deltas an earlier chain left in the
+/// directory — they fail `parent_crc` validation against it — so a crash
+/// at any instant leaves a directory that restores correctly.
 #[derive(Debug)]
 pub struct ChainWriter {
     dir: PathBuf,
     next_seq: u64,
     last_crc: u32,
-    keep: usize,
 }
 
 impl ChainWriter {
@@ -286,30 +231,22 @@ impl ChainWriter {
     /// snapshot and prune any deltas left over from a previous chain.
     /// (The rename of the new base already invalidated them; removing
     /// them keeps the directory tidy and the next `load_dir` fast.)
-    pub fn start(dir: &Path, base: &GpuSnapshot, keep: usize) -> std::io::Result<ChainWriter> {
+    pub fn start(dir: &Path, base: &GpuSnapshot) -> std::io::Result<ChainWriter> {
         std::fs::create_dir_all(dir)?;
         base.write_to(&dir.join(CHAIN_BASE_FILE))?;
-        Self::prune_deltas_from(dir, 1);
+        // Best effort, and it stops at the first gap: chains are
+        // contiguous, so anything past one is already unreachable.
+        for seq in 1.. {
+            let path = dir.join(chain_delta_file(seq));
+            if !path.exists() || std::fs::remove_file(&path).is_err() {
+                break;
+            }
+        }
         Ok(ChainWriter {
             dir: dir.to_path_buf(),
             next_seq: 1,
             last_crc: base.crc(),
-            keep,
         })
-    }
-
-    /// Continue appending after `containers`, the valid prefix
-    /// [`SnapshotChain::load_dir`] found in `dir`. Stale files beyond it are
-    /// removed first so the directory and the in-memory chain agree.
-    pub fn resume(dir: &Path, containers: &[GpuSnapshot], keep: usize) -> ChainWriter {
-        let next_seq = containers.len() as u64;
-        Self::prune_deltas_from(dir, next_seq);
-        ChainWriter {
-            dir: dir.to_path_buf(),
-            next_seq,
-            last_crc: containers.last().expect("chain is never empty").crc(),
-            keep,
-        }
     }
 
     /// Sequence number the next delta container must be built with.
@@ -322,14 +259,6 @@ impl ChainWriter {
         self.last_crc
     }
 
-    /// True when the next capture should be a full base (chain rollover)
-    /// rather than a delta: either the chain has hit the `keep` cap, or
-    /// nothing has been written yet (`next_seq` 1 with no base is never
-    /// the case for a writer constructed via `start`/`resume`).
-    pub fn due_rollover(&self) -> bool {
-        self.keep != 0 && self.next_seq >= self.keep as u64
-    }
-
     /// Append a delta container (already built with
     /// [`ChainWriter::next_seq`] / [`ChainWriter::last_crc`] linkage).
     pub fn append(&mut self, delta: &GpuSnapshot) -> std::io::Result<()> {
@@ -337,28 +266,6 @@ impl ChainWriter {
         self.last_crc = delta.crc();
         self.next_seq += 1;
         Ok(())
-    }
-
-    /// Roll the chain over: atomically replace `base.ckpt` with a fresh
-    /// full snapshot, then prune the now-invalid deltas.
-    pub fn rollover(&mut self, base: &GpuSnapshot) -> std::io::Result<()> {
-        base.write_to(&self.dir.join(CHAIN_BASE_FILE))?;
-        Self::prune_deltas_from(&self.dir, 1);
-        self.next_seq = 1;
-        self.last_crc = base.crc();
-        Ok(())
-    }
-
-    /// Best-effort removal of `delta-NNNNNN.ckpt` files with sequence ≥
-    /// `from`. Stops at the first gap — chains are contiguous, so
-    /// anything past a gap is already unreachable by `load_dir`.
-    fn prune_deltas_from(dir: &Path, from: u64) {
-        for seq in from.. {
-            let path = dir.join(chain_delta_file(seq));
-            if !path.exists() || std::fs::remove_file(&path).is_err() {
-                break;
-            }
-        }
     }
 }
 
@@ -414,7 +321,7 @@ mod tests {
     fn write_chain(dir: &Path, n: u64) -> Vec<GpuSnapshot> {
         let base = full_container(0);
         let mut out = vec![base];
-        let mut w = ChainWriter::start(dir, &out[0], 0).unwrap();
+        let mut w = ChainWriter::start(dir, &out[0]).unwrap();
         for i in 1..=n {
             let d = delta_container(w.next_seq(), w.last_crc(), i as u32);
             w.append(&d).unwrap();
@@ -491,47 +398,16 @@ mod tests {
     }
 
     #[test]
-    fn resume_prunes_stale_tail_and_continues_linkage() {
-        let dir = temp_chain_dir("resume");
+    fn a_new_base_prunes_the_chain_it_replaces() {
+        let dir = temp_chain_dir("restart");
         write_chain(&dir, 3);
-        // Corrupt delta 2; resume should prune deltas 2 and 3 and hand
-        // out linkage continuing from delta 1.
-        let p = dir.join(chain_delta_file(2));
-        let mut bytes = std::fs::read(&p).unwrap();
-        *bytes.last_mut().unwrap() ^= 0xff;
-        std::fs::write(&p, &bytes).unwrap();
-        let chain = SnapshotChain::load_dir(&dir).unwrap();
-        let mut w = ChainWriter::resume(&chain.dir, &chain.containers, 0);
-        assert_eq!(w.next_seq(), 2);
-        assert!(!dir.join(chain_delta_file(2)).exists());
-        assert!(!dir.join(chain_delta_file(3)).exists());
-        let d = delta_container(w.next_seq(), w.last_crc(), 42);
-        w.append(&d).unwrap();
-        let chain = SnapshotChain::load_dir(&dir).unwrap();
-        assert_eq!(chain.deltas(), 2);
-        assert_eq!(chain.newest().as_bytes(), d.as_bytes());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn rollover_replaces_base_and_prunes_deltas() {
-        let dir = temp_chain_dir("rollover");
-        let base = full_container(0);
-        let mut w = ChainWriter::start(&dir, &base, 3).unwrap();
-        assert!(!w.due_rollover());
-        let d1 = delta_container(w.next_seq(), w.last_crc(), 1);
-        w.append(&d1).unwrap();
-        let d2 = delta_container(w.next_seq(), w.last_crc(), 2);
-        w.append(&d2).unwrap();
-        // base + 2 deltas = 3 files = keep cap → next capture rolls over.
-        assert!(w.due_rollover());
-        let base2 = full_container(99);
-        w.rollover(&base2).unwrap();
+        let base = full_container(99);
+        ChainWriter::start(&dir, &base).unwrap();
         assert!(!dir.join(chain_delta_file(1)).exists());
-        assert!(!dir.join(chain_delta_file(2)).exists());
+        assert!(!dir.join(chain_delta_file(3)).exists());
         let chain = SnapshotChain::load_dir(&dir).unwrap();
         assert_eq!(chain.deltas(), 0);
-        assert_eq!(chain.containers[0].as_bytes(), base2.as_bytes());
+        assert_eq!(chain.containers[0].as_bytes(), base.as_bytes());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -15,9 +15,7 @@
 
 mod snapshot;
 
-use crate::checkpoint::{
-    ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, Prior, ProgressEvent,
-};
+use crate::checkpoint::{ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, Prior};
 use crate::result::{RunResult, TbOrderSnapshot, TbSpan};
 use pro_core::codec::{ensure, CodecError, DeltaSnapshot, Reader, Snapshot, Writer};
 use pro_core::{snapshot_struct, SchedulerKind, WarpScheduler};
@@ -27,7 +25,6 @@ use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport};
 use pro_trace::{
     Event as TraceEvent, EventClass, Hist16, HostPhase, HostProf, IssueProf, NoopTracer, Tracer,
 };
-pub use snapshot::snapshot_matches;
 use snapshot::{ChainImage, ChainLink, Restored};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -325,7 +322,7 @@ pub struct Run<'a> {
     /// post-resume streams concatenate to the uninterrupted stream byte
     /// for byte.
     pub tracer: Option<&'a mut dyn Tracer>,
-    /// Periodic checkpoints, a pause point, a progress observer.
+    /// Periodic checkpoints, a pause point.
     pub ckpt: Option<&'a CheckpointOptions>,
     /// Continue this prior state — `(&snapshot).into()` or
     /// `(&chain).into()` — instead of starting the grid at cycle 0. The
@@ -333,9 +330,8 @@ pub struct Run<'a> {
     /// containers carry the identities of the first three and a mismatch
     /// is refused; of `trace` they record nothing, and a `timeline`
     /// setting their TB spans contradict is refused. `ckpt` may differ
-    /// (e.g. a new pause point); when it points delta checkpointing at the
-    /// directory a chain was loaded from, the run *continues* that chain,
-    /// appending deltas after the ones it restored. The continuation is
+    /// (e.g. a new pause point); a restored run that delta-checkpoints
+    /// starts a fresh chain at its first boundary. The continuation is
     /// bit-identical to the uninterrupted run: same counters, same stall
     /// attribution, same trace bytes.
     pub resume: Option<Prior<'a>>,
@@ -465,16 +461,6 @@ impl Gpu {
                     return Ok(LaunchStatus::Paused(snap));
                 }
             }
-            // Heartbeat boundary: purely observational, decoupled from
-            // checkpointing so a sweep is watchable without snapshots.
-            if ckpt.progress_every > 0 && rel_after.is_multiple_of(ckpt.progress_every) {
-                if let Some(cb) = &ckpt.progress {
-                    cb(ProgressEvent {
-                        cycles: rel_after,
-                        checkpointed: (pause || periodic) && ckpt.path.is_some(),
-                    });
-                }
-            }
         }
         Ok(LaunchStatus::Completed(eng.teardown()))
     }
@@ -541,7 +527,7 @@ struct Engine<'a> {
     lanes: Vec<Lane>,
     /// Delta-chain writer and the section image its next delta diffs
     /// against: `None` until the first periodic boundary of a
-    /// delta-checkpointed run, unless a restore continues its chain.
+    /// delta-checkpointed run.
     chain: Option<(ChainWriter, ChainImage)>,
     /// Host profiler: when `trace.host_prof` is off this costs one branch
     /// per phase boundary; its output never reaches simulated state, so it
@@ -616,20 +602,6 @@ impl<'a> Engine<'a> {
                 LoopState::fresh(kernel.launch.num_blocks(), start_cycle)
             }
         };
-        // A run that delta-checkpoints into the directory its prior state
-        // was loaded from continues that chain: linkage carries on after
-        // the restored containers, and the tip image the restore just
-        // applied is exactly what the interrupted writer would have diffed
-        // the next delta against. Any other run starts a fresh chain, with
-        // a full base, at its first boundary.
-        let chain = match (resume, restored) {
-            (Some(Prior { containers, dir: Some(dir) }), Some(restored))
-                if ckpt.delta && ckpt.path.as_deref() == Some(dir) =>
-            {
-                Some((ChainWriter::resume(dir, containers, ckpt.keep), restored.image))
-            }
-            _ => None,
-        };
         Ok(Engine {
             gpu,
             kernel,
@@ -640,7 +612,7 @@ impl<'a> Engine<'a> {
             bus_on: recorder.enabled(),
             recorder,
             lanes,
-            chain,
+            chain: None,
             prof,
             wall_start,
         })
@@ -744,30 +716,26 @@ impl<'a> Engine<'a> {
             return Ok(pause.then_some(snap));
         }
         // Delta chain, driven purely by the periodic interval: a full base
-        // anchors the chain (first boundary, or keep-cap rollover); every
-        // other boundary appends only the dirty gmem pages. The capture
-        // ends with mark_clean so the next delta starts from this
-        // boundary. A pause returns a standalone full snapshot and leaves
-        // the chain exactly as the periodic schedule built it — when the
-        // pause lands on a periodic boundary, chain tip and pause snapshot
-        // describe the same cycle.
+        // anchors the chain at the first boundary; every other boundary
+        // appends only the dirty gmem pages. The capture ends with
+        // mark_clean so the next delta starts from this boundary. A pause
+        // returns a standalone full snapshot and leaves the chain exactly
+        // as the periodic schedule built it — when the pause lands on a
+        // periodic boundary, chain tip and pause snapshot describe the same
+        // cycle.
         if periodic {
             let dir = ckpt.path.as_ref().expect("validated in setup");
             let io = |e: std::io::Error| SimError::CheckpointIo(format!("{}: {e}", dir.display()));
-            let link = match &self.chain {
-                Some((w, prev)) if !w.due_rollover() => Some(ChainLink {
-                    sequence: w.next_seq(),
-                    parent_crc: w.last_crc(),
-                    prev,
-                }),
-                _ => None,
-            };
-            let is_delta = link.is_some();
+            let link = self.chain.as_ref().map(|(w, prev)| ChainLink {
+                sequence: w.next_seq(),
+                parent_crc: w.last_crc(),
+                prev,
+            });
             let (snap, image) = self.capture(link);
             let writer = match self.chain.take() {
-                None => ChainWriter::start(dir, &snap, ckpt.keep).map_err(io)?,
+                None => ChainWriter::start(dir, &snap).map_err(io)?,
                 Some((mut w, _)) => {
-                    if is_delta { w.append(&snap) } else { w.rollover(&snap) }.map_err(io)?;
+                    w.append(&snap).map_err(io)?;
                     w
                 }
             };

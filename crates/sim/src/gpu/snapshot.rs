@@ -127,7 +127,7 @@ pub(super) struct Restored {
     /// One per container, base first.
     readers: Vec<FileReader>,
     /// The tip's memory-hierarchy and per-SM payloads.
-    pub(super) image: ChainImage,
+    image: ChainImage,
 }
 
 impl Restored {
@@ -190,10 +190,8 @@ impl Restored {
 
         // Global memory: the base's full image, then each delta's dirty
         // pages in sequence order. The restored memory starts with a clean
-        // dirty map — a restore is itself a capture boundary — so a
-        // continued chain's next delta is bit-identical to the
-        // uninterrupted run's. It replaces the GPU's only once every other
-        // section has decoded.
+        // dirty map: a restore is itself a capture boundary. It replaces
+        // the GPU's only once every other section has decoded.
         let mut r = self.readers[0].section(SEC_GMEM)?;
         let mut gmem: GlobalMem = Snapshot::load(&mut r)?;
         r.finish()?;
@@ -227,30 +225,6 @@ impl Restored {
         gpu.cycle = self.meta.cycle;
         Ok(lp)
     }
-}
-
-/// Check a snapshot's recorded identity against a prospective launch
-/// without restoring anything: kernel (name, code shape, grid, params),
-/// machine configuration, and — when `scheduler` is non-empty — the
-/// scheduling policy. Returns [`CodecError::Mismatch`] with a
-/// human-readable explanation on any disagreement, so hosts can refuse
-/// foreign state loudly instead of silently discarding or, worse,
-/// restoring it.
-pub fn snapshot_matches(
-    snap: &GpuSnapshot,
-    cfg: &GpuConfig,
-    kernel: &Kernel,
-    scheduler: &str,
-) -> Result<(), CodecError> {
-    let meta = Meta::read(&FileReader::parse(snap.as_bytes())?)?;
-    meta.check_matches(&Meta::of(cfg, kernel, "", 0, 0))?;
-    if !scheduler.is_empty() && !meta.scheduler.eq_ignore_ascii_case(scheduler) {
-        return Err(CodecError::Mismatch(format!(
-            "snapshot was taken under scheduler {:?}, this run requests {scheduler:?}",
-            meta.scheduler
-        )));
-    }
-    Ok(())
 }
 
 /// The launch identity recorded in snapshot section `SEC_META`: enough to

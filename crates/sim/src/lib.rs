@@ -33,10 +33,10 @@ pub mod result;
 
 pub use checkpoint::{
     chain_delta_file, ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, Prior,
-    ProgressEvent, ProgressFn, SnapshotChain, CHAIN_BASE_FILE,
+    SnapshotChain, CHAIN_BASE_FILE,
 };
 pub use config::{load_config, parse_config, ConfigError};
-pub use gpu::{snapshot_matches, Gpu, GpuConfig, Policy, Run, SimError, TraceOptions};
+pub use gpu::{Gpu, GpuConfig, Policy, Run, SimError, TraceOptions};
 pub use result::{geomean, RunResult, TbOrderSnapshot, TbSpan};
 
 // Re-export the component crates so downstream users need a single

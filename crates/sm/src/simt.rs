@@ -122,6 +122,11 @@ impl SimtStack {
     pub fn converged(&self) -> bool {
         self.entries.len() == 1
     }
+
+    /// Does every entry's PC address one of a program's `len` instructions?
+    pub fn pcs_within(&self, len: usize) -> bool {
+        self.entries.iter().all(|e| (e.pc as usize) < len)
+    }
 }
 
 snapshot_struct! {

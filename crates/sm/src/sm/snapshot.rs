@@ -56,6 +56,11 @@ impl Sm {
         }
         let warps: Vec<Warp> = Snapshot::load(r)?;
         ensure(warps.len() == self.cfg.max_warps, "snapshot warp slot count")?;
+        // A warp indexes the TB slots with the one and fetches at the other.
+        let (max_warps, max_tbs) = (self.cfg.max_warps, self.cfg.max_tbs);
+        let code_len = self.table.as_ref().map_or(0, |t| t.program().instrs.len());
+        ensure(warps.iter().all(|w| w.tb_slot < max_tbs), "snapshot warp TB slot")?;
+        ensure(warps.iter().all(|w| w.simt.pcs_within(code_len)), "snapshot SIMT entry PC")?;
         let shared: Vec<SharedMem> = Snapshot::load(r)?;
         ensure(shared.len() == self.cfg.max_tbs, "snapshot TB slot count")?;
         self.warps = warps;
@@ -67,6 +72,7 @@ impl Sm {
         {
             return Err(CodecError::BadValue("snapshot scheduler view size"));
         }
+        ensure(self.sched_warps.iter().all(|w| w.tb_slot < max_tbs), "snapshot scheduler view TB slot")?;
         self.used_threads = r.get_u32()?;
         self.used_shared = r.get_u32()?;
         self.used_regs = r.get_u32()?;
@@ -82,6 +88,16 @@ impl Sm {
         self.lsu = Snapshot::load(r)?;
         self.sfu_free_at = r.get_u64()?;
         self.access_map = Snapshot::load(r)?;
+        // A release indexes the warp slots when its writeback or its load's
+        // completion arrives.
+        let shared_ops = self.lsu.iter().filter_map(|e| match e {
+            LsuEntry::Shared { warp, .. } => Some(*warp),
+            LsuEntry::Global { .. } => None,
+        });
+        let writebacks = self.wb_events.iter().map(|(_, _, release)| release.0);
+        let loads = self.access_map.values().map(|release| release.0);
+        let mut released = shared_ops.chain(writebacks).chain(loads);
+        ensure(released.all(|warp| warp < max_warps), "snapshot release warp slot")?;
         self.next_access = r.get_u64()?;
         self.first_warp_finish = Snapshot::load(r)?;
         ensure(self.first_warp_finish.len() == self.cfg.max_tbs, "snapshot WLD tracker size")?;

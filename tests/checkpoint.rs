@@ -11,7 +11,9 @@ use pro_sim::{
 use pro_trace::{ClassSet, JsonlTracer};
 use pro_workloads::find;
 use pro_core::codec::{CodecError, FileReader, FileWriter, Reader, Snapshot, Writer};
-use pro_sim::mem::MemConfig;
+use pro_sim::mem::cache::Lookup;
+use pro_sim::mem::{Cache, DramChannel, MemConfig};
+use std::collections::VecDeque;
 
 const KERNEL: &str = "laplace3d";
 const SCALE: u32 = 16;
@@ -171,8 +173,8 @@ fn dirty_order_state_round_trips_for_every_tracking_policy() {
 
 #[test]
 fn periodic_checkpoint_file_recovers_a_run() {
-    // The sweep-recovery path: run with --checkpoint-every semantics, then
-    // pretend the process died and restart from the file on disk.
+    // Periodic checkpoints into one file, each replacing the last: pretend
+    // the process died and restart from the file on disk.
     let dir = std::env::temp_dir().join(format!("pro_ckpt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cell.ckpt");
@@ -364,7 +366,7 @@ fn mismatched_resume_is_rejected() {
 
 #[test]
 fn run_result_snapshot_roundtrip() {
-    // Sweep drivers persist finished cells as serialized RunResults; the
+    // A serialized RunResult is what a result digest is taken over; the
     // round trip must preserve every field bit for bit.
     let (base, _, _) = straight_run(SchedulerKind::Pro);
     let mut w = pro_core::codec::Writer::new();
@@ -453,30 +455,32 @@ fn find_bytes(haystack: &[u8], needle: &[u8]) -> usize {
 struct Victim {
     gpu: Gpu,
     kernel: pro_sim::isa::Kernel,
+    sched: SchedulerKind,
     base_cycles: u64,
 }
 
 impl Victim {
     fn refuses(&mut self, bad: &GpuSnapshot, what: &str) -> CodecError {
         let no_ckpt = CheckpointOptions::default();
-        match self.gpu.resume(bad, &self.kernel, SchedulerKind::Pro, trace_opts(), &no_ckpt) {
+        match self.gpu.resume(bad, &self.kernel, self.sched, trace_opts(), &no_ckpt) {
             Err(SimError::Snapshot(e)) => e,
             other => panic!("{what}: wanted a snapshot error, got {other:?}"),
         }
     }
 
     fn still_launches(&mut self, what: &str) {
-        let r = self.gpu.launch(&self.kernel, SchedulerKind::Pro, TraceOptions::default()).unwrap();
+        let r = self.gpu.launch(&self.kernel, self.sched, TraceOptions::default()).unwrap();
         assert_eq!(r.cycles, self.base_cycles, "{what}: GPU did not survive the rejected resume");
     }
 }
 
-/// The victim, and a mid-grid PRO pause container (parsed) to corrupt.
-fn victim_and_pause() -> (Victim, FileReader) {
+/// The victim, and a mid-grid pause container (parsed) under `sched` to
+/// corrupt.
+fn victim_and_pause(sched: SchedulerKind) -> (Victim, FileReader) {
     let (mut gpu, kernel) = fresh_gpu();
-    let base_cycles = gpu.launch(&kernel, SchedulerKind::Pro, TraceOptions::default()).unwrap().cycles;
-    let snap = paused(SchedulerKind::Pro, trace_opts(), base_cycles / 2);
-    (Victim { gpu, kernel, base_cycles }, FileReader::parse(snap.as_bytes()).unwrap())
+    let base_cycles = gpu.launch(&kernel, sched, TraceOptions::default()).unwrap().cycles;
+    let snap = paused(sched, trace_opts(), base_cycles / 2);
+    (Victim { gpu, kernel, sched, base_cycles }, FileReader::parse(snap.as_bytes()).unwrap())
 }
 
 #[test]
@@ -486,7 +490,7 @@ fn truncated_sections_with_valid_crcs_are_refused() {
     // stops early, at 64 evenly spaced lengths: the decoders run out of
     // bytes part-way through restoring in place, which must be a typed
     // error that leaves the same GPU able to run the kernel.
-    let (mut victim, snap) = victim_and_pause();
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro);
     for id in [SEC_LOOP, SEC_MEM, SEC_SM0 + 1] {
         let full = snap.section_bytes(id).unwrap();
         assert!(full.len() >= 64, "section {id} too short to sample");
@@ -508,7 +512,7 @@ fn hostile_memory_geometry_is_refused() {
     // the model divides by it: a container whose checksums are right but
     // whose geometry is not must be an error, not a division by zero or an
     // empty set met by a fill thousands of cycles into the resumed run.
-    let (mut victim, snap) = victim_and_pause();
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro);
     let mem = snap.section_bytes(SEC_MEM).unwrap().to_vec();
     let MemConfig { l1, dram, .. } = cfg().mem;
     let l1_at = find_bytes(&mem, &encode(&l1));
@@ -554,7 +558,7 @@ fn out_of_range_pro_slots_are_refused() {
     // phase latch. The lists index the class table and the warp orders
     // index the SM's warp slots on the first cycle after a restore.
     type ProState = (Vec<u8>, [Vec<u64>; 3], Vec<Vec<u64>>, (u64, bool));
-    let (mut victim, snap) = victim_and_pause();
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro);
     let sm = cfg().sm;
     let sec = snap.section_bytes(SEC_SM0).unwrap();
     // The state starts at the last offset from which its layout parses to
@@ -584,4 +588,175 @@ fn out_of_range_pro_slots_are_refused() {
     hostile("a TB slot past the class table", |s, _, _| s.1[2].push(s.0.len() as u64));
     hostile("a TB on two priority lists", |s, resident, _| s.1[0].push(resident));
     hostile("a warp slot past the SM's", |s, _, max_warps| s.2[0].push(max_warps));
+}
+
+/// One row of a hostile-section table: `snap` with section `id` replaced by
+/// the bytes given must be refused by the named `ensure` clause, and the
+/// victim must launch afterwards.
+fn hostile_rows<'a>(
+    victim: &'a mut Victim,
+    snap: &'a FileReader,
+    id: u32,
+) -> impl FnMut(&str, Vec<u8>, &'static str) + 'a {
+    move |what, bad, clause| {
+        let err = victim.refuses(&with_section(snap, id, &bad), what);
+        assert_eq!(err, CodecError::BadValue(clause), "{what}");
+        victim.still_launches(what);
+    }
+}
+
+/// Overwrite the little-endian integer at `at`.
+fn patched<const N: usize>(section: &[u8], at: usize, value: [u8; N]) -> Vec<u8> {
+    let mut out = section.to_vec();
+    out[at..at + N].copy_from_slice(&value);
+    out
+}
+
+#[test]
+fn out_of_range_indices_in_the_memory_section_are_refused() {
+    // What the memory system holds in flight names an SM or a partition —
+    // L2 input queues and MSHR waiters, DRAM requests, timing events — and
+    // each name is an array index when its turn comes.
+    type Txn = (u32, u64, bool);
+    type Slice = (Cache<Txn>, VecDeque<Txn>);
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro);
+    let mem = snap.section_bytes(SEC_MEM).unwrap();
+    let (no_sm, no_part) = (cfg().num_sms, cfg().mem.partitions);
+    let mut check = hostile_rows(&mut victim, &snap, SEC_MEM);
+
+    // The section opens with the L1s, then the L2 slices and the DRAM
+    // channels (public types, or tuples with a private struct's layout);
+    // the event queue follows.
+    let mut r = Reader::new(mem);
+    let _: Vec<Cache<u64>> = Snapshot::load(&mut r).unwrap();
+    let slices_at = mem.len() - r.remaining();
+    let decode = |r: &mut Reader<'_>| -> (Vec<Slice>, Vec<DramChannel<u32>>) {
+        (Snapshot::load(r).unwrap(), Snapshot::load(r).unwrap())
+    };
+    decode(&mut r);
+    let events_at = mem.len() - r.remaining();
+
+    // Events are `(time, seq, tag, index, ..)`: tag 0 (an L2 arrival)
+    // carries a transaction, tags 1 to 3 (DRAM done, line returning, L1 hit)
+    // an index and a `u64` each — so a DRAM completion stands in for the
+    // other two. The first read to arrive and the first line DRAM returns:
+    let (mut read, mut dram_done) = (None, None);
+    for _ in 0..r.get_u64().unwrap() {
+        let tag_at = mem.len() - r.remaining() + 16;
+        let (_, _, tag, (part, line)): (u64, u64, u8, (u32, u64)) = Snapshot::load(&mut r).unwrap();
+        if tag == 0 && !r.get_bool().unwrap() {
+            read.get_or_insert(tag_at);
+        } else if tag == 1 {
+            dram_done.get_or_insert((tag_at, part, line));
+        }
+    }
+    let read = read.expect("no read on its way to the L2");
+    let (dram_done, part, line) = dram_done.expect("no line on its way back from DRAM");
+    let event = "mem event SM or partition index";
+    check("an L2 arrival from an SM past the last", patched(mem, read + 1, no_sm.to_le_bytes()), event);
+    for (tag, index, what) in [
+        (1, no_part, "a DRAM completion for a partition past the last"),
+        (2, no_sm, "a line returning to an SM past the last"),
+        (3, no_sm, "an L1 hit on an SM past the last"),
+    ] {
+        check(what, patched(&patched(mem, dram_done, [tag]), dram_done + 1, index.to_le_bytes()), event);
+    }
+
+    let edited = |edit: &dyn Fn(&mut Slice, &mut DramChannel<u32>)| {
+        let (mut slices, mut drams) = decode(&mut Reader::new(&mem[slices_at..]));
+        edit(&mut slices[part as usize], &mut drams[part as usize]);
+        [&mem[..slices_at], &encode(&slices), &encode(&drams), &mem[events_at..]].concat()
+    };
+    assert_eq!(edited(&|_, _| ()), mem, "the mirror types do not match the section");
+    check(
+        "a queued L2 read from an SM past the last",
+        edited(&|slice, _| slice.1.push_front((no_sm, line, false))),
+        "mem transaction SM index",
+    );
+    check(
+        "an L2 miss waiting for an SM past the last",
+        edited(&|slice, _| {
+            let miss = slice.0.access(line, (no_sm, line, false));
+            assert!(matches!(miss, Lookup::MissAllocated | Lookup::MissMerged), "{miss:?}");
+        }),
+        "mem transaction SM index",
+    );
+    check(
+        "a DRAM request for a partition past the last",
+        edited(&|_, dram| dram.push(0, line, no_part)),
+        "DRAM request partition index",
+    );
+}
+
+#[test]
+fn out_of_range_slots_and_pcs_in_an_sm_section_are_refused() {
+    // An SM section names TB slots (each warp's, and its entry in the
+    // scheduler's view), warp slots (whose registers a writeback, a load in
+    // flight or a shared-memory access will release) and PCs (the SIMT
+    // stack's entries): array indices all, the cycle after a restore.
+    type WarpView = (bool, u64, u32, (u64, bool, bool, bool));
+    type TbView = (bool, u32, u64, (u32, u32, u32, u64));
+    type Release = (u64, (u128, u32));
+    // Under GTO, which reads the view's TB slots (PRO keeps its own lists).
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto);
+    let sm = cfg().sm;
+    let (no_tb, no_warp) = ((sm.max_tbs as u64).to_le_bytes(), (sm.max_warps as u64).to_le_bytes());
+    let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
+
+    // Geometry (`u64`, `u32`), the warp count, then warp 0: valid, its TB
+    // slot (`u64`), two `u32`s, its SIMT stack's depth and bottom entry.
+    let (valid_at, tb_slot_at, pc_at) = (20, 21, 45);
+    assert_eq!(sec[valid_at], 1, "warp slot 0 is empty");
+    check("a warp in a TB slot past the last", patched(sec, tb_slot_at, no_tb), "snapshot warp TB slot");
+    let past_the_end = patched(sec, pc_at, u32::MAX.to_le_bytes());
+    check("a SIMT entry past the program's end", past_the_end, "snapshot SIMT entry PC");
+
+    // The scheduler's view is the first place a warp-slot array and a
+    // TB-slot array of the machine's sizes parse back to back.
+    let word = |at: usize| u64::from_le_bytes(sec[at..at + 8].try_into().unwrap());
+    let (view_at, after_view) = (0..sec.len() - 8)
+        .filter(|&at| word(at) == sm.max_warps as u64)
+        .find_map(|at| {
+            let mut r = Reader::new(&sec[at..]);
+            let view: (Vec<WarpView>, Vec<TbView>) = Snapshot::load(&mut r).ok()?;
+            (view.1.len() == sm.max_tbs).then(|| (at, sec.len() - r.remaining()))
+        })
+        .expect("no scheduler view in the SM section");
+    check(
+        "a scheduler-view warp in a TB slot past the last",
+        patched(sec, view_at + 8 + 1, no_tb),
+        "snapshot scheduler view TB slot",
+    );
+
+    // Four `u32` resource counts, then the writeback events (count, then
+    // `(time, seq, release)` each, then the sequence counter), the LSU
+    // queue, a `u64`, and the loads in flight (count, then `(id, release)`).
+    let wb_at = after_view + 16;
+    let mut r = Reader::new(&sec[wb_at..]);
+    let (writebacks, _): (Vec<(u64, u64, Release)>, u64) = Snapshot::load(&mut r).unwrap();
+    let lsu_at = sec.len() - r.remaining();
+    for _ in 0..r.get_u64().unwrap() {
+        if r.get_u8().unwrap() == 0 {
+            let _: (u64, Vec<u64>, u64, bool) = Snapshot::load(&mut r).unwrap();
+        } else {
+            let _: (u64, u32, (u128, u32)) = Snapshot::load(&mut r).unwrap();
+        }
+    }
+    r.get_u64().unwrap();
+    let loads_at = sec.len() - r.remaining();
+    let loads: Vec<(u64, Release)> = Snapshot::load(&mut r).unwrap();
+    assert!(!writebacks.is_empty() && !loads.is_empty(), "nothing in flight on SM 0");
+    let release = "snapshot release warp slot";
+    check("a writeback to a warp slot past the last", patched(sec, wb_at + 8 + 16, no_warp), release);
+    check("a load in flight for a warp slot past the last", patched(sec, loads_at + 8 + 8, no_warp), release);
+
+    // A shared-memory access, one cycle from done, at the head of the LSU
+    // queue: tag, warp slot, cycles left, the registers it will write.
+    let mut shared_op = sec[..lsu_at].to_vec();
+    shared_op.extend((word(lsu_at) + 1).to_le_bytes());
+    shared_op.push(1);
+    shared_op.extend(encode(&(sm.max_warps as u64, 1u32, (1u128, 0u32))));
+    shared_op.extend(&sec[lsu_at + 8..]);
+    check("a shared-memory access by a warp slot past the last", shared_op, release);
 }

@@ -7,7 +7,7 @@
 //! shorten the chain instead of killing the restore.
 
 use pro_sim::{
-    snapshot_matches, CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Prior, Run,
+    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Prior, Run,
     RunResult, SchedulerKind, SimError, SnapshotChain, TraceOptions,
 };
 use pro_trace::{ClassSet, JsonlTracer};
@@ -89,7 +89,6 @@ fn chained_prefix(
     dir: &Path,
     every: u64,
     boundaries: u64,
-    keep: usize,
 ) -> (Vec<u8>, GpuSnapshot) {
     let (mut gpu, kernel) = fresh_gpu();
     let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
@@ -102,9 +101,7 @@ fn chained_prefix(
                     every,
                     path: Some(dir.to_path_buf()),
                     delta: true,
-                    keep,
                     pause_at: every * boundaries,
-                    ..Default::default()
                 }),
                 tracer: Some(&mut jsonl),
                 ..Run::new(sched)
@@ -151,7 +148,7 @@ fn chain_restore_is_bit_identical_to_straight_and_full_restore() {
         let (base, base_trace, base_mem) = straight_run(sched);
         let every = (base.cycles / 8).max(1);
         let dir = temp_dir(&format!("bitident_{sched}"));
-        let (pre_trace, pause_snap) = chained_prefix(sched, &dir, every, 6, 0);
+        let (pre_trace, pause_snap) = chained_prefix(sched, &dir, every, 6);
 
         // "Crash": everything dropped, chain reloaded from disk.
         let chain = SnapshotChain::load_dir(&dir).expect("chain on disk");
@@ -187,7 +184,7 @@ fn a_lone_snapshot_and_a_chain_of_one_restore_identically() {
     let sched = SchedulerKind::Pro;
     let (base, base_trace, base_mem) = straight_run(sched);
     let dir = temp_dir("chain_of_one");
-    let (pre_trace, _) = chained_prefix(sched, &dir, (base.cycles / 4).max(1), 1, 0);
+    let (pre_trace, _) = chained_prefix(sched, &dir, (base.cycles / 4).max(1), 1);
     let chain = SnapshotChain::load_dir(&dir).expect("chain on disk");
     assert_eq!(chain.deltas(), 0, "one boundary: a base and nothing else");
 
@@ -207,7 +204,7 @@ fn a_bare_delta_is_refused_and_leaves_the_gpu_reusable() {
     let sched = SchedulerKind::Lrr;
     let (base, _, _) = straight_run(sched);
     let dir = temp_dir("bare_delta");
-    chained_prefix(sched, &dir, (base.cycles / 8).max(1), 2, 0);
+    chained_prefix(sched, &dir, (base.cycles / 8).max(1), 2);
     let chain = SnapshotChain::load_dir(&dir).expect("chain on disk");
     assert_eq!(chain.deltas(), 1);
 
@@ -235,7 +232,7 @@ fn corrupt_or_truncated_tail_falls_back_to_valid_prefix() {
 
     // CRC flip in the newest delta.
     let dir = temp_dir("crcflip");
-    chained_prefix(sched, &dir, every, 6, 0);
+    chained_prefix(sched, &dir, every, 6);
     let tail = dir.join("delta-000005.ckpt");
     let mut bytes = std::fs::read(&tail).unwrap();
     let mid = bytes.len() / 2;
@@ -250,7 +247,7 @@ fn corrupt_or_truncated_tail_falls_back_to_valid_prefix() {
 
     // Torn write: tail delta truncated mid-file.
     let dir = temp_dir("torn");
-    chained_prefix(sched, &dir, every, 6, 0);
+    chained_prefix(sched, &dir, every, 6);
     let tail = dir.join("delta-000005.ckpt");
     let bytes = std::fs::read(&tail).unwrap();
     std::fs::write(&tail, &bytes[..bytes.len() / 3]).unwrap();
@@ -259,44 +256,6 @@ fn corrupt_or_truncated_tail_falls_back_to_valid_prefix() {
     let (r, _, mem) = resume_chain_run(&chain, sched);
     assert_same(&base, &r, "truncation fallback");
     assert_eq!(base_mem, mem, "truncation fallback: output memory");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn keep_cap_bounds_files_and_preserves_restore() {
-    // --checkpoint-keep N: the chain rolls over into a fresh full base
-    // when it reaches N files, old deltas pruned only after the new base
-    // landed. The directory never exceeds N chain files, and the rolled
-    // chain restores exactly like an unbounded one.
-    let sched = SchedulerKind::Lrr;
-    let (base, base_trace, base_mem) = straight_run(sched);
-    let every = (base.cycles / 16).max(1);
-    let dir = temp_dir("keep");
-    let keep = 4;
-    let (pre_trace, _) = chained_prefix(sched, &dir, every, 10, keep);
-
-    let files: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|n| n.ends_with(".ckpt"))
-        .collect();
-    assert!(
-        files.len() <= keep,
-        "keep cap violated: {} chain files {files:?}",
-        files.len()
-    );
-
-    // Boundaries 1..=10 with keep=4: base at 1, rollovers at 5 and 9, so
-    // the surviving chain is the boundary-9 base plus the boundary-10
-    // delta — and restoring it completes the run bit-identically.
-    let chain = SnapshotChain::load_dir(&dir).expect("rolled chain loads");
-    assert_eq!(chain.deltas(), 1, "chain after rollover: base + 1 delta");
-    let (r, post_trace, mem) = resume_chain_run(&chain, sched);
-    assert_same(&base, &r, "keep-capped chain");
-    assert_eq!(base_mem, mem, "keep-capped chain: output memory");
-    let mut trace = pre_trace;
-    trace.extend_from_slice(&post_trace);
-    assert_eq!(base_trace, trace, "keep-capped chain: trace bytes");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -372,42 +331,26 @@ fn delta_is_at_least_5x_smaller_than_full() {
 
 #[test]
 fn snapshot_identity_api_accepts_own_and_refuses_foreign() {
-    // The host-facing identity check behind `repro json --resume`'s loud
-    // mismatch error: right config+kernel+scheduler passes, anything else
-    // is a typed Mismatch naming the disagreement.
+    // The identity check every resume runs: right config+kernel+scheduler
+    // restores, anything else is a typed Mismatch before any state moves.
+    let pro = SchedulerKind::Pro;
     let (mut gpu, kernel) = fresh_gpu();
-    let status = gpu
-        .launch_checkpointed(
-            &kernel,
-            SchedulerKind::Pro,
-            TraceOptions::default(),
-            &CheckpointOptions {
-                pause_at: 200,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    let snap = match status {
-        LaunchStatus::Paused(s) => s,
-        _ => panic!("expected pause"),
+    let ckpt = CheckpointOptions { pause_at: 200, ..Default::default() };
+    let status = gpu.launch_checkpointed(&kernel, pro, TraceOptions::default(), &ckpt).unwrap();
+    let LaunchStatus::Paused(snap) = status else { panic!("expected pause") };
+    let resume = |gpu: &mut Gpu, kernel, sched| {
+        gpu.run(kernel, Run { resume: Some((&snap).into()), ..Run::new(sched) })
     };
-    snapshot_matches(&snap, &cfg(), &kernel, "pro").unwrap();
-    // Empty scheduler skips the policy check.
-    snapshot_matches(&snap, &cfg(), &kernel, "").unwrap();
-    assert!(matches!(
-        snapshot_matches(&snap, &cfg(), &kernel, "lrr"),
-        Err(CodecError::Mismatch(_))
-    ));
-    let other_cfg = GpuConfig::small(2);
-    assert!(matches!(
-        snapshot_matches(&snap, &other_cfg, &kernel, "pro"),
-        Err(CodecError::Mismatch(_))
-    ));
-    let w = find("scalarProdGPU").unwrap();
-    let mut gpu2 = Gpu::new(cfg(), 64 << 20);
-    let other = (w.build)(&mut gpu2.gmem, SCALE);
-    assert!(matches!(
-        snapshot_matches(&snap, &cfg(), &other.kernel, "pro"),
-        Err(CodecError::Mismatch(_))
-    ));
+    let refused = |status| matches!(status, Err(SimError::Snapshot(CodecError::Mismatch(_))));
+
+    let (mut own, _) = fresh_gpu();
+    assert!(matches!(resume(&mut own, &kernel, pro), Ok(LaunchStatus::Completed(_))));
+    let (mut own, _) = fresh_gpu();
+    assert!(refused(resume(&mut own, &kernel, SchedulerKind::Lrr)), "another scheduler");
+    let mut other_machine = Gpu::new(GpuConfig::small(2), 64 << 20);
+    (find(KERNEL).unwrap().build)(&mut other_machine.gmem, SCALE);
+    assert!(refused(resume(&mut other_machine, &kernel, pro)), "another machine");
+    let mut own = Gpu::new(cfg(), 64 << 20);
+    let other = (find("scalarProdGPU").unwrap().build)(&mut own.gmem, SCALE);
+    assert!(refused(resume(&mut own, &other.kernel, pro)), "another kernel");
 }

@@ -8,7 +8,7 @@
 //! * resuming with the profiler on reproduces the unprofiled run bit for
 //!   bit on every simulated counter;
 //! * `RunResult`'s `Snapshot` encoding strips the `host/` namespace, so
-//!   `.done` files and byte-compare gates are profiler-independent.
+//!   result digests and byte-compare gates are profiler-independent.
 
 use pro_core::codec::{Reader, Snapshot, Writer};
 use pro_sim::{
@@ -193,7 +193,7 @@ fn run_result_encoding_strips_host_metrics() {
     assert_eq!(
         encode(&plain),
         bytes,
-        ".done-file bytes must not depend on the profiler"
+        "a result's encoding must not depend on the profiler"
     );
     let mut rd = Reader::new(&bytes);
     let back = RunResult::load(&mut rd).unwrap();
