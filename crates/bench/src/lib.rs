@@ -38,13 +38,11 @@
 //! them asks for it; the rest, whose machine, policy parameters or traces
 //! differ, call [`run_cell`] themselves.
 //!
-//! The `sim_throughput` bench target (`cargo bench`) times the simulator's
-//! layers on the in-repo fixed-iteration [`runner`] — no external
-//! benchmarking framework is involved; whole-launch host time is the
-//! repository benchmark's job (`benchmark/`).
+//! Host cost is not measured here: that is the repository benchmark's job
+//! (`benchmark/`, end to end and per layer), with `repro shootout` for the
+//! per-policy view.
 
 pub mod json;
-pub mod runner;
 pub mod svg;
 
 use std::collections::{HashMap, HashSet};

@@ -1,8 +1,7 @@
 //! The from-scratch `order()` bodies of TL, GTO and PRO, kept as reference
 //! implementations: `prop_dirty.rs` drives each in lockstep with the
-//! incremental policy that replaced it, and `pro-bench`'s `order/` rows time
-//! the two side by side (it includes this file by path). Nothing here is
-//! compiled into the library.
+//! incremental policy that replaced it. Nothing here is compiled into the
+//! library.
 
 use pro_core::codec::{self, Snapshot};
 use pro_core::dirty::DirtyMask;

@@ -416,6 +416,10 @@ impl MemSubsystem {
     fn complete_line(&mut self, now: u64, sm: u32, access: AccessId, tracer: &mut dyn Tracer) {
         let k = key(sm, access);
         let done = {
+            // Unreachable from a checkpoint file: `restore_snapshot` refuses
+            // a line on its way back that `outstanding` does not expect
+            // (`lines_unsent`), and `check_loads` an LSU with more lines to
+            // send than its load has left.
             let entry = self
                 .outstanding
                 .get_mut(&k)
@@ -707,11 +711,62 @@ impl MemSubsystem {
         };
         ensure(self.events.iter().all(|(_, _, ev)| in_range(ev)), "mem event SM or partition index")?;
         self.outstanding = Snapshot::load(r)?;
+        self.lines_unsent()?;
         let completions: Vec<VecDeque<AccessId>> = Snapshot::load(r)?;
         ensure(completions.len() == self.completions.len(), "mem subsystem completions length")?;
         self.completions = completions;
         self.stats_extra = Snapshot::load(r)?;
         Ok(())
+    }
+
+    /// Per outstanding load, the lines that are not on their way back —
+    /// neither an L1 hit serving its latency nor waiting on an L1 miss —
+    /// and so are still the LSU's to send. Each line on its way back ends in
+    /// `complete_line`, which counts its load's entry down: one that finds
+    /// no entry, or no line left in it, is refused.
+    fn lines_unsent(&self) -> Result<FxHashMap<u64, u32>, CodecError> {
+        let mut unsent: FxHashMap<u64, u32> =
+            self.outstanding.iter().map(|(&k, &(lines, _))| (k, lines)).collect();
+        let hits = self.events.iter().filter_map(|(_, _, ev)| match *ev {
+            Event::L1Done { sm, access } => Some(key(sm, access)),
+            _ => None,
+        });
+        let misses = self.l1s.iter().zip(0..).flat_map(|(l1, sm)| l1.waiters().map(move |&a| key(sm, a)));
+        for k in hits.chain(misses) {
+            let lines = unsent.get_mut(&k).filter(|lines| **lines > 0);
+            *lines.ok_or(CodecError::BadValue("mem line completion without an outstanding load"))? -= 1;
+        }
+        Ok(unsent)
+    }
+
+    /// The restore-time pairing of this section with the SMs': `loads` is
+    /// every load an SM holds registers for, as `(sm, access, lines its LSU
+    /// has still to send)`, and `now` the cycle the run resumes at. Each must
+    /// be outstanding here with exactly those lines unsent, or be a
+    /// completion the SM has yet to drain — and nothing else may be either:
+    /// `Sm::mem_phase` releases the registers of whatever completes.
+    pub fn check_loads(
+        &self,
+        now: u64,
+        loads: impl Iterator<Item = (u32, AccessId, u32)>,
+    ) -> Result<(), CodecError> {
+        let mut unsent = self.lines_unsent()?;
+        let mut completed = 0;
+        for (sm, access, lsu_lines) in loads {
+            let paired = match unsent.remove(&key(sm, access)) {
+                Some(lines) => lines == lsu_lines,
+                None => {
+                    completed += 1;
+                    lsu_lines == 0 && self.completions[sm as usize].contains(&access)
+                }
+            };
+            ensure(paired, "mem load not paired with its SM's")?;
+        }
+        let undrained: usize = self.completions.iter().map(VecDeque::len).sum();
+        ensure(unsent.is_empty() && completed == undrained, "mem load no SM waits for")?;
+        // A completing load's latency is counted from its begin cycle.
+        let begun_ok = self.outstanding.values().all(|&(_, begun)| begun <= now);
+        ensure(begun_ok, "mem load begun after the snapshot")
     }
 }
 

@@ -221,6 +221,9 @@ impl Restored {
             lane.policy.load_state(&mut r)?;
             r.finish()?;
         }
+        // Both sides of every load in flight are decoded: pair them.
+        let loads = gpu.sms.iter().flat_map(|sm| sm.loads_in_flight().map(|(a, n)| (sm.id, a, n)));
+        gpu.mem.check_loads(self.meta.cycle, loads)?;
         gpu.gmem = gmem;
         gpu.cycle = self.meta.cycle;
         Ok(lp)

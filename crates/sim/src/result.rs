@@ -174,8 +174,8 @@ snapshot_struct! {
     }
 }
 
-// Results are serialized by sweep drivers so a crashed sweep can skip
-// already-finished cells on resume.
+// The encoding is what a result digest is taken over: the repository
+// benchmark's per-cell digests and the checkpoint tests' pinned CRC read it.
 snapshot_struct! {
     RunResult {
         kernel,

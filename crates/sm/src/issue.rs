@@ -6,8 +6,8 @@
 //! the per-unit order caches — behind one mutator per event that moves a
 //! warp, plus the two reads of an issue cycle: [`IssueState::order`] and
 //! [`IssueState::pick`] (the mask-first walk, §16). It sees no warp: the SM
-//! reports events by slot and lends `pick` a probe, so tests and benches
-//! drive the walk the simulator runs (`crates/sm/tests/oracle`).
+//! reports events by slot and lends `pick` a probe, so tests drive the
+//! walk the simulator runs (`crates/sm/tests/oracle`).
 //!
 //! All of it is *derived* state: rebuilt from the architectural state on
 //! restore ([`IssueState::rebuild`]) and never serialized.

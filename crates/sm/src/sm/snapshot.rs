@@ -8,9 +8,9 @@ use crate::scoreboard::WriteSet;
 use crate::shared::SharedMem;
 use crate::warp::Warp;
 use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
-use pro_core::snapshot_struct;
+use pro_core::{snapshot_struct, TbState};
 use pro_isa::WARP_SIZE;
-use pro_mem::{load_hist, save_hist};
+use pro_mem::{load_hist, save_hist, AccessId};
 
 impl Sm {
     /// Serialize all live microarchitectural state into `w`.
@@ -58,9 +58,12 @@ impl Sm {
         ensure(warps.len() == self.cfg.max_warps, "snapshot warp slot count")?;
         // A warp indexes the TB slots with the one and fetches at the other.
         let (max_warps, max_tbs) = (self.cfg.max_warps, self.cfg.max_tbs);
-        let code_len = self.table.as_ref().map_or(0, |t| t.program().instrs.len());
+        let table = self.table.clone().expect("kernel bound");
+        let program = table.program();
         ensure(warps.iter().all(|w| w.tb_slot < max_tbs), "snapshot warp TB slot")?;
-        ensure(warps.iter().all(|w| w.simt.pcs_within(code_len)), "snapshot SIMT entry PC")?;
+        // (A free slot keeps what its last warp left, perhaps another kernel's.)
+        let fetchable = |w: &Warp| !w.valid || w.simt.pcs_within(program.instrs.len());
+        ensure(warps.iter().all(fetchable), "snapshot SIMT entry PC")?;
         let shared: Vec<SharedMem> = Snapshot::load(r)?;
         ensure(shared.len() == self.cfg.max_tbs, "snapshot TB slot count")?;
         self.warps = warps;
@@ -73,6 +76,25 @@ impl Sm {
             return Err(CodecError::BadValue("snapshot scheduler view size"));
         }
         ensure(self.sched_warps.iter().all(|w| w.tb_slot < max_tbs), "snapshot scheduler view TB slot")?;
+        // What `launch_tb` derives from the kernel's geometry, held to it: a
+        // live warp's place in its TB (its thread ids) and its TB's in the
+        // grid, the register file its operands index, a resident TB's warp
+        // count and its shared memory of the program's size.
+        let tbs = &self.sched_tbs;
+        let mut live = self.warps.iter().enumerate().filter(|(_, w)| w.valid);
+        let placed = |(slot, w): (usize, &Warp)| {
+            let index = w.index_in_tb as usize;
+            index < warps_per_tb && slot == w.tb_slot * warps_per_tb + index
+        };
+        ensure(live.clone().all(placed), "snapshot warp index in its TB")?;
+        let mut resident = tbs.iter().zip(&self.shared).filter(|(t, _)| t.occupied);
+        let in_grid = |t: &TbState| t.global_index < self.nctaid && t.num_warps as usize == warps_per_tb;
+        ensure(resident.clone().all(|(t, _)| in_grid(t)), "snapshot TB block index or warp count")?;
+        let in_block = |w: &Warp| tbs[w.tb_slot].occupied && tbs[w.tb_slot].global_index == w.ctaid;
+        ensure(live.clone().all(|(_, w)| in_block(w)), "snapshot warp block index")?;
+        ensure(live.all(|(_, w)| w.sized_for(program)), "snapshot warp register file")?;
+        let shared_bytes = program.shared_bytes.next_multiple_of(4);
+        ensure(resident.all(|(_, s)| s.size() == shared_bytes), "snapshot shared memory size")?;
         self.used_threads = r.get_u32()?;
         self.used_shared = r.get_u32()?;
         self.used_regs = r.get_u32()?;
@@ -98,7 +120,15 @@ impl Sm {
         let loads = self.access_map.values().map(|release| release.0);
         let mut released = shared_ops.chain(writebacks).chain(loads);
         ensure(released.all(|warp| warp < max_warps), "snapshot release warp slot")?;
+        // A load the LSU is still sending completes like any other, and the
+        // next one issued must not take the id of one in flight.
+        let mut sending = self.lsu.iter().filter_map(|e| match e {
+            LsuEntry::Global { access, is_write: false, .. } => Some(access),
+            _ => None,
+        });
+        ensure(sending.all(|a| self.access_map.contains_key(a)), "snapshot LSU load without a release")?;
         self.next_access = r.get_u64()?;
+        ensure(self.access_map.keys().all(|&a| a < self.next_access), "snapshot next access id")?;
         self.first_warp_finish = Snapshot::load(r)?;
         ensure(self.first_warp_finish.len() == self.cfg.max_tbs, "snapshot WLD tracker size")?;
         self.stats = SmStats::load(r)?;
@@ -106,6 +136,21 @@ impl Sm {
         // dirty bits symmetrically, so the orders come back the same).
         self.issue.rebuild(&self.warps, &self.sched_warps);
         Ok(())
+    }
+
+    /// Every load this SM holds registers for, with the lines of it the LSU
+    /// has still to send: this section's half of the restore-time pairing
+    /// with the memory hierarchy's ([`pro_mem::MemSubsystem::check_loads`]).
+    pub fn loads_in_flight(&self) -> impl Iterator<Item = (AccessId, u32)> + '_ {
+        self.access_map.keys().map(|&load| {
+            let unsent = self.lsu.iter().map(|e| match e {
+                LsuEntry::Global { access, len, next, is_write: false, .. } if *access == load => {
+                    (len - next) as u32
+                }
+                _ => 0,
+            });
+            (load, unsent.sum())
+        })
     }
 }
 

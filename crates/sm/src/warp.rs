@@ -157,6 +157,12 @@ impl Warp {
         self.at_barrier = false;
     }
 
+    /// Are the register and predicate files the ones `program` declares
+    /// ([`Warp::execute`] indexes them by the program's operands)?
+    pub(crate) fn sized_for(&self, program: &Program) -> bool {
+        self.regs.len() == program.regs as usize && self.preds.len() == program.preds as usize
+    }
+
     /// Current PC.
     pub fn pc(&self) -> Pc {
         self.simt.pc()

@@ -3,9 +3,8 @@
 //! [`IssueState`] (a ready memo beside the scoreboard-wait memo, DESIGN.md
 //! §15), told of each event as `Sm` tells its own — and the walk it
 //! replaced, which tested every fetched warp again each cycle — kept here
-//! as the reference. `pick_oracle.rs` holds the two to the same picks, and
-//! `pro-bench`'s `issue/pipe_full_*` rows time them side by side (it
-//! includes this file by path). Nothing here is compiled into the library.
+//! as the reference. `pick_oracle.rs` holds the two to the same picks.
+//! Nothing here is compiled into the library.
 //!
 //! The model is the slice of an SM the pick depends on: per-warp SIMT
 //! stack, scoreboard and fetch time from the library's own types, the

@@ -1,7 +1,6 @@
 //! The ready-memo walk (the production `IssueState::pick`) and the
-//! re-probing walk it replaced must pick the same warp every cycle of the LSU-saturated trace `pro-bench` times them
-//! on (`issue/pipe_full_{memo,reprobe}_x10k`) — otherwise the two rows
-//! would not be timing the same work.
+//! re-probing walk it replaced must pick the same warp every cycle of a
+//! recorded LSU-saturated trace, the memo walk in far fewer probes.
 
 mod oracle;
 use oracle::{pick_production, pick_reprobe, PipeFullModel};

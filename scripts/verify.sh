@@ -46,7 +46,8 @@ RUSTDOCFLAGS="--deny warnings" cargo doc --no-deps
 echo "== clippy: warning-free, and no function past clippy.toml's line cap =="
 # `too_many_lines` is off by default; with it on, clippy.toml's
 # `too-many-lines-threshold` is the enforced ceiling for every function in
-# the workspace, tests and benches included.
+# the workspace, tests and examples included (`--all-targets`; there is no
+# bench target).
 cargo clippy --release --all-targets --offline -- -D warnings -W clippy::too_many_lines
 
 echo "== trace: Chrome export parses and report cross-checks =="
@@ -165,7 +166,7 @@ grep -q '"policies":\[' "$tracedir/shootout.json" || {
 }
 echo "ok: shootout covers all 9 policies in text and JSON"
 
-echo "== incremental issue path: reuse counters + bench smoke =="
+echo "== incremental issue path: reuse counters =="
 # The order-reuse telemetry (DESIGN.md §15): every profiled run publishes
 # host/issue/* counters, surfaced as the shootout's reuse% column and
 # JSON fields. If the reused count ever collapses to zero the incremental
@@ -180,18 +181,6 @@ grep -q 'reuse%' "$tracedir/shootout.txt" || {
     echo "ERROR: shootout table lost the reuse% column" >&2
     exit 1
 }
-# One-iteration smoke of the issue/ bench family: the scratch/incremental
-# replay pair must run for every policy (speedup numbers are for
-# EXPERIMENTS.md, not gated here — machines vary).
-PRO_BENCH_ITERS=1 PRO_BENCH_WARMUP=0 \
-    cargo bench -q -p pro-bench --bench sim_throughput -- issue/ \
-    > "$tracedir/bench_issue.txt"
-for policy in LRR GTO PRO; do
-    grep -q "issue/incremental_${policy}_x10k" "$tracedir/bench_issue.txt" || {
-        echo "ERROR: issue/ bench family is missing policy $policy" >&2
-        exit 1
-    }
-done
-echo "ok: reuse counters published and the issue/ bench family runs"
+echo "ok: reuse counters published"
 
 echo "== verify: all green =="

@@ -5,128 +5,31 @@
 //! output memory.
 
 use pro_sim::{
-    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Run, RunResult, SchedulerKind,
-    SimError, TraceOptions,
+    CheckpointOptions, Gpu, GpuSnapshot, LaunchStatus, RunResult, SchedulerKind, SimError,
+    TraceOptions,
 };
-use pro_trace::{ClassSet, JsonlTracer};
 use pro_workloads::find;
 use pro_core::codec::{CodecError, FileReader, FileWriter, Reader, Snapshot, Writer};
 use pro_sim::mem::cache::Lookup;
 use pro_sim::mem::{Cache, DramChannel, MemConfig};
-use std::collections::VecDeque;
+use pro_sim::smx::{SharedMem, Warp};
+use std::collections::{HashMap, VecDeque};
 
-const KERNEL: &str = "laplace3d";
-const SCALE: u32 = 16;
-
-fn cfg() -> GpuConfig {
-    GpuConfig::small(4)
-}
-
-fn trace_opts() -> TraceOptions {
-    TraceOptions {
-        timeline: true,
-        tb_order_period: 500,
-        utilization_period: 100,
-        ..Default::default()
-    }
-}
-
-/// Build the test workload into a fresh GPU, returning (gpu, kernel).
-fn fresh_gpu() -> (Gpu, pro_sim::isa::Kernel) {
-    let w = find(KERNEL).unwrap();
-    let mut gpu = Gpu::new(cfg(), 64 << 20);
-    let built = (w.build)(&mut gpu.gmem, SCALE);
-    (gpu, built.kernel)
-}
-
-/// The uninterrupted reference run: result, JSONL trace bytes, output memory.
-fn straight_run(sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
-    let (mut gpu, kernel) = fresh_gpu();
-    let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-    let r = gpu
-        .launch_traced(&kernel, sched, trace_opts(), &mut jsonl)
-        .unwrap();
-    let out = gpu.gmem.read_slice(0, 4096);
-    (r, jsonl.into_inner(), out)
-}
+mod common;
+use common::{
+    assert_same, cfg, fresh_gpu, pause_of, paused, resume_fresh, resume_run, straight_run,
+    trace_opts, traced_run, SCALE,
+};
 
 /// Pause at `pause_at`, then resume in a *fresh* GPU. Returns the final
 /// result, the concatenated (pre-pause + post-resume) trace bytes, and the
 /// output memory of the resumed GPU.
 fn split_run(sched: SchedulerKind, pause_at: u64) -> (RunResult, Vec<u8>, Vec<u32>) {
-    let (mut gpu, kernel) = fresh_gpu();
-    let mut jsonl1 = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-    let status = gpu
-        .run(
-            &kernel,
-            Run {
-                trace: trace_opts(),
-                ckpt: Some(&CheckpointOptions {
-                    pause_at,
-                    ..Default::default()
-                }),
-                tracer: Some(&mut jsonl1),
-                ..Run::new(sched)
-            },
-        )
-        .unwrap();
-    let snap = match status {
-        LaunchStatus::Paused(s) => s,
-        LaunchStatus::Completed(_) => panic!("expected a pause at cycle {pause_at}"),
-    };
-    // A fresh GPU, as a new process would build it: workload inputs are
-    // re-allocated, then the snapshot overwrites all of device memory.
-    let (mut gpu2, kernel2) = fresh_gpu();
-    let mut jsonl2 = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-    let status = gpu2
-        .run(
-            &kernel2,
-            Run {
-                trace: trace_opts(),
-                tracer: Some(&mut jsonl2),
-                resume: Some((&snap).into()),
-                ..Run::new(sched)
-            },
-        )
-        .unwrap();
-    let r = match status {
-        LaunchStatus::Completed(r) => r,
-        LaunchStatus::Paused(_) => panic!("resume paused without a pause_at"),
-    };
-    let mut trace = jsonl1.into_inner();
-    trace.extend_from_slice(&jsonl2.into_inner());
-    let out = gpu2.gmem.read_slice(0, 4096);
+    let ckpt = CheckpointOptions { pause_at, ..Default::default() };
+    let (status, mut trace, _) = traced_run(sched, Some(&ckpt), None);
+    let (r, resumed_trace, out) = resume_run((&pause_of(status)).into(), sched);
+    trace.extend_from_slice(&resumed_trace);
     (r, trace, out)
-}
-
-fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
-    assert_eq!(a.kernel, b.kernel, "{what}: kernel");
-    assert_eq!(a.scheduler, b.scheduler, "{what}: scheduler");
-    assert_eq!(a.cycles, b.cycles, "{what}: cycles");
-    assert_eq!(a.sm, b.sm, "{what}: aggregate SM stats");
-    assert_eq!(a.per_sm, b.per_sm, "{what}: per-SM stats");
-    assert_eq!(a.mem, b.mem, "{what}: memory stats");
-    assert_eq!(a.timeline, b.timeline, "{what}: timeline");
-    assert_eq!(a.tb_order, b.tb_order, "{what}: tb order trace");
-    assert_eq!(a.utilization, b.utilization, "{what}: utilization");
-    // `host/*` metrics are wall-clock measurements of the host and vary
-    // run to run by nature; every determinism gate compares the simulated
-    // namespace only (tests/host_prof.rs pins the exclusion itself).
-    let sim = |m: &pro_trace::Metrics| {
-        (
-            m.counters()
-                .iter()
-                .filter(|(n, _)| !n.starts_with("host/"))
-                .cloned()
-                .collect::<Vec<_>>(),
-            m.hists()
-                .iter()
-                .filter(|(n, _)| !n.starts_with("host/"))
-                .cloned()
-                .collect::<Vec<_>>(),
-        )
-    };
-    assert_eq!(sim(&a.metrics), sim(&b.metrics), "{what}: metrics");
 }
 
 #[test]
@@ -200,42 +103,15 @@ fn periodic_checkpoint_file_recovers_a_run() {
     drop(gpu);
     let snap = GpuSnapshot::read_from(&path).unwrap();
     snap.validate().unwrap();
-    let (mut gpu2, kernel2) = fresh_gpu();
-    let r = gpu2
-        .resume(
-            &snap,
-            &kernel2,
-            SchedulerKind::Pro,
-            trace_opts(),
-            &CheckpointOptions::default(),
-        )
-        .unwrap();
-    match r {
-        LaunchStatus::Completed(r) => assert_same(&base, &r, "recovered run"),
-        LaunchStatus::Paused(_) => panic!("recovery paused unexpectedly"),
-    }
+    let r = resume_fresh(&snap, SchedulerKind::Pro, trace_opts()).unwrap().expect_completed();
+    assert_same(&base, &r, "recovered run");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn corrupted_snapshot_is_rejected_cleanly() {
     let (base, _, _) = straight_run(SchedulerKind::Lrr);
-    let (mut gpu, kernel) = fresh_gpu();
-    let status = gpu
-        .launch_checkpointed(
-            &kernel,
-            SchedulerKind::Lrr,
-            TraceOptions::default(),
-            &CheckpointOptions {
-                pause_at: base.cycles / 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    let snap = match status {
-        LaunchStatus::Paused(s) => s,
-        _ => panic!("expected pause"),
-    };
+    let snap = paused(SchedulerKind::Lrr, TraceOptions::default(), base.cycles / 2);
     // Flip one payload byte: the per-section CRC must catch it, as a typed
     // error — not a panic, not a silently wrong simulation.
     let mut bytes = snap.into_bytes();
@@ -266,33 +142,9 @@ fn corrupted_snapshot_is_rejected_cleanly() {
 #[test]
 fn mismatched_resume_is_rejected() {
     let (base, _, _) = straight_run(SchedulerKind::Pro);
-    let (mut gpu, kernel) = fresh_gpu();
-    let status = gpu
-        .launch_checkpointed(
-            &kernel,
-            SchedulerKind::Pro,
-            TraceOptions::default(),
-            &CheckpointOptions {
-                pause_at: base.cycles / 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    let snap = match status {
-        LaunchStatus::Paused(s) => s,
-        _ => panic!("expected pause"),
-    };
+    let snap = paused(SchedulerKind::Pro, TraceOptions::default(), base.cycles / 2);
     // Wrong scheduler.
-    let (mut gpu2, kernel2) = fresh_gpu();
-    let err = gpu2
-        .resume(
-            &snap,
-            &kernel2,
-            SchedulerKind::Lrr,
-            TraceOptions::default(),
-            &CheckpointOptions::default(),
-        )
-        .unwrap_err();
+    let err = resume_fresh(&snap, SchedulerKind::Lrr, TraceOptions::default()).unwrap_err();
     assert!(
         matches!(err, SimError::Snapshot(CodecError::Mismatch(_))),
         "wrong scheduler must be refused, got {err:?}"
@@ -335,29 +187,10 @@ fn mismatched_resume_is_rejected() {
             &CheckpointOptions::default(),
         )
         .unwrap();
-    match resumed {
-        LaunchStatus::Completed(r) => assert_eq!(r.cycles, base.cycles),
-        LaunchStatus::Paused(_) => panic!("resume paused without a pause_at"),
-    }
+    assert_eq!(resumed.expect_completed().cycles, base.cycles);
     // And the mirror: paused with the timeline on, resumed with it off.
-    let (mut gpu5, kernel5) = fresh_gpu();
-    let pause = CheckpointOptions { pause_at: base.cycles / 2, ..Default::default() };
-    let LaunchStatus::Paused(with_timeline) = gpu5
-        .launch_checkpointed(&kernel5, SchedulerKind::Pro, timeline, &pause)
-        .unwrap()
-    else {
-        panic!("expected pause");
-    };
-    let (mut gpu6, kernel6) = fresh_gpu();
-    let err = gpu6
-        .resume(
-            &with_timeline,
-            &kernel6,
-            SchedulerKind::Pro,
-            TraceOptions::default(),
-            &CheckpointOptions::default(),
-        )
-        .unwrap_err();
+    let with_timeline = paused(SchedulerKind::Pro, timeline, base.cycles / 2);
+    let err = resume_fresh(&with_timeline, SchedulerKind::Pro, TraceOptions::default()).unwrap_err();
     assert!(
         matches!(err, SimError::Snapshot(CodecError::Mismatch(_))),
         "timeline switched off at resume must be refused, got {err:?}"
@@ -369,25 +202,13 @@ fn run_result_snapshot_roundtrip() {
     // A serialized RunResult is what a result digest is taken over; the
     // round trip must preserve every field bit for bit.
     let (base, _, _) = straight_run(SchedulerKind::Pro);
-    let mut w = pro_core::codec::Writer::new();
-    base.save(&mut w);
-    let bytes = w.into_bytes();
-    let mut r = pro_core::codec::Reader::new(&bytes);
+    let bytes = encode(&base);
+    let mut r = Reader::new(&bytes);
     let back = RunResult::load(&mut r).unwrap();
     r.finish().unwrap();
     assert_same(&base, &back, "RunResult codec");
     // The re-interned scheduler name is the canonical &'static str.
     assert_eq!(back.scheduler, SchedulerKind::Pro.name());
-}
-
-/// Pause `sched` on the test workload after `pause_at` cycles.
-fn paused(sched: SchedulerKind, trace: TraceOptions, pause_at: u64) -> GpuSnapshot {
-    let (mut gpu, kernel) = fresh_gpu();
-    let ckpt = CheckpointOptions { pause_at, ..Default::default() };
-    match gpu.launch_checkpointed(&kernel, sched, trace, &ckpt).unwrap() {
-        LaunchStatus::Paused(s) => s,
-        LaunchStatus::Completed(_) => panic!("expected a pause at cycle {pause_at}"),
-    }
 }
 
 #[test]
@@ -417,9 +238,7 @@ fn container_bytes_are_pinned_for_every_policy() {
         assert_eq!(got, want, "{sched}: pause container bytes moved (got {got:#010X})");
     }
     let (base, _, _) = straight_run(SchedulerKind::Pro);
-    let mut w = pro_core::codec::Writer::new();
-    base.save(&mut w);
-    let got = pro_core::codec::crc32(&w.into_bytes());
+    let got = pro_core::codec::crc32(&encode(&base));
     assert_eq!(got, RUN_RESULT_CRC, "RunResult encoding moved (got {got:#010X})");
 }
 
@@ -474,12 +293,12 @@ impl Victim {
     }
 }
 
-/// The victim, and a mid-grid pause container (parsed) under `sched` to
-/// corrupt.
-fn victim_and_pause(sched: SchedulerKind) -> (Victim, FileReader) {
+/// The victim, and a pause container (parsed) under `sched` to corrupt:
+/// mid-grid, or at the cycle `pause_at` names.
+fn victim_and_pause(sched: SchedulerKind, pause_at: Option<u64>) -> (Victim, FileReader) {
     let (mut gpu, kernel) = fresh_gpu();
     let base_cycles = gpu.launch(&kernel, sched, TraceOptions::default()).unwrap().cycles;
-    let snap = paused(sched, trace_opts(), base_cycles / 2);
+    let snap = paused(sched, trace_opts(), pause_at.unwrap_or(base_cycles / 2));
     (Victim { gpu, kernel, sched, base_cycles }, FileReader::parse(snap.as_bytes()).unwrap())
 }
 
@@ -490,7 +309,7 @@ fn truncated_sections_with_valid_crcs_are_refused() {
     // stops early, at 64 evenly spaced lengths: the decoders run out of
     // bytes part-way through restoring in place, which must be a typed
     // error that leaves the same GPU able to run the kernel.
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro);
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
     for id in [SEC_LOOP, SEC_MEM, SEC_SM0 + 1] {
         let full = snap.section_bytes(id).unwrap();
         assert!(full.len() >= 64, "section {id} too short to sample");
@@ -512,7 +331,7 @@ fn hostile_memory_geometry_is_refused() {
     // the model divides by it: a container whose checksums are right but
     // whose geometry is not must be an error, not a division by zero or an
     // empty set met by a fill thousands of cycles into the resumed run.
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro);
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
     let mem = snap.section_bytes(SEC_MEM).unwrap().to_vec();
     let MemConfig { l1, dram, .. } = cfg().mem;
     let l1_at = find_bytes(&mem, &encode(&l1));
@@ -558,7 +377,7 @@ fn out_of_range_pro_slots_are_refused() {
     // phase latch. The lists index the class table and the warp orders
     // index the SM's warp slots on the first cycle after a restore.
     type ProState = (Vec<u8>, [Vec<u64>; 3], Vec<Vec<u64>>, (u64, bool));
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro);
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
     let sm = cfg().sm;
     let sec = snap.section_bytes(SEC_SM0).unwrap();
     // The state starts at the last offset from which its layout parses to
@@ -612,35 +431,40 @@ fn patched<const N: usize>(section: &[u8], at: usize, value: [u8; N]) -> Vec<u8>
     out
 }
 
-#[test]
-fn out_of_range_indices_in_the_memory_section_are_refused() {
-    // What the memory system holds in flight names an SM or a partition —
-    // L2 input queues and MSHR waiters, DRAM requests, timing events — and
-    // each name is an array index when its turn comes.
-    type Txn = (u32, u64, bool);
-    type Slice = (Cache<Txn>, VecDeque<Txn>);
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro);
-    let mem = snap.section_bytes(SEC_MEM).unwrap();
-    let (no_sm, no_part) = (cfg().num_sms, cfg().mem.partitions);
-    let mut check = hostile_rows(&mut victim, &snap, SEC_MEM);
+type Txn = (u32, u64, bool);
+type Slice = (Cache<Txn>, VecDeque<Txn>);
 
-    // The section opens with the L1s, then the L2 slices and the DRAM
-    // channels (public types, or tuples with a private struct's layout);
-    // the event queue follows.
+/// Where things are in a memory section: it opens with the L1s, then the
+/// L2 slices and the DRAM channels (public types, or tuples with a private
+/// struct's layout); the event queue follows, then the loads in flight.
+struct MemLayout {
+    slices_at: usize,
+    events_at: usize,
+    /// The tag byte of the first read on its way to the L2.
+    read: usize,
+    /// The tag byte of the first DRAM completion, its partition and line.
+    dram_done: (usize, u32, u64),
+    /// Every line on its way to the L2, back from DRAM or to an SM.
+    moving: Vec<u64>,
+    /// `outstanding`, then `completions`.
+    loads_at: usize,
+}
+
+fn decode_l2(r: &mut Reader<'_>) -> (Vec<Slice>, Vec<DramChannel<u32>>) {
+    (Snapshot::load(r).unwrap(), Snapshot::load(r).unwrap())
+}
+
+fn mem_layout(mem: &[u8]) -> MemLayout {
     let mut r = Reader::new(mem);
     let _: Vec<Cache<u64>> = Snapshot::load(&mut r).unwrap();
     let slices_at = mem.len() - r.remaining();
-    let decode = |r: &mut Reader<'_>| -> (Vec<Slice>, Vec<DramChannel<u32>>) {
-        (Snapshot::load(r).unwrap(), Snapshot::load(r).unwrap())
-    };
-    decode(&mut r);
+    decode_l2(&mut r);
     let events_at = mem.len() - r.remaining();
-
     // Events are `(time, seq, tag, index, ..)`: tag 0 (an L2 arrival)
     // carries a transaction, tags 1 to 3 (DRAM done, line returning, L1 hit)
     // an index and a `u64` each — so a DRAM completion stands in for the
-    // other two. The first read to arrive and the first line DRAM returns:
-    let (mut read, mut dram_done) = (None, None);
+    // other two.
+    let (mut read, mut dram_done, mut moving) = (None, None, Vec::new());
     for _ in 0..r.get_u64().unwrap() {
         let tag_at = mem.len() - r.remaining() + 16;
         let (_, _, tag, (part, line)): (u64, u64, u8, (u32, u64)) = Snapshot::load(&mut r).unwrap();
@@ -649,9 +473,32 @@ fn out_of_range_indices_in_the_memory_section_are_refused() {
         } else if tag == 1 {
             dram_done.get_or_insert((tag_at, part, line));
         }
+        if tag < 3 {
+            moving.push(line);
+        }
     }
-    let read = read.expect("no read on its way to the L2");
-    let (dram_done, part, line) = dram_done.expect("no line on its way back from DRAM");
+    r.get_u64().unwrap(); // the queue's sequence counter
+    MemLayout {
+        slices_at,
+        events_at,
+        read: read.expect("no read on its way to the L2"),
+        dram_done: dram_done.expect("no line on its way back from DRAM"),
+        moving,
+        loads_at: mem.len() - r.remaining(),
+    }
+}
+
+#[test]
+fn out_of_range_indices_in_the_memory_section_are_refused() {
+    // What the memory system holds in flight names an SM or a partition —
+    // L2 input queues and MSHR waiters, DRAM requests, timing events — and
+    // each name is an array index when its turn comes.
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
+    let mem = snap.section_bytes(SEC_MEM).unwrap();
+    let (no_sm, no_part) = (cfg().num_sms, cfg().mem.partitions);
+    let mut check = hostile_rows(&mut victim, &snap, SEC_MEM);
+    let MemLayout { slices_at, events_at, read, dram_done: (dram_done, part, line), .. } = mem_layout(mem);
+
     let event = "mem event SM or partition index";
     check("an L2 arrival from an SM past the last", patched(mem, read + 1, no_sm.to_le_bytes()), event);
     for (tag, index, what) in [
@@ -663,7 +510,7 @@ fn out_of_range_indices_in_the_memory_section_are_refused() {
     }
 
     let edited = |edit: &dyn Fn(&mut Slice, &mut DramChannel<u32>)| {
-        let (mut slices, mut drams) = decode(&mut Reader::new(&mem[slices_at..]));
+        let (mut slices, mut drams) = decode_l2(&mut Reader::new(&mem[slices_at..]));
         edit(&mut slices[part as usize], &mut drams[part as usize]);
         [&mem[..slices_at], &encode(&slices), &encode(&drams), &mem[events_at..]].concat()
     };
@@ -688,51 +535,43 @@ fn out_of_range_indices_in_the_memory_section_are_refused() {
     );
 }
 
-#[test]
-fn out_of_range_slots_and_pcs_in_an_sm_section_are_refused() {
-    // An SM section names TB slots (each warp's, and its entry in the
-    // scheduler's view), warp slots (whose registers a writeback, a load in
-    // flight or a shared-memory access will release) and PCs (the SIMT
-    // stack's entries): array indices all, the cycle after a restore.
-    type WarpView = (bool, u64, u32, (u64, bool, bool, bool));
-    type TbView = (bool, u32, u64, (u32, u32, u32, u64));
-    type Release = (u64, (u128, u32));
-    // Under GTO, which reads the view's TB slots (PRO keeps its own lists).
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto);
-    let sm = cfg().sm;
-    let (no_tb, no_warp) = ((sm.max_tbs as u64).to_le_bytes(), (sm.max_warps as u64).to_le_bytes());
-    let sec = snap.section_bytes(SEC_SM0).unwrap();
-    let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
+type WarpView = (bool, u64, u32, (u64, bool, bool, bool));
+type TbView = (bool, u32, u64, (u32, u32, u32, u64));
+type Release = (u64, (u128, u32));
 
-    // Geometry (`u64`, `u32`), the warp count, then warp 0: valid, its TB
-    // slot (`u64`), two `u32`s, its SIMT stack's depth and bottom entry.
-    let (valid_at, tb_slot_at, pc_at) = (20, 21, 45);
-    assert_eq!(sec[valid_at], 1, "warp slot 0 is empty");
-    check("a warp in a TB slot past the last", patched(sec, tb_slot_at, no_tb), "snapshot warp TB slot");
-    let past_the_end = patched(sec, pc_at, u32::MAX.to_le_bytes());
-    check("a SIMT entry past the program's end", past_the_end, "snapshot SIMT entry PC");
+/// Where things are in an SM section: geometry (`u64`, `u32`), the warps,
+/// shared memory, the scheduler's view, four `u32` resource counts, the
+/// writeback events (count, then `(time, seq, release)` each, then the
+/// sequence counter), the LSU queue, a `u64`, the loads in flight (count,
+/// then `(id, release)`) and the next access id.
+struct SmLayout {
+    /// Warp 0 (`WARP0_AT`) ends here; slot 1 follows.
+    warp0_end: usize,
+    shared_at: usize,
+    view_at: usize,
+    wb_at: usize,
+    lsu_at: usize,
+    loads_at: usize,
+    next_access_at: usize,
+    /// Writebacks or loads in flight, whichever are fewer.
+    in_flight: usize,
+}
 
-    // The scheduler's view is the first place a warp-slot array and a
-    // TB-slot array of the machine's sizes parse back to back.
-    let word = |at: usize| u64::from_le_bytes(sec[at..at + 8].try_into().unwrap());
-    let (view_at, after_view) = (0..sec.len() - 8)
-        .filter(|&at| word(at) == sm.max_warps as u64)
-        .find_map(|at| {
-            let mut r = Reader::new(&sec[at..]);
-            let view: (Vec<WarpView>, Vec<TbView>) = Snapshot::load(&mut r).ok()?;
-            (view.1.len() == sm.max_tbs).then(|| (at, sec.len() - r.remaining()))
-        })
-        .expect("no scheduler view in the SM section");
-    check(
-        "a scheduler-view warp in a TB slot past the last",
-        patched(sec, view_at + 8 + 1, no_tb),
-        "snapshot scheduler view TB slot",
-    );
+/// Warp 0: valid, its TB slot (`u64`), its index in the TB and its block
+/// (`u32`s), its SIMT stack's depth and bottom entry.
+const WARP0_AT: usize = 20;
 
-    // Four `u32` resource counts, then the writeback events (count, then
-    // `(time, seq, release)` each, then the sequence counter), the LSU
-    // queue, a `u64`, and the loads in flight (count, then `(id, release)`).
-    let wb_at = after_view + 16;
+fn sm_layout(sec: &[u8]) -> SmLayout {
+    let mut r = Reader::new(&sec[WARP0_AT..]);
+    Warp::load(&mut r).unwrap();
+    let warp0_end = sec.len() - r.remaining();
+    let mut r = Reader::new(&sec[12..]);
+    let _: Vec<Warp> = Snapshot::load(&mut r).unwrap();
+    let shared_at = sec.len() - r.remaining();
+    let _: Vec<SharedMem> = Snapshot::load(&mut r).unwrap();
+    let view_at = sec.len() - r.remaining();
+    let _: (Vec<WarpView>, Vec<TbView>) = Snapshot::load(&mut r).unwrap();
+    let wb_at = sec.len() - r.remaining() + 16;
     let mut r = Reader::new(&sec[wb_at..]);
     let (writebacks, _): (Vec<(u64, u64, Release)>, u64) = Snapshot::load(&mut r).unwrap();
     let lsu_at = sec.len() - r.remaining();
@@ -746,17 +585,186 @@ fn out_of_range_slots_and_pcs_in_an_sm_section_are_refused() {
     r.get_u64().unwrap();
     let loads_at = sec.len() - r.remaining();
     let loads: Vec<(u64, Release)> = Snapshot::load(&mut r).unwrap();
-    assert!(!writebacks.is_empty() && !loads.is_empty(), "nothing in flight on SM 0");
+    let in_flight = writebacks.len().min(loads.len());
+    SmLayout { warp0_end, shared_at, view_at, wb_at, lsu_at, loads_at, next_access_at: sec.len() - r.remaining(), in_flight }
+}
+
+/// `sec` with one more entry (its bytes after the tag) at the head of the
+/// LSU queue.
+fn with_lsu_head(sec: &[u8], lsu_at: usize, tag: u8, entry: &[u8]) -> Vec<u8> {
+    let queued = u64::from_le_bytes(sec[lsu_at..lsu_at + 8].try_into().unwrap());
+    [&sec[..lsu_at], &(queued + 1).to_le_bytes(), &[tag], entry, &sec[lsu_at + 8..]].concat()
+}
+
+#[test]
+fn out_of_range_slots_and_pcs_in_an_sm_section_are_refused() {
+    // An SM section names TB slots (each warp's, and its entry in the
+    // scheduler's view), warp slots (whose registers a writeback, a load in
+    // flight or a shared-memory access will release) and PCs (the SIMT
+    // stack's entries): array indices all, the cycle after a restore.
+    // Under GTO, which reads the view's TB slots (PRO keeps its own lists).
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, None);
+    let sm = cfg().sm;
+    let (no_tb, no_warp) = ((sm.max_tbs as u64).to_le_bytes(), (sm.max_warps as u64).to_le_bytes());
+    let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
+    let SmLayout { view_at, wb_at, lsu_at, loads_at, in_flight, .. } = sm_layout(sec);
+    assert!(in_flight > 0, "nothing in flight on SM 0");
+
+    let (tb_slot_at, pc_at) = (WARP0_AT + 1, WARP0_AT + 25);
+    assert_eq!(sec[WARP0_AT], 1, "warp slot 0 is empty");
+    check("a warp in a TB slot past the last", patched(sec, tb_slot_at, no_tb), "snapshot warp TB slot");
+    let past_the_end = patched(sec, pc_at, u32::MAX.to_le_bytes());
+    check("a SIMT entry past the program's end", past_the_end, "snapshot SIMT entry PC");
+    check(
+        "a scheduler-view warp in a TB slot past the last",
+        patched(sec, view_at + 8 + 1, no_tb),
+        "snapshot scheduler view TB slot",
+    );
+
     let release = "snapshot release warp slot";
     check("a writeback to a warp slot past the last", patched(sec, wb_at + 8 + 16, no_warp), release);
     check("a load in flight for a warp slot past the last", patched(sec, loads_at + 8 + 8, no_warp), release);
-
     // A shared-memory access, one cycle from done, at the head of the LSU
-    // queue: tag, warp slot, cycles left, the registers it will write.
-    let mut shared_op = sec[..lsu_at].to_vec();
-    shared_op.extend((word(lsu_at) + 1).to_le_bytes());
-    shared_op.push(1);
-    shared_op.extend(encode(&(sm.max_warps as u64, 1u32, (1u128, 0u32))));
-    shared_op.extend(&sec[lsu_at + 8..]);
+    // queue: warp slot, cycles left, the registers it will write.
+    let shared_op = with_lsu_head(sec, lsu_at, 1, &encode(&(sm.max_warps as u64, 1u32, (1u128, 0u32))));
     check("a shared-memory access by a warp slot past the last", shared_op, release);
+}
+
+/// An access id no SM of the test run has issued.
+const STRAY: u64 = 0xBAD_BAD;
+
+#[test]
+fn loads_the_two_sides_pair_wrongly_are_refused() {
+    // A load in flight is held twice: by the memory section (`outstanding`
+    // with its lines still due, then `completions`; its lines on their way
+    // back as L1-hit events and L1 miss waiters) and by its SM's (the
+    // registers to release, the lines the LSU has yet to send). Each side
+    // looks the other's up by access id when a line or the load completes.
+    type Loads = (HashMap<u64, (u32, u64)>, Vec<VecDeque<u64>>);
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
+    let mem = snap.section_bytes(SEC_MEM).unwrap();
+    let MemLayout { slices_at, dram_done: (dram_done, _, line), moving, loads_at, .. } = mem_layout(mem);
+    let mut r = Reader::new(&mem[loads_at..]);
+    let loads: Loads = Snapshot::load(&mut r).unwrap();
+    let stats_at = mem.len() - r.remaining();
+    let (&oldest, _) = loads.0.iter().min_by_key(|(_, &(_, begun))| begun).expect("no load in flight");
+    {
+        let mut check = hostile_rows(&mut victim, &snap, SEC_MEM);
+        // The first DRAM completion rewritten as an L1 hit for `access` of `sm`.
+        let l1_hit = |mem: &[u8], sm: u32, access: u64| {
+            let hit = patched(&patched(mem, dram_done, [3]), dram_done + 1, sm.to_le_bytes());
+            patched(&hit, dram_done + 5, access.to_le_bytes())
+        };
+        let with_loads = |edit: &dyn Fn(&mut Loads)| {
+            let mut loads = loads.clone();
+            edit(&mut loads);
+            [&mem[..loads_at], &encode(&loads), &mem[stats_at..]].concat()
+        };
+        assert_eq!(with_loads(&|_| ()), mem, "the mirror types do not match the section");
+
+        let unexpected = "mem line completion without an outstanding load";
+        check("an L1 hit for a load that is not outstanding", l1_hit(mem, 0, STRAY), unexpected);
+        let mut l1s: Vec<Cache<u64>> = Snapshot::load(&mut Reader::new(mem)).unwrap();
+        let (waiting, missed) = moving
+            .iter()
+            .find_map(|&line| Some((l1s.iter().position(|l1| l1.has_pending(line))?, line)))
+            .expect("no L1 waits for a line");
+        assert_eq!(l1s[waiting].access(missed, STRAY), Lookup::MissMerged);
+        let stray_waiter = [&encode(&l1s), &mem[slices_at..]].concat();
+        check("an L1 miss waiter that is not outstanding", stray_waiter, unexpected);
+        let one_too_many = l1_hit(mem, (oldest >> 40) as u32, oldest & ((1 << 40) - 1));
+        check("one more L1 hit than the load has lines left", one_too_many, unexpected);
+
+        let unclaimed = "mem load no SM waits for";
+        let stray_done = with_loads(&|l| l.1[0].push_back(STRAY));
+        check("a completion no SM waits for", stray_done, unclaimed);
+        let stray_load = with_loads(&|l| assert!(l.0.insert(STRAY, (1, 0)).is_none()));
+        check("a load about to complete that no SM waits for", l1_hit(&stray_load, 0, STRAY), unclaimed);
+        let unpaired = "mem load not paired with its SM's";
+        check("a load with a line nobody will send", with_loads(&|l| l.0.get_mut(&oldest).unwrap().0 += 1), unpaired);
+        let from_the_future = with_loads(&|l| l.0.get_mut(&oldest).unwrap().1 = u64::MAX);
+        check("a load begun after the pause", from_the_future, "mem load begun after the snapshot");
+    }
+
+    let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
+    let SmLayout { lsu_at, loads_at, next_access_at, in_flight, .. } = sm_layout(sec);
+    assert!(in_flight > 0, "nothing in flight on SM 0");
+    // A one-line load at the head of the LSU queue: id, lines, lines sent,
+    // not a store.
+    let sending = with_lsu_head(sec, lsu_at, 0, &encode(&(STRAY, vec![line], 0u64, false)));
+    check("an LSU load whose registers nobody holds", sending, "snapshot LSU load without a release");
+    // The oldest load's 36 bytes (id, warp slot, write set): its id handed
+    // out again, and the load cut out.
+    let oldest: [u8; 8] = sec[loads_at + 8..loads_at + 16].try_into().unwrap();
+    let reused = patched(sec, next_access_at, oldest);
+    check("a next access id that a load in flight carries", reused, "snapshot next access id");
+    let held = u64::from_le_bytes(sec[loads_at..loads_at + 8].try_into().unwrap());
+    let forgotten = [&sec[..loads_at], &(held - 1).to_le_bytes(), &sec[loads_at + 8 + 36..]].concat();
+    check("a load in flight whose registers the SM forgot", forgotten, "mem load no SM waits for");
+}
+
+#[test]
+fn sm_state_off_the_kernels_geometry_is_refused() {
+    // What a TB launch derives from the kernel — each warp's index in its TB
+    // (its thread ids) and its block, a register file of the program's size,
+    // the TB's warp count and its shared memory — is in the section too, and
+    // the run reads it back as thread ids, array bounds and exit conditions.
+    // Paused before any warp has issued, so every field is still to be read.
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, Some(1));
+    let program = victim.kernel.program.clone();
+    let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
+    let SmLayout { warp0_end, shared_at, view_at, wb_at, .. } = sm_layout(sec);
+    let word = |at: usize| u32::from_le_bytes(sec[at..at + 4].try_into().unwrap());
+
+    let (index_at, block_at) = (WARP0_AT + 9, WARP0_AT + 13);
+    assert_eq!((sec[WARP0_AT], word(index_at)), (1, 0), "warp slot 0 is not a TB's first warp");
+    check("a warp that is another of its TB", patched(sec, index_at, 1u32.to_le_bytes()), "snapshot warp index in its TB");
+    let other_block = patched(sec, block_at, (word(block_at) ^ 1).to_le_bytes());
+    check("a warp of another block than its TB", other_block, "snapshot warp block index");
+    // A warp ends with its registers (word count, words) and predicates
+    // (count, words): every register's row but the first cut out.
+    let regs_end = warp0_end - (8 + 4 * program.preds as usize);
+    let regs_at = regs_end - 4 * 32 * program.regs as usize;
+    let mut one_reg = patched(sec, regs_at - 8, 32u64.to_le_bytes());
+    one_reg.drain(regs_at + 4 * 32..regs_end);
+    check("a warp with one register", one_reg, "snapshot warp register file");
+
+    let view: (Vec<WarpView>, Vec<TbView>) = Snapshot::load(&mut Reader::new(&sec[view_at..])).unwrap();
+    assert!(view.1[0].0, "TB slot 0 is free");
+    let with_tb0 = |edit: &dyn Fn(&mut TbView)| {
+        let mut view = view.clone();
+        edit(&mut view.1[0]);
+        [&sec[..view_at], &encode(&view), &sec[wb_at - 16..]].concat()
+    };
+    let tb = "snapshot TB block index or warp count";
+    check("a TB past the grid's last block", with_tb0(&|t| t.1 = u32::MAX), tb);
+    check("a TB that waits for a warp it does not have", with_tb0(&|t| t.3 .0 += 1), tb);
+    let mut shared: Vec<SharedMem> = Snapshot::load(&mut Reader::new(&sec[shared_at..])).unwrap();
+    shared[0] = SharedMem::new(shared[0].size() - 4);
+    let short_shared = [&sec[..shared_at], &encode(&shared), &sec[view_at..]].concat();
+    check("a TB whose shared memory is a word short", short_shared, "snapshot shared memory size");
+}
+
+#[test]
+fn a_pause_after_another_kernel_resumes() {
+    // A free warp slot keeps what its last warp left — after a longer
+    // kernel, a SIMT stack with PCs this program does not have. Only live
+    // warps are held to the program.
+    let build = |gpu: &mut Gpu, name: &str| (find(name).unwrap().build)(&mut gpu.gmem, SCALE).kernel;
+    let no_trace = TraceOptions::default;
+    let mut gpu = Gpu::new(cfg(), 64 << 20);
+    let kernel = build(&mut gpu, "inverseCNDKernel");
+    let base = gpu.launch(&kernel, SchedulerKind::Pro, no_trace()).unwrap();
+    let longer = build(&mut gpu, "scalarProdGPU");
+    assert!(longer.program.instrs.len() > kernel.program.instrs.len());
+    gpu.launch(&longer, SchedulerKind::Pro, no_trace()).unwrap();
+    let ckpt = CheckpointOptions { pause_at: base.cycles / 2, ..Default::default() };
+    let snap = pause_of(gpu.launch_checkpointed(&kernel, SchedulerKind::Pro, no_trace(), &ckpt).unwrap());
+    let mut fresh = Gpu::new(cfg(), 64 << 20);
+    let kernel = build(&mut fresh, "inverseCNDKernel");
+    let resumed = fresh.resume(&snap, &kernel, SchedulerKind::Pro, no_trace(), &CheckpointOptions::default());
+    assert_eq!(resumed.expect("a valid snapshot resumes").expect_completed().cycles, base.cycles);
 }

@@ -7,36 +7,17 @@
 //! shorten the chain instead of killing the restore.
 
 use pro_sim::{
-    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Prior, Run,
-    RunResult, SchedulerKind, SimError, SnapshotChain, TraceOptions,
+    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Run, SchedulerKind, SimError,
+    SnapshotChain, TraceOptions,
 };
-use pro_trace::{ClassSet, JsonlTracer};
 use pro_workloads::{find, Scale};
 use pro_core::codec::CodecError;
 use std::path::{Path, PathBuf};
 
-const KERNEL: &str = "laplace3d";
-const SCALE: u32 = 16;
-
-fn cfg() -> GpuConfig {
-    GpuConfig::small(4)
-}
-
-fn trace_opts() -> TraceOptions {
-    TraceOptions {
-        timeline: true,
-        tb_order_period: 500,
-        utilization_period: 100,
-        ..Default::default()
-    }
-}
-
-fn fresh_gpu() -> (Gpu, pro_sim::isa::Kernel) {
-    let w = find(KERNEL).unwrap();
-    let mut gpu = Gpu::new(cfg(), 64 << 20);
-    let built = (w.build)(&mut gpu.gmem, SCALE);
-    (gpu, built.kernel)
-}
+mod common;
+use common::{
+    assert_same, cfg, fresh_gpu, pause_of, resume_run, straight_run, traced_run, KERNEL, SCALE,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pro_delta_{tag}_{}", std::process::id()));
@@ -45,97 +26,23 @@ fn temp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// The uninterrupted reference run: result, JSONL trace bytes, output memory.
-fn straight_run(sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
-    let (mut gpu, kernel) = fresh_gpu();
-    let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-    let r = gpu
-        .launch_traced(&kernel, sched, trace_opts(), &mut jsonl)
-        .unwrap();
-    let out = gpu.gmem.read_slice(0, 4096);
-    (r, jsonl.into_inner(), out)
-}
-
-fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
-    assert_eq!(a.cycles, b.cycles, "{what}: cycles");
-    assert_eq!(a.sm, b.sm, "{what}: aggregate SM stats");
-    assert_eq!(a.per_sm, b.per_sm, "{what}: per-SM stats");
-    assert_eq!(a.mem, b.mem, "{what}: memory stats");
-    assert_eq!(a.timeline, b.timeline, "{what}: timeline");
-    assert_eq!(a.tb_order, b.tb_order, "{what}: tb order trace");
-    assert_eq!(a.utilization, b.utilization, "{what}: utilization");
-    let sim = |m: &pro_trace::Metrics| {
-        (
-            m.counters()
-                .iter()
-                .filter(|(n, _)| !n.starts_with("host/"))
-                .cloned()
-                .collect::<Vec<_>>(),
-            m.hists()
-                .iter()
-                .filter(|(n, _)| !n.starts_with("host/"))
-                .cloned()
-                .collect::<Vec<_>>(),
-        )
-    };
-    assert_eq!(sim(&a.metrics), sim(&b.metrics), "{what}: metrics");
-}
-
 /// Run traced with a delta chain until a pause *on* a periodic boundary, so
 /// the chain tip and the returned full snapshot describe the same cycle.
-/// Returns (chain dir, pre-pause trace bytes, pause snapshot).
+/// Returns (pre-pause trace bytes, pause snapshot).
 fn chained_prefix(
     sched: SchedulerKind,
     dir: &Path,
     every: u64,
     boundaries: u64,
 ) -> (Vec<u8>, GpuSnapshot) {
-    let (mut gpu, kernel) = fresh_gpu();
-    let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-    let status = gpu
-        .run(
-            &kernel,
-            Run {
-                trace: trace_opts(),
-                ckpt: Some(&CheckpointOptions {
-                    every,
-                    path: Some(dir.to_path_buf()),
-                    delta: true,
-                    pause_at: every * boundaries,
-                }),
-                tracer: Some(&mut jsonl),
-                ..Run::new(sched)
-            },
-        )
-        .unwrap();
-    let snap = match status {
-        LaunchStatus::Paused(s) => s,
-        LaunchStatus::Completed(_) => panic!("workload finished before the pause boundary"),
+    let ckpt = CheckpointOptions {
+        every,
+        path: Some(dir.to_path_buf()),
+        delta: true,
+        pause_at: every * boundaries,
     };
-    (jsonl.into_inner(), snap)
-}
-
-/// Resume prior state (a chain, or a lone snapshot) in a fresh GPU,
-/// returning result, trace bytes, memory.
-fn resume_run(prior: Prior<'_>, sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
-    let (mut gpu, kernel) = fresh_gpu();
-    let mut jsonl = JsonlTracer::with_classes(Vec::<u8>::new(), ClassSet::ALL);
-    let run = Run {
-        trace: trace_opts(),
-        tracer: Some(&mut jsonl),
-        resume: Some(prior),
-        ..Run::new(sched)
-    };
-    let r = match gpu.run(&kernel, run).unwrap() {
-        LaunchStatus::Completed(r) => r,
-        LaunchStatus::Paused(_) => panic!("resume paused without a pause_at"),
-    };
-    let out = gpu.gmem.read_slice(0, 4096);
-    (r, jsonl.into_inner(), out)
-}
-
-fn resume_chain_run(chain: &SnapshotChain, sched: SchedulerKind) -> (RunResult, Vec<u8>, Vec<u32>) {
-    resume_run(chain.into(), sched)
+    let (status, trace, _) = traced_run(sched, Some(&ckpt), None);
+    (trace, pause_of(status))
 }
 
 #[test]
@@ -154,7 +61,7 @@ fn chain_restore_is_bit_identical_to_straight_and_full_restore() {
         let chain = SnapshotChain::load_dir(&dir).expect("chain on disk");
         assert_eq!(chain.deltas(), 5, "{what}: base + 5 deltas expected");
 
-        let (r, post_trace, mem) = resume_chain_run(&chain, sched);
+        let (r, post_trace, mem) = resume_run((&chain).into(), sched);
         assert_same(&base, &r, &what);
         assert_eq!(base_mem, mem, "{what}: output memory");
         let mut trace = pre_trace.clone();
@@ -240,7 +147,7 @@ fn corrupt_or_truncated_tail_falls_back_to_valid_prefix() {
     std::fs::write(&tail, &bytes).unwrap();
     let chain = SnapshotChain::load_dir(&dir).expect("prefix survives");
     assert_eq!(chain.deltas(), 4, "flipped tail discarded");
-    let (r, _, mem) = resume_chain_run(&chain, sched);
+    let (r, _, mem) = resume_run((&chain).into(), sched);
     assert_same(&base, &r, "crc-flip fallback");
     assert_eq!(base_mem, mem, "crc-flip fallback: output memory");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -253,7 +160,7 @@ fn corrupt_or_truncated_tail_falls_back_to_valid_prefix() {
     std::fs::write(&tail, &bytes[..bytes.len() / 3]).unwrap();
     let chain = SnapshotChain::load_dir(&dir).expect("prefix survives");
     assert_eq!(chain.deltas(), 4, "truncated tail discarded");
-    let (r, _, mem) = resume_chain_run(&chain, sched);
+    let (r, _, mem) = resume_run((&chain).into(), sched);
     assert_same(&base, &r, "truncation fallback");
     assert_eq!(base_mem, mem, "truncation fallback: output memory");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -286,10 +193,7 @@ fn delta_is_at_least_5x_smaller_than_full() {
             },
         )
         .unwrap();
-    let r = match status {
-        LaunchStatus::Completed(r) => r,
-        LaunchStatus::Paused(_) => panic!("no pause requested"),
-    };
+    let r = status.expect_completed();
 
     let base_size = std::fs::metadata(dir.join("base.ckpt")).unwrap().len();
     let mut delta_sizes: Vec<u64> = Vec::new();
@@ -336,8 +240,7 @@ fn snapshot_identity_api_accepts_own_and_refuses_foreign() {
     let pro = SchedulerKind::Pro;
     let (mut gpu, kernel) = fresh_gpu();
     let ckpt = CheckpointOptions { pause_at: 200, ..Default::default() };
-    let status = gpu.launch_checkpointed(&kernel, pro, TraceOptions::default(), &ckpt).unwrap();
-    let LaunchStatus::Paused(snap) = status else { panic!("expected pause") };
+    let snap = pause_of(gpu.launch_checkpointed(&kernel, pro, TraceOptions::default(), &ckpt).unwrap());
     let resume = |gpu: &mut Gpu, kernel, sched| {
         gpu.run(kernel, Run { resume: Some((&snap).into()), ..Run::new(sched) })
     };

@@ -11,15 +11,11 @@
 //!   result digests and byte-compare gates are profiler-independent.
 
 use pro_core::codec::{Reader, Snapshot, Writer};
-use pro_sim::{
-    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, RunResult, SchedulerKind,
-    TraceOptions,
-};
-use pro_trace::{Hist16, Metrics};
-use pro_workloads::find;
+use pro_sim::{GpuSnapshot, RunResult, SchedulerKind, TraceOptions};
+use pro_trace::Metrics;
 
-const KERNEL: &str = "laplace3d";
-const SCALE: u32 = 16;
+mod common;
+use common::{assert_same, fresh_gpu, paused, resume_fresh};
 
 fn prof_opts(host_prof: bool) -> TraceOptions {
     TraceOptions {
@@ -28,56 +24,15 @@ fn prof_opts(host_prof: bool) -> TraceOptions {
     }
 }
 
-fn fresh_gpu() -> (Gpu, pro_sim::isa::Kernel) {
-    let w = find(KERNEL).unwrap();
-    let mut gpu = Gpu::new(GpuConfig::small(4), 64 << 20);
-    let built = (w.build)(&mut gpu.gmem, SCALE);
-    (gpu, built.kernel)
+/// Pause a run at `pause_at` and return the snapshot.
+fn pause(host_prof: bool, pause_at: u64) -> GpuSnapshot {
+    paused(SchedulerKind::Pro, prof_opts(host_prof), pause_at)
 }
 
 fn run(host_prof: bool) -> RunResult {
     let (mut gpu, kernel) = fresh_gpu();
     gpu.launch(&kernel, SchedulerKind::Pro, prof_opts(host_prof))
         .unwrap()
-}
-
-/// Pause a run at `pause_at` and return the snapshot.
-fn pause(host_prof: bool, pause_at: u64) -> GpuSnapshot {
-    let (mut gpu, kernel) = fresh_gpu();
-    let status = gpu
-        .launch_checkpointed(
-            &kernel,
-            SchedulerKind::Pro,
-            prof_opts(host_prof),
-            &CheckpointOptions {
-                pause_at,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    match status {
-        LaunchStatus::Paused(s) => s,
-        LaunchStatus::Completed(_) => panic!("expected a pause at cycle {pause_at}"),
-    }
-}
-
-/// Named counters and named histograms.
-type MetricRows = (Vec<(String, u64)>, Vec<(String, Hist16)>);
-
-/// The simulated (non-`host/`) slice of a metrics registry.
-fn sim_metrics(m: &Metrics) -> MetricRows {
-    (
-        m.counters()
-            .iter()
-            .filter(|(n, _)| !n.starts_with("host/"))
-            .cloned()
-            .collect(),
-        m.hists()
-            .iter()
-            .filter(|(n, _)| !n.starts_with("host/"))
-            .cloned()
-            .collect(),
-    )
 }
 
 fn has_host(m: &Metrics) -> bool {
@@ -154,29 +109,8 @@ fn profiled_resume_is_bit_identical_to_unprofiled_run() {
     let base = run(false);
     let pause_at = base.cycles / 2;
     let snap = pause(true, pause_at);
-    let (mut gpu2, kernel2) = fresh_gpu();
-    let status = gpu2
-        .resume(
-            &snap,
-            &kernel2,
-            SchedulerKind::Pro,
-            prof_opts(true),
-            &CheckpointOptions::default(),
-        )
-        .unwrap();
-    let r = match status {
-        LaunchStatus::Completed(r) => r,
-        LaunchStatus::Paused(_) => panic!("resume paused without a pause_at"),
-    };
-    assert_eq!(base.cycles, r.cycles, "cycles");
-    assert_eq!(base.sm, r.sm, "aggregate SM stats");
-    assert_eq!(base.per_sm, r.per_sm, "per-SM stats");
-    assert_eq!(base.mem, r.mem, "memory stats");
-    assert_eq!(
-        sim_metrics(&base.metrics),
-        sim_metrics(&r.metrics),
-        "simulated metrics"
-    );
+    let r = resume_fresh(&snap, SchedulerKind::Pro, prof_opts(true)).unwrap().expect_completed();
+    assert_same(&base, &r, "profiled resume");
     assert!(has_host(&r.metrics), "the resumed run was actually profiled");
 }
 
