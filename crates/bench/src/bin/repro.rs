@@ -1,9 +1,11 @@
 //! `repro` — regenerate every table and figure of the PRO paper.
 //!
 //! ```text
-//! repro <command> [--full-scale] [--quick] [--jobs N]
-//! commands: config workloads fig1 fig2 fig4 fig5 table3 table4 ablation all
+//! repro <command> [--full-scale] [--quick] [--config FILE] [--jobs N]
 //! ```
+//!
+//! The commands are the rows of [`COMMANDS`] (described one by one in
+//! `pro_bench`'s crate documentation), plus `all`.
 //!
 //! `--full-scale` runs the exact Table II grid sizes (slow);
 //! `--quick` restricts kernel sweeps to one kernel per application.
@@ -30,11 +32,43 @@ const OPTIONS: &[(&str, Option<&str>)] = &[
     ("--jobs", Some("a non-negative integer")),
 ];
 
+/// One `repro` command: its name, its operands as the usage line shows
+/// them, what runs it, and whether `repro all` does.
+type Command = (&'static str, &'static str, fn(&mut Experiment, &[String]), bool);
+
+/// Every command but `all`, which runs the marked ones in this order. The
+/// usage line, the dispatch and `all` read this table and nothing else.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("config", "", |exp, _| config(exp), true),
+    ("workloads", "", |exp, _| workloads(exp), true),
+    ("fig1", "", |exp, _| fig1(exp), true),
+    ("fig2", "", |exp, _| fig2(exp), true),
+    ("fig4", "", |exp, _| fig4(exp), true),
+    ("fig5", "", |exp, _| fig5(exp), true),
+    ("table3", "", |exp, _| table3(exp), true),
+    ("table4", "", |exp, _| table4(exp), true),
+    ("ablation", "", |exp, _| ablation(exp), true),
+    ("sweep", "", |exp, _| sweep(exp), true),
+    ("wld", "", |exp, _| wld(exp), true),
+    ("cache", "", |exp, _| cache(exp), true),
+    ("ready", "", |exp, _| ready(exp), true),
+    ("occupancy", "", |exp, _| occupancy(exp), true),
+    ("synthsweep", "", |exp, _| synthsweep(exp), true),
+    ("dram", "", |exp, _| dram_ablation(exp), true),
+    ("svg", "", |exp, _| svg_figs(exp), false),
+    ("json", "", |exp, _| json_export(exp), false),
+    ("shootout", "", |exp, _| shootout(exp), false),
+    ("disasm", " <kernel>", |_, ops| disasm(ops), false),
+    ("trace", " [kernel] [tl|lrr|gto|pro]", |exp, ops| trace_cmd(exp, ops), false),
+    ("trace-report", " <file.jsonl>", |_, ops| trace_report(ops), false),
+];
+
 fn usage() -> ! {
+    let commands: Vec<String> = COMMANDS.iter().map(|(name, operands, ..)| format!("{name}{operands}")).collect();
     eprintln!(
-        "usage: repro <config|workloads|fig1|fig2|fig4|fig5|table3|table4|ablation|sweep|wld|cache|ready|occupancy|synthsweep|svg|json|shootout|dram|all> \
-         | disasm <kernel> | trace [kernel] [tl|lrr|gto|pro] | trace-report <file.jsonl> \
-         [--full-scale] [--quick] [--config FILE] [--jobs N]"
+        "usage: repro <{} | all> [--full-scale] [--quick] [--config FILE] [--jobs N]",
+        commands.join(" | ")
     );
     std::process::exit(2);
 }
@@ -100,7 +134,7 @@ fn main() {
     let cli = Cli::parse(std::env::args().skip(1));
     let (cmd, operands) = match cli.positionals.split_first() {
         Some((cmd, operands)) => (cmd.as_str(), operands),
-        None => ("help", &[][..]),
+        None => usage(),
     };
     // Optional --config <path>: override the simulated machine for every
     // experiment run in this invocation.
@@ -121,48 +155,14 @@ fn main() {
         Scale::default()
     };
     let exp = &mut Experiment::new(scale, cli.has("--quick"), machine);
-    match cmd {
-        "config" => config(exp),
-        "workloads" => workloads(exp),
-        "fig1" => fig1(exp),
-        "fig2" => fig2(exp),
-        "fig4" => fig4(exp),
-        "fig5" => fig5(exp),
-        "table3" => table3(exp),
-        "table4" => table4(exp),
-        "ablation" => ablation(exp),
-        "sweep" => sweep(exp),
-        "wld" => wld(exp),
-        "cache" => cache(exp),
-        "synthsweep" => synthsweep(exp),
-        "svg" => svg_figs(exp),
-        "json" => json_export(exp),
-        "shootout" => shootout(exp),
-        "dram" => dram_ablation(exp),
-        "disasm" => disasm(operands.first().map_or("", String::as_str)),
-        "ready" => ready(exp),
-        "occupancy" => occupancy(exp),
-        "trace" => trace_cmd(exp, operands),
-        "trace-report" => trace_report(operands),
-        "all" => {
-            config(exp);
-            workloads(exp);
-            fig1(exp);
-            fig2(exp);
-            fig4(exp);
-            fig5(exp);
-            table3(exp);
-            table4(exp);
-            ablation(exp);
-            sweep(exp);
-            wld(exp);
-            cache(exp);
-            ready(exp);
-            occupancy(exp);
-            synthsweep(exp);
-            dram_ablation(exp);
+    if cmd == "all" {
+        for (.., run, _) in COMMANDS.iter().filter(|(.., in_all)| *in_all) {
+            run(exp, operands);
         }
-        _ => usage(),
+    } else if let Some((.., run, _)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) {
+        run(exp, operands);
+    } else {
+        usage();
     }
 }
 
@@ -611,15 +611,12 @@ fn cache(exp: &mut Experiment) {
 /// and memory-intensity knobs and watch where PRO's advantage over LRR
 /// peaks. Each cell averages 3 random kernels per knob setting.
 fn synthsweep(exp: &Experiment) {
-    use pro_sim::Gpu;
-    use pro_workloads::synth::{generate, SynthParams};
+    use pro_workloads::synth::{self, SynthParams};
     header("Synthetic workload-space sweep: PRO speedup over LRR by knob");
     let machine = exp.machine;
     let run = |p: SynthParams, s: SchedulerKind| -> u64 {
-        let mut gpu = Gpu::new(machine, 32 << 20);
-        let k = generate(&mut gpu.gmem, p);
-        gpu.launch(&k.kernel, s, TraceOptions::default())
-            .expect("synth runs")
+        synth::run(machine, p, |gpu, k| gpu.launch(k, s, TraceOptions::default()))
+            .unwrap_or_else(|e| panic!("synthetic kernel {:#x} under {s}: {e}", p.seed))
             .cycles
     };
     let knobs = [
@@ -804,9 +801,9 @@ fn shootout(exp: &Experiment) {
     }
 
     println!(
-        "{:<8} {:>7} {:>6} | {:>6} {:>6} {:>6} | {:>9} {:>6} {:>6} {:>6} {:>12} {:>6} | {:>7} {:>7} {:>7}",
+        "{:<8} {:>7} {:>6} | {:>6} {:>6} {:>6} | {:>9} {:>6} {:>6} {:>6} {:>12} {:>8} | {:>7} {:>7} {:>7}",
         "Policy", "vsLRR", "IPC", "idle%", "sb%", "pipe%", "wall ms", "mem%", "issue%", "reuse%",
-        "probes/issue", "merge%", "evq p50", "evq p99", "evq hwm"
+        "probes/issue", "tbsched%", "evq p50", "evq p99", "evq hwm"
     );
     let mut json_rows = Vec::new();
     for row in &rows {
@@ -814,6 +811,9 @@ fn shootout(exp: &Experiment) {
         let wall = row.host.counter("host/wall.ns").unwrap_or(0);
         let phase = |p: &str| row.host.counter(&format!("host/phase.{p}.ns")).unwrap_or(0);
         let share = |ns: u64| 100.0 * ns as f64 / wall.max(1) as f64;
+        // `HostPhase::TbSched`, which the registry publishes under the name
+        // of the merge phase it replaced.
+        let tbsched = phase("merge");
         let evq_p50 = row
             .host
             .hist("host/mem.evq.depth")
@@ -834,7 +834,7 @@ fn shootout(exp: &Experiment) {
         let probes = row.host.counter("host/issue/probes").unwrap_or(0);
         let ready_hits = row.host.counter("host/issue/ready_hits").unwrap_or(0);
         println!(
-            "{:<8} {:>6.3}x {:>6.2} | {:>5.1}% {:>5.1}% {:>5.1}% | {:>9.1} {:>5.1}% {:>5.1}% {:>5.1}% {:>12.2} {:>5.1}% | {:>7} {:>7} {:>7}",
+            "{:<8} {:>6.3}x {:>6.2} | {:>5.1}% {:>5.1}% {:>5.1}% | {:>9.1} {:>5.1}% {:>5.1}% {:>5.1}% {:>12.2} {:>7.1}% | {:>7} {:>7} {:>7}",
             row.sched.name(),
             vs_lrr,
             row.instructions as f64 / row.cycles.max(1) as f64,
@@ -846,7 +846,7 @@ fn shootout(exp: &Experiment) {
             share(phase("issue")),
             reuse_pct,
             probes as f64 / row.instructions.max(1) as f64,
-            share(phase("merge")),
+            share(tbsched),
             evq_p50,
             evq_p99,
             row.evq_hwm,
@@ -862,7 +862,7 @@ fn shootout(exp: &Experiment) {
             ("host_wall_ns", unum(wall)),
             ("host_mem_phase_ns", unum(phase("mem"))),
             ("host_issue_phase_ns", unum(phase("issue"))),
-            ("host_merge_phase_ns", unum(phase("merge"))),
+            ("host_tbsched_phase_ns", unum(tbsched)),
             ("issue_orders_reused", unum(reused)),
             ("issue_orders_recomputed", unum(recomputed)),
             ("issue_mask_skips", unum(mask_skips)),
@@ -916,7 +916,8 @@ fn dram_ablation(exp: &mut Experiment) {
 }
 
 /// Print a workload's VPTX disassembly and static instruction mix.
-fn disasm(name: &str) {
+fn disasm(operands: &[String]) {
+    let name = operands.first().map_or("", String::as_str);
     let Some(w) = find(name) else {
         eprintln!("unknown kernel `{name}`; pick one of:");
         for w in registry() {
@@ -1008,7 +1009,6 @@ fn trace_cmd(exp: &Experiment, operands: &[String]) {
     use pro_trace::{
         aggregate, chrome_trace, ClassSet, EventClass, JsonlTracer, RingTracer, Tee,
     };
-    use pro_sim::Gpu;
     let name = operands.first().map_or("laplace3d", String::as_str);
     let sched_name = operands.get(1).map_or("pro", String::as_str);
     let Some(sched) = SchedulerKind::PAPER
@@ -1025,9 +1025,6 @@ fn trace_cmd(exp: &Experiment, operands: &[String]) {
     header(&format!("Structured trace: {name} under {sched} (4-SM slice)"));
     // The 4-SM slice keeps the full-fidelity stream at demo size (a few
     // MB); the event schema is identical at any machine size.
-    let cfg = GpuConfig::small(4);
-    let mut gpu = Gpu::new(cfg, w.recommended_gmem(exp.scale));
-    let built = w.build_scaled(&mut gpu.gmem, exp.scale);
     let mut jsonl = JsonlTracer::new(Vec::<u8>::new());
     // The Chrome export only needs TB spans, memory lifecycle and barrier
     // instants; a class-filtered ring keeps it allocation-free mid-run.
@@ -1036,9 +1033,10 @@ fn trace_cmd(exp: &Experiment, operands: &[String]) {
         ClassSet::of(&[EventClass::Tb, EventClass::Mem, EventClass::Barrier]),
     );
     let mut tee = Tee::new(&mut jsonl, &mut ring);
-    let r = gpu
-        .launch_traced(&built.kernel, sched, TraceOptions::default(), &mut tee)
-        .expect("traced run completes");
+    let r = run_cell(&w, sched, exp.scale, GpuConfig::small(4), |gpu, k| {
+        gpu.launch_traced(k, sched, TraceOptions::default(), &mut tee)
+    })
+    .result;
     println!("{}", r.summary());
 
     let lines = jsonl.lines_written;

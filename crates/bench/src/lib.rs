@@ -1,6 +1,8 @@
 //! # pro-bench — experiment harness for every table and figure in the paper
 //!
-//! The `repro` binary regenerates each evaluation artifact:
+//! The `repro` binary regenerates each evaluation artifact. Its commands
+//! are the rows of one table in `src/bin/repro.rs` (`COMMANDS`: name,
+//! function, whether `repro all` runs it), listed here in that order:
 //!
 //! | command            | paper artifact |
 //! |--------------------|----------------|
@@ -13,7 +15,6 @@
 //! | `repro table3`     | Table III — per-app stall cycles and ratios |
 //! | `repro table4`     | Table IV — PRO's sorted TB order over time (AES) |
 //! | `repro ablation`   | §IV diagnostic — PRO vs PRO-NB/NF/NS/AD |
-//! | `repro all`        | everything above plus the extension experiments |
 //!
 //! Extension experiments beyond the paper's artifacts:
 //!
@@ -22,13 +23,21 @@
 //! | `repro sweep`      | PRO THRESHOLD sensitivity (design-choice sweep) |
 //! | `repro wld`        | warp-level divergence (first/last warp finish gap) |
 //! | `repro cache`      | L1/L2 miss rates per scheduler |
+//! | `repro ready`      | mean issuable warps per scheduler unit |
+//! | `repro occupancy`  | per-SM issue-rate heatmap over time, LRR vs PRO |
 //! | `repro synthsweep` | PRO-vs-LRR across the synthetic workload space |
 //! | `repro dram`       | FR-FCFS vs FCFS DRAM scheduling (Table I ablation) |
-//! | `repro svg`        | SVG renderings of Fig. 2 and Fig. 4 |
+//!
+//! `repro all` runs the sixteen above, in that order. Not part of it:
+//!
+//! | command            | what it does |
+//! |--------------------|--------------|
+//! | `repro svg`        | SVG renderings of Fig. 1, Fig. 2 and Fig. 4 |
 //! | `repro json`       | machine-readable dump of every (kernel × sched) run |
+//! | `repro shootout`   | 9-policy matrix with stall attribution + host cost |
+//! | `repro disasm`     | VPTX disassembly and static mix of one kernel |
 //! | `repro trace`      | JSONL + Chrome trace_event export of one traced run |
 //! | `repro trace-report` | reduce a JSONL trace back to per-kernel reports |
-//! | `repro shootout`   | 9-policy matrix with stall attribution + host cost |
 //!
 //! `repro` builds one [`Experiment`] per process and every command borrows
 //! it: the commands that read the paper's (kernel × policy) matrix — `fig1`,
@@ -36,7 +45,9 @@
 //! `svg`, `json`, one column each of `sweep` and `dram` — are formatting
 //! over [`Experiment::cells`], which simulates a cell the first time any of
 //! them asks for it; the rest, whose machine, policy parameters or traces
-//! differ, call [`run_cell`] themselves.
+//! differ, call [`run_cell`] themselves. Either way a launch goes through
+//! `pro-workloads`' runner ([`Workload::run`], `synth::run`), which hands
+//! back counters only from a run whose output it has checked.
 //!
 //! Host cost is not measured here: that is the repository benchmark's job
 //! (`benchmark/`, end to end and per layer), with `repro shootout` for the
@@ -77,11 +88,10 @@ impl Cell {
     }
 }
 
-/// The one cell runner: build `w` at `scale` in the memory of a fresh
-/// `cfg` GPU, let `launch` run the kernel on it (a plain
-/// [`Gpu::launch`] with whatever traces the caller wants), then check
-/// device memory against the workload's host reference. A simulation error
-/// or a wrong result panics: no experiment may report numbers from it.
+/// One cell through the one runner ([`Workload::run`]): `launch` is a plain
+/// [`Gpu::launch`] with whatever traces the caller wants. A simulation
+/// error or a wrong result panics: no experiment may report numbers from
+/// it.
 pub fn run_cell(
     w: &Workload,
     sched: SchedulerKind,
@@ -89,15 +99,7 @@ pub fn run_cell(
     cfg: GpuConfig,
     launch: impl FnOnce(&mut Gpu, &Kernel) -> Result<RunResult, SimError>,
 ) -> Cell {
-    let mut gpu = Gpu::new(cfg, w.recommended_gmem(scale));
-    let built = w.build_scaled(&mut gpu.gmem, scale);
-    let result = launch(&mut gpu, &built.kernel).unwrap_or_else(|e| panic!("{}: {e}", w.kernel));
-    if let Err(e) = (built.verify)(&gpu.gmem) {
-        panic!(
-            "{} under {sched}: functional verification failed: {e}",
-            w.kernel
-        );
-    }
+    let result = w.run(cfg, scale, launch).unwrap_or_else(|e| panic!("{} under {sched}: {e}", w.kernel));
     Cell::new(w, sched, result)
 }
 

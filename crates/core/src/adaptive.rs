@@ -17,26 +17,10 @@ use crate::codec::{self, CodecError, Snapshot};
 use crate::pro::{Pro, ProConfig};
 use crate::{IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
 
-/// Probe/decision parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveConfig {
-    /// Cycles per probe epoch.
-    pub epoch_cycles: u64,
-    /// Probe epochs per mode (total probe = `2 * probes_per_mode`).
-    pub probes_per_mode: u32,
-    /// Underlying PRO tunables (barrier handling is overridden per mode).
-    pub base: ProConfig,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            epoch_cycles: 2000,
-            probes_per_mode: 2,
-            base: ProConfig::default(),
-        }
-    }
-}
+/// Cycles per probe epoch.
+const EPOCH_CYCLES: u64 = 2000;
+/// Probe epochs per mode (the whole probe is twice as many).
+const PROBES_PER_MODE: u32 = 2;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -61,7 +45,6 @@ crate::snapshot_enum! {
 pub struct ProAdaptive {
     with_barriers: Pro,
     without_barriers: Pro,
-    cfg: AdaptiveConfig,
     mode: Mode,
     epoch_start: u64,
     epoch_index: u32,
@@ -81,20 +64,17 @@ pub struct ProAdaptive {
 }
 
 impl ProAdaptive {
-    /// Build for an SM with `max_warps`/`max_tbs` slots.
-    pub fn new(max_warps: usize, max_tbs: usize, cfg: AdaptiveConfig) -> Self {
-        let on = ProConfig {
-            handle_barriers: true,
-            ..cfg.base
-        };
+    /// Build for an SM with `max_warps`/`max_tbs` slots: two instances of
+    /// the paper's PRO that differ in barrier handling only.
+    pub fn new(max_warps: usize, max_tbs: usize) -> Self {
+        let on = ProConfig::default();
         let off = ProConfig {
             handle_barriers: false,
-            ..cfg.base
+            ..on
         };
         ProAdaptive {
             with_barriers: Pro::new(max_warps, max_tbs, on),
             without_barriers: Pro::new(max_warps, max_tbs, off),
-            cfg,
             mode: Mode::Probe,
             epoch_start: 0,
             epoch_index: 0,
@@ -136,7 +116,7 @@ impl ProAdaptive {
             self.epoch_start = now;
             return;
         }
-        if now - self.epoch_start < self.cfg.epoch_cycles {
+        if now - self.epoch_start < EPOCH_CYCLES {
             return;
         }
         // Close the epoch.
@@ -152,7 +132,7 @@ impl ProAdaptive {
         self.cycles_this_epoch = 0;
         self.epoch_start = now;
         self.epoch_index += 1;
-        if self.epoch_index >= 2 * self.cfg.probes_per_mode {
+        if self.epoch_index >= 2 * PROBES_PER_MODE {
             // Decide: higher issue throughput wins; tie → keep handling on
             // (the paper's default behaviour).
             let on_ipc = self.on_score.0 as f64 / self.on_score.1.max(1) as f64;
@@ -294,15 +274,15 @@ mod tests {
     #[test]
     fn probing_alternates_then_locks() {
         let mut f = ViewFixture::grid(2, 2);
-        let mut p = ProAdaptive::new(4, 2, AdaptiveConfig::default());
+        let mut p = ProAdaptive::new(4, 2);
         for t in 0..2 {
             p.on_tb_launch(t, &f.view());
         }
         assert_eq!(p.decision(), None);
         assert!(p.active_is_on(), "epoch 0 probes with handling ON");
         // Make the OFF epochs strictly better: issue events only when OFF.
-        let epochs = 2 * AdaptiveConfig::default().probes_per_mode as u64 + 1;
-        for c in 0..epochs * 2001 {
+        let epochs = 2 * PROBES_PER_MODE as u64 + 1;
+        for c in 0..epochs * (EPOCH_CYCLES + 1) {
             f.cycle = c;
             p.begin_cycle(&f.view());
             if !p.active_is_on() && p.decision().is_none() {
@@ -323,10 +303,10 @@ mod tests {
     #[test]
     fn ties_keep_barrier_handling_enabled() {
         let mut f = ViewFixture::grid(1, 2);
-        let mut p = ProAdaptive::new(2, 1, AdaptiveConfig::default());
+        let mut p = ProAdaptive::new(2, 1);
         p.on_tb_launch(0, &f.view());
         // No issues at all → both modes score zero → tie → ON.
-        for c in 0..5 * 2001 {
+        for c in 0..5 * (EPOCH_CYCLES + 1) {
             f.cycle = c;
             p.begin_cycle(&f.view());
         }
@@ -336,7 +316,7 @@ mod tests {
     #[test]
     fn order_is_a_permutation_in_both_modes() {
         let mut f = ViewFixture::grid(2, 3);
-        let mut p = ProAdaptive::new(6, 2, AdaptiveConfig::default());
+        let mut p = ProAdaptive::new(6, 2);
         for t in 0..2 {
             p.on_tb_launch(t, &f.view());
         }
@@ -354,7 +334,7 @@ mod tests {
     #[test]
     fn both_instances_track_barrier_state() {
         let mut f = ViewFixture::grid(2, 2);
-        let mut p = ProAdaptive::new(4, 2, AdaptiveConfig::default());
+        let mut p = ProAdaptive::new(4, 2);
         for t in 0..2 {
             p.on_tb_launch(t, &f.view());
         }
@@ -369,29 +349,33 @@ mod tests {
     #[test]
     fn epoch_flip_dirties_even_without_events() {
         let mut f = ViewFixture::grid(2, 2);
-        // Huge THRESHOLD so the periodic re-sort cannot mask the flip: the
-        // only dirt at cycle 2500 must come from the driver change itself.
-        let cfg = AdaptiveConfig {
-            base: crate::pro::ProConfig {
-                threshold: 1_000_000,
-                ..crate::pro::ProConfig::default()
-            },
-            ..AdaptiveConfig::default()
-        };
-        let mut p = ProAdaptive::new(4, 2, cfg);
+        let mut p = ProAdaptive::new(4, 2);
         for t in 0..2 {
             p.on_tb_launch(t, &f.view());
         }
         let mut out = Vec::new();
-        f.cycle = 0;
-        p.begin_cycle(&f.view());
-        assert!(p.order_dirty(0), "no cached order yet");
-        p.order(0, &f.view(), &f.all_slots(), &mut out);
-        assert!(!p.order_dirty(0), "ON instance clean, same driver");
-        // Cross the epoch boundary: the driving instance flips to OFF.
-        f.cycle = 2500;
+        // Begin, and order, under both instances: the facade orders under
+        // the driving one only, so the other is cleaned by hand.
+        let mut step = |p: &mut ProAdaptive, f: &mut ViewFixture, cycle: u64| {
+            f.cycle = cycle;
+            p.begin_cycle(&f.view());
+            assert!(p.order_dirty(0), "cycle {cycle}");
+            p.order(0, &f.view(), &f.all_slots(), &mut out);
+            p.with_barriers.order(0, &f.view(), &f.all_slots(), &mut out);
+            p.without_barriers.order(0, &f.view(), &f.all_slots(), &mut out);
+            assert!(!p.order_dirty(0), "both instances clean, same driver");
+        };
+        // The probe starts off the periodic re-sort's beat (THRESHOLD = 1000),
+        // so the first epoch ends on a cycle where neither instance re-sorts
+        // and the only dirt is the driver change itself.
+        let start = 300;
+        step(&mut p, &mut f, start);
+        step(&mut p, &mut f, EPOCH_CYCLES); // a re-sort, not yet an epoch end
+        assert!(p.active_is_on());
+        f.cycle = start + EPOCH_CYCLES;
         p.begin_cycle(&f.view());
         assert!(!p.active_is_on(), "odd probe epoch drives OFF");
+        assert!(!p.without_barriers.order_dirty(0), "the OFF instance itself is clean");
         assert!(p.order_dirty(0), "driver changed → cached order invalid");
         p.order(0, &f.view(), &f.all_slots(), &mut out);
         assert!(!p.order_dirty(0));

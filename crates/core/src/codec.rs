@@ -23,8 +23,8 @@
 //!   hash maps and fixed-size arrays, and a struct or tagged enum declares
 //!   its encoding once with [`snapshot_struct!`](crate::snapshot_struct) /
 //!   [`snapshot_enum!`](crate::snapshot_enum).
-//!   Components that can additionally encode *only what changed since the
-//!   last capture* implement [`DeltaSnapshot`] on top.
+//!   (Global memory can additionally encode *only what changed since the
+//!   last capture*: `pro_mem::GlobalMem::save_delta`.)
 //! * [`FileWriter`] / [`FileReader`] — the on-disk container: magic +
 //!   format version + a chain header (full/delta kind, sequence number,
 //!   parent-file CRC) + a table of `(id, length, crc32, payload)` sections.
@@ -373,30 +373,6 @@ pub trait Snapshot: Sized {
     fn save(&self, w: &mut Writer);
     /// Decode a value from `r`.
     fn load(r: &mut Reader<'_>) -> Result<Self, CodecError>;
-}
-
-/// A [`Snapshot`] component that also tracks which parts of its state were
-/// modified since the last capture boundary, so a checkpoint chain can
-/// write only what changed.
-///
-/// The contract mirrors [`Snapshot`]'s bit-exactness, extended over
-/// chains: for any sequence of capture boundaries, `save` (or `save_delta`)
-/// followed by `mark_clean` at each boundary, then a restore built from the
-/// full base via `load` plus every delta via `apply_delta` in order, must
-/// yield a value observably identical to the original at the final
-/// boundary. `mark_clean` is a separate call (not folded into the save)
-/// so captures can run behind shared references and so a *skipped* write
-/// — e.g. an in-memory pause snapshot — never perturbs the chain.
-pub trait DeltaSnapshot: Snapshot {
-    /// Append an encoding of only the state modified since the last
-    /// [`DeltaSnapshot::mark_clean`] (or construction, whichever is later).
-    fn save_delta(&self, w: &mut Writer);
-    /// Declare the current state captured: subsequent `save_delta` calls
-    /// encode only modifications made after this point.
-    fn mark_clean(&mut self);
-    /// Apply a delta produced by [`DeltaSnapshot::save_delta`] on top of
-    /// the current state.
-    fn apply_delta(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError>;
 }
 
 macro_rules! snapshot_prim {

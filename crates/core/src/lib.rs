@@ -50,10 +50,10 @@ pub mod prop;
 pub mod rng;
 pub mod tl;
 
-pub use adaptive::{AdaptiveConfig, ProAdaptive};
+pub use adaptive::ProAdaptive;
 pub use calq::CalQueue;
 pub use codec::{
-    CodecError, ContainerKind, DeltaSnapshot, FileReader, FileWriter, Reader, Snapshot, Writer,
+    CodecError, ContainerKind, FileReader, FileWriter, Reader, Snapshot, Writer,
 };
 pub use fuzz::Fuzz;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
@@ -271,7 +271,7 @@ snapshot_struct! {
 }
 
 /// The scheduling policies available to the simulator, benches and
-/// examples. `FromStr` accepts the names used throughout the paper.
+/// examples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Loose round robin.
@@ -366,30 +366,8 @@ impl SchedulerKind {
                     ..ProConfig::default()
                 },
             )),
-            SchedulerKind::ProAdaptive => Box::new(ProAdaptive::new(
-                max_warps,
-                max_tbs,
-                AdaptiveConfig::default(),
-            )),
+            SchedulerKind::ProAdaptive => Box::new(ProAdaptive::new(max_warps, max_tbs)),
             SchedulerKind::Owl => Box::new(OwlLite::new(units, 2)),
-        }
-    }
-}
-
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "lrr" => Ok(SchedulerKind::Lrr),
-            "gto" => Ok(SchedulerKind::Gto),
-            "tl" | "two-level" | "twolevel" => Ok(SchedulerKind::Tl),
-            "pro" => Ok(SchedulerKind::Pro),
-            "pro-nb" | "pro_nb" => Ok(SchedulerKind::ProNoBarrier),
-            "pro-nf" | "pro_nf" => Ok(SchedulerKind::ProNoFinish),
-            "pro-ns" | "pro_ns" => Ok(SchedulerKind::ProNoSlowPhase),
-            "pro-ad" | "pro_ad" | "adaptive" => Ok(SchedulerKind::ProAdaptive),
-            "owl" => Ok(SchedulerKind::Owl),
-            other => Err(format!("unknown scheduler `{other}`")),
         }
     }
 }
@@ -472,18 +450,6 @@ pub(crate) mod testutil {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_parses_paper_names() {
-        assert_eq!("lrr".parse::<SchedulerKind>().unwrap(), SchedulerKind::Lrr);
-        assert_eq!("GTO".parse::<SchedulerKind>().unwrap(), SchedulerKind::Gto);
-        assert_eq!(
-            "two-level".parse::<SchedulerKind>().unwrap(),
-            SchedulerKind::Tl
-        );
-        assert_eq!("PRO".parse::<SchedulerKind>().unwrap(), SchedulerKind::Pro);
-        assert!("nope".parse::<SchedulerKind>().is_err());
-    }
 
     #[test]
     fn factory_builds_every_kind() {

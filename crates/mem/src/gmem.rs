@@ -1,7 +1,7 @@
 //! Functional backing store for device global memory, plus a bump allocator
 //! workloads use to lay out their buffers (the CUDA `cudaMalloc` stand-in).
 
-use pro_core::codec::{CodecError, DeltaSnapshot, Reader, Snapshot, Writer};
+use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
 
 /// Dirty-tracking granularity: words per page. 256 words = 1 KiB pages — a
 /// kernel touching a few MB dirties a few thousand pages, so the bitmap
@@ -26,7 +26,7 @@ pub const PAGE_BYTES: u64 = PAGE_WORDS as u64 * 4;
 /// Every store path funnels through [`GlobalMem::write`] — a warp's
 /// [`GlobalMem::write_row`] scatter and host-side buffer initialization —
 /// so the page-granular dirty bitmap maintained there is a complete record
-/// of what changed since the last [`DeltaSnapshot`] capture. The timing
+/// of what changed since the last [`GlobalMem::save_delta`] capture. The timing
 /// path (coalescer, L2 writebacks, DRAM fills) moves no functional data and
 /// therefore needs no hooks of its own.
 #[derive(Debug, Clone)]
@@ -34,11 +34,11 @@ pub struct GlobalMem {
     words: Vec<u32>,
     next_alloc: u64,
     /// One bit per [`PAGE_WORDS`]-word page, set on every write since the
-    /// last [`DeltaSnapshot::mark_clean`]. Never serialized: a restore is
+    /// last [`GlobalMem::mark_clean`]. Never serialized: a restore is
     /// itself a capture boundary, so it always starts clean.
     dirty: Vec<u64>,
     /// One past the highest page any write had reached by the last
-    /// [`DeltaSnapshot::mark_clean`] (or restore): a nonzero word lies below
+    /// [`GlobalMem::mark_clean`] (or restore): a nonzero word lies below
     /// it or in a page dirtied since, so [`Snapshot::save`] starts its
     /// trailing-zero scan there instead of at the end of the store. Sticky
     /// (never lowered) and derived: seeded from `used` on load.
@@ -114,13 +114,13 @@ impl GlobalMem {
         self.dirty[page >> 6] |= 1 << (page & 63);
     }
 
-    /// Number of pages written since the last [`DeltaSnapshot::mark_clean`].
+    /// Number of pages written since the last [`GlobalMem::mark_clean`].
     pub fn dirty_pages(&self) -> usize {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// One past the highest page written since the last
-    /// [`DeltaSnapshot::mark_clean`] (0 when none was).
+    /// [`GlobalMem::mark_clean`] (0 when none was).
     fn dirty_page_bound(&self) -> usize {
         self.dirty
             .iter()
@@ -197,12 +197,23 @@ impl Snapshot for GlobalMem {
     }
 }
 
-impl DeltaSnapshot for GlobalMem {
-    // Delta encoding: geometry + allocator cursor, then each dirty page in
-    // ascending page order as (page index, page words). The final page may
-    // be short when the word count is not page-aligned; its length is
-    // derived from `total`, so the encoding stays self-describing.
-    fn save_delta(&self, w: &mut Writer) {
+/// Which pages were written since the last capture boundary, so a
+/// checkpoint chain can store only what changed. The contract extends
+/// [`Snapshot`]'s bit-exactness over chains: `save` (or `save_delta`)
+/// followed by `mark_clean` at each boundary, then a restore built from the
+/// full base via `load` plus every delta via `apply_delta` in order, yields
+/// a memory observably identical to the original at the final boundary.
+/// `mark_clean` is a separate call (not folded into the save) so captures
+/// run behind shared references and a *skipped* write — an in-memory pause
+/// snapshot — never perturbs the chain.
+impl GlobalMem {
+    /// Append an encoding of only the pages written since the last
+    /// [`GlobalMem::mark_clean`] (or construction, whichever is later):
+    /// geometry + allocator cursor, then each dirty page in ascending page
+    /// order as (page index, page words). The final page may be short when
+    /// the word count is not page-aligned; its length is derived from
+    /// `total`, so the encoding stays self-describing.
+    pub fn save_delta(&self, w: &mut Writer) {
         w.put_u64(self.words.len() as u64);
         w.put_u64(self.next_alloc);
         w.put_u64(self.dirty_pages() as u64);
@@ -219,12 +230,16 @@ impl DeltaSnapshot for GlobalMem {
         }
     }
 
-    fn mark_clean(&mut self) {
+    /// Declare the current state captured: subsequent `save_delta` calls
+    /// encode only writes made after this point.
+    pub fn mark_clean(&mut self) {
         self.touched_pages = self.touched_pages.max(self.dirty_page_bound());
         self.dirty.fill(0);
     }
 
-    fn apply_delta(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+    /// Apply a delta produced by [`GlobalMem::save_delta`] on top of the
+    /// current state.
+    pub fn apply_delta(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
         let total = r.get_usize()?;
         if total != self.words.len() {
             return Err(CodecError::BadValue("gmem delta geometry mismatch"));

@@ -17,7 +17,7 @@ mod snapshot;
 
 use crate::checkpoint::{ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, Prior};
 use crate::result::{RunResult, TbOrderSnapshot, TbSpan};
-use pro_core::codec::{ensure, CodecError, DeltaSnapshot, Reader, Snapshot, Writer};
+use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
 use pro_core::{snapshot_struct, SchedulerKind, WarpScheduler};
 use pro_isa::Kernel;
 use pro_mem::{GlobalMem, MemConfig, MemSubsystem};
@@ -81,10 +81,8 @@ impl GpuConfig {
 pub struct TraceOptions {
     /// Record each TB's (SM, start, end) — regenerates Fig. 2.
     pub timeline: bool,
-    /// Record the policy's TB priority order on SM `sm` every `period`
-    /// cycles — regenerates Table IV. `period = 0` disables.
-    pub tb_order_sm: u32,
-    /// Sampling period for `tb_order_sm` (0 = off).
+    /// Record the policy's TB priority order on SM 0 — the SM Table IV
+    /// shows — every `tb_order_period` cycles (0 = off).
     pub tb_order_period: u64,
     /// Record per-SM issued-instruction counts every `utilization_period`
     /// cycles (0 = off) — drives the occupancy heatmap.
@@ -595,7 +593,7 @@ impl<'a> Engine<'a> {
             // and the clock move only on success, and every setup rebuilds
             // the memory hierarchy).
             Some(restored) => restored
-                .apply(gpu, &mut recorder, &mut lanes)
+                .apply(gpu, kernel, &mut recorder, &mut lanes)
                 .inspect_err(|_| gpu.sms = idle_sms(&gpu.cfg))?,
             None => {
                 recorder.on_kernel_begin(&kernel.program.name, start_cycle);
@@ -687,9 +685,8 @@ impl<'a> Engine<'a> {
         let period = self.trace.tb_order_period;
         if period > 0 && now - lp.last_order_sample >= period {
             lp.last_order_sample = now;
-            let i = self.trace.tb_order_sm as usize;
-            let view = sms[i].sched_view(now, fast_phase);
-            if let Some(order) = lanes[i].policy.tb_priority_trace(&view) {
+            let view = sms[0].sched_view(now, fast_phase);
+            if let Some(order) = lanes[0].policy.tb_priority_trace(&view) {
                 if !order.is_empty() {
                     lp.tb_order.push(TbOrderSnapshot {
                         cycle: now - self.start_cycle,

@@ -10,7 +10,7 @@ use super::{Engine, Gpu, GpuConfig, Lane, LoopState, Recorder, SimError};
 use crate::checkpoint::GpuSnapshot;
 use pro_core::{bdelta, snapshot_struct};
 use pro_core::codec::{
-    CodecError, ContainerKind, DeltaSnapshot, FileReader, FileWriter, Reader, Snapshot, Writer,
+    ensure, CodecError, ContainerKind, FileReader, FileWriter, Reader, Snapshot, Writer,
 };
 use pro_isa::Kernel;
 use pro_mem::GlobalMem;
@@ -156,6 +156,8 @@ impl Restored {
         }
         let meta = Meta::read(tip)?;
         meta.check_matches(&Meta::of(cfg, kernel, "", 0, 0))?;
+        // The run loop subtracts the one from the other every cycle.
+        ensure(meta.start_cycle <= meta.cycle, "snapshot taken before its launch began")?;
 
         let mut image = ChainImage {
             mem: base.section_bytes(SEC_MEM)?.to_vec(),
@@ -179,6 +181,7 @@ impl Restored {
     pub(super) fn apply(
         &self,
         gpu: &mut Gpu,
+        kernel: &Kernel,
         recorder: &mut Recorder<'_>,
         lanes: &mut [Lane],
     ) -> Result<LoopState, SimError> {
@@ -224,9 +227,42 @@ impl Restored {
         // Both sides of every load in flight are decoded: pair them.
         let loads = gpu.sms.iter().flat_map(|sm| sm.loads_in_flight().map(|(a, n)| (sm.id, a, n)));
         gpu.mem.check_loads(self.meta.cycle, loads)?;
+        self.check_loop(&lp, gpu, kernel, recorder)?;
         gpu.gmem = gmem;
         gpu.cycle = self.meta.cycle;
         Ok(lp)
+    }
+
+    /// The run loop's bookkeeping held to the grid and to the SMs just
+    /// restored: the loop counts TBs down to zero, indexes the SM array and
+    /// subtracts cycle stamps on what this section says.
+    fn check_loop(
+        &self,
+        lp: &LoopState,
+        gpu: &Gpu,
+        kernel: &Kernel,
+        recorder: &Recorder<'_>,
+    ) -> Result<(), CodecError> {
+        let mut resident = Vec::new();
+        for sm in &gpu.sms {
+            let tbs = sm.sched_view(0, false).tbs.iter().filter(|t| t.occupied);
+            resident.extend(tbs.map(|t| (sm.id, t.global_index)));
+        }
+        // The TB scheduler hands blocks out in index order, so what it has
+        // still to launch is the tail of the grid — each block once, none of
+        // them resident.
+        let blocks = kernel.launch.num_blocks();
+        let launched = blocks.checked_sub(lp.pending.len() as u32);
+        let is_tail = launched.is_some_and(|first| lp.pending.iter().copied().eq(first..blocks));
+        ensure(is_tail, "snapshot pending TB queue")?;
+        ensure(resident.iter().all(|&(_, g)| Some(g) < launched), "snapshot resident TB still pending")?;
+        ensure(lp.outstanding as usize == resident.len(), "snapshot outstanding TB count")?;
+        ensure(lp.rr_next_sm < gpu.sms.len(), "snapshot TB scheduler cursor")?;
+        ensure(lp.last_order_sample <= self.meta.cycle, "snapshot order sample after its cycle")?;
+        // With the timeline on, `load_state` found a start per outstanding
+        // TB; each completion looks its own up by (SM, block).
+        let started = |key| !recorder.timeline_on || recorder.starts.contains_key(key);
+        ensure(resident.iter().all(started), "snapshot timeline start of a TB not resident")
     }
 }
 

@@ -52,12 +52,10 @@ pub struct RunResult {
     /// Per-SM issued-instruction counts per sampling interval (only when
     /// `TraceOptions::utilization_period` was set).
     pub utilization: Vec<Vec<u64>>,
-    /// Named end-of-run metrics registry: every counter above plus the
-    /// memory-latency / ready-warp / progress-disparity histograms,
-    /// snapshotted by [`RunResult::snapshot_metrics`]. Derived helpers
-    /// ([`RunResult::ipc`], the stall fractions) read from here first and
-    /// fall back to the raw structs when the registry is empty (e.g. on
-    /// hand-built results in tests).
+    /// Named end-of-run metrics registry: a copy of every counter above
+    /// plus the memory-latency / ready-warp / progress-disparity
+    /// histograms, snapshotted by [`RunResult::snapshot_metrics`] (and,
+    /// under `TraceOptions::host_prof`, the `host/*` namespace).
     pub metrics: Metrics,
 }
 
@@ -94,47 +92,24 @@ impl RunResult {
         m.set_hist("sm.tb_disparity", self.sm.disparity_hist);
     }
 
-    /// Read a counter from the registry, falling back to `raw` when the
-    /// registry has not been snapshotted.
-    fn counter_or(&self, name: &str, raw: u64) -> u64 {
-        self.metrics.counter(name).unwrap_or(raw)
-    }
-
-    fn stall(&self) -> (u64, u64, u64) {
-        (
-            self.counter_or("sm.stall.idle", self.sm.idle),
-            self.counter_or("sm.stall.scoreboard", self.sm.scoreboard),
-            self.counter_or("sm.stall.pipeline", self.sm.pipeline),
-        )
-    }
-
     /// Fraction of stall unit-cycles that were Idle.
     pub fn idle_frac(&self) -> f64 {
-        let (i, s, p) = self.stall();
-        frac(i, i + s + p)
+        frac(self.sm.idle, self.sm.total_stalls())
     }
 
     /// Fraction of stall unit-cycles that were Scoreboard.
     pub fn scoreboard_frac(&self) -> f64 {
-        let (i, s, p) = self.stall();
-        frac(s, i + s + p)
+        frac(self.sm.scoreboard, self.sm.total_stalls())
     }
 
     /// Fraction of stall unit-cycles that were Pipeline.
     pub fn pipeline_frac(&self) -> f64 {
-        let (i, s, p) = self.stall();
-        frac(p, i + s + p)
+        frac(self.sm.pipeline, self.sm.total_stalls())
     }
 
     /// Issued instructions per cycle across the whole GPU.
     pub fn ipc(&self) -> f64 {
-        let cycles = self.counter_or("cycles", self.cycles);
-        let instructions = self.counter_or("sm.instructions", self.sm.instructions);
-        if cycles == 0 {
-            0.0
-        } else {
-            instructions as f64 / cycles as f64
-        }
+        frac(self.sm.instructions, self.cycles)
     }
 
     /// One-line human-readable render, shared by `repro` and examples.
@@ -147,7 +122,7 @@ impl RunResult {
             "{} [{}] {} cycles  IPC {:.2}  stalls: idle {:.1}% sb {:.1}% pipe {:.1}%  L1 miss {:.1}%  load lat {:.1}",
             self.kernel,
             self.scheduler,
-            self.counter_or("cycles", self.cycles),
+            self.cycles,
             self.ipc(),
             100.0 * self.idle_frac(),
             100.0 * self.scoreboard_frac(),
@@ -316,14 +291,12 @@ mod tests {
     #[test]
     fn metrics_snapshot_agrees_with_raw_helpers() {
         let mut r = result(50, 30, 20);
-        let (ipc_raw, idle_raw) = (r.ipc(), r.idle_frac());
         r.snapshot_metrics();
         assert!(!r.metrics.is_empty());
-        assert_eq!(r.metrics.counter("cycles"), Some(100));
-        assert_eq!(r.metrics.counter("sm.stall.idle"), Some(50));
-        // Registry-derived values equal the raw-struct fallbacks exactly.
-        assert_eq!(r.ipc(), ipc_raw);
-        assert_eq!(r.idle_frac(), idle_raw);
+        // The registry is a copy of the typed fields the helpers read.
+        assert_eq!(r.metrics.counter("cycles"), Some(r.cycles));
+        assert_eq!(r.metrics.counter("sm.stall.idle"), Some(r.sm.idle));
+        assert_eq!(r.metrics.counter("sm.instructions"), Some(r.sm.instructions));
         // Idempotent.
         r.snapshot_metrics();
         assert_eq!(r.metrics.counter("cycles"), Some(100));

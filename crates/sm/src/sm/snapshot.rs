@@ -106,6 +106,16 @@ impl Sm {
         {
             return Err(CodecError::BadValue("snapshot resident TB count"));
         }
+        // A barrier opens and a TB retires on these two counts: hold them to
+        // the flags of the TB's warps, which they count.
+        let counted = |(slot, t): (usize, &TbState)| {
+            let warps = &self.warps[slot * warps_per_tb..][..warps_per_tb];
+            let count = |flag: fn(&Warp) -> bool| warps.iter().filter(|w| w.valid && flag(w)).count();
+            t.warps_at_barrier as usize == count(|w| w.at_barrier)
+                && t.warps_finished as usize == count(|w| w.finished)
+        };
+        let mut resident = usable.iter().enumerate().filter(|(_, t)| t.occupied);
+        ensure(resident.all(counted), "snapshot TB barrier or finished warp count")?;
         self.wb_events.restore_snapshot(r)?;
         self.lsu = Snapshot::load(r)?;
         self.sfu_free_at = r.get_u64()?;

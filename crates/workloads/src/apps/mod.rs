@@ -51,16 +51,15 @@ pub fn all() -> Vec<Workload> {
     ]
 }
 
-/// Shared smoke-test driver for app modules: run the workload at a small
-/// TB count on a 2-SM GPU under LRR and check the verifier passes.
+/// Shared smoke-test driver for app modules: run the workload capped at
+/// `tbs` TBs on a 2-SM GPU under LRR; the runner checks the result.
 #[cfg(test)]
 pub(crate) fn smoke(w: &Workload, tbs: u32) {
-    use pro_sim::{Gpu, GpuConfig, SchedulerKind, TraceOptions};
-    let mut gpu = Gpu::new(GpuConfig::small(2), 64 << 20);
-    let built = (w.build)(&mut gpu.gmem, tbs);
-    let r = gpu
-        .launch(&built.kernel, SchedulerKind::Lrr, TraceOptions::default())
+    use pro_sim::{GpuConfig, SchedulerKind, TraceOptions};
+    let r = w
+        .run(GpuConfig::small(2), crate::Scale::Capped(tbs), |gpu, k| {
+            gpu.launch(k, SchedulerKind::Lrr, TraceOptions::default())
+        })
         .unwrap_or_else(|e| panic!("{}: {e}", w.kernel));
     assert!(r.cycles > 0);
-    (built.verify)(&gpu.gmem).unwrap_or_else(|e| panic!("{} verification: {e}", w.kernel));
 }

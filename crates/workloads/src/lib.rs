@@ -18,6 +18,10 @@
 //! [`Workload::build`]'s verifier checks against a host reference, which is
 //! what lets the test suite assert scheduler-independence of results.
 //!
+//! [`Workload::run`] (and [`synth::run`] for generated kernels) is the one
+//! way to run a kernel outside a test: build on a fresh GPU, launch, check
+//! the output — a result comes back only from a run that was right.
+//!
 //! One [`Workload`] = one Table II row. [`registry`] returns all 25 in
 //! table order; [`apps()`] groups them into the 15 applications used by
 //! Figs. 1/5 and Table III.
@@ -28,6 +32,7 @@ pub mod synth;
 
 use pro_isa::Kernel;
 use pro_mem::GlobalMem;
+use pro_sim::{Gpu, GpuConfig, RunResult, SimError};
 
 /// Verifier over final device memory.
 pub type VerifyFn = Box<dyn Fn(&GlobalMem) -> Result<(), String>>;
@@ -101,6 +106,25 @@ impl Workload {
         (self.build)(gmem, self.effective_tbs(scale))
     }
 
+    /// The one way to run a Table II kernel: build it at `scale` in the
+    /// memory of a fresh `cfg` GPU, let `launch` run it there (a plain
+    /// [`Gpu::launch`], or whatever policy, traces and tracer the caller
+    /// wants), then check device memory against the host reference. No
+    /// counters come back from a launch that failed or computed the wrong
+    /// thing.
+    pub fn run(
+        &self,
+        cfg: GpuConfig,
+        scale: Scale,
+        launch: impl FnOnce(&mut Gpu, &Kernel) -> Result<RunResult, SimError>,
+    ) -> Result<RunResult, RunError> {
+        let mut gpu = Gpu::new(cfg, self.recommended_gmem(scale));
+        let built = self.build_scaled(&mut gpu.gmem, scale);
+        let result = launch(&mut gpu, &built.kernel)?;
+        (built.verify)(&gpu.gmem).map_err(RunError::WrongResult)?;
+        Ok(result)
+    }
+
     /// Device-memory recommendation for a run of this workload.
     pub fn recommended_gmem(&self, scale: Scale) -> u64 {
         // Generous flat budget: the largest full-scale kernels (convSep at
@@ -135,20 +159,30 @@ pub fn apps() -> Vec<(&'static str, Vec<Workload>)> {
     out
 }
 
-/// Convenience: run one workload end to end on a fresh GPU, returning the
-/// simulation result plus the functional verification verdict.
-pub fn run_workload(
-    gpu_cfg: pro_sim::GpuConfig,
-    w: &Workload,
-    scheduler: pro_sim::SchedulerKind,
-    scale: Scale,
-    trace: pro_sim::TraceOptions,
-) -> Result<(pro_sim::RunResult, Result<(), String>), pro_sim::SimError> {
-    let mut gpu = pro_sim::Gpu::new(gpu_cfg, w.recommended_gmem(scale));
-    let built = w.build_scaled(&mut gpu.gmem, scale);
-    let result = gpu.launch(&built.kernel, scheduler, trace)?;
-    let verdict = (built.verify)(&gpu.gmem);
-    Ok((result, verdict))
+/// Why [`Workload::run`] or [`synth::run`] has no result to hand back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// The simulation did not finish.
+    Sim(SimError),
+    /// The launch finished and left the wrong result in device memory.
+    WrongResult(String),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Sim(e) => write!(f, "{e}"),
+            RunError::WrongResult(why) => write!(f, "functional verification failed: {why}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<SimError> for RunError {
+    fn from(e: SimError) -> Self {
+        RunError::Sim(e)
+    }
 }
 
 #[cfg(test)]
@@ -179,6 +213,43 @@ mod tests {
         assert_eq!(nn.1.len(), 4);
         let hist = a.iter().find(|(n, _)| *n == "histogram").unwrap();
         assert_eq!(hist.1.len(), 4);
+    }
+
+    fn lrr(gpu: &mut Gpu, kernel: &Kernel) -> Result<RunResult, SimError> {
+        gpu.launch(kernel, pro_sim::SchedulerKind::Lrr, Default::default())
+    }
+
+    #[test]
+    fn a_run_whose_host_reference_disagrees_has_no_result() {
+        let real = find("scalarProdGPU").unwrap();
+        let run = |w: Workload| w.run(GpuConfig::small(2), Scale::Capped(4), lrr);
+        assert!(run(real).unwrap().cycles > 0);
+        // The same kernel, checked against a reference that sees another
+        // first dot product (its exponent's top bit flipped) than was stored.
+        let disagreeing = Workload {
+            build: |gmem, tbs| {
+                let built = (apps::scalarprod::WORKLOAD.build)(gmem, tbs);
+                let out = built.kernel.params[2] as u64;
+                let verify: VerifyFn = Box::new(move |gmem| {
+                    let mut seen = gmem.clone();
+                    seen.write(out, gmem.read(out) ^ 0x4000_0000);
+                    (built.verify)(&seen)
+                });
+                Built { kernel: built.kernel, verify }
+            },
+            ..real
+        };
+        let err = run(disagreeing).unwrap_err();
+        assert!(matches!(err, RunError::WrongResult(_)), "{err:?}");
+        assert!(err.to_string().starts_with("functional verification failed: "), "{err}");
+    }
+
+    #[test]
+    fn a_run_that_does_not_finish_is_a_simulation_error() {
+        let w = find("scalarProdGPU").unwrap();
+        let cfg = GpuConfig { max_cycles: 100, ..GpuConfig::small(2) };
+        let err = w.run(cfg, Scale::Capped(4), lrr).unwrap_err();
+        assert!(matches!(err, RunError::Sim(SimError::Timeout { .. })), "{err:?}");
     }
 
     #[test]

@@ -14,10 +14,13 @@
 //!    density) and observe how each scheduler's advantage moves, beyond
 //!    the paper's fixed 25 kernels.
 
-use crate::common::rng;
+use crate::common::{check_u32, rng};
+use crate::RunError;
 use pro_core::rng::SplitMix64;
+use pro_isa::interp::run_kernel;
 use pro_isa::{AtomOp, CmpOp, Kernel, LaunchConfig, ProgramBuilder, Reg, SfuOp, Special, Src, Ty};
 use pro_mem::GlobalMem;
+use pro_sim::{Gpu, GpuConfig, RunResult, SimError};
 
 /// Knobs for the generator. All probabilities are in `0.0..=1.0`.
 #[derive(Debug, Clone, Copy)]
@@ -79,11 +82,47 @@ pub struct SynthKernel {
     pub out_len: usize,
 }
 
+/// Threads per block as launched (a warp multiple ≤ 512), and threads in
+/// the grid.
+fn geometry(p: &SynthParams) -> (u32, usize) {
+    let threads = p.threads.clamp(1, 512).div_ceil(32) * 32;
+    (threads, (p.blocks * threads) as usize)
+}
+
+/// Instructions one thread may execute before the reference interpreter
+/// calls the kernel runaway (a generated thread executes a few hundred).
+const ORACLE_STEP_LIMIT: u64 = 5_000_000;
+
+/// The one way to run a generated kernel: [`generate`] it in the memory of
+/// a fresh `cfg` GPU, compute what its thread-private output region must
+/// hold with the scalar interpreter ([`pro_isa::interp`], which shares no
+/// code with the SIMT model) from a copy of that memory, let `launch` run
+/// the kernel on the GPU, and compare. No counters come back from a launch
+/// that failed or computed the wrong thing.
+pub fn run(
+    cfg: GpuConfig,
+    p: SynthParams,
+    launch: impl FnOnce(&mut Gpu, &Kernel) -> Result<RunResult, SimError>,
+) -> Result<RunResult, RunError> {
+    // The table and the output region, each a whole number of the
+    // allocator's 256-byte units.
+    let bytes = (TABLE_WORDS as u64 * 4 + geometry(&p).1 as u64 * 4).next_multiple_of(256);
+    let mut gpu = Gpu::new(cfg, bytes);
+    let k = generate(&mut gpu.gmem, p);
+    let out = (k.out_base / 4) as usize;
+    // The output region is the last buffer: everything below its end.
+    let mut host = gpu.gmem.read_slice(0, out + k.out_len);
+    run_kernel(&k.kernel, &mut host, ORACLE_STEP_LIMIT)
+        .map_err(|e| RunError::WrongResult(format!("reference interpreter: {e}")))?;
+    let result = launch(&mut gpu, &k.kernel)?;
+    check_u32(&gpu.gmem, k.out_base, &host[out..], "output").map_err(RunError::WrongResult)?;
+    Ok(result)
+}
+
 /// Generate a kernel. Allocates its buffers from `gmem`.
 pub fn generate(gmem: &mut GlobalMem, p: SynthParams) -> SynthKernel {
     let mut r = rng(p.seed ^ 0x5EED_CAFE);
-    let threads = p.threads.clamp(1, 512).div_ceil(32) * 32;
-    let n = (p.blocks * threads) as usize;
+    let (threads, n) = geometry(&p);
 
     let table: Vec<u32> = (0..TABLE_WORDS).map(|_| r.next_u32()).collect();
     let table_base = gmem.alloc_init(&table);
@@ -366,14 +405,27 @@ mod tests {
         assert!(mb.barriers > mm.barriers);
     }
 
+    fn pro(gpu: &mut Gpu, kernel: &Kernel) -> Result<RunResult, SimError> {
+        gpu.launch(kernel, pro_sim::SchedulerKind::Pro, Default::default())
+    }
+
     #[test]
     fn generated_kernel_runs_and_terminates() {
-        use pro_sim::{Gpu, GpuConfig, SchedulerKind, TraceOptions};
-        let mut gpu = Gpu::new(GpuConfig::small(2), 16 << 20);
-        let k = generate(&mut gpu.gmem, SynthParams::default());
-        let r = gpu
-            .launch(&k.kernel, SchedulerKind::Pro, TraceOptions::default())
-            .unwrap();
+        let r = run(GpuConfig::small(2), SynthParams::default(), pro).unwrap();
         assert!(r.cycles > 0);
+    }
+
+    #[test]
+    fn an_output_word_the_interpreter_did_not_compute_is_refused() {
+        let err = run(GpuConfig::small(2), SynthParams::default(), |gpu, kernel| {
+            let r = pro(gpu, kernel)?;
+            // Thread 5's slot of the output region (kernel parameter 0).
+            let slot = kernel.params[0] as u64 + 5 * 4;
+            gpu.gmem.write(slot, !gpu.gmem.read(slot));
+            Ok(r)
+        })
+        .unwrap_err();
+        let RunError::WrongResult(why) = err else { panic!("{err:?}") };
+        assert!(why.starts_with("output[5]: "), "{why}");
     }
 }

@@ -9,7 +9,7 @@
 //! Defaults to `scalarProdGPU`, the paper's headline kernel.
 
 use pro_sim::core::SchedulerKind;
-use pro_sim::{Gpu, GpuConfig, TraceOptions};
+use pro_sim::{GpuConfig, TraceOptions};
 use pro_workloads::{find, registry, Scale};
 
 fn main() {
@@ -38,12 +38,9 @@ fn main() {
     );
     let mut baseline = None;
     for kind in SchedulerKind::ALL {
-        let mut gpu = Gpu::new(GpuConfig::gtx480(), w.recommended_gmem(scale));
-        let built = w.build_scaled(&mut gpu.gmem, scale);
-        let r = gpu
-            .launch(&built.kernel, kind, TraceOptions::default())
-            .expect("run completes");
-        (built.verify)(&gpu.gmem).expect("verification");
+        let r = w
+            .run(GpuConfig::gtx480(), scale, |gpu, k| gpu.launch(k, kind, TraceOptions::default()))
+            .expect("run completes and verifies");
         let base = *baseline.get_or_insert(r.cycles);
         println!(
             "{:<8} {:>10} {:>7.2} {:>12} {:>12} {:>12} {:>8.3}x",

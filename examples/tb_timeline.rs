@@ -8,25 +8,20 @@
 //! Columns: scheduler, sm, tb_global_index, start_cycle, end_cycle.
 
 use pro_sim::{GpuConfig, SchedulerKind, TraceOptions};
-use pro_workloads::{find, run_workload, Scale};
+use pro_workloads::{find, Scale};
 
 fn main() {
     let w = find("laplace3d").expect("LPS in registry");
     println!("scheduler,sm,tb,start,end");
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
         // A 4-SM slice gives SM 0 roughly the ~20 TBs the paper plots.
-        let (result, verdict) = run_workload(
-            GpuConfig::small(4),
-            &w,
-            sched,
-            Scale::default(),
-            TraceOptions {
-                timeline: true,
-                ..Default::default()
-            },
-        )
-        .expect("run completes");
-        verdict.expect("verification");
+        let trace = TraceOptions {
+            timeline: true,
+            ..Default::default()
+        };
+        let result = w
+            .run(GpuConfig::small(4), Scale::default(), |gpu, k| gpu.launch(k, sched, trace))
+            .expect("run completes and verifies");
         let mut spans = result.timeline.clone();
         spans.sort_by_key(|s| (s.sm, s.start));
         for s in spans {

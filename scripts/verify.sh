@@ -105,10 +105,6 @@ for svg in fig1_lrr.svg fig2_lrr.svg fig2_pro.svg fig4.svg; do
     }
 done
 echo "ok: repro all and repro svg reproduce the checked-in artifacts"
-# Unknown options are refused (exit 2), not ignored — including the removed
-# worker-thread flag, which would otherwise silently run the only engine.
-target/release/repro json --quick --sm-workers 4 >/dev/null 2>&1 && rc=0 || rc=$?
-[ "$rc" -eq 2 ] || { echo "ERROR: repro accepted an unknown option (exit $rc, want 2)" >&2; exit 1; }
 
 echo "== repository benchmark: own tests + smoke run + full matrix =="
 # benchmark/ is a workspace of its own (BENCHMARK.json is its contract), so

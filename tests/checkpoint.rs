@@ -243,6 +243,7 @@ fn container_bytes_are_pinned_for_every_policy() {
 }
 
 /// Container section ids (DESIGN.md §12).
+const SEC_META: u32 = 1;
 const SEC_LOOP: u32 = 2;
 const SEC_MEM: u32 = 4;
 const SEC_SM0: u32 = 10;
@@ -275,13 +276,15 @@ struct Victim {
     gpu: Gpu,
     kernel: pro_sim::isa::Kernel,
     sched: SchedulerKind,
+    /// What the pause was taken with, and the resume asks for.
+    trace: TraceOptions,
     base_cycles: u64,
 }
 
 impl Victim {
     fn refuses(&mut self, bad: &GpuSnapshot, what: &str) -> CodecError {
         let no_ckpt = CheckpointOptions::default();
-        match self.gpu.resume(bad, &self.kernel, self.sched, trace_opts(), &no_ckpt) {
+        match self.gpu.resume(bad, &self.kernel, self.sched, self.trace, &no_ckpt) {
             Err(SimError::Snapshot(e)) => e,
             other => panic!("{what}: wanted a snapshot error, got {other:?}"),
         }
@@ -296,10 +299,19 @@ impl Victim {
 /// The victim, and a pause container (parsed) under `sched` to corrupt:
 /// mid-grid, or at the cycle `pause_at` names.
 fn victim_and_pause(sched: SchedulerKind, pause_at: Option<u64>) -> (Victim, FileReader) {
+    victim_and_pause_traced(sched, pause_at, trace_opts())
+}
+
+/// [`victim_and_pause`] with the trace accumulators of `trace` only.
+fn victim_and_pause_traced(
+    sched: SchedulerKind,
+    pause_at: Option<u64>,
+    trace: TraceOptions,
+) -> (Victim, FileReader) {
     let (mut gpu, kernel) = fresh_gpu();
     let base_cycles = gpu.launch(&kernel, sched, TraceOptions::default()).unwrap().cycles;
-    let snap = paused(sched, trace_opts(), pause_at.unwrap_or(base_cycles / 2));
-    (Victim { gpu, kernel, sched, base_cycles }, FileReader::parse(snap.as_bytes()).unwrap())
+    let snap = paused(sched, trace, pause_at.unwrap_or(base_cycles / 2));
+    (Victim { gpu, kernel, sched, trace, base_cycles }, FileReader::parse(snap.as_bytes()).unwrap())
 }
 
 #[test]
@@ -746,6 +758,103 @@ fn sm_state_off_the_kernels_geometry_is_refused() {
     shared[0] = SharedMem::new(shared[0].size() - 4);
     let short_shared = [&sec[..shared_at], &encode(&shared), &sec[view_at..]].concat();
     check("a TB whose shared memory is a word short", short_shared, "snapshot shared memory size");
+}
+
+/// The run loop's section: the TB scheduler's queue, the count of TBs in
+/// flight, its cursor over the SMs, the Table IV samples and the cycle of the
+/// last; then the recorder's TB starts by (SM, block), its finished spans and
+/// its utilization rows.
+type Loop = (VecDeque<u32>, u32, u64, (Vec<(u64, Vec<u32>)>, u64));
+type Traces = (HashMap<(u32, u32), u64>, Vec<(u32, u32, u64, u64)>, Vec<Vec<u64>>);
+
+/// `edit` applied to the decoded run-loop section of `snap`.
+fn with_loop(snap: &FileReader, edit: &dyn Fn(&mut Loop, &mut Traces)) -> Vec<u8> {
+    let sec = snap.section_bytes(SEC_LOOP).unwrap();
+    let (mut lp, mut traces): (Loop, Traces) = Snapshot::load(&mut Reader::new(sec)).unwrap();
+    assert_eq!(encode(&(lp.clone(), traces.clone())), sec, "the mirror types do not match the section");
+    edit(&mut lp, &mut traces);
+    encode(&(lp, traces))
+}
+
+#[test]
+fn run_loop_state_off_the_grid_or_the_sms_is_refused() {
+    // The run loop believes its section: it launches the blocks the queue
+    // names, counts TBs in flight down to zero to know the grid has drained,
+    // indexes the SM array from its cursor and subtracts two cycle stamps
+    // from the clock. Each is held to the grid and to the SMs restored with
+    // it. What the parent commit did with each row is in the row's comment.
+    let blocks = SCALE;
+    // Two cycles in: 4 SMs have taken a TB each cycle, half the grid waits.
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, Some(2));
+    {
+        let mut check = hostile_rows(&mut victim, &snap, SEC_LOOP);
+        let queue = "snapshot pending TB queue";
+        with_loop(&snap, &|lp, _| assert_eq!(lp.0, (8..blocks).collect::<VecDeque<_>>()));
+        // Parent: launched as a 17th block; the run completed, some hundred
+        // cycles longer than the grid takes (mis-run, no error).
+        check("a queued block past the grid's last", with_loop(&snap, &|lp, _| *lp.0.back_mut().unwrap() = blocks), queue);
+        // Parent: block 8 ran twice and block 9 never; completed with another
+        // cycle count (mis-run).
+        check("a block queued twice", with_loop(&snap, &|lp, _| lp.0[1] = lp.0[0]), queue);
+        // Parent: block 7 ran on two SMs at once; 17 TBs completed (mis-run).
+        check("a resident block queued again", with_loop(&snap, &|lp, _| lp.0.push_front(7)), "snapshot resident TB still pending");
+        // Parent: `rr_next_sm + k` overflowed (a panic in a debug build).
+        check("a TB scheduler cursor past the SMs", with_loop(&snap, &|lp, _| lp.2 = u64::MAX), "snapshot TB scheduler cursor");
+        // Parent: `now - last_order_sample` underflowed (panic).
+        check("a Table IV sample from the future", with_loop(&snap, &|lp, _| lp.3 .1 = 3), "snapshot order sample after its cycle");
+        // Parent: block 0's completion found no start and hit
+        // `expect("TbComplete without TbLaunch")`.
+        let misplaced = with_loop(&snap, &|_, traces| {
+            let start = traces.0.remove(&(0, 0)).expect("block 0 started on SM 0");
+            traces.0.insert((0, blocks), start);
+        });
+        check("a TB start under another block's name", misplaced, "snapshot timeline start of a TB not resident");
+    }
+    {
+        // The cycle coordinates close the META section: cycle, start cycle.
+        let meta = snap.section_bytes(SEC_META).unwrap();
+        let mut check = hostile_rows(&mut victim, &snap, SEC_META);
+        // Parent: `now - start_cycle` underflowed on the first cycle (panic).
+        let begun_later = patched(meta, meta.len() - 8, 3u64.to_le_bytes());
+        check("a launch that began after its snapshot", begun_later, "snapshot taken before its launch began");
+    }
+    // With the timeline on, a wrong count is already refused as a missing
+    // start; without it nothing else looks.
+    let no_timeline = TraceOptions { timeline: false, ..trace_opts() };
+    let (mut victim, snap) = victim_and_pause_traced(SchedulerKind::Pro, None, no_timeline);
+    let mut check = hostile_rows(&mut victim, &snap, SEC_LOOP);
+    let count = "snapshot outstanding TB count";
+    // Parent: the grid "drained" with a TB still running; completed two
+    // cycles early with 15 of 16 TBs retired (mis-run).
+    check("one TB fewer in flight than is resident", with_loop(&snap, &|lp, _| lp.1 -= 1), count);
+    // Parent: never reached zero; ran on towards `max_cycles` (200 M cycles;
+    // killed after 90 s, the run takes under one).
+    check("one TB more in flight than is resident", with_loop(&snap, &|lp, _| lp.1 += 1), count);
+}
+
+#[test]
+fn tb_warp_counts_off_their_warps_flags_are_refused() {
+    // A TB's barrier opens when `warps_at_barrier + warps_finished` reaches
+    // its warp count and the TB retires when `warps_finished` does: two
+    // counts of flags its warps carry, in the same section.
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, None);
+    let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
+    let SmLayout { view_at, wb_at, .. } = sm_layout(sec);
+    let view: (Vec<WarpView>, Vec<TbView>) = Snapshot::load(&mut Reader::new(&sec[view_at..])).unwrap();
+    assert!(view.1[0].0, "TB slot 0 is free");
+    let with_tb0 = |edit: &dyn Fn(&mut TbView)| {
+        let mut view = view.clone();
+        edit(&mut view.1[0]);
+        [&sec[..view_at], &encode(&view), &sec[wb_at - 16..]].concat()
+    };
+    let counts = "snapshot TB barrier or finished warp count";
+    // Parent: the barrier opened a warp early; completed with another cycle
+    // count (mis-run).
+    check("a warp at the barrier that no warp is", with_tb0(&|t| t.3 .1 += 1), counts);
+    // Parent: the TB retired with a warp still running; completed with
+    // another cycle count (mis-run).
+    check("a finished warp that no warp is", with_tb0(&|t| t.3 .2 += 1), counts);
 }
 
 #[test]

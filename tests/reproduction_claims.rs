@@ -6,8 +6,8 @@
 //! Thresholds are set loosely below the measured values (EXPERIMENTS.md)
 //! to allow benign timing shifts while still catching sign flips.
 
-use pro_sim::{geomean, GpuConfig, SchedulerKind, TraceOptions};
-use pro_workloads::{find, run_workload, Scale};
+use pro_sim::{geomean, GpuConfig, RunResult, SchedulerKind, TraceOptions};
+use pro_workloads::{find, Scale};
 
 /// A subset of kernels covering the paper's effect categories, at small
 /// scale on a 4-SM GPU (keeps the whole file under ~30 s in CI).
@@ -19,18 +19,16 @@ const SUBSET: &[&str] = &[
     "laplace3d",      // barrier stencil
 ];
 
-fn cycles(kernel: &str, sched: SchedulerKind) -> u64 {
+/// `kernel` under `sched` on `cfg` at 64 TBs, through the one runner: a
+/// claim is only ever asserted over a run whose output was checked.
+fn run(kernel: &str, sched: SchedulerKind, cfg: GpuConfig) -> RunResult {
     let w = find(kernel).unwrap_or_else(|| panic!("unknown kernel {kernel}"));
-    let (r, verdict) = run_workload(
-        GpuConfig::small(4),
-        &w,
-        sched,
-        Scale::Capped(64),
-        TraceOptions::default(),
-    )
-    .unwrap_or_else(|e| panic!("{kernel}: {e}"));
-    verdict.unwrap_or_else(|e| panic!("{kernel}: {e}"));
-    r.cycles
+    w.run(cfg, Scale::Capped(64), |gpu, k| gpu.launch(k, sched, TraceOptions::default()))
+        .unwrap_or_else(|e| panic!("{kernel} under {sched}: {e}"))
+}
+
+fn cycles(kernel: &str, sched: SchedulerKind) -> u64 {
+    run(kernel, sched, GpuConfig::small(4)).cycles
 }
 
 #[test]
@@ -77,15 +75,7 @@ fn lrr_has_highest_idle_share() {
     // Fig. 1's qualitative claim, on the kernel with the starkest idle
     // contrast (STO: long uniform compute ending in a completion batch).
     let idle_share = |sched: SchedulerKind| -> f64 {
-        let w = find("sha1_overlap").unwrap();
-        let (r, _) = run_workload(
-            GpuConfig::small(4),
-            &w,
-            sched,
-            Scale::Capped(64),
-            TraceOptions::default(),
-        )
-        .unwrap();
+        let r = run("sha1_overlap", sched, GpuConfig::small(4));
         r.sm.idle as f64 / r.sm.total_stalls().max(1) as f64
     };
     let lrr = idle_share(SchedulerKind::Lrr);
@@ -99,16 +89,7 @@ fn lrr_has_highest_idle_share() {
 #[test]
 fn pro_reduces_total_stalls_vs_lrr_on_sto() {
     let stalls = |sched: SchedulerKind| -> u64 {
-        let w = find("sha1_overlap").unwrap();
-        let (r, _) = run_workload(
-            GpuConfig::small(4),
-            &w,
-            sched,
-            Scale::Capped(64),
-            TraceOptions::default(),
-        )
-        .unwrap();
-        r.sm.total_stalls()
+        run("sha1_overlap", sched, GpuConfig::small(4)).sm.total_stalls()
     };
     let lrr = stalls(SchedulerKind::Lrr);
     let pro = stalls(SchedulerKind::Pro);
@@ -121,16 +102,14 @@ fn pro_reduces_total_stalls_vs_lrr_on_sto() {
 #[test]
 fn fr_fcfs_beats_fcfs_on_streaming_writes() {
     // Table I substrate claim: the FR-FCFS DRAM scheduler earns its place.
-    let run = |policy: pro_sim::mem::DramPolicy| -> (u64, f64) {
-        let w = find("bpnn_adjust_weights_cuda").unwrap();
+    let under = |policy: pro_sim::mem::DramPolicy| -> (u64, f64) {
         let mut cfg = GpuConfig::small(4);
         cfg.mem.dram.policy = policy;
-        let (r, _) = run_workload(cfg, &w, SchedulerKind::Pro, Scale::Capped(64), TraceOptions::default())
-            .unwrap();
+        let r = run("bpnn_adjust_weights_cuda", SchedulerKind::Pro, cfg);
         (r.cycles, r.mem.dram.row_hit_rate())
     };
-    let (fr_cycles, fr_rate) = run(pro_sim::mem::DramPolicy::FrFcfs);
-    let (fc_cycles, fc_rate) = run(pro_sim::mem::DramPolicy::Fcfs);
+    let (fr_cycles, fr_rate) = under(pro_sim::mem::DramPolicy::FrFcfs);
+    let (fc_cycles, fc_rate) = under(pro_sim::mem::DramPolicy::Fcfs);
     assert!(fr_rate > fc_rate, "row-hit rate {fr_rate:.2} vs {fc_rate:.2}");
     assert!(
         fr_cycles <= fc_cycles,

@@ -2,21 +2,20 @@
 //! generated (race-free) kernel, every scheduling policy must produce the
 //! exact same output buffer and dynamic instruction count. This is the
 //! strongest end-to-end check that scheduling only reorders work.
+//!
+//! Every launch goes through the one runner, `synth::run`, which holds the
+//! output region to the scalar interpreter's: two policies that both pass
+//! it computed the same — and the right — output.
 
-use pro_sim::{Gpu, GpuConfig, SchedulerKind, TraceOptions};
-use pro_workloads::synth::{generate, SynthParams};
+use pro_sim::{GpuConfig, SchedulerKind, TraceOptions};
+use pro_workloads::synth::{self, SynthParams};
 
-fn run_synth(p: SynthParams, sched: SchedulerKind) -> (Vec<u32>, u64, u64) {
-    let mut gpu = Gpu::new(GpuConfig::small(2), 16 << 20);
-    let k = generate(&mut gpu.gmem, p);
-    let r = gpu
-        .launch(&k.kernel, sched, TraceOptions::default())
-        .unwrap_or_else(|e| panic!("seed {}: {e}", p.seed));
-    (
-        gpu.gmem.read_slice(k.out_base, k.out_len),
-        r.sm.instructions,
-        r.cycles,
-    )
+/// Dynamic instruction count of `p` under `sched`, its output checked.
+fn run_synth(p: SynthParams, sched: SchedulerKind) -> u64 {
+    synth::run(GpuConfig::small(2), p, |gpu, k| gpu.launch(k, sched, TraceOptions::default()))
+        .unwrap_or_else(|e| panic!("seed {} under {sched}: {e}", p.seed))
+        .sm
+        .instructions
 }
 
 #[test]
@@ -28,7 +27,7 @@ fn random_kernels_agree_across_all_schedulers() {
             statements: 10,
             ..Default::default()
         };
-        let (ref_out, ref_instrs, _) = run_synth(p, SchedulerKind::Lrr);
+        let ref_instrs = run_synth(p, SchedulerKind::Lrr);
         for sched in [
             SchedulerKind::Gto,
             SchedulerKind::Tl,
@@ -36,10 +35,9 @@ fn random_kernels_agree_across_all_schedulers() {
             SchedulerKind::ProNoBarrier,
             SchedulerKind::ProNoSlowPhase,
         ] {
-            let (out, instrs, _) = run_synth(p, sched);
-            assert_eq!(out, ref_out, "seed {seed}: {sched} output diverged");
             assert_eq!(
-                instrs, ref_instrs,
+                run_synth(p, sched),
+                ref_instrs,
                 "seed {seed}: {sched} instruction count diverged"
             );
         }
@@ -58,10 +56,8 @@ fn barrier_dense_random_kernels_agree() {
             mem_prob: 0.2,
             ..Default::default()
         };
-        let (ref_out, ..) = run_synth(p, SchedulerKind::Gto);
-        for sched in [SchedulerKind::Pro, SchedulerKind::Lrr] {
-            let (out, ..) = run_synth(p, sched);
-            assert_eq!(out, ref_out, "seed {seed}: {sched}");
+        for sched in [SchedulerKind::Gto, SchedulerKind::Pro, SchedulerKind::Lrr] {
+            run_synth(p, sched);
         }
     }
 }
@@ -79,10 +75,8 @@ fn divergence_dense_random_kernels_agree() {
             barrier_prob: 0.0,
             ..Default::default()
         };
-        let (ref_out, ..) = run_synth(p, SchedulerKind::Tl);
-        for sched in [SchedulerKind::Pro, SchedulerKind::Gto] {
-            let (out, ..) = run_synth(p, sched);
-            assert_eq!(out, ref_out, "seed {seed}: {sched}");
+        for sched in [SchedulerKind::Tl, SchedulerKind::Pro, SchedulerKind::Gto] {
+            run_synth(p, sched);
         }
     }
 }
@@ -99,8 +93,8 @@ fn memory_saturating_random_kernels_agree() {
             barrier_prob: 0.0,
             ..Default::default()
         };
-        let (ref_out, ..) = run_synth(p, SchedulerKind::Lrr);
-        let (out, ..) = run_synth(p, SchedulerKind::Pro);
-        assert_eq!(out, ref_out, "seed {seed}");
+        for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
+            run_synth(p, sched);
+        }
     }
 }
