@@ -246,30 +246,6 @@ pub trait WarpScheduler {
     }
 }
 
-snapshot_struct! {
-    WarpState {
-        active,
-        tb_slot,
-        index_in_tb,
-        progress,
-        at_barrier,
-        finished,
-        blocked_on_longlat,
-    }
-}
-
-snapshot_struct! {
-    TbState {
-        occupied,
-        global_index,
-        progress,
-        num_warps,
-        warps_at_barrier,
-        warps_finished,
-        launched_at,
-    }
-}
-
 /// The scheduling policies available to the simulator, benches and
 /// examples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

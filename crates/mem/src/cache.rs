@@ -270,6 +270,11 @@ impl<T> Cache<T> {
     pub(crate) fn waiters(&self) -> impl Iterator<Item = &T> {
         self.mshr.values().flatten()
     }
+
+    /// The line of every MSHR entry: each is being fetched.
+    pub(crate) fn pending_lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.mshr.keys().copied()
+    }
 }
 
 snapshot_struct! {

@@ -18,7 +18,7 @@ use crate::cache::{Cache, CacheConfig, CacheStats, Lookup};
 use crate::dram::{DramChannel, DramConfig, DramStats};
 use pro_core::calq::CalQueue;
 use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
-use pro_core::{snapshot_enum, snapshot_struct, FxHashMap};
+use pro_core::{snapshot_enum, snapshot_struct, FxHashMap, FxHashSet};
 use pro_trace::{Event as TraceEvent, EventClass, Hist16, Metrics, NoopTracer, Tracer};
 use std::collections::VecDeque;
 
@@ -710,6 +710,19 @@ impl MemSubsystem {
             Event::DramDone { part, .. } => part < partitions,
         };
         ensure(self.events.iter().all(|(_, _, ev)| in_range(ev)), "mem event SM or partition index")?;
+        // An L1 MSHR line is on its way: a read travelling to its L2 slice,
+        // queued there or waiting in its MSHR, or the line travelling back.
+        // Without one, the loads waiting on it never complete.
+        let to_l2 = self.slices.iter().flat_map(|s| s.in_q.iter().chain(s.cache.waiters()));
+        let in_flight = self.events.iter().filter_map(|(_, _, ev)| match *ev {
+            Event::ArriveL2(txn) => Some(txn),
+            Event::ReturnToSm { sm, line } => Some(Txn { sm, line, is_write: false }),
+            _ => None,
+        });
+        let fetching: FxHashSet<(u32, u64)> =
+            to_l2.copied().chain(in_flight).filter(|t| !t.is_write).map(|t| (t.sm, t.line)).collect();
+        let mut missed = self.l1s.iter().zip(0..).flat_map(|(l1, sm)| l1.pending_lines().map(move |line| (sm, line)));
+        ensure(missed.all(|miss| fetching.contains(&miss)), "mem L1 miss with no fetch on its way")?;
         self.outstanding = Snapshot::load(r)?;
         self.lines_unsent()?;
         let completions: Vec<VecDeque<AccessId>> = Snapshot::load(r)?;

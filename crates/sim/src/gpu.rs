@@ -499,10 +499,13 @@ impl LoopState {
 snapshot_struct! {
     LoopState {
         pending,
-        outstanding,
         rr_next_sm,
         tb_order,
         last_order_sample,
+    }
+    derived {
+        // The TBs resident on the SMs: `Restored::apply` counts them.
+        outstanding = 0,
     }
 }
 

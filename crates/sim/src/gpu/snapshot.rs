@@ -175,9 +175,9 @@ impl Restored {
     }
 
     /// Overwrite a GPU that has just bound the kernel with the restored
-    /// state, in container order: run-loop bookkeeping and trace
-    /// accumulators, device memory, the memory hierarchy, then every SM
-    /// with its freshly built policy.
+    /// state: device memory, the memory hierarchy, every SM with its
+    /// freshly built policy, then the run-loop bookkeeping and trace
+    /// accumulators, whose count of TBs in flight is the SMs' resident TBs.
     pub(super) fn apply(
         &self,
         gpu: &mut Gpu,
@@ -185,12 +185,6 @@ impl Restored {
         recorder: &mut Recorder<'_>,
         lanes: &mut [Lane],
     ) -> Result<LoopState, SimError> {
-        let tip = self.readers.last().expect("parse refused an empty chain");
-        let mut r = tip.section(SEC_LOOP)?;
-        let lp = LoopState::load(&mut r)?;
-        recorder.load_state(&mut r, lp.outstanding)?;
-        r.finish()?;
-
         // Global memory: the base's full image, then each delta's dirty
         // pages in sequence order. The restored memory starts with a clean
         // dirty map: a restore is itself a capture boundary. It replaces
@@ -227,27 +221,36 @@ impl Restored {
         // Both sides of every load in flight are decoded: pair them.
         let loads = gpu.sms.iter().flat_map(|sm| sm.loads_in_flight().map(|(a, n)| (sm.id, a, n)));
         gpu.mem.check_loads(self.meta.cycle, loads)?;
-        self.check_loop(&lp, gpu, kernel, recorder)?;
-        gpu.gmem = gmem;
-        gpu.cycle = self.meta.cycle;
-        Ok(lp)
-    }
 
-    /// The run loop's bookkeeping held to the grid and to the SMs just
-    /// restored: the loop counts TBs down to zero, indexes the SM array and
-    /// subtracts cycle stamps on what this section says.
-    fn check_loop(
-        &self,
-        lp: &LoopState,
-        gpu: &Gpu,
-        kernel: &Kernel,
-        recorder: &Recorder<'_>,
-    ) -> Result<(), CodecError> {
         let mut resident = Vec::new();
         for sm in &gpu.sms {
             let tbs = sm.sched_view(0, false).tbs.iter().filter(|t| t.occupied);
             resident.extend(tbs.map(|t| (sm.id, t.global_index)));
         }
+        let tip = self.readers.last().expect("parse refused an empty chain");
+        let mut r = tip.section(SEC_LOOP)?;
+        let mut lp = LoopState::load(&mut r)?;
+        lp.outstanding = resident.len() as u32;
+        recorder.load_state(&mut r, lp.outstanding)?;
+        r.finish()?;
+        self.check_loop(&lp, &resident, gpu.sms.len(), kernel, recorder)?;
+        gpu.gmem = gmem;
+        gpu.cycle = self.meta.cycle;
+        Ok(lp)
+    }
+
+    /// The run loop's bookkeeping held to the grid and to the TBs resident,
+    /// as `(SM, block)`, on the `sms` SMs just restored: the loop launches
+    /// blocks, indexes the SM array and subtracts cycle stamps on what this
+    /// section says.
+    fn check_loop(
+        &self,
+        lp: &LoopState,
+        resident: &[(u32, u32)],
+        sms: usize,
+        kernel: &Kernel,
+        recorder: &Recorder<'_>,
+    ) -> Result<(), CodecError> {
         // The TB scheduler hands blocks out in index order, so what it has
         // still to launch is the tail of the grid — each block once, none of
         // them resident.
@@ -256,8 +259,10 @@ impl Restored {
         let is_tail = launched.is_some_and(|first| lp.pending.iter().copied().eq(first..blocks));
         ensure(is_tail, "snapshot pending TB queue")?;
         ensure(resident.iter().all(|&(_, g)| Some(g) < launched), "snapshot resident TB still pending")?;
-        ensure(lp.outstanding as usize == resident.len(), "snapshot outstanding TB count")?;
-        ensure(lp.rr_next_sm < gpu.sms.len(), "snapshot TB scheduler cursor")?;
+        let mut blocks: Vec<u32> = resident.iter().map(|&(_, g)| g).collect();
+        blocks.sort_unstable();
+        ensure(blocks.windows(2).all(|b| b[0] != b[1]), "snapshot block resident twice")?;
+        ensure(lp.rr_next_sm < sms, "snapshot TB scheduler cursor")?;
         ensure(lp.last_order_sample <= self.meta.cycle, "snapshot order sample after its cycle")?;
         // With the timeline on, `load_state` found a start per outstanding
         // TB; each completion looks its own up by (SM, block).

@@ -38,7 +38,7 @@ pub struct IssueState {
     /// not finished). Per-unit candidate sets are `cands_mask &
     /// unit_masks[u]`.
     cands_mask: u64,
-    /// Bit `w` set iff warp `w` is valid, not parked at a barrier, and not
+    /// Bit `w` set iff warp `w` is live, not parked at a barrier, and not
     /// finished — exactly the warps the issue walk would not silently skip.
     eligible_mask: u64,
     /// Per-slot mirror of [`Warp::ibuf_ready_at`] so the walk can skip
@@ -128,21 +128,22 @@ impl IssueState {
     }
 
     /// [`IssueState::reset`], then the candidate/eligible/blocked masks and
-    /// the fetch mirror recomputed from restored warps. The memos and order
-    /// caches restart empty — all are one-sided, so the first cycle after a
-    /// restore recomputes exactly what the snapshotted engine held.
+    /// the fetch mirror recomputed from restored warps and their flags. The
+    /// memos and order caches restart empty — all are one-sided, so the
+    /// first cycle after a restore recomputes exactly what the snapshotted
+    /// engine held.
     pub fn rebuild(&mut self, warps: &[Warp], sched: &[WarpState]) {
         self.reset();
         for (w, (warp, sw)) in warps.iter().zip(sched).enumerate() {
             let bit = 1u64 << w;
             if sw.active && !sw.finished {
                 self.cands_mask |= bit;
+                if !sw.at_barrier {
+                    self.eligible_mask |= bit;
+                }
             }
             if sw.blocked_on_longlat {
                 self.longlat_mask |= bit;
-            }
-            if warp.valid && !warp.at_barrier && !warp.finished {
-                self.eligible_mask |= bit;
             }
             self.ibuf_at[w] = warp.ibuf_ready_at;
         }
@@ -562,14 +563,11 @@ mod tests {
                 .map(|w| {
                     let s = self.slots[w];
                     let mut warp = Warp::empty();
-                    warp.valid = s != Slot::Empty;
-                    warp.at_barrier = matches!(s, Slot::Parked { .. });
-                    warp.finished = s == Slot::Exited;
                     warp.ibuf_ready_at = self.ibuf_at[w];
                     let sched = WarpState {
-                        active: warp.valid,
-                        at_barrier: warp.at_barrier,
-                        finished: warp.finished,
+                        active: s != Slot::Empty,
+                        at_barrier: matches!(s, Slot::Parked { .. }),
+                        finished: s == Slot::Exited,
                         blocked_on_longlat: self.longlat[w],
                         ..WarpState::default()
                     };

@@ -2,7 +2,7 @@
 //! 32-bank conflict model that determines how many cycles a shared-memory
 //! access occupies the load/store unit.
 
-use pro_core::snapshot_struct;
+use pro_core::codec::{CodecError, Reader, Writer};
 use pro_isa::WARP_SIZE;
 
 /// Number of shared-memory banks (Fermi: 32, 4-byte wide).
@@ -40,11 +40,19 @@ impl SharedMem {
         debug_assert!(addr.is_multiple_of(4), "unaligned shared write at {addr:#x}");
         self.words[(addr / 4) as usize] = value;
     }
-}
 
-snapshot_struct! {
-    SharedMem {
-        words,
+    /// The words, for a checkpoint. The program fixes their number, so it
+    /// is not written.
+    pub(crate) fn save_words(&self, w: &mut Writer) {
+        w.put_u32_slice(&self.words);
+    }
+
+    /// Read what [`SharedMem::save_words`] wrote into memory of the same size.
+    pub(crate) fn load_words(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        for word in &mut self.words {
+            *word = r.get_u32()?;
+        }
+        Ok(())
     }
 }
 

@@ -227,10 +227,9 @@ pub struct Sm {
     nctaid: u32,
     warps_per_tb: usize,
     threads_per_tb: u32,
-    // Resource accounting.
-    used_threads: u32,
-    used_shared: u32,
-    used_regs: u32,
+    /// TBs of the bound kernel that fit at once: each takes the same warp
+    /// and TB slots, threads, shared memory and registers.
+    max_resident_tbs: usize,
     live_tbs: u32,
     // Pipelines. Writeback events ride the same slab-recycled calendar
     // queue as the memory subsystem's timing events.
@@ -278,9 +277,7 @@ impl Sm {
             nctaid: 0,
             warps_per_tb: 0,
             threads_per_tb: 0,
-            used_threads: 0,
-            used_shared: 0,
-            used_regs: 0,
+            max_resident_tbs: 0,
             live_tbs: 0,
             wb_events: CalQueue::new(),
             lsu: VecDeque::new(),
@@ -319,6 +316,14 @@ impl Sm {
         self.nctaid = kernel.launch.num_blocks();
         self.warps_per_tb = kernel.launch.warps_per_block() as usize;
         self.threads_per_tb = kernel.launch.threads_per_block();
+        // `live + 1` TBs fit a capacity exactly when `live` is below its
+        // quotient by what one TB takes (nothing taken: no limit).
+        let (threads, program) = (u64::from(self.threads_per_tb), &kernel.program);
+        let fit = |capacity: u32, per_tb: u64| u64::from(capacity).checked_div(per_tb).unwrap_or(u64::MAX);
+        let fits = fit(self.cfg.max_threads, threads)
+            .min(fit(self.cfg.shared_capacity, u64::from(program.shared_bytes)))
+            .min(fit(self.cfg.regs_per_sm, u64::from(program.regs) * threads));
+        self.max_resident_tbs = self.usable_tb_slots().min(usize::try_from(fits).unwrap_or(usize::MAX));
         self.wb_events.clear();
         self.lsu.clear();
         self.sfu_free_at = 0;
@@ -337,17 +342,11 @@ impl Sm {
         self.cfg.max_tbs.min(self.cfg.max_warps / self.warps_per_tb)
     }
 
-    /// Can another TB of the bound kernel be launched right now?
+    /// Can another TB of the bound kernel be launched right now? (TBs only
+    /// ever occupy slots below `usable_tb_slots()`, so a free one exists
+    /// whenever fewer than the bound are resident.)
     pub fn can_accept_tb(&self) -> bool {
-        let Some(p) = self.table.as_deref().map(IssueTable::program) else {
-            return false;
-        };
-        // TBs only ever occupy slots below `usable_tb_slots()`, so a free one
-        // exists exactly when fewer than that many are resident.
-        (self.live_tbs as usize) < self.usable_tb_slots()
-            && self.used_threads + self.threads_per_tb <= self.cfg.max_threads
-            && self.used_shared + p.shared_bytes <= self.cfg.shared_capacity
-            && self.used_regs + p.regs as u32 * self.threads_per_tb <= self.cfg.regs_per_sm
+        (self.live_tbs as usize) < self.max_resident_tbs
     }
 
     /// True while any TB is resident or any timing event is outstanding.
@@ -378,48 +377,13 @@ impl Sm {
         fast_phase: bool,
         tracer: &mut dyn Tracer,
     ) -> usize {
-        let table = Arc::clone(self.table.as_ref().expect("kernel bound"));
-        let program = table.program();
         let slot = (0..self.usable_tb_slots())
             .find(|&t| !self.sched_tbs[t].occupied)
             .expect("caller checked can_accept_tb");
-        let base = slot * self.warps_per_tb;
-        let mut remaining = self.threads_per_tb;
-        for i in 0..self.warps_per_tb {
-            let live = remaining.min(WARP_SIZE as u32);
-            remaining -= live;
-            let mask = if live == 32 { u32::MAX } else { (1u32 << live) - 1 };
-            let w = base + i;
-            self.warps[w].launch(
-                program,
-                slot,
-                i as u32,
-                global_index,
-                mask,
-                now,
-                self.cfg.fetch_lat,
-            );
-            self.sched_warps[w] = WarpState {
-                active: true,
-                tb_slot: slot,
-                index_in_tb: i as u32,
-                ..WarpState::default()
-            };
+        self.occupy(slot, global_index, now);
+        for w in self.warp_slots(slot) {
             self.issue.launch(w, self.warps[w].ibuf_ready_at);
         }
-        self.shared[slot] = SharedMem::new(program.shared_bytes);
-        self.sched_tbs[slot] = TbState {
-            occupied: true,
-            global_index,
-            num_warps: self.warps_per_tb as u32,
-            launched_at: now,
-            ..TbState::default()
-        };
-        self.used_threads += self.threads_per_tb;
-        self.used_shared += program.shared_bytes;
-        self.used_regs += program.regs as u32 * self.threads_per_tb;
-        self.live_tbs += 1;
-        self.first_warp_finish[slot] = None;
         if tracer.wants(EventClass::Tb) {
             tracer.emit(
                 now,
@@ -432,6 +396,42 @@ impl Sm {
         }
         policy.on_tb_launch(slot, &self.sched_view(now, fast_phase));
         slot
+    }
+
+    /// Give TB slot `slot` to block `global_index`, launched at `now`: its
+    /// warps, their view and the TB's, as the kernel's geometry lays them
+    /// out. A launch starts here, and so does a restore of a resident TB.
+    fn occupy(&mut self, slot: usize, global_index: u32, now: u64) {
+        let table = Arc::clone(self.table.as_ref().expect("kernel bound"));
+        let program = table.program();
+        let mut remaining = self.threads_per_tb;
+        for (i, w) in self.warp_slots(slot).enumerate() {
+            let live = remaining.min(WARP_SIZE as u32);
+            remaining -= live;
+            let mask = if live == 32 { u32::MAX } else { (1u32 << live) - 1 };
+            self.warps[w].launch(program, mask, now, self.cfg.fetch_lat);
+            self.sched_warps[w] = WarpState {
+                active: true,
+                tb_slot: slot,
+                index_in_tb: i as u32,
+                ..WarpState::default()
+            };
+        }
+        self.shared[slot] = SharedMem::new(program.shared_bytes);
+        self.sched_tbs[slot] = TbState {
+            occupied: true,
+            global_index,
+            num_warps: self.warps_per_tb as u32,
+            launched_at: now,
+            ..TbState::default()
+        };
+        self.live_tbs += 1;
+        self.first_warp_finish[slot] = None;
+    }
+
+    /// The warp slots of TB slot `tb`.
+    fn warp_slots(&self, tb: usize) -> std::ops::Range<usize> {
+        tb * self.warps_per_tb..(tb + 1) * self.warps_per_tb
     }
 
     /// Scheduler-visible view (also used by the GPU layer for Table IV
@@ -455,17 +455,15 @@ impl Sm {
     }
 
     /// Every warp of TB slot `tb` has exited: free the slot and its
-    /// resources (`cx` carries the bound program: `self.table` is lent out).
+    /// resources.
     fn retire_tb(&mut self, tb: usize, cx: &mut IssueCx) {
         let now = cx.now;
-        let program = cx.table.program();
-        let base = tb * self.warps_per_tb;
         // Warp-progress disparity within the retiring TB (§III.E): the gap
         // between its most and least advanced warps, in thread-instructions.
         let mut min_p = u64::MAX;
         let mut max_p = 0u64;
-        for i in 0..self.warps_per_tb {
-            let p = self.sched_warps[base + i].progress;
+        for w in self.warp_slots(tb) {
+            let p = self.sched_warps[w].progress;
             min_p = min_p.min(p);
             max_p = max_p.max(p);
         }
@@ -482,15 +480,10 @@ impl Sm {
                 },
             );
         }
-        for i in 0..self.warps_per_tb {
-            let w = base + i;
-            self.warps[w].retire();
+        for w in self.warp_slots(tb) {
             self.sched_warps[w] = WarpState::default();
             self.issue.retire(w);
         }
-        self.used_threads -= self.threads_per_tb;
-        self.used_shared -= program.shared_bytes;
-        self.used_regs -= program.regs as u32 * self.threads_per_tb;
         self.live_tbs -= 1;
         cx.policy.on_tb_finish(tb, &self.sched_view(now, cx.fast_phase));
         self.sched_tbs[tb] = TbState::default();

@@ -9,7 +9,7 @@ use crate::decode::{IssueMeta, IssueTable};
 use crate::issue::class_of;
 use crate::scoreboard::WriteSet;
 use crate::warp::{ExecEffect, LaunchCtx, Warp};
-use pro_core::{IssueInfo, WarpScheduler};
+use pro_core::{IssueInfo, WarpScheduler, WarpState};
 use pro_mem::{GlobalMem, MemSubsystem};
 use pro_trace::{req_id, Event as TraceEvent, EventClass, StallReason, Tracer};
 
@@ -165,10 +165,10 @@ impl Sm {
         // Per-warp attribution: re-classify each candidate on this stalled
         // cycle (second pass only when a tracer asked).
         for &w in self.issue.last_order(unit) {
-            let warp = &self.warps[w];
-            let reason = if warp.at_barrier
-                || warp.finished
-                || !warp.valid
+            let (warp, state) = (&self.warps[w], &self.sched_warps[w]);
+            let reason = if state.at_barrier
+                || state.finished
+                || !state.active
                 || now < warp.ibuf_ready_at
             {
                 StallReason::Idle
@@ -185,11 +185,13 @@ impl Sm {
     /// next fetch and [`Sm::dispatch`] the effect.
     fn issue_warp(&mut self, unit: u32, w: usize, cx: &mut IssueCx) {
         let (now, sm) = (cx.now, self.id);
-        let tb = self.warps[w].tb_slot;
+        let WarpState { tb_slot: tb, index_in_tb, .. } = self.sched_warps[w];
         let ctx = LaunchCtx {
             params: &self.params,
             ntid: self.threads_per_tb,
             nctaid: self.nctaid,
+            ctaid: self.sched_tbs[tb].global_index,
+            index_in_tb,
         };
         let issue_pc = self.warps[w].pc();
         let depth_before = self.warps[w].simt.depth();
@@ -328,8 +330,8 @@ impl Sm {
         }
     }
 
-    /// Warp `w` issued a `Bar` (`Warp::execute` parked it): count it at its
-    /// TB's barrier, which it may be the last arrival of.
+    /// Warp `w` issued a `Bar`: park it and count it at its TB's barrier,
+    /// which it may be the last arrival of.
     fn arrive_at_barrier(&mut self, w: usize, tb: usize, cx: &mut IssueCx) {
         let now = cx.now;
         self.sched_warps[w].at_barrier = true;
@@ -366,12 +368,10 @@ impl Sm {
                 },
             );
         }
-        let base = tb * self.warps_per_tb;
-        for w in base..base + self.warps_per_tb {
-            if self.warps[w].valid && self.warps[w].at_barrier {
-                self.warps[w].at_barrier = false;
-                self.warps[w].ibuf_ready_at = now + self.cfg.fetch_lat;
+        for w in self.warp_slots(tb) {
+            if self.sched_warps[w].at_barrier {
                 self.sched_warps[w].at_barrier = false;
+                self.warps[w].ibuf_ready_at = now + self.cfg.fetch_lat;
                 self.issue.unpark(w, now + self.cfg.fetch_lat);
             }
         }
@@ -379,8 +379,8 @@ impl Sm {
         cx.policy.on_barrier_release(tb, &self.sched_view(now, cx.fast_phase));
     }
 
-    /// Warp `w` issued its `Exit` (`Warp::execute` marked it finished): the
-    /// last one retires the TB.
+    /// Warp `w` issued its `Exit`: mark it finished; the last one retires
+    /// the TB.
     fn finish_warp(&mut self, w: usize, tb: usize, cx: &mut IssueCx) {
         let now = cx.now;
         self.sched_warps[w].finished = true;
@@ -489,7 +489,7 @@ mod tests {
     /// lets the next instruction go and which ready class serves it.
     fn probe_from_scratch(sm: &Sm, w: usize, now: u64) -> Option<(bool, usize)> {
         let (warp, sw) = (&sm.warps[w], &sm.sched_warps[w]);
-        let live = sw.active && !sw.finished && warp.valid && !warp.at_barrier && !warp.finished;
+        let live = sw.active && !sw.finished && !sw.at_barrier;
         if !live || now < warp.ibuf_ready_at {
             return None;
         }

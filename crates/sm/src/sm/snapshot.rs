@@ -1,121 +1,88 @@
-//! Checkpoint encoding of an SM's live microarchitectural state. The issue
-//! path's [`crate::issue::IssueState`] is derived and not part of it:
-//! a restore rebuilds it from the warps it has just loaded.
+//! Checkpoint encoding of an SM's live microarchitectural state: for each
+//! TB slot the kernel can use, whether it is occupied and, if so, what its
+//! TB and warps did that a launch does not determine; then the pipelines.
+//! Everything else is derived on restore — by `Sm::occupy`, the code a
+//! launch runs, and by [`crate::issue::IssueState::rebuild`] for the issue
+//! path.
 
 use super::lsu::LsuEntry;
 use super::{Sm, SmStats};
 use crate::scoreboard::WriteSet;
-use crate::shared::SharedMem;
-use crate::warp::Warp;
 use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
-use pro_core::{snapshot_struct, TbState};
+use pro_core::{snapshot_struct, TbState, WarpState};
 use pro_isa::WARP_SIZE;
 use pro_mem::{load_hist, save_hist, AccessId};
 
 impl Sm {
     /// Serialize all live microarchitectural state into `w`.
     ///
-    /// Must be called at a cycle boundary (between ticks); the kernel
-    /// binding itself (program, params, launch geometry) is *not* encoded —
-    /// [`Sm::restore_snapshot`] expects [`Sm::begin_kernel`] to have rebound
-    /// the same kernel first, and cross-checks the geometry.
+    /// Must be called at a cycle boundary (between ticks). The kernel
+    /// binding (program, params, launch geometry) is *not* encoded, nor is
+    /// anything it determines: [`Sm::restore_snapshot`] expects
+    /// [`Sm::begin_kernel`] to have rebound the same kernel first.
     pub fn save_snapshot(&self, w: &mut Writer) {
-        w.put_u64(self.warps_per_tb as u64);
-        w.put_u32(self.threads_per_tb);
-        self.warps.save(w);
-        self.shared.save(w);
-        self.sched_warps.save(w);
-        self.sched_tbs.save(w);
-        w.put_u32(self.used_threads);
-        w.put_u32(self.used_shared);
-        w.put_u32(self.used_regs);
-        w.put_u32(self.live_tbs);
+        for (slot, tb) in self.sched_tbs[..self.usable_tb_slots()].iter().enumerate() {
+            w.put_bool(tb.occupied);
+            if !tb.occupied {
+                continue;
+            }
+            w.put_u32(tb.global_index);
+            w.put_u64(tb.launched_at);
+            self.shared[slot].save_words(w);
+            self.first_warp_finish[slot].save(w);
+            for warp in self.warp_slots(slot) {
+                self.warps[warp].save_state(w);
+                let WarpState { progress, at_barrier, finished, blocked_on_longlat, .. } = self.sched_warps[warp];
+                (progress, at_barrier, finished, blocked_on_longlat).save(w);
+            }
+        }
         // Writeback events, canonically ordered by (time, seq): slab slots
         // are an allocation artifact, so they are re-packed on restore
         // while the (time, seq) keys — which fully determine pop order —
-        // round-trip exactly. Same byte layout as the pre-calendar heap.
+        // round-trip exactly.
         self.wb_events.save_snapshot(w);
         self.lsu.save(w);
         w.put_u64(self.sfu_free_at);
         self.access_map.save(w);
         w.put_u64(self.next_access);
-        self.first_warp_finish.save(w);
         self.stats.save(w);
     }
 
-    /// Restore state written by [`Sm::save_snapshot`].
+    /// Restore state written by [`Sm::save_snapshot`] into an SM that has
+    /// just bound the same kernel via [`Sm::begin_kernel`].
     ///
-    /// The SM must already have the same kernel bound via
-    /// [`Sm::begin_kernel`]; geometry mismatches (different kernel or SM
-    /// configuration) are rejected as [`CodecError::BadValue`].
+    /// A resident TB is laid out by `Sm::occupy`, as a launch lays it
+    /// out, before its recorded state is read over it; the TB's progress
+    /// and its counts of warps at the barrier and finished are then those
+    /// of its warps. What is left to check is that each value read indexes
+    /// what it will index.
     pub fn restore_snapshot(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        let warps_per_tb = r.get_usize()?;
-        let threads_per_tb = r.get_u32()?;
-        if warps_per_tb != self.warps_per_tb || threads_per_tb != self.threads_per_tb {
-            return Err(CodecError::BadValue("snapshot kernel geometry mismatch"));
-        }
-        let warps: Vec<Warp> = Snapshot::load(r)?;
-        ensure(warps.len() == self.cfg.max_warps, "snapshot warp slot count")?;
-        // A warp indexes the TB slots with the one and fetches at the other.
-        let (max_warps, max_tbs) = (self.cfg.max_warps, self.cfg.max_tbs);
         let table = self.table.clone().expect("kernel bound");
-        let program = table.program();
-        ensure(warps.iter().all(|w| w.tb_slot < max_tbs), "snapshot warp TB slot")?;
-        // (A free slot keeps what its last warp left, perhaps another kernel's.)
-        let fetchable = |w: &Warp| !w.valid || w.simt.pcs_within(program.instrs.len());
-        ensure(warps.iter().all(fetchable), "snapshot SIMT entry PC")?;
-        let shared: Vec<SharedMem> = Snapshot::load(r)?;
-        ensure(shared.len() == self.cfg.max_tbs, "snapshot TB slot count")?;
-        self.warps = warps;
-        self.shared = shared;
-        self.sched_warps = Snapshot::load(r)?;
-        self.sched_tbs = Snapshot::load(r)?;
-        if self.sched_warps.len() != self.cfg.max_warps
-            || self.sched_tbs.len() != self.cfg.max_tbs
-        {
-            return Err(CodecError::BadValue("snapshot scheduler view size"));
+        let instrs = table.program().instrs.len();
+        self.sched_warps.fill(WarpState::default());
+        self.sched_tbs.fill(TbState::default());
+        self.live_tbs = 0;
+        for slot in 0..self.usable_tb_slots() {
+            if !r.get_bool()? {
+                continue;
+            }
+            let global_index = r.get_u32()?;
+            ensure(global_index < self.nctaid, "snapshot TB block index")?;
+            self.occupy(slot, global_index, r.get_u64()?);
+            self.shared[slot].load_words(r)?;
+            self.first_warp_finish[slot] = Snapshot::load(r)?;
+            let mut tb = self.sched_tbs[slot];
+            for w in self.warp_slots(slot) {
+                self.warps[w].load_state(r)?;
+                ensure(self.warps[w].simt.pcs_within(instrs), "snapshot SIMT entry PC")?;
+                let state = &mut self.sched_warps[w];
+                (state.progress, state.at_barrier, state.finished, state.blocked_on_longlat) = Snapshot::load(r)?;
+                tb.progress = tb.progress.wrapping_add(state.progress);
+                tb.warps_at_barrier += u32::from(state.at_barrier);
+                tb.warps_finished += u32::from(state.finished);
+            }
+            self.sched_tbs[slot] = tb;
         }
-        ensure(self.sched_warps.iter().all(|w| w.tb_slot < max_tbs), "snapshot scheduler view TB slot")?;
-        // What `launch_tb` derives from the kernel's geometry, held to it: a
-        // live warp's place in its TB (its thread ids) and its TB's in the
-        // grid, the register file its operands index, a resident TB's warp
-        // count and its shared memory of the program's size.
-        let tbs = &self.sched_tbs;
-        let mut live = self.warps.iter().enumerate().filter(|(_, w)| w.valid);
-        let placed = |(slot, w): (usize, &Warp)| {
-            let index = w.index_in_tb as usize;
-            index < warps_per_tb && slot == w.tb_slot * warps_per_tb + index
-        };
-        ensure(live.clone().all(placed), "snapshot warp index in its TB")?;
-        let mut resident = tbs.iter().zip(&self.shared).filter(|(t, _)| t.occupied);
-        let in_grid = |t: &TbState| t.global_index < self.nctaid && t.num_warps as usize == warps_per_tb;
-        ensure(resident.clone().all(|(t, _)| in_grid(t)), "snapshot TB block index or warp count")?;
-        let in_block = |w: &Warp| tbs[w.tb_slot].occupied && tbs[w.tb_slot].global_index == w.ctaid;
-        ensure(live.clone().all(|(_, w)| in_block(w)), "snapshot warp block index")?;
-        ensure(live.all(|(_, w)| w.sized_for(program)), "snapshot warp register file")?;
-        let shared_bytes = program.shared_bytes.next_multiple_of(4);
-        ensure(resident.all(|(_, s)| s.size() == shared_bytes), "snapshot shared memory size")?;
-        self.used_threads = r.get_u32()?;
-        self.used_shared = r.get_u32()?;
-        self.used_regs = r.get_u32()?;
-        self.live_tbs = r.get_u32()?;
-        // `can_accept_tb` answers from this count; hold it to the slots.
-        let (usable, beyond) = self.sched_tbs.split_at(self.usable_tb_slots());
-        if usable.iter().filter(|t| t.occupied).count() != self.live_tbs as usize
-            || beyond.iter().any(|t| t.occupied)
-        {
-            return Err(CodecError::BadValue("snapshot resident TB count"));
-        }
-        // A barrier opens and a TB retires on these two counts: hold them to
-        // the flags of the TB's warps, which they count.
-        let counted = |(slot, t): (usize, &TbState)| {
-            let warps = &self.warps[slot * warps_per_tb..][..warps_per_tb];
-            let count = |flag: fn(&Warp) -> bool| warps.iter().filter(|w| w.valid && flag(w)).count();
-            t.warps_at_barrier as usize == count(|w| w.at_barrier)
-                && t.warps_finished as usize == count(|w| w.finished)
-        };
-        let mut resident = usable.iter().enumerate().filter(|(_, t)| t.occupied);
-        ensure(resident.all(counted), "snapshot TB barrier or finished warp count")?;
         self.wb_events.restore_snapshot(r)?;
         self.lsu = Snapshot::load(r)?;
         self.sfu_free_at = r.get_u64()?;
@@ -129,7 +96,7 @@ impl Sm {
         let writebacks = self.wb_events.iter().map(|(_, _, release)| release.0);
         let loads = self.access_map.values().map(|release| release.0);
         let mut released = shared_ops.chain(writebacks).chain(loads);
-        ensure(released.all(|warp| warp < max_warps), "snapshot release warp slot")?;
+        ensure(released.all(|warp| warp < self.cfg.max_warps), "snapshot release warp slot")?;
         // A load the LSU is still sending completes like any other, and the
         // next one issued must not take the id of one in flight.
         let mut sending = self.lsu.iter().filter_map(|e| match e {
@@ -139,8 +106,6 @@ impl Sm {
         ensure(sending.all(|a| self.access_map.contains_key(a)), "snapshot LSU load without a release")?;
         self.next_access = r.get_u64()?;
         ensure(self.access_map.keys().all(|&a| a < self.next_access), "snapshot next access id")?;
-        self.first_warp_finish = Snapshot::load(r)?;
-        ensure(self.first_warp_finish.len() == self.cfg.max_tbs, "snapshot WLD tracker size")?;
         self.stats = SmStats::load(r)?;
         // Derived, not serialized (the policies invalidate or restore their
         // dirty bits symmetrically, so the orders come back the same).

@@ -12,8 +12,7 @@
 use crate::scoreboard::Scoreboard;
 use crate::shared::{atomic_cycles, conflict_cycles, SharedMem};
 use crate::simt::SimtStack;
-use pro_core::codec::{ensure, CodecError, Reader, Writer};
-use pro_core::snapshot_struct;
+use pro_core::codec::{CodecError, Reader, Snapshot, Writer};
 use pro_isa::exec::{
     alu_row, cmp_row, eval_alu, eval_atom, for_lanes, select_row, sfu_row, Row,
 };
@@ -59,7 +58,8 @@ pub enum ExecEffect {
     Nop,
 }
 
-/// Read-only launch context shared by all warps of a kernel on an SM.
+/// Read-only launch context of the executing warp: the kernel's parameters
+/// and geometry, and the warp's place in the grid.
 #[derive(Debug, Clone, Copy)]
 pub struct LaunchCtx<'a> {
     /// Kernel parameter bank.
@@ -68,27 +68,23 @@ pub struct LaunchCtx<'a> {
     pub ntid: u32,
     /// Blocks in the grid.
     pub nctaid: u32,
+    /// Global block index of the warp's TB.
+    pub ctaid: u32,
+    /// The warp's index within its TB.
+    pub index_in_tb: u32,
 }
 
-/// One hardware warp slot.
+/// One hardware warp slot's architectural and timing state. Which warp it
+/// holds — its TB and its place in it — and whether that warp is live,
+/// parked at a barrier or has exited is the SM's to know: the slot's
+/// scheduler-visible [`pro_core::WarpState`] and its TB's
+/// [`pro_core::TbState`] are the one record of it.
 #[derive(Debug)]
 pub struct Warp {
-    /// Slot is occupied by a live warp.
-    pub valid: bool,
-    /// Owning TB slot on this SM.
-    pub tb_slot: usize,
-    /// Warp index within the TB.
-    pub index_in_tb: u32,
-    /// Global block index of the owning TB.
-    pub ctaid: u32,
     /// SIMT reconvergence stack (PC + active mask).
     pub simt: SimtStack,
     /// Pending-write tracking.
     pub scoreboard: Scoreboard,
-    /// Parked at a barrier.
-    pub at_barrier: bool,
-    /// All lanes exited.
-    pub finished: bool,
     /// Cycle at which the next instruction is fetched/decoded.
     ///
     /// [`crate::issue::IssueState`] mirrors this field (DESIGN.md §15) so
@@ -96,71 +92,56 @@ pub struct Warp {
     /// every path that writes it (launch, issue, barrier release) tells it
     /// in the same place.
     pub ibuf_ready_at: u64,
-    /// Lanes that exist (threads_per_block may not fill the last warp).
-    pub live_mask: u32,
     /// Register file, one 32-lane row per GPR (DESIGN.md §16).
     regs: Vec<Row>,
     preds: Vec<u32>, // bitmask per predicate register
 }
 
 impl Warp {
-    /// An empty, invalid slot.
+    /// An empty slot.
     pub fn empty() -> Self {
         Warp {
-            valid: false,
-            tb_slot: 0,
-            index_in_tb: 0,
-            ctaid: 0,
             simt: SimtStack::new(0, 0),
             scoreboard: Scoreboard::default(),
-            at_barrier: false,
-            finished: false,
             ibuf_ready_at: 0,
-            live_mask: 0,
             regs: Vec::new(),
             preds: Vec::new(),
         }
     }
 
-    /// (Re)initialize the slot for a newly launched warp.
-    #[allow(clippy::too_many_arguments)] // hardware launch descriptor
-    pub fn launch(
-        &mut self,
-        program: &Program,
-        tb_slot: usize,
-        index_in_tb: u32,
-        ctaid: u32,
-        live_mask: u32,
-        now: u64,
-        fetch_lat: u64,
-    ) {
-        self.valid = true;
-        self.tb_slot = tb_slot;
-        self.index_in_tb = index_in_tb;
-        self.ctaid = ctaid;
+    /// (Re)initialize the slot for a newly launched warp whose lanes
+    /// `live_mask` exist.
+    pub fn launch(&mut self, program: &Program, live_mask: u32, now: u64, fetch_lat: u64) {
         self.simt = SimtStack::new(live_mask, program.len() as Pc);
         self.scoreboard.clear();
-        self.at_barrier = false;
-        self.finished = false;
         self.ibuf_ready_at = now + fetch_lat;
-        self.live_mask = live_mask;
         self.regs.clear();
         self.regs.resize(program.regs as usize, [0; WARP_SIZE]);
         self.preds.clear();
         self.preds.resize(program.preds as usize, 0);
     }
 
-    /// Free the slot.
-    pub fn retire(&mut self) {
-        self.valid = false;
-        self.finished = false;
-        self.at_barrier = false;
+    /// The warp's part of a checkpoint: SIMT stack, scoreboard, fetch
+    /// cycle, then the register file register-major and the predicates.
+    /// The program fixes both files' sizes, so neither is written.
+    pub(crate) fn save_state(&self, w: &mut Writer) {
+        self.simt.save(w);
+        self.scoreboard.save(w);
+        w.put_u64(self.ibuf_ready_at);
+        w.put_u32_slice(self.regs.as_flattened());
+        w.put_u32_slice(&self.preds);
     }
 
-    /// Are the register and predicate files the ones `program` declares
-    /// ([`Warp::execute`] indexes them by the program's operands)?
-    pub(crate) fn sized_for(&self, program: &Program) -> bool {
-        self.regs.len() == program.regs as usize && self.preds.len() == program.preds as usize
+    /// Read what [`Warp::save_state`] wrote into a warp
+    /// [`Warp::launch`]ed for the same program.
+    pub(crate) fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        self.simt = SimtStack::load(r)?;
+        self.scoreboard = Scoreboard::load(r)?;
+        self.ibuf_ready_at = r.get_u64()?;
+        for word in self.regs.as_flattened_mut().iter_mut().chain(&mut self.preds) {
+            *word = r.get_u32()?;
+        }
+        Ok(())
     }
 
     /// Current PC.
@@ -192,7 +173,7 @@ impl Warp {
             Src::Imm(v) => v,
             Src::Param(i) => ctx.params[i as usize],
             Src::Special(Special::Tid) => {
-                let base = self.index_in_tb * WARP_SIZE as u32;
+                let base = ctx.index_in_tb * WARP_SIZE as u32;
                 *tmp = std::array::from_fn(|lane| base + lane as u32);
                 return tmp;
             }
@@ -200,10 +181,10 @@ impl Warp {
                 *tmp = std::array::from_fn(|lane| lane as u32);
                 return tmp;
             }
-            Src::Special(Special::Ctaid) => self.ctaid,
+            Src::Special(Special::Ctaid) => ctx.ctaid,
             Src::Special(Special::NTid) => ctx.ntid,
             Src::Special(Special::NCtaid) => ctx.nctaid,
-            Src::Special(Special::WarpId) => self.index_in_tb,
+            Src::Special(Special::WarpId) => ctx.index_in_tb,
         };
         *tmp = [uniform; WARP_SIZE];
         tmp
@@ -227,8 +208,9 @@ impl Warp {
     ///   appended to `lines_out` (cleared first).
     ///
     /// Returns the effect plus the active-lane count (the paper's progress
-    /// increment). Must not be called on a finished warp or one parked at a
-    /// barrier.
+    /// increment). Must not be called on a warp that has exited or is
+    /// parked at a barrier: `Barrier` and `Exit` are reported for the SM to
+    /// record.
     ///
     /// Register-writing instructions work a row at a time (DESIGN.md §16):
     /// the destination row is copied out, the `pro_isa::exec` row evaluator
@@ -246,7 +228,6 @@ impl Warp {
         shared: &mut SharedMem,
         lines_out: &mut Vec<u64>,
     ) -> (ExecEffect, u32) {
-        debug_assert!(self.valid && !self.finished && !self.at_barrier);
         lines_out.clear();
         self.simt.reconverge();
         let pc = self.simt.pc();
@@ -360,7 +341,6 @@ impl Warp {
                     "barrier inside divergent control flow (kernel bug)"
                 );
                 self.simt.advance();
-                self.at_barrier = true;
                 ExecEffect::Barrier
             }
             Instr::Bra { guard, target, reconv } => {
@@ -381,7 +361,6 @@ impl Warp {
                     1,
                     "exit inside divergent control flow (kernel bug)"
                 );
-                self.finished = true;
                 ExecEffect::Exit
             }
             Instr::Nop => {
@@ -391,40 +370,6 @@ impl Warp {
         };
         (effect, active)
     }
-}
-
-snapshot_struct! {
-    Warp {
-        valid,
-        tb_slot,
-        index_in_tb,
-        ctaid,
-        simt,
-        scoreboard,
-        at_barrier,
-        finished,
-        ibuf_ready_at,
-        live_mask,
-        regs via (save_regs, load_regs),
-        preds,
-    }
-}
-
-/// The register file's bytes are those of the flat `Vec<u32>` the container
-/// format was defined with: word count, then the words register-major.
-fn save_regs(regs: &[Row], w: &mut Writer) {
-    w.put_u64((regs.len() * WARP_SIZE) as u64);
-    w.put_u32_slice(regs.as_flattened());
-}
-
-fn load_regs(r: &mut Reader<'_>) -> Result<Vec<Row>, CodecError> {
-    let words = r.get_usize()?;
-    ensure(words % WARP_SIZE == 0 && words <= 256 * WARP_SIZE, "warp register file size")?;
-    let mut regs = vec![[0; WARP_SIZE]; words / WARP_SIZE];
-    for word in regs.as_flattened_mut() {
-        *word = r.get_u32()?;
-    }
-    Ok(regs)
 }
 
 /// Append to `out` the distinct 128-byte lines the active lanes touch, in
@@ -444,7 +389,6 @@ fn coalesce_into(addrs: &Row, mask: u32, out: &mut Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pro_core::codec::Snapshot;
     use pro_isa::{CmpOp, ProgramBuilder, SfuOp, Ty};
 
     fn ctx<'a>(params: &'a [u32]) -> LaunchCtx<'a> {
@@ -452,6 +396,8 @@ mod tests {
             params,
             ntid: 64,
             nctaid: 4,
+            ctaid: 0,
+            index_in_tb: 0,
         }
     }
 
@@ -465,12 +411,11 @@ mod tests {
         index_in_tb: u32,
     ) -> Warp {
         let mut w = Warp::empty();
-        w.launch(program, 0, index_in_tb, ctaid, u32::MAX, 0, 0);
-        let c = ctx(params);
+        w.launch(program, u32::MAX, 0, 0);
+        let c = LaunchCtx { ctaid, index_in_tb, ..ctx(params) };
         let mut lines = Vec::new();
         let mut steps = 0;
-        while !w.finished {
-            let _ = w.execute(program, &c, gmem, shared, &mut lines);
+        while w.execute(program, &c, gmem, shared, &mut lines).0 != ExecEffect::Exit {
             steps += 1;
             assert!(steps < 1_000_000, "runaway program");
         }
@@ -572,15 +517,16 @@ mod tests {
 
         let mut w = Warp::empty();
         let prog_ref = &prog;
-        w.launch(prog_ref, 0, 0, 0, u32::MAX, 0, 0);
+        w.launch(prog_ref, u32::MAX, 0, 0);
         let params = [in_base as u32, out_base as u32];
         let c = ctx(&params);
         let mut lines = Vec::new();
         let mut saw_load_lines = 0;
-        while !w.finished {
-            let (eff, _) = w.execute(prog_ref, &c, &mut g, &mut s, &mut lines);
-            if eff == ExecEffect::GlobalLoad {
-                saw_load_lines = lines.len();
+        loop {
+            match w.execute(prog_ref, &c, &mut g, &mut s, &mut lines).0 {
+                ExecEffect::GlobalLoad => saw_load_lines = lines.len(),
+                ExecEffect::Exit => break,
+                _ => {}
             }
         }
         assert_eq!(saw_load_lines, 1, "unit-stride aligned load = 1 line");
@@ -621,15 +567,14 @@ mod tests {
         let mut g = GlobalMem::new(64);
         let mut s = SharedMem::new(0);
         let mut w = Warp::empty();
-        w.launch(&prog, 0, 0, 0, u32::MAX, 0, 0);
+        w.launch(&prog, u32::MAX, 0, 0);
         let params: [u32; 0] = [];
         let c = ctx(&params);
         let mut lines = Vec::new();
         let (eff, n) = w.execute(&prog, &c, &mut g, &mut s, &mut lines);
         assert_eq!(eff, ExecEffect::Barrier);
         assert_eq!(n, 32);
-        assert!(w.at_barrier);
-        assert!(!w.finished);
+        assert_eq!(w.pc(), 1, "the warp resumes past the barrier once released");
     }
 
     #[test]
@@ -642,7 +587,7 @@ mod tests {
         let mut g = GlobalMem::new(64);
         let mut s = SharedMem::new(0);
         let mut w = Warp::empty();
-        w.launch(&prog, 0, 0, 0, 0xFF, 0, 0); // 8 live lanes
+        w.launch(&prog, 0xFF, 0, 0); // 8 live lanes
         let params: [u32; 0] = [];
         let c = ctx(&params);
         let mut lines = Vec::new();
@@ -668,53 +613,41 @@ mod tests {
 
     #[test]
     fn snapshot_keeps_the_flat_register_byte_layout() {
-        // The container format was defined with the register file as one
-        // flat `Vec<u32>`, register-major; the 32-word rows must encode to
-        // the same bytes so old and new snapshots stay interchangeable.
+        // The register file goes on the wire as the words of one flat
+        // `Vec<u32>`, register-major, then the predicates, neither with a
+        // length: a warp launched for the same program reads them back.
         let mut b = ProgramBuilder::new("t");
         let regs = [b.reg(), b.reg(), b.reg()];
-        b.mov(regs[2], Src::Imm(0));
+        let p = b.pred();
+        b.setp(CmpOp::Eq, Ty::S32, p, regs[2], Src::Imm(0));
         b.exit();
         let prog = b.build().unwrap();
         let mut w = Warp::empty();
-        w.launch(&prog, 1, 2, 3, 0xFFFF, 10, 2);
+        w.launch(&prog, 0xFFFF, 10, 2);
         let flat: Vec<u32> = (0..3 * WARP_SIZE as u32).map(|i| i * 7 + 1).collect();
         for (i, &v) in flat.iter().enumerate() {
             w.set_reg((i / WARP_SIZE) as u8, i % WARP_SIZE, v);
         }
+        w.preds[0] = 0xF0F0;
         let mut out = Writer::new();
-        w.save(&mut out);
+        w.save_state(&mut out);
         let bytes = out.into_bytes();
 
         let mut want = Writer::new();
-        flat.save(&mut want);
-        w.preds.save(&mut want);
+        want.put_u32_slice(&flat);
+        want.put_u32(0xF0F0);
         let tail = want.into_bytes();
         assert_eq!(&bytes[bytes.len() - tail.len()..], &tail[..]);
 
+        let mut back = Warp::empty();
+        back.launch(&prog, 0xFFFF, 0, 0);
         let mut r = Reader::new(&bytes);
-        let back = Warp::load(&mut r).unwrap();
+        back.load_state(&mut r).unwrap();
         r.finish().unwrap();
-        assert_eq!(back.regs, w.regs);
+        assert_eq!((&back.regs, &back.preds, back.ibuf_ready_at), (&w.regs, &w.preds, 12));
         let mut again = Writer::new();
-        back.save(&mut again);
+        back.save_state(&mut again);
         assert_eq!(again.into_bytes(), bytes);
-    }
-
-    #[test]
-    fn snapshot_rejects_a_ragged_register_file() {
-        let mut w = Warp::empty();
-        w.regs = vec![[0; WARP_SIZE]];
-        let mut out = Writer::new();
-        w.save(&mut out);
-        let mut bytes = out.into_bytes();
-        // Shrink the declared word count by one: no longer whole rows.
-        let len_at = bytes.len() - (WARP_SIZE * 4 + 8) - 8;
-        bytes[len_at..len_at + 8].copy_from_slice(&(WARP_SIZE as u64 - 1).to_le_bytes());
-        assert!(matches!(
-            Warp::load(&mut Reader::new(&bytes)),
-            Err(CodecError::BadValue(_))
-        ));
     }
 
     #[test]
@@ -733,7 +666,7 @@ mod tests {
         let base = g.alloc(32 * 128);
         let mut s = SharedMem::new(0);
         let mut w = Warp::empty();
-        w.launch(&prog, 0, 0, 0, u32::MAX, 0, 0);
+        w.launch(&prog, u32::MAX, 0, 0);
         let params = [base as u32];
         let c = ctx(&params);
         let mut lines = Vec::new();

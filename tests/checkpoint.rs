@@ -5,14 +5,14 @@
 //! output memory.
 
 use pro_sim::{
-    CheckpointOptions, Gpu, GpuSnapshot, LaunchStatus, RunResult, SchedulerKind, SimError,
+    CheckpointOptions, Gpu, GpuSnapshot, LaunchStatus, Run, RunResult, SchedulerKind, SimError,
     TraceOptions,
 };
 use pro_workloads::find;
 use pro_core::codec::{CodecError, FileReader, FileWriter, Reader, Snapshot, Writer};
+use pro_sim::isa::Kernel;
 use pro_sim::mem::cache::Lookup;
 use pro_sim::mem::{Cache, DramChannel, MemConfig};
-use pro_sim::smx::{SharedMem, Warp};
 use std::collections::{HashMap, VecDeque};
 
 mod common;
@@ -216,23 +216,23 @@ fn container_bytes_are_pinned_for_every_policy() {
     // The wire format as constants: the CRC-32 of a mid-grid pause container
     // (every section populated — in-flight TB starts, MSHRs, outstanding
     // loads, LSU entries, scheduler state) under each of the nine policies,
-    // and of one finished `RunResult`'s encoding. Recorded before the
-    // serializers were rewritten as declarations; a change here is a format
-    // change and needs a `FORMAT_VERSION` bump, not a new constant.
+    // and of one finished `RunResult`'s encoding. A change here is a format
+    // change and needs a `FORMAT_VERSION` bump, not a new constant; these
+    // were recorded with version 3.
     // In `SchedulerKind::ALL` order.
     const CONTAINER_CRC: [u32; 9] = [
-        0x41E0_B9CD, // LRR
-        0x45DC_C62E, // GTO
-        0xC0EE_322D, // TL
-        0x80A0_C114, // OWL
-        0xAFEC_B41B, // PRO
-        0x007F_6BA9, // PRO-NB
-        0xB344_BED5, // PRO-NF
-        0x02E1_C6B7, // PRO-NS
-        0xE0C8_979B, // PRO-AD
+        0x0C6C_181F, // LRR
+        0x8201_6958, // GTO
+        0xB612_019C, // TL
+        0x6E72_4454, // OWL
+        0x2DD8_A8A8, // PRO
+        0xD080_1637, // PRO-NB
+        0x6C58_419D, // PRO-NF
+        0xB7E6_B74D, // PRO-NS
+        0xAA57_1B9B, // PRO-AD
     ];
     const RUN_RESULT_CRC: u32 = 0x6F5A_BC94;
-    assert_eq!(pro_core::codec::FORMAT_VERSION, 2);
+    assert_eq!(pro_core::codec::FORMAT_VERSION, 3);
     for (sched, want) in SchedulerKind::ALL.into_iter().zip(CONTAINER_CRC) {
         let got = pro_core::codec::crc32(paused(sched, trace_opts(), 1500).as_bytes());
         assert_eq!(got, want, "{sched}: pause container bytes moved (got {got:#010X})");
@@ -240,6 +240,48 @@ fn container_bytes_are_pinned_for_every_policy() {
     let (base, _, _) = straight_run(SchedulerKind::Pro);
     let got = pro_core::codec::crc32(&encode(&base));
     assert_eq!(got, RUN_RESULT_CRC, "RunResult encoding moved (got {got:#010X})");
+}
+
+#[test]
+fn a_restore_is_what_the_run_holds_one_cycle_later() {
+    // Restore is complete: what it derives instead of reading is what the
+    // run itself maintains. Under every policy, a pause at cycle k resumed
+    // in a fresh GPU and paused again at k + 1 is, byte for byte, the
+    // straight run's pause at k + 1. Three points: the first cycle,
+    // mid-grid, and the tail, where a TB slot has fallen free with no block
+    // left to fill it.
+    let run = |sched, prior: Option<&GpuSnapshot>, pause_at| {
+        let (mut gpu, kernel) = fresh_gpu();
+        let ckpt = CheckpointOptions { pause_at, ..Default::default() };
+        let resume = prior.map(Into::into);
+        gpu.run(&kernel, Run { trace: trace_opts(), ckpt: Some(&ckpt), resume, ..Run::new(sched) }).unwrap()
+    };
+    for sched in SchedulerKind::ALL {
+        let base = run(sched, None, 0).expect_completed();
+        let last_launch = base.timeline.iter().map(|tb| tb.start).max().unwrap();
+        let retired = base.timeline.iter().map(|tb| tb.end).filter(|&end| end > last_launch);
+        let tail = retired.min().expect("no TB retires after the last launch") + 1;
+        assert!(tail + 1 < base.cycles, "{sched}: the run ends in its first free slot");
+        for k in [1, base.cycles / 2, tail] {
+            let resumed = pause_of(run(sched, Some(&pause_of(run(sched, None, k))), k + 1));
+            let straight = pause_of(run(sched, None, k + 1));
+            let (a, b) = (resumed.as_bytes(), straight.as_bytes());
+            let first = a.iter().zip(b).position(|(x, y)| x != y);
+            assert!(a == b, "{sched}: cycle {k} + 1 differs from byte {first:?} of {}", b.len());
+        }
+    }
+}
+
+#[test]
+fn a_version_2_container_is_refused() {
+    // No container of an earlier format is read, and refusing one leaves
+    // the GPU launchable.
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
+    let mut bytes = with_section(&snap, SEC_META, snap.section_bytes(SEC_META).unwrap()).into_bytes();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let err = victim.refuses(&GpuSnapshot::from_bytes(bytes), "a version 2 container");
+    assert_eq!(err, CodecError::BadVersion(2));
+    victim.still_launches("a version 2 container");
 }
 
 /// Container section ids (DESIGN.md §12).
@@ -458,6 +500,9 @@ struct MemLayout {
     dram_done: (usize, u32, u64),
     /// Every line on its way to the L2, back from DRAM or to an SM.
     moving: Vec<u64>,
+    /// The tag byte, SM and line of every read on its way to the L2 and
+    /// every line on its way back to an SM.
+    fetches: Vec<(usize, u32, u64)>,
     /// `outstanding`, then `completions`.
     loads_at: usize,
 }
@@ -476,14 +521,17 @@ fn mem_layout(mem: &[u8]) -> MemLayout {
     // carries a transaction, tags 1 to 3 (DRAM done, line returning, L1 hit)
     // an index and a `u64` each — so a DRAM completion stands in for the
     // other two.
-    let (mut read, mut dram_done, mut moving) = (None, None, Vec::new());
+    let (mut read, mut dram_done, mut moving, mut fetches) = (None, None, Vec::new(), Vec::new());
     for _ in 0..r.get_u64().unwrap() {
         let tag_at = mem.len() - r.remaining() + 16;
-        let (_, _, tag, (part, line)): (u64, u64, u8, (u32, u64)) = Snapshot::load(&mut r).unwrap();
+        let (_, _, tag, (index, line)): (u64, u64, u8, (u32, u64)) = Snapshot::load(&mut r).unwrap();
         if tag == 0 && !r.get_bool().unwrap() {
             read.get_or_insert(tag_at);
+            fetches.push((tag_at, index, line));
         } else if tag == 1 {
-            dram_done.get_or_insert((tag_at, part, line));
+            dram_done.get_or_insert((tag_at, index, line));
+        } else if tag == 2 {
+            fetches.push((tag_at, index, line));
         }
         if tag < 3 {
             moving.push(line);
@@ -496,6 +544,7 @@ fn mem_layout(mem: &[u8]) -> MemLayout {
         read: read.expect("no read on its way to the L2"),
         dram_done: dram_done.expect("no line on its way back from DRAM"),
         moving,
+        fetches,
         loads_at: mem.len() - r.remaining(),
     }
 }
@@ -547,20 +596,19 @@ fn out_of_range_indices_in_the_memory_section_are_refused() {
     );
 }
 
-type WarpView = (bool, u64, u32, (u64, bool, bool, bool));
-type TbView = (bool, u32, u64, (u32, u32, u32, u64));
 type Release = (u64, (u128, u32));
 
-/// Where things are in an SM section: geometry (`u64`, `u32`), the warps,
-/// shared memory, the scheduler's view, four `u32` resource counts, the
-/// writeback events (count, then `(time, seq, release)` each, then the
-/// sequence counter), the LSU queue, a `u64`, the loads in flight (count,
-/// then `(id, release)`) and the next access id.
+/// Where things are in an SM section: for each TB slot the kernel can use,
+/// its occupancy and, if occupied, its block (`u32`), launch cycle, shared
+/// memory words, first-finish cycle and its warps; then the writeback
+/// events (count, `(time, seq, release)` each, the sequence counter), the
+/// LSU queue, a `u64`, the loads in flight (count, then `(id, release)`)
+/// and the next access id.
 struct SmLayout {
-    /// Warp 0 (`WARP0_AT`) ends here; slot 1 follows.
-    warp0_end: usize,
-    shared_at: usize,
-    view_at: usize,
+    /// The block of each occupied TB slot.
+    blocks_at: Vec<usize>,
+    /// That TB's first warp: its SIMT stack's depth, then its entries.
+    warp0_at: usize,
     wb_at: usize,
     lsu_at: usize,
     loads_at: usize,
@@ -569,24 +617,38 @@ struct SmLayout {
     in_flight: usize,
 }
 
-/// Warp 0: valid, its TB slot (`u64`), its index in the TB and its block
-/// (`u32`s), its SIMT stack's depth and bottom entry.
-const WARP0_AT: usize = 20;
-
-fn sm_layout(sec: &[u8]) -> SmLayout {
-    let mut r = Reader::new(&sec[WARP0_AT..]);
-    Warp::load(&mut r).unwrap();
-    let warp0_end = sec.len() - r.remaining();
-    let mut r = Reader::new(&sec[12..]);
-    let _: Vec<Warp> = Snapshot::load(&mut r).unwrap();
-    let shared_at = sec.len() - r.remaining();
-    let _: Vec<SharedMem> = Snapshot::load(&mut r).unwrap();
-    let view_at = sec.len() - r.remaining();
-    let _: (Vec<WarpView>, Vec<TbView>) = Snapshot::load(&mut r).unwrap();
-    let wb_at = sec.len() - r.remaining() + 16;
-    let mut r = Reader::new(&sec[wb_at..]);
+fn sm_layout(sec: &[u8], kernel: &Kernel) -> SmLayout {
+    let (sm, program) = (cfg().sm, &kernel.program);
+    let warps = kernel.launch.warps_per_block() as usize;
+    // A warp's SIMT stack, scoreboard and fetch cycle; its register and
+    // predicate words; its progress and three flags.
+    type WarpHead = (Vec<(u32, u32, u32)>, (u128, u32, u128), u64);
+    let files = 32 * program.regs as usize + program.preds as usize;
+    let mut r = Reader::new(sec);
+    let at = |r: &Reader<'_>| sec.len() - r.remaining();
+    let (mut blocks_at, mut warp0_at) = (Vec::new(), None);
+    for _ in 0..sm.max_tbs.min(sm.max_warps / warps) {
+        if !r.get_bool().unwrap() {
+            continue;
+        }
+        blocks_at.push(at(&r));
+        let _: (u32, u64) = Snapshot::load(&mut r).unwrap();
+        for _ in 0..program.shared_bytes.div_ceil(4) {
+            r.get_u32().unwrap();
+        }
+        let _: Option<u64> = Snapshot::load(&mut r).unwrap();
+        for _ in 0..warps {
+            warp0_at.get_or_insert(at(&r));
+            let _: WarpHead = Snapshot::load(&mut r).unwrap();
+            for _ in 0..files {
+                r.get_u32().unwrap();
+            }
+            let _: (u64, bool, bool, bool) = Snapshot::load(&mut r).unwrap();
+        }
+    }
+    let wb_at = at(&r);
     let (writebacks, _): (Vec<(u64, u64, Release)>, u64) = Snapshot::load(&mut r).unwrap();
-    let lsu_at = sec.len() - r.remaining();
+    let lsu_at = at(&r);
     for _ in 0..r.get_u64().unwrap() {
         if r.get_u8().unwrap() == 0 {
             let _: (u64, Vec<u64>, u64, bool) = Snapshot::load(&mut r).unwrap();
@@ -595,10 +657,17 @@ fn sm_layout(sec: &[u8]) -> SmLayout {
         }
     }
     r.get_u64().unwrap();
-    let loads_at = sec.len() - r.remaining();
+    let loads_at = at(&r);
     let loads: Vec<(u64, Release)> = Snapshot::load(&mut r).unwrap();
-    let in_flight = writebacks.len().min(loads.len());
-    SmLayout { warp0_end, shared_at, view_at, wb_at, lsu_at, loads_at, next_access_at: sec.len() - r.remaining(), in_flight }
+    SmLayout {
+        blocks_at,
+        warp0_at: warp0_at.expect("no TB resident on the SM"),
+        wb_at,
+        lsu_at,
+        loads_at,
+        next_access_at: at(&r),
+        in_flight: writebacks.len().min(loads.len()),
+    }
 }
 
 /// `sec` with one more entry (its bytes after the tag) at the head of the
@@ -610,29 +679,20 @@ fn with_lsu_head(sec: &[u8], lsu_at: usize, tag: u8, entry: &[u8]) -> Vec<u8> {
 
 #[test]
 fn out_of_range_slots_and_pcs_in_an_sm_section_are_refused() {
-    // An SM section names TB slots (each warp's, and its entry in the
-    // scheduler's view), warp slots (whose registers a writeback, a load in
+    // An SM section names warp slots (whose registers a writeback, a load in
     // flight or a shared-memory access will release) and PCs (the SIMT
-    // stack's entries): array indices all, the cycle after a restore.
-    // Under GTO, which reads the view's TB slots (PRO keeps its own lists).
+    // stack's entries): array indices all, the cycle after a restore. (The
+    // TB slot of a warp is where the section has it, not a value in it.)
     let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, None);
     let sm = cfg().sm;
-    let (no_tb, no_warp) = ((sm.max_tbs as u64).to_le_bytes(), (sm.max_warps as u64).to_le_bytes());
+    let no_warp = (sm.max_warps as u64).to_le_bytes();
     let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let SmLayout { warp0_at, wb_at, lsu_at, loads_at, in_flight, .. } = sm_layout(sec, &victim.kernel);
     let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
-    let SmLayout { view_at, wb_at, lsu_at, loads_at, in_flight, .. } = sm_layout(sec);
     assert!(in_flight > 0, "nothing in flight on SM 0");
 
-    let (tb_slot_at, pc_at) = (WARP0_AT + 1, WARP0_AT + 25);
-    assert_eq!(sec[WARP0_AT], 1, "warp slot 0 is empty");
-    check("a warp in a TB slot past the last", patched(sec, tb_slot_at, no_tb), "snapshot warp TB slot");
-    let past_the_end = patched(sec, pc_at, u32::MAX.to_le_bytes());
+    let past_the_end = patched(sec, warp0_at + 8, u32::MAX.to_le_bytes());
     check("a SIMT entry past the program's end", past_the_end, "snapshot SIMT entry PC");
-    check(
-        "a scheduler-view warp in a TB slot past the last",
-        patched(sec, view_at + 8 + 1, no_tb),
-        "snapshot scheduler view TB slot",
-    );
 
     let release = "snapshot release warp slot";
     check("a writeback to a warp slot past the last", patched(sec, wb_at + 8 + 16, no_warp), release);
@@ -656,7 +716,7 @@ fn loads_the_two_sides_pair_wrongly_are_refused() {
     type Loads = (HashMap<u64, (u32, u64)>, Vec<VecDeque<u64>>);
     let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
     let mem = snap.section_bytes(SEC_MEM).unwrap();
-    let MemLayout { slices_at, dram_done: (dram_done, _, line), moving, loads_at, .. } = mem_layout(mem);
+    let MemLayout { slices_at, dram_done: (dram_done, _, line), moving, fetches, loads_at, .. } = mem_layout(mem);
     let mut r = Reader::new(&mem[loads_at..]);
     let loads: Loads = Snapshot::load(&mut r).unwrap();
     let stats_at = mem.len() - r.remaining();
@@ -687,6 +747,16 @@ fn loads_the_two_sides_pair_wrongly_are_refused() {
         check("an L1 miss waiter that is not outstanding", stray_waiter, unexpected);
         let one_too_many = l1_hit(mem, (oldest >> 40) as u32, oldest & ((1 << 40) - 1));
         check("one more L1 hit than the load has lines left", one_too_many, unexpected);
+        // The read an L1 miss sent towards the L2, or the line on its way
+        // back, redirected to another line. Parent: the load waiting on the
+        // miss never completed, and the run went on to `max_cycles`: a
+        // `Timeout` after 200 M cycles (53 s in a release build; the run
+        // takes 2 446 cycles).
+        let l1s: Vec<Cache<u64>> = Snapshot::load(&mut Reader::new(mem)).unwrap();
+        let awaited = fetches.iter().find(|&&(_, sm, line)| l1s[sm as usize].has_pending(line));
+        let &(fetch_at, ..) = awaited.expect("no fetch an L1 waits for");
+        let no_fetch = patched(mem, fetch_at + 5, STRAY.to_le_bytes());
+        check("an L1 miss with no fetch on its way", no_fetch, "mem L1 miss with no fetch on its way");
 
         let unclaimed = "mem load no SM waits for";
         let stray_done = with_loads(&|l| l.1[0].push_back(STRAY));
@@ -700,8 +770,8 @@ fn loads_the_two_sides_pair_wrongly_are_refused() {
     }
 
     let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let SmLayout { lsu_at, loads_at, next_access_at, in_flight, .. } = sm_layout(sec, &victim.kernel);
     let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
-    let SmLayout { lsu_at, loads_at, next_access_at, in_flight, .. } = sm_layout(sec);
     assert!(in_flight > 0, "nothing in flight on SM 0");
     // A one-line load at the head of the LSU queue: id, lines, lines sent,
     // not a store.
@@ -719,52 +789,23 @@ fn loads_the_two_sides_pair_wrongly_are_refused() {
 
 #[test]
 fn sm_state_off_the_kernels_geometry_is_refused() {
-    // What a TB launch derives from the kernel — each warp's index in its TB
-    // (its thread ids) and its block, a register file of the program's size,
-    // the TB's warp count and its shared memory — is in the section too, and
-    // the run reads it back as thread ids, array bounds and exit conditions.
-    // Paused before any warp has issued, so every field is still to be read.
+    // Of what a TB launch takes from the kernel, a TB slot records only its
+    // block: each warp's index in its TB and its block, its register file,
+    // the TB's warp count and its shared memory are laid out from the
+    // kernel again on restore. The block must be one of the grid's, whose
+    // ids its threads compute with. Paused before any warp has issued.
     let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, Some(1));
-    let program = victim.kernel.program.clone();
     let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let SmLayout { blocks_at, .. } = sm_layout(sec, &victim.kernel);
     let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
-    let SmLayout { warp0_end, shared_at, view_at, wb_at, .. } = sm_layout(sec);
-    let word = |at: usize| u32::from_le_bytes(sec[at..at + 4].try_into().unwrap());
-
-    let (index_at, block_at) = (WARP0_AT + 9, WARP0_AT + 13);
-    assert_eq!((sec[WARP0_AT], word(index_at)), (1, 0), "warp slot 0 is not a TB's first warp");
-    check("a warp that is another of its TB", patched(sec, index_at, 1u32.to_le_bytes()), "snapshot warp index in its TB");
-    let other_block = patched(sec, block_at, (word(block_at) ^ 1).to_le_bytes());
-    check("a warp of another block than its TB", other_block, "snapshot warp block index");
-    // A warp ends with its registers (word count, words) and predicates
-    // (count, words): every register's row but the first cut out.
-    let regs_end = warp0_end - (8 + 4 * program.preds as usize);
-    let regs_at = regs_end - 4 * 32 * program.regs as usize;
-    let mut one_reg = patched(sec, regs_at - 8, 32u64.to_le_bytes());
-    one_reg.drain(regs_at + 4 * 32..regs_end);
-    check("a warp with one register", one_reg, "snapshot warp register file");
-
-    let view: (Vec<WarpView>, Vec<TbView>) = Snapshot::load(&mut Reader::new(&sec[view_at..])).unwrap();
-    assert!(view.1[0].0, "TB slot 0 is free");
-    let with_tb0 = |edit: &dyn Fn(&mut TbView)| {
-        let mut view = view.clone();
-        edit(&mut view.1[0]);
-        [&sec[..view_at], &encode(&view), &sec[wb_at - 16..]].concat()
-    };
-    let tb = "snapshot TB block index or warp count";
-    check("a TB past the grid's last block", with_tb0(&|t| t.1 = u32::MAX), tb);
-    check("a TB that waits for a warp it does not have", with_tb0(&|t| t.3 .0 += 1), tb);
-    let mut shared: Vec<SharedMem> = Snapshot::load(&mut Reader::new(&sec[shared_at..])).unwrap();
-    shared[0] = SharedMem::new(shared[0].size() - 4);
-    let short_shared = [&sec[..shared_at], &encode(&shared), &sec[view_at..]].concat();
-    check("a TB whose shared memory is a word short", short_shared, "snapshot shared memory size");
+    let past_the_grid = patched(sec, blocks_at[0], u32::MAX.to_le_bytes());
+    check("a TB past the grid's last block", past_the_grid, "snapshot TB block index");
 }
 
-/// The run loop's section: the TB scheduler's queue, the count of TBs in
-/// flight, its cursor over the SMs, the Table IV samples and the cycle of the
-/// last; then the recorder's TB starts by (SM, block), its finished spans and
-/// its utilization rows.
-type Loop = (VecDeque<u32>, u32, u64, (Vec<(u64, Vec<u32>)>, u64));
+/// The run loop's section: the TB scheduler's queue, its cursor over the
+/// SMs, the Table IV samples and the cycle of the last; then the recorder's
+/// TB starts by (SM, block), its finished spans and its utilization rows.
+type Loop = (VecDeque<u32>, u64, Vec<(u64, Vec<u32>)>, u64);
 type Traces = (HashMap<(u32, u32), u64>, Vec<(u32, u32, u64, u64)>, Vec<Vec<u64>>);
 
 /// `edit` applied to the decoded run-loop section of `snap`.
@@ -799,9 +840,9 @@ fn run_loop_state_off_the_grid_or_the_sms_is_refused() {
         // Parent: block 7 ran on two SMs at once; 17 TBs completed (mis-run).
         check("a resident block queued again", with_loop(&snap, &|lp, _| lp.0.push_front(7)), "snapshot resident TB still pending");
         // Parent: `rr_next_sm + k` overflowed (a panic in a debug build).
-        check("a TB scheduler cursor past the SMs", with_loop(&snap, &|lp, _| lp.2 = u64::MAX), "snapshot TB scheduler cursor");
+        check("a TB scheduler cursor past the SMs", with_loop(&snap, &|lp, _| lp.1 = u64::MAX), "snapshot TB scheduler cursor");
         // Parent: `now - last_order_sample` underflowed (panic).
-        check("a Table IV sample from the future", with_loop(&snap, &|lp, _| lp.3 .1 = 3), "snapshot order sample after its cycle");
+        check("a Table IV sample from the future", with_loop(&snap, &|lp, _| lp.3 = 3), "snapshot order sample after its cycle");
         // Parent: block 0's completion found no start and hit
         // `expect("TbComplete without TbLaunch")`.
         let misplaced = with_loop(&snap, &|_, traces| {
@@ -818,50 +859,31 @@ fn run_loop_state_off_the_grid_or_the_sms_is_refused() {
         let begun_later = patched(meta, meta.len() - 8, 3u64.to_le_bytes());
         check("a launch that began after its snapshot", begun_later, "snapshot taken before its launch began");
     }
-    // With the timeline on, a wrong count is already refused as a missing
-    // start; without it nothing else looks.
+    // Each block runs once. With the timeline on, a block resident twice
+    // has no start under one of its two (SM, block) keys; without it, only
+    // the blocks themselves can be compared. Two cycles in, two TBs sit on
+    // each SM and no warp has issued: the copy computes with its block id.
     let no_timeline = TraceOptions { timeline: false, ..trace_opts() };
-    let (mut victim, snap) = victim_and_pause_traced(SchedulerKind::Pro, None, no_timeline);
-    let mut check = hostile_rows(&mut victim, &snap, SEC_LOOP);
-    let count = "snapshot outstanding TB count";
-    // Parent: the grid "drained" with a TB still running; completed two
-    // cycles early with 15 of 16 TBs retired (mis-run).
-    check("one TB fewer in flight than is resident", with_loop(&snap, &|lp, _| lp.1 -= 1), count);
-    // Parent: never reached zero; ran on towards `max_cycles` (200 M cycles;
-    // killed after 90 s, the run takes under one).
-    check("one TB more in flight than is resident", with_loop(&snap, &|lp, _| lp.1 += 1), count);
-}
-
-#[test]
-fn tb_warp_counts_off_their_warps_flags_are_refused() {
-    // A TB's barrier opens when `warps_at_barrier + warps_finished` reaches
-    // its warp count and the TB retires when `warps_finished` does: two
-    // counts of flags its warps carry, in the same section.
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, None);
-    let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let (mut victim, snap) = victim_and_pause_traced(SchedulerKind::Pro, Some(2), no_timeline);
+    let (sm0, sm1) = (snap.section_bytes(SEC_SM0).unwrap(), snap.section_bytes(SEC_SM0 + 1).unwrap());
+    let on0 = sm_layout(sm0, &victim.kernel).blocks_at;
+    let on1 = sm_layout(sm1, &victim.kernel).blocks_at;
+    assert!(on0.len() > 1, "one TB resident on SM 0");
+    let block = |sec: &[u8], at: usize| -> [u8; 4] { sec[at..at + 4].try_into().unwrap() };
     let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
-    let SmLayout { view_at, wb_at, .. } = sm_layout(sec);
-    let view: (Vec<WarpView>, Vec<TbView>) = Snapshot::load(&mut Reader::new(&sec[view_at..])).unwrap();
-    assert!(view.1[0].0, "TB slot 0 is free");
-    let with_tb0 = |edit: &dyn Fn(&mut TbView)| {
-        let mut view = view.clone();
-        edit(&mut view.1[0]);
-        [&sec[..view_at], &encode(&view), &sec[wb_at - 16..]].concat()
-    };
-    let counts = "snapshot TB barrier or finished warp count";
-    // Parent: the barrier opened a warp early; completed with another cycle
-    // count (mis-run).
-    check("a warp at the barrier that no warp is", with_tb0(&|t| t.3 .1 += 1), counts);
-    // Parent: the TB retired with a warp still running; completed with
-    // another cycle count (mis-run).
-    check("a finished warp that no warp is", with_tb0(&|t| t.3 .2 += 1), counts);
+    let twice = "snapshot block resident twice";
+    // Parent: the replaced block never ran; completed in 2 472 cycles, not
+    // 2 446, with 1 024 output words wrong (mis-run).
+    check("a block resident on two SMs", patched(sm0, on0[0], block(sm1, on1[0])), twice);
+    // Parent: likewise, in 2 428 cycles, 1 024 output words wrong (mis-run).
+    check("a block resident in two slots of one SM", patched(sm0, on0[1], block(sm0, on0[0])), twice);
 }
 
 #[test]
 fn a_pause_after_another_kernel_resumes() {
     // A free warp slot keeps what its last warp left — after a longer
-    // kernel, a SIMT stack with PCs this program does not have. Only live
-    // warps are held to the program.
+    // kernel, a SIMT stack with PCs this program does not have. Free slots
+    // are not written, and only live warps are held to the program.
     let build = |gpu: &mut Gpu, name: &str| (find(name).unwrap().build)(&mut gpu.gmem, SCALE).kernel;
     let no_trace = TraceOptions::default;
     let mut gpu = Gpu::new(cfg(), 64 << 20);
