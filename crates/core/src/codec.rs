@@ -41,8 +41,9 @@ pub const MAGIC: [u8; 8] = *b"PROSNAP\0";
 /// reject files whose version differs (no silent migration). v2 added the
 /// chain header (kind / sequence / parent CRC) enabling delta checkpoints;
 /// v3 writes only what the kernel and the rest of the state do not
-/// determine.
-pub const FORMAT_VERSION: u32 = 3;
+/// determine; v4 drops the run loop's dispatch queue, cursor, sample clock
+/// and TB start cycles, which the SMs and the clock determine.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// What a container holds: a complete state capture, or only the state
 /// that changed since the predecessor file in its chain.
@@ -703,7 +704,7 @@ macro_rules! snapshot_enum {
 ///
 /// ```text
 /// magic       8 bytes  "PROSNAP\0"
-/// version     u32      FORMAT_VERSION (3)
+/// version     u32      FORMAT_VERSION (4)
 /// kind        u8       0 = full snapshot, 1 = delta
 /// sequence    u64      position in the chain (0 for a full/base snapshot)
 /// parent_crc  u32      CRC-32 of the predecessor file's complete bytes
@@ -987,7 +988,7 @@ mod tests {
         let payload = [0xDDu8, 0xCC, 0xBB, 0xAA, 0x07];
         let mut expect: Vec<u8> = Vec::new();
         expect.extend_from_slice(b"PROSNAP\0"); // magic
-        expect.extend_from_slice(&3u32.to_le_bytes()); // format version
+        expect.extend_from_slice(&4u32.to_le_bytes()); // format version
         expect.push(0); // kind: full
         expect.extend_from_slice(&0u64.to_le_bytes()); // sequence
         expect.extend_from_slice(&0u32.to_le_bytes()); // parent crc
@@ -1017,7 +1018,7 @@ mod tests {
         let payload = [0x2Au8];
         let mut expect: Vec<u8> = Vec::new();
         expect.extend_from_slice(b"PROSNAP\0"); // magic
-        expect.extend_from_slice(&3u32.to_le_bytes()); // format version
+        expect.extend_from_slice(&4u32.to_le_bytes()); // format version
         expect.push(1); // kind: delta
         expect.extend_from_slice(&3u64.to_le_bytes()); // sequence
         expect.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes()); // parent crc

@@ -17,16 +17,13 @@ mod snapshot;
 
 use crate::checkpoint::{ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, Prior};
 use crate::result::{RunResult, TbOrderSnapshot, TbSpan};
-use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
+use pro_core::codec::CodecError;
 use pro_core::{snapshot_struct, SchedulerKind, WarpScheduler};
 use pro_isa::Kernel;
 use pro_mem::{GlobalMem, MemConfig, MemSubsystem};
 use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport};
-use pro_trace::{
-    Event as TraceEvent, EventClass, Hist16, HostPhase, HostProf, IssueProf, NoopTracer, Tracer,
-};
+use pro_trace::{Hist16, HostPhase, HostProf, IssueProf, NoopTracer, Tracer};
 use snapshot::{ChainImage, ChainLink, Restored};
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,11 +69,11 @@ impl GpuConfig {
 
 /// Optional measurement hooks for a launch.
 ///
-/// `timeline` and `utilization_period` are implemented as subscriptions on
-/// the `pro-trace` event bus (TB launch/complete and warp-issue events);
-/// `tb_order` polls the policy directly since it reads scheduler *state*,
-/// which no event carries. External subscribers attach via
-/// [`Gpu::launch_traced`].
+/// The run loop reads each off what it already drains: a retiring TB's
+/// span from the SM's report of it (launch cycle included), utilization
+/// from each SM's issue counter, and `tb_order` from the policy, whose
+/// priority state no event carries. None of them subscribes to the
+/// `pro-trace` bus; external subscribers attach via [`Gpu::launch_traced`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceOptions {
     /// Record each TB's (SM, start, end) — regenerates Fig. 2.
@@ -94,125 +91,6 @@ pub struct TraceOptions {
     /// excluded from `RunResult`'s `Snapshot` encoding and from every
     /// byte-compare determinism gate.
     pub host_prof: bool,
-}
-
-/// Internal bus subscriber that rebuilds the classic `RunResult` traces
-/// (timeline, utilization) from events and forwards everything to the
-/// user's tracer.
-struct Recorder<'a> {
-    user: &'a mut dyn Tracer,
-    start_cycle: u64,
-    timeline_on: bool,
-    starts: HashMap<(u32, u32), u64>,
-    timeline: Vec<TbSpan>,
-    util_period: u64,
-    util: Vec<Vec<u64>>,
-}
-
-impl<'a> Recorder<'a> {
-    fn new(user: &'a mut dyn Tracer, opts: &TraceOptions, start_cycle: u64, num_sms: usize) -> Self {
-        Recorder {
-            user,
-            start_cycle,
-            timeline_on: opts.timeline,
-            starts: HashMap::new(),
-            timeline: Vec::new(),
-            util_period: opts.utilization_period,
-            util: vec![Vec::new(); num_sms],
-        }
-    }
-
-    /// Equal-length utilization rows (ragged tails zero-padded).
-    fn finish_util(mut self) -> (Vec<TbSpan>, Vec<Vec<u64>>) {
-        let width = self.util.iter().map(Vec::len).max().unwrap_or(0);
-        for row in &mut self.util {
-            row.resize(width, 0);
-        }
-        (self.timeline, self.util)
-    }
-
-    /// Serialize the recorder's accumulated *data* (not its subscriptions,
-    /// which are rebuilt from `TraceOptions` on resume).
-    fn save_state(&self, w: &mut Writer) {
-        self.starts.save(w);
-        self.timeline.save(w);
-        self.util.save(w);
-    }
-
-    /// Restore data written by [`Recorder::save_state`] into a freshly
-    /// constructed recorder of the same geometry. The container records no
-    /// trace options, so a `timeline` option that differs from the paused
-    /// launch's is recognised by the data: with it on there is a start for
-    /// each of the `outstanding` TBs, with it off there is no span at all.
-    fn load_state(&mut self, r: &mut Reader<'_>, outstanding: u32) -> Result<(), CodecError> {
-        self.starts = Snapshot::load(r)?;
-        self.timeline = Snapshot::load(r)?;
-        let fits = if self.timeline_on {
-            self.starts.len() == outstanding as usize
-        } else {
-            self.starts.is_empty() && self.timeline.is_empty()
-        };
-        if !fits {
-            let on = self.timeline_on;
-            return Err(CodecError::Mismatch(format!("snapshot was not taken with `timeline: {on}`")));
-        }
-        let util: Vec<Vec<u64>> = Snapshot::load(r)?;
-        ensure(util.len() == self.util.len(), "utilization row count")?;
-        self.util = util;
-        Ok(())
-    }
-}
-
-impl Tracer for Recorder<'_> {
-    fn enabled(&self) -> bool {
-        self.timeline_on || self.util_period > 0 || self.user.enabled()
-    }
-
-    fn wants(&self, class: EventClass) -> bool {
-        (self.timeline_on && class == EventClass::Tb)
-            || (self.util_period > 0 && class == EventClass::Issue)
-            || self.user.wants(class)
-    }
-
-    fn emit(&mut self, cycle: u64, ev: &TraceEvent) {
-        match *ev {
-            TraceEvent::TbLaunch { sm, global_index, .. } if self.timeline_on => {
-                self.starts.insert((sm, global_index), cycle);
-            }
-            TraceEvent::TbComplete { sm, global_index, .. } if self.timeline_on => {
-                let start = self
-                    .starts
-                    .remove(&(sm, global_index))
-                    .expect("TbComplete without TbLaunch");
-                self.timeline.push(TbSpan {
-                    sm,
-                    global_index,
-                    start: start - self.start_cycle,
-                    end: cycle - self.start_cycle,
-                });
-            }
-            TraceEvent::WarpIssue { sm, .. } if self.util_period > 0 => {
-                let bucket = ((cycle - self.start_cycle) / self.util_period) as usize;
-                let row = &mut self.util[sm as usize];
-                if row.len() <= bucket {
-                    row.resize(bucket + 1, 0);
-                }
-                row[bucket] += 1;
-            }
-            _ => {}
-        }
-        if self.user.wants(ev.class()) {
-            self.user.emit(cycle, ev);
-        }
-    }
-
-    fn on_kernel_begin(&mut self, name: &str, cycle: u64) {
-        self.user.on_kernel_begin(name, cycle);
-    }
-
-    fn on_kernel_end(&mut self, name: &str, cycle: u64, cycles: u64) {
-        self.user.on_kernel_end(name, cycle, cycles);
-    }
 }
 
 /// Simulation failure modes.
@@ -324,10 +202,11 @@ pub struct Run<'a> {
     pub ckpt: Option<&'a CheckpointOptions>,
     /// Continue this prior state — `(&snapshot).into()` or
     /// `(&chain).into()` — instead of starting the grid at cycle 0. The
-    /// GPU, kernel, policy and `trace` must match the original launch: the
-    /// containers carry the identities of the first three and a mismatch
-    /// is refused; of `trace` they record nothing, and a `timeline`
-    /// setting their TB spans contradict is refused. `ckpt` may differ
+    /// GPU, kernel and policy must match the original launch: the
+    /// containers carry their identities and a mismatch is refused. Of
+    /// `trace` they record nothing, and each accumulator holds what was
+    /// recorded while it was on: a `timeline` switched on at resume holds
+    /// the spans of the TBs that retire from then on. `ckpt` may differ
     /// (e.g. a new pause point); a restored run that delta-checkpoints
     /// starts a fresh chain at its first boundary. The continuation is
     /// bit-identical to the uninterrupted run: same counters, same stall
@@ -454,8 +333,8 @@ impl Gpu {
                 if let Some(snap) = paused {
                     // Paused mid-grid: no kernel-end event (the resumed run
                     // emits it), no result — the snapshot is the
-                    // deliverable. The GPU itself also holds the paused
-                    // state and could continue.
+                    // deliverable. The next launch or resume on this GPU,
+                    // this snapshot's included, starts from idle SMs.
                     return Ok(LaunchStatus::Paused(snap));
                 }
             }
@@ -468,44 +347,25 @@ impl Gpu {
 struct Lane {
     policy: Box<dyn WarpScheduler>,
     report: TickReport,
+    /// The SM's `stats.issued` when its utilization was last counted.
+    issued: u64,
 }
 
-/// Run-loop bookkeeping: the thread block scheduler's queue and cursor,
-/// and the Table IV sample accumulator. Its encoding, followed by the
-/// [`Recorder`]'s data, is snapshot section [`SEC_LOOP`].
+/// What a run accumulates, snapshot section [`SEC_LOOP`]: the Table IV
+/// samples, the spans of the TBs retired while the timeline was on, and a
+/// row of per-period issue counts per SM. Everything else the run loop
+/// uses it derives from the SMs and the clock.
 struct LoopState {
-    /// TBs not yet handed to an SM, in launch order.
-    pending: VecDeque<u32>,
-    /// TBs launched but unfinished.
-    outstanding: u32,
-    /// Where the TB scheduler's round-robin over SMs starts this cycle.
-    rr_next_sm: usize,
     tb_order: Vec<TbOrderSnapshot>,
-    last_order_sample: u64,
-}
-
-impl LoopState {
-    fn fresh(total_tbs: u32, start_cycle: u64) -> Self {
-        LoopState {
-            pending: (0..total_tbs).collect(),
-            outstanding: 0,
-            rr_next_sm: 0,
-            tb_order: Vec::new(),
-            last_order_sample: start_cycle,
-        }
-    }
+    timeline: Vec<TbSpan>,
+    utilization: Vec<Vec<u64>>,
 }
 
 snapshot_struct! {
     LoopState {
-        pending,
-        rr_next_sm,
         tb_order,
-        last_order_sample,
-    }
-    derived {
-        // The TBs resident on the SMs: `Restored::apply` counts them.
-        outstanding = 0,
+        timeline,
+        utilization,
     }
 }
 
@@ -519,11 +379,14 @@ struct Engine<'a> {
     ckpt: &'a CheckpointOptions,
     start_cycle: u64,
     lp: LoopState,
-    /// The bus: classic timeline/utilization traces are rebuilt from TB
-    /// and issue events; the user tracer sees everything it asked for.
-    recorder: Recorder<'a>,
-    /// `recorder.enabled()`, hoisted: one check per launch, not per cycle.
-    bus_on: bool,
+    /// Blocks handed to an SM so far. They go out in index order, so this
+    /// is also the next one; `TBsWaitingInThrdBlkSched()` is `dispatched <
+    /// num_blocks`.
+    dispatched: u32,
+    /// TBs launched but unfinished.
+    outstanding: u32,
+    /// The user's subscriber, or the no-op tracer.
+    tracer: &'a mut dyn Tracer,
     /// One per SM, index-aligned with `gpu.sms`.
     lanes: Vec<Lane>,
     /// Delta-chain writer and the section image its next delta diffs
@@ -571,6 +434,12 @@ impl<'a> Engine<'a> {
             None => None,
         };
 
+        // A launch that timed out or paused left its TBs resident; this one
+        // starts from idle SMs. After a completed launch there is nothing
+        // to replace.
+        if gpu.sms.iter().any(|sm| sm.sched_view(0, false).tbs.iter().any(|tb| tb.occupied)) {
+            gpu.sms = idle_sms(&gpu.cfg);
+        }
         // Decode the program once; every SM tests the same per-PC table.
         let table = Arc::new(IssueTable::build(&kernel.program));
         for sm in &mut gpu.sms {
@@ -582,27 +451,31 @@ impl<'a> Engine<'a> {
         gpu.mem = MemSubsystem::new(gpu.cfg.mem, num_sms);
 
         let start_cycle = restored.as_ref().map_or(gpu.cycle, |r| r.meta.start_cycle);
-        let mut recorder = Recorder::new(tracer, &trace, start_cycle, num_sms);
         let mut lanes: Vec<Lane> = (0..num_sms)
             .map(|_| Lane {
                 policy: policy.build(&gpu.cfg.sm),
                 report: TickReport::default(),
+                issued: 0,
             })
             .collect();
-        let lp = match &restored {
+        let (lp, dispatched, outstanding) = match &restored {
             // A section can pass its CRC and still decode badly, which the
             // in-place restores find only part-way through: the half-restored
             // SMs are replaced so the GPU stays launchable (global memory
             // and the clock move only on success, and every setup rebuilds
             // the memory hierarchy).
             Some(restored) => restored
-                .apply(gpu, kernel, &mut recorder, &mut lanes)
+                .apply(gpu, kernel, &mut lanes)
                 .inspect_err(|_| gpu.sms = idle_sms(&gpu.cfg))?,
             None => {
-                recorder.on_kernel_begin(&kernel.program.name, start_cycle);
-                LoopState::fresh(kernel.launch.num_blocks(), start_cycle)
+                tracer.on_kernel_begin(&kernel.program.name, start_cycle);
+                let utilization = vec![Vec::new(); num_sms];
+                (LoopState { tb_order: Vec::new(), timeline: Vec::new(), utilization }, 0, 0)
             }
         };
+        for (lane, sm) in lanes.iter_mut().zip(&gpu.sms) {
+            lane.issued = sm.stats.issued;
+        }
         Ok(Engine {
             gpu,
             kernel,
@@ -610,8 +483,9 @@ impl<'a> Engine<'a> {
             ckpt,
             start_cycle,
             lp,
-            bus_on: recorder.enabled(),
-            recorder,
+            dispatched,
+            outstanding,
+            tracer,
             lanes,
             chain: None,
             prof,
@@ -624,21 +498,19 @@ impl<'a> Engine<'a> {
     /// once the grid has drained.
     fn cycle(&mut self) -> Result<bool, SimError> {
         let Gpu { cfg, sms, mem, gmem, cycle } = &mut *self.gpu;
-        let (lp, lanes) = (&mut self.lp, &mut self.lanes);
-        // The bus, or nothing: with no subscriber every emission site sees
-        // the no-op tracer's constant `false`.
-        let tracer: &mut dyn Tracer =
-            if self.bus_on { &mut self.recorder } else { &mut NoopTracer };
+        let (lp, lanes, tracer) = (&mut self.lp, &mut self.lanes, &mut *self.tracer);
+        let (start_cycle, trace) = (self.start_cycle, self.trace);
+        let blocks = self.kernel.launch.num_blocks();
         let num_sms = sms.len();
         let now = *cycle;
-        let rel = now - self.start_cycle;
+        let rel = now - start_cycle;
         if rel > cfg.max_cycles {
             return Err(SimError::Timeout {
                 at_cycle: rel,
-                pending_tbs: lp.pending.len() as u32 + lp.outstanding,
+                pending_tbs: blocks - self.dispatched + self.outstanding,
             });
         }
-        let fast_phase = !lp.pending.is_empty();
+        let fast_phase = self.dispatched < blocks;
         let mut pt = self.prof.start();
 
         // The shared memory system ticks, then each SM in index order:
@@ -656,8 +528,30 @@ impl<'a> Engine<'a> {
             let policy = lane.policy.as_mut();
             sm.issue_phase(now, gmem, mem, policy, fast_phase, &mut lane.report, tracer);
             issue_ns += pt.split().unwrap_or(0);
-            lp.outstanding -= lane.report.finished_tbs.len() as u32;
-            lane.report.finished_tbs.clear();
+            let finished = &mut lane.report.finished_tbs;
+            if !finished.is_empty() {
+                self.outstanding -= finished.len() as u32;
+                if trace.timeline {
+                    lp.timeline.extend(finished.iter().map(|tb| TbSpan {
+                        sm: sm.id,
+                        global_index: tb.global_index,
+                        start: tb.launched_at - start_cycle,
+                        end: rel,
+                    }));
+                }
+                finished.clear();
+            }
+            // Utilization: what the SM issued this cycle, into this
+            // period's bucket of its row.
+            if trace.utilization_period > 0 && sm.stats.issued > lane.issued {
+                let row = &mut lp.utilization[sm.id as usize];
+                let bucket = (rel / trace.utilization_period) as usize;
+                if row.len() <= bucket {
+                    row.resize(bucket + 1, 0);
+                }
+                row[bucket] += sm.stats.issued - lane.issued;
+                lane.issued = sm.stats.issued;
+            }
         }
         if self.prof.enabled() {
             self.prof.record(HostPhase::Mem, mem_ns);
@@ -665,43 +559,39 @@ impl<'a> Engine<'a> {
         }
 
         // Thread block scheduler: at most one TB per SM per cycle,
-        // round-robin over SMs.
-        if !lp.pending.is_empty() {
-            for k in 0..num_sms {
-                if lp.pending.is_empty() {
-                    break;
-                }
-                let i = (lp.rr_next_sm + k) % num_sms;
+        // round-robin over the SMs, starting one SM further each cycle.
+        if self.dispatched < blocks {
+            let first = (rel % num_sms as u64) as usize;
+            for i in (first..num_sms).chain(0..first) {
                 if sms[i].can_accept_tb() {
-                    let g = lp.pending.pop_front().expect("non-empty");
-                    let fast_after = !lp.pending.is_empty();
+                    let g = self.dispatched;
+                    self.dispatched += 1;
+                    let fast_after = self.dispatched < blocks;
                     sms[i].launch_tb_traced(g, now, lanes[i].policy.as_mut(), fast_after, tracer);
-                    lp.outstanding += 1;
+                    self.outstanding += 1;
+                    if !fast_after {
+                        break;
+                    }
                 }
             }
-            lp.rr_next_sm = (lp.rr_next_sm + 1) % num_sms;
         }
 
-        // Table IV sampling. This stays a direct policy poll (not a bus
-        // subscription): it reads the scheduler's internal priority state,
-        // which no event carries.
-        let period = self.trace.tb_order_period;
-        if period > 0 && now - lp.last_order_sample >= period {
-            lp.last_order_sample = now;
+        // Table IV sampling, every `tb_order_period` cycles. This stays a
+        // direct policy poll (not a bus subscription): it reads the
+        // scheduler's internal priority state, which no event carries.
+        let period = trace.tb_order_period;
+        if period > 0 && rel > 0 && rel.is_multiple_of(period) {
             let view = sms[0].sched_view(now, fast_phase);
             if let Some(order) = lanes[0].policy.tb_priority_trace(&view) {
                 if !order.is_empty() {
-                    lp.tb_order.push(TbOrderSnapshot {
-                        cycle: now - self.start_cycle,
-                        order,
-                    });
+                    lp.tb_order.push(TbOrderSnapshot { cycle: rel, order });
                 }
             }
         }
 
         *cycle += 1;
         self.prof.lap(HostPhase::TbSched, &mut pt);
-        Ok(lp.pending.is_empty() && lp.outstanding == 0)
+        Ok(self.dispatched == blocks && self.outstanding == 0)
     }
 
     /// Handle a checkpoint boundary; `Ok(Some(_))` is the pause snapshot.
@@ -747,11 +637,16 @@ impl<'a> Engine<'a> {
 
     /// The grid has drained: emit kernel-end and fold the per-SM counters,
     /// traces and (when profiled) `host/*` gauges into the result.
-    fn teardown(mut self) -> RunResult {
+    fn teardown(self) -> RunResult {
         let gpu = &*self.gpu;
         let cycles = gpu.cycle - self.start_cycle;
-        self.recorder.on_kernel_end(&self.kernel.program.name, gpu.cycle, cycles);
-        let (timeline, utilization) = self.recorder.finish_util();
+        self.tracer.on_kernel_end(&self.kernel.program.name, gpu.cycle, cycles);
+        // Equal-length utilization rows (ragged tails zero-padded).
+        let LoopState { tb_order, timeline, mut utilization } = self.lp;
+        let width = utilization.iter().map(Vec::len).max().unwrap_or(0);
+        for row in &mut utilization {
+            row.resize(width, 0);
+        }
         let per_sm: Vec<SmStats> = gpu.sms.iter().map(|sm| sm.stats).collect();
         let mut agg = SmStats::default();
         for s in &per_sm {
@@ -765,7 +660,7 @@ impl<'a> Engine<'a> {
             per_sm,
             mem: gpu.mem.stats(),
             timeline,
-            tb_order: self.lp.tb_order,
+            tb_order,
             utilization,
             metrics: Default::default(),
         };
@@ -972,15 +867,20 @@ mod tests {
         }
     }
 
+    /// A 16-TB store kernel under GTO on `gpu`, which allocates its output
+    /// first.
+    fn store_tid_run(gpu: &mut Gpu) -> RunResult {
+        let k = store_tid_kernel(16, 256, gpu.gmem.alloc(16 * 256 * 4));
+        gpu.launch(&k, SchedulerKind::Gto, TraceOptions::default()).unwrap()
+    }
+
     #[test]
     fn deadlock_guard_times_out() {
-        let mut gpu = Gpu::new(
-            GpuConfig {
-                max_cycles: 500,
-                ..GpuConfig::small(1)
-            },
-            1 << 20,
-        );
+        let cfg = GpuConfig {
+            max_cycles: 500,
+            ..GpuConfig::small(1)
+        };
+        let mut gpu = Gpu::new(cfg, 1 << 20);
         // Infinite loop kernel.
         let mut b = ProgramBuilder::new("hang");
         let top = b.new_label();
@@ -995,6 +895,37 @@ mod tests {
             .launch(&k, SchedulerKind::Lrr, TraceOptions::default())
             .unwrap_err();
         assert!(matches!(err, SimError::Timeout { .. }));
+        // The hung TB is still resident: the next launch starts from idle
+        // SMs, and takes a fresh GPU's cycles. (Its ready-warp samples fall
+        // on other cycles of the global clock, which goes on.)
+        let fresh = store_tid_run(&mut Gpu::new(cfg, 1 << 20));
+        assert_eq!(store_tid_run(&mut gpu).cycles, fresh.cycles);
+    }
+
+    #[test]
+    fn a_paused_gpu_launches_and_resumes_from_idle_sms() {
+        let cfg = GpuConfig::small(1);
+        let base = store_tid_run(&mut Gpu::new(cfg, 1 << 22));
+        let ckpt = CheckpointOptions { pause_at: base.cycles / 2, ..Default::default() };
+        let paused = |gpu: &mut Gpu| {
+            let k = store_tid_kernel(16, 256, gpu.gmem.alloc(16 * 256 * 4));
+            match gpu.launch_checkpointed(&k, SchedulerKind::Gto, TraceOptions::default(), &ckpt) {
+                Ok(LaunchStatus::Paused(snap)) => (k, snap),
+                other => panic!("wanted a pause, got {other:?}"),
+            }
+        };
+        // A launch after a pause.
+        let mut gpu = Gpu::new(cfg, 1 << 22);
+        paused(&mut gpu);
+        assert_eq!(store_tid_run(&mut gpu).cycles, base.cycles);
+        // The pause resumed on the GPU that took it: the straight run.
+        let mut gpu = Gpu::new(cfg, 1 << 22);
+        let (k, snap) = paused(&mut gpu);
+        let no_ckpt = CheckpointOptions::default();
+        let r = gpu.resume(&snap, &k, SchedulerKind::Gto, TraceOptions::default(), &no_ckpt).unwrap();
+        assert_eq!(r.expect_completed(), base);
+        let out = gpu.gmem.read_slice(k.params[0].into(), 16 * 256);
+        assert!(out.iter().enumerate().all(|(i, &v)| v == i as u32));
     }
 
     #[test]

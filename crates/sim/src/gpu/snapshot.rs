@@ -6,7 +6,7 @@
 //! snapshot is the chain with no deltas. There is one restore path, and it
 //! never asks where its containers came from (`DESIGN.md` §12).
 
-use super::{Engine, Gpu, GpuConfig, Lane, LoopState, Recorder, SimError};
+use super::{Engine, Gpu, GpuConfig, Lane, LoopState, SimError};
 use crate::checkpoint::GpuSnapshot;
 use pro_core::{bdelta, snapshot_struct};
 use pro_core::codec::{
@@ -14,6 +14,7 @@ use pro_core::codec::{
 };
 use pro_isa::Kernel;
 use pro_mem::GlobalMem;
+use pro_sm::Sm;
 
 /// Snapshot container section ids (see `DESIGN.md` §12).
 const SEC_META: u32 = 1;
@@ -74,7 +75,6 @@ impl Engine<'_> {
 
         let mut w = Writer::new();
         self.lp.save(&mut w);
-        self.recorder.save_state(&mut w);
         f.add_section(SEC_LOOP, w);
 
         let mut w = Writer::new();
@@ -119,8 +119,8 @@ impl Engine<'_> {
 /// Prior state parsed, CRC-checked, identity-checked and folded. A corrupt
 /// container, a bare delta, another kernel's or machine's state are all
 /// refused in [`Restored::parse`], before [`Restored::apply`] touches the
-/// simulator; only the checks that need the launch's own policy and trace
-/// options (scheduler name, `timeline`) wait for `apply`.
+/// simulator; only the check that needs the launch's own policy (its
+/// scheduler name) waits for `apply`.
 pub(super) struct Restored {
     /// The newest container's identity and cycle coordinates.
     pub(super) meta: Meta,
@@ -176,15 +176,15 @@ impl Restored {
 
     /// Overwrite a GPU that has just bound the kernel with the restored
     /// state: device memory, the memory hierarchy, every SM with its
-    /// freshly built policy, then the run-loop bookkeeping and trace
-    /// accumulators, whose count of TBs in flight is the SMs' resident TBs.
+    /// freshly built policy, then the run loop's outputs. Returns those with
+    /// the counts of blocks dispatched and of TBs in flight, which the SMs
+    /// determine.
     pub(super) fn apply(
         &self,
         gpu: &mut Gpu,
         kernel: &Kernel,
-        recorder: &mut Recorder<'_>,
         lanes: &mut [Lane],
-    ) -> Result<LoopState, SimError> {
+    ) -> Result<(LoopState, u32, u32), SimError> {
         // Global memory: the base's full image, then each delta's dirty
         // pages in sequence order. The restored memory starts with a clean
         // dirty map: a restore is itself a capture boundary. It replaces
@@ -222,52 +222,38 @@ impl Restored {
         let loads = gpu.sms.iter().flat_map(|sm| sm.loads_in_flight().map(|(a, n)| (sm.id, a, n)));
         gpu.mem.check_loads(self.meta.cycle, loads)?;
 
-        let mut resident = Vec::new();
-        for sm in &gpu.sms {
-            let tbs = sm.sched_view(0, false).tbs.iter().filter(|t| t.occupied);
-            resident.extend(tbs.map(|t| (sm.id, t.global_index)));
-        }
         let tip = self.readers.last().expect("parse refused an empty chain");
         let mut r = tip.section(SEC_LOOP)?;
-        let mut lp = LoopState::load(&mut r)?;
-        lp.outstanding = resident.len() as u32;
-        recorder.load_state(&mut r, lp.outstanding)?;
+        let lp = LoopState::load(&mut r)?;
         r.finish()?;
-        self.check_loop(&lp, &resident, gpu.sms.len(), kernel, recorder)?;
+        let (dispatched, outstanding) = self.check_loop(&lp, &gpu.sms, kernel)?;
         gpu.gmem = gmem;
         gpu.cycle = self.meta.cycle;
-        Ok(lp)
+        Ok((lp, dispatched, outstanding))
     }
 
-    /// The run loop's bookkeeping held to the grid and to the TBs resident,
-    /// as `(SM, block)`, on the `sms` SMs just restored: the loop launches
-    /// blocks, indexes the SM array and subtracts cycle stamps on what this
-    /// section says.
-    fn check_loop(
-        &self,
-        lp: &LoopState,
-        resident: &[(u32, u32)],
-        sms: usize,
-        kernel: &Kernel,
-        recorder: &Recorder<'_>,
-    ) -> Result<(), CodecError> {
-        // The TB scheduler hands blocks out in index order, so what it has
-        // still to launch is the tail of the grid — each block once, none of
-        // them resident.
-        let blocks = kernel.launch.num_blocks();
-        let launched = blocks.checked_sub(lp.pending.len() as u32);
-        let is_tail = launched.is_some_and(|first| lp.pending.iter().copied().eq(first..blocks));
-        ensure(is_tail, "snapshot pending TB queue")?;
-        ensure(resident.iter().all(|&(_, g)| Some(g) < launched), "snapshot resident TB still pending")?;
-        let mut blocks: Vec<u32> = resident.iter().map(|&(_, g)| g).collect();
+    /// The run loop's outputs and the TBs resident on the `sms` just
+    /// restored, held to the grid and the clock: the loop launches blocks
+    /// from the count dispatched, indexes the utilization rows by SM and
+    /// subtracts the start cycle from each retiring TB's launch cycle.
+    /// Returns the counts of blocks dispatched and of TBs resident.
+    fn check_loop(&self, lp: &LoopState, sms: &[Sm], kernel: &Kernel) -> Result<(u32, u32), CodecError> {
+        let resident: Vec<_> =
+            sms.iter().flat_map(|sm| sm.sched_view(0, false).tbs.iter().filter(|tb| tb.occupied)).collect();
+        // Blocks go out in index order and stay resident until they retire,
+        // so those dispatched are those retired and those resident: each
+        // resident block a different one below the count.
+        let retired = sms.iter().fold(0u64, |n, sm| n.saturating_add(sm.stats.tbs_completed));
+        let dispatched = retired.saturating_add(resident.len() as u64);
+        ensure(dispatched <= u64::from(kernel.launch.num_blocks()), "snapshot TBs dispatched past the grid")?;
+        let mut blocks: Vec<u64> = resident.iter().map(|tb| u64::from(tb.global_index)).collect();
         blocks.sort_unstable();
-        ensure(blocks.windows(2).all(|b| b[0] != b[1]), "snapshot block resident twice")?;
-        ensure(lp.rr_next_sm < sms, "snapshot TB scheduler cursor")?;
-        ensure(lp.last_order_sample <= self.meta.cycle, "snapshot order sample after its cycle")?;
-        // With the timeline on, `load_state` found a start per outstanding
-        // TB; each completion looks its own up by (SM, block).
-        let started = |key| !recorder.timeline_on || recorder.starts.contains_key(key);
-        ensure(resident.iter().all(started), "snapshot timeline start of a TB not resident")
+        let distinct = blocks.windows(2).all(|b| b[0] != b[1]);
+        ensure(distinct && blocks.last() < Some(&dispatched), "snapshot resident blocks not distinct dispatched ones")?;
+        let run = self.meta.start_cycle..=self.meta.cycle;
+        ensure(resident.iter().all(|tb| run.contains(&tb.launched_at)), "snapshot TB launched outside its run")?;
+        ensure(lp.utilization.len() == sms.len(), "snapshot utilization row count")?;
+        Ok((dispatched as u32, resident.len() as u32))
     }
 }
 

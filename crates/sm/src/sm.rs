@@ -196,8 +196,9 @@ impl SmStats {
 /// Per-cycle outputs the GPU layer consumes.
 #[derive(Debug, Default)]
 pub struct TickReport {
-    /// Global indices of TBs that completed this cycle (slots now free).
-    pub finished_tbs: Vec<u32>,
+    /// TBs that completed this cycle (slots now free), as they stood when
+    /// their last warp exited: block index, launch cycle, progress.
+    pub finished_tbs: Vec<TbState>,
 }
 
 /// [`Sm::sched_view`] over the two fields it reads, for where the SM's
@@ -579,7 +580,7 @@ mod tests {
                     true,
                     &mut rep,
                 );
-                finished.extend(rep.finished_tbs);
+                finished.extend(rep.finished_tbs.iter().map(|tb| tb.global_index));
                 self.now += 1;
                 assert!(self.now - start < limit, "SM did not quiesce in {limit} cycles");
             }
@@ -1242,7 +1243,7 @@ mod edge_tests {
                     true,
                     &mut rep,
                 );
-                finished.extend(rep.finished_tbs);
+                finished.extend(rep.finished_tbs.iter().map(|tb| tb.global_index));
                 self.now += 1;
                 assert!(self.now - start < limit, "SM hung");
             }

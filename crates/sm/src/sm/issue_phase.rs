@@ -389,7 +389,7 @@ impl Sm {
         let first = *self.first_warp_finish[tb].get_or_insert(now);
         cx.policy.on_warp_finish(w, tb, &self.sched_view(now, cx.fast_phase));
         if self.sched_tbs[tb].warps_finished == self.sched_tbs[tb].num_warps {
-            cx.report.finished_tbs.push(self.sched_tbs[tb].global_index);
+            cx.report.finished_tbs.push(self.sched_tbs[tb]);
             self.stats.wld_cycles += now - first;
             self.stats.tbs_completed += 1;
             self.retire_tb(tb, cx);

@@ -55,7 +55,8 @@ impl Sm {
     /// out, before its recorded state is read over it; the TB's progress
     /// and its counts of warps at the barrier and finished are then those
     /// of its warps. What is left to check is that each value read indexes
-    /// what it will index.
+    /// what it will index, and that each resident TB has a warp that can
+    /// still issue.
     pub fn restore_snapshot(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
         let table = self.table.clone().expect("kernel bound");
         let instrs = table.program().instrs.len();
@@ -68,7 +69,11 @@ impl Sm {
             }
             let global_index = r.get_u32()?;
             ensure(global_index < self.nctaid, "snapshot TB block index")?;
-            self.occupy(slot, global_index, r.get_u64()?);
+            // Laid out as if launched at cycle 0: the warps' fetch cycles
+            // are read over it, and the run loop holds the launch cycle to
+            // its run.
+            self.occupy(slot, global_index, 0);
+            self.sched_tbs[slot].launched_at = r.get_u64()?;
             self.shared[slot].load_words(r)?;
             self.first_warp_finish[slot] = Snapshot::load(r)?;
             let mut tb = self.sched_tbs[slot];
@@ -81,6 +86,10 @@ impl Sm {
                 tb.warps_at_barrier += u32::from(state.at_barrier);
                 tb.warps_finished += u32::from(state.finished);
             }
+            // Within the cycle it happens in, the last exit retires a TB and
+            // the last live warp's arrival opens its barrier: between two
+            // cycles some warp of a resident TB can still issue.
+            ensure(tb.warps_at_barrier + tb.warps_finished < tb.num_warps, "snapshot TB that can never progress")?;
             self.sched_tbs[slot] = tb;
         }
         self.wb_events.restore_snapshot(r)?;

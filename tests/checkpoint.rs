@@ -13,12 +13,13 @@ use pro_core::codec::{CodecError, FileReader, FileWriter, Reader, Snapshot, Writ
 use pro_sim::isa::Kernel;
 use pro_sim::mem::cache::Lookup;
 use pro_sim::mem::{Cache, DramChannel, MemConfig};
+use pro_trace::{ClassSet, EventClass, Record, RingTracer};
 use std::collections::{HashMap, VecDeque};
 
 mod common;
 use common::{
-    assert_same, cfg, fresh_gpu, pause_of, paused, resume_fresh, resume_run, straight_run,
-    trace_opts, traced_run, SCALE,
+    assert_same, cfg, fresh_gpu, pause_of, paused, rebuild_from_events, resume_fresh, resume_run,
+    straight_run, trace_opts, traced_run, SCALE,
 };
 
 /// Pause at `pause_at`, then resume in a *fresh* GPU. Returns the final
@@ -166,35 +167,57 @@ fn mismatched_resume_is_rejected() {
         matches!(err, SimError::Snapshot(CodecError::Mismatch(_))),
         "wrong kernel must be refused, got {err:?}"
     );
-    // Wrong trace options: the snapshot (taken with the timeline off) holds
-    // no start cycle for the TBs in flight, which the timeline needs when
-    // they complete. The refused GPU still resumes with the right options.
+}
+
+#[test]
+fn a_timeline_switched_on_at_resume_holds_the_spans_retired_after_the_pause() {
+    // A container records no trace option, and a retiring TB's span starts
+    // at the launch cycle its SM holds. So a pause taken with the timeline
+    // off resumes with it on, and its spans are the straight run's spans of
+    // the TBs that retired after the pause.
+    let (base, _, _) = straight_run(SchedulerKind::Pro);
+    let mut ends: Vec<u64> = base.timeline.iter().map(|tb| tb.end).collect();
+    ends.sort_unstable();
+    let pause_at = ends[ends.len() / 2];
+    let snap = paused(SchedulerKind::Pro, TraceOptions::default(), pause_at);
     let timeline = TraceOptions { timeline: true, ..Default::default() };
-    let (mut gpu4, kernel4) = fresh_gpu();
-    let err = gpu4
-        .resume(&snap, &kernel4, SchedulerKind::Pro, timeline, &CheckpointOptions::default())
-        .unwrap_err();
-    assert!(
-        matches!(err, SimError::Snapshot(CodecError::Mismatch(_))),
-        "timeline switched on at resume must be refused, got {err:?}"
-    );
-    let resumed = gpu4
-        .resume(
-            &snap,
-            &kernel4,
-            SchedulerKind::Pro,
-            TraceOptions::default(),
-            &CheckpointOptions::default(),
-        )
-        .unwrap();
-    assert_eq!(resumed.expect_completed().cycles, base.cycles);
-    // And the mirror: paused with the timeline on, resumed with it off.
-    let with_timeline = paused(SchedulerKind::Pro, timeline, base.cycles / 2);
-    let err = resume_fresh(&with_timeline, SchedulerKind::Pro, TraceOptions::default()).unwrap_err();
-    assert!(
-        matches!(err, SimError::Snapshot(CodecError::Mismatch(_))),
-        "timeline switched off at resume must be refused, got {err:?}"
-    );
+    let r = resume_fresh(&snap, SchedulerKind::Pro, timeline).unwrap().expect_completed();
+    let after: Vec<_> = base.timeline.iter().filter(|tb| tb.end >= pause_at).copied().collect();
+    assert!(!after.is_empty() && after.len() < base.timeline.len(), "the pause is not mid-grid");
+    assert!(after.iter().any(|tb| tb.start < pause_at), "no TB spans the pause");
+    assert_eq!(r.timeline, after);
+    assert_eq!(r.cycles, base.cycles);
+}
+
+#[test]
+fn timeline_and_utilization_are_the_event_streams() {
+    // The reference rebuilds both from the bus: spans from `TbLaunch` /
+    // `TbComplete`, utilization rows from `WarpIssue`. The run derives them
+    // from each retiring TB's launch cycle and each SM's issue counter,
+    // straight and across a mid-grid pause, whose two streams concatenate.
+    let period = trace_opts().utilization_period;
+    for sched in [SchedulerKind::Lrr, SchedulerKind::Gto, SchedulerKind::Tl, SchedulerKind::Pro] {
+        let mut ring = RingTracer::with_classes(1 << 16, ClassSet::of(&[EventClass::Tb, EventClass::Issue]));
+        let mut run = |ckpt: Option<&CheckpointOptions>, resume: Option<&GpuSnapshot>| {
+            let (mut gpu, kernel) = fresh_gpu();
+            let resume = resume.map(Into::into);
+            let run = Run { trace: trace_opts(), tracer: Some(&mut ring), ckpt, resume, ..Run::new(sched) };
+            gpu.run(&kernel, run).unwrap()
+        };
+        let straight = run(None, None).expect_completed();
+        let ckpt = CheckpointOptions { pause_at: straight.cycles / 2, ..Default::default() };
+        let snap = pause_of(run(Some(&ckpt), None));
+        let resumed = run(None, Some(&snap)).expect_completed();
+        assert_eq!(ring.total_emitted(), ring.len() as u64, "{sched}: the ring wrapped");
+        // The straight run's events, then the paused run's, then the resumed run's.
+        let records: Vec<&Record> = ring.records().collect();
+        let (first, second) = records.split_at(records.len() / 2);
+        for (what, got, events) in [("straight", &straight, first), ("resumed", &resumed, second)] {
+            let (timeline, utilization) = rebuild_from_events(events.iter().copied(), cfg().num_sms, period);
+            assert_eq!(got.timeline, timeline, "{sched} {what}: timeline");
+            assert_eq!(got.utilization, utilization, "{sched} {what}: utilization");
+        }
+    }
 }
 
 #[test]
@@ -214,25 +237,25 @@ fn run_result_snapshot_roundtrip() {
 #[test]
 fn container_bytes_are_pinned_for_every_policy() {
     // The wire format as constants: the CRC-32 of a mid-grid pause container
-    // (every section populated — in-flight TB starts, MSHRs, outstanding
-    // loads, LSU entries, scheduler state) under each of the nine policies,
-    // and of one finished `RunResult`'s encoding. A change here is a format
-    // change and needs a `FORMAT_VERSION` bump, not a new constant; these
-    // were recorded with version 3.
+    // (every section populated — timeline spans, utilization rows, MSHRs,
+    // outstanding loads, LSU entries, scheduler state) under each of the
+    // nine policies, and of one finished `RunResult`'s encoding. A change
+    // here is a format change and needs a `FORMAT_VERSION` bump, not a new
+    // constant; these were recorded with version 4.
     // In `SchedulerKind::ALL` order.
     const CONTAINER_CRC: [u32; 9] = [
-        0x0C6C_181F, // LRR
-        0x8201_6958, // GTO
-        0xB612_019C, // TL
-        0x6E72_4454, // OWL
-        0x2DD8_A8A8, // PRO
-        0xD080_1637, // PRO-NB
-        0x6C58_419D, // PRO-NF
-        0xB7E6_B74D, // PRO-NS
-        0xAA57_1B9B, // PRO-AD
+        0xE090_60CE, // LRR
+        0xB97A_1FA0, // GTO
+        0x9CB8_0C08, // TL
+        0x21BA_995A, // OWL
+        0x7FEE_A34D, // PRO
+        0xF30E_9033, // PRO-NB
+        0x5752_37C3, // PRO-NF
+        0x939A_2DEA, // PRO-NS
+        0x8877_7575, // PRO-AD
     ];
     const RUN_RESULT_CRC: u32 = 0x6F5A_BC94;
-    assert_eq!(pro_core::codec::FORMAT_VERSION, 3);
+    assert_eq!(pro_core::codec::FORMAT_VERSION, 4);
     for (sched, want) in SchedulerKind::ALL.into_iter().zip(CONTAINER_CRC) {
         let got = pro_core::codec::crc32(paused(sched, trace_opts(), 1500).as_bytes());
         assert_eq!(got, want, "{sched}: pause container bytes moved (got {got:#010X})");
@@ -339,17 +362,10 @@ impl Victim {
 }
 
 /// The victim, and a pause container (parsed) under `sched` to corrupt:
-/// mid-grid, or at the cycle `pause_at` names.
+/// mid-grid, or at the cycle `pause_at` names. Every trace accumulator is
+/// on, in the pause and in the resumes.
 fn victim_and_pause(sched: SchedulerKind, pause_at: Option<u64>) -> (Victim, FileReader) {
-    victim_and_pause_traced(sched, pause_at, trace_opts())
-}
-
-/// [`victim_and_pause`] with the trace accumulators of `trace` only.
-fn victim_and_pause_traced(
-    sched: SchedulerKind,
-    pause_at: Option<u64>,
-    trace: TraceOptions,
-) -> (Victim, FileReader) {
+    let trace = trace_opts();
     let (mut gpu, kernel) = fresh_gpu();
     let base_cycles = gpu.launch(&kernel, sched, TraceOptions::default()).unwrap().cycles;
     let snap = paused(sched, trace, pause_at.unwrap_or(base_cycles / 2));
@@ -602,13 +618,17 @@ type Release = (u64, (u128, u32));
 /// its occupancy and, if occupied, its block (`u32`), launch cycle, shared
 /// memory words, first-finish cycle and its warps; then the writeback
 /// events (count, `(time, seq, release)` each, the sequence counter), the
-/// LSU queue, a `u64`, the loads in flight (count, then `(id, release)`)
-/// and the next access id.
+/// LSU queue, a `u64`, the loads in flight (count, then `(id, release)`),
+/// the next access id and the SM's statistics.
 struct SmLayout {
-    /// The block of each occupied TB slot.
+    /// The block of each occupied TB slot, then its launch cycle.
     blocks_at: Vec<usize>,
-    /// That TB's first warp: its SIMT stack's depth, then its entries.
+    /// The first occupied slot's first warp: its SIMT stack's depth, then
+    /// its entries.
     warp0_at: usize,
+    /// Each warp of that TB: its progress (`u64`), then its barrier, exited
+    /// and long-latency flags.
+    flags_at: Vec<usize>,
     wb_at: usize,
     lsu_at: usize,
     loads_at: usize,
@@ -626,7 +646,7 @@ fn sm_layout(sec: &[u8], kernel: &Kernel) -> SmLayout {
     let files = 32 * program.regs as usize + program.preds as usize;
     let mut r = Reader::new(sec);
     let at = |r: &Reader<'_>| sec.len() - r.remaining();
-    let (mut blocks_at, mut warp0_at) = (Vec::new(), None);
+    let (mut blocks_at, mut warp0_at, mut flags_at) = (Vec::new(), None, Vec::new());
     for _ in 0..sm.max_tbs.min(sm.max_warps / warps) {
         if !r.get_bool().unwrap() {
             continue;
@@ -642,6 +662,9 @@ fn sm_layout(sec: &[u8], kernel: &Kernel) -> SmLayout {
             let _: WarpHead = Snapshot::load(&mut r).unwrap();
             for _ in 0..files {
                 r.get_u32().unwrap();
+            }
+            if blocks_at.len() == 1 {
+                flags_at.push(at(&r));
             }
             let _: (u64, bool, bool, bool) = Snapshot::load(&mut r).unwrap();
         }
@@ -662,6 +685,7 @@ fn sm_layout(sec: &[u8], kernel: &Kernel) -> SmLayout {
     SmLayout {
         blocks_at,
         warp0_at: warp0_at.expect("no TB resident on the SM"),
+        flags_at,
         wb_at,
         lsu_at,
         loads_at,
@@ -802,54 +826,63 @@ fn sm_state_off_the_kernels_geometry_is_refused() {
     check("a TB past the grid's last block", past_the_grid, "snapshot TB block index");
 }
 
-/// The run loop's section: the TB scheduler's queue, its cursor over the
-/// SMs, the Table IV samples and the cycle of the last; then the recorder's
-/// TB starts by (SM, block), its finished spans and its utilization rows.
-type Loop = (VecDeque<u32>, u64, Vec<(u64, Vec<u32>)>, u64);
-type Traces = (HashMap<(u32, u32), u64>, Vec<(u32, u32, u64, u64)>, Vec<Vec<u64>>);
+#[test]
+fn a_resident_tb_that_can_never_progress_is_refused() {
+    // A TB retires in the cycle its last warp exits, and its barrier opens
+    // in the cycle its last live warp arrives: between two cycles some warp
+    // of every resident TB can still issue. Restored otherwise, nothing
+    // wakes the TB, and the grid never drains. Paused before any warp has
+    // issued. Parent (each row): the TB stayed resident, and the resumed
+    // run went on to `max_cycles`: a `Timeout` after 200 M cycles (then a
+    // panic on the GPU's next launch).
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, Some(1));
+    let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let SmLayout { flags_at, .. } = sm_layout(sec, &victim.kernel);
+    assert!(flags_at.len() > 1, "one warp per TB");
+    let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
+    // Sets flag 0 (at the barrier) or 1 (exited) of each warp at `warps`.
+    let flagged = |sec: &[u8], warps: &[usize], flag: usize| {
+        warps.iter().fold(sec.to_vec(), |sec, &at| patched(&sec, at + 8 + flag, [1]))
+    };
+    let stuck = "snapshot TB that can never progress";
+    check("a resident TB whose warps have all exited", flagged(sec, &flags_at, 1), stuck);
+    check("a resident TB whose warps all wait at its barrier", flagged(sec, &flags_at, 0), stuck);
+    let one_exited = flagged(sec, &flags_at[..1], 1);
+    check("a resident TB with one warp exited, the rest at its barrier", flagged(&one_exited, &flags_at[1..], 0), stuck);
+}
+
+/// The run loop's section: the Table IV samples, the spans of the TBs
+/// retired while the timeline was on, and a utilization row per SM.
+type Loop = (Vec<(u64, Vec<u32>)>, Vec<(u32, u32, u64, u64)>, Vec<Vec<u64>>);
 
 /// `edit` applied to the decoded run-loop section of `snap`.
-fn with_loop(snap: &FileReader, edit: &dyn Fn(&mut Loop, &mut Traces)) -> Vec<u8> {
+fn with_loop(snap: &FileReader, edit: &dyn Fn(&mut Loop)) -> Vec<u8> {
     let sec = snap.section_bytes(SEC_LOOP).unwrap();
-    let (mut lp, mut traces): (Loop, Traces) = Snapshot::load(&mut Reader::new(sec)).unwrap();
-    assert_eq!(encode(&(lp.clone(), traces.clone())), sec, "the mirror types do not match the section");
-    edit(&mut lp, &mut traces);
-    encode(&(lp, traces))
+    let mut lp: Loop = Snapshot::load(&mut Reader::new(sec)).unwrap();
+    assert_eq!(encode(&lp), sec, "the mirror type does not match the section");
+    edit(&mut lp);
+    encode(&lp)
 }
 
 #[test]
 fn run_loop_state_off_the_grid_or_the_sms_is_refused() {
-    // The run loop believes its section: it launches the blocks the queue
-    // names, counts TBs in flight down to zero to know the grid has drained,
-    // indexes the SM array from its cursor and subtracts two cycle stamps
-    // from the clock. Each is held to the grid and to the SMs restored with
-    // it. What the parent commit did with each row is in the row's comment.
+    // The run loop derives what it does not accumulate from the SMs and the
+    // clock: blocks go out in index order, so those dispatched are those
+    // retired plus those resident, and a retiring TB's span starts at its
+    // launch cycle. It launches blocks from that count, indexes its
+    // utilization rows by SM and subtracts the start cycle from the clock
+    // and from each launch cycle. Each is held to the grid, the SMs and the
+    // clock. What the parent commit did with each row is in the row's
+    // comment.
     let blocks = SCALE;
-    // Two cycles in: 4 SMs have taken a TB each cycle, half the grid waits.
+    // Two cycles in: 4 SMs have taken a TB each cycle, half the grid waits,
+    // and no warp has issued: a copy computes with its block id.
     let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, Some(2));
     {
         let mut check = hostile_rows(&mut victim, &snap, SEC_LOOP);
-        let queue = "snapshot pending TB queue";
-        with_loop(&snap, &|lp, _| assert_eq!(lp.0, (8..blocks).collect::<VecDeque<_>>()));
-        // Parent: launched as a 17th block; the run completed, some hundred
-        // cycles longer than the grid takes (mis-run, no error).
-        check("a queued block past the grid's last", with_loop(&snap, &|lp, _| *lp.0.back_mut().unwrap() = blocks), queue);
-        // Parent: block 8 ran twice and block 9 never; completed with another
-        // cycle count (mis-run).
-        check("a block queued twice", with_loop(&snap, &|lp, _| lp.0[1] = lp.0[0]), queue);
-        // Parent: block 7 ran on two SMs at once; 17 TBs completed (mis-run).
-        check("a resident block queued again", with_loop(&snap, &|lp, _| lp.0.push_front(7)), "snapshot resident TB still pending");
-        // Parent: `rr_next_sm + k` overflowed (a panic in a debug build).
-        check("a TB scheduler cursor past the SMs", with_loop(&snap, &|lp, _| lp.1 = u64::MAX), "snapshot TB scheduler cursor");
-        // Parent: `now - last_order_sample` underflowed (panic).
-        check("a Table IV sample from the future", with_loop(&snap, &|lp, _| lp.3 = 3), "snapshot order sample after its cycle");
-        // Parent: block 0's completion found no start and hit
-        // `expect("TbComplete without TbLaunch")`.
-        let misplaced = with_loop(&snap, &|_, traces| {
-            let start = traces.0.remove(&(0, 0)).expect("block 0 started on SM 0");
-            traces.0.insert((0, blocks), start);
-        });
-        check("a TB start under another block's name", misplaced, "snapshot timeline start of a TB not resident");
+        // Parent: refused by the same clause, then the recorder's.
+        let extra_row = with_loop(&snap, &|lp| lp.2.push(Vec::new()));
+        check("a utilization row for an SM past the last", extra_row, "snapshot utilization row count");
     }
     {
         // The cycle coordinates close the META section: cycle, start cycle.
@@ -859,24 +892,32 @@ fn run_loop_state_off_the_grid_or_the_sms_is_refused() {
         let begun_later = patched(meta, meta.len() - 8, 3u64.to_le_bytes());
         check("a launch that began after its snapshot", begun_later, "snapshot taken before its launch began");
     }
-    // Each block runs once. With the timeline on, a block resident twice
-    // has no start under one of its two (SM, block) keys; without it, only
-    // the blocks themselves can be compared. Two cycles in, two TBs sit on
-    // each SM and no warp has issued: the copy computes with its block id.
-    let no_timeline = TraceOptions { timeline: false, ..trace_opts() };
-    let (mut victim, snap) = victim_and_pause_traced(SchedulerKind::Pro, Some(2), no_timeline);
     let (sm0, sm1) = (snap.section_bytes(SEC_SM0).unwrap(), snap.section_bytes(SEC_SM0 + 1).unwrap());
-    let on0 = sm_layout(sm0, &victim.kernel).blocks_at;
+    let SmLayout { blocks_at: on0, next_access_at, .. } = sm_layout(sm0, &victim.kernel);
     let on1 = sm_layout(sm1, &victim.kernel).blocks_at;
     assert!(on0.len() > 1, "one TB resident on SM 0");
     let block = |sec: &[u8], at: usize| -> [u8; 4] { sec[at..at + 4].try_into().unwrap() };
     let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
-    let twice = "snapshot block resident twice";
+    // `tbs_completed`, the ninth of the statistics after the next access id.
+    let retired_at = next_access_at + 8 + 8 * 8;
+    // Parent: the queue held the count; the run completed with SM 0's TB
+    // count 16 too high (mis-run).
+    let retired = patched(sm0, retired_at, u64::from(blocks).to_le_bytes());
+    check("more TBs retired than the grid has", retired, "snapshot TBs dispatched past the grid");
+    let resident = "snapshot resident blocks not distinct dispatched ones";
+    // Parent: refused, as a block the queue still held.
+    check("a resident block not yet dispatched", patched(sm0, on0[0], (blocks - 1).to_le_bytes()), resident);
     // Parent: the replaced block never ran; completed in 2 472 cycles, not
     // 2 446, with 1 024 output words wrong (mis-run).
-    check("a block resident on two SMs", patched(sm0, on0[0], block(sm1, on1[0])), twice);
+    check("a block resident on two SMs", patched(sm0, on0[0], block(sm1, on1[0])), resident);
     // Parent: likewise, in 2 428 cycles, 1 024 output words wrong (mis-run).
-    check("a block resident in two slots of one SM", patched(sm0, on0[1], block(sm0, on0[0])), twice);
+    check("a block resident in two slots of one SM", patched(sm0, on0[1], block(sm0, on0[0])), resident);
+    // Parent: accepted. PRO does not read the launch cycle and the span took
+    // its start from the recorder's copy, so the run completed as the
+    // straight run (a debug build overflowed `launched_at + fetch_lat`
+    // laying the TB out). Without the check the span starts after it ends.
+    let from_the_future = patched(sm0, on0[0] + 4, u64::MAX.to_le_bytes());
+    check("a TB launched after the pause", from_the_future, "snapshot TB launched outside its run");
 }
 
 #[test]

@@ -8,10 +8,11 @@
 
 use pro_sim::{
     CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Prior, Run, RunResult,
-    SchedulerKind, SimError, TraceOptions,
+    SchedulerKind, SimError, TbSpan, TraceOptions,
 };
-use pro_trace::{ClassSet, JsonlTracer};
+use pro_trace::{ClassSet, Event, JsonlTracer, Record};
 use pro_workloads::find;
+use std::collections::HashMap;
 
 pub const KERNEL: &str = "laplace3d";
 pub const SCALE: u32 = 16;
@@ -119,4 +120,43 @@ pub fn assert_same(a: &RunResult, b: &RunResult, what: &str) {
         )
     };
     assert_eq!(sim(&a.metrics), sim(&b.metrics), "{what}: metrics");
+}
+
+/// The reference for a run's `timeline` and `utilization`, rebuilt from the
+/// bus as a subscriber sees it: each span from its TB's `TbLaunch` and
+/// `TbComplete`, each SM's row from its `WarpIssue`s counted into buckets
+/// of `period` cycles, rows zero-padded to one width. `records` are those
+/// of one launch at cycle 0 on `sms` SMs.
+pub fn rebuild_from_events<'a>(
+    records: impl Iterator<Item = &'a Record>,
+    sms: u32,
+    period: u64,
+) -> (Vec<TbSpan>, Vec<Vec<u64>>) {
+    let mut starts = HashMap::new();
+    let mut timeline = Vec::new();
+    let mut utilization = vec![Vec::new(); sms as usize];
+    for &Record { cycle, event } in records {
+        match event {
+            Event::TbLaunch { sm, global_index, .. } => {
+                starts.insert((sm, global_index), cycle);
+            }
+            Event::TbComplete { sm, global_index, .. } => {
+                let start = starts.remove(&(sm, global_index)).expect("a TB completes after its launch");
+                timeline.push(TbSpan { sm, global_index, start, end: cycle });
+            }
+            Event::WarpIssue { sm, .. } => {
+                let (row, bucket) = (&mut utilization[sm as usize], (cycle / period) as usize);
+                if row.len() <= bucket {
+                    row.resize(bucket + 1, 0);
+                }
+                row[bucket] += 1;
+            }
+            _ => {}
+        }
+    }
+    let width = utilization.iter().map(Vec::len).max().unwrap_or(0);
+    for row in &mut utilization {
+        row.resize(width, 0);
+    }
+    (timeline, utilization)
 }
