@@ -71,6 +71,16 @@ target/release/repro trace-report "$tracedir/trace_laplace3d_pro.jsonl" \
     echo "ERROR: trace-report could not reduce the JSONL stream" >&2
     exit 1
 }
+# Whole-stream goldens: every byte of two full traces (JSONL and Chrome), one
+# per scheduler family, against digests recorded before the encoder and the
+# event layout last changed. tests/trace_golden.rs pins one small kernel's
+# event order; this pins what a user's run writes.
+(cd "$tracedir" && "$OLDPWD/target/release/repro" trace findK tl >/dev/null)
+(cd "$tracedir" && sha256sum --quiet -c "$OLDPWD/scripts/golden/trace.sha256") || {
+    echo "ERROR: repro trace output diverged from scripts/golden/trace.sha256" >&2
+    exit 1
+}
+echo "ok: repro trace laplace3d pro / findK tl reproduce their golden digests"
 
 echo "== experiment pool: --jobs 1 == --jobs 4 == golden =="
 # The determinism contract of the one parallel layer: the experiment pool
