@@ -1040,6 +1040,10 @@ fn trace_cmd(exp: &Experiment, operands: &[String]) {
     println!("{}", r.summary());
 
     let lines = jsonl.lines_written;
+    if let Some(e) = jsonl.error() {
+        eprintln!("error: the JSONL stream failed after {lines} lines: {e}");
+        std::process::exit(1);
+    }
     let text = String::from_utf8(jsonl.into_inner()).expect("jsonl is utf-8");
     let base = format!("trace_{}_{}", name, sched.name().to_lowercase());
     let jsonl_path = format!("{base}.jsonl");

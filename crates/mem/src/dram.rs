@@ -100,6 +100,12 @@ pub struct DramChannel<T: Copy> {
     banks: Vec<Bank>,
     queue: VecDeque<Req<T>>,
     bus_free_at: u64,
+    /// No queued request can be served before this cycle, so a tick before
+    /// it skips the scan. Derived: a scan that picks nothing sets it to the
+    /// earliest cycle a queued request's arrival and bank allow, a push
+    /// lowers it to the new request's, and a pick (which moves a bank's
+    /// `busy_until`) resets it to 0. Not serialized; a restore starts at 0.
+    wake: u64,
     /// Public counters.
     pub stats: DramStats,
 }
@@ -116,6 +122,7 @@ impl<T: Copy> DramChannel<T> {
                 .collect(),
             queue: VecDeque::new(),
             bus_free_at: 0,
+            wake: 0,
             cfg,
             stats: DramStats::default(),
         }
@@ -140,15 +147,19 @@ impl<T: Copy> DramChannel<T> {
         self.queue.len() < self.cfg.queue_depth
     }
 
+    /// The earliest cycle `req` could be picked: it has arrived and its
+    /// bank is free.
+    fn ready_at(&self, req: &Req<T>) -> u64 {
+        req.arrival.max(self.banks[self.map(req.line).0].busy_until)
+    }
+
     /// Enqueue a request. Caller must have checked [`Self::can_accept`].
     pub fn push(&mut self, now: u64, line: u64, tag: T) {
         debug_assert!(self.can_accept());
+        let req = Req { line, arrival: now, tag };
+        self.wake = self.wake.min(self.ready_at(&req));
         self.stats.accepted += 1;
-        self.queue.push_back(Req {
-            line,
-            arrival: now,
-            tag,
-        });
+        self.queue.push_back(req);
     }
 
     /// Queue occupancy (for stats / tests).
@@ -165,7 +176,7 @@ impl<T: Copy> DramChannel<T> {
     /// `Some((completion_time, line, tag))` for the request that was
     /// scheduled this cycle, if any.
     pub fn tick(&mut self, now: u64) -> Option<(u64, u64, T)> {
-        if self.queue.is_empty() || now < self.bus_free_at {
+        if self.queue.is_empty() || now < self.bus_free_at || now < self.wake {
             return None;
         }
         // FR-FCFS: oldest row-hit whose bank is free; else oldest whose bank
@@ -198,7 +209,13 @@ impl<T: Copy> DramChannel<T> {
                 }
             }
         }
-        let i = chosen?;
+        let Some(i) = chosen else {
+            // Every scan finds this until a queued request arrives or its
+            // bank frees, or a push (which lowers `wake` itself).
+            self.wake = self.queue.iter().map(|r| self.ready_at(r)).min().unwrap_or(0);
+            return None;
+        };
+        self.wake = 0;
         let req = self.queue.remove(i).expect("index valid");
         let (b, row) = self.map(req.line);
         let hit = self.banks[b].open_row == Some(row);
@@ -273,6 +290,9 @@ snapshot_struct! {
         queue,
         bus_free_at,
         stats,
+    }
+    derived {
+        wake = 0,
     }
     validate {
         ensure(banks.len() == cfg.banks as usize, "DRAM bank count")
@@ -420,6 +440,43 @@ mod tests {
         let (b_wrap, r_wrap) = c.map(16 * 8);
         assert_eq!(b_wrap, 0);
         assert_eq!(r_wrap, 1);
+    }
+
+    /// The wake cycle skips only scans that would pick nothing: a channel
+    /// that forgets it before every tick, and so scans whenever the bus is
+    /// free, serves the same requests at the same cycles under both
+    /// policies.
+    #[test]
+    fn skipped_scans_are_scans_that_pick_nothing() {
+        use pro_core::prop::{any, check, from_fn, vec_of, Config, Gen};
+        use pro_core::prop_assert_eq;
+        let skipped = std::cell::Cell::new(0u64);
+        // Per cycle, maybe one request: (arrival delay, line) over 4 rows
+        // of every bank.
+        let step = from_fn(|g: &mut Gen| {
+            g.gen_bool(0.4).then(|| (g.gen_range(0..80u64), g.gen_range(0..512u64)))
+        });
+        check(Config::with_cases(300), (vec_of(step, 1..200), any::<bool>()), |(steps, fcfs)| {
+            let policy = if *fcfs { DramPolicy::Fcfs } else { DramPolicy::FrFcfs };
+            let cfg = DramConfig { policy, ..DramConfig::default() };
+            let (mut fast, mut slow) = (DramChannel::<u32>::new(cfg), DramChannel::<u32>::new(cfg));
+            // Long enough to drain a full queue of row misses.
+            let drain = std::iter::repeat_n(&None, 3000);
+            for (now, step) in steps.iter().chain(drain).enumerate() {
+                let now = now as u64;
+                if let (Some((delay, line)), true) = (*step, fast.can_accept()) {
+                    fast.push(now + delay, line, now as u32);
+                    slow.push(now + delay, line, now as u32);
+                }
+                skipped.set(skipped.get() + u64::from(now < fast.wake));
+                slow.wake = 0;
+                prop_assert_eq!(fast.tick(now), slow.tick(now), "cycle {}", now);
+            }
+            prop_assert_eq!(fast.stats, slow.stats);
+            prop_assert_eq!(fast.queue_len(), 0, "drained");
+            Ok(())
+        });
+        assert!(skipped.get() > 0, "the wake cycle never skipped a scan");
     }
 
     #[test]

@@ -511,9 +511,10 @@ impl MemSubsystem {
                 // A read that will need DRAM must wait (head-of-line block)
                 // while the channel queue is full — that's the back-pressure
                 // path. Hits and MSHR merges proceed regardless.
-                let needs_dram = !self.slices[p].cache.contains(txn.line)
-                    && !self.slices[p].cache.has_pending(txn.line);
-                if needs_dram && !self.drams[p].can_accept() {
+                if !self.drams[p].can_accept()
+                    && !self.slices[p].cache.contains(txn.line)
+                    && !self.slices[p].cache.has_pending(txn.line)
+                {
                     continue;
                 }
                 match self.slices[p].cache.access(txn.line, txn) {

@@ -364,6 +364,22 @@ impl IssueState {
         })
     }
 
+    /// Why warp `w` did not issue on a unit-cycle whose [`IssueState::pick`]
+    /// at `now` found nothing, which leaves a verdict for every fetched live
+    /// warp: Idle if the warp is not live or still fetching, Scoreboard if
+    /// its probe was refused, Pipeline if it is ready for a closed pipeline.
+    pub fn stall_reason(&self, w: usize, now: u64) -> StallReason {
+        let bit = 1u64 << w;
+        if self.cands_mask & self.eligible_mask & bit == 0 || now < self.ibuf_at[w] {
+            StallReason::Idle
+        } else if self.sb_wait_mask & bit != 0 {
+            StallReason::Scoreboard
+        } else {
+            debug_assert!(self.ready.iter().any(|r| r & bit != 0), "warp {w} holds no verdict");
+            StallReason::Pipeline
+        }
+    }
+
     /// The invariant on the ready memo, re-derived: `verdict(w)` is what a
     /// probe of warp `w` would return if the warp is reconverged, `None`
     /// otherwise, without side effects. The debug-build check after each
@@ -389,7 +405,7 @@ impl IssueState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pro_core::prop::{any, check, from_fn, vec_of, CaseResult, Config, Gen};
+    use pro_core::prop::{any, check, from_fn, vec_of, CaseError, CaseResult, Config, Gen};
     use pro_core::{prop_assert, prop_assert_eq};
 
     /// Read and reset access for the rigs that hold the memos to a
@@ -686,6 +702,17 @@ mod tests {
                         let got = st.pick(unit, now, open, truth_of);
                         prop_assert_eq!(got, want, "pick at {} on unit {}", now, unit);
                         m.agrees_with(&st)?;
+                        // A failed pick leaves every fetched warp a verdict,
+                        // which is its stall reason.
+                        for w in (0..SLOTS).filter(|&w| got.is_err() && in_unit(w)) {
+                            let reason = match m.slots[w] {
+                                _ if !m.fetched(w, now) => StallReason::Idle,
+                                Slot::Live { verdict: Verdict::SbWait, .. } => StallReason::Scoreboard,
+                                Slot::Live { verdict: Verdict::Ready(_), .. } => StallReason::Pipeline,
+                                s => return Err(CaseError::fail(format!("warp {w} untested: {s:?}"))),
+                            };
+                            prop_assert_eq!(st.stall_reason(w, now), reason, "warp {} at {}", w, now);
+                        }
 
                         let Ok(w) = got else { continue };
                         st.issued(w, now + lat);

@@ -899,7 +899,7 @@ mod tests {
                 assert!(rig.now < 100_000);
             }
             // Each warp's first global access, by unit: issued in one cycle.
-            let race: Vec<(u32, u64)> = [0u32, 1]
+            let race: Vec<(u16, u64)> = [0u16, 1]
                 .iter()
                 .map(|&want_warp| {
                     tracer

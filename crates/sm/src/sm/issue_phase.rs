@@ -162,22 +162,26 @@ impl Sm {
         }
         let (now, sm) = (cx.now, self.id);
         cx.tracer.emit(now, &TraceEvent::UnitStall { sm, unit, reason });
-        // Per-warp attribution: re-classify each candidate on this stalled
-        // cycle (second pass only when a tracer asked).
+        // Per-warp attribution: the failed pick left a verdict for every
+        // fetched live warp, so each candidate's reason is a mask read.
         for &w in self.issue.last_order(unit) {
-            let (warp, state) = (&self.warps[w], &self.sched_warps[w]);
-            let reason = if state.at_barrier
-                || state.finished
-                || !state.active
-                || now < warp.ibuf_ready_at
-            {
-                StallReason::Idle
-            } else if !cx.table.at(warp.pc()).ready(&warp.scoreboard) {
-                StallReason::Scoreboard
-            } else {
-                StallReason::Pipeline
-            };
+            let reason = self.issue.stall_reason(w, now);
+            debug_assert_eq!(reason, self.stall_reason_from_scratch(w, now, cx.table), "warp {w}");
             cx.tracer.emit(now, &TraceEvent::WarpStall { sm, warp: w as u32, reason });
+        }
+    }
+
+    /// [`crate::issue::IssueState::stall_reason`] re-derived from the warp
+    /// itself: its scheduler flags, fetch time and next instruction against
+    /// its scoreboard. The debug-build oracle beside the mask read.
+    fn stall_reason_from_scratch(&self, w: usize, now: u64, table: &IssueTable) -> StallReason {
+        let (warp, state) = (&self.warps[w], &self.sched_warps[w]);
+        if state.at_barrier || state.finished || !state.active || now < warp.ibuf_ready_at {
+            StallReason::Idle
+        } else if !table.at(warp.pc()).ready(&warp.scoreboard) {
+            StallReason::Scoreboard
+        } else {
+            StallReason::Pipeline
         }
     }
 
@@ -207,11 +211,11 @@ impl Sm {
                 now,
                 &TraceEvent::WarpIssue {
                     sm,
-                    unit,
-                    warp: w as u32,
-                    tb_slot: tb as u32,
+                    unit: unit as u16,
+                    warp: w as u16,
+                    tb_slot: tb as u16,
                     pc: issue_pc,
-                    active,
+                    active: active as u16,
                 },
             );
         }

@@ -93,19 +93,22 @@ impl ClassSet {
 pub enum Event {
     // ---- SM scheduler ----
     /// A scheduler unit issued one warp instruction.
+    ///
+    /// The four small fields are `u16` (an SM holds at most 64 warp slots
+    /// and a warp 32 lanes), which keeps [`Event`] at 24 bytes.
     WarpIssue {
         /// SM id.
         sm: u32,
         /// Scheduler unit within the SM.
-        unit: u32,
+        unit: u16,
         /// Warp slot within the SM.
-        warp: u32,
+        warp: u16,
         /// TB slot the warp belongs to.
-        tb_slot: u32,
+        tb_slot: u16,
         /// Program counter of the issued instruction.
         pc: u32,
         /// Active lanes (thread instructions retired by this issue).
-        active: u32,
+        active: u16,
     },
     /// A scheduler unit issued nothing this cycle; `reason` is the §II.B
     /// classification (mirrors the `SmStats` stall counters one-for-one).
@@ -393,6 +396,14 @@ mod tests {
         let ev = Event::UnitStall { sm: 0, unit: 1, reason: StallReason::Idle };
         assert_eq!(ev.class(), EventClass::Stall);
         assert_eq!(StallReason::Scoreboard.name(), "scoreboard");
+    }
+
+    /// A `RingTracer` holds `capacity` records in one allocation, so the
+    /// record size is the ring's footprint per event.
+    #[test]
+    fn an_event_is_24_bytes_and_a_record_32() {
+        assert_eq!(std::mem::size_of::<Event>(), 24);
+        assert_eq!(std::mem::size_of::<Record>(), 32);
     }
 
     #[test]
