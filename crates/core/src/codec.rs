@@ -85,6 +85,48 @@ pub enum CodecError {
     /// wrong kind, out-of-order sequence number, or a parent CRC that does
     /// not match the predecessor file.
     ChainBroken(String),
+    /// Every section decoded, and the state they hold together breaks one
+    /// of the machine's invariants (`Gpu::check`). Boxed so that the error
+    /// stays as small as the run loop's `Result`s were without it.
+    Violation(Box<Violation>),
+}
+
+/// A fact two of the simulator's structures hold that they hold
+/// differently: which one, where, and at which cycle boundary. `Gpu::check`
+/// returns the first it finds, a restore refuses a container with it
+/// ([`CodecError::Violation`]), and a debug build's run panics with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// The invariant, named by the check that found it broken.
+    pub invariant: &'static str,
+    /// The SM it was found on, when it is one SM's.
+    pub sm: Option<u32>,
+    /// The warp or TB slot on that SM, when it is one slot's.
+    pub slot: Option<Slot>,
+    /// The cycle boundary the state was checked at.
+    pub cycle: u64,
+}
+
+/// A slot of one SM, as a [`Violation`] names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// A warp slot.
+    Warp(usize),
+    /// A thread-block slot.
+    Tb(usize),
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.invariant)?;
+        match (self.sm, self.slot) {
+            (Some(sm), Some(Slot::Warp(w))) => write!(f, " (SM {sm}, warp slot {w})")?,
+            (Some(sm), Some(Slot::Tb(t))) => write!(f, " (SM {sm}, TB slot {t})")?,
+            (Some(sm), None) => write!(f, " (SM {sm})")?,
+            (None, _) => {}
+        }
+        write!(f, " at cycle {}", self.cycle)
+    }
 }
 
 impl fmt::Display for CodecError {
@@ -109,6 +151,7 @@ impl fmt::Display for CodecError {
             CodecError::ChainBroken(why) => {
                 write!(f, "delta chain is broken: {why}")
             }
+            CodecError::Violation(v) => write!(f, "snapshot state breaks an invariant: {v}"),
         }
     }
 }

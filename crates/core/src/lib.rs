@@ -53,7 +53,7 @@ pub mod tl;
 pub use adaptive::ProAdaptive;
 pub use calq::CalQueue;
 pub use codec::{
-    CodecError, ContainerKind, FileReader, FileWriter, Reader, Snapshot, Writer,
+    CodecError, ContainerKind, FileReader, FileWriter, Reader, Slot, Snapshot, Violation, Writer,
 };
 pub use fuzz::Fuzz;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

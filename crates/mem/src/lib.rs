@@ -39,8 +39,8 @@ pub use coalesce::coalesce_lines;
 pub use dram::{DramChannel, DramConfig, DramPolicy, DramStats};
 pub use gmem::{GlobalMem, PAGE_BYTES, PAGE_WORDS};
 pub use subsystem::{
-    load_hist, save_hist, AccessId, AccessOutcome, MemConfig, MemStats, MemSubsystem, QueueProf,
-    QUEUE_SAMPLE_PERIOD,
+    load_hist, save_hist, AccessId, AccessOutcome, LoadLedger, MemConfig, MemStats, MemSubsystem,
+    QueueProf, QUEUE_SAMPLE_PERIOD,
 };
 
 /// Bytes per cache line / memory transaction segment (Fermi: 128 B).

@@ -17,7 +17,7 @@
 use crate::cache::{Cache, CacheConfig, CacheStats, Lookup};
 use crate::dram::{DramChannel, DramConfig, DramStats};
 use pro_core::calq::CalQueue;
-use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
+use pro_core::codec::{CodecError, Reader, Snapshot, Violation, Writer};
 use pro_core::{snapshot_enum, snapshot_struct, FxHashMap, FxHashSet};
 use pro_trace::{Event as TraceEvent, EventClass, Hist16, Metrics, NoopTracer, Tracer};
 use std::collections::VecDeque;
@@ -418,10 +418,10 @@ impl MemSubsystem {
     fn complete_line(&mut self, now: u64, sm: u32, access: AccessId, tracer: &mut dyn Tracer) {
         let k = key(sm, access);
         let done = {
-            // Unreachable from a checkpoint file: `restore_snapshot` refuses
-            // a line on its way back that `outstanding` does not expect
-            // (`lines_unsent`), and `check_loads` an LSU with more lines to
-            // send than its load has left.
+            // Unreachable from a checkpoint file: the restore's `check`
+            // refuses a line on its way back that `outstanding` does not
+            // expect, and an LSU with more lines to send than its load has
+            // left.
             let entry = self
                 .outstanding
                 .get_mut(&k)
@@ -699,39 +699,11 @@ impl MemSubsystem {
         for dram in &mut self.drams {
             dram.load_state(r)?;
         }
-        // Every SM and partition index in flight indexes `l1s`, `slices` or
-        // `completions` when its turn comes: hold them to the machine now.
-        let (num_sms, partitions) = (self.l1s.len() as u32, self.slices.len() as u32);
-        let txns_ok = |s: &Slice| s.in_q.iter().chain(s.cache.waiters()).all(|t| t.sm < num_sms);
-        ensure(self.slices.iter().all(txns_ok), "mem transaction SM index")?;
-        let tags_ok = |d: &DramChannel<u32>| d.tags().all(|&part| part < partitions);
-        ensure(self.drams.iter().all(tags_ok), "DRAM request partition index")?;
         // Entries in the file are (time, seq)-sorted and lie within the
         // queue's horizon of `now`; the calendar queue re-packs them into
         // fresh slab slots.
         self.events.restore_snapshot(r, now)?;
-        let in_range = |ev: &Event| match *ev {
-            Event::ArriveL2(Txn { sm, .. })
-            | Event::ReturnToSm { sm, .. }
-            | Event::L1Done { sm, .. } => sm < num_sms,
-            Event::DramDone { part, .. } => part < partitions,
-        };
-        ensure(self.events.iter().all(|(_, _, ev)| in_range(ev)), "mem event SM or partition index")?;
-        // An L1 MSHR line is on its way: a read travelling to its L2 slice,
-        // queued there or waiting in its MSHR, or the line travelling back.
-        // Without one, the loads waiting on it never complete.
-        let to_l2 = self.slices.iter().flat_map(|s| s.in_q.iter().chain(s.cache.waiters()));
-        let in_flight = self.events.iter().filter_map(|(_, _, ev)| match *ev {
-            Event::ArriveL2(txn) => Some(txn),
-            Event::ReturnToSm { sm, line } => Some(Txn { sm, line, is_write: false }),
-            _ => None,
-        });
-        let fetching: FxHashSet<(u32, u64)> =
-            to_l2.copied().chain(in_flight).filter(|t| !t.is_write).map(|t| (t.sm, t.line)).collect();
-        let mut missed = self.l1s.iter().zip(0..).flat_map(|(l1, sm)| l1.pending_lines().map(move |line| (sm, line)));
-        ensure(missed.all(|miss| fetching.contains(&miss)), "mem L1 miss with no fetch on its way")?;
         self.outstanding = Snapshot::load(r)?;
-        self.lines_unsent()?;
         for done in &mut self.completions {
             *done = Snapshot::load(r)?;
         }
@@ -739,55 +711,102 @@ impl MemSubsystem {
         Ok(())
     }
 
-    /// Per outstanding load, the lines that are not on their way back —
-    /// neither an L1 hit serving its latency nor waiting on an L1 miss —
-    /// and so are still the LSU's to send. Each line on its way back ends in
-    /// `complete_line`, which counts its load's entry down: one that finds
-    /// no entry, or no line left in it, is refused.
-    fn lines_unsent(&self) -> Result<FxHashMap<u64, u32>, CodecError> {
-        let mut unsent: FxHashMap<u64, u32> =
-            self.outstanding.iter().map(|(&k, &(lines, _))| (k, lines)).collect();
-        let hits = self.events.iter().filter_map(|(_, _, ev)| match *ev {
-            Event::L1Done { sm, access } => Some(key(sm, access)),
+    /// Hold the subsystem to its invariants at the cycle boundary `now`,
+    /// and write the memory side of every load in flight into `loads` for
+    /// the SMs to take their own out of (`Gpu::check`):
+    /// * every SM and partition index in flight — L2 input queues and MSHR
+    ///   waiters, DRAM requests, timing events — indexes `l1s`, `slices` or
+    ///   `completions` when its turn comes;
+    /// * an L1 MSHR line is on its way: a read travelling to its L2 slice,
+    ///   queued there or waiting in its MSHR, or the line travelling back.
+    ///   Without one, the loads waiting on it never complete;
+    /// * each line on its way back — an L1 hit serving its latency, a miss
+    ///   waiting on an MSHR line — ends in `complete_line`, which counts down
+    ///   an outstanding load that has a line left for it;
+    /// * a completing load's latency is counted from its begin cycle, which
+    ///   is past;
+    /// * a completion waiting for its SM to drain it is none of the loads
+    ///   outstanding, and no other completion.
+    pub fn check(&self, now: u64, loads: &mut LoadLedger) -> Result<(), Violation> {
+        let fail = |invariant, sm| Err(Violation { invariant, sm, slot: None, cycle: now });
+        let (num_sms, partitions) = (self.l1s.len() as u32, self.slices.len() as u32);
+        let to_l2 = || self.slices.iter().flat_map(|s| s.in_q.iter().chain(s.cache.waiters()));
+        if to_l2().any(|t| t.sm >= num_sms) {
+            return fail("mem transaction SM index", None);
+        }
+        if self.drams.iter().flat_map(DramChannel::tags).any(|&part| part >= partitions) {
+            return fail("DRAM request partition index", None);
+        }
+        let in_range = |ev: &Event| match *ev {
+            Event::ArriveL2(Txn { sm, .. })
+            | Event::ReturnToSm { sm, .. }
+            | Event::L1Done { sm, .. } => sm < num_sms,
+            Event::DramDone { part, .. } => part < partitions,
+        };
+        if !self.events.iter().all(|(_, _, ev)| in_range(ev)) {
+            return fail("mem event SM or partition index", None);
+        }
+
+        let misses = &mut loads.misses;
+        misses.clear();
+        for (l1, sm) in self.l1s.iter().zip(0..) {
+            misses.extend(l1.pending_lines().map(|line| (sm, line)));
+        }
+        let travelling = self.events.iter().filter_map(|(_, _, ev)| match *ev {
+            Event::ArriveL2(txn) => Some(txn),
+            Event::ReturnToSm { sm, line } => Some(Txn { sm, line, is_write: false }),
             _ => None,
         });
-        let misses = self.l1s.iter().zip(0..).flat_map(|(l1, sm)| l1.waiters().map(move |&a| key(sm, a)));
-        for k in hits.chain(misses) {
-            let lines = unsent.get_mut(&k).filter(|lines| **lines > 0);
-            *lines.ok_or(CodecError::BadValue("mem line completion without an outstanding load"))? -= 1;
+        for t in to_l2().copied().chain(travelling).filter(|t| !t.is_write) {
+            misses.remove(&(t.sm, t.line));
         }
-        Ok(unsent)
-    }
+        if let Some(&(sm, _)) = misses.iter().next() {
+            return fail("mem L1 miss with no fetch on its way", Some(sm));
+        }
 
-    /// The restore-time pairing of this section with the SMs': `loads` is
-    /// every load an SM holds registers for, as `(sm, access, lines its LSU
-    /// has still to send)`, and `now` the cycle the run resumes at. Each must
-    /// be outstanding here with exactly those lines unsent, or be a
-    /// completion the SM has yet to drain — and nothing else may be either:
-    /// `Sm::mem_phase` releases the registers of whatever completes.
-    pub fn check_loads(
-        &self,
-        now: u64,
-        loads: impl Iterator<Item = (u32, AccessId, u32)>,
-    ) -> Result<(), CodecError> {
-        let mut unsent = self.lines_unsent()?;
-        let mut completed = 0;
-        for (sm, access, lsu_lines) in loads {
-            let paired = match unsent.remove(&key(sm, access)) {
-                Some(lines) => lines == lsu_lines,
-                None => {
-                    completed += 1;
-                    lsu_lines == 0 && self.completions[sm as usize].contains(&access)
-                }
-            };
-            ensure(paired, "mem load not paired with its SM's")?;
+        let due = &mut loads.due;
+        due.clear();
+        for (&k, &(lines, begun)) in &self.outstanding {
+            let (sm, access) = ((k >> 40) as u32, k & ((1 << 40) - 1)); // `key` undone
+            if begun > now {
+                return fail("mem load begun after the snapshot", Some(sm));
+            }
+            due.insert((sm, access), Some(lines));
         }
-        let undrained: usize = self.completions.iter().map(VecDeque::len).sum();
-        ensure(unsent.is_empty() && completed == undrained, "mem load no SM waits for")?;
-        // A completing load's latency is counted from its begin cycle.
-        let begun_ok = self.outstanding.values().all(|&(_, begun)| begun <= now);
-        ensure(begun_ok, "mem load begun after the snapshot")
+        let hits = self.events.iter().filter_map(|(_, _, ev)| match *ev {
+            Event::L1Done { sm, access } => Some((sm, access)),
+            _ => None,
+        });
+        let waiting = self.l1s.iter().zip(0..).flat_map(|(l1, sm)| l1.waiters().map(move |&a| (sm, a)));
+        for (sm, access) in hits.chain(waiting) {
+            match due.get_mut(&(sm, access)) {
+                Some(Some(lines)) if *lines > 0 => *lines -= 1,
+                _ => return fail("mem line completion without an outstanding load", Some(sm)),
+            }
+        }
+        for (done, sm) in self.completions.iter().zip(0..) {
+            for &access in done {
+                if due.insert((sm, access), None).is_some() {
+                    return fail("mem load no SM waits for", Some(sm));
+                }
+            }
+        }
+        Ok(())
     }
+}
+
+/// What [`MemSubsystem::check`] leaves for the SMs: the memory side of
+/// every load in flight. Also its scratch, which the caller keeps across
+/// launches (each launch builds a new subsystem), so that a check allocates
+/// nothing once the sizes a run reaches have been seen.
+#[derive(Debug, Default)]
+pub struct LoadLedger {
+    /// Per load in flight, by `(sm, access)`: the lines of it that its SM's
+    /// LSU has still to send, or `None` once it has completed and waits for
+    /// its SM to drain it. An SM's check takes its own loads out.
+    pub due: FxHashMap<(u32, AccessId), Option<u32>>,
+    /// The L1 MSHR lines not yet seen on their way.
+    misses: FxHashSet<(u32, u64)>,
 }
 
 #[cfg(test)]

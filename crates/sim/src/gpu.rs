@@ -18,12 +18,13 @@ mod snapshot;
 use crate::checkpoint::{ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, Prior};
 use crate::result::{RunResult, TbOrderSnapshot, TbSpan};
 use pro_core::codec::CodecError;
-use pro_core::{snapshot_struct, SchedulerKind, WarpScheduler};
+use pro_core::{snapshot_struct, SchedulerKind, Violation, WarpScheduler};
 use pro_isa::Kernel;
-use pro_mem::{GlobalMem, MemSubsystem};
+use pro_mem::{GlobalMem, LoadLedger, MemSubsystem};
 use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport};
 use pro_trace::{Hist16, HostPhase, HostProf, IssueProf, NoopTracer, Tracer};
 use snapshot::{ChainImage, ChainLink, Restored};
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -105,6 +106,9 @@ pub struct Gpu {
     /// back results and allocate buffers between launches.
     pub gmem: GlobalMem,
     cycle: u64,
+    /// [`Gpu::check`]'s scratch, kept across launches (each builds a new
+    /// memory hierarchy) so that a check allocates nothing once warm.
+    ledger: RefCell<LoadLedger>,
 }
 
 impl std::fmt::Debug for Gpu {
@@ -212,6 +216,7 @@ impl Gpu {
             mem: MemSubsystem::new(cfg.mem, cfg.num_sms as usize),
             gmem: GlobalMem::new(gmem_bytes),
             cycle: 0,
+            ledger: RefCell::default(),
             cfg,
         }
     }
@@ -278,6 +283,26 @@ impl Gpu {
         self.run(kernel, run)
     }
 
+    /// Hold the whole machine to its invariants at the current cycle
+    /// boundary: the memory hierarchy's ([`MemSubsystem::check`]), then
+    /// each SM's ([`Sm::check`]), which pairs the SM's loads in flight with
+    /// the memory side's; a load the memory side holds that no SM claims is
+    /// the last thing refused. A restore runs it once, on the decoded
+    /// state; a debug build's run every `CHECK_PERIOD` (1 024) cycles; a
+    /// release build's run never.
+    pub fn check(&self) -> Result<(), Violation> {
+        let now = self.cycle;
+        let ledger = &mut *self.ledger.borrow_mut();
+        self.mem.check(now, ledger)?;
+        for sm in &self.sms {
+            sm.check(now, ledger)?;
+        }
+        match ledger.due.keys().next() {
+            None => Ok(()),
+            Some(&(sm, _)) => Err(Violation { invariant: "mem load no SM waits for", sm: Some(sm), slot: None, cycle: now }),
+        }
+    }
+
     /// The one way to run a kernel, which every entry point above lands
     /// on: set the engine up (restoring [`Run::resume`] if given), step it
     /// one cycle at a time, stop at checkpoint boundaries, and tear it down
@@ -295,6 +320,11 @@ impl Gpu {
             // Checkpoint boundary: between two cycles, the one point where
             // the simulator's state is closed under snapshot.
             let rel_after = eng.gpu.cycle - eng.start_cycle;
+            if cfg!(debug_assertions) && rel_after.is_multiple_of(CHECK_PERIOD) {
+                if let Err(v) = eng.gpu.check() {
+                    panic!("invariant broken mid-run: {v}");
+                }
+            }
             let pause = ckpt.pause_at > 0 && rel_after >= ckpt.pause_at;
             let periodic = ckpt.every > 0 && rel_after.is_multiple_of(ckpt.every);
             if pause || periodic {
@@ -313,6 +343,9 @@ impl Gpu {
         Ok(LaunchStatus::Completed(eng.teardown()))
     }
 }
+
+/// Cycles between two [`Gpu::check`]s of a debug build's run.
+const CHECK_PERIOD: u64 = 1024;
 
 /// The per-launch state of one SM that lives outside the [`Sm`] itself.
 struct Lane {
@@ -431,10 +464,11 @@ impl<'a> Engine<'a> {
             .collect();
         let (lp, dispatched, outstanding) = match &restored {
             // A section can pass its CRC and still decode badly, which the
-            // in-place restores find only part-way through: the half-restored
-            // SMs are replaced so the GPU stays launchable (global memory
-            // and the clock move only on success, and every setup rebuilds
-            // the memory hierarchy).
+            // in-place restores find only part-way through, and decoded
+            // state can break an invariant: the half-restored SMs are
+            // replaced so the GPU stays launchable (global memory and the
+            // clock move only on success, and every setup rebuilds the
+            // memory hierarchy).
             Some(restored) => restored
                 .apply(gpu, kernel, &mut lanes)
                 .inspect_err(|_| gpu.sms = idle_sms(&gpu.cfg))?,
@@ -468,7 +502,7 @@ impl<'a> Engine<'a> {
     /// then the thread block scheduler and Table IV sampling. `Ok(true)`
     /// once the grid has drained.
     fn cycle(&mut self) -> Result<bool, SimError> {
-        let Gpu { cfg, sms, mem, gmem, cycle } = &mut *self.gpu;
+        let Gpu { cfg, sms, mem, gmem, cycle, .. } = &mut *self.gpu;
         let (lp, lanes, tracer) = (&mut self.lp, &mut self.lanes, &mut *self.tracer);
         let (start_cycle, trace) = (self.start_cycle, self.trace);
         let blocks = self.kernel.launch.num_blocks();

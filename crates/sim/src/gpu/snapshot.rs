@@ -218,14 +218,18 @@ impl Restored {
             lane.policy.load_state(&mut r)?;
             r.finish()?;
         }
-        // Both sides of every load in flight are decoded: pair them.
-        let loads = gpu.sms.iter().flat_map(|sm| sm.loads_in_flight().map(|(a, n)| (sm.id, a, n)));
-        gpu.mem.check_loads(self.meta.cycle, loads)?;
-
         let tip = self.readers.last().expect("parse refused an empty chain");
         let mut r = tip.section(SEC_LOOP)?;
         let lp = LoopState::load(&mut r)?;
         r.finish()?;
+
+        // Every section is decoded: hold the machine to its invariants at
+        // the cycle it resumes at, then the run loop's outputs to the SMs.
+        // The clock keeps that cycle only if both hold.
+        let before = std::mem::replace(&mut gpu.cycle, self.meta.cycle);
+        let held = gpu.check();
+        gpu.cycle = before;
+        held.map_err(|v| CodecError::Violation(Box::new(v)))?;
         let (dispatched, outstanding) = self.check_loop(&lp, &gpu.sms, kernel)?;
         gpu.gmem = gmem;
         gpu.cycle = self.meta.cycle;

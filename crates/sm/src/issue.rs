@@ -28,6 +28,20 @@ pub const fn class_of(pipe: PipeClass) -> usize {
     }
 }
 
+/// The candidate, eligible and long-latency masks of the warps whose
+/// scheduler flags are `sched`: live and unfinished; of those, not parked
+/// at a barrier; blocked on a long-latency write.
+fn masks_of(sched: &[WarpState]) -> [u64; 3] {
+    let mut masks = [0u64; 3];
+    for (w, sw) in sched.iter().enumerate() {
+        let cand = sw.active && !sw.finished;
+        masks[0] |= u64::from(cand) << w;
+        masks[1] |= u64::from(cand && !sw.at_barrier) << w;
+        masks[2] |= u64::from(sw.blocked_on_longlat) << w;
+    }
+    masks
+}
+
 /// The issue path's state for the warp slots of one SM.
 #[derive(Debug, Clone)]
 pub struct IssueState {
@@ -134,18 +148,27 @@ impl IssueState {
     /// engine held.
     pub fn rebuild(&mut self, warps: &[Warp], sched: &[WarpState]) {
         self.reset();
-        for (w, (warp, sw)) in warps.iter().zip(sched).enumerate() {
-            let bit = 1u64 << w;
-            if sw.active && !sw.finished {
-                self.cands_mask |= bit;
-                if !sw.at_barrier {
-                    self.eligible_mask |= bit;
-                }
+        [self.cands_mask, self.eligible_mask, self.longlat_mask] = masks_of(sched);
+        for (at, warp) in self.ibuf_at.iter_mut().zip(warps) {
+            *at = warp.ibuf_ready_at;
+        }
+    }
+
+    /// `Err(w)` for the first warp slot whose candidate, eligible or
+    /// long-latency bit is not what its flags in `sched` say, or, for a
+    /// candidate, whose fetch mirror is not its warp's fetch cycle: what
+    /// [`IssueState::rebuild`] derives, held by every event since.
+    pub(crate) fn check(&self, warps: &[Warp], sched: &[WarpState]) -> Result<(), usize> {
+        let [cands, eligible, longlat] = masks_of(sched);
+        let mut wrong = (cands ^ self.cands_mask) | (eligible ^ self.eligible_mask) | (longlat ^ self.longlat_mask);
+        for (w, warp) in warps.iter().enumerate() {
+            if cands >> w & 1 != 0 && self.ibuf_at[w] != warp.ibuf_ready_at {
+                wrong |= 1u64 << w;
             }
-            if sw.blocked_on_longlat {
-                self.longlat_mask |= bit;
-            }
-            self.ibuf_at[w] = warp.ibuf_ready_at;
+        }
+        match wrong {
+            0 => Ok(()),
+            _ => Err(wrong.trailing_zeros() as usize),
         }
     }
 

@@ -10,7 +10,7 @@ use pro_isa::{Instr, Pred, Reg};
 /// mask (VPTX programs are validated to ≤128 GPRs), predicates in 32 bits.
 /// Long-latency (global load) destinations are tracked separately so the
 /// two-level scheduler can see `blocked_on_longlat`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Scoreboard {
     pending_regs: u128,
     pending_preds: u32,
@@ -105,6 +105,13 @@ impl Scoreboard {
             0,
             "double reservation (issue logic must check ready())"
         );
+        self.add(ws, longlat);
+    }
+
+    /// `ws` pending too, with no hazard check: what a scoreboard holds is
+    /// the union of the writes in flight (`Sm::check` rebuilds it so).
+    #[inline]
+    pub(crate) fn add(&mut self, ws: WriteSet, longlat: bool) {
         self.pending_regs |= ws.regs;
         self.pending_preds |= ws.preds;
         if longlat {

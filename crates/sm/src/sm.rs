@@ -24,9 +24,11 @@
 //!
 //! Steps 1–3 are [`Sm::mem_phase`] (`sm/lsu.rs`), 4–5 [`Sm::issue_phase`]
 //! (`sm/issue_phase.rs`) over the per-warp state machine of
-//! [`crate::issue`]; the checkpoint encoding is `sm/snapshot.rs`. This file
+//! [`crate::issue`]; the checkpoint encoding is `sm/snapshot.rs`, the
+//! invariants [`Sm::check`] holds the state to `sm/check.rs`. This file
 //! keeps the configuration, the counters, and TB launch and retirement.
 
+mod check;
 mod issue_phase;
 mod lsu;
 mod snapshot;

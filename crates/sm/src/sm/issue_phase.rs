@@ -49,6 +49,15 @@ fn reconverge(warp: &mut Warp, sm: u32, w: usize, cx: &mut IssueCx) {
     }
 }
 
+/// What a probe of `warp` would find, without its side effects: the ready
+/// class of its next instruction if the warp is reconverged and the
+/// instruction's operands are free, `None` otherwise. The verdict
+/// [`crate::issue::IssueState::ready_memo_holds`] holds the memo to.
+pub(super) fn ready_class(warp: &Warp, table: &IssueTable) -> Option<usize> {
+    let meta = table.at(warp.pc());
+    (!warp.simt.at_reconvergence() && meta.ready(&warp.scoreboard)).then_some(class_of(meta.pipe))
+}
+
 impl Sm {
     /// Second half of a cycle: scheduler ordering and instruction issue,
     /// one scheduler unit after the other.
@@ -90,12 +99,7 @@ impl Sm {
         };
         for unit in 0..self.cfg.units {
             self.issue_unit(unit, &mut cx);
-            debug_assert!(self.issue.ready_memo_holds(now, |w| {
-                let warp = &self.warps[w];
-                let meta = table.at(warp.pc());
-                (!warp.simt.at_reconvergence() && meta.ready(&warp.scoreboard))
-                    .then_some(class_of(meta.pipe))
-            }));
+            debug_assert!(self.issue.ready_memo_holds(now, |w| ready_class(&self.warps[w], &table)));
             self.stats.unit_cycles += 1;
         }
         self.table = Some(table);

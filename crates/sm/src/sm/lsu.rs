@@ -84,7 +84,7 @@ impl Sm {
         for a in mem.drain_completions(self.id) {
             // Unreachable from a checkpoint file: the restore holds every
             // completion, drained or still outstanding, to this map
-            // (`MemSubsystem::check_loads` over `Sm::loads_in_flight`).
+            // (`Sm::check`).
             let (warp, ws) = self
                 .access_map
                 .remove(&a)

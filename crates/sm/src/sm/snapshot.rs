@@ -11,7 +11,7 @@ use crate::scoreboard::WriteSet;
 use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
 use pro_core::{snapshot_struct, TbState, WarpState};
 use pro_isa::WARP_SIZE;
-use pro_mem::{load_hist, save_hist, AccessId};
+use pro_mem::{load_hist, save_hist};
 
 impl Sm {
     /// Serialize all live microarchitectural state into `w`.
@@ -55,12 +55,10 @@ impl Sm {
     /// A resident TB is laid out by `Sm::occupy`, as a launch lays it
     /// out, before its recorded state is read over it; the TB's progress
     /// and its counts of warps at the barrier and finished are then those
-    /// of its warps. What is left to check is that each value read indexes
-    /// what it will index, and that each resident TB has a warp that can
-    /// still issue.
+    /// of its warps. Nothing read is held to anything here but what a
+    /// decoder needs not to panic: the restore holds the whole machine to
+    /// its invariants once every section is decoded ([`Sm::check`]).
     pub fn restore_snapshot(&mut self, r: &mut Reader<'_>, now: u64) -> Result<(), CodecError> {
-        let table = self.table.clone().expect("kernel bound");
-        let instrs = table.program().instrs.len();
         self.sched_warps.fill(WarpState::default());
         self.sched_tbs.fill(TbState::default());
         self.live_tbs = 0;
@@ -69,7 +67,6 @@ impl Sm {
                 continue;
             }
             let global_index = r.get_u32()?;
-            ensure(global_index < self.nctaid, "snapshot TB block index")?;
             // Laid out as if launched at cycle 0: the warps' fetch cycles
             // are read over it, and the run loop holds the launch cycle to
             // its run.
@@ -77,65 +74,25 @@ impl Sm {
             self.sched_tbs[slot].launched_at = r.get_u64()?;
             self.shared[slot].load_words(r)?;
             self.first_warp_finish[slot] = Snapshot::load(r)?;
-            let mut tb = self.sched_tbs[slot];
             for w in self.warp_slots(slot) {
                 self.warps[w].load_state(r)?;
-                ensure(self.warps[w].simt.pcs_within(instrs), "snapshot SIMT entry PC")?;
                 let state = &mut self.sched_warps[w];
                 (state.progress, state.at_barrier, state.finished, state.blocked_on_longlat) = Snapshot::load(r)?;
-                tb.progress = tb.progress.wrapping_add(state.progress);
-                tb.warps_at_barrier += u32::from(state.at_barrier);
-                tb.warps_finished += u32::from(state.finished);
             }
-            // Within the cycle it happens in, the last exit retires a TB and
-            // the last live warp's arrival opens its barrier: between two
-            // cycles some warp of a resident TB can still issue.
-            ensure(tb.warps_at_barrier + tb.warps_finished < tb.num_warps, "snapshot TB that can never progress")?;
-            self.sched_tbs[slot] = tb;
+            let sums = self.warp_sums(slot);
+            let tb = &mut self.sched_tbs[slot];
+            (tb.progress, tb.warps_at_barrier, tb.warps_finished) = sums;
         }
         self.wb_events.restore_snapshot(r, now)?;
         self.lsu = Snapshot::load(r)?;
         self.sfu_free_at = r.get_u64()?;
         self.access_map = Snapshot::load(r)?;
-        // A release indexes the warp slots when its writeback or its load's
-        // completion arrives.
-        let shared_ops = self.lsu.iter().filter_map(|e| match e {
-            LsuEntry::Shared { warp, .. } => Some(*warp),
-            LsuEntry::Global { .. } => None,
-        });
-        let writebacks = self.wb_events.iter().map(|(_, _, release)| release.0);
-        let loads = self.access_map.values().map(|release| release.0);
-        let mut released = shared_ops.chain(writebacks).chain(loads);
-        ensure(released.all(|warp| warp < self.cfg.max_warps), "snapshot release warp slot")?;
-        // A load the LSU is still sending completes like any other, and the
-        // next one issued must not take the id of one in flight.
-        let mut sending = self.lsu.iter().filter_map(|e| match e {
-            LsuEntry::Global { access, is_write: false, .. } => Some(access),
-            _ => None,
-        });
-        ensure(sending.all(|a| self.access_map.contains_key(a)), "snapshot LSU load without a release")?;
         self.next_access = r.get_u64()?;
-        ensure(self.access_map.keys().all(|&a| a < self.next_access), "snapshot next access id")?;
         self.stats = SmStats::load(r)?;
         // Derived, not serialized (the policies invalidate or restore their
         // dirty bits symmetrically, so the orders come back the same).
         self.issue.rebuild(&self.warps, &self.sched_warps);
         Ok(())
-    }
-
-    /// Every load this SM holds registers for, with the lines of it the LSU
-    /// has still to send: this section's half of the restore-time pairing
-    /// with the memory hierarchy's ([`pro_mem::MemSubsystem::check_loads`]).
-    pub fn loads_in_flight(&self) -> impl Iterator<Item = (AccessId, u32)> + '_ {
-        self.access_map.keys().map(|&load| {
-            let unsent = self.lsu.iter().map(|e| match e {
-                LsuEntry::Global { access, len, next, is_write: false, .. } if *access == load => {
-                    (len - next) as u32
-                }
-                _ => 0,
-            });
-            (load, unsent.sum())
-        })
     }
 }
 

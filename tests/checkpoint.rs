@@ -483,16 +483,22 @@ fn out_of_range_pro_slots_are_refused() {
 }
 
 /// One row of a hostile-section table: `snap` with section `id` replaced by
-/// the bytes given must be refused by the named `ensure` clause, and the
-/// victim must launch afterwards.
+/// the bytes given must be refused by the named check — an invariant of
+/// the decoded machine (`Gpu::check`), or a bound a decoder or the restore's
+/// run-loop check holds (`ensure`) — and the victim must launch afterwards.
 fn hostile_rows<'a>(
     victim: &'a mut Victim,
     snap: &'a FileReader,
     id: u32,
 ) -> impl FnMut(&str, Vec<u8>, &'static str) + 'a {
-    move |what, bad, clause| {
+    move |what, bad, name| {
         let err = victim.refuses(&with_section(snap, id, &bad), what);
-        assert_eq!(err, CodecError::BadValue(clause), "{what}");
+        let refused_by = match &err {
+            CodecError::Violation(v) => v.invariant,
+            CodecError::BadValue(clause) => clause,
+            _ => panic!("{what}: refused by no named check: {err:?}"),
+        };
+        assert_eq!(refused_by, name, "{what}: {err}");
         victim.still_launches(what);
     }
 }
@@ -853,8 +859,10 @@ fn loads_the_two_sides_pair_wrongly_are_refused() {
     let reused = patched(sec, next_access_at, oldest);
     check("a next access id that a load in flight carries", reused, "snapshot next access id");
     let held = u64::from_le_bytes(sec[loads_at..loads_at + 8].try_into().unwrap());
+    // Its warp still has the registers pending, which the SM holds to its
+    // releases before it pairs its loads with the memory side's.
     let forgotten = [&sec[..loads_at], &(held - 1).to_le_bytes(), &sec[loads_at + 8 + 36..]].concat();
-    check("a load in flight whose registers the SM forgot", forgotten, "mem load no SM waits for");
+    check("a load in flight whose registers the SM forgot", forgotten, "scoreboard bits not the writes in flight");
 }
 
 #[test]
@@ -895,6 +903,34 @@ fn a_resident_tb_that_can_never_progress_is_refused() {
     check("a resident TB whose warps all wait at its barrier", flagged(sec, &flags_at, 0), stuck);
     let one_exited = flagged(sec, &flags_at[..1], 1);
     check("a resident TB with one warp exited, the rest at its barrier", flagged(&one_exited, &flags_at[1..], 0), stuck);
+}
+
+#[test]
+fn a_scoreboard_bit_nothing_will_release_is_refused() {
+    // A warp's scoreboard holds exactly the registers its writes in flight
+    // will release: writebacks, shared-memory accesses, loads. A bit no
+    // release will clear stalls every instruction that reads it for good.
+    // A hundred cycles in, the first warp on SM 0 waits on a load for one
+    // operand of its next instruction; its other operand is pending too
+    // here, with nothing in flight to write it. Parent: accepted; the warp
+    // never issued again, and the resumed run went on to `max_cycles`: a
+    // `Timeout` after 200 M cycles with its TB pending (67 s in a release
+    // build).
+    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, Some(100));
+    let sec = snap.section_bytes(SEC_SM0).unwrap();
+    let SmLayout { warp0_at, .. } = sm_layout(sec, &victim.kernel);
+    // The warp's SIMT stack (its top the next PC), then its scoreboard's
+    // pending registers.
+    let mut r = Reader::new(&sec[warp0_at..]);
+    let stack: Vec<(u32, u32, u32)> = Snapshot::load(&mut r).unwrap();
+    let pending_at = sec.len() - r.remaining();
+    let pending = u128::from_le_bytes(sec[pending_at..pending_at + 16].try_into().unwrap());
+    let next = &victim.kernel.program.instrs[stack.last().unwrap().0 as usize];
+    let free = next.src_regs().find(|reg| pending >> reg.0 & 1 == 0);
+    let read = free.expect("the next instruction reads no register that is free");
+    let stuck = patched(sec, pending_at, (pending | 1 << read.0).to_le_bytes());
+    let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
+    check("a scoreboard bit that nothing will release", stuck, "scoreboard bits not the writes in flight");
 }
 
 /// The run loop's section: the Table IV samples, the spans of the TBs
@@ -986,3 +1022,4 @@ fn a_pause_after_another_kernel_resumes() {
     let resumed = fresh.resume(&snap, &kernel, SchedulerKind::Pro, no_trace(), &CheckpointOptions::default());
     assert_eq!(resumed.expect("a valid snapshot resumes").expect_completed().cycles, base.cycles);
 }
+
