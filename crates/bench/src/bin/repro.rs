@@ -732,7 +732,7 @@ fn json_export(exp: &mut Experiment) {
     println!("{}", pro_bench::json::export_cells(grid.cells().iter().copied()));
 }
 
-/// 9-policy shootout: every scheduler in [`SchedulerKind::ALL`] across the
+/// 8-policy shootout: every scheduler in [`SchedulerKind::ALL`] across the
 /// workload matrix, run with the host profiler on
 /// ([`TraceOptions::host_prof`]). Prints one aligned row per policy —
 /// simulated-side stall attribution next to host-side cost (wall clock,
@@ -741,7 +741,7 @@ fn json_export(exp: &mut Experiment) {
 fn shootout(exp: &Experiment) {
     use pro_bench::json::{num, obj, s, unum, Json};
     use pro_trace::Metrics;
-    header("Shootout: 9 warp-scheduling policies — stalls vs host cost");
+    header("Shootout: 8 warp-scheduling policies — stalls vs host cost");
     let ws = exp.kernels();
     let trace = TraceOptions {
         host_prof: true,

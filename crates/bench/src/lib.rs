@@ -34,7 +34,7 @@
 //! |--------------------|--------------|
 //! | `repro svg`        | SVG renderings of Fig. 1, Fig. 2 and Fig. 4 |
 //! | `repro json`       | machine-readable dump of every (kernel × sched) run |
-//! | `repro shootout`   | 9-policy matrix with stall attribution + host cost |
+//! | `repro shootout`   | 8-policy matrix with stall attribution + host cost |
 //! | `repro disasm`     | VPTX disassembly and static mix of one kernel |
 //! | `repro trace`      | JSONL + Chrome trace_event export of one traced run |
 //! | `repro trace-report` | reduce a JSONL trace back to per-kernel reports |

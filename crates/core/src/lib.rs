@@ -43,7 +43,6 @@ pub mod fuzz;
 pub mod fxhash;
 pub mod gto;
 pub mod lrr;
-pub mod owl;
 pub mod pool;
 pub mod pro;
 pub mod prop;
@@ -59,7 +58,6 @@ pub use fuzz::Fuzz;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use gto::Gto;
 pub use lrr::Lrr;
-pub use owl::OwlLite;
 pub use pro::{Pro, ProConfig};
 pub use tl::TwoLevel;
 
@@ -268,18 +266,14 @@ pub enum SchedulerKind {
     /// Adaptive PRO (the paper's §IV future work): probes whether barrier
     /// special-handling helps this kernel and locks the better mode.
     ProAdaptive,
-    /// OWL-lite (CTA-aware priority groups, after Jog et al. ASPLOS-2013 —
-    /// a related-work baseline the paper contrasts with PRO).
-    Owl,
 }
 
 impl SchedulerKind {
     /// All kinds, for sweeps.
-    pub const ALL: [SchedulerKind; 9] = [
+    pub const ALL: [SchedulerKind; 8] = [
         SchedulerKind::Lrr,
         SchedulerKind::Gto,
         SchedulerKind::Tl,
-        SchedulerKind::Owl,
         SchedulerKind::Pro,
         SchedulerKind::ProNoBarrier,
         SchedulerKind::ProNoFinish,
@@ -306,7 +300,6 @@ impl SchedulerKind {
             SchedulerKind::ProNoFinish => "PRO-NF",
             SchedulerKind::ProNoSlowPhase => "PRO-NS",
             SchedulerKind::ProAdaptive => "PRO-AD",
-            SchedulerKind::Owl => "OWL",
         }
     }
 
@@ -343,7 +336,6 @@ impl SchedulerKind {
                 },
             )),
             SchedulerKind::ProAdaptive => Box::new(ProAdaptive::new(max_warps, max_tbs)),
-            SchedulerKind::Owl => Box::new(OwlLite::new(units, 2)),
         }
     }
 }

@@ -6,7 +6,8 @@
 //! Scope is deliberately small: numbers parse as `f64` (with an exact
 //! `u64` fast path preserved for counters), strings support the standard
 //! escapes plus `\uXXXX` for the BMP, and the parser rejects trailing
-//! garbage. That is enough for everything this workspace emits.
+//! garbage and nesting deeper than [`MAX_DEPTH`]. That is enough for
+//! everything this workspace emits.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,6 +26,7 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object; keys are sorted (BTreeMap), which is fine for validation.
+    /// A repeated key keeps its last value.
     Obj(BTreeMap<String, Json>),
 }
 
@@ -64,7 +66,9 @@ impl Json {
     /// Numeric payload as `u64` when it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which does not fit: the bound
+            // is strict.
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -107,25 +111,55 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// How deep [`parse`] lets arrays and objects nest. The parser recurses
+/// once per level, so without a bound a line of `[`s overflows the stack;
+/// nothing this workspace writes nests deeper than four.
+pub const MAX_DEPTH: usize = 512;
+
+/// Why [`parse`] refused a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ParseError {
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+    /// Anything else malformed; the message names the byte offset.
+    Syntax(String),
+}
+
+impl std::fmt::Display for ParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ParseError::TooDeep => write!(f, "nesting deeper than {MAX_DEPTH}"),
+            ParseError::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
 /// Parse a complete JSON document; trailing non-whitespace is an error.
-pub fn parse(s: &str) -> Result<Json, String> {
-    let b = s.as_bytes();
-    let mut p = Parser { b, i: 0 };
+pub fn parse(s: &str) -> Result<Json, ParseError> {
+    let mut p = Parser { s, b: s.as_bytes(), i: 0, depth: 0 };
     p.ws();
     let v = p.value()?;
     p.ws();
-    if p.i != b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
+    if p.i != p.b.len() {
+        return p.err("trailing data");
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    s: &'a str,
+    /// `s` as bytes: every token the parser looks for is ASCII.
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around `i`.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    fn err<T>(&self, what: &str) -> Result<T, ParseError> {
+        Err(ParseError::Syntax(format!("{what} at byte {}", self.i)))
+    }
+
     fn ws(&mut self) {
         while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
             self.i += 1;
@@ -136,38 +170,45 @@ impl Parser<'_> {
         self.b.get(self.i).copied()
     }
 
-    fn expect(&mut self, c: u8) -> Result<(), String> {
+    fn expect(&mut self, c: u8) -> Result<(), ParseError> {
         if self.peek() == Some(c) {
             self.i += 1;
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.i))
+            self.err(&format!("expected '{}'", c as char))
         }
     }
 
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    fn lit(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
         if self.b[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
         } else {
-            Err(format!("invalid literal at byte {}", self.i))
+            self.err("invalid literal")
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(ParseError::TooDeep);
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'n') => self.lit("null", Json::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.i)),
+            _ => self.err("unexpected byte"),
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         let mut m = BTreeMap::new();
         self.ws();
@@ -190,12 +231,12 @@ impl Parser<'_> {
                     self.i += 1;
                     return Ok(Json::Obj(m));
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
+                _ => return self.err("expected ',' or '}'"),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, ParseError> {
         self.expect(b'[')?;
         let mut v = Vec::new();
         self.ws();
@@ -213,67 +254,55 @@ impl Parser<'_> {
                     self.i += 1;
                     return Ok(Json::Arr(v));
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
+                _ => return self.err("expected ',' or ']'"),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let c = *self
-                .b
-                .get(self.i)
-                .ok_or_else(|| "unterminated string".to_string())?;
+            // Copy the run up to the next quote or backslash whole: both are
+            // ASCII, so the run ends on a char boundary of the input.
+            let Some(run) = self.b[self.i..].iter().position(|&c| c == b'"' || c == b'\\') else {
+                return self.err("unterminated string");
+            };
+            out.push_str(&self.s[self.i..self.i + run]);
+            self.i += run + 1;
+            if self.b[self.i - 1] == b'"' {
+                return Ok(out);
+            }
+            let Some(e) = self.peek() else {
+                return self.err("unterminated escape");
+            };
             self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self
-                        .b
-                        .get(self.i)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let n = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.i += 4;
-                            out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.i)),
-                    }
+            match e {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let Some(n) = self
+                        .s
+                        .get(self.i..self.i + 4)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    else {
+                        return self.err("bad \\u escape");
+                    };
+                    self.i += 4;
+                    out.push(char::from_u32(n).unwrap_or('\u{fffd}'));
                 }
-                c if c < 0x80 => out.push(c as char),
-                _ => {
-                    // Multi-byte UTF-8: find the full char in the source.
-                    let start = self.i - 1;
-                    let s = std::str::from_utf8(&self.b[start..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.i = start + ch.len_utf8();
-                }
+                _ => return self.err("bad escape"),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
@@ -284,10 +313,11 @@ impl Parser<'_> {
         {
             self.i += 1;
         }
-        let txt = std::str::from_utf8(&self.b[start..self.i]).unwrap();
-        txt.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{txt}' at byte {start}"))
+        let txt = &self.s[start..self.i];
+        match txt.parse::<f64>() {
+            Ok(n) => Ok(Json::Num(n)),
+            Err(_) => Err(ParseError::Syntax(format!("bad number '{txt}' at byte {start}"))),
+        }
     }
 }
 
@@ -406,6 +436,13 @@ mod tests {
     fn unicode_escape_and_utf8_passthrough() {
         let v = parse(r#""café λ""#).unwrap();
         assert_eq!(v.as_str(), Some("café λ"));
+        assert_eq!(parse(r#""\u00e9\u03bb""#).unwrap().as_str(), Some("éλ"));
+        // Long runs of multi-byte characters on both sides of an escape.
+        let long = "é".repeat(50_000) + "\n" + &"\u{1F600}λ".repeat(25_000);
+        let txt = to_string(&Json::Str(long.clone()));
+        assert_eq!(parse(&txt).unwrap().as_str(), Some(long.as_str()));
+        assert!(parse("\"é\\").is_err());
+        assert!(parse("\"\\u00é\"").is_err());
     }
 
     #[test]
@@ -413,5 +450,25 @@ mod tests {
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        // The largest f64 below 2^64 fits; 2^64 itself does not.
+        assert_eq!(parse("18446744073709549568").unwrap().as_u64(), Some(u64::MAX - 2047));
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(parse(&nest(MAX_DEPTH + 1)), Err(ParseError::TooDeep));
+        assert_eq!(parse(&"[".repeat(1_000_000)), Err(ParseError::TooDeep));
+        assert_eq!(parse(&"{\"k\":".repeat(1_000_000)), Err(ParseError::TooDeep));
+    }
+
+    #[test]
+    fn a_repeated_key_keeps_its_last_value() {
+        let v = parse(r#"{"k":1,"j":true,"k":2}"#).unwrap();
+        assert_eq!(v.get("k"), Some(&Json::Num(2.0)));
+        assert_eq!(v.get("j"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("absent"), None);
     }
 }

@@ -1,5 +1,5 @@
 //! Scheduler shootout: run one of the paper's Table II workloads under all
-//! seven available schedulers (the paper's four plus the PRO ablation
+//! eight available schedulers (the paper's four plus the four PRO
 //! variants) and compare cycles, IPC and the stall breakdown.
 //!
 //! ```sh

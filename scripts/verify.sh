@@ -155,12 +155,12 @@ target/release/repro fig4 --full-scale | cmp - fig4_fullscale.txt || {
 }
 echo "ok: the full-scale Fig. 4 reproduces the checked-in artifact"
 
-echo "== shootout: 9-policy report with host-cost columns =="
+echo "== shootout: 8-policy report with host-cost columns =="
 # The profiled policy matrix: one row per scheduler in SchedulerKind::ALL,
 # each with stall attribution and host/* cost columns, plus a JSON export.
 (cd "$tracedir" && "$OLDPWD/target/release/repro" shootout --quick) \
     > "$tracedir/shootout.txt"
-for policy in LRR GTO TL OWL PRO PRO-NB PRO-NF PRO-NS PRO-AD; do
+for policy in LRR GTO TL PRO PRO-NB PRO-NF PRO-NS PRO-AD; do
     grep -q "^$policy " "$tracedir/shootout.txt" || {
         echo "ERROR: shootout table is missing policy $policy" >&2
         exit 1
@@ -170,7 +170,7 @@ grep -q '"policies":\[' "$tracedir/shootout.json" || {
     echo "ERROR: shootout.json missing the policies array" >&2
     exit 1
 }
-echo "ok: shootout covers all 9 policies in text and JSON"
+echo "ok: shootout covers all 8 policies in text and JSON"
 
 echo "== incremental issue path: reuse counters =="
 # The order-reuse telemetry (DESIGN.md §15): every profiled run publishes

@@ -54,7 +54,7 @@ fn resume_is_bit_identical_serial_and_parallel() {
 #[test]
 fn dirty_order_state_round_trips_for_every_tracking_policy() {
     // The incremental issue path (DESIGN.md §15) added serialized
-    // dirty-order masks to LRR/GTO/OWL/TL (PRO forces all-dirty on load
+    // dirty-order masks to LRR/GTO/TL (PRO forces all-dirty on load
     // and re-derives its rank table), plus host-side candidate bitsets,
     // the warp ready-mask, and per-unit cached orders — all of which are
     // *derived* state that `restore_snapshot` drops and rebuilds. A pause
@@ -62,7 +62,7 @@ fn dirty_order_state_round_trips_for_every_tracking_policy() {
     // and half the units holding reusable cached orders, must still resume
     // bit-identically: LRR and PRO are pinned by the tests above, the
     // remaining tracking policies here.
-    for sched in [SchedulerKind::Gto, SchedulerKind::Tl, SchedulerKind::Owl] {
+    for sched in [SchedulerKind::Gto, SchedulerKind::Tl] {
         let (base, base_trace, base_mem) = straight_run(sched);
         // An odd cut point, away from TB-launch boundaries, maximizes the
         // chance of non-trivial sb-wait/longlat masks at the snapshot.
@@ -239,15 +239,14 @@ fn container_bytes_are_pinned_for_every_policy() {
     // The wire format as constants: the CRC-32 of a mid-grid pause container
     // (every section populated — timeline spans, utilization rows, MSHRs,
     // outstanding loads, LSU entries, scheduler state) under each of the
-    // nine policies, and of one finished `RunResult`'s encoding. A change
+    // eight policies, and of one finished `RunResult`'s encoding. A change
     // here is a format change and needs a `FORMAT_VERSION` bump, not a new
     // constant; these were recorded with version 5.
     // In `SchedulerKind::ALL` order.
-    const CONTAINER_CRC: [u32; 9] = [
+    const CONTAINER_CRC: [u32; 8] = [
         0xF19D_FDE9, // LRR
         0x3093_46D9, // GTO
         0xE073_0BE6, // TL
-        0x81DD_824F, // OWL
         0xA719_C250, // PRO
         0x3054_6E53, // PRO-NB
         0x64BA_D7A3, // PRO-NF

@@ -218,7 +218,6 @@ fn barrier_heavy_kernel_runs_under_all_pro_variants() {
         SchedulerKind::ProNoFinish,
         SchedulerKind::ProNoSlowPhase,
         SchedulerKind::ProAdaptive,
-        SchedulerKind::Owl,
     ] {
         let mut gpu = Gpu::new(GpuConfig::small(2), 64 << 20);
         let built = (w.build)(&mut gpu.gmem, 8);
