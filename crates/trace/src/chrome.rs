@@ -39,12 +39,10 @@ fn push_event(out: &mut String, first: &mut bool, body: &str) {
 ///
 /// `name` labels the whole trace (shown in Perfetto's metadata); unmatched
 /// `TbLaunch`es (still resident when the trace ends at `end_cycle`) are
-/// closed at `end_cycle` so no slice is silently dropped.
-pub fn chrome_trace<'a>(
-    name: &str,
-    records: impl Iterator<Item = &'a Record>,
-    end_cycle: u64,
-) -> String {
+/// closed at `end_cycle` so no slice is silently dropped. A `TbComplete`
+/// whose `TbLaunch` fell out of a wrapped ring starts its slice at the
+/// first cycle the records hold, not at cycle 0.
+pub fn chrome_trace(name: &str, records: impl IntoIterator<Item = Record>, end_cycle: u64) -> String {
     let mut out = String::with_capacity(4096);
     let _ = write!(
         out,
@@ -56,9 +54,11 @@ pub fn chrome_trace<'a>(
     // Open TB slices, keyed by (sm, tb_slot) → (global_index, start).
     let mut open_tbs: Vec<((u32, u32), (u32, u64))> = Vec::new();
     let mut line = String::with_capacity(160);
+    let mut first_cycle = None;
 
     for rec in records {
         let c = rec.cycle;
+        let window_start = *first_cycle.get_or_insert(c);
         match rec.event {
             Event::TbLaunch { sm, tb_slot, global_index } => {
                 if !seen_sms.contains(&sm) {
@@ -71,8 +71,7 @@ pub fn chrome_trace<'a>(
                 let start = open_tbs
                     .iter()
                     .position(|(k, _)| *k == (sm, tb_slot))
-                    .map(|i| open_tbs.remove(i).1 .1)
-                    .unwrap_or(0);
+                    .map_or(window_start, |i| open_tbs.remove(i).1 .1);
                 line.clear();
                 let _ = write!(
                     line,
@@ -150,7 +149,7 @@ mod tests {
             rec(50, Event::TbComplete { sm: 0, tb_slot: 0, global_index: 7 }),
             rec(60, Event::TbLaunch { sm: 1, tb_slot: 2, global_index: 8 }),
         ];
-        let txt = chrome_trace("k", records.iter(), 100);
+        let txt = chrome_trace("k", records, 100);
         let v = parse(&txt).expect("chrome trace parses as JSON");
         let evs = v.get("traceEvents").unwrap().as_arr().unwrap();
         // TB7 slice, barrier instant, load slice, open TB8 closed at end,
@@ -181,8 +180,28 @@ mod tests {
     }
 
     #[test]
+    fn an_orphan_tb_slice_starts_where_the_wrapped_ring_does() {
+        use crate::{RingTracer, Tracer};
+        let mut ring = RingTracer::new(3);
+        ring.emit(10, &Event::TbLaunch { sm: 0, tb_slot: 1, global_index: 4 });
+        for c in [20, 30] {
+            ring.emit(c, &Event::L1Hit { sm: 0, req: c, line: c });
+        }
+        ring.emit(40, &Event::TbComplete { sm: 0, tb_slot: 1, global_index: 4 });
+        assert_eq!(ring.records().next().map(|r| r.cycle), Some(20), "TbLaunch evicted");
+        let v = parse(&chrome_trace("k", ring.records(), 50)).unwrap();
+        let evs = v.get("traceEvents").unwrap().as_arr().unwrap();
+        let tb = evs
+            .iter()
+            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("TB 4"))
+            .unwrap();
+        assert_eq!(tb.get("ts").unwrap().as_u64(), Some(20));
+        assert_eq!(tb.get("dur").unwrap().as_u64(), Some(20));
+    }
+
+    #[test]
     fn empty_trace_still_parses() {
-        let txt = chrome_trace("empty", [].iter(), 0);
+        let txt = chrome_trace("empty", [], 0);
         let v = parse(&txt).unwrap();
         assert_eq!(v.get("traceEvents").unwrap().as_arr().unwrap().len(), 0);
     }

@@ -398,8 +398,8 @@ mod tests {
         assert_eq!(StallReason::Scoreboard.name(), "scoreboard");
     }
 
-    /// A `RingTracer` holds `capacity` records in one allocation, so the
-    /// record size is the ring's footprint per event.
+    /// Every emission site builds an `Event` and every `RingTracer::records`
+    /// consumer receives a `Record` by value.
     #[test]
     fn an_event_is_24_bytes_and_a_record_32() {
         assert_eq!(std::mem::size_of::<Event>(), 24);

@@ -12,7 +12,9 @@
 //!   by request IDs for end-to-end latency.
 //! * [`tracer`] — the bus: a [`Tracer`] trait whose no-op implementation
 //!   costs one predictable branch on the hot path, a bounded in-memory
-//!   [`RingTracer`], a streaming [`JsonlTracer`], and a [`Tee`] combinator.
+//!   [`RingTracer`] (its capacity reserved as address space; resident
+//!   memory is the live varint-encoded records plus one chunk), a streaming
+//!   [`JsonlTracer`], and a [`Tee`] combinator.
 //! * [`metrics`] — `Copy` fixed-bucket histograms ([`Hist16`]) for embedding
 //!   in hot stats structs, and a named end-of-run registry ([`Metrics`])
 //!   snapshotted into `RunResult`.

@@ -8,14 +8,17 @@
 //!   constructed. [`NoopTracer`] allocates nothing, counts nothing, and
 //!   emits nothing.
 //! * **Allocation-conscious.** [`RingTracer`] reserves its whole buffer up
-//!   front and overwrites the oldest record when full — emitting into it
+//!   front and overwrites the oldest records when full — emitting into it
 //!   never allocates, so tracing does not perturb the allocator behaviour
-//!   of the simulation under test.
+//!   of the simulation under test. The reservation is address space: the
+//!   ring keeps records varint-encoded, and its resident memory is the live
+//!   encoded bytes plus one 64 KiB chunk.
 //! * **Streaming.** [`JsonlTracer`] writes one self-describing JSON object
 //!   per line to any `io::Write`, suitable for multi-million-event traces
 //!   that must not be held in memory.
 
 use crate::event::{ClassSet, Event, EventClass, Record, StallReason};
+use std::collections::VecDeque;
 use std::io::{self, Write};
 
 /// A subscriber on the simulator's event bus.
@@ -68,17 +71,213 @@ impl Tracer for NoopTracer {
     fn emit(&mut self, _cycle: u64, _ev: &Event) {}
 }
 
-/// Bounded in-memory tracer: keeps the most recent `capacity` records.
-/// The buffer is allocated once at construction; emission never allocates.
-#[derive(Debug, Clone)]
+/// Bytes per arena chunk: the unit in which a [`RingTracer`] hands out and
+/// recycles storage.
+const CHUNK: usize = 64 << 10;
+
+/// A field as the ring stores it: an unsigned LEB128 varint of
+/// [`Wire::to_wire`].
+trait Wire: Copy {
+    /// Longest varint of the type, in bytes.
+    const MAX_LEN: usize;
+    fn to_wire(self) -> u64;
+    fn from_wire(v: u64) -> Self;
+}
+
+macro_rules! wire_uint {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MAX_LEN: usize = (<$t>::BITS as usize).div_ceil(7);
+            fn to_wire(self) -> u64 {
+                self.into()
+            }
+            fn from_wire(v: u64) -> Self {
+                v as $t
+            }
+        }
+    )*};
+}
+
+wire_uint!(u16, u32, u64);
+
+impl Wire for bool {
+    const MAX_LEN: usize = 1;
+    fn to_wire(self) -> u64 {
+        self.into()
+    }
+    fn from_wire(v: u64) -> Self {
+        v != 0
+    }
+}
+
+impl Wire for StallReason {
+    const MAX_LEN: usize = 1;
+    fn to_wire(self) -> u64 {
+        self as u64
+    }
+    fn from_wire(v: u64) -> Self {
+        match v {
+            0 => StallReason::Idle,
+            1 => StallReason::Scoreboard,
+            _ => StallReason::Pipeline,
+        }
+    }
+}
+
+/// Write `v` at `out[n..]`; return the offset after it.
+#[inline]
+fn put_varint(out: &mut [u8; MAX_RECORD], mut n: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    out[n] = v as u8;
+    n + 1
+}
+
+/// Read the varint at `buf[*at..]` and step past it.
+#[inline]
+fn get_varint(buf: &[u8], at: &mut usize) -> u64 {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let b = buf[*at];
+        *at += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// The ring's record format, one row per [`Event`] variant: a one-byte tag,
+/// the cycle as a varint delta from the chunk's previous record, then each
+/// field as a varint in the order listed.
+macro_rules! ring_codec {
+    ($($tag:literal $variant:ident { $($field:ident: $ty:ty),* })*) => {
+        /// Longest encoded record: the widest variant with every field and
+        /// the cycle delta at their longest varint.
+        const MAX_RECORD: usize = {
+            let lens = [$(1 + <u64 as Wire>::MAX_LEN $(+ <$ty as Wire>::MAX_LEN)*),*];
+            let mut max = 0;
+            let mut i = 0;
+            while i < lens.len() {
+                if lens[i] > max {
+                    max = lens[i];
+                }
+                i += 1;
+            }
+            max
+        };
+
+        /// Encode one record at the front of `out`; return its length.
+        #[inline]
+        fn encode(out: &mut [u8; MAX_RECORD], delta: u64, ev: &Event) -> usize {
+            match *ev {
+                $(Event::$variant { $($field),* } => {
+                    out[0] = $tag;
+                    let n = put_varint(out, 1, delta);
+                    $(let n = put_varint(out, n, $field.to_wire());)*
+                    n
+                })*
+            }
+        }
+
+        /// Decode the record at `buf[*at..]`, step past it, and return its
+        /// cycle delta and event.
+        fn decode(buf: &[u8], at: &mut usize) -> (u64, Event) {
+            let tag = buf[*at];
+            *at += 1;
+            let delta = get_varint(buf, at);
+            let ev = match tag {
+                $($tag => Event::$variant { $($field: <$ty>::from_wire(get_varint(buf, at))),* },)*
+                _ => unreachable!("ring record tag {tag}"),
+            };
+            (delta, ev)
+        }
+    };
+}
+
+ring_codec! {
+    0 WarpIssue { sm: u32, unit: u16, warp: u16, tb_slot: u16, pc: u32, active: u16 }
+    1 UnitStall { sm: u32, unit: u32, reason: StallReason }
+    2 WarpStall { sm: u32, warp: u32, reason: StallReason }
+    3 ScoreboardSet { sm: u32, warp: u32, longlat: bool }
+    4 ScoreboardClear { sm: u32, warp: u32 }
+    5 BarrierArrive { sm: u32, tb_slot: u32, warp: u32 }
+    6 BarrierRelease { sm: u32, tb_slot: u32 }
+    7 SimtDiverge { sm: u32, warp: u32, pc: u32 }
+    8 SimtReconverge { sm: u32, warp: u32, pc: u32 }
+    9 TbLaunch { sm: u32, tb_slot: u32, global_index: u32 }
+    10 TbComplete { sm: u32, tb_slot: u32, global_index: u32 }
+    11 Coalesce { sm: u32, warp: u32, req: u64, lines: u32, store: bool }
+    12 L1Hit { sm: u32, req: u64, line: u64 }
+    13 L1Miss { sm: u32, req: u64, line: u64 }
+    14 MshrMerge { sm: u32, req: u64, line: u64 }
+    15 MshrReject { sm: u32, req: u64, line: u64 }
+    16 StoreLine { sm: u32, line: u64 }
+    17 L2Hit { part: u32, line: u64 }
+    18 L2Miss { part: u32, line: u64 }
+    19 L2Merge { part: u32, line: u64 }
+    20 DramSchedule { part: u32, line: u64, row_hit: bool, done: u64 }
+    21 LineFill { sm: u32, line: u64 }
+    22 LoadComplete { sm: u32, req: u64, latency: u64 }
+}
+
+/// The fewest records a chunk holds once `emit` has moved past it: it
+/// leaves a chunk with fewer than [`MAX_RECORD`] bytes free.
+const MIN_CHUNK_RECORDS: usize = CHUNK / MAX_RECORD;
+
+/// One arena chunk's extent and record count.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chunk {
+    /// Arena offset of the chunk.
+    at: usize,
+    /// Arena offset one past its last record.
+    end: usize,
+    /// Records it holds.
+    events: usize,
+}
+
+/// Bounded in-memory tracer: keeps the most recent `capacity` events.
+///
+/// Records are varint-encoded (a tag byte, the cycle delta, the fields;
+/// 5.2 bytes on average for laplace3d) into one byte arena carved into 64 KiB
+/// chunks. The arena is reserved at construction for `capacity` records of
+/// the longest encoding, so emission never allocates; it is zeroed memory
+/// the kernel maps on first touch, so resident memory is the live chunks
+/// plus the one being written. When the chunk being written is full, the
+/// next comes from a last-in-first-out free list, and the oldest chunk goes
+/// back to it once the newer ones hold `capacity` events.
 pub struct RingTracer {
-    buf: Vec<Record>,
+    arena: Vec<u8>,
+    /// Filled chunks, oldest first.
+    live: VecDeque<Chunk>,
+    /// The chunk being written.
+    cur: Chunk,
+    /// Arena offsets of unused chunks; the last one is reused first.
+    free: Vec<usize>,
+    /// Cycle of `cur`'s last record (0 before its first).
+    last_cycle: u64,
+    /// Records in `live`.
+    held: usize,
     capacity: usize,
-    /// Index of the oldest record once the ring has wrapped.
-    head: usize,
     /// Total events offered (including overwritten ones).
     total: u64,
     classes: ClassSet,
+}
+
+impl std::fmt::Debug for RingTracer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RingTracer")
+            .field("capacity", &self.capacity)
+            .field("len", &self.len())
+            .field("total", &self.total)
+            .field("classes", &self.classes)
+            .finish_non_exhaustive()
+    }
 }
 
 impl RingTracer {
@@ -89,23 +288,39 @@ impl RingTracer {
 
     /// Ring subscribed only to `classes`.
     pub fn with_classes(capacity: usize, classes: ClassSet) -> Self {
+        // After `next_chunk` evicts, the filled chunks newer than the oldest
+        // hold fewer than `capacity` records, at least `MIN_CHUNK_RECORDS`
+        // each; the oldest and the one being written make two more.
+        let chunks = if capacity == 0 { 0 } else { (capacity - 1) / MIN_CHUNK_RECORDS + 2 };
+        let bytes = chunks.checked_mul(CHUNK).expect("ring capacity overflows the address space");
+        let mut free = Vec::with_capacity(chunks);
+        free.extend((1..chunks).rev().map(|i| i * CHUNK));
         RingTracer {
-            buf: Vec::with_capacity(capacity),
+            arena: vec![0; bytes],
+            live: VecDeque::with_capacity(chunks),
+            cur: Chunk::default(),
+            free,
+            last_cycle: 0,
+            held: 0,
             capacity,
-            head: 0,
             total: 0,
             classes,
         }
     }
 
+    /// Records held, surplus beyond `capacity` included.
+    fn stored(&self) -> usize {
+        self.held + self.cur.events
+    }
+
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.stored().min(self.capacity)
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.stored() == 0
     }
 
     /// Total events offered over the tracer's lifetime (≥ `len`).
@@ -113,17 +328,64 @@ impl RingTracer {
         self.total
     }
 
-    /// Records oldest → newest.
-    pub fn records(&self) -> impl Iterator<Item = &Record> {
-        let (wrapped, fresh) = self.buf.split_at(self.head);
-        fresh.iter().chain(wrapped.iter())
+    /// Records oldest → newest, decoded on the fly.
+    pub fn records(&self) -> impl Iterator<Item = Record> + '_ {
+        let mut skip = self.stored().saturating_sub(self.capacity);
+        self.live.iter().chain([&self.cur]).flat_map(move |c| {
+            let n = skip.min(c.events);
+            skip -= n;
+            let bytes = if n == c.events { &[][..] } else { &self.arena[c.at..c.end] };
+            Decoder { bytes, at: 0, cycle: 0 }.skip(n)
+        })
     }
 
     /// Drop everything recorded so far (capacity is kept).
     pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
+        self.free.extend(self.live.drain(..).map(|c| c.at));
+        self.cur = Chunk { at: self.cur.at, end: self.cur.at, events: 0 };
+        self.last_cycle = 0;
+        self.held = 0;
         self.total = 0;
+    }
+
+    /// Retire the full chunk `cur`, return the oldest chunks the newer ones
+    /// make surplus, and start writing a free one.
+    #[cold]
+    #[inline(never)]
+    fn next_chunk(&mut self) {
+        self.held += self.cur.events;
+        self.live.push_back(self.cur);
+        while let Some(&old) = self.live.front() {
+            if self.held - old.events < self.capacity {
+                break;
+            }
+            self.held -= old.events;
+            self.free.push(old.at);
+            self.live.pop_front();
+        }
+        let at = self.free.pop().expect("the arena holds every chunk a full ring needs");
+        self.cur = Chunk { at, end: at, events: 0 };
+        self.last_cycle = 0;
+    }
+}
+
+/// Decodes one chunk's records.
+struct Decoder<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    cycle: u64,
+}
+
+impl Iterator for Decoder<'_> {
+    type Item = Record;
+
+    fn next(&mut self) -> Option<Record> {
+        if self.at == self.bytes.len() {
+            return None;
+        }
+        let (delta, event) = decode(self.bytes, &mut self.at);
+        self.cycle = self.cycle.wrapping_add(delta);
+        Some(Record { cycle: self.cycle, event })
     }
 }
 
@@ -141,13 +403,15 @@ impl Tracer for RingTracer {
             return;
         }
         self.total += 1;
-        let rec = Record { cycle, event: *ev };
-        if self.buf.len() < self.capacity {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
+        if self.cur.end - self.cur.at > CHUNK - MAX_RECORD {
+            self.next_chunk();
         }
+        let out = self.arena[self.cur.end..]
+            .first_chunk_mut::<MAX_RECORD>()
+            .expect("a record fits in its chunk");
+        self.cur.end += encode(out, cycle.wrapping_sub(self.last_cycle), ev);
+        self.cur.events += 1;
+        self.last_cycle = cycle;
     }
 }
 
@@ -465,9 +729,7 @@ impl Tracer for PanicTracer {
 }
 
 /// Convenience: count UnitStall events by reason (used in agreement tests).
-pub fn count_unit_stalls<'a>(
-    records: impl Iterator<Item = &'a Record>,
-) -> (u64, u64, u64) {
+pub fn count_unit_stalls(records: impl IntoIterator<Item = Record>) -> (u64, u64, u64) {
     let (mut idle, mut sb, mut pipe) = (0, 0, 0);
     for r in records {
         if let Event::UnitStall { reason, .. } = r.event {
@@ -501,14 +763,18 @@ mod tests {
         assert_eq!(cycles, vec![2, 3, 4], "oldest → newest after wrap");
     }
 
+    fn capacities(r: &RingTracer) -> (usize, usize, usize) {
+        (r.arena.capacity(), r.live.capacity(), r.free.capacity())
+    }
+
     #[test]
     fn ring_emit_never_allocates_after_construction() {
         let mut r = RingTracer::new(8);
-        let cap_before = r.buf.capacity();
+        let before = capacities(&r);
         for i in 0..100u64 {
             r.emit(i, &ev(i));
         }
-        assert_eq!(r.buf.capacity(), cap_before);
+        assert_eq!(capacities(&r), before, "arena, chunk list and free list");
     }
 
     #[test]
@@ -752,6 +1018,118 @@ mod tests {
         check(Config::with_cases(2000), case, |(cycle, ev)| {
             agrees_with_fmt(*cycle, ev).map_err(pro_core::prop::CaseError::fail)
         });
+    }
+
+    /// The ring model test's generator (xorshift64), local so the crate
+    /// keeps no dependencies.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// Where a varint grows a byte, and the top of each field width.
+    const VARINT_EDGES: [u64; 8] =
+        [0, 127, 128, 16_383, 16_384, u16::MAX as u64, u32::MAX as u64, u64::MAX];
+
+    /// Emit `events` into a ring of `capacity` and into the model, a
+    /// `VecDeque` of the latest `capacity` records; compare the two every
+    /// `every` events and at the end. The arena, chunk list and free list
+    /// must never grow.
+    fn matches_model(capacity: usize, every: usize, events: impl IntoIterator<Item = (u64, Event)>) {
+        let mut ring = RingTracer::new(capacity);
+        let caps = capacities(&ring);
+        let mut model = std::collections::VecDeque::new();
+        let same = |ring: &RingTracer, model: &std::collections::VecDeque<Record>, at: usize| {
+            assert_eq!(ring.len(), model.len(), "capacity {capacity}, event {at}: len");
+            assert!(ring.records().eq(model.iter().copied()), "capacity {capacity}, event {at}: records");
+        };
+        let mut n = 0;
+        for (cycle, event) in events {
+            ring.emit(cycle, &event);
+            model.push_back(Record { cycle, event });
+            if model.len() > capacity {
+                model.pop_front();
+            }
+            n += 1;
+            if n % every == 0 {
+                same(&ring, &model, n);
+            }
+        }
+        same(&ring, &model, n);
+        assert_eq!(ring.total_emitted(), n as u64);
+        assert_eq!(capacities(&ring), caps, "capacity {capacity}: emission allocated");
+        ring.clear();
+        assert!(ring.is_empty() && ring.records().next().is_none());
+        ring.emit(5, &ev(5));
+        assert_eq!(ring.records().collect::<Vec<_>>(), [Record { cycle: 5, event: ev(5) }]);
+        assert_eq!(ring.total_emitted(), 1);
+        assert_eq!(capacities(&ring), caps, "capacity {capacity}: clear allocated");
+    }
+
+    #[test]
+    fn ring_round_trips_every_variant_at_varint_edges() {
+        // Cycles that advance, repeat, go backwards and reach u64::MAX.
+        let cycles = [0, 1, 1, 200, 50, u64::MAX, u64::MAX, 0, 1 << 63, 3];
+        let events: Vec<(u64, Event)> = (0..KINDS)
+            .flat_map(|kind| VARINT_EDGES.map(|v| event_of(kind, || v)))
+            .enumerate()
+            .map(|(i, e)| (cycles[i % cycles.len()], e))
+            .collect();
+        assert_eq!(events.len(), KINDS as usize * VARINT_EDGES.len());
+        for capacity in [1, 3, events.len(), 4 * events.len()] {
+            matches_model(capacity, 1, events.iter().copied());
+        }
+    }
+
+    #[test]
+    fn the_longest_record_is_max_record_bytes() {
+        let mut out = [0; MAX_RECORD];
+        let longest = (0..KINDS)
+            .map(|kind| encode(&mut out, u64::MAX, &event_of(kind, || u64::MAX)))
+            .max();
+        assert_eq!(longest, Some(MAX_RECORD));
+    }
+
+    #[test]
+    fn ring_recycles_chunks_and_keeps_the_latest_events() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut cycle = 0u64;
+        let mut events = move || {
+            let r = rng.next();
+            cycle = match r % 64 {
+                0 => cycle.wrapping_sub(r >> 40), // backwards
+                1 => u64::MAX,
+                2..=9 => cycle, // repeat
+                _ => cycle.wrapping_add(r >> 58),
+            };
+            let kind = (r >> 8) as u32 % KINDS;
+            let event = event_of(kind, || {
+                let x = rng.next();
+                if x & 1 == 0 {
+                    VARINT_EDGES[(x >> 1) as usize % VARINT_EDGES.len()]
+                } else {
+                    x >> (x >> 58)
+                }
+            });
+            (cycle, event)
+        };
+        // Each 64 KiB chunk holds a few thousand of these records, so
+        // 200 000 of them recycle the smallest rings' chunks dozens of times.
+        for capacity in [1, 3, 100] {
+            matches_model(capacity, 997, std::iter::repeat_with(&mut events).take(200_000));
+        }
+        // Records at the longest encoding pack chunks to the bound the
+        // arena is sized by; the free list must never run dry.
+        let longest = |i: u64| ((i & 1) << 63, event_of(11, || u64::MAX));
+        for capacity in [MIN_CHUNK_RECORDS, MIN_CHUNK_RECORDS + 1, 2 * MIN_CHUNK_RECORDS + 1] {
+            matches_model(capacity, 4999, (0..20 * MIN_CHUNK_RECORDS as u64).map(longest));
+        }
     }
 
     /// Accepts `room` bytes, then fails every write, as a full disk does.

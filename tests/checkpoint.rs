@@ -210,10 +210,10 @@ fn timeline_and_utilization_are_the_event_streams() {
         let resumed = run(None, Some(&snap)).expect_completed();
         assert_eq!(ring.total_emitted(), ring.len() as u64, "{sched}: the ring wrapped");
         // The straight run's events, then the paused run's, then the resumed run's.
-        let records: Vec<&Record> = ring.records().collect();
+        let records: Vec<Record> = ring.records().collect();
         let (first, second) = records.split_at(records.len() / 2);
         for (what, got, events) in [("straight", &straight, first), ("resumed", &resumed, second)] {
-            let (timeline, utilization) = rebuild_from_events(events.iter().copied(), cfg().num_sms, period);
+            let (timeline, utilization) = rebuild_from_events(events.iter(), cfg().num_sms, period);
             assert_eq!(got.timeline, timeline, "{sched} {what}: timeline");
             assert_eq!(got.utilization, utilization, "{sched} {what}: utilization");
         }
