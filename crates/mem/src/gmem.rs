@@ -23,9 +23,11 @@ pub const PAGE_BYTES: u64 = PAGE_WORDS as u64 * 4;
 /// to every later access of the same cycle (the SM's other scheduler unit,
 /// then higher-indexed SMs — DESIGN.md §11), and to everything afterwards.
 ///
-/// Every store path funnels through [`GlobalMem::write`] — a warp's
-/// [`GlobalMem::write_row`] scatter and host-side buffer initialization —
-/// so the page-granular dirty bitmap maintained there is a complete record
+/// Every store path keeps the page-granular dirty bitmap: a warp's
+/// [`GlobalMem::write_row`] scatter funnels through [`GlobalMem::write`],
+/// and host-side buffer initialization goes through the one other path,
+/// the bulk fill [`GlobalMem::alloc_with`], which marks a new buffer's page
+/// range in one pass. So the bitmap is a complete record
 /// of what changed since the last [`GlobalMem::save_delta`] capture. The timing
 /// path (coalescer, L2 writebacks, DRAM fills) moves no functional data and
 /// therefore needs no hooks of its own.
@@ -82,19 +84,32 @@ impl GlobalMem {
         base
     }
 
-    /// Allocate and fill from a slice of words; returns the base address.
-    pub fn alloc_init(&mut self, data: &[u32]) -> u64 {
-        let base = self.alloc(data.len() as u64 * 4);
-        for (i, w) in data.iter().enumerate() {
-            self.write(base + i as u64 * 4, *w);
+    /// The bulk fill: allocate `n` words and set word `i` to `word(i)`, in
+    /// ascending `i`, straight in the store; returns the base address. The
+    /// buffer's page range is marked dirty once, so the store, the dirty
+    /// map and every encoding end as `n` [`GlobalMem::write`]s leave them.
+    pub fn alloc_with(&mut self, n: usize, mut word: impl FnMut(usize) -> u32) -> u64 {
+        let base = self.alloc(n as u64 * 4);
+        let lo = (base / 4) as usize;
+        for (i, w) in self.words[lo..lo + n].iter_mut().enumerate() {
+            *w = word(i);
+        }
+        if n > 0 {
+            for page in lo / PAGE_WORDS..=(lo + n - 1) / PAGE_WORDS {
+                self.dirty[page >> 6] |= 1 << (page & 63);
+            }
         }
         base
     }
 
+    /// Allocate and fill from a slice of words; returns the base address.
+    pub fn alloc_init(&mut self, data: &[u32]) -> u64 {
+        self.alloc_with(data.len(), |i| data[i])
+    }
+
     /// Allocate and fill with `f32` values.
     pub fn alloc_init_f32(&mut self, data: &[f32]) -> u64 {
-        let words: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
-        self.alloc_init(&words)
+        self.alloc_with(data.len(), |i| data[i].to_bits())
     }
 
     /// Read the 32-bit word at byte address `addr`.
@@ -133,9 +148,17 @@ impl GlobalMem {
         f32::from_bits(self.read(addr))
     }
 
+    /// The `len` words starting at byte address `addr`, borrowed: how host
+    /// code reads a buffer back without copying it.
+    pub fn words(&self, addr: u64, len: usize) -> &[u32] {
+        debug_assert!(addr.is_multiple_of(4), "unaligned global read at {addr:#x}");
+        let lo = (addr / 4) as usize;
+        &self.words[lo..lo + len]
+    }
+
     /// Copy out `len` words starting at byte address `addr`.
     pub fn read_slice(&self, addr: u64, len: usize) -> Vec<u32> {
-        (0..len).map(|i| self.read(addr + i as u64 * 4)).collect()
+        self.words(addr, len).to_vec()
     }
 
     /// Warp-wide gather: `dst[l] = read(addrs[l])` for every lane `l` set
@@ -349,8 +372,8 @@ mod tests {
 
     #[test]
     fn stores_mark_pages_dirty_on_every_path() {
-        // Word writes, row scatters and host-side alloc_init all funnel
-        // through write() and must set dirty bits.
+        // Word writes and row scatters (through write()) and host-side
+        // alloc_init (through the bulk fill) must all set dirty bits.
         let mut m = GlobalMem::new(8 * PAGE_BYTES);
         assert_eq!(m.dirty_pages(), 0);
         m.write(0, 1); // page 0
@@ -369,6 +392,45 @@ mod tests {
 
         m.mark_clean();
         assert_eq!(m.dirty_pages(), 0);
+    }
+
+    #[test]
+    fn the_bulk_fill_leaves_what_word_writes_leave() {
+        // (store bytes, words before the buffer, words in it): empty, one
+        // word, a buffer that starts mid-page and spans three pages, and
+        // one that ends in the store's short last page.
+        let cases = [
+            (4 * PAGE_BYTES, 0, 0),
+            (4 * PAGE_BYTES, 0, 1),
+            (4 * PAGE_BYTES, PAGE_WORDS / 2, 2 * PAGE_WORDS),
+            (3 * PAGE_BYTES + 256, PAGE_WORDS + 64, 2 * PAGE_WORDS - 10),
+        ];
+        for (bytes, before, n) in cases {
+            let word = |i: usize| 0x9E37_79B9u32.wrapping_mul(i as u32 + 1);
+            let (mut bulk, mut by_word) = (GlobalMem::new(bytes), GlobalMem::new(bytes));
+            for m in [&mut bulk, &mut by_word] {
+                let _ = m.alloc(before as u64 * 4);
+                m.write(0, 5); // a page dirtied before the fill
+                m.mark_clean();
+            }
+            let base = bulk.alloc_with(n, word);
+            let by_word_base = by_word.alloc(n as u64 * 4);
+            for i in 0..n {
+                by_word.write(by_word_base + i as u64 * 4, word(i));
+            }
+            let case = format!("{before} words then {n} in {bytes} bytes");
+            assert_eq!(base, by_word_base, "{case}");
+            assert_eq!(bulk.words, by_word.words, "{case}");
+            assert_eq!(bulk.words(base, n), by_word.read_slice(base, n), "{case}");
+            assert_eq!(bulk.dirty_pages(), by_word.dirty_pages(), "{case}");
+            assert_eq!(save_bytes(&bulk), save_bytes(&by_word), "{case}");
+            let delta = |m: &GlobalMem| {
+                let mut w = Writer::new();
+                m.save_delta(&mut w);
+                w.into_bytes()
+            };
+            assert_eq!(delta(&bulk), delta(&by_word), "{case}");
+        }
     }
 
     #[test]

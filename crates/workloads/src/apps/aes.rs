@@ -30,8 +30,8 @@ pub const WORKLOAD: Workload = Workload {
 
 fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (table_base, table) = alloc_rand_u32(gmem, 256, u32::MAX, 0xAE51);
-    let (in_base, input) = alloc_rand_u32(gmem, n, u32::MAX, 0xAE52);
+    let table_base = alloc_rand_u32(gmem, 256, u32::MAX, 0xAE51);
+    let in_base = alloc_rand_u32(gmem, n, u32::MAX, 0xAE52);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("aesEncrypt128");
@@ -75,7 +75,9 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![table_base as u32, in_base as u32, out_base as u32],
     );
 
-    let expect: Vec<u32> = input
+    let table = gmem.words(table_base, 256);
+    let expect: Vec<u32> = gmem
+        .words(in_base, n)
         .iter()
         .map(|&x| {
             let mut s = x;

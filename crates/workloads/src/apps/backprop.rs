@@ -9,7 +9,7 @@
 //! * `bpnn_adjust_weights_cuda`: pure streaming — three coalesced loads,
 //!   an FMA, a coalesced store per thread; bandwidth bound, no barriers.
 
-use crate::common::{alloc_rand_f32, check_f32, emit_reduce_f32, host_reduce_f32};
+use crate::common::{alloc_rand_f32, check_f32, emit_reduce_f32, f32s, host_reduce_f32};
 use crate::{Built, Workload};
 use pro_isa::{CmpOp, Kernel, LaunchConfig, ProgramBuilder, Special, Src, Ty};
 use pro_mem::GlobalMem;
@@ -36,8 +36,8 @@ pub const ADJUST_WEIGHTS: Workload = Workload {
 
 fn build_layerforward(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (in_base, input) = alloc_rand_f32(gmem, n, 0x0B91);
-    let (w_base, weights) = alloc_rand_f32(gmem, n, 0x0B92);
+    let in_base = alloc_rand_f32(gmem, n, 0x0B91);
+    let w_base = alloc_rand_f32(gmem, n, 0x0B92);
     let part_base = gmem.alloc(tbs as u64 * 4);
 
     let mut b = ProgramBuilder::new("bpnn_layerforward");
@@ -82,11 +82,12 @@ fn build_layerforward(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![in_base as u32, w_base as u32, part_base as u32],
     );
 
+    let (input, weights) = (f32s(gmem, in_base, n), f32s(gmem, w_base, n));
     let t = THREADS as usize;
     let expect: Vec<f32> = (0..tbs as usize)
         .map(|blk| {
             let prods: Vec<f32> = (0..t)
-                .map(|i| input[blk * t + i] * weights[blk * t + i])
+                .map(|i| input(blk * t + i) * weights(blk * t + i))
                 .collect();
             host_reduce_f32(&prods)
         })
@@ -99,9 +100,9 @@ fn build_layerforward(gmem: &mut GlobalMem, tbs: u32) -> Built {
 
 fn build_adjust(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (w_base, w) = alloc_rand_f32(gmem, n, 0x0B93);
-    let (delta_base, delta) = alloc_rand_f32(gmem, n, 0x0B94);
-    let (x_base, x) = alloc_rand_f32(gmem, n, 0x0B95);
+    let w_base = alloc_rand_f32(gmem, n, 0x0B93);
+    let delta_base = alloc_rand_f32(gmem, n, 0x0B94);
+    let x_base = alloc_rand_f32(gmem, n, 0x0B95);
     let out_base = gmem.alloc(n as u64 * 4);
     const ETA: f32 = 0.3;
 
@@ -139,8 +140,9 @@ fn build_adjust(gmem: &mut GlobalMem, tbs: u32) -> Built {
         ],
     );
 
+    let (w, delta, x) = (f32s(gmem, w_base, n), f32s(gmem, delta_base, n), f32s(gmem, x_base, n));
     let expect: Vec<f32> = (0..n)
-        .map(|i| (delta[i] * x[i]).mul_add(ETA, w[i]))
+        .map(|i| (delta(i) * x(i)).mul_add(ETA, w(i)))
         .collect();
     Built {
         kernel,

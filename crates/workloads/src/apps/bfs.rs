@@ -30,8 +30,8 @@ pub const WORKLOAD: Workload = Workload {
 
 fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (graph_base, graph) = alloc_rand_u32(gmem, TABLE, u32::MAX, 0xBF51);
-    let (front_base, frontier) = alloc_rand_u32(gmem, n, 10, 0xBF52); // <3 → ~30% active
+    let graph_base = alloc_rand_u32(gmem, TABLE, u32::MAX, 0xBF51);
+    let front_base = alloc_rand_u32(gmem, n, 10, 0xBF52); // <3 → ~30% active
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("kernel");
@@ -73,6 +73,7 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![graph_base as u32, front_base as u32, out_base as u32],
     );
 
+    let (graph, frontier) = (gmem.words(graph_base, TABLE), gmem.words(front_base, n));
     let expect: Vec<u32> = (0..n as u32)
         .map(|gtid| {
             if frontier[gtid as usize] < 3 {

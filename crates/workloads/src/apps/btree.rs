@@ -46,8 +46,8 @@ fn build_find(
     name: &'static str,
 ) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (keys_base, keys) = alloc_rand_u32(gmem, KEYS, u32::MAX, seed);
-    let (query_base, queries) = alloc_rand_u32(gmem, n, u32::MAX, seed ^ 0xFF);
+    let keys_base = alloc_rand_u32(gmem, KEYS, u32::MAX, seed);
+    let query_base = alloc_rand_u32(gmem, n, u32::MAX, seed ^ 0xFF);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new(name);
@@ -89,6 +89,7 @@ fn build_find(
         vec![keys_base as u32, query_base as u32, out_base as u32],
     );
 
+    let (keys, queries) = (gmem.words(keys_base, KEYS), gmem.words(query_base, n));
     let expect: Vec<u32> = (0..n)
         .map(|g| {
             let q = queries[g];

@@ -12,7 +12,7 @@
 //! The VPTX re-creations use a 9-tap kernel with fixed immediate
 //! coefficients.
 
-use crate::common::{alloc_rand_f32, check_f32};
+use crate::common::{alloc_rand_f32, check_f32, f32s};
 use crate::{Built, Workload};
 use pro_isa::{Kernel, LaunchConfig, ProgramBuilder, Special, Src};
 use pro_mem::GlobalMem;
@@ -46,7 +46,7 @@ pub const COLS: Workload = Workload {
 fn build_rows(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
     // Input padded by RADIUS on both sides so halo loads stay in bounds.
-    let (in_base, input) = alloc_rand_f32(gmem, n + 2 * RADIUS, 0x0C01);
+    let in_base = alloc_rand_f32(gmem, n + 2 * RADIUS, 0x0C01);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("convolutionRowsKernel");
@@ -114,11 +114,12 @@ fn build_rows(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![in_base as u32, out_base as u32],
     );
 
+    let input = f32s(gmem, in_base, n + 2 * RADIUS);
     let expect: Vec<f32> = (0..n)
         .map(|g| {
             let mut acc = 0.0f32;
             for (j, &c) in COEFFS.iter().enumerate() {
-                acc = input[g + j].mul_add(c, acc);
+                acc = input(g + j).mul_add(c, acc);
             }
             acc
         })
@@ -132,7 +133,7 @@ fn build_rows(gmem: &mut GlobalMem, tbs: u32) -> Built {
 fn build_cols(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
     let padded = n + 2 * RADIUS * PITCH;
-    let (in_base, input) = alloc_rand_f32(gmem, padded, 0x0C02);
+    let in_base = alloc_rand_f32(gmem, padded, 0x0C02);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("convolutionColumnsKernel");
@@ -162,11 +163,12 @@ fn build_cols(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![in_base as u32, out_base as u32],
     );
 
+    let input = f32s(gmem, in_base, padded);
     let expect: Vec<f32> = (0..n)
         .map(|g| {
             let mut acc = 0.0f32;
             for (j, &c) in COEFFS.iter().enumerate() {
-                acc = input[g + j * PITCH].mul_add(c, acc);
+                acc = input(g + j * PITCH).mul_add(c, acc);
             }
             acc
         })

@@ -11,7 +11,7 @@
 //! (broadcast loads — all lanes read the same word, 1 transaction, hot in
 //! L1) with `dx*dx` FMA chains and an `rsqrt` accumulate.
 
-use crate::common::{alloc_rand_f32, check_f32};
+use crate::common::{alloc_rand_f32, check_f32, f32s};
 use crate::{Built, Workload};
 use pro_isa::{AluOp, Kernel, LaunchConfig, ProgramBuilder, SfuOp, Src};
 use pro_mem::GlobalMem;
@@ -31,7 +31,7 @@ pub const WORKLOAD: Workload = Workload {
 
 fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (atoms_base, atoms) = alloc_rand_f32(gmem, ATOMS, 0x0C91);
+    let atoms_base = alloc_rand_f32(gmem, ATOMS, 0x0C91);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("cenergy");
@@ -73,12 +73,13 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![atoms_base as u32, out_base as u32],
     );
 
+    let atoms = f32s(gmem, atoms_base, ATOMS);
     let expect: Vec<f32> = (0..n as u32)
         .map(|gtid| {
             let x = gtid as f32 * 0.25;
             let mut e = 0.0f32;
             for i in 0..ITERS {
-                let ax = atoms[i % ATOMS];
+                let ax = atoms(i % ATOMS);
                 let dx = ax - x;
                 let r2 = dx.mul_add(dx, 0.05);
                 e += 1.0 / r2.sqrt();

@@ -15,7 +15,7 @@
 //! strided merge with the shared tree reduction.
 
 use crate::common::{
-    alloc_rand_f32, alloc_rand_u32, check_f32, check_u32, emit_reduce_f32, host_reduce_f32,
+    alloc_rand_f32, alloc_rand_u32, check_f32, check_u32, emit_reduce_f32, f32s, host_reduce_f32,
 };
 use crate::{Built, Workload};
 use pro_isa::{AtomOp, CmpOp, Kernel, LaunchConfig, ProgramBuilder, Special, Src, Ty};
@@ -74,7 +74,7 @@ fn build_hist(
 ) -> Built {
     let threads = bins;
     let n = (tbs * threads) as usize;
-    let (data_base, data) = alloc_rand_u32(gmem, n * SAMPLES, u32::MAX, seed);
+    let data_base = alloc_rand_u32(gmem, n * SAMPLES, u32::MAX, seed);
     let part_base = gmem.alloc(tbs as u64 * bins as u64 * 4);
 
     let mut b = ProgramBuilder::new(name);
@@ -123,6 +123,7 @@ fn build_hist(
         vec![data_base as u32, part_base as u32],
     );
 
+    let data = gmem.words(data_base, n * SAMPLES);
     let expect: Vec<u32> = {
         let mut out = vec![0u32; (tbs * bins) as usize];
         for blk in 0..tbs as usize {
@@ -153,7 +154,7 @@ fn build_merge(
     name: &'static str,
 ) -> Built {
     let threads = bins; // one thread per input chunk; power of two
-    let (part_base, partials) = alloc_rand_f32(gmem, MERGE_INPUTS * bins as usize, seed);
+    let part_base = alloc_rand_f32(gmem, MERGE_INPUTS * bins as usize, seed);
     let out_base = gmem.alloc(tbs as u64 * 4);
 
     let mut b = ProgramBuilder::new(name);
@@ -203,6 +204,7 @@ fn build_merge(
         vec![part_base as u32, out_base as u32],
     );
 
+    let partials = f32s(gmem, part_base, MERGE_INPUTS * bins as usize);
     let bins_us = bins as usize;
     let threads_us = threads as usize;
     let expect: Vec<f32> = (0..tbs as usize)
@@ -213,7 +215,7 @@ fn build_merge(
                     let mut acc = 0.0f32;
                     let mut i = t;
                     while i < MERGE_INPUTS {
-                        acc += partials[i * bins_us + bin];
+                        acc += partials(i * bins_us + bin);
                         i += threads_us;
                     }
                     acc

@@ -11,7 +11,7 @@
 //! 3-point update while border threads hold their value (guarded region),
 //! barrier, iterate, coalesced store.
 
-use crate::common::{alloc_rand_f32, check_f32};
+use crate::common::{alloc_rand_f32, check_f32, f32s};
 use crate::{Built, Workload};
 use pro_isa::{CmpOp, Kernel, LaunchConfig, ProgramBuilder, Special, Src, Ty};
 use pro_mem::GlobalMem;
@@ -30,8 +30,8 @@ pub const WORKLOAD: Workload = Workload {
 
 fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (temp_base, temp) = alloc_rand_f32(gmem, n, 0x4071);
-    let (power_base, power) = alloc_rand_f32(gmem, n, 0x4072);
+    let temp_base = alloc_rand_f32(gmem, n, 0x4071);
+    let power_base = alloc_rand_f32(gmem, n, 0x4072);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("calculate_temp");
@@ -88,16 +88,17 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![temp_base as u32, power_base as u32, out_base as u32],
     );
 
+    let power = f32s(gmem, power_base, n);
     let tsz = THREADS as usize;
     let expect: Vec<f32> = {
-        let mut cur = temp.clone();
+        let mut cur: Vec<f32> = (0..n).map(f32s(gmem, temp_base, n)).collect();
         for _ in 0..ITERS {
             let prev = cur.clone();
             for g in 0..n {
                 let tid = g % tsz;
                 if tid > 0 && tid < tsz - 1 {
                     let delta = prev[g].mul_add(-2.0, prev[g - 1] + prev[g + 1]);
-                    cur[g] = prev[g] + power[g].mul_add(0.05, delta * 0.1);
+                    cur[g] = prev[g] + power(g).mul_add(0.05, delta * 0.1);
                 }
             }
         }

@@ -10,7 +10,7 @@
 //! threads → mild divergence), two barriers, stencil from shared memory,
 //! coalesced store.
 
-use crate::common::{alloc_rand_f32, check_f32};
+use crate::common::{alloc_rand_f32, check_f32, f32s};
 use crate::{Built, Workload};
 use pro_isa::{AluOp, CmpOp, Kernel, LaunchConfig, ProgramBuilder, Special, Src, Ty};
 use pro_mem::GlobalMem;
@@ -30,7 +30,7 @@ pub const WORKLOAD: Workload = Workload {
 fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let total = (tbs * THREADS) as usize;
     let n = total * PLANES;
-    let (u_base, u) = alloc_rand_f32(gmem, n, 0x1951);
+    let u_base = alloc_rand_f32(gmem, n, 0x1951);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("laplace3d");
@@ -108,21 +108,22 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
 
     // Host reference: shared-tile semantics — halo comes from the clamped
     // global index, interior neighbours from within the tile.
+    let u = f32s(gmem, u_base, n);
     let t = THREADS as usize;
     let expect: Vec<f32> = (0..n)
         .map(|e| {
             let tid = e % t;
             let left = if tid == 0 {
-                u[e.saturating_sub(1)]
+                u(e.saturating_sub(1))
             } else {
-                u[e - 1]
+                u(e - 1)
             };
             let right = if tid == t - 1 {
-                u[(e + 1).min(n - 1)]
+                u((e + 1).min(n - 1))
             } else {
-                u[e + 1]
+                u(e + 1)
             };
-            0.5f32.mul_add(u[e], 0.25 * (left + right))
+            0.5f32.mul_add(u(e), 0.25 * (left + right))
         })
         .collect();
     Built {

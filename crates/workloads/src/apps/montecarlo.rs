@@ -11,7 +11,7 @@
 //!   + reduction.
 
 use crate::common::{
-    alloc_rand_f32, check_f32, emit_reduce_f32, host_reduce_f32,
+    alloc_rand_f32, check_f32, emit_reduce_f32, f32s, host_reduce_f32,
 };
 use crate::{Built, Workload};
 use pro_isa::{AluOp, CmpOp, Kernel, LaunchConfig, ProgramBuilder, SfuOp, Special, Src, Ty};
@@ -98,7 +98,7 @@ fn build_cnd(gmem: &mut GlobalMem, tbs: u32) -> Built {
 
 fn build_option(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * OPT_THREADS) as usize;
-    let (path_base, paths) = alloc_rand_f32(gmem, n * PATHS, 0x04C1);
+    let path_base = alloc_rand_f32(gmem, n * PATHS, 0x04C1);
     let out_base = gmem.alloc(tbs as u64 * 4);
 
     let mut b = ProgramBuilder::new("MonteCarloOneBlockPerOption");
@@ -147,6 +147,7 @@ fn build_option(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![path_base as u32, out_base as u32],
     );
 
+    let paths = f32s(gmem, path_base, n * PATHS);
     let t = OPT_THREADS as usize;
     let expect: Vec<f32> = (0..tbs as usize)
         .map(|blk| {
@@ -155,7 +156,7 @@ fn build_option(gmem: &mut GlobalMem, tbs: u32) -> Built {
                     let g = blk * t + tid;
                     let mut acc = 0.0f32;
                     for k in 0..PATHS {
-                        let pay = paths[k * n + g].mul_add(1.5, -1.0).max(0.0);
+                        let pay = paths(k * n + g).mul_add(1.5, -1.0).max(0.0);
                         acc += pay;
                     }
                     acc

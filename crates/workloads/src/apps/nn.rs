@@ -12,7 +12,7 @@
 //! `out[gtid] = max(0, Σ_i w[i*N + gtid] * x[i])` with `w` coalesced
 //! (lane-consecutive) and `x[i]` broadcast.
 
-use crate::common::{alloc_rand_f32, check_f32};
+use crate::common::{alloc_rand_f32, check_f32, f32s};
 use crate::{Built, Workload};
 use pro_isa::{AluOp, Kernel, LaunchConfig, ProgramBuilder, Src};
 use pro_mem::GlobalMem;
@@ -57,8 +57,8 @@ pub const FOURTH: Workload = Workload {
 
 fn build_layer(gmem: &mut GlobalMem, tbs: u32, fan_in: usize, seed: u64) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (w_base, w) = alloc_rand_f32(gmem, n * fan_in, seed);
-    let (x_base, x) = alloc_rand_f32(gmem, fan_in, seed ^ 0xF00);
+    let w_base = alloc_rand_f32(gmem, n * fan_in, seed);
+    let x_base = alloc_rand_f32(gmem, fan_in, seed ^ 0xF00);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let name = match fan_in {
@@ -102,11 +102,12 @@ fn build_layer(gmem: &mut GlobalMem, tbs: u32, fan_in: usize, seed: u64) -> Buil
         vec![w_base as u32, x_base as u32, out_base as u32],
     );
 
+    let (w, x) = (f32s(gmem, w_base, n * fan_in), f32s(gmem, x_base, fan_in));
     let expect: Vec<f32> = (0..n)
         .map(|g| {
             let mut acc = 0.0f32;
             for i in 0..fan_in {
-                acc = w[i * n + g].mul_add(x[i], acc);
+                acc = w(i * n + g).mul_add(x(i), acc);
             }
             acc.max(0.0)
         })

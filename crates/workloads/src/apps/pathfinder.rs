@@ -28,8 +28,8 @@ pub const WORKLOAD: Workload = Workload {
 
 fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (src_base, src) = alloc_rand_u32(gmem, n, 1000, 0x9A71);
-    let (cost_base, cost) = alloc_rand_u32(gmem, n * STEPS, 100, 0x9A72);
+    let src_base = alloc_rand_u32(gmem, n, 1000, 0x9A71);
+    let cost_base = alloc_rand_u32(gmem, n * STEPS, 100, 0x9A72);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("dynproc_kernel");
@@ -85,8 +85,9 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     );
 
     let t = THREADS as usize;
+    let cost = gmem.words(cost_base, n * STEPS);
     let expect: Vec<u32> = {
-        let mut cur = src.clone();
+        let mut cur = gmem.read_slice(src_base, n);
         for step in 0..STEPS {
             let prev = cur.clone();
             for g in 0..n {

@@ -9,7 +9,7 @@
 //! drives a divergent loop; the body does an LCG-indexed scattered load,
 //! an FMA blend and an SFU `sqrt`.
 
-use crate::common::{alloc_rand_f32, check_f32, lcg};
+use crate::common::{alloc_rand_f32, check_f32, f32s, lcg};
 use crate::{Built, Workload};
 use pro_isa::{AluOp, Kernel, LaunchConfig, ProgramBuilder, SfuOp, Src};
 use pro_mem::GlobalMem;
@@ -28,7 +28,7 @@ pub const WORKLOAD: Workload = Workload {
 
 fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (scene_base, scene) = alloc_rand_f32(gmem, SCENE, 0x4A41);
+    let scene_base = alloc_rand_f32(gmem, SCENE, 0x4A41);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("render");
@@ -72,6 +72,7 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![scene_base as u32, out_base as u32],
     );
 
+    let scene = f32s(gmem, scene_base, SCENE);
     let expect: Vec<f32> = (0..n as u32)
         .map(|g| {
             let bounces = 1 + ((lcg(g) >> 4) & 7);
@@ -80,7 +81,7 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
             for _ in 0..bounces {
                 x = lcg(x);
                 let idx = ((x >> 7) as usize) & (SCENE - 1);
-                color = color.mul_add(0.5, scene[idx].sqrt());
+                color = color.mul_add(0.5, scene(idx).sqrt());
             }
             color
         })

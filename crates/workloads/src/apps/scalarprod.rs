@@ -8,7 +8,7 @@
 //! runs ~11% faster on it, §IV) — reproduce both with the `PRO` and
 //! `PRO-NB` scheduler kinds.
 
-use crate::common::{alloc_rand_f32, check_f32, emit_reduce_f32, host_reduce_f32};
+use crate::common::{alloc_rand_f32, check_f32, emit_reduce_f32, f32s, host_reduce_f32};
 use crate::{Built, Workload};
 use pro_isa::{AluOp, CmpOp, Kernel, LaunchConfig, ProgramBuilder, Special, Src, Ty};
 use pro_mem::GlobalMem;
@@ -27,8 +27,8 @@ pub const WORKLOAD: Workload = Workload {
 
 fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (a_base, a) = alloc_rand_f32(gmem, n * ELEMS, 0x5CA1);
-    let (b_base, bv) = alloc_rand_f32(gmem, n * ELEMS, 0x5CA2);
+    let a_base = alloc_rand_f32(gmem, n * ELEMS, 0x5CA1);
+    let b_base = alloc_rand_f32(gmem, n * ELEMS, 0x5CA2);
     let out_base = gmem.alloc(tbs as u64 * 4);
 
     let mut b = ProgramBuilder::new("scalarProdGPU");
@@ -75,6 +75,7 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![a_base as u32, b_base as u32, out_base as u32],
     );
 
+    let (a, bv) = (f32s(gmem, a_base, n * ELEMS), f32s(gmem, b_base, n * ELEMS));
     let t = THREADS as usize;
     let expect: Vec<f32> = (0..tbs as usize)
         .map(|blk| {
@@ -83,7 +84,7 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
                     let g = blk * t + tid;
                     let mut acc = 0.0f32;
                     for k in 0..ELEMS {
-                        acc = a[k * n + g].mul_add(bv[k * n + g], acc);
+                        acc = a(k * n + g).mul_add(bv(k * n + g), acc);
                     }
                     acc
                 })

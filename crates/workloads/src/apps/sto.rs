@@ -28,7 +28,7 @@ pub const WORKLOAD: Workload = Workload {
 
 fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
     let n = (tbs * THREADS) as usize;
-    let (msg_base, msg) = alloc_rand_u32(gmem, n * 4, u32::MAX, 0x5701);
+    let msg_base = alloc_rand_u32(gmem, n * 4, u32::MAX, 0x5701);
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new("sha1_overlap");
@@ -80,6 +80,7 @@ fn build(gmem: &mut GlobalMem, tbs: u32) -> Built {
         vec![msg_base as u32, out_base as u32],
     );
 
+    let msg = gmem.words(msg_base, n * 4);
     let expect: Vec<u32> = (0..n)
         .map(|g| {
             let mut a = msg[g];

@@ -5,26 +5,32 @@ use pro_core::rng::SplitMix64;
 use pro_isa::{CmpOp, Pred, ProgramBuilder, Reg, Src, Ty};
 use pro_mem::GlobalMem;
 
-/// Deterministic RNG for workload input data (fixed seed per kernel so host
-/// references and device runs agree and every run is reproducible).
+/// Deterministic RNG for workload input data (fixed seed per kernel so
+/// every run is reproducible).
 pub fn rng(seed: u64) -> SplitMix64 {
     SplitMix64::new(seed)
 }
 
-/// Allocate and initialize a buffer of `n` random f32 values in (0, 1].
-pub fn alloc_rand_f32(gmem: &mut GlobalMem, n: usize, seed: u64) -> (u64, Vec<f32>) {
+/// Allocate a buffer of `n` random f32 values in (0, 1], generated in
+/// place in device memory; returns its base address.
+pub fn alloc_rand_f32(gmem: &mut GlobalMem, n: usize, seed: u64) -> u64 {
     let mut r = rng(seed);
-    let data: Vec<f32> = (0..n).map(|_| r.gen_range(0.001f32..1.0)).collect();
-    let base = gmem.alloc_init_f32(&data);
-    (base, data)
+    gmem.alloc_with(n, |_| r.gen_range(0.001f32..1.0).to_bits())
 }
 
-/// Allocate and initialize a buffer of `n` random u32 values below `bound`.
-pub fn alloc_rand_u32(gmem: &mut GlobalMem, n: usize, bound: u32, seed: u64) -> (u64, Vec<u32>) {
+/// Allocate a buffer of `n` random u32 values below `bound`, generated in
+/// place in device memory; returns its base address.
+pub fn alloc_rand_u32(gmem: &mut GlobalMem, n: usize, bound: u32, seed: u64) -> u64 {
     let mut r = rng(seed);
-    let data: Vec<u32> = (0..n).map(|_| r.gen_range(0..bound)).collect();
-    let base = gmem.alloc_init(&data);
-    (base, data)
+    gmem.alloc_with(n, |_| r.gen_range(0..bound))
+}
+
+/// The `n` f32 values at `base`, read where the kernel reads them: element
+/// `i` is `f32s(gmem, base, n)(i)`. Host references take their inputs from
+/// device memory through this (or [`GlobalMem::words`]) at build time.
+pub fn f32s(gmem: &GlobalMem, base: u64, n: usize) -> impl Fn(usize) -> f32 + '_ {
+    let words = gmem.words(base, n);
+    move |i| f32::from_bits(words[i])
 }
 
 /// The Numerical-Recipes LCG step used by kernels that need in-kernel
@@ -150,10 +156,10 @@ mod tests {
     fn rand_buffers_are_deterministic() {
         let mut g1 = GlobalMem::new(1 << 16);
         let mut g2 = GlobalMem::new(1 << 16);
-        let (_, a) = alloc_rand_f32(&mut g1, 100, 7);
-        let (_, b) = alloc_rand_f32(&mut g2, 100, 7);
-        assert_eq!(a, b);
-        let (_, c) = alloc_rand_f32(&mut g2, 100, 8);
-        assert_ne!(a, c);
+        let a = alloc_rand_f32(&mut g1, 100, 7);
+        let b = alloc_rand_f32(&mut g2, 100, 7);
+        assert_eq!(g1.words(a, 100), g2.words(b, 100));
+        let c = alloc_rand_f32(&mut g2, 100, 8);
+        assert_ne!(g1.words(a, 100), g2.words(c, 100));
     }
 }

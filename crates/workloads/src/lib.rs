@@ -41,7 +41,8 @@ pub type VerifyFn = Box<dyn Fn(&GlobalMem) -> Result<(), String>>;
 pub struct Built {
     /// The launchable kernel.
     pub kernel: Kernel,
-    /// Checks device memory after the launch against a host reference.
+    /// Checks device memory after the launch against a host reference,
+    /// computed at build time from the inputs in device memory.
     pub verify: VerifyFn,
 }
 

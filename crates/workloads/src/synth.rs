@@ -124,8 +124,7 @@ pub fn generate(gmem: &mut GlobalMem, p: SynthParams) -> SynthKernel {
     let mut r = rng(p.seed ^ 0x5EED_CAFE);
     let (threads, n) = geometry(&p);
 
-    let table: Vec<u32> = (0..TABLE_WORDS).map(|_| r.next_u32()).collect();
-    let table_base = gmem.alloc_init(&table);
+    let table_base = gmem.alloc_with(TABLE_WORDS, |_| r.next_u32());
     let out_base = gmem.alloc(n as u64 * 4);
 
     let mut b = ProgramBuilder::new(format!("synth_{:08x}", p.seed));
