@@ -183,14 +183,8 @@ fn parse_src(tok: &str, line: usize, max_reg: &mut u8) -> Result<Src, AsmError> 
             return Ok(Src::Reg(Reg(n)));
         }
     }
-    match tok {
-        "%tid" => return Ok(Src::Special(Special::Tid)),
-        "%ctaid" => return Ok(Src::Special(Special::Ctaid)),
-        "%ntid" => return Ok(Src::Special(Special::NTid)),
-        "%nctaid" => return Ok(Src::Special(Special::NCtaid)),
-        "%laneid" => return Ok(Src::Special(Special::LaneId)),
-        "%warpid" => return Ok(Src::Special(Special::WarpId)),
-        _ => {}
+    if let Some(s) = named(Special::ALL, Special::name, tok) {
+        return Ok(Src::Special(s));
     }
     if let Some(p) = tok.strip_prefix("%param") {
         let n: u8 = p.parse().map_err(|_| err(line, "bad param index"))?;
@@ -248,6 +242,15 @@ fn parse_addr(tok: &str, line: usize, max_reg: &mut u8) -> Result<(Reg, i32), As
     Ok((parse_reg(reg_part, line, max_reg)?, off))
 }
 
+/// The value of `all` whose assembly text is `text`.
+fn named<T: Copy, const N: usize>(
+    all: [T; N],
+    name: fn(T) -> &'static str,
+    text: &str,
+) -> Option<T> {
+    all.into_iter().find(|&v| name(v) == text)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn parse_instr(
     text: &str,
@@ -298,68 +301,23 @@ fn parse_instr(
         }
     };
 
-    let bin_alu = |op: AluOp,
-                   ops: &[&str],
-                   max_reg: &mut u8|
-     -> Result<Instr, AsmError> {
-        Ok(Instr::Alu {
-            op,
-            dst: parse_reg(ops[0], line, max_reg)?,
-            a: parse_src(ops[1], line, max_reg)?,
-            b: parse_src(ops[2], line, max_reg)?,
-            c: Src::Imm(0),
-        })
-    };
+    if let Some(op) = named(AluOp::ALL, AluOp::name, mn) {
+        need(op.operands())?;
+        let dst = parse_reg(ops[0], line, max_reg)?;
+        // The sources past the op's operand count read as immediate 0.
+        let mut src =
+            |i: usize| ops.get(i).map_or(Ok(Src::Imm(0)), |t| parse_src(t, line, max_reg));
+        instrs.push(Instr::Alu { op, dst, a: src(1)?, b: src(2)?, c: src(3)? });
+        return Ok(());
+    }
+    if let Some(op) = named(SfuOp::ALL, SfuOp::name, mn) {
+        need(2)?;
+        let dst = parse_reg(ops[0], line, max_reg)?;
+        instrs.push(Instr::Sfu { op, dst, a: parse_src(ops[1], line, max_reg)? });
+        return Ok(());
+    }
 
     let ins: Instr = match mn {
-        "iadd" | "isub" | "imul" | "imulhi" | "imin" | "imax" | "and" | "or" | "xor" | "shl"
-        | "shr" | "sra" | "fadd" | "fsub" | "fmul" | "fmin" | "fmax" => {
-            need(3)?;
-            let op = match mn {
-                "iadd" => AluOp::IAdd,
-                "isub" => AluOp::ISub,
-                "imul" => AluOp::IMul,
-                "imulhi" => AluOp::IMulHi,
-                "imin" => AluOp::IMin,
-                "imax" => AluOp::IMax,
-                "and" => AluOp::And,
-                "or" => AluOp::Or,
-                "xor" => AluOp::Xor,
-                "shl" => AluOp::Shl,
-                "shr" => AluOp::Shr,
-                "sra" => AluOp::Sra,
-                "fadd" => AluOp::FAdd,
-                "fsub" => AluOp::FSub,
-                "fmul" => AluOp::FMul,
-                "fmin" => AluOp::FMin,
-                _ => AluOp::FMax,
-            };
-            bin_alu(op, &ops, max_reg)?
-        }
-        "imad" | "ffma" => {
-            need(4)?;
-            Instr::Alu {
-                op: if mn == "imad" { AluOp::IMad } else { AluOp::FFma },
-                dst: parse_reg(ops[0], line, max_reg)?,
-                a: parse_src(ops[1], line, max_reg)?,
-                b: parse_src(ops[2], line, max_reg)?,
-                c: parse_src(ops[3], line, max_reg)?,
-            }
-        }
-        "mov" | "i2f" | "f2i" => {
-            need(2)?;
-            Instr::Alu {
-                op: match mn {
-                    "mov" => AluOp::Mov,
-                    "i2f" => AluOp::I2F,
-                    _ => AluOp::F2I,
-                },
-                dst: parse_reg(ops[0], line, max_reg)?,
-                a: parse_src(ops[1], line, max_reg)?,
-                b: Src::Imm(0),
-                c: Src::Imm(0),
-            }
-        }
         "selp" => {
             need(4)?;
             Instr::SelP {
@@ -367,22 +325,6 @@ fn parse_instr(
                 a: parse_src(ops[1], line, max_reg)?,
                 b: parse_src(ops[2], line, max_reg)?,
                 pred: parse_pred_tok(ops[3], line, max_pred)?,
-            }
-        }
-        "rcp" | "rsqrt" | "sqrt" | "sin" | "cos" | "exp2" | "log2" => {
-            need(2)?;
-            Instr::Sfu {
-                op: match mn {
-                    "rcp" => SfuOp::Rcp,
-                    "rsqrt" => SfuOp::Rsqrt,
-                    "sqrt" => SfuOp::Sqrt,
-                    "sin" => SfuOp::Sin,
-                    "cos" => SfuOp::Cos,
-                    "exp2" => SfuOp::Exp2,
-                    _ => SfuOp::Log2,
-                },
-                dst: parse_reg(ops[0], line, max_reg)?,
-                a: parse_src(ops[1], line, max_reg)?,
             }
         }
         "exit" => Instr::Exit,
@@ -418,21 +360,14 @@ fn parse_instr(
             need(3)?;
             let mut parts = mn.split('.');
             parts.next(); // setp
-            let cmp = match parts.next() {
-                Some("eq") => CmpOp::Eq,
-                Some("ne") => CmpOp::Ne,
-                Some("lt") => CmpOp::Lt,
-                Some("le") => CmpOp::Le,
-                Some("gt") => CmpOp::Gt,
-                Some("ge") => CmpOp::Ge,
-                _ => return Err(err(line, "bad setp comparison")),
-            };
-            let ty = match parts.next() {
-                Some("s32") => Ty::S32,
-                Some("u32") => Ty::U32,
-                Some("f32") => Ty::F32,
-                _ => return Err(err(line, "bad setp type")),
-            };
+            let cmp = parts
+                .next()
+                .and_then(|c| named(CmpOp::ALL, CmpOp::name, c))
+                .ok_or_else(|| err(line, "bad setp comparison"))?;
+            let ty = parts
+                .next()
+                .and_then(|t| named(Ty::ALL, Ty::name, t))
+                .ok_or_else(|| err(line, "bad setp type"))?;
             Instr::SetP {
                 cmp,
                 ty,
@@ -471,12 +406,11 @@ fn parse_instr(
         }
         _ if mn.starts_with("atom.shared.") => {
             need(3)?;
-            let op = match mn.rsplit('.').next() {
-                Some("add") => AtomOp::Add,
-                Some("max") => AtomOp::Max,
-                Some("exch") => AtomOp::Exch,
-                _ => return Err(err(line, "bad atomic op")),
-            };
+            let op = mn
+                .rsplit('.')
+                .next()
+                .and_then(|o| named(AtomOp::ALL, AtomOp::name, o))
+                .ok_or_else(|| err(line, "bad atomic op"))?;
             let (addr, _off) = parse_addr(ops[1], line, max_reg)?;
             Instr::Atom {
                 op,
@@ -660,6 +594,29 @@ mod tests {
         let p2 = assemble(&text).unwrap();
         assert_eq!(p1.instrs, p2.instrs);
         assert_eq!(p1.regs, p2.regs);
+    }
+
+    /// Every op, compare, type and special value prints as text that
+    /// assembles back to it.
+    #[test]
+    fn every_named_value_prints_and_assembles_back() {
+        let (dst, s, zero) = (Reg(1), Src::Reg(Reg(2)), Src::Imm(0));
+        let alu = |op: AluOp, a: Src| {
+            let n = op.operands();
+            let (b, c) = (if n > 2 { s } else { zero }, if n > 3 { s } else { zero });
+            Instr::Alu { op, dst, a, b, c }
+        };
+        let mut instrs = AluOp::ALL.map(|op| alu(op, s)).to_vec();
+        instrs.extend(Special::ALL.map(|sp| alu(AluOp::Mov, Src::Special(sp))));
+        instrs.extend(SfuOp::ALL.map(|op| Instr::Sfu { op, dst, a: s }));
+        for cmp in CmpOp::ALL {
+            instrs.extend(Ty::ALL.map(|ty| Instr::SetP { cmp, ty, dst: Pred(0), a: s, b: s }));
+        }
+        instrs.extend(AtomOp::ALL.map(|op| Instr::Atom { op, dst, addr: Reg(3), src: Reg(4) }));
+        instrs.push(Instr::Exit);
+        let text: String = instrs.iter().map(|i| format!("{i}\n")).collect();
+        let p = assemble(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(p.instrs, instrs);
     }
 
     #[test]

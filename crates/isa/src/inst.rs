@@ -31,34 +31,48 @@ impl fmt::Display for Pred {
     }
 }
 
-/// Read-only special values a thread can source without a register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Special {
-    /// Linear thread index within the thread block (`threadIdx` flattened).
-    Tid,
-    /// Linear thread block index within the grid (`blockIdx` flattened).
-    Ctaid,
-    /// Number of threads per block.
-    NTid,
-    /// Number of blocks in the grid.
-    NCtaid,
-    /// Lane index within the warp (0..32).
-    LaneId,
-    /// Warp index within the thread block.
-    WarpId,
+/// Declares a field-less enum whose values each print as one fixed text,
+/// with `ALL` (every value, in declaration order) and `name()` (the text
+/// [`Instr`]'s `Display` writes and [`crate::asm`] reads).
+macro_rules! named_enum {
+    ($(#[$meta:meta])* pub enum $name:ident {
+        $($(#[$doc:meta])* $variant:ident => $text:literal,)*
+    }) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl $name {
+            /// Every value, in declaration order.
+            pub const ALL: [$name; [$($text),*].len()] = [$($name::$variant),*];
+
+            /// The value's assembly text.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($name::$variant => $text,)*
+                }
+            }
+        }
+    };
 }
 
-impl fmt::Display for Special {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Special::Tid => "%tid",
-            Special::Ctaid => "%ctaid",
-            Special::NTid => "%ntid",
-            Special::NCtaid => "%nctaid",
-            Special::LaneId => "%laneid",
-            Special::WarpId => "%warpid",
-        };
-        f.write_str(s)
+named_enum! {
+    /// Read-only special values a thread can source without a register.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Special {
+        /// Linear thread index within the thread block (`threadIdx` flattened).
+        Tid => "%tid",
+        /// Linear thread block index within the grid (`blockIdx` flattened).
+        Ctaid => "%ctaid",
+        /// Number of threads per block.
+        NTid => "%ntid",
+        /// Number of blocks in the grid.
+        NCtaid => "%nctaid",
+        /// Lane index within the warp (0..32).
+        LaneId => "%laneid",
+        /// Warp index within the thread block.
+        WarpId => "%warpid",
     }
 }
 
@@ -104,117 +118,128 @@ impl fmt::Display for Src {
         match self {
             Src::Reg(r) => write!(f, "{r}"),
             Src::Imm(v) => write!(f, "{}", *v as i32),
-            Src::Special(s) => write!(f, "{s}"),
+            Src::Special(s) => f.write_str(s.name()),
             Src::Param(i) => write!(f, "%param{i}"),
         }
     }
 }
 
-/// Scalar type interpretation for compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Ty {
-    /// Signed 32-bit integer.
-    S32,
-    /// Unsigned 32-bit integer.
-    U32,
-    /// IEEE-754 binary32.
-    F32,
-}
-
-impl fmt::Display for Ty {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Ty::S32 => "s32",
-            Ty::U32 => "u32",
-            Ty::F32 => "f32",
-        })
+named_enum! {
+    /// Scalar type interpretation for compares.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Ty {
+        /// Signed 32-bit integer.
+        S32 => "s32",
+        /// Unsigned 32-bit integer.
+        U32 => "u32",
+        /// IEEE-754 binary32.
+        F32 => "f32",
     }
 }
 
-/// Two- and three-operand arithmetic/logic operations (SP-unit class).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AluOp {
-    /// `dst = a + b` (wrapping).
-    IAdd,
-    /// `dst = a - b` (wrapping).
-    ISub,
-    /// `dst = a * b` (low 32 bits).
-    IMul,
-    /// `dst = (a * b) >> 32` (signed high multiply).
-    IMulHi,
-    /// `dst = a * b + c` (wrapping multiply-add).
-    IMad,
-    /// `dst = min(a, b)` signed.
-    IMin,
-    /// `dst = max(a, b)` signed.
-    IMax,
-    /// Bitwise and.
-    And,
-    /// Bitwise or.
-    Or,
-    /// Bitwise xor.
-    Xor,
-    /// Logical shift left by `b & 31`.
-    Shl,
-    /// Logical shift right by `b & 31`.
-    Shr,
-    /// Arithmetic shift right by `b & 31`.
-    Sra,
-    /// `dst = a` (register/imm/special move).
-    Mov,
-    /// `dst = a + b` on f32.
-    FAdd,
-    /// `dst = a - b` on f32.
-    FSub,
-    /// `dst = a * b` on f32.
-    FMul,
-    /// `dst = a * b + c` fused on f32.
-    FFma,
-    /// `dst = min(a, b)` on f32.
-    FMin,
-    /// `dst = max(a, b)` on f32.
-    FMax,
-    /// Convert s32 → f32.
-    I2F,
-    /// Convert f32 → s32 (truncating).
-    F2I,
+named_enum! {
+    /// Two- and three-operand arithmetic/logic operations (SP-unit class).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum AluOp {
+        /// `dst = a + b` (wrapping).
+        IAdd => "iadd",
+        /// `dst = a - b` (wrapping).
+        ISub => "isub",
+        /// `dst = a * b` (low 32 bits).
+        IMul => "imul",
+        /// `dst = (a * b) >> 32` (signed high multiply).
+        IMulHi => "imulhi",
+        /// `dst = a * b + c` (wrapping multiply-add).
+        IMad => "imad",
+        /// `dst = min(a, b)` signed.
+        IMin => "imin",
+        /// `dst = max(a, b)` signed.
+        IMax => "imax",
+        /// Bitwise and.
+        And => "and",
+        /// Bitwise or.
+        Or => "or",
+        /// Bitwise xor.
+        Xor => "xor",
+        /// Logical shift left by `b & 31`.
+        Shl => "shl",
+        /// Logical shift right by `b & 31`.
+        Shr => "shr",
+        /// Arithmetic shift right by `b & 31`.
+        Sra => "sra",
+        /// `dst = a` (register/imm/special move).
+        Mov => "mov",
+        /// `dst = a + b` on f32.
+        FAdd => "fadd",
+        /// `dst = a - b` on f32.
+        FSub => "fsub",
+        /// `dst = a * b` on f32.
+        FMul => "fmul",
+        /// `dst = a * b + c` fused on f32.
+        FFma => "ffma",
+        /// `dst = min(a, b)` on f32.
+        FMin => "fmin",
+        /// `dst = max(a, b)` on f32.
+        FMax => "fmax",
+        /// Convert s32 → f32.
+        I2F => "i2f",
+        /// Convert f32 → s32 (truncating).
+        F2I => "f2i",
+    }
 }
 
-/// Comparison operators for `setp`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CmpOp {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Less than.
-    Lt,
-    /// Less than or equal.
-    Le,
-    /// Greater than.
-    Gt,
-    /// Greater than or equal.
-    Ge,
+impl AluOp {
+    /// Operands in assembly text, the destination included: `dst, a` for a
+    /// move or conversion, `dst, a, b, c` for a multiply-add, else
+    /// `dst, a, b`.
+    pub fn operands(self) -> usize {
+        match self {
+            AluOp::Mov | AluOp::I2F | AluOp::F2I => 2,
+            AluOp::IMad | AluOp::FFma => 4,
+            _ => 3,
+        }
+    }
 }
 
-/// Special-function-unit operations (transcendentals; long latency, low
-/// initiation rate — the Fermi SFU).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SfuOp {
-    /// Reciprocal 1/x.
-    Rcp,
-    /// Reciprocal square root.
-    Rsqrt,
-    /// Square root.
-    Sqrt,
-    /// Sine (argument in radians).
-    Sin,
-    /// Cosine.
-    Cos,
-    /// Base-2 exponential.
-    Exp2,
-    /// Base-2 logarithm.
-    Log2,
+named_enum! {
+    /// Comparison operators for `setp`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum CmpOp {
+        /// Equal.
+        Eq => "eq",
+        /// Not equal.
+        Ne => "ne",
+        /// Less than.
+        Lt => "lt",
+        /// Less than or equal.
+        Le => "le",
+        /// Greater than.
+        Gt => "gt",
+        /// Greater than or equal.
+        Ge => "ge",
+    }
+}
+
+named_enum! {
+    /// Special-function-unit operations (transcendentals; long latency, low
+    /// initiation rate — the Fermi SFU).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum SfuOp {
+        /// Reciprocal 1/x.
+        Rcp => "rcp",
+        /// Reciprocal square root.
+        Rsqrt => "rsqrt",
+        /// Square root.
+        Sqrt => "sqrt",
+        /// Sine (argument in radians).
+        Sin => "sin",
+        /// Cosine.
+        Cos => "cos",
+        /// Base-2 exponential.
+        Exp2 => "exp2",
+        /// Base-2 logarithm.
+        Log2 => "log2",
+    }
 }
 
 /// Memory spaces addressable by loads/stores.
@@ -235,16 +260,18 @@ impl fmt::Display for MemSpace {
     }
 }
 
-/// Atomic read-modify-write operations on shared memory (used by the
-/// histogram-style workloads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AtomOp {
-    /// `[addr] += src`, returns old value.
-    Add,
-    /// `[addr] = max([addr], src)` signed, returns old value.
-    Max,
-    /// `[addr] = src`, returns old value.
-    Exch,
+named_enum! {
+    /// Atomic read-modify-write operations on shared memory (used by the
+    /// histogram-style workloads).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum AtomOp {
+        /// `[addr] += src`, returns old value.
+        Add => "add",
+        /// `[addr] = max([addr], src)` signed, returns old value.
+        Max => "max",
+        /// `[addr] = src`, returns old value.
+        Exch => "exch",
+    }
 }
 
 /// Predicate guard on an instruction: execute lane only when `pred` has the
@@ -458,41 +485,10 @@ impl Instr {
     /// Short mnemonic for display/tracing.
     pub fn mnemonic(&self) -> &'static str {
         match self {
-            Instr::Alu { op, .. } => match op {
-                AluOp::IAdd => "iadd",
-                AluOp::ISub => "isub",
-                AluOp::IMul => "imul",
-                AluOp::IMulHi => "imulhi",
-                AluOp::IMad => "imad",
-                AluOp::IMin => "imin",
-                AluOp::IMax => "imax",
-                AluOp::And => "and",
-                AluOp::Or => "or",
-                AluOp::Xor => "xor",
-                AluOp::Shl => "shl",
-                AluOp::Shr => "shr",
-                AluOp::Sra => "sra",
-                AluOp::Mov => "mov",
-                AluOp::FAdd => "fadd",
-                AluOp::FSub => "fsub",
-                AluOp::FMul => "fmul",
-                AluOp::FFma => "ffma",
-                AluOp::FMin => "fmin",
-                AluOp::FMax => "fmax",
-                AluOp::I2F => "i2f",
-                AluOp::F2I => "f2i",
-            },
+            Instr::Alu { op, .. } => op.name(),
             Instr::SetP { .. } => "setp",
             Instr::SelP { .. } => "selp",
-            Instr::Sfu { op, .. } => match op {
-                SfuOp::Rcp => "rcp",
-                SfuOp::Rsqrt => "rsqrt",
-                SfuOp::Sqrt => "sqrt",
-                SfuOp::Sin => "sin",
-                SfuOp::Cos => "cos",
-                SfuOp::Exp2 => "exp2",
-                SfuOp::Log2 => "log2",
-            },
+            Instr::Sfu { op, .. } => op.name(),
             Instr::Ld {
                 space: MemSpace::Global,
                 ..
@@ -521,25 +517,13 @@ impl Instr {
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Instr::Alu { dst, a, b, c, op } => match op {
-                AluOp::Mov | AluOp::I2F | AluOp::F2I => {
-                    write!(f, "{} {dst}, {a}", self.mnemonic())
-                }
-                AluOp::IMad | AluOp::FFma => {
-                    write!(f, "{} {dst}, {a}, {b}, {c}", self.mnemonic())
-                }
-                _ => write!(f, "{} {dst}, {a}, {b}", self.mnemonic()),
+            Instr::Alu { dst, a, b, c, op } => match op.operands() {
+                2 => write!(f, "{} {dst}, {a}", op.name()),
+                3 => write!(f, "{} {dst}, {a}, {b}", op.name()),
+                _ => write!(f, "{} {dst}, {a}, {b}, {c}", op.name()),
             },
             Instr::SetP { cmp, ty, dst, a, b } => {
-                let c = match cmp {
-                    CmpOp::Eq => "eq",
-                    CmpOp::Ne => "ne",
-                    CmpOp::Lt => "lt",
-                    CmpOp::Le => "le",
-                    CmpOp::Gt => "gt",
-                    CmpOp::Ge => "ge",
-                };
-                write!(f, "setp.{c}.{ty} {dst}, {a}, {b}")
+                write!(f, "setp.{}.{} {dst}, {a}, {b}", cmp.name(), ty.name())
             }
             Instr::SelP { dst, a, b, pred } => write!(f, "selp {dst}, {a}, {b}, {pred}"),
             Instr::Sfu { dst, a, .. } => write!(f, "{} {dst}, {a}", self.mnemonic()),
@@ -550,12 +534,7 @@ impl fmt::Display for Instr {
                 write!(f, "{} [{addr}{offset:+}], {src}", self.mnemonic())
             }
             Instr::Atom { op, dst, addr, src } => {
-                let o = match op {
-                    AtomOp::Add => "add",
-                    AtomOp::Max => "max",
-                    AtomOp::Exch => "exch",
-                };
-                write!(f, "atom.shared.{o} {dst}, [{addr}], {src}")
+                write!(f, "atom.shared.{} {dst}, [{addr}], {src}", op.name())
             }
             Instr::Bar { id } => write!(f, "bar.sync {id}"),
             Instr::Bra {

@@ -185,42 +185,6 @@ fn arb_mask() -> impl Strategy<Value = u32> {
     ])
 }
 
-const ALL_ALU: [AluOp; 22] = [
-    AluOp::IAdd,
-    AluOp::ISub,
-    AluOp::IMul,
-    AluOp::IMulHi,
-    AluOp::IMad,
-    AluOp::IMin,
-    AluOp::IMax,
-    AluOp::And,
-    AluOp::Or,
-    AluOp::Xor,
-    AluOp::Shl,
-    AluOp::Shr,
-    AluOp::Sra,
-    AluOp::Mov,
-    AluOp::FAdd,
-    AluOp::FSub,
-    AluOp::FMul,
-    AluOp::FFma,
-    AluOp::FMin,
-    AluOp::FMax,
-    AluOp::I2F,
-    AluOp::F2I,
-];
-const ALL_CMP: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
-const ALL_TY: [Ty; 3] = [Ty::S32, Ty::U32, Ty::F32];
-const ALL_SFU: [SfuOp; 7] = [
-    SfuOp::Rcp,
-    SfuOp::Rsqrt,
-    SfuOp::Sqrt,
-    SfuOp::Sin,
-    SfuOp::Cos,
-    SfuOp::Exp2,
-    SfuOp::Log2,
-];
-
 /// `want(l)` on the lanes of `mask`, the old destination elsewhere.
 fn expect_row(old: &Row, mask: u32, want: impl Fn(usize) -> u32) -> Row {
     std::array::from_fn(|l| if mask >> l & 1 != 0 { want(l) } else { old[l] })
@@ -245,7 +209,7 @@ fn alu_rows_equal_the_scalar_semantics_lane_for_lane() {
         Config::default(),
         (arb_row(), arb_row(), arb_row(), arb_row(), arb_mask()),
         |(a, b, c, old, mask)| {
-            for op in ALL_ALU {
+            for op in AluOp::ALL {
                 let mut dst = *old;
                 alu_row(op, &mut dst, a, b, c, *mask);
                 let mut want = expect_row(old, *mask, |l| eval_alu(op, a[l], b[l], c[l]));
@@ -266,8 +230,8 @@ fn alu_rows_equal_the_scalar_semantics_lane_for_lane() {
 #[test]
 fn cmp_rows_equal_the_scalar_semantics_for_every_op_and_type() {
     check(Config::default(), (arb_row(), arb_row()), |(a, b)| {
-        for ty in ALL_TY {
-            for cmp in ALL_CMP {
+        for ty in Ty::ALL {
+            for cmp in CmpOp::ALL {
                 let want = (0..WARP_SIZE)
                     .fold(0u32, |bits, l| bits | (eval_cmp(cmp, ty, a[l], b[l]) as u32) << l);
                 prop_assert_eq!(cmp_row(cmp, ty, a, b), want, "{:?}.{:?}", cmp, ty);
@@ -283,7 +247,7 @@ fn sfu_rows_equal_the_scalar_semantics_lane_for_lane() {
         Config::with_cases(64),
         (arb_row(), arb_row(), arb_mask()),
         |(a, old, mask)| {
-            for op in ALL_SFU {
+            for op in SfuOp::ALL {
                 let mut dst = *old;
                 sfu_row(op, &mut dst, a, *mask);
                 let want = expect_row(old, *mask, |l| eval_sfu(op, a[l]));
@@ -315,12 +279,12 @@ fn select_and_blend_rows_touch_only_active_lanes() {
 #[test]
 fn an_empty_mask_leaves_the_destination_alone() {
     check(Config::with_cases(16), (arb_row(), arb_row()), |(a, old)| {
-        for op in ALL_ALU {
+        for op in AluOp::ALL {
             let mut dst = *old;
             alu_row(op, &mut dst, a, a, a, 0);
             prop_assert_eq!(&dst, old, "{:?}", op);
         }
-        for op in ALL_SFU {
+        for op in SfuOp::ALL {
             let mut dst = *old;
             sfu_row(op, &mut dst, a, 0);
             prop_assert_eq!(&dst, old, "{:?}", op);

@@ -1005,7 +1005,7 @@ mod tests {
 
     #[test]
     fn traced_run_mirrors_stats_exactly() {
-        use pro_trace::{count_unit_stalls, Event as Ev, RingTracer};
+        use pro_trace::{Event as Ev, RingTracer, StallReason};
         let k = simple_kernel(2, 96);
         let mut rig = Rig::new(&k, SchedulerKind::Lrr);
         let mut tracer = RingTracer::new(1 << 20);
@@ -1032,7 +1032,16 @@ mod tests {
         // Every UnitStall / WarpIssue event corresponds 1:1 with a counter
         // increment — this is what lets trace-report reproduce the paper's
         // stall fractions exactly.
-        let (idle, sb, pipe) = count_unit_stalls(tracer.records());
+        let (mut idle, mut sb, mut pipe) = (0, 0, 0);
+        for r in tracer.records() {
+            if let Ev::UnitStall { reason, .. } = r.event {
+                match reason {
+                    StallReason::Idle => idle += 1,
+                    StallReason::Scoreboard => sb += 1,
+                    StallReason::Pipeline => pipe += 1,
+                }
+            }
+        }
         assert_eq!(idle, s.idle);
         assert_eq!(sb, s.scoreboard);
         assert_eq!(pipe, s.pipeline);

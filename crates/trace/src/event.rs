@@ -87,283 +87,274 @@ impl ClassSet {
     }
 }
 
-/// One simulator occurrence. The cycle is carried alongside (see
-/// [`crate::Record`]), not inside the event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
-    // ---- SM scheduler ----
-    /// A scheduler unit issued one warp instruction.
-    ///
-    /// The four small fields are `u16` (an SM holds at most 64 warp slots
-    /// and a warp 32 lanes), which keeps [`Event`] at 24 bytes.
-    WarpIssue {
-        /// SM id.
-        sm: u32,
-        /// Scheduler unit within the SM.
-        unit: u16,
-        /// Warp slot within the SM.
-        warp: u16,
-        /// TB slot the warp belongs to.
-        tb_slot: u16,
-        /// Program counter of the issued instruction.
-        pc: u32,
-        /// Active lanes (thread instructions retired by this issue).
-        active: u16,
-    },
-    /// A scheduler unit issued nothing this cycle; `reason` is the §II.B
-    /// classification (mirrors the `SmStats` stall counters one-for-one).
-    UnitStall {
-        /// SM id.
-        sm: u32,
-        /// Scheduler unit within the SM.
-        unit: u32,
-        /// Why the cycle was lost.
-        reason: StallReason,
-    },
-    /// Per-warp attribution on a stalled unit-cycle: why this particular
-    /// candidate warp could not issue.
-    WarpStall {
-        /// SM id.
-        sm: u32,
-        /// Warp slot within the SM.
-        warp: u32,
-        /// The first reason that blocked this warp.
-        reason: StallReason,
-    },
-    // ---- scoreboard ----
-    /// A destination register set was reserved at issue.
-    ScoreboardSet {
-        /// SM id.
-        sm: u32,
-        /// Warp slot.
-        warp: u32,
-        /// True for long-latency (global load) reservations.
-        longlat: bool,
-    },
-    /// A writeback released a warp's pending register set.
-    ScoreboardClear {
-        /// SM id.
-        sm: u32,
-        /// Warp slot.
-        warp: u32,
-    },
-    // ---- synchronization ----
-    /// A warp arrived at a barrier.
-    BarrierArrive {
-        /// SM id.
-        sm: u32,
-        /// TB slot.
-        tb_slot: u32,
-        /// Warp slot.
-        warp: u32,
-    },
-    /// All live warps of a TB arrived; the barrier opened.
-    BarrierRelease {
-        /// SM id.
-        sm: u32,
-        /// TB slot.
-        tb_slot: u32,
-    },
-    // ---- SIMT ----
-    /// A branch split the warp (SIMT stack grew).
-    SimtDiverge {
-        /// SM id.
-        sm: u32,
-        /// Warp slot.
-        warp: u32,
-        /// PC of the diverging branch.
-        pc: u32,
-    },
-    /// Paths merged at a reconvergence point (SIMT stack shrank).
-    SimtReconverge {
-        /// SM id.
-        sm: u32,
-        /// Warp slot.
-        warp: u32,
-        /// PC at which the paths merged.
-        pc: u32,
-    },
-    // ---- thread blocks ----
-    /// A TB became resident on an SM.
-    TbLaunch {
-        /// SM id.
-        sm: u32,
-        /// TB slot on the SM.
-        tb_slot: u32,
-        /// Grid-global TB index.
-        global_index: u32,
-    },
-    /// A TB's last warp exited; the slot was freed.
-    TbComplete {
-        /// SM id.
-        sm: u32,
-        /// TB slot on the SM.
-        tb_slot: u32,
-        /// Grid-global TB index.
-        global_index: u32,
-    },
-    // ---- memory-request lifecycle ----
-    /// A warp memory instruction was coalesced into line transactions.
-    Coalesce {
-        /// SM id.
-        sm: u32,
-        /// Warp slot.
-        warp: u32,
-        /// Request id (loads only carry a live id; stores use the id of the
-        /// event for correlation but are fire-and-forget).
-        req: ReqId,
-        /// Number of 128 B line transactions produced.
-        lines: u32,
-        /// True for stores.
-        store: bool,
-    },
-    /// L1 lookup hit.
-    L1Hit {
-        /// SM id.
-        sm: u32,
-        /// Request id.
-        req: ReqId,
-        /// Line address.
-        line: u64,
-    },
-    /// L1 miss; an MSHR was allocated and the line went to L2.
-    L1Miss {
-        /// SM id.
-        sm: u32,
-        /// Request id.
-        req: ReqId,
-        /// Line address.
-        line: u64,
-    },
-    /// L1 miss merged into an in-flight MSHR entry.
-    MshrMerge {
-        /// SM id.
-        sm: u32,
-        /// Request id.
-        req: ReqId,
-        /// Line address.
-        line: u64,
-    },
-    /// L1 rejected the transaction (MSHRs full); the LSU retries.
-    MshrReject {
-        /// SM id.
-        sm: u32,
-        /// Request id.
-        req: ReqId,
-        /// Line address.
-        line: u64,
-    },
-    /// A store line transaction entered the hierarchy (write-through).
-    StoreLine {
-        /// SM id.
-        sm: u32,
-        /// Line address.
-        line: u64,
-    },
-    /// L2 slice lookup hit.
-    L2Hit {
-        /// Memory partition (slice index).
-        part: u32,
-        /// Line address.
-        line: u64,
-    },
-    /// L2 slice miss forwarded to DRAM.
-    L2Miss {
-        /// Memory partition.
-        part: u32,
-        /// Line address.
-        line: u64,
-    },
-    /// L2 miss merged into the slice's MSHR.
-    L2Merge {
-        /// Memory partition.
-        part: u32,
-        /// Line address.
-        line: u64,
-    },
-    /// The DRAM channel scheduled a request (FR-FCFS pick).
-    DramSchedule {
-        /// Memory partition.
-        part: u32,
-        /// Line address.
-        line: u64,
-        /// Whether the open row buffer matched.
-        row_hit: bool,
-        /// Cycle the data will be ready.
-        done: u64,
-    },
-    /// A fetched line arrived back at an SM's L1 (fill).
-    LineFill {
-        /// SM id.
-        sm: u32,
-        /// Line address.
-        line: u64,
-    },
-    /// Every line of a load access completed; the scoreboard clears next.
-    LoadComplete {
-        /// SM id.
-        sm: u32,
-        /// Request id.
-        req: ReqId,
-        /// End-to-end latency in cycles (begin_load → last line).
-        latency: u64,
-    },
+/// The event schema, declared once: `with_events!(generator)` hands this
+/// table to `generator`, which derives one format from it. [`Event`] and
+/// its [`Event::class`] / [`Event::kind`] come from `define_event` below;
+/// the ring's record codec and [`crate::write_event_jsonl`] from
+/// `ring_codec` and `jsonl_encoder` in [`crate::tracer`].
+///
+/// One row per variant: its ring tag, its [`EventClass`], its doc comment,
+/// its name (which is also its JSONL `"ev"` kind) and its fields in wire
+/// order, each with the key it carries in a JSONL line. A tag or key, once
+/// written to a trace, does not change. A generator's module must have the
+/// field types ([`ReqId`], [`StallReason`]) in scope.
+macro_rules! with_events {
+    ($generator:ident) => {
+        $generator! {
+            // ---- SM scheduler ----
+            /// A scheduler unit issued one warp instruction.
+            ///
+            /// The four small fields are `u16` (an SM holds at most 64 warp slots
+            /// and a warp 32 lanes), which keeps [`Event`] at 24 bytes.
+            0 Issue WarpIssue {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Scheduler unit within the SM.
+                unit: u16 => "unit",
+                /// Warp slot within the SM.
+                warp: u16 => "warp",
+                /// TB slot the warp belongs to.
+                tb_slot: u16 => "tb",
+                /// Program counter of the issued instruction.
+                pc: u32 => "pc",
+                /// Active lanes (thread instructions retired by this issue).
+                active: u16 => "active",
+            }
+            /// A scheduler unit issued nothing this cycle; `reason` is the §II.B
+            /// classification (mirrors the `SmStats` stall counters one-for-one).
+            1 Stall UnitStall {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Scheduler unit within the SM.
+                unit: u32 => "unit",
+                /// Why the cycle was lost.
+                reason: StallReason => "reason",
+            }
+            /// Per-warp attribution on a stalled unit-cycle: why this particular
+            /// candidate warp could not issue.
+            2 Stall WarpStall {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Warp slot within the SM.
+                warp: u32 => "warp",
+                /// The first reason that blocked this warp.
+                reason: StallReason => "reason",
+            }
+            // ---- scoreboard ----
+            /// A destination register set was reserved at issue.
+            3 Scoreboard ScoreboardSet {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Warp slot.
+                warp: u32 => "warp",
+                /// True for long-latency (global load) reservations.
+                longlat: bool => "longlat",
+            }
+            /// A writeback released a warp's pending register set.
+            4 Scoreboard ScoreboardClear {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Warp slot.
+                warp: u32 => "warp",
+            }
+            // ---- synchronization ----
+            /// A warp arrived at a barrier.
+            5 Barrier BarrierArrive {
+                /// SM id.
+                sm: u32 => "sm",
+                /// TB slot.
+                tb_slot: u32 => "tb",
+                /// Warp slot.
+                warp: u32 => "warp",
+            }
+            /// All live warps of a TB arrived; the barrier opened.
+            6 Barrier BarrierRelease {
+                /// SM id.
+                sm: u32 => "sm",
+                /// TB slot.
+                tb_slot: u32 => "tb",
+            }
+            // ---- SIMT ----
+            /// A branch split the warp (SIMT stack grew).
+            7 Simt SimtDiverge {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Warp slot.
+                warp: u32 => "warp",
+                /// PC of the diverging branch.
+                pc: u32 => "pc",
+            }
+            /// Paths merged at a reconvergence point (SIMT stack shrank).
+            8 Simt SimtReconverge {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Warp slot.
+                warp: u32 => "warp",
+                /// PC at which the paths merged.
+                pc: u32 => "pc",
+            }
+            // ---- thread blocks ----
+            /// A TB became resident on an SM.
+            9 Tb TbLaunch {
+                /// SM id.
+                sm: u32 => "sm",
+                /// TB slot on the SM.
+                tb_slot: u32 => "tb",
+                /// Grid-global TB index.
+                global_index: u32 => "g",
+            }
+            /// A TB's last warp exited; the slot was freed.
+            10 Tb TbComplete {
+                /// SM id.
+                sm: u32 => "sm",
+                /// TB slot on the SM.
+                tb_slot: u32 => "tb",
+                /// Grid-global TB index.
+                global_index: u32 => "g",
+            }
+            // ---- memory-request lifecycle ----
+            /// A warp memory instruction was coalesced into line transactions.
+            11 Mem Coalesce {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Warp slot.
+                warp: u32 => "warp",
+                /// Request id (loads only carry a live id; stores use the id of the
+                /// event for correlation but are fire-and-forget).
+                req: ReqId => "req",
+                /// Number of 128 B line transactions produced.
+                lines: u32 => "lines",
+                /// True for stores.
+                store: bool => "store",
+            }
+            /// L1 lookup hit.
+            12 Mem L1Hit {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Request id.
+                req: ReqId => "req",
+                /// Line address.
+                line: u64 => "line",
+            }
+            /// L1 miss; an MSHR was allocated and the line went to L2.
+            13 Mem L1Miss {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Request id.
+                req: ReqId => "req",
+                /// Line address.
+                line: u64 => "line",
+            }
+            /// L1 miss merged into an in-flight MSHR entry.
+            14 Mem MshrMerge {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Request id.
+                req: ReqId => "req",
+                /// Line address.
+                line: u64 => "line",
+            }
+            /// L1 rejected the transaction (MSHRs full); the LSU retries.
+            15 Mem MshrReject {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Request id.
+                req: ReqId => "req",
+                /// Line address.
+                line: u64 => "line",
+            }
+            /// A store line transaction entered the hierarchy (write-through).
+            16 Mem StoreLine {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Line address.
+                line: u64 => "line",
+            }
+            /// L2 slice lookup hit.
+            17 Mem L2Hit {
+                /// Memory partition (slice index).
+                part: u32 => "part",
+                /// Line address.
+                line: u64 => "line",
+            }
+            /// L2 slice miss forwarded to DRAM.
+            18 Mem L2Miss {
+                /// Memory partition.
+                part: u32 => "part",
+                /// Line address.
+                line: u64 => "line",
+            }
+            /// L2 miss merged into the slice's MSHR.
+            19 Mem L2Merge {
+                /// Memory partition.
+                part: u32 => "part",
+                /// Line address.
+                line: u64 => "line",
+            }
+            /// The DRAM channel scheduled a request (FR-FCFS pick).
+            20 Mem DramSchedule {
+                /// Memory partition.
+                part: u32 => "part",
+                /// Line address.
+                line: u64 => "line",
+                /// Whether the open row buffer matched.
+                row_hit: bool => "row_hit",
+                /// Cycle the data will be ready.
+                done: u64 => "done",
+            }
+            /// A fetched line arrived back at an SM's L1 (fill).
+            21 Mem LineFill {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Line address.
+                line: u64 => "line",
+            }
+            /// Every line of a load access completed; the scoreboard clears next.
+            22 Mem LoadComplete {
+                /// SM id.
+                sm: u32 => "sm",
+                /// Request id.
+                req: ReqId => "req",
+                /// End-to-end latency in cycles (begin_load → last line).
+                latency: u64 => "latency",
+            }
+        }
+    };
+}
+pub(crate) use with_events;
+
+/// Declares [`Event`], [`Event::class`] and [`Event::kind`] from the rows of
+/// [`with_events`].
+macro_rules! define_event {
+    ($($(#[$doc:meta])* $tag:literal $class:ident $variant:ident {
+        $($(#[$field_doc:meta])* $field:ident: $ty:ty => $key:literal,)*
+    })*) => {
+        /// One simulator occurrence. The cycle is carried alongside (see
+        /// [`crate::Record`]), not inside the event.
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $variant { $($(#[$field_doc])* $field: $ty,)* },)*
+        }
+
+        impl Event {
+            /// The event's coarse family.
+            pub fn class(&self) -> EventClass {
+                match self {
+                    $(Event::$variant { .. } => EventClass::$class,)*
+                }
+            }
+
+            /// Stable kind tag used by the JSONL format.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => stringify!($variant),)*
+                }
+            }
+        }
+    };
 }
 
-impl Event {
-    /// The event's coarse family.
-    pub fn class(&self) -> EventClass {
-        match self {
-            Event::WarpIssue { .. } => EventClass::Issue,
-            Event::UnitStall { .. } | Event::WarpStall { .. } => EventClass::Stall,
-            Event::ScoreboardSet { .. } | Event::ScoreboardClear { .. } => EventClass::Scoreboard,
-            Event::BarrierArrive { .. } | Event::BarrierRelease { .. } => EventClass::Barrier,
-            Event::SimtDiverge { .. } | Event::SimtReconverge { .. } => EventClass::Simt,
-            Event::TbLaunch { .. } | Event::TbComplete { .. } => EventClass::Tb,
-            Event::Coalesce { .. }
-            | Event::L1Hit { .. }
-            | Event::L1Miss { .. }
-            | Event::MshrMerge { .. }
-            | Event::MshrReject { .. }
-            | Event::StoreLine { .. }
-            | Event::L2Hit { .. }
-            | Event::L2Miss { .. }
-            | Event::L2Merge { .. }
-            | Event::DramSchedule { .. }
-            | Event::LineFill { .. }
-            | Event::LoadComplete { .. } => EventClass::Mem,
-        }
-    }
-
-    /// Stable kind tag used by the JSONL format.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::WarpIssue { .. } => "WarpIssue",
-            Event::UnitStall { .. } => "UnitStall",
-            Event::WarpStall { .. } => "WarpStall",
-            Event::ScoreboardSet { .. } => "ScoreboardSet",
-            Event::ScoreboardClear { .. } => "ScoreboardClear",
-            Event::BarrierArrive { .. } => "BarrierArrive",
-            Event::BarrierRelease { .. } => "BarrierRelease",
-            Event::SimtDiverge { .. } => "SimtDiverge",
-            Event::SimtReconverge { .. } => "SimtReconverge",
-            Event::TbLaunch { .. } => "TbLaunch",
-            Event::TbComplete { .. } => "TbComplete",
-            Event::Coalesce { .. } => "Coalesce",
-            Event::L1Hit { .. } => "L1Hit",
-            Event::L1Miss { .. } => "L1Miss",
-            Event::MshrMerge { .. } => "MshrMerge",
-            Event::MshrReject { .. } => "MshrReject",
-            Event::StoreLine { .. } => "StoreLine",
-            Event::L2Hit { .. } => "L2Hit",
-            Event::L2Miss { .. } => "L2Miss",
-            Event::L2Merge { .. } => "L2Merge",
-            Event::DramSchedule { .. } => "DramSchedule",
-            Event::LineFill { .. } => "LineFill",
-            Event::LoadComplete { .. } => "LoadComplete",
-        }
-    }
-}
+with_events!(define_event);
 
 /// One timestamped event as stored by in-memory tracers.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -56,7 +56,4 @@ pub use json::Json;
 pub use metrics::{Hist16, Metrics};
 pub use prof::{HostPhase, HostProf, IssueProf, PhaseTimer};
 pub use report::{aggregate, KernelReport};
-pub use tracer::{
-    count_unit_stalls, write_event_jsonl, JsonlTracer, NoopTracer, PanicTracer, RingTracer, Tee,
-    Tracer,
-};
+pub use tracer::{write_event_jsonl, JsonlTracer, NoopTracer, PanicTracer, RingTracer, Tee, Tracer};

@@ -239,6 +239,42 @@ not json at all
         assert!((reports[1].scoreboard_frac() - 1.0).abs() < 1e-12);
     }
 
+    /// The keys `aggregate` reads are the ones the writer writes, for every
+    /// variant, including those a golden run may never emit.
+    #[test]
+    fn reads_what_the_writer_writes_for_every_variant() {
+        use crate::tracer::tests::{event_of, KINDS};
+        use crate::{JsonlTracer, Tracer};
+        let mut t = JsonlTracer::new(Vec::new());
+        t.on_kernel_begin("k", 0);
+        for kind in 0..KINDS {
+            // Every field 7: reason `scoreboard`, `row_hit` true, latency 7.
+            t.emit(u64::from(kind), &event_of(kind, || 7));
+        }
+        t.on_kernel_end("k", 30, 30);
+        let jsonl = String::from_utf8(t.into_inner()).unwrap();
+        let (reports, bad) = aggregate(&jsonl);
+        assert_eq!(bad, 0);
+        assert_eq!(reports.len(), 1);
+        let r = &reports[0];
+        assert_eq!((r.kernel.as_str(), r.cycles), ("k", 30));
+        let counted = [
+            r.issued,
+            r.scoreboard,
+            r.l1_hits,
+            r.l1_misses,
+            r.mshr_merges,
+            r.dram_scheduled,
+            r.dram_row_hits,
+            r.tbs_completed,
+            r.barrier_releases,
+            r.load_latency.total(),
+        ];
+        assert_eq!(counted, [1; 10]);
+        assert_eq!((r.idle, r.pipeline), (0, 0));
+        assert_eq!(r.load_latency.mean(), 7.0);
+    }
+
     #[test]
     fn markerless_stream_yields_one_anonymous_report() {
         let jsonl = "{\"c\":1,\"ev\":\"WarpIssue\",\"sm\":0,\"unit\":0,\"warp\":0,\"tb\":0,\"pc\":0,\"active\":32}\n";

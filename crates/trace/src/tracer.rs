@@ -17,23 +17,14 @@
 //!   per line to any `io::Write`, suitable for multi-million-event traces
 //!   that must not be held in memory.
 
-use crate::event::{ClassSet, Event, EventClass, Record, StallReason};
+use crate::event::{with_events, ClassSet, Event, EventClass, Record, ReqId, StallReason};
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
 /// A subscriber on the simulator's event bus.
 pub trait Tracer {
-    /// Global gate: false means no event of any class is wanted. Emission
-    /// sites may cache this per cycle.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Class-granular gate; hot paths check this before building events.
-    fn wants(&self, class: EventClass) -> bool {
-        let _ = class;
-        self.enabled()
-    }
+    /// Class gate; hot paths check this before building events.
+    fn wants(&self, class: EventClass) -> bool;
 
     /// Deliver one event. Implementations must not assume they only
     /// receive classes they asked for (a `Tee` partner may differ).
@@ -51,17 +42,12 @@ pub trait Tracer {
     }
 }
 
-/// The disabled tracer: `enabled()` is false, so instrumented code skips
+/// The disabled tracer: it wants no class, so instrumented code skips
 /// event construction entirely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopTracer;
 
 impl Tracer for NoopTracer {
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
     #[inline]
     fn wants(&self, _class: EventClass) -> bool {
         false
@@ -75,18 +61,25 @@ impl Tracer for NoopTracer {
 /// recycles storage.
 const CHUNK: usize = 64 << 10;
 
-/// A field as the ring stores it: an unsigned LEB128 varint of
-/// [`Wire::to_wire`].
-trait Wire: Copy {
+/// An event field's type, as the two trace formats write it: the ring as an
+/// unsigned LEB128 varint of [`Field::to_wire`], a JSONL line as
+/// [`Field::push_json`] writes it.
+trait Field: Copy {
     /// Longest varint of the type, in bytes.
     const MAX_LEN: usize;
     fn to_wire(self) -> u64;
     fn from_wire(v: u64) -> Self;
+
+    /// Append the value as a JSON number (`{v}` formatted).
+    #[inline]
+    fn push_json(self, out: &mut Vec<u8>) {
+        push_u64(out, self.to_wire());
+    }
 }
 
-macro_rules! wire_uint {
+macro_rules! field_uint {
     ($($t:ty),*) => {$(
-        impl Wire for $t {
+        impl Field for $t {
             const MAX_LEN: usize = (<$t>::BITS as usize).div_ceil(7);
             fn to_wire(self) -> u64 {
                 self.into()
@@ -98,9 +91,9 @@ macro_rules! wire_uint {
     )*};
 }
 
-wire_uint!(u16, u32, u64);
+field_uint!(u16, u32, u64);
 
-impl Wire for bool {
+impl Field for bool {
     const MAX_LEN: usize = 1;
     fn to_wire(self) -> u64 {
         self.into()
@@ -108,9 +101,12 @@ impl Wire for bool {
     fn from_wire(v: u64) -> Self {
         v != 0
     }
+    fn push_json(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(if self { b"true" } else { b"false" });
+    }
 }
 
-impl Wire for StallReason {
+impl Field for StallReason {
     const MAX_LEN: usize = 1;
     fn to_wire(self) -> u64 {
         self as u64
@@ -121,6 +117,11 @@ impl Wire for StallReason {
             1 => StallReason::Scoreboard,
             _ => StallReason::Pipeline,
         }
+    }
+    fn push_json(self, out: &mut Vec<u8>) {
+        out.push(b'"');
+        out.extend_from_slice(self.name().as_bytes());
+        out.push(b'"');
     }
 }
 
@@ -152,15 +153,17 @@ fn get_varint(buf: &[u8], at: &mut usize) -> u64 {
     }
 }
 
-/// The ring's record format, one row per [`Event`] variant: a one-byte tag,
-/// the cycle as a varint delta from the chunk's previous record, then each
-/// field as a varint in the order listed.
+/// The ring's record format, from the rows of the event table: the row's
+/// one-byte tag, the cycle as a varint delta from the chunk's previous
+/// record, then each field as a varint in the order listed.
 macro_rules! ring_codec {
-    ($($tag:literal $variant:ident { $($field:ident: $ty:ty),* })*) => {
+    ($($(#[$doc:meta])* $tag:literal $class:ident $variant:ident {
+        $($(#[$field_doc:meta])* $field:ident: $ty:ty => $key:literal,)*
+    })*) => {
         /// Longest encoded record: the widest variant with every field and
         /// the cycle delta at their longest varint.
         const MAX_RECORD: usize = {
-            let lens = [$(1 + <u64 as Wire>::MAX_LEN $(+ <$ty as Wire>::MAX_LEN)*),*];
+            let lens = [$(1 + <u64 as Field>::MAX_LEN $(+ <$ty as Field>::MAX_LEN)*),*];
             let mut max = 0;
             let mut i = 0;
             while i < lens.len() {
@@ -200,31 +203,7 @@ macro_rules! ring_codec {
     };
 }
 
-ring_codec! {
-    0 WarpIssue { sm: u32, unit: u16, warp: u16, tb_slot: u16, pc: u32, active: u16 }
-    1 UnitStall { sm: u32, unit: u32, reason: StallReason }
-    2 WarpStall { sm: u32, warp: u32, reason: StallReason }
-    3 ScoreboardSet { sm: u32, warp: u32, longlat: bool }
-    4 ScoreboardClear { sm: u32, warp: u32 }
-    5 BarrierArrive { sm: u32, tb_slot: u32, warp: u32 }
-    6 BarrierRelease { sm: u32, tb_slot: u32 }
-    7 SimtDiverge { sm: u32, warp: u32, pc: u32 }
-    8 SimtReconverge { sm: u32, warp: u32, pc: u32 }
-    9 TbLaunch { sm: u32, tb_slot: u32, global_index: u32 }
-    10 TbComplete { sm: u32, tb_slot: u32, global_index: u32 }
-    11 Coalesce { sm: u32, warp: u32, req: u64, lines: u32, store: bool }
-    12 L1Hit { sm: u32, req: u64, line: u64 }
-    13 L1Miss { sm: u32, req: u64, line: u64 }
-    14 MshrMerge { sm: u32, req: u64, line: u64 }
-    15 MshrReject { sm: u32, req: u64, line: u64 }
-    16 StoreLine { sm: u32, line: u64 }
-    17 L2Hit { part: u32, line: u64 }
-    18 L2Miss { part: u32, line: u64 }
-    19 L2Merge { part: u32, line: u64 }
-    20 DramSchedule { part: u32, line: u64, row_hit: bool, done: u64 }
-    21 LineFill { sm: u32, line: u64 }
-    22 LoadComplete { sm: u32, req: u64, latency: u64 }
-}
+with_events!(ring_codec);
 
 /// The fewest records a chunk holds once `emit` has moved past it: it
 /// leaves a chunk with fewer than [`MAX_RECORD`] bytes free.
@@ -390,10 +369,6 @@ impl Iterator for Decoder<'_> {
 }
 
 impl Tracer for RingTracer {
-    fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
     fn wants(&self, class: EventClass) -> bool {
         self.capacity > 0 && self.classes.contains(class)
     }
@@ -413,13 +388,6 @@ impl Tracer for RingTracer {
         self.cur.events += 1;
         self.last_cycle = cycle;
     }
-}
-
-/// `,"KEY":` for a literal key, as bytes.
-macro_rules! key {
-    ($k:literal) => {
-        concat!(",\"", $k, "\":").as_bytes()
-    };
 }
 
 /// `00`, `01`, …, `99`: two decimal digits per table lookup.
@@ -455,120 +423,36 @@ fn push_u64(out: &mut Vec<u8>, mut v: u64) {
     out.extend_from_slice(&buf[i..]);
 }
 
-fn num(out: &mut Vec<u8>, key: &[u8], v: impl Into<u64>) {
-    out.extend_from_slice(key);
-    push_u64(out, v.into());
+/// `write_event_jsonl`, from the rows of the event table.
+macro_rules! jsonl_encoder {
+    ($($(#[$doc:meta])* $tag:literal $class:ident $variant:ident {
+        $($(#[$field_doc:meta])* $field:ident: $ty:ty => $key:literal,)*
+    })*) => {
+        /// Append one event as a JSONL line (no trailing newline) onto `out`.
+        ///
+        /// The format is flat and self-describing:
+        /// `{"c":CYCLE,"ev":"KIND",...fields}`. Every key, kind and stall
+        /// reason is a static ASCII string and every value a number or a
+        /// boolean, so the line is assembled from byte slices without
+        /// `core::fmt`.
+        pub fn write_event_jsonl(out: &mut Vec<u8>, cycle: u64, ev: &Event) {
+            out.extend_from_slice(b"{\"c\":");
+            push_u64(out, cycle);
+            match *ev {
+                $(Event::$variant { $($field),* } => {
+                    out.extend_from_slice(concat!(",\"ev\":\"", stringify!($variant), "\"").as_bytes());
+                    $(
+                        out.extend_from_slice(concat!(",\"", $key, "\":").as_bytes());
+                        $field.push_json(out);
+                    )*
+                })*
+            }
+            out.push(b'}');
+        }
+    };
 }
 
-fn flag(out: &mut Vec<u8>, key: &[u8], v: bool) {
-    out.extend_from_slice(key);
-    out.extend_from_slice(if v { b"true" } else { b"false" });
-}
-
-fn reason(out: &mut Vec<u8>, reason: StallReason) {
-    out.extend_from_slice(key!("reason"));
-    out.push(b'"');
-    out.extend_from_slice(reason.name().as_bytes());
-    out.push(b'"');
-}
-
-/// Append one event as a JSONL line (no trailing newline) onto `out`.
-///
-/// The format is flat and self-describing:
-/// `{"c":CYCLE,"ev":"KIND",...fields}`. Every key, kind and stall reason is
-/// a static ASCII string and every value a number or a boolean, so the line
-/// is assembled from byte slices without `core::fmt`.
-pub fn write_event_jsonl(out: &mut Vec<u8>, cycle: u64, ev: &Event) {
-    out.extend_from_slice(b"{\"c\":");
-    push_u64(out, cycle);
-    out.extend_from_slice(b",\"ev\":\"");
-    out.extend_from_slice(ev.kind().as_bytes());
-    out.push(b'"');
-    match *ev {
-        Event::WarpIssue { sm, unit, warp, tb_slot, pc, active } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("unit"), unit);
-            num(out, key!("warp"), warp);
-            num(out, key!("tb"), tb_slot);
-            num(out, key!("pc"), pc);
-            num(out, key!("active"), active);
-        }
-        Event::UnitStall { sm, unit, reason: r } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("unit"), unit);
-            reason(out, r);
-        }
-        Event::WarpStall { sm, warp, reason: r } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("warp"), warp);
-            reason(out, r);
-        }
-        Event::ScoreboardSet { sm, warp, longlat } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("warp"), warp);
-            flag(out, key!("longlat"), longlat);
-        }
-        Event::ScoreboardClear { sm, warp } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("warp"), warp);
-        }
-        Event::BarrierArrive { sm, tb_slot, warp } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("tb"), tb_slot);
-            num(out, key!("warp"), warp);
-        }
-        Event::BarrierRelease { sm, tb_slot } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("tb"), tb_slot);
-        }
-        Event::SimtDiverge { sm, warp, pc } | Event::SimtReconverge { sm, warp, pc } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("warp"), warp);
-            num(out, key!("pc"), pc);
-        }
-        Event::TbLaunch { sm, tb_slot, global_index }
-        | Event::TbComplete { sm, tb_slot, global_index } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("tb"), tb_slot);
-            num(out, key!("g"), global_index);
-        }
-        Event::Coalesce { sm, warp, req, lines, store } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("warp"), warp);
-            num(out, key!("req"), req);
-            num(out, key!("lines"), lines);
-            flag(out, key!("store"), store);
-        }
-        Event::L1Hit { sm, req, line }
-        | Event::L1Miss { sm, req, line }
-        | Event::MshrMerge { sm, req, line }
-        | Event::MshrReject { sm, req, line } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("req"), req);
-            num(out, key!("line"), line);
-        }
-        Event::StoreLine { sm, line } | Event::LineFill { sm, line } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("line"), line);
-        }
-        Event::L2Hit { part, line } | Event::L2Miss { part, line } | Event::L2Merge { part, line } => {
-            num(out, key!("part"), part);
-            num(out, key!("line"), line);
-        }
-        Event::DramSchedule { part, line, row_hit, done } => {
-            num(out, key!("part"), part);
-            num(out, key!("line"), line);
-            flag(out, key!("row_hit"), row_hit);
-            num(out, key!("done"), done);
-        }
-        Event::LoadComplete { sm, req, latency } => {
-            num(out, key!("sm"), sm);
-            num(out, key!("req"), req);
-            num(out, key!("latency"), latency);
-        }
-    }
-    out.push(b'}');
-}
+with_events!(jsonl_encoder);
 
 /// Streaming tracer: one JSON object per line on any writer. Kernel
 /// boundaries are written as `KernelBegin`/`KernelEnd` marker lines, which
@@ -676,10 +560,6 @@ impl<'a, 'b> Tee<'a, 'b> {
 }
 
 impl Tracer for Tee<'_, '_> {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
     fn wants(&self, class: EventClass) -> bool {
         self.a.wants(class) || self.b.wants(class)
     }
@@ -711,10 +591,6 @@ impl Tracer for Tee<'_, '_> {
 pub struct PanicTracer;
 
 impl Tracer for PanicTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-
     fn wants(&self, _class: EventClass) -> bool {
         false
     }
@@ -728,23 +604,8 @@ impl Tracer for PanicTracer {
     fn on_kernel_end(&mut self, _name: &str, _cycle: u64, _cycles: u64) {}
 }
 
-/// Convenience: count UnitStall events by reason (used in agreement tests).
-pub fn count_unit_stalls(records: impl IntoIterator<Item = Record>) -> (u64, u64, u64) {
-    let (mut idle, mut sb, mut pipe) = (0, 0, 0);
-    for r in records {
-        if let Event::UnitStall { reason, .. } = r.event {
-            match reason {
-                StallReason::Idle => idle += 1,
-                StallReason::Scoreboard => sb += 1,
-                StallReason::Pipeline => pipe += 1,
-            }
-        }
-    }
-    (idle, sb, pipe)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn ev(i: u64) -> Event {
@@ -789,7 +650,6 @@ mod tests {
 
     #[test]
     fn noop_is_disabled() {
-        assert!(!NoopTracer.enabled());
         assert!(!NoopTracer.wants(EventClass::Mem));
         NoopTracer.emit(0, &ev(0)); // must be harmless
     }
@@ -899,11 +759,11 @@ mod tests {
         out.push('}');
     }
 
-    const KINDS: u32 = 23;
+    pub(crate) const KINDS: u32 = 23;
 
     /// Variant `kind` (`0..KINDS`), each field drawn from `v` and cut to
     /// the field's width.
-    fn event_of(kind: u32, mut v: impl FnMut() -> u64) -> Event {
+    pub(crate) fn event_of(kind: u32, mut v: impl FnMut() -> u64) -> Event {
         let reason = |x: u64| match x % 3 {
             0 => StallReason::Idle,
             1 => StallReason::Scoreboard,

@@ -6,6 +6,10 @@
 # script runs the tier-1 gate (release build + full test suite), checks
 # that rustdoc stays warning-free, and guards against anyone reintroducing
 # an external dependency into a manifest.
+#
+# Every cargo command passes `--locked`: a change that would rewrite
+# `Cargo.lock` or `benchmark/Cargo.lock` fails here instead of editing the
+# lockfile in place.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,20 +39,20 @@ fi
 echo "ok: all dependencies are path-only"
 
 echo "== tier-1: release build =="
-cargo build --release
+cargo build --release --locked
 
 echo "== tier-1: test suite =="
-cargo test -q
+cargo test -q --locked
 
 echo "== rustdoc: must be warning-free =="
-RUSTDOCFLAGS="--deny warnings" cargo doc --no-deps
+RUSTDOCFLAGS="--deny warnings" cargo doc --no-deps --locked
 
 echo "== clippy: warning-free, and no function past clippy.toml's line cap =="
 # `too_many_lines` is off by default; with it on, clippy.toml's
 # `too-many-lines-threshold` is the enforced ceiling for every function in
 # the workspace, tests and examples included (`--all-targets`; there is no
 # bench target).
-cargo clippy --release --all-targets --offline -- -D warnings -W clippy::too_many_lines
+cargo clippy --release --all-targets --offline --locked -- -D warnings -W clippy::too_many_lines
 
 echo "== trace: Chrome export parses and report cross-checks =="
 # `repro trace` writes a JSONL stream + Chrome trace_event JSON into the
@@ -121,8 +125,8 @@ echo "== repository benchmark: own tests + smoke run + full matrix =="
 # the tier-1 `cargo test` above never sees it. Its tests pin the metric and
 # workload names against BENCHMARK.json; the smoke run drives every workload
 # once on small kernels and checks outputs and result digests.
-cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
     --smoke > "$tracedir/bench_smoke.txt"
 # One JSON result line per workload and pass; every one must say
 # "correct":true,"failed":0 (keys are printed in alphabetical order).
@@ -137,7 +141,7 @@ echo "ok: benchmark tests pass; all $results smoke results correct with 0 failed
 # benchmark/golden/digests.json: every cell's result digest and cycle count.
 # The smoke run covers small kernels only; this is the identity gate for a
 # change to the run loop's ordering (DESIGN.md §11).
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+cargo run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml -- \
     --full-matrix | tee "$tracedir/bench_matrix.txt"
 grep -q '^full_matrix    checks: [1-9][0-9]* attempted, 0 failed' "$tracedir/bench_matrix.txt" || {
     echo "ERROR: benchmark --full-matrix did not report 0 failed checks" >&2

@@ -2,8 +2,8 @@
 //!
 //! * with the bus disabled ([`NoopTracer`] — the plain [`Gpu::launch`]
 //!   path), no event is constructed and no extra heap allocation happens;
-//! * a [`PanicTracer`] (reports `enabled() == false` but panics on any
-//!   `emit`) survives a full launch, proving every emission site is gated;
+//! * a [`PanicTracer`] (wants no class but panics on any `emit`)
+//!   survives a full launch, proving every emission site is gated;
 //! * a preallocated [`RingTracer`] captures every class without a single
 //!   additional allocation over the untraced run;
 //! * traced and untraced runs produce bit-identical statistics — the
@@ -113,7 +113,7 @@ fn fingerprint(r: &RunResult) -> (u64, u64, u64, u64, u64, u64, u64) {
 #[test]
 fn disabled_bus_survives_panic_tracer() {
     // PanicTracer::emit panics: completing at all proves no emission site
-    // runs when `enabled()`/`wants()` answer false.
+    // runs when `wants()` answers false.
     let r = run(&mut PanicTracer);
     assert!(r.cycles > 0);
 }
