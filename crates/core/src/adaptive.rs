@@ -54,13 +54,6 @@ pub struct ProAdaptive {
     on_score: (u64, u64),
     off_score: (u64, u64),
     started: bool,
-    /// Per-unit record of which instance produced the engine's cached
-    /// order: bit set in `driven_valid` = a record exists, matching bit in
-    /// `driven_on` = it came from the ON instance. An epoch roll that
-    /// flips the driving instance invalidates every cached order even
-    /// though neither Pro instance saw an event.
-    driven_on: u64,
-    driven_valid: u64,
 }
 
 impl ProAdaptive {
@@ -83,8 +76,6 @@ impl ProAdaptive {
             on_score: (0, 0),
             off_score: (0, 0),
             started: false,
-            driven_on: 0,
-            driven_valid: 0,
         }
     }
 
@@ -95,6 +86,15 @@ impl ProAdaptive {
             Mode::LockedOff => false,
             // Alternate per epoch: even epochs ON, odd epochs OFF.
             Mode::Probe => self.epoch_index.is_multiple_of(2),
+        }
+    }
+
+    /// The instance that currently drives issue ordering.
+    fn driver(&self) -> &Pro {
+        if self.active_is_on() {
+            &self.with_barriers
+        } else {
+            &self.without_barriers
         }
     }
 
@@ -165,33 +165,19 @@ impl WarpScheduler for ProAdaptive {
         candidates: &[WarpSlot],
         out: &mut Vec<WarpSlot>,
     ) {
-        let on = self.active_is_on();
-        if on {
+        if self.active_is_on() {
             self.with_barriers.order(unit, view, candidates, out);
         } else {
             self.without_barriers.order(unit, view, candidates, out);
         }
-        let bit = 1u64 << (unit as u64 & 63);
-        self.driven_valid |= bit;
-        if on {
-            self.driven_on |= bit;
-        } else {
-            self.driven_on &= !bit;
-        }
     }
 
-    fn order_dirty(&mut self, unit: u32) -> bool {
-        let on = self.active_is_on();
-        let bit = 1u64 << (unit as u64 & 63);
-        let same_driver = self.driven_valid & bit != 0 && (self.driven_on & bit != 0) == on;
-        if !same_driver {
-            return true;
-        }
-        if on {
-            self.with_barriers.order_dirty(unit)
-        } else {
-            self.without_barriers.order_dirty(unit)
-        }
+    /// The driving instance's version and which instance that is: an epoch
+    /// roll that flips the driver moves it though neither instance saw an
+    /// event.
+    fn order_version(&self, unit: u32) -> Option<u64> {
+        let on = self.active_is_on() as u64;
+        self.driver().order_version(unit).map(|v| v << 1 | on)
     }
 
     fn on_issue(&mut self, unit: u32, slot: WarpSlot, info: IssueInfo, view: &SchedView) {
@@ -226,11 +212,7 @@ impl WarpScheduler for ProAdaptive {
     }
 
     fn tb_priority_trace(&self, view: &SchedView) -> Option<Vec<u32>> {
-        if self.active_is_on() {
-            self.with_barriers.tb_priority_trace(view)
-        } else {
-            self.without_barriers.tb_priority_trace(view)
-        }
+        self.driver().tb_priority_trace(view)
     }
 
     fn save_state(&self, w: &mut codec::Writer) {
@@ -257,11 +239,6 @@ impl WarpScheduler for ProAdaptive {
         self.on_score = Snapshot::load(r)?;
         self.off_score = Snapshot::load(r)?;
         self.started = r.get_bool()?;
-        // The engine's order cache did not survive the snapshot, so the
-        // driver record is meaningless after a restore; dropping it forces
-        // the first order_dirty() per unit to answer true.
-        self.driven_on = 0;
-        self.driven_valid = 0;
         Ok(())
     }
 }
@@ -353,31 +330,20 @@ mod tests {
         for t in 0..2 {
             p.on_tb_launch(t, &f.view());
         }
-        let mut out = Vec::new();
-        // Begin, and order, under both instances: the facade orders under
-        // the driving one only, so the other is cleaned by hand.
-        let mut step = |p: &mut ProAdaptive, f: &mut ViewFixture, cycle: u64| {
-            f.cycle = cycle;
-            p.begin_cycle(&f.view());
-            assert!(p.order_dirty(0), "cycle {cycle}");
-            p.order(0, &f.view(), &f.all_slots(), &mut out);
-            p.with_barriers.order(0, &f.view(), &f.all_slots(), &mut out);
-            p.without_barriers.order(0, &f.view(), &f.all_slots(), &mut out);
-            assert!(!p.order_dirty(0), "both instances clean, same driver");
-        };
         // The probe starts off the periodic re-sort's beat (THRESHOLD = 1000),
         // so the first epoch ends on a cycle where neither instance re-sorts
-        // and the only dirt is the driver change itself.
+        // and the only change is the driver itself.
         let start = 300;
-        step(&mut p, &mut f, start);
-        step(&mut p, &mut f, EPOCH_CYCLES); // a re-sort, not yet an epoch end
+        f.cycle = start;
+        p.begin_cycle(&f.view());
+        f.cycle = EPOCH_CYCLES; // a re-sort, not yet an epoch end
+        p.begin_cycle(&f.view());
         assert!(p.active_is_on());
+        let (v, off) = (p.order_version(0), p.without_barriers.order_version(0));
         f.cycle = start + EPOCH_CYCLES;
         p.begin_cycle(&f.view());
         assert!(!p.active_is_on(), "odd probe epoch drives OFF");
-        assert!(!p.without_barriers.order_dirty(0), "the OFF instance itself is clean");
-        assert!(p.order_dirty(0), "driver changed → cached order invalid");
-        p.order(0, &f.view(), &f.all_slots(), &mut out);
-        assert!(!p.order_dirty(0));
+        assert_eq!(p.without_barriers.order_version(0), off, "the OFF instance did not rebuild");
+        assert_ne!(p.order_version(0), v, "driver changed → cached order invalid");
     }
 }

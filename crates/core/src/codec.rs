@@ -45,8 +45,10 @@ pub const MAGIC: [u8; 8] = *b"PROSNAP\0";
 /// and TB start cycles, which the SMs and the clock determine; v5 drops the
 /// machine's geometry — each cache's and DRAM channel's configuration and
 /// every SM, partition, set, bank and completion-queue count — which the
-/// machine a container names by fingerprint determines.
-pub const FORMAT_VERSION: u32 = 5;
+/// machine a container names by fingerprint determines; v6 drops the
+/// per-unit order-reuse masks of LRR, GTO and TL, which a restore never
+/// read.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// What a container holds: a complete state capture, or only the state
 /// that changed since the predecessor file in its chain.
@@ -750,7 +752,7 @@ macro_rules! snapshot_enum {
 ///
 /// ```text
 /// magic       8 bytes  "PROSNAP\0"
-/// version     u32      FORMAT_VERSION (5)
+/// version     u32      FORMAT_VERSION (6)
 /// kind        u8       0 = full snapshot, 1 = delta
 /// sequence    u64      position in the chain (0 for a full/base snapshot)
 /// parent_crc  u32      CRC-32 of the predecessor file's complete bytes
@@ -1034,7 +1036,7 @@ mod tests {
         let payload = [0xDDu8, 0xCC, 0xBB, 0xAA, 0x07];
         let mut expect: Vec<u8> = Vec::new();
         expect.extend_from_slice(b"PROSNAP\0"); // magic
-        expect.extend_from_slice(&5u32.to_le_bytes()); // format version
+        expect.extend_from_slice(&6u32.to_le_bytes()); // format version
         expect.push(0); // kind: full
         expect.extend_from_slice(&0u64.to_le_bytes()); // sequence
         expect.extend_from_slice(&0u32.to_le_bytes()); // parent crc
@@ -1064,7 +1066,7 @@ mod tests {
         let payload = [0x2Au8];
         let mut expect: Vec<u8> = Vec::new();
         expect.extend_from_slice(b"PROSNAP\0"); // magic
-        expect.extend_from_slice(&5u32.to_le_bytes()); // format version
+        expect.extend_from_slice(&6u32.to_le_bytes()); // format version
         expect.push(1); // kind: delta
         expect.extend_from_slice(&3u64.to_le_bytes()); // sequence
         expect.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes()); // parent crc

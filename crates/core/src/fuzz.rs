@@ -7,6 +7,8 @@ use crate::rng::SplitMix64;
 use crate::{IssueInfo, SchedView, WarpScheduler, WarpSlot};
 
 /// Deterministic chaos: orders warps by a per-cycle [`SplitMix64`] stream.
+/// It keeps the default `order_version` of `None`: every `order()` draws
+/// from the stream, so a reused order would skip draws.
 #[derive(Debug)]
 pub struct Fuzz {
     rng: SplitMix64,
@@ -45,12 +47,6 @@ impl WarpScheduler for Fuzz {
             let j = (self.next() % (i as u64 + 1)) as usize;
             out.swap(i, j);
         }
-    }
-
-    fn order_dirty(&mut self, _unit: u32) -> bool {
-        // Every order() call advances the PRNG, so a reused order would
-        // change the stream consumed by later calls. Must stay dirty.
-        true
     }
 
     fn on_issue(&mut self, _unit: u32, _slot: WarpSlot, _info: IssueInfo, _view: &SchedView) {}

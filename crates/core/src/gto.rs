@@ -10,7 +10,6 @@
 //! residency, which is where PRO wins.
 
 use crate::codec::{self, ensure, Snapshot};
-use crate::dirty::DirtyMask;
 use crate::{IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
 
 /// A unit's candidates sorted oldest first, and the candidate slice that
@@ -30,9 +29,9 @@ struct AgeCache {
 pub struct Gto {
     /// Per-unit: the warp currently held greedily.
     greedy: Vec<Option<WarpSlot>>,
-    /// Order inputs: the greedy head (per unit) and TB launch cycles
-    /// (all units, via `on_tb_launch`).
-    dirty: DirtyMask,
+    /// TB launches seen: each rewrites a launch cycle, every unit's primary
+    /// sort key. With the greedy head, a unit's order version.
+    launches: u64,
     ages: Vec<AgeCache>,
 }
 
@@ -41,7 +40,7 @@ impl Gto {
     pub fn new(units: u32) -> Self {
         Gto {
             greedy: vec![None; units as usize],
-            dirty: DirtyMask::all(),
+            launches: 0,
             ages: (0..units)
                 .map(|_| AgeCache {
                     input: Vec::with_capacity(64),
@@ -71,7 +70,6 @@ impl WarpScheduler for Gto {
         candidates: &[WarpSlot],
         out: &mut Vec<WarpSlot>,
     ) {
-        self.dirty.clear(unit);
         let age = &mut self.ages[unit as usize];
         if age.input != candidates {
             age.input.clear();
@@ -94,44 +92,36 @@ impl WarpScheduler for Gto {
         }
     }
 
-    fn order_dirty(&mut self, unit: u32) -> bool {
-        self.dirty.is_dirty(unit)
+    fn order_version(&self, unit: u32) -> Option<u64> {
+        let head = self.greedy[unit as usize].map_or(0, |g| g as u64 + 1);
+        Some(self.launches << 8 | head)
     }
 
     fn on_issue(&mut self, unit: u32, slot: WarpSlot, _info: IssueInfo, _view: &SchedView) {
-        let u = unit as usize;
-        if self.greedy[u] != Some(slot) {
-            self.greedy[u] = Some(slot);
-            self.dirty.mark(unit);
-        }
+        self.greedy[unit as usize] = Some(slot);
     }
 
     fn on_warp_finish(&mut self, slot: WarpSlot, _tb: usize, _view: &SchedView) {
-        for (u, g) in self.greedy.iter_mut().enumerate() {
+        for g in &mut self.greedy {
             if *g == Some(slot) {
                 *g = None;
-                self.dirty.mark(u as u32);
             }
         }
     }
 
     fn on_tb_launch(&mut self, _tb: TbSlot, _view: &SchedView) {
-        // A launch writes a fresh `launched_at` into a TB slot, which is
-        // every unit's primary sort key.
-        self.dirty.mark_all();
+        self.launches += 1;
         self.drop_age_caches();
     }
 
     fn save_state(&self, w: &mut codec::Writer) {
         self.greedy.save(w);
-        self.dirty.save(w);
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
         let greedy: Vec<Option<WarpSlot>> = Snapshot::load(r)?;
         ensure(greedy.len() == self.greedy.len(), "GTO unit count")?;
         self.greedy = greedy;
-        self.dirty = Snapshot::load(r)?;
         self.drop_age_caches();
         Ok(())
     }
@@ -246,25 +236,27 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracks_greedy_changes_and_tb_launches() {
+    fn version_moves_with_greedy_changes_and_tb_launches() {
         let f = ViewFixture::grid(2, 2);
         let mut s = Gto::new(2);
         let mut out = Vec::new();
+        let v = s.order_version(0);
         s.order(0, &f.view(), &[0, 2], &mut out);
-        assert!(!s.order_dirty(0));
+        assert_eq!(s.order_version(0), v, "order() leaves the version alone");
+        s.on_issue(0, 2, info(), &f.view());
+        let head = s.order_version(0);
+        assert_ne!(head, v, "new greedy head");
         // Greedily re-issuing the same warp changes nothing.
         s.on_issue(0, 2, info(), &f.view());
-        assert!(s.order_dirty(0), "new greedy head");
-        s.order(0, &f.view(), &[0, 2], &mut out);
-        s.on_issue(0, 2, info(), &f.view());
-        assert!(!s.order_dirty(0), "same greedy head stays clean");
+        assert_eq!(s.order_version(0), head, "same greedy head, same version");
         // The greedy warp finishing resets that unit only.
-        s.order(1, &f.view(), &[1, 3], &mut out);
+        let other = s.order_version(1);
         s.on_warp_finish(2, 1, &f.view());
-        assert!(s.order_dirty(0) && !s.order_dirty(1));
+        assert_ne!(s.order_version(0), head);
+        assert_eq!(s.order_version(1), other);
         // A TB launch rewrites a launch cycle: every unit's key changes.
-        s.order(0, &f.view(), &[0, 2], &mut out);
+        let (v0, v1) = (s.order_version(0), s.order_version(1));
         s.on_tb_launch(0, &f.view());
-        assert!(s.order_dirty(0) && s.order_dirty(1));
+        assert!(s.order_version(0) != v0 && s.order_version(1) != v1);
     }
 }

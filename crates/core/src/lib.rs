@@ -38,7 +38,6 @@ pub mod adaptive;
 pub mod bdelta;
 pub mod calq;
 pub mod codec;
-pub mod dirty;
 pub mod fuzz;
 pub mod fxhash;
 pub mod gto;
@@ -175,24 +174,21 @@ pub trait WarpScheduler {
         out: &mut Vec<WarpSlot>,
     );
 
-    /// Would a fresh [`WarpScheduler::order`] call for `unit` possibly
-    /// return a different permutation than the previous one?
+    /// The version `unit`'s order is at: a fresh [`WarpScheduler::order`]
+    /// call for `unit` returns the same permutation as the last one made
+    /// under the same version, for the same candidate slice and (where
+    /// [`WarpScheduler::order_reads_longlat`] is true) the same
+    /// long-latency blocked set. `None`, the default, promises nothing.
     ///
-    /// The engine caches each unit's last order and, when this returns
-    /// `false` **and** the candidate set is unchanged (plus, for policies
-    /// where [`WarpScheduler::order_reads_longlat`] is true, the
-    /// long-latency blocked set is unchanged), reuses it verbatim without
-    /// calling `order()` at all. The contract is one-sided: returning
-    /// `true` is always safe (the engine falls back to a from-scratch
-    /// recompute, which is also the default), while returning `false`
-    /// promises that a recompute under those unchanged inputs would be a
-    /// no-op — both for the returned permutation and for any internal
-    /// state `order()` mutates. Policies clear their dirty state for
-    /// `unit` inside `order()`; the engine may still call `order()` while
-    /// clean (e.g. after a snapshot restore drops its cache), which must
-    /// then reproduce the cached permutation exactly.
-    fn order_dirty(&mut self, _unit: u32) -> bool {
-        true
+    /// The engine caches each unit's last order with the version read right
+    /// after that `order()` call, and reuses it verbatim without calling
+    /// `order()` while this returns the same `Some` and the other inputs are
+    /// unchanged. A version therefore moves with whatever `order()` reads
+    /// besides those inputs, and only through the event hooks and
+    /// [`WarpScheduler::begin_cycle`]; a policy whose next `order()` would
+    /// move its own state under unchanged inputs answers `None`.
+    fn order_version(&self, _unit: u32) -> Option<u64> {
+        None
     }
 
     /// Does [`WarpScheduler::order`] consult

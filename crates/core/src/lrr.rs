@@ -9,17 +9,15 @@
 //! together — is a direct consequence of this rotation.
 
 use crate::codec::{self, ensure, Snapshot};
-use crate::dirty::DirtyMask;
 use crate::{IssueInfo, SchedView, WarpScheduler, WarpSlot};
 
 /// Loose round-robin policy.
 #[derive(Debug)]
 pub struct Lrr {
     max_warps: usize,
-    /// Per-unit: slot after which the rotation starts.
+    /// Per-unit: slot after which the rotation starts — the only input of
+    /// a unit's order besides its candidates, so also its version.
     last_issued: Vec<usize>,
-    /// A unit's order only changes when its rotation cursor moves.
-    dirty: DirtyMask,
 }
 
 impl Lrr {
@@ -28,7 +26,6 @@ impl Lrr {
         Lrr {
             max_warps,
             last_issued: vec![max_warps.saturating_sub(1); units as usize],
-            dirty: DirtyMask::all(),
         }
     }
 }
@@ -45,27 +42,21 @@ impl WarpScheduler for Lrr {
         candidates: &[WarpSlot],
         out: &mut Vec<WarpSlot>,
     ) {
-        self.dirty.clear(unit);
         let m = self.max_warps.max(1);
         let start = (self.last_issued[unit as usize] + 1) % m;
         rotate_from(candidates, start, m, out);
     }
 
-    fn order_dirty(&mut self, unit: u32) -> bool {
-        self.dirty.is_dirty(unit)
+    fn order_version(&self, unit: u32) -> Option<u64> {
+        Some(self.last_issued[unit as usize] as u64)
     }
 
     fn on_issue(&mut self, unit: u32, slot: WarpSlot, _info: IssueInfo, _view: &SchedView) {
-        let u = unit as usize;
-        if self.last_issued[u] != slot {
-            self.last_issued[u] = slot;
-            self.dirty.mark(unit);
-        }
+        self.last_issued[unit as usize] = slot;
     }
 
     fn save_state(&self, w: &mut codec::Writer) {
         self.last_issued.save(w);
-        self.dirty.save(w);
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
@@ -74,7 +65,6 @@ impl WarpScheduler for Lrr {
         ensure(last_issued.len() == self.last_issued.len(), "LRR unit count")?;
         ensure(last_issued.iter().all(|&w| w < self.max_warps.max(1)), "LRR warp slot")?;
         self.last_issued = last_issued;
-        self.dirty = Snapshot::load(r)?;
         Ok(())
     }
 }
@@ -172,22 +162,22 @@ mod tests {
     }
 
     #[test]
-    fn order_clears_dirty_until_the_cursor_moves() {
+    fn version_is_the_rotation_cursor() {
         let f = ViewFixture::grid(2, 3);
         let mut s = Lrr::new(6, 2);
         let mut out = Vec::new();
-        assert!(s.order_dirty(0) && s.order_dirty(1), "initially dirty");
+        let v0 = s.order_version(0);
         s.order(0, &f.view(), &[0, 2, 4], &mut out);
-        assert!(!s.order_dirty(0), "clean after recompute");
-        assert!(s.order_dirty(1), "other unit untouched");
-        // Re-issuing the warp the cursor already points at is a no-op.
+        assert_eq!(s.order_version(0), v0, "order() leaves the version alone");
+        // Re-issuing the warp the cursor already points at keeps it.
         s.on_issue(0, 2, info(), &f.view());
-        assert!(s.order_dirty(0));
-        s.order(0, &f.view(), &[0, 2, 4], &mut out);
+        let v2 = s.order_version(0);
+        assert_ne!(v2, v0, "cursor moved");
         s.on_issue(0, 2, info(), &f.view());
-        assert!(!s.order_dirty(0), "same cursor position stays clean");
+        assert_eq!(s.order_version(0), v2, "same cursor position, same version");
+        assert_eq!(s.order_version(1), v0, "other unit untouched");
         s.on_issue(0, 4, info(), &f.view());
-        assert!(s.order_dirty(0), "cursor moved");
+        assert_ne!(s.order_version(0), v2, "cursor moved");
     }
 
     #[test]

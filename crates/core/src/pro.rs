@@ -41,7 +41,6 @@
 //! progress. We follow the prose; see DESIGN.md §4.
 
 use crate::codec::{self, ensure, CodecError, Snapshot};
-use crate::dirty::DirtyMask;
 use crate::{slot_bit, slot_mask, IssueInfo, SchedView, TbSlot, WarpScheduler, WarpSlot};
 
 /// Tunables and ablation switches for [`Pro`].
@@ -107,24 +106,23 @@ pub struct Pro {
     /// Cached warp priority order per TB slot.
     warp_order: Vec<Vec<WarpSlot>>,
     /// Every ranked (live, unfinished) warp of the SM, best first — the
-    /// inverse of a per-slot rank table, rebuilt when dirty. A unit's order
-    /// is this list filtered to its candidates.
+    /// inverse of a per-slot rank table, rebuilt at the `begin_cycle` after
+    /// its inputs moved. A unit's order is this list filtered to its
+    /// candidates.
     by_rank: Vec<WarpSlot>,
     last_sort_cycle: u64,
     in_slow_phase: bool,
     scratch: Vec<WarpSlot>,
     /// Set by every mutation of the rank inputs (the three priority lists,
     /// the cached warp orders, warp finished flags) — i.e. the event hooks,
-    /// the THRESHOLD re-sort and the fast→slow transition. `on_issue` is
+    /// the THRESHOLD re-sort and the fast→slow transition — and cleared by
+    /// the `begin_cycle` that rebuilds `by_rank`. `on_issue` is
     /// deliberately not one of them: progress changes sit unseen until the
-    /// next re-sort, which is the paper's own staleness window. The mask is
-    /// unit-agnostic on set (PRO's order ignores `unit`) but cleared per
-    /// unit as each unit's cached order is refreshed.
-    dirty: DirtyMask,
-    /// Companion to `dirty` for the rank table itself: set by the same
-    /// mutations, cleared once `rebuild_ranks` runs (the per-unit bits
-    /// outlive that point until each unit's order is recomputed).
+    /// next re-sort, which is the paper's own staleness window.
     needs_rank_rebuild: bool,
+    /// `by_rank` rebuilds so far: every unit's order version, since `order()`
+    /// reads nothing else but the candidates.
+    rank_builds: u64,
 }
 
 crate::snapshot_enum! {
@@ -171,15 +169,9 @@ impl Pro {
             last_sort_cycle: 0,
             in_slow_phase: false,
             scratch: Vec::with_capacity(max_warps),
-            dirty: DirtyMask::all(),
             needs_rank_rebuild: true,
+            rank_builds: 0,
         }
-    }
-
-    /// Mark every unit's order — and the rank table — as stale.
-    fn mark_dirty(&mut self) {
-        self.dirty.mark_all();
-        self.needs_rank_rebuild = true;
     }
 
     /// Current classification of a TB slot (test observability).
@@ -281,7 +273,7 @@ impl Pro {
 
     /// The fast→slow transition (Algorithm 1, `scheduleWarps` lines 36-40).
     fn transition_to_slow(&mut self, view: &SchedView) {
-        self.mark_dirty();
+        self.needs_rank_rebuild = true;
         self.in_slow_phase = true;
         // mergeFinishAndNoWaitTBs: finishWait and noWait → finishNoWait.
         for t in 0..self.class.len() {
@@ -315,6 +307,7 @@ impl Pro {
     }
 
     fn rebuild_ranks(&mut self, view: &SchedView) {
+        self.rank_builds += 1;
         self.by_rank.clear();
         for list in [&self.fin_order, &self.bar_order, &self.rem_order] {
             for &t in list.iter() {
@@ -343,7 +336,7 @@ impl WarpScheduler for Pro {
         }
         // Periodic re-sort of the remaining TBs and their warps.
         if view.cycle.saturating_sub(self.last_sort_cycle) >= self.cfg.threshold {
-            self.mark_dirty();
+            self.needs_rank_rebuild = true;
             self.last_sort_cycle = view.cycle;
             self.sort_rem_order(view);
             let dir = self.rem_dir();
@@ -354,9 +347,9 @@ impl WarpScheduler for Pro {
         }
         // The rank table is a pure function of the priority lists, the
         // cached warp orders and the finished flags — all of which only
-        // move through paths that mark the dirty mask. A clean cycle can
-        // keep last cycle's table (and the engine keeps last cycle's
-        // order), which removes PRO's whole per-cycle O(W) walk.
+        // move through paths that queue a rebuild. Any other cycle keeps
+        // last cycle's table (and the engine keeps last cycle's order),
+        // which removes PRO's whole per-cycle O(W) walk.
         if self.needs_rank_rebuild {
             self.rebuild_ranks(view);
             self.needs_rank_rebuild = false;
@@ -365,20 +358,11 @@ impl WarpScheduler for Pro {
 
     fn order(
         &mut self,
-        unit: u32,
+        _unit: u32,
         _view: &SchedView,
         candidates: &[WarpSlot],
         out: &mut Vec<WarpSlot>,
     ) {
-        // Only report clean when this order was computed from a *current*
-        // rank table. If an event between sibling units this cycle queued a
-        // rebuild, the permutation below is deliberately stale (ranks only
-        // refresh at `begin_cycle`, as in the eager implementation) — but a
-        // recompute next cycle would see the rebuilt table, so the unit
-        // must stay dirty.
-        if !self.needs_rank_rebuild {
-            self.dirty.clear(unit);
-        }
         out.clear();
         // Ranked candidates in rank order, then the unranked ones (a warp
         // launched or relaunched since the last rebuild) by ascending slot.
@@ -395,8 +379,11 @@ impl WarpScheduler for Pro {
         }
     }
 
-    fn order_dirty(&mut self, unit: u32) -> bool {
-        self.dirty.is_dirty(unit)
+    /// An event between sibling units only queues a rebuild, so the table
+    /// — and this version — hold until the next `begin_cycle`, as in the
+    /// eager implementation.
+    fn order_version(&self, _unit: u32) -> Option<u64> {
+        Some(self.rank_builds)
     }
 
     fn on_issue(&mut self, _unit: u32, _slot: WarpSlot, _info: IssueInfo, _view: &SchedView) {
@@ -409,7 +396,7 @@ impl WarpScheduler for Pro {
             // the cached orders stay valid.
             return;
         }
-        self.mark_dirty();
+        self.needs_rank_rebuild = true;
         // insertBarrierWarp (the SM has already incremented warps_at_barrier).
         if view.tbs[tb].warps_at_barrier == 1 {
             let entering = match self.class[tb] {
@@ -433,7 +420,7 @@ impl WarpScheduler for Pro {
         if !self.cfg.handle_barriers {
             return;
         }
-        self.mark_dirty();
+        self.needs_rank_rebuild = true;
         match self.class[tb] {
             TbClass::BarrierWait => {
                 self.bar_order.retain(|&t| t != tb);
@@ -461,7 +448,7 @@ impl WarpScheduler for Pro {
     fn on_warp_finish(&mut self, _slot: WarpSlot, tb: TbSlot, view: &SchedView) {
         // Unconditional even under the ablations: `rebuild_ranks` skips
         // finished warps, so any finish shifts every later warp's rank.
-        self.mark_dirty();
+        self.needs_rank_rebuild = true;
         // insertFinishWarp (the SM has already incremented warps_finished).
         let tbs = &view.tbs[tb];
         if tbs.warps_finished == tbs.num_warps {
@@ -488,7 +475,7 @@ impl WarpScheduler for Pro {
     }
 
     fn on_tb_launch(&mut self, tb: TbSlot, view: &SchedView) {
-        self.mark_dirty();
+        self.needs_rank_rebuild = true;
         self.class[tb] = if self.cfg.use_slow_phase && self.in_slow_phase {
             TbClass::FinishNoWait
         } else {
@@ -508,7 +495,7 @@ impl WarpScheduler for Pro {
     }
 
     fn on_tb_finish(&mut self, tb: TbSlot, _view: &SchedView) {
-        self.mark_dirty();
+        self.needs_rank_rebuild = true;
         self.class[tb] = TbClass::Empty;
         self.remove_everywhere(tb);
         self.warp_order[tb].clear();
@@ -557,12 +544,8 @@ impl WarpScheduler for Pro {
         ensure(self.warp_order.iter().flatten().all(|&w| w < max_warps), "PRO warp slot")?;
         self.last_sort_cycle = r.get_u64()?;
         self.in_slow_phase = r.get_bool()?;
-        // `by_rank` was not serialized (it is derived state), so a restored
-        // policy must start fully dirty: the first `begin_cycle` rebuilds
-        // the table from the restored lists, and the engine — whose order
-        // cache was dropped by the same restore — recomputes each unit's
-        // permutation from it, reproducing the donor run bit for bit.
-        self.dirty = DirtyMask::all();
+        // `by_rank` was not serialized (it is derived state): the first
+        // `begin_cycle` rebuilds it from the restored lists.
         self.needs_rank_rebuild = true;
         Ok(())
     }

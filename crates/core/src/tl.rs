@@ -11,7 +11,6 @@
 //! PRO generalizes with per-TB/per-warp progress priorities.
 
 use crate::codec::{self, ensure, Snapshot};
-use crate::dirty::DirtyMask;
 use crate::{slot_bit, slot_mask, IssueInfo, SchedView, WarpScheduler, WarpSlot};
 use std::collections::VecDeque;
 
@@ -25,6 +24,17 @@ struct UnitState {
     /// nothing to do. Never serialized; a restore rebuilds them.
     active_mask: u64,
     pending_mask: u64,
+    /// Events that moved this unit's queues or round-robin start since it
+    /// was built: an issue of its own, any warp finishing. Neither this nor
+    /// `settled` is serialized: a restore drops every cached order, and the
+    /// first `order()` after it sets `settled`.
+    events: u64,
+    /// The last rebalance reached a fixpoint: no active warp blocked and no
+    /// free active slot a pending warp could take, so with unchanged
+    /// candidates and blocked flags the next one moves nothing. False in
+    /// the degenerate everything-blocked case, whose rebalance rotates
+    /// blocked warps through the active set on every call.
+    settled: bool,
 }
 
 impl UnitState {
@@ -54,6 +64,8 @@ crate::snapshot_struct! {
     derived {
         active_mask = slot_mask(&active),
         pending_mask = slot_mask(&pending),
+        events = 0,
+        settled = false,
     }
     validate {
         ensure(active.iter().chain(&pending).all(|&w| w < 64), "TL warp slot")?;
@@ -68,12 +80,6 @@ pub struct TwoLevel {
     units: Vec<UnitState>,
     /// Maximum active-set size (GPGPU-Sim default 8).
     active_size: usize,
-    /// TL's `order()` mutates its queues (rebalance), so a unit may only
-    /// report clean when that rebalance is provably a fixpoint: no active
-    /// warp blocked and no free active slot a pending warp could take.
-    /// Blocked-flag changes are covered by `order_reads_longlat` — the
-    /// engine refuses to reuse when the unit's blocked set moved.
-    dirty: DirtyMask,
 }
 
 impl TwoLevel {
@@ -88,7 +94,6 @@ impl TwoLevel {
                 })
                 .collect(),
             active_size,
-            dirty: DirtyMask::all(),
         }
     }
 
@@ -166,20 +171,9 @@ impl WarpScheduler for TwoLevel {
         out: &mut Vec<WarpSlot>,
     ) {
         self.rebalance(unit, view, candidates);
-        let u = &self.units[unit as usize];
-        // Clean only at a rebalance fixpoint: with unchanged candidates and
-        // blocked flags, every loop in `rebalance` would be a no-op, so the
-        // queues — and therefore the emitted order — cannot drift. The
-        // degenerate everything-blocked case (actives filled from the
-        // "blocked anyway" tail) rotates the queues each call and must
-        // stay dirty.
-        let stable = u.active.iter().all(|&w| !view.warps[w].blocked_on_longlat)
+        let u = &mut self.units[unit as usize];
+        u.settled = u.active.iter().all(|&w| !view.warps[w].blocked_on_longlat)
             && (u.active.len() == self.active_size || u.pending.is_empty());
-        if stable {
-            self.dirty.clear(unit);
-        } else {
-            self.dirty.mark(unit);
-        }
         out.clear();
         // Round robin within the active set, starting after last issued.
         let start = u
@@ -194,8 +188,11 @@ impl WarpScheduler for TwoLevel {
         out.extend(u.pending.iter().copied());
     }
 
-    fn order_dirty(&mut self, unit: u32) -> bool {
-        self.dirty.is_dirty(unit)
+    /// Blocked-flag changes are the engine's to see (`order_reads_longlat`);
+    /// off a fixpoint the next rebalance moves the queues, so no version.
+    fn order_version(&self, unit: u32) -> Option<u64> {
+        let u = &self.units[unit as usize];
+        u.settled.then_some(u.events)
     }
 
     fn order_reads_longlat(&self) -> bool {
@@ -204,7 +201,7 @@ impl WarpScheduler for TwoLevel {
 
     fn on_issue(&mut self, unit: u32, slot: WarpSlot, info: IssueInfo, _view: &SchedView) {
         let u = &mut self.units[unit as usize];
-        self.dirty.mark(unit);
+        u.events += 1;
         u.last_issued = Some(slot);
         // The warp will block shortly; demote it eagerly so the unit
         // rotates to another group member next cycle.
@@ -215,9 +212,9 @@ impl WarpScheduler for TwoLevel {
     }
 
     fn on_warp_finish(&mut self, slot: WarpSlot, _tb: usize, _view: &SchedView) {
-        self.dirty.mark_all();
         let bit = slot_bit(slot);
         for u in &mut self.units {
+            u.events += 1;
             if u.active_mask & bit != 0 {
                 u.active.retain(|&w| w != slot);
                 u.active_mask &= !bit;
@@ -234,14 +231,12 @@ impl WarpScheduler for TwoLevel {
 
     fn save_state(&self, w: &mut codec::Writer) {
         self.units.save(w);
-        self.dirty.save(w);
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
         let units: Vec<UnitState> = Snapshot::load(r)?;
         ensure(units.len() == self.units.len(), "TL unit count")?;
         self.units = units;
-        self.dirty = Snapshot::load(r)?;
         Ok(())
     }
 }
@@ -335,9 +330,10 @@ mod tests {
         let f = ViewFixture::grid(4, 4); // 16 warps, active set of 8
         let mut s = TwoLevel::new(1, 8);
         let mut out = Vec::new();
-        assert!(s.order_dirty(0), "initially dirty");
+        assert_eq!(s.order_version(0), None, "no rebalance yet");
         s.order(0, &f.view(), &f.all_slots(), &mut out);
-        assert!(!s.order_dirty(0), "full unblocked active set is a fixpoint");
+        let v = s.order_version(0);
+        assert!(v.is_some(), "full unblocked active set is a fixpoint");
         s.on_issue(
             0,
             0,
@@ -347,11 +343,11 @@ mod tests {
             },
             &f.view(),
         );
-        assert!(s.order_dirty(0), "rotation moved");
+        assert_ne!(s.order_version(0), v, "rotation moved");
     }
 
     #[test]
-    fn degenerate_all_blocked_state_stays_dirty() {
+    fn degenerate_all_blocked_state_has_no_version() {
         // With every warp blocked the rebalance rotates blocked warps
         // through the active set on each call — never a fixpoint, so the
         // unit must keep recomputing.
@@ -362,7 +358,7 @@ mod tests {
         let mut s = TwoLevel::new(1, 2);
         let mut out = Vec::new();
         s.order(0, &f.view(), &f.all_slots(), &mut out);
-        assert!(s.order_dirty(0));
+        assert_eq!(s.order_version(0), None);
         let first = out.clone();
         s.order(0, &f.view(), &f.all_slots(), &mut out);
         assert_ne!(first, out, "the degenerate state really does rotate");

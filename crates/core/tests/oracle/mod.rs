@@ -1,10 +1,9 @@
 //! The from-scratch `order()` bodies of TL, GTO and PRO, kept as reference
-//! implementations: `prop_dirty.rs` drives each in lockstep with the
-//! incremental policy that replaced it. Nothing here is compiled into the
-//! library.
+//! implementations: the property test that includes this module drives
+//! each in lockstep with the incremental policy that replaced it. Nothing
+//! here is compiled into the library.
 
 use pro_core::codec::{self, Snapshot};
-use pro_core::dirty::DirtyMask;
 use pro_core::{
     IssueInfo, Pro, ProConfig, SchedView, SchedulerKind, TbSlot, WarpScheduler, WarpSlot,
 };
@@ -44,12 +43,6 @@ pub struct ScratchTl {
     units: Vec<UnitState>,
     /// Maximum active-set size (GPGPU-Sim default 8).
     active_size: usize,
-    /// TL's `order()` mutates its queues (rebalance), so a unit may only
-    /// report clean when that rebalance is provably a fixpoint: no active
-    /// warp blocked and no free active slot a pending warp could take.
-    /// Blocked-flag changes are covered by `order_reads_longlat` — the
-    /// engine refuses to reuse when the unit's blocked set moved.
-    dirty: DirtyMask,
 }
 
 impl ScratchTl {
@@ -64,7 +57,6 @@ impl ScratchTl {
                 })
                 .collect(),
             active_size,
-            dirty: DirtyMask::all(),
         }
     }
 
@@ -129,19 +121,6 @@ impl WarpScheduler for ScratchTl {
     ) {
         self.rebalance(unit, view, candidates);
         let u = &self.units[unit as usize];
-        // Clean only at a rebalance fixpoint: with unchanged candidates and
-        // blocked flags, every loop in `rebalance` would be a no-op, so the
-        // queues — and therefore the emitted order — cannot drift. The
-        // degenerate everything-blocked case (actives filled from the
-        // "blocked anyway" tail) rotates the queues each call and must
-        // stay dirty.
-        let stable = u.active.iter().all(|&w| !view.warps[w].blocked_on_longlat)
-            && (u.active.len() == self.active_size || u.pending.is_empty());
-        if stable {
-            self.dirty.clear(unit);
-        } else {
-            self.dirty.mark(unit);
-        }
         out.clear();
         // Round robin within the active set, starting after last issued.
         let n = u.active.len();
@@ -163,17 +142,12 @@ impl WarpScheduler for ScratchTl {
         out.extend(u.pending.iter().copied());
     }
 
-    fn order_dirty(&mut self, unit: u32) -> bool {
-        self.dirty.is_dirty(unit)
-    }
-
     fn order_reads_longlat(&self) -> bool {
         true
     }
 
     fn on_issue(&mut self, unit: u32, slot: WarpSlot, info: IssueInfo, _view: &SchedView) {
         let u = &mut self.units[unit as usize];
-        self.dirty.mark(unit);
         u.last_issued = Some(slot);
         if info.is_global_load {
             // The warp will block shortly; demote it eagerly so the unit
@@ -186,7 +160,6 @@ impl WarpScheduler for ScratchTl {
     }
 
     fn on_warp_finish(&mut self, slot: WarpSlot, _tb: usize, _view: &SchedView) {
-        self.dirty.mark_all();
         for u in &mut self.units {
             u.active.retain(|&w| w != slot);
             u.pending.retain(|&w| w != slot);
@@ -203,7 +176,6 @@ impl WarpScheduler for ScratchTl {
             u.pending.save(w);
             u.last_issued.save(w);
         }
-        self.dirty.save(w);
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
@@ -216,7 +188,6 @@ impl WarpScheduler for ScratchTl {
             u.pending = Snapshot::load(r)?;
             u.last_issued = Snapshot::load(r)?;
         }
-        self.dirty = Snapshot::load(r)?;
         Ok(())
     }
 }
@@ -228,9 +199,6 @@ impl WarpScheduler for ScratchTl {
 pub struct ScratchGto {
     /// Per-unit: the warp currently held greedily.
     greedy: Vec<Option<WarpSlot>>,
-    /// Order inputs: the greedy head (per unit) and TB launch cycles
-    /// (all units, via `on_tb_launch`).
-    dirty: DirtyMask,
 }
 
 impl ScratchGto {
@@ -238,7 +206,6 @@ impl ScratchGto {
     pub fn new(units: u32) -> Self {
         ScratchGto {
             greedy: vec![None; units as usize],
-            dirty: DirtyMask::all(),
         }
     }
 }
@@ -255,7 +222,6 @@ impl WarpScheduler for ScratchGto {
         candidates: &[WarpSlot],
         out: &mut Vec<WarpSlot>,
     ) {
-        self.dirty.clear(unit);
         out.clear();
         out.extend_from_slice(candidates);
         // Oldest first: (TB launch cycle, slot index).
@@ -271,41 +237,24 @@ impl WarpScheduler for ScratchGto {
         }
     }
 
-    fn order_dirty(&mut self, unit: u32) -> bool {
-        self.dirty.is_dirty(unit)
-    }
-
     fn on_issue(&mut self, unit: u32, slot: WarpSlot, _info: IssueInfo, _view: &SchedView) {
-        let u = unit as usize;
-        if self.greedy[u] != Some(slot) {
-            self.greedy[u] = Some(slot);
-            self.dirty.mark(unit);
-        }
+        self.greedy[unit as usize] = Some(slot);
     }
 
     fn on_warp_finish(&mut self, slot: WarpSlot, _tb: usize, _view: &SchedView) {
-        for (u, g) in self.greedy.iter_mut().enumerate() {
+        for g in &mut self.greedy {
             if *g == Some(slot) {
                 *g = None;
-                self.dirty.mark(u as u32);
             }
         }
     }
 
-    fn on_tb_launch(&mut self, _tb: TbSlot, _view: &SchedView) {
-        // A launch writes a fresh `launched_at` into a TB slot, which is
-        // every unit's primary sort key.
-        self.dirty.mark_all();
-    }
-
     fn save_state(&self, w: &mut codec::Writer) {
         self.greedy.save(w);
-        self.dirty.save(w);
     }
 
     fn load_state(&mut self, r: &mut codec::Reader<'_>) -> Result<(), codec::CodecError> {
         self.greedy = Snapshot::load(r)?;
-        self.dirty = Snapshot::load(r)?;
         Ok(())
     }
 }

@@ -3,7 +3,7 @@
 //! masks, a cached age order, an inverse rank table); `oracle/` keeps the
 //! from-scratch bodies they replaced, and a storm (`storm/`, on the in-repo
 //! `pro_core::prop` harness, lockstep like `prop_calq.rs`) holds each policy
-//! to its oracle step by step. The `order_dirty` reuse contract itself is
+//! to its oracle step by step. The `order_version` reuse contract itself is
 //! tested where the engine's reuse condition lives: `pro-sm`'s
 //! `tests/order_reuse.rs`.
 
@@ -126,13 +126,13 @@ fn incremental_orders_equal_their_from_scratch_oracles() {
     );
 }
 
-/// Regression: PRO defers rank rebuilds to `begin_cycle`, so an `order()`
-/// computed while a rebuild is queued (an event landed between sibling
-/// units) is deliberately stale and must NOT report clean — next cycle's
-/// recompute would see the rebuilt table. This is the exact hazard the
-/// deferred-clear in `Pro::order` guards.
+/// PRO defers rank rebuilds to `begin_cycle`, so an event between sibling
+/// units (unit 0 retires a warp, then unit 1 orders) leaves the rank table,
+/// and with it the order version, as it was: unit 1's order is last
+/// cycle's, and the engine may reuse it. The next cycle's rebuild moves the
+/// version of both units.
 #[test]
-fn pro_stays_dirty_while_a_rank_rebuild_is_queued() {
+fn pro_keeps_its_order_version_until_a_queued_rank_rebuild_lands() {
     let mut f = Fixture {
         warps: vec![WarpState::default(); 3 * WARPS_PER_TB],
         tbs: vec![TbState::default(); 3],
@@ -155,7 +155,7 @@ fn pro_stays_dirty_while_a_rank_rebuild_is_queued() {
                 active: true,
                 tb_slot: t,
                 index_in_tb: w as u32,
-                progress: 0,
+                progress: (slot as u64 * 7) % 5,
                 at_barrier: false,
                 finished: false,
                 blocked_on_longlat: false,
@@ -167,26 +167,25 @@ fn pro_stays_dirty_while_a_rank_rebuild_is_queued() {
         pro.on_tb_launch(t, &f.view());
     }
     pro.begin_cycle(&f.view());
-    let mut out = Vec::new();
-    let cands0 = candidates(&f, 0);
-    pro.order(0, &f.view(), &cands0, &mut out);
-    assert!(!pro.order_dirty(0), "clean after an in-sync recompute");
+    let (mut out0, mut out1) = (Vec::new(), Vec::new());
+    let cands1 = candidates(&f, 1);
+    pro.order(0, &f.view(), &candidates(&f, 0), &mut out0);
+    pro.order(1, &f.view(), &cands1, &mut out1);
+    let (v0, v1) = (pro.order_version(0), pro.order_version(1));
     // Unit 0 retires a warp mid-cycle: the class change queues a rank
     // rebuild that only lands at the next begin_cycle.
     f.warps[0].finished = true;
     f.tbs[0].warps_finished = 1;
     pro.on_warp_finish(0, 0, &f.view());
-    let cands1 = candidates(&f, 1);
-    pro.order(1, &f.view(), &cands1, &mut out);
-    assert!(
-        pro.order_dirty(1),
-        "an order computed from a stale rank table must stay dirty"
-    );
-    // Once begin_cycle lands the rebuild, a recompute goes clean again.
+    assert_eq!(pro.order_version(1), v1, "an event between sibling units keeps unit 1's version");
+    let mut again = Vec::new();
+    pro.order(1, &f.view(), &cands1, &mut again);
+    assert_eq!(again, out1, "so a recompute under it is the order the engine reuses");
+    // The rebuild lands: both units' cached orders are invalid.
     f.cycle += 1;
     pro.begin_cycle(&f.view());
-    pro.order(1, &f.view(), &cands1, &mut out);
-    assert!(!pro.order_dirty(1), "clean after the rebuilt-table recompute");
+    assert_ne!(pro.order_version(0), v0, "the rebuild moves unit 0's version");
+    assert_ne!(pro.order_version(1), v1, "the rebuild moves unit 1's version");
 }
 
 /// LRR's order is defined as "sort the candidates by distance from the

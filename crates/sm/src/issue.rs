@@ -86,8 +86,8 @@ pub struct IssueState {
     /// (`order_reads_longlat`, e.g. TL).
     longlat_mask: u64,
     /// Per-unit cached `order()` output plus the inputs it was computed
-    /// under; reused verbatim while the policy reports clean and the
-    /// inputs are unchanged.
+    /// under — candidates, blocked set, the policy's order version (`None`:
+    /// nothing cached) — reused verbatim while all three are unchanged.
     order_bufs: Vec<Vec<usize>>,
     /// Per-unit candidate slice handed to `order()` (ascending slots),
     /// expanded from `cached_cands[u]` and refilled only when the unit's
@@ -95,7 +95,7 @@ pub struct IssueState {
     cand_bufs: Vec<Vec<usize>>,
     cached_cands: Vec<u64>,
     cached_blocked: Vec<u64>,
-    cached_valid: Vec<bool>,
+    cached_version: Vec<Option<u64>>,
     /// Host-only counters (outside the determinism/checkpoint boundary,
     /// published as `host/issue/*`).
     prof: IssueProf,
@@ -123,7 +123,7 @@ impl IssueState {
             cand_bufs: (0..units).map(|_| Vec::with_capacity(max_warps)).collect(),
             cached_cands: vec![0; units],
             cached_blocked: vec![0; units],
-            cached_valid: vec![false; units],
+            cached_version: vec![None; units],
             prof: IssueProf::default(),
         }
     }
@@ -138,7 +138,7 @@ impl IssueState {
         self.ready = [0; 3];
         self.longlat_mask = 0;
         self.ibuf_at.fill(0);
-        self.cached_valid.fill(false);
+        self.cached_version.fill(None);
     }
 
     /// [`IssueState::reset`], then the candidate/eligible/blocked masks and
@@ -251,10 +251,13 @@ impl IssueState {
     }
 
     /// Bring `unit`'s priority order up to date. Last cycle's is reused
-    /// verbatim when the policy reports clean and every input `order()` may
-    /// read is unchanged — the candidate set always, the blocked set only
-    /// for policies that read it (`reads_longlat`): the `order_dirty`
-    /// contract then guarantees a recompute would be a no-op.
+    /// verbatim when every input `order()` may read is unchanged — the
+    /// candidate set, the blocked set for policies that read it
+    /// (`reads_longlat`), and the policy's order version: the
+    /// `order_version` contract then guarantees a recompute would return the
+    /// same permutation. The version is read after the `order()` call it
+    /// stands for, which is when a policy whose `order()` moves its own
+    /// state (TL) knows whether the next one would.
     pub fn order(
         &mut self,
         unit: u32,
@@ -265,10 +268,9 @@ impl IssueState {
         let u = unit as usize;
         let cands = self.cands_mask & self.unit_masks[u];
         let blocked = self.longlat_mask & self.unit_masks[u];
-        let reuse = self.cached_valid[u]
-            && self.cached_cands[u] == cands
+        let reuse = self.cached_cands[u] == cands
             && (!reads_longlat || self.cached_blocked[u] == blocked)
-            && !policy.order_dirty(unit);
+            && self.cached_version[u].is_some_and(|v| policy.order_version(unit) == Some(v));
         if reuse {
             self.prof.orders_reused += 1;
             return;
@@ -286,7 +288,7 @@ impl IssueState {
         policy.order(unit, view, &self.cand_bufs[u], &mut self.order_bufs[u]);
         self.cached_cands[u] = cands;
         self.cached_blocked[u] = blocked;
-        self.cached_valid[u] = true;
+        self.cached_version[u] = policy.order_version(unit);
     }
 
     /// `unit`'s order as [`IssueState::order`] left it, best first.
@@ -484,7 +486,7 @@ mod tests {
         Launch { w: usize, lat: u64, truth: Option<usize> },
         Elapse(u64),
         Writeback { w: usize, longlat: bool, truth: Option<usize> },
-        /// Order (`rotate` set: the policy turned dirty), pick, and issue
+        /// Order (`rotate` set: the policy's rotation moves), pick, and issue
         /// the pick with `effect`; `truth` is for its next instruction.
         Pick {
             unit: u32,
@@ -526,11 +528,10 @@ mod tests {
         }
     }
 
-    /// Each unit's candidates rotated by its `by`; a unit is dirty from a
-    /// change of its `by` until its next `order()`.
+    /// Each unit's candidates rotated by its `by`, which is also the
+    /// unit's order version.
     struct Rotate {
         by: [usize; UNITS as usize],
-        dirty: [bool; UNITS as usize],
         calls: u64,
         reads_longlat: bool,
     }
@@ -543,11 +544,10 @@ mod tests {
             out.clear();
             out.extend_from_slice(candidates);
             out.rotate_left(self.by[u as usize] % candidates.len().max(1));
-            self.dirty[u as usize] = false;
             self.calls += 1;
         }
-        fn order_dirty(&mut self, u: u32) -> bool {
-            self.dirty[u as usize]
+        fn order_version(&self, u: u32) -> Option<u64> {
+            Some(self.by[u as usize] as u64)
         }
         fn order_reads_longlat(&self) -> bool {
             self.reads_longlat
@@ -560,7 +560,7 @@ mod tests {
         slots: [Slot; SLOTS],
         ibuf_at: [u64; SLOTS],
         longlat: [bool; SLOTS],
-        ordered: [Option<(u64, u64)>; UNITS as usize],
+        ordered: [Option<(u64, u64, usize)>; UNITS as usize],
         probes: u64,
         order_calls: u64,
     }
@@ -630,7 +630,6 @@ mod tests {
             let mut st = IssueState::new(SLOTS, UNITS);
             let mut policy = Rotate {
                 by: [0; UNITS as usize],
-                dirty: [true; UNITS as usize],
                 calls: 0,
                 reads_longlat: *reads_longlat,
             };
@@ -666,14 +665,14 @@ mod tests {
                         let in_unit = |w: usize| w as u32 % UNITS == unit;
                         let u = unit as usize;
                         if let Some(by) = rotate {
-                            (policy.by[u], policy.dirty[u]) = (by, true);
+                            policy.by[u] = by;
                         }
                         let cands = m.mask(|w, s| {
                             in_unit(w) && matches!(s, Slot::Live { .. } | Slot::Parked { .. })
                         });
                         let blocked = m.mask(|w, _| in_unit(w) && m.longlat[w]);
-                        let inputs = (cands, if *reads_longlat { blocked } else { 0 });
-                        if policy.dirty[u] || m.ordered[u] != Some(inputs) {
+                        let inputs = (cands, if *reads_longlat { blocked } else { 0 }, policy.by[u]);
+                        if m.ordered[u] != Some(inputs) {
                             m.order_calls += 1;
                         }
                         m.ordered[u] = Some(inputs);

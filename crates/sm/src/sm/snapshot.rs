@@ -89,8 +89,8 @@ impl Sm {
         self.access_map = Snapshot::load(r)?;
         self.next_access = r.get_u64()?;
         self.stats = SmStats::load(r)?;
-        // Derived, not serialized (the policies invalidate or restore their
-        // dirty bits symmetrically, so the orders come back the same).
+        // Derived, not serialized: the order caches restart empty, so the
+        // first cycle recomputes what the snapshotted engine held.
         self.issue.rebuild(&self.warps, &self.sched_warps);
         Ok(())
     }

@@ -1,6 +1,6 @@
-//! The `order_dirty` reuse contract (DESIGN.md §15), held against the code
-//! that relies on it: for every policy, the orders [`IssueState::order`]
-//! keeps — reused while the policy reports clean and the unit's candidate
+//! The `order_version` reuse contract (DESIGN.md §15), held against the
+//! code that relies on it: for every policy, the orders [`IssueState::order`]
+//! keeps — reused while the policy's order version and the unit's candidate
 //! and blocked sets are unchanged — must be exactly those of a policy
 //! instance that recomputes from scratch every unit-cycle. The storm is
 //! `pro-core`'s (`crates/core/tests/storm`, included by path).
@@ -42,7 +42,7 @@ fn report(state: &mut IssueState, was: &[WarpState], now: &[WarpState]) {
 /// through identical event storms; every unit-cycle must see identical
 /// orderings, whether reused or recomputed. Tick events issue the order's
 /// front warp *between* sibling units, which is exactly the mid-cycle window
-/// where PRO's deferred rank rebuild must keep the unit dirty.
+/// where PRO's rank table (and so its version) is deliberately stale.
 #[test]
 fn reused_orders_match_scratch_recomputes_for_every_policy() {
     check(
@@ -93,7 +93,7 @@ fn reused_orders_match_scratch_recomputes_for_every_policy() {
                         );
                         // Sometimes issue the front runnable warp before the
                         // sibling unit orders — the engine does this, and it
-                        // is the window for PRO's deferred-rank hazard.
+                        // is the window where PRO's ranks lag its events.
                         if extra & (1 << unit) != 0 {
                             let front = state.last_order(unit).iter().copied().find(|&w| {
                                 let warp = &f.warps[w];

@@ -179,18 +179,24 @@ echo "ok: shootout covers all 8 policies in text and JSON"
 echo "== incremental issue path: reuse counters =="
 # The order-reuse telemetry (DESIGN.md §15): every profiled run publishes
 # host/issue/* counters, surfaced as the shootout's reuse% column and
-# JSON fields. If the reused count ever collapses to zero the incremental
-# path has silently degraded to scratch recomputes.
-for counter in issue_orders_reused issue_probes; do
-    grep -q "\"$counter\"" "$tracedir/shootout.json" || {
-        echo "ERROR: shootout.json missing the $counter counter" >&2
-        exit 1
-    }
-done
+# JSON fields. If a policy's reused count ever collapses to zero the
+# incremental path has silently degraded to scratch recomputes for it.
+grep -q '"issue_probes"' "$tracedir/shootout.json" || {
+    echo "ERROR: shootout.json missing the issue_probes counter" >&2
+    exit 1
+}
+reused=$(paste -d' ' \
+    <(grep -o '"policy":"[^"]*"' "$tracedir/shootout.json" | cut -d'"' -f4) \
+    <(grep -o '"issue_orders_reused":[0-9]*' "$tracedir/shootout.json" | cut -d: -f2))
+echo "$reused"
+if [ "$(grep -c ' [1-9][0-9]*$' <<<"$reused")" -ne 8 ]; then
+    echo "ERROR: a policy reused no order (or lost issue_orders_reused)" >&2
+    exit 1
+fi
 grep -q 'reuse%' "$tracedir/shootout.txt" || {
     echo "ERROR: shootout table lost the reuse% column" >&2
     exit 1
 }
-echo "ok: reuse counters published"
+echo "ok: reuse counters published, and every policy reused orders"
 
 echo "== verify: all green =="

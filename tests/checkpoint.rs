@@ -53,15 +53,15 @@ fn resume_is_bit_identical_serial_and_parallel() {
 
 #[test]
 fn dirty_order_state_round_trips_for_every_tracking_policy() {
-    // The incremental issue path (DESIGN.md §15) added serialized
-    // dirty-order masks to LRR/GTO/TL (PRO forces all-dirty on load
-    // and re-derives its rank table), plus host-side candidate bitsets,
-    // the warp ready-mask, and per-unit cached orders — all of which are
-    // *derived* state that `restore_snapshot` drops and rebuilds. A pause
-    // that lands mid-kernel, with stalled warps memoized in the ready-mask
-    // and half the units holding reusable cached orders, must still resume
-    // bit-identically: LRR and PRO are pinned by the tests above, the
-    // remaining tracking policies here.
+    // The incremental issue path (DESIGN.md §15) keeps host-side candidate
+    // bitsets, the warp ready-mask and per-unit cached orders with the
+    // order version each was built under, and PRO a rank table — all of
+    // them *derived* state that no policy section carries and
+    // `restore_snapshot` drops and rebuilds. A pause that lands mid-kernel,
+    // with stalled warps memoized in the ready-mask and half the units
+    // holding reusable cached orders, must still resume bit-identically:
+    // LRR and PRO are pinned by the tests above, the remaining policies
+    // with an order version here.
     for sched in [SchedulerKind::Gto, SchedulerKind::Tl] {
         let (base, base_trace, base_mem) = straight_run(sched);
         // An odd cut point, away from TB-launch boundaries, maximizes the
@@ -69,7 +69,7 @@ fn dirty_order_state_round_trips_for_every_tracking_policy() {
         let pause_at = base.cycles / 3 + 1;
         assert!(pause_at > 0 && pause_at < base.cycles);
         let (r, trace, mem) = split_run(sched, pause_at);
-        assert_same(&base, &r, &format!("{sched} dirty-state round trip"));
+        assert_same(&base, &r, &format!("{sched} order-reuse round trip"));
         assert_eq!(base_mem, mem, "{sched}: output memory");
         assert_eq!(base_trace, trace, "{sched}: concatenated trace bytes");
     }
@@ -241,20 +241,20 @@ fn container_bytes_are_pinned_for_every_policy() {
     // outstanding loads, LSU entries, scheduler state) under each of the
     // eight policies, and of one finished `RunResult`'s encoding. A change
     // here is a format change and needs a `FORMAT_VERSION` bump, not a new
-    // constant; these were recorded with version 5.
+    // constant; these were recorded with version 6.
     // In `SchedulerKind::ALL` order.
     const CONTAINER_CRC: [u32; 8] = [
-        0xF19D_FDE9, // LRR
-        0x3093_46D9, // GTO
-        0xE073_0BE6, // TL
-        0xA719_C250, // PRO
-        0x3054_6E53, // PRO-NB
-        0x64BA_D7A3, // PRO-NF
-        0xB066_6C5D, // PRO-NS
-        0xE2C8_2D0A, // PRO-AD
+        0x116B_F5D0, // LRR
+        0x52D7_0C4C, // GTO
+        0x1228_34F0, // TL
+        0x339E_02A5, // PRO
+        0x8136_F2E8, // PRO-NB
+        0x6F93_A7C1, // PRO-NF
+        0xD43E_032F, // PRO-NS
+        0xBDE0_D147, // PRO-AD
     ];
     const RUN_RESULT_CRC: u32 = 0x6F5A_BC94;
-    assert_eq!(pro_core::codec::FORMAT_VERSION, 5);
+    assert_eq!(pro_core::codec::FORMAT_VERSION, 6);
     for (sched, want) in SchedulerKind::ALL.into_iter().zip(CONTAINER_CRC) {
         let got = pro_core::codec::crc32(paused(sched, trace_opts(), 1500).as_bytes());
         assert_eq!(got, want, "{sched}: pause container bytes moved (got {got:#010X})");
@@ -296,14 +296,18 @@ fn a_restore_is_what_the_run_holds_one_cycle_later() {
 
 #[test]
 fn a_version_2_container_is_refused() {
-    // No container of an earlier format is read, and refusing one leaves
-    // the GPU launchable.
+    // No container of an earlier format is read — the first one with chain
+    // headers, nor the last one, whose policy sections still carried order
+    // reuse masks — and refusing one leaves the GPU launchable.
     let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
-    let mut bytes = with_section(&snap, SEC_META, snap.section_bytes(SEC_META).unwrap()).into_bytes();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let err = victim.refuses(&GpuSnapshot::from_bytes(bytes), "a version 2 container");
-    assert_eq!(err, CodecError::BadVersion(2));
-    victim.still_launches("a version 2 container");
+    for version in [2u32, 5] {
+        let what = format!("a version {version} container");
+        let mut bytes = with_section(&snap, SEC_META, snap.section_bytes(SEC_META).unwrap()).into_bytes();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let err = victim.refuses(&GpuSnapshot::from_bytes(bytes), &what);
+        assert_eq!(err, CodecError::BadVersion(version));
+        victim.still_launches(&what);
+    }
 }
 
 /// Container section ids (DESIGN.md §12).

@@ -9,6 +9,9 @@
 //!   bit on every simulated counter;
 //! * `RunResult`'s `Snapshot` encoding strips the `host/` namespace, so
 //!   result digests and byte-compare gates are profiler-independent.
+//!
+//! The issue path's order-reuse counters, published under `host/issue/*`,
+//! are pinned here too: one kernel's counts under every policy.
 
 use pro_core::codec::{Reader, Snapshot, Writer};
 use pro_sim::{GpuSnapshot, RunResult, SchedulerKind, TraceOptions};
@@ -133,4 +136,30 @@ fn run_result_encoding_strips_host_metrics() {
     let back = RunResult::load(&mut rd).unwrap();
     rd.finish().unwrap();
     assert!(!has_host(&back.metrics), "host/* survived the round trip");
+}
+
+#[test]
+fn order_reuse_counts_are_pinned_for_every_policy() {
+    // `host/issue/orders_*` of one small kernel under each policy: a change
+    // to an order version, or to when the engine asks for one, moves them.
+    // The previous contract's counts (per-unit flags that `order()` cleared,
+    // and that PRO's kept while a rank rebuild was queued) are on the right.
+    // In `SchedulerKind::ALL` order: (reused, recomputed).
+    const COUNTS: [(u64, u64); 8] = [
+        (9_031, 10_921), // LRR     (9 031, 10 921)
+        (9_706, 10_294), // GTO     (9 706, 10 294)
+        (4_422, 14_946), // TL      (4 422, 14 946)
+        (17_470, 2_098), // PRO    (17 099, 2 469)
+        (18_548, 236),   // PRO-NB (18 526, 258)
+        (17_470, 2_098), // PRO-NF (17 099, 2 469)
+        (17_436, 2_108), // PRO-NS (17 019, 2 525)
+        (18_296, 1_616), // PRO-AD (18 007, 1 905)
+    ];
+    for (sched, want) in SchedulerKind::ALL.into_iter().zip(COUNTS) {
+        let (mut gpu, kernel) = fresh_gpu();
+        let r = gpu.launch(&kernel, sched, prof_opts(true)).unwrap();
+        let c = |name: &str| r.metrics.counter(name).unwrap_or(0);
+        let got = (c("host/issue/orders_reused"), c("host/issue/orders_recomputed"));
+        assert_eq!(got, want, "{sched}: (orders reused, recomputed)");
+    }
 }
