@@ -25,10 +25,11 @@
 //!   [`snapshot_enum!`](crate::snapshot_enum).
 //!   (Global memory can additionally encode *only what changed since the
 //!   last capture*: `pro_mem::GlobalMem::save_delta`.)
-//! * [`FileWriter`] / [`FileReader`] — the on-disk container: magic +
+//! * [`write_container`] / [`FileReader`] — the on-disk container: magic +
 //!   format version + a chain header (full/delta kind, sequence number,
-//!   parent-file CRC) + a table of `(id, length, crc32, payload)` sections.
-//!   See `DESIGN.md` §12 for the byte-level specification.
+//!   parent-file CRC) + a table of `(id, length, crc32, payload)` sections,
+//!   laid out byte by byte in [`write_container`]'s documentation. The
+//!   reader borrows each payload from the bytes it parsed.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -746,7 +747,16 @@ macro_rules! snapshot_enum {
 // File container
 // ---------------------------------------------------------------------------
 
-/// Builder for the on-disk snapshot container.
+/// Bytes of the header before the first section, and of each section's
+/// `id`, `len` and `crc32` fields.
+const HEADER_LEN: usize = 8 + 4 + 1 + 8 + 4 + 4;
+const SECTION_HEADER_LEN: usize = 4 + 8 + 4;
+
+/// Serialize a snapshot container holding `sections` in the order given,
+/// into one buffer sized for the whole. `link` makes it a delta at chain
+/// position `sequence` (≥ 1) whose predecessor file's bytes hash to
+/// `parent_crc`; `None` makes it a full container. Ids must be unique: the
+/// reader indexes by id.
 ///
 /// Layout (all integers little-endian):
 ///
@@ -769,94 +779,45 @@ macro_rules! snapshot_enum {
 /// self-validating: each delta names its predecessor by CRC, so a reader
 /// can detect a delta grafted onto the wrong base (or applied out of
 /// order) without any out-of-band manifest.
+pub fn write_container(link: Option<(u64, u32)>, sections: &[(u32, &[u8])]) -> Vec<u8> {
+    debug_assert!(link.is_none_or(|(sequence, _)| sequence > 0), "delta sequence numbers start at 1");
+    debug_assert!(
+        sections.iter().enumerate().all(|(i, (id, _))| sections[..i].iter().all(|(j, _)| j != id)),
+        "duplicate snapshot section id"
+    );
+    let len = sections.iter().map(|(_, p)| SECTION_HEADER_LEN + p.len()).sum::<usize>();
+    let mut out = Vec::with_capacity(HEADER_LEN + len);
+    let (sequence, parent_crc) = link.unwrap_or((0, 0));
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.push(u8::from(link.is_some()));
+    out.extend_from_slice(&sequence.to_le_bytes());
+    out.extend_from_slice(&parent_crc.to_le_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (id, payload) in sections {
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    out
+}
+
+/// A parsed snapshot container: magic, version and chain header validated
+/// and every section's CRC verified up front. Each payload is a slice of
+/// the bytes it parsed, not a copy.
 #[derive(Debug)]
-pub struct FileWriter {
+pub struct FileReader<'a> {
     kind: ContainerKind,
     sequence: u64,
     parent_crc: u32,
-    sections: Vec<(u32, Vec<u8>)>,
+    sections: Vec<(u32, &'a [u8])>,
 }
 
-impl Default for FileWriter {
-    fn default() -> Self {
-        FileWriter::new()
-    }
-}
-
-impl FileWriter {
-    /// An empty full-snapshot container (sequence 0, no parent).
-    pub fn new() -> Self {
-        FileWriter {
-            kind: ContainerKind::Full,
-            sequence: 0,
-            parent_crc: 0,
-            sections: Vec::new(),
-        }
-    }
-
-    /// An empty delta container at chain position `sequence` (≥ 1), whose
-    /// predecessor file's bytes hash to `parent_crc`.
-    pub fn new_delta(sequence: u64, parent_crc: u32) -> Self {
-        debug_assert!(sequence > 0, "delta sequence numbers start at 1");
-        FileWriter {
-            kind: ContainerKind::Delta,
-            sequence,
-            parent_crc,
-            sections: Vec::new(),
-        }
-    }
-
-    /// Append a section. Ids need not be ordered but must be unique; the
-    /// reader indexes by id.
-    pub fn add_section(&mut self, id: u32, w: Writer) {
-        self.add_section_bytes(id, w.into_bytes());
-    }
-
-    /// Append a section from pre-encoded payload bytes (e.g. a
-    /// [`crate::bdelta`] stream, which is not built through a [`Writer`]).
-    pub fn add_section_bytes(&mut self, id: u32, payload: Vec<u8>) {
-        debug_assert!(
-            self.sections.iter().all(|(i, _)| *i != id),
-            "duplicate snapshot section id {id}"
-        );
-        self.sections.push((id, payload));
-    }
-
-    /// Serialize the container to bytes.
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.push(match self.kind {
-            ContainerKind::Full => 0,
-            ContainerKind::Delta => 1,
-        });
-        out.extend_from_slice(&self.sequence.to_le_bytes());
-        out.extend_from_slice(&self.parent_crc.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (id, payload) in &self.sections {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
-        out
-    }
-}
-
-/// Parsed snapshot container: magic/version validated and every section's
-/// CRC verified up front, payloads owned.
-#[derive(Debug)]
-pub struct FileReader {
-    kind: ContainerKind,
-    sequence: u64,
-    parent_crc: u32,
-    sections: Vec<(u32, Vec<u8>)>,
-}
-
-impl FileReader {
-    /// Parse and fully validate a container.
-    pub fn parse(bytes: &[u8]) -> Result<FileReader, CodecError> {
+impl<'a> FileReader<'a> {
+    /// Parse and fully validate a container ([`write_container`] has the
+    /// layout).
+    pub fn parse(bytes: &'a [u8]) -> Result<FileReader<'a>, CodecError> {
         let mut r = Reader::new(bytes);
         let magic = r.take(8)?;
         if magic != MAGIC {
@@ -883,7 +844,8 @@ impl FileReader {
             _ => {}
         }
         let count = r.get_u32()?;
-        let mut sections = Vec::with_capacity(count as usize);
+        // A count the remaining bytes cannot hold is not reserved for.
+        let mut sections = Vec::with_capacity((count as usize).min(r.remaining() / SECTION_HEADER_LEN));
         for _ in 0..count {
             let id = r.get_u32()?;
             let len = r.get_usize()?;
@@ -892,7 +854,7 @@ impl FileReader {
             if crc32(payload) != crc {
                 return Err(CodecError::CrcMismatch { section: id });
             }
-            sections.push((id, payload.to_vec()));
+            sections.push((id, payload));
         }
         r.finish()
             .map_err(|_| CodecError::BadValue("trailing bytes after last section"))?;
@@ -920,24 +882,24 @@ impl FileReader {
         self.parent_crc
     }
 
-    /// Ids of all sections, in file order.
-    pub fn section_ids(&self) -> Vec<u32> {
-        self.sections.iter().map(|(id, _)| *id).collect()
+    /// Every `(id, payload)` section, in file order.
+    pub fn sections(&self) -> &[(u32, &'a [u8])] {
+        &self.sections
     }
 
     /// A [`Reader`] over section `id`'s payload.
-    pub fn section(&self, id: u32) -> Result<Reader<'_>, CodecError> {
+    pub fn section(&self, id: u32) -> Result<Reader<'a>, CodecError> {
         self.section_bytes(id).map(Reader::new)
     }
 
     /// Section `id`'s raw payload bytes (CRC already verified at parse).
     /// Delta containers store [`crate::bdelta`] streams here, which are
     /// decoded against the predecessor image rather than read field-wise.
-    pub fn section_bytes(&self, id: u32) -> Result<&[u8], CodecError> {
+    pub fn section_bytes(&self, id: u32) -> Result<&'a [u8], CodecError> {
         self.sections
             .iter()
             .find(|(i, _)| *i == id)
-            .map(|(_, p)| p.as_slice())
+            .map(|&(_, p)| p)
             .ok_or(CodecError::MissingSection(id))
     }
 }
@@ -999,17 +961,15 @@ mod tests {
 
     #[test]
     fn container_roundtrip() {
-        let mut f = FileWriter::new();
         let mut a = Writer::new();
         (1u32, 2u64).save(&mut a);
-        f.add_section(7, a);
         let mut b = Writer::new();
         vec![Some(3usize), None].save(&mut b);
-        f.add_section(9, b);
-        let bytes = f.finish();
+        let (a, b) = (a.into_bytes(), b.into_bytes());
+        let bytes = write_container(None, &[(7, &a), (9, &b)]);
 
         let parsed = FileReader::parse(&bytes).unwrap();
-        assert_eq!(parsed.section_ids(), vec![7, 9]);
+        assert_eq!(parsed.sections(), &[(7, &a[..]), (9, &b[..])]);
         let mut r = parsed.section(7).unwrap();
         assert_eq!(<(u32, u64)>::load(&mut r).unwrap(), (1, 2));
         r.finish().unwrap();
@@ -1030,9 +990,7 @@ mod tests {
         let mut w = Writer::new();
         w.put_u32(0xAABB_CCDD);
         w.put_u8(0x07);
-        let mut f = FileWriter::new();
-        f.add_section(1, w);
-        let bytes = f.finish();
+        let bytes = write_container(None, &[(1, &w.into_bytes())]);
         let payload = [0xDDu8, 0xCC, 0xBB, 0xAA, 0x07];
         let mut expect: Vec<u8> = Vec::new();
         expect.extend_from_slice(b"PROSNAP\0"); // magic
@@ -1060,9 +1018,7 @@ mod tests {
         // number, and the predecessor file's CRC.
         let mut w = Writer::new();
         w.put_u8(0x2A);
-        let mut f = FileWriter::new_delta(3, 0xDEAD_BEEF);
-        f.add_section(9, w);
-        let bytes = f.finish();
+        let bytes = write_container(Some((3, 0xDEAD_BEEF)), &[(9, &w.into_bytes())]);
         let payload = [0x2Au8];
         let mut expect: Vec<u8> = Vec::new();
         expect.extend_from_slice(b"PROSNAP\0"); // magic
@@ -1086,7 +1042,7 @@ mod tests {
     fn malformed_chain_headers_are_rejected() {
         // A delta must carry a nonzero sequence; a full container must not
         // carry chain linkage. Corrupt either invariant and parse fails.
-        let bytes = FileWriter::new().finish();
+        let bytes = write_container(None, &[]);
         let kind_off = 8 + 4; // magic + version
         let mut delta0 = bytes.clone();
         delta0[kind_off] = 1; // claim delta, but sequence stays 0
@@ -1112,9 +1068,7 @@ mod tests {
     fn corruption_is_detected_not_panicking() {
         let mut w = Writer::new();
         w.put_u64(123_456_789);
-        let mut f = FileWriter::new();
-        f.add_section(3, w);
-        let mut bytes = f.finish();
+        let mut bytes = write_container(None, &[(3, &w.into_bytes())]);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF; // flip a payload byte
         assert_eq!(
@@ -1125,11 +1079,7 @@ mod tests {
 
     #[test]
     fn truncation_and_bad_headers_are_clean_errors() {
-        let mut f = FileWriter::new();
-        let mut w = Writer::new();
-        w.put_u32(1);
-        f.add_section(1, w);
-        let bytes = f.finish();
+        let bytes = write_container(None, &[(1, &1u32.to_le_bytes())]);
         assert!(matches!(
             FileReader::parse(&bytes[..bytes.len() - 2]),
             Err(CodecError::Truncated)
@@ -1144,6 +1094,16 @@ mod tests {
             FileReader::parse(&vbytes),
             Err(CodecError::BadVersion(99))
         ));
+    }
+
+    #[test]
+    fn a_section_count_past_the_bytes_is_truncation() {
+        // The count reserves the section table: one the remaining bytes
+        // cannot hold must not reserve four billion entries first.
+        let mut bytes = write_container(None, &[]);
+        let count = bytes.len() - 4;
+        bytes[count..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(FileReader::parse(&bytes).err(), Some(CodecError::Truncated));
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod tl;
 pub use adaptive::ProAdaptive;
 pub use calq::CalQueue;
 pub use codec::{
-    CodecError, ContainerKind, FileReader, FileWriter, Reader, Slot, Snapshot, Violation, Writer,
+    write_container, CodecError, ContainerKind, FileReader, Reader, Slot, Snapshot, Violation, Writer,
 };
 pub use fuzz::Fuzz;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

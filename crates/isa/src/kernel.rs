@@ -88,16 +88,6 @@ impl Kernel {
             params,
         }
     }
-
-    /// Registers consumed by one thread block.
-    pub fn regs_per_block(&self) -> u32 {
-        self.program.regs as u32 * self.launch.threads_per_block()
-    }
-
-    /// Shared memory consumed by one thread block, bytes.
-    pub fn shared_per_block(&self) -> u32 {
-        self.program.shared_bytes
-    }
 }
 
 #[cfg(test)]
@@ -120,8 +110,6 @@ mod tests {
     #[test]
     fn resource_footprints() {
         let k = Kernel::new(prog(20, 4096), LaunchConfig::linear(10, 128), vec![]);
-        assert_eq!(k.regs_per_block(), 2560);
-        assert_eq!(k.shared_per_block(), 4096);
         assert_eq!(k.launch.num_blocks(), 10);
     }
 

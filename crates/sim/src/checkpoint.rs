@@ -9,7 +9,7 @@
 //! to the uninterrupted run: the same counters, the same stall attribution,
 //! the same trace bytes.
 //!
-//! See `DESIGN.md` §12 for the byte-level container specification.
+//! `pro_core::codec::write_container` documents the container's byte layout.
 
 use pro_core::codec::{crc32, CodecError, ContainerKind, FileReader};
 use std::io::Write as _;
@@ -292,22 +292,14 @@ mod tests {
         assert_eq!(snap.validate(), Err(CodecError::BadMagic));
     }
 
-    use pro_core::codec::{FileWriter, Writer};
+    use pro_core::codec::write_container;
 
     fn full_container(tag: u32) -> GpuSnapshot {
-        let mut fw = FileWriter::new();
-        let mut w = Writer::new();
-        w.put_u32(tag);
-        fw.add_section(1, w);
-        GpuSnapshot::from_bytes(fw.finish())
+        GpuSnapshot::from_bytes(write_container(None, &[(1, &tag.to_le_bytes())]))
     }
 
     fn delta_container(seq: u64, parent: u32, tag: u32) -> GpuSnapshot {
-        let mut fw = FileWriter::new_delta(seq, parent);
-        let mut w = Writer::new();
-        w.put_u32(tag);
-        fw.add_section(1, w);
-        GpuSnapshot::from_bytes(fw.finish())
+        GpuSnapshot::from_bytes(write_container(Some((seq, parent)), &[(1, &tag.to_le_bytes())]))
     }
 
     fn temp_chain_dir(name: &str) -> PathBuf {

@@ -5,8 +5,8 @@
 //! # In-order cycle
 //!
 //! Each simulated cycle ticks the shared [`MemSubsystem`], then every SM
-//! in SM-index order (`Sm::tick_traced`: its memory half, then its issue
-//! half), then the thread block scheduler. SMs meet only in the memory
+//! in SM-index order (`Sm::mem_phase`, its memory half, then
+//! `Sm::issue_phase`, its issue half), then the thread block scheduler. SMs meet only in the memory
 //! system and in global memory, and both are touched in that one order:
 //! the memory system's sequence counter advances SM by SM, and a global
 //! store is visible to every access issued after it — the SM's other
@@ -396,7 +396,7 @@ struct Engine<'a> {
     /// Delta-chain writer and the section image its next delta diffs
     /// against: `None` until the first periodic boundary of a
     /// delta-checkpointed run.
-    chain: Option<(ChainWriter, ChainImage)>,
+    chain: Option<(ChainWriter, ChainImage<'static>)>,
     /// Host profiler: when `trace.host_prof` is off this costs one branch
     /// per phase boundary; its output never reaches simulated state, so it
     /// is invisible to the determinism gates either way.
@@ -519,8 +519,8 @@ impl<'a> Engine<'a> {
         let mut pt = self.prof.start();
 
         // The shared memory system ticks, then each SM in index order:
-        // its memory half, then its issue half (`Sm::tick_traced`, opened
-        // up so the profiler can tell the halves apart). SM by SM, not
+        // its memory half, then its issue half (what `Sm::tick` runs, called
+        // apart so the profiler can tell the halves apart). SM by SM, not
         // half by half, keeps each SM's events of a cycle contiguous on
         // the bus. The halves' host time is summed over the SMs and
         // recorded once per cycle.

@@ -10,11 +10,12 @@ use super::{Engine, Gpu, GpuConfig, Lane, LoopState, SimError};
 use crate::checkpoint::GpuSnapshot;
 use pro_core::{bdelta, snapshot_struct};
 use pro_core::codec::{
-    crc32, ensure, CodecError, ContainerKind, FileReader, FileWriter, Reader, Snapshot, Writer,
+    crc32, ensure, write_container, CodecError, ContainerKind, FileReader, Reader, Snapshot, Writer,
 };
 use pro_isa::Kernel;
 use pro_mem::GlobalMem;
 use pro_sm::Sm;
+use std::borrow::Cow;
 
 /// Snapshot container section ids (see `DESIGN.md` §12).
 const SEC_META: u32 = 1;
@@ -29,11 +30,12 @@ const SEC_SM_BASE: u32 = 10;
 
 /// Full payload images of the [`bdelta`]-encoded sections (memory
 /// hierarchy, one per SM) at one capture boundary. The writer diffs the
-/// next capture against this; a restore rebuilds it by folding each
-/// delta's bdelta stream onto the base's payloads.
-pub(super) struct ChainImage {
-    mem: Vec<u8>,
-    sms: Vec<Vec<u8>>,
+/// next capture against this; a restore reads a lone container's payloads
+/// where they lie and owns only what folding a delta's bdelta stream onto
+/// them produced.
+pub(super) struct ChainImage<'a> {
+    mem: Cow<'a, [u8]>,
+    sms: Vec<Cow<'a, [u8]>>,
 }
 
 /// What makes a capture a chain link instead of a full container: its
@@ -42,7 +44,7 @@ pub(super) struct ChainImage {
 pub(super) struct ChainLink<'a> {
     pub(super) sequence: u64,
     pub(super) parent_crc: u32,
-    pub(super) prev: &'a ChainImage,
+    pub(super) prev: &'a ChainImage<'static>,
 }
 
 impl Engine<'_> {
@@ -61,59 +63,51 @@ impl Engine<'_> {
     ///
     /// Also returns the capture's full section image, which a chain writer
     /// keeps as the diff base for the next boundary.
-    pub(super) fn capture(&self, link: Option<ChainLink<'_>>) -> (GpuSnapshot, ChainImage) {
+    pub(super) fn capture(&self, link: Option<ChainLink<'_>>) -> (GpuSnapshot, ChainImage<'static>) {
         let gpu = &*self.gpu;
         let scheduler = self.lanes[0].policy.name();
-        let mut f = match &link {
-            None => FileWriter::new(),
-            Some(l) => FileWriter::new_delta(l.sequence, l.parent_crc),
+        let meta = encoded(|w| Meta::of(&gpu.cfg, self.kernel, scheduler, gpu.cycle, self.start_cycle).save(w));
+        let lp = encoded(|w| self.lp.save(w));
+        let (gmem_id, gmem) = match link {
+            Some(_) => (SEC_GMEM_DELTA, encoded(|w| gpu.gmem.save_delta(w))),
+            None => (SEC_GMEM, encoded(|w| gpu.gmem.save(w))),
         };
-
-        let mut w = Writer::new();
-        Meta::of(&gpu.cfg, self.kernel, scheduler, gpu.cycle, self.start_cycle).save(&mut w);
-        f.add_section(SEC_META, w);
-
-        let mut w = Writer::new();
-        self.lp.save(&mut w);
-        f.add_section(SEC_LOOP, w);
-
-        let mut w = Writer::new();
-        if link.is_some() {
-            gpu.gmem.save_delta(&mut w);
-            f.add_section(SEC_GMEM_DELTA, w);
-        } else {
-            gpu.gmem.save(&mut w);
-            f.add_section(SEC_GMEM, w);
-        }
-
-        let mut w = Writer::new();
-        gpu.mem.save_snapshot(&mut w);
-        let mem = w.into_bytes();
+        let mem = encoded(|w| gpu.mem.save_snapshot(w));
         let sms: Vec<Vec<u8>> = gpu
             .sms
             .iter()
             .zip(&self.lanes)
             .map(|(sm, lane)| {
-                let mut w = Writer::new();
-                sm.save_snapshot(&mut w);
-                lane.policy.save_state(&mut w);
-                w.into_bytes()
+                encoded(|w| {
+                    sm.save_snapshot(w);
+                    lane.policy.save_state(w);
+                })
             })
             .collect();
 
         // The mirror of `Restored::parse`'s fold: a link stores each payload
-        // as a diff against its predecessor, a full container a plain copy.
-        let payload = |new: &[u8], prev: Option<&[u8]>| match prev {
-            Some(prev) => bdelta::encode(prev, new),
-            None => new.to_vec(),
-        };
-        let prev = link.map(|l| l.prev);
-        f.add_section_bytes(SEC_MEM, payload(&mem, prev.map(|p| &p.mem[..])));
-        for (i, sm) in sms.iter().enumerate() {
-            f.add_section_bytes(SEC_SM_BASE + i as u32, payload(sm, prev.map(|p| &p.sms[i][..])));
+        // as a diff against its predecessor, a full container the payload
+        // itself.
+        let mut payloads: Vec<&[u8]> = std::iter::once(&mem).chain(&sms).map(Vec::as_slice).collect();
+        let diffs: Vec<Vec<u8>>;
+        if let Some(l) = &link {
+            let prev = std::iter::once(&l.prev.mem).chain(&l.prev.sms);
+            diffs = prev.zip(&payloads).map(|(prev, new)| bdelta::encode(prev, new)).collect();
+            payloads = diffs.iter().map(Vec::as_slice).collect();
         }
-        (GpuSnapshot::from_bytes(f.finish()), ChainImage { mem, sms })
+        let ids = [SEC_META, SEC_LOOP, gmem_id, SEC_MEM].into_iter().chain((0..).map(|i| SEC_SM_BASE + i));
+        let sections: Vec<(u32, &[u8])> = ids.zip([&meta[..], &lp[..], &gmem[..]].into_iter().chain(payloads)).collect();
+        let bytes = write_container(link.map(|l| (l.sequence, l.parent_crc)), &sections);
+        let image = ChainImage { mem: mem.into(), sms: sms.into_iter().map(Cow::Owned).collect() };
+        (GpuSnapshot::from_bytes(bytes), image)
     }
+}
+
+/// The bytes `save` writes.
+fn encoded(save: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    save(&mut w);
+    w.into_bytes()
 }
 
 /// Prior state parsed, CRC-checked, identity-checked and folded. A corrupt
@@ -121,28 +115,29 @@ impl Engine<'_> {
 /// refused in [`Restored::parse`], before [`Restored::apply`] touches the
 /// simulator; only the check that needs the launch's own policy (its
 /// scheduler name) waits for `apply`.
-pub(super) struct Restored {
+pub(super) struct Restored<'a> {
     /// The newest container's identity and cycle coordinates.
     pub(super) meta: Meta,
     /// One per container, base first.
-    readers: Vec<FileReader>,
-    /// The tip's memory-hierarchy and per-SM payloads.
-    image: ChainImage,
+    readers: Vec<FileReader<'a>>,
+    /// The tip's memory-hierarchy and per-SM payloads: a lone container's
+    /// where they lie, a chain's as the fold of its deltas made them.
+    image: ChainImage<'a>,
 }
 
-impl Restored {
+impl<'a> Restored<'a> {
     /// Decode `containers` (a full base, then its deltas in sequence order)
     /// for a launch of `kernel` on `cfg`. Identity and every section but
     /// global memory come from the newest container; the tip's
     /// memory-hierarchy and per-SM payloads are the base's with every
-    /// delta's [`bdelta`] stream applied in order — a plain copy when there
-    /// are no deltas.
+    /// delta's [`bdelta`] stream applied in order — the base's own bytes,
+    /// uncopied, when there are no deltas.
     pub(super) fn parse(
-        containers: &[GpuSnapshot],
+        containers: &'a [GpuSnapshot],
         cfg: &GpuConfig,
         kernel: &Kernel,
-    ) -> Result<Restored, CodecError> {
-        let readers: Vec<FileReader> = containers
+    ) -> Result<Restored<'a>, CodecError> {
+        let readers: Vec<FileReader<'a>> = containers
             .iter()
             .map(|c| FileReader::parse(c.as_bytes()))
             .collect::<Result<_, _>>()?;
@@ -160,15 +155,15 @@ impl Restored {
         ensure(meta.start_cycle <= meta.cycle, "snapshot taken before its launch began")?;
 
         let mut image = ChainImage {
-            mem: base.section_bytes(SEC_MEM)?.to_vec(),
+            mem: base.section_bytes(SEC_MEM)?.into(),
             sms: (0..cfg.num_sms)
-                .map(|i| base.section_bytes(SEC_SM_BASE + i).map(<[u8]>::to_vec))
+                .map(|i| base.section_bytes(SEC_SM_BASE + i).map(Cow::Borrowed))
                 .collect::<Result<_, _>>()?,
         };
         for delta in &readers[1..] {
-            image.mem = bdelta::apply(&image.mem, delta.section_bytes(SEC_MEM)?)?;
+            image.mem = bdelta::apply(&image.mem, delta.section_bytes(SEC_MEM)?)?.into();
             for (i, sm) in image.sms.iter_mut().enumerate() {
-                *sm = bdelta::apply(sm, delta.section_bytes(SEC_SM_BASE + i as u32)?)?;
+                *sm = bdelta::apply(sm, delta.section_bytes(SEC_SM_BASE + i as u32)?)?.into();
             }
         }
         Ok(Restored { meta, readers, image })
@@ -337,7 +332,7 @@ impl Meta {
     }
 
     /// The identity a container recorded.
-    fn read(fr: &FileReader) -> Result<Meta, CodecError> {
+    fn read(fr: &FileReader<'_>) -> Result<Meta, CodecError> {
         let mut r = fr.section(SEC_META)?;
         let meta = Meta::load(&mut r)?;
         r.finish()?;

@@ -500,10 +500,12 @@ impl Sm {
         self.sched_tbs[tb] = TbState::default();
     }
 
-    /// Advance one cycle.
-    ///
-    /// Untraced convenience wrapper around [`Sm::tick_traced`].
-    #[allow(clippy::too_many_arguments)]
+    /// Advance one cycle, untraced: [`Sm::mem_phase`] then
+    /// [`Sm::issue_phase`], which a traced caller runs itself. A GPU ticks
+    /// its SMs in index order, which alone orders every cross-SM effect of
+    /// a cycle: the sequence numbers the [`MemSubsystem`] hands out, and
+    /// which same-cycle accesses see a global store (those of
+    /// higher-indexed SMs).
     pub fn tick(
         &mut self,
         now: u64,
@@ -513,28 +515,8 @@ impl Sm {
         fast_phase: bool,
         report: &mut TickReport,
     ) {
-        self.tick_traced(now, gmem, mem, policy, fast_phase, report, &mut NoopTracer)
-    }
-
-    /// [`Sm::tick`] publishing issue/stall, scoreboard, barrier, SIMT, TB
-    /// and memory-lifecycle events to `tracer`: [`Sm::mem_phase`] then
-    /// [`Sm::issue_phase`]. A GPU ticks its SMs in index order, which alone
-    /// orders every cross-SM effect of a cycle: the sequence numbers the
-    /// [`MemSubsystem`] hands out, and which same-cycle accesses see a
-    /// global store (those of higher-indexed SMs).
-    #[allow(clippy::too_many_arguments)]
-    pub fn tick_traced(
-        &mut self,
-        now: u64,
-        gmem: &mut GlobalMem,
-        mem: &mut MemSubsystem,
-        policy: &mut dyn WarpScheduler,
-        fast_phase: bool,
-        report: &mut TickReport,
-        tracer: &mut dyn Tracer,
-    ) {
-        self.mem_phase(now, mem, tracer);
-        self.issue_phase(now, gmem, mem, policy, fast_phase, report, tracer);
+        self.mem_phase(now, mem, &mut NoopTracer);
+        self.issue_phase(now, gmem, mem, policy, fast_phase, report, &mut NoopTracer);
     }
 
 }
@@ -896,15 +878,8 @@ mod tests {
             while rig.sm.busy() {
                 let mut rep = TickReport::default();
                 rig.mem.tick(rig.now);
-                rig.sm.tick_traced(
-                    rig.now,
-                    &mut rig.gmem,
-                    &mut rig.mem,
-                    rig.policy.as_mut(),
-                    true,
-                    &mut rep,
-                    &mut tracer,
-                );
+                rig.sm.mem_phase(rig.now, &mut rig.mem, &mut tracer);
+                rig.sm.issue_phase(rig.now, &mut rig.gmem, &mut rig.mem, rig.policy.as_mut(), true, &mut rep, &mut tracer);
                 rig.now += 1;
                 assert!(rig.now < 100_000);
             }
@@ -1016,15 +991,8 @@ mod tests {
         while rig.sm.busy() {
             let mut rep = TickReport::default();
             rig.mem.tick_traced(rig.now, &mut tracer);
-            rig.sm.tick_traced(
-                rig.now,
-                &mut rig.gmem,
-                &mut rig.mem,
-                rig.policy.as_mut(),
-                true,
-                &mut rep,
-                &mut tracer,
-            );
+            rig.sm.mem_phase(rig.now, &mut rig.mem, &mut tracer);
+            rig.sm.issue_phase(rig.now, &mut rig.gmem, &mut rig.mem, rig.policy.as_mut(), true, &mut rep, &mut tracer);
             rig.now += 1;
             assert!(rig.now < 100_000);
         }
@@ -1087,15 +1055,8 @@ mod tests {
         while rig.sm.busy() {
             let mut rep = TickReport::default();
             rig.mem.tick_traced(rig.now, &mut panic_tracer);
-            rig.sm.tick_traced(
-                rig.now,
-                &mut rig.gmem,
-                &mut rig.mem,
-                rig.policy.as_mut(),
-                true,
-                &mut rep,
-                &mut panic_tracer,
-            );
+            rig.sm.mem_phase(rig.now, &mut rig.mem, &mut panic_tracer);
+            rig.sm.issue_phase(rig.now, &mut rig.gmem, &mut rig.mem, rig.policy.as_mut(), true, &mut rep, &mut panic_tracer);
             rig.now += 1;
             assert!(rig.now < 100_000);
         }
@@ -1182,15 +1143,8 @@ mod tests {
             while rig.sm.busy() {
                 let mut rep = TickReport::default();
                 rig.mem.tick(rig.now);
-                rig.sm.tick_traced(
-                    rig.now,
-                    &mut rig.gmem,
-                    &mut rig.mem,
-                    rig.policy.as_mut(),
-                    true,
-                    &mut rep,
-                    &mut tracer,
-                );
+                rig.sm.mem_phase(rig.now, &mut rig.mem, &mut tracer);
+                rig.sm.issue_phase(rig.now, &mut rig.gmem, &mut rig.mem, rig.policy.as_mut(), true, &mut rep, &mut tracer);
                 rig.now += 1;
                 assert!(rig.now < 100_000);
             }

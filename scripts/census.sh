@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Print the size census of the simulator's source, one fixed definition
+# per number, so that two checkouts are counted the same way.
+#
+#   scripts/census.sh [CHECKOUT...]
+#
+# Counts the `*.rs` files under `crates/*/src` of each CHECKOUT (default:
+# this repository) and prints one row per checkout. Every number is taken
+# over *non-test lines*: each file with its top-level `#[cfg(test)]` items
+# cut out (from the attribute through the next line that ends in `;` when
+# the item is one line, else through the next line that is exactly `}`).
+#
+#   lines       non-test lines
+#   pub_fn      non-test lines declaring a `pub fn` (not `pub(crate) fn`)
+#   traced      non-test lines declaring a function whose name ends in `_traced`
+#   panics      occurrences of `.unwrap()`, `.expect(`, `panic!(` and
+#               `unreachable!(` on non-test lines that are not `//` comments
+#   enum_json   non-test lines declaring `enum Json`
+#
+# It reports and gates nothing.
+set -euo pipefail
+here=$(cd "$(dirname "$0")/.." && pwd)
+
+printf '%-40s %7s %6s %6s %6s %9s\n' checkout lines pub_fn traced panics enum_json
+for c in "${@:-$here}"; do
+    root=$(cd "$c" && pwd)
+    src=$(find "$root"/crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { skip = 0 }
+        skip { if ($0 == "}") skip = 0; next }
+        $0 == "#[cfg(test)]" {
+            if ((getline item) > 0) { skip = (item ~ /;[[:space:]]*$/) ? 0 : 1 }
+            next
+        }
+        { print }
+    ')
+    lines=$(printf '%s\n' "$src" | wc -l)
+    pub_fn=$(printf '%s\n' "$src" | grep -cE '^[[:space:]]*pub fn ' || true)
+    traced=$(printf '%s\n' "$src" | grep -cE '\bfn [A-Za-z0-9_]*_traced\b' || true)
+    panics=$(printf '%s\n' "$src" | grep -vE '^[[:space:]]*//' \
+        | grep -oE '\.unwrap\(\)|\.expect\(|\bpanic!\(|\bunreachable!\(' | wc -l)
+    enum_json=$(printf '%s\n' "$src" | grep -cE '\benum Json\b' || true)
+    printf '%-40s %7d %6d %6d %6d %9d\n' "$root" "$lines" "$pub_fn" "$traced" "$panics" "$enum_json"
+done

@@ -9,7 +9,7 @@ use pro_sim::{
     SimError, TraceOptions,
 };
 use pro_workloads::find;
-use pro_core::codec::{CodecError, FileReader, FileWriter, Reader, Snapshot, Writer};
+use pro_core::codec::{write_container, CodecError, FileReader, Reader, Snapshot, Writer};
 use pro_sim::isa::Kernel;
 use pro_sim::mem::cache::Lookup;
 use pro_sim::mem::{Cache, DramChannel, MemConfig};
@@ -299,7 +299,8 @@ fn a_version_2_container_is_refused() {
     // No container of an earlier format is read — the first one with chain
     // headers, nor the last one, whose policy sections still carried order
     // reuse masks — and refusing one leaves the GPU launchable.
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Pro, None);
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     for version in [2u32, 5] {
         let what = format!("a version {version} container");
         let mut bytes = with_section(&snap, SEC_META, snap.section_bytes(SEC_META).unwrap()).into_bytes();
@@ -317,14 +318,11 @@ const SEC_MEM: u32 = 4;
 const SEC_SM0: u32 = 10;
 
 /// The parsed container with section `id`'s payload replaced, rebuilt
-/// through `FileWriter` so every CRC in the result is valid.
-fn with_section(parsed: &FileReader, id: u32, payload: &[u8]) -> GpuSnapshot {
-    let mut out = FileWriter::new();
-    for sec in parsed.section_ids() {
-        let bytes = if sec == id { payload } else { parsed.section_bytes(sec).unwrap() };
-        out.add_section_bytes(sec, bytes.to_vec());
-    }
-    GpuSnapshot::from_bytes(out.finish())
+/// through `write_container` so every CRC in the result is valid.
+fn with_section(parsed: &FileReader<'_>, id: u32, payload: &[u8]) -> GpuSnapshot {
+    let sections: Vec<(u32, &[u8])> =
+        parsed.sections().iter().map(|&(sec, bytes)| (sec, if sec == id { payload } else { bytes })).collect();
+    GpuSnapshot::from_bytes(write_container(None, &sections))
 }
 
 fn encode(value: &impl Snapshot) -> Vec<u8> {
@@ -359,15 +357,15 @@ impl Victim {
     }
 }
 
-/// The victim, and a pause container (parsed) under `sched` to corrupt:
-/// mid-grid, or at the cycle `pause_at` names. Every trace accumulator is
-/// on, in the pause and in the resumes.
-fn victim_and_pause(sched: SchedulerKind, pause_at: Option<u64>) -> (Victim, FileReader) {
+/// The victim, and a pause container under `sched` to corrupt: mid-grid,
+/// or at the cycle `pause_at` names. Every trace accumulator is on, in the
+/// pause and in the resumes.
+fn victim_and_pause(sched: SchedulerKind, pause_at: Option<u64>) -> (Victim, GpuSnapshot) {
     let trace = trace_opts();
     let (mut gpu, kernel) = fresh_gpu();
     let base_cycles = gpu.launch(&kernel, sched, TraceOptions::default()).unwrap().cycles;
     let snap = paused(sched, trace, pause_at.unwrap_or(base_cycles / 2));
-    (Victim { gpu, kernel, sched, trace, base_cycles }, FileReader::parse(snap.as_bytes()).unwrap())
+    (Victim { gpu, kernel, sched, trace, base_cycles }, snap)
 }
 
 #[test]
@@ -377,7 +375,8 @@ fn truncated_sections_with_valid_crcs_are_refused() {
     // stops early, at 64 evenly spaced lengths: the decoders run out of
     // bytes part-way through restoring in place, which must be a typed
     // error that leaves the same GPU able to run the kernel.
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Pro, None);
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     for id in [SEC_LOOP, SEC_MEM, SEC_SM0 + 1] {
         let full = snap.section_bytes(id).unwrap();
         assert!(full.len() >= 64, "section {id} too short to sample");
@@ -424,7 +423,8 @@ fn events_outside_their_queues_horizon_are_refused() {
     // then (a debug build panics on the foreign timestamp). The first
     // pending event of the memory system and of SM 0's writebacks, moved a
     // million cycles out and back to cycle 0.
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Pro, None);
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     let horizon = "event outside the queue's horizon";
     let moved = |sec: &[u8], at: usize| {
         let time = u64::from_le_bytes(sec[at..at + 8].try_into().unwrap());
@@ -453,7 +453,8 @@ fn out_of_range_pro_slots_are_refused() {
     // phase latch. The lists index the class table and the warp orders
     // index the SM's warp slots on the first cycle after a restore.
     type ProState = (Vec<u8>, [Vec<u64>; 3], Vec<Vec<u64>>, (u64, bool));
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Pro, None);
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     let sm = cfg().sm;
     let sec = snap.section_bytes(SEC_SM0).unwrap();
     // The state starts at the last offset from which its layout parses to
@@ -491,7 +492,7 @@ fn out_of_range_pro_slots_are_refused() {
 /// run-loop check holds (`ensure`) — and the victim must launch afterwards.
 fn hostile_rows<'a>(
     victim: &'a mut Victim,
-    snap: &'a FileReader,
+    snap: &'a FileReader<'_>,
     id: u32,
 ) -> impl FnMut(&str, Vec<u8>, &'static str) + 'a {
     move |what, bad, name| {
@@ -622,7 +623,8 @@ fn out_of_range_indices_in_the_memory_section_are_refused() {
     // What the memory system holds in flight names an SM or a partition —
     // L2 input queues and MSHR waiters, DRAM requests, timing events — and
     // each name is an array index when its turn comes.
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Pro, None);
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     let mem = snap.section_bytes(SEC_MEM).unwrap();
     let (no_sm, no_part) = (cfg().num_sms, cfg().mem.partitions);
     let mut check = hostile_rows(&mut victim, &snap, SEC_MEM);
@@ -759,7 +761,8 @@ fn out_of_range_slots_and_pcs_in_an_sm_section_are_refused() {
     // flight or a shared-memory access will release) and PCs (the SIMT
     // stack's entries): array indices all, the cycle after a restore. (The
     // TB slot of a warp is where the section has it, not a value in it.)
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, None);
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Gto, None);
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     let sm = cfg().sm;
     let no_warp = (sm.max_warps as u64).to_le_bytes();
     let sec = snap.section_bytes(SEC_SM0).unwrap();
@@ -791,7 +794,8 @@ fn loads_the_two_sides_pair_wrongly_are_refused() {
     // looks the other's up by access id when a line or the load completes.
     // `outstanding`, then each SM's completions (one queue per SM, no count).
     type Loads = (HashMap<u64, (u32, u64)>, Vec<VecDeque<u64>>);
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, None);
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Pro, None);
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     let mem = snap.section_bytes(SEC_MEM).unwrap();
     let MemLayout { slices_at, dram_done: (dram_done, _, line), moving, fetches, loads_at, .. } = mem_layout(mem);
     let mut r = Reader::new(&mem[loads_at..]);
@@ -875,7 +879,8 @@ fn sm_state_off_the_kernels_geometry_is_refused() {
     // the TB's warp count and its shared memory are laid out from the
     // kernel again on restore. The block must be one of the grid's, whose
     // ids its threads compute with. Paused before any warp has issued.
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, Some(1));
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Gto, Some(1));
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     let sec = snap.section_bytes(SEC_SM0).unwrap();
     let SmLayout { blocks_at, .. } = sm_layout(sec, &victim.kernel);
     let mut check = hostile_rows(&mut victim, &snap, SEC_SM0);
@@ -892,7 +897,8 @@ fn a_resident_tb_that_can_never_progress_is_refused() {
     // issued. Parent (each row): the TB stayed resident, and the resumed
     // run went on to `max_cycles`: a `Timeout` after 200 M cycles (then a
     // panic on the GPU's next launch).
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, Some(1));
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Gto, Some(1));
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     let sec = snap.section_bytes(SEC_SM0).unwrap();
     let SmLayout { flags_at, .. } = sm_layout(sec, &victim.kernel);
     assert!(flags_at.len() > 1, "one warp per TB");
@@ -919,7 +925,8 @@ fn a_scoreboard_bit_nothing_will_release_is_refused() {
     // never issued again, and the resumed run went on to `max_cycles`: a
     // `Timeout` after 200 M cycles with its TB pending (67 s in a release
     // build).
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Gto, Some(100));
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Gto, Some(100));
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     let sec = snap.section_bytes(SEC_SM0).unwrap();
     let SmLayout { warp0_at, .. } = sm_layout(sec, &victim.kernel);
     // The warp's SIMT stack (its top the next PC), then its scoreboard's
@@ -941,7 +948,7 @@ fn a_scoreboard_bit_nothing_will_release_is_refused() {
 type Loop = (Vec<(u64, Vec<u32>)>, Vec<(u32, u32, u64, u64)>, Vec<Vec<u64>>);
 
 /// `edit` applied to the decoded run-loop section of `snap`.
-fn with_loop(snap: &FileReader, edit: &dyn Fn(&mut Loop)) -> Vec<u8> {
+fn with_loop(snap: &FileReader<'_>, edit: &dyn Fn(&mut Loop)) -> Vec<u8> {
     let sec = snap.section_bytes(SEC_LOOP).unwrap();
     let mut lp: Loop = Snapshot::load(&mut Reader::new(sec)).unwrap();
     assert_eq!(encode(&lp), sec, "the mirror type does not match the section");
@@ -962,7 +969,8 @@ fn run_loop_state_off_the_grid_or_the_sms_is_refused() {
     let blocks = SCALE;
     // Two cycles in: 4 SMs have taken a TB each cycle, half the grid waits,
     // and no warp has issued: a copy computes with its block id.
-    let (mut victim, snap) = victim_and_pause(SchedulerKind::Pro, Some(2));
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Pro, Some(2));
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
     {
         let mut check = hostile_rows(&mut victim, &snap, SEC_LOOP);
         // Parent: refused by the same clause, then the recorder's.
