@@ -15,9 +15,8 @@
 //! unset = all cores). Output is byte-identical at any `N` because results
 //! are collected in submission order.
 
-use pro_bench::{
-    geomean_finite, pairs, parallel_map, ratio, run_cell, speedup, AppTotals, Cell, Experiment, Grid,
-};
+use pro_bench::paper::{self, idle_share, order_changes, Evidence, Kind, Speedups, Stalls, Summary};
+use pro_bench::{geomean_finite, pairs, parallel_map, run_cell, Cell, Experiment, Grid};
 use pro_core::SchedulerKind;
 use pro_sim::{GpuConfig, TraceOptions};
 use pro_workloads::{find, registry, Scale, Workload};
@@ -57,6 +56,7 @@ const COMMANDS: &[Command] = &[
     ("synthsweep", "", |exp, _| synthsweep(exp), true),
     ("dram", "", |exp, _| dram_ablation(exp), true),
     ("svg", "", |exp, _| svg_figs(exp), false),
+    ("correlate", "", |exp, _| correlate(exp), false),
     ("json", "", |exp, _| json_export(exp), false),
     ("shootout", "", |exp, _| shootout(exp), false),
     ("disasm", " <kernel>", |_, ops| disasm(ops), false),
@@ -245,20 +245,8 @@ fn fig1(exp: &mut Experiment) {
         println!();
     }
     // Shape check the paper asserts: LRR has the highest idle share.
-    let idle_share = |rows: &[(&str, AppTotals)]| {
-        let (mut i, mut t) = (0u64, 0u64);
-        for (_, a) in rows {
-            i += a.idle;
-            t += a.total();
-        }
-        i as f64 / t.max(1) as f64
-    };
-    println!(
-        "\n[aggregate idle share] TL {:.1}%  LRR {:.1}%  GTO {:.1}%",
-        100.0 * idle_share(&per_sched[0]),
-        100.0 * idle_share(&per_sched[1]),
-        100.0 * idle_share(&per_sched[2])
-    );
+    let [tl, lrr, gto] = per_sched.each_ref().map(|rows| 100.0 * idle_share(rows.iter().map(|(_, t)| t)));
+    println!("\n[aggregate idle share] TL {tl:.1}%  LRR {lrr:.1}%  GTO {gto:.1}%");
 }
 
 /// Fig. 2: TB execution timeline on SM 0, LRR vs PRO (LPS kernel).
@@ -331,135 +319,82 @@ fn fig4(exp: &mut Experiment) {
         "{:<32} {:>9} {:>9} {:>9} {:>12}",
         "Kernel", "vs TL", "vs LRR", "vs GTO", "PRO cycles"
     );
-    let mut vs_tl = Vec::new();
-    let mut vs_lrr = Vec::new();
-    let mut vs_gto = Vec::new();
     let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
-    for row in grid.rows() {
-        let pro = row[3];
-        let [a, b, c] = [0, 1, 2].map(|base| speedup(&row[base].result, &pro.result));
-        vs_tl.push(a);
-        vs_lrr.push(b);
-        vs_gto.push(c);
-        println!(
-            "{:<32} {:>9.3} {:>9.3} {:>9.3} {:>12}",
-            pro.kernel, a, b, c, pro.result.cycles
-        );
+    let fig = Speedups::of(&grid);
+    for ((kernel, [a, b, c]), row) in fig.kernels.iter().zip(grid.rows()) {
+        println!("{kernel:<32} {a:>9.3} {b:>9.3} {c:>9.3} {:>12}", row[3].result.cycles);
     }
+    let [a, b, c] = fig.geomean;
     println!(
-        "{:<32} {:>9.3} {:>9.3} {:>9.3}   (paper: 1.13 / 1.12 / 1.02)",
+        "{:<32} {a:>9.3} {b:>9.3} {c:>9.3}   (paper: {:.2} / {:.2} / {:.2})",
         "GEOMEAN",
-        geomean_finite(vs_tl),
-        geomean_finite(vs_lrr),
-        geomean_finite(vs_gto)
+        paper::paper("fig4.geomean_vs_tl"),
+        paper::paper("fig4.geomean_vs_lrr"),
+        paper::paper("fig4.geomean_vs_gto")
     );
 }
 
 /// Fig. 5: total stall ratios baseline/PRO per application.
 fn fig5(exp: &mut Experiment) {
     header("Fig. 5: stall-cycle improvement (baseline stalls / PRO stalls)");
-    let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
-    let [tl, lrr, gto, pro] = [0, 1, 2, 3].map(|s| grid.app_totals(s));
+    let stalls = Stalls::of(&exp.cells(&exp.kernels(), &SchedulerKind::PAPER));
     println!(
         "{:<14} {:>8} {:>8} {:>8}",
         "Application", "TL/PRO", "LRR/PRO", "GTO/PRO"
     );
-    let (mut rt, mut rl, mut rg) = (Vec::new(), Vec::new(), Vec::new());
-    for i in 0..pro.len() {
-        let app = pro[i].0;
-        let p = pro[i].1.total();
-        let (a, b, c) = (
-            ratio(tl[i].1.total(), p),
-            ratio(lrr[i].1.total(), p),
-            ratio(gto[i].1.total(), p),
-        );
-        rt.push(a);
-        rl.push(b);
-        rg.push(c);
+    let total = |ratios: [f64; 4]| ratios[3];
+    for (app, t) in &stalls.apps {
+        let [a, b, c] = [0, 1, 2].map(|base| total(Stalls::ratios(t, base)));
         println!("{app:<14} {a:>8.2} {b:>8.2} {c:>8.2}");
     }
+    let [a, b, c] = stalls.geomean.map(total);
     println!(
-        "{:<14} {:>8.2} {:>8.2} {:>8.2}   (paper: 1.32 / 1.19 / 1.04)",
+        "{:<14} {a:>8.2} {b:>8.2} {c:>8.2}   (paper: {:.2} / {:.2} / {:.2})",
         "GEOMEAN",
-        geomean_finite(rt),
-        geomean_finite(rl),
-        geomean_finite(rg)
+        paper::paper("fig5.tl"),
+        paper::paper("fig5.lrr"),
+        paper::paper("fig5.gto")
     );
 }
 
 /// Table III: stall cycles of PRO per type + per-type ratios vs baselines.
 fn table3(exp: &mut Experiment) {
     header("Table III: stall-cycle detail (PRO absolute; ratios baseline/PRO)");
-    let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
-    let [tl, lrr, gto, pro] = [0, 1, 2, 3].map(|s| grid.app_totals(s));
+    let stalls = Stalls::of(&exp.cells(&exp.kernels(), &SchedulerKind::PAPER));
     println!(
         "{:<14} | {:>10} {:>10} {:>10} | {:>21} | {:>21} | {:>21}",
         "", "PRO Pipe", "PRO Idle", "PRO SB", "TL p/i/s/total", "LRR p/i/s/total", "GTO p/i/s/total"
     );
-    let fmt4 = |b: &AppTotals, p: &AppTotals| {
-        format!(
-            "{:>4.2} {:>4.2} {:>4.2} {:>5.2}",
-            ratio(b.pipeline, p.pipeline),
-            ratio(b.idle, p.idle),
-            ratio(b.scoreboard, p.scoreboard),
-            ratio(b.total(), p.total())
-        )
-    };
-    let mut geos: [Vec<f64>; 12] = Default::default();
-    for i in 0..pro.len() {
-        let p = pro[i].1;
+    let fmt4 = |[p, i, s, total]: [f64; 4]| format!("{p:>4.2} {i:>4.2} {s:>4.2} {total:>5.2}");
+    for (app, t) in &stalls.apps {
+        let p = t[3];
+        let [a, b, c] = [0, 1, 2].map(|base| fmt4(Stalls::ratios(t, base)));
         println!(
-            "{:<14} | {:>10} {:>10} {:>10} | {:>21} | {:>21} | {:>21}",
-            pro[i].0,
-            p.pipeline,
-            p.idle,
-            p.scoreboard,
-            fmt4(&tl[i].1, &p),
-            fmt4(&lrr[i].1, &p),
-            fmt4(&gto[i].1, &p)
+            "{app:<14} | {:>10} {:>10} {:>10} | {a:>21} | {b:>21} | {c:>21}",
+            p.pipeline, p.idle, p.scoreboard
         );
-        for (j, b) in [&tl[i].1, &lrr[i].1, &gto[i].1].into_iter().enumerate() {
-            geos[j * 4].push(ratio(b.pipeline, p.pipeline));
-            geos[j * 4 + 1].push(ratio(b.idle, p.idle));
-            geos[j * 4 + 2].push(ratio(b.scoreboard, p.scoreboard));
-            geos[j * 4 + 3].push(ratio(b.total(), p.total()));
-        }
     }
-    let g = |i: usize| geomean_finite(geos[i].clone());
+    let stated = ["table3.tl_pipeline", "table3.tl_idle", "table3.tl_scoreboard", "fig5.tl"]
+        .map(|id| format!("{:.2}", paper::paper(id)));
+    let [a, b, c] = stalls.geomean.map(fmt4);
     println!(
-        "{:<14} | {:>32} | {:>4.2} {:>4.2} {:>4.2} {:>5.2} | {:>4.2} {:>4.2} {:>4.2} {:>5.2} | {:>4.2} {:>4.2} {:>4.2} {:>5.2}",
-        "GEOMEAN", "(paper TL: 0.70 2.40 1.58 1.32)",
-        g(0), g(1), g(2), g(3),
-        g(4), g(5), g(6), g(7),
-        g(8), g(9), g(10), g(11)
+        "{:<14} | {:>32} | {a} | {b} | {c}",
+        "GEOMEAN",
+        format!("(paper TL: {})", stated.join(" "))
     );
 }
 
 /// Table IV: PRO's sorted TB order on SM 0 over time, for AES.
 fn table4(exp: &Experiment) {
     header("Table IV: PRO sorted TB order (AES, SM 0, sampled every 1000 cycles)");
-    let w = find("aesEncrypt128").expect("AES present");
-    let trace = TraceOptions {
-        tb_order_period: 1000,
-        ..Default::default()
-    };
-    let cell = run_cell(&w, SchedulerKind::Pro, exp.scale, GpuConfig::gtx480(), |gpu, k| {
-        gpu.launch(k, SchedulerKind::Pro, trace)
-    });
+    let samples = paper::tb_order_cell(exp).result.tb_order;
+    let shown = &samples[..samples.len().min(20)];
     println!("{:<8}  TB global indices (highest priority first)", "Cycle");
-    let mut changes = 0;
-    let mut prev: Option<Vec<u32>> = None;
-    for snap in cell.result.tb_order.iter().take(20) {
+    for snap in shown {
         let order: Vec<String> = snap.order.iter().map(|g| g.to_string()).collect();
         println!("{:<8}  {}", snap.cycle, order.join(" "));
-        if let Some(p) = &prev {
-            if *p != snap.order {
-                changes += 1;
-            }
-        }
-        prev = Some(snap.order.clone());
     }
-    println!("[order changed {changes} times across the shown samples]");
+    println!("[order changed {} times across the shown samples]", order_changes(shown));
 }
 
 /// §IV diagnostic: barrier-handling ablation on barrier-heavy kernels,
@@ -495,7 +430,8 @@ fn ablation(exp: &mut Experiment) {
         }
         println!("{row}");
     }
-    println!("(paper: disabling barrier handling sped scalarProd up by ~11%)");
+    let stated = 100.0 * (paper::paper("ablation.no_barrier") - 1.0);
+    println!("(paper: disabling barrier handling sped scalarProd up by ~{stated:.0}%)");
 }
 
 /// The PRO cells of `kernels` × `variants` (kernel-major) for an ablation
@@ -690,14 +626,12 @@ fn svg_figs(exp: &mut Experiment) {
     }
     // Fig. 4 bar chart.
     let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
-    let groups: Vec<BarGroup> = grid
-        .rows()
-        .map(|row| BarGroup {
-            label: row[3].kernel.to_string(),
-            values: row[..3]
-                .iter()
-                .map(|base| speedup(&base.result, &row[3].result))
-                .collect(),
+    let groups: Vec<BarGroup> = Speedups::of(&grid)
+        .kernels
+        .iter()
+        .map(|(kernel, vs)| BarGroup {
+            label: kernel.to_string(),
+            values: vs.to_vec(),
         })
         .collect();
     let svg = barchart(
@@ -724,6 +658,42 @@ fn svg_figs(exp: &mut Experiment) {
     );
     std::fs::write("fig1_lrr.svg", svg).expect("write svg");
     println!("wrote fig1_lrr.svg");
+}
+
+/// Every claim of the paper beside what this build measures, then how far
+/// they agree: the signed error of each scalar claim, whether each ordinal
+/// claim's order holds (its measure is the margin), and the summary.
+fn correlate(exp: &mut Experiment) {
+    header("Correlate: the paper's claims (pro_bench::paper::CLAIMS) against this build");
+    let evidence = Evidence::gather(exp);
+    let rows = paper::correlate(&evidence);
+    println!(
+        "{:<26} {:<10} {:<32} {:>9} {:>8}  Source",
+        "Claim", "Figure", "Paper", "Measured", "Error"
+    );
+    for row in &rows {
+        let c = row.claim;
+        let places = if c.unit == "count" { 0 } else { 3 };
+        let (stated, measured) = match c.kind {
+            Kind::Scalar(v) if c.unit == "x" => (format!("{v:.2}x"), format!("{:.places$}", row.measured)),
+            Kind::Scalar(v) => (format!("{v:.0}"), format!("{:.places$}", row.measured)),
+            Kind::Ordinal(order) => (order.to_string(), format!("{:+.3}", row.measured)),
+        };
+        let error = match (row.error(), row.held()) {
+            (Some(e), _) => format!("{e:+.places$}"),
+            (None, Some(true)) => "held".to_string(),
+            (None, _) => "missed".to_string(),
+        };
+        println!("{:<26} {:<10} {stated:<32} {measured:>9} {error:>8}  {}", c.id, c.figure, c.source);
+    }
+    let sum = Summary::of(&rows, &evidence.fig4);
+    let [tl, lrr, gto] = sum.slower;
+    println!("\n[summary] mean |error| over the {} ratio claims: {:.3}", sum.ratio_claims, sum.mean_abs_error);
+    println!("[summary] ordinal claims held: {} of {}", sum.held, sum.ordinal);
+    println!(
+        "[summary] kernels where PRO is slower: {tl} of {n} vs TL, {lrr} vs LRR, {gto} vs GTO",
+        n = evidence.fig4.kernels.len()
+    );
 }
 
 /// Dump every (kernel × scheduler) result as JSON on stdout.

@@ -33,6 +33,7 @@
 //! | command            | what it does |
 //! |--------------------|--------------|
 //! | `repro svg`        | SVG renderings of Fig. 1, Fig. 2 and Fig. 4 |
+//! | `repro correlate`  | every claim of [`paper::CLAIMS`] beside this build's value |
 //! | `repro json`       | machine-readable dump of every (kernel × sched) run |
 //! | `repro shootout`   | 8-policy matrix with stall attribution + host cost |
 //! | `repro disasm`     | VPTX disassembly and static mix of one kernel |
@@ -42,8 +43,9 @@
 //! `repro` builds one [`Experiment`] per process and every command borrows
 //! it: the commands that read the paper's (kernel × policy) matrix — `fig1`,
 //! `fig4`, `fig5`, `table3`, `wld`, `cache`, `ready`, `ablation`, half of
-//! `svg`, `json`, one column each of `sweep` and `dram` — are formatting
-//! over [`Experiment::cells`], which simulates a cell the first time any of
+//! `svg`, `json`, `correlate`, one column each of `sweep` and `dram` — are
+//! formatting over [`Experiment::cells`] (the paper's figures through the
+//! reductions of [`paper`]), which simulates a cell the first time any of
 //! them asks for it; the rest, whose machine, policy parameters or traces
 //! differ, call [`run_cell`] themselves. Either way a launch goes through
 //! `pro-workloads`' runner ([`Workload::run`], `synth::run`), which hands
@@ -54,6 +56,7 @@
 //! per-policy view.
 
 pub mod json;
+pub mod paper;
 pub mod svg;
 
 use std::collections::{HashMap, HashSet};

@@ -1,5 +1,6 @@
 //! Greedy Then Oldest (GTO) — the strongest baseline in the paper's
-//! evaluation (PRO gains 1.02x geomean over it).
+//! evaluation (PRO's geomean gain over it is a row of
+//! `pro_bench::paper::CLAIMS`).
 //!
 //! The unit keeps issuing the *same* warp for as long as it can issue
 //! ("greedy"); when it cannot, the remaining warps are prioritized oldest

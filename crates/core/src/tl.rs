@@ -1,6 +1,7 @@
 //! Two-Level (TL) warp scheduling — Narasiman et al., MICRO-2011, as
 //! implemented by GPGPU-Sim's `two_level_active` scheduler; the paper's
-//! second baseline (PRO gains 1.13x geomean over it).
+//! second baseline (PRO's geomean gain over it is a row of
+//! `pro_bench::paper::CLAIMS`).
 //!
 //! Warps are split into a bounded **active set** and a **pending queue**.
 //! Only active warps are considered for issue, round-robin. When an active

@@ -21,7 +21,7 @@ use pro_core::codec::CodecError;
 use pro_core::{snapshot_struct, SchedulerKind, Violation, WarpScheduler};
 use pro_isa::Kernel;
 use pro_mem::{GlobalMem, LoadLedger, MemSubsystem};
-use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport};
+use pro_sm::{IssueTable, Sm, SmConfig, SmStats, TickReport, WarpDump};
 use pro_trace::{Hist16, HostPhase, HostProf, IssueProf, NoopTracer, Tracer};
 use snapshot::{ChainImage, ChainLink, Restored};
 use std::cell::RefCell;
@@ -65,6 +65,10 @@ pub enum SimError {
         at_cycle: u64,
         /// TBs still unfinished.
         pending_tbs: u32,
+        /// Every live warp at the cap, SM by SM in slot order. A thin box
+        /// keeps the error as narrow as it was without the dump.
+        #[allow(clippy::box_collection)]
+        warps: Box<Vec<WarpDump>>,
     },
     /// A periodic checkpoint could not be written, or the checkpoint
     /// options are inconsistent (e.g. an interval without a path).
@@ -77,10 +81,17 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::Timeout { at_cycle, pending_tbs } => write!(
-                f,
-                "simulation exceeded {at_cycle} cycles with {pending_tbs} TBs outstanding"
-            ),
+            SimError::Timeout { at_cycle, pending_tbs, warps } => {
+                write!(f, "simulation exceeded {at_cycle} cycles with {pending_tbs} TBs outstanding")?;
+                write!(f, "; {} live warps", warps.len())?;
+                for warp in warps.iter().take(TIMEOUT_WARPS_SHOWN) {
+                    write!(f, "\n  {warp}")?;
+                }
+                if warps.len() > TIMEOUT_WARPS_SHOWN {
+                    write!(f, "\n  and {} more", warps.len() - TIMEOUT_WARPS_SHOWN)?;
+                }
+                Ok(())
+            }
             SimError::CheckpointIo(why) => write!(f, "checkpoint write failed: {why}"),
             SimError::Snapshot(e) => write!(f, "cannot resume from snapshot: {e}"),
         }
@@ -88,6 +99,9 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// The live warps a [`SimError::Timeout`] prints; the rest are counted.
+const TIMEOUT_WARPS_SHOWN: usize = 8;
 
 impl From<CodecError> for SimError {
     fn from(e: CodecError) -> Self {
@@ -192,6 +206,18 @@ impl<'a> Run<'a> {
             resume: None,
         }
     }
+}
+
+/// The error of a launch that reached its cycle cap at relative cycle
+/// `at_cycle` with `pending_tbs` TBs unfinished, with the dump of every
+/// warp still live. Built only then, from the SMs' state alone.
+#[cold]
+fn timeout(sms: &[Sm], at_cycle: u64, pending_tbs: u32) -> SimError {
+    let mut warps = Vec::new();
+    for sm in sms {
+        sm.dump_live_warps(&mut warps);
+    }
+    SimError::Timeout { at_cycle, pending_tbs, warps: Box::new(warps) }
 }
 
 /// The machine's SM array with nothing resident.
@@ -510,10 +536,7 @@ impl<'a> Engine<'a> {
         let now = *cycle;
         let rel = now - start_cycle;
         if rel > cfg.max_cycles {
-            return Err(SimError::Timeout {
-                at_cycle: rel,
-                pending_tbs: blocks - self.dispatched + self.outstanding,
-            });
+            return Err(timeout(sms, rel, blocks - self.dispatched + self.outstanding));
         }
         let fast_phase = self.dispatched < blocks;
         let mut pt = self.prof.start();
@@ -879,6 +902,14 @@ mod tests {
         gpu.launch(&k, SchedulerKind::Gto, TraceOptions::default()).unwrap()
     }
 
+    /// The live warps of a launch that timed out.
+    fn timed_out(err: SimError) -> Vec<WarpDump> {
+        match err {
+            SimError::Timeout { warps, .. } => *warps,
+            other => panic!("wanted a timeout, got {other}"),
+        }
+    }
+
     #[test]
     fn deadlock_guard_times_out() {
         let cfg = GpuConfig {
@@ -886,7 +917,7 @@ mod tests {
             ..GpuConfig::small(1)
         };
         let mut gpu = Gpu::new(cfg, 1 << 20);
-        // Infinite loop kernel.
+        // Infinite loop kernel: `nop` at pc 0, the branch back at pc 1.
         let mut b = ProgramBuilder::new("hang");
         let top = b.new_label();
         let l2 = b.new_label();
@@ -895,16 +926,75 @@ mod tests {
         b.place(l2);
         b.bra(None, top, l2);
         b.exit();
-        let k = Kernel::new(b.build().unwrap(), LaunchConfig::linear(1, 32), vec![]);
+        let k = Kernel::new(b.build().unwrap(), LaunchConfig::linear(1, 64), vec![]);
         let err = gpu
             .launch(&k, SchedulerKind::Lrr, TraceOptions::default())
             .unwrap_err();
-        assert!(matches!(err, SimError::Timeout { .. }));
+        assert!(err.to_string().contains("(SM 0, warp slot 1) TB 0 at pc"), "{err}");
+        // Both warps of the one TB, each inside the loop.
+        let warps = timed_out(err.clone());
+        let named: Vec<_> = warps.iter().map(|w| (w.sm, w.slot, w.tb)).collect();
+        assert_eq!(named, [(0, 0, 0), (0, 1, 0)]);
+        assert!(warps.iter().all(|w| w.pc <= 1 && w.simt_depth == 1 && !w.at_barrier), "{warps:?}");
+        // A run paused on the way and resumed stops at the same cycle with
+        // the same dump.
+        let ckpt = CheckpointOptions { pause_at: 200, ..Default::default() };
+        let mut paused = Gpu::new(cfg, 1 << 20);
+        let Ok(LaunchStatus::Paused(snap)) =
+            paused.launch_checkpointed(&k, SchedulerKind::Lrr, TraceOptions::default(), &ckpt)
+        else {
+            panic!("wanted a pause");
+        };
+        let resumed = paused.resume(&snap, &k, SchedulerKind::Lrr, TraceOptions::default(), &CheckpointOptions::default());
+        assert_eq!(resumed.unwrap_err(), err);
         // The hung TB is still resident: the next launch starts from idle
         // SMs, and takes a fresh GPU's cycles. (Its ready-warp samples fall
         // on other cycles of the global clock, which goes on.)
         let fresh = store_tid_run(&mut Gpu::new(cfg, 1 << 20));
         assert_eq!(store_tid_run(&mut gpu).cycles, fresh.cycles);
+    }
+
+    #[test]
+    fn a_timeout_names_the_warps_parked_at_the_barrier() {
+        let cfg = GpuConfig {
+            max_cycles: 500,
+            ..GpuConfig::small(1)
+        };
+        // Warp 0 spins at pcs 4-5; warps 1-3 reach `bar.sync` at pc 3,
+        // which cannot open while warp 0 has not arrived.
+        let mut b = ProgramBuilder::new("spin_at_barrier");
+        let (warp, first) = (b.reg(), b.pred());
+        let (spin, back, end) = (b.new_label(), b.new_label(), b.new_label());
+        b.mov(warp, Src::Special(pro_isa::Special::WarpId));
+        b.setp(pro_isa::CmpOp::Eq, pro_isa::Ty::S32, first, warp, Src::Imm(0));
+        b.bra(Some(pro_isa::inst::Guard { pred: first, expect: true }), spin, end);
+        b.bar();
+        b.bra(None, end, end);
+        b.place(spin);
+        b.nop();
+        b.place(back);
+        b.bra(None, spin, back);
+        b.place(end);
+        b.exit();
+        let k = Kernel::new(b.build().unwrap(), LaunchConfig::linear(1, 128), vec![]);
+        let err = Gpu::new(cfg, 1 << 20).launch(&k, SchedulerKind::Gto, TraceOptions::default()).unwrap_err();
+        let warps = timed_out(err);
+        let seen: Vec<_> = warps.iter().map(|w| (w.slot, w.at_barrier)).collect();
+        assert_eq!(seen, [(0, false), (1, true), (2, true), (3, true)]);
+        assert!((5..=6).contains(&warps[0].pc), "{:?}", warps[0]);
+        assert!(warps[1..].iter().all(|w| w.pc == 4), "{warps:?}");
+    }
+
+    #[test]
+    fn a_timeout_prints_eight_warps_and_counts_the_rest() {
+        let warp = |slot| WarpDump { sm: 1, slot, tb: 7, pc: 3, simt_depth: 2, at_barrier: slot == 0, pending: pro_sm::WriteSet { regs: 0b1010, preds: 1 } };
+        let err = SimError::Timeout { at_cycle: 9, pending_tbs: 1, warps: Box::new((0..11).map(warp).collect()) };
+        let text = err.to_string();
+        assert!(text.contains("\n  (SM 1, warp slot 0) TB 7 at pc 3, SIMT depth 2, at the barrier, waiting on r1 r3 p0\n"), "{text}");
+        assert!(text.contains("(SM 1, warp slot 7)") && !text.contains("warp slot 8"), "{text}");
+        assert!(text.ends_with("\n  and 3 more"), "{text}");
+        // The dump rides behind one pointer: the error is no wider for it.
+        assert_eq!(std::mem::size_of::<SimError>(), 32);
     }
 
     #[test]

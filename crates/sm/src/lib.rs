@@ -24,5 +24,5 @@ pub use issue::IssueState;
 pub use scoreboard::{Scoreboard, WriteSet};
 pub use shared::SharedMem;
 pub use simt::SimtStack;
-pub use sm::{Sm, SmConfig, SmStats, TickReport};
+pub use sm::{Sm, SmConfig, SmStats, TickReport, WarpDump};
 pub use warp::{ExecEffect, LaunchCtx, Warp};

@@ -139,6 +139,11 @@ impl Scoreboard {
         self.pending_regs != 0 || self.pending_preds != 0
     }
 
+    /// The registers and predicates with a write in flight.
+    pub fn pending(&self) -> WriteSet {
+        WriteSet { regs: self.pending_regs, preds: self.pending_preds }
+    }
+
     /// Any pending *global load* destination? (Two-level demotion signal;
     /// also: the warp's next instruction may or may not depend on it — the
     /// TL hardware demotes on the op itself, which this mirrors.)

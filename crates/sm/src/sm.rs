@@ -35,13 +35,14 @@ mod snapshot;
 
 use crate::decode::{IssueTable, LatClass};
 use crate::issue::IssueState;
+use crate::scoreboard::WriteSet;
 use crate::shared::SharedMem;
 use crate::warp::Warp;
 use issue_phase::IssueCx;
 use lsu::{LsuEntry, Release};
 use pro_core::calq::CalQueue;
 use pro_core::{FxHashMap, SchedView, TbState, WarpScheduler, WarpState};
-use pro_isa::{Kernel, WARP_SIZE};
+use pro_isa::{Kernel, Pc, Pred, Reg, WARP_SIZE};
 use pro_mem::{AccessId, GlobalMem, MemSubsystem};
 use pro_trace::{Event as TraceEvent, EventClass, Hist16, IssueProf, NoopTracer, Tracer};
 use std::collections::VecDeque;
@@ -209,6 +210,46 @@ pub struct TickReport {
     /// TBs that completed this cycle (slots now free), as they stood when
     /// their last warp exited: block index, launch cycle, progress.
     pub finished_tbs: Vec<TbState>,
+}
+
+/// One live warp as a launch that ran out of cycles left it
+/// ([`Sm::dump_live_warps`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WarpDump {
+    /// The SM.
+    pub sm: u32,
+    /// The warp slot on it.
+    pub slot: usize,
+    /// Its TB's global index in the grid.
+    pub tb: u32,
+    /// The pc of its next instruction.
+    pub pc: Pc,
+    /// Entries on its SIMT reconvergence stack (1 = converged).
+    pub simt_depth: usize,
+    /// Parked at its TB's barrier.
+    pub at_barrier: bool,
+    /// Registers and predicates with a write in flight.
+    pub pending: WriteSet,
+}
+
+impl std::fmt::Display for WarpDump {
+    /// `(SM s, warp slot w)` as a [`pro_core::Violation`] names a slot,
+    /// then what the warp is doing.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "(SM {}, warp slot {}) TB {} at pc {}, SIMT depth {}", self.sm, self.slot, self.tb, self.pc, self.simt_depth)?;
+        if self.at_barrier {
+            write!(f, ", at the barrier")?;
+        }
+        if !self.pending.is_empty() {
+            write!(f, ", waiting on")?;
+            let regs = (0..128u8).filter(|&r| self.pending.regs >> r & 1 != 0).map(|r| Reg(r).to_string());
+            let preds = (0..32u8).filter(|&p| self.pending.preds >> p & 1 != 0).map(|p| Pred(p).to_string());
+            for name in regs.chain(preds) {
+                write!(f, " {name}")?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// [`Sm::sched_view`] over the two fields it reads, for where the SM's
@@ -449,6 +490,27 @@ impl Sm {
     /// traces).
     pub fn sched_view(&self, now: u64, fast_phase: bool) -> SchedView<'_> {
         sched_view(&self.sched_warps, &self.sched_tbs, now, fast_phase)
+    }
+
+    /// Append a [`WarpDump`] of every live warp to `out`, in slot order.
+    /// Only a launch that reached its cycle cap asks, so the run loop pays
+    /// nothing for it; it reads state alone, so a resumed run dumps what
+    /// the straight run does.
+    #[cold]
+    pub fn dump_live_warps(&self, out: &mut Vec<WarpDump>) {
+        for (slot, (s, w)) in self.sched_warps.iter().zip(&self.warps).enumerate() {
+            if s.active && !s.finished {
+                out.push(WarpDump {
+                    sm: self.id,
+                    slot,
+                    tb: self.sched_tbs[s.tb_slot].global_index,
+                    pc: w.simt.pc(),
+                    simt_depth: w.simt.depth(),
+                    at_barrier: s.at_barrier,
+                    pending: w.scoreboard.pending(),
+                });
+            }
+        }
     }
 
     /// Host-side LSU queue gauge: `(high-water mark, depth histogram)`,

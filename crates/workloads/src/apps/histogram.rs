@@ -7,8 +7,8 @@
 //! conflicts and RMW serialization depend on the data), flushing partials
 //! behind barriers; the merge kernels read the partial histograms with a
 //! *bin-strided* (poorly coalesced) pattern and tree-reduce them. The
-//! paper's largest GTO win (mergeHistogram64Kernel, +16%) comes from this
-//! family.
+//! paper's largest GTO win (mergeHistogram64Kernel; its size is a row of
+//! `pro_bench::paper::CLAIMS`) comes from this family.
 //!
 //! The VPTX re-creations keep that structure: LCG-free data-dependent bin
 //! selection, shared `atom.add` accumulation, barrier-fenced flush, and

@@ -3,10 +3,11 @@
 //! Character of the original: each block computes the dot product of one
 //! vector pair: a coalesced FMA accumulation loop followed by the shared
 //! memory tree reduction — log2(256) = 8 barriers back to back. This is
-//! the paper's headline kernel: PRO's largest win over TL/LRR (1.6x/1.94x)
-//! *and* the kernel where barrier special-handling can backfire (PRO-NB
-//! runs ~11% faster on it, §IV) — reproduce both with the `PRO` and
-//! `PRO-NB` scheduler kinds.
+//! the paper's headline kernel: PRO's largest win over TL and LRR *and*
+//! the kernel where barrier special-handling can backfire (PRO-NB runs
+//! faster on it, §IV) — reproduce both with the `PRO` and `PRO-NB`
+//! scheduler kinds (`pro_bench::paper::CLAIMS` has the paper's numbers,
+//! `repro correlate` ours).
 
 use crate::common::{alloc_rand_f32, check_f32, emit_reduce_f32, f32s, host_reduce_f32};
 use crate::{Built, Workload};

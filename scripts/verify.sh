@@ -119,6 +119,14 @@ for svg in fig1_lrr.svg fig2_lrr.svg fig2_pro.svg fig4.svg; do
     }
 done
 echo "ok: repro all and repro svg reproduce the checked-in artifacts"
+# The paper-vs-ours numbers: every claim of pro_bench::paper::CLAIMS beside
+# this build's value, its error and the summary, against the checked-in run,
+# so no document has to keep them by hand.
+target/release/repro correlate | cmp - correlate_output.txt || {
+    echo "ERROR: repro correlate diverged from correlate_output.txt" >&2
+    exit 1
+}
+echo "ok: repro correlate reproduces correlate_output.txt"
 
 echo "== repository benchmark: own tests + smoke run + full matrix =="
 # benchmark/ is a workspace of its own (BENCHMARK.json is its contract), so
