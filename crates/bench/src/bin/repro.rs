@@ -262,7 +262,7 @@ fn fig2(exp: &Experiment) {
         ..Default::default()
     };
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        let cell = run_cell(&w, sched, exp.scale, GpuConfig::small(4), |gpu, k| {
+        let cell = run_cell(&w, sched, exp.scale, exp.four_sm_slice(), |gpu, k| {
             gpu.launch(k, sched, trace)
         });
         let mut spans: Vec<_> = cell
@@ -605,7 +605,7 @@ fn svg_figs(exp: &mut Experiment) {
         ..Default::default()
     };
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        let cell = run_cell(&w, sched, exp.scale, GpuConfig::small(4), |gpu, k| {
+        let cell = run_cell(&w, sched, exp.scale, exp.four_sm_slice(), |gpu, k| {
             gpu.launch(k, sched, trace)
         });
         let spans: Vec<_> = cell
@@ -1003,7 +1003,7 @@ fn trace_cmd(exp: &Experiment, operands: &[String]) {
         ClassSet::of(&[EventClass::Tb, EventClass::Mem, EventClass::Barrier]),
     );
     let mut tee = Tee::new(&mut jsonl, &mut ring);
-    let r = run_cell(&w, sched, exp.scale, GpuConfig::small(4), |gpu, k| {
+    let r = run_cell(&w, sched, exp.scale, exp.four_sm_slice(), |gpu, k| {
         gpu.launch_traced(k, sched, TraceOptions::default(), &mut tee)
     })
     .result;

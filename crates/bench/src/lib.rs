@@ -147,6 +147,13 @@ impl Experiment {
         }
     }
 
+    /// The 4-SM slice of the machine that Fig. 2 and `repro trace` run on:
+    /// SM 0 of it holds a share of the grid comparable to the paper's
+    /// Fig. 2, and a full-fidelity trace stays at demo size.
+    pub fn four_sm_slice(&self) -> GpuConfig {
+        GpuConfig { num_sms: 4, ..self.machine }
+    }
+
     /// The kernels a sweep runs: all of Table II, or with `--quick` the
     /// first of each application.
     pub fn kernels(&self) -> Vec<Workload> {

@@ -16,7 +16,7 @@
 //! suffixes of the other commands print from [`CLAIMS`] through [`paper`].
 
 use pro_core::SchedulerKind;
-use pro_sim::{GpuConfig, TbOrderSnapshot, TraceOptions};
+use pro_sim::{TbOrderSnapshot, TraceOptions};
 use pro_workloads::find;
 
 use crate::{geomean_finite, ratio, run_cell, speedup, AppTotals, Cell, Experiment, Grid};
@@ -156,15 +156,15 @@ pub fn order_changes(samples: &[TbOrderSnapshot]) -> usize {
     samples.windows(2).filter(|pair| pair[0].order != pair[1].order).count()
 }
 
-/// Table IV's run: AES under PRO on the GTX480, SM 0's TB order sampled
-/// every THRESHOLD (1000) cycles.
+/// Table IV's run: AES under PRO on the experiment's machine, SM 0's TB
+/// order sampled every THRESHOLD (1000) cycles.
 pub fn tb_order_cell(exp: &Experiment) -> Cell {
     let w = find("aesEncrypt128").expect("AES present");
     let trace = TraceOptions {
         tb_order_period: 1000,
         ..Default::default()
     };
-    run_cell(&w, SchedulerKind::Pro, exp.scale, GpuConfig::gtx480(), |gpu, k| {
+    run_cell(&w, SchedulerKind::Pro, exp.scale, exp.machine, |gpu, k| {
         gpu.launch(k, SchedulerKind::Pro, trace)
     })
 }
@@ -381,6 +381,7 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pro_sim::GpuConfig;
     use pro_workloads::Scale;
     use std::collections::HashSet;
 
@@ -399,6 +400,20 @@ mod tests {
         let samples = [at(1, &[0, 1]), at(2, &[0, 1]), at(3, &[1, 0]), at(4, &[0, 1])];
         assert_eq!(order_changes(&samples), 2);
         assert_eq!(order_changes(&samples[..1]), 0);
+    }
+
+    #[test]
+    fn table_iv_runs_on_the_experiments_machine() {
+        let two_sms = Experiment::new(Scale::Capped(8), true, GpuConfig::small(2));
+        let cell = tb_order_cell(&two_sms);
+        let aes = find("aesEncrypt128").unwrap();
+        let on = |machine| {
+            let trace = TraceOptions { tb_order_period: 1000, ..Default::default() };
+            run_cell(&aes, SchedulerKind::Pro, two_sms.scale, machine, |gpu, k| gpu.launch(k, SchedulerKind::Pro, trace))
+        };
+        let (small, gtx480) = (on(two_sms.machine).result, on(GpuConfig::gtx480()).result);
+        assert_eq!((cell.result.cycles, &cell.result.tb_order), (small.cycles, &small.tb_order));
+        assert_ne!(cell.result.cycles, gtx480.cycles, "two SMs ran AES as fast as fourteen");
     }
 
     #[test]

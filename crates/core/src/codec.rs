@@ -355,6 +355,16 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    /// Fill `dst` with consecutive little-endian `u32`s, no length prefix:
+    /// the inverse of [`Writer::put_u32_slice`], in one bulk copy.
+    pub fn get_u32_slice(&mut self, dst: &mut [u32]) -> Result<(), CodecError> {
+        let bytes = self.take(dst.len() * 4)?;
+        for (word, src) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+            *word = u32::from_le_bytes([src[0], src[1], src[2], src[3]]);
+        }
+        Ok(())
+    }
+
     /// Read a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -419,7 +429,7 @@ impl<'a> Reader<'a> {
 /// declare the field list once with
 /// [`snapshot_struct!`](crate::snapshot_struct) or
 /// [`snapshot_enum!`](crate::snapshot_enum), which generate both
-/// directions from it (`DESIGN.md` §12, "Adding a serialized field").
+/// directions from it (`DESIGN.md` §12, "Container layout").
 pub trait Snapshot: Sized {
     /// Append this value's encoding to `w`.
     fn save(&self, w: &mut Writer);

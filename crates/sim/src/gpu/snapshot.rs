@@ -13,7 +13,6 @@ use pro_core::codec::{
     crc32, ensure, write_container, CodecError, ContainerKind, FileReader, Reader, Snapshot, Writer,
 };
 use pro_isa::Kernel;
-use pro_mem::GlobalMem;
 use pro_sm::Sm;
 use std::borrow::Cow;
 
@@ -170,30 +169,16 @@ impl<'a> Restored<'a> {
     }
 
     /// Overwrite a GPU that has just bound the kernel with the restored
-    /// state: device memory, the memory hierarchy, every SM with its
-    /// freshly built policy, then the run loop's outputs. Returns those with
-    /// the counts of blocks dispatched and of TBs in flight, which the SMs
-    /// determine.
+    /// state: the memory hierarchy, every SM with its freshly built policy,
+    /// the run loop's outputs and, once all of those have held, device
+    /// memory. Returns the run loop's outputs with the counts of blocks
+    /// dispatched and of TBs in flight, which the SMs determine.
     pub(super) fn apply(
         &self,
         gpu: &mut Gpu,
         kernel: &Kernel,
         lanes: &mut [Lane],
     ) -> Result<(LoopState, u32, u32), SimError> {
-        // Global memory: the base's full image, then each delta's dirty
-        // pages in sequence order. The restored memory starts with a clean
-        // dirty map: a restore is itself a capture boundary. It replaces
-        // the GPU's only once every other section has decoded.
-        let mut r = self.readers[0].section(SEC_GMEM)?;
-        let mut gmem: GlobalMem = Snapshot::load(&mut r)?;
-        r.finish()?;
-        for delta in &self.readers[1..] {
-            let mut r = delta.section(SEC_GMEM_DELTA)?;
-            gmem.apply_delta(&mut r)?;
-            r.finish()?;
-        }
-        gmem.mark_clean();
-
         let mut r = Reader::new(&self.image.mem);
         gpu.mem.restore_snapshot(&mut r, self.meta.cycle)?;
         r.finish()?;
@@ -226,7 +211,13 @@ impl<'a> Restored<'a> {
         gpu.cycle = before;
         held.map_err(|v| CodecError::Violation(Box::new(v)))?;
         let (dispatched, outstanding) = self.check_loop(&lp, &gpu.sms, kernel)?;
-        gpu.gmem = gmem;
+        // Device memory last, into the GPU's own store: the base's image,
+        // then each delta's pages in sequence order. `restore` checks all of
+        // them before it writes a word, so a refusal leaves the memory as
+        // it was.
+        let deltas: Vec<&[u8]> =
+            self.readers[1..].iter().map(|d| d.section_bytes(SEC_GMEM_DELTA)).collect::<Result<_, _>>()?;
+        gpu.gmem.restore(self.readers[0].section_bytes(SEC_GMEM)?, &deltas)?;
         gpu.cycle = self.meta.cycle;
         Ok((lp, dispatched, outstanding))
     }

@@ -36,7 +36,7 @@ pub use checkpoint::{
     SnapshotChain, CHAIN_BASE_FILE,
 };
 pub use config::{load_config, parse_config, ConfigError};
-pub use gpu::{Gpu, GpuConfig, Policy, Run, SimError, TraceOptions};
+pub use gpu::{Gpu, GpuConfig, Policy, Run, SimError, Stuck, TraceOptions};
 pub use result::{geomean, RunResult, TbOrderSnapshot, TbSpan};
 
 // Re-export the component crates so downstream users need a single

@@ -9,6 +9,19 @@
 //! reports events by slot and lends `pick` a probe, so tests drive the
 //! walk the simulator runs (`crates/sm/tests/oracle`).
 //!
+//! ```text
+//!               now >= ibuf_at[w]          probe: scoreboard refuses
+//!   fetching ───────────────────► untested ─────────────────────────► sb-wait
+//!      ▲                              │                                  │
+//!      │                              │ probe: meta.ready(scoreboard)    │ release_write
+//!      │                              ▼                                  │ (a writeback or
+//!      │  the warp's own issue   ready[class(pipe)]                      │  load completes)
+//!      └──────────────────────────────┘◄── untested ◄────────────────────┘
+//! ```
+//!
+//! *Fetching* and *untested* are not stored: they are the live warps in
+//! neither memo, split by `now >= ibuf_at[w]`.
+//!
 //! All of it is *derived* state: rebuilt from the architectural state on
 //! restore ([`IssueState::rebuild`]) and never serialized.
 

@@ -304,6 +304,11 @@ pub struct Sm {
     // determinism/checkpoint boundary, published as `host/sm.lsuq.*`).
     lsu_hwm: u64,
     lsu_depth: Hist16,
+    /// The last cycle of this launch at which a warp exited (so also a TB
+    /// retired), a barrier opened, or a store or shared atomic changed a
+    /// word; 0 until one did. Never serialized: a resumed launch counts
+    /// from the cycle it resumed at.
+    last_progress: u64,
 }
 
 impl std::fmt::Debug for Sm {
@@ -342,6 +347,7 @@ impl Sm {
             issue: IssueState::new(cfg.max_warps, cfg.units),
             lsu_hwm: 0,
             lsu_depth: Hist16::new(),
+            last_progress: 0,
             cfg,
         }
     }
@@ -383,6 +389,7 @@ impl Sm {
         self.issue.reset();
         self.lsu_hwm = 0;
         self.lsu_depth = Hist16::new();
+        self.last_progress = 0;
     }
 
     /// Number of TB slots usable for the bound kernel (bounded by warp
@@ -511,6 +518,14 @@ impl Sm {
                 });
             }
         }
+    }
+
+    /// The last cycle of the bound kernel at which this SM made progress:
+    /// a warp exited, a barrier opened, or a store or shared atomic changed
+    /// a word (0 until one did). A launch that makes none for long is
+    /// spinning.
+    pub fn last_progress(&self) -> u64 {
+        self.last_progress
     }
 
     /// Host-side LSU queue gauge: `(high-water mark, depth histogram)`,

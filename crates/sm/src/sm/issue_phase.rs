@@ -265,6 +265,12 @@ impl Sm {
     ) -> Option<bool> {
         let now = cx.now;
         let ws = meta.write;
+        if let ExecEffect::GlobalStore { changed: true }
+        | ExecEffect::SharedStore { changed: true, .. }
+        | ExecEffect::SharedAtomic { changed: true, .. } = effect
+        {
+            self.last_progress = now;
+        }
         match effect {
             ExecEffect::Alu => {
                 if ws.is_empty() {
@@ -292,18 +298,18 @@ impl Sm {
                 self.lsu.push_back(LsuEntry::global(access, &self.lines_buf, false));
                 Some(true)
             }
-            ExecEffect::GlobalStore => {
+            ExecEffect::GlobalStore { .. } => {
                 // Stores are fire-and-forget: no request id.
                 self.trace_coalesce(w, u64::MAX, true, cx);
                 self.lsu.push_back(LsuEntry::global(u64::MAX, &self.lines_buf, true));
                 None
             }
-            ExecEffect::SharedLoad { occupancy } | ExecEffect::SharedAtomic { occupancy } => {
+            ExecEffect::SharedLoad { occupancy } | ExecEffect::SharedAtomic { occupancy, .. } => {
                 self.warps[w].scoreboard.reserve(ws, false);
                 self.lsu.push_back(LsuEntry::Shared { warp: w, remaining: occupancy, wb: ws });
                 Some(false)
             }
-            ExecEffect::SharedStore { occupancy } => {
+            ExecEffect::SharedStore { occupancy, .. } => {
                 self.lsu.push_back(LsuEntry::Shared {
                     warp: w,
                     remaining: occupancy,
@@ -367,6 +373,7 @@ impl Sm {
         if t.warps_at_barrier == 0 || t.warps_at_barrier + t.warps_finished < t.num_warps {
             return;
         }
+        self.last_progress = now;
         if cx.tracer.wants(EventClass::Barrier) {
             cx.tracer.emit(
                 now,
@@ -391,6 +398,7 @@ impl Sm {
     /// the TB.
     fn finish_warp(&mut self, w: usize, tb: usize, cx: &mut IssueCx) {
         let now = cx.now;
+        self.last_progress = now;
         self.sched_warps[w].finished = true;
         self.issue.exit(w);
         self.sched_tbs[tb].warps_finished += 1;

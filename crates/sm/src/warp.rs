@@ -32,7 +32,10 @@ pub enum ExecEffect {
     /// scratch vector; `dst` scoreboard clears when the access completes.
     GlobalLoad,
     /// Global store: line addresses in scratch; fire-and-forget traffic.
-    GlobalStore,
+    GlobalStore {
+        /// Some word took a new value.
+        changed: bool,
+    },
     /// Shared-memory load; occupies the LSU for `occupancy` cycles.
     SharedLoad {
         /// Bank-conflict serialization cycles.
@@ -42,11 +45,15 @@ pub enum ExecEffect {
     SharedStore {
         /// Bank-conflict serialization cycles.
         occupancy: u32,
+        /// Some word took a new value.
+        changed: bool,
     },
     /// Shared-memory atomic (counts as a shared access with RMW cost).
     SharedAtomic {
         /// Serialization cycles.
         occupancy: u32,
+        /// Some word took a new value.
+        changed: bool,
     },
     /// The warp parked at a barrier.
     Barrier,
@@ -307,14 +314,19 @@ impl Warp {
                 self.simt.advance();
                 match space {
                     MemSpace::Global => {
-                        gmem.write_row(&addrs, values, mask);
+                        let changed = gmem.write_row(&addrs, values, mask);
                         coalesce_into(&addrs, mask, lines_out);
-                        ExecEffect::GlobalStore
+                        ExecEffect::GlobalStore { changed }
                     }
                     MemSpace::Shared => {
-                        for_lanes(mask, |lane| shared.write(addrs[lane], values[lane]));
+                        let mut changed = false;
+                        for_lanes(mask, |lane| {
+                            changed |= shared.read(addrs[lane]) != values[lane];
+                            shared.write(addrs[lane], values[lane]);
+                        });
                         ExecEffect::SharedStore {
                             occupancy: conflict_cycles(&addrs, mask),
+                            changed,
                         }
                     }
                 }
@@ -324,14 +336,17 @@ impl Warp {
                 let addrs = self.regs[addr.0 as usize];
                 let values = self.regs[src.0 as usize];
                 let d = &mut self.regs[dst.0 as usize];
+                let mut changed = false;
                 for_lanes(mask, |lane| {
                     let (new, old) = eval_atom(op, shared.read(addrs[lane]), values[lane]);
                     shared.write(addrs[lane], new);
+                    changed |= new != old;
                     d[lane] = old;
                 });
                 self.simt.advance();
                 ExecEffect::SharedAtomic {
                     occupancy: atomic_cycles(&addrs, mask),
+                    changed,
                 }
             }
             Instr::Bar { .. } => {

@@ -17,11 +17,19 @@
 #               `unreachable!(` on non-test lines that are not `//` comments
 #   enum_json   non-test lines declaring `enum Json`
 #
+# and the documentation budget, over whole files:
+#
+#   readme, design, experiments
+#               lines of README.md, DESIGN.md and EXPERIMENTS.md
+#   docs        their sum
+#   mod_docs    lines under `crates/*/src` that begin with `//!`
+#
 # It reports and gates nothing.
 set -euo pipefail
 here=$(cd "$(dirname "$0")/.." && pwd)
 
-printf '%-40s %7s %6s %6s %6s %9s\n' checkout lines pub_fn traced panics enum_json
+printf '%-40s %7s %6s %6s %6s %9s %6s %6s %11s %5s %8s\n' \
+    checkout lines pub_fn traced panics enum_json readme design experiments docs mod_docs
 for c in "${@:-$here}"; do
     root=$(cd "$c" && pwd)
     src=$(find "$root"/crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
@@ -39,5 +47,9 @@ for c in "${@:-$here}"; do
     panics=$(printf '%s\n' "$src" | grep -vE '^[[:space:]]*//' \
         | grep -oE '\.unwrap\(\)|\.expect\(|\bpanic!\(|\bunreachable!\(' | wc -l)
     enum_json=$(printf '%s\n' "$src" | grep -cE '\benum Json\b' || true)
-    printf '%-40s %7d %6d %6d %6d %9d\n' "$root" "$lines" "$pub_fn" "$traced" "$panics" "$enum_json"
+    docs=()
+    for f in README.md DESIGN.md EXPERIMENTS.md; do docs+=("$(wc -l < "$root/$f")"); done
+    mod_docs=$(find "$root"/crates/*/src -name '*.rs' -print0 | xargs -0 grep -h '^//!' | wc -l)
+    printf '%-40s %7d %6d %6d %6d %9d %6d %6d %11d %5d %8d\n' "$root" "$lines" "$pub_fn" "$traced" "$panics" \
+        "$enum_json" "${docs[0]}" "${docs[1]}" "${docs[2]}" $((docs[0] + docs[1] + docs[2])) "$mod_docs"
 done

@@ -314,6 +314,7 @@ fn a_version_2_container_is_refused() {
 /// Container section ids (DESIGN.md §12).
 const SEC_META: u32 = 1;
 const SEC_LOOP: u32 = 2;
+const SEC_GMEM: u32 = 3;
 const SEC_MEM: u32 = 4;
 const SEC_SM0: u32 = 10;
 
@@ -389,6 +390,32 @@ fn truncated_sections_with_valid_crcs_are_refused() {
             }
         }
         victim.still_launches(&format!("after every cut of section {id}"));
+    }
+}
+
+#[test]
+fn a_gmem_section_that_decodes_badly_leaves_memory_as_it_was() {
+    // Device memory is restored into the GPU's own store, last: every cut
+    // and every bad header below passes its CRC, reaches that step after
+    // the other sections restored, and must be refused before a word of
+    // the store moves.
+    let (mut victim, pause) = victim_and_pause(SchedulerKind::Pro, None);
+    let snap = FileReader::parse(pause.as_bytes()).unwrap();
+    let full = snap.section_bytes(SEC_GMEM).unwrap();
+    let words = (victim.gpu.gmem.capacity() / 4) as usize;
+    let before = victim.gpu.gmem.read_slice(0, words);
+    let mut bad: Vec<(String, Vec<u8>)> = (0..16)
+        .map(|i| full.len() * i / 16)
+        .map(|cut| (format!("GMEM cut to {cut} of {} bytes", full.len()), full[..cut].to_vec()))
+        .collect();
+    bad.push(("GMEM without its allocator cursor".into(), full[..full.len() - 8].to_vec()));
+    bad.push(("GMEM one byte long".into(), [full, &[0]].concat()));
+    bad.push(("GMEM of another store".into(), patched(full, 0, (words as u64 / 2).to_le_bytes())));
+    bad.push(("GMEM used > total".into(), patched(full, 8, (words as u64 + 1).to_le_bytes())));
+    for (what, payload) in bad {
+        victim.refuses(&with_section(&snap, SEC_GMEM, &payload), &what);
+        assert!(victim.gpu.gmem.words(0, words) == before, "{what}: device memory moved");
+        victim.still_launches(&what);
     }
 }
 
