@@ -1,11 +1,11 @@
 //! Every Table II kernel's inputs, pinned: the CRC-32 of device memory's
-//! `Snapshot` encoding (the used prefix plus the allocator cursor) right
+//! `GlobalMem::save` encoding (the used prefix plus the allocator cursor) right
 //! after the kernel is built at `Scale::default()`. The builders generate
 //! their inputs in place, straight into device memory; these values were
 //! recorded when each input was generated into a host `Vec` and copied in,
 //! so a match says the bytes are the ones the host copies held.
 
-use pro_core::codec::{crc32, Snapshot, Writer};
+use pro_core::codec::{crc32, Writer};
 use pro_mem::GlobalMem;
 use pro_workloads::{registry, Scale};
 
