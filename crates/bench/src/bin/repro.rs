@@ -256,27 +256,10 @@ fn fig1(exp: &mut Experiment) {
 /// comparable ~25-TB share without changing per-SM behaviour.
 fn fig2(exp: &Experiment) {
     header("Fig. 2: thread block execution on one SM — LRR vs PRO (4-SM slice)");
-    let w = find("laplace3d").expect("LPS present");
-    let trace = TraceOptions {
-        timeline: true,
-        ..Default::default()
-    };
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        let cell = run_cell(&w, sched, exp.scale, exp.four_sm_slice(), |gpu, k| {
-            gpu.launch(k, sched, trace)
-        });
-        let mut spans: Vec<_> = cell
-            .result
-            .timeline
-            .iter()
-            .filter(|s| s.sm == 0)
-            .collect();
+        let (mut spans, cycles) = paper::fig2_timeline(exp, sched);
         spans.sort_by_key(|s| s.start);
-        println!("\n--- {} (SM 0, {} TBs, kernel total {} cycles) ---",
-            sched,
-            spans.len(),
-            cell.result.cycles
-        );
+        println!("\n--- {sched} (SM 0, {} TBs, kernel total {cycles} cycles) ---", spans.len());
         println!("{:<6} {:>10} {:>10} {:>10}", "TB", "start", "end", "duration");
         for s in &spans {
             println!(
@@ -297,7 +280,7 @@ fn fig2(exp: &Experiment) {
             .count();
         println!("[batching] {batched}/{} adjacent completions within 5% of runtime", ends.len().saturating_sub(1));
         // ASCII Gantt (60 columns ≈ the kernel's runtime).
-        let total = cell.result.cycles.max(1);
+        let total = cycles.max(1);
         println!("      0{}{}", " ".repeat(54), total);
         for s in &spans {
             let c0 = (s.start * 60 / total) as usize;
@@ -598,28 +581,10 @@ fn synthsweep(exp: &Experiment) {
 fn svg_figs(exp: &mut Experiment) {
     use pro_bench::svg::{barchart, gantt, BarGroup};
     header("SVG figures: fig2_lrr.svg, fig2_pro.svg, fig4.svg");
-    // Fig. 2 Gantt per scheduler.
-    let w = find("laplace3d").expect("LPS present");
-    let trace = TraceOptions {
-        timeline: true,
-        ..Default::default()
-    };
+    // Fig. 2 Gantt per scheduler, in retire order.
     for sched in [SchedulerKind::Lrr, SchedulerKind::Pro] {
-        let cell = run_cell(&w, sched, exp.scale, exp.four_sm_slice(), |gpu, k| {
-            gpu.launch(k, sched, trace)
-        });
-        let spans: Vec<_> = cell
-            .result
-            .timeline
-            .iter()
-            .copied()
-            .filter(|s| s.sm == 0)
-            .collect();
-        let svg = gantt(
-            &format!("Fig. 2: LPS thread blocks on SM 0 under {sched}"),
-            &spans,
-            cell.result.cycles,
-        );
+        let (spans, cycles) = paper::fig2_timeline(exp, sched);
+        let svg = gantt(&format!("Fig. 2: LPS thread blocks on SM 0 under {sched}"), &spans, cycles);
         let path = format!("fig2_{}.svg", sched.name().to_lowercase());
         std::fs::write(&path, svg).expect("write svg");
         println!("wrote {path}");
@@ -709,8 +674,7 @@ fn json_export(exp: &mut Experiment) {
 /// run-loop phase shares, event-queue depth) — and writes the same numbers
 /// to `shootout.json` for tooling.
 fn shootout(exp: &Experiment) {
-    use pro_bench::json::{num, obj, s, unum, Json};
-    use pro_trace::Metrics;
+    use pro_trace::{Json, Metrics};
     header("Shootout: 8 warp-scheduling policies — stalls vs host cost");
     let ws = exp.kernels();
     let trace = TraceOptions {
@@ -775,6 +739,7 @@ fn shootout(exp: &Experiment) {
         "Policy", "vsLRR", "IPC", "idle%", "sb%", "pipe%", "wall ms", "mem%", "issue%", "reuse%",
         "probes/issue", "tbsched%", "evq p50", "evq p99", "evq hwm"
     );
+    let n = |v: u64| Json::Num(v as f64);
     let mut json_rows = Vec::new();
     for row in &rows {
         let stalls = (row.idle + row.scoreboard + row.pipeline).max(1) as f64;
@@ -821,33 +786,30 @@ fn shootout(exp: &Experiment) {
             evq_p99,
             row.evq_hwm,
         );
-        json_rows.push(obj(vec![
-            ("policy", s(row.sched.name())),
-            ("vs_lrr_geomean", num(vs_lrr)),
-            ("cycles", unum(row.cycles)),
-            ("instructions", unum(row.instructions)),
-            ("idle", unum(row.idle)),
-            ("scoreboard", unum(row.scoreboard)),
-            ("pipeline", unum(row.pipeline)),
-            ("host_wall_ns", unum(wall)),
-            ("host_mem_phase_ns", unum(phase("mem"))),
-            ("host_issue_phase_ns", unum(phase("issue"))),
-            ("host_tbsched_phase_ns", unum(tbsched)),
-            ("issue_orders_reused", unum(reused)),
-            ("issue_orders_recomputed", unum(recomputed)),
-            ("issue_mask_skips", unum(mask_skips)),
-            ("issue_probes", unum(probes)),
-            ("issue_ready_hits", unum(ready_hits)),
-            ("evq_depth_p50", unum(evq_p50)),
-            ("evq_depth_p99", unum(evq_p99)),
-            ("evq_depth_hwm", unum(row.evq_hwm)),
-        ]));
+        json_rows.push(vec![
+            ("policy", Json::Str(row.sched.name().into())),
+            ("vs_lrr_geomean", Json::Num(vs_lrr)),
+            ("cycles", n(row.cycles)),
+            ("instructions", n(row.instructions)),
+            ("idle", n(row.idle)),
+            ("scoreboard", n(row.scoreboard)),
+            ("pipeline", n(row.pipeline)),
+            ("host_wall_ns", n(wall)),
+            ("host_mem_phase_ns", n(phase("mem"))),
+            ("host_issue_phase_ns", n(phase("issue"))),
+            ("host_tbsched_phase_ns", n(tbsched)),
+            ("issue_orders_reused", n(reused)),
+            ("issue_orders_recomputed", n(recomputed)),
+            ("issue_mask_skips", n(mask_skips)),
+            ("issue_probes", n(probes)),
+            ("issue_ready_hits", n(ready_hits)),
+            ("evq_depth_p50", n(evq_p50)),
+            ("evq_depth_p99", n(evq_p99)),
+            ("evq_depth_hwm", n(row.evq_hwm)),
+        ]);
     }
-    let doc = obj(vec![
-        ("kernels", unum(ws.len() as u64)),
-        ("policies", Json::Arr(json_rows)),
-    ]);
-    std::fs::write("shootout.json", format!("{doc}")).expect("write shootout.json");
+    let doc = format!("{{\"kernels\":{},\"policies\":{}}}", ws.len(), pro_bench::json::objects(json_rows));
+    std::fs::write("shootout.json", doc).expect("write shootout.json");
     println!("\n(stall shares are of total stall unit-cycles; host %s are of host wall time)");
     println!("wrote shootout.json");
 }

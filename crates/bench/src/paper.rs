@@ -10,13 +10,14 @@
 //!   baseline; Fig. 5's geomeans are Table III's total columns
 //!   (`repro fig5`, `repro table3`). [`idle_share`] is Fig. 1's aggregate.
 //! - [`order_changes`] — Table IV's count over [`tb_order_cell`]'s samples.
+//! - [`fig2_timeline`] — Fig. 2's TB spans on one SM (`repro fig2`, `repro svg`).
 //!
 //! `repro correlate` puts each claim beside what this build measures
 //! ([`Evidence::gather`], [`correlate`], [`Summary`]); the `(paper …)`
 //! suffixes of the other commands print from [`CLAIMS`] through [`paper`].
 
 use pro_core::SchedulerKind;
-use pro_sim::{TbOrderSnapshot, TraceOptions};
+use pro_sim::{TbOrderSnapshot, TbSpan, TraceOptions};
 use pro_workloads::find;
 
 use crate::{geomean_finite, ratio, run_cell, speedup, AppTotals, Cell, Experiment, Grid};
@@ -167,6 +168,20 @@ pub fn tb_order_cell(exp: &Experiment) -> Cell {
     run_cell(&w, SchedulerKind::Pro, exp.scale, exp.machine, |gpu, k| {
         gpu.launch(k, SchedulerKind::Pro, trace)
     })
+}
+
+/// Fig. 2's run: LPS under `sched` on the experiment's [four-SM
+/// slice](Experiment::four_sm_slice), which gives SM 0 about the paper's
+/// share of TBs. Returns SM 0's TB spans in retire order and the kernel's
+/// cycles.
+pub fn fig2_timeline(exp: &Experiment, sched: SchedulerKind) -> (Vec<TbSpan>, u64) {
+    let w = find("laplace3d").expect("LPS present");
+    let trace = TraceOptions {
+        timeline: true,
+        ..Default::default()
+    };
+    let r = run_cell(&w, sched, exp.scale, exp.four_sm_slice(), |gpu, k| gpu.launch(k, sched, trace)).result;
+    (r.timeline.into_iter().filter(|s| s.sm == 0).collect(), r.cycles)
 }
 
 /// What the paper states: a value, or for an ordinal claim the order it

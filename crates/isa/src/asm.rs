@@ -23,7 +23,7 @@
 use crate::inst::{
     AluOp, AtomOp, CmpOp, Guard, Instr, MemSpace, Pc, Pred, Reg, SfuOp, Special, Src, Ty,
 };
-use crate::program::{Program, ProgramError};
+use crate::program::{Program, ProgramError, MAX_PREDS, MAX_REGS};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -76,8 +76,6 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
     let mut labels: HashMap<String, Pc> = HashMap::new();
     // (instr idx, line, target, reconv)
     let mut fixups: Vec<(usize, usize, Target, Target)> = Vec::new();
-    let mut max_reg: u8 = 0;
-    let mut max_pred: u8 = 0;
 
     for (lineno, raw) in src.lines().enumerate() {
         let line_no = lineno + 1;
@@ -146,9 +144,7 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
         if text.is_empty() {
             continue;
         }
-        parse_instr(
-            text, line_no, &mut instrs, &mut fixups, &mut max_reg, &mut max_pred,
-        )?;
+        parse_instr(text, line_no, &mut instrs, &mut fixups)?;
     }
 
     // Resolve branch fixups.
@@ -170,16 +166,21 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
         }
     }
 
-    let regs = regs.unwrap_or(max_reg.max(1));
-    let preds = preds.unwrap_or(max_pred.max(1));
+    // Undeclared counts are one past the highest register and predicate
+    // named, capped at what a warp holds, so that `validate` names the
+    // first operand past the cap.
+    let count = |highest: Option<u8>, cap: u8| highest.map_or(1, |h| h.saturating_add(1).min(cap));
+    let highest_reg = instrs.iter().flat_map(|i| i.src_regs().chain(i.dst_reg())).map(|r| r.0).max();
+    let highest_pred = instrs.iter().flat_map(|i| i.src_preds().chain(i.dst_pred())).map(|p| p.0).max();
+    let regs = regs.unwrap_or(count(highest_reg, MAX_REGS));
+    let preds = preds.unwrap_or(count(highest_pred, MAX_PREDS));
     Ok(Program::new(name, instrs, regs, preds, shared)?)
 }
 
-fn parse_src(tok: &str, line: usize, max_reg: &mut u8) -> Result<Src, AsmError> {
+fn parse_src(tok: &str, line: usize) -> Result<Src, AsmError> {
     let tok = tok.trim();
     if let Some(r) = tok.strip_prefix('r') {
         if let Ok(n) = r.parse::<u8>() {
-            *max_reg = (*max_reg).max(n + 1);
             return Ok(Src::Reg(Reg(n)));
         }
     }
@@ -199,23 +200,24 @@ fn parse_src(tok: &str, line: usize, max_reg: &mut u8) -> Result<Src, AsmError> 
         return Ok(Src::imm_f32(v));
     }
     if let Ok(v) = tok.parse::<i64>() {
-        return Ok(Src::Imm(v as u32));
+        // A lane is 32 bits: a negative literal is its two's complement.
+        let lane = u32::try_from(v).or_else(|_| i32::try_from(v).map(|v| v as u32));
+        return lane.map(Src::Imm).map_err(|_| err(line, format!("immediate `{tok}` does not fit in 32 bits")));
     }
     Err(err(line, format!("unrecognized operand `{tok}`")))
 }
 
-fn parse_reg(tok: &str, line: usize, max_reg: &mut u8) -> Result<Reg, AsmError> {
-    match parse_src(tok, line, max_reg)? {
+fn parse_reg(tok: &str, line: usize) -> Result<Reg, AsmError> {
+    match parse_src(tok, line)? {
         Src::Reg(r) => Ok(r),
         _ => Err(err(line, format!("expected register, got `{}`", tok.trim()))),
     }
 }
 
-fn parse_pred_tok(tok: &str, line: usize, max_pred: &mut u8) -> Result<Pred, AsmError> {
+fn parse_pred_tok(tok: &str, line: usize) -> Result<Pred, AsmError> {
     let tok = tok.trim();
     if let Some(p) = tok.strip_prefix('p') {
         if let Ok(n) = p.parse::<u8>() {
-            *max_pred = (*max_pred).max(n + 1);
             return Ok(Pred(n));
         }
     }
@@ -223,7 +225,7 @@ fn parse_pred_tok(tok: &str, line: usize, max_pred: &mut u8) -> Result<Pred, Asm
 }
 
 /// Parse a `[rN+off]` / `[rN-off]` / `[rN]` memory operand.
-fn parse_addr(tok: &str, line: usize, max_reg: &mut u8) -> Result<(Reg, i32), AsmError> {
+fn parse_addr(tok: &str, line: usize) -> Result<(Reg, i32), AsmError> {
     let tok = tok.trim();
     let inner = tok
         .strip_prefix('[')
@@ -235,11 +237,12 @@ fn parse_addr(tok: &str, line: usize, max_reg: &mut u8) -> Result<(Reg, i32), As
             .trim()
             .parse()
             .map_err(|_| err(line, "bad address offset"))?;
-        (&inner[..i], (sign * off) as i32)
+        let off = off.checked_mul(sign).and_then(|o| i32::try_from(o).ok());
+        (&inner[..i], off.ok_or_else(|| err(line, "address offset does not fit in 32 bits"))?)
     } else {
         (inner, 0)
     };
-    Ok((parse_reg(reg_part, line, max_reg)?, off))
+    Ok((parse_reg(reg_part, line)?, off))
 }
 
 /// The value of `all` whose assembly text is `text`.
@@ -251,14 +254,11 @@ fn named<T: Copy, const N: usize>(
     all.into_iter().find(|&v| name(v) == text)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn parse_instr(
     text: &str,
     line: usize,
     instrs: &mut Vec<Instr>,
     fixups: &mut Vec<(usize, usize, Target, Target)>,
-    max_reg: &mut u8,
-    max_pred: &mut u8,
 ) -> Result<(), AsmError> {
     let mut text = text.trim();
     // Optional guard: @p0 / @!p0
@@ -271,7 +271,7 @@ fn parse_instr(
         let end = rest
             .find(char::is_whitespace)
             .ok_or_else(|| err(line, "guard with no instruction"))?;
-        let p = parse_pred_tok(&rest[..end], line, max_pred)?;
+        let p = parse_pred_tok(&rest[..end], line)?;
         guard = Some(Guard { pred: p, expect });
         text = rest[end..].trim();
     }
@@ -303,17 +303,16 @@ fn parse_instr(
 
     if let Some(op) = named(AluOp::ALL, AluOp::name, mn) {
         need(op.operands())?;
-        let dst = parse_reg(ops[0], line, max_reg)?;
+        let dst = parse_reg(ops[0], line)?;
         // The sources past the op's operand count read as immediate 0.
-        let mut src =
-            |i: usize| ops.get(i).map_or(Ok(Src::Imm(0)), |t| parse_src(t, line, max_reg));
+        let src = |i: usize| ops.get(i).map_or(Ok(Src::Imm(0)), |t| parse_src(t, line));
         instrs.push(Instr::Alu { op, dst, a: src(1)?, b: src(2)?, c: src(3)? });
         return Ok(());
     }
     if let Some(op) = named(SfuOp::ALL, SfuOp::name, mn) {
         need(2)?;
-        let dst = parse_reg(ops[0], line, max_reg)?;
-        instrs.push(Instr::Sfu { op, dst, a: parse_src(ops[1], line, max_reg)? });
+        let dst = parse_reg(ops[0], line)?;
+        instrs.push(Instr::Sfu { op, dst, a: parse_src(ops[1], line)? });
         return Ok(());
     }
 
@@ -321,10 +320,10 @@ fn parse_instr(
         "selp" => {
             need(4)?;
             Instr::SelP {
-                dst: parse_reg(ops[0], line, max_reg)?,
-                a: parse_src(ops[1], line, max_reg)?,
-                b: parse_src(ops[2], line, max_reg)?,
-                pred: parse_pred_tok(ops[3], line, max_pred)?,
+                dst: parse_reg(ops[0], line)?,
+                a: parse_src(ops[1], line)?,
+                b: parse_src(ops[2], line)?,
+                pred: parse_pred_tok(ops[3], line)?,
             }
         }
         "exit" => Instr::Exit,
@@ -371,35 +370,35 @@ fn parse_instr(
             Instr::SetP {
                 cmp,
                 ty,
-                dst: parse_pred_tok(ops[0], line, max_pred)?,
-                a: parse_src(ops[1], line, max_reg)?,
-                b: parse_src(ops[2], line, max_reg)?,
+                dst: parse_pred_tok(ops[0], line)?,
+                a: parse_src(ops[1], line)?,
+                b: parse_src(ops[2], line)?,
             }
         }
         "ld.global" | "ld.shared" => {
             need(2)?;
-            let (addr, offset) = parse_addr(ops[1], line, max_reg)?;
+            let (addr, offset) = parse_addr(ops[1], line)?;
             Instr::Ld {
                 space: if mn == "ld.global" {
                     MemSpace::Global
                 } else {
                     MemSpace::Shared
                 },
-                dst: parse_reg(ops[0], line, max_reg)?,
+                dst: parse_reg(ops[0], line)?,
                 addr,
                 offset,
             }
         }
         "st.global" | "st.shared" => {
             need(2)?;
-            let (addr, offset) = parse_addr(ops[0], line, max_reg)?;
+            let (addr, offset) = parse_addr(ops[0], line)?;
             Instr::St {
                 space: if mn == "st.global" {
                     MemSpace::Global
                 } else {
                     MemSpace::Shared
                 },
-                src: parse_reg(ops[1], line, max_reg)?,
+                src: parse_reg(ops[1], line)?,
                 addr,
                 offset,
             }
@@ -411,12 +410,15 @@ fn parse_instr(
                 .next()
                 .and_then(|o| named(AtomOp::ALL, AtomOp::name, o))
                 .ok_or_else(|| err(line, "bad atomic op"))?;
-            let (addr, _off) = parse_addr(ops[1], line, max_reg)?;
+            let (addr, off) = parse_addr(ops[1], line)?;
+            if off != 0 {
+                return Err(err(line, "atom.shared takes no address offset"));
+            }
             Instr::Atom {
                 op,
-                dst: parse_reg(ops[0], line, max_reg)?,
+                dst: parse_reg(ops[0], line)?,
                 addr,
-                src: parse_reg(ops[2], line, max_reg)?,
+                src: parse_reg(ops[2], line)?,
             }
         }
         "bar.sync" => {
@@ -659,5 +661,62 @@ exit").unwrap_err();
         let p = assemble("mov r5, 1\nsetp.eq.s32 p2, r5, 1\nexit").unwrap();
         assert_eq!(p.regs, 6);
         assert_eq!(p.preds, 3);
+    }
+
+    #[test]
+    fn the_last_register_name_is_refused_not_overflowed() {
+        let e = assemble("mov r255, 1\nexit").unwrap_err();
+        assert_eq!(e.msg, "validation: pc 0: r255 out of range (program declares 128 regs)");
+    }
+
+    #[test]
+    fn the_last_predicate_name_is_refused_not_overflowed() {
+        let e = assemble("setp.lt.s32 p255, r0, r1\nexit").unwrap_err();
+        assert_eq!(e.msg, "validation: pc 0: p255 out of range (program declares 32 preds)");
+    }
+
+    #[test]
+    fn an_atomic_address_offset_is_refused_not_dropped() {
+        let e = assemble("atom.shared.add r0, [r1+8], r2\nexit").unwrap_err();
+        assert_eq!((e.line, e.msg.as_str()), (1, "atom.shared takes no address offset"));
+        assert!(assemble("atom.shared.add r0, [r1+0], r2\nexit").is_ok());
+    }
+
+    #[test]
+    fn an_address_offset_past_32_bits_is_refused_not_wrapped() {
+        for text in ["ld.global r0, [r1+4294967300]", "st.global [r1-2147483649], r0", "ld.shared r0, [r1--9223372036854775807]"] {
+            let e = assemble(&format!("{text}\nexit")).unwrap_err();
+            assert_eq!((e.line, e.msg.as_str()), (1, "address offset does not fit in 32 bits"), "{text}");
+        }
+        let p = assemble("ld.global r0, [r1-2147483648]\nexit").unwrap();
+        assert!(matches!(p.instrs[0], Instr::Ld { offset: i32::MIN, .. }));
+    }
+
+    #[test]
+    fn an_immediate_past_32_bits_is_refused_not_wrapped() {
+        for text in ["mov r0, 4294967296", "mov r0, -2147483649"] {
+            let e = assemble(&format!("{text}\nexit")).unwrap_err();
+            assert!(e.msg.contains("does not fit in 32 bits"), "{text}: {e}");
+        }
+        let p = assemble("mov r0, 4294967295\nmov r1, -2147483648\nexit").unwrap();
+        assert!(matches!(p.instrs[0], Instr::Alu { a: Src::Imm(u32::MAX), .. }));
+        assert!(matches!(p.instrs[1], Instr::Alu { a: Src::Imm(0x8000_0000), .. }));
+    }
+
+    #[test]
+    fn a_predicate_past_the_scoreboard_mask_is_refused() {
+        // p40 would alias p8's scoreboard bit in a 32-bit mask.
+        let e = assemble("setp.eq.s32 p40, r0, 1\nexit").unwrap_err();
+        assert_eq!(e.msg, "validation: pc 0: p40 out of range (program declares 32 preds)");
+        let e = assemble(".preds 41\nsetp.eq.s32 p40, r0, 1\nexit").unwrap_err();
+        assert_eq!(e.msg, "validation: 41 preds declared; a warp holds at most 32");
+    }
+
+    #[test]
+    fn more_registers_than_the_scoreboard_tracks_are_refused() {
+        let e = assemble(".regs 200\nmov r150, 1\nexit").unwrap_err();
+        assert_eq!(e.msg, "validation: 200 regs declared; a warp holds at most 128");
+        let p = assemble("mov r127, 1\nsetp.eq.s32 p31, r0, 1\nexit").unwrap();
+        assert_eq!((p.regs, p.preds), (MAX_REGS, MAX_PREDS));
     }
 }

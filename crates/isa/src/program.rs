@@ -3,6 +3,14 @@
 use crate::inst::{Instr, Pc};
 use std::fmt;
 
+/// The most general-purpose registers a program may use per thread: a
+/// warp's scoreboard tracks them in one `u128` mask.
+pub const MAX_REGS: u8 = 128;
+
+/// The most predicate registers a program may use per thread: a warp's
+/// scoreboard tracks them in one `u32` mask.
+pub const MAX_PREDS: u8 = 32;
+
 /// A validated VPTX program: straight-line instruction array plus the static
 /// resource footprint that determines SM residency (registers per thread and
 /// shared memory per thread block), mirroring what NVCC reports for a CUDA
@@ -55,6 +63,10 @@ pub enum ProgramError {
     NoTerminalExit,
     /// Shared memory footprint is not word aligned.
     MisalignedShared,
+    /// More registers declared than [`MAX_REGS`].
+    TooManyRegs(u8),
+    /// More predicates declared than [`MAX_PREDS`].
+    TooManyPreds(u8),
 }
 
 impl fmt::Display for ProgramError {
@@ -74,6 +86,8 @@ impl fmt::Display for ProgramError {
                 write!(f, "control can fall through the end of the program without exit")
             }
             ProgramError::MisalignedShared => write!(f, "shared_bytes must be a multiple of 4"),
+            ProgramError::TooManyRegs(n) => write!(f, "{n} regs declared; a warp holds at most {MAX_REGS}"),
+            ProgramError::TooManyPreds(n) => write!(f, "{n} preds declared; a warp holds at most {MAX_PREDS}"),
         }
     }
 }
@@ -125,6 +139,12 @@ impl Program {
         }
         if !self.shared_bytes.is_multiple_of(4) {
             return Err(ProgramError::MisalignedShared);
+        }
+        if self.regs > MAX_REGS {
+            return Err(ProgramError::TooManyRegs(self.regs));
+        }
+        if self.preds > MAX_PREDS {
+            return Err(ProgramError::TooManyPreds(self.preds));
         }
         let len = self.instrs.len() as Pc;
         for (i, ins) in self.instrs.iter().enumerate() {

@@ -21,27 +21,28 @@ use crate::result::RunResult;
 ///
 /// The default (`every = 0`, `pause_at = 0`) disables both mechanisms, which
 /// makes the checkpointed entry points behave exactly like [`crate::Gpu::launch`].
+/// A periodic checkpoint has one form, a delta chain in the directory
+/// `path` names: `every > 0` needs `path`, and `path` and `delta` are set
+/// together. A launch that breaks either rule is refused as
+/// [`crate::SimError::CheckpointIo`].
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointOptions {
-    /// Write a checkpoint to [`CheckpointOptions::path`] every `every`
-    /// kernel-relative cycles (0 = never). Each write atomically replaces
-    /// the previous one, so the file always holds the latest consistent
-    /// snapshot even if the process dies mid-run.
+    /// Capture a checkpoint every `every` kernel-relative cycles (0 =
+    /// never) into the chain in [`CheckpointOptions::path`].
     pub every: u64,
-    /// Destination file for periodic checkpoints. Required when
-    /// [`CheckpointOptions::every`] is nonzero.
+    /// The chain's directory: the first periodic capture writes a full
+    /// `base.ckpt`, every later one appends a `delta-NNNNNN.ckpt` holding
+    /// only the state that changed (dirty gmem pages plus the small
+    /// always-rewritten sections). [`SnapshotChain::load_dir`] reads back
+    /// the longest valid prefix, so the chain survives a process that dies
+    /// mid-run.
     pub path: Option<PathBuf>,
     /// Pause the launch once at least `pause_at` kernel-relative cycles
     /// have elapsed (0 = run to completion), returning
     /// [`LaunchStatus::Paused`] with an in-memory snapshot instead of a
     /// result. Used by tests and by hosts that want to interleave work.
     pub pause_at: u64,
-    /// Emit delta chains instead of rewriting one full snapshot per
-    /// interval. When set, [`CheckpointOptions::path`] names a *directory*:
-    /// the first periodic capture writes a full `base.ckpt`, every later
-    /// one appends a `delta-NNNNNN.ckpt` holding only the state that
-    /// changed (dirty gmem pages plus the small always-rewritten
-    /// sections).
+    /// Set with [`CheckpointOptions::path`], and only with it.
     pub delta: bool,
 }
 
@@ -102,7 +103,7 @@ impl GpuSnapshot {
     }
 
     /// Read a snapshot file from disk.
-    pub fn read_from(path: &Path) -> std::io::Result<Self> {
+    pub(crate) fn read_from(path: &Path) -> std::io::Result<Self> {
         Ok(GpuSnapshot {
             bytes: std::fs::read(path)?,
         })
@@ -111,7 +112,7 @@ impl GpuSnapshot {
     /// Write the snapshot to `path` atomically: the bytes land in a
     /// sibling temporary file first and are `rename`d into place, so a
     /// crash mid-write never leaves a torn checkpoint behind.
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
+    pub(crate) fn write_to(&self, path: &Path) -> std::io::Result<()> {
         let tmp = path.with_extension("tmp");
         {
             let mut f = std::fs::File::create(&tmp)?;

@@ -233,7 +233,7 @@ impl<'a> Run<'a> {
 fn timeout(sms: &[Sm], start_cycle: u64, resumed_at: u64, at_cycle: u64, pending_tbs: u32) -> SimError {
     let mut warps = Vec::new();
     for sm in sms {
-        sm.dump_live_warps(&mut warps);
+        sm.dump_live_warps(start_cycle + at_cycle, &mut warps);
     }
     let last = sms.iter().map(Sm::last_progress).fold(resumed_at, u64::max);
     SimError::Timeout { at_cycle, last_progress: last - start_cycle, stuck: Box::new(Stuck { pending_tbs, warps }) }
@@ -475,6 +475,11 @@ impl<'a> Engine<'a> {
                 "delta checkpointing was requested without a chain directory".into(),
             ));
         }
+        if !ckpt.delta && (ckpt.every > 0 || ckpt.path.is_some()) {
+            return Err(SimError::CheckpointIo(
+                "periodic checkpoints only grow a delta chain, and `delta` was not set".into(),
+            ));
+        }
         let num_sms = gpu.cfg.num_sms as usize;
         let prof = HostProf::new(trace.host_prof);
         let wall_start = Instant::now();
@@ -648,16 +653,7 @@ impl<'a> Engine<'a> {
 
     /// Handle a checkpoint boundary; `Ok(Some(_))` is the pause snapshot.
     fn checkpoint(&mut self, periodic: bool, pause: bool) -> Result<Option<GpuSnapshot>, SimError> {
-        let ckpt = self.ckpt;
-        if !ckpt.delta {
-            let snap = self.capture(None).0;
-            if let Some(path) = &ckpt.path {
-                snap.write_to(path)
-                    .map_err(|e| SimError::CheckpointIo(format!("{}: {e}", path.display())))?;
-            }
-            return Ok(pause.then_some(snap));
-        }
-        // Delta chain, driven purely by the periodic interval: a full base
+        // A delta chain, driven purely by the periodic interval: a full base
         // anchors the chain at the first boundary; every other boundary
         // appends only the dirty gmem pages. The capture ends with
         // mark_clean so the next delta starts from this boundary. A pause
@@ -666,7 +662,7 @@ impl<'a> Engine<'a> {
         // periodic boundary, chain tip and pause snapshot describe the same
         // cycle.
         if periodic {
-            let dir = ckpt.path.as_ref().expect("validated in setup");
+            let dir = self.ckpt.path.as_ref().expect("validated in setup");
             let io = |e: std::io::Error| SimError::CheckpointIo(format!("{}: {e}", dir.display()));
             let link = self.chain.as_ref().map(|(w, prev)| ChainLink {
                 sequence: w.next_seq(),
@@ -984,6 +980,9 @@ mod tests {
         let named: Vec<_> = warps.iter().map(|w| (w.sm, w.slot, w.tb)).collect();
         assert_eq!(named, [(0, 0, 0), (0, 1, 0)]);
         assert!(warps.iter().all(|w| w.pc <= 1 && w.simt_depth == 1 && !w.at_barrier), "{warps:?}");
+        // Each spinning warp waits on the fetch its last issue started.
+        assert!(warps.iter().all(|w| w.issue == Some(pro_sm::WarpIssue::Fetching)), "{warps:?}");
+        assert!(err.to_string().contains("(SM 0, warp slot 0) TB 0 at pc 0, SIMT depth 1, fetching\n"), "{err}");
         // The loop is all the kernel runs: nothing progressed after the
         // launch's first cycle, which is before the spin's first issue.
         let (traced, spin_began, _) = spin_until_timeout(cfg, &k, 0);
@@ -1080,12 +1079,14 @@ mod tests {
 
     #[test]
     fn a_timeout_prints_eight_warps_and_counts_the_rest() {
-        let warp = |slot| WarpDump { sm: 1, slot, tb: 7, pc: 3, simt_depth: 2, at_barrier: slot == 0, pending: pro_sm::WriteSet { regs: 0b1010, preds: 1 } };
+        let issue = |slot| (slot != 0).then_some(pro_sm::WarpIssue::SbWait);
+        let warp = |slot| WarpDump { sm: 1, slot, tb: 7, pc: 3, simt_depth: 2, at_barrier: slot == 0, pending: pro_sm::WriteSet { regs: 0b1010, preds: 1 }, issue: issue(slot) };
         let stuck = Box::new(Stuck { pending_tbs: 1, warps: (0..11).map(warp).collect() });
         let err = SimError::Timeout { at_cycle: 9, last_progress: 4, stuck };
         let text = err.to_string();
         assert!(text.starts_with("simulation exceeded 9 cycles with 1 TBs outstanding; last progress at cycle 4; 11 live warps\n"), "{text}");
         assert!(text.contains("\n  (SM 1, warp slot 0) TB 7 at pc 3, SIMT depth 2, at the barrier, waiting on r1 r3 p0\n"), "{text}");
+        assert!(text.contains("\n  (SM 1, warp slot 1) TB 7 at pc 3, SIMT depth 2, refused by the scoreboard, waiting on r1 r3 p0\n"), "{text}");
         assert!(text.contains("(SM 1, warp slot 7)") && !text.contains("warp slot 8"), "{text}");
         assert!(text.ends_with("\n  and 3 more"), "{text}");
         // The dump rides behind one pointer: the error is no wider for it.

@@ -41,6 +41,31 @@ pub const fn class_of(pipe: PipeClass) -> usize {
     }
 }
 
+/// Where a live warp that is not parked at its TB's barrier stands in the
+/// state machine of the module doc ([`IssueState::state`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarpIssue {
+    /// Its next instruction is still being fetched.
+    Fetching,
+    /// Fetched, and not probed since.
+    Untested,
+    /// The scoreboard refused its next instruction.
+    SbWait,
+    /// Ready for the pipeline of this class ([`class_of`]).
+    Ready(usize),
+}
+
+impl std::fmt::Display for WarpIssue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WarpIssue::Fetching => f.write_str("fetching"),
+            WarpIssue::Untested => f.write_str("untested"),
+            WarpIssue::SbWait => f.write_str("refused by the scoreboard"),
+            WarpIssue::Ready(class) => write!(f, "ready for the {} pipeline", ["ALU", "SFU", "MEM"][*class]),
+        }
+    }
+}
+
 /// The candidate, eligible and long-latency masks of the warps whose
 /// scheduler flags are `sched`: live and unfinished; of those, not parked
 /// at a barrier; blocked on a long-latency write.
@@ -402,19 +427,33 @@ impl IssueState {
         })
     }
 
+    /// Warp `w`'s state at `now`: `None` if it is not live or is parked at
+    /// its TB's barrier.
+    pub fn state(&self, w: usize, now: u64) -> Option<WarpIssue> {
+        let bit = 1u64 << w;
+        if self.cands_mask & self.eligible_mask & bit == 0 {
+            None
+        } else if now < self.ibuf_at[w] {
+            Some(WarpIssue::Fetching)
+        } else if self.sb_wait_mask & bit != 0 {
+            Some(WarpIssue::SbWait)
+        } else {
+            Some(self.ready.iter().position(|r| r & bit != 0).map_or(WarpIssue::Untested, WarpIssue::Ready))
+        }
+    }
+
     /// Why warp `w` did not issue on a unit-cycle whose [`IssueState::pick`]
     /// at `now` found nothing, which leaves a verdict for every fetched live
     /// warp: Idle if the warp is not live or still fetching, Scoreboard if
     /// its probe was refused, Pipeline if it is ready for a closed pipeline.
     pub fn stall_reason(&self, w: usize, now: u64) -> StallReason {
-        let bit = 1u64 << w;
-        if self.cands_mask & self.eligible_mask & bit == 0 || now < self.ibuf_at[w] {
-            StallReason::Idle
-        } else if self.sb_wait_mask & bit != 0 {
-            StallReason::Scoreboard
-        } else {
-            debug_assert!(self.ready.iter().any(|r| r & bit != 0), "warp {w} holds no verdict");
-            StallReason::Pipeline
+        match self.state(w, now) {
+            None | Some(WarpIssue::Fetching) => StallReason::Idle,
+            Some(WarpIssue::SbWait) => StallReason::Scoreboard,
+            state => {
+                debug_assert_ne!(state, Some(WarpIssue::Untested), "warp {w} holds no verdict");
+                StallReason::Pipeline
+            }
         }
     }
 
@@ -737,6 +776,16 @@ mod tests {
                         let got = st.pick(unit, now, open, truth_of);
                         prop_assert_eq!(got, want, "pick at {} on unit {}", now, unit);
                         m.agrees_with(&st)?;
+                        for w in 0..SLOTS {
+                            let want = match m.slots[w] {
+                                Slot::Live { .. } if !m.fetched(w, now) => Some(WarpIssue::Fetching),
+                                Slot::Live { verdict: Verdict::None, .. } => Some(WarpIssue::Untested),
+                                Slot::Live { verdict: Verdict::SbWait, .. } => Some(WarpIssue::SbWait),
+                                Slot::Live { verdict: Verdict::Ready(c), .. } => Some(WarpIssue::Ready(c)),
+                                _ => None,
+                            };
+                            prop_assert_eq!(st.state(w, now), want, "state of warp {} at {}", w, now);
+                        }
                         // A failed pick leaves every fetched warp a verdict,
                         // which is its stall reason.
                         for w in (0..SLOTS).filter(|&w| got.is_err() && in_unit(w)) {

@@ -20,7 +20,7 @@ pub mod sm;
 pub mod warp;
 
 pub use decode::{IssueMeta, IssueTable, LatClass};
-pub use issue::IssueState;
+pub use issue::{IssueState, WarpIssue};
 pub use scoreboard::{Scoreboard, WriteSet};
 pub use shared::SharedMem;
 pub use simt::SimtStack;

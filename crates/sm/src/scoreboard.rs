@@ -4,10 +4,13 @@
 //! stall* if no other warp can issue either (paper §II.B).
 
 use pro_core::snapshot_struct;
-use pro_isa::{Instr, Pred, Reg};
+use pro_isa::{Instr, Pred, Reg, MAX_PREDS, MAX_REGS};
+
+const _: () = assert!(MAX_REGS as u32 <= u128::BITS && MAX_PREDS as u32 <= u32::BITS);
 
 /// Pending-write state for one warp. Registers are tracked in a 128-bit
-/// mask (VPTX programs are validated to ≤128 GPRs), predicates in 32 bits.
+/// mask and predicates in 32 bits, the limits `Program::validate` holds
+/// a program to ([`MAX_REGS`], [`MAX_PREDS`]).
 /// Long-latency (global load) destinations are tracked separately so the
 /// two-level scheduler can see `blocked_on_longlat`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

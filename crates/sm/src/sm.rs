@@ -34,7 +34,7 @@ mod lsu;
 mod snapshot;
 
 use crate::decode::{IssueTable, LatClass};
-use crate::issue::IssueState;
+use crate::issue::{IssueState, WarpIssue};
 use crate::scoreboard::WriteSet;
 use crate::shared::SharedMem;
 use crate::warp::Warp;
@@ -42,7 +42,7 @@ use issue_phase::IssueCx;
 use lsu::{LsuEntry, Release};
 use pro_core::calq::CalQueue;
 use pro_core::{FxHashMap, SchedView, TbState, WarpScheduler, WarpState};
-use pro_isa::{Kernel, Pc, Pred, Reg, WARP_SIZE};
+use pro_isa::{Kernel, Pc, Pred, Reg, MAX_PREDS, MAX_REGS, WARP_SIZE};
 use pro_mem::{AccessId, GlobalMem, MemSubsystem};
 use pro_trace::{Event as TraceEvent, EventClass, Hist16, IssueProf, NoopTracer, Tracer};
 use std::collections::VecDeque;
@@ -230,6 +230,8 @@ pub struct WarpDump {
     pub at_barrier: bool,
     /// Registers and predicates with a write in flight.
     pub pending: WriteSet,
+    /// Its issue state; `None` while it is parked at the barrier.
+    pub issue: Option<WarpIssue>,
 }
 
 impl std::fmt::Display for WarpDump {
@@ -240,10 +242,13 @@ impl std::fmt::Display for WarpDump {
         if self.at_barrier {
             write!(f, ", at the barrier")?;
         }
+        if let Some(issue) = self.issue {
+            write!(f, ", {issue}")?;
+        }
         if !self.pending.is_empty() {
             write!(f, ", waiting on")?;
-            let regs = (0..128u8).filter(|&r| self.pending.regs >> r & 1 != 0).map(|r| Reg(r).to_string());
-            let preds = (0..32u8).filter(|&p| self.pending.preds >> p & 1 != 0).map(|p| Pred(p).to_string());
+            let regs = (0..MAX_REGS).filter(|&r| self.pending.regs >> r & 1 != 0).map(|r| Reg(r).to_string());
+            let preds = (0..MAX_PREDS).filter(|&p| self.pending.preds >> p & 1 != 0).map(|p| Pred(p).to_string());
             for name in regs.chain(preds) {
                 write!(f, " {name}")?;
             }
@@ -361,10 +366,7 @@ impl Sm {
     /// the SMs of a GPU share one table.
     pub fn begin_kernel_decoded(&mut self, kernel: &Kernel, table: Arc<IssueTable>) {
         assert_eq!(self.live_tbs, 0, "begin_kernel on a busy SM");
-        assert!(
-            kernel.program.regs as usize <= 128,
-            "VPTX programs are limited to 128 registers in the SM model"
-        );
+        assert!(kernel.program.regs <= MAX_REGS, "a validated program uses at most {MAX_REGS} registers");
         assert!(
             std::ptr::eq(table.program(), &*kernel.program),
             "issue table decoded from a different program"
@@ -499,12 +501,12 @@ impl Sm {
         sched_view(&self.sched_warps, &self.sched_tbs, now, fast_phase)
     }
 
-    /// Append a [`WarpDump`] of every live warp to `out`, in slot order.
-    /// Only a launch that reached its cycle cap asks, so the run loop pays
-    /// nothing for it; it reads state alone, so a resumed run dumps what
-    /// the straight run does.
+    /// Append a [`WarpDump`] of every live warp at the start of cycle `now`
+    /// to `out`, in slot order. Only a launch that reached its cycle cap
+    /// asks, so the run loop pays nothing for it; it reads state alone, so
+    /// a resumed run dumps what the straight run does.
     #[cold]
-    pub fn dump_live_warps(&self, out: &mut Vec<WarpDump>) {
+    pub fn dump_live_warps(&self, now: u64, out: &mut Vec<WarpDump>) {
         for (slot, (s, w)) in self.sched_warps.iter().zip(&self.warps).enumerate() {
             if s.active && !s.finished {
                 out.push(WarpDump {
@@ -515,6 +517,7 @@ impl Sm {
                     simt_depth: w.simt.depth(),
                     at_barrier: s.at_barrier,
                     pending: w.scoreboard.pending(),
+                    issue: self.issue.state(slot, now),
                 });
             }
         }

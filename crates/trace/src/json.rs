@@ -9,6 +9,7 @@
 //! garbage and nesting deeper than [`MAX_DEPTH`]. That is enough for
 //! everything this workspace emits.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -361,20 +362,26 @@ fn write_value(out: &mut String, v: &Json) {
             }
             out.push(']');
         }
-        Json::Obj(m) => {
-            out.push('{');
-            for (i, (k, e)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                out.push_str(&escape(k));
-                out.push_str("\":");
-                write_value(out, e);
-            }
-            out.push('}');
-        }
+        Json::Obj(m) => write_obj(out, m.iter().map(|(k, e)| (k.as_str(), e))),
     }
+}
+
+/// Append the object `fields` lists, its keys in the order given. A
+/// [`Json::Obj`] goes through here in key order; a caller whose keys are in
+/// an order of their own (`repro json`'s columns) passes them as a list, so
+/// an ordered object is written but never stored.
+pub fn write_obj<'a, V: Borrow<Json>>(out: &mut String, fields: impl IntoIterator<Item = (&'a str, V)>) {
+    out.push('{');
+    for (i, (k, e)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(&escape(k));
+        out.push_str("\":");
+        write_value(out, e.borrow());
+    }
+    out.push('}');
 }
 
 #[cfg(test)]
@@ -462,6 +469,34 @@ mod tests {
         assert_eq!(parse(&nest(MAX_DEPTH + 1)), Err(ParseError::TooDeep));
         assert_eq!(parse(&"[".repeat(1_000_000)), Err(ParseError::TooDeep));
         assert_eq!(parse(&"{\"k\":".repeat(1_000_000)), Err(ParseError::TooDeep));
+    }
+
+    #[test]
+    fn scalars_serialize() {
+        assert_eq!(to_string(&Json::Null), "null");
+        assert_eq!(to_string(&Json::Bool(true)), "true");
+        assert_eq!(to_string(&Json::Num(3.0)), "3");
+        assert_eq!(to_string(&Json::Num(3.5)), "3.5");
+        assert_eq!(to_string(&Json::Num(f64::NAN)), "null");
+        assert_eq!(to_string(&Json::Num(123_456_789.0)), "123456789");
+    }
+
+    #[test]
+    fn strings_escape() {
+        assert_eq!(to_string(&Json::Str("a\"b\\c\nd".into())), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(to_string(&Json::Str("\u{1}".into())), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn containers_nest() {
+        // An ordered object keeps the order it is given; a stored one is
+        // written in key order.
+        let mut out = String::new();
+        let xs = Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)]);
+        write_obj(&mut out, [("xs", xs.clone()), ("name", Json::Str("k".into()))]);
+        assert_eq!(out, r#"{"xs":[1,2],"name":"k"}"#);
+        let stored = Json::Obj(BTreeMap::from([("xs".into(), xs), ("name".into(), Json::Str("k".into()))]));
+        assert_eq!(to_string(&stored), r#"{"name":"k","xs":[1,2]}"#);
     }
 
     #[test]

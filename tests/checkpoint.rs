@@ -5,7 +5,7 @@
 //! output memory.
 
 use pro_sim::{
-    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, LaunchStatus, Run, RunResult, SchedulerKind,
+    CheckpointOptions, Gpu, GpuConfig, GpuSnapshot, Run, RunResult, SchedulerKind,
     SimError, TraceOptions,
 };
 use pro_workloads::find;
@@ -76,37 +76,24 @@ fn dirty_order_state_round_trips_for_every_tracking_policy() {
 }
 
 #[test]
-fn periodic_checkpoint_file_recovers_a_run() {
-    // Periodic checkpoints into one file, each replacing the last: pretend
-    // the process died and restart from the file on disk.
-    let dir = std::env::temp_dir().join(format!("pro_ckpt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cell.ckpt");
-
+fn a_periodic_interval_without_a_delta_chain_is_refused() {
+    // A periodic checkpoint grows a delta chain and has no other form: an
+    // interval, or a path, without `delta` is refused before the launch
+    // touches the GPU, which then runs as if it had never been asked.
     let (base, _, _) = straight_run(SchedulerKind::Pro);
+    let dir = std::env::temp_dir().join(format!("pro_ckpt_{}", std::process::id()));
     let (mut gpu, kernel) = fresh_gpu();
-    // Pause late so several periodic checkpoints have landed first.
-    let status = gpu
-        .launch_checkpointed(
-            &kernel,
-            SchedulerKind::Pro,
-            trace_opts(),
-            &CheckpointOptions {
-                every: base.cycles / 8,
-                path: Some(path.clone()),
-                pause_at: base.cycles * 3 / 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-    assert!(matches!(status, LaunchStatus::Paused(_)));
-    // "Crash": drop everything, reload the last checkpoint from disk.
-    drop(gpu);
-    let snap = GpuSnapshot::read_from(&path).unwrap();
-    snap.validate().unwrap();
-    let r = resume_fresh(&snap, SchedulerKind::Pro, trace_opts()).unwrap().expect_completed();
-    assert_same(&base, &r, "recovered run");
-    std::fs::remove_dir_all(&dir).unwrap();
+    let refused = [
+        CheckpointOptions { every: base.cycles / 8, path: Some(dir.join("cell.ckpt")), ..Default::default() },
+        CheckpointOptions { path: Some(dir.clone()), pause_at: base.cycles / 2, ..Default::default() },
+    ];
+    for ckpt in &refused {
+        let err = gpu.launch_checkpointed(&kernel, SchedulerKind::Pro, trace_opts(), ckpt).unwrap_err();
+        assert!(matches!(err, SimError::CheckpointIo(_)), "{ckpt:?}: {err}");
+    }
+    assert!(!dir.exists(), "a refused launch wrote nothing");
+    let r = gpu.launch(&kernel, SchedulerKind::Pro, trace_opts()).unwrap();
+    assert_same(&base, &r, "a launch after the refusals");
 }
 
 #[test]
