@@ -57,6 +57,7 @@ const COMMANDS: &[Command] = &[
     ("dram", "", |exp, _| dram_ablation(exp), true),
     ("svg", "", |exp, _| svg_figs(exp), false),
     ("correlate", "", |exp, _| correlate(exp), false),
+    ("sensitivity", "", |exp, _| sensitivity(exp), false),
     ("json", "", |exp, _| json_export(exp), false),
     ("shootout", "", |exp, _| shootout(exp), false),
     ("disasm", " <kernel>", |_, ops| disasm(ops), false),
@@ -145,16 +146,16 @@ fn main() {
             std::process::exit(2);
         }),
     };
-    // Optional --jobs <N>: experiment-pool width (independent simulations).
-    if let Some(n) = cli.count("--jobs") {
-        pro_core::pool::set_default_jobs(n);
-    }
     let scale = if cli.has("--full-scale") {
         Scale::Full
     } else {
         Scale::default()
     };
     let exp = &mut Experiment::new(scale, cli.has("--quick"), machine);
+    // Optional --jobs <N>: experiment-pool width (independent simulations).
+    if let Some(n) = cli.count("--jobs") {
+        exp.jobs = n;
+    }
     if cmd == "all" {
         for (.., run, _) in COMMANDS.iter().filter(|(.., in_all)| *in_all) {
             run(exp, operands);
@@ -431,7 +432,7 @@ fn with_stock_column<V: Copy + PartialEq + Sync>(
     let jobs: Vec<(usize, V)> = (0..kernels.len())
         .flat_map(|k| variants.iter().map(move |&v| (k, v)))
         .collect();
-    let ran = parallel_map(&jobs, |&(k, v)| (v != stock).then(|| run(&kernels[k], v)));
+    let ran = parallel_map(exp.jobs, &jobs, |&(k, v)| (v != stock).then(|| run(&kernels[k], v)));
     let stored = exp.cells(kernels, &[SchedulerKind::Pro]);
     let cells = jobs.iter().zip(ran);
     cells.map(|(&(k, _), ran)| ran.unwrap_or_else(|| stored.cells()[k].clone())).collect()
@@ -567,7 +568,7 @@ fn synthsweep(exp: &Experiment) {
             jobs.extend([(p, SchedulerKind::Lrr), (p, SchedulerKind::Pro)]);
         }
     }
-    let cycles = parallel_map(&jobs, |&(p, s)| run(p, s));
+    let cycles = parallel_map(exp.jobs, &jobs, |&(p, s)| run(p, s));
     println!("{:<26} {:>10}", "knob", "PRO/LRR");
     for ((label, ..), runs) in knobs.iter().zip(cycles.chunks(2 * SEEDS as usize)) {
         let speedups = runs.chunks(2).map(|pair| pair[0] as f64 / pair[1] as f64);
@@ -661,6 +662,70 @@ fn correlate(exp: &mut Experiment) {
     );
 }
 
+/// Which substrate latency moves the paper's numbers: every key of
+/// [`paper::LATENCIES`] at ×½ and ×2 of the experiment's machine, one
+/// [`Experiment`] each. Per variant, the change in the Fig. 4 geomeans and
+/// in `correlate`'s summary; then PRO's speedup over TL, under each variant,
+/// on every kernel PRO loses to TL on the stock machine.
+fn sensitivity(exp: &mut Experiment) {
+    header("Sensitivity: the claims with one latency at x1/2 and x2");
+    let stock = Evidence::gather(exp);
+    let base = Summary::of(&paper::correlate(&stock), &stock.fig4);
+    let variants: Vec<(&str, u64, Evidence)> = paper::LATENCIES
+        .iter()
+        .flat_map(|&(key, read)| {
+            let v = read(&exp.machine);
+            [(key, (v / 2).max(1)), (key, v * 2)]
+        })
+        .map(|(key, value)| {
+            let evidence = Evidence::gather_with(exp, key, value).unwrap_or_else(|e| {
+                eprintln!("sensitivity: {key} = {value}: {e}");
+                std::process::exit(2);
+            });
+            (key, value, evidence)
+        })
+        .collect();
+    let signed = |d: usize, b: usize| format!("{:+}", d as i64 - b as i64);
+    println!(
+        "{:<15} {:>6}  {:>7} {:>7} {:>7}  {:>7} {:>5}  {:>17}",
+        "key", "value", "TL", "LRR", "GTO", "|error|", "held", "slower TL/LRR/GTO"
+    );
+    let [tl, lrr, gto] = stock.fig4.geomean;
+    let [s_tl, s_lrr, s_gto] = base.slower;
+    println!(
+        "{:<15} {:>6}  {tl:>7.3} {lrr:>7.3} {gto:>7.3}  {:>7.3} {:>5}  {:>17}",
+        "(stock)",
+        "",
+        base.mean_abs_error,
+        format!("{}/{}", base.held, base.ordinal),
+        format!("{s_tl}/{s_lrr}/{s_gto}")
+    );
+    for (key, value, e) in &variants {
+        let [tl, lrr, gto] = [0, 1, 2].map(|b| e.fig4.geomean[b] - stock.fig4.geomean[b]);
+        let s = Summary::of(&paper::correlate(e), &e.fig4);
+        let slower = [0, 1, 2].map(|b| signed(s.slower[b], base.slower[b])).join("/");
+        println!(
+            "{key:<15} {value:>6}  {tl:>+7.3} {lrr:>+7.3} {gto:>+7.3}  {:>+7.3} {:>5}  {slower:>17}",
+            s.mean_abs_error - base.mean_abs_error,
+            signed(s.held, base.held),
+        );
+    }
+    // Every variant runs the experiment's kernels, in its order.
+    let kernels = &stock.fig4.kernels;
+    let losers: Vec<usize> = (0..kernels.len()).filter(|&k| kernels[k].1[0] < 1.0).collect();
+    println!("\nPRO's speedup over TL on the kernels it loses to TL on the stock machine:");
+    for (i, &k) in losers.iter().enumerate() {
+        println!("  k{} = {}", i + 1, kernels[k].0);
+    }
+    let speedups = |e: &Evidence| -> String { losers.iter().map(|&k| format!(" {:>6.3}", e.fig4.kernels[k].1[0])).collect() };
+    let columns: String = (1..=losers.len()).map(|i| format!(" {:>6}", format!("k{i}"))).collect();
+    println!("{:<15} {:>6} {columns}", "key", "value");
+    println!("{:<15} {:>6} {}", "(stock)", "", speedups(&stock));
+    for (key, value, e) in &variants {
+        println!("{key:<15} {value:>6} {}", speedups(e));
+    }
+}
+
 /// Dump every (kernel × scheduler) result as JSON on stdout.
 fn json_export(exp: &mut Experiment) {
     let grid = exp.cells(&exp.kernels(), &SchedulerKind::PAPER);
@@ -683,7 +748,7 @@ fn shootout(exp: &Experiment) {
     };
     // Profiled cells carry `host/*` metrics, so the store does not keep
     // them; the grid is built and read the same way.
-    let cells = parallel_map(&pairs(&ws, &SchedulerKind::ALL), |(w, s)| {
+    let cells = parallel_map(exp.jobs, &pairs(&ws, &SchedulerKind::ALL), |(w, s)| {
         run_cell(w, *s, exp.scale, exp.machine, |gpu, k| gpu.launch(k, *s, trace))
     });
     let grid = Grid::new(cells.iter().collect(), SchedulerKind::ALL.len());

@@ -34,6 +34,7 @@
 //! |--------------------|--------------|
 //! | `repro svg`        | SVG renderings of Fig. 1, Fig. 2 and Fig. 4 |
 //! | `repro correlate`  | every claim of [`paper::CLAIMS`] beside this build's value |
+//! | `repro sensitivity` | the claims with each latency of [`paper::LATENCIES`] at ×½ and ×2 |
 //! | `repro json`       | machine-readable dump of every (kernel × sched) run |
 //! | `repro shootout`   | 8-policy matrix with stall attribution + host cost |
 //! | `repro disasm`     | VPTX disassembly and static mix of one kernel |
@@ -81,7 +82,7 @@ pub struct Cell {
 
 impl Cell {
     /// The cell of `w` under `sched` with outcome `result`.
-    pub fn new(w: &Workload, sched: SchedulerKind, result: RunResult) -> Self {
+    pub(crate) fn new(w: &Workload, sched: SchedulerKind, result: RunResult) -> Self {
         Cell {
             kernel: w.kernel,
             app: w.app,
@@ -129,6 +130,9 @@ pub struct Experiment {
     /// The machine every experiment runs on (the paper's GTX480, or the
     /// `--config` file).
     pub machine: GpuConfig,
+    /// `--jobs`: the worker threads that simulate missing cells, `0` for
+    /// one per core ([`parallel_map`]).
+    pub jobs: usize,
     /// Finished cells by (kernel, policy) — only those simulated on
     /// `machine` at `scale` with default [`TraceOptions`], so the key
     /// needs nothing else. Never iterated: output order comes from the
@@ -143,6 +147,7 @@ impl Experiment {
             scale,
             quick,
             machine,
+            jobs: 0,
             done: HashMap::new(),
         }
     }
@@ -192,7 +197,7 @@ impl Experiment {
             .filter(|(w, s)| !self.done.contains_key(&(w.kernel, *s)) && queued.insert((w.kernel, *s)))
             .copied()
             .collect();
-        let fresh = parallel_map(&missing, |(w, s)| runner(w, *s));
+        let fresh = parallel_map(self.jobs, &missing, |(w, s)| runner(w, *s));
         for ((w, s), cell) in missing.iter().zip(fresh) {
             self.done.insert((w.kernel, *s), cell);
         }
@@ -247,13 +252,16 @@ impl<'a> Grid<'a> {
     }
 }
 
-/// Map `f` over `items` on the experiment thread pool
-/// ([`pro_core::pool`]), preserving submission order. The worker count
-/// honours the process default set by `--jobs`
-/// ([`pro_core::pool::set_default_jobs`]); each item is an independent
-/// simulation, so results are deterministic regardless of thread count.
-pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    pro_core::pool::run(0, items, f)
+/// Map `f` over `items` on up to `jobs` threads of the experiment pool
+/// ([`pro_core::pool`], `0` = one per core), preserving submission order.
+/// Each item is an independent simulation, so results are deterministic
+/// regardless of thread count.
+pub fn parallel_map<T: Sync, R: Send>(
+    jobs: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    pro_core::pool::run(jobs, items, f)
 }
 
 /// Per-application cycle and stall totals (kernels of an app summed), as
@@ -277,7 +285,7 @@ impl AppTotals {
     }
 
     /// Accumulate a kernel's results.
-    pub fn add(&mut self, r: &RunResult) {
+    pub(crate) fn add(&mut self, r: &RunResult) {
         self.cycles += r.cycles;
         self.idle += r.sm.idle;
         self.scoreboard += r.sm.scoreboard;
@@ -287,12 +295,12 @@ impl AppTotals {
 
 /// Speedup of `b` over `a` interpreted as cycles: `a.cycles / b.cycles`
 /// (>1 means `b` is faster).
-pub fn speedup(a: &RunResult, b: &RunResult) -> f64 {
+pub(crate) fn speedup(a: &RunResult, b: &RunResult) -> f64 {
     a.cycles as f64 / b.cycles as f64
 }
 
 /// Ratio helper guarding zero denominators.
-pub fn ratio(num: u64, den: u64) -> f64 {
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         if num == 0 {
             1.0
@@ -424,7 +432,7 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..100).collect();
-        let out = parallel_map(&items, |&x| x * x);
+        let out = parallel_map(3, &items, |&x| x * x);
         let expect: Vec<u64> = items.iter().map(|&x| x * x).collect();
         assert_eq!(out, expect);
     }
@@ -432,6 +440,6 @@ mod tests {
     #[test]
     fn parallel_map_empty_input() {
         let items: Vec<u64> = vec![];
-        assert!(parallel_map(&items, |&x| x).is_empty());
+        assert!(parallel_map(3, &items, |&x| x).is_empty());
     }
 }

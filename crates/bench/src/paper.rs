@@ -15,9 +15,12 @@
 //! `repro correlate` puts each claim beside what this build measures
 //! ([`Evidence::gather`], [`correlate`], [`Summary`]); the `(paper …)`
 //! suffixes of the other commands print from [`CLAIMS`] through [`paper`].
+//! `repro sensitivity` reads the same evidence on machines that differ
+//! from the experiment's in one latency ([`LATENCIES`],
+//! [`Evidence::gather_with`]).
 
 use pro_core::SchedulerKind;
-use pro_sim::{TbOrderSnapshot, TbSpan, TraceOptions};
+use pro_sim::{ConfigError, GpuConfig, TbOrderSnapshot, TbSpan, TraceOptions};
 use pro_workloads::find;
 
 use crate::{geomean_finite, ratio, run_cell, speedup, AppTotals, Cell, Experiment, Grid};
@@ -329,6 +332,16 @@ impl Evidence {
         let tb_order = tb_order_cell(exp).result.tb_order;
         Evidence { fig4, picked, stalls, tb_order, no_barrier }
     }
+
+    /// [`Evidence::gather`] on `exp`'s machine with the `.cfg` key `key`
+    /// set to `value`, in a new experiment at `exp`'s scale, kernels and
+    /// `--jobs`; or why that machine fails the configuration check.
+    pub fn gather_with(exp: &Experiment, key: &str, value: u64) -> Result<Evidence, ConfigError> {
+        let machine = pro_sim::parse_config(&format!("{key} = {value}"), exp.machine)?;
+        let mut on = Experiment::new(exp.scale, exp.quick, machine);
+        on.jobs = exp.jobs;
+        Ok(Evidence::gather(&mut on))
+    }
 }
 
 /// One claim beside what this build measures.
@@ -393,10 +406,33 @@ impl Summary {
     }
 }
 
+/// Reads one latency of a machine.
+type Latency = fn(&GpuConfig) -> u64;
+
+/// The `.cfg` latency keys `repro sensitivity` varies, each with the field
+/// it sets. A variant is built through [`pro_sim::parse_config`], so this
+/// table only reads the value it scales.
+#[rustfmt::skip]
+pub const LATENCIES: [(&str, Latency); 14] = [
+    ("fetch_lat", |c| c.sm.fetch_lat),
+    ("lat_int_simple", |c| c.sm.lat_int_simple),
+    ("lat_int_mul", |c| c.sm.lat_int_mul),
+    ("lat_float", |c| c.sm.lat_float),
+    ("lat_convert", |c| c.sm.lat_convert),
+    ("sfu_lat", |c| c.sm.sfu_lat),
+    ("sfu_ii", |c| c.sm.sfu_ii),
+    ("shared_lat", |c| c.sm.shared_lat),
+    ("l1_hit_lat", |c| c.mem.l1_hit_lat),
+    ("l2_lat", |c| c.mem.l2_lat),
+    ("icnt_lat", |c| c.mem.icnt_lat),
+    ("dram_t_cas", |c| c.mem.dram.t_cas),
+    ("dram_t_rp_rcd", |c| c.mem.dram.t_rp_rcd),
+    ("dram_t_burst", |c| c.mem.dram.t_burst),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pro_sim::GpuConfig;
     use pro_workloads::Scale;
     use std::collections::HashSet;
 
@@ -452,5 +488,32 @@ mod tests {
         assert_eq!(summary.ordinal, ordinal);
         assert!(summary.held <= ordinal);
         assert_eq!(summary.slower[0], evidence.fig4.kernels.iter().filter(|(_, s)| s[0] < 1.0).count());
+    }
+
+    #[test]
+    fn every_latency_key_reads_the_field_the_config_file_sets() {
+        for (key, read) in LATENCIES {
+            let machine = pro_sim::parse_config(&format!("{key} = 7"), GpuConfig::gtx480()).unwrap();
+            assert_eq!(read(&machine), 7, "{key}");
+            assert_ne!(read(&GpuConfig::gtx480()), 7, "{key}");
+        }
+    }
+
+    #[test]
+    fn a_sensitivity_row_is_the_runs_of_its_one_key_machine() {
+        let exp = Experiment::new(Scale::Capped(8), true, GpuConfig::small(2));
+        let row = Evidence::gather_with(&exp, "l2_lat", 40).unwrap();
+        let mut machine = exp.machine;
+        machine.mem.l2_lat = 40;
+        let kernels = exp.kernels();
+        assert_eq!(row.fig4.kernels.len(), kernels.len());
+        for (w, &(name, speedups)) in kernels.iter().zip(&row.fig4.kernels) {
+            let cycles = SchedulerKind::PAPER.map(|s| {
+                let r = w.run(machine, exp.scale, |gpu, k| gpu.launch(k, s, TraceOptions::default()));
+                r.unwrap().cycles
+            });
+            assert_eq!(name, w.kernel);
+            assert_eq!(speedups, [TL, LRR, GTO].map(|b| cycles[b] as f64 / cycles[PRO] as f64), "{name}");
+        }
     }
 }

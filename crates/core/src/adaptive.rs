@@ -59,7 +59,7 @@ pub struct ProAdaptive {
 impl ProAdaptive {
     /// Build for an SM with `max_warps`/`max_tbs` slots: two instances of
     /// the paper's PRO that differ in barrier handling only.
-    pub fn new(max_warps: usize, max_tbs: usize) -> Self {
+    pub(crate) fn new(max_warps: usize, max_tbs: usize) -> Self {
         let on = ProConfig::default();
         let off = ProConfig {
             handle_barriers: false,
@@ -95,15 +95,6 @@ impl ProAdaptive {
             &self.with_barriers
         } else {
             &self.without_barriers
-        }
-    }
-
-    /// Locked decision (None while probing) — test observability.
-    pub fn decision(&self) -> Option<bool> {
-        match self.mode {
-            Mode::Probe => None,
-            Mode::LockedOn => Some(true),
-            Mode::LockedOff => Some(false),
         }
     }
 
@@ -248,6 +239,15 @@ mod tests {
     use super::*;
     use crate::testutil::ViewFixture;
 
+    /// The locked decision, `None` while probing.
+    fn decision(p: &ProAdaptive) -> Option<bool> {
+        match p.mode {
+            Mode::Probe => None,
+            Mode::LockedOn => Some(true),
+            Mode::LockedOff => Some(false),
+        }
+    }
+
     #[test]
     fn probing_alternates_then_locks() {
         let mut f = ViewFixture::grid(2, 2);
@@ -255,14 +255,14 @@ mod tests {
         for t in 0..2 {
             p.on_tb_launch(t, &f.view());
         }
-        assert_eq!(p.decision(), None);
+        assert_eq!(decision(&p), None);
         assert!(p.active_is_on(), "epoch 0 probes with handling ON");
         // Make the OFF epochs strictly better: issue events only when OFF.
         let epochs = 2 * PROBES_PER_MODE as u64 + 1;
         for c in 0..epochs * (EPOCH_CYCLES + 1) {
             f.cycle = c;
             p.begin_cycle(&f.view());
-            if !p.active_is_on() && p.decision().is_none() {
+            if !p.active_is_on() && decision(&p).is_none() {
                 p.on_issue(
                     0,
                     0,
@@ -274,7 +274,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(p.decision(), Some(false), "OFF mode had higher throughput");
+        assert_eq!(decision(&p), Some(false), "OFF mode had higher throughput");
     }
 
     #[test]
@@ -287,7 +287,7 @@ mod tests {
             f.cycle = c;
             p.begin_cycle(&f.view());
         }
-        assert_eq!(p.decision(), Some(true));
+        assert_eq!(decision(&p), Some(true));
     }
 
     #[test]

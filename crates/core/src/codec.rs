@@ -250,16 +250,6 @@ impl Writer {
         Writer::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consume the writer, yielding its byte buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -291,7 +281,7 @@ impl Writer {
     }
 
     /// Write a `u128`, little-endian.
-    pub fn put_u128(&mut self, v: u128) {
+    pub(crate) fn put_u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -306,7 +296,7 @@ impl Writer {
     }
 
     /// Write raw bytes with a `u64` length prefix.
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
@@ -371,7 +361,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a little-endian `u128`.
-    pub fn get_u128(&mut self) -> Result<u128, CodecError> {
+    pub(crate) fn get_u128(&mut self) -> Result<u128, CodecError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
     }
 
@@ -390,7 +380,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read length-prefixed raw bytes.
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+    pub(crate) fn get_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
         let n = self.get_usize()?;
         Ok(self.take(n)?.to_vec())
     }

@@ -38,7 +38,7 @@ pub struct Gto {
 
 impl Gto {
     /// `units` = scheduler units per SM.
-    pub fn new(units: u32) -> Self {
+    pub(crate) fn new(units: u32) -> Self {
         Gto {
             greedy: vec![None; units as usize],
             launches: 0,

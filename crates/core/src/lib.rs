@@ -54,7 +54,7 @@ pub use codec::{
     write_container, CodecError, ContainerKind, FileReader, Reader, Slot, Snapshot, Violation, Writer,
 };
 pub use fuzz::Fuzz;
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use gto::Gto;
 pub use lrr::Lrr;
 pub use pro::{Pro, ProConfig};
@@ -359,7 +359,7 @@ pub(crate) mod testutil {
     impl ViewFixture {
         /// `tbs` TBs each with `warps_per_tb` warps, slots assigned
         /// contiguously, all live with zero progress.
-        pub fn grid(tbs: usize, warps_per_tb: usize) -> Self {
+        pub(crate) fn grid(tbs: usize, warps_per_tb: usize) -> Self {
             let mut f = ViewFixture {
                 cycle: 0,
                 warps: vec![WarpState::default(); tbs * warps_per_tb],
@@ -391,7 +391,7 @@ pub(crate) mod testutil {
             f
         }
 
-        pub fn view(&self) -> SchedView<'_> {
+        pub(crate) fn view(&self) -> SchedView<'_> {
             SchedView {
                 cycle: self.cycle,
                 warps: &self.warps,
@@ -403,7 +403,7 @@ pub(crate) mod testutil {
         /// All schedulable warp slots (single scheduler unit): live and not
         /// finished — the same filtering the SM applies before calling
         /// `order`.
-        pub fn all_slots(&self) -> Vec<WarpSlot> {
+        pub(crate) fn all_slots(&self) -> Vec<WarpSlot> {
             (0..self.warps.len())
                 .filter(|&w| self.warps[w].active && !self.warps[w].finished)
                 .collect()

@@ -8,35 +8,12 @@
 //! the ordered vector. Combined with jobs whose own computation is
 //! deterministic (every simulator run is), the output is bit-identical for
 //! any worker count, including 1.
-//!
-//! The process-wide default worker count is settable once from a CLI flag
-//! ([`set_default_jobs`], the `--jobs N` plumbing) and read by callers that
-//! pass `jobs = 0` ("use the default").
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Process-wide default parallelism: 0 = not set, fall back to
-/// `available_parallelism`.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-wide default worker count (the `--jobs N` flag).
-/// `0` restores "use all available cores".
-pub fn set_default_jobs(n: usize) {
-    DEFAULT_JOBS.store(n, Ordering::Relaxed);
-}
-
-/// The process-wide default worker count: the value from
-/// [`set_default_jobs`] if set, else `std::thread::available_parallelism`.
-pub fn default_jobs() -> usize {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-}
-
-/// Map `f` over `items` on up to `jobs` scoped threads (`0` = the
-/// process-wide default), collecting results in submission order.
+/// Map `f` over `items` on up to `jobs` scoped threads (`0` = one per
+/// available core), collecting results in submission order.
 ///
 /// Panics in `f` propagate to the caller once all workers have stopped.
 pub fn run<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
@@ -45,7 +22,10 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let jobs = if jobs == 0 { default_jobs() } else { jobs };
+    let jobs = match jobs {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
     let threads = jobs.max(1).min(items.len());
     if threads <= 1 {
         return items.iter().map(f).collect();
@@ -116,14 +96,5 @@ mod tests {
     fn single_item_runs_inline() {
         let out = run(8, &[41u32], |&x| x + 1);
         assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn default_jobs_round_trips() {
-        // Note: process-global; keep the test self-contained by restoring 0.
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
     }
 }

@@ -179,11 +179,6 @@ impl Pro {
         self.class[tb]
     }
 
-    /// Whether the policy has latched the slow phase.
-    pub fn in_slow_phase(&self) -> bool {
-        self.in_slow_phase
-    }
-
     fn sort_warps_of(&mut self, tb: TbSlot, dir: Dir, view: &SchedView) {
         let order = &mut self.warp_order[tb];
         // Stable sort on a snapshot of current progress; ties keep warp
@@ -762,12 +757,12 @@ mod tests {
         f.tbs[1].warps_finished = 0; // not actually finishing warps: craft FinishWait via event
         f.cycle = 1000;
         let _ = ordered(&mut p, &f);
-        assert!(!p.in_slow_phase());
+        assert!(!p.in_slow_phase);
         // Last TB assigned → slow phase.
         f.fast_phase = false;
         f.cycle = 1001;
         let out = ordered(&mut p, &f);
-        assert!(p.in_slow_phase());
+        assert!(p.in_slow_phase);
         for t in 0..3 {
             assert_eq!(p.tb_class(t), TbClass::FinishNoWait);
         }
@@ -900,7 +895,7 @@ mod tests {
         f.fast_phase = false;
         f.cycle = 1000;
         let out = ordered(&mut p, &f);
-        assert!(!p.in_slow_phase());
+        assert!(!p.in_slow_phase);
         assert_eq!(out, vec![1, 0], "still SRTF-style descending");
     }
 

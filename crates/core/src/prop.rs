@@ -117,7 +117,7 @@ pub struct Gen {
 
 impl Gen {
     /// A recording source seeded with `seed`.
-    pub fn record(seed: u64) -> Self {
+    pub(crate) fn record(seed: u64) -> Self {
         Gen {
             rng: SplitMix64::new(seed),
             replay: None,
@@ -127,7 +127,7 @@ impl Gen {
     }
 
     /// A replaying source over a recorded choice sequence.
-    pub fn replay(choices: Vec<u64>) -> Self {
+    pub(crate) fn replay(choices: Vec<u64>) -> Self {
         Gen {
             rng: SplitMix64::new(0),
             replay: Some(choices),
@@ -156,13 +156,13 @@ impl Gen {
 
     /// One 32-bit choice (high half of a raw draw).
     #[inline]
-    pub fn next_u32(&mut self) -> u32 {
+    pub(crate) fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32
     }
 
     /// Uniform `[0, 1)` from one choice.
     #[inline]
-    pub fn gen_f64(&mut self) -> f64 {
+    pub(crate) fn gen_f64(&mut self) -> f64 {
         crate::rng::f64_from_bits(self.next_u64())
     }
 

@@ -85,7 +85,7 @@ pub struct TwoLevel {
 
 impl TwoLevel {
     /// `units` scheduler units; `active_size` warps may be active per unit.
-    pub fn new(units: u32, active_size: usize) -> Self {
+    pub(crate) fn new(units: u32, active_size: usize) -> Self {
         TwoLevel {
             units: (0..units)
                 .map(|_| UnitState {
@@ -96,11 +96,6 @@ impl TwoLevel {
                 .collect(),
             active_size,
         }
-    }
-
-    /// Active set of a unit (test observability).
-    pub fn active_set(&self, unit: u32) -> Vec<WarpSlot> {
-        self.units[unit as usize].active.clone()
     }
 
     /// Reconcile bookkeeping with the candidate set: drop vanished warps,
@@ -260,7 +255,7 @@ mod tests {
         let mut s = TwoLevel::new(1, 8);
         let mut out = Vec::new();
         s.order(0, &f.view(), &f.all_slots(), &mut out);
-        assert_eq!(s.active_set(0).len(), 8);
+        assert_eq!(s.units[0].active.len(), 8);
         assert_eq!(out.len(), 16, "pending warps trail the order");
         assert_eq!(&out[..8], &[0, 1, 2, 3, 4, 5, 6, 7]);
     }
@@ -272,10 +267,10 @@ mod tests {
         let mut out = Vec::new();
         s.order(0, &f.view(), &f.all_slots(), &mut out);
         s.on_issue(0, 0, load_info(), &f.view());
-        assert!(!s.active_set(0).contains(&0));
+        assert!(!s.units[0].active.contains(&0));
         // Next order() promotes warp 8 to fill the hole.
         s.order(0, &f.view(), &f.all_slots(), &mut out);
-        assert!(s.active_set(0).contains(&8));
+        assert!(s.units[0].active.contains(&8));
     }
 
     #[test]
@@ -284,11 +279,11 @@ mod tests {
         let mut s = TwoLevel::new(1, 4);
         let mut out = Vec::new();
         s.order(0, &f.view(), &f.all_slots(), &mut out);
-        assert_eq!(s.active_set(0), vec![0, 1, 2, 3]);
+        assert_eq!(s.units[0].active, vec![0, 1, 2, 3]);
         f.warps[1].blocked_on_longlat = true;
         f.warps[2].blocked_on_longlat = true;
         s.order(0, &f.view(), &f.all_slots(), &mut out);
-        let active = s.active_set(0);
+        let active = &s.units[0].active;
         assert!(!active.contains(&1));
         assert!(!active.contains(&2));
         assert_eq!(active.len(), 4, "holes refilled from pending");

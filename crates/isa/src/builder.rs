@@ -90,7 +90,7 @@ impl ProgramBuilder {
     }
 
     /// Current PC (index of the next emitted instruction).
-    pub fn here(&self) -> Pc {
+    pub(crate) fn here(&self) -> Pc {
         self.instrs.len() as Pc
     }
 
@@ -107,7 +107,7 @@ impl ProgramBuilder {
     }
 
     /// Append a raw instruction.
-    pub fn emit(&mut self, i: Instr) -> &mut Self {
+    pub(crate) fn emit(&mut self, i: Instr) -> &mut Self {
         self.instrs.push(i);
         self
     }
@@ -402,7 +402,7 @@ impl ProgramBuilder {
     /// Reconvergence at loop exit. This is the canonical shape NVCC emits for
     /// counted loops and the main source of *divergent loop exits* (warp-level
     /// divergence) in our workloads.
-    pub fn do_while(
+    pub(crate) fn do_while(
         &mut self,
         pred: Pred,
         body: impl FnOnce(&mut Self),

@@ -99,7 +99,7 @@ impl Src {
         Src::Imm(v.to_bits())
     }
     /// The register read by this operand, if any.
-    pub fn reg(&self) -> Option<Reg> {
+    pub(crate) fn reg(&self) -> Option<Reg> {
         match self {
             Src::Reg(r) => Some(*r),
             _ => None,
@@ -192,7 +192,7 @@ impl AluOp {
     /// Operands in assembly text, the destination included: `dst, a` for a
     /// move or conversion, `dst, a, b, c` for a multiply-add, else
     /// `dst, a, b`.
-    pub fn operands(self) -> usize {
+    pub(crate) fn operands(self) -> usize {
         match self {
             AluOp::Mov | AluOp::I2F | AluOp::F2I => 2,
             AluOp::IMad | AluOp::FFma => 4,
@@ -469,7 +469,7 @@ impl Instr {
     }
 
     /// True if this is a memory operation touching `MemSpace::Global`.
-    pub fn is_global_mem(&self) -> bool {
+    pub(crate) fn is_global_mem(&self) -> bool {
         matches!(
             self,
             Instr::Ld {
@@ -483,7 +483,7 @@ impl Instr {
     }
 
     /// Short mnemonic for display/tracing.
-    pub fn mnemonic(&self) -> &'static str {
+    pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             Instr::Alu { op, .. } => op.name(),
             Instr::SetP { .. } => "setp",

@@ -102,7 +102,7 @@ pub fn run_kernel(
 }
 
 /// Execute one thread block.
-pub fn run_block(
+pub(crate) fn run_block(
     kernel: &Kernel,
     block: u32,
     mem: &mut dyn MemoryBackend,

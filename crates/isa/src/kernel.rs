@@ -20,11 +20,11 @@ pub struct Dim3 {
 
 impl Dim3 {
     /// 1-D dimension.
-    pub fn linear(x: u32) -> Self {
+    pub(crate) fn linear(x: u32) -> Self {
         Dim3 { x, y: 1, z: 1 }
     }
     /// Total element count.
-    pub fn count(&self) -> u32 {
+    pub(crate) fn count(&self) -> u32 {
         self.x * self.y * self.z
     }
 }

@@ -31,8 +31,8 @@ pub mod program;
 
 pub use builder::ProgramBuilder;
 pub use inst::{AluOp, AtomOp, CmpOp, Instr, MemSpace, Pc, Pred, Reg, SfuOp, Special, Src, Ty};
-pub use kernel::{Dim3, Kernel, LaunchConfig};
-pub use program::{Program, ProgramError, MAX_PREDS, MAX_REGS};
+pub use kernel::{Kernel, LaunchConfig};
+pub use program::{Program, MAX_PREDS, MAX_REGS};
 
 /// Number of threads in a warp (CUDA/Fermi fixed at 32).
 pub const WARP_SIZE: usize = 32;

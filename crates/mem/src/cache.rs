@@ -39,7 +39,7 @@ impl CacheConfig {
     }
 
     /// One slice of the 768 KB Fermi L2 split over `parts` partitions.
-    pub fn l2_slice(parts: u64) -> Self {
+    pub(crate) fn l2_slice(parts: u64) -> Self {
         CacheConfig {
             bytes: 768 * 1024 / parts,
             line_bytes: crate::LINE_BYTES,
@@ -50,7 +50,7 @@ impl CacheConfig {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> u64 {
+    pub(crate) fn sets(&self) -> u64 {
         self.bytes / (self.line_bytes * self.ways as u64)
     }
 }
@@ -225,7 +225,7 @@ impl<T> Cache<T> {
 
     /// Write-through update: if `line` is resident, refresh its LRU position
     /// (the data store is elsewhere). Returns whether it was resident.
-    pub fn touch_on_write(&mut self, line: u64) -> bool {
+    pub(crate) fn touch_on_write(&mut self, line: u64) -> bool {
         self.use_clock += 1;
         let si = self.set_index(line);
         if let Some(w) = self.sets[si]
@@ -241,7 +241,7 @@ impl<T> Cache<T> {
 
     /// Invalidate `line` if resident (write-evict policy for global stores
     /// hitting in L1, as on Fermi).
-    pub fn invalidate(&mut self, line: u64) {
+    pub(crate) fn invalidate(&mut self, line: u64) {
         let si = self.set_index(line);
         if let Some(w) = self.sets[si]
             .iter_mut()

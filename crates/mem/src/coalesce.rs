@@ -33,14 +33,6 @@ pub fn coalesce_lines(addrs: &[u64; 32], mask: u32, out: &mut Vec<u64>) {
     }
 }
 
-/// Number of 128-byte transactions a (mask, addrs) pair generates.
-/// Convenience wrapper for tests and workload diagnostics.
-pub fn transaction_count(addrs: &[u64; 32], mask: u32) -> usize {
-    let mut v = Vec::with_capacity(4);
-    coalesce_lines(addrs, mask, &mut v);
-    v.len()
-}
-
 /// Helper used by workload docs/tests: lane addresses for a perfectly
 /// coalesced access starting at `base`.
 pub fn unit_stride(base: u64) -> [u64; 32] {
@@ -55,6 +47,13 @@ pub fn strided(base: u64, stride: u64) -> [u64; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of 128-byte transactions a (mask, addrs) pair generates.
+    fn transaction_count(addrs: &[u64; 32], mask: u32) -> usize {
+        let mut v = Vec::with_capacity(4);
+        coalesce_lines(addrs, mask, &mut v);
+        v.len()
+    }
 
     #[test]
     fn unit_stride_aligned_is_one_transaction() {

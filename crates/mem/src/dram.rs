@@ -158,7 +158,7 @@ impl<T: Copy> DramChannel<T> {
     }
 
     /// Queue occupancy (for stats / tests).
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 

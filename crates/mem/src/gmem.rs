@@ -130,7 +130,7 @@ impl GlobalMem {
     }
 
     /// Number of pages written since the last [`GlobalMem::mark_clean`].
-    pub fn dirty_pages(&self) -> usize {
+    pub(crate) fn dirty_pages(&self) -> usize {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
     }
 

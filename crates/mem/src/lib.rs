@@ -34,10 +34,10 @@ pub mod dram;
 pub mod gmem;
 pub mod subsystem;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig};
 pub use coalesce::coalesce_lines;
-pub use dram::{DramChannel, DramConfig, DramPolicy, DramStats};
-pub use gmem::{GlobalMem, PAGE_BYTES, PAGE_WORDS};
+pub use dram::{DramChannel, DramConfig, DramPolicy};
+pub use gmem::GlobalMem;
 pub use subsystem::{
     load_hist, save_hist, AccessId, AccessOutcome, LoadLedger, MemConfig, MemStats, MemSubsystem,
     QueueProf, QUEUE_SAMPLE_PERIOD,

@@ -90,7 +90,7 @@ impl MemConfig {
     /// The longest a timing event waits in the event queue: an
     /// interconnect hop, an L1 hit, an L2 hit with its hop back, or a DRAM
     /// service with a row switch. The queue's wheel is sized to it.
-    pub fn max_event_latency(&self) -> u64 {
+    pub(crate) fn max_event_latency(&self) -> u64 {
         let dram = self.dram.t_cas.saturating_add(self.dram.t_rp_rcd);
         let l2_hit = self.l2_lat.saturating_add(self.icnt_lat);
         self.icnt_lat.max(self.l1_hit_lat).max(l2_hit).max(dram)
@@ -304,11 +304,6 @@ impl MemSubsystem {
             qprof: QueueProf::default(),
             cfg,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MemConfig {
-        &self.cfg
     }
 
     fn schedule(&mut self, time: u64, ev: Event) {
@@ -625,14 +620,6 @@ impl MemSubsystem {
         &self.qprof
     }
 
-    /// Event-pool memory accounting: `(slab slots allocated, live-event
-    /// high-water mark)`. The slab recycles popped slots through a free
-    /// list, so the first number is bounded by the second — not by the
-    /// total number of events ever scheduled. Pinned by tests.
-    pub fn event_pool_stats(&self) -> (usize, usize) {
-        (self.events.pool_slots(), self.events.live_hwm())
-    }
-
     /// Snapshot aggregate statistics.
     pub fn stats(&self) -> MemStats {
         let mut s = self.stats_extra.clone();
@@ -817,6 +804,14 @@ mod tests {
         MemSubsystem::new(MemConfig::gtx480(), 2)
     }
 
+    /// Event-pool memory accounting: `(slab slots allocated, live-event
+    /// high-water mark)`. The slab recycles popped slots through a free
+    /// list, so the first number is bounded by the second — not by the
+    /// total number of events ever scheduled.
+    fn event_pool_stats(m: &MemSubsystem) -> (usize, usize) {
+        (m.events.pool_slots(), m.events.live_hwm())
+    }
+
     /// Run until the given access completes, returning the completion cycle.
     fn run_until_complete(m: &mut MemSubsystem, sm: u32, access: AccessId, limit: u64) -> u64 {
         for now in 0..limit {
@@ -853,7 +848,7 @@ mod tests {
         m.begin_load(t1 + 1, 0, 2, 1);
         m.access_line(t1 + 1, 0, 2, 42, false);
         let t2 = run_until_complete(&mut m, 0, 2, t1 + 200);
-        assert_eq!(t2 - (t1 + 1), m.config().l1_hit_lat);
+        assert_eq!(t2 - (t1 + 1), m.cfg.l1_hit_lat);
         assert_eq!(m.stats().l1.hits, 1);
     }
 
@@ -914,7 +909,7 @@ mod tests {
     #[test]
     fn mshr_exhaustion_rejects_and_recovers() {
         let mut m = subsystem();
-        let entries = m.config().l1.mshr_entries as u64;
+        let entries = m.cfg.l1.mshr_entries as u64;
         for i in 0..entries {
             m.begin_load(0, 0, i, 1);
             assert_eq!(
@@ -1063,7 +1058,7 @@ mod tests {
             }
         }
         let pushed = m.queue_prof().ev_pushed;
-        let (pool_slots, live_hwm) = m.event_pool_stats();
+        let (pool_slots, live_hwm) = event_pool_stats(&m);
         assert!(pushed > 20_000, "workload too small: {pushed} events");
         assert!(
             pool_slots <= live_hwm,

@@ -11,7 +11,7 @@
 //!
 //! `pro_core::codec::write_container` documents the container's byte layout.
 
-use pro_core::codec::{crc32, CodecError, ContainerKind, FileReader};
+use pro_core::codec::{crc32, ContainerKind, FileReader};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -73,9 +73,8 @@ impl LaunchStatus {
 ///
 /// The byte layout is the [`pro_core::codec`] container format; the
 /// constructor methods never inspect the payload beyond what the container
-/// header requires, so corruption is reported lazily by
-/// [`GpuSnapshot::validate`] or at resume time — always as a typed
-/// [`CodecError`], never a panic.
+/// header requires, so corruption is reported lazily, at resume time —
+/// always as a typed [`pro_core::CodecError`], never a panic.
 #[derive(Debug, Clone)]
 pub struct GpuSnapshot {
     bytes: Vec<u8>,
@@ -95,11 +94,6 @@ impl GpuSnapshot {
     /// Consume the snapshot, yielding its bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
-    }
-
-    /// Parse the container header and verify every section's CRC.
-    pub fn validate(&self) -> Result<(), CodecError> {
-        FileReader::parse(&self.bytes).map(|_| ())
     }
 
     /// Read a snapshot file from disk.
@@ -124,7 +118,7 @@ impl GpuSnapshot {
 
     /// CRC-32 of the complete container bytes — the value the next delta
     /// in a chain records as its `parent_crc` link.
-    pub fn crc(&self) -> u32 {
+    pub(crate) fn crc(&self) -> u32 {
         crc32(&self.bytes)
     }
 }
@@ -232,7 +226,7 @@ impl ChainWriter {
     /// snapshot and prune any deltas left over from a previous chain.
     /// (The rename of the new base already invalidated them; removing
     /// them keeps the directory tidy and the next `load_dir` fast.)
-    pub fn start(dir: &Path, base: &GpuSnapshot) -> std::io::Result<ChainWriter> {
+    pub(crate) fn start(dir: &Path, base: &GpuSnapshot) -> std::io::Result<ChainWriter> {
         std::fs::create_dir_all(dir)?;
         base.write_to(&dir.join(CHAIN_BASE_FILE))?;
         // Best effort, and it stops at the first gap: chains are
@@ -251,18 +245,18 @@ impl ChainWriter {
     }
 
     /// Sequence number the next delta container must be built with.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// `parent_crc` the next delta container must be built with.
-    pub fn last_crc(&self) -> u32 {
+    pub(crate) fn last_crc(&self) -> u32 {
         self.last_crc
     }
 
     /// Append a delta container (already built with
     /// [`ChainWriter::next_seq`] / [`ChainWriter::last_crc`] linkage).
-    pub fn append(&mut self, delta: &GpuSnapshot) -> std::io::Result<()> {
+    pub(crate) fn append(&mut self, delta: &GpuSnapshot) -> std::io::Result<()> {
         delta.write_to(&self.dir.join(chain_delta_file(self.next_seq)))?;
         self.last_crc = delta.crc();
         self.next_seq += 1;
@@ -290,10 +284,10 @@ mod tests {
     #[test]
     fn garbage_bytes_fail_validation_cleanly() {
         let snap = GpuSnapshot::from_bytes(b"definitely not a snapshot".to_vec());
-        assert_eq!(snap.validate(), Err(CodecError::BadMagic));
+        assert_eq!(FileReader::parse(snap.as_bytes()).map(|_| ()), Err(CodecError::BadMagic));
     }
 
-    use pro_core::codec::write_container;
+    use pro_core::codec::{write_container, CodecError};
 
     fn full_container(tag: u32) -> GpuSnapshot {
         GpuSnapshot::from_bytes(write_container(None, &[(1, &tag.to_le_bytes())]))

@@ -1,6 +1,6 @@
 //! The machine: what a simulated GPU is made of ([`GpuConfig`], the paper's
 //! Table I by default), the one check every configuration passes before a
-//! [`crate::Gpu`] is built from it ([`GpuConfig::check`]), and text
+//! [`crate::Gpu`] is built from it (`GpuConfig::check`), and text
 //! configuration files — the GPGPU-Sim workflow of editing a config file
 //! per machine model, without recompiling. `key = value` lines, `#`
 //! comments; unknown keys are errors (typos should not silently run the
@@ -79,7 +79,7 @@ impl GpuConfig {
     /// back as a [`ConfigError`] on line 0, the configuration as a whole.
     /// [`parse_config`] ends with this check and [`crate::Gpu::new`]
     /// asserts it.
-    pub fn check(&self) -> Result<(), ConfigError> {
+    pub(crate) fn check(&self) -> Result<(), ConfigError> {
         let (sm, mem, dram) = (&self.sm, &self.mem, &self.mem.dram);
         // An event lands a cycle or more after the drain that scheduled
         // it; a latency no queue schedules at may be zero.
@@ -92,6 +92,9 @@ impl GpuConfig {
                 && c.mshr_entries >= 1
                 && c.mshr_merge >= 1
         };
+        // A cache is built as `bytes / (line × ways)` sets: a remainder
+        // would be silently dropped.
+        let whole_sets = |c: &CacheConfig| c.bytes.checked_rem(c.line_bytes * u64::from(c.ways)) == Some(0);
         let rules = [
             ((1..=1024).contains(&self.num_sms), "`num_sms` must be positive and at most 1024"),
             (
@@ -118,6 +121,11 @@ impl GpuConfig {
                 cache(&mem.l2),
                 "an L2 slice (`l2_bytes_total` over `partitions`, `l2_ways`) needs a way, a set of 128-byte lines, an MSHR entry and at most 64 MiB",
             ),
+            (whole_sets(&mem.l1), "`l1_bytes` must be a whole number of sets: a multiple of 128 × `l1_ways`"),
+            (
+                whole_sets(&mem.l2),
+                "an L2 slice (`l2_bytes_total` over `partitions`) must be a whole number of sets: a multiple of 128 × `l2_ways`",
+            ),
             (
                 scheduled(&[mem.l1_hit_lat, mem.icnt_lat, dram.t_cas]),
                 "`l1_hit_lat`, `icnt_lat` and `dram_t_cas` must be 1 to 4096 cycles",
@@ -141,7 +149,7 @@ impl GpuConfig {
 }
 
 /// Configuration failure with its 1-based line number (0: the
-/// configuration as a whole, from [`GpuConfig::check`]).
+/// configuration as a whole, from `GpuConfig::check`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// Source line.
@@ -166,9 +174,14 @@ fn err(line: usize, msg: impl Into<String>) -> ConfigError {
 }
 
 /// Parse a config document, applying overrides on top of `base`. The
-/// result has passed [`GpuConfig::check`].
+/// result has passed `GpuConfig::check`.
 pub fn parse_config(text: &str, base: GpuConfig) -> Result<GpuConfig, ConfigError> {
     let mut cfg = base;
+    // The L2 is configured in total and built per partition. It is split
+    // once every line is read, so the two keys may come in either order;
+    // an error names the later of them.
+    let mut l2_total = base.mem.l2.bytes.saturating_mul(u64::from(base.mem.partitions));
+    let mut l2_line = None;
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
         let line = match raw.find('#') {
@@ -193,12 +206,6 @@ pub fn parse_config(text: &str, base: GpuConfig) -> Result<GpuConfig, ConfigErro
         let int32 = || -> Result<u32, ConfigError> {
             u32::try_from(int()?)
                 .map_err(|_| err(line_no, format!("`{key}` expects an integer below 2^32, got `{val}`")))
-        };
-        // The L2 is configured in total and built per partition.
-        let per_slice = |total: u64, partitions: u32| {
-            total
-                .checked_div(u64::from(partitions))
-                .ok_or_else(|| err(line_no, "`partitions` must be positive"))
         };
         match key {
             "num_sms" => cfg.num_sms = int32()?,
@@ -225,14 +232,15 @@ pub fn parse_config(text: &str, base: GpuConfig) -> Result<GpuConfig, ConfigErro
             "l1_mshr_entries" => cfg.mem.l1.mshr_entries = int32()?,
             "l1_mshr_merge" => cfg.mem.l1.mshr_merge = int32()?,
             "l1_hit_lat" => cfg.mem.l1_hit_lat = int()?,
-            "l2_bytes_total" => cfg.mem.l2.bytes = per_slice(int()?, cfg.mem.partitions)?,
+            "l2_bytes_total" => {
+                l2_total = int()?;
+                l2_line = Some(line_no);
+            }
             "l2_ways" => cfg.mem.l2.ways = int32()?,
             "l2_lat" => cfg.mem.l2_lat = int()?,
             "partitions" => {
-                // A new partition count keeps the L2's total.
-                let total = cfg.mem.l2.bytes.saturating_mul(u64::from(cfg.mem.partitions));
                 cfg.mem.partitions = int32()?;
-                cfg.mem.l2.bytes = per_slice(total, cfg.mem.partitions)?;
+                l2_line = Some(line_no);
             }
             "icnt_lat" => cfg.mem.icnt_lat = int()?,
             "dram_banks" => cfg.mem.dram.banks = int32()?,
@@ -255,6 +263,17 @@ pub fn parse_config(text: &str, base: GpuConfig) -> Result<GpuConfig, ConfigErro
             }
             other => return Err(err(line_no, format!("unknown key `{other}`"))),
         }
+    }
+    if let Some(line_no) = l2_line {
+        let parts = u64::from(cfg.mem.partitions);
+        cfg.mem.l2.bytes = match l2_total.checked_rem(parts) {
+            None => return Err(err(line_no, "`partitions` must be positive")),
+            Some(0) => l2_total / parts,
+            Some(_) => {
+                let msg = format!("`partitions` ({parts}) must divide `l2_bytes_total` ({l2_total})");
+                return Err(err(line_no, msg));
+            }
+        };
     }
     cfg.check()?;
     Ok(cfg)
@@ -322,6 +341,37 @@ mod tests {
         let cfg = parse_config("partitions = 4", GpuConfig::gtx480()).unwrap();
         assert_eq!(cfg.mem.partitions, 4);
         assert_eq!(cfg.mem.l2.bytes * 4, 768 * 1024);
+    }
+
+    #[test]
+    fn an_l1_of_partial_sets_is_an_error() {
+        // 16 KB over 3 ways of 128-byte lines is 42.67 sets: the L1 was
+        // built with 42 (16 128 B) while `repro config` printed 16 KB.
+        let e = parse_config("l1_ways = 3", GpuConfig::gtx480()).unwrap_err();
+        assert_eq!(e.line, 0);
+        assert!(e.msg.contains("`l1_bytes` must be a whole number of sets"), "{e}");
+    }
+
+    #[test]
+    fn an_l2_slice_of_partial_sets_is_an_error() {
+        // A 128 KB L2 slice over 3 ways: 785 664 B of L2 were built.
+        let e = parse_config("l2_ways = 3", GpuConfig::gtx480()).unwrap_err();
+        assert!(e.msg.contains("an L2 slice") && e.msg.contains("whole number of sets"), "{e}");
+    }
+
+    #[test]
+    fn partitions_must_divide_the_l2_in_either_order() {
+        // 786 432 B over 5 partitions built 153-set slices, 783 360 B.
+        let e = parse_config("partitions = 5", GpuConfig::gtx480()).unwrap_err();
+        assert_eq!((e.line, e.msg.as_str()), (1, "`partitions` (5) must divide `l2_bytes_total` (786432)"));
+        let e = parse_config("partitions = 5\nl2_bytes_total = 786432", GpuConfig::gtx480()).unwrap_err();
+        assert_eq!(e.line, 2);
+        // A total that 5 divides into whole sets is accepted, whichever
+        // key comes last.
+        for text in ["partitions = 5\nl2_bytes_total = 655360", "l2_bytes_total = 655360\npartitions = 5"] {
+            let cfg = parse_config(text, GpuConfig::gtx480()).unwrap();
+            assert_eq!((cfg.mem.partitions, cfg.mem.l2.bytes), (5, 131072), "{text}");
+        }
     }
 
     #[test]

@@ -249,7 +249,7 @@ impl Gpu {
     ///
     /// # Panics
     ///
-    /// If `cfg` fails [`GpuConfig::check`]. A configuration read from text
+    /// If `cfg` fails `GpuConfig::check`. A configuration read from text
     /// comes through [`crate::parse_config`], which returns the same
     /// verdict as a typed error.
     pub fn new(cfg: GpuConfig, gmem_bytes: u64) -> Self {
@@ -269,11 +269,6 @@ impl Gpu {
     /// The GPU's configuration.
     pub fn config(&self) -> &GpuConfig {
         &self.cfg
-    }
-
-    /// Current global cycle (monotonic across launches).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     /// Run `kernel` to completion under `scheduler`, collecting statistics
@@ -335,7 +330,7 @@ impl Gpu {
     /// the last thing refused. A restore runs it once, on the decoded
     /// state; a debug build's run every `CHECK_PERIOD` (1 024) cycles; a
     /// release build's run never.
-    pub fn check(&self) -> Result<(), Violation> {
+    pub(crate) fn check(&self) -> Result<(), Violation> {
         let now = self.cycle;
         let ledger = &mut *self.ledger.borrow_mut();
         self.mem.check(now, ledger)?;

@@ -31,12 +31,9 @@ pub mod config;
 pub mod gpu;
 pub mod result;
 
-pub use checkpoint::{
-    chain_delta_file, ChainWriter, CheckpointOptions, GpuSnapshot, LaunchStatus, Prior,
-    SnapshotChain, CHAIN_BASE_FILE,
-};
+pub use checkpoint::{CheckpointOptions, GpuSnapshot, LaunchStatus, Prior, SnapshotChain};
 pub use config::{load_config, parse_config, ConfigError};
-pub use gpu::{Gpu, GpuConfig, Policy, Run, SimError, Stuck, TraceOptions};
+pub use gpu::{Gpu, GpuConfig, Policy, Run, SimError, TraceOptions};
 pub use result::{geomean, RunResult, TbOrderSnapshot, TbSpan};
 
 // Re-export the component crates so downstream users need a single

@@ -54,7 +54,7 @@ pub struct RunResult {
     pub utilization: Vec<Vec<u64>>,
     /// Named end-of-run metrics registry: a copy of every counter above
     /// plus the memory-latency / ready-warp / progress-disparity
-    /// histograms, snapshotted by [`RunResult::snapshot_metrics`] (and,
+    /// histograms, snapshotted by `RunResult::snapshot_metrics` (and,
     /// under `TraceOptions::host_prof`, the `host/*` namespace).
     pub metrics: Metrics,
 }
@@ -62,7 +62,7 @@ pub struct RunResult {
 impl RunResult {
     /// Populate [`RunResult::metrics`] from the raw counter structs. Called
     /// by the GPU at the end of every launch; idempotent.
-    pub fn snapshot_metrics(&mut self) {
+    pub(crate) fn snapshot_metrics(&mut self) {
         let m = &mut self.metrics;
         m.set_counter("cycles", self.cycles);
         m.set_counter("sm.issued", self.sm.issued);

@@ -6,7 +6,7 @@
 //! instruction, so it is worked out once per kernel binding and indexed by
 //! PC. The issue walk, the ready-warp sampler and the stall-attribution
 //! pass test `table.at(pc)` against a warp's scoreboard; the [`Instr`]
-//! itself is fetched only by [`crate::Warp::execute`] for the warp that was
+//! itself is fetched only by `Warp::execute` for the warp that was
 //! chosen.
 //!
 //! The table is derived state: it is a pure function of the bound
@@ -33,7 +33,7 @@ pub enum LatClass {
 
 impl LatClass {
     /// The class of an ALU opcode.
-    pub fn of(op: AluOp) -> LatClass {
+    pub(crate) fn of(op: AluOp) -> LatClass {
         match op {
             AluOp::IMul | AluOp::IMulHi | AluOp::IMad => LatClass::IntMul,
             AluOp::FAdd | AluOp::FSub | AluOp::FMul | AluOp::FFma | AluOp::FMin | AluOp::FMax => {
@@ -63,7 +63,7 @@ pub struct IssueMeta {
 
 impl IssueMeta {
     /// Decode one instruction.
-    pub fn of(instr: &Instr) -> IssueMeta {
+    pub(crate) fn of(instr: &Instr) -> IssueMeta {
         IssueMeta {
             hazard: Scoreboard::hazard_set(instr),
             write: Scoreboard::write_set(instr),
@@ -103,7 +103,7 @@ impl IssueTable {
     }
 
     /// The decoded program.
-    pub fn program(&self) -> &Program {
+    pub(crate) fn program(&self) -> &Program {
         &self.program
     }
 

@@ -23,7 +23,7 @@
 //! neither memo, split by `now >= ibuf_at[w]`.
 //!
 //! All of it is *derived* state: rebuilt from the architectural state on
-//! restore ([`IssueState::rebuild`]) and never serialized.
+//! restore (`IssueState::rebuild`) and never serialized.
 
 use crate::warp::Warp;
 use pro_core::{SchedView, WarpScheduler, WarpState};
@@ -42,7 +42,7 @@ pub const fn class_of(pipe: PipeClass) -> usize {
 }
 
 /// Where a live warp that is not parked at its TB's barrier stands in the
-/// state machine of the module doc ([`IssueState::state`]).
+/// state machine of the module doc (`IssueState::state`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarpIssue {
     /// Its next instruction is still being fetched.
@@ -168,7 +168,7 @@ impl IssueState {
 
     /// A kernel is being bound to a quiescent SM: no warp anywhere, order
     /// caches invalid, counters at zero.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.prof = IssueProf::default();
         self.cands_mask = 0;
         self.eligible_mask = 0;
@@ -184,7 +184,7 @@ impl IssueState {
     /// memos and order caches restart empty — all are one-sided, so the
     /// first cycle after a restore recomputes exactly what the snapshotted
     /// engine held.
-    pub fn rebuild(&mut self, warps: &[Warp], sched: &[WarpState]) {
+    pub(crate) fn rebuild(&mut self, warps: &[Warp], sched: &[WarpState]) {
         self.reset();
         [self.cands_mask, self.eligible_mask, self.longlat_mask] = masks_of(sched);
         for (at, warp) in self.ibuf_at.iter_mut().zip(warps) {
@@ -228,13 +228,13 @@ impl IssueState {
     }
 
     /// Warp `w`'s issue was a `Bar`: it is parked until [`IssueState::unpark`].
-    pub fn park(&mut self, w: usize) {
+    pub(crate) fn park(&mut self, w: usize) {
         self.eligible_mask &= !(1u64 << w);
     }
 
     /// The barrier warp `w` was parked at released; it re-fetches until
     /// `ibuf_at`. (→ *fetching*)
-    pub fn unpark(&mut self, w: usize, ibuf_at: u64) {
+    pub(crate) fn unpark(&mut self, w: usize, ibuf_at: u64) {
         self.eligible_mask |= 1u64 << w;
         self.ibuf_at[w] = ibuf_at;
     }
@@ -336,7 +336,7 @@ impl IssueState {
 
     /// The warps of `unit` holding a fetched instruction at `now`, as a
     /// bitset: candidates, eligible, `ibuf_at` elapsed.
-    pub fn fetched(&self, unit: u32, now: u64) -> u64 {
+    pub(crate) fn fetched(&self, unit: u32, now: u64) -> u64 {
         let live = self.cands_mask & self.eligible_mask & self.unit_masks[unit as usize];
         self.fetched_among(live, now)
     }
@@ -429,7 +429,7 @@ impl IssueState {
 
     /// Warp `w`'s state at `now`: `None` if it is not live or is parked at
     /// its TB's barrier.
-    pub fn state(&self, w: usize, now: u64) -> Option<WarpIssue> {
+    pub(crate) fn state(&self, w: usize, now: u64) -> Option<WarpIssue> {
         let bit = 1u64 << w;
         if self.cands_mask & self.eligible_mask & bit == 0 {
             None
@@ -446,7 +446,7 @@ impl IssueState {
     /// at `now` found nothing, which leaves a verdict for every fetched live
     /// warp: Idle if the warp is not live or still fetching, Scoreboard if
     /// its probe was refused, Pipeline if it is ready for a closed pipeline.
-    pub fn stall_reason(&self, w: usize, now: u64) -> StallReason {
+    pub(crate) fn stall_reason(&self, w: usize, now: u64) -> StallReason {
         match self.state(w, now) {
             None | Some(WarpIssue::Fetching) => StallReason::Idle,
             Some(WarpIssue::SbWait) => StallReason::Scoreboard,

@@ -19,10 +19,9 @@ pub mod simt;
 pub mod sm;
 pub mod warp;
 
-pub use decode::{IssueMeta, IssueTable, LatClass};
+pub use decode::IssueTable;
 pub use issue::{IssueState, WarpIssue};
 pub use scoreboard::{Scoreboard, WriteSet};
-pub use shared::SharedMem;
 pub use simt::SimtStack;
 pub use sm::{Sm, SmConfig, SmStats, TickReport, WarpDump};
-pub use warp::{ExecEffect, LaunchCtx, Warp};
+pub use warp::Warp;

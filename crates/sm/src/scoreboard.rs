@@ -4,7 +4,7 @@
 //! stall* if no other warp can issue either (paper §II.B).
 
 use pro_core::snapshot_struct;
-use pro_isa::{Instr, Pred, Reg, MAX_PREDS, MAX_REGS};
+use pro_isa::{Instr, MAX_PREDS, MAX_REGS};
 
 const _: () = assert!(MAX_REGS as u32 <= u128::BITS && MAX_PREDS as u32 <= u32::BITS);
 
@@ -33,22 +33,6 @@ impl WriteSet {
     /// Empty set.
     pub const EMPTY: WriteSet = WriteSet { regs: 0, preds: 0 };
 
-    /// Set containing a single GPR.
-    pub fn reg(r: Reg) -> Self {
-        WriteSet {
-            regs: 1u128 << r.0,
-            preds: 0,
-        }
-    }
-
-    /// Set containing a single predicate.
-    pub fn pred(p: Pred) -> Self {
-        WriteSet {
-            regs: 0,
-            preds: 1 << p.0,
-        }
-    }
-
     /// True if the set reserves nothing.
     pub fn is_empty(&self) -> bool {
         self.regs == 0 && self.preds == 0
@@ -57,7 +41,7 @@ impl WriteSet {
 
 impl Scoreboard {
     /// Reset (at warp launch).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         *self = Scoreboard::default();
     }
 
@@ -86,17 +70,11 @@ impl Scoreboard {
         ws
     }
 
-    /// Can `instr` issue (no pending conflict)?
-    #[inline]
-    pub fn ready(&self, instr: &Instr) -> bool {
-        self.clear_of(Self::hazard_set(instr))
-    }
-
     /// True if no register in `set` has a write in flight. The issue stage
     /// calls this with the pre-decoded hazard set of the warp's next
     /// instruction (`IssueTable`, DESIGN.md §16).
     #[inline]
-    pub fn clear_of(&self, set: WriteSet) -> bool {
+    pub(crate) fn clear_of(&self, set: WriteSet) -> bool {
         (set.regs & self.pending_regs) == 0 && (set.preds & self.pending_preds) == 0
     }
 
@@ -126,7 +104,7 @@ impl Scoreboard {
     ///
     /// The *only* operation that clears pending bits — which is what makes
     /// the scoreboard-wait memo of [`crate::issue::IssueState`] (DESIGN.md §15)
-    /// sound: a warp refused by [`Scoreboard::ready`] stays refused until
+    /// sound: a warp refused by `Scoreboard::clear_of` stays refused until
     /// the SM's `release_write` path reaches this call, and that single
     /// choke point also clears the warp's memo bit.
     #[inline]
@@ -138,12 +116,12 @@ impl Scoreboard {
 
     /// Any pending write at all?
     #[inline]
-    pub fn any_pending(&self) -> bool {
+    pub(crate) fn any_pending(&self) -> bool {
         self.pending_regs != 0 || self.pending_preds != 0
     }
 
     /// The registers and predicates with a write in flight.
-    pub fn pending(&self) -> WriteSet {
+    pub(crate) fn pending(&self) -> WriteSet {
         WriteSet { regs: self.pending_regs, preds: self.pending_preds }
     }
 
@@ -173,7 +151,22 @@ snapshot_struct! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pro_isa::{AluOp, CmpOp, MemSpace, Src, Ty};
+    use pro_isa::{AluOp, CmpOp, MemSpace, Pred, Reg, Src, Ty};
+
+    /// The set holding one GPR.
+    fn reg(r: Reg) -> WriteSet {
+        WriteSet { regs: 1u128 << r.0, preds: 0 }
+    }
+
+    /// The set holding one predicate.
+    fn pred(p: Pred) -> WriteSet {
+        WriteSet { regs: 0, preds: 1 << p.0 }
+    }
+
+    /// Can `instr` issue (no pending conflict)?
+    fn ready(sb: &Scoreboard, instr: &Instr) -> bool {
+        sb.clear_of(Scoreboard::hazard_set(instr))
+    }
 
     fn add(dst: u8, a: u8, b: u8) -> Instr {
         Instr::Alu {
@@ -191,24 +184,24 @@ mod tests {
         let producer = add(1, 2, 3);
         sb.reserve(Scoreboard::write_set(&producer), false);
         let consumer = add(4, 1, 5); // reads r1
-        assert!(!sb.ready(&consumer));
-        sb.release(WriteSet::reg(Reg(1)));
-        assert!(sb.ready(&consumer));
+        assert!(!ready(&sb, &consumer));
+        sb.release(reg(Reg(1)));
+        assert!(ready(&sb, &consumer));
     }
 
     #[test]
     fn waw_hazard_blocks() {
         let mut sb = Scoreboard::default();
-        sb.reserve(WriteSet::reg(Reg(1)), false);
+        sb.reserve(reg(Reg(1)), false);
         let w2 = add(1, 2, 3); // writes r1 again
-        assert!(!sb.ready(&w2));
+        assert!(!ready(&sb, &w2));
     }
 
     #[test]
     fn independent_instruction_passes() {
         let mut sb = Scoreboard::default();
-        sb.reserve(WriteSet::reg(Reg(1)), false);
-        assert!(sb.ready(&add(4, 5, 6)));
+        sb.reserve(reg(Reg(1)), false);
+        assert!(ready(&sb, &add(4, 5, 6)));
     }
 
     #[test]
@@ -230,9 +223,9 @@ mod tests {
             target: 0,
             reconv: 1,
         };
-        assert!(!sb.ready(&branch), "branch waits for its predicate");
-        sb.release(WriteSet::pred(Pred(0)));
-        assert!(sb.ready(&branch));
+        assert!(!ready(&sb, &branch), "branch waits for its predicate");
+        sb.release(pred(Pred(0)));
+        assert!(ready(&sb, &branch));
     }
 
     #[test]
@@ -246,7 +239,7 @@ mod tests {
         };
         sb.reserve(Scoreboard::write_set(&ld), true);
         assert!(sb.longlat_pending());
-        sb.release(WriteSet::reg(Reg(2)));
+        sb.release(reg(Reg(2)));
         assert!(!sb.longlat_pending());
         assert!(!sb.any_pending());
     }
@@ -261,19 +254,19 @@ mod tests {
             offset: 0,
         };
         assert!(Scoreboard::write_set(&st).is_empty());
-        sb.reserve(WriteSet::reg(Reg(3)), true);
-        assert!(!sb.ready(&st), "store must wait for its data register");
+        sb.reserve(reg(Reg(3)), true);
+        assert!(!ready(&sb, &st), "store must wait for its data register");
     }
 
     #[test]
     fn release_is_idempotent_for_disjoint_sets() {
         let mut sb = Scoreboard::default();
-        sb.reserve(WriteSet::reg(Reg(1)), false);
-        sb.reserve(WriteSet::reg(Reg(2)), true);
-        sb.release(WriteSet::reg(Reg(1)));
+        sb.reserve(reg(Reg(1)), false);
+        sb.reserve(reg(Reg(2)), true);
+        sb.release(reg(Reg(1)));
         assert!(sb.any_pending());
         assert!(sb.longlat_pending());
-        sb.release(WriteSet::reg(Reg(2)));
+        sb.release(reg(Reg(2)));
         assert!(!sb.any_pending());
     }
 }

@@ -16,27 +16,22 @@ pub struct SharedMem {
 
 impl SharedMem {
     /// Allocate `bytes` of shared storage (zeroed, like GPGPU-Sim).
-    pub fn new(bytes: u32) -> Self {
+    pub(crate) fn new(bytes: u32) -> Self {
         SharedMem {
             words: vec![0; (bytes as usize).div_ceil(4)],
         }
     }
 
-    /// Size in bytes.
-    pub fn size(&self) -> u32 {
-        self.words.len() as u32 * 4
-    }
-
     /// Read the word at byte address `addr` (must be in bounds & aligned).
     #[inline]
-    pub fn read(&self, addr: u32) -> u32 {
+    pub(crate) fn read(&self, addr: u32) -> u32 {
         debug_assert!(addr.is_multiple_of(4), "unaligned shared read at {addr:#x}");
         self.words[(addr / 4) as usize]
     }
 
     /// Write the word at byte address `addr`.
     #[inline]
-    pub fn write(&mut self, addr: u32, value: u32) {
+    pub(crate) fn write(&mut self, addr: u32, value: u32) {
         debug_assert!(addr.is_multiple_of(4), "unaligned shared write at {addr:#x}");
         self.words[(addr / 4) as usize] = value;
     }
@@ -60,7 +55,7 @@ impl SharedMem {
 /// byte addresses: the maximum, over banks, of *distinct word addresses*
 /// mapped to that bank (identical addresses broadcast for free).
 #[allow(clippy::needless_range_loop)] // lane indexes the mask AND the array
-pub fn conflict_cycles(addrs: &[u32; WARP_SIZE], mask: u32) -> u32 {
+pub(crate) fn conflict_cycles(addrs: &[u32; WARP_SIZE], mask: u32) -> u32 {
     let mut per_bank: [u32; NUM_BANKS] = [0; NUM_BANKS];
     let mut seen: [Option<u32>; NUM_BANKS] = [None; NUM_BANKS];
     let mut worst = 0;
@@ -89,7 +84,7 @@ pub fn conflict_cycles(addrs: &[u32; WARP_SIZE], mask: u32) -> u32 {
 /// maximum, over words, of the number of active lanes touching that word,
 /// combined with ordinary bank conflicts.
 #[allow(clippy::needless_range_loop)] // lane indexes the mask AND the array
-pub fn atomic_cycles(addrs: &[u32; WARP_SIZE], mask: u32) -> u32 {
+pub(crate) fn atomic_cycles(addrs: &[u32; WARP_SIZE], mask: u32) -> u32 {
     // Count duplicate addresses per bank *including* duplicates — RMW can't
     // broadcast.
     let mut per_bank: [u32; NUM_BANKS] = [0; NUM_BANKS];
@@ -120,7 +115,7 @@ mod tests {
         assert_eq!(s.read(0), 0);
         s.write(8, 123);
         assert_eq!(s.read(8), 123);
-        assert_eq!(s.size(), 64);
+        assert_eq!(s.words.len() * 4, 64);
     }
 
     #[test]

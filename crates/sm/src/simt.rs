@@ -51,12 +51,12 @@ impl SimtStack {
 
     /// Current active mask.
     #[inline]
-    pub fn mask(&self) -> u32 {
+    pub(crate) fn mask(&self) -> u32 {
         self.top().mask
     }
 
     /// Current stack depth (1 = converged).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.entries.len()
     }
 
@@ -93,7 +93,7 @@ impl SimtStack {
     /// Apply a branch executed at the current PC: `taken` is the subset of
     /// the active mask that takes the branch to `target`; the rest fall
     /// through; `reconv` is the branch's reconvergence PC.
-    pub fn branch(&mut self, taken: u32, target: Pc, reconv: Pc) {
+    pub(crate) fn branch(&mut self, taken: u32, target: Pc, reconv: Pc) {
         let cur = *self.top();
         debug_assert_eq!(taken & !cur.mask, 0, "taken lanes must be active");
         let fallthrough_pc = cur.pc + 1;
@@ -118,13 +118,8 @@ impl SimtStack {
         }
     }
 
-    /// True once every lane has exited (mask empty and depth 1).
-    pub fn converged(&self) -> bool {
-        self.entries.len() == 1
-    }
-
     /// Does every entry's PC address one of a program's `len` instructions?
-    pub fn pcs_within(&self, len: usize) -> bool {
+    pub(crate) fn pcs_within(&self, len: usize) -> bool {
         self.entries.iter().all(|e| (e.pc as usize) < len)
     }
 }

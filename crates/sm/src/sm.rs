@@ -107,7 +107,7 @@ impl SmConfig {
 
     /// The longest a writeback waits in the SM's event queue: an ALU, SFU
     /// or shared-memory latency. The queue's wheel is sized to it.
-    pub fn max_writeback_latency(&self) -> u64 {
+    pub(crate) fn max_writeback_latency(&self) -> u64 {
         [self.lat_int_simple, self.lat_int_mul, self.lat_float, self.lat_convert, self.sfu_lat, self.shared_lat]
             .into_iter()
             .fold(0, u64::max)

@@ -27,7 +27,7 @@ impl Sm {
     /// * a load the LSU is still sending completes like any other, and the
     ///   next one issued will not take the id of one in flight;
     /// * the issue path's masks and fetch mirror are the warps'
-    ///   ([`crate::IssueState::rebuild`]), and its ready memo is what a
+    ///   (`IssueState::rebuild`), and its ready memo is what a
     ///   probe would find ([`crate::IssueState::ready_memo_holds`]);
     /// * the lines the LSU has still to send of each load are lines the
     ///   memory side is due, and a load the SM holds registers for has no

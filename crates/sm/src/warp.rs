@@ -24,7 +24,7 @@ use pro_mem::{line_of, GlobalMem};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEffect {
     /// ALU-class op; destination(s) ready after the latency of the
-    /// instruction's [`crate::LatClass`].
+    /// instruction's [`crate::decode::LatClass`].
     Alu,
     /// SFU op; occupies the SFU for its initiation interval.
     Sfu,
@@ -106,7 +106,7 @@ pub struct Warp {
 
 impl Warp {
     /// An empty slot.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Warp {
             simt: SimtStack::new(0, 0),
             scoreboard: Scoreboard::default(),
@@ -118,7 +118,7 @@ impl Warp {
 
     /// (Re)initialize the slot for a newly launched warp whose lanes
     /// `live_mask` exist.
-    pub fn launch(&mut self, program: &Program, live_mask: u32, now: u64, fetch_lat: u64) {
+    pub(crate) fn launch(&mut self, program: &Program, live_mask: u32, now: u64, fetch_lat: u64) {
         self.simt = SimtStack::new(live_mask, program.len() as Pc);
         self.scoreboard.clear();
         self.ibuf_ready_at = now + fetch_lat;
@@ -152,23 +152,8 @@ impl Warp {
     }
 
     /// Current PC.
-    pub fn pc(&self) -> Pc {
+    pub(crate) fn pc(&self) -> Pc {
         self.simt.pc()
-    }
-
-    /// Current active mask.
-    pub fn active_mask(&self) -> u32 {
-        self.simt.mask()
-    }
-
-    /// Read a register lane (tests/debug).
-    pub fn reg(&self, r: u8, lane: usize) -> u32 {
-        self.regs[r as usize][lane]
-    }
-
-    /// Write a register lane (tests).
-    pub fn set_reg(&mut self, r: u8, lane: usize, v: u32) {
-        self.regs[r as usize][lane] = v;
     }
 
     /// The 32 lane values of a source operand: the register's own row, or
@@ -227,7 +212,7 @@ impl Warp {
     ///
     /// Global loads and stores act on `gmem` here, at issue: a store is
     /// visible to whatever executes next, in this cycle or a later one.
-    pub fn execute(
+    pub(crate) fn execute(
         &mut self,
         program: &Program,
         ctx: &LaunchCtx,
@@ -406,6 +391,11 @@ mod tests {
     use super::*;
     use pro_isa::{CmpOp, ProgramBuilder, SfuOp, Ty};
 
+    /// Read a register lane.
+    fn reg(w: &Warp, r: u8, lane: usize) -> u32 {
+        w.regs[r as usize][lane]
+    }
+
     fn ctx<'a>(params: &'a [u32]) -> LaunchCtx<'a> {
         LaunchCtx {
             params,
@@ -449,7 +439,7 @@ mod tests {
         // ctaid=2, warp 1 in TB → tid = 32..64, gtid = 2*64 + tid.
         let w = run(&p, &[], &mut g, &mut s, 2, 1);
         for lane in 0..WARP_SIZE {
-            assert_eq!(w.reg(0, lane), 2 * 64 + 32 + lane as u32);
+            assert_eq!(reg(&w, 0, lane), 2 * 64 + 32 + lane as u32);
         }
     }
 
@@ -482,7 +472,7 @@ mod tests {
         let w = run(&prog, &[], &mut g, &mut s, 0, 0);
         for lane in 0..WARP_SIZE {
             let expect = if lane < 16 { 111 } else { 222 };
-            assert_eq!(w.reg(0, lane), expect, "lane {lane}");
+            assert_eq!(reg(&w, 0, lane), expect, "lane {lane}");
         }
     }
 
@@ -505,7 +495,7 @@ mod tests {
         let mut s = SharedMem::new(0);
         let w = run(&prog, &[], &mut g, &mut s, 0, 0);
         for lane in 0..WARP_SIZE {
-            assert_eq!(w.reg(0, lane), lane as u32 + 1, "lane {lane}");
+            assert_eq!(reg(&w, 0, lane), lane as u32 + 1, "lane {lane}");
         }
     }
 
@@ -569,7 +559,7 @@ mod tests {
         assert_eq!(s.read(0), 32);
         // Old values are the lane-order prefix sums 0..31.
         for lane in 0..WARP_SIZE {
-            assert_eq!(w.reg(2, lane), lane as u32);
+            assert_eq!(reg(&w, 2, lane), lane as u32);
         }
     }
 
@@ -608,8 +598,8 @@ mod tests {
         let mut lines = Vec::new();
         let (_, n) = w.execute(&prog, &c, &mut g, &mut s, &mut lines);
         assert_eq!(n, 8, "progress counts only active threads");
-        assert_eq!(w.reg(0, 0), 9);
-        assert_eq!(w.reg(0, 8), 0, "inactive lane untouched");
+        assert_eq!(reg(&w, 0, 0), 9);
+        assert_eq!(reg(&w, 0, 8), 0, "inactive lane untouched");
     }
 
     #[test]
@@ -623,7 +613,7 @@ mod tests {
         let mut g = GlobalMem::new(64);
         let mut s = SharedMem::new(0);
         let w = run(&prog, &[], &mut g, &mut s, 0, 0);
-        assert_eq!(f32::from_bits(w.reg(0, 0)), 2.0);
+        assert_eq!(f32::from_bits(reg(&w, 0, 0)), 2.0);
     }
 
     #[test]
@@ -641,7 +631,7 @@ mod tests {
         w.launch(&prog, 0xFFFF, 10, 2);
         let flat: Vec<u32> = (0..3 * WARP_SIZE as u32).map(|i| i * 7 + 1).collect();
         for (i, &v) in flat.iter().enumerate() {
-            w.set_reg((i / WARP_SIZE) as u8, i % WARP_SIZE, v);
+            w.regs[i / WARP_SIZE][i % WARP_SIZE] = v;
         }
         w.preds[0] = 0xF0F0;
         let mut out = Writer::new();

@@ -32,7 +32,7 @@ pub enum StallReason {
 
 impl StallReason {
     /// Stable lowercase name used in JSONL output.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             StallReason::Idle => "idle",
             StallReason::Scoreboard => "scoreboard",
@@ -82,7 +82,7 @@ impl ClassSet {
 
     /// Membership test.
     #[inline]
-    pub fn contains(self, c: EventClass) -> bool {
+    pub(crate) fn contains(self, c: EventClass) -> bool {
         self.0 & (1 << c as u16) != 0
     }
 }

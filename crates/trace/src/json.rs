@@ -40,14 +40,6 @@ impl Json {
         }
     }
 
-    /// Array element access; `None` for non-arrays.
-    pub fn idx(&self, i: usize) -> Option<&Json> {
-        match self {
-            Json::Arr(v) => v.get(i),
-            _ => None,
-        }
-    }
-
     /// String payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -94,7 +86,7 @@ impl Json {
 }
 
 /// Escape a string's content for inclusion between JSON double quotes.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -332,7 +324,7 @@ pub fn to_string(v: &Json) -> String {
 /// Append `n` as JSON: integers below 9e15 without a fraction, and `null`
 /// for NaN and the infinities, which JSON cannot spell ([`parse`] reads
 /// the `null` back).
-pub fn write_num(out: &mut String, n: f64) {
+pub(crate) fn write_num(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
@@ -391,8 +383,9 @@ mod tests {
     #[test]
     fn parses_nested_document() {
         let v = parse(r#"{"a":[1,2.5,-3],"b":{"c":true,"d":null},"s":"x\ny"}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().idx(0).unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("a").unwrap().idx(1).unwrap().as_f64(), Some(2.5));
+        let Some(Json::Arr(a)) = v.get("a") else { panic!("`a` is not an array") };
+        assert_eq!(a[0].as_u64(), Some(1));
+        assert_eq!(a[1].as_f64(), Some(2.5));
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Json::Null));
         assert_eq!(v.get("s").unwrap().as_str(), Some("x\ny"));

@@ -51,9 +51,9 @@ pub mod report;
 pub mod tracer;
 
 pub use chrome::chrome_trace;
-pub use event::{req_id, ClassSet, Event, EventClass, Record, ReqId, StallReason};
+pub use event::{req_id, ClassSet, Event, EventClass, Record, StallReason};
 pub use json::Json;
 pub use metrics::{Hist16, Metrics};
-pub use prof::{HostPhase, HostProf, IssueProf, PhaseTimer};
-pub use report::{aggregate, KernelReport};
-pub use tracer::{write_event_jsonl, JsonlTracer, NoopTracer, PanicTracer, RingTracer, Tee, Tracer};
+pub use prof::{HostPhase, HostProf, IssueProf};
+pub use report::aggregate;
+pub use tracer::{JsonlTracer, NoopTracer, PanicTracer, RingTracer, Tee, Tracer};

@@ -72,7 +72,7 @@ impl Hist16 {
     }
 
     /// Mean sample value, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         let n = self.total();
         if n == 0 { 0.0 } else { self.sum as f64 / n as f64 }
     }
@@ -83,7 +83,7 @@ impl Hist16 {
     }
 
     /// Human-readable label of bucket `i` (e.g. `"(64,128]"`).
-    pub fn label(i: usize) -> String {
+    pub(crate) fn label(i: usize) -> String {
         match i {
             0 => "0".to_string(),
             1 => "(0,1]".to_string(),

@@ -129,11 +129,6 @@ impl HostProf {
         self.hists[p].observe(ns);
     }
 
-    /// Total nanoseconds attributed to `phase` so far.
-    pub fn total_ns(&self, phase: HostPhase) -> u64 {
-        self.total_ns[phase as usize]
-    }
-
     /// Publish the accumulated counters and histograms into a metrics
     /// registry under the `host/phase.*` namespace. No-op when disabled,
     /// so unprofiled runs carry no `host/*` entries at all.
@@ -212,7 +207,7 @@ mod tests {
         p.record(HostPhase::Issue, 100);
         // `record` is unconditional by design; only the timer path is
         // disarmed.
-        assert_eq!(p.total_ns(HostPhase::Mem), 0);
+        assert_eq!(p.total_ns[HostPhase::Mem as usize], 0);
         let mut m = Metrics::new();
         p.publish(&mut m);
         assert!(m.is_empty(), "disabled profiler must not publish host/* entries");

@@ -57,23 +57,23 @@ impl KernelReport {
     }
 
     /// Fraction of scheduler-unit cycles stalled Idle (paper §II.B).
-    pub fn idle_frac(&self) -> f64 {
+    pub(crate) fn idle_frac(&self) -> f64 {
         self.frac(self.idle)
     }
 
     /// Fraction of scheduler-unit cycles stalled on the scoreboard.
-    pub fn scoreboard_frac(&self) -> f64 {
+    pub(crate) fn scoreboard_frac(&self) -> f64 {
         self.frac(self.scoreboard)
     }
 
     /// Fraction of scheduler-unit cycles stalled on pipeline structural
     /// hazards.
-    pub fn pipeline_frac(&self) -> f64 {
+    pub(crate) fn pipeline_frac(&self) -> f64 {
         self.frac(self.pipeline)
     }
 
     /// L1 miss rate over traced lookups.
-    pub fn l1_miss_rate(&self) -> f64 {
+    pub(crate) fn l1_miss_rate(&self) -> f64 {
         let n = self.l1_hits + self.l1_misses;
         if n == 0 { 0.0 } else { self.l1_misses as f64 / n as f64 }
     }

@@ -318,15 +318,6 @@ impl RingTracer {
         })
     }
 
-    /// Drop everything recorded so far (capacity is kept).
-    pub fn clear(&mut self) {
-        self.free.extend(self.live.drain(..).map(|c| c.at));
-        self.cur = Chunk { at: self.cur.at, end: self.cur.at, events: 0 };
-        self.last_cycle = 0;
-        self.held = 0;
-        self.total = 0;
-    }
-
     /// Retire the full chunk `cur`, return the oldest chunks the newer ones
     /// make surplus, and start writing a free one.
     #[cold]
@@ -610,6 +601,15 @@ pub(crate) mod tests {
 
     fn ev(i: u64) -> Event {
         Event::L1Hit { sm: 0, req: i, line: i }
+    }
+
+    /// Drop everything `ring` recorded so far, keeping its capacity.
+    fn clear(ring: &mut RingTracer) {
+        ring.free.extend(ring.live.drain(..).map(|c| c.at));
+        ring.cur = Chunk { at: ring.cur.at, end: ring.cur.at, events: 0 };
+        ring.last_cycle = 0;
+        ring.held = 0;
+        ring.total = 0;
     }
 
     #[test]
@@ -924,7 +924,7 @@ pub(crate) mod tests {
         same(&ring, &model, n);
         assert_eq!(ring.total_emitted(), n as u64);
         assert_eq!(capacities(&ring), caps, "capacity {capacity}: emission allocated");
-        ring.clear();
+        clear(&mut ring);
         assert!(ring.is_empty() && ring.records().next().is_none());
         ring.emit(5, &ev(5));
         assert_eq!(ring.records().collect::<Vec<_>>(), [Record { cycle: 5, event: ev(5) }]);

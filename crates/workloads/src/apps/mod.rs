@@ -21,7 +21,7 @@ pub mod sto;
 use crate::Workload;
 
 /// All 25 Table II kernels in table order.
-pub fn all() -> Vec<Workload> {
+pub(crate) fn all() -> Vec<Workload> {
     vec![
         aes::WORKLOAD,
         bfs::WORKLOAD,

@@ -7,20 +7,20 @@ use pro_mem::GlobalMem;
 
 /// Deterministic RNG for workload input data (fixed seed per kernel so
 /// every run is reproducible).
-pub fn rng(seed: u64) -> SplitMix64 {
+pub(crate) fn rng(seed: u64) -> SplitMix64 {
     SplitMix64::new(seed)
 }
 
 /// Allocate a buffer of `n` random f32 values in (0, 1], generated in
 /// place in device memory; returns its base address.
-pub fn alloc_rand_f32(gmem: &mut GlobalMem, n: usize, seed: u64) -> u64 {
+pub(crate) fn alloc_rand_f32(gmem: &mut GlobalMem, n: usize, seed: u64) -> u64 {
     let mut r = rng(seed);
     gmem.alloc_with(n, |_| r.gen_range(0.001f32..1.0).to_bits())
 }
 
 /// Allocate a buffer of `n` random u32 values below `bound`, generated in
 /// place in device memory; returns its base address.
-pub fn alloc_rand_u32(gmem: &mut GlobalMem, n: usize, bound: u32, seed: u64) -> u64 {
+pub(crate) fn alloc_rand_u32(gmem: &mut GlobalMem, n: usize, bound: u32, seed: u64) -> u64 {
     let mut r = rng(seed);
     gmem.alloc_with(n, |_| r.gen_range(0..bound))
 }
@@ -28,7 +28,7 @@ pub fn alloc_rand_u32(gmem: &mut GlobalMem, n: usize, bound: u32, seed: u64) -> 
 /// The `n` f32 values at `base`, read where the kernel reads them: element
 /// `i` is `f32s(gmem, base, n)(i)`. Host references take their inputs from
 /// device memory through this (or [`GlobalMem::words`]) at build time.
-pub fn f32s(gmem: &GlobalMem, base: u64, n: usize) -> impl Fn(usize) -> f32 + '_ {
+pub(crate) fn f32s(gmem: &GlobalMem, base: u64, n: usize) -> impl Fn(usize) -> f32 + '_ {
     let words = gmem.words(base, n);
     move |i| f32::from_bits(words[i])
 }
@@ -37,12 +37,12 @@ pub fn f32s(gmem: &GlobalMem, base: u64, n: usize) -> impl Fn(usize) -> f32 + '_
 /// pseudo-random indices (BFS neighbours, RAY bounce counts). Host
 /// reference for [`emit_lcg`].
 #[inline]
-pub fn lcg(x: u32) -> u32 {
+pub(crate) fn lcg(x: u32) -> u32 {
     x.wrapping_mul(1664525).wrapping_add(1013904223)
 }
 
 /// Emit `dst = lcg(src)` (one IMAD).
-pub fn emit_lcg(b: &mut ProgramBuilder, dst: Reg, src: Reg) {
+pub(crate) fn emit_lcg(b: &mut ProgramBuilder, dst: Reg, src: Reg) {
     b.imad(dst, src, Src::Imm(1664525), Src::Imm(1013904223));
 }
 
@@ -54,7 +54,7 @@ pub fn emit_lcg(b: &mut ProgramBuilder, dst: Reg, src: Reg) {
 /// plus a guarded region only the low half of the block executes, which is
 /// exactly the "warps waiting at barrier" pattern PRO targets.
 #[allow(clippy::too_many_arguments)] // register bundle for the emitted idiom
-pub fn emit_reduce_f32(
+pub(crate) fn emit_reduce_f32(
     b: &mut ProgramBuilder,
     sh_base: u32,
     threads: u32,
@@ -84,7 +84,7 @@ pub fn emit_reduce_f32(
 
 /// Host reference of [`emit_reduce_f32`]: the exact pairwise reduction
 /// order (matters for f32 associativity).
-pub fn host_reduce_f32(values: &[f32]) -> f32 {
+pub(crate) fn host_reduce_f32(values: &[f32]) -> f32 {
     let mut v = values.to_vec();
     let mut stride = v.len() / 2;
     while stride >= 1 {
@@ -98,7 +98,7 @@ pub fn host_reduce_f32(values: &[f32]) -> f32 {
 
 /// Compare two f32 buffers with a relative tolerance, reporting the first
 /// mismatch. `got` is read from device memory at `base`.
-pub fn check_f32(
+pub(crate) fn check_f32(
     gmem: &GlobalMem,
     base: u64,
     expect: &[f32],
@@ -119,7 +119,7 @@ pub fn check_f32(
 }
 
 /// Compare a u32 buffer exactly.
-pub fn check_u32(
+pub(crate) fn check_u32(
     gmem: &GlobalMem,
     base: u64,
     expect: &[u32],

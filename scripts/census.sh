@@ -17,6 +17,10 @@
 #               `unreachable!(` on non-test lines that are not `//` comments
 #   enum_json   non-test lines declaring `enum Json`
 #
+# Under each checkout's row, one row per crate (`crates/<name>`) gives its
+# `lines` and `pub_fn` by the same definitions. (A crate's trailing blank
+# lines are not counted, so its `lines` can sum to a few under the total.)
+#
 # and the documentation budget, over whole files:
 #
 #   readme, design, experiments
@@ -28,11 +32,9 @@
 set -euo pipefail
 here=$(cd "$(dirname "$0")/.." && pwd)
 
-printf '%-40s %7s %6s %6s %6s %9s %6s %6s %11s %5s %8s\n' \
-    checkout lines pub_fn traced panics enum_json readme design experiments docs mod_docs
-for c in "${@:-$here}"; do
-    root=$(cd "$c" && pwd)
-    src=$(find "$root"/crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+# The non-test lines of the `*.rs` files under the directories given.
+nontest() {
+    find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk '
         FNR == 1 { skip = 0 }
         skip { if ($0 == "}") skip = 0; next }
         $0 == "#[cfg(test)]" {
@@ -40,9 +42,19 @@ for c in "${@:-$here}"; do
             next
         }
         { print }
-    ')
+    '
+}
+
+# How many of the lines on stdin declare a `pub fn`.
+count_pub_fn() { grep -cE '^[[:space:]]*pub fn ' || true; }
+
+printf '%-40s %7s %6s %6s %6s %9s %6s %6s %11s %5s %8s\n' \
+    checkout lines pub_fn traced panics enum_json readme design experiments docs mod_docs
+for c in "${@:-$here}"; do
+    root=$(cd "$c" && pwd)
+    src=$(nontest "$root"/crates/*/src)
     lines=$(printf '%s\n' "$src" | wc -l)
-    pub_fn=$(printf '%s\n' "$src" | grep -cE '^[[:space:]]*pub fn ' || true)
+    pub_fn=$(printf '%s\n' "$src" | count_pub_fn)
     traced=$(printf '%s\n' "$src" | grep -cE '\bfn [A-Za-z0-9_]*_traced\b' || true)
     panics=$(printf '%s\n' "$src" | grep -vE '^[[:space:]]*//' \
         | grep -oE '\.unwrap\(\)|\.expect\(|\bpanic!\(|\bunreachable!\(' | wc -l)
@@ -52,4 +64,9 @@ for c in "${@:-$here}"; do
     mod_docs=$(find "$root"/crates/*/src -name '*.rs' -print0 | xargs -0 grep -h '^//!' | wc -l)
     printf '%-40s %7d %6d %6d %6d %9d %6d %6d %11d %5d %8d\n' "$root" "$lines" "$pub_fn" "$traced" "$panics" \
         "$enum_json" "${docs[0]}" "${docs[1]}" "${docs[2]}" $((docs[0] + docs[1] + docs[2])) "$mod_docs"
+    for dir in "$root"/crates/*/; do
+        src=$(nontest "$dir/src")
+        printf '  %-38s %7d %6d\n' "crates/$(basename "$dir")" "$(printf '%s\n' "$src" | wc -l)" \
+            "$(printf '%s\n' "$src" | count_pub_fn)"
+    done
 done
