@@ -29,6 +29,7 @@ const OPTIONS: &[(&str, Option<&str>)] = &[
     ("--quick", None),
     ("--config", Some("a path")),
     ("--jobs", Some("a non-negative integer")),
+    ("--seeds", Some("a positive integer")),
 ];
 
 /// One `repro` command: its name, its operands as the usage line shows
@@ -58,6 +59,7 @@ const COMMANDS: &[Command] = &[
     ("svg", "", |exp, _| svg_figs(exp), false),
     ("correlate", "", |exp, _| correlate(exp), false),
     ("sensitivity", "", |exp, _| sensitivity(exp), false),
+    ("envelope", "", |exp, _| envelope(exp), false),
     ("json", "", |exp, _| json_export(exp), false),
     ("shootout", "", |exp, _| shootout(exp), false),
     ("disasm", " <kernel>", |_, ops| disasm(ops), false),
@@ -68,7 +70,7 @@ const COMMANDS: &[Command] = &[
 fn usage() -> ! {
     let commands: Vec<String> = COMMANDS.iter().map(|(name, operands, ..)| format!("{name}{operands}")).collect();
     eprintln!(
-        "usage: repro <{} | all> [--full-scale] [--quick] [--config FILE] [--jobs N]",
+        "usage: repro <{} | all> [--full-scale] [--quick] [--config FILE] [--jobs N] [--seeds N]",
         commands.join(" | ")
     );
     std::process::exit(2);
@@ -155,6 +157,14 @@ fn main() {
     // Optional --jobs <N>: experiment-pool width (independent simulations).
     if let Some(n) = cli.count("--jobs") {
         exp.jobs = n;
+    }
+    // Optional --seeds <N>: random orders per kernel in `repro envelope`.
+    if let Some(n) = cli.count("--seeds") {
+        if n == 0 {
+            eprintln!("--seeds requires a positive integer");
+            std::process::exit(2);
+        }
+        exp.seeds = n as u64;
     }
     if cmd == "all" {
         for (.., run, _) in COMMANDS.iter().filter(|(.., in_all)| *in_all) {
@@ -724,6 +734,38 @@ fn sensitivity(exp: &mut Experiment) {
     for (key, value, e) in &variants {
         println!("{key:<15} {value:>6} {}", speedups(e));
     }
+}
+
+/// The schedule-space envelope of every kernel: the best of the built-in
+/// policies, PRO's rank among them, and the spread of `--seeds` random
+/// orders, flagging the kernels where a random order beats every policy.
+fn envelope(exp: &mut Experiment) {
+    header("Envelope: cycles under every policy and under random warp orders");
+    let kernels = exp.kernels();
+    let rows = pro_bench::envelope::envelope(exp, &kernels, exp.seeds);
+    println!(
+        "{:<32} {:>7} {:>9} {:>9} {:>5}  {:>9} {:>9} {:>9}",
+        "Kernel", "best", "cycles", "PRO", "rank", "Fuzz min", "median", "max"
+    );
+    for e in &rows {
+        let ((best, cycles), pro) = (e.best(), e.pro());
+        let (min, median, max) = e.fuzz_spread();
+        let flag = if e.fuzz_beats_every_policy() { "  *" } else { "" };
+        println!(
+            "{:<32} {:>7} {cycles:>9} {pro:>9} {:>5}  {min:>9} {median:>9} {max:>9}{flag}",
+            e.kernel,
+            best.name(),
+            format!("{}/{}", e.pro_rank(), e.policies.len()),
+        );
+    }
+    let beaten = rows.iter().filter(|e| e.fuzz_beats_every_policy()).count();
+    println!(
+        "
+* a random order beats every policy: {beaten} of {} kernels ({} seeds, {} policies)",
+        rows.len(),
+        exp.seeds,
+        SchedulerKind::ALL.len()
+    );
 }
 
 /// Dump every (kernel × scheduler) result as JSON on stdout.

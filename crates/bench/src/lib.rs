@@ -35,6 +35,7 @@
 //! | `repro svg`        | SVG renderings of Fig. 1, Fig. 2 and Fig. 4 |
 //! | `repro correlate`  | every claim of [`paper::CLAIMS`] beside this build's value |
 //! | `repro sensitivity` | the claims with each latency of [`paper::LATENCIES`] at ×½ and ×2 |
+//! | `repro envelope`   | each kernel under every policy and `--seeds N` random orders ([`envelope`]) |
 //! | `repro json`       | machine-readable dump of every (kernel × sched) run |
 //! | `repro shootout`   | 8-policy matrix with stall attribution + host cost |
 //! | `repro disasm`     | VPTX disassembly and static mix of one kernel |
@@ -56,6 +57,7 @@
 //! (`benchmark/`, end to end and per layer), with `repro shootout` for the
 //! per-policy view.
 
+pub mod envelope;
 pub mod json;
 pub mod paper;
 pub mod svg;
@@ -133,6 +135,8 @@ pub struct Experiment {
     /// `--jobs`: the worker threads that simulate missing cells, `0` for
     /// one per core ([`parallel_map`]).
     pub jobs: usize,
+    /// `--seeds`: the random orders `repro envelope` runs per kernel.
+    pub seeds: u64,
     /// Finished cells by (kernel, policy) — only those simulated on
     /// `machine` at `scale` with default [`TraceOptions`], so the key
     /// needs nothing else. Never iterated: output order comes from the
@@ -148,6 +152,7 @@ impl Experiment {
             quick,
             machine,
             jobs: 0,
+            seeds: 8,
             done: HashMap::new(),
         }
     }

@@ -446,14 +446,19 @@ mod tests {
 
     #[test]
     fn parsed_config_actually_runs() {
-        let cfg = parse_config("num_sms = 2\nschedulers_per_sm = 1", GpuConfig::gtx480()).unwrap();
-        let mut gpu = Gpu::new(cfg, 1 << 20);
-        let k = smoke_kernel(&mut gpu);
-        let r = gpu
-            .launch(&k, pro_core::SchedulerKind::Pro, TraceOptions::default())
-            .unwrap();
-        // 1 unit x 2 SMs
-        assert_eq!(r.sm.unit_cycles, r.cycles * 2);
+        // One unit, and the widest SM the check admits: a unit per warp
+        // slot and the longest writeback latency.
+        let widest = "max_warps_per_sm = 64\nschedulers_per_sm = 64\nsfu_lat = 4096\nshared_lat = 4096";
+        for (text, units) in [("schedulers_per_sm = 1", 1), (widest, 64)] {
+            let cfg = parse_config(&format!("num_sms = 2\n{text}"), GpuConfig::gtx480()).unwrap();
+            let mut gpu = Gpu::new(cfg, 1 << 20);
+            let k = smoke_kernel(&mut gpu);
+            let r = gpu
+                .launch(&k, pro_core::SchedulerKind::Pro, TraceOptions::default())
+                .unwrap();
+            // units x 2 SMs
+            assert_eq!(r.sm.unit_cycles, r.cycles * 2 * units, "{text}");
+        }
     }
 
     /// Any `.cfg` text over the real keys, with values at and past each

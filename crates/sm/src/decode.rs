@@ -13,6 +13,7 @@
 //! [`Program`], is never serialized, and is rebuilt when a kernel is bound
 //! (which a checkpoint restore does before loading SM state).
 
+use crate::issue::NextInstr;
 use crate::scoreboard::{Scoreboard, WriteSet};
 use pro_isa::{AluOp, Instr, Pc, PipeClass, Program};
 use std::sync::Arc;
@@ -81,7 +82,7 @@ impl IssueMeta {
     /// while any write is.
     #[inline]
     pub fn ready(&self, sb: &Scoreboard) -> bool {
-        sb.clear_of(self.hazard) && !(self.drains && sb.any_pending())
+        NextInstr::of(self).ready(sb)
     }
 }
 

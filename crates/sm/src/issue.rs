@@ -1,30 +1,44 @@
 //! The per-warp issue state machine (DESIGN.md §15) and the walk over it.
 //!
-//! Every live warp of a scheduler unit is *fetching*, *untested*, waiting
-//! on the scoreboard (*sb-wait*) or *ready* for one pipeline class.
-//! [`IssueState`] owns that — candidate/eligible bitsets, the two memos,
-//! the per-unit order caches — behind one mutator per event that moves a
+//! Every live warp of a scheduler unit is *fetching* or fetched, and holds
+//! a verdict on its next instruction — waiting on the scoreboard
+//! (*sb-wait*) or *ready* for one pipeline class — or none (*untested*).
+//! [`IssueState`] owns that — candidate/eligible/fetching bitsets, the two
+//! verdict masks with the decoded instruction each was taken on, the
+//! per-unit order caches — behind one mutator per event that moves a
 //! warp, plus the two reads of an issue cycle: [`IssueState::order`] and
 //! [`IssueState::pick`] (the mask-first walk, §16). It sees no warp: the SM
-//! reports events by slot and lends `pick` a probe, so tests drive the
-//! walk the simulator runs (`crates/sm/tests/oracle`).
+//! reports events by slot and hands over the warp's scoreboard where a
+//! verdict is taken, and lends `pick` a probe, so tests drive the walk the
+//! simulator runs (`crates/sm/tests/oracle`).
+//!
+//! A verdict is taken where the warp's state changes and is still in
+//! cache: at its TB's launch, right after its own issue, and at each
+//! release of its registers while it waits on the scoreboard. A warp whose
+//! SIMT top sits at a reconvergence point gets none there (popping the
+//! stack is the walk's, which publishes `SimtReconverge` in the cycle it
+//! happens), and a restore starts every warp without one: those are the
+//! *untested* warps `pick` probes, lazily and in priority order.
 //!
 //! ```text
-//!               now >= ibuf_at[w]          probe: scoreboard refuses
-//!   fetching ───────────────────► untested ─────────────────────────► sb-wait
-//!      ▲                              │                                  │
-//!      │                              │ probe: meta.ready(scoreboard)    │ release_write
-//!      │                              ▼                                  │ (a writeback or
-//!      │  the warp's own issue   ready[class(pipe)]                      │  load completes)
-//!      └──────────────────────────────┘◄── untested ◄────────────────────┘
+//!   TB launch, own issue ──► decide ──┬──► ready[class(pipe)] ─── own issue ───┐
+//!     ▲   (reconvergence-due:         │        ▲                               │
+//!     │    untested instead)          │        │ release_write: operands free  │
+//!     │                               └──► sb-wait ◄──┐                        │
+//!     │                                       └───────┘ release_write: refused │
+//!     └────────────────────────────────────────────────────────────────────────┘
+//!   untested (reconvergence-due, or restored) ── probe, in pick's order ──► decide
 //! ```
 //!
-//! *Fetching* and *untested* are not stored: they are the live warps in
-//! neither memo, split by `now >= ibuf_at[w]`.
+//! Fetching is orthogonal: a warp's verdict is taken while its next
+//! instruction is still being fetched, and it becomes issuable once
+//! `now >= ibuf_at[w]` as well.
 //!
 //! All of it is *derived* state: rebuilt from the architectural state on
 //! restore (`IssueState::rebuild`) and never serialized.
 
+use crate::decode::IssueMeta;
+use crate::scoreboard::{Scoreboard, WriteSet};
 use crate::warp::Warp;
 use pro_core::{SchedView, WarpScheduler, WarpState};
 use pro_isa::PipeClass;
@@ -41,13 +55,47 @@ pub const fn class_of(pipe: PipeClass) -> usize {
     }
 }
 
+/// What the issue path keeps of a warp's next instruction: enough to test
+/// it against the warp's scoreboard again without its pc or the decode
+/// table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NextInstr {
+    hazard: WriteSet,
+    drains: bool,
+    class: u8,
+}
+
+impl NextInstr {
+    /// Placeholder for a slot that holds no verdict.
+    const NONE: NextInstr = NextInstr { hazard: WriteSet::EMPTY, drains: false, class: 0 };
+
+    /// The instruction `meta` decodes.
+    #[inline]
+    pub fn of(meta: &IssueMeta) -> NextInstr {
+        NextInstr { hazard: meta.hazard, drains: meta.drains, class: class_of(meta.pipe) as u8 }
+    }
+
+    /// Does `sb` let the instruction issue? False while a register it
+    /// touches has a write in flight, or — for a draining instruction —
+    /// while any write is.
+    #[inline]
+    pub fn ready(&self, sb: &Scoreboard) -> bool {
+        sb.clear_of(self.hazard) && !(self.drains && sb.any_pending())
+    }
+
+    /// Its ready class ([`class_of`]).
+    pub fn class(&self) -> usize {
+        self.class as usize
+    }
+}
+
 /// Where a live warp that is not parked at its TB's barrier stands in the
 /// state machine of the module doc (`IssueState::state`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarpIssue {
     /// Its next instruction is still being fetched.
     Fetching,
-    /// Fetched, and not probed since.
+    /// Fetched, and holding no verdict.
     Untested,
     /// The scoreboard refused its next instruction.
     SbWait,
@@ -80,15 +128,35 @@ fn masks_of(sched: &[WarpState]) -> [u64; 3] {
     masks
 }
 
+/// One scheduler unit's part of [`IssueState`], kept together so a
+/// unit-cycle reads one record.
+#[derive(Debug, Clone)]
+struct Unit {
+    /// Static slot→unit membership: bit `w` set iff `w % units` is this
+    /// unit. Computed once at construction.
+    mask: u64,
+    /// The cached `order()` output plus the inputs it was computed under —
+    /// candidates, blocked set, the policy's order version (`None`:
+    /// nothing cached) — reused verbatim while all three are unchanged.
+    order: Vec<usize>,
+    cached_cands: u64,
+    cached_blocked: u64,
+    cached_version: Option<u64>,
+    /// The candidate slice handed to `order()` (ascending slots), expanded
+    /// from `cached_cands` and refilled only when the unit's candidate set
+    /// differs from it.
+    cands: Vec<usize>,
+}
+
 /// The issue path's state for the warp slots of one SM.
 #[derive(Debug, Clone)]
 pub struct IssueState {
-    /// Static slot→unit membership: bit `w` of `unit_masks[u]` set iff
-    /// `w % units == u`. Computed once at construction.
-    unit_masks: Vec<u64>,
+    /// Per scheduler unit: its slots, its cached order and that order's
+    /// inputs.
+    units: Vec<Unit>,
     /// Bit `w` set iff warp slot `w` is an issue candidate (launched and
-    /// not finished). Per-unit candidate sets are `cands_mask &
-    /// unit_masks[u]`.
+    /// not finished). Per-unit candidate sets are `cands_mask` and the
+    /// unit's mask.
     cands_mask: u64,
     /// Bit `w` set iff warp `w` is live, not parked at a barrier, and not
     /// finished — exactly the warps the issue walk would not silently skip.
@@ -96,44 +164,31 @@ pub struct IssueState {
     /// Per-slot mirror of [`Warp::ibuf_ready_at`] so the walk can skip
     /// still-fetching warps without loading the `Warp`.
     ibuf_at: Vec<u64>,
-    /// Memoized "scoreboard said no" outcomes: bit `w` set when the walk
-    /// reached warp `w`, fetched its instruction, and the scoreboard (or
-    /// the Exit/Bar drain rule) refused it. The warp's pc, SIMT stack and
-    /// scoreboard are frozen until a writeback releases registers —
-    /// [`IssueState::release_write`] is the single unblock point and clears
-    /// the bit — so skipping the warp (while still counting it as a valid
-    /// instruction) is bit-identical to re-evaluating it.
+    /// Bit `w` set from the event that starts a fetch of warp `w` (launch,
+    /// issue, barrier release) until a pick of its unit finds
+    /// `now >= ibuf_at[w]`: a candidate outside it is fetched, so each pick
+    /// re-tests only the few warps inside.
+    fetching: u64,
+    /// The verdicts: bit `w` of `sb_wait_mask` set when the scoreboard (or
+    /// the Exit/Bar drain rule) refuses warp `w`'s next instruction
+    /// `next[w]`, bit `w` of `ready[c]` when it lets it go and the
+    /// instruction's class is `c`. Invariant: a warp holds at most one
+    /// verdict, only while it is a candidate (parked and fetching warps
+    /// included), its SIMT top is not at a reconvergence point, and the
+    /// verdict is what a probe of it would return now. It stays so because
+    /// pc, SIMT stack and reservations change only at the warp's own issue
+    /// (which takes a new verdict or none), and a writeback only clears
+    /// scoreboard bits: that cannot un-ready an instruction, and
+    /// [`IssueState::release_write`] re-tests a refused one.
+    /// [`IssueState::ready_memo_holds`] re-derives it in debug builds.
     sb_wait_mask: u64,
-    /// Memoized "scoreboard said yes" outcomes, one mask per ready class
-    /// ([`class_of`]), set by the probe that found the warp ready and
-    /// cleared only when that warp issues or its slot is launched, retired
-    /// or reset. Invariant: bit `w` of `ready[c]` ⇒ warp `w` is live
-    /// (candidate and eligible), fetched (`now >= ibuf_at[w]`), not in
-    /// `sb_wait_mask`, reconverged, and its next instruction is ready
-    /// against its scoreboard with class `c`. It stays true until the
-    /// warp's own issue because pc, SIMT stack, `ibuf_at` and scoreboard
-    /// reservations change only there (a barrier release re-fetches parked
-    /// warps, which issued their `Bar` and so hold no bit), and a writeback
-    /// only clears scoreboard bits, which cannot un-ready an instruction.
-    /// So while the pipeline refuses a ready warp, re-probing it would find
-    /// the same answer; [`IssueState::ready_memo_holds`] re-derives it in
-    /// debug builds.
     ready: [u64; 3],
+    /// Per slot, the instruction its verdict was taken on.
+    next: Vec<NextInstr>,
     /// Bit `w` set iff the warp's `blocked_on_longlat` flag is — the
     /// fingerprint consulted when a policy's `order()` reads blocked flags
     /// (`order_reads_longlat`, e.g. TL).
     longlat_mask: u64,
-    /// Per-unit cached `order()` output plus the inputs it was computed
-    /// under — candidates, blocked set, the policy's order version (`None`:
-    /// nothing cached) — reused verbatim while all three are unchanged.
-    order_bufs: Vec<Vec<usize>>,
-    /// Per-unit candidate slice handed to `order()` (ascending slots),
-    /// expanded from `cached_cands[u]` and refilled only when the unit's
-    /// candidate set differs from it.
-    cand_bufs: Vec<Vec<usize>>,
-    cached_cands: Vec<u64>,
-    cached_blocked: Vec<u64>,
-    cached_version: Vec<Option<u64>>,
     /// Host-only counters (outside the determinism/checkpoint boundary,
     /// published as `host/issue/*`).
     prof: IssueProf,
@@ -144,24 +199,27 @@ impl IssueState {
     /// scheduler units; every buffer is allocated here.
     pub fn new(max_warps: usize, units: u32) -> Self {
         assert!(max_warps <= 64, "the incremental issue path packs warp slots into u64 bitsets");
-        let units = units.max(1) as usize;
-        let mut unit_masks = vec![0u64; units];
-        for w in 0..max_warps {
-            unit_masks[w % units] |= 1u64 << w;
-        }
+        let n = units.max(1) as usize;
+        let units = (0..n)
+            .map(|u| Unit {
+                mask: (u..max_warps).step_by(n).fold(0, |m, w| m | 1u64 << w),
+                order: Vec::with_capacity(max_warps),
+                cached_cands: 0,
+                cached_blocked: 0,
+                cached_version: None,
+                cands: Vec::with_capacity(max_warps),
+            })
+            .collect();
         IssueState {
-            unit_masks,
+            units,
             cands_mask: 0,
             eligible_mask: 0,
             ibuf_at: vec![0; max_warps],
+            fetching: 0,
             sb_wait_mask: 0,
             ready: [0; 3],
+            next: vec![NextInstr::NONE; max_warps],
             longlat_mask: 0,
-            order_bufs: (0..units).map(|_| Vec::with_capacity(max_warps)).collect(),
-            cand_bufs: (0..units).map(|_| Vec::with_capacity(max_warps)).collect(),
-            cached_cands: vec![0; units],
-            cached_blocked: vec![0; units],
-            cached_version: vec![None; units],
             prof: IssueProf::default(),
         }
     }
@@ -172,21 +230,26 @@ impl IssueState {
         self.prof = IssueProf::default();
         self.cands_mask = 0;
         self.eligible_mask = 0;
+        self.fetching = 0;
         self.sb_wait_mask = 0;
         self.ready = [0; 3];
         self.longlat_mask = 0;
         self.ibuf_at.fill(0);
-        self.cached_version.fill(None);
+        for unit in &mut self.units {
+            unit.cached_version = None;
+        }
     }
 
     /// [`IssueState::reset`], then the candidate/eligible/blocked masks and
-    /// the fetch mirror recomputed from restored warps and their flags. The
-    /// memos and order caches restart empty — all are one-sided, so the
-    /// first cycle after a restore recomputes exactly what the snapshotted
-    /// engine held.
+    /// the fetch mirror recomputed from restored warps and their flags.
+    /// Every candidate restarts untested and fetching (the first pick of its
+    /// unit re-tests its fetch cycle), and the order caches empty — all are
+    /// one-sided, so the first cycle after a restore recomputes exactly what
+    /// the snapshotted engine held.
     pub(crate) fn rebuild(&mut self, warps: &[Warp], sched: &[WarpState]) {
         self.reset();
         [self.cands_mask, self.eligible_mask, self.longlat_mask] = masks_of(sched);
+        self.fetching = self.cands_mask;
         for (at, warp) in self.ibuf_at.iter_mut().zip(warps) {
             *at = warp.ibuf_ready_at;
         }
@@ -211,19 +274,38 @@ impl IssueState {
     }
 
     /// A warp was launched into slot `w`; its first instruction arrives at
-    /// `ibuf_at`. (→ *fetching*)
+    /// `ibuf_at`. (→ *untested*, until [`IssueState::decide`].)
     pub fn launch(&mut self, w: usize, ibuf_at: u64) {
         let bit = 1u64 << w;
         self.forget(bit);
         self.cands_mask |= bit;
         self.eligible_mask |= bit;
+        self.fetching |= bit;
         self.ibuf_at[w] = ibuf_at;
     }
 
-    /// Warp `w` issued; its next instruction arrives at `ibuf_at`.
-    /// (*ready* → *fetching*: the verdict was for the one that left.)
+    /// Take warp `w`'s verdict on its next instruction `next` against its
+    /// scoreboard `sb`. The caller has checked that the warp's SIMT top is
+    /// not at a reconvergence point, which only a probe may pop.
+    /// (→ *sb-wait* or *ready*)
+    #[inline]
+    pub fn decide(&mut self, w: usize, next: NextInstr, sb: &Scoreboard) {
+        let bit = 1u64 << w;
+        debug_assert_eq!((self.sb_wait_mask | self.ready[0] | self.ready[1] | self.ready[2]) & bit, 0, "warp {w} holds a verdict");
+        self.next[w] = next;
+        if next.ready(sb) {
+            self.ready[next.class()] |= bit;
+        } else {
+            self.sb_wait_mask |= bit;
+        }
+    }
+
+    /// Warp `w` issued; its next instruction arrives at `ibuf_at`. (*ready*
+    /// → *untested*: the verdict was for the one that left, and the SM
+    /// decides on the next one unless the warp exited.)
     pub fn issued(&mut self, w: usize, ibuf_at: u64) {
         self.clear_ready(1u64 << w);
+        self.fetching |= 1u64 << w;
         self.ibuf_at[w] = ibuf_at;
     }
 
@@ -233,9 +315,10 @@ impl IssueState {
     }
 
     /// The barrier warp `w` was parked at released; it re-fetches until
-    /// `ibuf_at`. (→ *fetching*)
+    /// `ibuf_at`, keeping its verdict.
     pub(crate) fn unpark(&mut self, w: usize, ibuf_at: u64) {
         self.eligible_mask |= 1u64 << w;
+        self.fetching |= 1u64 << w;
         self.ibuf_at[w] = ibuf_at;
     }
 
@@ -256,6 +339,7 @@ impl IssueState {
     fn forget(&mut self, bits: u64) {
         self.cands_mask &= !bits;
         self.eligible_mask &= !bits;
+        self.fetching &= !bits;
         self.sb_wait_mask &= !bits;
         self.clear_ready(bits);
         self.longlat_mask &= !bits;
@@ -269,17 +353,21 @@ impl IssueState {
     }
 
     /// A writeback or load completion released registers of warp `w`,
-    /// leaving it blocked on a long-latency write or not (`longlat`): the
-    /// single point where a stalled warp can become issuable again.
-    /// (*sb-wait* → *untested*: it may wait for other registers still.)
+    /// whose scoreboard is now `sb`: the single point where a stalled warp
+    /// can become issuable again. A refused instruction is tested again
+    /// here, with the scoreboard just written.
+    /// (*sb-wait* → *ready*, or stays: it may wait for other registers.)
     #[inline]
-    pub fn release_write(&mut self, w: usize, longlat: bool) {
+    pub fn release_write(&mut self, w: usize, sb: &Scoreboard) {
         let bit = 1u64 << w;
-        self.sb_wait_mask &= !bit;
-        if longlat {
+        if sb.longlat_pending() {
             self.longlat_mask |= bit;
         } else {
             self.longlat_mask &= !bit;
+        }
+        if self.sb_wait_mask & bit != 0 && self.next[w].ready(sb) {
+            self.sb_wait_mask &= !bit;
+            self.ready[self.next[w].class()] |= bit;
         }
     }
 
@@ -303,98 +391,91 @@ impl IssueState {
         view: &SchedView,
         reads_longlat: bool,
     ) {
-        let u = unit as usize;
-        let cands = self.cands_mask & self.unit_masks[u];
-        let blocked = self.longlat_mask & self.unit_masks[u];
-        let reuse = self.cached_cands[u] == cands
-            && (!reads_longlat || self.cached_blocked[u] == blocked)
-            && self.cached_version[u].is_some_and(|v| policy.order_version(unit) == Some(v));
+        let u = &mut self.units[unit as usize];
+        let cands = self.cands_mask & u.mask;
+        let blocked = self.longlat_mask & u.mask;
+        let reuse = u.cached_cands == cands
+            && (!reads_longlat || u.cached_blocked == blocked)
+            && u.cached_version.is_some_and(|v| policy.order_version(unit) == Some(v));
         if reuse {
             self.prof.orders_reused += 1;
             return;
         }
         self.prof.orders_recomputed += 1;
         // Candidates: live, unfinished warps of this unit, ascending.
-        if self.cached_cands[u] != cands {
-            self.cand_bufs[u].clear();
+        if u.cached_cands != cands {
+            u.cands.clear();
             let mut m = cands;
             while m != 0 {
-                self.cand_bufs[u].push(m.trailing_zeros() as usize);
+                u.cands.push(m.trailing_zeros() as usize);
                 m &= m - 1;
             }
         }
-        policy.order(unit, view, &self.cand_bufs[u], &mut self.order_bufs[u]);
-        self.cached_cands[u] = cands;
-        self.cached_blocked[u] = blocked;
-        self.cached_version[u] = policy.order_version(unit);
+        policy.order(unit, view, &u.cands, &mut u.order);
+        u.cached_cands = cands;
+        u.cached_blocked = blocked;
+        u.cached_version = policy.order_version(unit);
     }
 
     /// `unit`'s order as [`IssueState::order`] left it, best first.
     pub fn last_order(&self, unit: u32) -> &[usize] {
-        &self.order_bufs[unit as usize]
+        &self.units[unit as usize].order
     }
 
     /// The warps of `unit` holding a fetched instruction at `now`, as a
-    /// bitset: candidates, eligible, `ibuf_at` elapsed.
-    pub(crate) fn fetched(&self, unit: u32, now: u64) -> u64 {
-        let live = self.cands_mask & self.eligible_mask & self.unit_masks[unit as usize];
-        self.fetched_among(live, now)
-    }
-
-    fn fetched_among(&self, mut m: u64, now: u64) -> u64 {
-        let mut fetched = 0u64;
+    /// bitset: candidates, eligible, `ibuf_at` elapsed. The fetching warps
+    /// of the unit whose fetch has elapsed leave `fetching` here.
+    #[inline]
+    pub(crate) fn fetched(&mut self, unit: u32, now: u64) -> u64 {
+        let live = self.cands_mask & self.eligible_mask & self.units[unit as usize].mask;
+        let mut m = self.fetching & live;
         while m != 0 {
             let w = m.trailing_zeros() as usize;
-            if now >= self.ibuf_at[w] {
-                fetched |= 1u64 << w;
-            }
             m &= m - 1;
+            self.fetching &= !(u64::from(now >= self.ibuf_at[w]) << w);
         }
-        fetched
+        live & !self.fetching
     }
 
     /// Choose the warp `unit` issues at `now`, or classify the stall.
     ///
-    /// Mask-first: every live warp is still fetching, untested, in
-    /// `sb_wait_mask` or in one `ready` mask; the last two hold verdicts
-    /// nothing has changed since (see the field docs), so only untested
-    /// warps are handed to `probe`, lazily and in priority order, and the
-    /// first issuable one — ready, its class `open` this unit-cycle — is
-    /// chosen without being probed. `probe(w)` tests warp `w`'s next
-    /// instruction against its scoreboard: `None` if refused, else
-    /// [`class_of`] its pipeline. When nothing is chosen every fetched warp
-    /// holds a verdict, so the stall class falls out of the masks.
+    /// Mask-first: every fetched live warp is untested, in `sb_wait_mask`
+    /// or in one `ready` mask, and the last two hold verdicts that are true
+    /// now (see the field docs); so only untested warps are handed to
+    /// `probe`, lazily and in priority order, and the first issuable one —
+    /// ready, its class `open` this unit-cycle — is chosen without being
+    /// probed. `probe(w)` reconverges warp `w` and returns its next
+    /// instruction and whether its scoreboard lets it go. When nothing is
+    /// chosen every fetched warp holds a verdict, so the stall class falls
+    /// out of the masks.
     #[inline]
     pub fn pick(
         &mut self,
         unit: u32,
         now: u64,
         open: [bool; 3],
-        mut probe: impl FnMut(usize) -> Option<usize>,
+        mut probe: impl FnMut(usize) -> (NextInstr, bool),
     ) -> Result<usize, StallReason> {
         let u = unit as usize;
-        let unit_mask = self.unit_masks[u];
-        let live = self.cands_mask & self.eligible_mask & unit_mask;
-        let stalled = live & self.sb_wait_mask;
+        let fetched = self.fetched(unit, now);
+        let stalled = fetched & self.sb_wait_mask;
         self.prof.mask_skips += stalled.count_ones() as u64;
         let (mut ready_any, mut issuable) = (0u64, 0u64);
         for (r, open) in self.ready.iter().zip(open) {
-            ready_any |= r & unit_mask;
+            ready_any |= r & fetched;
             if open {
-                issuable |= r & unit_mask;
+                issuable |= r & fetched;
             }
         }
-        let untested = self.fetched_among(live & !self.sb_wait_mask & !ready_any, now);
+        let untested = fetched & !self.sb_wait_mask & !ready_any;
 
-        // Valid instruction(s) exist iff some warp is fetched; with nothing
-        // to probe or pick the order is not walked at all.
-        let saw_valid = (stalled | ready_any | untested) != 0;
+        // With nothing to probe or pick the order is not walked at all.
         let mut visit = untested | issuable;
-        for i in 0..self.order_bufs[u].len() {
+        for i in 0..self.units[u].order.len() {
             if visit == 0 {
                 break; // every fetched warp has a verdict, none can issue
             }
-            let w = self.order_bufs[u][i];
+            let w = self.units[u].order[i];
             let bit = 1u64 << w;
             if visit & bit == 0 {
                 continue;
@@ -405,22 +486,25 @@ impl IssueState {
                 return Ok(w);
             }
             self.prof.probes += 1;
-            match probe(w) {
+            let (next, ready) = probe(w);
+            self.next[w] = next;
+            if !ready {
                 // Operand hazards; Exit and barriers also drain the warp's
                 // pipeline first (in-order completion).
-                None => self.sb_wait_mask |= bit,
-                // Structural hazards.
-                Some(c) => {
-                    self.ready[c] |= bit;
-                    if open[c] {
-                        return Ok(w);
-                    }
-                }
+                self.sb_wait_mask |= bit;
+                continue;
+            }
+            // Structural hazards.
+            self.ready[next.class()] |= bit;
+            ready_any |= bit;
+            if open[next.class()] {
+                return Ok(w);
             }
         }
-        Err(if !saw_valid {
+        // Valid instruction(s) exist iff some warp is fetched.
+        Err(if fetched == 0 {
             StallReason::Idle
-        } else if self.ready.iter().all(|r| r & unit_mask == 0) {
+        } else if ready_any == 0 {
             StallReason::Scoreboard
         } else {
             StallReason::Pipeline
@@ -445,7 +529,8 @@ impl IssueState {
     /// Why warp `w` did not issue on a unit-cycle whose [`IssueState::pick`]
     /// at `now` found nothing, which leaves a verdict for every fetched live
     /// warp: Idle if the warp is not live or still fetching, Scoreboard if
-    /// its probe was refused, Pipeline if it is ready for a closed pipeline.
+    /// its next instruction is refused, Pipeline if it is ready for a
+    /// closed pipeline.
     pub(crate) fn stall_reason(&self, w: usize, now: u64) -> StallReason {
         match self.state(w, now) {
             None | Some(WarpIssue::Fetching) => StallReason::Idle,
@@ -457,19 +542,28 @@ impl IssueState {
         }
     }
 
-    /// The invariant on the ready memo, re-derived: `verdict(w)` is what a
-    /// probe of warp `w` would return if the warp is reconverged, `None`
-    /// otherwise, without side effects. The debug-build check after each
-    /// unit's issue.
-    pub fn ready_memo_holds(&self, now: u64, verdict: impl Fn(usize) -> Option<usize>) -> bool {
+    /// The invariant on the verdicts, re-derived: `probe(w)` is what a probe
+    /// of warp `w` would find without its side effects — `None` if its SIMT
+    /// top is at a reconvergence point, else its next instruction and
+    /// whether the scoreboard lets it go. Every warp with a verdict,
+    /// fetched or not, parked or not, must be a candidate and agree with
+    /// it, and a live warp outside `fetching` must be fetched at `now`. The
+    /// debug-build check after each unit's issue.
+    pub fn ready_memo_holds(&self, now: u64, probe: impl Fn(usize) -> Option<(NextInstr, bool)>) -> bool {
         let [alu, sfu, mem] = self.ready;
         let any = alu | sfu | mem;
+        let judged = any | self.sb_wait_mask;
         let live = self.cands_mask & self.eligible_mask;
-        let disjoint = alu & sfu == 0 && (alu | sfu) & mem == 0;
+        let disjoint = alu & sfu == 0 && (alu | sfu) & mem == 0 && any & self.sb_wait_mask == 0;
+        let settled = (0..self.ibuf_at.len()).all(|w| (live & !self.fetching) >> w & 1 == 0 || now >= self.ibuf_at[w]);
         disjoint
-            && any & (self.sb_wait_mask | !live) == 0
-            && (0..self.ibuf_at.len()).filter(|w| any >> w & 1 != 0).all(|w| {
-                now >= self.ibuf_at[w] && verdict(w).is_some_and(|c| self.ready[c] >> w & 1 != 0)
+            && settled
+            && judged & !self.cands_mask == 0
+            && (0..self.ibuf_at.len()).filter(|w| judged >> w & 1 != 0).all(|w| {
+                probe(w).is_some_and(|(next, ready)| {
+                    let held = if ready { self.ready[next.class()] } else { self.sb_wait_mask };
+                    next == self.next[w] && held >> w & 1 != 0
+                })
             })
     }
 
@@ -485,7 +579,7 @@ mod tests {
     use pro_core::prop::{any, check, from_fn, vec_of, CaseError, CaseResult, Config, Gen};
     use pro_core::{prop_assert, prop_assert_eq};
 
-    /// Read and reset access for the rigs that hold the memos to a
+    /// Read and reset access for the rigs that hold the verdicts to a
     /// from-scratch probe (here and in `sm/issue_phase.rs`).
     impl IssueState {
         /// The ready classes holding warp `w`, and whether a scoreboard
@@ -495,34 +589,82 @@ mod tests {
             (held, self.sb_wait_mask >> w & 1 != 0)
         }
 
-        /// Empty the ready memo, so every ready warp is probed again.
-        pub(crate) fn forget_ready(&mut self) {
+        /// Drop every verdict, so every fetched warp is probed again.
+        pub(crate) fn forget_verdicts(&mut self) {
             self.ready = [0; 3];
+            self.sb_wait_mask = 0;
         }
     }
 
     const SLOTS: usize = 8;
     const UNITS: u32 = 2;
+    /// The register every model instruction reads, and the one a model
+    /// load writes.
+    const HAZARD: WriteSet = WriteSet { regs: 1, preds: 0 };
+    const LOADED: WriteSet = WriteSet { regs: 2, preds: 0 };
 
-    /// What the walk remembers of a live warp's next instruction.
+    /// What the walk remembers of a warp's next instruction.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Verdict {
-        /// Still fetching, or fetched and not yet probed.
+        /// Untested: due to reconverge, restored, or not yet probed.
         None,
         SbWait,
         Ready(usize),
     }
 
-    /// One warp slot of the from-scratch model. `truth` is what a probe of
-    /// the warp's next instruction answers: it is drawn at launch and at
-    /// the warp's own issue, and a writeback can only turn a refusal into a
-    /// yes.
+    /// A warp's next instruction in the model: its ready class, and whether
+    /// the write it reads is still in flight. Drawn at launch and at the
+    /// warp's own issue; a writeback can only clear `blocked`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Next {
+        class: usize,
+        blocked: bool,
+    }
+
+    impl Next {
+        fn truth(self) -> Option<usize> {
+            (!self.blocked).then_some(self.class)
+        }
+
+        fn verdict(self) -> Verdict {
+            self.truth().map_or(Verdict::SbWait, Verdict::Ready)
+        }
+
+        fn instr(self) -> NextInstr {
+            NextInstr { hazard: HAZARD, drains: false, class: self.class as u8 }
+        }
+
+        /// The scoreboard of a warp whose next instruction is this one and
+        /// which has a load in flight iff `longlat`.
+        fn scoreboard(self, longlat: bool) -> Scoreboard {
+            let mut sb = Scoreboard::default();
+            if self.blocked {
+                sb.reserve(HAZARD, false);
+            }
+            if longlat {
+                sb.reserve(LOADED, true);
+            }
+            sb
+        }
+    }
+
+    /// One warp slot of the from-scratch model.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Slot {
         Empty,
-        Live { verdict: Verdict, truth: Option<usize> },
-        Parked { truth: Option<usize> },
+        Live { verdict: Verdict, next: Next },
+        Parked { verdict: Verdict, next: Next },
         Exited,
+    }
+
+    impl Slot {
+        /// The verdict and next instruction of a candidate.
+        fn held(self) -> Option<(Verdict, Next)> {
+            match self {
+                Slot::Live { verdict, next } | Slot::Parked { verdict, next } => Some((verdict, next)),
+                _ => None,
+            }
+        }
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -535,18 +677,21 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        Launch { w: usize, lat: u64, truth: Option<usize> },
+        /// `decide` unset: the first instruction is left untested.
+        Launch { w: usize, lat: u64, next: Next, decide: bool },
         Elapse(u64),
-        Writeback { w: usize, longlat: bool, truth: Option<usize> },
+        Writeback { w: usize, longlat: bool, release: bool },
         /// Order (`rotate` set: the policy's rotation moves), pick, and issue
-        /// the pick with `effect`; `truth` is for its next instruction.
+        /// the pick with `effect`; `next` is its next instruction, decided at
+        /// once unless it is due to reconverge (`decide` unset).
         Pick {
             unit: u32,
             open: [bool; 3],
             rotate: Option<usize>,
             effect: Effect,
             lat: u64,
-            truth: Option<usize>,
+            next: Next,
+            decide: bool,
         },
         Unpark { w: usize, lat: u64 },
         Retire { w: usize },
@@ -556,11 +701,12 @@ mod tests {
     fn op(g: &mut Gen) -> Op {
         let w = g.gen_range(0..SLOTS);
         let lat = g.gen_range(0..4u64);
-        let truth = g.gen_bool(0.6).then(|| g.gen_range(0..3usize));
+        let next = Next { class: g.gen_range(0..3usize), blocked: g.gen_bool(0.4) };
+        let decide = g.gen_bool(0.75);
         match g.gen_range(0..16u32) {
-            0..=2 => Op::Launch { w, lat, truth },
+            0..=2 => Op::Launch { w, lat, next, decide },
             3..=4 => Op::Elapse(g.gen_range(1..3u64)),
-            5..=6 => Op::Writeback { w, longlat: g.gen_bool(0.3), truth },
+            5..=6 => Op::Writeback { w, longlat: g.gen_bool(0.3), release: g.gen_bool(0.6) },
             7..=12 => Op::Pick {
                 unit: g.gen_range(0..UNITS),
                 open: [true, g.gen_bool(0.5), g.gen_bool(0.3)],
@@ -572,7 +718,8 @@ mod tests {
                     _ => Effect::Plain,
                 },
                 lat,
-                truth,
+                next,
+                decide,
             },
             13 => Op::Unpark { w, lat },
             14 => Op::Retire { w },
@@ -626,24 +773,21 @@ mod tests {
             matches!(self.slots[w], Slot::Live { .. }) && now >= self.ibuf_at[w]
         }
 
-        /// Every mask of `st`, derived from the per-slot states.
-        fn agrees_with(&self, st: &IssueState) -> CaseResult {
-            let verdict = |want: Verdict| {
-                self.mask(|_, s| matches!(s, Slot::Live { verdict, .. } if verdict == want))
-            };
-            let cands = self.mask(|_, s| matches!(s, Slot::Live { .. } | Slot::Parked { .. }));
+        /// Every mask of `st`, derived from the per-slot states at `now`.
+        fn agrees_with(&self, st: &IssueState, now: u64) -> CaseResult {
+            let verdict = |want: Verdict| self.mask(|_, s| s.held().is_some_and(|(v, _)| v == want));
+            let cands = self.mask(|_, s| s.held().is_some());
             prop_assert_eq!(st.cands_mask, cands, "candidates");
             prop_assert_eq!(st.eligible_mask, self.mask(|_, s| matches!(s, Slot::Live { .. })));
-            prop_assert_eq!(st.sb_wait_mask, verdict(Verdict::SbWait), "scoreboard-wait memo");
+            prop_assert_eq!(st.sb_wait_mask, verdict(Verdict::SbWait), "scoreboard-wait verdicts");
             for c in 0..3 {
-                prop_assert_eq!(st.ready[c], verdict(Verdict::Ready(c)), "ready memo {}", c);
+                prop_assert_eq!(st.ready[c], verdict(Verdict::Ready(c)), "ready verdicts {}", c);
             }
             prop_assert_eq!(st.longlat_mask, self.mask(|w, _| self.longlat[w]), "blocked");
             prop_assert_eq!(&st.ibuf_at[..], &self.ibuf_at[..], "fetch mirror");
             prop_assert_eq!(st.prof.probes, self.probes, "probes");
-            prop_assert!(st.ready_memo_holds(u64::MAX, |w| match self.slots[w] {
-                Slot::Live { truth, .. } => truth,
-                _ => None,
+            prop_assert!(st.ready_memo_holds(now, |w| {
+                self.slots[w].held().map(|(_, next)| (next.instr(), !next.blocked))
             }));
             Ok(())
         }
@@ -671,7 +815,8 @@ mod tests {
     /// Random launch / fetch-elapse / writeback / order+pick+issue (plain,
     /// load, barrier park, exit) / barrier release / retire / rebuild
     /// sequences on an `IssueState` alone. After every step its masks equal
-    /// the ones derived from a per-slot enum model that replays the lazy
+    /// the ones derived from a per-slot enum model whose verdicts are taken
+    /// at launch, issue and release and, for the untested, by the lazy
     /// walk; every pick is the one a full re-probe of the fetched warps in
     /// priority order makes, with the stall class that re-probe finds; and
     /// the policy is asked for an order exactly when an input changed.
@@ -696,32 +841,36 @@ mod tests {
             let mut now = 0u64;
             for op in ops {
                 match *op {
-                    Op::Launch { w, lat, truth } if m.slots[w] == Slot::Empty => {
+                    Op::Launch { w, lat, next, decide } if m.slots[w] == Slot::Empty => {
                         st.launch(w, now + lat);
-                        m.slots[w] = Slot::Live { verdict: Verdict::None, truth };
+                        let mut verdict = Verdict::None;
+                        if decide {
+                            st.decide(w, next.instr(), &next.scoreboard(false));
+                            verdict = next.verdict();
+                        }
+                        m.slots[w] = Slot::Live { verdict, next };
                         (m.ibuf_at[w], m.longlat[w]) = (now + lat, false);
                     }
                     Op::Elapse(d) => now += d,
-                    Op::Writeback { w, longlat, truth: released } => {
-                        // Only a warp with writes in flight sees one: live,
-                        // and (a ready instruction staying ready) never
-                        // left blocked by it.
-                        let Slot::Live { verdict, truth } = m.slots[w] else { continue };
-                        let longlat = longlat && truth.is_none();
-                        st.release_write(w, longlat);
+                    Op::Writeback { w, longlat, release } => {
+                        // Only a candidate has writes in flight.
+                        let Some((verdict, next)) = m.slots[w].held() else { continue };
+                        let next = Next { blocked: next.blocked && !release, ..next };
+                        st.release_write(w, &next.scoreboard(longlat));
                         m.longlat[w] = longlat;
-                        let verdict = if verdict == Verdict::SbWait { Verdict::None } else { verdict };
-                        m.slots[w] = Slot::Live { verdict, truth: truth.or(released) };
+                        let verdict = if verdict == Verdict::SbWait { next.verdict() } else { verdict };
+                        m.slots[w] = match m.slots[w] {
+                            Slot::Live { .. } => Slot::Live { verdict, next },
+                            _ => Slot::Parked { verdict, next },
+                        };
                     }
-                    Op::Pick { unit, open, rotate, effect, lat, truth: next } => {
+                    Op::Pick { unit, open, rotate, effect, lat, next, decide } => {
                         let in_unit = |w: usize| w as u32 % UNITS == unit;
                         let u = unit as usize;
                         if let Some(by) = rotate {
                             policy.by[u] = by;
                         }
-                        let cands = m.mask(|w, s| {
-                            in_unit(w) && matches!(s, Slot::Live { .. } | Slot::Parked { .. })
-                        });
+                        let cands = m.mask(|w, s| in_unit(w) && s.held().is_some());
                         let blocked = m.mask(|w, _| in_unit(w) && m.longlat[w]);
                         let inputs = (cands, if *reads_longlat { blocked } else { 0 }, policy.by[u]);
                         if m.ordered[u] != Some(inputs) {
@@ -743,12 +892,9 @@ mod tests {
                         prop_assert_eq!(st.last_order(unit), &order[..]);
 
                         // The full re-probe: every fetched warp, in order.
-                        let truths: [Option<usize>; SLOTS] =
-                            std::array::from_fn(|w| match m.slots[w] {
-                                Slot::Live { truth, .. } => truth,
-                                _ => None,
-                            });
-                        let truth_of = |w: usize| truths[w];
+                        let nexts: [Option<Next>; SLOTS] =
+                            std::array::from_fn(|w| m.slots[w].held().map(|(_, next)| next));
+                        let truth_of = |w: usize| nexts[w].and_then(Next::truth);
                         let fetched: Vec<usize> =
                             order.iter().copied().filter(|&w| m.fetched(w, now)).collect();
                         let want = fetched
@@ -762,20 +908,24 @@ mod tests {
                             } else {
                                 StallReason::Pipeline
                             });
-                        // The lazy walk: which warps it tests on the way.
+                        // The lazy walk: which untested warps it tests on the way.
                         for &w in &fetched {
-                            let Slot::Live { verdict, truth } = &mut m.slots[w] else { continue };
+                            let Slot::Live { verdict, next } = &mut m.slots[w] else { continue };
                             if *verdict == Verdict::None {
-                                *verdict = truth.map_or(Verdict::SbWait, Verdict::Ready);
+                                *verdict = next.verdict();
                                 m.probes += 1;
                             }
                             if Ok(w) == want {
                                 break;
                             }
                         }
-                        let got = st.pick(unit, now, open, truth_of);
+                        let probe = |w: usize| {
+                            let next = nexts[w].expect("only candidates are probed");
+                            (next.instr(), !next.blocked)
+                        };
+                        let got = st.pick(unit, now, open, probe);
                         prop_assert_eq!(got, want, "pick at {} on unit {}", now, unit);
-                        m.agrees_with(&st)?;
+                        m.agrees_with(&st, now)?;
                         for w in 0..SLOTS {
                             let want = match m.slots[w] {
                                 Slot::Live { .. } if !m.fetched(w, now) => Some(WarpIssue::Fetching),
@@ -801,7 +951,7 @@ mod tests {
                         let Ok(w) = got else { continue };
                         st.issued(w, now + lat);
                         m.ibuf_at[w] = now + lat;
-                        m.slots[w] = Slot::Live { verdict: Verdict::None, truth: next };
+                        m.slots[w] = Slot::Live { verdict: Verdict::None, next };
                         match effect {
                             Effect::Plain => {}
                             Effect::Load => {
@@ -812,19 +962,29 @@ mod tests {
                             Effect::Bar | Effect::Exit if m.longlat[w] => {}
                             Effect::Bar => {
                                 st.park(w);
-                                m.slots[w] = Slot::Parked { truth: next };
+                                m.slots[w] = Slot::Parked { verdict: Verdict::None, next };
                             }
                             Effect::Exit => {
                                 st.exit(w);
                                 m.slots[w] = Slot::Exited;
+                                continue;
                             }
+                        }
+                        // The verdict on the next instruction, taken right
+                        // after the issue unless it is due to reconverge.
+                        if decide {
+                            st.decide(w, next.instr(), &next.scoreboard(m.longlat[w]));
+                            m.slots[w] = match m.slots[w] {
+                                Slot::Live { .. } => Slot::Live { verdict: next.verdict(), next },
+                                _ => Slot::Parked { verdict: next.verdict(), next },
+                            };
                         }
                     }
                     Op::Unpark { w, lat } => {
-                        let Slot::Parked { truth } = m.slots[w] else { continue };
+                        let Slot::Parked { verdict, next } = m.slots[w] else { continue };
                         st.unpark(w, now + lat);
                         m.ibuf_at[w] = now + lat;
-                        m.slots[w] = Slot::Live { verdict: Verdict::None, truth };
+                        m.slots[w] = Slot::Live { verdict, next };
                     }
                     Op::Retire { w } if m.slots[w] == Slot::Exited => {
                         st.retire(w);
@@ -834,7 +994,7 @@ mod tests {
                         let (warps, sched) = m.restored();
                         st.rebuild(&warps, &sched);
                         for s in &mut m.slots {
-                            if let Slot::Live { verdict, .. } = s {
+                            if let Slot::Live { verdict, .. } | Slot::Parked { verdict, .. } = s {
                                 *verdict = Verdict::None;
                             }
                         }
@@ -842,7 +1002,7 @@ mod tests {
                     }
                     Op::Launch { .. } | Op::Retire { .. } => continue,
                 }
-                m.agrees_with(&st)?;
+                m.agrees_with(&st, now)?;
             }
             Ok(())
         });

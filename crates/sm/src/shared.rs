@@ -53,30 +53,50 @@ impl SharedMem {
 
 /// Cycles a shared load/store occupies the LSU given the active lanes'
 /// byte addresses: the maximum, over banks, of *distinct word addresses*
-/// mapped to that bank (identical addresses broadcast for free).
-#[allow(clippy::needless_range_loop)] // lane indexes the mask AND the array
+/// mapped to that bank (identical addresses broadcast for free). Active
+/// lanes in distinct banks — unit strides, the common case — take one
+/// cycle, which is what [`conflict_cycles_general`] counts for them; any
+/// other row goes to the general count.
+#[inline]
 pub(crate) fn conflict_cycles(addrs: &[u32; WARP_SIZE], mask: u32) -> u32 {
-    let mut per_bank: [u32; NUM_BANKS] = [0; NUM_BANKS];
-    let mut seen: [Option<u32>; NUM_BANKS] = [None; NUM_BANKS];
-    let mut worst = 0;
-    for lane in 0..WARP_SIZE {
-        if mask & (1 << lane) == 0 {
-            continue;
+    let mut banks = 0u32;
+    let mut m = mask;
+    while m != 0 {
+        let lane = m.trailing_zeros() as usize;
+        m &= m - 1;
+        let bit = 1u32 << (addrs[lane] / 4 % NUM_BANKS as u32);
+        if banks & bit != 0 {
+            return conflict_cycles_general(addrs, mask);
         }
-        let word = addrs[lane] / 4;
-        let bank = (word as usize) % NUM_BANKS;
-        // Cheap common-case dedup: consecutive identical addresses within a
-        // bank broadcast. (Exact dedup would track sets; tracking the last
-        // distinct word per bank covers broadcast and strided patterns,
-        // which is what our kernels generate.)
-        if seen[bank] == Some(word) {
-            continue;
-        }
-        seen[bank] = Some(word);
-        per_bank[bank] += 1;
-        worst = worst.max(per_bank[bank]);
+        banks |= bit;
     }
-    worst.max(1)
+    1
+}
+
+/// [`conflict_cycles`] for any row: per bank, the words that differ from
+/// the last one the bank saw, counted over the active lanes in lane order.
+/// (Exact dedup would track sets; tracking the last distinct word per bank
+/// covers broadcast and strided patterns, which is what our kernels
+/// generate.)
+fn conflict_cycles_general(addrs: &[u32; WARP_SIZE], mask: u32) -> u32 {
+    // A word address is below 2^30, so `u32::MAX` marks a bank that has
+    // seen none; no bank counts past the 32 lanes.
+    let mut seen = [u32::MAX; NUM_BANKS];
+    let mut per_bank = [0u8; NUM_BANKS];
+    let mut worst = 1;
+    let mut m = mask;
+    while m != 0 {
+        let lane = m.trailing_zeros() as usize;
+        m &= m - 1;
+        let word = addrs[lane] / 4;
+        let bank = word as usize % NUM_BANKS;
+        if seen[bank] != word {
+            seen[bank] = word;
+            per_bank[bank] += 1;
+            worst = worst.max(per_bank[bank]);
+        }
+    }
+    u32::from(worst)
 }
 
 /// Serialization cycles for a shared-memory *atomic*: lanes addressing the
@@ -143,6 +163,59 @@ mod tests {
     fn inactive_lanes_do_not_conflict() {
         assert_eq!(conflict_cycles(&seq_addrs(128), 0b1), 1);
         assert_eq!(conflict_cycles(&seq_addrs(128), 0), 1, "min occupancy 1");
+    }
+
+    /// The count as it was first written: a pass over all 32 lanes with
+    /// per-bank counts and the last word seen per bank.
+    #[allow(clippy::needless_range_loop)] // lane indexes the mask AND the array
+    fn conflict_cycles_reference(addrs: &[u32; WARP_SIZE], mask: u32) -> u32 {
+        let mut per_bank: [u32; NUM_BANKS] = [0; NUM_BANKS];
+        let mut seen: [Option<u32>; NUM_BANKS] = [None; NUM_BANKS];
+        let mut worst = 0;
+        for lane in 0..WARP_SIZE {
+            if mask & (1 << lane) == 0 {
+                continue;
+            }
+            let word = addrs[lane] / 4;
+            let bank = (word as usize) % NUM_BANKS;
+            if seen[bank] == Some(word) {
+                continue;
+            }
+            seen[bank] = Some(word);
+            per_bank[bank] += 1;
+            worst = worst.max(per_bank[bank]);
+        }
+        worst.max(1)
+    }
+
+    /// Over random rows — strided, offset, with repeated and colliding
+    /// words — and random active masks, the distinct-banks fast path and
+    /// the general count each answer exactly what the reference does.
+    #[test]
+    fn the_fast_path_is_the_general_count() {
+        use pro_core::prop::{check, from_fn, Config};
+        use pro_core::prop_assert_eq;
+        let row = from_fn(|g| {
+            let stride = 4 * g.gen_range(0..40u32);
+            let base = 4 * g.gen_range(0..1024u32);
+            let addrs: [u32; WARP_SIZE] = std::array::from_fn(|lane| match g.gen_range(0..8u32) {
+                0 => 4 * g.gen_range(0..64u32),
+                1 => base,
+                _ => base + lane as u32 * stride,
+            });
+            let mask = match g.gen_range(0..4u32) {
+                0 => u32::MAX,
+                1 => g.next_u64() as u32 & g.next_u64() as u32,
+                _ => g.next_u64() as u32,
+            };
+            (addrs, mask)
+        });
+        check(Config::with_cases(2_000), row, |(addrs, mask)| {
+            let want = conflict_cycles_reference(addrs, *mask);
+            prop_assert_eq!(conflict_cycles_general(addrs, *mask), want, "general");
+            prop_assert_eq!(conflict_cycles(addrs, *mask), want, "fast path");
+            Ok(())
+        });
     }
 
     #[test]

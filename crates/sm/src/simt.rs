@@ -9,7 +9,7 @@
 //! PCs come from the ISA (`Instr::Bra::reconv`), computed by the program
 //! builder for structured control flow.
 
-use pro_core::codec::ensure;
+use pro_core::codec::{ensure, CodecError, Reader, Snapshot, Writer};
 use pro_core::snapshot_struct;
 use pro_isa::Pc;
 
@@ -24,10 +24,13 @@ pub struct SimtEntry {
     pub reconv: Pc,
 }
 
-/// Per-warp SIMT stack.
+/// Per-warp SIMT stack. The executing entry is held in place, so reading
+/// the pc or the mask of a converged warp touches no other memory; the
+/// entries below it are only there after a divergent branch.
 #[derive(Debug, Clone)]
 pub struct SimtStack {
-    entries: Vec<SimtEntry>,
+    top: SimtEntry,
+    below: Vec<SimtEntry>,
 }
 
 impl SimtStack {
@@ -35,92 +38,91 @@ impl SimtStack {
     /// at `program_len` (i.e. never, for valid programs ending in `exit`).
     pub fn new(mask: u32, program_len: Pc) -> Self {
         SimtStack {
-            entries: vec![SimtEntry {
+            top: SimtEntry {
                 pc: 0,
                 mask,
                 reconv: program_len,
-            }],
+            },
+            below: Vec::new(),
         }
+    }
+
+    /// [`SimtStack::new`] in place, keeping the storage of the entries
+    /// below the top.
+    pub(crate) fn reset(&mut self, mask: u32, program_len: Pc) {
+        self.top = SimtEntry { pc: 0, mask, reconv: program_len };
+        self.below.clear();
     }
 
     /// Current PC.
     #[inline]
     pub fn pc(&self) -> Pc {
-        self.top().pc
+        self.top.pc
     }
 
     /// Current active mask.
     #[inline]
     pub(crate) fn mask(&self) -> u32 {
-        self.top().mask
+        self.top.mask
     }
 
     /// Current stack depth (1 = converged).
     pub(crate) fn depth(&self) -> usize {
-        self.entries.len()
-    }
-
-    #[inline]
-    fn top(&self) -> &SimtEntry {
-        self.entries.last().expect("SIMT stack never empty")
-    }
-
-    #[inline]
-    fn top_mut(&mut self) -> &mut SimtEntry {
-        self.entries.last_mut().expect("SIMT stack never empty")
+        self.below.len() + 1
     }
 
     /// Pop any entries whose PC has reached their reconvergence point.
     /// Call before fetching each instruction.
+    #[inline]
     pub fn reconverge(&mut self) {
         while self.at_reconvergence() {
-            self.entries.pop();
+            self.top = self.below.pop().expect("an entry below the top");
         }
     }
 
     /// Would [`SimtStack::reconverge`] pop an entry?
+    #[inline]
     pub fn at_reconvergence(&self) -> bool {
-        let t = self.top();
-        self.entries.len() > 1 && t.pc == t.reconv
+        !self.below.is_empty() && self.top.pc == self.top.reconv
     }
 
     /// Sequential advance past a non-branch instruction.
     #[inline]
     pub fn advance(&mut self) {
-        self.top_mut().pc += 1;
+        self.top.pc += 1;
     }
 
     /// Apply a branch executed at the current PC: `taken` is the subset of
     /// the active mask that takes the branch to `target`; the rest fall
     /// through; `reconv` is the branch's reconvergence PC.
     pub(crate) fn branch(&mut self, taken: u32, target: Pc, reconv: Pc) {
-        let cur = *self.top();
+        let cur = self.top;
         debug_assert_eq!(taken & !cur.mask, 0, "taken lanes must be active");
         let fallthrough_pc = cur.pc + 1;
         let not_taken = cur.mask & !taken;
         if taken == 0 {
-            self.top_mut().pc = fallthrough_pc;
+            self.top.pc = fallthrough_pc;
         } else if not_taken == 0 {
-            self.top_mut().pc = target;
+            self.top.pc = target;
         } else {
             // Divergence: current entry becomes the reconvergence parent.
-            self.top_mut().pc = reconv;
-            self.entries.push(SimtEntry {
+            self.below.push(SimtEntry { pc: reconv, ..cur });
+            self.below.push(SimtEntry {
                 pc: fallthrough_pc,
                 mask: not_taken,
                 reconv,
             });
-            self.entries.push(SimtEntry {
+            self.top = SimtEntry {
                 pc: target,
                 mask: taken,
                 reconv,
-            });
+            };
         }
     }
 
     /// Does every entry's PC address one of a program's `len` instructions?
     pub(crate) fn pcs_within(&self, len: usize) -> bool {
-        self.entries.iter().all(|e| (e.pc as usize) < len)
+        self.below.iter().chain([&self.top]).all(|e| (e.pc as usize) < len)
     }
 }
 
@@ -132,12 +134,18 @@ snapshot_struct! {
     }
 }
 
-snapshot_struct! {
-    SimtStack {
-        entries,
+// By hand: the bytes are those of the bottom-to-top `Vec<SimtEntry>` this
+// stack was stored as before its top moved in place.
+impl Snapshot for SimtStack {
+    fn save(&self, w: &mut Writer) {
+        let entries: Vec<SimtEntry> = self.below.iter().chain([&self.top]).copied().collect();
+        entries.save(w);
     }
-    validate {
-        ensure(!entries.is_empty(), "empty SIMT stack")
+    fn load(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut below = Vec::<SimtEntry>::load(r)?;
+        ensure(!below.is_empty(), "empty SIMT stack")?;
+        let top = below.pop().expect("checked");
+        Ok(SimtStack { top, below })
     }
 }
 

@@ -442,8 +442,10 @@ impl Sm {
             .find(|&t| !self.sched_tbs[t].occupied)
             .expect("caller checked can_accept_tb");
         self.occupy(slot, global_index, now);
+        let table = Arc::clone(self.table.as_ref().expect("kernel bound"));
         for w in self.warp_slots(slot) {
             self.issue.launch(w, self.warps[w].ibuf_ready_at);
+            self.decide_next(w, &table);
         }
         if tracer.wants(EventClass::Tb) {
             tracer.emit(

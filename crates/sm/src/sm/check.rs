@@ -3,7 +3,7 @@
 //! holds the SMs it decoded to them, and a debug build's run holds the
 //! running ones every `CHECK_PERIOD` cycles (`Gpu::check`).
 
-use super::issue_phase::ready_class;
+use super::issue_phase::verdict_from_scratch;
 use super::lsu::LsuEntry;
 use super::Sm;
 use crate::scoreboard::Scoreboard;
@@ -27,7 +27,7 @@ impl Sm {
     /// * a load the LSU is still sending completes like any other, and the
     ///   next one issued will not take the id of one in flight;
     /// * the issue path's masks and fetch mirror are the warps'
-    ///   (`IssueState::rebuild`), and its ready memo is what a
+    ///   (`IssueState::rebuild`), and each verdict it holds is what a
     ///   probe would find ([`crate::IssueState::ready_memo_holds`]);
     /// * the lines the LSU has still to send of each load are lines the
     ///   memory side is due, and a load the SM holds registers for has no
@@ -98,7 +98,7 @@ impl Sm {
             return fail("issue masks not the warps'", Some(Slot::Warp(w)));
         }
         if let Some(table) = &self.table {
-            if !self.issue.ready_memo_holds(now, |w| ready_class(&self.warps[w], table)) {
+            if !self.issue.ready_memo_holds(now, |w| verdict_from_scratch(&self.warps[w], table)) {
                 return fail("ready memo a probe would not repeat", None);
             }
         }

@@ -6,7 +6,7 @@
 use super::lsu::LsuEntry;
 use super::{sched_view, Sm, TickReport};
 use crate::decode::{IssueMeta, IssueTable};
-use crate::issue::class_of;
+use crate::issue::NextInstr;
 use crate::scoreboard::WriteSet;
 use crate::warp::{ExecEffect, LaunchCtx, Warp};
 use pro_core::{IssueInfo, WarpScheduler, WarpState};
@@ -49,13 +49,20 @@ fn reconverge(warp: &mut Warp, sm: u32, w: usize, cx: &mut IssueCx) {
     }
 }
 
-/// What a probe of `warp` would find, without its side effects: the ready
-/// class of its next instruction if the warp is reconverged and the
-/// instruction's operands are free, `None` otherwise. The verdict
-/// [`crate::issue::IssueState::ready_memo_holds`] holds the memo to.
-pub(super) fn ready_class(warp: &Warp, table: &IssueTable) -> Option<usize> {
-    let meta = table.at(warp.pc());
-    (!warp.simt.at_reconvergence() && meta.ready(&warp.scoreboard)).then_some(class_of(meta.pipe))
+/// `warp`'s next instruction and whether its scoreboard lets it go: the
+/// verdict [`crate::issue::IssueState::decide`] takes and a probe finds.
+/// The caller has popped the SIMT entries due, or checked there are none.
+#[inline]
+fn next_instr(warp: &Warp, table: &IssueTable) -> (NextInstr, bool) {
+    let next = NextInstr::of(table.at(warp.pc()));
+    (next, next.ready(&warp.scoreboard))
+}
+
+/// What a probe of `warp` would find, without its side effects: `None` if
+/// its SIMT top is at a reconvergence point, else [`next_instr`]. What
+/// [`crate::issue::IssueState::ready_memo_holds`] holds the verdicts to.
+pub(super) fn verdict_from_scratch(warp: &Warp, table: &IssueTable) -> Option<(NextInstr, bool)> {
+    (!warp.simt.at_reconvergence()).then(|| next_instr(warp, table))
 }
 
 impl Sm {
@@ -99,7 +106,7 @@ impl Sm {
         };
         for unit in 0..self.cfg.units {
             self.issue_unit(unit, &mut cx);
-            debug_assert!(self.issue.ready_memo_holds(now, |w| ready_class(&self.warps[w], &table)));
+            debug_assert!(self.issue.ready_memo_holds(now, |w| verdict_from_scratch(&self.warps[w], &table)));
             self.stats.unit_cycles += 1;
         }
         self.table = Some(table);
@@ -148,9 +155,20 @@ impl Sm {
         issue.pick(unit, cx.now, open, |w| {
             let warp = &mut warps[w];
             reconverge(warp, *id, w, cx);
-            let meta = cx.table.at(warp.pc());
-            meta.ready(&warp.scoreboard).then_some(class_of(meta.pipe))
+            next_instr(warp, cx.table)
         })
+    }
+
+    /// Take warp `w`'s verdict on its next instruction while the warp is in
+    /// cache — at its launch and right after its issue — unless its SIMT
+    /// top is at a reconvergence point: that pop is the walk's, so the
+    /// warp stays untested until a probe.
+    pub(super) fn decide_next(&mut self, w: usize, table: &IssueTable) {
+        let warp = &self.warps[w];
+        if !warp.simt.at_reconvergence() {
+            let (next, _) = next_instr(warp, table);
+            self.issue.decide(w, next, &warp.scoreboard);
+        }
     }
 
     /// Nothing issued: count the unit-cycle under GPGPU-Sim's stall class
@@ -236,6 +254,9 @@ impl Sm {
         self.issue.issued(w, now + self.cfg.fetch_lat);
 
         let reserved = self.dispatch(w, tb, effect, cx.table.at(issue_pc), cx);
+        if effect != ExecEffect::Exit {
+            self.decide_next(w, cx.table);
+        }
         if let (Some(longlat), true) = (reserved, cx.trace_sb) {
             cx.tracer.emit(now, &TraceEvent::ScoreboardSet { sm, warp: w as u32, longlat });
         }
@@ -499,39 +520,23 @@ mod tests {
         Kernel::new(b.build().unwrap(), LaunchConfig::linear(4, 256), vec![0])
     }
 
-    /// What the issue walk would find for warp slot `w` at the end of
-    /// cycle `now`, from the architectural state alone: `None` if it would
-    /// not look (not live, or still fetching), else whether the scoreboard
-    /// lets the next instruction go and which ready class serves it.
-    fn probe_from_scratch(sm: &Sm, w: usize, now: u64) -> Option<(bool, usize)> {
-        let (warp, sw) = (&sm.warps[w], &sm.sched_warps[w]);
-        let live = sw.active && !sw.finished && !sw.at_barrier;
-        if !live || now < warp.ibuf_ready_at {
-            return None;
-        }
-        let mut simt = warp.simt.clone();
-        simt.reconverge();
-        let meta = sm.table.as_ref().unwrap().at(simt.pc());
-        Some((meta.ready(&warp.scoreboard), class_of(meta.pipe)))
-    }
-
     /// Run `kernel` under `kind`, launching TBs as slots free up. With
-    /// `forget` the ready memo is emptied before every cycle, so each ready
-    /// warp is probed again as it was before the memo existed; without, the
-    /// memo masks are held to [`probe_from_scratch`] after every cycle.
+    /// `forget` every verdict is dropped before every cycle, so each fetched
+    /// warp is probed again as it was before verdicts were kept; without,
+    /// every verdict is held to a from-scratch probe after every cycle.
     fn run_memo_rig(kernel: &Kernel, kind: SchedulerKind, forget: bool) -> Rig {
         let check = !forget;
         let blocks = kernel.launch.num_blocks();
         let mut rig = Rig::new(kernel, kind);
         let (mut next, mut done) = (0u32, 0u32);
-        let (mut held, mut pipe_full_held) = (0u64, 0u64);
+        let (mut pipe_full_held, mut unfetched_held) = (0u64, 0u64);
         while done < blocks {
             while next < blocks && rig.sm.can_accept_tb() {
                 rig.launch(next);
                 next += 1;
             }
             if forget {
-                rig.sm.issue.forget_ready();
+                rig.sm.issue.forget_verdicts();
             }
             let issued_before = rig.sm.stats.issued;
             let mut rep = TickReport::default();
@@ -547,6 +552,7 @@ mod tests {
             done += rep.finished_tbs.len() as u32;
             if check {
                 let sm = &rig.sm;
+                let table = sm.table.as_ref().unwrap();
                 // A cycle in which nothing issued walked every fetched warp,
                 // so each of them must hold a verdict; otherwise the lazy
                 // walk may have left some untested.
@@ -554,31 +560,31 @@ mod tests {
                 for w in 0..sm.cfg.max_warps {
                     let (memo, waiting) = sm.issue.memo_of(w);
                     let ctx = format!("{kind:?} cycle {} warp {w}", rig.now);
-                    match probe_from_scratch(sm, w, rig.now) {
-                        None => {
-                            assert!(memo.is_empty() && !waiting, "{ctx}: memo on a skipped warp")
-                        }
-                        Some((true, c)) => {
-                            assert!(!waiting, "{ctx}: ready warp in sb_wait");
-                            assert!(
-                                memo.is_empty() && !complete || memo == [c],
-                                "{ctx}: in {memo:?}, class {c}"
-                            );
-                        }
-                        Some((false, _)) => {
-                            assert!(memo.is_empty(), "{ctx}: unready warp in {memo:?}");
-                            assert!(waiting || !complete, "{ctx}: unready warp without a verdict");
-                        }
+                    let (warp, sw) = (&sm.warps[w], &sm.sched_warps[w]);
+                    let candidate = sw.active && !sw.finished;
+                    let fetched = candidate && !sw.at_barrier && rig.now >= warp.ibuf_ready_at;
+                    if memo.is_empty() && !waiting {
+                        assert!(!(complete && fetched), "{ctx}: fetched warp without a verdict");
+                        continue;
                     }
-                    held += memo.len() as u64;
+                    assert!(candidate, "{ctx}: verdict on a slot that is not a candidate");
+                    match verdict_from_scratch(warp, table) {
+                        None => panic!("{ctx}: verdict on a warp due to reconverge"),
+                        Some((next, true)) => {
+                            assert!(!waiting && memo == [next.class()], "{ctx}: ready in {memo:?}, {waiting}")
+                        }
+                        Some((_, false)) => assert!(waiting && memo.is_empty(), "{ctx}: refused in {memo:?}"),
+                    }
                     pipe_full_held += memo.iter().filter(|&&c| c > 0).count() as u64;
+                    unfetched_held += u64::from(!fetched);
                 }
             }
             rig.now += 1;
             assert!(rig.now < 400_000, "{kind:?} did not finish");
         }
         if check {
-            assert!(held > 0 && pipe_full_held > 0, "{kind:?}: the memo was never exercised");
+            assert!(pipe_full_held > 0, "{kind:?}: no verdict waited on a full pipeline");
+            assert!(unfetched_held > 0, "{kind:?}: no verdict was taken before its fetch");
         }
         rig
     }
@@ -596,12 +602,12 @@ mod tests {
                 assert!(memo.sm.stats.pipeline > 0, "{name} {kind:?}: no pipeline stall");
                 let (m, r) = (memo.sm.issue_prof(), reprobe.sm.issue_prof());
                 assert_eq!(
-                    (m.orders_reused, m.orders_recomputed, m.mask_skips),
-                    (r.orders_reused, r.orders_recomputed, r.mask_skips),
-                    "{name} {kind:?}: the memo moved a counter it does not own"
+                    (m.orders_reused, m.orders_recomputed),
+                    (r.orders_reused, r.orders_recomputed),
+                    "{name} {kind:?}: the verdicts moved a counter they do not own"
                 );
                 assert!(m.probes < r.probes, "{name} {kind:?}: {} !< {}", m.probes, r.probes);
-                assert_eq!(r.ready_hits, 0, "an emptied memo serves nothing");
+                assert_eq!(r.ready_hits, 0, "dropped verdicts serve nothing");
             }
         }
     }

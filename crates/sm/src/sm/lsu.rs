@@ -51,13 +51,14 @@ pub(super) type Release = (usize, WriteSet);
 
 impl Sm {
     /// Registers `ws` of `warp` were written back — the one event that can
-    /// make a scoreboard-stalled warp issuable again.
-    fn release_write(&mut self, warp: usize, ws: WriteSet, now: u64, tracer: &mut dyn Tracer) {
-        self.warps[warp].scoreboard.release(ws);
-        let longlat = self.warps[warp].scoreboard.longlat_pending();
-        self.sched_warps[warp].blocked_on_longlat = longlat;
-        self.issue.release_write(warp, longlat);
-        if tracer.wants(EventClass::Scoreboard) {
+    /// make a scoreboard-stalled warp issuable again. `trace` is whether
+    /// `tracer` wants the Scoreboard class, asked once per phase.
+    fn release_write(&mut self, warp: usize, ws: WriteSet, now: u64, tracer: &mut dyn Tracer, trace: bool) {
+        let sb = &mut self.warps[warp].scoreboard;
+        sb.release(ws);
+        self.sched_warps[warp].blocked_on_longlat = sb.longlat_pending();
+        self.issue.release_write(warp, sb);
+        if trace {
             tracer.emit(
                 now,
                 &TraceEvent::ScoreboardClear {
@@ -80,6 +81,7 @@ impl Sm {
             self.lsu_hwm = self.lsu_hwm.max(d);
             self.lsu_depth.observe(d);
         }
+        let trace = tracer.wants(EventClass::Scoreboard);
         // 1. Memory completions.
         for a in mem.drain_completions(self.id) {
             // Unreachable from a checkpoint file: the restore holds every
@@ -89,13 +91,13 @@ impl Sm {
                 .access_map
                 .remove(&a)
                 .expect("completion for unknown access");
-            self.release_write(warp, ws, now, tracer);
+            self.release_write(warp, ws, now, tracer, trace);
         }
 
         // 2. Due writebacks (popped in exact (time, seq) order; the slab
         //    slot is recycled immediately).
         while let Some((_, _, (warp, ws))) = self.wb_events.pop_due(now) {
-            self.release_write(warp, ws, now, tracer);
+            self.release_write(warp, ws, now, tracer, trace);
         }
 
         // 3. LSU head progress.

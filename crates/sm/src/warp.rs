@@ -18,6 +18,7 @@ use pro_isa::exec::{
 };
 use pro_isa::{AluOp, Instr, MemSpace, Pc, Program, Reg, Special, Src, WARP_SIZE};
 use pro_mem::{line_of, GlobalMem};
+use std::mem::MaybeUninit;
 
 /// The architectural side-effects of one issued warp instruction, as seen
 /// by the timing model.
@@ -119,7 +120,7 @@ impl Warp {
     /// (Re)initialize the slot for a newly launched warp whose lanes
     /// `live_mask` exist.
     pub(crate) fn launch(&mut self, program: &Program, live_mask: u32, now: u64, fetch_lat: u64) {
-        self.simt = SimtStack::new(live_mask, program.len() as Pc);
+        self.simt.reset(live_mask, program.len() as Pc);
         self.scoreboard.clear();
         self.ibuf_ready_at = now + fetch_lat;
         self.regs.clear();
@@ -157,29 +158,25 @@ impl Warp {
     }
 
     /// The 32 lane values of a source operand: the register's own row, or
-    /// `tmp` filled with the immediate / parameter / special value.
+    /// `tmp` written with the immediate / parameter / special value. `tmp`
+    /// starts uninitialised, so a register operand costs no fill.
     #[inline]
-    fn src_row<'a>(&'a self, src: Src, ctx: &LaunchCtx, tmp: &'a mut Row) -> &'a Row {
+    fn src_row<'a>(&'a self, src: Src, ctx: &LaunchCtx, tmp: &'a mut MaybeUninit<Row>) -> &'a Row {
         let uniform = match src {
             Src::Reg(r) => return &self.regs[r.0 as usize],
             Src::Imm(v) => v,
             Src::Param(i) => ctx.params[i as usize],
             Src::Special(Special::Tid) => {
                 let base = ctx.index_in_tb * WARP_SIZE as u32;
-                *tmp = std::array::from_fn(|lane| base + lane as u32);
-                return tmp;
+                return tmp.write(std::array::from_fn(|lane| base + lane as u32));
             }
-            Src::Special(Special::LaneId) => {
-                *tmp = std::array::from_fn(|lane| lane as u32);
-                return tmp;
-            }
+            Src::Special(Special::LaneId) => return tmp.write(std::array::from_fn(|lane| lane as u32)),
             Src::Special(Special::Ctaid) => ctx.ctaid,
             Src::Special(Special::NTid) => ctx.ntid,
             Src::Special(Special::NCtaid) => ctx.nctaid,
             Src::Special(Special::WarpId) => ctx.index_in_tb,
         };
-        *tmp = [uniform; WARP_SIZE];
-        tmp
+        tmp.write([uniform; WARP_SIZE])
     }
 
     /// Per-lane byte addresses `regs[addr] + offset` (the ISA's wrapping
@@ -226,7 +223,7 @@ impl Warp {
         let instr = *program.fetch(pc);
         let mask = self.simt.mask();
         let active = mask.count_ones();
-        let (mut ta, mut tb, mut tc) = ([0; WARP_SIZE], [0; WARP_SIZE], [0; WARP_SIZE]);
+        let (mut ta, mut tb, mut tc) = (MaybeUninit::uninit(), MaybeUninit::uninit(), MaybeUninit::uninit());
 
         let effect = match instr {
             Instr::Alu { op, dst, a, b, c } => {

@@ -1,10 +1,11 @@
 //! One scheduler unit's pick over a recorded LSU-saturated trace, two ways:
 //! the walk the simulator runs — [`IssueState::pick`] on a real
-//! [`IssueState`] (a ready memo beside the scoreboard-wait memo, DESIGN.md
-//! §15), told of each event as `Sm` tells its own — and the walk it
-//! replaced, which tested every fetched warp again each cycle — kept here
-//! as the reference. `pick_oracle.rs` holds the two to the same picks.
-//! Nothing here is compiled into the library.
+//! [`IssueState`] (verdicts taken at launch, issue and release, DESIGN.md
+//! §15), told of each event as `Sm` tells its own and handed each warp's
+//! scoreboard where `Sm` hands it — and the walk it replaced, which tested
+//! every fetched warp again each cycle — kept here as the reference.
+//! `pick_oracle.rs` holds the two to the same picks. Nothing here is
+//! compiled into the library.
 //!
 //! The model is the slice of an SM the pick depends on: per-warp SIMT
 //! stack, scoreboard and fetch time from the library's own types, the
@@ -15,7 +16,7 @@
 use pro_core::rng::SplitMix64;
 use pro_core::{SchedView, WarpScheduler};
 use pro_isa::{PipeClass, ProgramBuilder, SfuOp, Src};
-use pro_sm::issue::{class_of, IssueState};
+use pro_sm::issue::{class_of, IssueState, NextInstr};
 use pro_sm::{IssueTable, Scoreboard, SimtStack, WriteSet};
 use pro_trace::StallReason;
 use std::collections::VecDeque;
@@ -92,8 +93,12 @@ impl PipeFullModel {
         let mut rng = SplitMix64::new(0x15c0_de02);
         // Every warp launched at cycle 0 and ordered once: a warp that
         // exits stays in the order and is skipped by the masks.
+        let table = Arc::new(IssueTable::build(&program));
         let mut issue = IssueState::new(WARPS, 1);
-        (0..WARPS).for_each(|w| issue.launch(w, 0));
+        for w in 0..WARPS {
+            issue.launch(w, 0);
+            issue.decide(w, NextInstr::of(table.at(0)), &Scoreboard::default());
+        }
         let view = SchedView { cycle: 0, warps: &[], tbs: &[], tbs_waiting_in_tb_scheduler: false };
         issue.order(0, &mut OldestFirst, &view, false);
         PipeFullModel {
@@ -107,7 +112,7 @@ impl PipeFullModel {
             sb_wait: 0,
             issue,
             probes: 0,
-            table: Arc::new(IssueTable::build(&program)),
+            table,
         }
     }
 
@@ -124,7 +129,7 @@ impl PipeFullModel {
                 let (_, w, ws) = self.wb[q].pop_front().expect("checked");
                 self.scoreboard[w].release(ws);
                 self.sb_wait &= !(1u64 << w);
-                self.issue.release_write(w, self.scoreboard[w].longlat_pending());
+                self.issue.release_write(w, &self.scoreboard[w]);
             }
         }
         let open = [true, now >= self.sfu_free_at, self.lsu_open[now as usize]];
@@ -132,9 +137,8 @@ impl PipeFullModel {
         // The production state against the model's warps, as `Sm` checks
         // its own after every unit-cycle of a debug build.
         debug_assert!(self.issue.ready_memo_holds(now, |w| {
-            let meta = self.table.at(self.simt[w].pc());
-            (!self.simt[w].at_reconvergence() && meta.ready(&self.scoreboard[w]))
-                .then_some(class_of(meta.pipe))
+            let next = NextInstr::of(self.table.at(self.simt[w].pc()));
+            (!self.simt[w].at_reconvergence()).then(|| (next, next.ready(&self.scoreboard[w])))
         }));
         let w = picked?;
         let meta = *self.table.at(self.simt[w].pc());
@@ -153,6 +157,11 @@ impl PipeFullModel {
             self.scoreboard[w].reserve(meta.write, is_mem);
             let lat = if is_mem { MEM_LAT } else { ALU_LAT };
             self.wb[is_mem as usize].push_back((now + lat, w, meta.write));
+        }
+        // The verdict on the next instruction, as `Sm::decide_next` takes it.
+        if !meta.drains && !self.simt[w].at_reconvergence() {
+            let next = NextInstr::of(self.table.at(self.simt[w].pc()));
+            self.issue.decide(w, next, &self.scoreboard[w]);
         }
         Ok(w)
     }
@@ -194,7 +203,12 @@ pub fn pick_production(
     open: [bool; 3],
 ) -> Result<usize, StallReason> {
     let PipeFullModel { issue, table, simt, scoreboard, probes, .. } = m;
-    issue.pick(0, now, open, |w| probe_warp(table, &mut simt[w], &scoreboard[w], probes))
+    issue.pick(0, now, open, |w| {
+        *probes += 1;
+        simt[w].reconverge();
+        let next = NextInstr::of(table.at(simt[w].pc()));
+        (next, next.ready(&scoreboard[w]))
+    })
 }
 
 /// The walk before the ready memo: every fetched warp outside the

@@ -10,7 +10,7 @@ mod storm;
 
 use pro_core::prop::{any, check, vec_of, Config};
 use pro_core::{prop_assert_eq, SchedulerKind, WarpScheduler, WarpState};
-use pro_sm::IssueState;
+use pro_sm::{IssueState, Scoreboard};
 use storm::{apply_event, arb_fixture, candidates, issue, Fixture, UNITS};
 
 /// Tell `state` what an event did to the warps, through the mutators the
@@ -32,7 +32,7 @@ fn report(state: &mut IssueState, was: &[WarpState], now: &[WarpState]) {
         if now.blocked_on_longlat {
             state.block_longlat(w);
         } else {
-            state.release_write(w, false);
+            state.release_write(w, &Scoreboard::default());
         }
     }
 }
